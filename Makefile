@@ -1,4 +1,4 @@
-.PHONY: install test bench tables clean lint perf-smoke resume-smoke bench-flow cache-smoke bench-scale bench-scale-full monitor-smoke serve-smoke fleet-smoke eco-smoke
+.PHONY: install test bench tables clean lint perf-smoke resume-smoke bench-flow cache-smoke bench-scale bench-scale-full monitor-smoke serve-smoke fleet-smoke eco-smoke spine-smoke
 
 install:
 	pip install -e .
@@ -126,6 +126,22 @@ eco-smoke:
 	rm -rf eco-smoke && mkdir -p eco-smoke
 	timeout 600 python benchmarks/bench_eco.py --gate \
 		--json eco-smoke/BENCH_eco.json
+
+# Measurement-spine smoke (benchmarks/spine/README.md): the spine's own
+# self-tests, then one traced sweep_cold pass that must exit 0 with
+# "correct": true on its result line.  The traced pass binds its 30
+# span targets by module/attribute name, so this is what catches a
+# renamed or moved entry point (VPRFramework.evaluate_candidate,
+# GlobalPlacer.run, solve_axis, ...) before the benchmark driver does.
+spine-smoke:
+	python -m pytest benchmarks/spine/tests -q
+	rm -rf spine-smoke && mkdir -p spine-smoke
+	timeout 600 python3 benchmarks/spine/run.py --workload sweep_cold \
+		--seed 0 --seconds 15 --trace 1 > spine-smoke/traced.txt
+	tail -1 spine-smoke/traced.txt | python3 -c "import json, sys; \
+		result = json.loads(sys.stdin.read()); \
+		assert result['correct'] is True, result; \
+		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations')"
 
 # Crash-safety smoke: run a checkpointed flow, kill it mid-sweep with
 # an injected abort, resume, and require the resumed QoR to match an

@@ -199,10 +199,9 @@ class LShapeVPRFramework(VPRFramework):
         sub, cell_area = self.induce(source, member_indices)
         delta = self.config.delta
 
-        rect_evals = [
-            self.evaluate_candidate(sub, cell_area, c)
-            for c in self.config.candidates
-        ]
+        rect_evals = self.evaluate_candidates(
+            sub, cell_area, self.config.candidates
+        )
         best_rect = min(rect_evals, key=lambda e: e.total(delta))
 
         lshapes = list(lshape_candidates or default_lshape_candidates())

@@ -24,6 +24,16 @@ Performance engine (this module is the flow's runtime bottleneck):
 * Each cluster's sub-netlist is induced **once** and shared by all 20
   candidates (and, via :meth:`VPRFramework.induce`, by later callers —
   ML feature extraction, L-shape sweeps, dataset labelling).
+* The candidates of a cluster are *placed* together
+  (:meth:`VPRFramework.evaluate_candidates`): one stacked
+  :class:`~repro.place.problem.PlacementProblem`, one lockstep
+  :class:`~repro.place.placer.GlobalPlacer` run whose every round
+  solves all candidates' x and y systems as one block-diagonal B2B/PCG
+  system.  Each candidate is then committed, routed and scored on its
+  own.  A candidate's costs are bit-identical whatever it is batched
+  with, so serial sweeps (one batch per cluster), pool/fleet chunks
+  (one batch per run of same-cluster items), retries and resumed runs
+  (whatever is missing) all agree.
 * Per-candidate scoring reuses cached flat pin/offset arrays and the
   vectorized :func:`repro.place.hpwl.hpwl_arrays` kernel instead of a
   per-net Python loop; the best candidate is picked from a NumPy cost
@@ -67,6 +77,7 @@ Fault tolerance (see ``docs/recovery.md``):
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import multiprocessing
 import os
@@ -77,7 +88,7 @@ import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -385,34 +396,54 @@ def extract_subnetlist(source: Design, member_indices: Sequence[int]) -> Design:
     return sub
 
 
-def _configure_virtual_die(
-    sub: Design, cell_area: float, candidate: ShapeCandidate, margin: float
-) -> None:
-    """Size the virtual die for a shape and place IO ports evenly
-    around the periphery (the OpenROAD pin-placer substitute)."""
+def _virtual_die(
+    num_ports: int, cell_area: float, candidate: ShapeCandidate, margin: float
+) -> Tuple[Floorplan, np.ndarray, np.ndarray]:
+    """The virtual die of a shape: its floorplan, and the IO ports'
+    ``(x, y)`` spread evenly around the periphery in sorted port-name
+    order (the OpenROAD pin-placer substitute)."""
     width, height = candidate.dimensions(max(cell_area, 1e-6))
-    sub.floorplan = Floorplan(
+    fp = Floorplan(
         die_width=width + 2 * margin,
         die_height=height + 2 * margin,
         core_margin=margin,
         target_utilization=candidate.utilization,
     )
-    fp = sub.floorplan
-    names = sorted(sub.ports)
-    if not names:
-        return
     perimeter = 2 * (fp.die_width + fp.die_height)
-    for i, name in enumerate(names):
+    t = (np.arange(num_ports) + 0.5) / max(num_ports, 1) * perimeter
+    bottom = t < fp.die_width
+    right = t < fp.die_width + fp.die_height
+    top = t < 2 * fp.die_width + fp.die_height
+    x = np.select(
+        [bottom, right, top],
+        [t, fp.die_width, t - fp.die_width - fp.die_height],
+        0.0,
+    )
+    y = np.select(
+        [bottom, right, top],
+        [0.0, t - fp.die_width, fp.die_height],
+        t - 2 * fp.die_width - fp.die_height,
+    )
+    return fp, x, y
+
+
+def _configure_virtual_die(
+    sub: Design, cell_area: float, candidate: ShapeCandidate, margin: float
+) -> None:
+    """Size the sub-netlist's die for a shape and move its IO ports
+    onto the periphery (see :func:`_virtual_die`)."""
+    _apply_virtual_die(
+        sub, *_virtual_die(len(sub.ports), cell_area, candidate, margin)
+    )
+
+
+def _apply_virtual_die(
+    sub: Design, floorplan: Floorplan, port_x: np.ndarray, port_y: np.ndarray
+) -> None:
+    sub.floorplan = floorplan
+    for name, x, y in zip(sorted(sub.ports), port_x.tolist(), port_y.tolist()):
         port = sub.ports[name]
-        t = (i + 0.5) / len(names) * perimeter
-        if t < fp.die_width:
-            port.x, port.y = t, 0.0
-        elif t < fp.die_width + fp.die_height:
-            port.x, port.y = fp.die_width, t - fp.die_width
-        elif t < 2 * fp.die_width + fp.die_height:
-            port.x, port.y = t - fp.die_width - fp.die_height, fp.die_height
-        else:
-            port.x, port.y = 0.0, t - 2 * fp.die_width - fp.die_height
+        port.x, port.y = x, y
 
 
 # ----------------------------------------------------------------------
@@ -422,8 +453,11 @@ class _SubContext:
     """Candidate-independent artefacts of one sub-netlist.
 
     Twenty candidates share the cluster's pin/offset arrays and the
-    placement problem; only the floorplan and the port ring change
-    between candidates.  ``fingerprint`` guards against structural
+    placement problem (net→pin CSR, masks, areas, weights); only the
+    core box and the port ring change between candidates.  Under B2B
+    the Laplacian *pattern* is not among the shared things — its bound
+    pins move with every linearisation — so there is no symbolic
+    matrix to reuse.  ``fingerprint`` guards against structural
     mutation (the L-shape sweep temporarily adds a blockage instance).
     """
 
@@ -477,21 +511,21 @@ class _SubContext:
         self.score_offsets = np.asarray(offsets, dtype=np.int64)
         self.num_score_nets = len(offsets) - 1
 
-    def placement_problem(self) -> PlacementProblem:
-        """The shared placement problem, with fresh port coordinates."""
+    def placement_problem(
+        self, dies: Sequence[Tuple[Floorplan, np.ndarray, np.ndarray]]
+    ) -> PlacementProblem:
+        """The shared placement problem, stacked over virtual dies."""
         if self.problem is None:
             self.problem = PlacementProblem(self.sub)
-        else:
-            self.problem.refresh_port_positions()
+        floorplans, port_x, port_y = zip(*dies)
+        self.problem.stack_dies(floorplans, np.array(port_x), np.array(port_y))
         return self.problem
 
-    def mean_hpwl(self, problem: PlacementProblem) -> float:
-        """Average net HPWL over the problem's final coordinates."""
+    def mean_hpwl(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Average net HPWL over one system's final coordinates."""
         if self.num_score_nets == 0:
             return 0.0
-        total = hpwl_arrays(
-            self.score_pins, self.score_offsets, problem.x, problem.y
-        )
+        total = hpwl_arrays(self.score_pins, self.score_offsets, x, y)
         return total / self.num_score_nets
 
 
@@ -590,6 +624,89 @@ class VPRFramework:
             self._contexts.popitem(last=False)
 
     # -- evaluation ----------------------------------------------------
+    def evaluate_candidates(
+        self,
+        sub: Design,
+        cell_area: float,
+        candidates: Sequence[ShapeCandidate],
+        cluster_id: Optional[int] = None,
+    ) -> List[CandidateEvaluation]:
+        """Place + route the sub-netlist on each candidate's virtual die
+        and compute Cost_HPWL / Cost_Congestion (Eqs. 4-5).
+
+        The candidates are placed as one lockstep batch (one stacked
+        problem, one :class:`GlobalPlacer` run), then each is committed
+        to the sub-netlist, routed and scored in the order given.  A
+        candidate's costs do not depend on what it is batched with, so
+        any split of a cluster's grid into calls yields the same 20
+        evaluations.  A candidate whose placement broke down
+        numerically comes back invalid (``error`` set, NaN costs)
+        without disturbing the others.
+
+        The per-iteration placer/router QoR streams are muted here
+        (hundreds of virtual dies would drown the flow-level
+        convergence curves); each candidate's own span and final costs
+        are recorded instead.
+        """
+        config = self.config
+        if not candidates:
+            return []
+        ctx = self._context_of(sub)
+        dies = [
+            _virtual_die(len(sub.ports), cell_area, c, config.die_margin)
+            for c in candidates
+        ]
+        with perf.stage("vpr/place"):
+            problem = ctx.placement_problem(dies)
+            placements = GlobalPlacer(
+                problem,
+                PlacerConfig(
+                    max_iterations=config.placer_iterations,
+                    min_iterations=2,
+                    target_overflow=0.15,
+                    telemetry=None,
+                    seed=config.seed,
+                ),
+            ).run()
+        evaluations = []
+        for row, (candidate, die, placed) in enumerate(
+            zip(candidates, dies, placements)
+        ):
+            span_attrs = {"ar": candidate.aspect_ratio, "util": candidate.utilization}
+            if cluster_id is not None:
+                span_attrs["cluster"] = cluster_id
+            with telemetry.span("vpr.candidate", **span_attrs):
+                if placed.error is not None:
+                    evaluations.append(
+                        CandidateEvaluation(
+                            candidate, float("nan"), float("nan"), error=placed.error
+                        )
+                    )
+                    continue
+                _apply_virtual_die(sub, *die)
+                problem.commit(row)
+                with perf.stage("vpr/route"):
+                    grid = GCellGrid.for_floorplan(
+                        sub.floorplan, target_cells=config.route_target_cells
+                    )
+                    routing = GlobalRouter(
+                        sub, grid=grid, telemetry_prefix=None
+                    ).run()
+                with perf.stage("vpr/score"):
+                    hpwl_avg = ctx.mean_hpwl(problem.x[row], problem.y[row])
+                    fp = sub.floorplan
+                    hpwl_cost = hpwl_avg / max(fp.core_width + fp.core_height, 1e-9)
+                    congestion_cost = routing.top_percent_congestion(config.top_x_percent)
+            perf.count("vpr.candidates_evaluated")
+            evaluations.append(
+                CandidateEvaluation(
+                    candidate=candidate,
+                    hpwl_cost=hpwl_cost,
+                    congestion_cost=congestion_cost,
+                )
+            )
+        return evaluations
+
     def evaluate_candidate(
         self,
         sub: Design,
@@ -597,52 +714,14 @@ class VPRFramework:
         candidate: ShapeCandidate,
         cluster_id: Optional[int] = None,
     ) -> CandidateEvaluation:
-        """Place + route the sub-netlist on the candidate's virtual die
-        and compute Cost_HPWL / Cost_Congestion (Eqs. 4-5).
-
-        The per-iteration placer/router QoR streams are muted here
-        (hundreds of virtual dies would drown the flow-level
-        convergence curves); the candidate's own span and final costs
-        are recorded instead.
-        """
-        config = self.config
-        span_attrs = {"ar": candidate.aspect_ratio, "util": candidate.utilization}
-        if cluster_id is not None:
-            span_attrs["cluster"] = cluster_id
-        with telemetry.span("vpr.candidate", **span_attrs):
-            ctx = self._context_of(sub)
-            _configure_virtual_die(sub, cell_area, candidate, config.die_margin)
-            with perf.stage("vpr/place"):
-                problem = ctx.placement_problem()
-                placer = GlobalPlacer(
-                    problem,
-                    PlacerConfig(
-                        max_iterations=config.placer_iterations,
-                        min_iterations=2,
-                        target_overflow=0.15,
-                        telemetry=None,
-                        seed=config.seed,
-                    ),
-                )
-                placer.run()
-            with perf.stage("vpr/route"):
-                grid = GCellGrid.for_floorplan(
-                    sub.floorplan, target_cells=config.route_target_cells
-                )
-                routing = GlobalRouter(
-                    sub, grid=grid, telemetry_prefix=None
-                ).run()
-            with perf.stage("vpr/score"):
-                hpwl_avg = ctx.mean_hpwl(problem)
-                fp = sub.floorplan
-                hpwl_cost = hpwl_avg / max(fp.core_width + fp.core_height, 1e-9)
-                congestion_cost = routing.top_percent_congestion(config.top_x_percent)
-        perf.count("vpr.candidates_evaluated")
-        return CandidateEvaluation(
-            candidate=candidate,
-            hpwl_cost=hpwl_cost,
-            congestion_cost=congestion_cost,
+        """:meth:`evaluate_candidates` for one shape; a numerical
+        breakdown raises instead of returning an invalid evaluation."""
+        (evaluation,) = self.evaluate_candidates(
+            sub, cell_area, [candidate], cluster_id=cluster_id
         )
+        if evaluation.error is not None:
+            raise FloatingPointError(evaluation.error)
+        return evaluation
 
     def _best_of(
         self,
@@ -863,10 +942,71 @@ class VPRFramework:
             },
         )
 
-    def _evaluate_item_guarded(
-        self, sub: Design, cell_area: float, cluster_id: int, candidate_index: int
+    def _evaluate_items_guarded(
+        self,
+        sub: Design,
+        cell_area: float,
+        cluster_id: int,
+        indices: Sequence[int],
+    ) -> Iterator[Tuple[int, CandidateEvaluation, float]]:
+        """Evaluate a cluster's missing items as one batch, under the
+        per-item retry policy; yields ``(index, evaluation, seconds)``
+        as items resolve (``seconds`` of a batched item is its share of
+        the batch wall).
+
+        The ``vpr.item`` fault site fires per item before the batch.
+        An item that trips it, or comes back numerically invalid, has
+        spent its first attempt and goes through :meth:`_retry_item`.
+        If the batch itself raises, its items are evaluated one by one
+        to find the culprit — that is still their first attempt, so the
+        retry and terminal accounting is the per-item loop's.
+        """
+        candidates = self.config.candidates
+        failed: Dict[int, BaseException] = {}
+        batch: List[int] = []
+        for k in indices:
+            try:
+                faults.check("vpr.item", key=f"{cluster_id}/{k}")
+            except Exception as exc:
+                failed[k] = exc
+            else:
+                batch.append(k)
+        start = time.perf_counter()
+        try:
+            evaluations = self.evaluate_candidates(
+                sub, cell_area, [candidates[k] for k in batch], cluster_id=cluster_id
+            )
+        except Exception:
+            for k in batch:
+                start = time.perf_counter()
+                try:
+                    evaluation = self.evaluate_candidate(
+                        sub, cell_area, candidates[k], cluster_id=cluster_id
+                    )
+                except Exception as exc:
+                    failed[k] = exc
+                else:
+                    yield k, evaluation, time.perf_counter() - start
+        else:
+            seconds = (time.perf_counter() - start) / max(len(batch), 1)
+            for k, evaluation in zip(batch, evaluations):
+                if evaluation.error is not None:
+                    failed[k] = FloatingPointError(evaluation.error)
+                else:
+                    yield k, evaluation, seconds
+        for k in sorted(failed):
+            yield (k, *self._retry_item(sub, cell_area, cluster_id, k, failed[k]))
+
+    def _retry_item(
+        self,
+        sub: Design,
+        cell_area: float,
+        cluster_id: int,
+        candidate_index: int,
+        last_error: BaseException,
     ) -> Tuple[CandidateEvaluation, float]:
-        """Evaluate one item with the bounded retry/backoff policy.
+        """Re-evaluate one item whose first attempt failed, with the
+        bounded retry/backoff policy.
 
         Returns ``(evaluation, seconds)``.  On terminal failure either
         raises :class:`VPRSweepError` (policy ``"raise"``) or returns
@@ -875,20 +1015,18 @@ class VPRFramework:
         config = self.config
         candidate = config.candidates[candidate_index]
         attempts = max(0, int(config.retry_limit)) + 1
-        last_error: Optional[BaseException] = None
         start = time.perf_counter()
-        for attempt in range(attempts):
-            if attempt:
-                delay = config.retry_backoff * (2 ** (attempt - 1))
-                if delay > 0:
-                    _SLEEP(delay)
-                perf.count("vpr.item.retry")
-                telemetry.event(
-                    "vpr.item.retry",
-                    cluster=cluster_id,
-                    candidate=candidate_index,
-                    attempt=attempt,
-                )
+        for attempt in range(1, attempts):
+            delay = config.retry_backoff * (2 ** (attempt - 1))
+            if delay > 0:
+                _SLEEP(delay)
+            perf.count("vpr.item.retry")
+            telemetry.event(
+                "vpr.item.retry",
+                cluster=cluster_id,
+                candidate=candidate_index,
+                attempt=attempt,
+            )
             try:
                 faults.check("vpr.item", key=f"{cluster_id}/{candidate_index}")
                 evaluation = self.evaluate_candidate(
@@ -925,32 +1063,32 @@ class VPRFramework:
     def sweep_cluster(
         self, source: Design, member_indices: Sequence[int], cluster_id: int = 0
     ) -> VPRSweepResult:
-        """Evaluate all shape candidates for one cluster (serially)."""
+        """Evaluate all shape candidates for one cluster (serially):
+        checkpoint and cache hits are served, the rest is one batch."""
         start = time.perf_counter()
         with perf.stage("vpr/sweep"), telemetry.span(
             "vpr.sweep", cluster=cluster_id
         ):
             sub, cell_area = self.induce(source, member_indices)
-            evaluations: List[CandidateEvaluation] = []
-            for k in range(len(self.config.candidates)):
-                checkpointed = self._checkpoint_lookup(cluster_id, k)
-                if checkpointed is not None:
-                    evaluations.append(checkpointed[0])
-                    monitor.advance("vpr.items")
-                    continue
-                cached = self._cache_lookup(sub, cell_area, cluster_id, k)
-                if cached is not None:
-                    evaluation, seconds = cached
-                    self._checkpoint_save(cluster_id, k, evaluation, seconds)
-                    evaluations.append(evaluation)
-                    monitor.advance("vpr.items")
-                    continue
-                evaluation, seconds = self._evaluate_item_guarded(
-                    sub, cell_area, cluster_id, k
-                )
+            n_cand = len(self.config.candidates)
+            evaluations: List[Optional[CandidateEvaluation]] = [None] * n_cand
+            misses: List[int] = []
+            for k in range(n_cand):
+                served = self._checkpoint_lookup(cluster_id, k)
+                if served is None:
+                    served = self._cache_lookup(sub, cell_area, cluster_id, k)
+                    if served is None:
+                        misses.append(k)
+                        continue
+                    self._checkpoint_save(cluster_id, k, *served)
+                evaluations[k] = served[0]
+                monitor.advance("vpr.items")
+            for k, evaluation, seconds in self._evaluate_items_guarded(
+                sub, cell_area, cluster_id, misses
+            ):
                 self._checkpoint_save(cluster_id, k, evaluation, seconds)
                 self._cache_store(sub, cell_area, k, evaluation, seconds)
-                evaluations.append(evaluation)
+                evaluations[k] = evaluation
                 monitor.advance("vpr.items")
         best = self._best_of(evaluations, cluster_id=cluster_id)
         sweep = VPRSweepResult(
@@ -1511,83 +1649,130 @@ def _resolve_worker_state(token: StateToken) -> dict:
     return state
 
 
-def _candidate_worker(
-    state: dict, cluster_id: int, candidate_index: int
-) -> _WorkerResult:
-    """Evaluate one (cluster, candidate) work item in a worker process.
+def _cluster_run_worker(
+    state: dict, cluster_id: int, indices: Sequence[int]
+) -> List[_WorkerResult]:
+    """Evaluate a run of one cluster's work items in a worker process.
 
-    The evaluation cache is consulted first (workers only *read* the
-    store); a hit skips place + route entirely and reports the original
-    evaluation's seconds.  Counters and the telemetry payload are
-    per-item deltas the parent folds into its registries.  Exceptions
-    are contained: the item reports ``error`` with NaN costs instead of
-    poisoning the pool, and whatever the item recorded before failing
-    is still returned.
+    Per item, first: the evaluation cache is consulted (workers only
+    *read* the store; a hit skips place + route entirely and reports
+    the original evaluation's seconds) and the ``vpr.item`` fault site
+    fires, under the item's own ``item_timeout``.  The items left are
+    evaluated as one lockstep batch bounded by ``item_timeout`` times
+    their number; if the batch raises or times out they are evaluated
+    one by one, so exceptions stay contained per item: a failed item
+    reports ``error`` with NaN costs instead of poisoning the pool or
+    its batch-mates.  Counters and the telemetry payload recorded by
+    the whole run (also up to a failure) ride on its first item; the
+    parent folds every item's in.
     """
     framework: VPRFramework = state["_framework"]
     sub, cell_area = state["clusters"][cluster_id]
-    candidate = state["config"].candidates[candidate_index]
+    config: VPRConfig = state["config"]
     heartbeat = state.get("_heartbeat")
-    if heartbeat is not None:
-        heartbeat.beat("start", item=f"{cluster_id}/{candidate_index}")
-    start = time.perf_counter()
-    hpwl_cost = congestion_cost = float("nan")
-    error: Optional[str] = None
-    was_hit = False
-    seconds: Optional[float] = None
-    try:
-        with _item_alarm(state["config"].item_timeout):
-            cached = framework._cache_lookup(
-                sub, cell_area, cluster_id, candidate_index
-            )
-            if cached is not None:
-                evaluation, seconds = cached
-                was_hit = True
-            else:
-                faults.check(
-                    "vpr.item", key=f"{cluster_id}/{candidate_index}"
+
+    def outcome_of(evaluation, seconds, cached=False):
+        return (
+            evaluation.hpwl_cost,
+            evaluation.congestion_cost,
+            seconds,
+            evaluation.error,
+            cached,
+        )
+
+    def contained(call):
+        """``call()`` under the item timeout; a raise becomes an error
+        outcome."""
+        start = time.perf_counter()
+        try:
+            with _item_alarm(config.item_timeout):
+                return call()
+        except Exception as exc:
+            nan = float("nan")
+            return (nan, nan, time.perf_counter() - start, repr(exc), False)
+
+    def admit(k):
+        """A cache hit's outcome, or None for an item to evaluate."""
+        cached = framework._cache_lookup(sub, cell_area, cluster_id, k)
+        if cached is not None:
+            return outcome_of(*cached, cached=True)
+        faults.check("vpr.item", key=f"{cluster_id}/{k}")
+        # Simulated external-tool latency (benchmarks only): a
+        # production V-P&R item spends most of its wall blocked on a
+        # P&R tool subprocess, which is what makes distribution pay off
+        # even on narrow hosts.  This reproduction evaluates
+        # in-process, so the fleet scaling bench injects the blocked
+        # portion explicitly via worker_env.  Never set in real runs
+        # (costs are unaffected either way).
+        delay = os.environ.get(ITEM_DELAY_ENV)
+        if delay:
+            time.sleep(float(delay))
+        return None
+
+    def alone(k):
+        start = time.perf_counter()
+        evaluation = framework.evaluate_candidate(
+            sub, cell_area, config.candidates[k], cluster_id=cluster_id
+        )
+        return outcome_of(evaluation, time.perf_counter() - start)
+
+    #: index -> (hpwl_cost, congestion_cost, seconds, error, cached)
+    outcome: Dict[int, Optional[tuple]] = {}
+    for k in indices:
+        if heartbeat is not None:
+            heartbeat.beat("start", item=f"{cluster_id}/{k}")
+        outcome[k] = contained(lambda: admit(k))
+    batch = [k for k in indices if outcome[k] is None]
+    if batch:
+        start = time.perf_counter()
+        try:
+            with _item_alarm((config.item_timeout or 0) * len(batch)):
+                evaluations = framework.evaluate_candidates(
+                    sub,
+                    cell_area,
+                    [config.candidates[k] for k in batch],
+                    cluster_id=cluster_id,
                 )
-                # Simulated external-tool latency (benchmarks only): a
-                # production V-P&R item spends most of its wall blocked
-                # on a P&R tool subprocess, which is what makes
-                # distribution pay off even on narrow hosts.  This
-                # reproduction evaluates in-process, so the fleet
-                # scaling bench injects the blocked portion explicitly
-                # via worker_env.  Never set in real runs (costs are
-                # unaffected either way).
-                delay = os.environ.get(ITEM_DELAY_ENV)
-                if delay:
-                    time.sleep(float(delay))
-                evaluation = framework.evaluate_candidate(
-                    sub, cell_area, candidate, cluster_id=cluster_id
-                )
-        hpwl_cost = evaluation.hpwl_cost
-        congestion_cost = evaluation.congestion_cost
-    except Exception as exc:
-        error = repr(exc)
-    if seconds is None:
-        seconds = time.perf_counter() - start
+        except Exception:
+            for k in batch:
+                outcome[k] = contained(lambda: alone(k))
+        else:
+            seconds = (time.perf_counter() - start) / len(batch)
+            for k, evaluation in zip(batch, evaluations):
+                outcome[k] = outcome_of(evaluation, seconds)
+
     counters: Optional[dict] = None
     if state["perf_enabled"]:
         registry = perf.get_registry()
         counters = registry.snapshot()["counters"]
         registry.reset()
-    if heartbeat is not None:
-        heartbeat.beat(
-            "done",
-            item=f"{cluster_id}/{candidate_index}",
-            error=error,
-            cached=was_hit,
+    payload = telemetry.worker_snapshot()
+    results: List[_WorkerResult] = []
+    for k in indices:
+        hpwl_cost, congestion_cost, seconds, error, cached = outcome[k]
+        if heartbeat is not None:
+            heartbeat.beat(
+                "done", item=f"{cluster_id}/{k}", error=error, cached=cached
+            )
+        results.append(
+            (hpwl_cost, congestion_cost, seconds, counters, payload, error, cached)
         )
-    return (
-        hpwl_cost,
-        congestion_cost,
-        seconds,
-        counters,
-        telemetry.worker_snapshot(),
-        error,
-        was_hit,
-    )
+        counters = payload = None
+    return results
+
+
+def _evaluate_chunk(
+    state: dict, items: Sequence[Tuple[int, int]]
+) -> List[_WorkerResult]:
+    """Evaluate a chunk of (cluster, candidate) items in a set-up
+    worker: each run of same-cluster items is one lockstep batch.
+    Chunking only changes scheduling granularity, never results."""
+    results: List[_WorkerResult] = []
+    for cluster_id, run in itertools.groupby(items, key=lambda item: item[0]):
+        results.extend(
+            _cluster_run_worker(state, cluster_id, [k for _c, k in run])
+        )
+    return results
 
 
 def _chunk_worker(
@@ -1598,12 +1783,8 @@ def _chunk_worker(
     The state token is resolved here (not in a pool initializer), so an
     attach failure is contained to this chunk and flows into the
     parent-side retry path instead of breaking the whole pool.
-    Per-item exception containment, counters and telemetry payloads are
-    unchanged from :func:`_candidate_worker`; only the scheduling
-    granularity differs.
     """
-    state = _resolve_worker_state(token)
-    return [_candidate_worker(state, c, k) for c, k in items]
+    return _evaluate_chunk(_resolve_worker_state(token), items)
 
 
 # ----------------------------------------------------------------------

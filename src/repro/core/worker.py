@@ -15,7 +15,7 @@ follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
    worker (:func:`repro.core.vpr._setup_worker`);
 3. **chunk → result** — each chunk of (cluster, candidate) items is
    evaluated with the same per-item containment as the pool path
-   (:func:`repro.core.vpr._candidate_worker`: cache lookup first,
+   (:func:`repro.core.vpr._evaluate_chunk`: cache lookup first,
    SIGALRM item timeout, exceptions become error results), and the
    :data:`~repro.core.vpr._WorkerResult` tuples stream back;
 4. **beat** — item start/done heartbeats go over the same socket; the
@@ -166,10 +166,7 @@ def _serve_connection(sock: socket.socket, cache_dir: Optional[str]) -> str:
                     {"type": "error", "error": "chunk before sweep state"},
                 )
                 return "error"
-            results = [
-                vpr._candidate_worker(state, c, k)
-                for c, k in message["items"]
-            ]
+            results = vpr._evaluate_chunk(state, message["items"])
             wire.send_msg(
                 sock,
                 {"type": "result", "id": message["id"], "results": results},

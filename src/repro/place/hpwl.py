@@ -85,17 +85,11 @@ class _DesignNetArrays:
 
 
 def _structure_fingerprint(design: Design, include_clock: bool):
-    """Cheap invalidation key: changes when nets/instances/ports are
-    added or clock marking flips (pin membership of an existing net is
-    assumed stable, which holds for every transform in this repo)."""
-    clock_nets = sum(1 for n in design.nets if n.is_clock)
-    return (
-        design.num_instances,
-        design.num_nets,
-        len(design.ports),
-        clock_nets,
-        bool(include_clock),
-    )
+    """Invalidation key: :meth:`Design.structure_key` changes with every
+    structural mutation — also the count-preserving ones (an ECO
+    ``reconnect``, an add plus a remove in one script), which a key of
+    entity counts alone misses."""
+    return (design.structure_key(), bool(include_clock))
 
 
 def _net_arrays(design: Design, include_clock: bool) -> _DesignNetArrays:
@@ -146,28 +140,28 @@ def hpwl_arrays(
     x: np.ndarray,
     y: np.ndarray,
     weights: Optional[np.ndarray] = None,
-) -> float:
+):
     """HPWL over the flat array representation used by the placer.
 
     Args:
         pin_vertex: Concatenated per-net vertex ids.
         net_offsets: Offsets into ``pin_vertex`` (len = num_nets + 1).
-        x, y: Vertex coordinates.
+        x, y: Vertex coordinates, ``(n,)`` — or ``(K, n)`` for K
+            stacked placements, giving one HPWL per row.
         weights: Optional per-net weights.
     """
     if len(net_offsets) <= 1:
-        return 0.0
-    px = x[pin_vertex]
-    py = y[pin_vertex]
-    starts = net_offsets[:-1]
-    ends = net_offsets[1:] - 1
-    max_x = np.maximum.reduceat(px, starts)
-    min_x = np.minimum.reduceat(px, starts)
-    max_y = np.maximum.reduceat(py, starts)
-    min_y = np.minimum.reduceat(py, starts)
-    spans = (max_x - min_x) + (max_y - min_y)
+        return 0.0 if x.ndim == 1 else np.zeros(len(x))
+    px = x[..., pin_vertex]
+    py = y[..., pin_vertex]
     # reduceat on empty slices can't occur: every net has >= 2 pins.
-    del ends
+    starts = net_offsets[:-1]
+    max_x = np.maximum.reduceat(px, starts, axis=-1)
+    min_x = np.minimum.reduceat(px, starts, axis=-1)
+    max_y = np.maximum.reduceat(py, starts, axis=-1)
+    min_y = np.minimum.reduceat(py, starts, axis=-1)
+    spans = (max_x - min_x) + (max_y - min_y)
     if weights is not None:
         spans = spans * weights
-    return float(spans.sum())
+    total = spans.sum(axis=-1)
+    return float(total) if x.ndim == 1 else total

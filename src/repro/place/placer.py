@@ -6,18 +6,27 @@ Supports the three modes Algorithm 1 needs:
 * seeded + incremental placement (instances pre-seeded at their cluster
   centres, anchored to the seed, few refinement iterations),
 * region-constrained placement (Innovus mode).
+
+One run places K *systems* in lockstep: the K virtual dies of a stacked
+:class:`PlacementProblem` (a V-P&R cluster's shape candidates), or the
+single system of an ordinary one.  Every solve/spread round is one call
+into the batch-native kernels for all systems still iterating (x and y
+axes stacked, so 2K quadratic systems per solve); a system leaves the
+lockstep at the round its own overflow test passes, exactly where a
+lone run of it would stop.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import monitor, telemetry
 from repro.place.b2b import b2b_edges, solve_axis
+from repro.place.hpwl import hpwl_arrays
 from repro.place.problem import PlacementProblem
 from repro.place.regions import RegionConstraint, clamp_regions
 from repro.place.spreading import DensityGrid, spread_displacement, spreading_targets
@@ -85,6 +94,8 @@ class PlacementResult:
         overflow: Final bin overflow.
         runtime: Wall-clock seconds.
         hpwl_trace: HPWL after every round (for convergence tests).
+        error: Why the run was abandoned (a B2B solve went NaN/inf and
+            the coordinates are not usable), None for a normal run.
     """
 
     hpwl: float
@@ -92,6 +103,7 @@ class PlacementResult:
     overflow: float
     runtime: float
     hpwl_trace: List[float] = field(default_factory=list)
+    error: Optional[str] = None
 
 
 class GlobalPlacer:
@@ -107,29 +119,34 @@ class GlobalPlacer:
         self.config = config or PlacerConfig()
         self.regions = list(regions or [])
         self.grid = DensityGrid.for_problem(
-            problem.design.floorplan, int(problem.movable.sum())
+            problem.core_boxes(), int(problem.movable.sum())
         )
 
     # ------------------------------------------------------------------
     def _initialize(self) -> None:
-        """Start all movables near the core centre with tiny jitter."""
+        """Start all movables near the core centre with tiny jitter.
+
+        The jitter is one standard-normal draw per axis scaled by each
+        system's core size — ``rng.normal(0, s, n)`` is ``s`` times the
+        same draw — so every system gets what a lone run seeds it with.
+        """
         problem = self.problem
-        fp = problem.design.floorplan
+        cores = self.grid.floorplan
         rng = np.random.default_rng(self.config.seed)
         mask = problem.movable
         n = int(mask.sum())
-        cx = 0.5 * (fp.core_llx + fp.core_urx)
-        cy = 0.5 * (fp.core_lly + fp.core_ury)
-        problem.x[mask] = cx + rng.normal(0.0, 0.02 * fp.core_width, n)
-        problem.y[mask] = cy + rng.normal(0.0, 0.02 * fp.core_height, n)
+        cx = 0.5 * (cores.core_llx + cores.core_urx)
+        cy = 0.5 * (cores.core_lly + cores.core_ury)
+        self._x[:, mask] = cx + 0.02 * cores.core_width * rng.standard_normal(n)
+        self._y[:, mask] = cy + 0.02 * cores.core_height * rng.standard_normal(n)
         # Seed region members inside their regions.
         for region in self.regions:
             ids = np.asarray(region.vertex_ids, dtype=np.int64)
             if len(ids) == 0:
                 continue
             rcx, rcy = region.center
-            problem.x[ids] = rcx + rng.normal(0.0, 0.1 * max(region.width, 1e-3), len(ids))
-            problem.y[ids] = rcy + rng.normal(0.0, 0.1 * max(region.height, 1e-3), len(ids))
+            self._x[:, ids] = rcx + 0.1 * max(region.width, 1e-3) * rng.standard_normal(len(ids))
+            self._y[:, ids] = rcy + 0.1 * max(region.height, 1e-3) * rng.standard_normal(len(ids))
         problem.clip_to_core()
 
     def _solve_round(
@@ -139,31 +156,54 @@ class GlobalPlacer:
         anchor_w: Optional[np.ndarray],
         apply_regions: bool = True,
     ) -> None:
-        """One x/y pair of B2B linearized quadratic solves."""
+        """One B2B linearized quadratic solve of every active system's
+        x and y axes (anchors are rows over the active systems)."""
         problem = self.problem
-        ux, vx, wx = b2b_edges(
-            problem.pin_vertex, problem.net_offsets, problem.net_weights, problem.x
+        active = self._active
+        coords = np.concatenate([self._x[active], self._y[active]])
+        anchors = None
+        if anchor_x is not None:
+            anchors = np.concatenate([anchor_x, anchor_y])
+        u, v, w = b2b_edges(
+            problem.pin_vertex, problem.net_offsets, problem.net_weights, coords
         )
-        problem.x = solve_axis(
-            ux, vx, wx, problem.x, problem.fixed, anchor_x, anchor_w
-        )
-        uy, vy, wy = b2b_edges(
-            problem.pin_vertex, problem.net_offsets, problem.net_weights, problem.y
-        )
-        problem.y = solve_axis(
-            uy, vy, wy, problem.y, problem.fixed, anchor_y, anchor_w
-        )
+        solved = solve_axis(u, v, w, coords, problem.fixed, anchors, anchor_w)
+        self._x[active] = solved[: len(active)]
+        self._y[active] = solved[len(active) :]
+        failed = ~np.isfinite(solved).all(axis=1)
+        if failed.any():
+            failed = failed[: len(active)] | failed[len(active) :]
+            for system in active[failed]:
+                self._errors[system] = "non-finite B2B solve"
+            self._active = active[~failed]
         problem.clip_to_core()
         if apply_regions:
             clamp_regions(self.regions, problem.x, problem.y)
 
     # ------------------------------------------------------------------
-    def run(self) -> PlacementResult:
-        """Run global placement; commits coordinates to the design."""
+    def run(self) -> Union[PlacementResult, List[PlacementResult]]:
+        """Run global placement.
+
+        An ordinary problem gets its coordinates committed to the
+        design and one :class:`PlacementResult` back.  A stacked
+        problem gets one result per system and no commit (the caller
+        commits the system it wants with ``problem.commit(k)``).
+        """
         start = time.perf_counter()
         problem = self.problem
         config = self.config
         mode = "incremental" if config.incremental else "full"
+        stacked = problem.x.ndim == 2
+        # Row views: every update below is in place, so an ordinary
+        # problem's (n,) arrays follow along.
+        self._x = np.atleast_2d(problem.x)
+        self._y = np.atleast_2d(problem.y)
+        systems = len(self._x)
+        self._active = np.arange(systems)
+        self._errors: List[Optional[str]] = [None] * systems
+        self._traces: List[List[float]] = [[] for _ in range(systems)]
+        self._iterations = np.zeros(systems, dtype=np.int64)
+        self._overflow = np.ones(systems)
 
         # Progress mirrors the QoR-stream muting: the V-P&R engine's
         # hundreds of virtual-die placements (telemetry=None) stay
@@ -184,31 +224,101 @@ class GlobalPlacer:
                 "place.global",
                 mode=mode,
                 movable=int(problem.movable.sum()),
+                systems=systems,
             ):
                 if config.incremental:
-                    result = self._run_incremental()
+                    self._run_incremental()
                 else:
-                    result = self._run_full()
+                    self._run_full()
         finally:
             if config.telemetry is not None:
                 monitor.complete(f"{config.telemetry}.iters")
 
-        if config.telemetry is not None:
-            converged = result.overflow < config.target_overflow
-            telemetry.event(
-                "placement.converged" if converged else "placement.diverged",
-                mode=mode,
-                iterations=result.iterations,
-                overflow=result.overflow,
-                hpwl=result.hpwl,
+        results = [
+            PlacementResult(
+                hpwl=float("nan") if error else trace[-1],
+                iterations=int(iterations),
+                overflow=float(overflow),
+                runtime=0.0,
+                hpwl_trace=trace,
+                error=error,
             )
+            for trace, iterations, overflow, error in zip(
+                self._traces, self._iterations, self._overflow, self._errors
+            )
+        ]
+        if config.telemetry is not None:
+            for result in results:
+                converged = result.overflow < config.target_overflow
+                telemetry.event(
+                    "placement.converged" if converged else "placement.diverged",
+                    mode=mode,
+                    iterations=result.iterations,
+                    overflow=result.overflow,
+                    hpwl=result.hpwl,
+                )
 
-        problem.commit()
-        result.runtime = time.perf_counter() - start
-        return result
+        if not stacked:
+            problem.commit()
+        runtime = time.perf_counter() - start
+        for result in results:
+            result.runtime = runtime
+        return results if stacked else results[0]
 
     def _telemetry_on(self) -> bool:
         return self.config.telemetry is not None and telemetry.is_enabled()
+
+    def _active_grid(self) -> DensityGrid:
+        """The density grid over the active systems' core boxes."""
+        return replace(self.grid, floorplan=self.grid.floorplan.take(self._active))
+
+    def _spread(self):
+        """Spreading targets of the active systems (rows), plus the
+        ``spread_move`` signal when telemetry wants it."""
+        problem = self.problem
+        active = self._active
+        x, y = self._x[active], self._y[active]
+        target_x, target_y = spreading_targets(
+            self._active_grid(),
+            x,
+            y,
+            problem.areas,
+            problem.movable,
+            strength=self.config.spread_strength,
+        )
+        spread_move = None
+        if self._telemetry_on():
+            spread_move = dict(
+                zip(
+                    active.tolist(),
+                    spread_displacement(target_x, target_y, x, y, problem.movable),
+                )
+            )
+        return target_x, target_y, spread_move
+
+    def _measure_round(self, iteration: int, spread_move=None) -> np.ndarray:
+        """Record HPWL (and, past round 0, overflow) of the systems
+        that just solved; returns their overflow."""
+        problem = self.problem
+        active = self._active
+        x, y = self._x[active], self._y[active]
+        hpwl = hpwl_arrays(problem.pin_vertex, problem.net_offsets, x, y)
+        overflow = None
+        if iteration:
+            overflow = self._active_grid().overflow(
+                x, y, problem.areas, problem.movable, self.config.target_density
+            )
+            self._overflow[active] = overflow
+        self._iterations[active] = iteration
+        for row, system in enumerate(active.tolist()):
+            self._traces[system].append(float(hpwl[row]))
+            self._observe_round(
+                iteration,
+                self._traces[system][-1],
+                None if overflow is None else float(overflow[row]),
+                None if spread_move is None else float(spread_move[system]),
+            )
+        return overflow
 
     def _observe_round(
         self,
@@ -230,59 +340,28 @@ class GlobalPlacer:
         if spread_move is not None:
             telemetry.observe(f"{prefix}.spread_move", spread_move, step=iteration)
 
-    def _run_full(self) -> PlacementResult:
+    def _run_full(self) -> None:
         problem = self.problem
         config = self.config
         self._initialize()
 
         # Round 0: pure wirelength solve (no anchors).
         self._solve_round(None, None, None)
-        trace = [problem.hpwl()]
-        self._observe_round(0, trace[0], None, None)
+        self._measure_round(0)
 
         anchor_w_scalar = config.anchor_base
-        overflow = 1.0
-        iteration = 0
         for iteration in range(1, config.max_iterations + 1):
-            target_x, target_y = spreading_targets(
-                self.grid,
-                problem.x,
-                problem.y,
-                problem.areas,
-                problem.movable,
-                strength=config.spread_strength,
-            )
-            spread_move = (
-                spread_displacement(
-                    target_x, target_y, problem.x, problem.y, problem.movable
-                )
-                if self._telemetry_on()
-                else None
-            )
+            if not len(self._active):
+                break
+            target_x, target_y, spread_move = self._spread()
             weights = np.full(problem.num_vertices, anchor_w_scalar)
             self._solve_round(target_x, target_y, weights)
-            trace.append(problem.hpwl())
-            overflow = self.grid.overflow(
-                problem.x,
-                problem.y,
-                problem.areas,
-                problem.movable,
-                config.target_density,
-            )
-            self._observe_round(iteration, trace[-1], overflow, spread_move)
-            if overflow < config.target_overflow and iteration >= config.min_iterations:
-                break
+            overflow = self._measure_round(iteration, spread_move)
+            if iteration >= config.min_iterations:
+                self._active = self._active[~(overflow < config.target_overflow)]
             anchor_w_scalar *= config.anchor_growth
 
-        return PlacementResult(
-            hpwl=trace[-1],
-            iterations=iteration,
-            overflow=overflow,
-            runtime=0.0,
-            hpwl_trace=trace,
-        )
-
-    def _run_incremental(self) -> PlacementResult:
+    def _run_incremental(self) -> None:
         """Refine from the problem's current (seeded) coordinates.
 
         Same solve/spread loop as the full run, but (i) the initial
@@ -296,37 +375,23 @@ class GlobalPlacer:
         config = self.config
         problem.clip_to_core()
         clamp_regions(self.regions, problem.x, problem.y)
-        seed_x = problem.x.copy()
-        seed_y = problem.y.copy()
+        seed_x = self._x.copy()
+        seed_y = self._y.copy()
         seed_w = config.incremental_anchor
 
-        trace = [problem.hpwl()]
-        self._observe_round(0, trace[0], None, None)
+        self._measure_round(0)
         anchor_w_scalar = config.anchor_base * 32
-        overflow = 1.0
-        iteration = 0
         for iteration in range(1, config.incremental_iterations + 1):
-            target_x, target_y = spreading_targets(
-                self.grid,
-                problem.x,
-                problem.y,
-                problem.areas,
-                problem.movable,
-                strength=config.spread_strength,
-            )
-            spread_move = (
-                spread_displacement(
-                    target_x, target_y, problem.x, problem.y, problem.movable
-                )
-                if self._telemetry_on()
-                else None
-            )
+            if not len(self._active):
+                break
+            active = self._active
+            target_x, target_y, spread_move = self._spread()
             # Blend the (decaying) seed anchor with the (growing)
             # spreading anchor.
             total_w = anchor_w_scalar + seed_w
             blend = anchor_w_scalar / total_w
-            anchor_x = blend * target_x + (1 - blend) * seed_x
-            anchor_y = blend * target_y + (1 - blend) * seed_y
+            anchor_x = blend * target_x + (1 - blend) * seed_x[active]
+            anchor_y = blend * target_y + (1 - blend) * seed_y[active]
             weights = np.full(problem.num_vertices, total_w)
             regions_active = (
                 config.region_iterations is None
@@ -340,24 +405,8 @@ class GlobalPlacer:
                 weights,
                 apply_regions=regions_active and not config.soft_regions,
             )
-            trace.append(problem.hpwl())
-            overflow = self.grid.overflow(
-                problem.x,
-                problem.y,
-                problem.areas,
-                problem.movable,
-                config.target_density,
-            )
-            self._observe_round(iteration, trace[-1], overflow, spread_move)
-            if overflow < config.target_overflow and iteration >= 2:
-                break
+            overflow = self._measure_round(iteration, spread_move)
+            if iteration >= 2:
+                self._active = self._active[~(overflow < config.target_overflow)]
             anchor_w_scalar *= config.incremental_growth
             seed_w *= config.seed_decay
-
-        return PlacementResult(
-            hpwl=trace[-1],
-            iterations=iteration,
-            overflow=overflow,
-            runtime=0.0,
-            hpwl_trace=trace,
-        )

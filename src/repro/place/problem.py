@@ -9,12 +9,47 @@ vectorizable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.netlist.design import Design
+from repro.netlist.design import Design, Floorplan
 from repro.place.hpwl import hpwl_arrays
+
+
+@dataclass(frozen=True)
+class CoreBoxes:
+    """The core boxes of K stacked placements, as ``(K, 1)`` columns.
+
+    Reads like a :class:`Floorplan` (``core_llx`` … ``core_height``),
+    so expressions written against one floorplan's scalars broadcast
+    over ``(K, n)`` coordinates unchanged.  Every value is taken from
+    the floorplan's own property, not recomputed.
+    """
+
+    core_llx: np.ndarray
+    core_lly: np.ndarray
+    core_urx: np.ndarray
+    core_ury: np.ndarray
+    core_width: np.ndarray
+    core_height: np.ndarray
+
+    @classmethod
+    def of(cls, floorplans: Sequence[Floorplan]) -> "CoreBoxes":
+        return cls(
+            *(
+                np.array([[getattr(fp, f.name)] for fp in floorplans], dtype=float)
+                for f in fields(cls)
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.core_llx)
+
+    def take(self, rows: np.ndarray) -> "CoreBoxes":
+        """The boxes of the selected systems (index or mask)."""
+        return CoreBoxes(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 class PlacementProblem:
@@ -23,7 +58,11 @@ class PlacementProblem:
     Attributes:
         design: Source design (written back to by :meth:`commit`).
         num_movable_instances: Instances come first in vertex order.
-        x, y: Working coordinates (mutated by the placer).
+        x, y: Working coordinates (mutated by the placer), ``(n,)`` —
+            or ``(K, n)`` after :meth:`stack_dies`, one row per virtual
+            die of the same netlist.
+        cores: The K core boxes of a stacked problem (None otherwise:
+            the core is the design floorplan's).
         areas: Vertex areas (ports get area 0).
         fixed: Boolean mask of vertices the placer must not move.
         pin_vertex, net_offsets: CSR-style net membership.
@@ -68,6 +107,7 @@ class PlacementProblem:
         else:
             self._build_reference(design, include_clock)
         self.num_movable_instances = n_inst
+        self.cores: Optional[CoreBoxes] = None
 
     def _build_reference(self, design: Design, include_clock: bool) -> None:
         """Object-graph construction (kept as the equivalence oracle)."""
@@ -111,7 +151,7 @@ class PlacementProblem:
     @property
     def num_vertices(self) -> int:
         """Total vertices (instances + ports)."""
-        return len(self.x)
+        return self.x.shape[-1]
 
     @property
     def num_nets(self) -> int:
@@ -127,21 +167,35 @@ class PlacementProblem:
         """Vertex id of a port."""
         return self._port_vertex[name]
 
-    def refresh_port_positions(self) -> None:
-        """Re-read port coordinates from the design.
+    def stack_dies(
+        self, floorplans: Sequence[Floorplan], port_x: np.ndarray, port_y: np.ndarray
+    ) -> None:
+        """Give the problem a leading axis: K virtual dies of one netlist.
 
-        Lets a problem instance be reused across V-P&R shape candidates
-        (pin/offset arrays are shape-independent; only the virtual die's
-        port ring moves between candidates).
+        Lets one problem instance serve every V-P&R shape candidate of
+        a cluster at once (pin/offset arrays, areas and masks are
+        shape-independent; only the core box and the port ring differ
+        between candidates).  ``port_x`` / ``port_y`` are ``(K, ports)``
+        in sorted port-name order, i.e. port-vertex order.
         """
-        ports = self.design.ports
-        for name, vid in self._port_vertex.items():
-            port = ports[name]
-            self.x[vid] = port.x
-            self.y[vid] = port.y
+        n_inst = self.num_movable_instances
+        count = len(floorplans)
+        self.cores = CoreBoxes.of(floorplans)
+        for name, ring in (("x", port_x), ("y", port_y)):
+            stacked = np.empty((count, self.num_vertices))
+            stacked[:, :n_inst] = np.atleast_2d(getattr(self, name))[0, :n_inst]
+            stacked[:, n_inst:] = ring
+            setattr(self, name, stacked)
 
-    def hpwl(self, weighted: bool = False) -> float:
-        """HPWL of the working coordinates (microns)."""
+    def core_boxes(self) -> CoreBoxes:
+        """One core box per system (the design's, when not stacked)."""
+        if self.cores is not None:
+            return self.cores
+        return CoreBoxes.of([self.design.floorplan])
+
+    def hpwl(self, weighted: bool = False):
+        """HPWL of the working coordinates (microns); one value per
+        system for a stacked problem."""
         return hpwl_arrays(
             self.pin_vertex,
             self.net_offsets,
@@ -164,19 +218,22 @@ class PlacementProblem:
             self.x[:] = x
             self.y[:] = y
 
-    def commit(self) -> None:
-        """Write working coordinates back to the design's instances."""
+    def commit(self, system: Optional[int] = None) -> None:
+        """Write working coordinates back to the design's instances
+        (those of one ``system`` of a stacked problem)."""
+        x, y = (self.x, self.y) if system is None else (self.x[system], self.y[system])
         for inst in self.design.instances:
             if not inst.fixed:
-                inst.x = float(self.x[inst.index])
-                inst.y = float(self.y[inst.index])
+                inst.x = float(x[inst.index])
+                inst.y = float(y[inst.index])
 
     def clip_to_core(self) -> None:
-        """Clamp movable vertices into the core box."""
-        fp = self.design.floorplan
+        """Clamp movable vertices into the core box (each system into
+        its own, for a stacked problem)."""
+        fp = self.cores if self.cores is not None else self.design.floorplan
         mask = self.movable
-        self.x[mask] = np.clip(self.x[mask], fp.core_llx, fp.core_urx)
-        self.y[mask] = np.clip(self.y[mask], fp.core_lly, fp.core_ury)
+        self.x[..., mask] = np.clip(self.x[..., mask], fp.core_llx, fp.core_urx)
+        self.y[..., mask] = np.clip(self.y[..., mask], fp.core_lly, fp.core_ury)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

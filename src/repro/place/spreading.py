@@ -5,28 +5,39 @@ spreader computes per-bin utilization and produces per-cell *target*
 positions that equalise density along each axis.  The placer turns the
 targets into pseudo-net anchors whose weight grows over iterations,
 which is the classic quadratic-placement spreading loop.
+
+Like the B2B kernels, everything here takes a leading *system* axis:
+coordinates of shape ``(K, n)`` are K placements of one netlist, each
+on its own core box (``DensityGrid.floorplan`` is then a
+:class:`~repro.place.problem.CoreBoxes`, whose ``(K, 1)`` columns
+broadcast where a :class:`Floorplan`'s scalars would).  Row ``k`` of
+every result is what the ``(n,)`` call on system ``k`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
 from repro.netlist.design import Floorplan
+from repro.place.b2b import stable_argsort_ints
+from repro.place.problem import CoreBoxes
 
 
 @dataclass
 class DensityGrid:
-    """Regular bin grid over the core area."""
+    """Regular bin grid over the core area (or K stacked core areas)."""
 
-    floorplan: Floorplan
+    floorplan: Union[Floorplan, CoreBoxes]
     bins_x: int
     bins_y: int
 
     @classmethod
-    def for_problem(cls, floorplan: Floorplan, num_movable: int) -> "DensityGrid":
+    def for_problem(
+        cls, floorplan: Union[Floorplan, CoreBoxes], num_movable: int
+    ) -> "DensityGrid":
         """Grid sized so an average bin holds ~16 cells, within [8, 64]."""
         bins = int(np.sqrt(max(1, num_movable) / 16.0))
         bins = int(np.clip(bins, 8, 64))
@@ -42,6 +53,10 @@ class DensityGrid:
             np.clip(by, 0, self.bins_y - 1),
         )
 
+    def _bin_area(self):
+        fp = self.floorplan
+        return (fp.core_width / self.bins_x) * (fp.core_height / self.bins_y)
+
     def utilization(
         self,
         x: np.ndarray,
@@ -49,13 +64,22 @@ class DensityGrid:
         areas: np.ndarray,
         movable: np.ndarray,
     ) -> np.ndarray:
-        """Per-bin movable-area utilization (bins_y x bins_x)."""
-        fp = self.floorplan
-        bin_area = (fp.core_width / self.bins_x) * (fp.core_height / self.bins_y)
-        bx, by = self.bin_of(x[movable], y[movable])
-        usage = np.zeros((self.bins_y, self.bins_x))
-        np.add.at(usage, (by, bx), areas[movable])
-        return usage / bin_area
+        """Per-bin movable-area utilization, ``(bins_y, bins_x)`` — with
+        a leading system axis when ``x``/``y`` have one."""
+        bx, by = self.bin_of(x[..., movable], y[..., movable])
+        bins = self.bins_y * self.bins_x
+        systems = int(np.prod(bx.shape[:-1]))
+        flat_bin = (by * self.bins_x + bx).reshape(systems, -1)
+        flat_bin += (np.arange(systems) * bins)[:, None]
+        # bincount adds each bin's cells one by one in cell order, as
+        # np.add.at does, and a bin belongs to one system.
+        usage = np.bincount(
+            flat_bin.reshape(-1),
+            weights=np.broadcast_to(areas[movable], flat_bin.shape).reshape(-1),
+            minlength=systems * bins,
+        )
+        util = usage.reshape(systems, bins) / self._bin_area()
+        return util.reshape(bx.shape[:-1] + (self.bins_y, self.bins_x))
 
     def overflow(
         self,
@@ -64,16 +88,17 @@ class DensityGrid:
         areas: np.ndarray,
         movable: np.ndarray,
         target_density: float,
-    ) -> float:
-        """Total overflowing area fraction (0 = fully spread)."""
-        fp = self.floorplan
-        bin_area = (fp.core_width / self.bins_x) * (fp.core_height / self.bins_y)
-        util = self.utilization(x, y, areas, movable)
-        over = np.maximum(util - target_density, 0.0) * bin_area
+    ):
+        """Total overflowing area fraction (0 = fully spread): a float,
+        or one per system for stacked coordinates."""
         total_area = float(areas[movable].sum())
         if total_area <= 0:
-            return 0.0
-        return float(over.sum() / total_area)
+            return 0.0 if x.ndim == 1 else np.zeros(len(x))
+        util = self.utilization(x, y, areas, movable)
+        util = util.reshape(util.shape[:-2] + (-1,))
+        over = np.maximum(util - target_density, 0.0) * self._bin_area()
+        fraction = over.sum(axis=-1) / total_area
+        return float(fraction) if x.ndim == 1 else fraction
 
 
 def spreading_targets(
@@ -93,7 +118,7 @@ def spreading_targets(
 
     Returns:
         (target_x, target_y) arrays over all vertices (fixed vertices
-        keep their coordinates).
+        keep their coordinates), shaped like ``x`` / ``y``.
     """
     fp = grid.floorplan
     target_x = x.copy()
@@ -123,8 +148,9 @@ def spread_displacement(
     x: np.ndarray,
     y: np.ndarray,
     movable: np.ndarray,
-) -> float:
-    """Mean Manhattan distance the spreader asks movable cells to move.
+):
+    """Mean Manhattan distance the spreader asks movable cells to move
+    (a float, or one per system for stacked coordinates).
 
     A convergence signal for the telemetry ``*.spread_move`` streams:
     it decays toward zero as density equalises, and a plateau at a high
@@ -132,10 +158,11 @@ def spread_displacement(
     """
     ids = np.nonzero(movable)[0]
     if len(ids) == 0:
-        return 0.0
-    dx = np.abs(target_x[ids] - x[ids])
-    dy = np.abs(target_y[ids] - y[ids])
-    return float((dx + dy).mean())
+        return 0.0 if x.ndim == 1 else np.zeros(len(x))
+    dx = np.abs(target_x[..., ids] - x[..., ids])
+    dy = np.abs(target_y[..., ids] - y[..., ids])
+    moved = (dx + dy).mean(axis=-1)
+    return float(moved) if x.ndim == 1 else moved
 
 
 def _equalize_axis(
@@ -144,33 +171,56 @@ def _equalize_axis(
     secondary: np.ndarray,
     areas: np.ndarray,
     out: np.ndarray,
-    lo: float,
-    span: float,
-    band_lo: float,
-    band_span: float,
+    lo,
+    span,
+    band_lo,
+    band_span,
     bands: int,
     strength: float,
 ) -> None:
-    """Equalize cumulative area along ``primary`` within secondary bands."""
-    band = ((secondary[ids] - band_lo) / band_span * bands).astype(np.int64)
-    band = np.clip(band, 0, bands - 1)
-    order = np.lexsort((primary[ids], band))
-    sorted_ids = ids[order]
-    sorted_band = band[order]
-    sorted_area = areas[sorted_ids]
+    """Equalize cumulative area along ``primary`` within secondary bands.
 
-    # Band boundaries in the sorted order.
-    boundaries = np.nonzero(np.diff(sorted_band))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(sorted_ids)]))
+    ``lo``/``span``/``band_lo``/``band_span`` are floats, or ``(K, 1)``
+    columns for ``(K, n)`` coordinates.  Each system's cells are sorted
+    by (band, primary) and cumulated on their own row — never one
+    cumsum across systems — and every band segment is then equalized
+    with row gathers instead of a per-band Python loop.
+    """
+    rows = np.atleast_2d(primary[..., ids])
+    band = ((secondary[..., ids] - band_lo) / band_span * bands).astype(np.int64)
+    band = np.atleast_2d(np.clip(band, 0, bands - 1))
+    # np.lexsort((coord, band)) per row, as two stable passes.
+    by_coord = np.argsort(rows, axis=1, kind="stable")
+    order = np.take_along_axis(
+        by_coord,
+        stable_argsort_ints(np.take_along_axis(band, by_coord, axis=1), bands),
+        axis=1,
+    )
+    sorted_band = np.take_along_axis(band, order, axis=1)
+    sorted_area = areas[ids][order]
+    sorted_coord = np.take_along_axis(rows, order, axis=1)
+    cum = np.cumsum(sorted_area, axis=1)
 
-    cum = np.cumsum(sorted_area)
-    for s, e in zip(starts, ends):
-        total = cum[e - 1] - (cum[s - 1] if s > 0 else 0.0)
-        if total <= 0:
-            continue
-        base = cum[s - 1] if s > 0 else 0.0
-        centred = (cum[s:e] - base) - sorted_area[s:e] * 0.5
-        equalized = lo + centred / total * span
-        segment = sorted_ids[s:e]
-        out[segment] = primary[segment] + strength * (equalized - primary[segment])
+    # Band boundaries in the sorted order, as the segment start / end
+    # position of every cell.
+    count = rows.shape[1]
+    position = np.arange(count)
+    is_start = np.ones(rows.shape, dtype=bool)
+    is_start[:, 1:] = sorted_band[:, 1:] != sorted_band[:, :-1]
+    start = np.maximum.accumulate(np.where(is_start, position, 0), axis=1)
+    is_end = np.ones(rows.shape, dtype=bool)
+    is_end[:, :-1] = is_start[:, 1:]
+    end = np.minimum.accumulate(
+        np.where(is_end, position, count - 1)[:, ::-1], axis=1
+    )[:, ::-1]
+
+    base = np.where(
+        start > 0, np.take_along_axis(cum, np.maximum(start - 1, 0), axis=1), 0.0
+    )
+    total = np.take_along_axis(cum, end, axis=1) - base
+    live = total > 0
+    centred = (cum - base) - sorted_area * 0.5
+    equalized = lo + centred / np.where(live, total, 1.0) * span
+    moved = sorted_coord + strength * (equalized - sorted_coord)
+    result = np.where(live, moved, sorted_coord)
+    np.put_along_axis(np.atleast_2d(out), ids[order], result, axis=1)

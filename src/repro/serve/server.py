@@ -90,7 +90,12 @@ class ServeApp:
             job_timeout=job_timeout,
         )
         self.started_unix = time.time()
+        #: Draining: new submissions are refused from here on.
         self.shutdown_event = threading.Event()
+        #: The daemon may exit.  Trails ``shutdown_event`` on
+        #: ``POST /shutdown``: handler threads are daemons, so leaving
+        #: before the acknowledgement is on the wire would truncate it.
+        self.exit_event = threading.Event()
 
     # -- routes --------------------------------------------------------
     def handle_request(
@@ -356,13 +361,19 @@ class ServeApp:
 
     def _shutdown(self) -> Dict[str, Any]:
         self.shutdown_event.set()
-        return _response(
-            202, {"schema": SCHEMA, "state": "stopping"}
-        )
+        response = _response(202, {"schema": SCHEMA, "state": "stopping"})
+        # Whoever delivers this reply calls request_exit() afterwards.
+        response["final"] = True
+        return response
 
     # -- lifecycle -----------------------------------------------------
-    def close(self, timeout: Optional[float] = None) -> None:
+    def request_exit(self) -> None:
+        """Stop accepting work and release :func:`run_serve`."""
         self.shutdown_event.set()
+        self.exit_event.set()
+
+    def close(self, timeout: Optional[float] = None) -> None:
+        self.request_exit()
         self.pool.shutdown(timeout=timeout)
 
 
@@ -388,6 +399,8 @@ class _Handler(BaseHTTPRequestHandler):
                 return
         response = app.handle_request(self.command, self.path, body)
         self._reply(response["statusCode"], response["body"])
+        if response.get("final"):
+            app.request_exit()
 
     def _reply(self, status: int, body: Dict[str, Any]) -> None:
         data = json.dumps(body, sort_keys=True).encode()
@@ -397,6 +410,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             self.wfile.write(data)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to salvage
 
@@ -484,7 +498,7 @@ def run_serve(
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
             previous_handlers[signum] = signal.signal(
-                signum, lambda *_: app.shutdown_event.set()
+                signum, lambda *_: app.request_exit()
             )
         except ValueError:  # pragma: no cover - non-main thread (tests)
             pass
@@ -494,7 +508,7 @@ def run_serve(
     )
     server_thread.start()
     try:
-        app.shutdown_event.wait()
+        app.exit_event.wait()
     finally:
         server.shutdown()
         server.server_close()

@@ -199,3 +199,193 @@ class TestSelectors:
         eligible = VPRFramework(config).eligible_clusters(members)[:4]
         for c in eligible:
             assert selection.shapes[c] == config.candidates[2]
+
+
+# ----------------------------------------------------------------------
+# Lockstep candidate batching (see docs/performance.md)
+# ----------------------------------------------------------------------
+def _sweep_digest(selection) -> str:
+    import hashlib
+    import json
+
+    payload = {
+        "costs": [
+            [
+                sweep.cluster_id,
+                [[repr(e.hpwl_cost), repr(e.congestion_cost)] for e in sweep.evaluations],
+            ]
+            for sweep in selection.sweeps
+        ],
+        "shapes": [
+            [c, repr(s.aspect_ratio), repr(s.utilization)]
+            for c, s in sorted(selection.shapes.items())
+        ],
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenCosts:
+    """(b) SHA-256 of the 100 (hpwl_cost, congestion_cost) pairs and the
+    chosen shapes of a 5-cluster sweep, frozen at the commit *before*
+    candidates were batched: batching the arithmetic must not move a
+    bit of it."""
+
+    GOLDEN = {
+        "aes": "1163043a4f2b3a0d5baf1ca523cf0b4f065fa9d1d117a0ba33098f1df83c1fca",
+        "ariane": "ac61f66a324e5bde5df63bd3ca6708451227498c251b5a67fdd6627cf9cac860",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_sweep_matches_pre_batching_digest(self, name):
+        from repro.designs import load_benchmark
+
+        design = load_benchmark(name)
+        members = ppa_aware_clustering(
+            DesignDatabase(design), PPAClusteringConfig()
+        ).members()
+        selection = VPRShapeSelector(
+            VPRConfig(max_vpr_clusters=5, min_cluster_instances=100)
+        ).select(design, members)
+        assert sum(len(s.evaluations) for s in selection.sweeps) == 100
+        assert _sweep_digest(selection) == self.GOLDEN[name]
+
+
+class TestBatchedSweepEquivalence:
+    """(c) however the grid is cut into batches — one per cluster
+    (serial), per pool chunk, or whatever a resumed run finds missing —
+    the sweep is the same."""
+
+    @staticmethod
+    def _config(**kwargs):
+        return VPRConfig(
+            min_cluster_instances=100,
+            max_vpr_clusters=2,
+            placer_iterations=3,
+            **kwargs,
+        )
+
+    def _select(self, cluster_context, checkpoint=None, **kwargs):
+        design, members, _largest = cluster_context
+        return VPRShapeSelector(
+            self._config(**kwargs), checkpoint=checkpoint
+        ).select(design, members)
+
+    @pytest.fixture(scope="class")
+    def serial(self, cluster_context):
+        selection = self._select(cluster_context)
+        assert len(selection.sweeps) == 2
+        return _sweep_digest(selection)
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 7])
+    def test_pool_chunks_match_serial(self, cluster_context, serial, chunk_size):
+        from repro.core.vpr import _fork_available
+
+        if not _fork_available():
+            pytest.skip("fork start method unavailable")
+        selection = self._select(cluster_context, jobs=2, chunk_size=chunk_size)
+        assert _sweep_digest(selection) == serial
+
+    def test_resumed_mid_cluster_matches_serial(self, cluster_context, serial, tmp_path):
+        from repro.recovery import CheckpointStore, faults
+        from repro.recovery.faults import FaultInjected
+
+        store = CheckpointStore(str(tmp_path / "ckpt"))
+        store.initialize({"test": "batched"})
+        faults.configure("raise:vpr.item.saved:#27")
+        try:
+            with pytest.raises(FaultInjected):
+                self._select(cluster_context, checkpoint=store)
+        finally:
+            faults.reset()
+        saved = list((tmp_path / "ckpt" / "vpr_items").glob("*.json"))
+        assert len(saved) == 27  # one cluster done, the second 7 items in
+        resumed = self._select(cluster_context, checkpoint=store)
+        assert _sweep_digest(resumed) == serial
+
+
+GRID_20 = default_candidate_grid()
+
+
+class TestNumericGuard:
+    """A candidate whose B2B system goes NaN fails alone."""
+
+    def _poisoned(self, monkeypatch, row):
+        """Make the spreader hand candidate ``row`` one NaN anchor, in
+        the first spreading round of every placement run."""
+        from repro.place import placer
+
+        real = placer.spreading_targets
+
+        def poisoned(grid, x, y, areas, movable, strength=0.8):
+            target_x, target_y = real(grid, x, y, areas, movable, strength)
+            if len(target_x) == len(GRID_20):  # nobody has dropped out yet
+                target_x[row, np.nonzero(movable)[0][0]] = np.nan
+            return target_x, target_y
+
+        monkeypatch.setattr(placer, "spreading_targets", poisoned)
+
+    def test_poisoned_candidate_fails_alone(self, cluster_context, monkeypatch):
+        from repro import perf
+
+        design, _members, largest = cluster_context
+        config = VPRConfig(
+            placer_iterations=3, retry_limit=0, on_terminal_failure="exclude"
+        )
+        clean = VPRFramework(config).sweep_cluster(design, largest)
+
+        self._poisoned(monkeypatch, row=4)
+        perf.enable()
+        perf.reset()
+        try:
+            sweep = VPRFramework(config).sweep_cluster(design, largest)
+            nonfinite = perf.counter_value("b2b.cg_nonfinite")
+            terminal = perf.counter_value("vpr.item.terminal")
+        finally:
+            perf.disable()
+
+        assert nonfinite >= 1 and terminal == 1
+        bad = sweep.evaluations[4]
+        assert not bad.is_valid and "non-finite" in bad.error
+        for k, (a, b) in enumerate(zip(sweep.evaluations, clean.evaluations)):
+            if k != 4:
+                assert (a.hpwl_cost, a.congestion_cost) == (
+                    b.hpwl_cost,
+                    b.congestion_cost,
+                )
+        # Selection skipped the invalid candidate explicitly.
+        assert sweep.best != bad.candidate or clean.best != bad.candidate
+        assert sweep.best in [e.candidate for e in sweep.evaluations if e.is_valid]
+
+    def test_poisoned_candidate_raises_by_default(self, cluster_context, monkeypatch):
+        from repro.core.vpr import VPRSweepError
+
+        design, _members, largest = cluster_context
+        self._poisoned(monkeypatch, row=0)
+        with pytest.raises(VPRSweepError, match="candidate 0"):
+            VPRFramework(
+                VPRConfig(placer_iterations=3, retry_limit=0)
+            ).sweep_cluster(design, largest)
+
+    def test_maxiter_is_counted_and_evented(self):
+        from repro import perf, telemetry
+        from repro.place.b2b import b2b_edges, solve_axis
+
+        pin_vertex = np.array([0, 1, 1, 2, 2, 3])
+        offsets = np.array([0, 2, 4, 6])
+        coords = np.array([[0.0, 3.0, 5.0, 10.0], [0.0, 1.0, 7.0, 10.0]])
+        fixed = np.array([True, False, False, True])
+        u, v, w = b2b_edges(pin_vertex, offsets, np.ones(3), coords)
+        perf.enable()
+        perf.reset()
+        telemetry.enable()
+        try:
+            solve_axis(u, v, w, coords, fixed, cg_tol=0.0, cg_maxiter=1)
+            cut_short = perf.counter_value("b2b.cg_nonconverged")
+            assert 1 <= cut_short <= 2
+            events = telemetry.get_session().events.export()
+            assert [
+                e["systems"] for e in events if e["type"] == "b2b.cg_nonconverged"
+            ] == [cut_short]
+        finally:
+            perf.disable()
+            telemetry.disable()

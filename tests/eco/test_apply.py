@@ -261,3 +261,48 @@ class TestScripts:
         # A never-before-seen instance leaves no pre-edit index behind.
         assert impact.removed_instances == []
         toy_design.validate()
+
+
+class TestHpwlAfterEdits:
+    """``repro.place.hpwl.hpwl`` memoises per-pin arrays; edit patterns
+    that keep every entity count (reconnect; add + remove in one
+    script) used to leave the memo stale."""
+
+    @staticmethod
+    def _check(design):
+        from repro.place.hpwl import hpwl, net_hpwl
+
+        walk = sum(
+            net_hpwl(design, net)
+            for net in design.nets
+            if not net.is_clock and net.degree >= 2
+        )
+        assert hpwl(design) == pytest.approx(walk, rel=1e-12)
+
+    def test_reconnect(self, toy_design):
+        self._check(toy_design)  # fills the memo
+        toy_design.instance("u2").x = 19.0
+        _apply(
+            toy_design,
+            [{"kind": "reconnect", "instance": "u2", "pin": "B", "net": "n_in0"}],
+        )
+        self._check(toy_design)
+
+    def test_add_and_remove_in_one_script(self, toy_design):
+        toy_design.add_master(make_library()["BUF_X1"])
+        self._check(toy_design)
+        _apply(
+            toy_design,
+            [
+                {
+                    "kind": "add",
+                    "instance": "u_buf",
+                    "master": "BUF_X1",
+                    "connections": {"A": "n1", "Y": "n_buf_out"},
+                    "x": 19.0,
+                    "y": 1.0,
+                },
+                {"kind": "remove", "instance": "u3"},
+            ],
+        )
+        self._check(toy_design)

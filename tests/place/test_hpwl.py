@@ -101,3 +101,34 @@ class TestArrayEquivalence:
     def test_empty(self):
         empty = np.zeros(0, dtype=np.int64)
         assert hpwl_arrays(empty, np.array([0]), np.zeros(0), np.zeros(0)) == 0.0
+
+
+class TestMemoInvalidation:
+    """The cached pin arrays must follow count-preserving edits: the
+    memo used to be keyed on entity counts alone and went stale."""
+
+    @staticmethod
+    def _walk(design):
+        return sum(
+            net_hpwl(design, net)
+            for net in design.nets
+            if not net.is_clock and net.degree >= 2
+        )
+
+    def test_reconnect_pin_rebuilds_pin_arrays(self, toy_design):
+        assert hpwl(toy_design) == pytest.approx(self._walk(toy_design))
+        u2 = toy_design.instance("u2")
+        u2.x, u2.y = 17.0, 3.0  # far from n_in0's pins: the move shows
+        toy_design.disconnect_pin(u2, "B")
+        toy_design.reconnect_pin(u2, "B", toy_design.net("n_in0"))
+        assert hpwl(toy_design) == pytest.approx(self._walk(toy_design), rel=1e-12)
+
+    def test_add_then_remove_rebuilds_pin_arrays(self, toy_design):
+        from repro.designs.nangate45 import make_library
+
+        assert hpwl(toy_design) == pytest.approx(self._walk(toy_design))
+        buf = toy_design.add_instance("u_buf", make_library()["BUF_X1"])
+        buf.x, buf.y = 19.0, 1.0
+        toy_design.connect_instance_pin(toy_design.net("n1"), buf, "A")
+        toy_design.remove_instance(toy_design.instance("u3"))
+        assert hpwl(toy_design) == pytest.approx(self._walk(toy_design), rel=1e-12)

@@ -138,13 +138,16 @@ class TestWorkerTelemetry:
             # span recorded in the parent process.
             parent = by_id[record["parent"]]
             assert parent["name"] == "vpr.parallel_sweep"
-        # Worker sub-spans (placer/router) kept their internal links.
-        place_parents = {
-            by_id[r["parent"]]["name"]
-            for r in records
-            if r["name"] == "place.global"
-        }
-        assert place_parents == {"vpr.candidate"}
+        # Worker sub-spans kept their internal links: a candidate's
+        # route hangs off its span; the lockstep placement of a batch
+        # of candidates is their sibling.
+        def parents_of(name):
+            return {
+                by_id[r["parent"]]["name"] for r in records if r["name"] == name
+            }
+
+        assert parents_of("route.global") == {"vpr.candidate"}
+        assert parents_of("place.global") == {"vpr.parallel_sweep"}
 
     def test_parallel_streams_match_serial(self, small_clusters):
         if not _fork_available():
@@ -176,19 +179,19 @@ class TestWorkerCrash:
         )
 
         parent_pid = os.getpid()
-        original = VPRFramework.evaluate_candidate
+        original = VPRFramework.evaluate_candidates
 
-        def flaky(self, sub, cell_area, candidate, cluster_id=None):
+        def flaky(self, sub, cell_area, candidates, cluster_id=None):
             if (
                 os.getpid() != parent_pid
-                and candidate == self.config.candidates[0]
+                and self.config.candidates[0] in candidates
             ):
                 raise RuntimeError("synthetic worker crash")
             return original(
-                self, sub, cell_area, candidate, cluster_id=cluster_id
+                self, sub, cell_area, candidates, cluster_id=cluster_id
             )
 
-        monkeypatch.setattr(VPRFramework, "evaluate_candidate", flaky)
+        monkeypatch.setattr(VPRFramework, "evaluate_candidates", flaky)
         perf.enable()
         perf.reset()
         telemetry.enable()
