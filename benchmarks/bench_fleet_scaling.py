@@ -96,9 +96,7 @@ def _run_arm(
     from repro import perf
     from repro.core.fanout import FleetExecutor
     from repro.core.vpr import ITEM_DELAY_ENV, VPRConfig, VPRFramework
-    from repro.route.steiner import clear_rsmt_cache
 
-    clear_rsmt_cache()
     config = VPRConfig(
         min_cluster_instances=60,
         max_vpr_clusters=clusters,

@@ -1,7 +1,7 @@
-"""V-P&R engine scaling: sweep wall-clock vs ``jobs`` + cache rates.
+"""V-P&R engine scaling: sweep wall-clock vs ``jobs`` + cache rate.
 
 Times the full shape-selection sweep at jobs = 1, 2, 4 on one design
-and reports the sub-netlist / RSMT cache hit rates the engine achieved.
+and reports the sub-netlist cache hit rate the engine achieved.
 The determinism contract (tests/core/test_vpr_parallel.py) means every
 row selects identical shapes — only wall-clock may differ, so the table
 is a pure throughput measurement.
@@ -23,7 +23,6 @@ from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.vpr import VPRConfig, VPRShapeSelector, _fork_available
 from repro.db.database import DesignDatabase
 from repro.designs import load_benchmark
-from repro.route.steiner import clear_rsmt_cache
 
 JOB_LEVELS = (1, 2, 4)
 
@@ -39,15 +38,13 @@ def _clusters():
     return design, clustering.members()
 
 
-def _timed_select(design, members, jobs, max_clusters, warm=False):
+def _timed_select(design, members, jobs, max_clusters):
     config = VPRConfig(
         min_cluster_instances=100,
         placer_iterations=5,
         max_vpr_clusters=max_clusters,
         jobs=jobs,
     )
-    if not warm:
-        clear_rsmt_cache()
     perf.enable()
     perf.reset()
     start = time.perf_counter()
@@ -65,40 +62,32 @@ def test_perf_scaling(benchmark):
 
     rows = []
     reference = None
-    # The warm row re-runs jobs=1 without clearing caches and must come
-    # right after the cold serial run: parallel runs compute RSMT in
-    # worker processes, so they never warm the parent's cache.
-    runs = [(1, False), (1, True)] + [(j, False) for j in JOB_LEVELS if j > 1]
-    for jobs, warm in runs:
-        label = f"{jobs} (warm)" if warm else str(jobs)
+    for jobs in JOB_LEVELS:
+        label = str(jobs)
         if jobs > 1 and not _fork_available():
-            rows.append([label, "n/a", "n/a", "n/a", "fork unavailable"])
+            rows.append([label, "n/a", "n/a", "fork unavailable"])
             continue
-        selection, wall, report = _timed_select(
-            design, members, jobs, max_clusters, warm=warm
-        )
+        selection, wall, report = _timed_select(design, members, jobs, max_clusters)
         shapes = {
             s.cluster_id: (s.best.aspect_ratio, s.best.utilization)
             for s in selection.sweeps
         }
         if reference is None:
             reference = (wall, shapes)
-        assert shapes == reference[1], "jobs/cache must not change selection"
+        assert shapes == reference[1], "jobs must not change selection"
         sub_rate = report.cache_rate("vpr.subnetlist")
-        rsmt_rate = report.cache_rate("steiner.rsmt")
         rows.append(
             [
                 label,
                 f"{wall:.2f}",
                 f"{reference[0] / wall:.2f}x",
                 f"{100 * sub_rate:.0f}%" if sub_rate is not None else "-",
-                f"{100 * rsmt_rate:.0f}%" if rsmt_rate is not None else "-",
             ]
         )
 
     text = format_table(
         f"V-P&R engine scaling ({design.name}, {max_clusters} clusters x 20 shapes)",
-        ["jobs", "wall [s]", "vs jobs=1", "subnet cache", "RSMT cache"],
+        ["jobs", "wall [s]", "vs jobs=1", "subnet cache"],
         rows,
         note=(
             "Identical shapes at every jobs level (asserted). Parallel "

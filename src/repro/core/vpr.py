@@ -29,11 +29,12 @@ Performance engine (this module is the flow's runtime bottleneck):
   :class:`~repro.place.problem.PlacementProblem`, one lockstep
   :class:`~repro.place.placer.GlobalPlacer` run whose every round
   solves all candidates' x and y systems as one block-diagonal B2B/PCG
-  system.  Each candidate is then committed, routed and scored on its
-  own.  A candidate's costs are bit-identical whatever it is batched
-  with, so serial sweeps (one batch per cluster), pool/fleet chunks
-  (one batch per run of same-cluster items), retries and resumed runs
-  (whatever is missing) all agree.
+  system, then *routed* together (one stacked ``GlobalRouter`` run off
+  the placer's coordinate rows) and scored one by one.  A candidate's
+  costs are bit-identical whatever it is batched with, so serial
+  sweeps (one batch per cluster), pool/fleet chunks (one batch per run
+  of same-cluster items), retries and resumed runs (whatever is
+  missing) all agree.
 * Per-candidate scoring reuses cached flat pin/offset arrays and the
   vectorized :func:`repro.place.hpwl.hpwl_arrays` kernel instead of a
   per-net Python loop; the best candidate is picked from a NumPy cost
@@ -432,18 +433,11 @@ def _configure_virtual_die(
 ) -> None:
     """Size the sub-netlist's die for a shape and move its IO ports
     onto the periphery (see :func:`_virtual_die`)."""
-    _apply_virtual_die(
-        sub, *_virtual_die(len(sub.ports), cell_area, candidate, margin)
+    sub.floorplan, port_x, port_y = _virtual_die(
+        len(sub.ports), cell_area, candidate, margin
     )
-
-
-def _apply_virtual_die(
-    sub: Design, floorplan: Floorplan, port_x: np.ndarray, port_y: np.ndarray
-) -> None:
-    sub.floorplan = floorplan
     for name, x, y in zip(sorted(sub.ports), port_x.tolist(), port_y.tolist()):
-        port = sub.ports[name]
-        port.x, port.y = x, y
+        sub.ports[name].x, sub.ports[name].y = x, y
 
 
 # ----------------------------------------------------------------------
@@ -635,13 +629,14 @@ class VPRFramework:
         and compute Cost_HPWL / Cost_Congestion (Eqs. 4-5).
 
         The candidates are placed as one lockstep batch (one stacked
-        problem, one :class:`GlobalPlacer` run), then each is committed
-        to the sub-netlist, routed and scored in the order given.  A
-        candidate's costs do not depend on what it is batched with, so
-        any split of a cluster's grid into calls yields the same 20
-        evaluations.  A candidate whose placement broke down
-        numerically comes back invalid (``error`` set, NaN costs)
-        without disturbing the others.
+        problem, one :class:`GlobalPlacer` run), the validly placed
+        ones routed as one stack (one :class:`GlobalRouter` run over
+        the placer's ``(K, n)`` rows, each on its own grid) and scored
+        in the order given; the sub-netlist itself is never written.  A
+        candidate's costs do not depend on its batch, so any split of a
+        cluster's grid into calls yields the same 20 evaluations.  One
+        whose placement or route broke down numerically comes back
+        invalid (``error`` set, NaN costs) without disturbing the rest.
 
         The per-iteration placer/router QoR streams are muted here
         (hundreds of virtual dies would drown the flow-level
@@ -668,6 +663,18 @@ class VPRFramework:
                     seed=config.seed,
                 ),
             ).run()
+        # One stacked route over the rows whose placement is valid.
+        routable = [row for row, placed in enumerate(placements) if not placed.error]
+        with perf.stage("vpr/route"):
+            grids = [
+                GCellGrid.for_floorplan(dies[row][0], config.route_target_cells)
+                for row in routable
+            ]
+            router = GlobalRouter(
+                sub, grids, x=problem.x[routable], y=problem.y[routable],
+                telemetry_prefix=None,
+            )
+            routing_of = dict(zip(routable, router.run()))
         evaluations = []
         for row, (candidate, die, placed) in enumerate(
             zip(candidates, dies, placements)
@@ -676,25 +683,18 @@ class VPRFramework:
             if cluster_id is not None:
                 span_attrs["cluster"] = cluster_id
             with telemetry.span("vpr.candidate", **span_attrs):
-                if placed.error is not None:
+                routing = routing_of.get(row)
+                error = routing.error if routing else placed.error
+                if error is not None:
                     evaluations.append(
                         CandidateEvaluation(
-                            candidate, float("nan"), float("nan"), error=placed.error
+                            candidate, float("nan"), float("nan"), error=error
                         )
                     )
                     continue
-                _apply_virtual_die(sub, *die)
-                problem.commit(row)
-                with perf.stage("vpr/route"):
-                    grid = GCellGrid.for_floorplan(
-                        sub.floorplan, target_cells=config.route_target_cells
-                    )
-                    routing = GlobalRouter(
-                        sub, grid=grid, telemetry_prefix=None
-                    ).run()
                 with perf.stage("vpr/score"):
                     hpwl_avg = ctx.mean_hpwl(problem.x[row], problem.y[row])
-                    fp = sub.floorplan
+                    fp = die[0]
                     hpwl_cost = hpwl_avg / max(fp.core_width + fp.core_height, 1e-9)
                     congestion_cost = routing.top_percent_congestion(config.top_x_percent)
             perf.count("vpr.candidates_evaluated")

@@ -186,8 +186,8 @@ class GlobalPlacer:
 
         An ordinary problem gets its coordinates committed to the
         design and one :class:`PlacementResult` back.  A stacked
-        problem gets one result per system and no commit (the caller
-        commits the system it wants with ``problem.commit(k)``).
+        problem gets one result per system and no commit (its rows,
+        ``problem.x[k]`` / ``problem.y[k]``, are the K placements).
         """
         start = time.perf_counter()
         problem = self.problem

@@ -218,14 +218,13 @@ class PlacementProblem:
             self.x[:] = x
             self.y[:] = y
 
-    def commit(self, system: Optional[int] = None) -> None:
+    def commit(self) -> None:
         """Write working coordinates back to the design's instances
-        (those of one ``system`` of a stacked problem)."""
-        x, y = (self.x, self.y) if system is None else (self.x[system], self.y[system])
+        (an ordinary problem's; a stacked one has K candidates for them)."""
         for inst in self.design.instances:
             if not inst.fixed:
-                inst.x = float(x[inst.index])
-                inst.y = float(y[inst.index])
+                inst.x = float(self.x[inst.index])
+                inst.y = float(self.y[inst.index])
 
     def clip_to_core(self) -> None:
         """Clamp movable vertices into the core box (each system into

@@ -47,6 +47,11 @@ class GCellGrid:
         tracks_per_um: float = TRACKS_PER_UM,
     ) -> "GCellGrid":
         """Size the grid to ~``target_cells`` square GCells."""
+        if not (floorplan.die_width > 0 and floorplan.die_height > 0):
+            raise ValueError(
+                f"no routing capacity: a GCell grid needs a die of positive width "
+                f"and height, got {floorplan.die_width} x {floorplan.die_height} um"
+            )
         aspect = floorplan.die_width / max(floorplan.die_height, 1e-9)
         ny = max(8, int(np.sqrt(target_cells / max(aspect, 1e-9))))
         nx = max(8, int(ny * aspect))
@@ -78,31 +83,6 @@ class GCellGrid:
         cx = int(np.clip(x / self.cell_width, 0, self.nx - 1))
         cy = int(np.clip(y / self.cell_height, 0, self.ny - 1))
         return cx, cy
-
-    # ------------------------------------------------------------------
-    def add_horizontal(self, row: int, col_a: int, col_b: int) -> None:
-        """Add one track of horizontal demand across [col_a, col_b]."""
-        if col_a > col_b:
-            col_a, col_b = col_b, col_a
-        self.h_usage[row, col_a : col_b + 1] += 1.0
-
-    def add_vertical(self, col: int, row_a: int, row_b: int) -> None:
-        """Add one track of vertical demand across [row_a, row_b]."""
-        if row_a > row_b:
-            row_a, row_b = row_b, row_a
-        self.v_usage[row_a : row_b + 1, col] += 1.0
-
-    def segment_congestion(
-        self, horizontal: bool, fixed: int, a: int, b: int
-    ) -> float:
-        """Max congestion ratio along a candidate segment."""
-        if a > b:
-            a, b = b, a
-        if horizontal:
-            usage = self.h_usage[fixed, a : b + 1]
-            return float(usage.max(initial=0.0) / self.h_capacity)
-        usage = self.v_usage[a : b + 1, fixed]
-        return float(usage.max(initial=0.0) / self.v_capacity)
 
     # ------------------------------------------------------------------
     def congestion_ratios(self) -> np.ndarray:

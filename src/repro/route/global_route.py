@@ -1,4 +1,4 @@
-"""Congestion-aware pattern global routing.
+"""Congestion-aware pattern global routing, batch-native.
 
 Each net's Steiner tree edges are routed as L-shapes; of the two L
 orientations the router keeps the one crossing less-congested GCells
@@ -6,17 +6,27 @@ orientations the router keeps the one crossing less-congested GCells
 rip-up-and-reroute pass).  Outputs per-net routed lengths — inflated by
 a congestion detour factor — plus the grid statistics the V-P&R
 Congestion Cost uses.
+
+One router routes K placements of the same netlist at once (the V-P&R
+sweep's shape candidates); an ordinary design is its K = 1 case.
+Everything without a sequential dependency is array code over all
+(system, net) segments.  The L choice depends on the demand of every
+net routed before, so it stays one scalar loop per grid
+(:func:`_route_patterns`) over plain ``int`` edges and ``list`` usage
+rows: at ~10 cells per segment a NumPy lockstep of that loop across
+systems is dispatch-bound and slower than the loop itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro import telemetry
-from repro.netlist.design import Design, Net
+from repro import perf, telemetry
+from repro.netlist.design import Design
 from repro.route.gcell import GCellGrid
 from repro.route.steiner import rsmt
 
@@ -34,6 +44,8 @@ class RoutingResult:
         grid: The GCell grid with final usage.
         overflow_fraction: Fraction of over-capacity GCells.
         max_congestion: Peak GCell congestion ratio.
+        error: Set when a non-finite input kept this system from being
+            routed: wirelength NaN, grid untouched.
     """
 
     routed_wirelength: float
@@ -41,6 +53,7 @@ class RoutingResult:
     grid: Optional[GCellGrid] = None
     overflow_fraction: float = 0.0
     max_congestion: float = 0.0
+    error: Optional[str] = None
 
     def top_percent_congestion(self, percent: float = 10.0) -> float:
         """Congestion Cost numerator (Eq. 5)."""
@@ -50,17 +63,28 @@ class RoutingResult:
 
 
 class GlobalRouter:
-    """Routes a placed design over a GCell grid."""
+    """Routes a placed design over a GCell grid — or K placements of
+    it, each over its own grid, as one stack."""
 
     def __init__(
         self,
         design: Design,
-        grid: Optional[GCellGrid] = None,
+        grid: Union[GCellGrid, Sequence[GCellGrid], None] = None,
         include_clock: bool = False,
         telemetry_prefix: Optional[str] = "route",
+        x: Optional[np.ndarray] = None,
+        y: Optional[np.ndarray] = None,
     ) -> None:
+        """``x`` / ``y`` stack K placements: ``(K, n_vertices)`` arrays
+        in :class:`~repro.place.problem.PlacementProblem` vertex order
+        (instances, then ports by sorted name), with ``grid`` a
+        sequence of K grids; :meth:`run` then returns K results.
+        Without them the design's current coordinates are routed."""
         self.design = design
-        self.grid = grid or GCellGrid.for_floorplan(design.floorplan)
+        self.stack = None if x is None else (x, y)
+        if grid is None:
+            grid = GCellGrid.for_floorplan(design.floorplan)
+        self.grids: List[GCellGrid] = [grid] if x is None else list(grid)
         self.include_clock = include_clock
         #: Stream prefix of the QoR observations this run emits
         #: (``<prefix>.overflow``, ``<prefix>.max_congestion``); None
@@ -69,160 +93,188 @@ class GlobalRouter:
         self.telemetry_prefix = telemetry_prefix
 
     # ------------------------------------------------------------------
-    def _net_points_reference(self, net: Net) -> List[Tuple[float, float]]:
-        """Distinct pin locations of a net, driver first.
-
-        Reference implementation of the pin gather: the hot path in
-        :meth:`_run` computes the same points through the design's
-        cached CSR pin arrays in one vectorized gather (mirroring the
-        ``_fc_pass_reference`` pattern).  Kept for the equivalence test
-        in ``tests/route/test_global_route.py``; not called by the
-        router itself.
-        """
-        points: List[Tuple[float, float]] = []
-        seen = set()
-        for ref in net.pins():
-            if ref.instance is not None:
-                point = (ref.instance.x, ref.instance.y)
-            else:
-                port = self.design.ports[ref.pin_name]
-                point = (port.x, port.y)
-            key = (round(point[0], 3), round(point[1], 3))
-            if key not in seen:
-                seen.add(key)
-                points.append(point)
-        return points
-
-    def _route_edge(self, ax: int, ay: int, bx: int, by: int) -> float:
-        """Route one tree edge as the less-congested L; returns max
-        congestion ratio encountered along the chosen pattern.
-
-        Endpoints arrive as GCell indices: :meth:`run` converts all
-        tree points to cells in one vectorized pass rather than two
-        ``cell_of`` calls (two ``np.clip``/``int`` round-trips) per
-        edge, which dominated router wall-clock on virtual dies.
-        """
-        grid = self.grid
-        if ax == bx and ay == by:
-            return 0.0
-        if ax == bx:
-            congestion = grid.segment_congestion(False, ax, ay, by)
-            grid.add_vertical(ax, ay, by)
-            return congestion
-        if ay == by:
-            congestion = grid.segment_congestion(True, ay, ax, bx)
-            grid.add_horizontal(ay, ax, bx)
-            return congestion
-        # Two L patterns: horizontal-first at ay, or vertical-first at ax.
-        cong_l1 = max(
-            grid.segment_congestion(True, ay, ax, bx),
-            grid.segment_congestion(False, bx, ay, by),
-        )
-        cong_l2 = max(
-            grid.segment_congestion(False, ax, ay, by),
-            grid.segment_congestion(True, by, ax, bx),
-        )
-        if cong_l1 <= cong_l2:
-            grid.add_horizontal(ay, ax, bx)
-            grid.add_vertical(bx, ay, by)
-            return cong_l1
-        grid.add_vertical(ax, ay, by)
-        grid.add_horizontal(by, ax, bx)
-        return cong_l2
-
-    # ------------------------------------------------------------------
-    def run(self) -> RoutingResult:
-        """Route all signal nets; returns the routing result.
-
-        Pin gathering goes through the design's cached CSR pin arrays
-        (shared with :func:`repro.place.hpwl.hpwl`): one fancy-indexed
-        coordinate gather per net instead of per-pin attribute walks.
-        The dedup key (coordinates rounded to 1nm) and pin order
-        (driver first) match :meth:`_net_points_reference` exactly.
-        """
+    def run(self) -> Union[RoutingResult, List[RoutingResult]]:
+        """Route all signal nets; one :class:`RoutingResult`, or one
+        per system of a stack.  A net's routing points are its distinct
+        pin locations at 1 nm resolution, in pin order (driver first),
+        read through the design's cached net -> pin CSR."""
         with telemetry.span(
             "route.global",
             design=self.design.name,
-            gcells=self.grid.nx * self.grid.ny,
+            gcells=sum(grid.nx * grid.ny for grid in self.grids),
+            systems=len(self.grids),
         ):
-            result = self._run()
+            results = self._run()
         prefix = self.telemetry_prefix
         if prefix is not None:
-            telemetry.observe(f"{prefix}.overflow", result.overflow_fraction)
-            telemetry.observe(f"{prefix}.max_congestion", result.max_congestion)
-            telemetry.observe(f"{prefix}.wirelength", result.routed_wirelength)
-        return result
+            for result in results:
+                telemetry.observe(f"{prefix}.overflow", result.overflow_fraction)
+                telemetry.observe(f"{prefix}.max_congestion", result.max_congestion)
+                telemetry.observe(f"{prefix}.wirelength", result.routed_wirelength)
+        return results[0] if self.stack is None else results
 
-    def _run(self) -> RoutingResult:
+    def _run(self) -> List[RoutingResult]:
         # Deferred: repro.place's package init imports this module.
         from repro.place.hpwl import _net_arrays
 
         arrays = _net_arrays(self.design, self.include_clock)
-        vx, vy = arrays.coordinates(self.design)
-        all_px = vx[arrays.pin_vertex].tolist()
-        all_py = vy[arrays.pin_vertex].tolist()
-        offsets = arrays.net_offsets.tolist()
-        nets = []
-        degenerate: List[int] = []
-        for i, net in enumerate(arrays.net_list):
-            points: List[Tuple[float, float]] = []
-            seen = set()
-            for pin in range(offsets[i], offsets[i + 1]):
-                x_coord = all_px[pin]
-                y_coord = all_py[pin]
-                key = (round(x_coord, 3), round(y_coord, 3))
-                if key not in seen:
-                    seen.add(key)
-                    points.append((x_coord, y_coord))
-            if len(points) < 2:
-                # Every pin collapses onto one routing point: the net
-                # is degenerate — zero routed length, no grid demand.
-                degenerate.append(net.index)
-                continue
-            tree = rsmt(points)
-            nets.append((net, tree))
+        grids, systems, num_nets = self.grids, len(self.grids), len(arrays.net_list)
+        net_index = np.array([net.index for net in arrays.net_list], dtype=np.int64)
+        vx, vy = self.stack or (v[None, :] for v in arrays.coordinates(self.design))
+        pin_x = vx[:, arrays.pin_vertex]
+        pin_y = vy[:, arrays.pin_vertex]
+        # Numeric guard: a system with a non-finite input fails alone.
+        # NaN has no GCell, so its pins ride through the array code at
+        # the origin (every net degenerate) and it is reported below.
+        finite = np.isfinite(pin_x).all(axis=1) & np.isfinite(pin_y).all(axis=1)
+        pin_x[~finite] = pin_y[~finite] = 0.0
+
+        # Segment = (system, net).  Flat pin order is already (segment,
+        # pin order), which the stable lexsort keeps inside each group
+        # of equal (segment, 1 nm key): a group's first element is the
+        # first occurrence.
+        net_of_pin = np.repeat(np.arange(num_nets), np.diff(arrays.net_offsets))
+        segment = (np.arange(systems)[:, None] * num_nets + net_of_pin).ravel()
+        keys = (segment, _round_nm(pin_x.ravel()), _round_nm(pin_y.ravel()))
+        order = np.lexsort(keys[::-1])
+        in_order = [key[order] for key in keys]
+        repeat = np.logical_and.reduce([key[1:] == key[:-1] for key in in_order])
+        keep = np.ones(len(order), dtype=bool)
+        keep[order[1:][repeat]] = False
+        points_x = pin_x.ravel()[keep]
+        points_y = pin_y.ravel()[keep]
+        point_system = segment[keep] // max(num_nets, 1)
+        sizes = np.bincount(segment[keep], minlength=systems * num_nets)
+        forest = rsmt(points_x, points_y, np.concatenate(([0], np.cumsum(sizes))))
+
         # Longest nets first: they have the least routing flexibility.
-        nets.sort(key=lambda item: -item[1].length)
+        # A net whose pins collapse onto one routing point is
+        # degenerate — zero length, no edges — and sorts last.
+        tree_length = forest.length.reshape(systems, num_nets)
+        routed_order = np.argsort(-tree_length, axis=1, kind="stable")
+        num_degenerate = (sizes < 2).reshape(systems, num_nets).sum(axis=1)
 
-        # One vectorized point -> GCell conversion for every tree point
-        # (same clip-then-truncate arithmetic as GCellGrid.cell_of).
-        grid = self.grid
-        all_points = [p for _, tree in nets for p in tree.points]
-        if all_points:
-            coords = np.asarray(all_points)
-            cell_x = np.clip(
-                coords[:, 0] / grid.cell_width, 0, grid.nx - 1
-            ).astype(np.int64)
-            cell_y = np.clip(
-                coords[:, 1] / grid.cell_height, 0, grid.ny - 1
-            ).astype(np.int64)
-        else:
-            cell_x = cell_y = np.zeros(0, dtype=np.int64)
-
-        net_lengths: Dict[int, float] = {idx: 0.0 for idx in degenerate}
-        total = 0.0
-        base = 0
-        for net, tree in nets:
-            worst = 0.0
-            for i, j in tree.edges:
-                congestion = self._route_edge(
-                    int(cell_x[base + i]),
-                    int(cell_y[base + i]),
-                    int(cell_x[base + j]),
-                    int(cell_y[base + j]),
-                )
-                worst = max(worst, congestion)
-            base += len(tree.points)
-            detour = 1.0 + DETOUR_FACTOR * max(0.0, worst - 1.0)
-            length = tree.length * detour
-            net_lengths[net.index] = length
-            total += length
-
-        ratios = self.grid.congestion_ratios()
-        return RoutingResult(
-            routed_wirelength=total,
-            net_lengths=net_lengths,
-            grid=self.grid,
-            overflow_fraction=float((ratios > 1.0).mean()),
-            max_congestion=float(ratios.max(initial=0.0)),
+        # Point -> GCell as GCellGrid.cell_of, each system's own cells.
+        cells = np.array(
+            [(g.cell_width, g.cell_height, g.nx - 1, g.ny - 1) for g in grids]
+        ).reshape(-1, 4)[point_system]
+        cell_x = np.clip(points_x / cells[:, 0], 0, cells[:, 2]).astype(np.int64)
+        cell_y = np.clip(points_y / cells[:, 1], 0, cells[:, 3]).astype(np.int64)
+        ax, ay = cell_x[forest.edge_a], cell_y[forest.edge_a]
+        bx, by = cell_x[forest.edge_b], cell_y[forest.edge_b]
+        # Drop edges that stay inside one GCell (no demand, congestion
+        # 0.0) and lay the rest out in routing order: system, then the
+        # net's rank, then tree order (the sort is stable).
+        crossing = np.flatnonzero((ax != bx) | (ay != by))
+        rank = np.argsort(routed_order, axis=1)
+        slot = (np.arange(systems)[:, None] * num_nets + rank).ravel()
+        edge_slot = np.repeat(slot, np.diff(forest.edge_offsets))[crossing]
+        crossing = crossing[np.argsort(edge_slot, kind="stable")]
+        ax, ay, bx, by = ax[crossing], ay[crossing], bx[crossing], by[crossing]
+        x_span = [np.minimum(ax, bx), np.maximum(ax, bx) + 1]
+        y_span = [np.minimum(ay, by), np.maximum(ay, by) + 1]
+        edges = np.stack([ax, ay, bx, by] + x_span + y_span, axis=1).tolist()
+        edges_per_net = np.bincount(edge_slot, minlength=systems * num_nets).reshape(
+            systems, num_nets
         )
+
+        results = []
+        done = 0
+        for k, grid in enumerate(grids):
+            edge_counts = edges_per_net[k].tolist()
+            begin, done = done, done + sum(edge_counts)
+            lengths = tree_length[k, routed_order[k]]
+            if not (
+                finite[k]
+                and np.isfinite(lengths).all()
+                and np.isfinite(grid.congestion_ratios()).all()
+            ):
+                error = "non-finite pin coordinate, tree length or congestion ratio"
+                perf.count("route.cost_nonfinite")
+                telemetry.event("route.cost_nonfinite", system=k, reason=error)
+                results.append(RoutingResult(float("nan"), error=error))
+                continue
+            worst = _route_patterns(grid, edge_counts, iter(edges[begin:done]))
+            overflow = np.maximum(0.0, np.asarray(worst) - 1.0)
+            lengths = lengths * (1.0 + DETOUR_FACTOR * overflow)
+            shift = num_degenerate[k]  # degenerate nets lead the record
+            names = np.roll(net_index[routed_order[k]], shift).tolist()
+            total = np.cumsum(lengths)  # net by net in routed order, not pairwise
+            ratios = grid.congestion_ratios()
+            results.append(
+                RoutingResult(
+                    routed_wirelength=float(total[-1]) if num_nets else 0.0,
+                    net_lengths=dict(zip(names, np.roll(lengths, shift).tolist())),
+                    grid=grid,
+                    overflow_fraction=float((ratios > 1.0).mean()),
+                    max_congestion=float(ratios.max(initial=0.0)),
+                )
+            )
+        return results
+
+
+def _round_nm(values: np.ndarray) -> np.ndarray:
+    """Python's ``round(v, 3)`` of every element.  ``rint(v * 1000) /
+    1000`` is the same float unless ``v * 1000`` lands within an ulp of
+    a half, where the product's own rounding can tip ``rint`` the wrong
+    way (``round(0.0005, 3)`` is 0.001, ``rint(0.5)`` is 0): those rare
+    elements go through ``round`` itself."""
+    scaled = values * 1000.0
+    keys = np.rint(scaled) / 1000.0
+    near_half = np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6)
+    if len(near_half):
+        keys[near_half] = [round(v, 3) for v in values[near_half].tolist()]
+    return keys
+
+
+def _route_patterns(grid: GCellGrid, edge_counts: List[int], edges) -> List[float]:
+    """The sequential stage: route every tree edge, net by net, as a
+    straight segment or the less-congested of its two L's, adding one
+    track of demand along the chosen cells.
+
+    ``edges`` yields ``(ax, ay, bx, by, x_lo, x_end, y_lo, y_end)`` GCell
+    indices, ``edge_counts[n]`` of them for the n-th net.  Works on list
+    copies of the grid's usage (which may already carry demand), written
+    back once.  Returns each net's worst congestion ratio along its
+    chosen patterns, measured before its own demand is added.
+    """
+    h_capacity, v_capacity = grid.h_capacity, grid.v_capacity
+    h_rows = grid.h_usage.tolist()
+    v_cols = grid.v_usage.T.tolist()
+    worst_of_net = []
+    for count in edge_counts:
+        worst = 0.0
+        for ax, ay, bx, by, x_lo, x_end, y_lo, y_end in islice(edges, count):
+            if ax == bx:
+                col = v_cols[ax]
+                span = col[y_lo:y_end]
+                congestion = max(span) / v_capacity
+                col[y_lo:y_end] = [u + 1.0 for u in span]
+            elif ay == by:
+                row = h_rows[ay]
+                span = row[x_lo:x_end]
+                congestion = max(span) / h_capacity
+                row[x_lo:x_end] = [u + 1.0 for u in span]
+            else:
+                # Two L patterns: horizontal-first at ay (then down
+                # bx), or vertical-first at ax (then along by).
+                row_a, col_b = h_rows[ay], v_cols[bx]
+                col_a, row_b = v_cols[ax], h_rows[by]
+                h_a, v_b = row_a[x_lo:x_end], col_b[y_lo:y_end]
+                v_a, h_b = col_a[y_lo:y_end], row_b[x_lo:x_end]
+                cong_l1 = max(max(h_a) / h_capacity, max(v_b) / v_capacity)
+                cong_l2 = max(max(v_a) / v_capacity, max(h_b) / h_capacity)
+                if cong_l1 <= cong_l2:
+                    row_a[x_lo:x_end] = [u + 1.0 for u in h_a]
+                    col_b[y_lo:y_end] = [u + 1.0 for u in v_b]
+                    congestion = cong_l1
+                else:
+                    col_a[y_lo:y_end] = [u + 1.0 for u in v_a]
+                    row_b[x_lo:x_end] = [u + 1.0 for u in h_b]
+                    congestion = cong_l2
+            if congestion > worst:
+                worst = congestion
+        worst_of_net.append(worst)
+    grid.h_usage[...] = h_rows
+    grid.v_usage[...] = np.array(v_cols).T
+    return worst_of_net

@@ -1,23 +1,21 @@
-"""Rectilinear Steiner tree construction (FLUTE-lite).
+"""Rectilinear Steiner tree construction (FLUTE-lite), batch-native.
 
 Exact for 2-3 pin nets (where RSMT length equals the bounding-box
 half-perimeter); Prim MST with a Steiner discount for larger nets.
 The returned edge list feeds the pattern router.
 
-Multi-pin topologies are memoized on the net's *relative* point set
-(coordinates translated so the minimum x/y sit at the origin): two nets
-whose pins form the same constellation anywhere on the die share one
-Prim run.  To keep the memo transparent, the MST is always computed in
-the relative frame — a cached result is therefore bit-identical to a
-fresh computation, so cache warmth (or a parallel worker's cold cache)
-can never change routing results.
+:func:`rsmt` builds a *forest*: any number of point sets, laid flat as
+``(x, y, offsets)`` segments, in one call.  Segments of equal pin count
+run Prim in lockstep (one ``(G, k)`` array step per tree edge), always
+in the constellation's relative frame (minimum x/y at the origin); a
+tree does not depend on what it is grouped with, so the router's 20
+stacked shape candidates and a single-net call get identical trees.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,23 +25,16 @@ from repro import perf
 #: sets averages ~0.9x the rectilinear MST length.
 STEINER_DISCOUNT = 0.9
 
-#: Pin-count cap: beyond this the vectorized O(k^2) Prim becomes
-#: noticeable and nets are routed as a star from the first pin
-#: (drivers come first).  Signal nets rarely get near this; clock
-#: fanout is handled by CTS, not the signal router.
+#: Pin-count cap: beyond this the O(k^2) Prim becomes noticeable and
+#: nets are routed as a star from the first pin (drivers come first).
+#: Signal nets rarely get near this; clock fanout is handled by CTS,
+#: not the signal router.
 MAX_MST_PINS = 1024
 
-#: Memoized Prim topologies, keyed by the relative point tuple.  LRU
-#: with a bounded size so long batch runs cannot grow without limit.
-_RSMT_CACHE: "OrderedDict[Tuple[Tuple[float, float], ...], Tuple[List[Tuple[int, int]], float]]" = (
-    OrderedDict()
-)
-_RSMT_CACHE_MAX = 65536
-
-#: Only memoize nets up to this pin count: the key (a tuple of floats)
-#: grows with the net, and large constellations essentially never
-#: repeat exactly.
-_RSMT_CACHE_MAX_PINS = 24
+#: ``steiner.rsmt.miss`` counts the Prim trees built in the 4..24-pin
+#: band — the band a since-removed topology memo covered, which the
+#: measurement spine still reads as "trees actually built".
+_COUNTED_MAX_PINS = 24
 
 
 @dataclass
@@ -61,140 +52,115 @@ class SteinerTree:
     length: float
 
 
-def rsmt(points: Sequence[Tuple[float, float]]) -> SteinerTree:
-    """Build a rectilinear Steiner tree over ``points``.
+class SteinerForest(NamedTuple):
+    """The trees of many point sets, flat: per-segment ``length`` (0
+    below two points) and the tree edges ``edge_a[e] -- edge_b[e]`` as
+    indices into the flat point arrays, segment ``s`` owning edges
+    ``[edge_offsets[s], edge_offsets[s + 1])`` in tree order."""
+
+    length: np.ndarray
+    edge_a: np.ndarray
+    edge_b: np.ndarray
+    edge_offsets: np.ndarray
+
+
+def rsmt(
+    x: Union[Sequence[Tuple[float, float]], np.ndarray],
+    y: Optional[np.ndarray] = None,
+    offsets: Optional[np.ndarray] = None,
+) -> Union[SteinerTree, SteinerForest]:
+    """Build rectilinear Steiner trees: ``rsmt(x, y, offsets)`` the
+    :class:`SteinerForest` over flat coordinate arrays holding segment
+    ``s`` at ``[offsets[s], offsets[s + 1])``; ``rsmt(points)``, its
+    one-segment case, the :class:`SteinerTree` of one ``(x, y)`` list.
 
     2-pin and 3-pin nets use the exact RSMT length (bounding-box
     half-perimeter); larger nets use a Prim MST with the standard
     Steiner discount; nets above :data:`MAX_MST_PINS` pins fall back
     to a star topology.
     """
-    pts = list(points)
-    k = len(pts)
-    if k <= 1:
-        return SteinerTree(points=pts, edges=[], length=0.0)
-    if k == 2:
-        length = _manhattan(pts[0], pts[1])
-        return SteinerTree(points=pts, edges=[(0, 1)], length=length)
-    if k == 3:
-        # RSMT of 3 terminals = HPWL of their bounding box, realised by
-        # a tree through the median point.
-        xs = sorted(p[0] for p in pts)
-        ys = sorted(p[1] for p in pts)
-        length = (xs[2] - xs[0]) + (ys[2] - ys[0])
-        edges = [(0, 1), (0, 2)]
-        return SteinerTree(points=pts, edges=edges, length=length)
-    if k > MAX_MST_PINS:
-        edges = [(0, i) for i in range(1, k)]
-        length = sum(_manhattan(pts[0], pts[i]) for i in range(1, k))
-        return SteinerTree(points=pts, edges=edges, length=length)
+    if y is None:
+        points = list(x)
+        flat = np.asarray(points, dtype=float).reshape(-1, 2)
+        forest = _forest(flat[:, 0], flat[:, 1], np.array([0, len(points)]))
+        edges = list(zip(forest.edge_a.tolist(), forest.edge_b.tolist()))
+        return SteinerTree(points, edges, float(forest.length[0]))
+    return _forest(x, y, np.asarray(offsets, dtype=np.int64))
 
-    # Relative frame: identical constellations share one Prim run.
-    min_x = min(p[0] for p in pts)
-    min_y = min(p[1] for p in pts)
-    rel = tuple((p[0] - min_x, p[1] - min_y) for p in pts)
-    if k <= _RSMT_CACHE_MAX_PINS:
-        cached = _RSMT_CACHE.get(rel)
-        if cached is not None:
-            _RSMT_CACHE.move_to_end(rel)
-            perf.count("steiner.rsmt.hit")
-            edges, length = cached
-            return SteinerTree(points=pts, edges=list(edges), length=length)
-        perf.count("steiner.rsmt.miss")
-    tree = _prim_mst(list(rel))
-    if k <= _RSMT_CACHE_MAX_PINS:
-        _RSMT_CACHE[rel] = (tree.edges, tree.length)
-        if len(_RSMT_CACHE) > _RSMT_CACHE_MAX:
-            _RSMT_CACHE.popitem(last=False)
-    return SteinerTree(points=pts, edges=list(tree.edges), length=tree.length)
+
+def _forest(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> SteinerForest:
+    starts = offsets[:-1]
+    sizes = np.diff(offsets)
+    edge_offsets = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
+    length = np.zeros(len(sizes))
+    edge_a = np.empty(edge_offsets[-1], dtype=np.int64)
+    edge_b = np.empty(edge_offsets[-1], dtype=np.int64)
+    counted = 0
+    for k in np.unique(sizes[sizes >= 2]).tolist():
+        segments = np.flatnonzero(sizes == k)
+        first = starts[segments][:, None]
+        px = x[first + np.arange(k)]
+        py = y[first + np.arange(k)]
+        # Star from the first pin: the 2-/3-pin and over-cap topology.
+        tail = np.zeros((len(segments), k - 1), dtype=np.int64)
+        head = tail + np.arange(1, k)
+        if k <= 3:
+            # RSMT of 2-3 terminals = HPWL of their bounding box (for
+            # 3, realised by a tree through the median point).
+            total = (px.max(axis=1) - px.min(axis=1)) + (
+                py.max(axis=1) - py.min(axis=1)
+            )
+        elif k > MAX_MST_PINS:
+            spokes = np.abs(px[:, :1] - px[:, 1:]) + np.abs(py[:, :1] - py[:, 1:])
+            # cumsum: the left-to-right sum of the spokes, not pairwise.
+            total = np.cumsum(spokes, axis=1)[:, -1]
+        else:
+            if k <= _COUNTED_MAX_PINS:
+                counted += len(segments)
+            total, tail, head = _prim_lockstep(
+                px - px.min(axis=1, keepdims=True), py - py.min(axis=1, keepdims=True)
+            )
+            total = total * STEINER_DISCOUNT
+        length[segments] = total
+        slots = edge_offsets[segments][:, None] + np.arange(k - 1)
+        edge_a[slots] = first + tail
+        edge_b[slots] = first + head
+    if counted:
+        perf.count("steiner.rsmt.miss", counted)
+    return SteinerForest(length, edge_a, edge_b, edge_offsets)
 
 
 def clear_rsmt_cache() -> None:
-    """Drop all memoized topologies (mostly for tests/benchmarks)."""
-    _RSMT_CACHE.clear()
+    """No-op: the topology memo is gone (a lockstep Prim tree costs less
+    than a memo probe did).  Kept only because the measurement spine
+    imports it; a ``benchmark`` PR drops both."""
 
 
-def rsmt_cache_size() -> int:
-    """Number of memoized constellations currently held."""
-    return len(_RSMT_CACHE)
-
-
-def _manhattan(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-#: Below this pin count Prim runs in pure Python: per-step numpy call
-#: overhead exceeds the O(k^2) scalar arithmetic for tiny nets.
-_PRIM_SMALL_K = 32
-
-_INF = float("inf")
-
-
-def _prim_mst_small(pts: List[Tuple[float, float]]) -> SteinerTree:
-    """Scalar Prim for small nets.
-
-    Same IEEE double arithmetic, accumulation order, and first-wins
-    argmin tie-breaking as :func:`_prim_mst`, so both produce identical
-    trees; in-tree vertices are exactly those pinned to inf (pin
-    distances are always finite).
-    """
-    k = len(pts)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0 = xs[0]
-    y0 = ys[0]
-    best_dist = [abs(xs[i] - x0) + abs(ys[i] - y0) for i in range(k)]
-    best_dist[0] = _INF
-    best_from = [0] * k
-    edges: List[Tuple[int, int]] = []
-    total = 0.0
-    for _ in range(k - 1):
-        j = min(range(k), key=best_dist.__getitem__)
-        total += best_dist[j]
-        edges.append((best_from[j], j))
-        best_dist[j] = _INF
-        xj = xs[j]
-        yj = ys[j]
-        for i in range(k):
-            if best_dist[i] != _INF:
-                d = abs(xs[i] - xj) + abs(ys[i] - yj)
-                if d < best_dist[i]:
-                    best_dist[i] = d
-                    best_from[i] = j
-    return SteinerTree(points=pts, edges=edges, length=total * STEINER_DISCOUNT)
-
-
-def _prim_mst(pts: List[Tuple[float, float]]) -> SteinerTree:
-    """Prim's algorithm on the Manhattan metric.
-
-    The full distance matrix is built once by broadcasting (row ``j``
-    is elementwise-identical to recomputing ``|x - x_j| + |y - y_j|``
-    per step), and visited vertices are masked by pinning their best
-    distance to inf — the same argmin selection as masking per step,
-    without the per-step temporaries.
-    """
-    k = len(pts)
-    if k < _PRIM_SMALL_K:
-        return _prim_mst_small(pts)
-    arr = np.asarray(pts, dtype=float)
-    xs = arr[:, 0]
-    ys = arr[:, 1]
-    dist = np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
-    in_tree = np.zeros(k, dtype=bool)
-    in_tree[0] = True
-    best_dist = dist[0].copy()
-    best_dist[0] = np.inf
-    best_from = np.zeros(k, dtype=np.int64)
-    edges: List[Tuple[int, int]] = []
-    total = 0.0
-    for _ in range(k - 1):
-        j = int(np.argmin(best_dist))
-        total += float(best_dist[j])
-        edges.append((int(best_from[j]), j))
-        in_tree[j] = True
-        best_dist[j] = np.inf
-        row = dist[j]
-        closer = (row < best_dist) & ~in_tree
-        best_dist[closer] = row[closer]
-        best_from[closer] = j
-    return SteinerTree(points=pts, edges=edges, length=total * STEINER_DISCOUNT)
+def _prim_lockstep(
+    xs: np.ndarray, ys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prim's algorithm on the Manhattan metric over G constellations
+    of k points each (``xs`` / ``ys`` are ``(G, k)``), one step for all
+    of them at a time: the ``(G,)`` MST lengths, accumulated edge by
+    edge, and the ``(G, k - 1)`` edge endpoints in insertion order.
+    ``argmin`` breaks distance ties towards the lowest point index;
+    in-tree vertices are pinned to inf (pin distances are finite)."""
+    count, k = xs.shape
+    rows = np.arange(count)
+    best = np.abs(xs - xs[:, :1]) + np.abs(ys - ys[:, :1])
+    best[:, 0] = np.inf
+    origin = np.zeros((count, k), dtype=np.int64)
+    total = np.zeros(count)
+    tail = np.empty((count, k - 1), dtype=np.int64)
+    head = np.empty((count, k - 1), dtype=np.int64)
+    for step in range(k - 1):
+        j = best.argmin(axis=1)
+        total += best[rows, j]
+        tail[:, step] = origin[rows, j]
+        head[:, step] = j
+        best[rows, j] = np.inf
+        dist = np.abs(xs - xs[rows, j, None]) + np.abs(ys - ys[rows, j, None])
+        closer = (dist < best) & (best != np.inf)
+        np.copyto(best, dist, where=closer)
+        np.copyto(origin, j[:, None], where=closer)
+    return total, tail, head

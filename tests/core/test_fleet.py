@@ -19,7 +19,6 @@ from repro.core import wire
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
 from repro.recovery import faults
-from repro.route.steiner import clear_rsmt_cache
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,6 @@ def _config(**overrides):
 
 
 def _sweep(design, members, config, factory=None):
-    clear_rsmt_cache()
     framework = VPRFramework(config)
     if factory is not None:
         framework.executor_factory = factory

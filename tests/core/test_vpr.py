@@ -366,6 +366,70 @@ class TestNumericGuard:
                 VPRConfig(placer_iterations=3, retry_limit=0)
             ).sweep_cluster(design, largest)
 
+    def _poisoned_route(self, monkeypatch, row):
+        """Hand the router one NaN coordinate in candidate ``row`` of
+        every full 20-shape batch, behind the placer's back (its result
+        reports no error)."""
+        from repro.place.placer import GlobalPlacer
+
+        real = GlobalPlacer.run
+
+        def poisoned(placer):
+            results = real(placer)
+            if placer.problem.x.ndim == 2 and len(placer.problem.x) == len(GRID_20):
+                placer.problem.x[row, 0] = np.nan
+            return results
+
+        monkeypatch.setattr(GlobalPlacer, "run", poisoned)
+
+    def test_poisoned_route_fails_alone(self, cluster_context, monkeypatch):
+        """The routing half of the guard: a non-finite coordinate in one
+        system of the stacked route."""
+        from repro import perf
+        from repro.core.vpr import VPRSweepError
+
+        design, _members, largest = cluster_context
+        config = VPRConfig(
+            placer_iterations=3, retry_limit=0, on_terminal_failure="exclude"
+        )
+        clean = VPRFramework(config).sweep_cluster(design, largest)
+
+        self._poisoned_route(monkeypatch, row=6)
+        perf.enable()
+        perf.reset()
+        try:
+            sweep = VPRFramework(config).sweep_cluster(design, largest)
+            nonfinite = perf.counter_value("route.cost_nonfinite")
+            terminal = perf.counter_value("vpr.item.terminal")
+            evaluated = perf.counter_value("vpr.candidates_evaluated")
+        finally:
+            perf.disable()
+        assert (nonfinite, terminal, evaluated) == (1, 1, 19)
+        bad = sweep.evaluations[6]
+        assert not bad.is_valid and "non-finite" in bad.error
+        assert np.isnan(bad.hpwl_cost) and np.isnan(bad.congestion_cost)
+        for k, (a, b) in enumerate(zip(sweep.evaluations, clean.evaluations)):
+            if k != 6:
+                assert (a.hpwl_cost, a.congestion_cost) == (
+                    b.hpwl_cost,
+                    b.congestion_cost,
+                )
+        assert sweep.best in [e.candidate for e in sweep.evaluations if e.is_valid]
+
+        # Default policy raises; with a retry budget the item is
+        # re-evaluated singly (a batch of one: not poisoned here) and
+        # recovers the clean costs.
+        with pytest.raises(VPRSweepError, match="candidate 6"):
+            VPRFramework(
+                VPRConfig(placer_iterations=3, retry_limit=0)
+            ).sweep_cluster(design, largest)
+        retried = VPRFramework(
+            VPRConfig(placer_iterations=3, retry_limit=1, retry_backoff=0.0)
+        ).sweep_cluster(design, largest)
+        assert [(e.hpwl_cost, e.congestion_cost) for e in retried.evaluations] == [
+            (e.hpwl_cost, e.congestion_cost) for e in clean.evaluations
+        ]
+
     def test_maxiter_is_counted_and_evented(self):
         from repro import perf, telemetry
         from repro.place.b2b import b2b_edges, solve_axis

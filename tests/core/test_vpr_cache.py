@@ -18,7 +18,6 @@ from repro.core.vpr import (
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
 from repro.recovery import faults
-from repro.route.steiner import clear_rsmt_cache
 
 
 @pytest.fixture(autouse=True)
@@ -62,7 +61,6 @@ def _config(**kwargs) -> VPRConfig:
 
 
 def _select(design, members, config, cache=None):
-    clear_rsmt_cache()
     return VPRShapeSelector(config, cache=cache).select(design, members)
 
 

@@ -21,7 +21,6 @@ from repro.core.vpr import (
 from repro.core.shapes import uniform_shape
 from repro.db.database import DesignDatabase
 from repro.designs import load_benchmark
-from repro.route.steiner import clear_rsmt_cache
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +49,7 @@ class TestParallelDeterminism:
         if not _fork_available():
             pytest.skip("fork start method unavailable")
         design, members = jpeg_clusters
-        clear_rsmt_cache()
         config, serial = _select(design, members, jobs=1)
-        clear_rsmt_cache()
         _config, parallel = _select(design, members, jobs=4)
 
         assert serial.shapes == parallel.shapes
@@ -77,9 +74,7 @@ class TestParallelDeterminism:
         if not _fork_available():
             pytest.skip("fork start method unavailable")
         design, members = jpeg_clusters
-        clear_rsmt_cache()
         _config, serial = _select(design, members, jobs=1)
-        clear_rsmt_cache()
         _config, chunked = _select(
             design, members, jobs=2, chunk_size=chunk_size
         )
@@ -95,8 +90,8 @@ class TestParallelDeterminism:
             VPRConfig(chunk_size=0)
 
     def test_parallel_sweep_warm_cache_identical(self, jpeg_clusters):
-        """A warm RSMT cache (second run, no clearing) must not change
-        results either — cached topologies are bit-identical."""
+        """A second sweep in the same process must not change results:
+        nothing the router or placer keeps between runs is stateful."""
         if not _fork_available():
             pytest.skip("fork start method unavailable")
         design, members = jpeg_clusters

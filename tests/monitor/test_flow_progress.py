@@ -13,7 +13,6 @@ from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.vpr import VPRConfig, VPRShapeSelector, _fork_available
 from repro.db.database import DesignDatabase
 from repro.designs import load_benchmark
-from repro.route.steiner import clear_rsmt_cache
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +46,6 @@ def _sweep_with_monitor(design, members, jobs, out_dir):
         placer_iterations=3,
         jobs=jobs,
     )
-    clear_rsmt_cache()
     VPRShapeSelector(config).select(design, members)
     records = session.progress.records()
     monitor.disable()
@@ -121,7 +119,6 @@ class TestSweepProgress:
             placer_iterations=3,
             jobs=2,
         )
-        clear_rsmt_cache()
         VPRShapeSelector(config).select(design, members)
         items = [
             r for r in session.progress.records() if r["name"] == "vpr.items"
@@ -150,7 +147,6 @@ class TestSweepProgress:
             jobs=2,
             chunk_size=3,
         )
-        clear_rsmt_cache()
         VPRShapeSelector(config).select(design, members)
         chunked = session.progress.records()
         monitor.disable()

@@ -7,6 +7,8 @@ from repro.netlist.design import Design, Floorplan
 from repro.route import GCellGrid, GlobalRouter
 from repro.route.global_route import DETOUR_FACTOR
 
+from tests.route.reference import net_points_reference
+
 
 def two_cell_design(x1, y1, x2, y2, die=100.0):
     lib = make_library()
@@ -90,7 +92,8 @@ class TestPatternRouting:
 
 
 class TestNetPointsReference:
-    """`_net_points_reference` (scalar walk) vs the CSR gather in _run."""
+    """The object walk (`net_points_reference`, kept in
+    tests/route/reference.py) vs the CSR gather the router reads."""
 
     def _csr_points(self, design, include_clock=False):
         from repro.place.hpwl import _net_arrays
@@ -121,17 +124,17 @@ class TestNetPointsReference:
             DesignSpec("np_ref", 400, clock_period=0.8, logic_depth=6, seed=3)
         )
         GlobalPlacer(PlacementProblem(design)).run()
-        router = GlobalRouter(design)
         csr = self._csr_points(design)
         checked = 0
         for net in design.nets:
             if net.index not in csr:
                 continue
-            assert router._net_points_reference(net) == csr[net.index]
+            assert net_points_reference(design, net) == csr[net.index]
             checked += 1
         assert checked > 0
 
     def test_reference_dedups_coincident_pins(self):
         design, net = two_cell_design(50.0, 50.0, 50.0, 50.0)
-        router = GlobalRouter(design)
-        assert router._net_points_reference(net) == [(50.0, 50.0)]
+        assert net_points_reference(design, net) == [(50.0, 50.0)]
+        # ... and the router agrees the net is degenerate.
+        assert GlobalRouter(design).run().net_lengths[net.index] == 0.0

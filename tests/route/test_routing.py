@@ -10,6 +10,8 @@ from repro.route.cts import synthesize_clock_tree
 from repro.route.gcell import GCellGrid
 from repro.route.global_route import GlobalRouter
 
+from tests.route import reference
+
 
 @pytest.fixture(scope="module")
 def routed_design():
@@ -37,20 +39,23 @@ class TestGCellGrid:
         assert grid.cell_of(-10, -10) == (0, 0)
         assert grid.cell_of(1e9, 1e9) == (grid.nx - 1, grid.ny - 1)
 
+    # The demand primitives live on in the tests' reference router
+    # (tests/route/reference.py); the router's kernel is checked
+    # against it in test_batched_identity.py.
     def test_horizontal_demand(self):
         grid = self.make()
-        grid.add_horizontal(2, 1, 4)
+        reference.add_horizontal(grid, 2, 1, 4)
         assert grid.h_usage[2, 1:5].sum() == pytest.approx(4.0)
         assert grid.h_usage[2, 0] == 0.0
 
     def test_vertical_demand(self):
         grid = self.make()
-        grid.add_vertical(3, 0, 2)
+        reference.add_vertical(grid, 3, 0, 2)
         assert grid.v_usage[0:3, 3].sum() == pytest.approx(3.0)
 
     def test_reversed_segment_normalised(self):
         grid = self.make()
-        grid.add_horizontal(0, 5, 2)
+        reference.add_horizontal(grid, 0, 5, 2)
         assert grid.h_usage[0, 2:6].sum() == pytest.approx(4.0)
 
     def test_top_percent_congestion(self):

@@ -126,51 +126,3 @@ class TestStarFallback:
         # 8 pins is not above the cap: a spanning MST, not a star.
         assert len(tree.edges) == 7
         assert tree.edges != [(0, i) for i in range(1, 8)]
-
-
-class TestRsmtCacheEviction:
-    def _constellation(self, seed, k=6):
-        rng = np.random.default_rng(seed)
-        return [(float(x), float(y)) for x, y in rng.uniform(0, 30, (k, 2))]
-
-    def test_size_never_exceeds_bound(self, monkeypatch):
-        import repro.route.steiner as steiner
-
-        monkeypatch.setattr(steiner, "_RSMT_CACHE_MAX", 4)
-        steiner.clear_rsmt_cache()
-        for seed in range(20):
-            steiner.rsmt(self._constellation(seed))
-            assert steiner.rsmt_cache_size() <= 4
-        steiner.clear_rsmt_cache()
-
-    def test_evicted_keys_recompute_bit_identically(self, monkeypatch):
-        import repro.route.steiner as steiner
-
-        monkeypatch.setattr(steiner, "_RSMT_CACHE_MAX", 2)
-        steiner.clear_rsmt_cache()
-        pts = self._constellation(99)
-        first = steiner.rsmt(pts)
-        # Push enough distinct constellations through to evict `pts`.
-        for seed in range(10):
-            steiner.rsmt(self._constellation(seed))
-        recomputed = steiner.rsmt(pts)
-        assert recomputed.edges == first.edges
-        assert recomputed.length == first.length  # bit-identical, not approx
-        steiner.clear_rsmt_cache()
-
-    def test_lru_order_hit_refreshes_recency(self, monkeypatch):
-        import repro.route.steiner as steiner
-
-        monkeypatch.setattr(steiner, "_RSMT_CACHE_MAX", 2)
-        steiner.clear_rsmt_cache()
-        a = self._constellation(1)
-        b = self._constellation(2)
-        steiner.rsmt(a)
-        steiner.rsmt(b)
-        steiner.rsmt(a)  # hit: a becomes most recent
-        steiner.rsmt(self._constellation(3))  # evicts the LRU entry (b)
-        rel_a = tuple(
-            (x - min(p[0] for p in a), y - min(p[1] for p in a)) for x, y in a
-        )
-        assert rel_a in steiner._RSMT_CACHE
-        steiner.clear_rsmt_cache()

@@ -138,16 +138,19 @@ class TestWorkerTelemetry:
             # span recorded in the parent process.
             parent = by_id[record["parent"]]
             assert parent["name"] == "vpr.parallel_sweep"
-        # Worker sub-spans kept their internal links: a candidate's
-        # route hangs off its span; the lockstep placement of a batch
-        # of candidates is their sibling.
+        # The lockstep placement and the stacked route of a batch of
+        # candidates are siblings of its candidate spans, one each per
+        # batch (attr `systems` = the batch size).
         def parents_of(name):
             return {
                 by_id[r["parent"]]["name"] for r in records if r["name"] == name
             }
 
-        assert parents_of("route.global") == {"vpr.candidate"}
+        assert parents_of("route.global") == {"vpr.parallel_sweep"}
         assert parents_of("place.global") == {"vpr.parallel_sweep"}
+        for name in ("route.global", "place.global"):
+            batches = [r for r in records if r["name"] == name]
+            assert sum(r["attrs"]["systems"] for r in batches) == len(candidates)
 
     def test_parallel_streams_match_serial(self, small_clusters):
         if not _fork_available():
