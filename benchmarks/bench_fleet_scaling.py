@@ -1,11 +1,11 @@
-"""Fleet scaling gate: the distributed V-P&R sweep on local workers.
+"""Fleet identity gate: the distributed V-P&R sweep on local workers.
 
 Runs one shape-selection sweep four ways on a generated design:
 
 * **serial** — the in-process reference (``jobs=1``);
-* **fleet x1** — one socket worker (measures protocol + transfer
-  overhead against serial);
-* **fleet x2** — two socket workers (the scaling measurement);
+* **fleet x1** — one socket worker (protocol + transfer overhead
+  against serial);
+* **fleet x2** — two socket workers;
 * **fleet x2 +kill** (``--kill``) — two workers, one armed via
   ``REPRO_FAULTS=kill:vpr.item`` to SIGKILL-style ``os._exit`` inside
   the first item it evaluates, proving a dead worker degrades to
@@ -17,11 +17,15 @@ bit-identity contract (docs/performance.md, "Distributed sweep").
 
 ``--gate`` (used by ``make fleet-smoke`` and CI) additionally asserts:
 
-* fleet x2 beats fleet x1 by at least ``--min-speedup`` (default
-  1.6x) on sweep wall-clock;
-* the kill arm really lost a worker (``vpr.fleet.worker_lost`` >= 1)
-  and still produced the identical hash;
+* the kill arm really lost a worker (``vpr.fleet.worker_lost`` >= 1),
+  re-dispatched its chunk and still produced the identical hash;
 * every spawned worker process exited (clean shutdown, no leaks).
+
+Wall-clock per arm is printed but not gated: two busy worker processes
+on a shared small host measure the hypervisor, not the fleet
+(``benchmarks/spine/README.md`` lists ``fleet_speedup`` as
+unmeasurable), and the simulated per-item delay that once stood in for
+it is gone from the program.
 
 Usage::
 
@@ -91,11 +95,10 @@ def _run_arm(
     seed: int,
     fleet_workers: int = 0,
     kill_one: bool = False,
-    delay_s: float = 0.0,
 ) -> Dict[str, Any]:
     from repro import perf
     from repro.core.fanout import FleetExecutor
-    from repro.core.vpr import ITEM_DELAY_ENV, VPRConfig, VPRFramework
+    from repro.core.vpr import VPRConfig, VPRFramework
 
     config = VPRConfig(
         min_cluster_instances=60,
@@ -110,18 +113,11 @@ def _run_arm(
     framework = VPRFramework(config)
     executor_box: List[Any] = []
     if fleet_workers:
-        # Every fleet worker simulates the blocked-on-external-tool
-        # portion of a real P&R item (ITEM_DELAY_ENV), which is what a
-        # distributed sweep actually overlaps; the kill arm
-        # additionally arms worker 0 to die inside the first item it
+        # The kill arm arms worker 0 to die inside the first item it
         # evaluates (kill acts in worker processes only).
-        env: List[Optional[Dict[str, str]]] = [
-            {ITEM_DELAY_ENV: str(delay_s)} if delay_s else {}
-            for _ in range(fleet_workers)
-        ]
+        env: List[Optional[Dict[str, str]]] = [None] * fleet_workers
         if kill_one:
-            env[0] = dict(env[0] or {})
-            env[0]["REPRO_FAULTS"] = "kill:vpr.item"
+            env[0] = {"REPRO_FAULTS": "kill:vpr.item"}
 
         def factory():
             executor = FleetExecutor(workers=fleet_workers, worker_env=env)
@@ -163,50 +159,40 @@ def measure(
     iterations: int = 3,
     seed: int = 3,
     kill: bool = False,
-    delay_s: float = 0.5,
 ) -> Dict[str, Any]:
     design, members = _build_problem(instances, seed)
     arms = [
         _run_arm(design, members, "serial", clusters, iterations, seed),
         _run_arm(
             design, members, "fleet x1", clusters, iterations, seed,
-            fleet_workers=1, delay_s=delay_s,
+            fleet_workers=1,
         ),
         _run_arm(
             design, members, "fleet x2", clusters, iterations, seed,
-            fleet_workers=2, delay_s=delay_s,
+            fleet_workers=2,
         ),
     ]
     if kill:
         arms.append(
             _run_arm(
                 design, members, "fleet x2 +kill", clusters, iterations,
-                seed, fleet_workers=2, kill_one=True, delay_s=delay_s,
+                seed, fleet_workers=2, kill_one=True,
             )
         )
-    wall_1w = arms[1]["wall_s"]
-    wall_2w = arms[2]["wall_s"]
     return {
         "schema": SCHEMA,
         "instances": instances,
-        "item_delay_s": delay_s,
         "cpu_count": os.cpu_count(),
         "arms": arms,
-        "speedup_2w_vs_1w": wall_1w / wall_2w if wall_2w else 0.0,
         "hashes_identical": len({arm["sha256"] for arm in arms}) == 1,
     }
 
 
-def gate(result: Dict[str, Any], min_speedup: float, kill: bool) -> List[str]:
+def gate(result: Dict[str, Any], kill: bool) -> List[str]:
     failures: List[str] = []
     hashes = {arm["label"]: arm["sha256"] for arm in result["arms"]}
     if not result["hashes_identical"]:
         failures.append(f"QoR hashes differ across arms: {hashes}")
-    speedup = result["speedup_2w_vs_1w"]
-    if speedup < min_speedup:
-        failures.append(
-            f"fleet x2 speedup {speedup:.2f}x < required {min_speedup}x"
-        )
     for arm in result["arms"]:
         if any(code is None for code in arm["worker_exits"]):
             failures.append(
@@ -237,15 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--instances", type=int, default=900)
     parser.add_argument("--clusters", type=int, default=3)
     parser.add_argument("--iterations", type=int, default=3)
-    parser.add_argument(
-        "--delay",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="simulated external-tool latency per evaluated item in "
-        "fleet workers (the blocked portion a distributed sweep "
-        "overlaps; default 0.5)",
-    )
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument(
         "--kill",
@@ -255,13 +232,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 unless identical hashes + speedup + clean shutdown",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.6,
-        help="required fleet x2 vs fleet x1 speedup (default 1.6)",
+        help="exit 1 unless identical hashes + re-dispatch + clean shutdown",
     )
     parser.add_argument("--json", dest="json_path", default=None)
     args = parser.parse_args(argv)
@@ -272,7 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         iterations=args.iterations,
         seed=args.seed,
         kill=args.kill,
-        delay_s=args.delay,
     )
     for arm in result["arms"]:
         print(
@@ -280,12 +250,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"sha {arm['sha256'][:12]}  lost={arm['workers_lost']} "
             f"redispatch={arm['redispatches']}"
         )
-    print(
-        f"fleet x2 vs x1 speedup: {result['speedup_2w_vs_1w']:.2f}x  "
-        f"hashes identical: {result['hashes_identical']}"
-    )
+    print(f"hashes identical: {result['hashes_identical']}")
 
-    failures = gate(result, args.min_speedup, args.kill) if args.gate else []
+    failures = gate(result, args.kill) if args.gate else []
     result["gate_failures"] = failures
 
     if args.json_path:

@@ -1,7 +1,11 @@
-"""Zero-copy publication of sweep state to pool workers.
+"""Sweep executors, and zero-copy publication of sweep state to pool
+workers.
 
-The V-P&R sweep fans (cluster, candidate) work items out over a
-process pool.  The expensive part of each item is *state*, not work
+The V-P&R sweep is one loop over a :class:`SweepExecutor` — the calling
+process (:class:`InlineExecutor`), a process pool
+(:class:`LocalPoolExecutor`) or a socket fleet (:class:`FleetExecutor`).
+The last two fan (cluster, candidate) work items out over worker
+processes.  The expensive part of each item is *state*, not work
 description: the induced sub-netlists, their flat scoring arrays and
 the config.  Shipping that per item (pickle in every task) puts a
 serialization knee in the ``--jobs`` scaling curve, so the sweep
@@ -20,8 +24,9 @@ integers:
 Both paths hand workers the same object graph, so results are
 byte-identical regardless of start method
 (``tests/core/test_fanout.py``).  A worker that dies while attaching
-or reading the shared buffer simply loses its items to the parent-side
-retry path — the segment itself is owned (and unlinked) by the parent.
+or reading the shared buffer simply loses its items to the sweep's
+retry scheduler — the segment itself is owned (and unlinked) by the
+parent.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -159,7 +165,7 @@ def attach_state(token: StateToken) -> Dict[str, Any]:
     if cached is not None:
         return cached
     # Fault site: a worker can be killed here to prove a crash while
-    # reading the shared buffer degrades to the parent-side retry path.
+    # reading the shared buffer degrades to the sweep's retry scheduler.
     faults.check("fanout.attach", key=token[0])
     if token[0] == "inherit":
         payload = _INHERITED.get(token[1]) if len(token) > 1 else None
@@ -194,78 +200,159 @@ def reset_attachments() -> None:
 
 
 # ----------------------------------------------------------------------
-# Sweep executors: where the published state's chunks actually run
+# Sweep executors: where the sweep's chunks actually run
 # ----------------------------------------------------------------------
-#: One lost work item in :data:`repro.core.vpr._WorkerResult` shape —
-#: NaN costs, no counters/telemetry, ``error`` set, not a cache hit —
-#: so transport-level losses (dead pool process, vanished fleet
-#: worker) flow into the exact same parent-side retry path as an
-#: in-worker exception.
-def _lost_result(error: str) -> Tuple:
-    return (float("nan"), float("nan"), 0.0, None, None, error, False)
+class WorkerEnvelope(NamedTuple):
+    """What a worker *process* recorded while evaluating a run of items:
+    its perf counters and its telemetry payload (either may be None).
+    Only executors that cross a process boundary produce one; it rides
+    on the run's first :class:`ItemOutcome` and the parent folds it in."""
+
+    counters: Optional[dict]
+    telemetry: Optional[dict]
+
+
+class ItemOutcome(NamedTuple):
+    """What one attempt at a (cluster, candidate) work item produced.
+
+    ``error`` is the repr of the exception that failed the attempt
+    (costs are NaN then) — raised by the evaluation itself or, via
+    :meth:`lost`, standing for a transport-level loss (dead pool
+    process, vanished fleet worker), so every kind of failure flows
+    into the sweep's one retry scheduler.  ``cached`` is True when the
+    evaluation cache served the item (it is then not stored again);
+    ``seconds`` is the item's evaluation time (its share of the batch
+    wall; the original evaluation's for a cached item).
+    """
+
+    hpwl_cost: float
+    congestion_cost: float
+    seconds: float
+    error: Optional[str] = None
+    cached: bool = False
+    envelope: Optional[WorkerEnvelope] = None
+
+    @classmethod
+    def lost(cls, error: str, seconds: float = 0.0) -> "ItemOutcome":
+        """A failed attempt: NaN costs, ``error`` set."""
+        return cls(float("nan"), float("nan"), seconds, error)
 
 
 class SweepExecutor:
     """Where the V-P&R sweep's chunks run.
 
-    The sweep (:meth:`repro.core.vpr.VPRFramework._sweep_clusters_parallel`)
-    publishes one state payload and a list of (cluster, candidate)
-    chunks; an executor decides where those chunks evaluate —
-    in-process pool workers (:class:`LocalPoolExecutor`) or a socket
-    fleet of remote processes (:class:`FleetExecutor`).  The contract
-    every implementation honours:
+    The sweep (:meth:`repro.core.vpr.VPRFramework.sweep_clusters`)
+    hands an executor one state dict and a list of (cluster,
+    candidate) chunks; the executor decides where those chunks
+    evaluate — in the calling process (:class:`InlineExecutor`), on
+    in-process pool workers (:class:`LocalPoolExecutor`) or on a
+    socket fleet of remote processes (:class:`FleetExecutor`).  The
+    contract every implementation honours:
 
-    * :meth:`map_chunks` yields ``(chunk_index, results)`` pairs in
-      completion order, ``results`` being one
-      :data:`~repro.core.vpr._WorkerResult` per item of that chunk.
-      Every chunk index is yielded exactly once.
+    * :meth:`map_chunks` yields ``(chunk_index, outcomes)`` pairs in
+      completion order, ``outcomes`` being one :class:`ItemOutcome`
+      per item of that chunk.  Every chunk index is yielded exactly
+      once.
     * A crashed / vanished / timed-out worker never loses work
-      silently: its items come back as error results (NaN costs,
-      ``error`` set) and the parent's bounded retry path re-evaluates
-      them — results therefore stay byte-identical to a serial sweep
-      no matter what the execution substrate did.
+      silently: its items come back as :meth:`ItemOutcome.lost` and
+      the sweep's bounded retry scheduler re-evaluates them — results
+      therefore stay byte-identical whatever the execution substrate
+      did.
     * Executor *infrastructure* failure (no pool, no bindable port,
       zero workers connected) raises :class:`OSError`, which the sweep
-      maps to its serial fallback.
+      answers by running the same loop on the inline executor.
     * The parent keeps all of its single-writer roles: executors never
       touch the cache, checkpoint, or telemetry files.
 
-    ``requires_snapshots`` tells the sweep whether the payload's
-    designs must be flat snapshots (anything that crosses a pickle
-    boundary) or may be live objects (fork's copy-on-write pages).
+    ``crosses_process`` says whether items evaluate outside the calling
+    process: only then does the sweep publish a worker payload (instead
+    of handing over its live state), do workers wrap their results in a
+    :class:`WorkerEnvelope`, and does ``item_timeout`` (seconds, or
+    None) bound an item with SIGALRM.  ``requires_snapshots`` tells the
+    sweep whether the payload's designs must be flat snapshots
+    (anything that crosses a pickle boundary) or may be live objects
+    (fork's copy-on-write pages).
     """
 
     name = "base"
+    crosses_process = True
     requires_snapshots = False
+    item_timeout: Optional[float] = None
 
     def width(self) -> int:
         """Worker parallelism (used to auto-size chunks)."""
         raise NotImplementedError
 
+    def auto_chunk_size(self, items: int, grid: int) -> int:
+        """Chunk size for ``items`` pending work items of a ``grid``-
+        candidate sweep when the config names none: about four task
+        waves per worker."""
+        return max(1, -(-items // (4 * self.width())))
+
     def map_chunks(
         self,
-        payload: Dict[str, Any],
+        state: Dict[str, Any],
         chunks: Sequence[Sequence[Tuple[int, int]]],
-        chunk_fn: Callable,
-    ) -> Iterator[Tuple[int, List[Tuple]]]:
-        """Run every chunk; yield ``(chunk_index, results)`` as done."""
+        chunk_fn: Callable[[Dict[str, Any], Sequence], List[ItemOutcome]],
+    ) -> Iterator[Tuple[int, List[ItemOutcome]]]:
+        """Run ``chunk_fn(state, chunk)`` for every chunk; yield
+        ``(chunk_index, outcomes)`` as each completes."""
         raise NotImplementedError
 
     def close(self) -> None:
         """Release executor resources (idempotent)."""
 
 
+class InlineExecutor(SweepExecutor):
+    """The calling process itself (``jobs=1``, and the stand-in when a
+    pool or fleet is unavailable): each chunk is evaluated right where
+    the sweep runs, on the live state it was handed.  Nothing is
+    published, pickled or snapshotted and no signal handler is
+    installed, so it works from any thread."""
+
+    name = "inline"
+    crosses_process = False
+
+    def width(self) -> int:
+        return 1
+
+    def auto_chunk_size(self, items: int, grid: int) -> int:
+        # One cluster's grid per chunk: its candidates stay one
+        # lockstep batch, and progress lands cluster by cluster.
+        return max(1, grid)
+
+    def map_chunks(self, state, chunks, chunk_fn):
+        for index, chunk in enumerate(chunks):
+            yield index, chunk_fn(state, chunk)
+
+
+def _run_attached(
+    chunk_fn: Callable, token: StateToken, chunk: Sequence
+) -> List[ItemOutcome]:
+    """One pool task.  The state token is resolved here (not in a pool
+    initializer), so an attach failure is contained to this chunk and
+    flows into the sweep's retry scheduler instead of breaking the
+    whole pool."""
+    return chunk_fn(attach_state(token), chunk)
+
+
 class LocalPoolExecutor(SweepExecutor):
-    """The single-host process pool — byte-identical to the pre-fleet
-    sweep: publish once (fork COW / spawn shared memory), submit one
-    future per chunk, collect in completion order, and convert a dead
-    worker's chunk into error results for the parent retry path."""
+    """The single-host process pool: publish once (fork COW / spawn
+    shared memory), submit one future per chunk, collect in completion
+    order, and convert a dead worker's chunk into lost outcomes for the
+    retry scheduler."""
 
     name = "local"
 
-    def __init__(self, jobs: int, start_method: str) -> None:
+    def __init__(
+        self,
+        jobs: int,
+        start_method: str,
+        item_timeout: Optional[float] = None,
+    ) -> None:
         self.jobs = max(1, int(jobs))
         self.start_method = start_method
+        self.item_timeout = item_timeout
         # Spawn workers rebuild designs from flat snapshots (the live
         # object graph recurses past the pickle limit on real
         # netlists); fork workers read the parent's pages directly.
@@ -274,31 +361,31 @@ class LocalPoolExecutor(SweepExecutor):
     def width(self) -> int:
         return self.jobs
 
-    def map_chunks(self, payload, chunks, chunk_fn):
+    def map_chunks(self, state, chunks, chunk_fn):
         context = multiprocessing.get_context(self.start_method)
-        with publish_state(payload, self.start_method) as token, \
+        with publish_state(state, self.start_method) as token, \
                 ProcessPoolExecutor(
                     max_workers=self.jobs, mp_context=context
                 ) as pool:
             futures = {
-                pool.submit(chunk_fn, token, chunk): index
+                pool.submit(_run_attached, chunk_fn, token, chunk): index
                 for index, chunk in enumerate(chunks)
             }
             try:
                 for future in as_completed(futures):
                     index = futures[future]
                     try:
-                        results = future.result()
+                        outcomes = future.result()
                     except OSError:
                         raise  # pool infrastructure failure
                     except Exception as exc:
                         # The worker process died mid-chunk (e.g.
                         # OOM-killed): no payload came back for any of
                         # its items.
-                        results = [_lost_result(repr(exc))] * len(
+                        outcomes = [ItemOutcome.lost(repr(exc))] * len(
                             chunks[index]
                         )
-                    yield index, results
+                    yield index, outcomes
             except BaseException:
                 # Escaping the executor context with sibling futures
                 # still queued would run them anyway during shutdown's
@@ -343,24 +430,24 @@ class FleetExecutor(SweepExecutor):
     messages, relay ``beat`` messages into the monitor heartbeat
     directory, and police per-chunk deadlines.
 
-    Fault containment mirrors the pool path exactly:
+    Fault containment mirrors the pool executor exactly:
 
     * a worker whose socket dies / times out / trips the
       ``fleet.recv`` fault site is *lost*: its in-flight chunk is
       re-queued for another worker (at most ``max_dispatch`` total
       dispatches per chunk), and past that cap — or with no workers
-      left — the chunk degrades to error results for the parent's
-      retry path;
+      left — the chunk degrades to lost outcomes for the sweep's
+      retry scheduler;
     * a handshake failure (or the ``fleet.connect`` fault site) drops
       only that worker; zero surviving workers raises :class:`OSError`
-      → the sweep's serial fallback;
+      → the sweep re-runs on the inline executor;
     * once every queued chunk is dispatched, an idle worker duplicates
       the longest-running in-flight chunk (straggler re-dispatch,
       first result wins — items are idempotent by construction).
 
     Workers only read the evaluation cache; every durable write stays
     in the parent, so a fleet sweep's results are byte-identical to
-    the serial and pool paths (gated by ``make fleet-smoke``).
+    the inline and pool executors' (gated by ``make fleet-smoke``).
     """
 
     name = "fleet"
@@ -478,7 +565,7 @@ class FleetExecutor(SweepExecutor):
             host = str(hello.get("host", "?"))
             label = f"{host}:{pid}"
             # Fault site: prove a failed handshake drops one worker
-            # (and that zero survivors degrade to the serial sweep).
+            # (and that zero survivors degrade to the inline executor).
             faults.check("fleet.connect", key=label)
             worker = _FleetWorker(sock=conn, pid=pid, host=host, label=label)
             if digest in hello.get("have", ()):
@@ -690,12 +777,12 @@ class FleetExecutor(SweepExecutor):
             alive = [w for w in self._fleet if w.alive]
             if not alive:
                 # Every worker is gone: degrade the rest of the sweep
-                # to error results for the parent's retry path.
+                # to lost outcomes for the sweep's retry scheduler.
                 for index in range(len(chunks)):
                     if not done[index]:
                         done[index] = True
                         yield index, [
-                            _lost_result("fleet: all workers lost")
+                            ItemOutcome.lost("fleet: all workers lost")
                         ] * len(chunks[index])
                         remaining -= 1
                 return
@@ -738,7 +825,7 @@ class FleetExecutor(SweepExecutor):
                 if not done[index]:
                     done[index] = True
                     yield index, [
-                        _lost_result("fleet: chunk dispatch budget exhausted")
+                        ItemOutcome.lost("fleet: chunk dispatch budget exhausted")
                     ] * len(chunks[index])
                     remaining -= 1
             abandoned.clear()
@@ -796,7 +883,7 @@ class FleetExecutor(SweepExecutor):
                             # A malformed result is a lost chunk, not
                             # corrupt data in the sweep.
                             results = [
-                                _lost_result(
+                                ItemOutcome.lost(
                                     "fleet: malformed result from "
                                     + worker.label
                                 )

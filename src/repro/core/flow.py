@@ -428,13 +428,9 @@ class ClusteredPlacementFlow:
         if store is not None and framework is not None:
 
             def _compute_digests() -> Dict[int, Tuple[str, float]]:
-                eligible = framework.eligible_clusters(members)
-                cap = config.vpr_config.max_vpr_clusters
-                if cap is not None:
-                    eligible = eligible[:cap]
                 return {
                     cid: framework.cluster_digest(design, members[cid])
-                    for cid in eligible
+                    for cid in framework.swept_clusters(members)[0]
                 }
 
             self._stage(store, "vpr_digests", _compute_digests)
@@ -478,10 +474,7 @@ class ClusteredPlacementFlow:
                 net_weight_multipliers=multipliers,
             )
 
-        vpr_ids = VPRFramework(config.vpr_config).eligible_clusters(members)
-        cap = config.vpr_config.max_vpr_clusters
-        if cap is not None:
-            vpr_ids = vpr_ids[:cap]
+        vpr_ids, _ = VPRFramework(config.vpr_config).swept_clusters(members)
 
         def _compute_seeded() -> Dict[str, object]:
             seeded_config = SeededPlacementConfig(tool=config.tool)

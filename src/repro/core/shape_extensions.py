@@ -202,21 +202,21 @@ class LShapeVPRFramework(VPRFramework):
         rect_evals = self.evaluate_candidates(
             sub, cell_area, self.config.candidates
         )
-        best_rect = min(rect_evals, key=lambda e: e.total(delta))
+        best_rect = self._best_of(rect_evals)
 
         lshapes = list(lshape_candidates or default_lshape_candidates())
-        lshape_results = []
-        for candidate in lshapes:
-            evaluation = self.evaluate_lshape(sub, cell_area, candidate)
-            lshape_results.append((candidate, evaluation))
-        best_l = min(lshape_results, key=lambda ce: ce[1].total(delta))
+        lshape_evals = [
+            self.evaluate_lshape(sub, cell_area, candidate)
+            for candidate in lshapes
+        ]
+        best_l = self._best_of(lshape_evals)
 
         return {
             "best_rect_cost": best_rect.total(delta),
             "best_rect": best_rect.candidate,
-            "best_lshape_cost": best_l[1].total(delta),
-            "best_lshape": best_l[0],
-            "lshape_wins": best_l[1].total(delta) < best_rect.total(delta),
+            "best_lshape_cost": best_l.total(delta),
+            "best_lshape": lshapes[lshape_evals.index(best_l)],
+            "lshape_wins": best_l.total(delta) < best_rect.total(delta),
             "num_rect": len(rect_evals),
-            "num_lshape": len(lshape_results),
+            "num_lshape": len(lshape_evals),
         }

@@ -31,7 +31,7 @@ Performance engine (this module is the flow's runtime bottleneck):
   solves all candidates' x and y systems as one block-diagonal B2B/PCG
   system, then *routed* together (one stacked ``GlobalRouter`` run off
   the placer's coordinate rows) and scored one by one.  A candidate's
-  costs are bit-identical whatever it is batched with, so serial
+  costs are bit-identical whatever it is batched with, so inline
   sweeps (one batch per cluster), pool/fleet chunks (one batch per run
   of same-cluster items), retries and resumed runs (whatever is
   missing) all agree.
@@ -39,16 +39,19 @@ Performance engine (this module is the flow's runtime bottleneck):
   vectorized :func:`repro.place.hpwl.hpwl_arrays` kernel instead of a
   per-net Python loop; the best candidate is picked from a NumPy cost
   vector.
-* ``VPRConfig.jobs > 1`` fans the sweep out over (cluster, candidate)
-  work items on a process pool.  Results are gathered into slots
-  indexed by (cluster, candidate), so the selected shapes and costs are
-  identical to a serial run regardless of worker scheduling; candidate
+* The sweep is one loop (:meth:`VPRFramework.sweep_clusters`) over a
+  :class:`~repro.core.fanout.SweepExecutor`: the calling process
+  itself (``jobs == 1``), a process pool (``jobs > 1``) or a worker
+  fleet.  Results are gathered into slots indexed by (cluster,
+  candidate), so the selected shapes and costs are identical whatever
+  the executor and however its workers were scheduled; candidate
   evaluation is order-independent by construction (the placer
-  re-initialises from its seed each run).  Sweep state (induced
-  sub-netlists, scoring arrays, config) is published **once** via
-  :mod:`repro.core.fanout` — fork workers inherit it copy-on-write,
-  spawn workers map one shared-memory segment — so a work item ships
-  only its (cluster, candidate) indices.
+  re-initialises from its seed each run).  For executors that cross a
+  process boundary the sweep state (induced sub-netlists, scoring
+  arrays, config) is published **once** via :mod:`repro.core.fanout` —
+  fork workers inherit it copy-on-write, spawn workers map one
+  shared-memory segment — so a work item ships only its (cluster,
+  candidate) indices; the inline executor works on the live objects.
 * With an :class:`~repro.cache.EvaluationCache` attached, evaluations
   are content-addressed across runs: a (sub-netlist, shape, config)
   item seen before is served from disk, byte-identical to a fresh
@@ -59,16 +62,17 @@ Performance engine (this module is the flow's runtime bottleneck):
 
 Fault tolerance (see ``docs/recovery.md``):
 
-* A crashed or failing work item is retried parent-side with a bounded
-  budget (``retry_limit``, exponential backoff); an item that still
+* A crashed or failing work item is retried in the sweep's own
+  process by one scheduler with a bounded budget (``retry_limit``,
+  exponential backoff, overlapped across items); an item that still
   fails is *terminal* — either the sweep raises
   :class:`VPRSweepError` (``on_terminal_failure="raise"``, the
   default) or the candidate is marked explicitly invalid and excluded
   from selection (``"exclude"``).  NaN costs never reach the argmin:
   :meth:`VPRFramework._best_of` selects over valid candidates only and
   raises when none remain.
-* ``item_timeout`` bounds each work item in a pool worker (SIGALRM),
-  so one hung virtual-die P&R cannot stall the sweep.
+* ``item_timeout`` bounds each work item in a pool or fleet worker
+  (SIGALRM), so one hung virtual-die P&R cannot stall the sweep.
 * With a :class:`~repro.recovery.CheckpointStore` attached, each
   (cluster, candidate) evaluation is persisted the moment it
   completes, and already-checkpointed items are served from disk — the
@@ -81,15 +85,13 @@ import heapq
 import itertools
 import math
 import multiprocessing
-import os
 import random
 import signal
 import time
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,10 +104,11 @@ from repro.cache import (
 )
 from repro.core.fanout import (
     FleetExecutor,
+    InlineExecutor,
+    ItemOutcome,
     LocalPoolExecutor,
-    StateToken,
     SweepExecutor,
-    attach_state,
+    WorkerEnvelope,
 )
 from repro.core.shapes import ShapeCandidate, default_candidate_grid, uniform_shape
 from repro.recovery import faults
@@ -123,13 +126,6 @@ from repro.route.global_route import GlobalRouter
 #: backoffs overlap instead of summing) without real sleeps.
 _SLEEP = time.sleep
 _CLOCK = time.monotonic
-
-#: Env knob: seconds of simulated external-tool latency per evaluated
-#: work item in a worker process (benchmarks/bench_fleet_scaling.py
-#: injects it per-worker via ``FleetExecutor(worker_env=...)`` to
-#: measure distribution scaling on hosts with few cores).  Unset (the
-#: default) adds nothing to the hot path.
-ITEM_DELAY_ENV = "REPRO_VPR_ITEM_DELAY_S"
 
 
 @dataclass
@@ -152,16 +148,17 @@ class VPRConfig:
             (virtual dies are small; a short run suffices).
         route_target_cells: GCell count of the virtual-die routing grid.
         die_margin: Margin around the virtual core (microns).
-        jobs: Process-pool width for the sweep.  1 (default) runs
-            serially in-process; N > 1 fans (cluster, candidate) work
-            items over N workers.  Serial and parallel runs select
-            identical shapes with identical costs.
+        jobs: Process-pool width for the sweep.  1 (default) evaluates
+            in the calling process (the inline executor); N > 1 fans
+            (cluster, candidate) work items over N workers.  Every
+            executor selects identical shapes with identical costs.
         chunk_size: (Cluster, candidate) work items bundled into one
-            pool task.  None (default) auto-sizes to
-            ``ceil(items / (4 * jobs))`` — roughly four task waves per
-            worker, amortising per-task submission/result overhead on
-            large sweeps while keeping the tail balanced.  1 reproduces
-            the one-item-per-task scheduling.  Chunking only changes
+            executor task.  None (default) auto-sizes: one cluster's
+            grid in process, ``ceil(items / (4 * jobs))`` on a pool or
+            fleet — roughly four task waves per worker, amortising
+            per-task submission/result overhead on large sweeps while
+            keeping the tail balanced.  1 reproduces the
+            one-item-per-task scheduling.  Chunking only changes
             scheduling granularity, never results.
         start_method: Multiprocessing start method for the pool:
             ``"fork"`` (workers inherit the published sweep state
@@ -172,14 +169,16 @@ class VPRConfig:
             :mod:`repro.core.fanout`).
         seed: RNG seed (randomised selector arms).
         item_timeout: Wall-clock bound (seconds) on one (cluster,
-            candidate) evaluation inside a pool worker; an item that
-            exceeds it fails and follows the retry policy.  None (the
-            default) disables the bound.
-        retry_limit: Parent-side re-evaluation attempts for a work
-            item whose worker crashed or errored (beyond the first
-            attempt).
-        retry_backoff: Base delay (seconds) between parent-side retry
-            attempts; attempt *i* waits ``retry_backoff * 2**(i-1)``.
+            candidate) evaluation inside a pool or fleet worker
+            process; an item that exceeds it fails and follows the
+            retry policy.  None (the default) disables the bound.  It
+            is a process-boundary bound: the inline executor never
+            arms it.
+        retry_limit: Re-evaluation attempts, in the sweep's own
+            process, for a work item whose first attempt there failed
+            (an attempt lost in a worker process is not counted).
+        retry_backoff: Base delay (seconds) between retry attempts;
+            attempt *i* waits ``retry_backoff * 2**(i-1)``.
         on_terminal_failure: What to do with an item that exhausts its
             retry budget: ``"raise"`` (default) aborts the sweep with
             :class:`VPRSweepError`; ``"exclude"`` marks the candidate
@@ -200,8 +199,8 @@ class VPRConfig:
             (default True); False waits for externally started
             workers instead.
         fleet_connect_timeout: Seconds to wait for the fleet to reach
-            strength before sweeping with whoever connected (zero
-            workers falls back to the serial sweep).
+            strength before sweeping with whoever connected (with zero
+            workers the sweep runs on the inline executor instead).
     """
 
     delta: float = 0.01
@@ -276,22 +275,6 @@ class CandidateEvaluation:
             and math.isfinite(self.congestion_cost)
         )
 
-    @property
-    def total_cost(self) -> float:
-        """Deprecated: Total Cost assuming the default delta = 0.01.
-
-        Hardcoding delta here meant a non-default ``VPRConfig.delta``
-        silently did not affect standalone cost comparisons.  Use
-        :meth:`total` with the configured delta instead.
-        """
-        warnings.warn(
-            "CandidateEvaluation.total_cost assumes delta=0.01; use "
-            "total(delta) with the configured VPRConfig.delta instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.total(0.01)
-
     def total(self, delta: float) -> float:
         """Total Cost with an explicit delta."""
         return self.hpwl_cost + delta * self.congestion_cost
@@ -301,10 +284,11 @@ class CandidateEvaluation:
 class VPRSweepResult:
     """All candidate evaluations for one cluster.
 
-    ``runtime`` is the wall-clock of a serial sweep; for a parallel
-    sweep it is the summed per-candidate evaluation time (the work the
-    pool absorbed), since per-cluster wall-clock is not attributable
-    when candidates interleave across workers.
+    ``runtime`` is the summed per-item evaluation seconds of the
+    cluster's candidates (a batched item's share of its batch wall, a
+    checkpoint- or cache-served item's original seconds) — the work
+    the sweep absorbed, on any executor.  Per-cluster wall-clock is not
+    attributable when candidates interleave across workers.
     """
 
     cluster_id: int
@@ -527,6 +511,17 @@ def _sub_fingerprint(sub: Design) -> Tuple[int, int, int]:
     return (sub.num_instances, sub.num_nets, len(sub.ports))
 
 
+def _item_record(evaluation: "CandidateEvaluation", seconds: float) -> dict:
+    """The persisted form of one finished item (checkpoint and cache)."""
+    return {
+        "ar": evaluation.candidate.aspect_ratio,
+        "util": evaluation.candidate.utilization,
+        "hpwl_cost": evaluation.hpwl_cost,
+        "congestion_cost": evaluation.congestion_cost,
+        "seconds": seconds,
+    }
+
+
 # ----------------------------------------------------------------------
 # The framework
 # ----------------------------------------------------------------------
@@ -553,7 +548,7 @@ class VPRFramework:
         #: whose content address matches a stored entry are served from
         #: disk instead of re-running place + route.
         self.cache = cache
-        #: Optional override for how the parallel sweep builds its
+        #: Optional override for how a pool/fleet sweep builds its
         #: executor (``() -> SweepExecutor``).  Benchmarks and tests
         #: use it to inject a pre-configured fleet (e.g. with per-worker
         #: fault-injection environments); None builds from the config.
@@ -588,34 +583,22 @@ class VPRFramework:
             self._induce_cache.popitem(last=False)
         return sub, cell_area
 
-    def _context_of(self, sub: Design) -> _SubContext:
-        """Cached per-sub evaluation context (rebuilt on mutation)."""
-        key = id(sub)
-        ctx = self._contexts.get(key)
-        if ctx is not None and ctx.fingerprint == _sub_fingerprint(sub):
-            self._contexts.move_to_end(key)
-            return ctx
-        ctx = _SubContext(sub)
-        self._contexts[key] = ctx
-        self._contexts.move_to_end(key)
-        if len(self._contexts) > self._CONTEXT_CACHE_MAX:
-            self._contexts.popitem(last=False)
-        return ctx
+    def _context_of(self, sub: Design, *score_arrays: np.ndarray) -> _SubContext:
+        """Cached per-sub evaluation context (rebuilt on mutation).
 
-    def seed_context(
-        self, sub: Design, score_pins: np.ndarray, score_offsets: np.ndarray
-    ) -> None:
-        """Install a context built from pre-shipped scoring arrays.
-
-        Pool workers call this with the arrays the parent published, so
-        no worker re-walks the sub-netlist's nets (under fork the
-        arrays are literally the parent's pages, copy-on-write).
+        Pool workers pass the ``(score_pins, score_offsets)`` the
+        parent published, so no worker re-walks the sub-netlist's nets
+        (under fork the arrays are literally the parent's pages,
+        copy-on-write).
         """
         key = id(sub)
-        self._contexts[key] = _SubContext(sub, score_pins, score_offsets)
+        ctx = self._contexts.get(key)
+        if ctx is None or ctx.fingerprint != _sub_fingerprint(sub):
+            ctx = self._contexts[key] = _SubContext(sub, *score_arrays)
+            if len(self._contexts) > self._CONTEXT_CACHE_MAX:
+                self._contexts.popitem(last=False)
         self._contexts.move_to_end(key)
-        if len(self._contexts) > self._CONTEXT_CACHE_MAX:
-            self._contexts.popitem(last=False)
+        return ctx
 
     # -- evaluation ----------------------------------------------------
     def evaluate_candidates(
@@ -758,10 +741,11 @@ class VPRFramework:
     def _record_sweep(self, sweep: VPRSweepResult) -> None:
         """Per-candidate cost streams for one finished sweep.
 
-        Always recorded parent-side, in candidate order, so serial and
-        parallel sweeps produce byte-identical streams regardless of
-        worker scheduling.  Invalid candidates are not observed (their
-        failure already produced a ``vpr.item.failed`` event).
+        Always recorded in the sweep's own process, in candidate
+        order, so every executor produces byte-identical streams
+        regardless of worker scheduling.  Invalid candidates are not
+        observed (their failure already produced a ``vpr.item.failed``
+        event).
         """
         if not telemetry.is_enabled():
             return
@@ -815,17 +799,8 @@ class VPRFramework:
         store = self.checkpoint
         if store is None or not evaluation.is_valid:
             return
-        candidate = evaluation.candidate
         store.save_vpr_item(
-            cluster_id,
-            candidate_index,
-            {
-                "ar": candidate.aspect_ratio,
-                "util": candidate.utilization,
-                "hpwl_cost": evaluation.hpwl_cost,
-                "congestion_cost": evaluation.congestion_cost,
-                "seconds": seconds,
-            },
+            cluster_id, candidate_index, _item_record(evaluation, seconds)
         )
         perf.count("recovery.item.saved")
         # Resume tests abort the whole process here (the instant after
@@ -926,178 +901,25 @@ class VPRFramework:
         evaluation: CandidateEvaluation,
         seconds: float,
     ) -> None:
-        """Persist one finished evaluation (parent-side, valid only)."""
+        """Persist one finished evaluation (valid only; called from
+        :meth:`_settle`, never from a worker process)."""
         cache = self.cache
         if cache is None or not evaluation.is_valid:
             return
-        candidate = evaluation.candidate
         cache.put(
             self._cache_key(sub, cell_area, candidate_index),
-            {
-                "ar": candidate.aspect_ratio,
-                "util": candidate.utilization,
-                "hpwl_cost": evaluation.hpwl_cost,
-                "congestion_cost": evaluation.congestion_cost,
-                "seconds": seconds,
-            },
+            _item_record(evaluation, seconds),
         )
 
-    def _evaluate_items_guarded(
-        self,
-        sub: Design,
-        cell_area: float,
-        cluster_id: int,
-        indices: Sequence[int],
-    ) -> Iterator[Tuple[int, CandidateEvaluation, float]]:
-        """Evaluate a cluster's missing items as one batch, under the
-        per-item retry policy; yields ``(index, evaluation, seconds)``
-        as items resolve (``seconds`` of a batched item is its share of
-        the batch wall).
-
-        The ``vpr.item`` fault site fires per item before the batch.
-        An item that trips it, or comes back numerically invalid, has
-        spent its first attempt and goes through :meth:`_retry_item`.
-        If the batch itself raises, its items are evaluated one by one
-        to find the culprit — that is still their first attempt, so the
-        retry and terminal accounting is the per-item loop's.
-        """
-        candidates = self.config.candidates
-        failed: Dict[int, BaseException] = {}
-        batch: List[int] = []
-        for k in indices:
-            try:
-                faults.check("vpr.item", key=f"{cluster_id}/{k}")
-            except Exception as exc:
-                failed[k] = exc
-            else:
-                batch.append(k)
-        start = time.perf_counter()
-        try:
-            evaluations = self.evaluate_candidates(
-                sub, cell_area, [candidates[k] for k in batch], cluster_id=cluster_id
-            )
-        except Exception:
-            for k in batch:
-                start = time.perf_counter()
-                try:
-                    evaluation = self.evaluate_candidate(
-                        sub, cell_area, candidates[k], cluster_id=cluster_id
-                    )
-                except Exception as exc:
-                    failed[k] = exc
-                else:
-                    yield k, evaluation, time.perf_counter() - start
-        else:
-            seconds = (time.perf_counter() - start) / max(len(batch), 1)
-            for k, evaluation in zip(batch, evaluations):
-                if evaluation.error is not None:
-                    failed[k] = FloatingPointError(evaluation.error)
-                else:
-                    yield k, evaluation, seconds
-        for k in sorted(failed):
-            yield (k, *self._retry_item(sub, cell_area, cluster_id, k, failed[k]))
-
-    def _retry_item(
-        self,
-        sub: Design,
-        cell_area: float,
-        cluster_id: int,
-        candidate_index: int,
-        last_error: BaseException,
-    ) -> Tuple[CandidateEvaluation, float]:
-        """Re-evaluate one item whose first attempt failed, with the
-        bounded retry/backoff policy.
-
-        Returns ``(evaluation, seconds)``.  On terminal failure either
-        raises :class:`VPRSweepError` (policy ``"raise"``) or returns
-        an explicitly invalid evaluation (policy ``"exclude"``).
-        """
-        config = self.config
-        candidate = config.candidates[candidate_index]
-        attempts = max(0, int(config.retry_limit)) + 1
-        start = time.perf_counter()
-        for attempt in range(1, attempts):
-            delay = config.retry_backoff * (2 ** (attempt - 1))
-            if delay > 0:
-                _SLEEP(delay)
-            perf.count("vpr.item.retry")
-            telemetry.event(
-                "vpr.item.retry",
-                cluster=cluster_id,
-                candidate=candidate_index,
-                attempt=attempt,
-            )
-            try:
-                faults.check("vpr.item", key=f"{cluster_id}/{candidate_index}")
-                evaluation = self.evaluate_candidate(
-                    sub, cell_area, candidate, cluster_id=cluster_id
-                )
-                return evaluation, time.perf_counter() - start
-            except Exception as exc:
-                last_error = exc
-        seconds = time.perf_counter() - start
-        perf.count("vpr.item.terminal")
-        telemetry.event(
-            "vpr.item.failed",
-            cluster=cluster_id,
-            candidate=candidate_index,
-            attempts=attempts,
-            error=repr(last_error),
-        )
-        if config.on_terminal_failure == "raise":
-            raise VPRSweepError(
-                f"V-P&R evaluation of cluster {cluster_id}, candidate "
-                f"{candidate_index} ({candidate}) failed after {attempts} "
-                f"attempt(s): {last_error!r}"
-            ) from last_error
-        return (
-            CandidateEvaluation(
-                candidate=candidate,
-                hpwl_cost=float("nan"),
-                congestion_cost=float("nan"),
-                error=repr(last_error),
-            ),
-            seconds,
-        )
-
+    # -- the sweep -------------------------------------------------------
     def sweep_cluster(
         self, source: Design, member_indices: Sequence[int], cluster_id: int = 0
     ) -> VPRSweepResult:
-        """Evaluate all shape candidates for one cluster (serially):
-        checkpoint and cache hits are served, the rest is one batch."""
-        start = time.perf_counter()
-        with perf.stage("vpr/sweep"), telemetry.span(
-            "vpr.sweep", cluster=cluster_id
-        ):
-            sub, cell_area = self.induce(source, member_indices)
-            n_cand = len(self.config.candidates)
-            evaluations: List[Optional[CandidateEvaluation]] = [None] * n_cand
-            misses: List[int] = []
-            for k in range(n_cand):
-                served = self._checkpoint_lookup(cluster_id, k)
-                if served is None:
-                    served = self._cache_lookup(sub, cell_area, cluster_id, k)
-                    if served is None:
-                        misses.append(k)
-                        continue
-                    self._checkpoint_save(cluster_id, k, *served)
-                evaluations[k] = served[0]
-                monitor.advance("vpr.items")
-            for k, evaluation, seconds in self._evaluate_items_guarded(
-                sub, cell_area, cluster_id, misses
-            ):
-                self._checkpoint_save(cluster_id, k, evaluation, seconds)
-                self._cache_store(sub, cell_area, k, evaluation, seconds)
-                evaluations[k] = evaluation
-                monitor.advance("vpr.items")
-        best = self._best_of(evaluations, cluster_id=cluster_id)
-        sweep = VPRSweepResult(
-            cluster_id=cluster_id,
-            evaluations=evaluations,
-            best=best.candidate,
-            runtime=time.perf_counter() - start,
+        """Evaluate all shape candidates for one cluster:
+        :meth:`sweep_clusters` over a single id."""
+        (sweep,) = self.sweep_clusters(
+            source, {cluster_id: member_indices}, [cluster_id]
         )
-        self._record_sweep(sweep)
         return sweep
 
     def sweep_clusters(
@@ -1106,61 +928,70 @@ class VPRFramework:
         members: Sequence[Sequence[int]],
         cluster_ids: Sequence[int],
     ) -> List[VPRSweepResult]:
-        """Sweep several clusters: serially, on a process pool, or on
-        a worker fleet.
+        """Sweep several clusters: one loop, whatever the executor.
 
-        With ``config.jobs > 1`` (or ``config.executor == "fleet"``)
-        the (cluster, candidate) grid is fanned out over workers;
-        gathered results are re-ordered into their (cluster, candidate)
-        slots, so selection is deterministic and identical to the
-        serial path regardless of executor.
+        Checkpointed items are served from disk; what is left is
+        chunked and handed to a :class:`SweepExecutor` — the calling
+        process itself (``jobs == 1``), a process pool or a worker
+        fleet.  Every resolved item lands through :meth:`_settle` (the
+        one write-back site), every failed one goes to the one retry
+        scheduler (:meth:`_retry_failed_items`), and results sit in
+        (cluster, candidate) slots, so evaluations and selected shapes
+        are identical whichever executor ran and however its workers
+        were scheduled.  When a pool or fleet is unavailable
+        (:class:`OSError`: no process pool in a restricted sandbox, no
+        bindable port, zero connected workers) the same loop runs
+        again on the inline executor.
         """
         config = self.config
-        parallel = config.jobs > 1 or config.executor == "fleet"
-        # The sweep is the flow's dominant known-cardinality loop: every
-        # path below (serial, fork pool, chunked spawn pool, fleet)
-        # advances the same progress task per (cluster, candidate) item,
-        # so the final accounting record is path-independent.
-        monitor.start_task(
-            "vpr.items",
-            len(cluster_ids) * len(config.candidates),
-            unit="items",
+        cluster_ids = list(cluster_ids)
+        total = len(cluster_ids) * len(config.candidates)
+        fans_out = bool(cluster_ids) and (
+            config.jobs > 1 or config.executor == "fleet"
         )
+        make_executor = self._make_executor if fans_out else InlineExecutor
+        # Every executor advances the same progress task per (cluster,
+        # candidate) item, so the final accounting record does not
+        # depend on where the items ran.
+        monitor.start_task("vpr.items", total, unit="items")
         cache_baseline = self._cache_session_baseline()
         try:
-            if parallel and len(cluster_ids) > 0:
-                try:
-                    return self._sweep_clusters_parallel(
-                        source, members, cluster_ids
-                    )
-                except OSError:
-                    # Execution substrates can be unavailable (no
-                    # process pool in restricted sandboxes, no
-                    # bindable port / zero connected workers for a
-                    # fleet); the serial path computes the same
-                    # result.  Restart the progress task first — the
-                    # parallel attempt may already have advanced it
-                    # (checkpoint-served items, resolved chunks), and
-                    # the serial re-run counts every item again.
-                    perf.count("vpr.executor.fallback")
-                    telemetry.event(
-                        "vpr.executor_fallback", executor=config.executor
-                    )
-                    monitor.start_task(
-                        "vpr.items",
-                        len(cluster_ids) * len(config.candidates),
-                        unit="items",
-                    )
-            return [
-                self.sweep_cluster(source, members[c], cluster_id=c)
-                for c in cluster_ids
-            ]
+            clusters = {c: self.induce(source, members[c]) for c in cluster_ids}
+            try:
+                slots = self._sweep_on(make_executor, clusters)
+            except OSError:
+                if not fans_out:
+                    raise
+                # Restart the progress task first — the failed attempt
+                # may already have advanced it (checkpoint-served
+                # items, resolved chunks), and the inline run counts
+                # every item again.
+                perf.count("vpr.executor.fallback")
+                telemetry.event(
+                    "vpr.executor_fallback", executor=config.executor
+                )
+                monitor.start_task("vpr.items", total, unit="items")
+                slots = self._sweep_on(InlineExecutor, clusters)
+            sweeps: List[VPRSweepResult] = []
+            for c in cluster_ids:
+                evaluations = [evaluation for evaluation, _s in slots[c]]
+                best = self._best_of(evaluations, cluster_id=c)
+                sweep = VPRSweepResult(
+                    cluster_id=c,
+                    evaluations=evaluations,
+                    best=best.candidate,
+                    runtime=sum(seconds for _e, seconds in slots[c]),
+                )
+                self._record_sweep(sweep)
+                sweeps.append(sweep)
+            return sweeps
         finally:
             monitor.complete("vpr.items")
             self._publish_cache_summary(cache_baseline)
 
     def _make_executor(self) -> SweepExecutor:
-        """Build the configured executor (or the injected one)."""
+        """Build the configured pool / fleet executor (or the injected
+        one).  Construction failures (unbindable port) are OSErrors."""
         if self.executor_factory is not None:
             return self.executor_factory()
         config = self.config
@@ -1176,221 +1007,235 @@ class VPRFramework:
         method = config.start_method
         if method is None:
             method = "fork" if _fork_available() else "spawn"
-        return LocalPoolExecutor(max(1, int(config.jobs)), method)
+        return LocalPoolExecutor(
+            max(1, int(config.jobs)), method, item_timeout=config.item_timeout
+        )
 
-    def _sweep_clusters_parallel(
-        self,
-        source: Design,
-        members: Sequence[Sequence[int]],
-        cluster_ids: Sequence[int],
-    ) -> List[VPRSweepResult]:
-        """Fan the (cluster, candidate) grid out over an executor."""
+    def _sweep_state(
+        self, executor: SweepExecutor, clusters: Dict[int, Tuple[Design, float]]
+    ) -> dict:
+        """What the chunk evaluator (:func:`_evaluate_chunk`) works on.
+
+        In process that is this framework and the live sub-netlists.
+        Across a process boundary it is a payload published **once**
+        (fork workers inherit it copy-on-write, spawn workers map one
+        shared-memory segment, fleet workers receive one digest-keyed
+        pickled blob each), so a work item ships only two integers;
+        executors that cross a pickle boundary get flat design
+        snapshots (the linked Design graph recurses past the pickle
+        limit on real netlists), rebuilt once per worker at setup.
+        """
         config = self.config
-        clusters: Dict[int, Tuple[Design, float]] = {}
-        score_arrays: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for c in cluster_ids:
-            clusters[c] = self.induce(source, members[c])
-            ctx = self._context_of(clusters[c][0])
+        if not executor.crosses_process:
+            return {"_framework": self, "config": config, "clusters": clusters}
+        score_arrays = {}
+        for c, (sub, _area) in clusters.items():
+            ctx = self._context_of(sub)
             score_arrays[c] = (ctx.score_pins, ctx.score_offsets)
-
-        n_cand = len(config.candidates)
-        slots: Dict[int, List[Optional[_WorkerResult]]] = {
-            c: [None] * n_cand for c in cluster_ids
-        }
-        # Serve checkpointed items from disk; only the rest are fanned
-        # out.
-        pending: List[Tuple[int, int]] = []
-        for c in cluster_ids:
-            for k in range(n_cand):
-                checkpointed = self._checkpoint_lookup(c, k)
-                if checkpointed is not None:
-                    evaluation, seconds = checkpointed
-                    slots[c][k] = (
-                        evaluation.hpwl_cost,
-                        evaluation.congestion_cost,
-                        seconds,
-                        None,
-                        None,
-                        None,
-                        True,
-                    )
-                else:
-                    pending.append((c, k))
-        served = len(cluster_ids) * n_cand - len(pending)
-        if served:
-            monitor.advance("vpr.items", served)
-
-        # Where the chunks run: the in-process pool (byte-identical to
-        # the pre-executor sweep) or the socket worker fleet.  Executor
-        # construction failures (unbindable port) are OSErrors and fall
-        # back to the serial sweep in the caller.
-        executor = self._make_executor()
-        try:
-            # Publish the sweep state once: fork workers inherit it
-            # copy-on-write; spawn workers map one shared-memory
-            # segment; fleet workers receive one digest-keyed pickled
-            # blob per process.  Work items then carry only two
-            # integers each — the induced sub-netlists and scoring
-            # arrays are never serialized per item.  Executors that
-            # cross a pickle boundary get flat design snapshots (the
-            # linked Design graph recurses past the pickle limit on
-            # real netlists); each worker rebuilds them once at setup.
-            shipped_clusters: Dict[int, Tuple[object, float]] = clusters
-            if executor.requires_snapshots:
-                shipped_clusters = {
-                    c: (design_snapshot(sub), area)
-                    for c, (sub, area) in clusters.items()
-                }
-            payload = {
-                "config": config,
-                "clusters": shipped_clusters,
-                "snapshots": executor.requires_snapshots,
-                "score_arrays": score_arrays,
-                "perf_enabled": perf.is_enabled(),
-                "telemetry_enabled": telemetry.is_enabled(),
-                "cache_dir": str(self.cache.directory) if self.cache else None,
-                "monitor_dir": monitor.worker_dir(),
+        shipped: Dict[int, Tuple[object, float]] = clusters
+        if executor.requires_snapshots:
+            shipped = {
+                c: (design_snapshot(sub), area)
+                for c, (sub, area) in clusters.items()
             }
+        return {
+            "config": config,
+            "clusters": shipped,
+            "snapshots": executor.requires_snapshots,
+            "score_arrays": score_arrays,
+            "item_timeout": executor.item_timeout,
+            "perf_enabled": perf.is_enabled(),
+            "telemetry_enabled": telemetry.is_enabled(),
+            "cache_dir": str(self.cache.directory) if self.cache else None,
+            "monitor_dir": monitor.worker_dir(),
+        }
+
+    def _sweep_on(
+        self,
+        make_executor: Callable[[], SweepExecutor],
+        clusters: Dict[int, Tuple[Design, float]],
+    ) -> Dict[int, List[Tuple[CandidateEvaluation, float]]]:
+        """Resolve every (cluster, candidate) item of ``clusters`` on
+        one executor; returns ``(evaluation, seconds)`` slots."""
+        config = self.config
+        n_cand = len(config.candidates)
+        slots: Dict[int, list] = {c: [None] * n_cand for c in clusters}
+        pending: List[Tuple[int, int]] = []
+        for c in clusters:
+            for k in range(n_cand):
+                slots[c][k] = self._checkpoint_lookup(c, k)
+                if slots[c][k] is None:
+                    pending.append((c, k))
+                else:
+                    monitor.advance("vpr.items")
+        executor = make_executor()
+        try:
             # Bundle work items into chunks so one dispatch amortises
-            # the per-task submission/result overhead over several
-            # items.
-            chunk_size = config.chunk_size
-            if chunk_size is None:
-                chunk_size = max(
-                    1, -(-len(pending) // (4 * executor.width()))
-                )
+            # the per-task submission/result overhead over several.
+            chunk_size = config.chunk_size or executor.auto_chunk_size(
+                len(pending), n_cand
+            )
             chunks = [
                 pending[i : i + chunk_size]
                 for i in range(0, len(pending), chunk_size)
             ]
-            with perf.stage("vpr/parallel_sweep"), telemetry.span(
-                "vpr.parallel_sweep",
+            with perf.stage("vpr/sweep"), telemetry.span(
+                "vpr.sweep",
                 executor=executor.name,
                 jobs=executor.width(),
-                items=len(cluster_ids) * n_cand,
+                items=len(clusters) * n_cand,
                 chunk_size=chunk_size,
             ):
-                if pending:
-                    for index, results in executor.map_chunks(
-                        payload, chunks, _chunk_worker
-                    ):
-                        for (c, k), result in zip(chunks[index], results):
-                            faults.check("vpr.collect", key=f"{c}/{k}")
-                            slots[c][k] = result
-                            if result[5] is None:
-                                # Errored items only count once their
-                                # parent-side retry resolves.
-                                monitor.advance("vpr.items")
-
-                # Fold every returned payload in *before* retrying
-                # failures: a crashed item still contributes the
-                # partial counters and spans it recorded up to the
-                # failure point.
-                failed: List[Tuple[int, int]] = []
-                for c, k in pending:
-                    _h, _g, seconds, counters, events, error, was_hit = slots[
-                        c
-                    ][k]
-                    perf.merge_counters(counters)
-                    telemetry.merge_worker(events)
-                    if error is not None:
-                        perf.count("vpr.worker.error")
-                        telemetry.event(
-                            "worker.error", cluster=c, candidate=k, error=error
-                        )
-                        failed.append((c, k))
-                    else:
-                        if self.cache is not None:
-                            # Worker-side lookups happened in another
-                            # process; fold them into this store's
-                            # session counters so the end-of-sweep
-                            # cache summary covers the whole fleet.
-                            self.cache.note_lookup(hit=was_hit)
-                        evaluation = CandidateEvaluation(
-                            candidate=config.candidates[k],
-                            hpwl_cost=_h,
-                            congestion_cost=_g,
-                        )
-                        self._checkpoint_save(c, k, evaluation, seconds)
-                        if not was_hit:
-                            # Parent is the cache's only writer; items
-                            # the worker already served from the cache
-                            # are not re-stored.
-                            sub, cell_area = clusters[c]
-                            self._cache_store(
-                                sub, cell_area, k, evaluation, seconds
+                failed: List[Tuple[int, int, str]] = []
+                resolved = (
+                    executor.map_chunks(
+                        self._sweep_state(executor, clusters),
+                        chunks,
+                        _evaluate_chunk,
+                    )
+                    if chunks
+                    else ()
+                )
+                for index, outcomes in resolved:
+                    for (c, k), outcome in zip(chunks[index], outcomes):
+                        faults.check("vpr.collect", key=f"{c}/{k}")
+                        if outcome.envelope is not None:
+                            # A crashed item still contributes the
+                            # partial counters and spans its worker
+                            # recorded up to the failure point.
+                            perf.merge_counters(outcome.envelope.counters)
+                            telemetry.merge_worker(outcome.envelope.telemetry)
+                        if outcome.error is not None:
+                            # Counts once its retry resolves.
+                            perf.count("vpr.worker.error")
+                            telemetry.event(
+                                "worker.error",
+                                cluster=c,
+                                candidate=k,
+                                error=outcome.error,
                             )
-
-                # Re-evaluate crashed items in the parent with the
-                # bounded retry budget, so a transient worker death
-                # does not corrupt shape selection.
-                self._retry_failed_items(failed, clusters, slots)
+                            failed.append((c, k, outcome.error))
+                            continue
+                        if executor.crosses_process and self.cache is not None:
+                            # The lookup happened in another process;
+                            # fold it into this store's session
+                            # counters so the end-of-sweep cache
+                            # summary covers every worker.
+                            self.cache.note_lookup(hit=outcome.cached)
+                        evaluation = CandidateEvaluation(
+                            config.candidates[k],
+                            outcome.hpwl_cost,
+                            outcome.congestion_cost,
+                        )
+                        self._settle(
+                            clusters, slots, c, k, evaluation,
+                            outcome.seconds, cached=outcome.cached,
+                        )
+                # An inline first attempt was one of the item's
+                # ``retry_limit + 1`` attempts in this process; an
+                # attempt lost in another process was not.
+                self._retry_failed_items(
+                    failed, clusters, slots,
+                    spent_attempts=0 if executor.crosses_process else 1,
+                )
         finally:
             executor.close()
+        return slots
 
-        sweeps: List[VPRSweepResult] = []
-        for c in cluster_ids:
-            evaluations = []
-            runtime = 0.0
-            for k, slot in enumerate(slots[c]):
-                hpwl_cost, congestion_cost, seconds = slot[:3]
-                evaluations.append(
-                    CandidateEvaluation(
-                        candidate=config.candidates[k],
-                        hpwl_cost=hpwl_cost,
-                        congestion_cost=congestion_cost,
-                        error=slot[5],
-                    )
-                )
-                runtime += seconds
-            best = self._best_of(evaluations, cluster_id=c)
-            sweep = VPRSweepResult(
-                cluster_id=c,
-                evaluations=evaluations,
-                best=best.candidate,
-                runtime=runtime,
-            )
-            self._record_sweep(sweep)
-            sweeps.append(sweep)
-        return sweeps
+    def _settle(
+        self,
+        clusters: Dict[int, Tuple[Design, float]],
+        slots: Dict[int, list],
+        c: int,
+        k: int,
+        evaluation: CandidateEvaluation,
+        seconds: float,
+        cached: bool = False,
+    ) -> None:
+        """The one write-back site: a resolved item takes its slot, is
+        checkpointed the moment it resolves and — unless the cache
+        served it (this process is the cache's only writer) — stored in
+        the cache.  Invalid (terminally failed) evaluations are
+        persisted nowhere."""
+        slots[c][k] = (evaluation, seconds)
+        self._checkpoint_save(c, k, evaluation, seconds)
+        if not cached:
+            sub, cell_area = clusters[c]
+            self._cache_store(sub, cell_area, k, evaluation, seconds)
+        monitor.advance("vpr.items")
 
     def _retry_failed_items(
         self,
-        failed: List[Tuple[int, int]],
+        failed: Sequence[Tuple[int, int, str]],
         clusters: Dict[int, Tuple[Design, float]],
-        slots: Dict[int, "List[Optional[_WorkerResult]]"],
+        slots: Dict[int, list],
+        spent_attempts: int = 0,
     ) -> None:
-        """Re-evaluate crashed items parent-side with overlapped backoff.
+        """Re-evaluate failed ``(cluster, candidate, error)`` items in
+        this process, one by one, with overlapped backoff.
 
-        The naive loop (one ``_evaluate_item_guarded`` call per failed
-        item) blocks the parent inside each item's ``time.sleep``
-        backoff, so F failures each needing one retry stall the sweep
-        for the *sum* of their backoff windows.  This scheduler keeps a
+        Every item gets ``retry_limit + 1`` attempts in this process,
+        ``spent_attempts`` of which its executor already used.  A naive
+        loop would block inside each item's backoff sleep, so F
+        failures each needing one retry would stall the sweep for the
+        *sum* of their backoff windows.  This scheduler keeps a
         min-heap of (due-time, item) attempts instead and only ever
-        sleeps until the *earliest* due attempt: all items take their
-        first attempt immediately, backoff windows run concurrently,
-        and the total stall is bounded by one item's longest backoff
-        chain rather than the fleet-wide sum.  Time flows through the
-        injectable :data:`_SLEEP` / :data:`_CLOCK` module hooks so
-        tests can pin the overlap property on a fake clock.
+        sleeps until the *earliest* due attempt: backoff windows run
+        concurrently, and the total stall is bounded by one item's
+        longest backoff chain.  Time flows through the injectable
+        :data:`_SLEEP` / :data:`_CLOCK` module hooks so tests can pin
+        the overlap property on a fake clock.
 
-        Terminal failures follow ``on_terminal_failure`` exactly like
-        the serial path: raise :class:`VPRSweepError`, or record an
-        explicitly invalid evaluation and let selection exclude it.
+        An item's first attempt in this process consults the cache
+        before evaluating (its worker may have died *while reading* the
+        entry; the store itself is intact), exactly as the chunk
+        evaluator does.  An item out of attempts is terminal: the sweep
+        raises :class:`VPRSweepError` (``on_terminal_failure="raise"``)
+        or records an explicitly invalid evaluation and lets selection
+        exclude it.
         """
-        if not failed:
-            return
         config = self.config
+        candidates = config.candidates
         attempts = max(0, int(config.retry_limit)) + 1
         # Heap entries: (due, order, cluster, candidate, failed-attempt
         # count so far, seconds spent evaluating so far).  ``order``
         # breaks due-time ties deterministically (submission order).
         heap: List[Tuple[float, int, int, int, int, float]] = []
-        now = _CLOCK()
-        for order, (c, k) in enumerate(failed):
-            heap.append((now, order, c, k, 0, 0.0))
-        heapq.heapify(heap)
-        order = len(failed)
+        order = itertools.count()
+
+        def reschedule(c, k, done, spent, error, cause=None):
+            """Park the attempt after ``done`` failed ones behind its
+            backoff — or, out of attempts, go terminal."""
+            if done < attempts:
+                delay = config.retry_backoff * (2 ** (done - 1)) if done else 0.0
+                heapq.heappush(
+                    heap,
+                    (_CLOCK() + max(0.0, delay), next(order), c, k, done, spent),
+                )
+                return
+            perf.count("vpr.item.terminal")
+            telemetry.event(
+                "vpr.item.failed",
+                cluster=c,
+                candidate=k,
+                attempts=attempts,
+                error=error,
+            )
+            if config.on_terminal_failure == "raise":
+                raise VPRSweepError(
+                    f"V-P&R evaluation of cluster {c}, candidate {k} "
+                    f"({candidates[k]}) failed after {attempts} "
+                    f"attempt(s): {error}"
+                ) from cause
+            nan = float("nan")
+            self._settle(
+                clusters, slots, c, k,
+                CandidateEvaluation(candidates[k], nan, nan, error=error),
+                spent,
+            )
+
+        for c, k, error in failed:
+            reschedule(c, k, spent_attempts, 0.0, error)
         while heap:
             due, _, c, k, done, spent = heapq.heappop(heap)
             wait = due - _CLOCK()
@@ -1398,15 +1243,9 @@ class VPRFramework:
                 _SLEEP(wait)
             sub, cell_area = clusters[c]
             if done == 0:
-                # e.g. the worker died *while reading* this entry; the
-                # store itself is intact, so serve it here.
                 cached = self._cache_lookup(sub, cell_area, c, k)
                 if cached is not None:
-                    evaluation, seconds = cached
-                    self._finish_retried_item(
-                        clusters, slots, c, k, evaluation, seconds,
-                        store=False,
-                    )
+                    self._settle(clusters, slots, c, k, *cached, cached=True)
                     continue
             else:
                 perf.count("vpr.item.retry")
@@ -1417,74 +1256,14 @@ class VPRFramework:
             try:
                 faults.check("vpr.item", key=f"{c}/{k}")
                 evaluation = self.evaluate_candidate(
-                    sub, cell_area, config.candidates[k], cluster_id=c
+                    sub, cell_area, candidates[k], cluster_id=c
                 )
             except Exception as exc:
                 spent += time.perf_counter() - started
-                done += 1
-                if done < attempts:
-                    delay = config.retry_backoff * (2 ** (done - 1))
-                    heapq.heappush(
-                        heap,
-                        (_CLOCK() + max(0.0, delay), order, c, k, done,
-                         spent),
-                    )
-                    order += 1
-                    continue
-                perf.count("vpr.item.terminal")
-                telemetry.event(
-                    "vpr.item.failed",
-                    cluster=c,
-                    candidate=k,
-                    attempts=attempts,
-                    error=repr(exc),
-                )
-                if config.on_terminal_failure == "raise":
-                    raise VPRSweepError(
-                        f"V-P&R evaluation of cluster {c}, candidate "
-                        f"{k} ({config.candidates[k]}) failed after "
-                        f"{attempts} attempt(s): {exc!r}"
-                    ) from exc
-                evaluation = CandidateEvaluation(
-                    candidate=config.candidates[k],
-                    hpwl_cost=float("nan"),
-                    congestion_cost=float("nan"),
-                    error=repr(exc),
-                )
-                self._finish_retried_item(
-                    clusters, slots, c, k, evaluation, spent, store=True
-                )
-                continue
-            spent += time.perf_counter() - started
-            self._finish_retried_item(
-                clusters, slots, c, k, evaluation, spent, store=True
-            )
-
-    def _finish_retried_item(
-        self,
-        clusters: Dict[int, Tuple[Design, float]],
-        slots: Dict[int, "List[Optional[_WorkerResult]]"],
-        c: int,
-        k: int,
-        evaluation: CandidateEvaluation,
-        seconds: float,
-        store: bool,
-    ) -> None:
-        """Record one parent-retried item (slot, cache, checkpoint)."""
-        sub, cell_area = clusters[c]
-        if store:
-            self._cache_store(sub, cell_area, k, evaluation, seconds)
-        self._checkpoint_save(c, k, evaluation, seconds)
-        slots[c][k] = (
-            evaluation.hpwl_cost,
-            evaluation.congestion_cost,
-            seconds,
-            None,
-            None,
-            evaluation.error,
-            False,
-        )
-        monitor.advance("vpr.items")
+                reschedule(c, k, done + 1, spent, repr(exc), exc)
+            else:
+                spent += time.perf_counter() - started
+                self._settle(clusters, slots, c, k, evaluation, spent)
 
     # -- end-of-sweep cache summary ------------------------------------
     def _cache_session_baseline(self) -> Optional[Tuple[int, int, int]]:
@@ -1514,15 +1293,19 @@ class VPRFramework:
             return
         try:
             cache.bump_totals(hits=hits, misses=misses, stores=stores)
-            summary = derive_cache_summary(
-                hits, misses, stores, cache.stats()
-            )
+            if telemetry.is_enabled():
+                # cache.stats() walks the store: only for a listener.
+                telemetry.event(
+                    "vpr.cache.summary",
+                    **derive_cache_summary(hits, misses, stores, cache.stats()),
+                )
         except OSError:  # pragma: no cover - summary is best-effort
             return
-        telemetry.event("vpr.cache.summary", **summary)
 
     def eligible_clusters(self, members: Sequence[Sequence[int]]) -> List[int]:
-        """Cluster ids large enough for V-P&R, capped and largest-first."""
+        """Every cluster id large enough for V-P&R (more than
+        ``min_cluster_instances`` members), largest first.  Not capped:
+        :meth:`swept_clusters` applies ``max_vpr_clusters``."""
         eligible = [
             c
             for c, member_list in enumerate(members)
@@ -1531,21 +1314,22 @@ class VPRFramework:
         eligible.sort(key=lambda c: -len(members[c]))
         return eligible
 
+    def swept_clusters(
+        self, members: Sequence[Sequence[int]]
+    ) -> Tuple[List[int], int]:
+        """``(swept_ids, skipped)``: the first ``max_vpr_clusters`` of
+        :meth:`eligible_clusters` — the clusters that get a shape sweep
+        (and a placement region) — and how many eligible clusters the
+        cap left on the uniform default shape."""
+        eligible = self.eligible_clusters(members)
+        cap = self.config.max_vpr_clusters
+        swept = eligible if cap is None else eligible[:cap]
+        return swept, len(eligible) - len(swept)
+
 
 # ----------------------------------------------------------------------
-# Process-pool worker machinery
+# The chunk evaluator (every executor runs this) and worker set-up
 # ----------------------------------------------------------------------
-#: Shape of one work item's result: ``(hpwl_cost, congestion_cost,
-#: seconds, perf_counters, telemetry_payload, error, cached)``.
-#: ``error`` is the repr of a worker-side exception (costs are NaN
-#: then); the counters/payload recorded up to the failure still travel
-#: back.  ``cached`` is True when the worker served the item from the
-#: evaluation cache (the parent then skips re-storing it).
-_WorkerResult = Tuple[
-    float, float, float, Optional[dict], Optional[dict], Optional[str], bool
-]
-
-
 def _fork_available() -> bool:
     """Fork start method available (the pool relies on inheriting the
     sub-netlists copy-on-write instead of pickling per item)."""
@@ -1554,9 +1338,10 @@ def _fork_available() -> bool:
 
 @contextmanager
 def _item_alarm(timeout: Optional[float]):
-    """Bound a work item's wall-clock via SIGALRM (pool workers only;
-    fork workers run their items on the main thread, where signal
-    delivery is guaranteed).
+    """Bound a work item's wall-clock via SIGALRM (worker processes
+    only — they run their items on the main thread, where signal
+    delivery is guaranteed; the inline executor passes no timeout and
+    never gets here).
 
     Nests correctly: a caller's pending ``ITIMER_REAL`` is captured on
     entry (``setitimer`` returns the old value) and re-armed on exit
@@ -1591,8 +1376,9 @@ def _item_alarm(timeout: Optional[float]):
             )
 
 
-def _setup_worker(state: dict) -> VPRFramework:
-    """First-use setup of a pool worker's process-global state."""
+def _setup_worker(state: dict) -> None:
+    """First-use setup of a worker process's global state and of the
+    published payload it attached (``_framework`` marks it done)."""
     faults.mark_worker()
     if state["perf_enabled"]:
         if not perf.is_enabled():
@@ -1629,7 +1415,7 @@ def _setup_worker(state: dict) -> VPRFramework:
     framework = VPRFramework(state["config"], cache=cache)
     for c, (sub, _area) in state["clusters"].items():
         pins, offsets = state["score_arrays"][c]
-        framework.seed_context(sub, pins, offsets)
+        framework._context_of(sub, pins, offsets)
     if state.get("monitor_dir"):
         # Liveness beats for the parent's status view: one append-only
         # file per worker pid, merged parent-side into status.json so a
@@ -1638,41 +1424,37 @@ def _setup_worker(state: dict) -> VPRFramework:
 
         state["_heartbeat"] = HeartbeatWriter(state["monitor_dir"])
     state["_framework"] = framework
-    return framework
-
-
-def _resolve_worker_state(token: StateToken) -> dict:
-    """The published sweep state in this worker (attach + set up once)."""
-    state = attach_state(token)
-    if state.get("_framework") is None:
-        _setup_worker(state)
-    return state
+    state["_worker"] = True
 
 
 def _cluster_run_worker(
     state: dict, cluster_id: int, indices: Sequence[int]
-) -> List[_WorkerResult]:
-    """Evaluate a run of one cluster's work items in a worker process.
+) -> List[ItemOutcome]:
+    """Evaluate a run of one cluster's work items: the first attempt of
+    each, in the calling process (inline) or a worker process.
 
-    Per item, first: the evaluation cache is consulted (workers only
-    *read* the store; a hit skips place + route entirely and reports
-    the original evaluation's seconds) and the ``vpr.item`` fault site
-    fires, under the item's own ``item_timeout``.  The items left are
-    evaluated as one lockstep batch bounded by ``item_timeout`` times
-    their number; if the batch raises or times out they are evaluated
-    one by one, so exceptions stay contained per item: a failed item
-    reports ``error`` with NaN costs instead of poisoning the pool or
-    its batch-mates.  Counters and the telemetry payload recorded by
-    the whole run (also up to a failure) ride on its first item; the
-    parent folds every item's in.
+    Per item, first: the evaluation cache is consulted (a hit skips
+    place + route entirely and reports the original evaluation's
+    seconds; only the sweep's :meth:`VPRFramework._settle` ever writes
+    the store) and the ``vpr.item`` fault site fires.  The items left
+    are evaluated as one lockstep batch; if the batch raises they are
+    evaluated one by one — still their first attempt — so exceptions
+    stay contained per item: a failed item reports ``error`` with NaN
+    costs instead of poisoning its batch-mates.  In a worker process
+    (``state["item_timeout"]``) each of those steps runs under the
+    item's own SIGALRM timeout, the batch under the timeout times its
+    size, and the counters and telemetry the whole run recorded (also
+    up to a failure) ride back on its first item as a
+    :class:`WorkerEnvelope`.
     """
     framework: VPRFramework = state["_framework"]
     sub, cell_area = state["clusters"][cluster_id]
-    config: VPRConfig = state["config"]
+    candidates = state["config"].candidates
+    item_timeout = state.get("item_timeout")
     heartbeat = state.get("_heartbeat")
 
     def outcome_of(evaluation, seconds, cached=False):
-        return (
+        return ItemOutcome(
             evaluation.hpwl_cost,
             evaluation.congestion_cost,
             seconds,
@@ -1685,11 +1467,10 @@ def _cluster_run_worker(
         outcome."""
         start = time.perf_counter()
         try:
-            with _item_alarm(config.item_timeout):
+            with _item_alarm(item_timeout):
                 return call()
         except Exception as exc:
-            nan = float("nan")
-            return (nan, nan, time.perf_counter() - start, repr(exc), False)
+            return ItemOutcome.lost(repr(exc), time.perf_counter() - start)
 
     def admit(k):
         """A cache hit's outcome, or None for an item to evaluate."""
@@ -1697,27 +1478,16 @@ def _cluster_run_worker(
         if cached is not None:
             return outcome_of(*cached, cached=True)
         faults.check("vpr.item", key=f"{cluster_id}/{k}")
-        # Simulated external-tool latency (benchmarks only): a
-        # production V-P&R item spends most of its wall blocked on a
-        # P&R tool subprocess, which is what makes distribution pay off
-        # even on narrow hosts.  This reproduction evaluates
-        # in-process, so the fleet scaling bench injects the blocked
-        # portion explicitly via worker_env.  Never set in real runs
-        # (costs are unaffected either way).
-        delay = os.environ.get(ITEM_DELAY_ENV)
-        if delay:
-            time.sleep(float(delay))
         return None
 
     def alone(k):
         start = time.perf_counter()
         evaluation = framework.evaluate_candidate(
-            sub, cell_area, config.candidates[k], cluster_id=cluster_id
+            sub, cell_area, candidates[k], cluster_id=cluster_id
         )
         return outcome_of(evaluation, time.perf_counter() - start)
 
-    #: index -> (hpwl_cost, congestion_cost, seconds, error, cached)
-    outcome: Dict[int, Optional[tuple]] = {}
+    outcome: Dict[int, Optional[ItemOutcome]] = {}
     for k in indices:
         if heartbeat is not None:
             heartbeat.beat("start", item=f"{cluster_id}/{k}")
@@ -1726,11 +1496,12 @@ def _cluster_run_worker(
     if batch:
         start = time.perf_counter()
         try:
-            with _item_alarm((config.item_timeout or 0) * len(batch)):
+            with _item_alarm((item_timeout or 0) * len(batch)):
+                faults.check("vpr.batch", key=cluster_id)
                 evaluations = framework.evaluate_candidates(
                     sub,
                     cell_area,
-                    [config.candidates[k] for k in batch],
+                    [candidates[k] for k in batch],
                     cluster_id=cluster_id,
                 )
         except Exception:
@@ -1741,50 +1512,43 @@ def _cluster_run_worker(
             for k, evaluation in zip(batch, evaluations):
                 outcome[k] = outcome_of(evaluation, seconds)
 
-    counters: Optional[dict] = None
-    if state["perf_enabled"]:
-        registry = perf.get_registry()
-        counters = registry.snapshot()["counters"]
-        registry.reset()
-    payload = telemetry.worker_snapshot()
-    results: List[_WorkerResult] = []
-    for k in indices:
-        hpwl_cost, congestion_cost, seconds, error, cached = outcome[k]
-        if heartbeat is not None:
+    results = [outcome[k] for k in indices]
+    if heartbeat is not None:
+        for k, result in zip(indices, results):
             heartbeat.beat(
-                "done", item=f"{cluster_id}/{k}", error=error, cached=cached
+                "done",
+                item=f"{cluster_id}/{k}",
+                error=result.error,
+                cached=result.cached,
             )
-        results.append(
-            (hpwl_cost, congestion_cost, seconds, counters, payload, error, cached)
+    if state.get("_worker"):
+        counters: Optional[dict] = None
+        if state["perf_enabled"]:
+            registry = perf.get_registry()
+            counters = registry.snapshot()["counters"]
+            registry.reset()
+        results[0] = results[0]._replace(
+            envelope=WorkerEnvelope(counters, telemetry.worker_snapshot())
         )
-        counters = payload = None
     return results
 
 
 def _evaluate_chunk(
     state: dict, items: Sequence[Tuple[int, int]]
-) -> List[_WorkerResult]:
-    """Evaluate a chunk of (cluster, candidate) items in a set-up
-    worker: each run of same-cluster items is one lockstep batch.
-    Chunking only changes scheduling granularity, never results."""
-    results: List[_WorkerResult] = []
+) -> List[ItemOutcome]:
+    """Evaluate a chunk of (cluster, candidate) items on sweep state
+    (:meth:`VPRFramework._sweep_state`): each run of same-cluster items
+    is one lockstep batch.  Chunking only changes scheduling
+    granularity, never results.  A pool worker sets itself up on the
+    first chunk it sees of a published payload."""
+    if "_framework" not in state:
+        _setup_worker(state)
+    results: List[ItemOutcome] = []
     for cluster_id, run in itertools.groupby(items, key=lambda item: item[0]):
         results.extend(
             _cluster_run_worker(state, cluster_id, [k for _c, k in run])
         )
     return results
-
-
-def _chunk_worker(
-    token: StateToken, items: Sequence[Tuple[int, int]]
-) -> List[_WorkerResult]:
-    """Evaluate a chunk of (cluster, candidate) items in one pool task.
-
-    The state token is resolved here (not in a pool initializer), so an
-    attach failure is contained to this chunk and flows into the
-    parent-side retry path instead of breaking the whole pool.
-    """
-    return _evaluate_chunk(_resolve_worker_state(token), items)
 
 
 # ----------------------------------------------------------------------
@@ -1850,12 +1614,7 @@ class VPRShapeSelector(ShapeSelector):
         self, source: Design, members: Sequence[Sequence[int]]
     ) -> VPRSelection:
         start = time.perf_counter()
-        config = self.framework.config
-        eligible = self.framework.eligible_clusters(members)
-        skipped = 0
-        if config.max_vpr_clusters is not None and len(eligible) > config.max_vpr_clusters:
-            skipped = len(eligible) - config.max_vpr_clusters
-            eligible = eligible[: config.max_vpr_clusters]
+        eligible, skipped = self.framework.swept_clusters(members)
         shapes: Dict[int, ShapeCandidate] = {
             c: uniform_shape() for c in range(len(members))
         }
@@ -1912,12 +1671,7 @@ class MLShapeSelector(ShapeSelector):
     ) -> VPRSelection:
         start = time.perf_counter()
         framework = self.framework
-        eligible = framework.eligible_clusters(members)
-        skipped = 0
-        cap = self.config.max_vpr_clusters
-        if cap is not None and len(eligible) > cap:
-            skipped = len(eligible) - cap
-            eligible = eligible[:cap]
+        eligible, skipped = framework.swept_clusters(members)
         shapes: Dict[int, ShapeCandidate] = {
             c: uniform_shape() for c in range(len(members))
         }

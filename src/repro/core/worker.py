@@ -14,10 +14,10 @@ follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
    :class:`~repro.core.vpr.VPRFramework` exactly like a spawn-pool
    worker (:func:`repro.core.vpr._setup_worker`);
 3. **chunk → result** — each chunk of (cluster, candidate) items is
-   evaluated with the same per-item containment as the pool path
+   evaluated by the same chunk evaluator every executor runs
    (:func:`repro.core.vpr._evaluate_chunk`: cache lookup first,
-   SIGALRM item timeout, exceptions become error results), and the
-   :data:`~repro.core.vpr._WorkerResult` tuples stream back;
+   SIGALRM item timeout, exceptions become error outcomes), and the
+   :class:`~repro.core.fanout.ItemOutcome` records stream back;
 4. **beat** — item start/done heartbeats go over the same socket; the
    parent relays them into its monitor directory so ``repro top``
    shows remote workers next to local ones;

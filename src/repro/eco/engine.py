@@ -36,6 +36,7 @@ import numpy as np
 
 from repro import monitor, perf, telemetry
 from repro.cache import EvaluationCache, cache_key
+from repro.core.flow import _members_of
 from repro.core.metrics import PPAMetrics
 from repro.core.shapes import ShapeCandidate
 from repro.core.vpr import VPRConfig, VPRFramework
@@ -369,14 +370,6 @@ class EcoSession:
         return dirty
 
     # ------------------------------------------------------------------
-    def _members_of(self) -> List[List[int]]:
-        cluster_of = self.cluster_of
-        k = int(cluster_of.max()) + 1 if len(cluster_of) else 0
-        members: List[List[int]] = [[] for _ in range(k)]
-        for v, c in enumerate(cluster_of):
-            members[int(c)].append(v)
-        return members
-
     def _refresh_shapes(
         self, dirty: Set[int]
     ) -> Tuple[List[int], List[int]]:
@@ -389,29 +382,20 @@ class EcoSession:
         mtime-touched so GC evicts colder entries first.
         """
         framework = VPRFramework(self.vpr_config, checkpoint=None, cache=self.cache)
-        members = self._members_of()
-        eligible = framework.eligible_clusters(members)
-        cap = self.vpr_config.max_vpr_clusters
-        if cap is not None:
-            eligible = eligible[:cap]
+        members = _members_of(self.cluster_of)
+        eligible, _skipped = framework.swept_clusters(members)
         resweep = [c for c in eligible if c in dirty or c not in self.shapes]
         reused = [c for c in eligible if c not in resweep]
 
-        if resweep:
-            candidates = len(self.vpr_config.candidates)
-            monitor.start_task("vpr.items", len(resweep) * candidates)
-            for cid in resweep:
-                sweep = framework.sweep_cluster(
-                    self.design, members[cid], cluster_id=cid
-                )
-                self.shapes[cid] = sweep.best
-                # The sweep just induced/digested this cluster, so the
-                # refreshed digest is served from the framework memos.
-                self.cluster_digests[cid] = framework.cluster_digest(
-                    self.design, members[cid]
-                )
-                perf.count("eco.vpr.resweep")
-            monitor.complete("vpr.items")
+        for sweep in framework.sweep_clusters(self.design, members, resweep):
+            cid = sweep.cluster_id
+            self.shapes[cid] = sweep.best
+            # The sweep just induced/digested this cluster, so the
+            # refreshed digest is served from the framework memos.
+            self.cluster_digests[cid] = framework.cluster_digest(
+                self.design, members[cid]
+            )
+            perf.count("eco.vpr.resweep")
         if self.cache is not None:
             for cid in reused:
                 entry = self.cluster_digests.get(cid)

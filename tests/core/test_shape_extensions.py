@@ -91,3 +91,48 @@ class TestLShapeEvaluation:
         assert record["best_rect_cost"] > 0
         assert record["best_lshape_cost"] > 0
         assert isinstance(record["lshape_wins"], bool)
+
+    def test_invalid_candidate_never_wins_either_arm(self, cluster, monkeypatch):
+        """A NaN-cost evaluation in first position wins a bare min();
+        both picks go through the validity-aware selection."""
+        import math
+
+        from repro.core.vpr import CandidateEvaluation
+
+        design, members = cluster
+        framework = LShapeVPRFramework(VPRConfig(placer_iterations=3))
+        lshapes = [
+            LShapeCandidate(1.0, 0.85, 0.5, "ne"),
+            LShapeCandidate(1.0, 0.85, 0.5, "sw"),
+        ]
+        clean = framework.sweep_with_lshapes(design, members, lshapes)
+
+        def poisoned(evaluation):
+            nan = float("nan")
+            return CandidateEvaluation(
+                evaluation.candidate, nan, nan, error="FloatingPointError()"
+            )
+
+        rect = LShapeVPRFramework.evaluate_candidates
+        lshape = LShapeVPRFramework.evaluate_lshape
+
+        def rect_first_invalid(self, *args, **kwargs):
+            evaluations = rect(self, *args, **kwargs)
+            return [poisoned(evaluations[0])] + evaluations[1:]
+
+        def lshape_first_invalid(self, sub, cell_area, candidate):
+            evaluation = lshape(self, sub, cell_area, candidate)
+            return poisoned(evaluation) if candidate is lshapes[0] else evaluation
+
+        monkeypatch.setattr(
+            LShapeVPRFramework, "evaluate_candidates", rect_first_invalid
+        )
+        monkeypatch.setattr(
+            LShapeVPRFramework, "evaluate_lshape", lshape_first_invalid
+        )
+        record = framework.sweep_with_lshapes(design, members, lshapes)
+        assert math.isfinite(record["best_rect_cost"])
+        assert record["best_rect"] != framework.config.candidates[0]
+        assert record["best_rect_cost"] >= clean["best_rect_cost"]
+        assert math.isfinite(record["best_lshape_cost"])
+        assert record["best_lshape"] is lshapes[1]

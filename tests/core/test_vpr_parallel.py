@@ -5,13 +5,10 @@ results.  These tests pin that down bitwise on a real benchmark, plus
 the sub-netlist cache's equivalence to fresh induction.
 """
 
-import warnings
-
 import pytest
 
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.vpr import (
-    CandidateEvaluation,
     VPRConfig,
     VPRFramework,
     VPRShapeSelector,
@@ -149,31 +146,3 @@ class TestSubnetlistCache:
         for a, b in zip(first, second):
             assert a.hpwl_cost == b.hpwl_cost
             assert a.congestion_cost == b.congestion_cost
-
-
-class TestDeprecatedTotalCost:
-    def test_total_cost_warns_and_matches_total(self):
-        ev = CandidateEvaluation(
-            candidate=uniform_shape(), hpwl_cost=0.5, congestion_cost=2.0
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = ev.total_cost
-        assert legacy == ev.total(0.01)
-        assert ev.total(0.1) == pytest.approx(0.5 + 0.1 * 2.0)
-
-    def test_warning_fires_once_per_call_site(self):
-        """Under the stock "default" filter the deprecation nags once
-        per process (per call site), not on every access — so legacy
-        sweep loops don't drown the log."""
-        ev = CandidateEvaluation(
-            candidate=uniform_shape(), hpwl_cost=0.5, congestion_cost=2.0
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):
-                ev.total_cost  # noqa: B018 - same call site each time
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "total(delta)" in str(deprecations[0].message)

@@ -170,6 +170,36 @@ class TestReuse:
         for cid in result.resweep_clusters:
             assert cid in result.shapes
 
+    def test_resweep_traffic_reaches_cache_lifetime_totals(self, base_run):
+        """A re-sweep goes through ``sweep_clusters``, so its cache
+        traffic lands in the totals behind ``repro cache stats`` (a
+        dirty cluster's content changed: its lookups are misses and
+        its evaluations are stored)."""
+        session = _session(base_run)
+        before = session.cache.read_totals()
+        largest = int(np.bincount(session.cluster_of).argmax())  # swept
+        inst = next(
+            i
+            for i in session.design.instances
+            if session.cluster_of[i.index] == largest
+            and i.master.name == "NAND2_X1"
+        )
+        result = session.apply(
+            parse_edits(
+                [{"kind": "resize", "instance": inst.name, "master": "NAND2_X2"}]
+            )
+        )
+        assert largest in result.resweep_clusters
+        after = session.cache.read_totals()
+        grid = len(session.vpr_config.candidates)
+        swept = len(result.resweep_clusters) * grid
+        lookups = (after["hits"] - before["hits"]) + (
+            after["misses"] - before["misses"]
+        )
+        assert lookups == swept
+        misses = after["misses"] - before["misses"]
+        assert after["stores"] - before["stores"] == misses > 0
+
     def test_run_eco_one_shot(self, base_run):
         tmp, base = base_run
         result = run_eco(str(tmp / "ckpt"), [], cache_dir=str(tmp / "cache"))

@@ -86,8 +86,8 @@ class TestSweepProgress:
     def test_serial_fallback_resets_progress(
         self, aes_clusters, tmp_path, monkeypatch
     ):
-        """An OSError fallback to the serial path restarts the task:
-        items the failed parallel attempt already advanced (checkpoint
+        """An OSError fallback to the inline executor restarts the task:
+        items the failed pool attempt already advanced (checkpoint
         serves, resolved chunks) must not be counted a second time."""
         design, members = aes_clusters
         telemetry.enable(str(tmp_path))
@@ -104,22 +104,23 @@ class TestSweepProgress:
 
         session.progress.on_tick = record_tick
 
-        def broken_pool(self, source, members, cluster_ids):
-            monitor.advance("vpr.items", 2)  # e.g. checkpoint-served items
-            raise OSError("pool unavailable")
+        from repro.core.fanout import LocalPoolExecutor
 
-        from repro.core.vpr import VPRFramework
+        class BrokenPool(LocalPoolExecutor):
+            def map_chunks(self, state, chunks, chunk_fn):
+                monitor.advance("vpr.items", 2)  # e.g. resolved chunks
+                raise OSError("pool unavailable")
+                yield  # pragma: no cover - makes this a generator
 
-        monkeypatch.setattr(
-            VPRFramework, "_sweep_clusters_parallel", broken_pool
-        )
         config = VPRConfig(
             min_cluster_instances=50,
             max_vpr_clusters=2,
             placer_iterations=3,
             jobs=2,
         )
-        VPRShapeSelector(config).select(design, members)
+        selector = VPRShapeSelector(config)
+        selector.framework.executor_factory = lambda: BrokenPool(2, "fork")
+        selector.select(design, members)
         items = [
             r for r in session.progress.records() if r["name"] == "vpr.items"
         ]
@@ -127,7 +128,7 @@ class TestSweepProgress:
         telemetry.disable()
         assert items[0]["done"] == items[0]["total"] > 0
         # The restart is visible as done returning to 0 after the failed
-        # parallel attempt's advance — the serial pass counts from scratch.
+        # pool attempt's advance — the inline run counts from scratch.
         first_advanced = next(i for i, d in enumerate(dones) if d > 0)
         assert 0 in dones[first_advanced:]
 

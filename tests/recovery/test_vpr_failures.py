@@ -5,8 +5,6 @@ bounded budget; a terminal failure either aborts the sweep visibly or
 excludes the candidate explicitly — NaN costs never reach selection.
 """
 
-import math
-
 import pytest
 
 import repro.core.fanout as fanout
@@ -109,24 +107,8 @@ class TestBestOf:
 
 
 class TestSerialRetries:
-    def test_transient_failure_recovers_via_retry(self, small_clusters):
-        """A spec that fires once fails attempt 0; the retry succeeds
-        and the sweep result matches a clean run."""
-        design, members = small_clusters
-        config = _config(retry_limit=1)
-        framework = VPRFramework(config)
-        eligible = framework.eligible_clusters(members)[:1]
-        assert eligible, "fixture must yield at least one eligible cluster"
-        c = eligible[0]
-
-        clean = VPRFramework(_config()).sweep_cluster(design, members[c], c)
-        faults.configure(f"raise:vpr.item:{c}/2")
-        injected = framework.sweep_cluster(design, members[c], c)
-
-        assert injected.best == clean.best
-        for a, b in zip(injected.evaluations, clean.evaluations):
-            assert a.hpwl_cost == b.hpwl_cost
-            assert a.congestion_cost == b.congestion_cost
+    """The raise policy; recovery by retry and the exclude policy are
+    cells of ``tests/core/test_sweep_matrix.py`` on every executor."""
 
     def test_terminal_failure_raises_by_default(self, small_clusters):
         design, members = small_clusters
@@ -136,23 +118,6 @@ class TestSerialRetries:
         faults.configure(f"raise:vpr.item:{c}/1")
         with pytest.raises(VPRSweepError, match=f"cluster {c}, candidate 1"):
             framework.sweep_cluster(design, members[c], c)
-
-    def test_exclude_policy_picks_best_valid(self, small_clusters):
-        design, members = small_clusters
-        config = _config(retry_limit=0, on_terminal_failure="exclude")
-        framework = VPRFramework(config)
-        c = framework.eligible_clusters(members)[0]
-        faults.configure(f"raise:vpr.item:{c}/0")
-        sweep = framework.sweep_cluster(design, members[c], c)
-
-        failed = sweep.evaluations[0]
-        assert not failed.is_valid
-        assert failed.error is not None
-        assert math.isnan(failed.hpwl_cost)
-        # Selection ignored the invalid candidate.
-        assert sweep.best != failed.candidate
-        clean = VPRFramework(_config()).sweep_cluster(design, members[c], c)
-        assert sweep.best == clean.best or clean.best == failed.candidate
 
 
 @pytest.mark.skipif(not _fork_available(), reason="fork unavailable")
@@ -188,9 +153,9 @@ class TestParallelRecovery:
 
     def test_pool_failure_falls_back_to_serial(self, small_clusters):
         """An OSError escaping the collection loop cancels the pending
-        siblings, releases the published fan-out state and falls back
-        to the serial path with identical results (the executor-escape
-        bugfix)."""
+        siblings, releases the published fan-out state and re-runs the
+        sweep on the inline executor with identical results (the
+        executor-escape bugfix)."""
         design, members = small_clusters
         serial = self._select(design, members, _config())
         faults.configure("oserror:vpr.collect")
@@ -206,6 +171,40 @@ class TestParallelRecovery:
         design, members = small_clusters
         self._select(design, members, _config(jobs=2))
         assert not fanout._INHERITED
+
+
+class TestInlineExecutor:
+    def test_sweeps_from_a_worker_thread_without_touching_sigalrm(
+        self, small_clusters
+    ):
+        """``jobs=1`` evaluates in the calling thread and installs no
+        signal handler — ``item_timeout`` bounds worker processes only
+        — so a sweep works off the main thread (where ``signal.signal``
+        would raise) and leaves SIGALRM exactly as it found it."""
+        import signal
+        import threading
+
+        design, members = small_clusters
+        expected = VPRShapeSelector(_config()).select(design, members)
+        handler = signal.getsignal(signal.SIGALRM)
+        box = {}
+
+        def sweep():
+            try:
+                box["selection"] = VPRShapeSelector(
+                    _config(item_timeout=0.5)
+                ).select(design, members)
+            except BaseException as exc:  # surfaced by the assert below
+                box["error"] = exc
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert "error" not in box, box.get("error")
+        assert box["selection"].shapes == expected.shapes
+        assert signal.getsignal(signal.SIGALRM) is handler
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 class TestConfigValidation:

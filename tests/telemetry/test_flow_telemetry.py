@@ -119,38 +119,42 @@ def _sweep_config(jobs):
 
 class TestWorkerTelemetry:
     def test_worker_spans_reparented_into_parent_trace(self, small_clusters):
+        """One span tree for every executor: vpr.select -> vpr.sweep ->
+        vpr.candidate, whether the candidates ran in this process or
+        were merged in from pool workers."""
         if not _fork_available():
             pytest.skip("fork start method unavailable")
         design, members = small_clusters
-        telemetry.enable()
-        selection = VPRShapeSelector(_sweep_config(jobs=2)).select(
-            design, members
-        )
-        assert selection.sweeps
+        for jobs, executor in ((1, "inline"), (2, "local")):
+            telemetry.enable()  # fresh session
+            selection = VPRShapeSelector(_sweep_config(jobs=jobs)).select(
+                design, members
+            )
+            assert selection.sweeps
 
-        records = telemetry.get_session().tracer.export()
-        by_id = {r["id"]: r for r in records}
-        candidates = [r for r in records if r["name"] == "vpr.candidate"]
-        n_cand = len(VPRConfig().candidates)
-        assert len(candidates) == len(selection.sweeps) * n_cand
-        for record in candidates:
-            # Every worker candidate span hangs off the parallel-sweep
-            # span recorded in the parent process.
-            parent = by_id[record["parent"]]
-            assert parent["name"] == "vpr.parallel_sweep"
-        # The lockstep placement and the stacked route of a batch of
-        # candidates are siblings of its candidate spans, one each per
-        # batch (attr `systems` = the batch size).
-        def parents_of(name):
-            return {
-                by_id[r["parent"]]["name"] for r in records if r["name"] == name
-            }
+            records = telemetry.get_session().tracer.export()
+            by_id = {r["id"]: r for r in records}
+            candidates = [r for r in records if r["name"] == "vpr.candidate"]
+            n_cand = len(VPRConfig().candidates)
+            assert len(candidates) == len(selection.sweeps) * n_cand
+            (sweep,) = [r for r in records if r["name"] == "vpr.sweep"]
+            assert sweep["attrs"]["executor"] == executor
+            assert sweep["attrs"]["jobs"] == jobs
+            assert sweep["attrs"]["items"] == len(candidates)
+            assert by_id[sweep["parent"]]["name"] == "vpr.select"
 
-        assert parents_of("route.global") == {"vpr.parallel_sweep"}
-        assert parents_of("place.global") == {"vpr.parallel_sweep"}
-        for name in ("route.global", "place.global"):
-            batches = [r for r in records if r["name"] == name]
-            assert sum(r["attrs"]["systems"] for r in batches) == len(candidates)
+            # The lockstep placement and the stacked route of a batch of
+            # candidates are siblings of its candidate spans, one each
+            # per batch (attr `systems` = the batch size).
+            for name in ("vpr.candidate", "route.global", "place.global"):
+                assert {
+                    r["parent"] for r in records if r["name"] == name
+                } == {sweep["id"]}
+            for name in ("route.global", "place.global"):
+                batches = [r for r in records if r["name"] == name]
+                assert sum(r["attrs"]["systems"] for r in batches) == len(
+                    candidates
+                )
 
     def test_parallel_streams_match_serial(self, small_clusters):
         if not _fork_available():

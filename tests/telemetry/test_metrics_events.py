@@ -104,10 +104,10 @@ class TestSessionRoundTrip:
         assert len(session.tracer) == 0  # snapshot clears
         assert len(session.events) == 0
 
-        with telemetry.span("vpr.parallel_sweep"):
+        with telemetry.span("vpr.sweep"):
             telemetry.merge_worker(payload)
         names = {r["name"] for r in session.tracer.export()}
-        assert names == {"vpr.candidate", "vpr.parallel_sweep"}
+        assert names == {"vpr.candidate", "vpr.sweep"}
         assert telemetry.stream("vpr.total_cost").final == 0.25
         assert session.events.export()[0]["type"] == "worker.note"
 

@@ -65,7 +65,7 @@ class TestMerge:
                 pass
         payload = worker.export()
 
-        with parent.span("vpr.parallel_sweep"):
+        with parent.span("vpr.sweep"):
             with parent.span("collect"):
                 parent.merge(payload, parent_id=parent.current_span_id())
         records = {r["name"]: r for r in parent.export()}
