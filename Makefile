@@ -42,10 +42,10 @@ bench-flow:
 		--rel 0 --stream qor.aes.hpwl
 
 # Array-native netlist-core scaling smoke (docs/performance.md "Array-
-# native core"): measures hypergraph/STA construction and bytes per
-# instance at 100k for both representations, writes BENCH_scale.json
-# and gates the arrays path on build wall, peak RSS and the >=5x
-# bytes / >=3x build advantages over the object walk.
+# native core"): measures hypergraph/STA construction of the arrays
+# path and bytes per instance of both representations at 100k, writes
+# BENCH_scale.json and gates the arrays path on build wall, peak RSS
+# and the >=5x bytes advantage over the object graph.
 bench-scale:
 	timeout 600 python benchmarks/bench_scale.py --smoke --gate \
 		--json benchmarks/results/BENCH_scale.json

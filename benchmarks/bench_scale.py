@@ -8,8 +8,7 @@ Measures, per design size (10k -> 1M instances by default):
   an HPWL evaluation, the exact ``NetlistArrays.nbytes`` footprint and
   the process peak RSS.
 * **object** (up to ``--object-max`` instances): the same netlist
-  materialized with ``to_design``, timing the pre-existing object-walk
-  hypergraph / STA builds (``use_arrays=False``) and a deep
+  materialized with ``to_design``, a per-net HPWL walk and a deep
   ``sys.getsizeof`` traversal of the linked graph.
 
 Each (size, representation) cell runs in its own subprocess so peak-RSS
@@ -19,8 +18,6 @@ enforces the PR's acceptance thresholds:
 
 * arrays bytes/instance at least ``--min-bytes-ratio`` (5x) below the
   object graph's,
-* hypergraph + STA construction at least ``--min-build-ratio`` (3x)
-  faster than the object walks,
 * absolute smoke ceilings on the arrays build wall and peak RSS.
 
 Usage::
@@ -163,9 +160,7 @@ def _deep_bytes(design) -> int:
 
 def _measure_object(size: int) -> dict:
     from repro.designs.generator import generate_arrays
-    from repro.netlist.hypergraph import Hypergraph
     from repro.place.hpwl import net_hpwl
-    from repro.sta.graph import TimingGraph
 
     arrays = generate_arrays(_spec(size))
     t0 = time.perf_counter()
@@ -174,14 +169,6 @@ def _measure_object(size: int) -> dict:
     del arrays
     design._netlist_arrays = None
     gc.collect()
-
-    t0 = time.perf_counter()
-    hg = Hypergraph.from_design(design, use_arrays=False)
-    t_hyper = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    graph = TimingGraph(design, use_arrays=False)
-    t_sta = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     wl = sum(net_hpwl(design, net) for net in design.nets if not net.is_clock)
@@ -193,16 +180,11 @@ def _measure_object(size: int) -> dict:
         "instances": design.num_instances,
         "nets": design.num_nets,
         "pins": sum(net.degree for net in design.nets),
-        "sta_nodes": graph.num_nodes,
-        "hypergraph_edges": hg.num_edges,
         "hpwl": wl,
         "bytes": deep,
         "bytes_per_instance": deep / size,
         "gen_s": t_gen,
-        "hypergraph_s": t_hyper,
-        "sta_s": t_sta,
         "hpwl_s": t_hpwl,
-        "build_s": t_hyper + t_sta,
         "peak_rss_mb": _peak_rss_mb(),
     }
 
@@ -248,18 +230,11 @@ def _check_gates(results: dict, args) -> list:
         )
     if obj is not None:
         bytes_ratio = obj["bytes_per_instance"] / arrays["bytes_per_instance"]
-        build_ratio = obj["build_s"] / arrays["build_s"]
         results["bytes_ratio"] = bytes_ratio
-        results["build_ratio"] = build_ratio
         if bytes_ratio < args.min_bytes_ratio:
             failures.append(
                 f"bytes/instance ratio {bytes_ratio:.2f}x below "
                 f"{args.min_bytes_ratio:.1f}x"
-            )
-        if build_ratio < args.min_build_ratio:
-            failures.append(
-                f"hypergraph+STA build ratio {build_ratio:.2f}x below "
-                f"{args.min_build_ratio:.1f}x"
             )
     return failures
 
@@ -283,7 +258,6 @@ def main(argv=None) -> int:
         help="skip the object representation above this size",
     )
     parser.add_argument("--min-bytes-ratio", type=float, default=5.0)
-    parser.add_argument("--min-build-ratio", type=float, default=3.0)
     parser.add_argument("--max-build-wall", type=float, default=20.0)
     parser.add_argument("--max-rss-mb", type=float, default=2048.0)
     parser.add_argument("--timeout", type=int, default=900)
@@ -323,7 +297,6 @@ def main(argv=None) -> int:
             o = cell["object"]
             print(
                 f"{'':>9}  object: gen {o['gen_s']:6.2f}s  "
-                f"hyper {o['hypergraph_s']:6.2f}s  sta {o['sta_s']:6.2f}s  "
                 f"{o['bytes_per_instance']:6.1f} B/inst  "
                 f"peak {o['peak_rss_mb']:7.1f}MB"
             )
@@ -337,8 +310,7 @@ def main(argv=None) -> int:
     if "bytes_ratio" in results:
         print(
             f"\n@{args.gate_size}: bytes ratio {results['bytes_ratio']:.2f}x "
-            f"(gate >= {args.min_bytes_ratio:.1f}x), build ratio "
-            f"{results['build_ratio']:.2f}x (gate >= {args.min_build_ratio:.1f}x)"
+            f"(gate >= {args.min_bytes_ratio:.1f}x)"
         )
 
     out = Path(args.json)

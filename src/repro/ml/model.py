@@ -274,24 +274,19 @@ class TotalCostPredictor:
         self,
         model: TotalCostGNN,
         extractor: Optional[FeatureExtractor] = None,
-        blocked: bool = True,
     ) -> None:
         self.model = model
         self.extractor = extractor or FeatureExtractor()
-        #: Use the shared-operator blocked batch path (candidates of a
-        #: cluster share the graph; only the shape features differ).
-        self.blocked = blocked
 
     def __call__(
         self, sub: Design, candidates: Sequence[ShapeCandidate]
     ) -> np.ndarray:
         """Predicted Total Cost per candidate."""
         base = self.extractor.extract(sub)
-        if self.blocked:
-            features = np.repeat(base.features[None, :, :], len(candidates), 0)
-            for i, candidate in enumerate(candidates):
-                features[i, :, 0] = candidate.utilization
-                features[i, :, 1] = candidate.aspect_ratio
-            return self.model.predict_shared(features, base.operator)
-        samples = [base.with_shape(candidate) for candidate in candidates]
-        return self.model.predict(samples)
+        # Candidates of a cluster share the graph; only the two shape
+        # feature columns differ, so one shared-operator batch serves all.
+        features = np.repeat(base.features[None, :, :], len(candidates), 0)
+        for i, candidate in enumerate(candidates):
+            features[i, :, 0] = candidate.utilization
+            features[i, :, 1] = candidate.aspect_ratio
+        return self.model.predict_shared(features, base.operator)

@@ -141,9 +141,12 @@ class Hypergraph:
         design: Design,
         include_clock_nets: bool = False,
         max_edge_degree: Optional[int] = None,
-        use_arrays: bool = True,
     ) -> "Hypergraph":
         """Build the hypergraph over a design's instances.
+
+        Built from the cached :class:`~repro.netlist.arrays.NetlistArrays`
+        CSR kernels; the object-graph walk they replaced is the tests'
+        oracle (``tests/netlist/reference.py``).
 
         Args:
             design: Source design.
@@ -153,46 +156,19 @@ class Hypergraph:
             max_edge_degree: Nets with more distinct vertices than this
                 are skipped (a standard guard against degenerate
                 high-fanout nets); None keeps everything.
-            use_arrays: When True (default) build from the cached
-                :class:`~repro.netlist.arrays.NetlistArrays` CSR
-                kernels; the object-graph walk is kept as the
-                equivalence oracle for tests.
         """
-        if use_arrays:
-            arrays = design.arrays()
-            indptr, verts, sel_nets = arrays.hyperedge_csr(
-                include_clock=include_clock_nets,
-                max_edge_degree=max_edge_degree,
-            )
-            return cls.from_csr(
-                design.num_instances,
-                indptr,
-                verts,
-                edge_weights=arrays.current_net_weights()[sel_nets],
-                vertex_areas=arrays.current_inst_areas(),
-                edge_net_indices=sel_nets,
-            )
-        edges: List[Tuple[int, ...]] = []
-        weights: List[float] = []
-        net_indices: List[int] = []
-        for net in design.nets:
-            if net.is_clock and not include_clock_nets:
-                continue
-            vertex_ids = sorted({inst.index for inst in net.instances()})
-            if len(vertex_ids) < 2:
-                continue
-            if max_edge_degree is not None and len(vertex_ids) > max_edge_degree:
-                continue
-            edges.append(tuple(vertex_ids))
-            weights.append(net.weight)
-            net_indices.append(net.index)
-        areas = [inst.area for inst in design.instances]
-        return cls(
+        arrays = design.arrays()
+        indptr, verts, sel_nets = arrays.hyperedge_csr(
+            include_clock=include_clock_nets,
+            max_edge_degree=max_edge_degree,
+        )
+        return cls.from_csr(
             design.num_instances,
-            edges,
-            edge_weights=weights,
-            vertex_areas=areas,
-            edge_net_indices=net_indices,
+            indptr,
+            verts,
+            edge_weights=arrays.current_net_weights()[sel_nets],
+            vertex_areas=arrays.current_inst_areas(),
+            edge_net_indices=sel_nets,
         )
 
     # ------------------------------------------------------------------

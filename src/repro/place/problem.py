@@ -10,7 +10,7 @@ vectorizable.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -70,9 +70,7 @@ class PlacementProblem:
         net_indices: Original design net index per problem net.
     """
 
-    def __init__(
-        self, design: Design, include_clock: bool = False, use_arrays: bool = True
-    ) -> None:
+    def __init__(self, design: Design, include_clock: bool = False) -> None:
         self.design = design
         n_inst = design.num_instances
         port_names = sorted(design.ports)
@@ -85,67 +83,26 @@ class PlacementProblem:
         self.y = np.zeros(n_total)
         self.areas = np.zeros(n_total)
         self.fixed = np.zeros(n_total, dtype=bool)
-        if use_arrays:
-            arrays = design.arrays()
-            xs, ys = arrays.current_positions()
-            self.x[:n_inst] = xs
-            self.y[:n_inst] = ys
-            self.areas[:n_inst] = arrays.current_inst_areas()
-            instances = design.instances
-            self.fixed[:n_inst] = np.fromiter(
-                (i.fixed for i in instances), dtype=bool, count=n_inst
-            )
-            px, py = arrays.current_port_xy()
-            self.x[n_inst + arrays.port_sorted_rank] = px
-            self.y[n_inst + arrays.port_sorted_rank] = py
-            self.fixed[n_inst:] = True
-            pin_vertex, offsets, sel_nets = arrays.placement_csr(include_clock)
-            self.pin_vertex = pin_vertex
-            self.net_offsets = offsets
-            self.net_weights = arrays.current_net_weights()[sel_nets]
-            self.net_indices = sel_nets
-        else:
-            self._build_reference(design, include_clock)
+        arrays = design.arrays()
+        xs, ys = arrays.current_positions()
+        self.x[:n_inst] = xs
+        self.y[:n_inst] = ys
+        self.areas[:n_inst] = arrays.current_inst_areas()
+        instances = design.instances
+        self.fixed[:n_inst] = np.fromiter(
+            (i.fixed for i in instances), dtype=bool, count=n_inst
+        )
+        px, py = arrays.current_port_xy()
+        self.x[n_inst + arrays.port_sorted_rank] = px
+        self.y[n_inst + arrays.port_sorted_rank] = py
+        self.fixed[n_inst:] = True
+        pin_vertex, offsets, sel_nets = arrays.placement_csr(include_clock)
+        self.pin_vertex = pin_vertex
+        self.net_offsets = offsets
+        self.net_weights = arrays.current_net_weights()[sel_nets]
+        self.net_indices = sel_nets
         self.num_movable_instances = n_inst
         self.cores: Optional[CoreBoxes] = None
-
-    def _build_reference(self, design: Design, include_clock: bool) -> None:
-        """Object-graph construction (kept as the equivalence oracle)."""
-        for inst in design.instances:
-            self.x[inst.index] = inst.x
-            self.y[inst.index] = inst.y
-            self.areas[inst.index] = inst.area
-            self.fixed[inst.index] = inst.fixed
-        for name, vid in self._port_vertex.items():
-            port = design.ports[name]
-            self.x[vid] = port.x
-            self.y[vid] = port.y
-            self.fixed[vid] = True
-
-        pins: List[int] = []
-        offsets: List[int] = [0]
-        weights: List[float] = []
-        net_indices: List[int] = []
-        for net in design.nets:
-            if net.is_clock and not include_clock:
-                continue
-            vertex_ids = set()
-            for ref in net.pins():
-                if ref.instance is not None:
-                    vertex_ids.add(ref.instance.index)
-                else:
-                    vertex_ids.add(self._port_vertex[ref.pin_name])
-            if len(vertex_ids) < 2:
-                continue
-            pins.extend(sorted(vertex_ids))
-            offsets.append(len(pins))
-            weights.append(net.weight)
-            net_indices.append(net.index)
-
-        self.pin_vertex = np.asarray(pins, dtype=np.int64)
-        self.net_offsets = np.asarray(offsets, dtype=np.int64)
-        self.net_weights = np.asarray(weights)
-        self.net_indices = np.asarray(net_indices, dtype=np.int64)
 
     # ------------------------------------------------------------------
     @property

@@ -48,7 +48,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.ioutil import atomic_write_bytes, fsync_directory, sha256_hex
+from repro.ioutil import atomic_write_bytes, sha256_hex
 from repro.recovery import faults
 
 __all__ = [
@@ -73,13 +73,6 @@ class CheckpointError(RuntimeError):
     (usually: delete the file or directory and rerun without
     ``--resume``).
     """
-
-
-#: Kept as module aliases so existing call sites and tests keep
-#: working; the implementations moved to :mod:`repro.ioutil` when the
-#: evaluation cache started sharing them.
-_fsync_directory = fsync_directory
-_sha256 = sha256_hex
 
 
 class CheckpointStore:
@@ -204,7 +197,7 @@ class CheckpointStore:
             path.write_bytes(data[: max(1, len(data) // 2)] + b"\xde\xad")
         self._manifest.setdefault("stages", {})[stage] = {
             "file": path.name,
-            "sha256": _sha256(data),
+            "sha256": sha256_hex(data),
             "bytes": len(data),
         }
         self._write_manifest()
@@ -218,7 +211,7 @@ class CheckpointStore:
                 f"checkpoint stage {stage!r} is not recorded in {self.directory}"
             )
         data = path.read_bytes()
-        if _sha256(data) != entry.get("sha256"):
+        if sha256_hex(data) != entry.get("sha256"):
             raise CheckpointError(
                 f"checkpoint file {path} does not match the checksum in the "
                 "manifest (truncated or corrupted); delete it (or the whole "

@@ -40,7 +40,6 @@ ACTIVITY_FLOOR = 0.005
 def propagate_activity(
     graph: TimingGraph,
     default_input_activity: float = 0.1,
-    vectorize: bool = True,
 ) -> Dict[int, float]:
     """Propagate switching activity; returns net index -> activity.
 
@@ -48,22 +47,13 @@ def propagate_activity(
     returns the map for convenience.  Clock nets get the full clock
     toggle rate of 1.0.
 
-    Vectorized over the flat compilation by default (bit-identical to
-    the scalar reference: the mean-input sums accumulate with
-    ``np.add.at`` in the scalar visitation order).
+    Wave-sliced over the flat compilation, bit-identical to the
+    per-arc oracle in ``tests/sta/reference.py``: the mean-input sums
+    accumulate with ``np.add.at`` in that walk's visitation order.
     """
     from repro.sta.flat import flat_for
 
-    flat = flat_for(graph) if vectorize else None
-    if flat is not None and not flat.mixed_input_kinds:
-        return _propagate_activity_flat(graph, flat, default_input_activity)
-    return _propagate_activity_scalar(graph, default_input_activity)
-
-
-def _propagate_activity_flat(
-    graph: TimingGraph, flat, default_input_activity: float
-) -> Dict[int, float]:
-    """Wave-sliced activity propagation (see module docstring)."""
+    flat = flat_for(graph)
     design = graph.design
     n = flat.num_nodes
     # One extra slot: virtual node for driver pins absent from the
@@ -109,57 +99,6 @@ def _propagate_activity_flat(
         if net.driver is None:
             continue
         a = vals[net.index]
-        if math.isnan(a):  # pragma: no cover - defensive
-            a = ACTIVITY_FLOOR
-        net.switching_activity = a
-        net_activity[net.index] = a
-    return net_activity
-
-
-def _propagate_activity_scalar(
-    graph: TimingGraph,
-    default_input_activity: float = 0.1,
-) -> Dict[int, float]:
-    """Scalar reference propagation (ground truth for the flat path)."""
-    design = graph.design
-    n = graph.num_nodes
-    activity = [0.0] * n
-
-    for s in graph.startpoints:
-        inst, _pin = graph.info(s)
-        if inst is None:
-            activity[s] = default_input_activity
-        else:
-            activity[s] = REGISTER_ACTIVITY
-
-    # Mean-input accumulation per combinational output node.
-    input_sum = [0.0] * n
-    input_cnt = [0] * n
-    for u in graph.topo_order:
-        a_u = activity[u]
-        for v, kind, _payload in graph.arcs[u]:
-            if kind == TimingGraph.WIRE:
-                # Wires carry activity unchanged.
-                if a_u > activity[v]:
-                    activity[v] = a_u
-            else:  # cell arc: accumulate for mean at output
-                input_sum[v] += a_u
-                input_cnt[v] += 1
-                inst, _pin = graph.info(v)
-                factor = TRANSFER_FACTORS.get(inst.master.cell_class, 0.6)
-                mean_in = input_sum[v] / input_cnt[v]
-                activity[v] = max(ACTIVITY_FLOOR, factor * mean_in)
-
-    net_activity: Dict[int, float] = {}
-    for net in design.nets:
-        if net.is_clock:
-            net.switching_activity = 1.0
-            net_activity[net.index] = 1.0
-            continue
-        if net.driver is None:
-            continue
-        node = graph.node_for_ref(net.driver)
-        a = max(ACTIVITY_FLOOR, activity[node])
         if math.isnan(a):  # pragma: no cover - defensive
             a = ACTIVITY_FLOOR
         net.switching_activity = a

@@ -5,13 +5,11 @@ OpenSTA: launch at FF Q (clock edge at t=0 plus clk-to-q), capture at
 FF D (next edge minus setup) and at output ports, worst-slack
 propagation over the levelized graph.
 
-Two propagation engines share the same semantics:
-
-* a scalar reference (``_update_scalar``) — per-arc Python loops, kept
-  as the ground truth and as the fallback for custom wire models;
-* a vectorized engine over the :mod:`repro.sta.flat` compilation —
-  wave-sliced NumPy kernels, bit-identical to the scalar reference
-  (asserted in tests), used for the built-in wire models.
+One propagation engine: wave-sliced NumPy kernels over the
+:mod:`repro.sta.flat` compilation, for the three built-in wire models
+(any other :class:`WireDelayModel` is rejected at construction).  The
+per-arc Python propagation it replaced is the tests' oracle
+(``tests/sta/reference.py``), which the kernels must match bit for bit.
 
 The analyzer also supports *incremental* updates: after
 :meth:`TimingAnalyzer.invalidate_nets`, the next :meth:`update` only
@@ -29,8 +27,8 @@ from typing import Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from repro import perf, telemetry
-from repro.netlist.design import Instance, Net, PinRef
-from repro.sta.delay import FanoutWireModel, WireDelayModel, effective_cell_delay
+from repro.netlist.design import Net
+from repro.sta.delay import FanoutWireModel, WireDelayModel
 from repro.sta.flat import FlatTiming, _gather_ranges, flat_for
 from repro.sta.graph import TimingGraph, timing_graph_for
 
@@ -99,18 +97,15 @@ class TimingAnalyzer:
         graph: TimingGraph,
         wire_model: WireDelayModel,
         clock_uncertainty: float = 0.0,
-        vectorize: bool = True,
     ) -> None:
         self.graph = graph
         self.wire_model = wire_model
+        self._model_signature()  # rejects an unsupported wire model
         self.design = graph.design
         #: Uniform clock uncertainty (e.g. the CTS skew) subtracted
         #: from every endpoint's required time (ns).
         self.clock_uncertainty = clock_uncertainty
-        #: When False, always use the scalar reference propagation.
-        self.vectorize = vectorize
         self.report: Optional[TimingReport] = None
-        self._net_loads: Dict[int, float] = {}
         #: Pending dirty-net set; None means "everything dirty" (the
         #: next update is a full update, which is also the default so
         #: that plain update() calls keep their original semantics).
@@ -142,44 +137,16 @@ class TimingAnalyzer:
         period = self.design.clock_period
         return period if period is not None else UNCONSTRAINED_PERIOD
 
-    def _arc_delay(self, u: int, v: int, kind: str, payload: object) -> float:
-        """Delay of one timing arc (ns)."""
-        if kind == TimingGraph.WIRE:
-            net: Net = payload  # type: ignore[assignment]
-            inst, pin = self.graph.info(v)
-            sink = PinRef(inst, pin)
-            return self.wire_model.wire_delay(net, sink)
-        # Cell arc: linear delay model on the driving output pin,
-        # with virtual buffering of large loads.
-        inst: Instance = payload  # type: ignore[no-redef]
-        _out_inst, out_pin = self.graph.info(v)
-        net = inst.net_on(out_pin)
-        if net is not None:
-            load = self._net_loads.get(net.index)
-            if load is None:
-                load = self.wire_model.net_load(net)
-                self._net_loads[net.index] = load
-        else:
-            load = 0.0
-        master = inst.master
-        return effective_cell_delay(
-            master.intrinsic_delay, master.drive_resistance, load
-        )
-
-    def _startpoint_arrival(self, node: int) -> float:
-        """Launch time at a startpoint."""
-        inst, pin = self.graph.info(node)
-        if inst is None:
-            return 0.0  # input port (no explicit input delay by default)
-        return inst.master.clk_to_q  # sequential Q launch
-
-    def _endpoint_required(self, node: int, period: float) -> float:
-        """Capture requirement at an endpoint."""
-        inst, pin = self.graph.info(node)
-        if inst is None:
-            return period - self.clock_uncertainty  # output port
-        # Sequential D-type input.
-        return period - inst.master.setup_time - self.clock_uncertainty
+    def _model_signature(self) -> tuple:
+        """The wire model's flat-kernel signature; TypeError if it has none."""
+        sig = FlatTiming.model_signature(self.wire_model)
+        if sig is None:
+            raise TypeError(
+                f"unsupported wire model {type(self.wire_model).__name__}: "
+                "the flat STA kernels implement exactly FanoutWireModel, "
+                "PlacementWireModel and RoutedWireModel"
+            )
+        return sig
 
     # ------------------------------------------------------------------
     def update(self) -> TimingReport:
@@ -223,14 +190,8 @@ class TimingAnalyzer:
         self._refresh_graph()
         dirty = self._dirty
         self._dirty = None
-        if not self.vectorize:
-            self._state = None
-            return self._update_scalar()
         flat = flat_for(self.graph)
-        sig = flat.model_signature(self.wire_model)
-        if sig is None:
-            self._state = None
-            return self._update_scalar()
+        sig = self._model_signature()
         period = self._clock_period()
         state = self._state
         if (
@@ -243,68 +204,6 @@ class TimingAnalyzer:
             return self._update_incremental(flat, state, dirty)
         return self._update_vectorized(flat, sig, period)
 
-    # -- scalar reference ----------------------------------------------
-    def _update_scalar(self) -> TimingReport:
-        graph = self.graph
-        n = graph.num_nodes
-        period = self._clock_period()
-        # Net loads depend only on the current geometry: cache them for
-        # the duration of this update (cleared on every update so the
-        # analyzer stays safe to re-run after placement moves).
-        self._net_loads = {}
-
-        arrival = [-math.inf] * n
-        worst_pred = [-1] * n
-        for s in graph.startpoints:
-            arrival[s] = max(arrival[s], self._startpoint_arrival(s))
-
-        for u in graph.topo_order:
-            if arrival[u] == -math.inf:
-                continue
-            au = arrival[u]
-            for v, kind, payload in graph.arcs[u]:
-                candidate = au + self._arc_delay(u, v, kind, payload)
-                if candidate > arrival[v]:
-                    arrival[v] = candidate
-                    worst_pred[v] = u
-
-        required = [math.inf] * n
-        endpoint_slacks: Dict[int, float] = {}
-        for e in graph.endpoints:
-            required[e] = min(required[e], self._endpoint_required(e, period))
-
-        for v in reversed(graph.topo_order):
-            rv = required[v]
-            if rv == math.inf:
-                continue
-            for u, kind, payload in graph.preds[v]:
-                candidate = rv - self._arc_delay(u, v, kind, payload)
-                if candidate < required[u]:
-                    required[u] = candidate
-
-        wns = math.inf
-        tns = 0.0
-        for e in graph.endpoints:
-            if arrival[e] == -math.inf:
-                continue  # unreachable endpoint: unconstrained
-            slack = required[e] - arrival[e]
-            endpoint_slacks[e] = slack
-            wns = min(wns, slack)
-            if slack < 0:
-                tns += slack
-        if wns == math.inf:
-            wns = period  # no constrained endpoints at all
-
-        self.report = TimingReport(
-            wns=wns,
-            tns=tns,
-            endpoint_slacks=endpoint_slacks,
-            arrival=arrival,
-            required=required,
-            worst_pred=worst_pred,
-        )
-        return self.report
-
     # -- vectorized full update ----------------------------------------
     def _geometry(self, flat: FlatTiming):
         """(inst_x, inst_y) when the model needs coordinates."""
@@ -312,15 +211,30 @@ class TimingAnalyzer:
             return None, None
         return flat.instance_coords()
 
-    def _update_vectorized(
-        self, flat: FlatTiming, sig: tuple, period: float
-    ) -> TimingReport:
+    def _full_delays(self, flat: FlatTiming):
+        """(net_wl, net_hpwl, net_load, arc delays) at the current geometry."""
         model = self.wire_model
-        self._net_loads = {}
         inst_x, inst_y = self._geometry(flat)
         net_wl, net_hpwl = flat.wire_net_lengths(model, inst_x, inst_y)
         net_load = flat.net_pincap + model.c_per_um * net_wl
         delay = flat.arc_delays(model, net_load, net_hpwl, inst_x, inst_y)
+        return net_wl, net_hpwl, net_load, delay
+
+    def forward_delays(self, flat: FlatTiming) -> np.ndarray:
+        """Arc delays in ``flat``'s forward order (for min-propagation).
+
+        The last update's vector when nothing was invalidated since,
+        otherwise computed at the current geometry.
+        """
+        if self._state is not None and self._dirty is None:
+            return self._state.delay_f
+        *_, delay = self._full_delays(flat)
+        return delay[flat.order_f]
+
+    def _update_vectorized(
+        self, flat: FlatTiming, sig: tuple, period: float
+    ) -> TimingReport:
+        net_wl, net_hpwl, net_load, delay = self._full_delays(flat)
         delay_f = delay[flat.order_f]
         delay_b = delay[flat.order_b]
 
@@ -605,34 +519,3 @@ class TimingAnalyzer:
                         np.unique(pred), level, pending, buckets
                     )
         return evaluated
-
-    # ------------------------------------------------------------------
-    def net_slacks(self) -> Dict[int, float]:
-        """Worst slack over each net's arcs (net index -> slack).
-
-        The PPA-aware clustering uses these to weight hyperedges by
-        timing criticality.
-        """
-        if self.report is None:
-            self.update()
-        report = self.report
-        assert report is not None
-        slacks: Dict[int, float] = {}
-        graph = self.graph
-        for u in range(graph.num_nodes):
-            au = report.arrival[u]
-            if au == -math.inf:
-                continue
-            for v, kind, payload in graph.arcs[u]:
-                if kind != TimingGraph.WIRE:
-                    continue
-                rv = report.required[v]
-                if rv == math.inf:
-                    continue
-                delay = self._arc_delay(u, v, kind, payload)
-                slack = rv - (au + delay)
-                net: Net = payload  # type: ignore[assignment]
-                previous = slacks.get(net.index)
-                if previous is None or slack < previous:
-                    slacks[net.index] = slack
-        return slacks

@@ -10,7 +10,8 @@ Bit-identity contract
 ---------------------
 
 The vectorized kernels in :mod:`repro.sta.analysis` must reproduce the
-scalar reference propagation *bit for bit*.  The compilation therefore
+scalar reference propagation (the per-arc Python oracle in
+``tests/sta/reference.py``) *bit for bit*.  The compilation therefore
 preserves the exact evaluation-order semantics of the scalar code:
 
 * max/min reductions are order-insensitive (no FP rounding), so wave
@@ -113,20 +114,20 @@ class FlatTiming:
         zero_w = np.zeros(nw)
         self.a_intrinsic = np.concatenate((zero_w, np.repeat(intr_out, graph._c_nin)))
         self.a_drive = np.concatenate((zero_w, np.repeat(drive_out, graph._c_nin)))
-        #: True when some node mixes wire and cell input arcs — never
-        #: produced by the current graph builder, but the vectorized
-        #: activity kernel depends on per-node arc-kind homogeneity.
-        self.mixed_input_kinds = bool(
-            len(np.intersect1d(self.a_dst[:nw], graph._c_out_node)) > 0
-        )
+        # The activity kernel depends on per-node arc-kind homogeneity;
+        # the connect() API cannot produce a pin fed by both kinds.
+        mixed = np.intersect1d(self.a_dst[:nw], graph._c_out_node)
+        if len(mixed):
+            raise ValueError(
+                f"pin {graph.node_name(int(mixed[0]))} has both wire and "
+                "cell input arcs (an output pin listed as a net sink)"
+            )
 
         # -- topological rank and wave levels -----------------------------
         rank = np.empty(n, dtype=np.int64)
         rank[np.asarray(graph.topo_order, dtype=np.int64)] = np.arange(n)
         self.rank = rank
-        self.level = (
-            graph.levels if graph.levels is not None else self._compute_levels(n)
-        )
+        self.level = graph.levels
 
         # -- forward (pred) CSR: sorted by (level(dst), dst, rank(src)) ---
         # lexsort is stable, so equal keys keep creation order — the
@@ -354,35 +355,6 @@ class FlatTiming:
         self.cell_in_cnt = cell_cnt
 
     # ------------------------------------------------------------------
-    def _compute_levels(self, n: int) -> np.ndarray:
-        """Longest-path depth per node via vectorized Kahn waves."""
-        level = np.zeros(n, dtype=np.int64)
-        if self.num_arcs == 0:
-            return level
-        indeg = np.bincount(self.a_dst, minlength=n)
-        # succ CSR over creation order for the wave sweep
-        order = np.argsort(self.a_src, kind="stable")
-        sdst = self.a_dst[order]
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.a_src, minlength=n)))
-        )
-        frontier = np.flatnonzero(indeg == 0)
-        lvl = 0
-        while len(frontier):
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            arcs = _gather_ranges(starts, counts)
-            if not len(arcs):
-                break
-            dsts = sdst[arcs]
-            np.subtract.at(indeg, dsts, 1)
-            ready = np.unique(dsts[indeg[dsts] == 0])
-            lvl += 1
-            level[ready] = lvl
-            frontier = ready
-        return level
-
-    # ------------------------------------------------------------------
     def instance_coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """Current instance centre coordinates (fresh gather)."""
         instances = self.design.instances
@@ -391,7 +363,8 @@ class FlatTiming:
         ys = np.fromiter((i.y for i in instances), dtype=np.float64, count=count)
         return xs, ys
 
-    def model_signature(self, model: WireDelayModel) -> Optional[tuple]:
+    @staticmethod
+    def model_signature(model: WireDelayModel) -> Optional[tuple]:
         """Signature for incremental-validity checks; None = unsupported."""
         t = type(model)
         if t is FanoutWireModel:

@@ -16,21 +16,22 @@ ports and sequential Q outputs are path startpoints.  The generator
 guarantees combinational acyclicity, and :meth:`TimingGraph.levelize`
 verifies it (raising on a combinational loop, as OpenSTA would flag).
 
-Besides the tuple-based adjacency (``arcs`` / ``preds``), the builder
-records flat integer arc arrays (wire arcs first, then cell arcs — the
-creation order) that :mod:`repro.sta.flat` compiles into the
-vectorized-STA form without re-walking the Python adjacency lists.
+The one builder works on the design's CSR form and records flat
+integer arc arrays (wire arcs first, then cell arcs — the creation
+order) that :mod:`repro.sta.flat` compiles into the vectorized-STA
+form.  The tuple-based adjacency (``arcs`` / ``preds``) is a lazy
+inspection view derived from them; the object-graph walk the builder
+replaced is the tests' oracle (``tests/sta/reference.py``).
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.netlist.design import Design, Instance, Net, PinDirection, PinRef
+from repro.netlist.design import Design, Instance, PinRef
 
 
 class TimingGraph:
@@ -39,9 +40,10 @@ class TimingGraph:
     Attributes:
         design: The source design.
         num_nodes: Number of pin nodes.
-        arcs: Forward adjacency: ``arcs[u]`` is a list of
-            ``(v, kind, payload)`` where kind is ``"cell"`` (payload:
-            the driving Instance) or ``"wire"`` (payload: the Net).
+        arcs: Forward adjacency (lazy inspection view): ``arcs[u]`` is
+            a list of ``(v, kind, payload)`` where kind is ``"cell"``
+            (payload: the driving Instance) or ``"wire"`` (payload: the
+            Net).
         preds: Reverse adjacency mirroring ``arcs``.
         startpoints: Node ids where timing paths begin.
         endpoints: Node ids where timing paths end.
@@ -53,32 +55,27 @@ class TimingGraph:
     CELL = "cell"
     WIRE = "wire"
 
-    def __init__(self, design, use_arrays: bool = True) -> None:
+    def __init__(self, design) -> None:
         # ``design`` may be a Design or a bare NetlistArrays (the
         # array-native generator emits the latter at scales where no
-        # object view exists).  Scalar/reference features that need the
-        # object graph raise when only arrays are available.
+        # object view exists).  Inspection views that need the object
+        # graph raise when only arrays are available.
         if isinstance(design, Design):
             self.design = design
             self._source_arrays = None
         else:
             self.design = None
             self._source_arrays = design
-            if not use_arrays:
-                raise ValueError(
-                    "reference build requires the object view, got NetlistArrays"
-                )
-        # Node identity maps are lazy on the array-native path: the
-        # build records per-node (owner instance index, interned pin
-        # name) arrays, and the dict/list views materialize on first
-        # access (only the scalar reference engines need them).
+        # Node identity maps are lazy: the build records per-node
+        # (owner instance index, interned pin name) arrays, and the
+        # dict/list views materialize on first access.
         self._node_of_map: Optional[Dict[Tuple[Optional[int], str], int]] = None
         self._node_info_list: Optional[List[Tuple[Optional[Instance], str]]] = None
         self._node_owner: Optional[np.ndarray] = None
         self._node_pname: Optional[np.ndarray] = None
         self._num_nodes = 0
         # Tuple adjacency is built lazily from the flat arrays — the
-        # vectorized paths never touch it (see arcs/preds properties).
+        # flow never touches it (see arcs/preds properties).
         self._arcs: Optional[List[List[Tuple[int, str, object]]]] = None
         self._preds: Optional[List[List[Tuple[int, str, object]]]] = None
         self._wire_in: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -97,12 +94,7 @@ class TimingGraph:
         self._c_out_net: Optional[np.ndarray] = None
         self._c_out_inst: Optional[np.ndarray] = None
         self._c_nin: Optional[np.ndarray] = None  # inputs per (inst, output)
-        if use_arrays:
-            self._build_arrays()
-        else:
-            self._node_of_map = {}
-            self._node_info_list = []
-            self._build_reference()
+        self._build_arrays()
         self.levelize()
 
     # ------------------------------------------------------------------
@@ -196,11 +188,11 @@ class TimingGraph:
     def _build_adjacency(self) -> None:
         """Materialize arcs/preds from the flat arrays.
 
-        Reproduces the historical construction order exactly: wire arcs
-        net-major in net-index order, then cell arcs output-major in
-        instance order with inputs in pin order.  Only the scalar
-        reference engines walk these lists; the vectorized flow runs
-        entirely on the flat arrays.
+        Construction order: wire arcs net-major in net-index order,
+        then cell arcs output-major in instance order with inputs in
+        pin order.  An inspection view (tests, the per-arc oracle in
+        ``tests/sta/reference.py``); the flow runs entirely on the
+        flat arrays.
         """
         n = self.num_nodes
         arcs: List[List[Tuple[int, str, object]]] = [[] for _ in range(n)]
@@ -258,19 +250,20 @@ class TimingGraph:
     def _build_arrays(self) -> None:
         """Array-native graph construction from the design's CSR form.
 
-        Reproduces :meth:`_build_reference` bit for bit — node ids,
-        arc order, startpoint/endpoint order — without touching the
-        object graph.  The trick is node-id assignment: the reference
-        numbers nodes by first occurrence in its visitation sequence
-        (all ports, then wire pins net-major with driver first, then
-        cell pins instance-major).  Inside one combinational instance
-        the reference's ``out0, in..., out1, in...(dup)`` walk has
-        first occurrences ``out0, in..., out1..`` — so the equivalent
-        flat sequence is built by ordering each instance's connected
-        pins by (section, declaration slot) with sections
-        ``first-out=0, inputs=1, remaining outs=2`` (sequential cells:
-        ``outs=0, inputs=1``).  One global ``np.unique`` then ranks
-        keys by first position to mint the identical ids.
+        Reproduces the object-graph walk kept as the tests' oracle
+        (``tests/sta/reference.py``) bit for bit — node ids, arc order,
+        startpoint/endpoint order — without touching the object graph.
+        The trick is node-id assignment: the walk numbers nodes by
+        first occurrence in its visitation sequence (all ports, then
+        wire pins net-major with driver first, then cell pins
+        instance-major).  Inside one combinational instance its
+        ``out0, in..., out1, in...(dup)`` walk has first occurrences
+        ``out0, in..., out1..`` — so the equivalent flat sequence is
+        built by ordering each instance's connected pins by (section,
+        declaration slot) with sections ``first-out=0, inputs=1,
+        remaining outs=2`` (sequential cells: ``outs=0, inputs=1``).
+        One global ``np.unique`` then ranks keys by first position to
+        mint the identical ids.
         """
         from repro.netlist.arrays import DIR_INPUT, DIR_OUTPUT
 
@@ -419,128 +412,6 @@ class TimingGraph:
         self.startpoints.extend(port_ids[is_input & not_clock].tolist())
         self.endpoints.extend(port_ids[~is_input].tolist())
 
-    def _build_reference(self) -> None:
-        design = self.design
-        node_of = self._node_of
-        node_info = self._node_info
-
-        # Create nodes for every port so they exist even when floating.
-        for name in design.ports:
-            self.node(None, name)
-
-        # Wire arcs (node() inlined: one dict probe per pin reference).
-        w_src: List[int] = []
-        w_dst: List[int] = []
-        w_net: List[int] = []
-        w_cnt: List[int] = []
-        for net in design.nets:
-            driver = net.driver
-            if driver is None or net.is_clock:
-                continue
-            inst = driver.instance
-            key = (inst.index if inst is not None else None, driver.pin_name)
-            u = node_of.get(key)
-            if u is None:
-                u = len(node_info)
-                node_of[key] = u
-                node_info.append((inst, driver.pin_name))
-            count = 0
-            for sink in net.sinks:
-                si = sink.instance
-                key = (si.index if si is not None else None, sink.pin_name)
-                v = node_of.get(key)
-                if v is None:
-                    v = len(node_info)
-                    node_of[key] = v
-                    node_info.append((si, sink.pin_name))
-                w_dst.append(v)
-                count += 1
-            w_src.append(u)
-            w_net.append(net.index)
-            w_cnt.append(count)
-
-        # Cell arcs.  Per-master pin-name lists are memoized: the
-        # MasterCell accessors rebuild them on every call.
-        c_src: List[int] = []
-        c_out_node: List[int] = []
-        c_out_net: List[int] = []
-        c_out_inst: List[int] = []
-        c_nin: List[int] = []
-        pins_of_master: Dict[int, Tuple[List[str], List[str], bool]] = {}
-        startpoints = self.startpoints
-        endpoints = self.endpoints
-        for inst in design.instances:
-            master = inst.master
-            cached = pins_of_master.get(id(master))
-            if cached is None:
-                cached = (
-                    [p.name for p in master.output_pins()],
-                    [p.name for p in master.input_pins()],
-                    master.is_sequential,
-                )
-                pins_of_master[id(master)] = cached
-            out_names, in_names, is_seq = cached
-            pin_nets = inst.pin_nets
-            outputs = [p for p in out_names if pin_nets.get(p) is not None]
-            if is_seq:
-                # Q pins launch paths (clock arrives at t=0, so arrival
-                # at Q is clk_to_q, applied by the analyzer).  D-type
-                # inputs are endpoints even when Q is unused.
-                for out in outputs:
-                    startpoints.append(self.node(inst, out))
-                for d in in_names:
-                    if pin_nets.get(d) is not None:
-                        endpoints.append(self.node(inst, d))
-            elif not outputs:
-                continue
-            else:
-                inputs = [p for p in in_names if pin_nets.get(p) is not None]
-                inst_index = inst.index
-                for out in outputs:
-                    key = (inst_index, out)
-                    out_node = node_of.get(key)
-                    if out_node is None:
-                        out_node = len(node_info)
-                        node_of[key] = out_node
-                        node_info.append((inst, out))
-                    for inp in inputs:
-                        key = (inst_index, inp)
-                        in_node = node_of.get(key)
-                        if in_node is None:
-                            in_node = len(node_info)
-                            node_of[key] = in_node
-                            node_info.append((inst, inp))
-                        c_src.append(in_node)
-                    if inputs:
-                        c_out_node.append(out_node)
-                        c_out_net.append(pin_nets[out].index)
-                        c_out_inst.append(inst_index)
-                        c_nin.append(len(inputs))
-
-        # Ports: input ports with a driven net are startpoints; output
-        # ports are endpoints.
-        for name, port in design.ports.items():
-            key = (None, name)
-            if key not in node_of:
-                continue
-            node_id = node_of[key]
-            if port.direction is PinDirection.INPUT:
-                clock_like = name == design.clock_port
-                if not clock_like:
-                    startpoints.append(node_id)
-            else:
-                endpoints.append(node_id)
-
-        self._w_src = np.asarray(w_src, dtype=np.int64)
-        self._w_dst = np.asarray(w_dst, dtype=np.int64)
-        self._w_net = np.asarray(w_net, dtype=np.int64)
-        self._w_cnt = np.asarray(w_cnt, dtype=np.int64)
-        self._c_src = np.asarray(c_src, dtype=np.int64)
-        self._c_out_node = np.asarray(c_out_node, dtype=np.int64)
-        self._c_out_net = np.asarray(c_out_net, dtype=np.int64)
-        self._c_out_inst = np.asarray(c_out_inst, dtype=np.int64)
-        self._c_nin = np.asarray(c_nin, dtype=np.int64)
-
     # ------------------------------------------------------------------
     def flat_arc_arrays(self) -> Tuple[np.ndarray, np.ndarray, int]:
         """(src, dst, num_wire_arcs): arcs in creation order."""
@@ -560,9 +431,6 @@ class TimingGraph:
         the arc that zeroed their in-degree in the wave's arc stream.
         Also fills :attr:`levels` (longest-path depth per node).
         """
-        if self._w_src is None:
-            self._levelize_scalar()
-            return
         n = self.num_nodes
         src, dst, _nw = self.flat_arc_arrays()
         m = len(src)
@@ -608,28 +476,6 @@ class TimingGraph:
             )
         self.topo_order = np.concatenate(chunks).tolist()
         self.levels = level
-
-    def _levelize_scalar(self) -> None:
-        """Reference deque-based Kahn levelization."""
-        n = self.num_nodes
-        indeg = [len(self.preds[v]) for v in range(n)]
-        queue = deque(v for v in range(n) if indeg[v] == 0)
-        order: List[int] = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v, _kind, _payload in self.arcs[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(order) != n:
-            remaining = [self.node_name(v) for v in range(n) if indeg[v] > 0]
-            raise ValueError(
-                f"combinational loop detected among {len(remaining)} pins, "
-                f"e.g. {remaining[:4]}"
-            )
-        self.topo_order = order
-        self.levels = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         num_arcs = len(self._w_dst) + len(self._c_src)

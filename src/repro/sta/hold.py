@@ -14,13 +14,13 @@ report hold WNS/TNS alongside setup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
 
 from repro.sta.analysis import TimingAnalyzer
+from repro.sta.flat import flat_for
 
 
 @dataclass
@@ -48,9 +48,10 @@ def analyze_hold(
 ) -> HoldReport:
     """Min-arrival propagation over the analyzer's graph + wire model.
 
-    Reuses the analyzer's arc delays (same geometry) with min instead
-    of max accumulation.  Only sequential D-type endpoints are checked
-    (output ports have no hold requirement in this single-clock model).
+    One flat min-propagation over the analyzer's arc delays (the last
+    update's, or fresh ones when none is current).  Only sequential
+    D-type endpoints are checked (output ports have no hold
+    requirement in this single-clock model).
 
     Args:
         analyzer: Setup analyzer providing graph, wire model and clock
@@ -60,85 +61,35 @@ def analyze_hold(
             flows constrain; without it every input-to-D endpoint
             trivially fails hold).
     """
-    graph = analyzer.graph
-    n = graph.num_nodes
-
-    # Fast path: min-propagate over the flat compilation, reusing the
-    # per-arc delays the last (clean) vectorized update computed.
-    state = getattr(analyzer, "_state", None)
-    if state is not None and analyzer._dirty is None:
-        from repro.sta.flat import flat_for
-
-        flat = flat_for(graph)
-        arr = np.full(n, np.inf)
-        if len(flat.s_nodes):
-            launch = np.where(
-                flat.s_isport, input_min_delay, flat.s_launch
-            )
-            np.minimum.at(arr, flat.s_nodes, launch)
-        fsrc = flat.f_src
-        fdst = flat.f_dst
-        df = state.delay_f
-        for lvl in range(1, flat.max_level + 1):
-            a0 = flat.wave_f[lvl]
-            a1 = flat.wave_f[lvl + 1]
-            if a0 == a1:
-                continue
-            starts = flat.seg_f[flat.wave_seg_f[lvl] : flat.wave_seg_f[lvl + 1]]
-            cand = arr[fsrc[a0:a1]] + df[a0:a1]
-            segmin = np.minimum.reduceat(cand, starts - a0)
-            vs = fdst[starts]
-            arr[vs] = np.minimum(arr[vs], segmin)
-        e = flat.e_nodes
-        keep = flat.e_isseq & (arr[e] != np.inf) if len(e) else np.empty(0, bool)
-        kept_nodes = e[keep]
-        slack = arr[kept_nodes] - (
-            flat.e_hold[keep] + analyzer.clock_uncertainty
-        )
-        wns = float(slack.min()) if len(slack) else 0.0
-        tns = 0.0
-        neg = slack[slack < 0]
-        if len(neg):
-            tns = float(np.cumsum(neg)[-1])
-        return HoldReport(
-            wns=wns,
-            tns=tns,
-            endpoint_slacks=dict(zip(kept_nodes.tolist(), slack.tolist())),
-        )
-
-    arrival = [math.inf] * n
-    for s in graph.startpoints:
-        inst, _pin = graph.info(s)
-        if inst is None:
-            launch = input_min_delay
-        else:
-            launch = inst.master.clk_to_q
-        arrival[s] = min(arrival[s], launch)
-
-    for u in graph.topo_order:
-        if arrival[u] == math.inf:
+    flat = flat_for(analyzer.graph)
+    arr = np.full(flat.num_nodes, np.inf)
+    if len(flat.s_nodes):
+        launch = np.where(flat.s_isport, input_min_delay, flat.s_launch)
+        np.minimum.at(arr, flat.s_nodes, launch)
+    fsrc = flat.f_src
+    fdst = flat.f_dst
+    df = analyzer.forward_delays(flat)
+    for lvl in range(1, flat.max_level + 1):
+        a0 = flat.wave_f[lvl]
+        a1 = flat.wave_f[lvl + 1]
+        if a0 == a1:
             continue
-        au = arrival[u]
-        for v, kind, payload in graph.arcs[u]:
-            candidate = au + analyzer._arc_delay(u, v, kind, payload)
-            if candidate < arrival[v]:
-                arrival[v] = candidate
-
-    wns = math.inf
+        starts = flat.seg_f[flat.wave_seg_f[lvl] : flat.wave_seg_f[lvl + 1]]
+        cand = arr[fsrc[a0:a1]] + df[a0:a1]
+        segmin = np.minimum.reduceat(cand, starts - a0)
+        vs = fdst[starts]
+        arr[vs] = np.minimum(arr[vs], segmin)
+    e = flat.e_nodes
+    keep = flat.e_isseq & (arr[e] != np.inf) if len(e) else np.empty(0, bool)
+    kept_nodes = e[keep]
+    slack = arr[kept_nodes] - (flat.e_hold[keep] + analyzer.clock_uncertainty)
+    wns = float(slack.min()) if len(slack) else 0.0
     tns = 0.0
-    endpoint_slacks: Dict[int, float] = {}
-    for e in graph.endpoints:
-        inst, _pin = graph.info(e)
-        if inst is None or not inst.master.is_sequential:
-            continue
-        if arrival[e] == math.inf:
-            continue
-        requirement = inst.master.hold_time + analyzer.clock_uncertainty
-        slack = arrival[e] - requirement
-        endpoint_slacks[e] = slack
-        wns = min(wns, slack)
-        if slack < 0:
-            tns += slack
-    if wns == math.inf:
-        wns = 0.0
-    return HoldReport(wns=wns, tns=tns, endpoint_slacks=endpoint_slacks)
+    neg = slack[slack < 0]
+    if len(neg):
+        tns = float(np.cumsum(neg)[-1])
+    return HoldReport(
+        wns=wns,
+        tns=tns,
+        endpoint_slacks=dict(zip(kept_nodes.tolist(), slack.tolist())),
+    )

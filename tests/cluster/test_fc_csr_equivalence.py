@@ -1,7 +1,8 @@
-"""CSR FC pass == dict-accumulation reference, bit for bit.
+"""CSR FC pass == dict-accumulation oracle, bit for bit.
 
 The vectorized neighbour-rating kernel (:func:`repro.cluster.fc._rating_rows`)
-must reproduce the reference pass's ratings *and* its tie-breaking: the
+must reproduce the oracle pass's (``tests/cluster/reference.py``)
+ratings *and* its tie-breaking: the
 candidate visit order equals the reference dict's first-occurrence
 order, and duplicate contributions sum in hyperedge order.  Any drift
 shows up here as a different cluster assignment for the same seed.
@@ -13,14 +14,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.constraints import GroupingConstraints
-from repro.cluster.fc import (
-    FirstChoiceConfig,
-    _fc_pass,
-    _fc_pass_reference,
-    first_choice_clustering,
-)
+from repro.cluster import fc as fc_module
+from repro.cluster.fc import FirstChoiceConfig, _fc_pass, first_choice_clustering
 from repro.designs import load_benchmark
 from repro.netlist.hypergraph import Hypergraph
+from tests.cluster.reference import fc_pass_reference
 
 
 def random_hypergraph(seed, n=120, m=180, max_degree=6):
@@ -40,7 +38,7 @@ def _both_passes(hg, scores, groups, max_area, seed, **kwargs):
     fast = _fc_pass(
         hg, scores, hg.vertex_areas, groups, max_area, random.Random(seed), **kwargs
     )
-    ref = _fc_pass_reference(
+    ref = fc_pass_reference(
         hg, scores, hg.vertex_areas, groups, max_area, random.Random(seed), **kwargs
     )
     return fast, ref
@@ -91,9 +89,9 @@ class TestFcPassEquivalence:
         fast, ref = _both_passes(hg, hg.edge_weights, groups, 100.0, 0)
         assert np.array_equal(fast, ref)
 
-    def test_real_benchmark_full_clustering(self):
+    def test_real_benchmark_full_clustering(self, monkeypatch):
         """End-to-end multilevel FC on a real netlist is deterministic
-        and equals a run with the reference pass swapped in."""
+        and equals a run with the oracle pass swapped in."""
         design = load_benchmark("aes", use_cache=False)
         hg = Hypergraph.from_design(design)
         config = FirstChoiceConfig(target_clusters=50, seed=0)
@@ -101,12 +99,6 @@ class TestFcPassEquivalence:
         second = first_choice_clustering(hg, config)
         assert np.array_equal(first, second)
 
-        import repro.cluster.fc as fc_module
-
-        original = fc_module._fc_pass
-        fc_module._fc_pass = fc_module._fc_pass_reference
-        try:
-            reference = first_choice_clustering(hg, config)
-        finally:
-            fc_module._fc_pass = original
+        monkeypatch.setattr(fc_module, "_fc_pass", fc_pass_reference)
+        reference = first_choice_clustering(hg, config)
         assert np.array_equal(first, reference)

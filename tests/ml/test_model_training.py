@@ -174,9 +174,11 @@ class TestModel:
         sub = extract_subnetlist(design, members[cluster])
         model = TotalCostGNN(seed=0)
         candidates = default_candidate_grid()
-        blocked = TotalCostPredictor(model, FeatureExtractor(), blocked=True)
-        unblocked = TotalCostPredictor(model, FeatureExtractor(), blocked=False)
-        assert np.array_equal(blocked(sub, candidates), unblocked(sub, candidates))
+        predictor = TotalCostPredictor(model, FeatureExtractor())
+        # Oracle: one sample per candidate through the block-diagonal batch.
+        base = FeatureExtractor().extract(sub)
+        unblocked = model.predict([base.with_shape(c) for c in candidates])
+        assert np.array_equal(predictor(sub, candidates), unblocked)
 
     def test_save_load_roundtrip(self, tmp_path):
         model = TotalCostGNN(seed=1)

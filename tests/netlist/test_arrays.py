@@ -24,6 +24,8 @@ from repro.place.problem import PlacementProblem
 from repro.sta.analysis import TimingAnalyzer
 from repro.sta.delay import PlacementWireModel
 from repro.sta.graph import TimingGraph
+from tests.netlist.reference import hypergraph_reference, placement_problem_reference
+from tests.sta.reference import ReferenceAnalyzer, build_graph_reference
 
 BENCHES = ("aes", "ariane")
 
@@ -44,8 +46,8 @@ class TestConsumerEquivalence:
     def test_hypergraph_identical(self, bench_pair):
         d_arr, d_ref = bench_pair
         for kwargs in ({}, {"include_clock_nets": True}, {"max_edge_degree": 8}):
-            ha = Hypergraph.from_design(d_arr, use_arrays=True, **kwargs)
-            hr = Hypergraph.from_design(d_ref, use_arrays=False, **kwargs)
+            ha = Hypergraph.from_design(d_arr, **kwargs)
+            hr = hypergraph_reference(d_ref, **kwargs)
             assert ha.edges == hr.edges
             assert np.array_equal(ha.edge_weights, hr.edge_weights)
             assert np.array_equal(ha.vertex_areas, hr.vertex_areas)
@@ -55,33 +57,49 @@ class TestConsumerEquivalence:
 
     def test_placement_problem_identical(self, bench_pair):
         d_arr, d_ref = bench_pair
-        pa = PlacementProblem(d_arr, use_arrays=True)
-        pr = PlacementProblem(d_ref, use_arrays=False)
-        for field, ref_value in vars(pr).items():
-            if isinstance(ref_value, np.ndarray):
-                assert np.array_equal(
-                    np.asarray(getattr(pa, field)), ref_value
-                ), field
+        for include_clock in (False, True):
+            pa = PlacementProblem(d_arr, include_clock=include_clock)
+            reference = placement_problem_reference(d_ref, include_clock)
+            assert set(reference) == {
+                field
+                for field, value in vars(pa).items()
+                if isinstance(value, np.ndarray)
+            }
+            for field, ref_value in reference.items():
+                assert np.array_equal(getattr(pa, field), ref_value), field
 
     def test_timing_graph_identical(self, bench_pair):
         d_arr, d_ref = bench_pair
-        ga = TimingGraph(d_arr, use_arrays=True)
-        gr = TimingGraph(d_ref, use_arrays=False)
-        assert ga.num_nodes == gr.num_nodes
-        for built, reference in zip(ga.flat_arc_arrays(), gr.flat_arc_arrays()):
-            assert np.array_equal(np.asarray(built), np.asarray(reference))
+        ga = TimingGraph(d_arr)
+        gr = build_graph_reference(d_ref)
+        assert ga.num_nodes == len(gr.node_names)
+        assert [ga.node_name(i) for i in range(ga.num_nodes)] == gr.node_names
+        src, dst, num_wire = ga.flat_arc_arrays()
+        assert src.tolist() == gr.arc_src
+        assert dst.tolist() == gr.arc_dst
+        assert num_wire == gr.num_wire_arcs
         assert ga.startpoints == gr.startpoints
         assert ga.endpoints == gr.endpoints
         assert ga.topo_order == gr.topo_order
-        assert np.array_equal(ga.levels, gr.levels)
+        assert ga.levels.tolist() == gr.levels
+        # The lazy inspection view lists the same arcs, per source in
+        # creation order, with the net / driving instance as payload.
+        by_src = [[] for _ in range(ga.num_nodes)]
+        for i, (u, v, payload) in enumerate(
+            zip(gr.arc_src, gr.arc_dst, gr.arc_payload)
+        ):
+            kind = TimingGraph.WIRE if i < gr.num_wire_arcs else TimingGraph.CELL
+            by_src[u].append((v, kind, payload))
+        assert [
+            [(v, kind, payload.index) for v, kind, payload in arcs]
+            for arcs in ga.arcs
+        ] == by_src
 
     def test_sta_slacks_identical(self, bench_pair):
         d_arr, d_ref = bench_pair
-        ra = TimingAnalyzer(
-            TimingGraph(d_arr, use_arrays=True), PlacementWireModel(d_arr)
-        ).update()
-        rr = TimingAnalyzer(
-            TimingGraph(d_ref, use_arrays=False), PlacementWireModel(d_ref)
+        ra = TimingAnalyzer(TimingGraph(d_arr), PlacementWireModel(d_arr)).update()
+        rr = ReferenceAnalyzer(
+            TimingGraph(d_ref), PlacementWireModel(d_ref)
         ).update()
         assert ra.wns == rr.wns
         assert ra.tns == rr.tns

@@ -1,0 +1,445 @@
+"""The per-arc / per-object STA bodies, kept as the tests' oracle.
+
+This is the Python the flat engine in ``repro.sta`` replaced (PRs 4
+and 6), moved here when the ``use_arrays`` / ``vectorize`` flags that
+selected it were deleted: the object-graph timing-graph walk, the deque
+Kahn levelization, the per-arc arrival / required propagation, the
+per-arc hold tail and the per-arc activity propagation.  The
+propagation bodies are verbatim; the graph builder is the same walk
+made standalone (it returns plain lists instead of filling a
+``TimingGraph``).  Everything reaches the program through public
+surfaces only — ``graph.arcs`` / ``preds`` / ``topo_order`` / ``info``,
+``WireDelayModel.wire_delay`` / ``net_load`` — and must agree with
+``TimingGraph``, ``TimingAnalyzer``, ``analyze_hold`` and
+``propagate_activity`` bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+from repro.netlist.design import Design, Instance, Net, PinDirection, PinRef
+from repro.sta.activity import ACTIVITY_FLOOR, REGISTER_ACTIVITY, TRANSFER_FACTORS
+from repro.sta.analysis import UNCONSTRAINED_PERIOD, TimingReport
+from repro.sta.delay import (
+    FanoutWireModel,
+    PlacementWireModel,
+    RoutedWireModel,
+    WireDelayModel,
+    effective_cell_delay,
+)
+from repro.sta.graph import TimingGraph
+from repro.sta.hold import HoldReport
+
+
+# ----------------------------------------------------------------------
+# Timing-graph construction (object walk) and levelization (deque Kahn)
+# ----------------------------------------------------------------------
+@dataclass
+class GraphReference:
+    """What the object-graph walk builds, as plain lists.
+
+    Attributes:
+        node_names: ``inst.pin`` / port name per node id.
+        arc_src, arc_dst: Arcs in creation order — wire arcs net-major,
+            then cell arcs output-major.
+        arc_payload: Net index of a wire arc, driving instance index of
+            a cell arc.
+        num_wire_arcs: Length of the wire-arc prefix.
+        startpoints, endpoints: Node ids, in the walk's order.
+        topo_order: FIFO Kahn order.
+        levels: Longest-path depth per node.
+    """
+
+    node_names: List[str]
+    arc_src: List[int]
+    arc_dst: List[int]
+    arc_payload: List[int]
+    num_wire_arcs: int
+    startpoints: List[int]
+    endpoints: List[int]
+    topo_order: List[int]
+    levels: List[int]
+
+
+def build_graph_reference(design: Design) -> GraphReference:
+    """Walk the object graph pin by pin, minting node ids on first visit."""
+    node_of: Dict[Tuple[Optional[int], str], int] = {}
+    node_info: List[Tuple[Optional[Instance], str]] = []
+
+    def node(inst: Optional[Instance], pin_name: str) -> int:
+        key = (inst.index if inst is not None else None, pin_name)
+        node_id = node_of.get(key)
+        if node_id is None:
+            node_id = len(node_info)
+            node_of[key] = node_id
+            node_info.append((inst, pin_name))
+        return node_id
+
+    # Create nodes for every port so they exist even when floating.
+    for name in design.ports:
+        node(None, name)
+
+    # Wire arcs.
+    w_src: List[int] = []
+    w_dst: List[int] = []
+    w_net: List[int] = []
+    for net in design.nets:
+        driver = net.driver
+        if driver is None or net.is_clock:
+            continue
+        u = node(driver.instance, driver.pin_name)
+        for sink in net.sinks:
+            w_src.append(u)
+            w_dst.append(node(sink.instance, sink.pin_name))
+            w_net.append(net.index)
+
+    # Cell arcs.
+    c_src: List[int] = []
+    c_dst: List[int] = []
+    c_inst: List[int] = []
+    startpoints: List[int] = []
+    endpoints: List[int] = []
+    for inst in design.instances:
+        master = inst.master
+        out_names = [p.name for p in master.output_pins()]
+        in_names = [p.name for p in master.input_pins()]
+        pin_nets = inst.pin_nets
+        outputs = [p for p in out_names if pin_nets.get(p) is not None]
+        if master.is_sequential:
+            # Q pins launch paths (clock arrives at t=0, so arrival
+            # at Q is clk_to_q, applied by the analyzer).  D-type
+            # inputs are endpoints even when Q is unused.
+            for out in outputs:
+                startpoints.append(node(inst, out))
+            for d in in_names:
+                if pin_nets.get(d) is not None:
+                    endpoints.append(node(inst, d))
+        elif not outputs:
+            continue
+        else:
+            inputs = [p for p in in_names if pin_nets.get(p) is not None]
+            for out in outputs:
+                out_node = node(inst, out)
+                for inp in inputs:
+                    c_src.append(node(inst, inp))
+                    c_dst.append(out_node)
+                    c_inst.append(inst.index)
+
+    # Ports: input ports with a driven net are startpoints; output
+    # ports are endpoints.
+    for name, port in design.ports.items():
+        node_id = node_of[(None, name)]
+        if port.direction is PinDirection.INPUT:
+            if name != design.clock_port:
+                startpoints.append(node_id)
+        else:
+            endpoints.append(node_id)
+
+    arc_src = w_src + c_src
+    arc_dst = w_dst + c_dst
+    topo_order, levels = levelize_reference(len(node_info), arc_src, arc_dst)
+    return GraphReference(
+        node_names=[
+            pin if inst is None else f"{inst.name}.{pin}" for inst, pin in node_info
+        ],
+        arc_src=arc_src,
+        arc_dst=arc_dst,
+        arc_payload=w_net + c_inst,
+        num_wire_arcs=len(w_src),
+        startpoints=startpoints,
+        endpoints=endpoints,
+        topo_order=topo_order,
+        levels=levels,
+    )
+
+
+def levelize_reference(
+    n: int, arc_src: List[int], arc_dst: List[int]
+) -> Tuple[List[int], List[int]]:
+    """Deque-based Kahn order plus longest-path depth per node."""
+    succs: List[List[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in zip(arc_src, arc_dst):
+        succs[u].append(v)
+        indeg[v] += 1
+    queue = deque(v for v in range(n) if indeg[v] == 0)
+    order: List[int] = []
+    levels = [0] * n
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in succs[u]:
+            levels[v] = max(levels[v], levels[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    if len(order) != n:
+        raise ValueError("combinational loop detected")
+    return order, levels
+
+
+# ----------------------------------------------------------------------
+# Setup propagation (per-arc Python loops)
+# ----------------------------------------------------------------------
+class ReferenceAnalyzer:
+    """Per-arc arrival / required propagation over a ``TimingGraph``.
+
+    Quacks like :class:`~repro.sta.analysis.TimingAnalyzer` as far as
+    ``find_path_ends`` needs (``graph``, ``report``, ``update()``).
+    Every update is a full one at the current geometry.
+    """
+
+    def __init__(
+        self,
+        graph: TimingGraph,
+        wire_model: WireDelayModel,
+        clock_uncertainty: float = 0.0,
+    ) -> None:
+        self.graph = graph
+        self.wire_model = wire_model
+        self.design = graph.design
+        self.clock_uncertainty = clock_uncertainty
+        self.report: Optional[TimingReport] = None
+        self._net_loads: Dict[int, float] = {}
+
+    def _clock_period(self) -> float:
+        period = self.design.clock_period
+        return period if period is not None else UNCONSTRAINED_PERIOD
+
+    def arc_delay(self, u: int, v: int, kind: str, payload: object) -> float:
+        """Delay of one timing arc (ns)."""
+        if kind == TimingGraph.WIRE:
+            net: Net = payload  # type: ignore[assignment]
+            inst, pin = self.graph.info(v)
+            sink = PinRef(inst, pin)
+            return self.wire_model.wire_delay(net, sink)
+        # Cell arc: linear delay model on the driving output pin,
+        # with virtual buffering of large loads.
+        inst: Instance = payload  # type: ignore[no-redef]
+        _out_inst, out_pin = self.graph.info(v)
+        net = inst.net_on(out_pin)
+        if net is not None:
+            load = self._net_loads.get(net.index)
+            if load is None:
+                load = self.wire_model.net_load(net)
+                self._net_loads[net.index] = load
+        else:
+            load = 0.0
+        master = inst.master
+        return effective_cell_delay(
+            master.intrinsic_delay, master.drive_resistance, load
+        )
+
+    def _startpoint_arrival(self, node: int) -> float:
+        """Launch time at a startpoint."""
+        inst, pin = self.graph.info(node)
+        if inst is None:
+            return 0.0  # input port (no explicit input delay by default)
+        return inst.master.clk_to_q  # sequential Q launch
+
+    def _endpoint_required(self, node: int, period: float) -> float:
+        """Capture requirement at an endpoint."""
+        inst, pin = self.graph.info(node)
+        if inst is None:
+            return period - self.clock_uncertainty  # output port
+        # Sequential D-type input.
+        return period - inst.master.setup_time - self.clock_uncertainty
+
+    def update(self) -> TimingReport:
+        graph = self.graph
+        n = graph.num_nodes
+        period = self._clock_period()
+        # Net loads depend only on the current geometry: cache them for
+        # the duration of this update (cleared on every update so the
+        # analyzer stays safe to re-run after placement moves).
+        self._net_loads = {}
+
+        arrival = [-math.inf] * n
+        worst_pred = [-1] * n
+        for s in graph.startpoints:
+            arrival[s] = max(arrival[s], self._startpoint_arrival(s))
+
+        for u in graph.topo_order:
+            if arrival[u] == -math.inf:
+                continue
+            au = arrival[u]
+            for v, kind, payload in graph.arcs[u]:
+                candidate = au + self.arc_delay(u, v, kind, payload)
+                if candidate > arrival[v]:
+                    arrival[v] = candidate
+                    worst_pred[v] = u
+
+        required = [math.inf] * n
+        endpoint_slacks: Dict[int, float] = {}
+        for e in graph.endpoints:
+            required[e] = min(required[e], self._endpoint_required(e, period))
+
+        for v in reversed(graph.topo_order):
+            rv = required[v]
+            if rv == math.inf:
+                continue
+            for u, kind, payload in graph.preds[v]:
+                candidate = rv - self.arc_delay(u, v, kind, payload)
+                if candidate < required[u]:
+                    required[u] = candidate
+
+        wns = math.inf
+        tns = 0.0
+        for e in graph.endpoints:
+            if arrival[e] == -math.inf:
+                continue  # unreachable endpoint: unconstrained
+            slack = required[e] - arrival[e]
+            endpoint_slacks[e] = slack
+            wns = min(wns, slack)
+            if slack < 0:
+                tns += slack
+        if wns == math.inf:
+            wns = period  # no constrained endpoints at all
+
+        self.report = TimingReport(
+            wns=wns,
+            tns=tns,
+            endpoint_slacks=endpoint_slacks,
+            arrival=arrival,
+            required=required,
+            worst_pred=worst_pred,
+        )
+        return self.report
+
+
+# ----------------------------------------------------------------------
+# Hold (per-arc min-propagation)
+# ----------------------------------------------------------------------
+def analyze_hold_reference(
+    analyzer: ReferenceAnalyzer, input_min_delay: float = 0.05
+) -> HoldReport:
+    """Min-arrival propagation, one arc at a time, at the current geometry."""
+    graph = analyzer.graph
+    n = graph.num_nodes
+    analyzer._net_loads = {}
+
+    arrival = [math.inf] * n
+    for s in graph.startpoints:
+        inst, _pin = graph.info(s)
+        if inst is None:
+            launch = input_min_delay
+        else:
+            launch = inst.master.clk_to_q
+        arrival[s] = min(arrival[s], launch)
+
+    for u in graph.topo_order:
+        if arrival[u] == math.inf:
+            continue
+        au = arrival[u]
+        for v, kind, payload in graph.arcs[u]:
+            candidate = au + analyzer.arc_delay(u, v, kind, payload)
+            if candidate < arrival[v]:
+                arrival[v] = candidate
+
+    wns = math.inf
+    tns = 0.0
+    endpoint_slacks: Dict[int, float] = {}
+    for e in graph.endpoints:
+        inst, _pin = graph.info(e)
+        if inst is None or not inst.master.is_sequential:
+            continue
+        if arrival[e] == math.inf:
+            continue
+        requirement = inst.master.hold_time + analyzer.clock_uncertainty
+        slack = arrival[e] - requirement
+        endpoint_slacks[e] = slack
+        wns = min(wns, slack)
+        if slack < 0:
+            tns += slack
+    if wns == math.inf:
+        wns = 0.0
+    return HoldReport(wns=wns, tns=tns, endpoint_slacks=endpoint_slacks)
+
+
+# ----------------------------------------------------------------------
+# Switching activity (per-arc)
+# ----------------------------------------------------------------------
+def propagate_activity_reference(
+    graph: TimingGraph,
+    default_input_activity: float = 0.1,
+) -> Dict[int, float]:
+    """Per-arc activity propagation; annotates the nets like the flat one."""
+    design = graph.design
+    n = graph.num_nodes
+    activity = [0.0] * n
+
+    for s in graph.startpoints:
+        inst, _pin = graph.info(s)
+        if inst is None:
+            activity[s] = default_input_activity
+        else:
+            activity[s] = REGISTER_ACTIVITY
+
+    # Mean-input accumulation per combinational output node.
+    input_sum = [0.0] * n
+    input_cnt = [0] * n
+    for u in graph.topo_order:
+        a_u = activity[u]
+        for v, kind, _payload in graph.arcs[u]:
+            if kind == TimingGraph.WIRE:
+                # Wires carry activity unchanged.
+                if a_u > activity[v]:
+                    activity[v] = a_u
+            else:  # cell arc: accumulate for mean at output
+                input_sum[v] += a_u
+                input_cnt[v] += 1
+                inst, _pin = graph.info(v)
+                factor = TRANSFER_FACTORS.get(inst.master.cell_class, 0.6)
+                mean_in = input_sum[v] / input_cnt[v]
+                activity[v] = max(ACTIVITY_FLOOR, factor * mean_in)
+
+    net_activity: Dict[int, float] = {}
+    for net in design.nets:
+        if net.is_clock:
+            net.switching_activity = 1.0
+            net_activity[net.index] = 1.0
+            continue
+        if net.driver is None:
+            continue
+        node = graph.node_for_ref(net.driver)
+        a = max(ACTIVITY_FLOOR, activity[node])
+        if math.isnan(a):  # pragma: no cover - defensive
+            a = ACTIVITY_FLOOR
+        net.switching_activity = a
+        net_activity[net.index] = a
+    return net_activity
+
+
+# ----------------------------------------------------------------------
+# The three built-in wire models, for parametrizing equivalence tests
+# ----------------------------------------------------------------------
+def scatter(design: Design) -> Design:
+    """Give every movable instance a distinct deterministic location in
+    the core (generated designs start with all cells at the origin, where
+    every placement-based wire length is zero)."""
+    fp = design.floorplan
+    for inst in design.instances:
+        if not inst.fixed:
+            inst.x = fp.core_llx + (inst.index * 37 % 101) / 101.0 * fp.core_width
+            inst.y = fp.core_lly + (inst.index * 53 % 89) / 89.0 * fp.core_height
+    return design
+
+
+def routed_wire_model(design: Design) -> RoutedWireModel:
+    """A routed model with detoured lengths on every other net (the
+    rest fall back to placement HPWL, covering both branches)."""
+    placed = PlacementWireModel(design)
+    lengths = {
+        net.index: 1.25 * placed.net_wirelength(net) + 1.0
+        for net in design.nets
+        if net.index % 2 == 0
+    }
+    return RoutedWireModel(design, lengths)
+
+
+#: ``design -> model`` factories; pytest ids are their ``__name__``.
+WIRE_MODELS = [PlacementWireModel, FanoutWireModel, routed_wire_model]

@@ -141,19 +141,6 @@ class TestRequiredTimes:
             assert node_slack <= slack_end + 1e-9
 
 
-class TestNetSlacks:
-    def test_net_slacks_cover_wire_arcs(self, toy_analysis):
-        design, _g, _m, analyzer, _r = toy_analysis
-        slacks = analyzer.net_slacks()
-        assert design.net("n1").index in slacks
-        assert design.net("clk_net").index not in slacks
-
-    def test_net_slack_bounded_by_wns(self, toy_analysis):
-        _d, _g, _m, analyzer, report = toy_analysis
-        slacks = analyzer.net_slacks()
-        assert min(slacks.values()) >= report.wns - 1e-9
-
-
 class TestVirtualBuffering:
     def test_small_load_linear(self):
         d = effective_cell_delay(0.02, 0.005, 10.0)

@@ -1,20 +1,18 @@
-"""Vectorized flat STA engine == scalar reference, bit for bit.
+"""Flat STA engine == the per-arc oracle, bit for bit.
 
 The wave-sliced NumPy propagation and the lazily-materialized adjacency
 (:meth:`TimingGraph.wire_in_arrays`) must reproduce the per-arc Python
-reference exactly: same arrivals, requireds, slacks, worst-path
-predecessors and backtracked path nets.
+oracle (``tests/sta/reference.py``) exactly: same arrivals, requireds,
+slacks, worst-path predecessors and backtracked path nets.
 """
-
-import math
 
 import pytest
 
 from repro.designs import load_benchmark
 from repro.sta.analysis import TimingAnalyzer
-from repro.sta.delay import FanoutWireModel, PlacementWireModel
 from repro.sta.graph import TimingGraph
 from repro.sta.paths import find_path_ends
+from tests.sta.reference import WIRE_MODELS, ReferenceAnalyzer, scatter
 
 
 def _designs():
@@ -25,10 +23,10 @@ def _designs():
 def design(request, toy_design):
     if request.param == "toy":
         return toy_design
-    return load_benchmark("aes", use_cache=False)
+    return scatter(load_benchmark("aes", use_cache=False))
 
 
-@pytest.fixture(params=[PlacementWireModel, FanoutWireModel])
+@pytest.fixture(params=WIRE_MODELS)
 def wire_model(request, design):
     return request.param(design)
 
@@ -36,8 +34,8 @@ def wire_model(request, design):
 class TestVectorizedEqualsScalar:
     def test_full_update_bit_identical(self, design, wire_model):
         graph = TimingGraph(design)
-        vec = TimingAnalyzer(graph, wire_model, vectorize=True).update()
-        ref = TimingAnalyzer(TimingGraph(design), wire_model, vectorize=False).update()
+        vec = TimingAnalyzer(graph, wire_model).update()
+        ref = ReferenceAnalyzer(TimingGraph(design), wire_model).update()
         assert vec.wns == ref.wns
         assert vec.tns == ref.tns
         assert vec.endpoint_slacks == ref.endpoint_slacks
@@ -46,8 +44,8 @@ class TestVectorizedEqualsScalar:
         assert list(vec.worst_pred) == list(ref.worst_pred)
 
     def test_paths_bit_identical(self, design, wire_model):
-        vec = TimingAnalyzer(TimingGraph(design), wire_model, vectorize=True)
-        ref = TimingAnalyzer(TimingGraph(design), wire_model, vectorize=False)
+        vec = TimingAnalyzer(TimingGraph(design), wire_model)
+        ref = ReferenceAnalyzer(TimingGraph(design), wire_model)
         vec_paths = find_path_ends(vec, group_count=100)
         ref_paths = find_path_ends(ref, group_count=100)
         assert len(vec_paths) == len(ref_paths) > 0

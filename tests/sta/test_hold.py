@@ -8,6 +8,12 @@ from repro.sta.analysis import TimingAnalyzer
 from repro.sta.delay import PlacementWireModel
 from repro.sta.graph import TimingGraph
 from repro.sta.hold import analyze_hold
+from tests.sta.reference import (
+    WIRE_MODELS,
+    ReferenceAnalyzer,
+    analyze_hold_reference,
+    scatter,
+)
 
 
 def back_to_back_ffs(gate_chain=1):
@@ -122,3 +128,47 @@ class TestHoldAnalysis:
             TimingAnalyzer(graph, PlacementWireModel(small_design))
         )
         assert report.wns >= 0
+
+
+def _assert_hold_identical(flat, reference):
+    assert flat.wns == reference.wns
+    assert flat.tns == reference.tns
+    assert flat.endpoint_slacks == reference.endpoint_slacks
+
+
+@pytest.mark.parametrize("make_model", WIRE_MODELS)
+@pytest.mark.parametrize("design_name", ["ffs", "toy", "small"])
+def test_flat_hold_matches_reference(
+    design_name, make_model, toy_design, small_design_fresh
+):
+    """The flat min-propagation equals the per-arc oracle whichever way
+    the analyzer comes by its arc delays: none yet (fresh), the last
+    update's, or recomputed because nets were invalidated since."""
+    design = {
+        "ffs": back_to_back_ffs(gate_chain=2),
+        "toy": toy_design,
+        "small": scatter(small_design_fresh),
+    }[design_name]
+    for master in design.masters.values():
+        if master.is_sequential:
+            master.hold_time = 0.09  # some endpoints fail: tns is exercised
+    model = make_model(design)
+    graph = TimingGraph(design)
+    reference = ReferenceAnalyzer(graph, model, clock_uncertainty=0.01)
+
+    fresh = TimingAnalyzer(graph, model, clock_uncertainty=0.01)
+    expected = analyze_hold_reference(reference)
+    assert expected.endpoint_slacks
+    _assert_hold_identical(analyze_hold(fresh), expected)
+
+    updated = TimingAnalyzer(graph, model, clock_uncertainty=0.01)
+    updated.update()
+    _assert_hold_identical(analyze_hold(updated), expected)
+
+    dirty = set()
+    for k, inst in enumerate(design.instances[::3]):
+        inst.x += 3.0 + k % 5
+        inst.y -= 1.5
+        dirty.update(net.index for net in inst.pin_nets.values())
+    updated.invalidate_nets(dirty)
+    _assert_hold_identical(analyze_hold(updated), analyze_hold_reference(reference))

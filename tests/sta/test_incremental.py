@@ -18,6 +18,7 @@ from repro.sta.analysis import TimingAnalyzer
 from repro.sta.delay import FanoutWireModel, PlacementWireModel
 from repro.sta.graph import TimingGraph
 from repro.sta.paths import find_path_ends
+from tests.sta.reference import propagate_activity_reference
 
 
 @pytest.fixture(autouse=True)
@@ -139,11 +140,11 @@ class TestIncrementalRandomized:
             full = fresh.update()
             _assert_reports_identical(incremental, full)
             _assert_paths_identical(analyzer, fresh)
-            # Activity rides on the same graph compilation; the
-            # vectorized and scalar propagations must agree after the
+            # Activity rides on the same graph compilation; the flat
+            # propagation and the per-arc oracle must agree after the
             # perturbation too.
-            assert propagate_activity(graph, vectorize=True) == pytest.approx(
-                propagate_activity(TimingGraph(design), vectorize=False)
+            assert propagate_activity(graph) == pytest.approx(
+                propagate_activity_reference(TimingGraph(design))
             )
 
     def test_fanout_model_rounds(self, aes):

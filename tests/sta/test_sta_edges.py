@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.designs.nangate45 import make_library
-from repro.netlist.design import Design, PinDirection
+from repro.netlist.design import Design, PinDirection, PinRef
 from repro.sta import (
     PlacementWireModel,
     TimingAnalyzer,
@@ -100,3 +100,30 @@ class TestPathEdgeCases:
         report = TimingAnalyzer(graph, PlacementWireModel(design)).update()
         for slack in report.endpoint_slacks.values():
             assert math.isfinite(slack)
+
+
+class TestUnsupportedInputsAreDiagnosed:
+    """Inputs the flat engine has no kernel for raise; there is no
+    per-arc engine to drop to silently."""
+
+    def test_custom_wire_model_rejected_at_construction(self, toy_design):
+        class HalfDistanceModel(PlacementWireModel):
+            def sink_distance(self, net, sink):
+                return 0.5 * super().sink_distance(net, sink)
+
+        graph = TimingGraph(toy_design)
+        with pytest.raises(TypeError) as excinfo:
+            TimingAnalyzer(graph, HalfDistanceModel(toy_design))
+        message = str(excinfo.value)
+        assert "HalfDistanceModel" in message
+        for supported in ("FanoutWireModel", "PlacementWireModel", "RoutedWireModel"):
+            assert supported in message
+
+    def test_pin_with_wire_and_cell_in_arcs_rejected(self, toy_design):
+        # connect() cannot do this: list an output pin as a net's sink.
+        u3 = toy_design.instance("u3")
+        toy_design.net("n_in1").sinks.append(PinRef(u3, "Y"))
+        toy_design.bump_structure_version()
+        graph = TimingGraph(toy_design)
+        with pytest.raises(ValueError, match=r"u3\.Y"):
+            propagate_activity(graph)
