@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro import perf
+from repro import obs
 from repro.cache.keys import SCHEMA
 from repro.ioutil import atomic_write_bytes
 from repro.recovery import faults
@@ -156,24 +156,24 @@ class EvaluationCache:
         try:
             record = json.loads(path.read_text())
         except FileNotFoundError:
-            perf.count("vpr.cache.miss")
+            obs.count("vpr.cache.miss")
             self.session_misses += 1
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            perf.count("vpr.cache.corrupt")
-            perf.count("vpr.cache.miss")
+            obs.count("vpr.cache.corrupt")
+            obs.count("vpr.cache.miss")
             self.session_misses += 1
             self._discard(path)
             return None
         if record.get("schema") != SCHEMA or not all(
             k in record for k in _REQUIRED
         ):
-            perf.count("vpr.cache.corrupt")
-            perf.count("vpr.cache.miss")
+            obs.count("vpr.cache.corrupt")
+            obs.count("vpr.cache.miss")
             self.session_misses += 1
             self._discard(path)
             return None
-        perf.count("vpr.cache.hit")
+        obs.count("vpr.cache.hit")
         self.session_hits += 1
         try:
             os.utime(path)
@@ -196,7 +196,7 @@ class EvaluationCache:
             os.utime(self._entry_path(key))
         except OSError:
             return False
-        perf.count("vpr.cache.touch")
+        obs.count("vpr.cache.touch")
         return True
 
     def note_lookup(self, hit: bool) -> None:
@@ -231,7 +231,7 @@ class EvaluationCache:
             json.dumps(payload, sort_keys=True).encode(),
             durable=False,
         )
-        perf.count("vpr.cache.store")
+        obs.count("vpr.cache.store")
         self.session_stores += 1
         if not self._marker_written:
             self._write_marker()
@@ -362,7 +362,7 @@ class EvaluationCache:
             count -= 1
             total -= size
         if evicted:
-            perf.count("vpr.cache.evict", evicted)
+            obs.count("vpr.cache.evict", evicted)
         return evicted
 
     def clear(self) -> int:

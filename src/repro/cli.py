@@ -441,16 +441,16 @@ def _load_design(args):
 
 
 def _cmd_flow(args) -> int:
-    import contextlib
     import os
 
-    from repro import perf
+    from repro import obs, perf
     from repro.core import (
         ClusteredPlacementFlow,
         FlowConfig,
         blob_placement_flow,
         default_flow,
     )
+    from repro.core.reporting import flow_qor_summary
     from repro.core.vpr import RandomShapeSelector, UniformShapeSelector
 
     perf_path = getattr(args, "perf_report", None)
@@ -458,34 +458,6 @@ def _cmd_flow(args) -> int:
     monitor_on = bool(getattr(args, "monitor", False))
     if monitor_on and not telemetry_dir:
         raise SystemExit("--monitor requires --telemetry DIR")
-    if perf_path or telemetry_dir:
-        # Telemetry runs embed the perf report in run.json.
-        perf.enable()
-        perf.reset()
-    if telemetry_dir:
-        from repro import telemetry
-
-        telemetry.enable(telemetry_dir)
-        telemetry.event(
-            "run.config",
-            command="flow",
-            benchmark=getattr(args, "benchmark", None),
-            flow=args.flow,
-            tool=args.tool,
-            clustering=args.clustering,
-            shapes=args.shapes,
-            routing=not args.no_routing,
-            jobs=args.jobs,
-            seed=args.seed,
-            version=__version__,
-        )
-    profile_path = os.environ.get("REPRO_PROFILE")
-    profile_ctx = (
-        perf.cprofile_to(profile_path, top=25)
-        if profile_path
-        else contextlib.nullcontext()
-    )
-
     checkpoint_dir = getattr(args, "checkpoint", None)
     if args.resume and not checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint DIR")
@@ -497,18 +469,26 @@ def _cmd_flow(args) -> int:
     if getattr(args, "fleet", 0) and args.flow != "ours":
         raise SystemExit("--fleet is only supported with --flow ours")
 
-    design = _load_design(args)
     run_routing = not args.no_routing
-    monitor_summary = None
-    if monitor_on:
-        from repro import monitor
-
-        monitor.enable(telemetry_dir)
-        monitor.set_meta(
-            design=design.name, flow=args.flow, jobs=args.jobs, seed=args.seed
-        )
-    try:
-        with profile_ctx:
+    with obs.run(
+        perf_report=perf_path,
+        telemetry_dir=telemetry_dir,
+        monitor=monitor_on,
+        command="flow",
+        benchmark=getattr(args, "benchmark", None),
+        flow=args.flow,
+        tool=args.tool,
+        clustering=args.clustering,
+        shapes=args.shapes,
+        routing=run_routing,
+        jobs=args.jobs,
+        seed=args.seed,
+        version=__version__,
+    ) as run:
+        design = _load_design(args)
+        run.meta.update(design=design.name, instances=design.num_instances)
+        obs.set_meta(design=design.name)
+        with perf.cprofile_to(os.environ.get("REPRO_PROFILE"), top=25):
             if args.flow == "default":
                 result = default_flow(
                     design, tool=args.tool, run_routing=run_routing, seed=args.seed
@@ -538,33 +518,11 @@ def _cmd_flow(args) -> int:
                     fleet_spawn=not getattr(args, "fleet_external", False),
                 )
                 result = ClusteredPlacementFlow(config).run(design)
-    except BaseException as exc:
-        # Leave a final "failed" status.json behind so `repro top` (and
-        # anything polling the run) sees why the updates stopped.
-        if monitor_on:
-            from repro import monitor
-
-            monitor.disable(state="failed", error=repr(exc))
-        raise
-    if monitor_on:
-        from repro import monitor
-
-        session = monitor.get_monitor()
-        monitor.disable(state="done")
-        monitor_summary = session.summary() if session is not None else None
+        run.qor = flow_qor_summary(result)
 
     if perf_path:
-        report = perf.report(
-            meta={
-                "design": design.name,
-                "flow": args.flow,
-                "jobs": args.jobs,
-                "seed": args.seed,
-            }
-        )
-        report.write(perf_path)
         print(f"wrote perf report to {perf_path}")
-        for line in report.summary_lines():
+        for line in run.perf.summary_lines():
             print(f"  {line}")
 
     if getattr(args, "report", None):
@@ -573,35 +531,11 @@ def _cmd_flow(args) -> int:
         write_qor_json(args.report, result, design)
         print(f"wrote QoR report to {args.report}")
 
-    if telemetry_dir:
-        from repro import telemetry
-        from repro.core.reporting import flow_qor_summary
-        from repro.telemetry import render_html
-
-        run = telemetry.run_report(
-            meta={
-                "design": design.name,
-                "instances": design.num_instances,
-                "flow": args.flow,
-                "tool": args.tool,
-                "clustering": args.clustering,
-                "shapes": args.shapes,
-                "jobs": args.jobs,
-                "seed": args.seed,
-                "version": __version__,
-            },
-            qor=flow_qor_summary(result),
-            perf=perf.report().to_dict(),
-            monitor=monitor_summary,
-        )
-        run_path = os.path.join(telemetry_dir, "run.json")
-        run.write(run_path)
-        render_html(run, os.path.join(telemetry_dir, "report.html"))
-        telemetry.disable()
+    if run.report is not None:
         print(
             f"wrote telemetry to {telemetry_dir} "
-            f"({len(run.metrics)} streams, {len(run.spans)} spans, "
-            f"{len(run.events)} events)"
+            f"({len(run.report.metrics)} streams, {len(run.report.spans)} spans, "
+            f"{len(run.report.events)} events)"
         )
 
     m = result.metrics
@@ -867,9 +801,8 @@ def _cmd_cache(args) -> int:
 
 def _cmd_eco(args) -> int:
     import json
-    import os
 
-    from repro import perf
+    from repro import obs
     from repro.eco import EcoError, load_edit_script, run_eco
     from repro.recovery import CheckpointError
 
@@ -877,62 +810,26 @@ def _cmd_eco(args) -> int:
     monitor_on = bool(getattr(args, "monitor", False))
     if monitor_on and not telemetry_dir:
         raise SystemExit("--monitor requires --telemetry DIR")
-    if args.perf_report or telemetry_dir:
-        perf.enable()
-        perf.reset()
-    if telemetry_dir:
-        from repro import telemetry
-
-        telemetry.enable(telemetry_dir)
-        telemetry.event(
-            "run.config", command="eco", checkpoint=args.checkpoint
-        )
-    if monitor_on:
-        from repro import monitor
-
-        monitor.enable(telemetry_dir)
-        monitor.set_meta(command="eco", checkpoint=args.checkpoint)
     try:
-        edits = load_edit_script(args.edits)
-        result = run_eco(args.checkpoint, edits, cache_dir=args.cache)
+        with obs.run(
+            perf_report=args.perf_report,
+            telemetry_dir=telemetry_dir,
+            monitor=monitor_on,
+            command="eco",
+            checkpoint=args.checkpoint,
+        ) as run:
+            edits = load_edit_script(args.edits)
+            result = run_eco(args.checkpoint, edits, cache_dir=args.cache)
+            run.meta.update(edits=len(edits))
+            run.qor = result.qor_summary()
     except (EcoError, CheckpointError) as exc:
-        if monitor_on:
-            from repro import monitor
-
-            monitor.disable(state="failed", error=repr(exc))
         raise SystemExit(f"eco: {exc}")
-    except BaseException as exc:
-        if monitor_on:
-            from repro import monitor
 
-            monitor.disable(state="failed", error=repr(exc))
-        raise
-    if monitor_on:
-        from repro import monitor
-
-        monitor.disable(state="done")
-
-    summary = result.summary()
-    if telemetry_dir:
-        from repro import telemetry
-
-        run = telemetry.run_report(
-            meta={"command": "eco", "checkpoint": args.checkpoint,
-                  "edits": len(edits)},
-            qor=result.qor_summary(),
-            perf=perf.report().to_dict(),
-        )
-        run.write(os.path.join(telemetry_dir, "run.json"))
-        telemetry.disable()
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(result.summary(), fh, indent=2, sort_keys=True)
         print(f"wrote ECO report to {args.report}")
     if args.perf_report:
-        report = perf.report(
-            meta={"checkpoint": args.checkpoint, "edits": len(edits)}
-        )
-        report.write(args.perf_report)
         print(f"wrote perf report to {args.perf_report}")
 
     m = result.metrics

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import monitor
+from repro import obs
 from repro.cluster.constraints import UNGROUPED, GroupingConstraints
 from repro.netlist.hypergraph import Hypergraph
 
@@ -255,11 +255,11 @@ def first_choice_clustering(
     # Coarsening depth is bounded by max_passes but usually exits early
     # (target reached / pass stopped reducing); the progress task's
     # total clamps down to the executed pass count on completion.
-    monitor.start_task("cluster.passes", config.max_passes, unit="passes")
+    obs.start_task("cluster.passes", config.max_passes, unit="passes")
     for _pass in range(config.max_passes):
         if working.num_vertices <= target:
             break
-        monitor.advance("cluster.passes")
+        obs.advance("cluster.passes")
         cluster_of = _fc_pass(
             working,
             working_scores,
@@ -291,7 +291,7 @@ def first_choice_clustering(
         working = coarse
         if num_clusters <= target:
             break
-    monitor.complete("cluster.passes")
+    obs.complete("cluster.passes")
     return assignment
 
 

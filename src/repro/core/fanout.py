@@ -56,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from repro import perf, telemetry
+from repro import obs
 from repro.core import wire
 from repro.recovery import faults
 
@@ -140,7 +140,7 @@ def publish_state(payload: Dict[str, Any], method: str) -> StatePublisher:
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
     segment.buf[: len(blob)] = blob
-    perf.count("vpr.fanout.shm_bytes", len(blob))
+    obs.count("vpr.fanout.shm_bytes", len(blob))
     return StatePublisher(
         token=("shm", segment.name, str(len(blob))), _shm=segment
     )
@@ -204,12 +204,12 @@ def reset_attachments() -> None:
 # ----------------------------------------------------------------------
 class WorkerEnvelope(NamedTuple):
     """What a worker *process* recorded while evaluating a run of items:
-    its perf counters and its telemetry payload (either may be None).
+    its :func:`repro.obs.worker_payload` (None with every output off).
     Only executors that cross a process boundary produce one; it rides
-    on the run's first :class:`ItemOutcome` and the parent folds it in."""
+    on the run's first :class:`ItemOutcome` and the parent folds it in
+    with :func:`repro.obs.merge_worker`."""
 
-    counters: Optional[dict]
-    telemetry: Optional[dict]
+    recorded: Optional[dict]
 
 
 class ItemOutcome(NamedTuple):
@@ -464,7 +464,6 @@ class FleetExecutor(SweepExecutor):
         spawn: bool = True,
         connect_timeout: float = 60.0,
         item_timeout: Optional[float] = None,
-        heartbeat_dir: Optional[str] = None,
         worker_env: Optional[Sequence[Optional[Dict[str, str]]]] = None,
         max_dispatch: int = 2,
         straggler_factor: Optional[float] = 4.0,
@@ -474,7 +473,6 @@ class FleetExecutor(SweepExecutor):
         self.spawn = spawn
         self.connect_timeout = connect_timeout
         self.item_timeout = item_timeout
-        self.heartbeat_dir = heartbeat_dir
         self.worker_env = worker_env
         self.max_dispatch = max(1, int(max_dispatch))
         self.straggler_factor = straggler_factor
@@ -575,8 +573,8 @@ class FleetExecutor(SweepExecutor):
                 raise wire.WireError("state transfer failed")
             conn.settimeout(None)
         except Exception as exc:
-            perf.count("vpr.fleet.connect_failed")
-            telemetry.event(
+            obs.count("vpr.fleet.connect_failed")
+            obs.event(
                 "fleet.connect_failed", worker=label, error=repr(exc)
             )
             try:
@@ -584,17 +582,18 @@ class FleetExecutor(SweepExecutor):
             except OSError:  # pragma: no cover
                 pass
             return None
-        if self.heartbeat_dir:
+        heartbeat_dir = obs.worker_descriptor()["heartbeats"]
+        if heartbeat_dir:
             from repro.monitor.heartbeat import HeartbeatWriter
 
             worker.writer = HeartbeatWriter(
-                self.heartbeat_dir,
+                heartbeat_dir,
                 name=f"{host}-{pid}",
                 pid=pid,
                 host=host,
             )
             worker.writer.beat("connect")
-        telemetry.event("fleet.worker_connected", worker=label)
+        obs.event("fleet.worker_connected", worker=label)
         return worker
 
     def _sync_state(
@@ -606,18 +605,18 @@ class FleetExecutor(SweepExecutor):
                 wire.send_msg(
                     worker.sock, {"type": "state_ref", "digest": digest}
                 )
-                perf.count("vpr.fleet.state_reused")
+                obs.count("vpr.fleet.state_reused")
             else:
                 wire.send_msg(
                     worker.sock,
                     {"type": "state", "digest": digest, "blob": blob},
                 )
                 worker.digest = digest
-                perf.count("vpr.fleet.state_sent")
-                perf.count("vpr.fleet.state_bytes", len(blob))
+                obs.count("vpr.fleet.state_sent")
+                obs.count("vpr.fleet.state_bytes", len(blob))
         except (wire.WireError, OSError) as exc:
             worker.alive = False
-            telemetry.event(
+            obs.event(
                 "fleet.worker_lost", worker=worker.label, error=repr(exc)
             )
 
@@ -664,7 +663,7 @@ class FleetExecutor(SweepExecutor):
                 f"no fleet worker completed the handshake on "
                 f"{self.endpoint} within {self.connect_timeout:g}s"
             )
-        telemetry.event(
+        obs.event(
             "fleet.sweep_start",
             workers=len(fleet),
             chunks=len(chunks),
@@ -700,8 +699,8 @@ class FleetExecutor(SweepExecutor):
             worker.sock.close()
         except OSError:  # pragma: no cover
             pass
-        perf.count("vpr.fleet.worker_lost")
-        telemetry.event(
+        obs.count("vpr.fleet.worker_lost")
+        obs.event(
             "fleet.worker_lost",
             worker=worker.label,
             error=reason,
@@ -721,8 +720,8 @@ class FleetExecutor(SweepExecutor):
         survivors = any(o.alive for o in self._fleet)
         if survivors and attempts[index] < self.max_dispatch:
             pending.appendleft(index)
-            perf.count("vpr.fleet.redispatch")
-            telemetry.event("fleet.redispatch", chunk=index)
+            obs.count("vpr.fleet.redispatch")
+            obs.event("fleet.redispatch", chunk=index)
         else:
             abandoned.append(index)
 
@@ -759,8 +758,8 @@ class FleetExecutor(SweepExecutor):
                 best = other
         if best is None:
             return None
-        perf.count("vpr.fleet.straggler_dup")
-        telemetry.event(
+        obs.count("vpr.fleet.straggler_dup")
+        obs.event(
             "fleet.straggler_dup", chunk=best.chunk, slow_worker=best.label
         )
         return best.chunk

@@ -11,13 +11,12 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import monitor, perf, telemetry
+from repro import obs
 from repro.cache import EvaluationCache
 from repro.cluster.best_choice import best_choice_clustering
 from repro.cluster.edge_coarsening import edge_coarsening
@@ -197,18 +196,15 @@ def evaluate_placed_design(
     runtimes = dict(runtimes or {})
     post_place_hpwl = hpwl(design)
 
-    t0 = time.perf_counter()
-    with perf.stage("flow/cts"), telemetry.span("flow.cts"):
+    with obs.stage("flow.cts") as stage:
         cts = synthesize_clock_tree(design)
-    runtimes["cts"] = time.perf_counter() - t0
+    runtimes["cts"] = stage.elapsed
 
-    t0 = time.perf_counter()
-    with perf.stage("flow/route"), telemetry.span("flow.route"):
+    with obs.stage("flow.route") as stage:
         routing = GlobalRouter(design).run()
-    runtimes["route"] = time.perf_counter() - t0
+    runtimes["route"] = stage.elapsed
 
-    t0 = time.perf_counter()
-    with perf.stage("flow/sta"), telemetry.span("flow.sta"):
+    with obs.stage("flow.sta") as stage:
         graph = timing_graph_for(design)
         wire_model = RoutedWireModel(design, routing.net_lengths)
         analyzer = TimingAnalyzer(graph, wire_model, clock_uncertainty=cts.skew)
@@ -222,7 +218,7 @@ def evaluate_placed_design(
             clock_wirelength=cts.wirelength,
             clock_buffers=cts.num_buffers,
         )
-    runtimes["sta_eval"] = time.perf_counter() - t0
+    runtimes["sta_eval"] = stage.elapsed
 
     return PPAMetrics(
         hpwl=post_place_hpwl,
@@ -267,31 +263,31 @@ class ClusteredPlacementFlow:
             hgraph.num_vertices
             // max(1, config.clustering_config.target_cluster_size),
         )
-        t0 = time.perf_counter()
-        if method == "mfc":
-            cluster_of = first_choice_clustering(
-                hgraph,
-                FirstChoiceConfig(target_clusters=target, seed=config.seed),
-            )
-        elif method in ("leiden", "louvain"):
-            graph = AdjacencyGraph.from_hypergraph(hgraph)
-            if method == "leiden":
-                cluster_of = leiden_communities(graph, seed=config.seed)
+        with obs.stage("cluster.baseline", method=method) as stage:
+            if method == "mfc":
+                cluster_of = first_choice_clustering(
+                    hgraph,
+                    FirstChoiceConfig(target_clusters=target, seed=config.seed),
+                )
+            elif method in ("leiden", "louvain"):
+                graph = AdjacencyGraph.from_hypergraph(hgraph)
+                if method == "leiden":
+                    cluster_of = leiden_communities(graph, seed=config.seed)
+                else:
+                    cluster_of = louvain_communities(graph, seed=config.seed)
+            elif method == "bc":
+                cluster_of = best_choice_clustering(
+                    hgraph, target_clusters=target, seed=config.seed
+                )
+            elif method == "ec":
+                cluster_of = edge_coarsening(
+                    hgraph, target_clusters=target, seed=config.seed
+                )
             else:
-                cluster_of = louvain_communities(graph, seed=config.seed)
-        elif method == "bc":
-            cluster_of = best_choice_clustering(
-                hgraph, target_clusters=target, seed=config.seed
-            )
-        elif method == "ec":
-            cluster_of = edge_coarsening(
-                hgraph, target_clusters=target, seed=config.seed
-            )
-        else:
-            raise ValueError(f"unknown clustering method {method!r}")
+                raise ValueError(f"unknown clustering method {method!r}")
         return ClusteringResult(
             cluster_of=np.asarray(cluster_of, dtype=np.int64),
-            runtimes={"clustering": time.perf_counter() - t0},
+            runtimes={"clustering": stage.elapsed},
         )
 
     # -- checkpointing -----------------------------------------------------
@@ -345,17 +341,16 @@ class ClusteredPlacementFlow:
         """
         if store is not None and store.has_stage(name):
             payload = store.load_stage(name)
-            perf.count("recovery.stage.reused")
-            telemetry.event("checkpoint.resumed", stage=name)
+            obs.count("recovery.stage.reused")
+            obs.event("checkpoint.resumed", stage=name)
             return payload, True
         if store is not None and not store.restore_rng(name):
             store.capture_rng(name)
         faults.check("flow." + name)
-        with monitor.stage(name):
-            payload = compute()
+        payload = compute()
         if store is not None:
             store.save_stage(name, payload)
-            telemetry.event("checkpoint.saved", stage=name)
+            obs.event("checkpoint.saved", stage=name)
         return payload, False
 
     # -- the flow ----------------------------------------------------------
@@ -370,37 +365,30 @@ class ClusteredPlacementFlow:
         db = DesignDatabase(design)
         store = self._open_checkpoint(design)
         runtimes: Dict[str, float] = {}
-        telemetry.event(
-            "flow.start",
+        context = dict(
             design=design.name,
             instances=design.num_instances,
             clustering=config.clustering,
             tool=config.tool,
         )
-        monitor.set_meta(
-            design=design.name,
-            instances=design.num_instances,
-            clustering=config.clustering,
-            tool=config.tool,
-        )
+        obs.event("flow.start", **context)
+        obs.set_meta(**context)
 
         # Lines 2-10: PPA-aware clustering.
         def _compute_clustering() -> ClusteringResult:
-            with perf.stage("flow/clustering"), telemetry.span(
-                "flow.clustering", method=config.clustering
-            ):
+            with obs.stage("flow.clustering", method=config.clustering):
                 return self._run_clustering(db)
 
         clustering, _ = self._stage(store, "clustering", _compute_clustering)
         runtimes.update(clustering.runtimes)
         members = clustering.members()
-        telemetry.event(
+        obs.event(
             "cluster.formed",
             method=config.clustering,
             clusters=clustering.num_clusters,
             singletons=clustering.singleton_count(),
         )
-        telemetry.observe("cluster.count", clustering.num_clusters)
+        obs.observe("cluster.count", clustering.num_clusters)
 
         # Lines 12-13: V-P&R shapes for clusters > 200 instances.
         selector = config.shape_selector or VPRShapeSelector(config.vpr_config)
@@ -410,15 +398,14 @@ class ClusteredPlacementFlow:
         if config.cache_dir and framework is not None:
             framework.cache = EvaluationCache(config.cache_dir)
 
+        vpr_stage = obs.stage("flow.vpr", selector=selector.name)
+
         def _compute_selection() -> VPRSelection:
-            with perf.stage("flow/vpr"), telemetry.span(
-                "flow.vpr", selector=selector.name
-            ):
+            with vpr_stage:
                 return selector.select(design, members)
 
-        t0 = time.perf_counter()
         selection, _ = self._stage(store, "vpr", _compute_selection)
-        runtimes["vpr"] = time.perf_counter() - t0
+        runtimes["vpr"] = vpr_stage.elapsed
 
         # Per-cluster content digests for the eligible (capped) set:
         # the ECO path uses these to address unchanged clusters' cache
@@ -484,9 +471,7 @@ class ClusteredPlacementFlow:
                 for net in design.nets:
                     net.weight *= multipliers.get(net.index, 1.0)
             try:
-                with perf.stage("flow/seeded_placement"), telemetry.span(
-                    "flow.seeded_placement", tool=config.tool
-                ):
+                with obs.stage("flow.seeded_placement", tool=config.tool):
                     seeded_result = seeded_placement(
                         clustered, seeded_config, vpr_cluster_ids=vpr_ids
                     )
@@ -511,11 +496,11 @@ class ClusteredPlacementFlow:
         if store is not None and not store.has_stage("eco_base"):
             from repro.netlist.snapshot import design_snapshot
 
-            with perf.stage("flow/eco_base"):
+            with obs.stage("flow.eco_base"):
                 store.save_stage(
                     "eco_base", {"design": design_snapshot(design)}
                 )
-            telemetry.event("checkpoint.saved", stage="eco_base")
+            obs.event("checkpoint.saved", stage="eco_base")
 
         # Line 13 artefacts: cluster .lef + seed/final .def on request.
         # Written by the run that actually executed the seeded stage
@@ -530,7 +515,7 @@ class ClusteredPlacementFlow:
             return _post_place_metrics(design, runtimes)
 
         metrics, _ = self._stage(store, "metrics", _compute_metrics)
-        telemetry.event(
+        obs.event(
             "flow.done",
             design=design.name,
             hpwl=metrics.hpwl,
@@ -562,11 +547,10 @@ def default_flow(
     same flat placer here (the substitution DESIGN.md documents).
     """
     del tool
-    runtimes: Dict[str, float] = {}
-    t0 = time.perf_counter()
-    problem = PlacementProblem(design)
-    GlobalPlacer(problem, PlacerConfig(seed=seed)).run()
-    runtimes["place"] = time.perf_counter() - t0
+    with obs.stage("flow.place") as stage:
+        problem = PlacementProblem(design)
+        GlobalPlacer(problem, PlacerConfig(seed=seed)).run()
+    runtimes = {"place": stage.elapsed}
     if run_routing:
         metrics = evaluate_placed_design(design, runtimes)
     else:
@@ -585,10 +569,10 @@ def blob_placement_flow(
     db = DesignDatabase(design)
     runtimes: Dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    graph = AdjacencyGraph.from_hypergraph(db.hypergraph)
-    cluster_of = louvain_communities(graph, seed=seed)
-    runtimes["clustering"] = time.perf_counter() - t0
+    with obs.stage("cluster.baseline", method="louvain") as stage:
+        graph = AdjacencyGraph.from_hypergraph(db.hypergraph)
+        cluster_of = louvain_communities(graph, seed=seed)
+    runtimes["clustering"] = stage.elapsed
 
     selection = UniformShapeSelector().select(
         design, _members_of(cluster_of)

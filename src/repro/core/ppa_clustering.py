@@ -16,12 +16,12 @@ paper: merging them into a catch-all cluster degrades post-route PPA).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.cluster.constraints import GroupingConstraints
 from repro.cluster.fc import FirstChoiceConfig, first_choice_clustering
 from repro.core.costs import CostConfig, compute_edge_scores
@@ -114,50 +114,52 @@ def ppa_aware_clustering(
     hierarchy_result: Optional[HierarchyClusteringResult] = None
     constraints = GroupingConstraints.none(hgraph.num_vertices)
     if config.use_hierarchy and db.hierarchy.has_hierarchy():
-        t0 = time.perf_counter()
-        hierarchy_result = hierarchy_based_clustering(hgraph, db.hierarchy)
-        constraints = GroupingConstraints.from_clusters(hierarchy_result.cluster_of)
-        runtimes["hier_clustering"] = time.perf_counter() - t0
+        with obs.stage("cluster.hierarchy") as stage:
+            hierarchy_result = hierarchy_based_clustering(hgraph, db.hierarchy)
+            constraints = GroupingConstraints.from_clusters(
+                hierarchy_result.cluster_of
+            )
+        runtimes["hier_clustering"] = stage.elapsed
 
     # --- Lines 4-5: timing paths and switching activity ----------------
     paths = None
     net_activity = None
     if config.use_timing or config.use_switching:
-        t0 = time.perf_counter()
-        graph = timing_graph_for(design)
-        if config.use_timing and design.clock_period:
-            analyzer = TimingAnalyzer(graph, FanoutWireModel(design))
-            analyzer.update()
-            paths = find_path_ends(analyzer, group_count=config.num_paths)
-        if config.use_switching:
-            net_activity = propagate_activity(graph)
-        runtimes["sta"] = time.perf_counter() - t0
+        with obs.stage("cluster.sta") as stage:
+            graph = timing_graph_for(design)
+            if config.use_timing and design.clock_period:
+                analyzer = TimingAnalyzer(graph, FanoutWireModel(design))
+                analyzer.update()
+                paths = find_path_ends(analyzer, group_count=config.num_paths)
+            if config.use_switching:
+                net_activity = propagate_activity(graph)
+        runtimes["sta"] = stage.elapsed
 
     # --- Line 9: enhanced multilevel clustering -------------------------
-    t0 = time.perf_counter()
-    edge_scores = compute_edge_scores(
-        hgraph,
-        config.cost,
-        paths=paths if config.use_timing else None,
-        net_activity=net_activity if config.use_switching else None,
-        clock_period=design.clock_period,
-    )
-    target = max(
-        config.min_target_clusters,
-        hgraph.num_vertices // max(1, config.target_cluster_size),
-    )
-    fc_config = FirstChoiceConfig(
-        target_clusters=target,
-        max_cluster_area_factor=config.max_cluster_area_factor,
-        seed=config.seed,
-    )
-    cluster_of = first_choice_clustering(
-        hgraph,
-        fc_config,
-        edge_scores=edge_scores,
-        constraints=constraints,
-    )
-    runtimes["clustering"] = time.perf_counter() - t0
+    with obs.stage("cluster.multilevel") as stage:
+        edge_scores = compute_edge_scores(
+            hgraph,
+            config.cost,
+            paths=paths if config.use_timing else None,
+            net_activity=net_activity if config.use_switching else None,
+            clock_period=design.clock_period,
+        )
+        target = max(
+            config.min_target_clusters,
+            hgraph.num_vertices // max(1, config.target_cluster_size),
+        )
+        fc_config = FirstChoiceConfig(
+            target_clusters=target,
+            max_cluster_area_factor=config.max_cluster_area_factor,
+            seed=config.seed,
+        )
+        cluster_of = first_choice_clustering(
+            hgraph,
+            fc_config,
+            edge_scores=edge_scores,
+            constraints=constraints,
+        )
+    runtimes["clustering"] = stage.elapsed
 
     return ClusteringResult(
         cluster_of=cluster_of,

@@ -17,13 +17,12 @@ mode is our own placer configured the way the paper configures Innovus
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs
 from repro.core.clustered_netlist import ClusteredNetlist
 from repro.netlist.design import Design
 from repro.place.placer import GlobalPlacer, PlacerConfig, PlacementResult
@@ -175,16 +174,16 @@ def seeded_placement(
     runtimes: Dict[str, float] = {}
 
     # --- Place the clustered netlist (line 16 / 23) ---------------------
-    t0 = time.perf_counter()
-    cluster_problem = PlacementProblem(clustered.design)
-    cluster_result = GlobalPlacer(cluster_problem, config.cluster_placer).run()
-    runtimes["cluster_place"] = time.perf_counter() - t0
+    with obs.stage("seeded.cluster_place") as stage:
+        cluster_problem = PlacementProblem(clustered.design)
+        cluster_result = GlobalPlacer(cluster_problem, config.cluster_placer).run()
+    runtimes["cluster_place"] = stage.elapsed
 
     # --- Seed flat instances at cluster centres (line 17 / 24) ----------
-    t0 = time.perf_counter()
-    clustered.seed_flat_positions()
-    runtimes["seed"] = time.perf_counter() - t0
-    telemetry.event(
+    with obs.stage("seeded.seed") as stage:
+        clustered.seed_flat_positions()
+    runtimes["seed"] = stage.elapsed
+    obs.event(
         "placement.seeded",
         tool=config.tool,
         clusters=len(clustered.members),
@@ -192,18 +191,20 @@ def seeded_placement(
     )
 
     # --- Incremental flat placement (line 19 / 25) ----------------------
-    t0 = time.perf_counter()
-    regions: List[RegionConstraint] = []
-    if config.tool == "innovus" and vpr_cluster_ids:
-        regions = _cluster_regions(
-            clustered, config.region_margin_factor, vpr_cluster_ids
+    with obs.stage("seeded.incremental_place") as stage:
+        regions: List[RegionConstraint] = []
+        if config.tool == "innovus" and vpr_cluster_ids:
+            regions = _cluster_regions(
+                clustered, config.region_margin_factor, vpr_cluster_ids
+            )
+        flat_problem = PlacementProblem(clustered.source)
+        placer = GlobalPlacer(
+            flat_problem, config.incremental_placer, regions=regions
         )
-    flat_problem = PlacementProblem(clustered.source)
-    placer = GlobalPlacer(flat_problem, config.incremental_placer, regions=regions)
-    incremental_result = placer.run()
+        incremental_result = placer.run()
     # Line 20: remove region constraints (they only steer the
     # incremental run; later stages see an unconstrained placement).
-    runtimes["incremental_place"] = time.perf_counter() - t0
+    runtimes["incremental_place"] = stage.elapsed
 
     return SeededPlacementResult(
         hpwl=incremental_result.hpwl,

@@ -95,7 +95,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import monitor, perf, telemetry
+from repro import obs, telemetry
 from repro.cache import (
     EvaluationCache,
     cache_key,
@@ -572,10 +572,10 @@ class VPRFramework:
         entry = self._induce_cache.get(key)
         if entry is not None:
             self._induce_cache.move_to_end(key)
-            perf.count("vpr.subnetlist.hit")
+            obs.count("vpr.subnetlist.hit")
             return entry
-        perf.count("vpr.subnetlist.miss")
-        with perf.stage("vpr/extract"):
+        obs.count("vpr.subnetlist.miss")
+        with obs.stage("vpr.extract"):
             sub = extract_subnetlist(source, member_indices)
         cell_area = sum(source.instances[i].area for i in member_indices)
         self._induce_cache[key] = (sub, cell_area)
@@ -634,7 +634,7 @@ class VPRFramework:
             _virtual_die(len(sub.ports), cell_area, c, config.die_margin)
             for c in candidates
         ]
-        with perf.stage("vpr/place"):
+        with obs.stage("vpr.place"):
             problem = ctx.placement_problem(dies)
             placements = GlobalPlacer(
                 problem,
@@ -648,7 +648,7 @@ class VPRFramework:
             ).run()
         # One stacked route over the rows whose placement is valid.
         routable = [row for row, placed in enumerate(placements) if not placed.error]
-        with perf.stage("vpr/route"):
+        with obs.stage("vpr.route"):
             grids = [
                 GCellGrid.for_floorplan(dies[row][0], config.route_target_cells)
                 for row in routable
@@ -665,7 +665,7 @@ class VPRFramework:
             span_attrs = {"ar": candidate.aspect_ratio, "util": candidate.utilization}
             if cluster_id is not None:
                 span_attrs["cluster"] = cluster_id
-            with telemetry.span("vpr.candidate", **span_attrs):
+            with obs.stage("vpr.candidate", **span_attrs):
                 routing = routing_of.get(row)
                 error = routing.error if routing else placed.error
                 if error is not None:
@@ -675,12 +675,12 @@ class VPRFramework:
                         )
                     )
                     continue
-                with perf.stage("vpr/score"):
+                with obs.stage("vpr.score"):
                     hpwl_avg = ctx.mean_hpwl(problem.x[row], problem.y[row])
                     fp = die[0]
                     hpwl_cost = hpwl_avg / max(fp.core_width + fp.core_height, 1e-9)
                     congestion_cost = routing.top_percent_congestion(config.top_x_percent)
-            perf.count("vpr.candidates_evaluated")
+            obs.count("vpr.candidates_evaluated")
             evaluations.append(
                 CandidateEvaluation(
                     candidate=candidate,
@@ -747,15 +747,13 @@ class VPRFramework:
         observed (their failure already produced a ``vpr.item.failed``
         event).
         """
-        if not telemetry.is_enabled():
-            return
         delta = self.config.delta
         for evaluation in sweep.evaluations:
             if not evaluation.is_valid:
                 continue
-            telemetry.observe("vpr.total_cost", evaluation.total(delta))
-            telemetry.observe("vpr.hpwl_cost", evaluation.hpwl_cost)
-            telemetry.observe("vpr.congestion_cost", evaluation.congestion_cost)
+            obs.observe("vpr.total_cost", evaluation.total(delta))
+            obs.observe("vpr.hpwl_cost", evaluation.hpwl_cost)
+            obs.observe("vpr.congestion_cost", evaluation.congestion_cost)
 
     # -- fault tolerance / checkpointing -------------------------------
     def _checkpoint_lookup(
@@ -780,7 +778,7 @@ class VPRFramework:
                 f"grid has {candidate}; the candidate grid changed — start a "
                 "fresh checkpoint"
             )
-        perf.count("recovery.item.reused")
+        obs.count("recovery.item.reused")
         evaluation = CandidateEvaluation(
             candidate=candidate,
             hpwl_cost=float(record["hpwl_cost"]),
@@ -802,7 +800,7 @@ class VPRFramework:
         store.save_vpr_item(
             cluster_id, candidate_index, _item_record(evaluation, seconds)
         )
-        perf.count("recovery.item.saved")
+        obs.count("recovery.item.saved")
         # Resume tests abort the whole process here (the instant after
         # a unit of work was durably recorded).
         faults.check("vpr.item.saved", key=f"{cluster_id}/{candidate_index}")
@@ -820,7 +818,7 @@ class VPRFramework:
         if entry is not None and entry[0] == fingerprint:
             self._digests.move_to_end(key)
             return entry[1]
-        with perf.stage("vpr/cache_key"):
+        with obs.stage("vpr.cache_key"):
             digest = netlist_digest(sub)
         self._digests[key] = (fingerprint, digest)
         self._digests.move_to_end(key)
@@ -878,14 +876,14 @@ class VPRFramework:
                 congestion_cost=float(record["congestion_cost"]),
             )
             if evaluation.is_valid:
-                telemetry.event(
+                obs.event(
                     "cache.hit",
                     cluster=cluster_id,
                     candidate=candidate_index,
                     key=key,
                 )
                 return evaluation, float(record.get("seconds", 0.0))
-        telemetry.event(
+        obs.event(
             "cache.miss",
             cluster=cluster_id,
             candidate=candidate_index,
@@ -953,7 +951,7 @@ class VPRFramework:
         # Every executor advances the same progress task per (cluster,
         # candidate) item, so the final accounting record does not
         # depend on where the items ran.
-        monitor.start_task("vpr.items", total, unit="items")
+        obs.start_task("vpr.items", total, unit="items")
         cache_baseline = self._cache_session_baseline()
         try:
             clusters = {c: self.induce(source, members[c]) for c in cluster_ids}
@@ -966,11 +964,11 @@ class VPRFramework:
                 # may already have advanced it (checkpoint-served
                 # items, resolved chunks), and the inline run counts
                 # every item again.
-                perf.count("vpr.executor.fallback")
-                telemetry.event(
+                obs.count("vpr.executor.fallback")
+                obs.event(
                     "vpr.executor_fallback", executor=config.executor
                 )
-                monitor.start_task("vpr.items", total, unit="items")
+                obs.start_task("vpr.items", total, unit="items")
                 slots = self._sweep_on(InlineExecutor, clusters)
             sweeps: List[VPRSweepResult] = []
             for c in cluster_ids:
@@ -986,7 +984,7 @@ class VPRFramework:
                 sweeps.append(sweep)
             return sweeps
         finally:
-            monitor.complete("vpr.items")
+            obs.complete("vpr.items")
             self._publish_cache_summary(cache_baseline)
 
     def _make_executor(self) -> SweepExecutor:
@@ -1002,7 +1000,6 @@ class VPRFramework:
                 spawn=config.fleet_spawn,
                 connect_timeout=config.fleet_connect_timeout,
                 item_timeout=config.item_timeout,
-                heartbeat_dir=monitor.worker_dir(),
             )
         method = config.start_method
         if method is None:
@@ -1044,10 +1041,8 @@ class VPRFramework:
             "snapshots": executor.requires_snapshots,
             "score_arrays": score_arrays,
             "item_timeout": executor.item_timeout,
-            "perf_enabled": perf.is_enabled(),
-            "telemetry_enabled": telemetry.is_enabled(),
             "cache_dir": str(self.cache.directory) if self.cache else None,
-            "monitor_dir": monitor.worker_dir(),
+            "obs": obs.worker_descriptor(),
         }
 
     def _sweep_on(
@@ -1067,7 +1062,7 @@ class VPRFramework:
                 if slots[c][k] is None:
                     pending.append((c, k))
                 else:
-                    monitor.advance("vpr.items")
+                    obs.advance("vpr.items")
         executor = make_executor()
         try:
             # Bundle work items into chunks so one dispatch amortises
@@ -1079,7 +1074,7 @@ class VPRFramework:
                 pending[i : i + chunk_size]
                 for i in range(0, len(pending), chunk_size)
             ]
-            with perf.stage("vpr/sweep"), telemetry.span(
+            with obs.stage(
                 "vpr.sweep",
                 executor=executor.name,
                 jobs=executor.width(),
@@ -1103,12 +1098,11 @@ class VPRFramework:
                             # A crashed item still contributes the
                             # partial counters and spans its worker
                             # recorded up to the failure point.
-                            perf.merge_counters(outcome.envelope.counters)
-                            telemetry.merge_worker(outcome.envelope.telemetry)
+                            obs.merge_worker(outcome.envelope.recorded)
                         if outcome.error is not None:
                             # Counts once its retry resolves.
-                            perf.count("vpr.worker.error")
-                            telemetry.event(
+                            obs.count("vpr.worker.error")
+                            obs.event(
                                 "worker.error",
                                 cluster=c,
                                 candidate=k,
@@ -1162,7 +1156,7 @@ class VPRFramework:
         if not cached:
             sub, cell_area = clusters[c]
             self._cache_store(sub, cell_area, k, evaluation, seconds)
-        monitor.advance("vpr.items")
+        obs.advance("vpr.items")
 
     def _retry_failed_items(
         self,
@@ -1213,8 +1207,8 @@ class VPRFramework:
                     (_CLOCK() + max(0.0, delay), next(order), c, k, done, spent),
                 )
                 return
-            perf.count("vpr.item.terminal")
-            telemetry.event(
+            obs.count("vpr.item.terminal")
+            obs.event(
                 "vpr.item.failed",
                 cluster=c,
                 candidate=k,
@@ -1248,8 +1242,8 @@ class VPRFramework:
                     self._settle(clusters, slots, c, k, *cached, cached=True)
                     continue
             else:
-                perf.count("vpr.item.retry")
-                telemetry.event(
+                obs.count("vpr.item.retry")
+                obs.event(
                     "vpr.item.retry", cluster=c, candidate=k, attempt=done
                 )
             started = time.perf_counter()
@@ -1295,7 +1289,7 @@ class VPRFramework:
             cache.bump_totals(hits=hits, misses=misses, stores=stores)
             if telemetry.is_enabled():
                 # cache.stats() walks the store: only for a listener.
-                telemetry.event(
+                obs.event(
                     "vpr.cache.summary",
                     **derive_cache_summary(hits, misses, stores, cache.stats()),
                 )
@@ -1380,25 +1374,9 @@ def _setup_worker(state: dict) -> None:
     """First-use setup of a worker process's global state and of the
     published payload it attached (``_framework`` marks it done)."""
     faults.mark_worker()
-    if state["perf_enabled"]:
-        if not perf.is_enabled():
-            # Spawn workers start with a fresh interpreter; turn the
-            # registry on so counters recorded here travel back.
-            perf.enable()
-        # Drop any stats inherited from the parent snapshot (fork);
-        # from here on this registry records only this worker's
-        # activity.
-        perf.get_registry().reset()
-    if state["telemetry_enabled"]:
-        if not telemetry.is_enabled():
-            telemetry.enable()
-        session = telemetry.get_session()
-        # A fork-inherited session holds the parent's records and
-        # (when streaming) a duplicate handle on the parent's
-        # events.jsonl; close ours so worker events never interleave
-        # into that file, then clear the inherited records.
-        session.events.close()
-        session.reset()
+    # From here on this process records only its own activity, in the
+    # outputs the parent has on (spawn workers start with none).
+    state["_heartbeat"] = obs.adopt_worker(state["obs"])
     cache = (
         EvaluationCache(state["cache_dir"])
         if state.get("cache_dir")
@@ -1416,13 +1394,6 @@ def _setup_worker(state: dict) -> None:
     for c, (sub, _area) in state["clusters"].items():
         pins, offsets = state["score_arrays"][c]
         framework._context_of(sub, pins, offsets)
-    if state.get("monitor_dir"):
-        # Liveness beats for the parent's status view: one append-only
-        # file per worker pid, merged parent-side into status.json so a
-        # hung item is visible before its SIGALRM timeout fires.
-        from repro.monitor.heartbeat import HeartbeatWriter
-
-        state["_heartbeat"] = HeartbeatWriter(state["monitor_dir"])
     state["_framework"] = framework
     state["_worker"] = True
 
@@ -1522,13 +1493,8 @@ def _cluster_run_worker(
                 cached=result.cached,
             )
     if state.get("_worker"):
-        counters: Optional[dict] = None
-        if state["perf_enabled"]:
-            registry = perf.get_registry()
-            counters = registry.snapshot()["counters"]
-            registry.reset()
         results[0] = results[0]._replace(
-            envelope=WorkerEnvelope(counters, telemetry.worker_snapshot())
+            envelope=WorkerEnvelope(obs.worker_payload())
         )
     return results
 
@@ -1613,14 +1579,13 @@ class VPRShapeSelector(ShapeSelector):
     def select(
         self, source: Design, members: Sequence[Sequence[int]]
     ) -> VPRSelection:
-        start = time.perf_counter()
         eligible, skipped = self.framework.swept_clusters(members)
         shapes: Dict[int, ShapeCandidate] = {
             c: uniform_shape() for c in range(len(members))
         }
-        with perf.stage("vpr/select"), telemetry.span(
+        with obs.stage(
             "vpr.select", selector=self.name, clusters=len(eligible)
-        ):
+        ) as stage:
             sweeps = self.framework.sweep_clusters(source, members, eligible)
         delta = self.framework.config.delta
         for sweep in sweeps:
@@ -1628,7 +1593,7 @@ class VPRShapeSelector(ShapeSelector):
             best_eval = self.framework._best_of(
                 sweep.evaluations, cluster_id=sweep.cluster_id
             )
-            telemetry.event(
+            obs.event(
                 "vpr.shape_selected",
                 selector=self.name,
                 cluster=sweep.cluster_id,
@@ -1640,7 +1605,7 @@ class VPRShapeSelector(ShapeSelector):
             shapes=shapes,
             sweeps=sweeps,
             skipped_clusters=skipped,
-            runtime=time.perf_counter() - start,
+            runtime=stage.elapsed,
         )
 
 
@@ -1669,22 +1634,21 @@ class MLShapeSelector(ShapeSelector):
     def select(
         self, source: Design, members: Sequence[Sequence[int]]
     ) -> VPRSelection:
-        start = time.perf_counter()
         framework = self.framework
         eligible, skipped = framework.swept_clusters(members)
         shapes: Dict[int, ShapeCandidate] = {
             c: uniform_shape() for c in range(len(members))
         }
-        with perf.stage("vpr/ml_select"), telemetry.span(
+        with obs.stage(
             "vpr.ml_select", selector=self.name, clusters=len(eligible)
-        ):
+        ) as stage:
             for c in eligible:
                 sub, _area = framework.induce(source, members[c])
                 costs = np.asarray(self.predictor(sub, self.config.candidates))
                 pick = int(np.argmin(costs))
                 shapes[c] = self.config.candidates[pick]
-                telemetry.observe("vpr.ml.predicted_cost", float(costs[pick]))
-                telemetry.event(
+                obs.observe("vpr.ml.predicted_cost", float(costs[pick]))
+                obs.event(
                     "vpr.shape_selected",
                     selector=self.name,
                     cluster=c,
@@ -1695,5 +1659,5 @@ class MLShapeSelector(ShapeSelector):
         return VPRSelection(
             shapes=shapes,
             skipped_clusters=skipped,
-            runtime=time.perf_counter() - start,
+            runtime=stage.elapsed,
         )

@@ -103,7 +103,7 @@ def _install_state(
         state["cache_dir"] = cache_dir or None
     # Remote workers never write into the parent's monitor directory;
     # their liveness travels back over the socket as beat messages.
-    state["monitor_dir"] = None
+    state["obs"] = dict(state["obs"], heartbeats=None)
     vpr._setup_worker(state)
     _STATES.clear()
     _STATES[digest] = state

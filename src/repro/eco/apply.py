@@ -16,7 +16,7 @@ from typing import List, Sequence, Set
 
 import numpy as np
 
-from repro import perf
+from repro import obs
 from repro.eco.edits import EcoEdit, EcoError
 from repro.netlist.design import Design, Instance, Net
 
@@ -121,7 +121,7 @@ def apply_edits(design: Design, edits: Sequence[EcoEdit]) -> EcoImpact:
                 ) from exc
             touched_inst.add(inst)
             touched_net.update(inst.pin_nets.values())
-            perf.count(f"eco.edit.{kind}")
+            obs.count(f"eco.edit.{kind}")
         elif kind == "remove":
             inst = _require_instance(design, edit, position)
             neighbours = list(inst.pin_nets.values())
@@ -137,7 +137,7 @@ def apply_edits(design: Design, edits: Sequence[EcoEdit]) -> EcoImpact:
                 for other in net.instances():
                     touched_inst.add(other)
             impact.topology_changed = True
-            perf.count("eco.edit.remove")
+            obs.count("eco.edit.remove")
         elif kind == "add":
             if design.has_instance(edit.instance):
                 raise EcoError(
@@ -167,7 +167,7 @@ def apply_edits(design: Design, edits: Sequence[EcoEdit]) -> EcoImpact:
             added.add(inst)
             touched_inst.add(inst)
             impact.topology_changed = True
-            perf.count("eco.edit.add")
+            obs.count("eco.edit.add")
         elif kind == "reconnect":
             inst = _require_instance(design, edit, position)
             if edit.pin not in inst.master.pins:
@@ -188,7 +188,7 @@ def apply_edits(design: Design, edits: Sequence[EcoEdit]) -> EcoImpact:
             touched_net.add(target)
             touched_inst.add(inst)
             impact.topology_changed = True
-            perf.count("eco.edit.reconnect")
+            obs.count("eco.edit.reconnect")
         else:  # pragma: no cover - parse_edits rejects unknown kinds
             raise EcoError(f"edit #{position}: unknown kind {kind!r}")
 
@@ -208,7 +208,7 @@ def apply_edits(design: Design, edits: Sequence[EcoEdit]) -> EcoImpact:
             design.remove_net(net)
             touched_net.discard(net)
             impact.topology_changed = True
-            perf.count("eco.net.dropped")
+            obs.count("eco.net.dropped")
 
     # Old -> new instance-index correspondence (by name; removals
     # renumbered everything above the removal point).
@@ -226,5 +226,5 @@ def apply_edits(design: Design, edits: Sequence[EcoEdit]) -> EcoImpact:
         inst.index for inst in touched_inst if inst.index >= 0
     }
     impact.touched_nets = {net.index for net in touched_net if net.index >= 0}
-    perf.count("eco.edits.applied", len(edits))
+    obs.count("eco.edits.applied", len(edits))
     return impact

@@ -28,13 +28,12 @@ construction.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro import monitor, perf, telemetry
+from repro import obs
 from repro.cache import EvaluationCache, cache_key
 from repro.core.flow import _members_of
 from repro.core.metrics import PPAMetrics
@@ -236,62 +235,52 @@ class EcoSession:
     # ------------------------------------------------------------------
     def apply(self, edits: Sequence[EcoEdit]) -> EcoResult:
         """Apply one edit script and return updated QoR."""
-        start = time.perf_counter()
-        perf.count("eco.runs")
+        obs.count("eco.runs")
         self.applied_scripts += 1
-        with telemetry.span("eco.apply", edits=len(edits)):
-            if not edits:
-                return self._noop_result(start)
-            runtimes: Dict[str, float] = {}
-
-            t0 = time.perf_counter()
-            with perf.stage("eco/apply_edits"), monitor.stage("eco.edits"):
-                monitor.start_task("eco.edits", len(edits), unit="edits")
-                impact = apply_edits(self.design, edits)
-                monitor.advance("eco.edits", len(edits))
-                monitor.complete("eco.edits")
-            runtimes["eco_apply"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            with perf.stage("eco/recluster"):
-                dirty = self._remap_clusters(impact)
-            runtimes["eco_recluster"] = time.perf_counter() - t0
-            telemetry.event(
-                "eco.clusters",
-                dirty=len(dirty),
-                total=int(self.cluster_of.max()) + 1 if len(self.cluster_of) else 0,
+        with obs.stage("eco.apply", edits=len(edits)) as total:
+            result = self._apply(edits) if edits else self._noop_result()
+        result.runtimes["eco_total"] = total.elapsed
+        if not result.noop:
+            result.metrics.runtimes.update(result.runtimes)
+            obs.event(
+                "eco.done",
+                edits=len(edits),
+                dirty_clusters=len(result.dirty_clusters),
+                free_instances=result.free_instances,
+                hpwl=result.metrics.hpwl,
             )
+        return result
 
-            t0 = time.perf_counter()
-            with perf.stage("eco/vpr"), telemetry.span(
-                "eco.vpr", dirty=len(dirty)
-            ), monitor.stage("eco.vpr"):
-                resweep, reused = self._refresh_shapes(dirty)
-            runtimes["eco_vpr"] = time.perf_counter() - t0
+    def _apply(self, edits: Sequence[EcoEdit]) -> EcoResult:
+        """The five phases of a non-empty script, each one stage."""
+        runtimes: Dict[str, float] = {}
+        with obs.stage("eco.apply_edits") as stage:
+            obs.start_task("eco.edits", len(edits), unit="edits")
+            impact = apply_edits(self.design, edits)
+            obs.advance("eco.edits", len(edits))
+            obs.complete("eco.edits")
+        runtimes["eco_apply"] = stage.elapsed
 
-            t0 = time.perf_counter()
-            with perf.stage("eco/place"), telemetry.span(
-                "eco.place"
-            ), monitor.stage("eco.place"):
-                free = self._replace(dirty, impact)
-            runtimes["eco_place"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            with perf.stage("eco/metrics"), telemetry.span(
-                "eco.metrics"
-            ), monitor.stage("eco.metrics"):
-                metrics = self._evaluate(runtimes)
-            runtimes["eco_metrics"] = time.perf_counter() - t0
-            runtimes["eco_total"] = time.perf_counter() - start
-            metrics.runtimes.update(runtimes)
-
-        telemetry.event(
-            "eco.done",
-            edits=len(edits),
-            dirty_clusters=len(dirty),
-            free_instances=free,
-            hpwl=metrics.hpwl,
+        with obs.stage("eco.recluster") as stage:
+            dirty = self._remap_clusters(impact)
+        runtimes["eco_recluster"] = stage.elapsed
+        obs.event(
+            "eco.clusters",
+            dirty=len(dirty),
+            total=int(self.cluster_of.max()) + 1 if len(self.cluster_of) else 0,
         )
+
+        with obs.stage("eco.vpr", dirty=len(dirty)) as stage:
+            resweep, reused = self._refresh_shapes(dirty)
+        runtimes["eco_vpr"] = stage.elapsed
+
+        with obs.stage("eco.place") as stage:
+            free = self._replace(dirty, impact)
+        runtimes["eco_place"] = stage.elapsed
+
+        with obs.stage("eco.metrics") as stage:
+            metrics = self._evaluate()
+        runtimes["eco_metrics"] = stage.elapsed
         return EcoResult(
             metrics=metrics,
             dirty_clusters=sorted(dirty),
@@ -304,7 +293,7 @@ class EcoSession:
         )
 
     # ------------------------------------------------------------------
-    def _noop_result(self, start: float) -> EcoResult:
+    def _noop_result(self) -> EcoResult:
         """Serve an empty script from the checkpointed metrics stage."""
         if not self.store.has_stage("metrics"):
             raise CheckpointError(
@@ -312,14 +301,13 @@ class EcoSession:
                 "finish); run the base flow to completion before a no-op ECO"
             )
         metrics = self.store.load_stage("metrics")
-        perf.count("eco.noop")
-        telemetry.event("eco.noop")
+        obs.count("eco.noop")
+        obs.event("eco.noop")
         return EcoResult(
             metrics=metrics,
             noop=True,
             reused_clusters=len(self.shapes),
             total_instances=self.design.num_instances,
-            runtimes={"eco_total": time.perf_counter() - start},
             shapes=dict(self.shapes),
         )
 
@@ -355,7 +343,7 @@ class EcoSession:
                 counts = np.bincount(new[new >= 0])
                 cid = int(counts.argmax()) if len(counts) else 0
             new[idx] = cid
-            perf.count("eco.cluster.assigned")
+            obs.count("eco.cluster.assigned")
         self.cluster_of = new
 
         dirty: Set[int] = set()
@@ -365,8 +353,8 @@ class EcoSession:
             for inst in design.nets[net_idx].instances():
                 dirty.add(int(new[inst.index]))
         total = int(new.max()) + 1 if len(new) else 0
-        perf.count("eco.clusters.dirty", len(dirty))
-        perf.count("eco.clusters.reused", max(0, total - len(dirty)))
+        obs.count("eco.clusters.dirty", len(dirty))
+        obs.count("eco.clusters.reused", max(0, total - len(dirty)))
         return dirty
 
     # ------------------------------------------------------------------
@@ -395,7 +383,7 @@ class EcoSession:
             self.cluster_digests[cid] = framework.cluster_digest(
                 self.design, members[cid]
             )
-            perf.count("eco.vpr.resweep")
+            obs.count("eco.vpr.resweep")
         if self.cache is not None:
             for cid in reused:
                 entry = self.cluster_digests.get(cid)
@@ -406,15 +394,15 @@ class EcoSession:
                     )
                     self.cluster_digests[cid] = entry
                 else:
-                    perf.count("eco.digest.reused")
+                    obs.count("eco.digest.reused")
                 digest, cell_area = entry
                 for candidate in self.vpr_config.candidates:
                     key = cache_key(
                         digest, candidate, self.vpr_config, cell_area=cell_area
                     )
                     if self.cache.touch(key):
-                        perf.count("eco.cache.touched")
-        perf.count(
+                        obs.count("eco.cache.touched")
+        obs.count(
             "eco.vpr.reused", len(reused) * len(self.vpr_config.candidates)
         )
         # Clusters can vanish (all members removed): drop their shapes.
@@ -473,8 +461,8 @@ class EcoSession:
                     inst.fixed = True
             problem = PlacementProblem(design)
             free = int(problem.movable[: design.num_instances].sum())
-            perf.count("eco.place.freed", free)
-            perf.count(
+            obs.count("eco.place.freed", free)
+            obs.count(
                 "eco.place.frozen", design.num_instances - free
             )
             placer_config = PlacerConfig(
@@ -487,7 +475,7 @@ class EcoSession:
         return free
 
     # ------------------------------------------------------------------
-    def _evaluate(self, runtimes: Dict[str, float]) -> PPAMetrics:
+    def _evaluate(self) -> PPAMetrics:
         """Updated QoR; incremental STA when the session persists.
 
         In routing mode the session keeps one :class:`TimingAnalyzer`
@@ -500,7 +488,7 @@ class EcoSession:
         design = self.design
         post_place_hpwl = hpwl(design)
         if not self.run_routing:
-            return PPAMetrics(hpwl=post_place_hpwl, runtimes=dict(runtimes))
+            return PPAMetrics(hpwl=post_place_hpwl)
 
         cts = synthesize_clock_tree(design)
         routing = GlobalRouter(design).run()
@@ -527,7 +515,7 @@ class EcoSession:
             old_lengths.update(new_lengths)
             analyzer.clock_uncertainty = cts.skew
             analyzer.invalidate_nets(changed)
-            perf.count("eco.sta.invalidated", len(changed))
+            obs.count("eco.sta.invalidated", len(changed))
             report = analyzer.update()
 
         hold = analyze_hold(analyzer)
@@ -547,7 +535,6 @@ class EcoSession:
             power=power.total,
             hold_wns=hold.wns,
             hold_tns=hold.tns,
-            runtimes=dict(runtimes),
         )
 
 

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs
 from repro.ml.autograd import mse_loss
 from repro.ml.features import GraphSample
 from repro.ml.model import TotalCostGNN, batch_samples
@@ -99,13 +98,12 @@ def train_model(
         for s in train
     ]
 
-    start = time.perf_counter()
     loss_history: List[float] = []
     order = list(range(len(normalized)))
     model.set_training(True)
-    with telemetry.span(
+    with obs.stage(
         "ml.train", samples=len(train), epochs=config.epochs
-    ):
+    ) as stage:
         for epoch in range(config.epochs):
             rng.shuffle(order)
             epoch_losses = []
@@ -122,8 +120,7 @@ def train_model(
                 optimizer.step()
                 epoch_losses.append(loss.item())
             loss_history.append(float(np.mean(epoch_losses)))
-            telemetry.observe("ml.train.loss", loss_history[-1], step=epoch)
-    runtime = time.perf_counter() - start
+            obs.observe("ml.train.loss", loss_history[-1], step=epoch)
 
     model.set_training(False)
     metrics = {
@@ -134,13 +131,16 @@ def train_model(
     for split, scores in metrics.items():
         for key in ("mae", "r2"):
             if not math.isnan(scores[key]):
-                telemetry.observe(f"ml.{split}.{key}", scores[key])
-    telemetry.event(
+                obs.observe(f"ml.{split}.{key}", scores[key])
+    obs.event(
         "ml.trained",
         samples=len(train),
         epochs=config.epochs,
         final_loss=loss_history[-1] if loss_history else None,
     )
     return TrainingResult(
-        model=model, metrics=metrics, loss_history=loss_history, runtime=runtime
+        model=model,
+        metrics=metrics,
+        loss_history=loss_history,
+        runtime=stage.elapsed,
     )

@@ -1,7 +1,11 @@
-"""Live flight recorder: in-flight progress, resource sampling, ``repro top``.
+"""The monitor output: in-flight progress, resource sampling, ``repro top``.
 
 ``repro.telemetry`` records what a run *did*; this package shows what a
-run *is doing*.  Four pieces, all dependency-free:
+run *is doing*.  Recording is :mod:`repro.obs`'s job (``obs.stage`` and
+the progress calls ``obs.start_task`` / ``advance`` / ``set_done`` /
+``complete``); this package switches the output on and off (off by
+default, one check per call while off; ``monitor.enable(dir)`` needs a
+telemetry out-dir) and holds its dependency-free parts:
 
 * :mod:`repro.monitor.sampler` — a background thread sampling RSS/CPU
   from procfs into ``monitor.rss`` / ``monitor.cpu`` metric streams and
@@ -14,18 +18,11 @@ run *is doing*.  Four pieces, all dependency-free:
   every progress tick;
 * :mod:`repro.monitor.top` — the ``repro top RUNDIR`` renderer that
   tails ``status.json`` + ``events.jsonl`` from any process.
-
-Off by default; one flag check per hook while disabled.  Enable with::
-
-    from repro import monitor, telemetry
-
-    telemetry.enable("/tmp/run0")
-    monitor.enable("/tmp/run0")
-    ...  # run the flow; `repro top /tmp/run0` works from another shell
-    block = monitor.summary()   # run.json "monitor" section
-    monitor.disable()
 """
 
+from typing import Any, Dict, Optional
+
+from repro import obs
 from repro.monitor.heartbeat import (
     HEARTBEAT_DIRNAME,
     HeartbeatWriter,
@@ -35,21 +32,7 @@ from repro.monitor.heartbeat import (
 )
 from repro.monitor.progress import ProgressTask, ProgressTracker
 from repro.monitor.sampler import ResourceSampler
-from repro.monitor.session import (
-    MonitorSession,
-    advance,
-    complete,
-    disable,
-    enable,
-    get_monitor,
-    is_enabled,
-    set_done,
-    set_meta,
-    stage,
-    start_task,
-    summary,
-    worker_dir,
-)
+from repro.monitor.session import MonitorSession
 from repro.monitor.status import (
     STATUS_FILENAME,
     STATUS_SCHEMA,
@@ -58,6 +41,33 @@ from repro.monitor.status import (
     status_path,
 )
 from repro.monitor.top import render, render_dir, run_top, sparkline
+
+
+def enable(out_dir: str, **intervals: float) -> MonitorSession:
+    """Turn the monitor on for a run directory and start sampling
+    (``intervals``: see :class:`MonitorSession`)."""
+    return obs.session().start_monitor(out_dir, **intervals)
+
+
+def disable(state: str = "done", error: Optional[str] = None) -> None:
+    """Stop the monitor, publishing a final ``state`` document."""
+    obs.session().stop_monitor(state=state, error=error)
+
+
+def is_enabled() -> bool:
+    return obs.session().monitor is not None
+
+
+def get_monitor() -> Optional[MonitorSession]:
+    """The session's monitor state (None while disabled)."""
+    return obs.session().monitor
+
+
+def summary() -> Optional[Dict[str, Any]]:
+    """The run.json monitor block (None while disabled)."""
+    live = obs.session().monitor
+    return None if live is None else live.summary()
+
 
 __all__ = [
     "HEARTBEAT_DIRNAME",
@@ -69,9 +79,7 @@ __all__ = [
     "ProgressTracker",
     "ResourceSampler",
     "StatusWriter",
-    "advance",
     "clear_worker_beats",
-    "complete",
     "disable",
     "enable",
     "get_monitor",
@@ -82,12 +90,7 @@ __all__ = [
     "render",
     "render_dir",
     "run_top",
-    "set_done",
-    "set_meta",
     "sparkline",
-    "stage",
-    "start_task",
     "status_path",
     "summary",
-    "worker_dir",
 ]

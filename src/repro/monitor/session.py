@@ -1,4 +1,4 @@
-"""The process-wide monitor session: sampler + progress + status.
+"""The monitor output's state: sampler + progress + status.
 
 :class:`MonitorSession` is the flight recorder proper.  It owns
 
@@ -7,27 +7,26 @@
 * a :class:`~repro.monitor.progress.ProgressTracker` for the flow's
   bounded loops,
 * a :class:`~repro.monitor.status.StatusWriter` publishing
-  ``status.json`` on every progress tick and sampler sample
+  ``status.json`` on every progress tick, stage edge and sampler sample
   (throttled, atomic),
-* the worker-heartbeat directory merged into the status document.
+* the stage history and the worker-heartbeat directory merged into the
+  status document.
 
-Like :mod:`repro.telemetry` and :mod:`repro.perf`, the monitor is
-**off by default** behind a module-level session: every hook the flow
-calls (:func:`start_task`, :func:`advance`, :func:`stage`, ...) is one
-``None`` check while disabled, so the hot paths stay instrumented
-unconditionally.  Enabling requires a telemetry out-dir — the monitor
-is a view *onto* a recorded run, not a separate recording.
+It records nothing by itself: :mod:`repro.obs` holds it as the process
+session's monitor output and tells it which stage was entered and left
+(:meth:`enter_stage` / :meth:`exit_stage`) — the stage clock and the
+nesting stack live there, not here.  Enabling requires a telemetry
+out-dir: the monitor is a view *onto* a recorded run, not a separate
+recording.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Optional
 
-from repro import perf, telemetry
 from repro.monitor.heartbeat import (
     clear_worker_beats,
     heartbeat_dir,
@@ -37,13 +36,24 @@ from repro.monitor.progress import ProgressTracker
 from repro.monitor.sampler import ResourceSampler
 from repro.monitor.status import StatusWriter
 
+#: Nesting levels of ``obs.stage`` the monitor follows.  Two levels are
+#: the table ``repro top`` prints (``flow.vpr`` and ``vpr.select``,
+#: ``eco.apply`` and ``eco.place``); the per-candidate stages below
+#: them would turn the status document into a trace.
+STAGE_DEPTH = 2
+
 
 class MonitorSession:
-    """One run's live monitor state (see module docstring)."""
+    """One run's live monitor state (see module docstring).
+
+    ``observe`` is where the sampler's stream points go (the session's
+    ``obs.observe``).
+    """
 
     def __init__(
         self,
         out_dir: str,
+        observe: Callable[..., None],
         interval: float = 0.25,
         status_interval: float = 0.25,
         timeline_points: int = 120,
@@ -56,7 +66,7 @@ class MonitorSession:
         self._meta: Dict[str, Any] = {}
         self._state = "running"
         self._error: Optional[str] = None
-        self._stage_stack: list = []
+        self._stage: Optional[str] = None
         self._stage_history: list = []
         self.heartbeats = heartbeat_dir(out_dir)
         self.status = StatusWriter(
@@ -64,7 +74,7 @@ class MonitorSession:
         )
         self.progress = ProgressTracker(on_tick=self.status.refresh)
         self.sampler = ResourceSampler(
-            observe=telemetry.observe,
+            observe=observe,
             stage_of=self.current_stage,
             interval=interval,
             timeline_points=timeline_points,
@@ -83,57 +93,50 @@ class MonitorSession:
         with self._lock:
             self._state = state
             self._error = error
-        for name, _stage_peak in sorted(self.sampler.stage_peaks().items()):
-            perf.count(f"monitor.peak_rss.{name}", _stage_peak)
         self.status.refresh(force=True)
 
     # -- stages --------------------------------------------------------
-    @contextlib.contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Mark ``name`` as the active flow stage while the body runs.
+    def enter_stage(self, name: str) -> Dict[str, Any]:
+        """``name`` is now the active stage; returns its history entry.
 
         The sampler attributes its per-sample peak-RSS accounting to
-        the innermost active stage; the status document shows the
-        stage path and per-stage wall-clock history.
+        the active stage; the status document shows it and the
+        per-stage wall-clock history.
         """
-        started = time.perf_counter()
+        entry = {
+            "name": name,
+            "state": "running",
+            "elapsed_s": 0.0,
+            "_started": time.perf_counter(),
+        }
         with self._lock:
-            self._stage_stack.append(name)
-            entry = {
-                "name": name,
-                "state": "running",
-                "elapsed_s": 0.0,
-                "_started": started,
-            }
+            self._stage = name
             self._stage_history.append(entry)
-        self.status.refresh(force=True)
-        try:
-            yield
-        finally:
-            # Read the sampler's peaks BEFORE taking the session lock:
-            # stage_peaks() takes the sampler lock, and the sampler's
-            # sample() calls current_stage() (which takes this lock) —
-            # nesting them here in the opposite order is a lock-order
-            # inversion that can deadlock against a concurrent sample.
-            peak = self.sampler.stage_peaks().get(name)
-            with self._lock:
-                # Pop the *last* occurrence: re-entrant stages with the
-                # same name must unwind innermost-first, and list.remove
-                # would drop the outer entry instead.
-                for i in range(len(self._stage_stack) - 1, -1, -1):
-                    if self._stage_stack[i] == name:
-                        del self._stage_stack[i]
-                        break
-                entry["state"] = "done"
-                entry["elapsed_s"] = time.perf_counter() - started
-                if peak is not None:
-                    entry["peak_rss_bytes"] = peak
-            self.status.refresh(force=True)
+        self.status.refresh()
+        return entry
+
+    def exit_stage(
+        self, entry: Dict[str, Any], elapsed: float, outer: Optional[str]
+    ) -> None:
+        """Finish ``entry`` after ``elapsed`` seconds; ``outer`` (the
+        stage around it, or None) is active again."""
+        # Read the sampler's peaks BEFORE taking the session lock:
+        # stage_peaks() takes the sampler lock, and the sampler's
+        # sample() calls current_stage() — nesting them here in the
+        # opposite order is a lock-order inversion that can deadlock
+        # against a concurrent sample.
+        peak = self.sampler.stage_peaks().get(entry["name"])
+        with self._lock:
+            self._stage = outer
+            entry["state"] = "done"
+            entry["elapsed_s"] = elapsed
+            if peak is not None:
+                entry["peak_rss_bytes"] = peak
+        self.status.refresh()
 
     def current_stage(self) -> Optional[str]:
-        """The innermost active stage (the sampler's attribution key)."""
-        with self._lock:
-            return self._stage_stack[-1] if self._stage_stack else None
+        """The innermost followed stage (the sampler's attribution key)."""
+        return self._stage
 
     # -- metadata ------------------------------------------------------
     def set_meta(self, **fields: Any) -> None:
@@ -149,7 +152,7 @@ class MonitorSession:
             meta = dict(self._meta)
             state = self._state
             error = self._error
-            stage = self._stage_stack[-1] if self._stage_stack else None
+            stage = self._stage
             stages = []
             for stored in self._stage_history:
                 entry = dict(stored)
@@ -181,96 +184,3 @@ class MonitorSession:
         out["progress"] = self.progress.records()
         out["status_writes"] = self.status.writes
         return out
-
-
-_MONITOR: Optional[MonitorSession] = None
-
-
-def get_monitor() -> Optional[MonitorSession]:
-    """The process-wide monitor session (None while disabled)."""
-    return _MONITOR
-
-
-def enable(
-    out_dir: str,
-    interval: float = 0.25,
-    status_interval: float = 0.25,
-    timeline_points: int = 120,
-) -> MonitorSession:
-    """Turn the monitor on for a run directory and start sampling."""
-    global _MONITOR
-    if _MONITOR is not None:
-        _MONITOR.stop()
-    _MONITOR = MonitorSession(
-        out_dir,
-        interval=interval,
-        status_interval=status_interval,
-        timeline_points=timeline_points,
-    )
-    _MONITOR.start()
-    return _MONITOR
-
-
-def disable(state: str = "done", error: Optional[str] = None) -> None:
-    """Stop the monitor, publishing a final ``state`` document."""
-    global _MONITOR
-    if _MONITOR is None:
-        return
-    _MONITOR.stop(state=state, error=error)
-    _MONITOR = None
-
-
-def is_enabled() -> bool:
-    return _MONITOR is not None
-
-
-# -- module-level hooks (the instrumented code calls these) -------------
-def start_task(name: str, total: int, unit: str = "items") -> None:
-    """Begin tracking a bounded loop (no-op while disabled)."""
-    if _MONITOR is not None:
-        _MONITOR.progress.start(name, total, unit=unit)
-
-
-def advance(name: str, n: int = 1) -> None:
-    """Add completed items to a loop (no-op while disabled)."""
-    if _MONITOR is not None:
-        _MONITOR.progress.advance(name, n)
-
-
-def set_done(name: str, done: int) -> None:
-    """Raise a loop's absolute completion count (no-op while disabled)."""
-    if _MONITOR is not None:
-        _MONITOR.progress.set_done(name, done)
-
-
-def complete(name: str) -> None:
-    """Finish a loop (no-op while disabled)."""
-    if _MONITOR is not None:
-        _MONITOR.progress.complete(name)
-
-
-def stage(name: str):
-    """Stage context for the flow (null context while disabled)."""
-    if _MONITOR is None:
-        return contextlib.nullcontext()
-    return _MONITOR.stage(name)
-
-
-def set_meta(**fields: Any) -> None:
-    if _MONITOR is not None:
-        _MONITOR.set_meta(**fields)
-
-
-def worker_dir() -> Optional[str]:
-    """The heartbeat directory workers should beat into (None while
-    disabled) — travels to pool workers inside the fan-out payload."""
-    if _MONITOR is None:
-        return None
-    return _MONITOR.heartbeats
-
-
-def summary() -> Optional[Dict[str, Any]]:
-    """The run.json monitor block (None while disabled)."""
-    if _MONITOR is None:
-        return None
-    return _MONITOR.summary()

@@ -1,69 +1,71 @@
-"""Performance instrumentation for the flow's hot paths.
+"""The timers output: stage-time aggregates, counters, the perf report.
 
-The package provides three layers:
-
-* :mod:`repro.perf.timers` — a process-wide :class:`PerfRegistry` of
-  hierarchical stage timers and event counters.  Disabled by default;
-  when disabled every hook degenerates to a shared no-op object so the
-  instrumented code pays (almost) nothing.
-* :mod:`repro.perf.report` — :class:`PerfReport`, the JSON-serialisable
-  snapshot the flow/CLI emit (``--perf-report``).
-* :mod:`repro.perf.profile` — an optional :func:`cprofile_to` hook that
-  wraps a block in :mod:`cProfile` and dumps pstats to disk.
-
-Typical use::
-
-    from repro import perf
+Recording is :mod:`repro.obs`'s job (``obs.stage`` / ``obs.count``);
+this package switches the output on and off (:func:`enable` … — off by
+default, and while off a stage keeps no aggregate and ``obs.count`` is
+one flag check), stores it (:class:`PerfRegistry`) and reads it back:
+:func:`report` gives the JSON-serialisable :class:`PerfReport` the
+flow/CLI emit (``--perf-report``).  :func:`cprofile_to` optionally
+wraps a block in :mod:`cProfile` and dumps pstats to disk.  ::
 
     perf.enable()
-    with perf.stage("flow/vpr"):
-        ...
-    perf.count("steiner.rsmt.hit")
-    report = perf.report()          # PerfReport
-    report.write("perf.json")
+    with obs.stage("flow.vpr"):
+        obs.count("steiner.rsmt.hit")
+    perf.report().write("perf.json")
 """
 
+from repro import obs
 from repro.perf.profile import cprofile_to
 from repro.perf.report import PerfReport
 from repro.perf.rss import cpu_seconds, peak_rss_bytes, rss_bytes
-from repro.perf.timers import (
-    PerfRegistry,
-    count,
-    counter_value,
-    disable,
-    enable,
-    get_registry,
-    is_enabled,
-    merge_counters,
-    reset,
-    stage,
-)
+from repro.perf.timers import PerfRegistry
+
+
+def enable() -> None:
+    """Keep stage aggregates and counters from now on."""
+    obs.session().timers_on = True
+
+
+def disable() -> None:
+    """Stop recording (what was recorded is kept)."""
+    obs.session().timers_on = False
+
+
+def is_enabled() -> bool:
+    """Whether stage aggregates and counters are being kept."""
+    return obs.session().timers_on
+
+
+def reset() -> None:
+    """Drop all recorded stages and counters."""
+    obs.session().timers.reset()
+
+
+def counter_value(name: str) -> int:
+    """Current value of a counter (0 when never incremented)."""
+    return obs.session().timers.counter_value(name)
 
 
 def report(meta=None) -> PerfReport:
-    """Snapshot the default registry into a :class:`PerfReport`.
+    """Snapshot the session's registry into a :class:`PerfReport`.
 
     ``meta`` is free-form run context recorded in the report (design
     name, jobs, seed, ...).
     """
-    return PerfReport.from_registry(get_registry(), meta=meta)
+    return PerfReport.from_registry(obs.session().timers, meta=meta)
 
 
 __all__ = [
     "PerfRegistry",
     "PerfReport",
     "cprofile_to",
-    "count",
     "counter_value",
     "cpu_seconds",
     "disable",
     "enable",
-    "get_registry",
     "is_enabled",
-    "merge_counters",
     "peak_rss_bytes",
     "report",
     "reset",
     "rss_bytes",
-    "stage",
 ]

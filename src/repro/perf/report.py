@@ -17,7 +17,8 @@ Schema (``repro.perf/1``)::
       "meta": { ... }         # free-form run context (design, jobs, ...)
     }
 
-Stage names are slash-separated paths (``flow/vpr/place``), so a report
+Stage names are ``/``-joined paths of ``obs.stage`` names
+(``flow.vpr/vpr.select/vpr.sweep``), so a report
 can be folded into a tree for display; counters follow a dotted
 ``subsystem.event`` convention (``steiner.rsmt.hit``).
 """

@@ -1,26 +1,21 @@
-"""Hierarchical stage timers and event counters.
+"""Stage-time aggregates and event counters: the timers output's store.
 
-A :class:`PerfRegistry` aggregates wall-clock per *stage* and integer
-*counters* (cache hits, work-item counts, payload sizes).  Stage names
-are hierarchical: entering ``stage("vpr")`` and then ``stage("place")``
-records the inner time under ``"vpr/place"``, so a report reads like a
-call tree without any profiler overhead.
-
-The module keeps one process-wide default registry.  Instrumentation is
-**off by default**: :func:`stage` then returns a shared no-op context
-manager and :func:`count` returns immediately, so hot paths can be
-instrumented unconditionally (see ``tests/perf`` for the overhead
-budget).  Worker processes of the parallel V-P&R engine each carry
-their own registry; their counters travel back with the results and are
-folded into the parent via :func:`merge_counters`.
+A :class:`PerfRegistry` aggregates wall-clock per *stage path* and
+integer *counters* (cache hits, work-item counts, payload sizes).  It
+is a passive store: :mod:`repro.obs` owns the clock, the nesting stack
+the paths are built from (``flow.vpr/vpr.select/vpr.sweep``) and the
+on/off switch, and adds one finished interval at a time, so a report
+reads like a call tree without any profiler overhead.  Worker
+processes of the parallel V-P&R engine each carry their own registry;
+their counters travel back with the results and are folded into the
+parent's via :meth:`PerfRegistry.merge_counters`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -49,83 +44,24 @@ class StageStat:
             self.max = seconds
 
 
-class _NullStage:
-    """Shared no-op context manager returned while disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullStage":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_STAGE = _NullStage()
-
-
-class _Stage:
-    """Context manager that times one stage entry."""
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "PerfRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_Stage":
-        self._registry._push(self._name)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        elapsed = time.perf_counter() - self._start
-        self._registry._pop(elapsed)
-
-
 class PerfRegistry:
     """Thread-safe store of stage timings and counters."""
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stages: Dict[str, StageStat] = {}
         self._counters: Dict[str, int] = {}
-        self._local = threading.local()
 
-    # -- stage stack (per thread) --------------------------------------
-    def _stack(self) -> List[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def _push(self, name: str) -> None:
-        stack = self._stack()
-        qualified = f"{stack[-1]}/{name}" if stack else name
-        stack.append(qualified)
-
-    def _pop(self, elapsed: float) -> None:
-        stack = self._stack()
-        qualified = stack.pop()
+    def add(self, path: str, seconds: float) -> None:
+        """Fold one finished interval into the stage at ``path``."""
         with self._lock:
-            stat = self._stages.get(qualified)
+            stat = self._stages.get(path)
             if stat is None:
-                stat = self._stages[qualified] = StageStat()
-            stat.add(elapsed)
-
-    # -- public API ----------------------------------------------------
-    def stage(self, name: str):
-        """Context manager timing ``name`` (no-op while disabled)."""
-        if not self.enabled:
-            return _NULL_STAGE
-        return _Stage(self, name)
+                stat = self._stages[path] = StageStat()
+            stat.add(seconds)
 
     def count(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n`` (no-op while disabled)."""
-        if not self.enabled:
-            return
+        """Increment counter ``name`` by ``n``."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
 
@@ -136,8 +72,6 @@ class PerfRegistry:
 
     def merge_counters(self, counters: Dict[str, int]) -> None:
         """Fold a worker process's counter snapshot into this registry."""
-        if not self.enabled or not counters:
-            return
         with self._lock:
             for name, value in counters.items():
                 self._counters[name] = self._counters.get(name, 0) + int(value)
@@ -163,56 +97,3 @@ class PerfRegistry:
         with self._lock:
             self._stages.clear()
             self._counters.clear()
-
-
-_DEFAULT = PerfRegistry()
-
-
-def get_registry() -> PerfRegistry:
-    """The process-wide default registry."""
-    return _DEFAULT
-
-
-def enable() -> None:
-    """Turn instrumentation on for the default registry."""
-    _DEFAULT.enabled = True
-
-
-def disable() -> None:
-    """Turn instrumentation off (hooks become no-ops)."""
-    _DEFAULT.enabled = False
-
-
-def is_enabled() -> bool:
-    """Whether the default registry is recording."""
-    return _DEFAULT.enabled
-
-
-def reset() -> None:
-    """Clear the default registry."""
-    _DEFAULT.reset()
-
-
-def stage(name: str):
-    """Time a stage on the default registry (``with perf.stage(...)``)."""
-    if not _DEFAULT.enabled:
-        return _NULL_STAGE
-    return _Stage(_DEFAULT, name)
-
-
-def count(name: str, n: int = 1) -> None:
-    """Increment a counter on the default registry."""
-    if not _DEFAULT.enabled:
-        return
-    _DEFAULT.count(name, n)
-
-
-def counter_value(name: str) -> int:
-    """Read a counter from the default registry."""
-    return _DEFAULT.counter_value(name)
-
-
-def merge_counters(counters: Optional[Dict[str, int]]) -> None:
-    """Fold worker counters into the default registry."""
-    if counters:
-        _DEFAULT.merge_counters(counters)

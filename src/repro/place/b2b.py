@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro import perf, telemetry
+from repro import obs
 
 try:  # pragma: no cover - exercised whenever scipy provides the kernel
     from scipy.sparse import _sparsetools as _spt
@@ -427,12 +427,12 @@ def _jacobi_pcg(
     # Solver-effort counters for the perf/telemetry layers (no-ops
     # while disabled); a CG iteration blow-up is the first symptom of
     # an ill-conditioned B2B system (coincident pins, bad anchors).
-    perf.count("b2b.solves", solves)
-    perf.count("b2b.cg_iterations", iterations)
+    obs.count("b2b.solves", solves)
+    obs.count("b2b.cg_iterations", iterations)
     if unconverged:
-        perf.count("b2b.cg_nonconverged", unconverged)
-        telemetry.event("b2b.cg_nonconverged", systems=unconverged, maxiter=maxiter)
+        obs.count("b2b.cg_nonconverged", unconverged)
+        obs.event("b2b.cg_nonconverged", systems=unconverged, maxiter=maxiter)
     if nonfinite:
-        perf.count("b2b.cg_nonfinite", nonfinite)
-        telemetry.event("b2b.cg_nonfinite", systems=nonfinite)
+        obs.count("b2b.cg_nonfinite", nonfinite)
+        obs.event("b2b.cg_nonfinite", systems=nonfinite)
     return out

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs
 from repro.netlist.design import Design
 
 
@@ -69,13 +69,13 @@ def legalize(design: Design, row_search_window: int = 12) -> float:
     """
     fp = design.floorplan
     num_rows = max(1, int(fp.core_height / fp.row_height))
-    with telemetry.span("place.legalize", instances=design.num_instances):
+    with obs.stage("place.legalize", instances=design.num_instances):
         total_disp, unplaced = _legalize_rows(
             design, fp, num_rows, row_search_window
         )
-    telemetry.observe("legalize.displacement", total_disp)
+    obs.observe("legalize.displacement", total_disp)
     if unplaced:
-        telemetry.event(
+        obs.event(
             "legalize.unplaced", count=unplaced, design=design.name
         )
     return total_disp

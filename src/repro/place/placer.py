@@ -18,13 +18,12 @@ lone run of it would stop.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro import monitor, telemetry
+from repro import obs, telemetry
 from repro.place.b2b import b2b_edges, solve_axis
 from repro.place.hpwl import hpwl_arrays
 from repro.place.problem import PlacementProblem
@@ -189,7 +188,6 @@ class GlobalPlacer:
         problem gets one result per system and no commit (its rows,
         ``problem.x[k]`` / ``problem.y[k]``, are the K placements).
         """
-        start = time.perf_counter()
         problem = self.problem
         config = self.config
         mode = "incremental" if config.incremental else "full"
@@ -216,30 +214,30 @@ class GlobalPlacer:
                 if config.incremental
                 else config.max_iterations
             )
-            monitor.start_task(
+            obs.start_task(
                 f"{config.telemetry}.iters", bound + 1, unit="rounds"
             )
         try:
-            with telemetry.span(
+            with obs.stage(
                 "place.global",
                 mode=mode,
                 movable=int(problem.movable.sum()),
                 systems=systems,
-            ):
+            ) as stage:
                 if config.incremental:
                     self._run_incremental()
                 else:
                     self._run_full()
         finally:
             if config.telemetry is not None:
-                monitor.complete(f"{config.telemetry}.iters")
+                obs.complete(f"{config.telemetry}.iters")
 
         results = [
             PlacementResult(
                 hpwl=float("nan") if error else trace[-1],
                 iterations=int(iterations),
                 overflow=float(overflow),
-                runtime=0.0,
+                runtime=stage.elapsed,
                 hpwl_trace=trace,
                 error=error,
             )
@@ -250,7 +248,7 @@ class GlobalPlacer:
         if config.telemetry is not None:
             for result in results:
                 converged = result.overflow < config.target_overflow
-                telemetry.event(
+                obs.event(
                     "placement.converged" if converged else "placement.diverged",
                     mode=mode,
                     iterations=result.iterations,
@@ -260,9 +258,6 @@ class GlobalPlacer:
 
         if not stacked:
             problem.commit()
-        runtime = time.perf_counter() - start
-        for result in results:
-            result.runtime = runtime
         return results if stacked else results[0]
 
     def _telemetry_on(self) -> bool:
@@ -331,14 +326,14 @@ class GlobalPlacer:
         ``config.telemetry`` is None or telemetry is disabled)."""
         prefix = self.config.telemetry
         if prefix is not None:
-            monitor.set_done(f"{prefix}.iters", iteration + 1)
+            obs.set_done(f"{prefix}.iters", iteration + 1)
         if not self._telemetry_on():
             return
-        telemetry.observe(f"{prefix}.hpwl", hpwl_value, step=iteration)
+        obs.observe(f"{prefix}.hpwl", hpwl_value, step=iteration)
         if overflow is not None:
-            telemetry.observe(f"{prefix}.overflow", overflow, step=iteration)
+            obs.observe(f"{prefix}.overflow", overflow, step=iteration)
         if spread_move is not None:
-            telemetry.observe(f"{prefix}.spread_move", spread_move, step=iteration)
+            obs.observe(f"{prefix}.spread_move", spread_move, step=iteration)
 
     def _run_full(self) -> None:
         problem = self.problem

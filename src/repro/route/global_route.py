@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro import perf, telemetry
+from repro import obs
 from repro.netlist.design import Design
 from repro.route.gcell import GCellGrid
 from repro.route.steiner import rsmt
@@ -98,7 +98,7 @@ class GlobalRouter:
         per system of a stack.  A net's routing points are its distinct
         pin locations at 1 nm resolution, in pin order (driver first),
         read through the design's cached net -> pin CSR."""
-        with telemetry.span(
+        with obs.stage(
             "route.global",
             design=self.design.name,
             gcells=sum(grid.nx * grid.ny for grid in self.grids),
@@ -108,9 +108,9 @@ class GlobalRouter:
         prefix = self.telemetry_prefix
         if prefix is not None:
             for result in results:
-                telemetry.observe(f"{prefix}.overflow", result.overflow_fraction)
-                telemetry.observe(f"{prefix}.max_congestion", result.max_congestion)
-                telemetry.observe(f"{prefix}.wirelength", result.routed_wirelength)
+                obs.observe(f"{prefix}.overflow", result.overflow_fraction)
+                obs.observe(f"{prefix}.max_congestion", result.max_congestion)
+                obs.observe(f"{prefix}.wirelength", result.routed_wirelength)
         return results[0] if self.stack is None else results
 
     def _run(self) -> List[RoutingResult]:
@@ -190,8 +190,8 @@ class GlobalRouter:
                 and np.isfinite(grid.congestion_ratios()).all()
             ):
                 error = "non-finite pin coordinate, tree length or congestion ratio"
-                perf.count("route.cost_nonfinite")
-                telemetry.event("route.cost_nonfinite", system=k, reason=error)
+                obs.count("route.cost_nonfinite")
+                obs.event("route.cost_nonfinite", system=k, reason=error)
                 results.append(RoutingResult(float("nan"), error=error))
                 continue
             worst = _route_patterns(grid, edge_counts, iter(edges[begin:done]))

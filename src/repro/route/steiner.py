@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import perf
+from repro import obs
 
 #: MST-to-RSMT discount for multi-pin nets; the RSMT of random point
 #: sets averages ~0.9x the rectilinear MST length.
@@ -126,7 +126,7 @@ def _forest(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> SteinerForest:
         edge_a[slots] = first + tail
         edge_b[slots] = first + head
     if counted:
-        perf.count("steiner.rsmt.miss", counted)
+        obs.count("steiner.rsmt.miss", counted)
     return SteinerForest(length, edge_a, edge_b, edge_offsets)
 
 

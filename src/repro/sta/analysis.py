@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro import perf, telemetry
+from repro import obs
 from repro.netlist.design import Net
 from repro.sta.delay import FanoutWireModel, WireDelayModel
 from repro.sta.flat import FlatTiming, _gather_ranges, flat_for
@@ -158,11 +158,11 @@ class TimingAnalyzer:
         telemetry streams (auto-stepped, so repeated updates — e.g.
         pre/post optimisation — trace a trajectory).
         """
-        with telemetry.span("sta.update", nodes=self.graph.num_nodes):
+        with obs.stage("sta.update", nodes=self.graph.num_nodes):
             report = self._update()
-        telemetry.observe("sta.wns", report.wns)
-        telemetry.observe("sta.tns", report.tns)
-        telemetry.observe("sta.failing_endpoints", report.num_failing)
+        obs.observe("sta.wns", report.wns)
+        obs.observe("sta.tns", report.tns)
+        obs.observe("sta.failing_endpoints", report.num_failing)
         return report
 
     def _refresh_graph(self) -> None:
@@ -184,7 +184,7 @@ class TimingAnalyzer:
         self._graph_key = key
         self._state = None
         self._dirty = None
-        perf.count("sta.graph.recompiled")
+        obs.count("sta.graph.recompiled")
 
     def _update(self) -> TimingReport:
         self._refresh_graph()
@@ -344,7 +344,7 @@ class TimingAnalyzer:
     def _update_incremental(
         self, flat: FlatTiming, state: _FlatState, dirty: set
     ) -> TimingReport:
-        perf.count("sta.incremental.updates")
+        obs.count("sta.incremental.updates")
         model = self.wire_model
         m = flat.num_arcs
         nets = np.asarray(sorted(dirty), dtype=np.int64)
@@ -388,8 +388,8 @@ class TimingAnalyzer:
             state.delay_b[flat.inv_b[affected]] = new_delay
             evaluated += self._forward_worklist(flat, state, affected)
             evaluated += self._backward_worklist(flat, state, affected)
-        perf.count("sta.incremental.arcs_evaluated", evaluated)
-        perf.count("sta.incremental.arcs_skipped", max(0, 2 * m - evaluated))
+        obs.count("sta.incremental.arcs_evaluated", evaluated)
+        obs.count("sta.incremental.arcs_skipped", max(0, 2 * m - evaluated))
         return self._finalize(flat, state, state.period)
 
     def _subset_coords(self, flat: FlatTiming, nets: np.ndarray):

@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry.session import TelemetrySession
 from repro.telemetry.trace import span_tree
 
 SCHEMA = "repro.telemetry/1"
@@ -54,13 +53,14 @@ class RunReport:
     @classmethod
     def from_session(
         cls,
-        session: TelemetrySession,
+        session: Any,
         meta: Optional[Dict[str, Any]] = None,
         qor: Optional[Dict[str, Any]] = None,
         perf: Optional[Dict[str, Any]] = None,
         monitor: Optional[Dict[str, Any]] = None,
     ) -> "RunReport":
-        """Snapshot a telemetry session into a report."""
+        """Snapshot the record stores of a session (anything with a
+        ``tracer``, ``metrics`` and ``events``) into a report."""
         return cls(
             meta=dict(meta or {}),
             spans=session.tracer.export(),

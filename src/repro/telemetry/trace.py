@@ -1,17 +1,19 @@
-"""Tracing spans: a nested wall-clock trace of what the flow did.
+"""Span records: a nested wall-clock trace of what the flow did.
 
-A :class:`Tracer` records *spans* — named intervals with attributes and
-parent/child links — into a flat list of records; the run report folds
-them back into a tree.  Spans complement :mod:`repro.perf` stage
-timers: a stage aggregates all calls under one name, a span is one
+A :class:`Tracer` stores *spans* — named intervals with attributes and
+parent/child links — as a flat list of records; the run report folds
+them back into a tree.  Spans complement the :mod:`repro.perf` stage
+aggregates: an aggregate sums all calls under one path, a span is one
 concrete interval ("V-P&R candidate AR=1.5 on cluster 3 took 80 ms")
 with its own attributes.
 
-The active span is tracked per thread, so spans opened on worker
-threads nest correctly.  Fork-pool workers carry their own tracer;
-their finished records travel back with the results and are re-parented
-under the parent process's active span via :meth:`Tracer.merge`
-(fresh span ids are allocated, so merged ids never collide).
+The tracer is a passive store: :mod:`repro.obs` owns the clock and the
+per-thread nesting stack the parent links come from, allocates an id
+per stage and adds the finished record.  Fork-pool workers carry their
+own tracer; their finished records travel back with the results and
+are re-parented under the parent process's active span via
+:meth:`Tracer.merge` (fresh span ids are allocated, so merged ids
+never collide).
 
 ``time.perf_counter`` is CLOCK_MONOTONIC on Linux and therefore
 comparable across forked processes, which keeps worker span timestamps
@@ -20,60 +22,9 @@ on the same axis as the parent's.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
-
-
-class Span:
-    """One open interval; use as a context manager.
-
-    The span records its wall-clock bounds on exit and notes whether
-    the block raised (``error`` attribute on the record).
-    """
-
-    __slots__ = ("_tracer", "name", "span_id", "attrs", "_start")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.span_id = -1
-        self.attrs = attrs
-
-    def set_attr(self, key: str, value: Any) -> None:
-        """Attach an attribute discovered mid-span."""
-        self.attrs[key] = value
-
-    def __enter__(self) -> "Span":
-        self.span_id = self._tracer._enter(self.name)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        end = time.perf_counter()
-        if exc_type is not None:
-            self.attrs["error"] = exc_type.__name__
-        self._tracer._exit(self, self._start, end)
-        return None
-
-
-class NullSpan:
-    """Shared no-op span returned while telemetry is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def set_attr(self, key: str, value: Any) -> None:
-        return None
-
-
-NULL_SPAN = NullSpan()
+from typing import Any, Dict, List, Optional
 
 
 class Tracer:
@@ -92,52 +43,35 @@ class Tracer:
         self._lock = threading.Lock()
         self._records: List[Dict[str, Any]] = []
         self._next_id = 0
-        self._local = threading.local()
 
-    # -- span stack (per thread) ---------------------------------------
-    def _stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def current_span_id(self) -> Optional[int]:
-        """Id of the innermost open span on this thread (None at top)."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def _alloc_id(self) -> int:
+    def alloc_id(self) -> int:
+        """A span id no other record of this tracer has."""
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
         return span_id
 
-    def _enter(self, name: str) -> int:
-        span_id = self._alloc_id()
-        self._stack().append(span_id)
-        return span_id
-
-    def _exit(self, span: Span, start: float, end: float) -> None:
-        stack = self._stack()
-        if stack and stack[-1] == span.span_id:
-            stack.pop()
-        parent = stack[-1] if stack else None
+    def add(
+        self,
+        span_id: int,
+        parent: Optional[int],
+        name: str,
+        start: float,
+        dur: float,
+        attrs: Dict[str, Any],
+    ) -> None:
+        """Store one finished span (``start`` is a ``perf_counter``
+        reading; the record keeps it relative to the epoch)."""
         record = {
-            "id": span.span_id,
+            "id": span_id,
             "parent": parent,
-            "name": span.name,
+            "name": name,
             "t0": start - self.epoch,
-            "dur": end - start,
-            "attrs": span.attrs,
+            "dur": dur,
+            "attrs": attrs,
         }
         with self._lock:
             self._records.append(record)
-
-    # -- public API ----------------------------------------------------
-    def span(self, name: str, **attrs: Any) -> Span:
-        """Open a span (``with tracer.span("vpr.candidate", ar=1.5):``)."""
-        return Span(self, name, attrs)
 
     def export(self) -> List[Dict[str, Any]]:
         """Copy of the finished records (completion order)."""
@@ -160,7 +94,7 @@ class Tracer:
         """
         if not records:
             return
-        id_map = {r["id"]: self._alloc_id() for r in records}
+        id_map = {r["id"]: self.alloc_id() for r in records}
         remapped = []
         for r in records:
             attrs = dict(r.get("attrs") or {})
@@ -180,7 +114,7 @@ class Tracer:
             self._records.extend(remapped)
 
     def reset(self) -> None:
-        """Drop all records (open spans on other threads are orphaned)."""
+        """Drop all records (spans still open are stored on exit)."""
         with self._lock:
             self._records.clear()
 
@@ -207,25 +141,3 @@ def span_tree(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         node["children"].sort(key=lambda n: n["t0"])
     roots.sort(key=lambda n: n["t0"])
     return roots
-
-
-def traced(name: str, tracer_getter: Callable[[], Optional[Tracer]], **attrs: Any):
-    """Decorator form: wrap every call of ``fn`` in a span.
-
-    The tracer is looked up per call (not at decoration time), so
-    functions decorated at import keep working when telemetry is
-    enabled later.  Used by :func:`repro.telemetry.traced`.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tracer = tracer_getter()
-            if tracer is None:
-                return fn(*args, **kwargs)
-            with tracer.span(name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -8,7 +8,7 @@
 
 import pytest
 
-from repro import monitor, telemetry
+from repro import monitor, obs, telemetry
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.vpr import VPRConfig, VPRShapeSelector, _fork_available
 from repro.db.database import DesignDatabase
@@ -108,7 +108,7 @@ class TestSweepProgress:
 
         class BrokenPool(LocalPoolExecutor):
             def map_chunks(self, state, chunks, chunk_fn):
-                monitor.advance("vpr.items", 2)  # e.g. resolved chunks
+                obs.advance("vpr.items", 2)  # e.g. resolved chunks
                 raise OSError("pool unavailable")
                 yield  # pragma: no cover - makes this a generator
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro import monitor, perf, telemetry
+from repro import monitor, obs, perf, telemetry
 from repro.monitor.sampler import ResourceSampler
 from repro.monitor.status import (
     STATUS_SCHEMA,
@@ -183,15 +183,22 @@ class TestMonitorSession:
             str(tmp_path), interval=60.0, status_interval=0.0
         )
         assert session.current_stage() is None
-        with monitor.stage("vpr"):
+        with obs.stage("vpr") as outer:
             assert session.current_stage() == "vpr"
             session.sampler.sample()
-            with monitor.stage("vpr.route"):
+            with obs.stage("vpr.route"):
                 assert session.current_stage() == "vpr.route"
+                # The monitor follows two levels; deeper stages are
+                # the perf report's and the trace's business.
+                with obs.stage("route.global"):
+                    assert session.current_stage() == "vpr.route"
+            assert session.current_stage() == "vpr"
         assert session.current_stage() is None
         doc = load_status(str(tmp_path))
+        assert [s["name"] for s in doc["stages"]] == ["vpr", "vpr.route"]
         stages = {s["name"]: s for s in doc["stages"]}
         assert stages["vpr"]["state"] == "done"
+        assert stages["vpr"]["elapsed_s"] == outer.elapsed
         assert stages["vpr"]["peak_rss_bytes"] > 0
         assert "_started" not in stages["vpr"]
 
@@ -202,11 +209,11 @@ class TestMonitorSession:
         session = monitor.enable(
             str(tmp_path), interval=60.0, status_interval=0.0
         )
-        with monitor.stage("vpr"):
-            with monitor.stage("vpr"):
-                assert session._stage_stack == ["vpr", "vpr"]
+        with obs.stage("vpr") as outer:
+            with obs.stage("vpr") as inner:
+                assert obs.session()._stack() == [outer, inner]
             assert session.current_stage() == "vpr"
-            assert session._stage_stack == ["vpr"]
+            assert obs.session()._stack() == [outer]
         assert session.current_stage() is None
         monitor.disable()
 
@@ -234,7 +241,7 @@ class TestMonitorSession:
 
         def spin_stages():
             while not stop.is_set():
-                with monitor.stage("hot"):
+                with obs.stage("hot"):
                     pass
 
         def spin_samples():
@@ -257,9 +264,7 @@ class TestMonitorSession:
             # normal disable() (and the conftest teardown behind it)
             # would hang too — drop the global session without touching
             # its locks, then fail loudly.
-            from repro.monitor import session as session_module
-
-            session_module._MONITOR = None
+            obs.session().monitor = None
             pytest.fail(f"deadlocked threads: {stuck}")
         monitor.disable()
 
@@ -270,7 +275,7 @@ class TestMonitorSession:
         session = monitor.enable(
             str(tmp_path), interval=60.0, status_interval=0.0
         )
-        with monitor.stage("clustering"):
+        with obs.stage("clustering"):
             session.sampler.sample()
         monitor.disable()
         value = perf.counter_value("monitor.peak_rss.clustering")
@@ -288,12 +293,12 @@ class TestMonitorSession:
     def test_progress_ticks_refresh_status(self, tmp_path):
         telemetry.enable(str(tmp_path))
         monitor.enable(str(tmp_path), interval=60.0, status_interval=0.0)
-        monitor.start_task("loop", 3, unit="steps")
-        monitor.advance("loop", 2)
+        obs.start_task("loop", 3, unit="steps")
+        obs.advance("loop", 2)
         doc = load_status(str(tmp_path))
         task = doc["progress"][0]
         assert (task["name"], task["done"], task["total"]) == ("loop", 2, 3)
-        monitor.complete("loop")
+        obs.complete("loop")
         doc = load_status(str(tmp_path))
         assert doc["progress"][0]["finished"] is True
         assert doc["progress"][0]["total"] == 2
@@ -302,9 +307,9 @@ class TestMonitorSession:
     def test_summary_block(self, tmp_path):
         telemetry.enable(str(tmp_path))
         monitor.enable(str(tmp_path), interval=60.0, status_interval=0.0)
-        monitor.start_task("loop", 2)
-        monitor.advance("loop", 2)
-        monitor.complete("loop")
+        obs.start_task("loop", 2)
+        obs.advance("loop", 2)
+        obs.complete("loop")
         summary = monitor.summary()
         monitor.disable()
         assert summary["samples"] >= 1
@@ -322,12 +327,12 @@ class TestMonitorSession:
 
     def test_hooks_are_noops_while_disabled(self, tmp_path):
         assert monitor.get_monitor() is None
-        monitor.start_task("x", 5)
-        monitor.advance("x")
-        monitor.set_done("x", 1)
-        monitor.complete("x")
-        monitor.set_meta(design="aes")
-        assert monitor.worker_dir() is None
-        with monitor.stage("vpr"):
+        obs.start_task("x", 5)
+        obs.advance("x")
+        obs.set_done("x", 1)
+        obs.complete("x")
+        obs.set_meta(design="aes")
+        assert obs.worker_descriptor()["heartbeats"] is None
+        with obs.stage("vpr"):
             pass
         assert not (tmp_path / "status.json").exists()

@@ -11,10 +11,8 @@ from repro.perf.timers import PerfRegistry
 
 def _populated_registry():
     registry = PerfRegistry()
-    registry.enabled = True
-    with registry.stage("flow/vpr"):
-        with registry.stage("flow/vpr/place"):
-            pass
+    registry.add("flow/vpr/place", 0.25)
+    registry.add("flow/vpr", 0.5)
     registry.count("vpr.subnetlist.hit", 3)
     registry.count("vpr.subnetlist.miss", 1)
     return registry
@@ -68,7 +66,6 @@ class TestMergeAssociativity:
     @staticmethod
     def _merged(*snapshots):
         registry = PerfRegistry()
-        registry.enabled = True
         for snap in snapshots:
             registry.merge_counters(snap)
         return registry.snapshot()["counters"]
@@ -88,6 +85,5 @@ class TestMergeAssociativity:
 
     def test_merge_ignores_empty_and_none_like(self):
         registry = PerfRegistry()
-        registry.enabled = True
         registry.merge_counters({})
         assert registry.snapshot()["counters"] == {}

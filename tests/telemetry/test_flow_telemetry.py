@@ -145,11 +145,20 @@ class TestWorkerTelemetry:
 
             # The lockstep placement and the stacked route of a batch of
             # candidates are siblings of its candidate spans, one each
-            # per batch (attr `systems` = the batch size).
-            for name in ("vpr.candidate", "route.global", "place.global"):
+            # per batch (attr `systems` = the batch size), each holding
+            # the kernel's own span.
+            for name in ("vpr.candidate", "vpr.route", "vpr.place"):
                 assert {
                     r["parent"] for r in records if r["name"] == name
                 } == {sweep["id"]}
+            for name, outer in (
+                ("route.global", "vpr.route"), ("place.global", "vpr.place")
+            ):
+                assert {
+                    by_id[r["parent"]]["name"]
+                    for r in records
+                    if r["name"] == name
+                } == {outer}
             for name in ("route.global", "place.global"):
                 batches = [r for r in records if r["name"] == name]
                 assert sum(r["attrs"]["systems"] for r in batches) == len(

@@ -2,7 +2,7 @@
 
 import json
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.telemetry.events import EVENT_SCHEMA, EventLog
 from repro.telemetry.metrics import MetricRegistry
 
@@ -49,7 +49,7 @@ class TestMetricStreams:
 
     def test_disabled_observe_records_nothing(self):
         assert not telemetry.is_enabled()
-        telemetry.observe("gp.hpwl", 1.0)
+        obs.observe("gp.hpwl", 1.0)
         assert telemetry.stream("gp.hpwl") is None
 
 
@@ -88,7 +88,7 @@ class TestEventLog:
         assert merged["t"] == exported[0]["t"]  # worker timestamp kept
 
     def test_session_event_disabled_noop(self):
-        telemetry.event("ignored", x=1)
+        obs.event("ignored", x=1)
         assert len(telemetry.get_session().events) == 0
 
 
@@ -96,21 +96,21 @@ class TestSessionRoundTrip:
     def test_worker_snapshot_and_merge(self):
         telemetry.enable()
         # Simulate the worker side on the same process: record, export.
-        with telemetry.span("vpr.candidate", ar=2.0):
-            telemetry.observe("vpr.total_cost", 0.25)
-        telemetry.event("worker.note", detail="hi")
-        payload = telemetry.worker_snapshot()
+        with obs.stage("vpr.candidate", ar=2.0):
+            obs.observe("vpr.total_cost", 0.25)
+        obs.event("worker.note", detail="hi")
+        payload = obs.worker_payload()
         session = telemetry.get_session()
         assert len(session.tracer) == 0  # snapshot clears
         assert len(session.events) == 0
 
-        with telemetry.span("vpr.sweep"):
-            telemetry.merge_worker(payload)
+        with obs.stage("vpr.sweep"):
+            obs.merge_worker(payload)
         names = {r["name"] for r in session.tracer.export()}
         assert names == {"vpr.candidate", "vpr.sweep"}
         assert telemetry.stream("vpr.total_cost").final == 0.25
         assert session.events.export()[0]["type"] == "worker.note"
 
     def test_worker_snapshot_none_when_disabled(self):
-        assert telemetry.worker_snapshot() is None
-        telemetry.merge_worker(None)  # must not raise
+        assert obs.worker_payload() is None
+        obs.merge_worker(None)  # must not raise

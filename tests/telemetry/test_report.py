@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.telemetry import SCHEMA, RunReport, diff_runs, render_html
 
 
@@ -20,9 +20,9 @@ def _report(**finals):
 class TestSerialisation:
     def test_round_trip_dict_and_disk(self, tmp_path):
         telemetry.enable()
-        with telemetry.span("flow.route", design="aes"):
-            telemetry.observe("route.overflow", 0.02)
-        telemetry.event("flow.done", hpwl=1.0)
+        with obs.stage("flow.route", design="aes"):
+            obs.observe("route.overflow", 0.02)
+        obs.event("flow.done", hpwl=1.0)
         report = telemetry.run_report(
             meta={"design": "aes"}, qor={"qor.hpwl": 1.0}
         )
@@ -103,10 +103,10 @@ class TestDiff:
 class TestHtml:
     def test_self_contained_page(self, tmp_path):
         telemetry.enable()
-        with telemetry.span("flow.vpr"):
+        with obs.stage("flow.vpr"):
             for i in range(5):
-                telemetry.observe("vpr.total_cost", 0.5 - 0.05 * i, step=i)
-        telemetry.event("vpr.shape_selected", cluster=0, ar=1.5)
+                obs.observe("vpr.total_cost", 0.5 - 0.05 * i, step=i)
+        obs.event("vpr.shape_selected", cluster=0, ar=1.5)
         report = telemetry.run_report(meta={"design": "aes"})
         out = tmp_path / "report.html"
         text = render_html(report, str(out))

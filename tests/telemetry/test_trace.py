@@ -1,20 +1,31 @@
-"""Tracer unit tests: nesting, null objects, worker merge, span_tree."""
+"""Span tests: nesting, disabled path, worker merge, span_tree."""
 
 import pytest
 
-from repro import telemetry
-from repro.telemetry.trace import NULL_SPAN, Tracer, span_tree
+from repro import obs, telemetry
+from repro.telemetry.trace import Tracer, span_tree
+
+
+def _filled(*names, epoch=0.0):
+    """A tracer holding one root span per name plus a child of the
+    first (ids allocated from 0, like a worker's)."""
+    tracer = Tracer(epoch=epoch)
+    ids = [tracer.alloc_id() for _ in names]
+    for span_id, name in zip(ids, names):
+        parent = ids[0] if span_id != ids[0] else None
+        tracer.add(span_id, parent, name, 1.0, 0.5, {})
+    return tracer
 
 
 class TestSpans:
     def test_nesting_records_parent_links(self):
-        tracer = Tracer(epoch=0.0)
-        with tracer.span("outer", kind="test"):
-            with tracer.span("inner"):
+        telemetry.enable()
+        with obs.stage("outer", kind="test"):
+            with obs.stage("inner"):
                 pass
-            with tracer.span("inner2"):
+            with obs.stage("inner2"):
                 pass
-        records = tracer.export()
+        records = telemetry.get_session().tracer.export()
         assert [r["name"] for r in records] == ["inner", "inner2", "outer"]
         outer = records[-1]
         assert outer["parent"] is None
@@ -24,33 +35,28 @@ class TestSpans:
             assert inner["dur"] >= 0.0
             assert inner["t0"] >= outer["t0"]
 
-    def test_set_attr_mid_span(self):
-        tracer = Tracer()
-        with tracer.span("work") as span:
-            span.set_attr("items", 7)
-        assert tracer.export()[0]["attrs"] == {"items": 7}
-
     def test_exception_recorded_and_stack_unwound(self):
-        tracer = Tracer()
+        telemetry.enable()
         with pytest.raises(ValueError):
-            with tracer.span("boom"):
+            with obs.stage("boom"):
                 raise ValueError("nope")
-        record = tracer.export()[0]
+        session = telemetry.get_session()
+        record = session.tracer.export()[0]
         assert record["attrs"]["error"] == "ValueError"
-        assert tracer.current_span_id() is None
+        assert session._stack() == []
 
     def test_disabled_session_returns_shared_null_span(self):
+        """While telemetry is off a stage allocates no span id and
+        stores no record."""
         assert not telemetry.is_enabled()
-        span = telemetry.span("anything", x=1)
-        assert span is NULL_SPAN
-        with span:
-            span.set_attr("ignored", True)
+        with obs.stage("anything", x=1) as stage:
+            assert telemetry.get_session()._stack() == []
+        assert stage.elapsed > 0.0
         assert len(telemetry.get_session().tracer) == 0
 
     def test_export_is_a_deep_copy(self):
         tracer = Tracer()
-        with tracer.span("a", n=1):
-            pass
+        tracer.add(tracer.alloc_id(), None, "a", 0.0, 0.1, {"n": 1})
         exported = tracer.export()
         exported[0]["attrs"]["n"] = 999
         assert tracer.export()[0]["attrs"]["n"] == 1
@@ -58,17 +64,14 @@ class TestSpans:
 
 class TestMerge:
     def test_worker_records_reparented_with_fresh_ids(self):
-        parent = Tracer(epoch=0.0)
-        worker = Tracer(epoch=0.0)
-        with worker.span("vpr.candidate", ar=1.5):
-            with worker.span("place.global"):
-                pass
-        payload = worker.export()
+        payload = _filled("vpr.candidate", "place.global").export()
 
-        with parent.span("vpr.sweep"):
-            with parent.span("collect"):
-                parent.merge(payload, parent_id=parent.current_span_id())
-        records = {r["name"]: r for r in parent.export()}
+        telemetry.enable()
+        with obs.stage("vpr.sweep"):
+            with obs.stage("collect"):
+                obs.merge_worker({"spans": payload})
+        exported = telemetry.get_session().tracer.export()
+        records = {r["name"]: r for r in exported}
         collect = records["collect"]
         candidate = records["vpr.candidate"]
         place = records["place.global"]
@@ -76,26 +79,20 @@ class TestMerge:
         # links survive the id remap.
         assert candidate["parent"] == collect["id"]
         assert place["parent"] == candidate["id"]
-        ids = [r["id"] for r in parent.export()]
+        ids = [r["id"] for r in exported]
         assert len(ids) == len(set(ids))
 
     def test_merge_id_collisions_resolved(self):
         # Both tracers allocate ids starting at 0.
-        a = Tracer()
-        b = Tracer()
-        with a.span("a0"):
-            pass
-        with b.span("b0"):
-            pass
+        a = _filled("a0")
+        b = _filled("b0")
         a.merge(b.export())
         ids = [r["id"] for r in a.export()]
         assert len(ids) == len(set(ids)) == 2
 
     def test_merge_extra_attrs(self):
         a = Tracer()
-        b = Tracer()
-        with b.span("w"):
-            pass
+        b = _filled("w")
         a.merge(b.export(), extra_attrs={"worker": 3})
         assert a.export()[0]["attrs"]["worker"] == 3
 
@@ -117,19 +114,3 @@ class TestSpanTree:
             {"id": 5, "parent": 99, "name": "orphan", "t0": 0.0, "dur": 0.1, "attrs": {}}
         ]
         assert [n["name"] for n in span_tree(records)] == ["orphan"]
-
-
-class TestTracedDecorator:
-    def test_traced_checks_enabled_per_call(self):
-        @telemetry.traced("unit.work", tag="x")
-        def work():
-            return 42
-
-        assert work() == 42  # disabled: no record
-        assert len(telemetry.get_session().tracer) == 0
-
-        telemetry.enable()
-        assert work() == 42
-        records = telemetry.get_session().tracer.export()
-        assert records[0]["name"] == "unit.work"
-        assert records[0]["attrs"] == {"tag": "x"}

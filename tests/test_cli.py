@@ -297,3 +297,96 @@ class TestFleetCli:
             parse_endpoint("no-port-here")
         assert parse_endpoint("[::1]:70") == ("::1", 70)
         assert parse_endpoint("h:7000") == ("h", 7000)
+
+
+class TestRecordingLifecycle:
+    """`flow` / `eco` enter one lifecycle (``obs.run``): whatever the
+    flags turned on is off again on every exit path — or exactly as the
+    caller had it — with the event-log file closed, and a failing run
+    leaves a ``failed`` status behind."""
+
+    @staticmethod
+    def _enabled():
+        from repro import monitor, perf, telemetry
+
+        return perf.is_enabled(), telemetry.is_enabled(), monitor.is_enabled()
+
+    @staticmethod
+    def _open_handles(path):
+        import os
+
+        held = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                continue
+            if target == str(path):
+                held.append(fd)
+        return held
+
+    def _flags(self, out):
+        return ["--telemetry", str(out), "--monitor",
+                "--perf-report", str(out / "perf.json")]
+
+    def _failed_status(self, out):
+        import json
+
+        status = json.loads((out / "status.json").read_text())
+        assert status["state"] == "failed"
+        return status["error"]
+
+    def test_success_leaves_everything_off(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["flow", "--benchmark", "aes", *self._flags(out)]) == 0
+        assert self._enabled() == (False, False, False)
+        assert self._open_handles(out / "events.jsonl") == []
+        assert (out / "perf.json").exists() and (out / "run.json").exists()
+
+    def test_callers_own_state_is_back(self, tmp_path, capsys):
+        from repro import obs, perf
+
+        perf.enable()
+        perf.reset()
+        try:
+            obs.count("caller.counter", 3)
+            out = tmp_path / "run"
+            out.mkdir()
+            assert main(["flow", "--benchmark", "aes", *self._flags(out)]) == 0
+            assert self._enabled() == (True, False, False)
+            # The run recorded into its own session, not the caller's.
+            assert perf.report().counters == {"caller.counter": 3}
+        finally:
+            perf.disable()
+            perf.reset()
+
+    def test_eco_error_leaves_everything_off(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        edits = tmp_path / "edits.json"
+        edits.write_text("[]")
+        with pytest.raises(SystemExit, match="eco: "):
+            main(["eco", str(tmp_path / "no-such-checkpoint"),
+                  "--edits", str(edits), *self._flags(out)])
+        assert self._enabled() == (False, False, False)
+        assert self._open_handles(out / "events.jsonl") == []
+        assert "checkpoint" in self._failed_status(out)
+        assert not (out / "run.json").exists()
+
+    def test_flow_abort_leaves_everything_off(self, tmp_path, monkeypatch):
+        from repro.recovery import faults
+
+        out = tmp_path / "run"
+        out.mkdir()
+        monkeypatch.setenv(faults.ENV_VAR, "raise:flow.vpr")
+        faults.reset()
+        try:
+            with pytest.raises(faults.FaultInjected):
+                main(["flow", "--benchmark", "aes", *self._flags(out)])
+        finally:
+            monkeypatch.delenv(faults.ENV_VAR)
+            faults.reset()
+        assert self._enabled() == (False, False, False)
+        assert self._open_handles(out / "events.jsonl") == []
+        assert "FaultInjected" in self._failed_status(out)
