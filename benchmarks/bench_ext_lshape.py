@@ -25,7 +25,7 @@ def _run():
     members = clustering.members()
     config = VPRConfig(min_cluster_instances=100, placer_iterations=4)
     framework = LShapeVPRFramework(config)
-    eligible = framework.eligible_clusters(members)[:3]
+    eligible = framework.config.eligible_clusters(members)[:3]
     records = []
     for c in eligible:
         record = framework.sweep_with_lshapes(design, members[c])

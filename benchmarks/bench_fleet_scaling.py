@@ -105,8 +105,7 @@ def _run_arm(
         max_vpr_clusters=clusters,
         placer_iterations=iterations,
         chunk_size=5,
-        executor="fleet" if fleet_workers else "local",
-        fleet_workers=max(1, fleet_workers),
+        fleet_workers=fleet_workers,
         jobs=1,
         seed=seed,
     )
@@ -128,7 +127,7 @@ def _run_arm(
 
     perf.enable()
     perf.reset()
-    cluster_ids = framework.eligible_clusters(members)
+    cluster_ids = config.eligible_clusters(members)
     start = time.perf_counter()
     sweeps = framework.sweep_clusters(design, members, cluster_ids)
     wall = time.perf_counter() - start

@@ -57,7 +57,7 @@ def test_ml_speedup(benchmark):
     members = clustering.members()
     config = VPRConfig(min_cluster_instances=100, placer_iterations=4)
     framework = VPRFramework(config)
-    eligible = framework.eligible_clusters(members)[:4]
+    eligible = framework.config.eligible_clusters(members)[:4]
     assert eligible, "need at least one V-P&R-eligible cluster"
 
     model = _load_or_train_model()

@@ -28,7 +28,7 @@ def _sweep():
     members = clustering.members()
     config = VPRConfig(min_cluster_instances=100, placer_iterations=5)
     framework = VPRFramework(config)
-    eligible = framework.eligible_clusters(members)
+    eligible = framework.config.eligible_clusters(members)
     cluster = eligible[0]
     sweep = framework.sweep_cluster(design, members[cluster], cluster_id=cluster)
     return design, members, cluster, config, sweep
@@ -94,7 +94,7 @@ def test_vpr_eligibility_bound(benchmark):
     rows = []
     for bound in (50, 100, 200, 400):
         framework = VPRFramework(VPRConfig(min_cluster_instances=bound))
-        eligible = framework.eligible_clusters(members)
+        eligible = framework.config.eligible_clusters(members)
         swept_insts = sum(len(members[c]) for c in eligible)
         total = sum(len(m) for m in members)
         rows.append(

@@ -35,7 +35,7 @@ def main() -> None:
     members = clustering.members()
     config = VPRConfig(min_cluster_instances=100)
     framework = VPRFramework(config)
-    eligible = framework.eligible_clusters(members)
+    eligible = framework.config.eligible_clusters(members)
     if not eligible:
         print("no cluster above the V-P&R bound; try a larger benchmark")
         return

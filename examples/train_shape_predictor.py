@@ -77,7 +77,7 @@ def main() -> None:
     predictor = TotalCostPredictor(result.model, FeatureExtractor())
     candidates = default_candidate_grid()
 
-    for cluster in framework.eligible_clusters(members)[:3]:
+    for cluster in framework.config.eligible_clusters(members)[:3]:
         t0 = time.time()
         sweep = framework.sweep_cluster(design, members[cluster], cluster)
         exact_time = time.time() - t0

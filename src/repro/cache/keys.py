@@ -90,7 +90,9 @@ def netlist_digest(sub: Design) -> str:
 
 
 def config_fingerprint(config) -> Dict[str, object]:
-    """The ``VPRConfig`` fields that influence one evaluation's result.
+    """What of a ``VPRConfig`` influences one evaluation's result: the
+    fields it declares as ``EVALUATION_FIELDS`` plus the evaluation's
+    constants.
 
     Scheduling and fault-tolerance knobs (jobs, chunk_size, retries,
     timeouts) and the selection-only ``delta`` are excluded: they may
@@ -98,11 +100,8 @@ def config_fingerprint(config) -> Dict[str, object]:
     evaluation's costs.
     """
     return {
-        "top_x_percent": config.top_x_percent,
-        "placer_iterations": config.placer_iterations,
-        "route_target_cells": config.route_target_cells,
-        "die_margin": config.die_margin,
-        "seed": config.seed,
+        **{name: getattr(config, name) for name in config.EVALUATION_FIELDS},
+        **config.EVALUATION_CONSTANTS,
     }
 
 

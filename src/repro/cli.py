@@ -34,6 +34,14 @@ from typing import List, Optional
 
 from repro._version import __version__
 
+#: The ``flow`` vocabulary: the one list behind both front doors — the
+#: argparse choices here and the job server's spec validation
+#: (:mod:`repro.serve.schemas`).
+FLOW_CHOICES = ("ours", "default", "blob")
+TOOL_CHOICES = ("openroad", "innovus")
+CLUSTERING_CHOICES = ("ppa", "mfc", "leiden", "louvain", "bc", "ec")
+SHAPES_CHOICES = ("vpr", "uniform", "random")
+
 
 def _add_flow_parser(subparsers) -> None:
     p = subparsers.add_parser("flow", help="run a placement flow")
@@ -41,21 +49,15 @@ def _add_flow_parser(subparsers) -> None:
     p.add_argument(
         "--flow",
         default="ours",
-        choices=["ours", "default", "blob"],
+        choices=FLOW_CHOICES,
         help="ours = Algorithm 1; default = flat placement; blob = [9]",
     )
-    p.add_argument(
-        "--tool", default="openroad", choices=["openroad", "innovus"]
-    )
-    p.add_argument(
-        "--clustering",
-        default="ppa",
-        choices=["ppa", "mfc", "leiden", "louvain", "bc", "ec"],
-    )
+    p.add_argument("--tool", default="openroad", choices=TOOL_CHOICES)
+    p.add_argument("--clustering", default="ppa", choices=CLUSTERING_CHOICES)
     p.add_argument(
         "--shapes",
         default="vpr",
-        choices=["vpr", "uniform", "random"],
+        choices=SHAPES_CHOICES,
         help="cluster shape selector",
     )
     p.add_argument("--no-routing", action="store_true", help="stop post-place")
@@ -405,24 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_design(args):
     if getattr(args, "generator", None):
-        import dataclasses
         import json
 
         from repro.designs.generator import DesignSpec, generate_design
 
         try:
-            params = json.loads(args.generator)
-        except ValueError as exc:
+            spec = DesignSpec.from_params(json.loads(args.generator))
+        except json.JSONDecodeError as exc:
             raise SystemExit(f"--generator: invalid JSON: {exc}")
-        if not isinstance(params, dict):
-            raise SystemExit("--generator expects a JSON object")
-        known = {f.name for f in dataclasses.fields(DesignSpec)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise SystemExit(
-                f"--generator: unknown DesignSpec field(s): {unknown}"
-            )
-        return generate_design(DesignSpec(**params))
+        except ValueError as exc:
+            raise SystemExit(f"--generator: {exc}")
+        return generate_design(spec)
     if getattr(args, "verilog", None):
         from repro.db import load_design_files
 
@@ -451,7 +446,7 @@ def _cmd_flow(args) -> int:
         default_flow,
     )
     from repro.core.reporting import flow_qor_summary
-    from repro.core.vpr import RandomShapeSelector, UniformShapeSelector
+    from repro.core.vpr import RandomShapeSelector, UniformShapeSelector, VPRConfig
 
     perf_path = getattr(args, "perf_report", None)
     telemetry_dir = getattr(args, "telemetry", None)
@@ -513,9 +508,12 @@ def _cmd_flow(args) -> int:
                     checkpoint_dir=checkpoint_dir,
                     resume=args.resume,
                     cache_dir=cache_dir,
-                    fleet_workers=max(0, getattr(args, "fleet", 0)),
-                    fleet_listen=getattr(args, "fleet_listen", None),
-                    fleet_spawn=not getattr(args, "fleet_external", False),
+                    vpr_config=VPRConfig(
+                        fleet_workers=max(0, getattr(args, "fleet", 0)),
+                        fleet_listen=getattr(args, "fleet_listen", None)
+                        or VPRConfig.fleet_listen,
+                        fleet_spawn=not getattr(args, "fleet_external", False),
+                    ),
                 )
                 result = ClusteredPlacementFlow(config).run(design)
         run.qor = flow_qor_summary(result)

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.core.vpr import (
     ShapeSelector,
     UniformShapeSelector,
     VPRConfig,
-    VPRFramework,
     VPRSelection,
     VPRShapeSelector,
 )
@@ -56,11 +55,14 @@ from repro.place.hpwl import hpwl
 from repro.route.cts import synthesize_clock_tree
 from repro.route.global_route import GlobalRouter
 from repro.sta.activity import propagate_activity
-from repro.sta.analysis import TimingAnalyzer
-from repro.sta.delay import RoutedWireModel
+from repro.sta.analysis import RoutedTiming
 from repro.sta.graph import timing_graph_for
 from repro.sta.hold import analyze_hold
 from repro.sta.power import analyze_power
+
+
+#: Cap on the Eq. 3 criticality multiplier of a net weight.
+MAX_CLUSTER_NET_WEIGHT = 4.0
 
 
 @dataclass
@@ -76,7 +78,9 @@ class FlowConfig:
             the target cluster count for the ablation clusterers).
         shape_selector: Shape-selection strategy; None means exact
             V-P&R (:class:`VPRShapeSelector` with ``vpr_config``).
-        vpr_config: V-P&R knobs for the default selector.
+        vpr_config: V-P&R knobs for the default selector (a selector
+            that owns a framework sweeps with, and the run is described
+            by, that framework's config instead).
         run_routing: Run CTS + routing + post-route STA (Tables 3-6);
             False stops after post-place HPWL (Table 2).
         power_emphasis: The paper's power-awareness future-work knob:
@@ -92,12 +96,11 @@ class FlowConfig:
         timing_weighted_cluster_nets: Carry the Eq. 3 edge criticality
             onto net weights for the cluster placement and the flat
             incremental refinement (capped at
-            ``max_cluster_net_weight``).  The paper's seeded placement
+            ``MAX_CLUSTER_NET_WEIGHT``).  The paper's seeded placement
             runs inside timing-driven commercial/OpenROAD placement;
             our placer substrate is wirelength-driven, so the flow
             stands in with the criticality weights its own clustering
             stage already computed (DESIGN.md, substitutions).
-        max_cluster_net_weight: Cap on the criticality multiplier.
         jobs: Process-pool width for the V-P&R sweep (the flow's
             runtime bottleneck).  Propagated to ``vpr_config.jobs``
             unless that was set explicitly; serial and parallel runs
@@ -119,17 +122,6 @@ class FlowConfig:
             state), the cache is shared by *any* run whose (sub-netlist,
             shape, config) items match; warm results are byte-identical
             to cold.  See ``docs/performance.md``.
-        fleet_workers: When > 0, run the V-P&R sweep on the distributed
-            worker fleet (``vpr_config.executor = "fleet"``) with this
-            many workers instead of the in-process pool.  Fleet and
-            pool runs produce byte-identical QoR.  See
-            ``docs/performance.md``, "Distributed sweep".
-        fleet_listen: ``HOST:PORT`` the fleet parent listens on
-            (default loopback with an ephemeral port; bind a routable
-            address to accept workers from other hosts).
-        fleet_spawn: Spawn ``fleet_workers`` local worker processes
-            (the default).  False waits for externally-launched
-            ``repro worker --connect`` processes instead.
     """
 
     tool: str = "openroad"
@@ -141,7 +133,6 @@ class FlowConfig:
     vpr_config: VPRConfig = field(default_factory=VPRConfig)
     run_routing: bool = True
     timing_weighted_cluster_nets: bool = True
-    max_cluster_net_weight: float = 4.0
     power_emphasis: float = 0.0
     artifacts_dir: Optional[str] = None
     jobs: int = 1
@@ -149,19 +140,10 @@ class FlowConfig:
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     cache_dir: Optional[str] = None
-    fleet_workers: int = 0
-    fleet_listen: Optional[str] = None
-    fleet_spawn: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs != 1 and self.vpr_config.jobs == 1:
             self.vpr_config.jobs = self.jobs
-        if self.fleet_workers > 0:
-            self.vpr_config.executor = "fleet"
-            self.vpr_config.fleet_workers = self.fleet_workers
-            self.vpr_config.fleet_spawn = self.fleet_spawn
-            if self.fleet_listen:
-                self.vpr_config.fleet_listen = self.fleet_listen
         if self.resume and not self.checkpoint_dir:
             raise ValueError("FlowConfig.resume requires checkpoint_dir")
 
@@ -189,12 +171,24 @@ class FlowResult:
 # Shared evaluation (Algorithm 1, lines 27-30)
 # ----------------------------------------------------------------------
 def evaluate_placed_design(
-    design: Design, runtimes: Optional[Dict[str, float]] = None
+    design: Design,
+    runtimes: Optional[Dict[str, float]] = None,
+    run_routing: bool = True,
+    timing: Optional[RoutedTiming] = None,
 ) -> PPAMetrics:
     """CTS + global routing + post-route STA and power on a placed
-    design; returns the full PPA metric record."""
+    design; returns the full PPA metric record.
+
+    ``run_routing=False`` stops at the post-place HPWL (Table 2 mode).
+    ``timing`` is a caller-held :class:`RoutedTiming`: passing the same
+    one for successive placements of a design (an ECO session) lets
+    each STA after the first reuse the compiled graph and update
+    incrementally.
+    """
     runtimes = dict(runtimes or {})
     post_place_hpwl = hpwl(design)
+    if not run_routing:
+        return PPAMetrics(hpwl=post_place_hpwl, runtimes=runtimes)
 
     with obs.stage("flow.cts") as stage:
         cts = synthesize_clock_tree(design)
@@ -205,15 +199,14 @@ def evaluate_placed_design(
     runtimes["route"] = stage.elapsed
 
     with obs.stage("flow.sta") as stage:
-        graph = timing_graph_for(design)
-        wire_model = RoutedWireModel(design, routing.net_lengths)
-        analyzer = TimingAnalyzer(graph, wire_model, clock_uncertainty=cts.skew)
-        report = analyzer.update()
+        timing = timing or RoutedTiming()
+        report = timing.update(design, routing.net_lengths, cts.skew)
+        analyzer = timing.analyzer
         hold = analyze_hold(analyzer)
-        net_activity = propagate_activity(graph)
+        net_activity = propagate_activity(analyzer.graph)
         power = analyze_power(
             design,
-            wire_model,
+            analyzer.wire_model,
             net_activity=net_activity,
             clock_wirelength=cts.wirelength,
             clock_buffers=cts.num_buffers,
@@ -230,13 +223,6 @@ def evaluate_placed_design(
         hold_tns=hold.tns,
         runtimes=runtimes,
     )
-
-
-def _post_place_metrics(
-    design: Design, runtimes: Dict[str, float]
-) -> PPAMetrics:
-    """Post-place-only metric record (Table 2 mode)."""
-    return PPAMetrics(hpwl=hpwl(design), runtimes=dict(runtimes))
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +277,16 @@ class ClusteredPlacementFlow:
         )
 
     # -- checkpointing -----------------------------------------------------
+    def _vpr_config(self) -> VPRConfig:
+        """The run's one V-P&R config: the shape selector's own when it
+        sweeps with a framework, else ``config.vpr_config``."""
+        framework = getattr(self.config.shape_selector, "framework", None)
+        return framework.config if framework else self.config.vpr_config
+
     def _checkpoint_fingerprint(self, design: Design) -> Dict[str, object]:
         """What must match for a checkpoint to be resumable: the design
         and every knob that influences the checkpointed stages."""
         config = self.config
-        vpr = config.vpr_config
         selector = config.shape_selector
         return {
             "schema": RECOVERY_SCHEMA,
@@ -308,15 +299,7 @@ class ClusteredPlacementFlow:
             "selector": selector.name if selector is not None else "vpr",
             "run_routing": config.run_routing,
             "power_emphasis": config.power_emphasis,
-            "delta": vpr.delta,
-            "top_x_percent": vpr.top_x_percent,
-            "min_cluster_instances": vpr.min_cluster_instances,
-            "max_vpr_clusters": vpr.max_vpr_clusters,
-            "placer_iterations": vpr.placer_iterations,
-            "vpr_seed": vpr.seed,
-            "candidates": [
-                [c.aspect_ratio, c.utilization] for c in vpr.candidates
-            ],
+            **self._vpr_config().result_fingerprint(),
         }
 
     def _open_checkpoint(self, design: Design) -> Optional[CheckpointStore]:
@@ -391,7 +374,8 @@ class ClusteredPlacementFlow:
         obs.observe("cluster.count", clustering.num_clusters)
 
         # Lines 12-13: V-P&R shapes for clusters > 200 instances.
-        selector = config.shape_selector or VPRShapeSelector(config.vpr_config)
+        vpr_config = self._vpr_config()
+        selector = config.shape_selector or VPRShapeSelector(vpr_config)
         framework = getattr(selector, "framework", None)
         if store is not None and framework is not None:
             framework.checkpoint = store
@@ -417,7 +401,7 @@ class ClusteredPlacementFlow:
             def _compute_digests() -> Dict[int, Tuple[str, float]]:
                 return {
                     cid: framework.cluster_digest(design, members[cid])
-                    for cid in framework.swept_clusters(members)[0]
+                    for cid in vpr_config.swept_clusters(members)[0]
                 }
 
             self._stage(store, "vpr_digests", _compute_digests)
@@ -442,7 +426,7 @@ class ClusteredPlacementFlow:
                 and clustering.edge_scores is not None
             ):
                 multipliers = _criticality_multipliers(
-                    db, clustering.edge_scores, config.max_cluster_net_weight
+                    db, clustering.edge_scores, MAX_CLUSTER_NET_WEIGHT
                 )
             if config.power_emphasis > 0:
                 power_mult = _power_multipliers(design, config.power_emphasis)
@@ -461,7 +445,7 @@ class ClusteredPlacementFlow:
                 net_weight_multipliers=multipliers,
             )
 
-        vpr_ids, _ = VPRFramework(config.vpr_config).swept_clusters(members)
+        vpr_ids, _ = vpr_config.swept_clusters(members)
 
         def _compute_seeded() -> Dict[str, object]:
             seeded_config = SeededPlacementConfig(tool=config.tool)
@@ -510,9 +494,7 @@ class ClusteredPlacementFlow:
 
         # Lines 27-30: evaluation.
         def _compute_metrics() -> PPAMetrics:
-            if config.run_routing:
-                return evaluate_placed_design(design, runtimes)
-            return _post_place_metrics(design, runtimes)
+            return evaluate_placed_design(design, runtimes, config.run_routing)
 
         metrics, _ = self._stage(store, "metrics", _compute_metrics)
         obs.event(
@@ -550,11 +532,9 @@ def default_flow(
     with obs.stage("flow.place") as stage:
         problem = PlacementProblem(design)
         GlobalPlacer(problem, PlacerConfig(seed=seed)).run()
-    runtimes = {"place": stage.elapsed}
-    if run_routing:
-        metrics = evaluate_placed_design(design, runtimes)
-    else:
-        metrics = _post_place_metrics(design, runtimes)
+    metrics = evaluate_placed_design(
+        design, {"place": stage.elapsed}, run_routing
+    )
     return FlowResult(metrics=metrics)
 
 
@@ -574,9 +554,8 @@ def blob_placement_flow(
         cluster_of = louvain_communities(graph, seed=seed)
     runtimes["clustering"] = stage.elapsed
 
-    selection = UniformShapeSelector().select(
-        design, _members_of(cluster_of)
-    )
+    clustering = ClusteringResult(cluster_of=cluster_of)
+    selection = UniformShapeSelector().select(design, clustering.members())
     clustered = build_clustered_netlist(
         design, cluster_of, shapes=selection.shapes, io_net_weight=IO_NET_WEIGHT
     )
@@ -585,12 +564,8 @@ def blob_placement_flow(
     )
     runtimes.update(seeded_result.runtimes)
 
-    if run_routing:
-        metrics = evaluate_placed_design(design, runtimes)
-    else:
-        metrics = _post_place_metrics(design, runtimes)
-    num_clusters = int(cluster_of.max()) + 1 if len(cluster_of) else 0
-    return FlowResult(metrics=metrics, num_clusters=num_clusters)
+    metrics = evaluate_placed_design(design, runtimes, run_routing)
+    return FlowResult(metrics=metrics, num_clusters=clustering.num_clusters)
 
 
 def _write_artifacts(directory: str, design: Design, clustered) -> None:
@@ -652,12 +627,3 @@ def _criticality_multipliers(
         multiplier = float(edge_scores[ei]) / mean
         out[int(net_idx)] = float(np.clip(multiplier, 1.0, cap))
     return out
-
-
-def _members_of(cluster_of: np.ndarray) -> List[List[int]]:
-    """Per-cluster member lists from an assignment array."""
-    k = int(cluster_of.max()) + 1 if len(cluster_of) else 0
-    members: List[List[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(cluster_of):
-        members[int(c)].append(v)
-    return members

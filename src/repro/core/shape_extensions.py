@@ -22,6 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.shapes import ShapeCandidate
 from repro.core.vpr import (
+    DIE_MARGIN,
+    ROUTE_TARGET_CELLS,
     CandidateEvaluation,
     VPRFramework,
     _configure_virtual_die,
@@ -127,12 +129,10 @@ class LShapeVPRFramework(VPRFramework):
             aspect_ratio=height / width,
             utilization=cell_area / (width * height),
         )
-        _configure_virtual_die(sub, cell_area, rect_equiv, config.die_margin)
+        _configure_virtual_die(sub, cell_area, rect_equiv)
 
         # Block the notch with a fixed dummy macro.
-        llx, lly, urx, ury = candidate.notch_rect(
-            width, height, config.die_margin
-        )
+        llx, lly, urx, ury = candidate.notch_rect(width, height, DIE_MARGIN)
         blockage_master = MasterCell(
             name="__lshape_blockage__",
             width=urx - llx,
@@ -159,7 +159,7 @@ class LShapeVPRFramework(VPRFramework):
                 ),
             ).run()
             grid = GCellGrid.for_floorplan(
-                sub.floorplan, target_cells=config.route_target_cells
+                sub.floorplan, target_cells=ROUTE_TARGET_CELLS
             )
             routing = GlobalRouter(sub, grid=grid).run()
             nets = [n for n in sub.nets if n.degree >= 2]

@@ -91,7 +91,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +127,12 @@ from repro.route.global_route import GlobalRouter
 _SLEEP = time.sleep
 _CLOCK = time.monotonic
 
+#: GCell count of the virtual-die routing grid and margin around the
+#: virtual core (microns).  Constants of the evaluation, hashed into
+#: every cache key under these names (``VPRConfig.EVALUATION_CONSTANTS``).
+ROUTE_TARGET_CELLS = 144
+DIE_MARGIN = 1.0
+
 
 @dataclass
 class VPRConfig:
@@ -146,8 +152,6 @@ class VPRConfig:
         candidates: The shape grid (defaults to the paper's 20).
         placer_iterations: Global-placement rounds per candidate
             (virtual dies are small; a short run suffices).
-        route_target_cells: GCell count of the virtual-die routing grid.
-        die_margin: Margin around the virtual core (microns).
         jobs: Process-pool width for the sweep.  1 (default) evaluates
             in the calling process (the inline executor); N > 1 fans
             (cluster, candidate) work items over N workers.  Every
@@ -184,24 +188,39 @@ class VPRConfig:
             :class:`VPRSweepError`; ``"exclude"`` marks the candidate
             invalid so selection skips it explicitly (selection still
             raises if *every* candidate of a cluster is invalid).
-        executor: Where sweep chunks run: ``"local"`` (default — the
-            in-process pool described under ``jobs``) or ``"fleet"``
-            (socket-connected ``repro.core.worker`` processes, see
-            :class:`repro.core.fanout.FleetExecutor`).  The executor
-            only changes *where* items evaluate, never results.
-        fleet_workers: Fleet size (``executor="fleet"``): how many
-            workers to spawn locally — or, with ``fleet_spawn=False``,
-            to wait for on the listener.
+        fleet_workers: When > 0, sweep chunks run on this many
+            socket-connected ``repro.core.worker`` processes (see
+            :class:`repro.core.fanout.FleetExecutor`) instead of the
+            in-process pool described under ``jobs``: spawned locally —
+            or, with ``fleet_spawn=False``, waited for on the listener.
+            The fleet only changes *where* items evaluate, never
+            results.
         fleet_listen: ``HOST:PORT`` the parent binds for workers
             (default loopback + ephemeral port).  Bind a routable
             address to accept workers started by hand or over SSH.
         fleet_spawn: Spawn ``fleet_workers`` local worker processes
             (default True); False waits for externally started
             workers instead.
-        fleet_connect_timeout: Seconds to wait for the fleet to reach
-            strength before sweeping with whoever connected (with zero
-            workers the sweep runs on the inline executor instead).
+
+    The fields that can change a result are declared once, below: the
+    cache key, the checkpoint fingerprint and the ECO session's rebuilt
+    config are all derived from ``EVALUATION_FIELDS`` (what one
+    (cluster, candidate) evaluation depends on) and ``SELECTION_FIELDS``
+    (which clusters are swept, over which grid, and how the two costs
+    are weighed).  Every other field changes wall-clock or failure
+    handling, never a successful evaluation's costs.
     """
+
+    EVALUATION_FIELDS: ClassVar[Tuple[str, ...]] = (
+        "top_x_percent", "placer_iterations", "seed",
+    )
+    SELECTION_FIELDS: ClassVar[Tuple[str, ...]] = (
+        "delta", "min_cluster_instances", "max_vpr_clusters", "candidates",
+    )
+    EVALUATION_CONSTANTS: ClassVar[Dict[str, object]] = {
+        "route_target_cells": ROUTE_TARGET_CELLS,
+        "die_margin": DIE_MARGIN,
+    }
 
     delta: float = 0.01
     top_x_percent: float = 10.0
@@ -209,8 +228,6 @@ class VPRConfig:
     max_vpr_clusters: Optional[int] = 12
     candidates: List[ShapeCandidate] = field(default_factory=default_candidate_grid)
     placer_iterations: int = 6
-    route_target_cells: int = 144
-    die_margin: float = 1.0
     jobs: int = 1
     chunk_size: Optional[int] = None
     start_method: Optional[str] = None
@@ -219,17 +236,11 @@ class VPRConfig:
     retry_limit: int = 1
     retry_backoff: float = 0.05
     on_terminal_failure: str = "raise"
-    executor: str = "local"
-    fleet_workers: int = 2
+    fleet_workers: int = 0
     fleet_listen: str = "127.0.0.1:0"
     fleet_spawn: bool = True
-    fleet_connect_timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.executor not in ("local", "fleet"):
-            raise ValueError(
-                f"executor must be 'local' or 'fleet', got {self.executor!r}"
-            )
         if self.on_terminal_failure not in ("raise", "exclude"):
             raise ValueError(
                 f"on_terminal_failure must be 'raise' or 'exclude', "
@@ -245,6 +256,61 @@ class VPRConfig:
                 f"start_method must be 'fork', 'spawn' or None, "
                 f"got {self.start_method!r}"
             )
+
+    def result_fingerprint(self) -> Dict[str, object]:
+        """The result-affecting fields in checkpoint-manifest (JSON)
+        form.  The seed is recorded as ``vpr_seed``: a manifest's
+        ``seed`` is the flow seed."""
+        out = {
+            name: getattr(self, name)
+            for name in self.EVALUATION_FIELDS + self.SELECTION_FIELDS
+        }
+        out["vpr_seed"] = out.pop("seed")
+        out["candidates"] = [
+            [c.aspect_ratio, c.utilization] for c in self.candidates
+        ]
+        return out
+
+    @classmethod
+    def from_result_fingerprint(cls, recorded: Dict[str, object]) -> "VPRConfig":
+        """Inverse of :meth:`result_fingerprint` (fields a manifest
+        lacks keep their defaults): cache keys derived from the rebuilt
+        config match the recording run's."""
+        config = cls()
+        for name in cls.EVALUATION_FIELDS + cls.SELECTION_FIELDS:
+            key = "vpr_seed" if name == "seed" else name
+            if key in recorded:
+                setattr(config, name, recorded[key])
+        if "candidates" in recorded:
+            config.candidates = [
+                ShapeCandidate(aspect_ratio=ar, utilization=u)
+                for ar, u in recorded["candidates"]
+            ]
+        return config
+
+    def eligible_clusters(self, members: Sequence[Sequence[int]]) -> List[int]:
+        """Every cluster id large enough for V-P&R (more than
+        ``min_cluster_instances`` members), largest first.  Not capped:
+        :meth:`swept_clusters` applies ``max_vpr_clusters``."""
+        eligible = [
+            c
+            for c, member_list in enumerate(members)
+            if len(member_list) > self.min_cluster_instances
+        ]
+        eligible.sort(key=lambda c: -len(members[c]))
+        return eligible
+
+    def swept_clusters(
+        self, members: Sequence[Sequence[int]]
+    ) -> Tuple[List[int], int]:
+        """``(swept_ids, skipped)``: the first ``max_vpr_clusters`` of
+        :meth:`eligible_clusters` — the clusters that get a shape sweep
+        (and a placement region) — and how many eligible clusters the
+        cap left on the uniform default shape."""
+        eligible = self.eligible_clusters(members)
+        cap = self.max_vpr_clusters
+        swept = eligible if cap is None else eligible[:cap]
+        return swept, len(eligible) - len(swept)
 
 
 class VPRSweepError(RuntimeError):
@@ -382,16 +448,16 @@ def extract_subnetlist(source: Design, member_indices: Sequence[int]) -> Design:
 
 
 def _virtual_die(
-    num_ports: int, cell_area: float, candidate: ShapeCandidate, margin: float
+    num_ports: int, cell_area: float, candidate: ShapeCandidate
 ) -> Tuple[Floorplan, np.ndarray, np.ndarray]:
     """The virtual die of a shape: its floorplan, and the IO ports'
     ``(x, y)`` spread evenly around the periphery in sorted port-name
     order (the OpenROAD pin-placer substitute)."""
     width, height = candidate.dimensions(max(cell_area, 1e-6))
     fp = Floorplan(
-        die_width=width + 2 * margin,
-        die_height=height + 2 * margin,
-        core_margin=margin,
+        die_width=width + 2 * DIE_MARGIN,
+        die_height=height + 2 * DIE_MARGIN,
+        core_margin=DIE_MARGIN,
         target_utilization=candidate.utilization,
     )
     perimeter = 2 * (fp.die_width + fp.die_height)
@@ -413,12 +479,12 @@ def _virtual_die(
 
 
 def _configure_virtual_die(
-    sub: Design, cell_area: float, candidate: ShapeCandidate, margin: float
+    sub: Design, cell_area: float, candidate: ShapeCandidate
 ) -> None:
     """Size the sub-netlist's die for a shape and move its IO ports
     onto the periphery (see :func:`_virtual_die`)."""
     sub.floorplan, port_x, port_y = _virtual_die(
-        len(sub.ports), cell_area, candidate, margin
+        len(sub.ports), cell_area, candidate
     )
     for name, x, y in zip(sorted(sub.ports), port_x.tolist(), port_y.tolist()):
         sub.ports[name].x, sub.ports[name].y = x, y
@@ -630,10 +696,7 @@ class VPRFramework:
         if not candidates:
             return []
         ctx = self._context_of(sub)
-        dies = [
-            _virtual_die(len(sub.ports), cell_area, c, config.die_margin)
-            for c in candidates
-        ]
+        dies = [_virtual_die(len(sub.ports), cell_area, c) for c in candidates]
         with obs.stage("vpr.place"):
             problem = ctx.placement_problem(dies)
             placements = GlobalPlacer(
@@ -650,7 +713,7 @@ class VPRFramework:
         routable = [row for row, placed in enumerate(placements) if not placed.error]
         with obs.stage("vpr.route"):
             grids = [
-                GCellGrid.for_floorplan(dies[row][0], config.route_target_cells)
+                GCellGrid.for_floorplan(dies[row][0], ROUTE_TARGET_CELLS)
                 for row in routable
             ]
             router = GlobalRouter(
@@ -945,7 +1008,7 @@ class VPRFramework:
         cluster_ids = list(cluster_ids)
         total = len(cluster_ids) * len(config.candidates)
         fans_out = bool(cluster_ids) and (
-            config.jobs > 1 or config.executor == "fleet"
+            config.jobs > 1 or config.fleet_workers > 0
         )
         make_executor = self._make_executor if fans_out else InlineExecutor
         # Every executor advances the same progress task per (cluster,
@@ -966,7 +1029,8 @@ class VPRFramework:
                 # every item again.
                 obs.count("vpr.executor.fallback")
                 obs.event(
-                    "vpr.executor_fallback", executor=config.executor
+                    "vpr.executor_fallback",
+                    executor="fleet" if config.fleet_workers > 0 else "local",
                 )
                 obs.start_task("vpr.items", total, unit="items")
                 slots = self._sweep_on(InlineExecutor, clusters)
@@ -993,12 +1057,11 @@ class VPRFramework:
         if self.executor_factory is not None:
             return self.executor_factory()
         config = self.config
-        if config.executor == "fleet":
+        if config.fleet_workers > 0:
             return FleetExecutor(
                 workers=config.fleet_workers,
                 listen=config.fleet_listen,
                 spawn=config.fleet_spawn,
-                connect_timeout=config.fleet_connect_timeout,
                 item_timeout=config.item_timeout,
             )
         method = config.start_method
@@ -1296,31 +1359,6 @@ class VPRFramework:
         except OSError:  # pragma: no cover - summary is best-effort
             return
 
-    def eligible_clusters(self, members: Sequence[Sequence[int]]) -> List[int]:
-        """Every cluster id large enough for V-P&R (more than
-        ``min_cluster_instances`` members), largest first.  Not capped:
-        :meth:`swept_clusters` applies ``max_vpr_clusters``."""
-        eligible = [
-            c
-            for c, member_list in enumerate(members)
-            if len(member_list) > self.config.min_cluster_instances
-        ]
-        eligible.sort(key=lambda c: -len(members[c]))
-        return eligible
-
-    def swept_clusters(
-        self, members: Sequence[Sequence[int]]
-    ) -> Tuple[List[int], int]:
-        """``(swept_ids, skipped)``: the first ``max_vpr_clusters`` of
-        :meth:`eligible_clusters` — the clusters that get a shape sweep
-        (and a placement region) — and how many eligible clusters the
-        cap left on the uniform default shape."""
-        eligible = self.eligible_clusters(members)
-        cap = self.config.max_vpr_clusters
-        swept = eligible if cap is None else eligible[:cap]
-        return swept, len(eligible) - len(swept)
-
-
 # ----------------------------------------------------------------------
 # The chunk evaluator (every executor runs this) and worker set-up
 # ----------------------------------------------------------------------
@@ -1579,7 +1617,7 @@ class VPRShapeSelector(ShapeSelector):
     def select(
         self, source: Design, members: Sequence[Sequence[int]]
     ) -> VPRSelection:
-        eligible, skipped = self.framework.swept_clusters(members)
+        eligible, skipped = self.framework.config.swept_clusters(members)
         shapes: Dict[int, ShapeCandidate] = {
             c: uniform_shape() for c in range(len(members))
         }
@@ -1635,7 +1673,7 @@ class MLShapeSelector(ShapeSelector):
         self, source: Design, members: Sequence[Sequence[int]]
     ) -> VPRSelection:
         framework = self.framework
-        eligible, skipped = framework.swept_clusters(members)
+        eligible, skipped = self.config.swept_clusters(members)
         shapes: Dict[int, ShapeCandidate] = {
             c: uniform_shape() for c in range(len(members))
         }

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,6 +80,25 @@ class DesignSpec:
     critical_chains: int = 3
     enablement: str = "nangate45"
     seed: int = 1
+
+    @classmethod
+    def from_params(cls, params: object) -> "DesignSpec":
+        """Validate a JSON-style parameter object into a spec — the one
+        check behind both front doors (``repro flow --generator`` and a
+        serve job's ``design`` object).  Raises :class:`ValueError`
+        naming the offending or missing field(s)."""
+        if not isinstance(params, dict):
+            raise ValueError("generator parameters must be a JSON object")
+        known = sorted(f.name for f in fields(cls))
+        unknown = sorted(set(params) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown DesignSpec field(s): {unknown}; accepted: {known}"
+            )
+        for required in ("name", "num_instances"):
+            if required not in params:
+                raise ValueError(f"generator design requires {required!r}")
+        return cls(**params)
 
 
 @dataclass

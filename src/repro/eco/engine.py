@@ -35,26 +35,19 @@ import numpy as np
 
 from repro import obs
 from repro.cache import EvaluationCache, cache_key
-from repro.core.flow import _members_of
+from repro.core.flow import evaluate_placed_design
 from repro.core.metrics import PPAMetrics
+from repro.core.ppa_clustering import ClusteringResult
 from repro.core.shapes import ShapeCandidate
-from repro.core.vpr import VPRConfig, VPRFramework
+from repro.core.vpr import VPRConfig, VPRFramework, VPRShapeSelector
 from repro.eco.apply import EcoImpact, apply_edits
 from repro.eco.edits import EcoEdit
 from repro.netlist.design import Design
 from repro.netlist.snapshot import design_from_snapshot
-from repro.place.hpwl import hpwl
 from repro.place.placer import GlobalPlacer, PlacerConfig
 from repro.place.problem import PlacementProblem
 from repro.recovery.checkpoint import CheckpointError, CheckpointStore
-from repro.route.cts import synthesize_clock_tree
-from repro.route.global_route import GlobalRouter
-from repro.sta.activity import propagate_activity
-from repro.sta.analysis import TimingAnalyzer
-from repro.sta.delay import RoutedWireModel
-from repro.sta.graph import timing_graph_for
-from repro.sta.hold import analyze_hold
-from repro.sta.power import analyze_power
+from repro.sta.analysis import RoutedTiming
 
 __all__ = ["EcoResult", "EcoSession", "run_eco"]
 
@@ -193,44 +186,17 @@ class EcoSession:
             if self.store.has_stage("vpr_digests")
             else {}
         )
-        self.vpr_config = self._vpr_config_from_fingerprint()
+        # The base run's result-affecting V-P&R knobs, so cache keys
+        # match the base run's for unchanged clusters.
+        self.vpr_config = VPRConfig.from_result_fingerprint(self.fingerprint)
         self.cache = EvaluationCache(cache_dir) if cache_dir else None
         self.run_routing = bool(self.fingerprint.get("run_routing", True))
+        #: The flow seed (placer warm start), not ``vpr_config.seed``.
         self.seed = int(self.fingerprint.get("seed", 0))
-        self._analyzer: Optional[TimingAnalyzer] = None
-        self._wire_model: Optional[RoutedWireModel] = None
+        #: Persists across :meth:`apply` calls: every STA after the
+        #: first is a cone update over the nets whose route changed.
+        self._timing = RoutedTiming()
         self.applied_scripts = 0
-
-    # ------------------------------------------------------------------
-    def _vpr_config_from_fingerprint(self) -> VPRConfig:
-        """Rebuild the result-affecting V-P&R knobs from the manifest.
-
-        The checkpoint fingerprint records every knob that influences a
-        (cluster, candidate) evaluation except ``route_target_cells`` /
-        ``die_margin`` (defaults in practice); cache keys therefore
-        match the base run's for unchanged clusters.
-        """
-        fp = self.fingerprint
-        config = VPRConfig()
-        for name in (
-            "delta",
-            "top_x_percent",
-            "min_cluster_instances",
-            "max_vpr_clusters",
-            "placer_iterations",
-        ):
-            if name in fp:
-                setattr(config, name, fp[name])
-        if "candidates" in fp:
-            config.candidates = [
-                ShapeCandidate(aspect_ratio=ar, utilization=u)
-                for ar, u in fp["candidates"]
-            ]
-        # vpr_seed feeds the *cache key* (config_fingerprint), so it must
-        # match the base run's VPRConfig.seed for unchanged clusters to
-        # hit; "seed" is the flow seed (placer warm-start below).
-        config.seed = int(fp.get("vpr_seed", 0))
-        return config
 
     # ------------------------------------------------------------------
     def apply(self, edits: Sequence[EcoEdit]) -> EcoResult:
@@ -279,7 +245,9 @@ class EcoSession:
         runtimes["eco_place"] = stage.elapsed
 
         with obs.stage("eco.metrics") as stage:
-            metrics = self._evaluate()
+            metrics = evaluate_placed_design(
+                self.design, run_routing=self.run_routing, timing=self._timing
+            )
         runtimes["eco_metrics"] = stage.elapsed
         return EcoResult(
             metrics=metrics,
@@ -368,11 +336,21 @@ class EcoSession:
         :class:`EvaluationCache` (an unchanged-content cluster is a
         pure cache hit); reused clusters' cache entries are
         mtime-touched so GC evicts colder entries first.
+
+        Only a base run that selected shapes by exact V-P&R can be
+        re-swept: a checkpoint persists no predictor and no RNG stream,
+        so under any other selector every cluster keeps its
+        checkpointed shape (and there are no cache entries to warm).
         """
+        exact = self.fingerprint.get("selector") in (None, VPRShapeSelector.name)
         framework = VPRFramework(self.vpr_config, checkpoint=None, cache=self.cache)
-        members = _members_of(self.cluster_of)
-        eligible, _skipped = framework.swept_clusters(members)
-        resweep = [c for c in eligible if c in dirty or c not in self.shapes]
+        members = ClusteringResult(cluster_of=self.cluster_of).members()
+        eligible, _skipped = self.vpr_config.swept_clusters(members)
+        resweep = (
+            [c for c in eligible if c in dirty or c not in self.shapes]
+            if exact
+            else []
+        )
         reused = [c for c in eligible if c not in resweep]
 
         for sweep in framework.sweep_clusters(self.design, members, resweep):
@@ -384,7 +362,7 @@ class EcoSession:
                 self.design, members[cid]
             )
             obs.count("eco.vpr.resweep")
-        if self.cache is not None:
+        if self.cache is not None and exact:
             for cid in reused:
                 entry = self.cluster_digests.get(cid)
                 if entry is None:
@@ -473,69 +451,6 @@ class EcoSession:
             for inst, was_fixed in zip(design.instances, saved_fixed):
                 inst.fixed = was_fixed
         return free
-
-    # ------------------------------------------------------------------
-    def _evaluate(self) -> PPAMetrics:
-        """Updated QoR; incremental STA when the session persists.
-
-        In routing mode the session keeps one :class:`TimingAnalyzer`
-        alive across :meth:`apply` calls: the routed wire lengths are
-        diffed against the previous pass and only changed nets are
-        invalidated, so the propagation is a cone update
-        (``sta.incremental.*`` counters).  Topology edits recompile the
-        graph transparently (see ``TimingAnalyzer._refresh_graph``).
-        """
-        design = self.design
-        post_place_hpwl = hpwl(design)
-        if not self.run_routing:
-            return PPAMetrics(hpwl=post_place_hpwl)
-
-        cts = synthesize_clock_tree(design)
-        routing = GlobalRouter(design).run()
-        analyzer = self._analyzer
-        if analyzer is None or self._wire_model is None:
-            graph = timing_graph_for(design)
-            self._wire_model = RoutedWireModel(design, dict(routing.net_lengths))
-            analyzer = TimingAnalyzer(
-                graph, self._wire_model, clock_uncertainty=cts.skew
-            )
-            self._analyzer = analyzer
-            report = analyzer.update()
-        else:
-            model = self._wire_model
-            old_lengths = model.routed_lengths
-            new_lengths = dict(routing.net_lengths)
-            changed = [
-                idx
-                for idx, length in new_lengths.items()
-                if old_lengths.get(idx) != length
-            ]
-            changed.extend(idx for idx in old_lengths if idx not in new_lengths)
-            old_lengths.clear()
-            old_lengths.update(new_lengths)
-            analyzer.clock_uncertainty = cts.skew
-            analyzer.invalidate_nets(changed)
-            obs.count("eco.sta.invalidated", len(changed))
-            report = analyzer.update()
-
-        hold = analyze_hold(analyzer)
-        net_activity = propagate_activity(analyzer.graph)
-        power = analyze_power(
-            design,
-            self._wire_model,
-            net_activity=net_activity,
-            clock_wirelength=cts.wirelength,
-            clock_buffers=cts.num_buffers,
-        )
-        return PPAMetrics(
-            hpwl=post_place_hpwl,
-            rwl=routing.routed_wirelength + cts.wirelength,
-            wns=report.wns,
-            tns=report.tns,
-            power=power.total,
-            hold_wns=hold.wns,
-            hold_tns=hold.tns,
-        )
 
 
 def run_eco(

@@ -26,6 +26,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
+from repro.cli import CLUSTERING_CHOICES, FLOW_CHOICES, SHAPES_CHOICES, TOOL_CHOICES
+
 #: Schema tag stamped on every serve document.
 SCHEMA = "repro.serve/1"
 
@@ -42,14 +44,6 @@ ECO_EDITS_FILENAME = "edits.json"
 #: Subdirectory of a flow job holding its stage checkpoint — what an
 #: ECO job re-opens (see docs/performance.md, "Incremental ECO").
 CHECKPOINT_DIRNAME = "ckpt"
-
-#: Spec fields a client may override, with their defaults (mirroring
-#: the CLI ``flow`` defaults except ``routing``, which mirrors
-#: ``--no-routing`` as a boolean).
-_FLOW_CHOICES = ("ours", "default", "blob")
-_TOOL_CHOICES = ("openroad", "innovus")
-_CLUSTERING_CHOICES = ("ppa", "mfc", "leiden", "louvain", "bc", "ec")
-_SHAPES_CHOICES = ("vpr", "uniform", "random")
 
 #: Environment variables a spec may inject into its runner process —
 #: deliberately only the deterministic fault-injection hook, so a
@@ -91,12 +85,6 @@ class JobSpec:
         return dataclasses.asdict(self)
 
 
-def _design_spec_fields() -> Dict[str, Any]:
-    from repro.designs.generator import DesignSpec
-
-    return {f.name: f for f in dataclasses.fields(DesignSpec)}
-
-
 def parse_job_spec(payload: Any) -> JobSpec:
     """Validate a ``POST /jobs`` body into a :class:`JobSpec`.
 
@@ -123,18 +111,12 @@ def parse_job_spec(payload: Any) -> JobSpec:
                 f"{sorted(BENCHMARKS)} (or pass generator parameters)"
             )
     elif isinstance(design, dict):
-        fields = _design_spec_fields()
-        unknown = sorted(set(design) - set(fields))
-        if unknown:
-            raise SpecError(
-                f"unknown generator field(s) {unknown}; accepted: "
-                f"{sorted(fields)}"
-            )
-        for required in ("name", "num_instances"):
-            if required not in design:
-                raise SpecError(
-                    f"generator design requires {required!r}"
-                )
+        from repro.designs.generator import DesignSpec
+
+        try:
+            DesignSpec.from_params(design)
+        except ValueError as exc:
+            raise SpecError(str(exc))
     else:
         raise SpecError(
             "'design' must be a benchmark name or a generator "
@@ -171,10 +153,10 @@ def parse_job_spec(payload: Any) -> JobSpec:
         )
     return JobSpec(
         design=design,
-        flow=_choice("flow", _FLOW_CHOICES),
-        tool=_choice("tool", _TOOL_CHOICES),
-        clustering=_choice("clustering", _CLUSTERING_CHOICES),
-        shapes=_choice("shapes", _SHAPES_CHOICES),
+        flow=_choice("flow", FLOW_CHOICES),
+        tool=_choice("tool", TOOL_CHOICES),
+        clustering=_choice("clustering", CLUSTERING_CHOICES),
+        shapes=_choice("shapes", SHAPES_CHOICES),
         routing=routing,
         jobs=_int("jobs", 1),
         seed=_int("seed", 0),

@@ -16,6 +16,8 @@ The analyzer also supports *incremental* updates: after
 re-evaluates the affected cone (levelized forward/backward worklists
 seeded at the dirty nets' arcs) instead of the whole graph, recording
 the arcs it skipped in the ``sta.incremental.*`` perf counters.
+:class:`RoutedTiming` keeps one analyzer alive across successive
+routings of one design and turns each new routing into such an update.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.netlist.design import Net
-from repro.sta.delay import FanoutWireModel, WireDelayModel
+from repro.sta.delay import FanoutWireModel, RoutedWireModel, WireDelayModel
 from repro.sta.flat import FlatTiming, _gather_ranges, flat_for
 from repro.sta.graph import TimingGraph, timing_graph_for
 
@@ -519,3 +521,50 @@ class TimingAnalyzer:
                         np.unique(pred), level, pending, buckets
                     )
         return evaluated
+
+
+class RoutedTiming:
+    """Post-route timing of one design, kept across re-routings.
+
+    The first :meth:`update` compiles the graph and runs a full
+    propagation; each later one diffs the routed lengths against the
+    previous pass and invalidates only the changed nets, so the
+    propagation is a cone update (``sta.incremental.*`` counters)
+    whenever the clock uncertainty is also unchanged — a moved
+    flip-flop changes the CTS skew, which makes the update full.
+    Topology edits recompile the graph transparently (see
+    :meth:`TimingAnalyzer._refresh_graph`).
+
+    The length diff alone does not meet :meth:`invalidate_nets`'
+    contract: a pin that moves inside an unchanged routing tree changes
+    its sink distance but not the net's length.  Before relying on the
+    cone path for bit-identity, also invalidate the nets of moved
+    instances (ROADMAP item 5 b).
+    """
+
+    def __init__(self) -> None:
+        self.analyzer: Optional[TimingAnalyzer] = None
+
+    def update(
+        self, design, net_lengths: Dict[int, float], clock_uncertainty: float
+    ) -> TimingReport:
+        """Timing of ``design`` under a routing's per-net lengths."""
+        analyzer = self.analyzer
+        if analyzer is None:
+            analyzer = self.analyzer = TimingAnalyzer(
+                timing_graph_for(design),
+                RoutedWireModel(design, dict(net_lengths)),
+                clock_uncertainty=clock_uncertainty,
+            )
+            return analyzer.update()
+        recorded = analyzer.wire_model.routed_lengths
+        changed = [
+            idx for idx, length in net_lengths.items() if recorded.get(idx) != length
+        ]
+        changed.extend(idx for idx in recorded if idx not in net_lengths)
+        recorded.clear()
+        recorded.update(net_lengths)
+        analyzer.clock_uncertainty = clock_uncertainty
+        analyzer.invalidate_nets(changed)
+        obs.count("eco.sta.invalidated", len(changed))
+        return analyzer.update()

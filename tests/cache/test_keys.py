@@ -72,6 +72,38 @@ class TestConfigFingerprint:
         )
 
 
+class TestGoldenAddresses:
+    """Captured before ``route_target_cells`` / ``die_margin`` became
+    constants: the key payload is derived from ``VPRConfig``'s field
+    declaration now, and every existing cache entry keeps its address."""
+
+    def test_default_config_fingerprint(self):
+        assert config_fingerprint(VPRConfig()) == {
+            "top_x_percent": 10.0,
+            "placer_iterations": 6,
+            "route_target_cells": 144,
+            "die_margin": 1.0,
+            "seed": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (
+                VPRConfig(),
+                "cdb8a2a56b7604b57f2fa1091695429690ed568a2ff86a4850fc22a0e9c1d367",
+            ),
+            (
+                VPRConfig(placer_iterations=3, seed=7, top_x_percent=5.0),
+                "9b5f65b20202b70a163f18eb0681fb68eefed1767281f4843e84c97bfbc4cbb2",
+            ),
+        ],
+    )
+    def test_cache_key(self, config, key):
+        candidate = ShapeCandidate(aspect_ratio=1.25, utilization=0.8)
+        assert cache_key("ab" * 32, candidate, config, cell_area=123.5) == key
+
+
 class TestCacheKey:
     CAND = ShapeCandidate(aspect_ratio=1.0, utilization=0.9)
 

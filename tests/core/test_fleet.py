@@ -57,7 +57,7 @@ def _sweep(design, members, config, factory=None):
     framework = VPRFramework(config)
     if factory is not None:
         framework.executor_factory = factory
-    cluster_ids = framework.eligible_clusters(members)
+    cluster_ids = config.eligible_clusters(members)
     perf.enable()
     perf.reset()
     try:
@@ -98,7 +98,7 @@ class TestFleetSweep:
             return box[-1]
 
         sweeps, counters = _sweep(
-            design, members, _config(executor="fleet", fleet_workers=2),
+            design, members, _config(fleet_workers=2),
             factory,
         )
         assert _qor(sweeps) == serial_qor
@@ -122,7 +122,7 @@ class TestFleetSweep:
             return box[-1]
 
         sweeps, counters = _sweep(
-            design, members, _config(executor="fleet", fleet_workers=2),
+            design, members, _config(fleet_workers=2),
             factory,
         )
         assert _qor(sweeps) == serial_qor
@@ -144,7 +144,7 @@ class TestFleetSweep:
             return FleetExecutor(workers=2, connect_timeout=10.0)
 
         sweeps, counters = _sweep(
-            design, members, _config(executor="fleet", fleet_workers=2),
+            design, members, _config(fleet_workers=2),
             factory,
         )
         assert _qor(sweeps) == serial_qor
@@ -158,7 +158,7 @@ class TestFleetSweep:
             return FleetExecutor(workers=2)
 
         sweeps, counters = _sweep(
-            design, members, _config(executor="fleet", fleet_workers=2),
+            design, members, _config(fleet_workers=2),
             factory,
         )
         assert _qor(sweeps) == serial_qor
@@ -175,7 +175,7 @@ class TestFleetSweep:
             )
 
         sweeps, counters = _sweep(
-            design, members, _config(executor="fleet", fleet_workers=1),
+            design, members, _config(fleet_workers=1),
             factory,
         )
         assert _qor(sweeps) == serial_qor

@@ -4,11 +4,8 @@ post-place metrics."""
 import numpy as np
 import pytest
 
-from repro.core.flow import (
-    _criticality_multipliers,
-    _members_of,
-    evaluate_placed_design,
-)
+from repro.core.flow import _criticality_multipliers, evaluate_placed_design
+from repro.core.ppa_clustering import ClusteringResult
 from repro.db.database import DesignDatabase
 from repro.place import GlobalPlacer, PlacementProblem
 
@@ -50,11 +47,11 @@ class TestCriticalityMultipliers:
 
 class TestMembersOf:
     def test_partition(self):
-        members = _members_of(np.array([0, 1, 0, 2, 1]))
+        members = ClusteringResult(np.array([0, 1, 0, 2, 1])).members()
         assert members == [[0, 2], [1, 4], [3]]
 
     def test_empty(self):
-        assert _members_of(np.zeros(0, dtype=np.int64)) == []
+        assert ClusteringResult(np.zeros(0, dtype=np.int64)).members() == []
 
 
 class TestEvaluatePlacedDesign:
@@ -91,6 +88,52 @@ class TestEvaluatePlacedDesign:
         assert a.rwl == pytest.approx(b.rwl)
         assert a.tns == pytest.approx(b.tns)
         assert a.power == pytest.approx(b.power)
+
+
+    def test_persistent_timing_matches_fresh(self, small_design_fresh):
+        """Successive placements evaluated on one caller-held
+        ``RoutedTiming`` == fresh evaluations, field by field; an
+        instance added in between recompiles the graph and still
+        matches."""
+        from repro import perf
+        from repro.eco import apply_edits, parse_edits
+        from repro.place.placer import PlacerConfig
+        from repro.sta.analysis import RoutedTiming
+
+        design = small_design_fresh
+        timing = RoutedTiming()
+        driven = next(n for n in design.nets if n.driver and not n.is_clock)
+        add = {
+            "kind": "add",
+            "instance": "u_eco_buf",
+            "master": "BUF_X1",
+            "connections": {"A": driven.name, "Y": "n_eco_buf"},
+        }
+        perf.enable()
+        perf.reset()
+        try:
+            for seed in (0, 1, 2, 3):
+                if seed == 2:
+                    apply_edits(design, parse_edits([add]))
+                GlobalPlacer(PlacementProblem(design), PlacerConfig(seed=seed)).run()
+                kept = evaluate_placed_design(design, timing=timing)
+                fresh = evaluate_placed_design(design)
+                for name in (
+                    "hpwl", "rwl", "wns", "tns", "power", "hold_wns", "hold_tns"
+                ):
+                    assert getattr(kept, name) == getattr(fresh, name), (seed, name)
+            assert perf.counter_value("sta.graph.recompiled") == 1
+        finally:
+            perf.disable()
+            perf.reset()
+        assert timing.analyzer.graph.design is design
+
+    def test_no_routing_stops_at_hpwl(self, small_design_fresh):
+        design = small_design_fresh
+        GlobalPlacer(PlacementProblem(design)).run()
+        metrics = evaluate_placed_design(design, {"place": 1.5}, run_routing=False)
+        assert metrics.hpwl > 0 and metrics.rwl is None
+        assert metrics.runtimes == {"place": 1.5}
 
 
 class TestFlowArtifacts:

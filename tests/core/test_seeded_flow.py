@@ -109,6 +109,39 @@ class TestFlows:
         result = flow.run(small_design_fresh)
         assert result.selection.sweeps == []
 
+    def test_selector_config_is_the_runs_config(
+        self, small_design_fresh, monkeypatch
+    ):
+        """A selector that sweeps with its own framework config: the
+        Innovus regions cover the clusters it shaped and the resume
+        fingerprint records its bounds, not ``FlowConfig.vpr_config``'s."""
+        from repro.core import flow as flow_module
+        from repro.core.shapes import uniform_shape
+        from repro.core.vpr import MLShapeSelector
+
+        selector = MLShapeSelector(
+            lambda sub, candidates: np.arange(len(candidates)),
+            VPRConfig(min_cluster_instances=40, max_vpr_clusters=3),
+        )
+        regions = []
+
+        def recording(clustered, config, vpr_cluster_ids=None):
+            regions.extend(vpr_cluster_ids)
+            return seeded_placement(clustered, config, vpr_cluster_ids)
+
+        monkeypatch.setattr(flow_module, "seeded_placement", recording)
+        flow = ClusteredPlacementFlow(
+            FlowConfig(tool="innovus", shape_selector=selector, run_routing=False)
+        )
+        result = flow.run(small_design_fresh)
+        shaped = {
+            c for c, s in result.selection.shapes.items() if s != uniform_shape()
+        }
+        assert len(shaped) == 3 and set(regions) == shaped
+        fingerprint = flow._checkpoint_fingerprint(small_design_fresh)
+        assert fingerprint["min_cluster_instances"] == 40
+        assert fingerprint["max_vpr_clusters"] == 3
+
     @pytest.mark.parametrize("method", ["mfc", "leiden", "louvain", "bc", "ec"])
     def test_ablation_clusterers(self, small_design_fresh, method):
         flow = ClusteredPlacementFlow(

@@ -38,7 +38,7 @@ EXECUTORS = {
     "inline": dict(jobs=1),
     "fork": dict(jobs=2, start_method="fork"),
     "spawn": dict(jobs=2, start_method="spawn"),
-    "fleet": dict(executor="fleet", fleet_workers=2),
+    "fleet": dict(fleet_workers=2),
 }
 #: The candidate whose first attempt the item faults hit.
 FAULTY = 2
@@ -57,7 +57,7 @@ def clusters(small_design):
     )
     members = clustering.members()
     config = VPRConfig(min_cluster_instances=60, max_vpr_clusters=2)
-    swept, _skipped = VPRShapeSelector(config).framework.swept_clusters(members)
+    swept, _skipped = config.swept_clusters(members)
     assert len(swept) == 2
     return small_design, members, swept
 

@@ -136,7 +136,7 @@ class TestVprEvaluation:
     def test_eligibility_threshold(self, cluster_context):
         _design, members, _largest = cluster_context
         framework = VPRFramework(VPRConfig(min_cluster_instances=100))
-        eligible = framework.eligible_clusters(members)
+        eligible = framework.config.eligible_clusters(members)
         for c in eligible:
             assert len(members[c]) > 100
         # Largest first.
@@ -196,7 +196,7 @@ class TestSelectors:
         config = VPRConfig(min_cluster_instances=100, max_vpr_clusters=4)
         selection = MLShapeSelector(predictor, config).select(design, members)
         assert calls, "predictor must be invoked for eligible clusters"
-        eligible = VPRFramework(config).eligible_clusters(members)[:4]
+        eligible = config.eligible_clusters(members)[:4]
         for c in eligible:
             assert selection.shapes[c] == config.candidates[2]
 

@@ -207,7 +207,7 @@ class TestFrameworkCacheWiring:
         cache = EvaluationCache(str(tmp_path / "cache"))
         config = _config(max_vpr_clusters=1)
         framework = VPRFramework(config, cache=cache)
-        c = framework.eligible_clusters(members)[0]
+        c = framework.config.eligible_clusters(members)[0]
         sweep = framework.sweep_cluster(design, members[c], c)
         entries = list((cache.directory / "objects").rglob("*.json"))
         assert len(entries) == len(config.candidates)

@@ -200,6 +200,39 @@ class TestReuse:
         misses = after["misses"] - before["misses"]
         assert after["stores"] - before["stores"] == misses > 0
 
+    def test_non_vpr_base_keeps_its_shapes(self, tmp_path):
+        """Only an exact-V-P&R base run can be re-swept from its
+        checkpoint: after a ``--shapes uniform`` run an edit must not
+        hand the dirty clusters swept shapes."""
+        from repro import perf
+        from repro.core.shapes import uniform_shape
+        from repro.core.vpr import UniformShapeSelector
+
+        config = _flow_config(tmp_path)
+        config.shape_selector = UniformShapeSelector()
+        ClusteredPlacementFlow(config).run(_fresh_design())
+        session = EcoSession(str(tmp_path / "ckpt"), cache_dir=str(tmp_path / "cache"))
+        largest = int(np.bincount(session.cluster_of).argmax())  # eligible
+        inst = next(
+            i
+            for i in session.design.instances
+            if session.cluster_of[i.index] == largest
+            and i.master.name == "NAND2_X1"
+        )
+        edits = [{"kind": "resize", "instance": inst.name, "master": "NAND2_X2"}]
+        perf.enable()
+        perf.reset()
+        try:
+            result = session.apply(parse_edits(edits))
+            assert perf.counter_value("eco.vpr.resweep") == 0
+        finally:
+            perf.disable()
+            perf.reset()
+        assert largest in result.dirty_clusters
+        assert result.resweep_clusters == []
+        assert set(result.shapes.values()) == {uniform_shape()}
+        assert result.metrics.hpwl > 0
+
     def test_run_eco_one_shot(self, base_run):
         tmp, base = base_run
         result = run_eco(str(tmp / "ckpt"), [], cache_dir=str(tmp / "cache"))

@@ -5,6 +5,7 @@ work, resume it, and the final shapes and QoR are byte-for-byte what an
 uninterrupted run produces — serially and in parallel.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -152,6 +153,45 @@ class TestResumeValidation:
         other.seed = 99
         with pytest.raises(CheckpointError, match="seed"):
             _run(other)
+
+
+    def test_default_fingerprint_is_the_recorded_one(self):
+        """Golden captured before the V-P&R keys were derived from
+        ``VPRConfig``'s field declaration: a checkpoint written by an
+        earlier version still resumes, and still opens for ECO with the
+        base run's config."""
+        design = _fresh_design()
+        flow = ClusteredPlacementFlow(FlowConfig())
+        fingerprint = flow._checkpoint_fingerprint(design)
+        assert fingerprint == {
+            "schema": "repro.recovery/1",
+            "design": "small",
+            "instances": design.num_instances,
+            "nets": design.num_nets,
+            "seed": 0,
+            "tool": "openroad",
+            "clustering": "ppa",
+            "selector": "vpr",
+            "run_routing": True,
+            "power_emphasis": 0.0,
+            "delta": 0.01,
+            "top_x_percent": 10.0,
+            "min_cluster_instances": 200,
+            "max_vpr_clusters": 12,
+            "placer_iterations": 6,
+            "vpr_seed": 0,
+            "candidates": [
+                [ar, util]
+                for ar in (0.75, 1.0, 1.25, 1.5, 1.75)
+                for util in (0.75, 0.8, 0.85, 0.9)
+            ],
+        }
+        recorded = json.loads(json.dumps(fingerprint))
+        assert VPRConfig.from_result_fingerprint(recorded) == VPRConfig()
+        custom = _flow_config().vpr_config
+        recorded = json.loads(json.dumps(custom.result_fingerprint()))
+        rebuilt = VPRConfig.from_result_fingerprint(recorded)
+        assert rebuilt.result_fingerprint() == custom.result_fingerprint()
 
 
 class TestCheckpointTelemetry:

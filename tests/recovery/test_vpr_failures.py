@@ -114,7 +114,7 @@ class TestSerialRetries:
         design, members = small_clusters
         config = _config(retry_limit=0)
         framework = VPRFramework(config)
-        c = framework.eligible_clusters(members)[0]
+        c = framework.config.eligible_clusters(members)[0]
         faults.configure(f"raise:vpr.item:{c}/1")
         with pytest.raises(VPRSweepError, match=f"cluster {c}, candidate 1"):
             framework.sweep_cluster(design, members[c], c)
@@ -130,7 +130,7 @@ class TestParallelRecovery:
         lost items and the selection is bit-identical to serial."""
         design, members = small_clusters
         serial = self._select(design, members, _config())
-        eligible = VPRFramework(_config()).eligible_clusters(members)[:2]
+        eligible = _config().eligible_clusters(members)[:2]
         c = eligible[0]
         faults.configure(f"kill:vpr.item:{c}/1")
         parallel = self._select(design, members, _config(jobs=2))
@@ -144,7 +144,7 @@ class TestParallelRecovery:
         a failed item, and recovered parent-side."""
         design, members = small_clusters
         serial = self._select(design, members, _config())
-        c = VPRFramework(_config()).eligible_clusters(members)[0]
+        c = _config().eligible_clusters(members)[0]
         faults.configure(f"hang:vpr.item:{c}/0")
         parallel = self._select(
             design, members, _config(jobs=2, item_timeout=0.5)

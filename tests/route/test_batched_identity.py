@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
-from repro.core.vpr import VPRConfig, _SubContext, _virtual_die, extract_subnetlist
+from repro.core.vpr import (
+    ROUTE_TARGET_CELLS,
+    VPRConfig,
+    _SubContext,
+    _virtual_die,
+    extract_subnetlist,
+)
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
 from repro.designs.nangate45 import make_library
@@ -56,7 +62,7 @@ def assert_same_routing(result, expected):
         )
 
 
-def _grid(floorplan, target_cells=CONFIG.route_target_cells):
+def _grid(floorplan, target_cells=ROUTE_TARGET_CELLS):
     return GCellGrid.for_floorplan(floorplan, target_cells=target_cells)
 
 
@@ -95,7 +101,7 @@ def routed_cases():
     for name, (design, members) in _cluster_cases().items():
         sub = extract_subnetlist(design, members)
         area = sum(design.instances[i].area for i in members)
-        dies = [_virtual_die(len(sub.ports), area, c, CONFIG.die_margin) for c in GRID]
+        dies = [_virtual_die(len(sub.ports), area, c) for c in GRID]
         problem = _SubContext(sub).placement_problem(dies)
         if name == "all_degenerate":
             # Every pin of every net on one point (within the 1 nm key).

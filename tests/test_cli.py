@@ -26,6 +26,64 @@ class TestParser:
             build_parser().parse_args(["flow", "--tool", "magic"])
 
 
+class TestOneVocabulary:
+    """``repro flow`` and ``POST /jobs`` accept and reject the same
+    values: one list of choices, one generator-parameter check."""
+
+    @staticmethod
+    def _cli_accepts(argv):
+        try:
+            build_parser().parse_args(["flow", *argv])
+        except SystemExit:
+            return False
+        return True
+
+    @staticmethod
+    def _serve_accepts(payload):
+        from repro.serve.schemas import SpecError, parse_job_spec
+
+        try:
+            parse_job_spec(payload)
+        except SpecError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("key", ["flow", "tool", "clustering", "shapes"])
+    def test_choices(self, key, capsys):
+        from repro import cli
+
+        choices = getattr(cli, f"{key.upper()}_CHOICES")
+        for value in (*choices, "no-such-" + key, ""):
+            accepted = self._cli_accepts([f"--{key}", value])
+            assert accepted == (value in choices), (key, value)
+            assert accepted == self._serve_accepts({"design": "aes", key: value})
+
+    @pytest.mark.parametrize(
+        "params, valid",
+        [
+            ({"name": "t", "num_instances": 60, "seed": 3}, True),
+            ({"name": "t"}, False),  # missing num_instances
+            ({"num_instances": 60}, False),  # missing name
+            ({"name": "t", "num_instances": 60, "warp": 1}, False),
+            (["t", 60], False),  # not an object
+        ],
+    )
+    def test_generator_parameters(self, params, valid):
+        import json
+        from argparse import Namespace
+
+        from repro.cli import _load_design
+
+        args = Namespace(generator=json.dumps(params))
+        if valid:
+            assert _load_design(args).name == params["name"]
+        else:
+            with pytest.raises(SystemExit, match="--generator"):
+                _load_design(args)
+        if isinstance(params, dict):  # a non-object design is a benchmark name
+            assert self._serve_accepts({"design": params}) == valid
+
+
 class TestCommands:
     def test_bench_table(self, capsys):
         assert main(["bench-table"]) == 0

@@ -84,7 +84,7 @@ class TestVirtualDie:
         sub = extract_subnetlist(small_design, members)
         area = sum(small_design.instances[i].area for i in members)
         shape = ShapeCandidate(aspect_ratio=1.5, utilization=0.8)
-        _configure_virtual_die(sub, area, shape, margin=1.0)
+        _configure_virtual_die(sub, area, shape)
         fp = sub.floorplan
         core_area = (fp.die_width - 2) * (fp.die_height - 2)
         assert area / core_area == pytest.approx(0.8, rel=1e-6)
@@ -98,7 +98,7 @@ class TestVirtualDie:
         members = max(clustering.members(), key=len)
         sub = extract_subnetlist(small_design, members)
         area = sum(small_design.instances[i].area for i in members)
-        _configure_virtual_die(sub, area, ShapeCandidate(1.0, 0.85), 1.0)
+        _configure_virtual_die(sub, area, ShapeCandidate(1.0, 0.85))
         fp = sub.floorplan
         for port in sub.ports.values():
             on_edge = (

@@ -61,6 +61,9 @@ FLOW_CLOCKS = {
     "flow.route": "route",
     "flow.sta": "sta_eval",
 }
+#: The one evaluation stage runs in the flow and again inside every ECO
+#: apply (nested under ``eco.metrics``), so these record twice.
+EVALUATION = ("flow.cts", "flow.route", "flow.sta")
 ECO_CLOCKS = {
     "eco.apply": "eco_total",
     "eco.apply_edits": "eco_apply",
@@ -68,6 +71,7 @@ ECO_CLOCKS = {
     "eco.vpr": "eco_vpr",
     "eco.place": "eco_place",
     "eco.metrics": "eco_metrics",
+    **{name: FLOW_CLOCKS[name] for name in EVALUATION},
 }
 
 
@@ -93,26 +97,38 @@ def test_one_interval_feeds_every_output(small_design_fresh, tmp_path):
     totals = {}
     for path, stat in perf.report().stages.items():
         if stat["calls"] == 1:
-            totals[path.rsplit("/", 1)[-1]] = stat["total_s"]
-    spans = {}
-    for record in telemetry.get_session().tracer.export():
+            totals.setdefault(path.rsplit("/", 1)[-1], []).append(stat["total_s"])
+    spans, parent_name = {}, {}
+    records = sorted(telemetry.get_session().tracer.export(), key=lambda r: r["t0"])
+    by_id = {record["id"]: record for record in records}
+    for record in records:
         spans.setdefault(record["name"], []).append(record["dur"])
+        parent = by_id.get(record["parent"])
+        parent_name.setdefault(record["name"], []).append(parent and parent["name"])
     status = {}
     for entry in load_status(str(out))["stages"]:
         assert entry["state"] == "done"
         status.setdefault(entry["name"], []).append(entry["elapsed_s"])
 
-    for clocks, runtimes in (
-        (FLOW_CLOCKS, flow.metrics.runtimes), (ECO_CLOCKS, eco.runtimes)
+    for clocks, runtimes, reading in (
+        (FLOW_CLOCKS, flow.metrics.runtimes, 0),
+        (ECO_CLOCKS, eco.metrics.runtimes, -1),
     ):
         for name, key in clocks.items():
-            (interval,) = spans[name]
+            assert len(spans[name]) == (2 if name in EVALUATION else 1), name
+            interval = spans[name][reading]
             assert interval > 0.0
-            assert totals[name] == interval, name
-            assert status[name] == [interval], name
+            assert totals[name][reading] == interval, name
+            if reading == 0 or name not in EVALUATION:
+                # (the status table follows two levels: an apply's
+                # evaluation stages sit on the third)
+                assert status[name][reading] == interval, name
             if key is not None:
                 assert runtimes[key] == interval, name
-    # The ECO record's copy of the table is the same readings again.
+    for name in EVALUATION:
+        assert parent_name[name] == [None, "eco.metrics"]
+    # The ECO result's own table is the eco_* part of its metric record's.
+    assert set(eco.runtimes) == {k for k in ECO_CLOCKS.values() if k.startswith("eco_")}
     assert {k: eco.metrics.runtimes[k] for k in eco.runtimes} == eco.runtimes
 
 

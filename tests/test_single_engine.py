@@ -44,3 +44,36 @@ def test_no_twin_bodies(module):
             names.update(vars(value))
     twins = sorted(n for n in names if re.search(r"_reference$|_scalar$", n))
     assert not twins
+
+
+# ----------------------------------------------------------------------
+# One evaluation stage, one declaration of the V-P&R result fields
+# ----------------------------------------------------------------------
+def test_eco_has_no_second_flow():
+    from repro.core import flow
+    from repro.eco.engine import EcoSession
+
+    assert not hasattr(EcoSession, "_vpr_config_from_fingerprint")
+    assert not hasattr(EcoSession, "_evaluate")
+    assert not hasattr(flow, "_post_place_metrics")
+    assert not hasattr(flow, "_members_of")
+
+
+def test_single_valued_options_stay_deleted():
+    from dataclasses import fields
+
+    from repro.core.flow import FlowConfig
+    from repro.core.vpr import VPRConfig
+
+    vpr = {f.name for f in fields(VPRConfig)}
+    flow = {f.name for f in fields(FlowConfig)}
+    assert not vpr & {
+        "route_target_cells", "die_margin", "fleet_connect_timeout", "executor",
+    }
+    assert not flow & {
+        "max_cluster_net_weight", "fleet_workers", "fleet_listen", "fleet_spawn",
+    }
+    assert len(vpr) <= 17
+    assert len(flow) <= 14
+    # Every declared result field is a real field.
+    assert set(VPRConfig.EVALUATION_FIELDS + VPRConfig.SELECTION_FIELDS) <= vpr
