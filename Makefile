@@ -119,9 +119,12 @@ fleet-smoke:
 # Incremental-ECO smoke (docs/performance.md "Incremental ECO"): one
 # cold checkpointed base run, then a single-cell resize replayed two
 # ways — a cold flow on the edited design vs `repro eco` over the
-# checkpoint — gating on >=10x ECO speedup for an edit touching <1%
-# of instances, <=5% HPWL drift between the two answers, and a no-op
-# edit script reproducing the base run's metrics bit for bit.
+# checkpoint — gating, for an edit touching <1% of instances, on <=5%
+# HPWL drift between the two answers and on a no-op edit script
+# reproducing the base run's metrics bit for bit.  The cold/ECO wall
+# ratio is printed, not gated (it shrinks whenever the cold flow gets
+# faster); the gated ECO wall is `eco_session wall_s` on the spine
+# (BENCHMARK.json, benchmarks/spine/README.md).
 eco-smoke:
 	rm -rf eco-smoke && mkdir -p eco-smoke
 	timeout 600 python benchmarks/bench_eco.py --gate \

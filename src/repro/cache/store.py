@@ -14,21 +14,22 @@ entry is detected on read and treated as a miss).
 
 Design points:
 
-* **Reads never raise.**  Unparseable, truncated, or wrong-schema
-  entries count as misses (``vpr.cache.corrupt``) and are unlinked
-  best-effort.  A cache can therefore be shared, copied, or bit-rotted
-  without ever crashing a run.
+* **Reads never raise.**  Unparseable, truncated, wrong-schema or
+  non-finite-cost entries count as misses (``vpr.cache.corrupt``) and
+  are unlinked best-effort.  A cache can therefore be shared, copied,
+  or bit-rotted without ever crashing a run.
 * **LRU garbage collection.**  Entry mtimes are bumped on hit, so
   eviction (oldest-first) approximates LRU.  ``max_entries`` /
-  ``max_bytes`` bound the store; the parent-side writer triggers a GC
-  sweep opportunistically every :data:`GC_WRITE_INTERVAL` puts, and
+  ``max_bytes`` bound the store; the writer triggers a GC sweep
+  opportunistically every :data:`GC_WRITE_INTERVAL` puts, and
   ``repro cache gc`` runs one on demand.
-* **Multi-writer tolerant.**  Within one run, pool workers only call
-  :meth:`get` and all :meth:`put`/:meth:`gc` calls happen in the
-  parent, so the hot path has no file locks.  Across runs there is no
-  single parent: every concurrent flow (e.g. each job of a
-  ``repro serve`` daemon) is a parent-side writer on the shared
-  directory.  Writes are safe by construction (atomic rename of
+* **Multi-writer tolerant.**  Within one run only the sweep's own
+  process holds the store — every :meth:`get`, :meth:`put` and
+  :meth:`gc` happens there, pool and fleet workers never see it — so
+  the hot path has no file locks.  Across runs there is no single
+  owner: every concurrent flow (e.g. each job of a ``repro serve``
+  daemon) reads and writes the shared directory.  Writes are safe by
+  construction (atomic rename of
   content-addressed entries — two writers racing on one key write the
   same bytes), and :meth:`gc`/:meth:`stats` treat entries that vanish
   mid-sweep (``FileNotFoundError`` on stat or unlink) as already
@@ -49,18 +50,15 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.cache.keys import SCHEMA
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_bytes, has_finite_costs
 from repro.recovery import faults
 
 #: Entry-count bound applied when the cache is opened without explicit
 #: limits (~40 designs' worth of full sweeps; entries are ~200 bytes).
 DEFAULT_MAX_ENTRIES = 200_000
 
-#: Parent-side puts between opportunistic GC sweeps.
+#: Puts between opportunistic GC sweeps.
 GC_WRITE_INTERVAL = 512
-
-#: Fields a stored record must carry to be served as a hit.
-_REQUIRED = ("hpwl_cost", "congestion_cost")
 
 
 @dataclass
@@ -116,9 +114,7 @@ class EvaluationCache:
         self._writes_since_gc = 0
         self._marker_written = False
         # In-process traffic counters for this store handle ("session"
-        # scope).  Parent-side get/put bump them directly; worker-side
-        # lookups (other processes) are folded in via
-        # :meth:`note_lookup` when their results come back.
+        # scope), bumped by get/put.
         self.session_hits = 0
         self.session_misses = 0
         self.session_stores = 0
@@ -141,7 +137,7 @@ class EvaluationCache:
             except OSError:  # pragma: no cover - shard raced away
                 continue
 
-    # -- read path (workers and parent) --------------------------------
+    # -- read path -----------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored record for ``key``, or None on miss.
 
@@ -150,8 +146,8 @@ class EvaluationCache:
         hit bumps the entry's mtime (the LRU recency signal).
         """
         path = self._entry_path(key)
-        # Fault site: a worker can be killed while reading an entry to
-        # prove the sweep degrades to the parent-side retry path.
+        # Fault site: the lookup runs in the sweep's own process, so
+        # ``raise:`` / ``abort:`` are the actions that do anything here.
         faults.check("cache.read", key=key)
         try:
             record = json.loads(path.read_text())
@@ -160,14 +156,8 @@ class EvaluationCache:
             self.session_misses += 1
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            obs.count("vpr.cache.corrupt")
-            obs.count("vpr.cache.miss")
-            self.session_misses += 1
-            self._discard(path)
-            return None
-        if record.get("schema") != SCHEMA or not all(
-            k in record for k in _REQUIRED
-        ):
+            record = None
+        if not has_finite_costs(record) or record.get("schema") != SCHEMA:
             obs.count("vpr.cache.corrupt")
             obs.count("vpr.cache.miss")
             self.session_misses += 1
@@ -199,21 +189,6 @@ class EvaluationCache:
         obs.count("vpr.cache.touch")
         return True
 
-    def note_lookup(self, hit: bool) -> None:
-        """Fold one *remote* lookup into the session counters.
-
-        Pool and fleet workers read the store from their own
-        processes; the parent calls this once per returned work item
-        (with the worker's cached flag) so its session counters — and
-        therefore the end-of-sweep summary and the persisted lifetime
-        totals — cover the whole fleet's traffic, not just the
-        parent's own probes.
-        """
-        if hit:
-            self.session_hits += 1
-        else:
-            self.session_misses += 1
-
     @staticmethod
     def _discard(path: Path) -> None:
         try:
@@ -221,7 +196,7 @@ class EvaluationCache:
         except OSError:  # pragma: no cover - permission races
             pass
 
-    # -- write path (parent only) --------------------------------------
+    # -- write path ----------------------------------------------------
     def put(self, key: str, record: Dict[str, Any]) -> None:
         """Store one evaluation record under its content address."""
         payload = {"schema": SCHEMA, "key": key}

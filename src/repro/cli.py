@@ -324,14 +324,6 @@ def _add_simple_parsers(subparsers) -> None:
         "`flow --fleet ... --fleet-listen`)",
     )
     p.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="read V-P&R evaluations from this cache directory instead "
-        "of the parent's path (use '' to disable the cache on this "
-        "worker); workers only read — the parent is the single writer",
-    )
-    p.add_argument(
         "--reconnect",
         type=int,
         default=0,
@@ -856,7 +848,6 @@ def _cmd_worker(args) -> int:
 
     return run_worker(
         args.connect,
-        cache_dir=args.cache,
         reconnect=args.reconnect,
         reconnect_delay=args.reconnect_delay,
         quiet=args.quiet,

@@ -10,23 +10,15 @@ description: the induced sub-netlists, their flat scoring arrays and
 the config.  Shipping that per item (pickle in every task) puts a
 serialization knee in the ``--jobs`` scaling curve, so the sweep
 publishes the whole state **once** and each work item carries only two
-integers:
+integers: the pool parks the payload in a module global before forking
+its workers, which inherit the pages copy-on-write (nothing is pickled
+at all); the fleet ships one pickled blob per worker.  What is
+published holds no store: stored results are resolved in the sweep's
+own process before anything is chunked, so a worker only computes.
 
-* **fork** start method (Linux default): the parent parks the payload
-  in a module global before creating the pool; forked workers inherit
-  the pages copy-on-write.  Nothing is pickled at all.
-* **spawn** start method (macOS/Windows default, or forced via
-  ``VPRConfig.start_method``): the payload is pickled *once* into a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment; each
-  worker attaches to the segment by name (zero-copy buffer mapping)
-  and deserialises it once at initialisation.
-
-Both paths hand workers the same object graph, so results are
-byte-identical regardless of start method
-(``tests/core/test_fanout.py``).  A worker that dies while attaching
-or reading the shared buffer simply loses its items to the sweep's
-retry scheduler — the segment itself is owned (and unlinked) by the
-parent.
+A worker that dies while attaching simply loses its items to the
+sweep's retry scheduler (``tests/core/test_fanout.py``,
+``tests/core/test_sweep_matrix.py``).
 """
 
 from __future__ import annotations
@@ -60,16 +52,6 @@ from repro import obs
 from repro.core import wire
 from repro.recovery import faults
 
-try:  # pragma: no cover - stdlib since 3.8; guarded for exotic builds
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None  # type: ignore[assignment]
-
-#: A token a worker can resolve to the published payload.
-#: ``("inherit", publication_id)`` for fork-inherited globals;
-#: ``("shm", name, size)`` for a shared-memory segment.
-StateToken = Tuple[str, ...]
-
 #: Fork-inherited payloads keyed by publication id (parent side;
 #: workers read their COW copy).  Keyed — not a single slot — so two
 #: concurrent publishers in one process (e.g. two sweeps under
@@ -81,122 +63,62 @@ _INHERITED: Dict[str, Dict[str, Any]] = {}
 #: stale token can never resolve to a newer publication's payload).
 _PUBLICATION_IDS = itertools.count()
 
-#: Worker-side memo: the payload this process already attached, keyed
-#: by token, so every item after the first resolves it for free.  At
-#: most ONE live payload is kept: attaching a new token evicts the
-#: previous entry, so a persistent worker serving many sweeps does not
-#: leak every payload it ever saw.
-_ATTACHED: Dict[StateToken, Dict[str, Any]] = {}
-
 
 @dataclass
 class StatePublisher:
-    """Parent-side handle on one published payload.
+    """Parent-side handle on one published payload; ``token`` is its
+    publication id.
 
     Use as a context manager around the pool's lifetime::
 
-        with publish_state(payload, method="fork") as token:
+        with publish_state(payload) as token:
             pool.submit(worker, token, item)...
 
-    Exiting releases the fork global / unlinks the shared segment.
+    Exiting releases the global.
     """
 
-    token: StateToken
-    _shm: Any = None
+    token: str
 
-    def __enter__(self) -> StateToken:
+    def __enter__(self) -> str:
         return self.token
 
     def __exit__(self, *exc) -> None:
         self.close()
 
     def close(self) -> None:
-        if self.token and self.token[0] == "inherit":
-            # Pop only this publication's payload: a concurrent
-            # publisher's entry (another sweep in the same process)
-            # stays live until *its* close().
-            _INHERITED.pop(self.token[1], None)
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except OSError:  # pragma: no cover - already unlinked
-                pass
-            self._shm = None
+        # Pop only this publication's payload: a concurrent publisher's
+        # entry (another sweep in the same process) stays live until
+        # *its* close().
+        _INHERITED.pop(self.token, None)
 
 
-def publish_state(payload: Dict[str, Any], method: str) -> StatePublisher:
-    """Publish ``payload`` for workers started with ``method``.
-
-    ``method`` is the multiprocessing start method the pool will use
-    (``"fork"`` or ``"spawn"``).
-    """
-    if method == "fork":
-        publication_id = str(next(_PUBLICATION_IDS))
-        _INHERITED[publication_id] = payload
-        return StatePublisher(token=("inherit", publication_id))
-    if shared_memory is None:  # pragma: no cover - exotic build
-        raise OSError("multiprocessing.shared_memory unavailable")
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-    segment.buf[: len(blob)] = blob
-    obs.count("vpr.fanout.shm_bytes", len(blob))
-    return StatePublisher(
-        token=("shm", segment.name, str(len(blob))), _shm=segment
-    )
+def publish_state(payload: Dict[str, Any]) -> StatePublisher:
+    """Park ``payload`` where workers forked from now on will find it."""
+    publication_id = str(next(_PUBLICATION_IDS))
+    _INHERITED[publication_id] = payload
+    return StatePublisher(token=publication_id)
 
 
-def attach_state(token: StateToken) -> Dict[str, Any]:
+def attach_state(token: str) -> Dict[str, Any]:
     """Resolve a token to the published payload (worker side).
 
-    Fork workers read their inherited copy; spawn workers map the
-    shared segment and unpickle it once, memoising the result for the
-    rest of the process's life.
-
-    The returned dict is **worker-private**: under fork it is this
-    process's copy-on-write copy of the parent's global, under spawn
-    it is unpickled locally — either way mutations never leave the
-    worker.  The V-P&R worker initializer relies on this to stash
-    per-process handles (e.g. its monitor heartbeat writer) directly
-    in the attached state.
+    The returned dict is **worker-private**: it is this process's
+    copy-on-write copy of the parent's global, so mutations never leave
+    the worker (and survive from one chunk to the next).  The V-P&R
+    worker set-up relies on this to stash per-process handles (e.g. its
+    monitor heartbeat writer) directly in the attached state.
     """
-    token = tuple(token)
-    cached = _ATTACHED.get(token)
-    if cached is not None:
-        return cached
     # Fault site: a worker can be killed here to prove a crash while
-    # reading the shared buffer degrades to the sweep's retry scheduler.
-    faults.check("fanout.attach", key=token[0])
-    if token[0] == "inherit":
-        payload = _INHERITED.get(token[1]) if len(token) > 1 else None
-        if payload is None:
-            raise RuntimeError(
-                "no fork-inherited sweep state in this process for "
-                f"token {token!r} (the parent must publish before "
-                "creating the pool, and close() must not have run yet)"
-            )
-    elif token[0] == "shm":
-        if shared_memory is None:  # pragma: no cover - exotic build
-            raise OSError("multiprocessing.shared_memory unavailable")
-        _kind, name, size_text = token
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            payload = pickle.loads(bytes(segment.buf[: int(size_text)]))
-        finally:
-            segment.close()
-    else:
-        raise ValueError(f"unknown fan-out token {token!r}")
-    # One live payload per worker: a pool process only ever serves one
-    # publication at a time, so a new token supersedes whatever this
-    # process attached before (bounds the memo across many sweeps).
-    _ATTACHED.clear()
-    _ATTACHED[token] = payload
+    # attaching degrades to the sweep's retry scheduler.
+    faults.check("fanout.attach", key=token)
+    payload = _INHERITED.get(token)
+    if payload is None:
+        raise RuntimeError(
+            "no fork-inherited sweep state in this process for "
+            f"token {token!r} (the parent must publish before "
+            "creating the pool, and close() must not have run yet)"
+        )
     return payload
-
-
-def reset_attachments() -> None:
-    """Drop worker-side memoised payloads (tests only)."""
-    _ATTACHED.clear()
 
 
 # ----------------------------------------------------------------------
@@ -219,17 +141,14 @@ class ItemOutcome(NamedTuple):
     (costs are NaN then) — raised by the evaluation itself or, via
     :meth:`lost`, standing for a transport-level loss (dead pool
     process, vanished fleet worker), so every kind of failure flows
-    into the sweep's one retry scheduler.  ``cached`` is True when the
-    evaluation cache served the item (it is then not stored again);
-    ``seconds`` is the item's evaluation time (its share of the batch
-    wall; the original evaluation's for a cached item).
+    into the sweep's one retry scheduler.  ``seconds`` is the item's
+    evaluation time (its share of the batch wall).
     """
 
     hpwl_cost: float
     congestion_cost: float
     seconds: float
     error: Optional[str] = None
-    cached: bool = False
     envelope: Optional[WorkerEnvelope] = None
 
     @classmethod
@@ -261,17 +180,18 @@ class SweepExecutor:
     * Executor *infrastructure* failure (no pool, no bindable port,
       zero workers connected) raises :class:`OSError`, which the sweep
       answers by running the same loop on the inline executor.
-    * The parent keeps all of its single-writer roles: executors never
-      touch the cache, checkpoint, or telemetry files.
+    * The sweep's process keeps every store to itself: executors and
+      their workers never touch the cache, checkpoint, or telemetry
+      files.
 
     ``crosses_process`` says whether items evaluate outside the calling
     process: only then does the sweep publish a worker payload (instead
     of handing over its live state), do workers wrap their results in a
     :class:`WorkerEnvelope`, and does ``item_timeout`` (seconds, or
     None) bound an item with SIGALRM.  ``requires_snapshots`` tells the
-    sweep whether the payload's designs must be flat snapshots
-    (anything that crosses a pickle boundary) or may be live objects
-    (fork's copy-on-write pages).
+    sweep whether the payload's designs must be flat snapshots (the
+    fleet's pickle boundary) or may be live objects (the pool's
+    copy-on-write pages).
     """
 
     name = "base"
@@ -327,43 +247,35 @@ class InlineExecutor(SweepExecutor):
 
 
 def _run_attached(
-    chunk_fn: Callable, token: StateToken, chunk: Sequence
+    chunk_fn: Callable, token: str, chunk: Sequence
 ) -> List[ItemOutcome]:
     """One pool task.  The state token is resolved here (not in a pool
     initializer), so an attach failure is contained to this chunk and
     flows into the sweep's retry scheduler instead of breaking the
     whole pool."""
+    faults.mark_worker()  # a pool process: kill / hang faults apply
     return chunk_fn(attach_state(token), chunk)
 
 
 class LocalPoolExecutor(SweepExecutor):
-    """The single-host process pool: publish once (fork COW / spawn
-    shared memory), submit one future per chunk, collect in completion
-    order, and convert a dead worker's chunk into lost outcomes for the
-    retry scheduler."""
+    """The single-host process pool: publish once, fork the workers
+    (they read the parent's pages directly, so the payload carries live
+    designs), submit one future per chunk, collect in completion order,
+    and convert a dead worker's chunk into lost outcomes for the retry
+    scheduler."""
 
     name = "local"
 
-    def __init__(
-        self,
-        jobs: int,
-        start_method: str,
-        item_timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, jobs: int, item_timeout: Optional[float] = None) -> None:
         self.jobs = max(1, int(jobs))
-        self.start_method = start_method
         self.item_timeout = item_timeout
-        # Spawn workers rebuild designs from flat snapshots (the live
-        # object graph recurses past the pickle limit on real
-        # netlists); fork workers read the parent's pages directly.
-        self.requires_snapshots = start_method == "spawn"
 
     def width(self) -> int:
         return self.jobs
 
     def map_chunks(self, state, chunks, chunk_fn):
-        context = multiprocessing.get_context(self.start_method)
-        with publish_state(state, self.start_method) as token, \
+        context = multiprocessing.get_context("fork")
+        with publish_state(state) as token, \
                 ProcessPoolExecutor(
                     max_workers=self.jobs, mp_context=context
                 ) as pool:
@@ -445,9 +357,9 @@ class FleetExecutor(SweepExecutor):
       the longest-running in-flight chunk (straggler re-dispatch,
       first result wins — items are idempotent by construction).
 
-    Workers only read the evaluation cache; every durable write stays
-    in the parent, so a fleet sweep's results are byte-identical to
-    the inline and pool executors' (gated by ``make fleet-smoke``).
+    Workers only compute; every store read and every durable write
+    stays in the parent, so a fleet sweep's results are byte-identical
+    to the inline and pool executors' (gated by ``make fleet-smoke``).
     """
 
     name = "fleet"

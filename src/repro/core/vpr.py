@@ -49,14 +49,17 @@ Performance engine (this module is the flow's runtime bottleneck):
   re-initialises from its seed each run).  For executors that cross a
   process boundary the sweep state (induced sub-netlists, scoring
   arrays, config) is published **once** via :mod:`repro.core.fanout` —
-  fork workers inherit it copy-on-write, spawn workers map one
-  shared-memory segment — so a work item ships only its (cluster,
+  pool workers inherit it copy-on-write, fleet workers receive one
+  pickled blob each — so a work item ships only its (cluster,
   candidate) indices; the inline executor works on the live objects.
-* With an :class:`~repro.cache.EvaluationCache` attached, evaluations
-  are content-addressed across runs: a (sub-netlist, shape, config)
-  item seen before is served from disk, byte-identical to a fresh
-  evaluation.  Workers only read the store; the parent is the only
-  writer (see ``docs/performance.md``).
+* Stored results resolve first, in the sweep's own process: every item
+  is looked up in the checkpoint, then — with an
+  :class:`~repro.cache.EvaluationCache` attached — in the cross-run
+  cache, where a (sub-netlist, shape, config) item seen before is
+  served from disk, byte-identical to a fresh evaluation.  Only the
+  misses become work items, so a worker is a pure function of
+  (published state, item indices) and never sees either store (see
+  ``docs/performance.md``).
 * The :mod:`repro.perf` stage timers wrap every phase, so a perf
   report shows extract/place/route/score splits.
 
@@ -164,13 +167,6 @@ class VPRConfig:
             keeping the tail balanced.  1 reproduces the
             one-item-per-task scheduling.  Chunking only changes
             scheduling granularity, never results.
-        start_method: Multiprocessing start method for the pool:
-            ``"fork"`` (workers inherit the published sweep state
-            copy-on-write), ``"spawn"`` (the state is published once
-            through a shared-memory segment), or None (default —
-            fork when available, else spawn).  The start method only
-            changes how state reaches workers, never results (see
-            :mod:`repro.core.fanout`).
         seed: RNG seed (randomised selector arms).
         item_timeout: Wall-clock bound (seconds) on one (cluster,
             candidate) evaluation inside a pool or fleet worker
@@ -230,7 +226,6 @@ class VPRConfig:
     placer_iterations: int = 6
     jobs: int = 1
     chunk_size: Optional[int] = None
-    start_method: Optional[str] = None
     seed: int = 0
     item_timeout: Optional[float] = None
     retry_limit: int = 1
@@ -250,11 +245,6 @@ class VPRConfig:
             raise ValueError(
                 f"chunk_size must be a positive integer or None, "
                 f"got {self.chunk_size!r}"
-            )
-        if self.start_method not in (None, "fork", "spawn"):
-            raise ValueError(
-                f"start_method must be 'fork', 'spawn' or None, "
-                f"got {self.start_method!r}"
             )
 
     def result_fingerprint(self) -> Dict[str, object]:
@@ -502,13 +492,16 @@ class _SubContext:
     the Laplacian *pattern* is not among the shared things — its bound
     pins move with every linearisation — so there is no symbolic
     matrix to reuse.  ``fingerprint`` guards against structural
-    mutation (the L-shape sweep temporarily adds a blockage instance).
+    mutation (the L-shape sweep temporarily adds a blockage instance):
+    :meth:`VPRFramework._context_of` rebuilds a context whose sub
+    changed, and the content digest with it.
     """
 
     __slots__ = (
         "sub",
         "fingerprint",
         "problem",
+        "_digest",
         "score_pins",
         "score_offsets",
         "num_score_nets",
@@ -523,11 +516,12 @@ class _SubContext:
         self.sub = sub
         self.fingerprint = _sub_fingerprint(sub)
         self.problem: Optional[PlacementProblem] = None
+        self._digest: Optional[str] = None
 
         if score_pins is not None and score_offsets is not None:
             # Pre-built arrays shipped by the parent's fan-out payload
-            # (zero-copy under fork; one shared-memory publication
-            # under spawn) — identical to what the loop below builds.
+            # (the parent's own pages in a pool worker) — identical to
+            # what the loop below builds.
             self.score_pins = np.asarray(score_pins, dtype=np.int64)
             self.score_offsets = np.asarray(score_offsets, dtype=np.int64)
             self.num_score_nets = len(self.score_offsets) - 1
@@ -565,6 +559,14 @@ class _SubContext:
         self.problem.stack_dies(floorplans, np.array(port_x), np.array(port_y))
         return self.problem
 
+    def digest(self) -> str:
+        """Content digest of the sub-netlist (the netlist part of its
+        items' cache addresses), hashed on first use."""
+        if self._digest is None:
+            with obs.stage("vpr.cache_key"):
+                self._digest = netlist_digest(self.sub)
+        return self._digest
+
     def mean_hpwl(self, x: np.ndarray, y: np.ndarray) -> float:
         """Average net HPWL over one system's final coordinates."""
         if self.num_score_nets == 0:
@@ -575,6 +577,19 @@ class _SubContext:
 
 def _sub_fingerprint(sub: Design) -> Tuple[int, int, int]:
     return (sub.num_instances, sub.num_nets, len(sub.ports))
+
+
+def _stored_evaluation(
+    candidate: ShapeCandidate, record: dict
+) -> Tuple["CandidateEvaluation", float]:
+    """``(evaluation, original seconds)`` of a record a store served
+    (both stores hand out finite-cost records only)."""
+    evaluation = CandidateEvaluation(
+        candidate=candidate,
+        hpwl_cost=float(record["hpwl_cost"]),
+        congestion_cost=float(record["congestion_cost"]),
+    )
+    return evaluation, float(record.get("seconds", 0.0))
 
 
 def _item_record(evaluation: "CandidateEvaluation", seconds: float) -> dict:
@@ -598,7 +613,6 @@ class VPRFramework:
     #: caps keep long dataset-generation runs from accumulating subs).
     _INDUCE_CACHE_MAX = 64
     _CONTEXT_CACHE_MAX = 16
-    _DIGEST_CACHE_MAX = 64
 
     def __init__(
         self,
@@ -619,9 +633,11 @@ class VPRFramework:
         #: use it to inject a pre-configured fleet (e.g. with per-worker
         #: fault-injection environments); None builds from the config.
         self.executor_factory: Optional[Callable[[], SweepExecutor]] = None
-        self._induce_cache: "OrderedDict[tuple, Tuple[Design, float]]" = OrderedDict()
+        # Both memos are keyed by object identity, so each entry holds
+        # the object it is keyed by: an id() is only unique among live
+        # objects.
+        self._induce_cache: "OrderedDict[tuple, Tuple[Design, Design, float]]" = OrderedDict()
         self._contexts: "OrderedDict[int, _SubContext]" = OrderedDict()
-        self._digests: "OrderedDict[int, Tuple[tuple, str]]" = OrderedDict()
 
     # -- sub-netlist cache ---------------------------------------------
     def induce(
@@ -639,12 +655,13 @@ class VPRFramework:
         if entry is not None:
             self._induce_cache.move_to_end(key)
             obs.count("vpr.subnetlist.hit")
-            return entry
+            _source, sub, cell_area = entry
+            return sub, cell_area
         obs.count("vpr.subnetlist.miss")
         with obs.stage("vpr.extract"):
             sub = extract_subnetlist(source, member_indices)
         cell_area = sum(source.instances[i].area for i in member_indices)
-        self._induce_cache[key] = (sub, cell_area)
+        self._induce_cache[key] = (source, sub, cell_area)
         if len(self._induce_cache) > self._INDUCE_CACHE_MAX:
             self._induce_cache.popitem(last=False)
         return sub, cell_area
@@ -842,12 +859,7 @@ class VPRFramework:
                 "fresh checkpoint"
             )
         obs.count("recovery.item.reused")
-        evaluation = CandidateEvaluation(
-            candidate=candidate,
-            hpwl_cost=float(record["hpwl_cost"]),
-            congestion_cost=float(record["congestion_cost"]),
-        )
-        return evaluation, float(record.get("seconds", 0.0))
+        return _stored_evaluation(candidate, record)
 
     def _checkpoint_save(
         self,
@@ -869,45 +881,25 @@ class VPRFramework:
         faults.check("vpr.item.saved", key=f"{cluster_id}/{candidate_index}")
 
     # -- cross-run evaluation cache ------------------------------------
-    def _netlist_digest(self, sub: Design) -> str:
-        """Memoised content digest of one sub-netlist.
-
-        Keyed by object identity and revalidated against the structural
-        fingerprint (the L-shape sweep mutates subs in place).
-        """
-        key = id(sub)
-        fingerprint = _sub_fingerprint(sub)
-        entry = self._digests.get(key)
-        if entry is not None and entry[0] == fingerprint:
-            self._digests.move_to_end(key)
-            return entry[1]
-        with obs.stage("vpr.cache_key"):
-            digest = netlist_digest(sub)
-        self._digests[key] = (fingerprint, digest)
-        self._digests.move_to_end(key)
-        if len(self._digests) > self._DIGEST_CACHE_MAX:
-            self._digests.popitem(last=False)
-        return digest
-
     def cluster_digest(
         self, source: Design, member_indices: Sequence[int]
     ) -> Tuple[str, float]:
         """``(content digest, cell area)`` of one cluster's sub-netlist.
 
-        Served from the induce/digest memos when the cluster was just
+        Served from the induce/context memos when the cluster was just
         swept, so calling this right after a sweep is nearly free.  The
         flow persists these per eligible cluster so the ECO path can
         address unchanged clusters' cache entries without re-inducing
         their sub-netlists.
         """
         sub, cell_area = self.induce(source, member_indices)
-        return self._netlist_digest(sub), cell_area
+        return self._context_of(sub).digest(), cell_area
 
     def _cache_key(
         self, sub: Design, cell_area: float, candidate_index: int
     ) -> str:
         return cache_key(
-            self._netlist_digest(sub),
+            self._context_of(sub).digest(),
             self.config.candidates[candidate_index],
             self.config,
             cell_area=cell_area,
@@ -922,37 +914,24 @@ class VPRFramework:
     ) -> Optional[Tuple[CandidateEvaluation, float]]:
         """A cached (evaluation, original seconds) for this item, or None.
 
-        Only valid (finite-cost) records are served; anything else is a
-        miss.  Emits ``cache.hit`` / ``cache.miss`` telemetry events so
-        run reports attribute reuse per (cluster, candidate).
+        The store serves only finite-cost records.  Emits ``cache.hit``
+        / ``cache.miss`` telemetry events so run reports attribute
+        reuse per (cluster, candidate).
         """
         cache = self.cache
         if cache is None:
             return None
         key = self._cache_key(sub, cell_area, candidate_index)
         record = cache.get(key)
-        if record is not None:
-            candidate = self.config.candidates[candidate_index]
-            evaluation = CandidateEvaluation(
-                candidate=candidate,
-                hpwl_cost=float(record["hpwl_cost"]),
-                congestion_cost=float(record["congestion_cost"]),
-            )
-            if evaluation.is_valid:
-                obs.event(
-                    "cache.hit",
-                    cluster=cluster_id,
-                    candidate=candidate_index,
-                    key=key,
-                )
-                return evaluation, float(record.get("seconds", 0.0))
         obs.event(
-            "cache.miss",
+            "cache.miss" if record is None else "cache.hit",
             cluster=cluster_id,
             candidate=candidate_index,
             key=key,
         )
-        return None
+        if record is None:
+            return None
+        return _stored_evaluation(self.config.candidates[candidate_index], record)
 
     def _cache_store(
         self,
@@ -991,12 +970,14 @@ class VPRFramework:
     ) -> List[VPRSweepResult]:
         """Sweep several clusters: one loop, whatever the executor.
 
-        Checkpointed items are served from disk; what is left is
-        chunked and handed to a :class:`SweepExecutor` — the calling
-        process itself (``jobs == 1``), a process pool or a worker
-        fleet.  Every resolved item lands through :meth:`_settle` (the
-        one write-back site), every failed one goes to the one retry
-        scheduler (:meth:`_retry_failed_items`), and results sit in
+        Items the checkpoint or the cache holds are served from disk,
+        here, in this process; what is left is chunked and handed to a
+        :class:`SweepExecutor` — the calling process itself
+        (``jobs == 1``), a process pool or a worker fleet — and when
+        nothing is left no executor is built at all.  Every resolved
+        item lands through :meth:`_settle` (the one write-back site),
+        every failed one goes to the one retry scheduler
+        (:meth:`_retry_failed_items`), and results sit in
         (cluster, candidate) slots, so evaluations and selected shapes
         are identical whichever executor ran and however its workers
         were scheduled.  When a pool or fleet is unavailable
@@ -1024,9 +1005,8 @@ class VPRFramework:
                 if not fans_out:
                     raise
                 # Restart the progress task first — the failed attempt
-                # may already have advanced it (checkpoint-served
-                # items, resolved chunks), and the inline run counts
-                # every item again.
+                # may already have advanced it (stored items, resolved
+                # chunks), and the inline run counts every item again.
                 obs.count("vpr.executor.fallback")
                 obs.event(
                     "vpr.executor_fallback",
@@ -1053,7 +1033,8 @@ class VPRFramework:
 
     def _make_executor(self) -> SweepExecutor:
         """Build the configured pool / fleet executor (or the injected
-        one).  Construction failures (unbindable port) are OSErrors."""
+        one).  Construction failures (unbindable port, a platform
+        without fork) are OSErrors."""
         if self.executor_factory is not None:
             return self.executor_factory()
         config = self.config
@@ -1064,12 +1045,12 @@ class VPRFramework:
                 spawn=config.fleet_spawn,
                 item_timeout=config.item_timeout,
             )
-        method = config.start_method
-        if method is None:
-            method = "fork" if _fork_available() else "spawn"
-        return LocalPoolExecutor(
-            max(1, int(config.jobs)), method, item_timeout=config.item_timeout
-        )
+        if not _fork_available():
+            raise OSError(
+                "no fork start method on this platform: pool workers "
+                "inherit the published sweep state"
+            )
+        return LocalPoolExecutor(config.jobs, item_timeout=config.item_timeout)
 
     def _sweep_state(
         self, executor: SweepExecutor, clusters: Dict[int, Tuple[Design, float]]
@@ -1078,12 +1059,12 @@ class VPRFramework:
 
         In process that is this framework and the live sub-netlists.
         Across a process boundary it is a payload published **once**
-        (fork workers inherit it copy-on-write, spawn workers map one
-        shared-memory segment, fleet workers receive one digest-keyed
-        pickled blob each), so a work item ships only two integers;
-        executors that cross a pickle boundary get flat design
-        snapshots (the linked Design graph recurses past the pickle
-        limit on real netlists), rebuilt once per worker at setup.
+        (pool workers inherit it copy-on-write, fleet workers receive
+        one digest-keyed pickled blob each), so a work item ships only
+        two integers; executors that cross a pickle boundary get flat
+        design snapshots (the linked Design graph recurses past the
+        pickle limit on real netlists), rebuilt once per worker at
+        setup.  Neither store is part of it: workers only compute.
         """
         config = self.config
         if not executor.crosses_process:
@@ -1104,7 +1085,6 @@ class VPRFramework:
             "snapshots": executor.requires_snapshots,
             "score_arrays": score_arrays,
             "item_timeout": executor.item_timeout,
-            "cache_dir": str(self.cache.directory) if self.cache else None,
             "obs": obs.worker_descriptor(),
         }
 
@@ -1113,19 +1093,28 @@ class VPRFramework:
         make_executor: Callable[[], SweepExecutor],
         clusters: Dict[int, Tuple[Design, float]],
     ) -> Dict[int, List[Tuple[CandidateEvaluation, float]]]:
-        """Resolve every (cluster, candidate) item of ``clusters`` on
-        one executor; returns ``(evaluation, seconds)`` slots."""
+        """Resolve every (cluster, candidate) item of ``clusters``:
+        from the stores, in order — checkpoint, then cache — and what
+        neither holds on one executor; returns ``(evaluation,
+        seconds)`` slots.  This loop is the only place a sweep probes
+        either store."""
         config = self.config
         n_cand = len(config.candidates)
         slots: Dict[int, list] = {c: [None] * n_cand for c in clusters}
         pending: List[Tuple[int, int]] = []
-        for c in clusters:
+        for c, (sub, cell_area) in clusters.items():
             for k in range(n_cand):
                 slots[c][k] = self._checkpoint_lookup(c, k)
-                if slots[c][k] is None:
-                    pending.append((c, k))
-                else:
+                if slots[c][k] is not None:
                     obs.advance("vpr.items")
+                    continue
+                cached = self._cache_lookup(sub, cell_area, c, k)
+                if cached is not None:
+                    self._settle(clusters, slots, c, k, *cached, cached=True)
+                else:
+                    pending.append((c, k))
+        if not pending:
+            return slots
         executor = make_executor()
         try:
             # Bundle work items into chunks so one dispatch amortises
@@ -1145,14 +1134,10 @@ class VPRFramework:
                 chunk_size=chunk_size,
             ):
                 failed: List[Tuple[int, int, str]] = []
-                resolved = (
-                    executor.map_chunks(
-                        self._sweep_state(executor, clusters),
-                        chunks,
-                        _evaluate_chunk,
-                    )
-                    if chunks
-                    else ()
+                resolved = executor.map_chunks(
+                    self._sweep_state(executor, clusters),
+                    chunks,
+                    _evaluate_chunk,
                 )
                 for index, outcomes in resolved:
                     for (c, k), outcome in zip(chunks[index], outcomes):
@@ -1173,20 +1158,13 @@ class VPRFramework:
                             )
                             failed.append((c, k, outcome.error))
                             continue
-                        if executor.crosses_process and self.cache is not None:
-                            # The lookup happened in another process;
-                            # fold it into this store's session
-                            # counters so the end-of-sweep cache
-                            # summary covers every worker.
-                            self.cache.note_lookup(hit=outcome.cached)
                         evaluation = CandidateEvaluation(
                             config.candidates[k],
                             outcome.hpwl_cost,
                             outcome.congestion_cost,
                         )
                         self._settle(
-                            clusters, slots, c, k, evaluation,
-                            outcome.seconds, cached=outcome.cached,
+                            clusters, slots, c, k, evaluation, outcome.seconds
                         )
                 # An inline first attempt was one of the item's
                 # ``retry_limit + 1`` attempts in this process; an
@@ -1211,9 +1189,8 @@ class VPRFramework:
     ) -> None:
         """The one write-back site: a resolved item takes its slot, is
         checkpointed the moment it resolves and — unless the cache
-        served it (this process is the cache's only writer) — stored in
-        the cache.  Invalid (terminally failed) evaluations are
-        persisted nowhere."""
+        served it — stored in the cache.  Invalid (terminally failed)
+        evaluations are persisted nowhere."""
         slots[c][k] = (evaluation, seconds)
         self._checkpoint_save(c, k, evaluation, seconds)
         if not cached:
@@ -1243,12 +1220,9 @@ class VPRFramework:
         :data:`_SLEEP` / :data:`_CLOCK` module hooks so tests can pin
         the overlap property on a fake clock.
 
-        An item's first attempt in this process consults the cache
-        before evaluating (its worker may have died *while reading* the
-        entry; the store itself is intact), exactly as the chunk
-        evaluator does.  An item out of attempts is terminal: the sweep
-        raises :class:`VPRSweepError` (``on_terminal_failure="raise"``)
-        or records an explicitly invalid evaluation and lets selection
+        An item out of attempts is terminal: the sweep raises
+        :class:`VPRSweepError` (``on_terminal_failure="raise"``) or
+        records an explicitly invalid evaluation and lets selection
         exclude it.
         """
         config = self.config
@@ -1299,12 +1273,7 @@ class VPRFramework:
             if wait > 0:
                 _SLEEP(wait)
             sub, cell_area = clusters[c]
-            if done == 0:
-                cached = self._cache_lookup(sub, cell_area, c, k)
-                if cached is not None:
-                    self._settle(clusters, slots, c, k, *cached, cached=True)
-                    continue
-            else:
+            if done:
                 obs.count("vpr.item.retry")
                 obs.event(
                     "vpr.item.retry", cluster=c, candidate=k, attempt=done
@@ -1411,24 +1380,18 @@ def _item_alarm(timeout: Optional[float]):
 def _setup_worker(state: dict) -> None:
     """First-use setup of a worker process's global state and of the
     published payload it attached (``_framework`` marks it done)."""
-    faults.mark_worker()
     # From here on this process records only its own activity, in the
-    # outputs the parent has on (spawn workers start with none).
+    # outputs the parent has on (fleet workers start with none).
     state["_heartbeat"] = obs.adopt_worker(state["obs"])
-    cache = (
-        EvaluationCache(state["cache_dir"])
-        if state.get("cache_dir")
-        else None
-    )
     if state.get("snapshots"):
-        # Spawn payloads carry flat design snapshots; rebuild each sub
-        # once per worker (fork payloads carry the parent's objects).
+        # Fleet payloads carry flat design snapshots; rebuild each sub
+        # once per worker (pool payloads carry the parent's objects).
         state["clusters"] = {
             c: (design_from_snapshot(snap), area)
             for c, (snap, area) in state["clusters"].items()
         }
         state["snapshots"] = False
-    framework = VPRFramework(state["config"], cache=cache)
+    framework = VPRFramework(state["config"])
     for c, (sub, _area) in state["clusters"].items():
         pins, offsets = state["score_arrays"][c]
         framework._context_of(sub, pins, offsets)
@@ -1442,14 +1405,13 @@ def _cluster_run_worker(
     """Evaluate a run of one cluster's work items: the first attempt of
     each, in the calling process (inline) or a worker process.
 
-    Per item, first: the evaluation cache is consulted (a hit skips
-    place + route entirely and reports the original evaluation's
-    seconds; only the sweep's :meth:`VPRFramework._settle` ever writes
-    the store) and the ``vpr.item`` fault site fires.  The items left
-    are evaluated as one lockstep batch; if the batch raises they are
-    evaluated one by one — still their first attempt — so exceptions
-    stay contained per item: a failed item reports ``error`` with NaN
-    costs instead of poisoning its batch-mates.  In a worker process
+    Per item, first, the ``vpr.item`` fault site fires.  The items
+    left are evaluated as one lockstep batch; if the batch raises they
+    are evaluated one by one — still their first attempt — so
+    exceptions stay contained per item: a failed item reports ``error``
+    with NaN costs instead of poisoning its batch-mates.  Nothing here
+    reads or writes a store (stored items never become work items;
+    :meth:`VPRFramework._settle` does the writing).  In a worker process
     (``state["item_timeout"]``) each of those steps runs under the
     item's own SIGALRM timeout, the batch under the timeout times its
     size, and the counters and telemetry the whole run recorded (also
@@ -1462,13 +1424,12 @@ def _cluster_run_worker(
     item_timeout = state.get("item_timeout")
     heartbeat = state.get("_heartbeat")
 
-    def outcome_of(evaluation, seconds, cached=False):
+    def outcome_of(evaluation, seconds):
         return ItemOutcome(
             evaluation.hpwl_cost,
             evaluation.congestion_cost,
             seconds,
             evaluation.error,
-            cached,
         )
 
     def contained(call):
@@ -1482,12 +1443,8 @@ def _cluster_run_worker(
             return ItemOutcome.lost(repr(exc), time.perf_counter() - start)
 
     def admit(k):
-        """A cache hit's outcome, or None for an item to evaluate."""
-        cached = framework._cache_lookup(sub, cell_area, cluster_id, k)
-        if cached is not None:
-            return outcome_of(*cached, cached=True)
+        """The item's fault site; None admits it to the batch."""
         faults.check("vpr.item", key=f"{cluster_id}/{k}")
-        return None
 
     def alone(k):
         start = time.perf_counter()
@@ -1525,10 +1482,7 @@ def _cluster_run_worker(
     if heartbeat is not None:
         for k, result in zip(indices, results):
             heartbeat.beat(
-                "done",
-                item=f"{cluster_id}/{k}",
-                error=result.error,
-                cached=result.cached,
+                "done", item=f"{cluster_id}/{k}", error=result.error
             )
     if state.get("_worker"):
         results[0] = results[0]._replace(

@@ -24,8 +24,7 @@ fleet relies on:
   (> :data:`MAX_FRAME_BYTES`) is refused rather than allocated.
 * **Pickle stays inside the trust boundary.**  Frames carry pickled
   payloads because both ends are the same codebase on hosts the user
-  already controls (exactly like the spawn-pool's shared-memory
-  publication).  The fleet listener binds loopback by default; binding
+  already controls.  The fleet listener binds loopback by default; binding
   a routable address is an explicit operator decision
   (``docs/performance.md``).
 

@@ -11,12 +11,12 @@ follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
    once (flat :mod:`repro.netlist.snapshot` designs, scoring arrays,
    config), or just its digest when the worker advertised it; the
    worker rebuilds the designs and seeds a
-   :class:`~repro.core.vpr.VPRFramework` exactly like a spawn-pool
-   worker (:func:`repro.core.vpr._setup_worker`);
+   :class:`~repro.core.vpr.VPRFramework` with the set-up every worker
+   process runs (:func:`repro.core.vpr._setup_worker`);
 3. **chunk → result** — each chunk of (cluster, candidate) items is
    evaluated by the same chunk evaluator every executor runs
-   (:func:`repro.core.vpr._evaluate_chunk`: cache lookup first,
-   SIGALRM item timeout, exceptions become error outcomes), and the
+   (:func:`repro.core.vpr._evaluate_chunk`: SIGALRM item timeout,
+   exceptions become error outcomes), and the
    :class:`~repro.core.fanout.ItemOutcome` records stream back;
 4. **beat** — item start/done heartbeats go over the same socket; the
    parent relays them into its monitor directory so ``repro top``
@@ -24,12 +24,13 @@ follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
 5. **shutdown** — clean exit (code 0).
 
 The worker holds **one** live sweep state (a new ``state`` message
-evicts the previous one — the same bound as the pool's attach memo),
-only ever *reads* the evaluation cache, and never touches the parent's
-checkpoint/telemetry files: every write stays parent-side, so the
-bit-identity and crash-containment story of the local pool carries
-over verbatim.  A worker SIGKILLed mid-chunk just disappears from the
-socket; the parent re-dispatches the chunk elsewhere.
+evicts the previous one) and only computes: it is a function of that
+state and the item indices it is sent, and never sees the parent's
+stores or telemetry files — every lookup and every write stays
+parent-side, so the bit-identity and crash-containment story of the
+local pool carries over verbatim.  A worker SIGKILLed mid-chunk just
+disappears from the socket; the parent re-dispatches the chunk
+elsewhere.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core import wire
+from repro.recovery import faults
 
 #: The single held sweep state, keyed by content digest (bounded to
-#: one entry — a new state evicts the old, like ``fanout._ATTACHED``).
+#: one entry — a new state evicts the old).
 _STATES: Dict[str, Dict[str, Any]] = {}
 
 
@@ -87,20 +89,11 @@ def parse_endpoint(text: str) -> Tuple[str, int]:
     return host, port
 
 
-def _install_state(
-    digest: str, blob: bytes, cache_dir: Optional[str]
-) -> Dict[str, Any]:
-    """Unpickle and set up one shipped sweep state (evicting the old).
-
-    ``cache_dir`` overrides the parent's cache directory (a worker on
-    another host reads its own local/NFS copy); the empty string
-    disables the cache for this worker entirely.
-    """
+def _install_state(digest: str, blob: bytes) -> Dict[str, Any]:
+    """Unpickle and set up one shipped sweep state (evicting the old)."""
     from repro.core import vpr
 
     state = pickle.loads(blob)
-    if cache_dir is not None:
-        state["cache_dir"] = cache_dir or None
     # Remote workers never write into the parent's monitor directory;
     # their liveness travels back over the socket as beat messages.
     state["obs"] = dict(state["obs"], heartbeats=None)
@@ -110,7 +103,7 @@ def _install_state(
     return state
 
 
-def _serve_connection(sock: socket.socket, cache_dir: Optional[str]) -> str:
+def _serve_connection(sock: socket.socket) -> str:
     """Run the worker side of one connection; returns the outcome
     (``"shutdown"`` for a clean parent-initiated exit, ``"eof"`` when
     the parent vanished, ``"error"`` after a protocol failure)."""
@@ -138,9 +131,7 @@ def _serve_connection(sock: socket.socket, cache_dir: Optional[str]) -> str:
             return "shutdown"
         if mtype == "state":
             try:
-                state = _install_state(
-                    message["digest"], message["blob"], cache_dir
-                )
+                state = _install_state(message["digest"], message["blob"])
             except Exception as exc:
                 wire.send_msg(sock, {"type": "error", "error": repr(exc)})
                 return "error"
@@ -178,7 +169,6 @@ def _serve_connection(sock: socket.socket, cache_dir: Optional[str]) -> str:
 
 def run_worker(
     connect: str,
-    cache_dir: Optional[str] = None,
     reconnect: int = 0,
     reconnect_delay: float = 1.0,
     connect_timeout: float = 30.0,
@@ -192,6 +182,7 @@ def run_worker(
     hello lets the parent skip the state transfer.  Returns a process
     exit code: 0 after a clean ``shutdown`` message, 1 otherwise.
     """
+    faults.mark_worker()  # a fleet process: kill / hang faults apply
     endpoint = parse_endpoint(connect)
     attempts_left = max(0, int(reconnect))
     outcome = "eof"
@@ -216,7 +207,7 @@ def run_worker(
                 file=sys.stderr,
             )
         try:
-            outcome = _serve_connection(sock, cache_dir)
+            outcome = _serve_connection(sock)
         except (wire.WireError, OSError):
             outcome = "eof"
         finally:
@@ -246,14 +237,6 @@ def main(argv: Optional[list] = None) -> int:
         help="the sweep parent's fleet listener endpoint",
     )
     parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="read V-P&R evaluations from this cache directory instead "
-        "of the parent's (use '' to disable the cache on this worker); "
-        "workers only ever read — the parent is the single writer",
-    )
-    parser.add_argument(
         "--reconnect",
         type=int,
         default=0,
@@ -275,7 +258,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     return run_worker(
         args.connect,
-        cache_dir=args.cache,
         reconnect=args.reconnect,
         reconnect_delay=args.reconnect_delay,
         quiet=args.quiet,

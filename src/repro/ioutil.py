@@ -19,9 +19,11 @@ never a torn file (on POSIX rename semantics).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from pathlib import Path
+from typing import Any
 
 
 def fsync_directory(path: Path) -> None:
@@ -61,6 +63,22 @@ def atomic_write_bytes(path: Path, data: bytes, durable: bool = True) -> None:
         raise
     if durable:
         fsync_directory(path.parent)
+
+
+#: Fields a stored V-P&R item record (checkpoint item or cache entry)
+#: must carry, as finite numbers, for a sweep to serve it.
+COST_FIELDS = ("hpwl_cost", "congestion_cost")
+
+
+def has_finite_costs(record: Any) -> bool:
+    """Whether ``record`` — a parsed item file of either durability
+    layer — is a dict whose :data:`COST_FIELDS` are finite numbers.
+    ``json.loads`` accepts ``NaN``; shape selection would drop such a
+    candidate without a word, so both stores refuse it on read."""
+    return isinstance(record, dict) and all(
+        type(record.get(name)) in (int, float) and math.isfinite(record[name])
+        for name in COST_FIELDS
+    )
 
 
 def sha256_hex(data: bytes) -> str:

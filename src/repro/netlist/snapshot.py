@@ -9,9 +9,9 @@ index order, ports, and nets as ``(instance index, pin name)`` tuples —
 which pickles in constant stack depth and rebuilds through the normal
 construction API.
 
-Used by the V-P&R spawn fan-out (:mod:`repro.core.fanout`): the parent
-snapshots each induced sub-netlist once into the shared-memory payload
-and every spawn worker rebuilds it once.  Reconstruction is exact for
+Used by the V-P&R fleet fan-out (:mod:`repro.core.fanout`): the parent
+snapshots each induced sub-netlist once into the payload it ships and
+every fleet worker rebuilds it once.  Reconstruction is exact for
 everything evaluation reads: structure, names, directions, weights,
 master timing/power data, coordinates and the floorplan — so content
 digests (:func:`repro.cache.netlist_digest`) of a rebuilt design equal

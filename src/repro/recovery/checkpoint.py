@@ -48,7 +48,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.ioutil import atomic_write_bytes, sha256_hex
+from repro.ioutil import atomic_write_bytes, has_finite_costs, sha256_hex
 from repro.recovery import faults
 
 __all__ = [
@@ -266,9 +266,10 @@ class CheckpointStore:
                 f"checkpoint item {path} is corrupt ({exc}); delete it to "
                 "recompute that (cluster, candidate) evaluation on resume"
             ) from exc
-        if record.get("schema") != SCHEMA or "hpwl_cost" not in record:
+        if not has_finite_costs(record) or record.get("schema") != SCHEMA:
             raise CheckpointError(
-                f"checkpoint item {path} has an unexpected schema; delete "
+                f"checkpoint item {path} has an unexpected schema or "
+                "lacks finite hpwl_cost / congestion_cost values; delete "
                 "it to recompute that evaluation on resume"
             )
         return record

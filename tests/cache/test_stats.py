@@ -8,6 +8,10 @@ import pytest
 
 from repro.cache import EvaluationCache, derive_cache_summary
 from repro.cache.store import CacheStats
+from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
+from repro.core.shapes import default_candidate_grid
+from repro.core.vpr import VPRConfig, VPRShapeSelector
+from repro.db.database import DesignDatabase
 
 
 KEY_A = "aa" + "0" * 62
@@ -40,15 +44,34 @@ class TestSessionCounters:
         assert cache.get(KEY_A) is None
         assert cache.session_misses == 1
 
-    def test_note_lookup_folds_remote_traffic(self, cache):
-        # Fleet workers probe the store from their own processes; the
-        # parent folds their hits/misses in via note_lookup so the
-        # session covers the whole fleet.
-        cache.note_lookup(hit=True)
-        cache.note_lookup(hit=True)
-        cache.note_lookup(hit=False)
-        assert cache.session_hits == 2
-        assert cache.session_misses == 1
+    def test_pool_sweep_session_counters_equal_inline(
+        self, small_design, tmp_path
+    ):
+        # Every lookup happens in the sweep's own process, so a pool
+        # sweep's session covers the whole sweep with nothing to fold
+        # back from its workers.
+        db = DesignDatabase(small_design)
+        members = ppa_aware_clustering(
+            db, PPAClusteringConfig(target_cluster_size=120)
+        ).members()
+
+        def session(jobs, directory="cache"):
+            handle = EvaluationCache(str(tmp_path / directory))
+            config = VPRConfig(
+                min_cluster_instances=60,
+                max_vpr_clusters=2,
+                placer_iterations=2,
+                candidates=default_candidate_grid()[:4],
+                jobs=jobs,
+            )
+            VPRShapeSelector(config, cache=handle).select(small_design, members)
+            return (
+                handle.session_hits, handle.session_misses,
+                handle.session_stores,
+            )
+
+        assert session(jobs=1) == session(jobs=2, directory="pool") == (0, 8, 8)
+        assert session(jobs=1) == session(jobs=2) == (8, 0, 0)
 
 
 class TestLifetimeTotals:

@@ -93,6 +93,46 @@ class TestCorruptionTolerance:
         path.write_text(json.dumps(record))
         assert cache.get(KEY_A) is None
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"congestion_cost": None},  # key deleted
+            {"hpwl_cost": float("nan")},  # json.loads reads NaN back
+            {"congestion_cost": float("inf")},
+            {"hpwl_cost": "2.5"},
+            {"hpwl_cost": True},
+        ],
+        ids=["missing", "nan", "inf", "string", "bool"],
+    )
+    def test_unservable_costs_are_one_corrupt_miss(self, cache, damage):
+        """An entry a sweep could not use is counted once, as a corrupt
+        miss — never as a hit the caller then has to second-guess."""
+        cache.put(KEY_A, RECORD)
+        path = cache._entry_path(KEY_A)
+        record = json.loads(path.read_text())
+        record.update(damage)
+        record = {k: v for k, v in record.items() if v is not None}
+        path.write_text(json.dumps(record))
+        perf.enable()
+        perf.reset()
+        try:
+            assert cache.get(KEY_A) is None
+            assert perf.counter_value("vpr.cache.hit") == 0
+            assert perf.counter_value("vpr.cache.miss") == 1
+            assert perf.counter_value("vpr.cache.corrupt") == 1
+        finally:
+            perf.reset()
+            perf.disable()
+        assert (cache.session_hits, cache.session_misses) == (0, 1)
+        assert not path.exists()
+
+    def test_non_object_entry_is_a_miss(self, cache):
+        path = cache._entry_path(KEY_A)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("[1, 2]")
+        assert cache.get(KEY_A) is None
+        assert not path.exists()
+
     def test_corruption_counted(self, cache):
         perf.enable()
         perf.reset()

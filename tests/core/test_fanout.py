@@ -1,49 +1,42 @@
-"""Zero-copy state publication: fork globals and spawn shared memory."""
-
-import pickle
+"""Zero-copy state publication: the fork-inherited, id-keyed global."""
 
 import pytest
 
 import repro.core.fanout as fanout
-from repro.core.fanout import (
-    StatePublisher,
-    attach_state,
-    publish_state,
-    reset_attachments,
-)
+from repro.core.fanout import StatePublisher, attach_state, publish_state
 
 PAYLOAD = {"config": {"jobs": 2}, "clusters": {0: [1, 2, 3]}, "text": "x" * 1000}
 
 
 @pytest.fixture(autouse=True)
-def _clean_attachments():
-    reset_attachments()
+def _clean_publications():
     yield
-    reset_attachments()
     fanout._INHERITED.clear()
 
 
 class TestForkPublication:
     def test_publish_parks_payload_in_global(self):
-        with publish_state(PAYLOAD, "fork") as token:
-            assert token[0] == "inherit"
-            assert fanout._INHERITED[token[1]] is PAYLOAD
+        with publish_state(PAYLOAD) as token:
+            assert fanout._INHERITED[token] is PAYLOAD
 
     def test_attach_resolves_inherited_payload(self):
-        with publish_state(PAYLOAD, "fork") as token:
+        with publish_state(PAYLOAD) as token:
+            # The very object, every time: what a worker stashes in it
+            # on its first chunk is there for its next one.
+            assert attach_state(token) is PAYLOAD
             assert attach_state(token) is PAYLOAD
 
     def test_close_releases_global(self):
-        with publish_state(PAYLOAD, "fork"):
+        with publish_state(PAYLOAD):
             pass
         assert not fanout._INHERITED
 
     def test_attach_without_publication_raises(self):
         with pytest.raises(RuntimeError, match="no fork-inherited"):
-            attach_state(("inherit", "12345"))
+            attach_state("12345")
 
     def test_legacy_unkeyed_token_raises(self):
-        with publish_state(PAYLOAD, "fork"):
+        with publish_state(PAYLOAD):
             with pytest.raises(RuntimeError, match="no fork-inherited"):
                 attach_state(("inherit",))
 
@@ -54,20 +47,19 @@ class TestInterleavedPublishers:
     def test_close_clears_only_own_payload(self):
         payload_a = {"sweep": "a"}
         payload_b = {"sweep": "b"}
-        publisher_a = publish_state(payload_a, "fork")
-        publisher_b = publish_state(payload_b, "fork")
+        publisher_a = publish_state(payload_a)
+        publisher_b = publish_state(payload_b)
         # Closing A mid-flight must not destroy B's published payload.
         publisher_a.close()
         assert attach_state(publisher_b.token) is payload_b
         with pytest.raises(RuntimeError, match="no fork-inherited"):
-            reset_attachments()
             attach_state(publisher_a.token)
         publisher_b.close()
         assert not fanout._INHERITED
 
     def test_publications_get_distinct_tokens(self):
-        publisher_a = publish_state({"sweep": "a"}, "fork")
-        publisher_b = publish_state({"sweep": "b"}, "fork")
+        publisher_a = publish_state({"sweep": "a"})
+        publisher_b = publish_state({"sweep": "b"})
         try:
             assert publisher_a.token != publisher_b.token
         finally:
@@ -76,79 +68,23 @@ class TestInterleavedPublishers:
 
     def test_double_close_does_not_touch_others(self):
         payload_b = {"sweep": "b"}
-        publisher_a = publish_state({"sweep": "a"}, "fork")
-        publisher_b = publish_state(payload_b, "fork")
+        publisher_a = publish_state({"sweep": "a"})
+        publisher_b = publish_state(payload_b)
         publisher_a.close()
         publisher_a.close()  # idempotent, still leaves B alone
         assert attach_state(publisher_b.token) is payload_b
         publisher_b.close()
 
 
-class TestAttachMemoBound:
-    def test_memo_stays_bounded_across_cycles(self):
-        for cycle in range(8):
-            with publish_state({"cycle": cycle}, "fork") as token:
-                assert attach_state(token)["cycle"] == cycle
-                assert len(fanout._ATTACHED) <= 1
-
-    def test_memo_stays_bounded_across_spawn_cycles(self):
-        for cycle in range(4):
-            with publish_state({"cycle": cycle}, "spawn") as token:
-                assert attach_state(token)["cycle"] == cycle
-                assert len(fanout._ATTACHED) <= 1
-
-    def test_new_attach_evicts_stale_entry(self):
-        with publish_state({"cycle": 0}, "fork") as first:
-            attach_state(first)
-        with publish_state({"cycle": 1}, "fork") as second:
-            attach_state(second)
-            assert tuple(first) not in fanout._ATTACHED
-            assert fanout._ATTACHED[tuple(second)]["cycle"] == 1
-
-
-class TestSpawnPublication:
-    def test_payload_roundtrips_through_shared_memory(self):
-        with publish_state(PAYLOAD, "spawn") as token:
-            assert token[0] == "shm"
-            attached = attach_state(token)
-            # A spawn worker gets an equal copy, not the same object.
-            assert attached is not PAYLOAD
-            assert attached == PAYLOAD
-
-    def test_segment_unlinked_on_close(self):
-        from multiprocessing import shared_memory
-
-        with publish_state(PAYLOAD, "spawn") as token:
-            name = token[1]
-        reset_attachments()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_token_records_exact_blob_size(self):
-        with publish_state(PAYLOAD, "spawn") as token:
-            assert int(token[2]) == len(
-                pickle.dumps(PAYLOAD, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-
-    def test_attach_is_memoised(self):
-        with publish_state(PAYLOAD, "spawn") as token:
-            first = attach_state(token)
-            assert attach_state(token) is first
-
-    def test_reset_attachments_drops_memo(self):
-        with publish_state(PAYLOAD, "spawn") as token:
-            first = attach_state(token)
-            reset_attachments()
-            assert attach_state(token) is not first
-
-
 class TestTokens:
     def test_unknown_token_rejected(self):
-        with pytest.raises(ValueError, match="unknown fan-out token"):
-            attach_state(("carrier-pigeon", "x"))
+        with publish_state(PAYLOAD):
+            with pytest.raises(RuntimeError, match="no fork-inherited"):
+                attach_state(("carrier-pigeon", "x"))
 
     def test_publisher_close_is_idempotent(self):
-        publisher = publish_state(PAYLOAD, "spawn")
+        publisher = publish_state(PAYLOAD)
         publisher.close()
         publisher.close()
         assert isinstance(publisher, StatePublisher)
+        assert not fanout._INHERITED

@@ -4,11 +4,14 @@ The sweep is one loop (``VPRFramework.sweep_clusters``) over a
 ``SweepExecutor``; this matrix pins that *where* items evaluate and
 *what* goes wrong on the way change nothing observable:
 
-* executor: inline (``jobs=1``), fork pool, spawn pool, loopback fleet;
+* executor: inline (``jobs=1``), fork pool, loopback fleet;
 * fault: none, one item's first attempt raising
   (``raise:vpr.item:<c>/<k>``), a whole lockstep batch raising
   (``raise:vpr.batch``), and an item going terminal under
-  ``retry_limit=0`` / ``on_terminal_failure="exclude"``.
+  ``retry_limit=0`` / ``on_terminal_failure="exclude"``;
+* stores: what a checkpoint and a cache hold when the sweep starts —
+  nothing, every item cached, every item checkpointed, half of one
+  cluster missing from an otherwise full cache.
 
 Faults are armed through ``REPRO_FAULTS`` so every process — pool and
 fleet workers included — holds its own armed copy.  Each run must
@@ -20,24 +23,38 @@ every output on, what a worker process recorded reaches the parent as
 one ``obs.worker_payload()`` on its ``WorkerEnvelope``: the merged
 work counters, the multiset of span names and the cost streams must
 not depend on the executor either.
+
+Stored results resolve in the sweep's own process, before anything is
+chunked: whatever the executor, the same items hit, miss, are stored
+and are checkpointed; only the misses are evaluated (a cluster's misses
+as one batch); and a sweep the stores serve in full builds no executor
+— no pool fork, no fleet listener, no worker process.
 """
 
 import math
+import shutil
 from collections import Counter
 
 import pytest
 
+import repro.core.fanout as fanout
 from repro import monitor, perf, telemetry
+from repro.cache import EvaluationCache
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
-from repro.core.vpr import VPRConfig, VPRShapeSelector, _fork_available
+from repro.core.vpr import (
+    VPRConfig,
+    VPRFramework,
+    VPRShapeSelector,
+    _fork_available,
+)
 from repro.db.database import DesignDatabase
 from repro.recovery import faults
+from repro.recovery.checkpoint import CheckpointStore
 
 EXECUTORS = {
     "inline": dict(jobs=1),
-    "fork": dict(jobs=2, start_method="fork"),
-    "spawn": dict(jobs=2, start_method="spawn"),
+    "fork": dict(jobs=2),
     "fleet": dict(fleet_workers=2),
 }
 #: The candidate whose first attempt the item faults hit.
@@ -47,6 +64,13 @@ WORK_COUNTERS = (
     "vpr.candidates_evaluated", "b2b.solves", "b2b.cg_iterations",
     "steiner.rsmt.miss",
 )
+#: Traffic on the two stores (all zero when none is attached).
+STORE_COUNTERS = (
+    "vpr.cache.hit", "vpr.cache.miss", "vpr.cache.store",
+    "recovery.item.reused", "recovery.item.saved",
+)
+#: Shape grid size of the matrix's sweeps.
+GRID = 6
 
 
 @pytest.fixture(scope="module")
@@ -73,20 +97,27 @@ def _fault(kind, swept):
     }[kind]
 
 
-def _run(clusters, executor, kind, out_dir, monkeypatch):
-    """Everything observable about one sweep."""
-    design, members, swept = clusters
-    spec, overrides = _fault(kind, swept)
-    config = VPRConfig(
+def _config(executor, **overrides):
+    return VPRConfig(
         min_cluster_instances=60,
         max_vpr_clusters=2,
         placer_iterations=2,
-        candidates=default_candidate_grid()[:6],
+        candidates=default_candidate_grid()[:GRID],
         retry_backoff=0.0,
         chunk_size=4,
         **EXECUTORS[executor],
         **overrides,
     )
+
+
+def _run(
+    clusters, executor, kind, out_dir, monkeypatch,
+    checkpoint=None, cache=None, executor_factory=None,
+):
+    """Everything observable about one sweep."""
+    design, members, swept = clusters
+    spec, overrides = _fault(kind, swept)
+    config = _config(executor, **overrides)
     if spec is None:
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
     else:
@@ -97,7 +128,9 @@ def _run(clusters, executor, kind, out_dir, monkeypatch):
     perf.enable()
     perf.reset()
     try:
-        selection = VPRShapeSelector(config).select(design, members)
+        selector = VPRShapeSelector(config, checkpoint=checkpoint, cache=cache)
+        selector.framework.executor_factory = executor_factory
+        selection = selector.select(design, members)
         return {
             "shapes": selection.shapes,
             "evaluations": [
@@ -112,6 +145,7 @@ def _run(clusters, executor, kind, out_dir, monkeypatch):
                 r for r in session.progress.records() if r["name"] == "vpr.items"
             ],
             "counters": {n: perf.counter_value(n) for n in WORK_COUNTERS},
+            "stores": {n: perf.counter_value(n) for n in STORE_COUNTERS},
             "spans": sorted(
                 Counter(
                     r["name"] for r in telemetry.get_session().tracer.export()
@@ -192,3 +226,108 @@ def test_executor_and_fault_change_nothing_observable(
         assert (run["retry"], run["terminal"]) == (int(kind == "item"), 0)
         for key in ("shapes", "evaluations", "total_cost", "progress"):
             assert _same(run[key], clean[key]), key
+
+
+# ----------------------------------------------------------------------
+# Stored results: resolved before chunking, in the sweep's own process
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def primed(clusters, tmp_path_factory):
+    """``(cache dir, checkpoint dir, entry paths of the first swept
+    cluster's odd candidates)`` left behind by one inline sweep."""
+    design, members, swept = clusters
+    root = tmp_path_factory.mktemp("primed")
+    cache = EvaluationCache(str(root / "cache"))
+    framework = VPRFramework(
+        _config("inline"),
+        checkpoint=CheckpointStore(str(root / "checkpoint")),
+        cache=cache,
+    )
+    framework.sweep_clusters(design, members, swept)
+    sub, cell_area = framework.induce(design, members[swept[0]])
+    odd = [
+        cache._entry_path(framework._cache_key(sub, cell_area, k)).relative_to(
+            cache.directory
+        )
+        for k in range(1, GRID, 2)
+    ]
+    return root / "cache", root / "checkpoint", odd
+
+
+def _stores(state, primed, tmp_path):
+    """A private (checkpoint, cache) pair in the given starting state."""
+    cache_dir, checkpoint_dir, odd = primed
+    if state in ("cached", "half"):
+        shutil.copytree(cache_dir, tmp_path / "cache")
+    if state == "checkpointed":
+        shutil.copytree(checkpoint_dir, tmp_path / "checkpoint")
+    if state == "half":
+        for entry in odd:
+            (tmp_path / "cache" / entry).unlink()
+    return (
+        CheckpointStore(str(tmp_path / "checkpoint")),
+        EvaluationCache(str(tmp_path / "cache")),
+    )
+
+
+def _expected_traffic(state):
+    items = 2 * GRID
+    missing = {"cold": items, "cached": 0, "checkpointed": 0, "half": GRID // 2}[
+        state
+    ]
+    reused = items if state == "checkpointed" else 0
+    return {
+        "vpr.cache.hit": items - reused - missing,
+        "vpr.cache.miss": missing,
+        "vpr.cache.store": missing,
+        "recovery.item.reused": reused,
+        "recovery.item.saved": items - reused,
+    }
+
+
+@pytest.mark.parametrize("state", ["cold", "cached", "checkpointed", "half"])
+@pytest.mark.parametrize("executor", list(EXECUTORS))
+def test_stored_results_resolve_in_the_sweep_process(
+    clusters, primed, executor, state, tmp_path, tmp_path_factory, monkeypatch
+):
+    if executor == "fork" and not _fork_available():
+        pytest.skip("fork start method unavailable")
+    clean = _inline(clusters, "none", tmp_path_factory, monkeypatch)
+    checkpoint, cache = _stores(state, primed, tmp_path)
+    served = state in ("cached", "checkpointed")
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a fully served sweep built an executor")
+
+    if served:
+        # Neither a pool process nor a fleet worker may be started.
+        monkeypatch.setattr(fanout, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(fanout.subprocess, "Popen", refuse)
+    batches = []
+    evaluate = VPRFramework.evaluate_candidates
+
+    def recording(self, sub, cell_area, candidates, cluster_id=None):
+        batches.append((cluster_id, list(candidates)))
+        return evaluate(self, sub, cell_area, candidates, cluster_id=cluster_id)
+
+    monkeypatch.setattr(VPRFramework, "evaluate_candidates", recording)
+    run = _run(
+        clusters, executor, "none", tmp_path / "out", monkeypatch,
+        checkpoint=checkpoint, cache=cache,
+        executor_factory=refuse if served else None,
+    )
+
+    # Cold == warm == resumed == mixed, on every executor.
+    for key in ("shapes", "evaluations", "total_cost", "streams", "progress"):
+        assert _same(run[key], clean[key]), key
+    assert run["stores"] == _expected_traffic(state)
+    missing = run["stores"]["vpr.cache.miss"]
+    assert run["counters"]["vpr.candidates_evaluated"] == missing
+    assert (
+        cache.session_hits, cache.session_misses, cache.session_stores
+    ) == tuple(run["stores"][n] for n in STORE_COUNTERS[:3])
+    if executor != "inline" or served:
+        assert batches == []  # this process only resolved and settled
+    elif state == "half":
+        # A half-cached cluster batches exactly its misses.
+        assert batches == [(clusters[2][0], default_candidate_grid()[1:GRID:2])]

@@ -119,7 +119,7 @@ class TestSweepProgress:
             jobs=2,
         )
         selector = VPRShapeSelector(config)
-        selector.framework.executor_factory = lambda: BrokenPool(2, "fork")
+        selector.framework.executor_factory = lambda: BrokenPool(2)
         selector.select(design, members)
         items = [
             r for r in session.progress.records() if r["name"] == "vpr.items"

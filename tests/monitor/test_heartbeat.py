@@ -16,7 +16,7 @@ class TestHeartbeatRoundTrip:
         directory = heartbeat_dir(str(tmp_path))
         writer = HeartbeatWriter(directory)
         writer.beat("start", item="c0/1")
-        writer.beat("done", item="c0/1", error=None, cached=False)
+        writer.beat("done", item="c0/1", error=None)
         writer.close()
         beats = read_worker_beats(directory)
         assert len(beats) == 1  # one record per worker, the LAST beat

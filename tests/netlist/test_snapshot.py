@@ -59,9 +59,8 @@ class TestRoundtrip:
             assert copy.leakage_power == m.leakage_power
 
     def test_content_digest_identical(self, design):
-        """The property the evaluation cache relies on: a spawn worker
-        rebuilding a snapshot derives the same content address the
-        parent did."""
+        """A rebuilt snapshot is the same content: it derives the
+        content address the original does."""
         sub = extract_subnetlist(design, range(0, 120))
         rebuilt = design_from_snapshot(design_snapshot(sub))
         assert netlist_digest(rebuilt) == netlist_digest(sub)

@@ -164,6 +164,36 @@ class TestVPRItems:
         with pytest.raises(CheckpointError, match="unexpected schema"):
             store.load_vpr_item(0, 0)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"congestion_cost": None},  # key deleted
+            {"hpwl_cost": float("nan")},  # json.loads reads NaN back
+            {"congestion_cost": float("-inf")},
+            {"hpwl_cost": "1.5"},
+        ],
+        ids=["missing", "nan", "inf", "string"],
+    )
+    def test_item_without_finite_costs_is_actionable(self, tmp_path, damage):
+        """Not a bare KeyError in the sweep, and not a NaN served into
+        a slot for shape selection to drop silently."""
+        store = CheckpointStore(str(tmp_path))
+        store.initialize(FP)
+        record = dict(self.RECORD, **damage)
+        store.save_vpr_item(
+            0, 3, {k: v for k, v in record.items() if v is not None}
+        )
+        with pytest.raises(CheckpointError, match="c0_k3.json.*delete"):
+            store.load_vpr_item(0, 3)
+
+    def test_non_object_item_rejected(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        store.initialize(FP)
+        path = tmp_path / "vpr_items" / "c0_k0.json"
+        atomic_write_bytes(path, b"[]")
+        with pytest.raises(CheckpointError, match="c0_k0.json"):
+            store.load_vpr_item(0, 0)
+
 
 class TestRNGSnapshots:
     def test_restore_replays_the_stream(self, tmp_path):

@@ -7,6 +7,8 @@ submissions of the same spec served from the warm path.
 
 from __future__ import annotations
 
+import time
+
 from tests.serve.conftest import TINY_SPEC, request, submit, wait_job
 
 
@@ -65,4 +67,9 @@ class TestSharedCache:
         monkeypatch.setattr(app.cache, "max_entries", 5)
         job_id = submit(app, dict(TINY_SPEC))
         assert wait_job(app, job_id)["state"] == "done"
+        # The job reads "done" from inside _run_job; the worker thread
+        # runs the janitor after that, off the job's latency path.
+        deadline = time.monotonic() + 30.0
+        while app.cache.stats().entries > 5 and time.monotonic() < deadline:
+            time.sleep(0.05)
         assert app.cache.stats().entries <= 5

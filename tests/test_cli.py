@@ -334,12 +334,11 @@ class TestFleetCli:
 
     def test_worker_subcommand_parsed(self):
         args = build_parser().parse_args(
-            ["worker", "--connect", "parent:7000", "--cache", "/tmp/c",
+            ["worker", "--connect", "parent:7000",
              "--reconnect", "3", "--reconnect-delay", "0.5", "--quiet"]
         )
         assert args.command == "worker"
         assert args.connect == "parent:7000"
-        assert args.cache == "/tmp/c"
         assert args.reconnect == 3
         assert args.reconnect_delay == 0.5
         assert args.quiet is True

@@ -73,7 +73,67 @@ def test_single_valued_options_stay_deleted():
     assert not flow & {
         "max_cluster_net_weight", "fleet_workers", "fleet_listen", "fleet_spawn",
     }
-    assert len(vpr) <= 17
+    assert len(vpr) <= 16
     assert len(flow) <= 14
     # Every declared result field is a real field.
     assert set(VPRConfig.EVALUATION_FIELDS + VPRConfig.SELECTION_FIELDS) <= vpr
+
+
+# ----------------------------------------------------------------------
+# A sweep worker only computes; one pool transport
+# ----------------------------------------------------------------------
+def test_workers_never_see_a_store():
+    import ast
+    from dataclasses import fields
+    from pathlib import Path
+
+    import repro
+    from repro.core import vpr, worker
+    from repro.core.fanout import InlineExecutor, ItemOutcome, LocalPoolExecutor
+    from repro.core.vpr import VPRConfig, VPRFramework
+
+    gone = re.compile(
+        r"\b(note_lookup|start_method|shared_memory|reset_attachments|_ATTACHED)\b"
+    )
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        assert not gone.search(path.read_text()), path
+
+    assert "cached" not in ItemOutcome._fields
+    assert len(fields(VPRConfig)) <= 16
+
+    # Nothing named after the cache crosses the process boundary:
+    # not in the fleet worker's module ...
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        or getattr(node, "arg", None) or getattr(node, "name", None)
+        for node in ast.walk(ast.parse(inspect.getsource(worker)))
+    }
+    assert not [n for n in names if n and "cache" in n.lower()]
+    # ... and not in what a sweep publishes to its workers.
+    framework = VPRFramework(VPRConfig())
+    for executor in (InlineExecutor(), LocalPoolExecutor(2)):
+        state = framework._sweep_state(executor, {})
+        assert not [key for key in state if "cache" in key.lower()]
+    # The chunk evaluator and the retry scheduler only compute.
+    for func in (
+        vpr._evaluate_chunk, vpr._cluster_run_worker, vpr._setup_worker,
+        VPRFramework._retry_failed_items,
+    ):
+        assert not re.search(
+            r"_lookup|EvaluationCache|\.cache\b|\.checkpoint\b",
+            inspect.getsource(func),
+        ), func.__name__
+
+
+def test_repro_worker_takes_no_cache_flag(capsys):
+    from repro.cli import build_parser
+    from repro.core import worker
+
+    argv = ["--connect", "h:1", "--cache", "x"]
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["worker", *argv])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        worker.main(argv)
+    assert excinfo.value.code == 2
+    assert "--cache" in capsys.readouterr().err
