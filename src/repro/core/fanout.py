@@ -388,10 +388,13 @@ class FleetExecutor(SweepExecutor):
         self.worker_env = worker_env
         self.max_dispatch = max(1, int(max_dispatch))
         self.straggler_factor = straggler_factor
-        host, port = self._parse_listen(listen)
-        # Bind eagerly: an unbindable endpoint is infrastructure
-        # failure (OSError) before any sweep work happens.
-        self._server = socket.create_server((host, port))
+        # Bind eagerly: an unparsable or unbindable endpoint is
+        # infrastructure failure (OSError) before any sweep work happens.
+        try:
+            endpoint = wire.parse_endpoint(listen)
+        except ValueError as exc:
+            raise OSError(f"fleet listen: {exc}") from exc
+        self._server = socket.create_server(endpoint)
         self._procs: List[subprocess.Popen] = []
         self._fleet: List[_FleetWorker] = []
         self._spawned = False
@@ -399,16 +402,6 @@ class FleetExecutor(SweepExecutor):
         #: Exit codes of spawned workers, recorded by :meth:`close`
         #: (``None`` = had to be killed); benchmarks assert on these.
         self.worker_exit_codes: List[Optional[int]] = []
-
-    @staticmethod
-    def _parse_listen(text: str) -> Tuple[str, int]:
-        host, sep, port_text = text.rpartition(":")
-        if not sep or not host:
-            raise OSError(f"fleet listen endpoint must be HOST:PORT, got {text!r}")
-        try:
-            return host.strip("[]"), int(port_text)
-        except ValueError:
-            raise OSError(f"invalid port in fleet endpoint {text!r}")
 
     @property
     def endpoint(self) -> str:

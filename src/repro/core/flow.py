@@ -473,7 +473,7 @@ class ClusteredPlacementFlow:
         runtimes.update(seeded_state["runtimes"])
 
         # ECO base snapshot: with checkpointing on, persist the placed
-        # design (flat snapshot form) alongside the stage records, so
+        # design (its NetlistArrays columns) alongside the stage records, so
         # `repro eco <ckpt> --edits ...` is self-contained — it can
         # rebuild the exact post-seeded design without the original
         # input files (docs/performance.md, "Incremental ECO").

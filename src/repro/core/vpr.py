@@ -35,10 +35,11 @@ Performance engine (this module is the flow's runtime bottleneck):
   sweeps (one batch per cluster), pool/fleet chunks (one batch per run
   of same-cluster items), retries and resumed runs (whatever is
   missing) all agree.
-* Per-candidate scoring reuses cached flat pin/offset arrays and the
-  vectorized :func:`repro.place.hpwl.hpwl_arrays` kernel instead of a
-  per-net Python loop; the best candidate is picked from a NumPy cost
-  vector.
+* Placement, routing and scoring all read the sub's one flat form
+  (``sub.arrays()``): the scoring pin/offset arrays are its memoised
+  ``pin_vertex_csr``, reduced by :func:`repro.place.hpwl.hpwl_arrays`,
+  so after :func:`extract_subnetlist` nothing here walks a net's pins;
+  the best candidate is picked from a NumPy cost vector.
 * The sweep is one loop (:meth:`VPRFramework.sweep_clusters`) over a
   :class:`~repro.core.fanout.SweepExecutor`: the calling process
   itself (``jobs == 1``), a process pool (``jobs > 1``) or a worker
@@ -47,11 +48,13 @@ Performance engine (this module is the flow's runtime bottleneck):
   the executor and however its workers were scheduled; candidate
   evaluation is order-independent by construction (the placer
   re-initialises from its seed each run).  For executors that cross a
-  process boundary the sweep state (induced sub-netlists, scoring
-  arrays, config) is published **once** via :mod:`repro.core.fanout` —
-  pool workers inherit it copy-on-write, fleet workers receive one
-  pickled blob each — so a work item ships only its (cluster,
-  candidate) indices; the inline executor works on the live objects.
+  process boundary the sweep state (induced sub-netlists with their
+  flat form built, config) is published **once** via
+  :mod:`repro.core.fanout` — pool workers inherit it copy-on-write,
+  fleet workers receive one pickled blob each, the subs in it as
+  :mod:`repro.netlist.snapshot` payloads — so a work item ships only
+  its (cluster, candidate) indices; the inline executor works on the
+  live objects.
 * Stored results resolve first, in the sweep's own process: every item
   is looked up in the checkpoint, then — with an
   :class:`~repro.cache.EvaluationCache` attached — in the cross-run
@@ -486,68 +489,24 @@ def _configure_virtual_die(
 class _SubContext:
     """Candidate-independent artefacts of one sub-netlist.
 
-    Twenty candidates share the cluster's pin/offset arrays and the
-    placement problem (net→pin CSR, masks, areas, weights); only the
-    core box and the port ring change between candidates.  Under B2B
-    the Laplacian *pattern* is not among the shared things — its bound
-    pins move with every linearisation — so there is no symbolic
-    matrix to reuse.  ``fingerprint`` guards against structural
-    mutation (the L-shape sweep temporarily adds a blockage instance):
-    :meth:`VPRFramework._context_of` rebuilds a context whose sub
-    changed, and the content digest with it.
+    Twenty candidates share the placement problem (net→pin CSR, masks,
+    areas, weights) and the content digest; only the core box and the
+    port ring change between candidates.  Under B2B the Laplacian
+    *pattern* is not among the shared things — its bound pins move with
+    every linearisation — so there is no symbolic matrix to reuse.  A
+    context is valid for one :meth:`Design.structure_key` — the key the
+    sub's flat form is cached under: :meth:`VPRFramework._context_of`
+    rebuilds it, problem and digest, after any structural mutation (the
+    L-shape sweep's temporary blockage, a count-preserving reconnect).
     """
 
-    __slots__ = (
-        "sub",
-        "fingerprint",
-        "problem",
-        "_digest",
-        "score_pins",
-        "score_offsets",
-        "num_score_nets",
-    )
+    __slots__ = ("sub", "structure_key", "problem", "_digest")
 
-    def __init__(
-        self,
-        sub: Design,
-        score_pins: Optional[np.ndarray] = None,
-        score_offsets: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, sub: Design) -> None:
         self.sub = sub
-        self.fingerprint = _sub_fingerprint(sub)
+        self.structure_key = sub.structure_key()
         self.problem: Optional[PlacementProblem] = None
         self._digest: Optional[str] = None
-
-        if score_pins is not None and score_offsets is not None:
-            # Pre-built arrays shipped by the parent's fan-out payload
-            # (the parent's own pages in a pool worker) — identical to
-            # what the loop below builds.
-            self.score_pins = np.asarray(score_pins, dtype=np.int64)
-            self.score_offsets = np.asarray(score_offsets, dtype=np.int64)
-            self.num_score_nets = len(self.score_offsets) - 1
-            return
-
-        # Scoring arrays: per-pin vertex ids over nets with >= 2 pins,
-        # matching net_hpwl() semantics (duplicate same-instance pins
-        # kept; they cannot change a net's span).  Vertex convention
-        # matches PlacementProblem: instances, then sorted ports.
-        port_vertex = {
-            name: sub.num_instances + i for i, name in enumerate(sorted(sub.ports))
-        }
-        pins: List[int] = []
-        offsets: List[int] = [0]
-        for net in sub.nets:
-            if net.degree < 2:
-                continue
-            for ref in net.pins():
-                if ref.instance is not None:
-                    pins.append(ref.instance.index)
-                else:
-                    pins.append(port_vertex[ref.pin_name])
-            offsets.append(len(pins))
-        self.score_pins = np.asarray(pins, dtype=np.int64)
-        self.score_offsets = np.asarray(offsets, dtype=np.int64)
-        self.num_score_nets = len(offsets) - 1
 
     def placement_problem(
         self, dies: Sequence[Tuple[Floorplan, np.ndarray, np.ndarray]]
@@ -568,15 +527,16 @@ class _SubContext:
         return self._digest
 
     def mean_hpwl(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Average net HPWL over one system's final coordinates."""
-        if self.num_score_nets == 0:
+        """Average net HPWL over one system's final coordinates: every
+        net of two or more pins, duplicate same-instance pins kept (they
+        cannot change a span) — :func:`repro.place.hpwl.net_hpwl`
+        semantics, off the sub's cached flat form."""
+        pin_vertex, offsets, nets = self.sub.arrays().pin_vertex_csr(
+            include_clock=True
+        )
+        if not len(nets):
             return 0.0
-        total = hpwl_arrays(self.score_pins, self.score_offsets, x, y)
-        return total / self.num_score_nets
-
-
-def _sub_fingerprint(sub: Design) -> Tuple[int, int, int]:
-    return (sub.num_instances, sub.num_nets, len(sub.ports))
+        return hpwl_arrays(pin_vertex, offsets, x, y) / len(nets)
 
 
 def _stored_evaluation(
@@ -666,18 +626,12 @@ class VPRFramework:
             self._induce_cache.popitem(last=False)
         return sub, cell_area
 
-    def _context_of(self, sub: Design, *score_arrays: np.ndarray) -> _SubContext:
-        """Cached per-sub evaluation context (rebuilt on mutation).
-
-        Pool workers pass the ``(score_pins, score_offsets)`` the
-        parent published, so no worker re-walks the sub-netlist's nets
-        (under fork the arrays are literally the parent's pages,
-        copy-on-write).
-        """
+    def _context_of(self, sub: Design) -> _SubContext:
+        """Cached per-sub evaluation context (rebuilt on mutation)."""
         key = id(sub)
         ctx = self._contexts.get(key)
-        if ctx is None or ctx.fingerprint != _sub_fingerprint(sub):
-            ctx = self._contexts[key] = _SubContext(sub, *score_arrays)
+        if ctx is None or ctx.structure_key != sub.structure_key():
+            ctx = self._contexts[key] = _SubContext(sub)
             if len(self._contexts) > self._CONTEXT_CACHE_MAX:
                 self._contexts.popitem(last=False)
         self._contexts.move_to_end(key)
@@ -1061,29 +1015,26 @@ class VPRFramework:
         Across a process boundary it is a payload published **once**
         (pool workers inherit it copy-on-write, fleet workers receive
         one digest-keyed pickled blob each), so a work item ships only
-        two integers; executors that cross a pickle boundary get flat
-        design snapshots (the linked Design graph recurses past the
-        pickle limit on real netlists), rebuilt once per worker at
-        setup.  Neither store is part of it: workers only compute.
+        two integers.  Either way each sub's flat form is built here,
+        in the parent: pool workers inherit ``sub.arrays()`` with the
+        sub itself, and executors that cross a pickle boundary get its
+        columns as a snapshot (the linked Design graph recurses past
+        the pickle limit on real netlists) — no worker walks a netlist.
+        Neither store is part of it: workers only compute.
         """
         config = self.config
         if not executor.crosses_process:
             return {"_framework": self, "config": config, "clusters": clusters}
-        score_arrays = {}
-        for c, (sub, _area) in clusters.items():
-            ctx = self._context_of(sub)
-            score_arrays[c] = (ctx.score_pins, ctx.score_offsets)
-        shipped: Dict[int, Tuple[object, float]] = clusters
-        if executor.requires_snapshots:
-            shipped = {
-                c: (design_snapshot(sub), area)
-                for c, (sub, area) in clusters.items()
-            }
+        shipped: Dict[int, Tuple[object, float]] = {}
+        for c, (sub, area) in clusters.items():
+            sub.arrays()  # built once, here: inherited by, or encoded for, workers
+            shipped[c] = (
+                design_snapshot(sub) if executor.requires_snapshots else sub,
+                area,
+            )
         return {
             "config": config,
             "clusters": shipped,
-            "snapshots": executor.requires_snapshots,
-            "score_arrays": score_arrays,
             "item_timeout": executor.item_timeout,
             "obs": obs.worker_descriptor(),
         }
@@ -1383,19 +1334,13 @@ def _setup_worker(state: dict) -> None:
     # From here on this process records only its own activity, in the
     # outputs the parent has on (fleet workers start with none).
     state["_heartbeat"] = obs.adopt_worker(state["obs"])
-    if state.get("snapshots"):
-        # Fleet payloads carry flat design snapshots; rebuild each sub
-        # once per worker (pool payloads carry the parent's objects).
-        state["clusters"] = {
-            c: (design_from_snapshot(snap), area)
-            for c, (snap, area) in state["clusters"].items()
-        }
-        state["snapshots"] = False
-    framework = VPRFramework(state["config"])
-    for c, (sub, _area) in state["clusters"].items():
-        pins, offsets = state["score_arrays"][c]
-        framework._context_of(sub, pins, offsets)
-    state["_framework"] = framework
+    # Fleet payloads carry snapshots: rebuild each sub once per worker,
+    # flat form included (pool payloads carry the parent's objects).
+    state["clusters"] = {
+        c: (sub if isinstance(sub, Design) else design_from_snapshot(sub), area)
+        for c, (sub, area) in state["clusters"].items()
+    }
+    state["_framework"] = VPRFramework(state["config"])
     state["_worker"] = True
 
 

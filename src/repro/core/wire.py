@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 #: Protocol schema tag; every message dict carries it implicitly via
 #: the hello handshake (the first message each side validates).
@@ -54,6 +54,18 @@ _HEADER = struct.Struct(">4sQ")
 #: are tens of MiB; 4 GiB leaves headroom while refusing to allocate
 #: for a corrupt length field.
 MAX_FRAME_BYTES = 4 << 30
+
+
+def parse_endpoint(text: str) -> Tuple[str, int]:
+    """``HOST:PORT`` → ``(host, port)`` (bracketed IPv6 accepted): the
+    one parser of the fleet's listen and connect endpoints."""
+    host, sep, port_text = text.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"endpoint must be HOST:PORT, got {text!r}")
+    try:
+        return host.strip("[]"), int(port_text)
+    except ValueError:
+        raise ValueError(f"invalid port in endpoint {text!r}") from None
 
 
 class WireError(RuntimeError):

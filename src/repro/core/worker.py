@@ -8,11 +8,14 @@ follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
    content digests of any sweep states it already holds from a
    previous connection, so a reconnecting worker skips the transfer);
 2. **state / state_ref** — the parent ships the pickled sweep payload
-   once (flat :mod:`repro.netlist.snapshot` designs, scoring arrays,
-   config), or just its digest when the worker advertised it; the
-   worker rebuilds the designs and seeds a
+   once (the sub-netlists as :mod:`repro.netlist.snapshot` payloads —
+   their ``NetlistArrays`` columns — and the config), or just its
+   digest when the worker advertised it; the worker validates and
+   decodes each sub (the decoded arrays are its cached flat form, so
+   no netlist is ever walked here) and builds a
    :class:`~repro.core.vpr.VPRFramework` with the set-up every worker
-   process runs (:func:`repro.core.vpr._setup_worker`);
+   process runs (:func:`repro.core.vpr._setup_worker`); a payload that
+   fails validation is answered with an ``error`` frame;
 3. **chunk → result** — each chunk of (cluster, candidate) items is
    evaluated by the same chunk evaluator every executor runs
    (:func:`repro.core.vpr._evaluate_chunk`: SIGALRM item timeout,
@@ -41,7 +44,7 @@ import pickle
 import socket
 import sys
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core import wire
 from repro.recovery import faults
@@ -74,19 +77,6 @@ class _SocketHeartbeat:
 
     def close(self) -> None:  # pragma: no cover - interface parity
         pass
-
-
-def parse_endpoint(text: str) -> Tuple[str, int]:
-    """``HOST:PORT`` → ``(host, port)`` (bracketed IPv6 accepted)."""
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"endpoint must be HOST:PORT, got {text!r}")
-    host = host.strip("[]")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"invalid port in endpoint {text!r}")
-    return host, port
 
 
 def _install_state(digest: str, blob: bytes) -> Dict[str, Any]:
@@ -183,7 +173,7 @@ def run_worker(
     exit code: 0 after a clean ``shutdown`` message, 1 otherwise.
     """
     faults.mark_worker()  # a fleet process: kill / hang faults apply
-    endpoint = parse_endpoint(connect)
+    endpoint = wire.parse_endpoint(connect)
     attempts_left = max(0, int(reconnect))
     outcome = "eof"
     while True:

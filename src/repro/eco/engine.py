@@ -166,7 +166,14 @@ class EcoSession:
                     "re-run the base flow with --checkpoint to completion"
                 )
         base = self.store.load_stage("eco_base")
-        self.design: Design = design_from_snapshot(base["design"])
+        try:
+            self.design: Design = design_from_snapshot(base["design"])
+        except (ValueError, KeyError) as exc:
+            raise CheckpointError(
+                f"checkpoint {checkpoint_dir} holds an eco_base design this "
+                f"build cannot open ({exc}): it was written by an older build "
+                "or damaged; re-run the base flow with --checkpoint"
+            ) from exc
         clustering = self.store.load_stage("clustering")
         self.cluster_of = np.asarray(clustering.cluster_of, dtype=np.int64).copy()
         if len(self.cluster_of) != self.design.num_instances:

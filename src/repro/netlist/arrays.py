@@ -1,9 +1,10 @@
 """Array-native netlist core: the flat CSR form of a :class:`Design`.
 
-This module promotes the flat representation proved out by
-:mod:`repro.netlist.snapshot` from a serialization detail to the
-*primary* in-memory form of the netlist.  A :class:`NetlistArrays`
-holds the whole design as typed NumPy arrays:
+The flat representation is the *primary* in-memory form of the netlist
+and the only flat form there is: a snapshot
+(:mod:`repro.netlist.snapshot`) is these constructor columns, nothing
+else.  A :class:`NetlistArrays` holds the whole design as typed NumPy
+arrays:
 
 * net -> pin incidence as one CSR (``net_ptr`` / pin rows, driver
   first within each net), with per-pin owner, capacitance, direction
@@ -27,21 +28,25 @@ Caching and invalidation
 ------------------------
 
 ``design.arrays()`` builds the form once and caches it against
-:meth:`Design.structure_key`; every construction-API mutation
-(``add_instance`` / ``add_net`` / ``add_port`` / ``connect``)
-invalidates it automatically, and out-of-API connectivity edits must
-call :meth:`Design.bump_structure_version`.  Mutable *attributes* are
-deliberately not trusted from the snapshot: net weights, switching
-activity, instance coordinates/areas (gate sizing swaps masters in
-place) and port coordinates are re-gathered from the object view by the
-``current_*`` accessors, so consumers always see live values while the
-expensive connectivity flattening is reused.
+:meth:`Design.structure_key` — the one structure-keyed cache of the
+flat form: derived CSRs (:meth:`pin_net`, :meth:`instance_pin_csr`,
+:meth:`pin_vertex_csr`) are memoised on the instance and live and die
+with it.  Every construction-API mutation (``add_instance`` /
+``add_net`` / ``add_port`` / ``connect``) invalidates it automatically,
+and out-of-API connectivity edits must call
+:meth:`Design.bump_structure_version`.  Mutable *attributes* are
+deliberately not trusted from the build-time columns: net weights,
+switching activity, instance coordinates/areas/fixed flags (gate sizing
+swaps masters in place) and port coordinates are re-gathered from the
+object view by the ``current_*`` accessors, so consumers always see
+live values while the expensive connectivity flattening is reused.
 
 A :class:`NetlistArrays` can also be built directly (no object graph at
 all) — the array-native fast path of :mod:`repro.designs.generator`
 does exactly that for million-instance synthetic designs — and
 materialized into an object-view :class:`Design` with :meth:`to_design`
-(digest-identical to a design built through the construction API).
+(digest-identical to a design built through the construction API),
+which then holds these arrays as its cached form.
 """
 
 from __future__ import annotations
@@ -71,6 +76,86 @@ _DIRECTIONS: Tuple[PinDirection, ...] = (
     PinDirection.INOUT,
 )
 _DIR_CODE: Dict[PinDirection, int] = {d: i for i, d in enumerate(_DIRECTIONS)}
+
+#: The constructor's numeric columns — with the name lists the whole
+#: form, and what a snapshot carries (:mod:`repro.netlist.snapshot`):
+#: column -> (dtype kind, group giving its length, group its values
+#: index or None).  A ``*_ptr`` column is a CSR offset vector over its
+#: length group (one entry longer, ending at the indexed group's size);
+#: the ``pin_inst`` / ``pin_port`` / ``pin_slot`` columns use -1 for
+#: "not that kind of pin".
+COLUMNS: Dict[str, Tuple[str, str, Optional[str]]] = {
+    "m_width": ("f", "masters", None),
+    "m_height": ("f", "masters", None),
+    "m_is_seq": ("b", "masters", None),
+    "m_is_macro": ("b", "masters", None),
+    "m_intrinsic": ("f", "masters", None),
+    "m_drive": ("f", "masters", None),
+    "m_clk_to_q": ("f", "masters", None),
+    "m_setup": ("f", "masters", None),
+    "m_hold": ("f", "masters", None),
+    "m_leakage": ("f", "masters", None),
+    "m_energy": ("f", "masters", None),
+    "mp_ptr": ("i", "masters", "slots"),
+    "mp_name_idx": ("i", "slots", "names"),
+    "mp_dir": ("i", "slots", "directions"),
+    "mp_is_clock": ("b", "slots", None),
+    "mp_cap": ("f", "slots", None),
+    "inst_master": ("i", "instances", "masters"),
+    "port_name_idx": ("i", "ports", "names"),
+    "port_dir": ("i", "ports", "directions"),
+    "port_x": ("f", "ports", None),
+    "port_y": ("f", "ports", None),
+    "port_cap": ("f", "ports", None),
+    "net_ptr": ("i", "nets", "pins"),
+    "net_has_driver": ("b", "nets", None),
+    "net_is_clock": ("b", "nets", None),
+    "net_weight": ("f", "nets", None),
+    "net_activity": ("f", "nets", None),
+    "pin_inst": ("i", "pins", "instances"),
+    "pin_port": ("i", "pins", "ports"),
+    "pin_name_idx": ("i", "pins", "names"),
+    "pin_slot": ("i", "pins", "slots"),
+}
+
+
+def check_columns(
+    columns: Dict[str, np.ndarray],
+    spec: Dict[str, Tuple[str, str, Optional[str]]],
+    size: Dict[str, int],
+) -> None:
+    """Validate columns that came from outside the process against a
+    :data:`COLUMNS`-style ``spec`` and the group sizes: ``ValueError``
+    naming the first column that is absent, not a 1-d array of its
+    dtype kind, of the wrong length, not a monotone offset vector from
+    0 to its target's size, or indexing outside its target group."""
+    for name, (kind, group, target) in spec.items():
+        column, is_ptr = columns.get(name), name.endswith("_ptr")
+        if (
+            not isinstance(column, np.ndarray)
+            or column.ndim != 1
+            or column.dtype.kind != kind
+        ):
+            raise ValueError(f"column {name!r} is missing or not a 1-d {kind!r} array")
+        if len(column) != size[group] + is_ptr:
+            raise ValueError(
+                f"column {name!r} has {len(column)} rows for {size[group]} {group}"
+            )
+        if target is None or not len(column):
+            continue
+        bound = size[target]
+        if is_ptr:
+            if column[0] != 0 or column[-1] != bound or (np.diff(column) < 0).any():
+                raise ValueError(
+                    f"column {name!r} is not a monotone offset vector "
+                    f"from 0 to {bound} {target}"
+                )
+        else:
+            low = -1 if name in ("pin_inst", "pin_port", "pin_slot") else 0
+            if column.min() < low or column.max() >= bound:
+                raise ValueError(
+                    f"column {name!r} indexes outside [{low}, {bound}) {target}"
+                )
 
 
 def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -361,6 +446,7 @@ class NetlistArrays:
         self.structure_key: Optional[tuple] = None
         self._pin_net: Optional[np.ndarray] = None
         self._ipin: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._pin_vertex: Dict[bool, Tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------
     # Basic shape
@@ -406,6 +492,8 @@ class NetlistArrays:
                 total += sum(
                     v.nbytes for v in value if isinstance(v, np.ndarray)
                 )
+            elif isinstance(value, dict):
+                total += sum(v.nbytes for memo in value.values() for v in memo)
         return total
 
     # ------------------------------------------------------------------
@@ -536,6 +624,26 @@ class NetlistArrays:
         ys = np.fromiter((p.y for p in ports.values()), dtype=np.float64, count=n)
         return xs, ys
 
+    def current_fixed(self) -> np.ndarray:
+        """Per-instance fixed flags, live when an object view exists."""
+        if self.design is None:
+            return np.zeros(self.num_instances, dtype=bool)
+        instances = self.design.instances
+        n = len(instances)
+        return np.fromiter((i.fixed for i in instances), dtype=bool, count=n)
+
+    def vertex_positions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Live ``(x, y)`` per placement vertex — instances, then ports
+        in sorted-name order: the coordinates :meth:`placement_csr` and
+        :meth:`pin_vertex_csr` rows index."""
+        n_inst = self.num_instances
+        x = np.empty(n_inst + self.num_ports)
+        y = np.empty_like(x)
+        x[:n_inst], y[:n_inst] = self.current_positions()
+        ports = n_inst + self.port_sorted_rank
+        x[ports], y[ports] = self.current_port_xy()
+        return x, y
+
     # ------------------------------------------------------------------
     # Consumer kernels
     # ------------------------------------------------------------------
@@ -645,8 +753,12 @@ class NetlistArrays:
         (duplicates included) in ``net.pins()`` order, which is what
         the HPWL/routing gathers need; nets with ``degree < 2`` (or
         clock nets, unless included) are dropped.  Same vertex
-        convention: instances, then sorted ports.
+        convention: instances, then sorted ports.  Memoised per
+        ``include_clock`` (the arrays are shared: do not write to them).
         """
+        include_clock = bool(include_clock)
+        if include_clock in self._pin_vertex:
+            return self._pin_vertex[include_clock]
         keep = self.net_degree >= 2
         if not include_clock:
             keep &= ~self.net_is_clock
@@ -665,6 +777,7 @@ class NetlistArrays:
             self.num_instances + rank[np.where(is_port, self.pin_port[rows], 0)],
             self.pin_inst[rows],
         )
+        self._pin_vertex[include_clock] = pin_vertex, offsets, sel_nets
         return pin_vertex, offsets, sel_nets
 
     # ------------------------------------------------------------------
@@ -672,12 +785,8 @@ class NetlistArrays:
     # ------------------------------------------------------------------
     @classmethod
     def from_design(cls, design: Design) -> "NetlistArrays":
-        """Flatten a design into its array form (one pass over pins).
-
-        This is the refactored :func:`repro.netlist.snapshot.design_snapshot`
-        walk producing typed arrays instead of primitive lists; it is
-        the only place the array path touches the object graph.
-        """
+        """Flatten a design into its array form (one pass over pins):
+        the only code that turns an object graph into a flat form."""
         pool_index: Dict[str, int] = {}
         name_pool: List[str] = []
 
@@ -823,12 +932,15 @@ class NetlistArrays:
         construction API would: the first pin of a driven net becomes
         the driver, the rest sinks in order, and ``pin_nets`` is filled
         for every instance pin.  Round-tripping a design through
-        ``from_design`` / ``to_design`` is digest-identical.
+        ``from_design`` / ``to_design`` is digest-identical.  Arrays
+        that had no object view (built directly, or decoded from a
+        snapshot) take the materialized design as theirs and become its
+        cached form: its first ``arrays()`` is a hit, not a re-walk.
 
         Args:
             positions: Optional per-instance (x, y) arrays (defaults to
-                the source design's coordinates when one exists, else 0).
-            fixed: Optional per-instance fixed mask (same defaulting).
+                :meth:`current_positions`: the source design's, else 0).
+            fixed: Optional per-instance fixed mask (:meth:`current_fixed`).
         """
         design = Design(self.name, floorplan=Floorplan(*self.floorplan))
         design.clock_period = self.clock_period
@@ -874,22 +986,15 @@ class NetlistArrays:
         if names is None:
             names = [f"U{i}" for i in range(n)]
         im = self.inst_master.tolist()
-        if positions is None and self.design is not None:
+        if positions is None:
             positions = self.current_positions()
-        if fixed is None and self.design is not None:
-            src = self.design.instances
-            fixed = np.fromiter((i.fixed for i in src), dtype=bool, count=len(src))
-        xs = positions[0].tolist() if positions is not None else None
-        ys = positions[1].tolist() if positions is not None else None
-        fx = fixed.tolist() if fixed is not None else None
+        if fixed is None:
+            fixed = self.current_fixed()
+        xs, ys, fx = positions[0].tolist(), positions[1].tolist(), fixed.tolist()
         instances: List[Instance] = []
         for i in range(n):
             inst = Instance(names[i], masters[im[i]], index=i)
-            if xs is not None:
-                inst.x = xs[i]
-                inst.y = ys[i]
-            if fx is not None:
-                inst.fixed = fx[i]
+            inst.x, inst.y, inst.fixed = xs[i], ys[i], fx[i]
             instances.append(inst)
         design.instances = instances
         design._instance_by_name = dict(zip(names, instances))
@@ -948,6 +1053,11 @@ class NetlistArrays:
         design.nets = nets
         design._net_by_name = {net.name: net for net in nets}
         design.bump_structure_version()
+        if self.design is None:
+            self.design = design
+            self.inst_names, self.net_names = names, net_names
+            self.structure_key = design.structure_key()
+            design._netlist_arrays = self
         return design
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -457,16 +457,15 @@ class Design:
     def __getstate__(self) -> Dict[str, object]:
         """Drop derived caches when pickling / deep-copying.
 
-        The array form, signal-net list, degree arrays and the HPWL
-        pin-array cache are all rebuildable and would otherwise bloat
-        checkpoints (and drag stale numpy buffers across processes).
+        The array form, signal-net list and degree arrays are all
+        rebuildable and would otherwise bloat checkpoints (and drag
+        stale numpy buffers across processes).
         """
         state = self.__dict__.copy()
         for key in (
             "_netlist_arrays",
             "_signal_nets_cache",
             "_degree_cache",
-            "_hpwl_net_arrays",
         ):
             state.pop(key, None)
         return state
@@ -500,8 +499,9 @@ class Design:
 
         Combines the mutation counter with entity counts and the
         clock-net count, so caches also survive code paths that flip
-        ``is_clock`` without touching the construction API (the same
-        convention :mod:`repro.place.hpwl` uses).
+        ``is_clock`` without touching the construction API.  The
+        counter is what catches count-preserving edits (an ECO
+        ``reconnect``, an add plus a remove in one script).
         """
         clock_nets = sum(1 for n in self.nets if n.is_clock)
         return (
@@ -520,6 +520,7 @@ class Design:
         if master.name in self.masters:
             raise ValueError(f"duplicate master cell {master.name!r}")
         self.masters[master.name] = master
+        self._netlist_arrays = None  # its master tables are now short one
         return master
 
     def add_instance(self, name: str, master: MasterCell) -> Instance:
@@ -723,10 +724,10 @@ class Design:
         """Surgical invalidation after a connectivity-preserving edit.
 
         Bumps the structure version (so external caches keyed on
-        :meth:`structure_key` — the database hypergraph, HPWL pin
-        arrays — rebuild), but re-keys the memoised ``signal_nets()`` /
-        ``net_degrees()`` views, which only depend on connectivity, and
-        patches the array form in place via
+        :meth:`structure_key` — the database hypergraph, a V-P&R
+        evaluation context — rebuild), but re-keys the memoised
+        ``signal_nets()`` / ``net_degrees()`` views, which only depend
+        on connectivity, and patches the array form in place via
         :meth:`repro.netlist.arrays.NetlistArrays.patch_instance_master`.
         """
         signal_cache = self._signal_nets_cache

@@ -1,152 +1,89 @@
-"""Flat, pickle-friendly snapshots of a :class:`Design`.
+"""The one codec of the one flat netlist form.
 
-The in-memory netlist is a deeply linked object graph (net -> pin ref
--> instance -> pin_nets -> net ...), so pickling a :class:`Design`
-directly recurses to the connectivity diameter of the netlist and blows
-the interpreter's recursion limit on real designs.  A snapshot is the
-same information as flat lists of primitives — masters, instances in
-index order, ports, and nets as ``(instance index, pin name)`` tuples —
-which pickles in constant stack depth and rebuilds through the normal
-construction API.
-
-Used by the V-P&R fleet fan-out (:mod:`repro.core.fanout`): the parent
-snapshots each induced sub-netlist once into the payload it ships and
-every fleet worker rebuilds it once.  Reconstruction is exact for
-everything evaluation reads: structure, names, directions, weights,
-master timing/power data, coordinates and the floorplan — so content
-digests (:func:`repro.cache.netlist_digest`) of a rebuilt design equal
-the original's.
+A snapshot *is* ``design.arrays()``: the constructor columns of the
+cached :class:`~repro.netlist.arrays.NetlistArrays` (no second walk of
+the object graph; live attributes through its ``current_*`` gathers,
+plus instance x / y / fixed), split into a JSON-able ``header`` (names
+and scalars) and numeric ``ndarray`` ``columns``.  It pickles in
+constant stack depth — the linked :class:`Design` graph recurses to the
+netlist's connectivity diameter — and decodes through
+:meth:`NetlistArrays.to_design`, which leaves the decoded arrays as the
+rebuilt design's cached form: the first ``design.arrays()`` of a fleet
+worker or an ``EcoSession`` is a hit, and the rebuilt design's content
+digest (:func:`repro.cache.netlist_digest`) equals the original's.
+Payloads cross process and disk boundaries: decoding validates first.
 """
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Any, Dict
 
-from repro.netlist.design import (
-    CellPin,
-    Design,
-    Floorplan,
-    MasterCell,
-    PinDirection,
-    PinRef,
-)
+import numpy as np
+
+from repro.netlist.arrays import COLUMNS, NetlistArrays, check_columns
+from repro.netlist.design import Design
+
+#: Form tag; a payload of any other form is refused, never guessed at.
+FORM = "repro.netlist.arrays/1"
+_SCALARS = ("name", "floorplan", "clock_period", "clock_port")
+#: List-valued header fields -> the row group each one sizes.
+_LISTS = {
+    "name_pool": "names",
+    "master_names": "masters",
+    "master_classes": "masters",
+    "inst_names": "instances",
+    "net_names": "nets",
+}
+#: Row groups without a name list, sized by one of their columns.
+_SIZED_BY = {"slots": "mp_cap", "ports": "port_cap", "pins": "pin_inst"}
+_PLACEMENT = {
+    "inst_x": ("f", "instances", None),
+    "inst_y": ("f", "instances", None),
+    "inst_fixed": ("b", "instances", None),
+}
 
 
 def design_snapshot(design: Design) -> Dict[str, Any]:
     """The flat form of a design (see module docstring)."""
-    masters = {}
-    for name, m in design.masters.items():
-        masters[name] = {
-            "width": m.width,
-            "height": m.height,
-            "pins": [
-                (p.name, p.direction.value, p.capacitance, p.is_clock)
-                for p in m.pins.values()
-            ],
-            "is_sequential": m.is_sequential,
-            "is_macro": m.is_macro,
-            "intrinsic_delay": m.intrinsic_delay,
-            "drive_resistance": m.drive_resistance,
-            "clk_to_q": m.clk_to_q,
-            "setup_time": m.setup_time,
-            "hold_time": m.hold_time,
-            "leakage_power": m.leakage_power,
-            "internal_energy": m.internal_energy,
-            "cell_class": m.cell_class,
-        }
-
-    def _ref(ref: PinRef):
-        if ref.instance is not None:
-            return (ref.instance.index, ref.pin_name)
-        return (-1, ref.pin_name)
-
-    fp = design.floorplan
-    return {
-        "name": design.name,
-        "clock_period": design.clock_period,
-        "clock_port": design.clock_port,
-        "floorplan": (
-            fp.die_width,
-            fp.die_height,
-            fp.core_margin,
-            fp.row_height,
-            fp.target_utilization,
-        ),
-        "masters": masters,
-        "instances": [
-            (i.name, i.master.name, i.x, i.y, i.fixed)
-            for i in design.instances
-        ],
-        "ports": [
-            (p.name, p.direction.value, p.x, p.y, p.capacitance)
-            for p in design.ports.values()
-        ],
-        "nets": [
-            (
-                net.name,
-                net.weight,
-                net.is_clock,
-                net.switching_activity,
-                _ref(net.driver) if net.driver is not None else None,
-                [_ref(ref) for ref in net.sinks],
-            )
-            for net in design.nets
-        ],
-    }
+    arrays = design.arrays()
+    header: Dict[str, Any] = {name: getattr(design, name) for name in _SCALARS}
+    header["floorplan"] = list(astuple(design.floorplan))
+    header.update((name, list(getattr(arrays, name))) for name in _LISTS)
+    columns = {name: getattr(arrays, name).copy() for name in COLUMNS}
+    columns["net_weight"] = arrays.current_net_weights()
+    columns["net_activity"] = arrays.current_net_activity()
+    columns["port_x"], columns["port_y"] = arrays.current_port_xy()
+    columns["inst_x"], columns["inst_y"] = arrays.current_positions()
+    columns["inst_fixed"] = arrays.current_fixed()
+    return {"form": FORM, "header": header, "columns": columns}
 
 
 def design_from_snapshot(payload: Dict[str, Any]) -> Design:
-    """Rebuild a design from its flat form."""
-    design = Design(payload["name"], floorplan=Floorplan(*payload["floorplan"]))
-    design.clock_period = payload["clock_period"]
-    design.clock_port = payload["clock_port"]
-    for name, m in payload["masters"].items():
-        design.add_master(
-            MasterCell(
-                name=name,
-                width=m["width"],
-                height=m["height"],
-                pins={
-                    pin_name: CellPin(
-                        pin_name, PinDirection(direction), capacitance, is_clock
-                    )
-                    for pin_name, direction, capacitance, is_clock in m["pins"]
-                },
-                is_sequential=m["is_sequential"],
-                is_macro=m["is_macro"],
-                intrinsic_delay=m["intrinsic_delay"],
-                drive_resistance=m["drive_resistance"],
-                clk_to_q=m["clk_to_q"],
-                setup_time=m["setup_time"],
-                hold_time=m["hold_time"],
-                leakage_power=m["leakage_power"],
-                internal_energy=m["internal_energy"],
-                cell_class=m["cell_class"],
-            )
-        )
-    for name, master_name, x, y, fixed in payload["instances"]:
-        inst = design.add_instance(name, design.masters[master_name])
-        inst.x, inst.y, inst.fixed = x, y, fixed
-    for name, direction, x, y, capacitance in payload["ports"]:
-        port = design.add_port(name, PinDirection(direction), x, y)
-        port.capacitance = capacitance
-
-    def _ref(entry) -> PinRef:
-        index, pin_name = entry
-        if index < 0:
-            return PinRef(None, pin_name)
-        return PinRef(design.instances[index], pin_name)
-
-    for name, weight, is_clock, activity, driver, sinks in payload["nets"]:
-        net = design.add_net(name)
-        net.weight = weight
-        net.is_clock = is_clock
-        net.switching_activity = activity
-        # Connect through the direction classifier so driver/sink roles
-        # are re-derived exactly as construction derived them; sink
-        # order is preserved by connecting in stored order.
-        if driver is not None:
-            design.connect(net, _ref(driver))
-        for entry in sinks:
-            design.connect(net, _ref(entry))
-    return design
+    """Rebuild a design from its flat form; ``ValueError`` naming the
+    offending field when the payload is not a well-formed one."""
+    if not isinstance(payload, dict) or payload.get("form") != FORM:
+        raise ValueError(f"not a {FORM} netlist snapshot")
+    header, columns = payload.get("header"), payload.get("columns")
+    if not isinstance(header, dict) or not isinstance(columns, dict):
+        raise ValueError("snapshot lacks its 'header' / 'columns' mapping")
+    size = {"directions": 3}
+    for name, group in _LISTS.items():
+        count = len(header[name]) if isinstance(header.get(name), list) else -1
+        if count != size.setdefault(group, count) or count < 0:
+            raise ValueError(f"snapshot header {name!r} is missing or mis-sized")
+    if not set(_SCALARS) <= set(header) or len(header["floorplan"]) != 5:
+        raise ValueError(f"snapshot header lacks {_SCALARS} or a 5-value floorplan")
+    for group, name in _SIZED_BY.items():
+        size[group] = np.size(columns.get(name, ()))
+    check_columns(columns, {**COLUMNS, **_PLACEMENT}, size)
+    is_port = columns["pin_inst"] < 0
+    if (is_port == (columns["pin_port"] < 0)).any():
+        raise ValueError("snapshot column 'pin_port' disagrees with 'pin_inst'")
+    if (is_port != (columns["pin_slot"] < 0)).any():
+        raise ValueError("snapshot column 'pin_slot' disagrees with 'pin_inst'")
+    fields = {name: header[name] for name in (*_SCALARS, *_LISTS)}
+    fields["floorplan"] = tuple(header["floorplan"])
+    fields.update((name, columns[name]) for name in COLUMNS)
+    x, y, fixed = (columns[name] for name in _PLACEMENT)
+    return NetlistArrays(**fields).to_design((x, y), fixed)

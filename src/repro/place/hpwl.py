@@ -1,7 +1,11 @@
 """Half-perimeter wirelength metrics.
 
 HPWL is the paper's post-place quality metric (Table 2) and the
-denominator of the V-P&R HPWL cost (Eq. 4).
+denominator of the V-P&R HPWL cost (Eq. 4).  :func:`hpwl_arrays` is the
+kernel; which pin belongs to which net comes from the design's one
+flat form (:meth:`~repro.netlist.arrays.NetlistArrays.pin_vertex_csr`),
+so this module keeps no cache of its own.  :func:`net_hpwl` is the
+per-net object walk spot checks and the L-shape study use.
 """
 
 from __future__ import annotations
@@ -30,89 +34,14 @@ def net_hpwl(design: Design, net: Net) -> float:
     return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
 
-class _DesignNetArrays:
-    """Flat per-pin arrays for one design, built once and reused.
-
-    ``hpwl()`` on a MemPool-scale design used to walk every net's pin
-    list in Python on each call; the structure (which pin belongs to
-    which net) never changes between calls, only coordinates and
-    weights do.  This cache snapshots the structure as CSR-style
-    arrays; per call only the coordinate vector (and, when requested,
-    the weight vector) is refreshed.
-
-    Pin vertex convention matches :class:`repro.place.problem.PlacementProblem`:
-    instances occupy ids ``[0, num_instances)``, ports follow in sorted
-    name order.  Nets keep per-pin entries (duplicates included), so
-    spans equal :func:`net_hpwl` exactly.
-    """
-
-    __slots__ = (
-        "fingerprint",
-        "pin_vertex",
-        "net_offsets",
-        "net_list",
-        "port_names",
-    )
-
-    def __init__(self, design: Design, include_clock: bool) -> None:
-        self.fingerprint = _structure_fingerprint(design, include_clock)
-        arrays = design.arrays()
-        self.port_names = sorted(design.ports)
-        pin_vertex, offsets, sel_nets = arrays.pin_vertex_csr(include_clock)
-        self.pin_vertex = pin_vertex
-        self.net_offsets = offsets
-        nets = design.nets
-        self.net_list = [nets[i] for i in sel_nets.tolist()]
-
-    def coordinates(self, design: Design):
-        """Fresh (x, y) vertex coordinate vectors."""
-        arrays = design.arrays()
-        n_inst = arrays.num_instances
-        n_total = n_inst + arrays.num_ports
-        x = np.empty(n_total)
-        y = np.empty(n_total)
-        xs, ys = arrays.current_positions()
-        x[:n_inst] = xs
-        y[:n_inst] = ys
-        px, py = arrays.current_port_xy()
-        x[n_inst + arrays.port_sorted_rank] = px
-        y[n_inst + arrays.port_sorted_rank] = py
-        return x, y
-
-    def weights(self) -> np.ndarray:
-        """Fresh per-net weight vector (weights mutate between calls)."""
-        return np.asarray([net.weight for net in self.net_list])
-
-
-def _structure_fingerprint(design: Design, include_clock: bool):
-    """Invalidation key: :meth:`Design.structure_key` changes with every
-    structural mutation — also the count-preserving ones (an ECO
-    ``reconnect``, an add plus a remove in one script), which a key of
-    entity counts alone misses."""
-    return (design.structure_key(), bool(include_clock))
-
-
-def _net_arrays(design: Design, include_clock: bool) -> _DesignNetArrays:
-    """Fetch (or rebuild) the cached flat arrays for a design."""
-    cache = getattr(design, "_hpwl_net_arrays", None)
-    fingerprint = _structure_fingerprint(design, include_clock)
-    entry = cache.get(include_clock) if cache else None
-    if entry is not None and entry.fingerprint == fingerprint:
-        return entry
-    entry = _DesignNetArrays(design, include_clock)
-    if cache is None:
-        cache = {}
-        design._hpwl_net_arrays = cache
-    cache[include_clock] = entry
-    return entry
-
-
 def hpwl(design: Design, weighted: bool = False, include_clock: bool = False) -> float:
     """Total design HPWL (microns).
 
-    Vectorized: the per-design pin/offset arrays are built once (see
-    :class:`_DesignNetArrays`) and every call reduces spans with
-    :func:`hpwl_arrays` instead of a per-net Python loop.
+    Vectorized: the net -> pin CSR is the design's cached flat form
+    (``design.arrays().pin_vertex_csr``, rebuilt only when
+    :meth:`Design.structure_key` changes); per call only the coordinate
+    vectors (and, when requested, the weights) are gathered, and
+    :func:`hpwl_arrays` reduces the spans.
 
     Args:
         design: Design with a current placement.
@@ -121,17 +50,11 @@ def hpwl(design: Design, weighted: bool = False, include_clock: bool = False) ->
         include_clock: Include clock nets (excluded by default, as the
             clock is routed by CTS, not signal routing).
     """
-    arrays = _net_arrays(design, include_clock)
-    if len(arrays.net_offsets) <= 1:
-        return 0.0
-    x, y = arrays.coordinates(design)
-    return hpwl_arrays(
-        arrays.pin_vertex,
-        arrays.net_offsets,
-        x,
-        y,
-        arrays.weights() if weighted else None,
-    )
+    arrays = design.arrays()
+    pin_vertex, net_offsets, net_indices = arrays.pin_vertex_csr(include_clock)
+    x, y = arrays.vertex_positions()
+    weights = arrays.current_net_weights()[net_indices] if weighted else None
+    return hpwl_arrays(pin_vertex, net_offsets, x, y, weights)
 
 
 def hpwl_arrays(

@@ -77,25 +77,12 @@ class PlacementProblem:
         self._port_vertex: Dict[str, int] = {
             name: n_inst + i for i, name in enumerate(port_names)
         }
-        n_total = n_inst + len(port_names)
-
-        self.x = np.zeros(n_total)
-        self.y = np.zeros(n_total)
-        self.areas = np.zeros(n_total)
-        self.fixed = np.zeros(n_total, dtype=bool)
         arrays = design.arrays()
-        xs, ys = arrays.current_positions()
-        self.x[:n_inst] = xs
-        self.y[:n_inst] = ys
+        self.x, self.y = arrays.vertex_positions()
+        self.areas = np.zeros(len(self.x))
         self.areas[:n_inst] = arrays.current_inst_areas()
-        instances = design.instances
-        self.fixed[:n_inst] = np.fromiter(
-            (i.fixed for i in instances), dtype=bool, count=n_inst
-        )
-        px, py = arrays.current_port_xy()
-        self.x[n_inst + arrays.port_sorted_rank] = px
-        self.y[n_inst + arrays.port_sorted_rank] = py
-        self.fixed[n_inst:] = True
+        self.fixed = np.ones(len(self.x), dtype=bool)
+        self.fixed[:n_inst] = arrays.current_fixed()
         pin_vertex, offsets, sel_nets = arrays.placement_csr(include_clock)
         self.pin_vertex = pin_vertex
         self.net_offsets = offsets

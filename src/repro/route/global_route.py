@@ -97,7 +97,8 @@ class GlobalRouter:
         """Route all signal nets; one :class:`RoutingResult`, or one
         per system of a stack.  A net's routing points are its distinct
         pin locations at 1 nm resolution, in pin order (driver first),
-        read through the design's cached net -> pin CSR."""
+        read through the design's cached flat form
+        (``design.arrays().pin_vertex_csr``)."""
         with obs.stage(
             "route.global",
             design=self.design.name,
@@ -114,15 +115,12 @@ class GlobalRouter:
         return results[0] if self.stack is None else results
 
     def _run(self) -> List[RoutingResult]:
-        # Deferred: repro.place's package init imports this module.
-        from repro.place.hpwl import _net_arrays
-
-        arrays = _net_arrays(self.design, self.include_clock)
-        grids, systems, num_nets = self.grids, len(self.grids), len(arrays.net_list)
-        net_index = np.array([net.index for net in arrays.net_list], dtype=np.int64)
-        vx, vy = self.stack or (v[None, :] for v in arrays.coordinates(self.design))
-        pin_x = vx[:, arrays.pin_vertex]
-        pin_y = vy[:, arrays.pin_vertex]
+        arrays = self.design.arrays()
+        pin_vertex, net_offsets, net_index = arrays.pin_vertex_csr(self.include_clock)
+        grids, systems, num_nets = self.grids, len(self.grids), len(net_index)
+        vx, vy = self.stack or (v[None, :] for v in arrays.vertex_positions())
+        pin_x = vx[:, pin_vertex]
+        pin_y = vy[:, pin_vertex]
         # Numeric guard: a system with a non-finite input fails alone.
         # NaN has no GCell, so its pins ride through the array code at
         # the origin (every net degenerate) and it is reported below.
@@ -133,7 +131,7 @@ class GlobalRouter:
         # pin order), which the stable lexsort keeps inside each group
         # of equal (segment, 1 nm key): a group's first element is the
         # first occurrence.
-        net_of_pin = np.repeat(np.arange(num_nets), np.diff(arrays.net_offsets))
+        net_of_pin = np.repeat(np.arange(num_nets), np.diff(net_offsets))
         segment = (np.arange(systems)[:, None] * num_nets + net_of_pin).ravel()
         keys = (segment, _round_nm(pin_x.ravel()), _round_nm(pin_y.ravel()))
         order = np.lexsort(keys[::-1])

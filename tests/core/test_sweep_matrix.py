@@ -29,17 +29,26 @@ chunked: whatever the executor, the same items hit, miss, are stored
 and are checkpointed; only the misses are evaluated (a cluster's misses
 as one batch); and a sweep the stores serve in full builds no executor
 — no pool fork, no fleet listener, no worker process.
+
+What crosses the boundary is the sub-netlists' one flat form: codec
+payloads (``NetlistArrays`` columns) to a fleet, live subs with their
+arrays built to a fork pool — and a worker of either kind evaluates
+with ``NetlistArrays.from_design`` rigged to raise.
 """
 
 import math
+import multiprocessing
+import os
+import pickle
 import shutil
 from collections import Counter
 
 import pytest
 
 import repro.core.fanout as fanout
+import repro.netlist.snapshot as snapshot
 from repro import monitor, perf, telemetry
-from repro.cache import EvaluationCache
+from repro.cache import EvaluationCache, netlist_digest
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
 from repro.core.vpr import (
@@ -49,6 +58,7 @@ from repro.core.vpr import (
     _fork_available,
 )
 from repro.db.database import DesignDatabase
+from repro.netlist.arrays import COLUMNS, NetlistArrays
 from repro.recovery import faults
 from repro.recovery.checkpoint import CheckpointStore
 
@@ -331,3 +341,115 @@ def test_stored_results_resolve_in_the_sweep_process(
     elif state == "half":
         # A half-cached cluster batches exactly its misses.
         assert batches == [(clusters[2][0], default_candidate_grid()[1:GRID:2])]
+
+
+# ----------------------------------------------------------------------
+# One flat form: what is published, and that no worker walks a netlist
+# ----------------------------------------------------------------------
+class _PickleBoundary(fanout.SweepExecutor):
+    """What the sweep sees of a fleet: items evaluate in another
+    process, behind a pickle boundary."""
+
+    requires_snapshots = True
+
+
+def _published(clusters, executor):
+    """``(framework, induced clusters, published state)``, as
+    ``_sweep_on`` builds them for ``executor``."""
+    design, members, swept = clusters
+    framework = VPRFramework(_config("inline"))
+    induced = {c: framework.induce(design, members[c]) for c in swept}
+    return framework, induced, framework._sweep_state(executor, induced)
+
+
+def test_fleet_payload_is_codec_payloads_and_config(clusters):
+    _framework, induced, state = _published(clusters, _PickleBoundary())
+    assert set(state) == {"config", "clusters", "item_timeout", "obs"}
+    for c, (sub, cell_area) in induced.items():
+        payload, area = state["clusters"][c]
+        assert area == cell_area
+        assert payload["form"] == snapshot.FORM
+        assert set(payload["columns"]) >= set(COLUMNS)
+        assert netlist_digest(snapshot.design_from_snapshot(payload)) == (
+            netlist_digest(sub)
+        )
+    # The pool publishes the live subs, their flat form already built.
+    _framework, induced, state = _published(clusters, fanout.LocalPoolExecutor(2))
+    for c, (sub, _area) in induced.items():
+        assert state["clusters"][c][0] is sub
+        assert sub._netlist_arrays is not None
+        assert sub._netlist_arrays.structure_key == sub.structure_key()
+
+
+def _refuse_walk(*_args, **_kwargs):
+    raise AssertionError("a worker walked a netlist: NetlistArrays.from_design")
+
+
+def _fleet_worker_body(blob, items, conn):
+    """A fleet worker's life after the dial: install the shipped state,
+    evaluate a chunk — with the object-graph walk rigged to raise."""
+    from repro.core import vpr, worker
+
+    NetlistArrays.from_design = _refuse_walk
+    try:
+        state = worker._install_state("digest", blob)
+        outcomes = vpr._evaluate_chunk(state, items)
+        conn.send([(o.hpwl_cost, o.congestion_cost, o.error) for o in outcomes])
+    except BaseException as exc:  # reported, then the child exits
+        conn.send(repr(exc))
+    finally:
+        conn.close()
+
+
+def test_fleet_worker_set_up_walks_no_netlist(clusters):
+    if not _fork_available():
+        pytest.skip("the rigged worker is a forked child")
+    framework, induced, state = _published(clusters, _PickleBoundary())
+    blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    c = clusters[2][0]
+    items = [(c, 0), (c, 3)]
+    context = multiprocessing.get_context("fork")
+    parent_end, child_end = context.Pipe(duplex=False)
+    child = context.Process(target=_fleet_worker_body, args=(blob, items, child_end))
+    child.start()
+    child_end.close()
+    assert parent_end.poll(120), "the rigged worker never answered"
+    answer = parent_end.recv()
+    child.join(30)
+    assert not child.is_alive()
+    sub, cell_area = induced[c]
+    expected = framework.evaluate_candidates(
+        sub, cell_area, [framework.config.candidates[k] for _c, k in items]
+    )
+    assert answer == [(e.hpwl_cost, e.congestion_cost, None) for e in expected]
+
+
+def test_fork_worker_first_chunk_walks_no_netlist(
+    clusters, tmp_path, tmp_path_factory, monkeypatch
+):
+    if not _fork_available():
+        pytest.skip("fork start method unavailable")
+    clean = _inline(clusters, "none", tmp_path_factory, monkeypatch)
+    parent = os.getpid()
+    walk = NetlistArrays.from_design
+
+    def parent_only(design):
+        if os.getpid() != parent:
+            _refuse_walk()
+        return walk(design)
+
+    # Fork workers inherit the rig with the published, already-flat subs.
+    monkeypatch.setattr(NetlistArrays, "from_design", parent_only)
+    in_parent = []
+    evaluate = VPRFramework.evaluate_candidates
+
+    def recording(self, sub, cell_area, candidates, cluster_id=None):
+        in_parent.append(os.getpid() == parent)
+        return evaluate(self, sub, cell_area, candidates, cluster_id=cluster_id)
+
+    monkeypatch.setattr(VPRFramework, "evaluate_candidates", recording)
+    run = _run(clusters, "fork", "none", tmp_path, monkeypatch)
+    assert in_parent == []  # no item came back failed to be redone here
+    assert (run["retry"], run["terminal"]) == (0, 0)
+    for key in ("shapes", "evaluations", "total_cost", "streams", "counters"):
+        assert _same(run[key], clean[key]), key

@@ -201,3 +201,52 @@ class TestFrameworkCacheWiring:
             assert record["hpwl_cost"] == evaluation.hpwl_cost
             assert record["congestion_cost"] == evaluation.congestion_cost
             assert record["seconds"] >= 0.0
+
+
+class TestContextFollowsStructureKey:
+    """A count-preserving edit of a swept sub is a different netlist: its
+    context (digest memo, stacked problem) must not survive it."""
+
+    def test_reconnect_on_an_induced_sub_changes_the_served_digest(
+        self, small_clusters, tmp_path
+    ):
+        from repro.cache import netlist_digest
+
+        design, members = small_clusters
+        config = _config()
+        swept, _ = config.swept_clusters(members)
+        framework = VPRFramework(config, cache=EvaluationCache(str(tmp_path)))
+        sub, cell_area = framework.induce(design, members[swept[0]])
+        before = framework._context_of(sub).digest()
+        key_before = framework._cache_key(sub, cell_area, 0)
+        framework.evaluate_candidates(sub, cell_area, config.candidates[:1])
+        problem = framework._context_of(sub).problem
+        assert problem is not None
+
+        # Move one input pin onto another net: instances, nets and ports
+        # all keep their counts.
+        counts = (sub.num_instances, sub.num_nets, len(sub.ports))
+        inst, pin, other = next(
+            (inst, pin, other)
+            for inst in sub.instances
+            for pin, net in inst.pin_nets.items()
+            if net.driver is not None and net.driver.instance is not inst
+            for other in sub.nets
+            if other is not net and other.driver is not None and other.degree >= 2
+        )
+        sub.reconnect_pin(inst, pin, other)
+        assert counts == (sub.num_instances, sub.num_nets, len(sub.ports))
+        assert netlist_digest(sub) != before
+
+        context = framework._context_of(sub)
+        assert context.digest() == netlist_digest(sub)
+        assert framework._cache_key(sub, cell_area, 0) != key_before
+        # ... and it is evaluated as the netlist it now is.
+        (served,) = framework.evaluate_candidates(sub, cell_area, config.candidates[:1])
+        (fresh,) = VPRFramework(config).evaluate_candidates(
+            sub, cell_area, config.candidates[:1]
+        )
+        assert framework._context_of(sub).problem is not problem
+        assert (served.hpwl_cost, served.congestion_cost) == (
+            fresh.hpwl_cost, fresh.congestion_cost
+        )

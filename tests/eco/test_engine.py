@@ -4,7 +4,9 @@ One module-scoped base run (checkpoint + evaluation cache) feeds every
 test; sessions re-open it fresh so tests stay independent.
 """
 
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.core.vpr import VPRConfig
 from repro.designs import DesignSpec, generate_design
 from repro.eco import EcoSession, parse_edits, run_eco
 from repro.recovery import CheckpointError
+from tests.netlist.reference import snapshot_reference
 
 
 def _fresh_design():
@@ -257,6 +260,35 @@ class TestErrors:
         session2 = EcoSession(str(tmp_path / "ckpt"))
         with pytest.raises(CheckpointError, match="metrics"):
             session2.apply([])
+
+    def test_eco_base_of_an_older_build_is_refused_with_a_diagnosis(
+        self, base_run, tmp_path
+    ):
+        """Before snapshots were ``NetlistArrays`` columns, ``eco_base``
+        held a dict of tuples.  There is no second decoder for it: ECO
+        refuses such a checkpoint by name and remedy — while resume,
+        which never loads ``eco_base``, is unaffected."""
+        tmp, base = base_run
+        old = tmp_path / "ckpt"
+        shutil.copytree(tmp / "ckpt", old)
+        session = EcoSession(str(old))
+        session.store.save_stage(
+            "eco_base", {"design": snapshot_reference(session.design)}
+        )
+        with pytest.raises(CheckpointError) as excinfo:
+            EcoSession(str(old))
+        message = str(excinfo.value)
+        assert str(old) in message and "eco_base" in message
+        assert "older build or damaged" in message
+        assert "re-run the base flow with --checkpoint" in message
+
+        (old / "stage_metrics.pkl").unlink()  # an interrupted base run
+        config = dataclasses.replace(
+            _flow_config(tmp_path, run_routing=True), resume=True
+        )
+        resumed = ClusteredPlacementFlow(config).run(_fresh_design())
+        assert resumed.metrics.hpwl == base.metrics.hpwl
+        assert resumed.metrics.wns == base.metrics.wns
 
     def test_inconsistent_clustering_refused(self, base_run):
         session = _session(base_run)

@@ -7,15 +7,29 @@ each also carried the per-net / per-instance Python walk below.  The
 bodies are verbatim, made standalone (the placement walk returns its
 arrays by name instead of filling a ``PlacementProblem``) and must
 agree with the array builders bit for bit.
+
+``snapshot_reference`` / ``design_from_reference`` are the second flat
+form ``repro.netlist.snapshot`` used to be — a dict of tuples walked off
+the object graph and rebuilt through the construction API — before a
+snapshot became the ``NetlistArrays`` columns.  Two designs are the same
+design when their reference snapshots are equal; the scoring walk
+``_SubContext`` carried is ``score_arrays_reference``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.netlist.design import Design
+from repro.netlist.design import (
+    CellPin,
+    Design,
+    Floorplan,
+    MasterCell,
+    PinDirection,
+    PinRef,
+)
 from repro.netlist.hypergraph import Hypergraph
 
 
@@ -105,3 +119,146 @@ def placement_problem_reference(
         "net_weights": np.asarray(weights),
         "net_indices": np.asarray(net_indices, dtype=np.int64),
     }
+
+
+def score_arrays_reference(sub: Design) -> Tuple[np.ndarray, np.ndarray]:
+    """``(score_pins, score_offsets)`` as the V-P&R scoring walk built
+    them: per-pin vertex ids over every net with >= 2 pins (duplicate
+    same-instance pins kept), instances then sorted ports."""
+    port_vertex = {
+        name: sub.num_instances + i for i, name in enumerate(sorted(sub.ports))
+    }
+    pins: List[int] = []
+    offsets: List[int] = [0]
+    for net in sub.nets:
+        if net.degree < 2:
+            continue
+        for ref in net.pins():
+            if ref.instance is not None:
+                pins.append(ref.instance.index)
+            else:
+                pins.append(port_vertex[ref.pin_name])
+        offsets.append(len(pins))
+    return np.asarray(pins, dtype=np.int64), np.asarray(offsets, dtype=np.int64)
+
+
+def snapshot_reference(design: Design) -> Dict[str, Any]:
+    """The dict-of-tuples form: every master, instance, port and net as
+    primitives, read off the object graph pin by pin."""
+    masters = {}
+    for name, m in design.masters.items():
+        masters[name] = {
+            "width": m.width,
+            "height": m.height,
+            "pins": [
+                (p.name, p.direction.value, p.capacitance, p.is_clock)
+                for p in m.pins.values()
+            ],
+            "is_sequential": m.is_sequential,
+            "is_macro": m.is_macro,
+            "intrinsic_delay": m.intrinsic_delay,
+            "drive_resistance": m.drive_resistance,
+            "clk_to_q": m.clk_to_q,
+            "setup_time": m.setup_time,
+            "hold_time": m.hold_time,
+            "leakage_power": m.leakage_power,
+            "internal_energy": m.internal_energy,
+            "cell_class": m.cell_class,
+        }
+
+    def _ref(ref: PinRef):
+        if ref.instance is not None:
+            return (ref.instance.index, ref.pin_name)
+        return (-1, ref.pin_name)
+
+    fp = design.floorplan
+    return {
+        "name": design.name,
+        "clock_period": design.clock_period,
+        "clock_port": design.clock_port,
+        "floorplan": (
+            fp.die_width,
+            fp.die_height,
+            fp.core_margin,
+            fp.row_height,
+            fp.target_utilization,
+        ),
+        "masters": masters,
+        "instances": [
+            (i.name, i.master.name, i.x, i.y, i.fixed)
+            for i in design.instances
+        ],
+        "ports": [
+            (p.name, p.direction.value, p.x, p.y, p.capacitance)
+            for p in design.ports.values()
+        ],
+        "nets": [
+            (
+                net.name,
+                net.weight,
+                net.is_clock,
+                net.switching_activity,
+                _ref(net.driver) if net.driver is not None else None,
+                [_ref(ref) for ref in net.sinks],
+            )
+            for net in design.nets
+        ],
+    }
+
+
+def design_from_reference(payload: Dict[str, Any]) -> Design:
+    """Rebuild a design from :func:`snapshot_reference` through the
+    construction API (``add_instance`` / ``connect``)."""
+    design = Design(payload["name"], floorplan=Floorplan(*payload["floorplan"]))
+    design.clock_period = payload["clock_period"]
+    design.clock_port = payload["clock_port"]
+    for name, m in payload["masters"].items():
+        design.add_master(
+            MasterCell(
+                name=name,
+                width=m["width"],
+                height=m["height"],
+                pins={
+                    pin_name: CellPin(
+                        pin_name, PinDirection(direction), capacitance, is_clock
+                    )
+                    for pin_name, direction, capacitance, is_clock in m["pins"]
+                },
+                is_sequential=m["is_sequential"],
+                is_macro=m["is_macro"],
+                intrinsic_delay=m["intrinsic_delay"],
+                drive_resistance=m["drive_resistance"],
+                clk_to_q=m["clk_to_q"],
+                setup_time=m["setup_time"],
+                hold_time=m["hold_time"],
+                leakage_power=m["leakage_power"],
+                internal_energy=m["internal_energy"],
+                cell_class=m["cell_class"],
+            )
+        )
+    for name, master_name, x, y, fixed in payload["instances"]:
+        inst = design.add_instance(name, design.masters[master_name])
+        inst.x, inst.y, inst.fixed = x, y, fixed
+    for name, direction, x, y, capacitance in payload["ports"]:
+        port = design.add_port(name, PinDirection(direction), x, y)
+        port.capacitance = capacitance
+
+    def _ref(entry) -> PinRef:
+        index, pin_name = entry
+        if index < 0:
+            return PinRef(None, pin_name)
+        return PinRef(design.instances[index], pin_name)
+
+    for name, weight, is_clock, activity, driver, sinks in payload["nets"]:
+        net = design.add_net(name)
+        net.weight = weight
+        net.is_clock = is_clock
+        net.switching_activity = activity
+        # Connect through the direction classifier so driver/sink roles
+        # are re-derived exactly as construction derived them; sink
+        # order is preserved by connecting in stored order.
+        if driver is not None:
+            design.connect(net, _ref(driver))
+        for entry in sinks:
+            design.connect(net, _ref(entry))
+    return design

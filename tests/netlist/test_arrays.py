@@ -24,7 +24,11 @@ from repro.place.problem import PlacementProblem
 from repro.sta.analysis import TimingAnalyzer
 from repro.sta.delay import PlacementWireModel
 from repro.sta.graph import TimingGraph
-from tests.netlist.reference import hypergraph_reference, placement_problem_reference
+from tests.netlist.reference import (
+    hypergraph_reference,
+    placement_problem_reference,
+    score_arrays_reference,
+)
 from tests.sta.reference import ReferenceAnalyzer, build_graph_reference
 
 BENCHES = ("aes", "ariane")
@@ -67,6 +71,30 @@ class TestConsumerEquivalence:
             }
             for field, ref_value in reference.items():
                 assert np.array_equal(getattr(pa, field), ref_value), field
+
+    def test_scoring_arrays_identical(self, bench_pair):
+        """The V-P&R scoring walk ``_SubContext`` carried == the cached
+        ``pin_vertex_csr``, value for value and dtype for dtype, on the
+        whole design (clock nets kept) and on induced sub-netlists."""
+        from repro.core.vpr import extract_subnetlist
+
+        d_arr, d_ref = bench_pair
+        n = d_arr.num_instances
+        pairs = [(d_arr, d_ref)] + [
+            (extract_subnetlist(d_arr, members), extract_subnetlist(d_ref, members))
+            for members in (range(0, n // 3), range(n // 2, n // 2 + 25), [n - 1])
+        ]
+        for design, reference in pairs:
+            pins, offsets = score_arrays_reference(reference)
+            pin_vertex, net_offsets, nets = design.arrays().pin_vertex_csr(
+                include_clock=True
+            )
+            assert pin_vertex.dtype == pins.dtype and np.array_equal(pin_vertex, pins)
+            assert net_offsets.dtype == offsets.dtype
+            assert np.array_equal(net_offsets, offsets)
+            assert len(nets) == len(offsets) - 1
+            # Memoised: the next caller gets the same arrays.
+            assert design.arrays().pin_vertex_csr(include_clock=True)[0] is pin_vertex
 
     def test_timing_graph_identical(self, bench_pair):
         d_arr, d_ref = bench_pair

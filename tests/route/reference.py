@@ -196,16 +196,17 @@ class ReferenceRouter:
         return cong_l2
 
     def run(self) -> RoutingResult:
-        from repro.place.hpwl import _net_arrays
-
-        arrays = _net_arrays(self.design, self.include_clock)
-        vx, vy = arrays.coordinates(self.design)
-        all_px = vx[arrays.pin_vertex].tolist()
-        all_py = vy[arrays.pin_vertex].tolist()
-        offsets = arrays.net_offsets.tolist()
+        arrays = self.design.arrays()
+        pin_vertex, net_offsets, net_indices = arrays.pin_vertex_csr(
+            self.include_clock
+        )
+        vx, vy = arrays.vertex_positions()
+        all_px = vx[pin_vertex].tolist()
+        all_py = vy[pin_vertex].tolist()
+        offsets = net_offsets.tolist()
         nets = []
         degenerate: List[int] = []
-        for i, net in enumerate(arrays.net_list):
+        for i, net in enumerate(self.design.nets[n] for n in net_indices.tolist()):
             points: List[Tuple[float, float]] = []
             seen = set()
             for pin in range(offsets[i], offsets[i + 1]):

@@ -96,15 +96,13 @@ class TestNetPointsReference:
     tests/route/reference.py) vs the CSR gather the router reads."""
 
     def _csr_points(self, design, include_clock=False):
-        from repro.place.hpwl import _net_arrays
-
-        arrays = _net_arrays(design, include_clock)
-        vx, vy = arrays.coordinates(design)
-        px = vx[arrays.pin_vertex]
-        py = vy[arrays.pin_vertex]
-        offsets = arrays.net_offsets
+        arrays = design.arrays()
+        pin_vertex, offsets, net_indices = arrays.pin_vertex_csr(include_clock)
+        vx, vy = arrays.vertex_positions()
+        px = vx[pin_vertex]
+        py = vy[pin_vertex]
         out = {}
-        for i, net in enumerate(arrays.net_list):
+        for i, net in enumerate(design.nets[n] for n in net_indices.tolist()):
             points = []
             seen = set()
             for pin in range(int(offsets[i]), int(offsets[i + 1])):

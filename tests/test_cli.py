@@ -348,12 +348,20 @@ class TestFleetCli:
             build_parser().parse_args(["worker"])
 
     def test_worker_bad_endpoint_rejected(self):
-        from repro.core.worker import parse_endpoint
+        from repro.core.wire import parse_endpoint
 
         with pytest.raises(ValueError):
             parse_endpoint("no-port-here")
         assert parse_endpoint("[::1]:70") == ("::1", 70)
         assert parse_endpoint("h:7000") == ("h", 7000)
+
+    def test_fleet_bad_listen_endpoint_is_an_oserror(self):
+        """The same parser's ValueError, as the infrastructure failure
+        the sweep answers with the inline executor."""
+        from repro.core.fanout import FleetExecutor
+
+        with pytest.raises(OSError, match="HOST:PORT"):
+            FleetExecutor(listen="no-port-here")
 
 
 class TestRecordingLifecycle:

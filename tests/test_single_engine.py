@@ -137,3 +137,73 @@ def test_repro_worker_takes_no_cache_flag(capsys):
         worker.main(argv)
     assert excinfo.value.code == 2
     assert "--cache" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# One flat form of a netlist, one cache of it
+# ----------------------------------------------------------------------
+def _functions_walking_pins(module):
+    """Names of the module's functions (methods included) that iterate a
+    net's pin objects."""
+    import ast
+
+    walkers = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            source = ast.unparse(node)
+            if re.search(r"\.pins\(\)|\.sinks\b", source):
+                walkers.add(node.name)
+    return walkers
+
+
+def test_one_flat_form_one_cache():
+    import ast
+    import importlib
+    from pathlib import Path
+
+    import repro
+    from repro.core import vpr
+    from repro.netlist import snapshot
+    from repro.netlist.design import Design
+
+    # (``repro.place.hpwl`` the attribute is the function.)
+    hpwl = importlib.import_module("repro.place.hpwl")
+
+    gone = re.compile(
+        r"\b(_DesignNetArrays|_net_arrays|_hpwl_net_arrays|_structure_fingerprint"
+        r"|_sub_fingerprint|score_arrays|score_pins|_parse_listen)\b"
+    )
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        assert not gone.search(path.read_text()), path
+
+    # The codec builds nothing itself: NetlistArrays.to_design does.
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(ast.parse(inspect.getsource(snapshot)))
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"MasterCell", "CellPin", "PinRef", "Instance", "Net"}
+    assert not [n for n in called if n.startswith(("add_", "connect"))]
+
+    # After extraction nothing in the sweep walks a net's pin objects,
+    # and HPWL keeps only the per-net spot check.
+    assert _functions_walking_pins(vpr) == {"extract_subnetlist"}
+    assert _functions_walking_pins(hpwl) == {"net_hpwl"}
+    assert not [
+        v for v in vars(hpwl).values()
+        if inspect.isclass(v) and v.__module__ == hpwl.__name__
+    ]
+
+    # One structure-keyed array cache on a Design.
+    slots = {k for k in vars(Design("d")) if k.startswith("_") and "cache" in k}
+    assert slots == {"_signal_nets_cache", "_degree_cache"}
+    state = Design("d").__getstate__()
+    assert "_netlist_arrays" not in state
+
+
+def test_one_endpoint_parser():
+    from repro.core import fanout, wire, worker
+
+    assert not hasattr(worker, "parse_endpoint")
+    assert not hasattr(fanout.FleetExecutor, "_parse_listen")
+    assert wire.parse_endpoint("[::1]:70") == ("::1", 70)
