@@ -4,9 +4,10 @@ Measures, per eligible cluster, the wall-clock of (i) the exact 20-shape
 V-P&R sweep and (ii) the GNN predictor (feature extraction + 20
 batched forward passes), and reports the speedup plus the agreement of
 the selected shapes.  The paper reports ~30x; the achievable factor
-here depends on the Python feature-extraction cost, so the *shape*
-(order-of-magnitude acceleration with near-equivalent selections) is
-the reproduction target.
+here is set by the float64 NumPy forward (dense and shared-operator
+sparse products; feature extraction is CSR kernels, about a tenth of
+the selector), so the *shape* (acceleration with near-equivalent
+selections) is the reproduction target.
 """
 
 import time

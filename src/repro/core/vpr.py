@@ -1582,6 +1582,18 @@ class MLShapeSelector(ShapeSelector):
             for c in eligible:
                 sub, _area = framework.induce(source, members[c])
                 costs = np.asarray(self.predictor(sub, self.config.candidates))
+                nonfinite = int((~np.isfinite(costs)).sum())
+                if nonfinite:
+                    # argmin would pick a NaN: the cluster keeps its
+                    # uniform shape instead.
+                    obs.count("vpr.ml.cost_nonfinite")
+                    obs.event(
+                        "vpr.ml.cost_nonfinite",
+                        selector=self.name,
+                        cluster=c,
+                        candidates=nonfinite,
+                    )
+                    continue
                 pick = int(np.argmin(costs))
                 shapes[c] = self.config.candidates[pick]
                 obs.observe("vpr.ml.predicted_cost", float(costs[pick]))

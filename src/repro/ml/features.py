@@ -11,19 +11,21 @@ Exact betweenness/closeness/eccentricity are O(nm) per graph; the
 paper computes them offline for its training corpus.  We use
 pivot-BFS approximations (documented per feature) so the ML-accelerated
 selector stays fast at flow time; the approximation pivots are
-deterministic.
+deterministic.  The graph statistics are CSR kernels over the clique
+expansion (:class:`_ClusterGraph`): one adjacency, one BFS frontier loop
+shared by all pivots and by the cluster- and cell-level features.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.shapes import ShapeCandidate
+from repro.netlist.arrays import multi_arange
 from repro.netlist.design import Design
 from repro.netlist.hypergraph import Hypergraph
 from repro.ml.layers import normalized_adjacency
@@ -94,19 +96,14 @@ class FeatureExtractor:
         n = hgraph.num_vertices
         rows, cols, weights = hgraph.clique_expansion()
         operator = normalized_adjacency(rows, cols, weights, n)
-
-        adjacency = _adjacency_lists(n, rows, cols)
-        degrees = np.array([len(a) for a in adjacency], dtype=float)
-
-        cluster_feats = self._cluster_features(sub, hgraph, adjacency, degrees)
-        cell_feats = self._cell_features(sub, adjacency, degrees)
+        graph = _ClusterGraph(n, rows, cols, self._pivots(n))
 
         features = np.zeros((n, NUM_NODE_FEATURES))
         if candidate is not None:
             features[:, 0] = candidate.utilization
             features[:, 1] = candidate.aspect_ratio
-        features[:, 2:19] = cluster_feats[None, :]
-        features[:, 19:27] = cell_feats
+        features[:, 2:19] = self._cluster_features(sub, hgraph, graph)[None, :]
+        features[:, 19:27] = self._cell_features(sub, graph)
         # One-hot cell class (8 classes); unknown classes fall back to
         # class 0, matching the historical dict.get default.
         arrays = sub.arrays()
@@ -117,11 +114,7 @@ class FeatureExtractor:
 
     # ------------------------------------------------------------------
     def _cluster_features(
-        self,
-        sub: Design,
-        hgraph: Hypergraph,
-        adjacency: List[np.ndarray],
-        degrees: np.ndarray,
+        self, sub: Design, hgraph: Hypergraph, graph: "_ClusterGraph"
     ) -> np.ndarray:
         """The 17 cluster-level features."""
         n = max(1, hgraph.num_vertices)
@@ -138,19 +131,27 @@ class FeatureExtractor:
         )
         internal_nets = num_nets - border_nets
         total_area = sub.total_cell_area()
+        degrees = graph.degrees
         avg_cell_degree = float(degrees.mean()) if len(degrees) else 0.0
         net_degrees = arrays.net_degree[wide]
         avg_net_degree = float(np.mean(net_degrees)) if len(net_degrees) else 0.0
-        clustering_coeffs = _clustering_coefficients(adjacency)
-        avg_clustering = float(clustering_coeffs.mean()) if n else 0.0
-        num_edges = sum(len(a) for a in adjacency) / 2
+        avg_clustering = float(graph.clustering.mean()) if len(degrees) else 0.0
+        num_edges = len(graph.indices) / 2
         density = 2.0 * num_edges / (n * (n - 1)) if n > 1 else 0.0
 
-        ecc, efficiency = self._pivot_bfs_stats(adjacency)
+        # Eccentricity lower bounds + mean global efficiency estimate
+        # from the pivot BFS distances.
+        ecc = graph.eccentricity
+        inv_dist_sum = 0.0
+        for dist in graph.dist:
+            # One pairwise sum per pivot: the accumulation order is part
+            # of the value.
+            inv_dist_sum += float((1.0 / dist[dist > 0]).sum())
+        pairs = len(graph.dist) * max(0, hgraph.num_vertices - 1)
+        efficiency = inv_dist_sum / pairs if pairs else 0.0
         diameter = float(ecc.max()) if len(ecc) else 0.0
         radius = float(ecc[ecc > 0].min()) if (ecc > 0).any() else 0.0
         edge_connectivity = float(degrees.min()) if len(degrees) else 0.0
-        colors = _greedy_coloring(adjacency, degrees)
 
         return np.array(
             [
@@ -169,37 +170,34 @@ class FeatureExtractor:
                 diameter,
                 radius,
                 edge_connectivity,
-                colors,
+                graph.greedy_colors(),
                 efficiency,
             ],
             dtype=float,
         )
 
-    def _cell_features(
-        self,
-        sub: Design,
-        adjacency: List[np.ndarray],
-        degrees: np.ndarray,
-    ) -> np.ndarray:
-        """The 8 numeric cell-level features per node."""
-        n = len(adjacency)
-        areas = sub.arrays().current_inst_areas()
-        avg_nbr_degree = np.zeros(n)
-        for v in range(n):
-            if len(adjacency[v]):
-                avg_nbr_degree[v] = degrees[adjacency[v]].mean()
-        betweenness, closeness, ecc = self._pivot_centralities(adjacency)
-        degree_centrality = degrees / max(1, n - 1)
-        clustering = _clustering_coefficients(adjacency)
+    def _cell_features(self, sub: Design, graph: "_ClusterGraph") -> np.ndarray:
+        """The 8 numeric cell-level features per node.
+
+        Brandes-sampled betweenness over the pivot set; closeness as
+        (reachable count) / (distance sum) from the pivots; per-node
+        eccentricity as the max pivot distance.
+        """
+        n = graph.num_vertices
+        degrees = graph.degrees
         out = np.zeros((n, 8))
-        out[:, 0] = areas
+        out[:, 0] = sub.arrays().current_inst_areas()
         out[:, 1] = degrees
-        out[:, 2] = avg_nbr_degree
-        out[:, 3] = betweenness
-        out[:, 4] = closeness
-        out[:, 5] = degree_centrality
-        out[:, 6] = clustering
-        out[:, 7] = ecc
+        # Degrees are integers, so the neighbour sum is exact in any order.
+        neighbor_degrees = graph.adjacency @ degrees
+        np.divide(neighbor_degrees, degrees, out=out[:, 2], where=degrees > 0)
+        out[:, 3] = graph.betweenness()
+        reached = (graph.dist >= 0).sum(axis=0)
+        dist_sums = np.maximum(graph.dist, 0).sum(axis=0)
+        np.divide(reached, dist_sums, out=out[:, 4], where=dist_sums > 0)
+        out[:, 5] = degrees / max(1, n - 1)
+        out[:, 6] = graph.clustering
+        out[:, 7] = graph.eccentricity
         return out
 
     # ------------------------------------------------------------------
@@ -208,147 +206,115 @@ class FeatureExtractor:
         k = min(self.num_pivots, n)
         return rng.choice(n, size=k, replace=False) if n else np.zeros(0, dtype=int)
 
-    def _pivot_bfs_stats(
-        self, adjacency: List[np.ndarray]
-    ) -> Tuple[np.ndarray, float]:
-        """Eccentricity lower bounds + mean global efficiency estimate
-        from BFS at a deterministic pivot sample."""
-        n = len(adjacency)
-        ecc = np.zeros(n)
-        inv_dist_sum = 0.0
-        pairs = 0
-        for pivot in self._pivots(n):
-            dist = _bfs(adjacency, int(pivot))
-            reachable = dist >= 0
-            if reachable.any():
-                ecc = np.maximum(ecc, np.where(reachable, dist, 0))
-            finite = dist[(dist > 0)]
-            inv_dist_sum += float((1.0 / finite).sum())
-            pairs += max(0, n - 1)
-        efficiency = inv_dist_sum / pairs if pairs else 0.0
-        return ecc, efficiency
 
-    def _pivot_centralities(
-        self, adjacency: List[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Approximate betweenness / closeness / eccentricity.
+# ----------------------------------------------------------------------
+# Graph kernels
+# ----------------------------------------------------------------------
+class _ClusterGraph:
+    """CSR adjacency of one cluster graph and the pivot BFS over it.
 
-        Brandes-sampled betweenness over the pivot set; closeness as
-        (reachable count) / (distance sum) from the pivots; per-node
-        eccentricity as the max pivot distance.
+    ``indptr`` / ``indices`` are the deduplicated, sorted neighbour
+    rows of the undirected graph whose edges ``rows`` / ``cols`` list
+    once; ``dist`` is the ``(pivots, n)`` BFS distance table (-1 where
+    unreachable).  Every float below reproduces the scalar queue walk
+    it replaced bit for bit (``tests/ml/reference.py`` is that walk).
+    """
+
+    def __init__(
+        self, n: int, rows: np.ndarray, cols: np.ndarray, pivots: np.ndarray
+    ) -> None:
+        pattern = sp.coo_matrix(
+            (
+                np.ones(2 * len(rows), dtype=np.int64),
+                (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
+            ),
+            shape=(n, n),
+        ).tocsr()
+        pattern.data[:] = 1  # tocsr summed a pair listed more than once
+        self.num_vertices = n
+        self.adjacency = pattern
+        self.indptr = pattern.indptr.astype(np.int64)
+        self.indices = pattern.indices.astype(np.int64)
+        self.pivots = pivots
+        count = np.diff(self.indptr)
+        self.degrees = count.astype(float)
+        # Closed neighbour pairs of v = triangles through v = row sums
+        # of A o (A A) halved, so 2 * links is the row sum itself.
+        closed = (pattern @ pattern).multiply(pattern).sum(axis=1)
+        closed = np.asarray(closed).ravel()
+        self.clustering = np.zeros(n)
+        np.divide(closed, count * (count - 1), out=self.clustering, where=count >= 2)
+        self.dist, self._sigma, self._levels = self._sweep(count)
+        # Unreachable is -1, so clamping at 0 leaves the reachable hops.
+        hops = np.maximum(self.dist, 0)
+        self.eccentricity = hops.max(axis=0, initial=0).astype(float)
+
+    def _sweep(self, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray, list]:
+        """Level-synchronous BFS from every pivot at once.
+
+        State is flat over ``pivot * n + vertex`` keys.  A frontier is
+        kept in queue order (pivot-major), so the next frontier is the
+        first occurrence of each undiscovered key in the concatenated
+        CSR rows of this one; path counts accumulate over the DAG edges
+        in that same scan order.  Returns distances, path counts and,
+        per level, the DAG edges ``(parent keys, child keys)`` sorted by
+        descending queue position of the child — the order Brandes'
+        back-propagation pops them in.
         """
-        n = len(adjacency)
-        betweenness = np.zeros(n)
-        dist_sums = np.zeros(n)
-        reach_counts = np.zeros(n)
-        ecc = np.zeros(n)
-        pivots = self._pivots(n)
-        for pivot in pivots:
-            dist, order, sigma, parents = _bfs_brandes(adjacency, int(pivot))
-            reachable = dist >= 0
-            dist_sums += np.where(reachable, dist, 0)
-            reach_counts += reachable
-            ecc = np.maximum(ecc, np.where(reachable, dist, 0))
-            delta = np.zeros(n)
-            for v in reversed(order):
-                for u in parents[v]:
-                    delta[u] += sigma[u] / sigma[v] * (1 + delta[v])
-                if v != pivot:
-                    betweenness[v] += delta[v]
-        if len(pivots):
-            betweenness /= len(pivots)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                closeness = np.where(dist_sums > 0, reach_counts / dist_sums, 0.0)
-        else:
-            closeness = np.zeros(n)
-        return betweenness, closeness, ecc
+        n = self.num_vertices
+        size = len(self.pivots) * n
+        dist = np.full(size, -1, dtype=np.int64)
+        sigma = np.zeros(size)
+        frontier = np.arange(len(self.pivots), dtype=np.int64) * n + self.pivots
+        dist[frontier] = 0
+        sigma[frontier] = 1.0
+        levels = []
+        while True:
+            vertex = frontier % n
+            width = count[vertex]
+            parent = np.repeat(frontier, width)
+            child = (parent - np.repeat(vertex, width)) + self.indices[
+                multi_arange(self.indptr[vertex], width)
+            ]
+            fresh = dist[child] < 0
+            if not fresh.any():
+                return dist.reshape(len(self.pivots), n), sigma, levels
+            parent, child = parent[fresh], child[fresh]
+            _keys, first, inverse = np.unique(
+                child, return_index=True, return_inverse=True
+            )
+            frontier = child[np.sort(first)]
+            dist[frontier] = len(levels) + 1
+            sigma += np.bincount(child, weights=sigma[parent], minlength=size)
+            order = np.argsort(-first[inverse], kind="stable")
+            levels.append((parent[order], child[order]))
 
+    def betweenness(self) -> np.ndarray:
+        """Brandes dependencies of the pivots, averaged."""
+        n = self.num_vertices
+        k = len(self.pivots)
+        sigma = self._sigma
+        delta = np.zeros(k * n)
+        for parent, child in reversed(self._levels):
+            share = sigma[parent] / sigma[child] * (1 + delta[child])
+            # bincount adds in array order: deepest queue position first.
+            delta += np.bincount(parent, weights=share, minlength=k * n)
+        delta = delta.reshape(k, n)
+        delta[np.arange(k), self.pivots] = 0.0
+        total = np.zeros(n)
+        for row in delta:
+            total += row
+        return total / k if k else total
 
-# ----------------------------------------------------------------------
-# Graph helpers
-# ----------------------------------------------------------------------
-def _adjacency_lists(
-    n: int, rows: np.ndarray, cols: np.ndarray
-) -> List[np.ndarray]:
-    """Unweighted adjacency lists from edge arrays."""
-    lists: List[List[int]] = [[] for _ in range(n)]
-    for u, v in zip(rows, cols):
-        lists[int(u)].append(int(v))
-        lists[int(v)].append(int(u))
-    return [np.array(sorted(set(a)), dtype=np.int64) for a in lists]
-
-
-def _bfs(adjacency: List[np.ndarray], source: int) -> np.ndarray:
-    """BFS distances (-1 unreachable)."""
-    n = len(adjacency)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(int(v))
-    return dist
-
-
-def _bfs_brandes(
-    adjacency: List[np.ndarray], source: int
-) -> Tuple[np.ndarray, List[int], np.ndarray, List[List[int]]]:
-    """Brandes BFS stage: distances, visit order, path counts, preds."""
-    n = len(adjacency)
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n)
-    parents: List[List[int]] = [[] for _ in range(n)]
-    dist[source] = 0
-    sigma[source] = 1.0
-    order: List[int] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(int(v))
-            if dist[v] == dist[u] + 1:
-                sigma[v] += sigma[u]
-                parents[int(v)].append(u)
-    return dist, order, sigma, parents
-
-
-def _clustering_coefficients(adjacency: List[np.ndarray]) -> np.ndarray:
-    """Local clustering coefficient per node (exact)."""
-    n = len(adjacency)
-    out = np.zeros(n)
-    neighbor_sets = [set(a.tolist()) for a in adjacency]
-    for v in range(n):
-        neighbors = adjacency[v]
-        k = len(neighbors)
-        if k < 2:
-            continue
-        links = 0
-        for i in range(k):
-            set_i = neighbor_sets[neighbors[i]]
-            for j in range(i + 1, k):
-                if int(neighbors[j]) in set_i:
-                    links += 1
-        out[v] = 2.0 * links / (k * (k - 1))
-    return out
-
-
-def _greedy_coloring(adjacency: List[np.ndarray], degrees: np.ndarray) -> float:
-    """Number of colors used by largest-degree-first greedy coloring."""
-    n = len(adjacency)
-    order = np.argsort(-degrees)
-    color = np.full(n, -1, dtype=np.int64)
-    max_color = -1
-    for v in order:
-        used = {int(color[u]) for u in adjacency[v] if color[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-        max_color = max(max_color, c)
-    return float(max_color + 1) if n else 0.0
+    def greedy_colors(self) -> float:
+        """Number of colors used by largest-degree-first greedy coloring."""
+        starts = self.indptr.tolist()
+        neighbors = self.indices.tolist()
+        color = [-1] * self.num_vertices
+        for v in np.argsort(-self.degrees).tolist():
+            used = {color[u] for u in neighbors[starts[v] : starts[v + 1]]}
+            c = 0
+            while c in used:
+                c += 1
+            color[v] = c
+        return float(max(color) + 1) if color else 0.0

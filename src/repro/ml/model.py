@@ -144,13 +144,15 @@ class TotalCostGNN:
         B candidate shapes: only the two design-parameter feature
         columns differ between candidates, the graph operator is
         identical.  Instead of stacking B copies of the operator
-        block-diagonally, this path keeps the batch as a dense
-        ``(B, n, F)`` block and pushes all candidates through each
-        convolution with a single sparse multiply of the shared
-        ``(n, n)`` operator against the ``(n, B*d)`` re-layout —
-        arithmetic identical to :meth:`predict` (the per-element
-        accumulation order of the sparse product is unchanged), with
-        none of the B-times operator replication.
+        block-diagonally, the batch is laid out node-major ``(n, B, d)``
+        once and stays that way to the pool: each convolution is one
+        dense product over the ``(n*B, d)`` view, one sparse multiply
+        of the shared ``(n, n)`` operator against the ``(n, B*d)`` view
+        and an in-place bias / batch-norm / ReLU / skip — arithmetic
+        identical to :meth:`predict` (same operation order per element,
+        same accumulation order in the sparse product and the pool),
+        with none of the B-times operator replication and no
+        per-layer temporaries or re-layouts.
 
         Args:
             features: ``(B, n, F)`` feature block, one slice per
@@ -161,49 +163,40 @@ class TotalCostGNN:
             ``(B,)`` predicted Total Cost in label units.
         """
         op = operator.tocsr()
-        batch, n, _f = features.shape
-        h = self.normalize_features(features)
+        batch, n, width = features.shape
+        h = np.empty((n, batch, width))
+        np.subtract(features.transpose(1, 0, 2), self.feature_mean, out=h)
+        h /= self.feature_std
 
-        def conv(block: GraphConvBlock, x: np.ndarray) -> np.ndarray:
-            z = x @ block.linear.weight.data + block.linear.bias.data
-            d = z.shape[-1]
-            # (B, n, d) -> (n, B*d): one shared-operator sparse product
-            # covers every candidate.
-            z = np.ascontiguousarray(z.transpose(1, 0, 2)).reshape(n, batch * d)
-            z = op @ z
-            z = z.reshape(n, batch, d).transpose(1, 0, 2)
-            running = block.bn.running
-            inv_std = 1.0 / np.sqrt(running["var"] + 1e-5)
-            z = (
-                block.bn.gamma.data * ((z - running["mean"]) * inv_std)
-                + block.bn.beta.data
-            )
-            z = z * (z > 0)
-            if block.use_skip:
-                z = z + x
-            return z
+        def norm_relu(z: np.ndarray, bn: BatchNorm) -> None:
+            """Eval batch norm + ReLU in place, ``predict``'s operation order."""
+            z -= bn.running["mean"]
+            z *= 1.0 / np.sqrt(bn.running["var"] + 1e-5)
+            z *= bn.gamma.data
+            z += bn.beta.data
+            np.multiply(z, z > 0, out=z)
 
-        accumulated = None
+        accumulated = np.zeros((n, batch, BRANCH_DIMS[-1]))
         for blocks in self.branches:
-            out = h
+            x = h
             for block in blocks:
-                out = conv(block, out)
-            accumulated = out if accumulated is None else accumulated + out
-        # Sequential per-node accumulation matches segment_mean's
+                z = x.reshape(n * batch, x.shape[2]) @ block.linear.weight.data
+                z += block.linear.bias.data
+                d = z.shape[1]
+                z = (op @ z.reshape(n, batch * d)).reshape(n, batch, d)
+                norm_relu(z, block.bn)
+                if block.use_skip:
+                    z += x
+                x = z
+            accumulated += x
+        # A sequential reduce over the node axis matches segment_mean's
         # np.add.at ordering, keeping the pooled embedding bit-identical
         # to the block-diagonal forward.
-        pooled = np.zeros((batch, accumulated.shape[-1]))
-        for i in range(n):
-            pooled += accumulated[:, i, :]
+        pooled = np.add.reduce(accumulated, axis=0)
         pooled /= max(n, 1)
-        z = pooled @ self.head_linear1.weight.data + self.head_linear1.bias.data
-        running = self.head_bn.running
-        inv_std = 1.0 / np.sqrt(running["var"] + 1e-5)
-        z = (
-            self.head_bn.gamma.data * ((z - running["mean"]) * inv_std)
-            + self.head_bn.beta.data
-        )
-        z = z * (z > 0)
+        z = pooled @ self.head_linear1.weight.data
+        z += self.head_linear1.bias.data
+        norm_relu(z, self.head_bn)
         z = z @ self.head_linear2.weight.data + self.head_linear2.bias.data
         return self.denormalize(z.ravel())
 

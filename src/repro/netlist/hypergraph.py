@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.netlist.arrays import multi_arange
 from repro.netlist.design import Design
 
 
@@ -263,25 +264,30 @@ class Hypergraph:
         is the graph representation fed to the GNN (Section 3.2) and to
         the Louvain/Leiden baselines.
         """
-        pair_weights: Dict[Tuple[int, int], float] = {}
-        for ei, edge in enumerate(self.edges):
-            k = len(edge)
-            if k < 2:
-                continue
-            w = self.edge_weights[ei] / (k - 1)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    u, v = edge[a], edge[b]
-                    key = (u, v) if u < v else (v, u)
-                    pair_weights[key] = pair_weights.get(key, 0.0) + w
-        if not pair_weights:
+        indptr, verts = self.pin_csr()
+        size = np.diff(indptr)
+        pins = np.arange(len(verts))
+        # Every pin pairs with the later pins of its edge, so the pairs
+        # come out edge by edge in the (a, b > a) order of the members.
+        later = np.repeat(indptr[1:], size) - pins - 1
+        first = np.repeat(pins, later)
+        if not len(first):
             empty = np.zeros(0)
             return empty.astype(np.int64), empty.astype(np.int64), empty
-        keys = sorted(pair_weights)
-        rows = np.array([k[0] for k in keys], dtype=np.int64)
-        cols = np.array([k[1] for k in keys], dtype=np.int64)
-        weights = np.array([pair_weights[k] for k in keys])
-        return rows, cols, weights
+        second = multi_arange(pins + 1, later)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = np.repeat(self.edge_weights / (size - 1), size)[first]
+        low = np.minimum(verts[first], verts[second])
+        high = np.maximum(verts[first], verts[second])
+        # A stable sort keeps parallel pairs in edge order and bincount
+        # adds in array order, so each weight sum accumulates net by net.
+        key = low * (int(high.max()) + 1) + high
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        fresh = np.concatenate(([True], key[1:] != key[:-1]))
+        weights = np.bincount(np.cumsum(fresh) - 1, weights=share[order])
+        merged = order[fresh]
+        return low[merged], high[merged], weights
 
     # ------------------------------------------------------------------
     def contract(

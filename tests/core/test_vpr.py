@@ -200,6 +200,46 @@ class TestSelectors:
         for c in eligible:
             assert selection.shapes[c] == config.candidates[2]
 
+    def test_ml_selector_nonfinite_prediction_keeps_uniform(self, cluster_context):
+        """A NaN among a cluster's predicted costs must not win
+        the argmin: the cluster keeps the uniform shape, counted and
+        evented; the other clusters are selected as usual."""
+        from repro import perf, telemetry
+        from repro.core.shapes import uniform_shape
+
+        design, members, _l = cluster_context
+        config = VPRConfig(min_cluster_instances=100, max_vpr_clusters=4)
+        eligible = config.eligible_clusters(members)[:4]
+        assert len(eligible) >= 2
+        poison = {0: np.nan}
+
+        def predictor(sub, candidates):
+            costs = np.linspace(2.0, 1.0, len(candidates))
+            bad = poison.get(predictor.calls)
+            if bad is not None:
+                costs[5] = bad
+            predictor.calls += 1
+            return costs
+
+        predictor.calls = 0
+        perf.enable()
+        perf.reset()
+        telemetry.enable()
+        try:
+            selection = MLShapeSelector(predictor, config).select(design, members)
+            assert perf.counter_value("vpr.ml.cost_nonfinite") == 1
+            events = telemetry.get_session().events.export()
+        finally:
+            perf.disable()
+            telemetry.disable()
+        flagged = [e for e in events if e["type"] == "vpr.ml.cost_nonfinite"]
+        assert [(e["cluster"], e["candidates"]) for e in flagged] == [(eligible[0], 1)]
+        selected = [e["cluster"] for e in events if e["type"] == "vpr.shape_selected"]
+        assert selected == eligible[1:]
+        assert selection.shapes[eligible[0]] == uniform_shape()
+        for c in eligible[1:]:
+            assert selection.shapes[c] == config.candidates[-1]
+
 
 # ----------------------------------------------------------------------
 # Lockstep candidate batching (see docs/performance.md)

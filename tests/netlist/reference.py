@@ -14,6 +14,9 @@ the object graph and rebuilt through the construction API — before a
 snapshot became the ``NetlistArrays`` columns.  Two designs are the same
 design when their reference snapshots are equal; the scoring walk
 ``_SubContext`` carried is ``score_arrays_reference``.
+
+``clique_expansion_reference`` is the per-edge double loop into a dict
+``Hypergraph.clique_expansion`` ran before it emitted pair index arrays.
 """
 
 from __future__ import annotations
@@ -262,3 +265,29 @@ def design_from_reference(payload: Dict[str, Any]) -> Design:
         for entry in sinks:
             design.connect(net, _ref(entry))
     return design
+
+
+def clique_expansion_reference(
+    hgraph: Hypergraph,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clique expansion by a double loop over every edge's members,
+    parallel pairs summed into a dict in edge order."""
+    pair_weights: Dict[Tuple[int, int], float] = {}
+    for ei, edge in enumerate(hgraph.edges):
+        k = len(edge)
+        if k < 2:
+            continue
+        w = hgraph.edge_weights[ei] / (k - 1)
+        for a in range(k):
+            for b in range(a + 1, k):
+                u, v = edge[a], edge[b]
+                key = (u, v) if u < v else (v, u)
+                pair_weights[key] = pair_weights.get(key, 0.0) + w
+    if not pair_weights:
+        empty = np.zeros(0)
+        return empty.astype(np.int64), empty.astype(np.int64), empty
+    keys = sorted(pair_weights)
+    rows = np.array([k[0] for k in keys], dtype=np.int64)
+    cols = np.array([k[1] for k in keys], dtype=np.int64)
+    weights = np.array([pair_weights[k] for k in keys])
+    return rows, cols, weights

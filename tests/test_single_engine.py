@@ -207,3 +207,34 @@ def test_one_endpoint_parser():
     assert not hasattr(worker, "parse_endpoint")
     assert not hasattr(fanout.FleetExecutor, "_parse_listen")
     assert wire.parse_endpoint("[::1]:70") == ("::1", 70)
+
+
+# ----------------------------------------------------------------------
+# One array-native ML selector
+# ----------------------------------------------------------------------
+def test_ml_selector_has_no_scalar_walks():
+    from pathlib import Path
+
+    import repro
+    from repro.ml import features, model
+
+    # The per-vertex list walks and the two pivot loops live in
+    # tests/ml/reference.py, the dict clique expansion in
+    # tests/netlist/reference.py.
+    gone = re.compile(
+        r"\b(_adjacency_lists|_bfs|_bfs_brandes|_clustering_coefficients"
+        r"|_greedy_coloring|_pivot_bfs_stats|_pivot_centralities|pair_weights)\b"
+    )
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        assert not gone.search(path.read_text()), path
+
+    # The entry points the spine traces keep their names ...
+    assert callable(features.FeatureExtractor.extract)
+    assert callable(model.TotalCostGNN.predict_shared)
+    # ... the forward lays the batch out once, and the package did not grow.
+    assert inspect.getsource(model.TotalCostGNN.predict_shared).count("transpose") == 1
+    lines = sum(
+        len(path.read_text().splitlines()) for path in (root / "ml").rglob("*.py")
+    )
+    assert lines <= 1364
