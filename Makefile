@@ -96,7 +96,9 @@ monitor-smoke:
 # on an ephemeral port, drive it with concurrent closed-loop clients
 # (2 designs x 2 repeats each), and gate on: zero failed jobs, warm
 # cache hits > 0, p99 submit-to-done latency under 60s, warm jobs at
-# least 1.3x faster than cold, and a clean POST /shutdown exit.
+# least 1.3x faster than cold, a clean POST /shutdown exit, and no
+# descendant of the daemon (runner zygote or runner) alive after it.
+# BENCH_serve.json also records the daemon's /stats latency block.
 serve-smoke:
 	rm -rf serve-smoke && mkdir -p serve-smoke
 	timeout 600 python benchmarks/bench_serve_load.py --gate \

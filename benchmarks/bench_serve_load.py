@@ -16,7 +16,13 @@ shared cache's warm-hit ratio into ``BENCH_serve.json``.
 * warm jobs beat cold jobs by at least ``--min-speedup`` (mean runner
   wall seconds, cold = jobs with cache misses, warm = jobs served
   entirely from cache);
-* the daemon shuts down cleanly (``POST /shutdown`` -> exit code 0).
+* the daemon shuts down cleanly (``POST /shutdown`` -> exit code 0);
+* no descendant of the daemon — the runner zygote or any runner it
+  forked — is still alive once the daemon has exited (Linux: the tree
+  is sampled from ``/proc/*/stat`` parent pids while the load runs).
+
+The report also carries the daemon's own ``/stats`` latency block
+(p50 / p95 queue wait, runner start and run seconds).
 
 Usage::
 
@@ -35,7 +41,7 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -50,6 +56,60 @@ def _percentile(samples: List[float], q: float) -> float:
     ordered = sorted(samples)
     rank = max(1, int(round(q / 100.0 * len(ordered))))
     return ordered[min(rank, len(ordered)) - 1]
+
+
+def _process_table() -> Dict[int, Tuple[str, int, str]]:
+    """pid -> (state, parent pid, start time) from ``/proc/*/stat``."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                # The command name may hold spaces and parentheses.
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        table[int(entry)] = (fields[0], int(fields[1]), fields[19])
+    return table
+
+
+class _TreeWatch(threading.Thread):
+    """Samples the daemon's process tree: every pid ever seen below it,
+    with its start time (so a recycled pid is not mistaken for it)."""
+
+    def __init__(self, root: int, interval: float = 0.1) -> None:
+        super().__init__(name="tree-watch", daemon=True)
+        self.root = root
+        self.interval = interval
+        self.seen: Dict[int, str] = {}
+        self.halt = threading.Event()
+
+    def sample(self) -> None:
+        table = _process_table()
+        children: Dict[int, List[int]] = {}
+        for pid, (_, ppid, _) in table.items():
+            children.setdefault(ppid, []).append(pid)
+        stack = list(children.get(self.root, []))
+        while stack:
+            pid = stack.pop()
+            self.seen[pid] = table[pid][2]
+            stack.extend(children.get(pid, []))
+
+    def run(self) -> None:
+        while not self.halt.wait(self.interval):
+            self.sample()
+
+    def survivors(self) -> List[int]:
+        """Seen descendants that still run (zombies do not)."""
+        table = _process_table()
+        return sorted(
+            pid
+            for pid, start in self.seen.items()
+            if pid in table
+            and table[pid][2] == start
+            and table[pid][0] not in ("Z", "X")
+        )
 
 
 def _designs(count: int, instances: int) -> List[Dict[str, Any]]:
@@ -124,6 +184,10 @@ def measure(
     lock = threading.Lock()
     stats: Dict[str, Any] = {}
     clean_shutdown = False
+    watch = _TreeWatch(daemon.pid) if os.path.isdir("/proc") else None
+    leaked: List[int] = []
+    if watch is not None:
+        watch.start()
     try:
         base = ServeClient.discover(run_root, timeout=60.0)
         specs = _designs(designs, instances)
@@ -144,8 +208,14 @@ def measure(
             thread.join()
         wall = time.perf_counter() - t0
         stats = ServeClient(base.url).stats()
+        if watch is not None:
+            watch.halt.set()
+            watch.join()
+            watch.sample()
         base.shutdown()
         clean_shutdown = daemon.wait(timeout=60.0) == 0
+        if watch is not None:
+            leaked = watch.survivors()
     finally:
         if daemon.poll() is None:
             daemon.kill()
@@ -200,8 +270,14 @@ def measure(
         },
         "warm_speedup": cold_mean / warm_mean if warm_mean else 0.0,
         "cache": stats.get("cache", {}),
+        "server_latency": stats.get("latency", {}),
         "warm_hits_total": total_hits,
         "clean_shutdown": clean_shutdown,
+        "descendants": {
+            "checked": watch is not None,
+            "seen": len(watch.seen) if watch is not None else 0,
+            "alive_after_exit": leaked,
+        },
     }
 
 
@@ -243,7 +319,8 @@ def main(argv=None) -> int:
         "serve-load: {total} jobs ({done} done, {failed} failed) in "
         "{wall:.1f}s = {thr:.2f} jobs/s; p99 {p99:.2f}s; "
         "warm speedup {speedup:.2f}x; warm-hit ratio {ratio:.2f}; "
-        "clean shutdown: {clean}".format(
+        "clean shutdown: {clean} ({alive} of {seen} descendants alive "
+        "after exit)".format(
             total=report["jobs"]["total"],
             done=report["jobs"]["done"],
             failed=report["jobs"]["failed"],
@@ -253,6 +330,8 @@ def main(argv=None) -> int:
             speedup=report["warm_speedup"],
             ratio=report["cache"].get("warm_hit_ratio", 0.0),
             clean=report["clean_shutdown"],
+            alive=len(report["descendants"]["alive_after_exit"]),
+            seen=report["descendants"]["seen"],
         )
     )
     if args.json:
@@ -278,6 +357,11 @@ def main(argv=None) -> int:
             )
         if not report["clean_shutdown"]:
             failures.append("daemon did not shut down cleanly")
+        elif report["descendants"]["alive_after_exit"]:
+            failures.append(
+                "descendant(s) of the daemon still alive after it exited: "
+                f"pids {report['descendants']['alive_after_exit']}"
+            )
         if failures:
             for failure in failures:
                 print(f"serve-load: GATE FAILED: {failure}")

@@ -7,8 +7,9 @@ streams straight from each job's ``status.json`` (schema
 ``repro.monitor/1``) and ``events.jsonl``; all jobs share one
 content-addressed :class:`~repro.cache.EvaluationCache`, so repeat
 traffic on popular designs is served at cache speed.  Each job runs
-in its own runner subprocess and telemetry out-dir — crash containment
-per job, byte-identical QoR to the one-shot CLI.
+in its own runner process (forked by a zygote that has already
+imported the flow) and telemetry out-dir — crash containment per job,
+byte-identical QoR to the one-shot CLI.
 
 See ``docs/serving.md`` for the API and operational semantics, and
 ``benchmarks/bench_serve_load.py`` for the throughput/latency gate.

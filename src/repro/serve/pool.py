@@ -1,17 +1,24 @@
 """Bounded flow-worker pool: the execution half of the job server.
 
 Each worker thread pops one job at a time off the shared queue and
-supervises a **runner subprocess**
-(``python -m repro.serve.runner <job_dir>``).  One process per job is
-the containment boundary the tentpole requires:
+supervises one **runner process** for it.  The runners are forked by a
+single **zygote** child of the daemon
+(``python -m repro.serve.runner --zygote``), started on the first job,
+which has already imported everything a flow or ECO job needs — so a
+job pays neither interpreter start nor numpy / scipy / flow imports.
+Only the zygote forks; the daemon, which runs HTTP threads, never does.
+
+One process per job is still the containment boundary:
 
 * a flow that raises, aborts, is OOM-killed or injected with
   ``REPRO_FAULTS`` takes down only its own process — the daemon marks
   the job ``failed`` and serves the next one;
 * the process-global perf/telemetry/monitor registries stay
-  single-run, so each job's ``status.json`` / ``events.jsonl`` /
-  ``run.json`` are exactly what the one-shot CLI would have written
-  into the same directory (the byte-identity guarantee rides on this);
+  single-run (the zygote never runs a flow, so every runner starts
+  from the state a fresh import leaves), so each job's
+  ``status.json`` / ``events.jsonl`` / ``run.json`` are exactly what
+  the one-shot CLI would have written into the same directory (the
+  byte-identity guarantee rides on this);
 * N workers bound the machine to N concurrent flows no matter how
   deep the queue grows.
 
@@ -29,10 +36,12 @@ from __future__ import annotations
 import json
 import os
 import queue
+import signal
 import subprocess
 import sys
 import threading
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional
 
 from repro.cache import EvaluationCache
 from repro.serve.registry import Job, JobRegistry
@@ -41,14 +50,9 @@ from repro.serve.schemas import ERROR_FILENAME, RUNNER_LOG_FILENAME
 _STOP = object()
 
 
-def _runner_env(job: Job) -> Dict[str, str]:
-    """The runner subprocess environment.
-
-    Inherits the daemon's environment, guarantees the repro package is
-    importable (the daemon may run from a source tree without an
-    installed package), and applies the spec's allow-listed overrides
-    (fault injection).
-    """
+def _daemon_env() -> Dict[str, str]:
+    """The daemon's environment with the repro package importable (the
+    daemon may run from a source tree without an installed package)."""
     env = dict(os.environ)
     import repro
 
@@ -58,6 +62,13 @@ def _runner_env(job: Job) -> Dict[str, str]:
         env["PYTHONPATH"] = (
             package_root + os.pathsep + existing if existing else package_root
         )
+    return env
+
+
+def _runner_env(job: Job) -> Dict[str, str]:
+    """The runner environment: the daemon's, plus the spec's
+    allow-listed overrides (fault injection)."""
+    env = _daemon_env()
     env.update(job.spec.env)
     return env
 
@@ -78,6 +89,22 @@ def _runner_error(job: Job, returncode: int) -> str:
     return f"runner exited with code {returncode}"
 
 
+def _exit_text(code: int) -> str:
+    if code < 0:
+        try:
+            return f"killed by {signal.Signals(-code).name}"
+        except ValueError:
+            return f"killed by signal {-code}"
+    return f"exit code {code}"
+
+
+def _kill(pid: int) -> None:
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def _finished_counters(job: Job) -> Dict[str, int]:
     """Perf counters from the job's run.json (empty when unreadable)."""
     try:
@@ -92,8 +119,130 @@ def _finished_counters(job: Job) -> Dict[str, int]:
         return {}
 
 
+class _ZygoteProcess:
+    """One zygote process and the jobs it has been asked to run."""
+
+    def __init__(self, process: subprocess.Popen) -> None:
+        self.process = process
+        #: job id -> the reply queue of the worker waiting on that job.
+        self.waiting: Dict[str, "queue.Queue"] = {}
+        #: job id -> runner pid, for runners not yet reported finished.
+        self.pids: Dict[str, int] = {}
+
+
+class Zygote:
+    """The daemon's end of ``python -m repro.serve.runner --zygote``.
+
+    Started on the first :meth:`launch` (never at daemon start) with
+    the daemon's own environment; one reader thread per zygote process
+    routes each reply line to the worker waiting on that job.  If the
+    zygote dies, its in-flight runners are killed, their jobs get a
+    diagnosed error, and the next launch starts a new zygote.
+    """
+
+    def __init__(self, cwd: Path) -> None:
+        self._cwd = cwd
+        self._lock = threading.Lock()
+        self._current: Optional[_ZygoteProcess] = None
+        self._closed = False
+
+    @property
+    def pid(self) -> Optional[int]:
+        with self._lock:
+            return self._current.process.pid if self._current else None
+
+    def launch(self, job: Job) -> "queue.Queue":
+        """Ask for a runner for ``job``.  The returned queue yields
+        ``{pid}`` (or ``{error}``), then ``{exit}`` (or ``{error}``)."""
+        replies: "queue.Queue" = queue.Queue()
+        line = json.dumps(
+            {
+                "job": job.id,
+                "dir": str(job.dir),
+                "env": _runner_env(job),
+                "log": str(job.dir / RUNNER_LOG_FILENAME),
+            }
+        ).encode() + b"\n"
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cancelled: server shutting down")
+            zygote = self._current
+            if zygote is None or zygote.process.poll() is not None:
+                zygote = self._current = self._start()
+            zygote.waiting[job.id] = replies
+            try:
+                zygote.process.stdin.write(line)
+                zygote.process.stdin.flush()
+            except OSError:
+                pass  # it died; its reader thread fails the job
+        return replies
+
+    def close(self, timeout: Optional[float] = None) -> None:
+        """Close the zygote's stdin and wait for it: it exits once it
+        has reaped every runner, which lands their resource usage in
+        this process's ``RUSAGE_CHILDREN``."""
+        with self._lock:
+            self._closed = True
+            zygote = self._current
+            if zygote is None:
+                return
+            try:
+                zygote.process.stdin.close()
+            except OSError:
+                pass
+        try:
+            zygote.process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            pass
+
+    def _start(self) -> _ZygoteProcess:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve.runner", "--zygote"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=_daemon_env(),
+            cwd=str(self._cwd),
+        )
+        zygote = _ZygoteProcess(process)
+        threading.Thread(
+            target=self._read,
+            args=(zygote,),
+            name=f"zygote-{process.pid}",
+            daemon=True,
+        ).start()
+        return zygote
+
+    def _read(self, zygote: _ZygoteProcess) -> None:
+        # Each line is one os.write() of under PIPE_BUF bytes: whole.
+        for raw in zygote.process.stdout:
+            reply: Dict[str, Any] = json.loads(raw)
+            job_id = reply["job"]
+            with self._lock:
+                replies = zygote.waiting.get(job_id)
+                if "pid" in reply:
+                    zygote.pids[job_id] = reply["pid"]
+                else:
+                    zygote.waiting.pop(job_id, None)
+                    zygote.pids.pop(job_id, None)
+            if replies is not None:
+                replies.put(reply)
+        code = zygote.process.wait()
+        with self._lock:
+            if self._current is zygote:
+                self._current = None
+            orphans, zygote.waiting = zygote.waiting, {}
+            pids, zygote.pids = list(zygote.pids.values()), {}
+        # Its runners were reparented away from this daemon: stop them
+        # writing into jobs that are about to read failed.
+        for pid in pids:
+            _kill(pid)
+        error = f"runner zygote died ({_exit_text(code)}) while the job ran"
+        for replies in orphans.values():
+            replies.put({"error": error})
+
+
 class FlowWorkerPool:
-    """N worker threads supervising one runner subprocess each."""
+    """N worker threads supervising one runner process each."""
 
     def __init__(
         self,
@@ -107,6 +256,7 @@ class FlowWorkerPool:
         self.registry = registry
         self.cache = cache
         self.job_timeout = job_timeout
+        self.zygote = Zygote(registry.run_root)
         self._queue: "queue.Queue" = queue.Queue()
         self._busy = 0
         self._busy_lock = threading.Lock()
@@ -145,8 +295,8 @@ class FlowWorkerPool:
     # -- shutdown ------------------------------------------------------
     def shutdown(self, timeout: Optional[float] = None) -> List[Job]:
         """Stop accepting work and drain: running jobs finish, jobs
-        still queued are failed as cancelled.  Returns the cancelled
-        jobs."""
+        still queued are failed as cancelled, then the zygote is
+        closed and waited for.  Returns the cancelled jobs."""
         self._closed = True
         cancelled: List[Job] = []
         while True:
@@ -160,6 +310,7 @@ class FlowWorkerPool:
             self._queue.put(_STOP)
         for thread in self._threads:
             thread.join(timeout=timeout)
+        self.zygote.close(timeout=timeout)
         return cancelled
 
     # -- the worker loop -----------------------------------------------
@@ -181,34 +332,27 @@ class FlowWorkerPool:
 
     def _run_job(self, job: Job) -> None:
         self.registry.mark_running(job)
-        command = [
-            sys.executable,
-            "-m",
-            "repro.serve.runner",
-            str(job.dir),
-        ]
-        log_path = job.dir / RUNNER_LOG_FILENAME
-        with open(log_path, "ab") as log:
-            try:
-                process = subprocess.Popen(
-                    command,
-                    stdout=log,
-                    stderr=subprocess.STDOUT,
-                    env=_runner_env(job),
-                    cwd=str(job.dir),
-                )
-                returncode = process.wait(timeout=self.job_timeout)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-                self.registry.mark_failed(
-                    job, f"job exceeded timeout of {self.job_timeout:g}s"
-                )
-                return
-        if returncode == 0 and (job.dir / "result.json").is_file():
+        replies = self.zygote.launch(job)
+        reply = replies.get()
+        if "pid" not in reply:
+            self.registry.mark_failed(job, reply["error"])
+            return
+        self.registry.mark_forked(job, reply["pid"])
+        try:
+            reply = replies.get(timeout=self.job_timeout)
+        except queue.Empty:
+            _kill(job.runner_pid)
+            replies.get()
+            self.registry.mark_failed(
+                job, f"job exceeded timeout of {self.job_timeout:g}s"
+            )
+            return
+        if "exit" not in reply:
+            self.registry.mark_failed(job, reply["error"])
+        elif reply["exit"] == 0 and (job.dir / "result.json").is_file():
             self.registry.mark_done(job, _finished_counters(job))
         else:
-            self.registry.mark_failed(job, _runner_error(job, returncode))
+            self.registry.mark_failed(job, _runner_error(job, reply["exit"]))
 
     def _janitor_gc(self) -> None:
         """Daemon-side LRU sweep of the shared cache.

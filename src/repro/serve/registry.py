@@ -40,6 +40,14 @@ AGGREGATED_COUNTERS = (
 )
 
 
+def _nearest_rank(ordered: List[float], q: float) -> Optional[float]:
+    """Nearest-rank percentile of sorted values (None when empty)."""
+    if not ordered:
+        return None
+    rank = max(1, int(round(q / 100.0 * len(ordered))))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 @dataclass
 class Job:
     """One submitted flow run and its lifecycle bookkeeping."""
@@ -49,7 +57,11 @@ class Job:
     dir: Path
     state: str = "queued"
     created_unix: float = field(default_factory=time.time)
+    #: A worker took the job and asked the zygote for a runner.
     started_unix: Optional[float] = None
+    #: The zygote reported the forked runner's pid.
+    forked_unix: Optional[float] = None
+    runner_pid: Optional[int] = None
     finished_unix: Optional[float] = None
     error: Optional[str] = None
     counters: Dict[str, int] = field(default_factory=dict)
@@ -66,7 +78,9 @@ class Job:
             "state": self.state,
             "created_unix": self.created_unix,
             "started_unix": self.started_unix,
+            "forked_unix": self.forked_unix,
             "finished_unix": self.finished_unix,
+            "runner_pid": self.runner_pid,
             "error": self.error,
             "spec": self.spec.to_dict(),
         }
@@ -155,11 +169,42 @@ class JobRegistry:
         with self._lock:
             return dict(self._totals)
 
+    def latency(self) -> Dict[str, Any]:
+        """Where a job's time goes, server-side: p50 / p95 seconds of
+        ``queue_wait_s`` (created -> started), ``start_s`` (runner
+        requested -> pid reported) and ``run_s`` (started -> finished)
+        over the finished jobs that reached a runner."""
+        with self._lock:
+            ran = [
+                job
+                for job in self._jobs.values()
+                if job.forked_unix is not None
+                and job.finished_unix is not None
+            ]
+            spans = {
+                "queue_wait_s": [j.started_unix - j.created_unix for j in ran],
+                "start_s": [j.forked_unix - j.started_unix for j in ran],
+                "run_s": [j.finished_unix - j.started_unix for j in ran],
+            }
+        out: Dict[str, Any] = {"jobs": len(ran)}
+        for name, values in spans.items():
+            values.sort()
+            out[name] = {
+                "p50": _nearest_rank(values, 50),
+                "p95": _nearest_rank(values, 95),
+            }
+        return out
+
     # -- transitions (worker threads) ----------------------------------
     def mark_running(self, job: Job) -> None:
         with self._lock:
             job.state = "running"
             job.started_unix = time.time()
+
+    def mark_forked(self, job: Job, pid: int) -> None:
+        with self._lock:
+            job.forked_unix = time.time()
+            job.runner_pid = pid
 
     def mark_done(self, job: Job, counters: Dict[str, int]) -> None:
         with self._lock:

@@ -12,13 +12,27 @@ this process with a non-zero exit code and, when possible, a
 ``job_error.json`` diagnosis, while the daemon that spawned it keeps
 serving.  The flow's ``--monitor`` flag additionally leaves a final
 ``failed`` ``status.json`` behind for pollers.
+
+The daemon does not start a fresh interpreter per job.  It keeps one
+**zygote** (``python -m repro.serve.runner --zygote``, see
+:func:`zygote`) that imports :data:`PRELOAD` once and ``os.fork()``\\ s
+a runner per job, so a job pays neither interpreter start nor the
+numpy / scipy / flow imports.  ``python -m repro.serve.runner JOBDIR``
+stays the by-hand entry into the same :func:`main`.
 """
 
 from __future__ import annotations
 
+import gc
+import importlib
 import json
+import os
+import select
+import signal
 import sys
+import traceback
 from pathlib import Path
+from typing import Any, Dict, Tuple
 
 from repro.ioutil import atomic_write_bytes
 from repro.serve.schemas import (
@@ -29,6 +43,18 @@ from repro.serve.schemas import (
     eco_to_argv,
     parse_job_spec,
     spec_to_argv,
+)
+
+#: What the zygote imports before its first fork: the modules a served
+#: flow job and a served ECO job import beyond this module's own
+#: (``sys.modules`` at the end of each, diffed against the zygote's).
+#: ``tests/serve/test_zygote.py`` fails when a job imports anything
+#: this list does not already bring in.
+PRELOAD = (
+    "repro.core.flow",
+    "repro.designs.generator",
+    "repro.eco",
+    "repro.viz.svg",
 )
 
 
@@ -96,5 +122,139 @@ def main(argv=None) -> int:
         return 1
 
 
+# ----------------------------------------------------------------------
+# The zygote
+# ----------------------------------------------------------------------
+def _reply(fd: int, message: Dict[str, Any]) -> None:
+    try:
+        os.write(fd, (json.dumps(message) + "\n").encode())
+    except OSError:
+        pass  # the daemon is gone; stdin EOF ends the loop
+
+
+def _fork_runner(request: Dict[str, Any], private_fds: Tuple[int, ...]) -> int:
+    """Fork one runner for ``request``; returns its pid (in the zygote).
+
+    The child sets itself up as ``python -m repro.serve.runner DIR``
+    would run: the job's environment and working directory, output to
+    ``runner.log``.  It then runs :func:`main` and exits; it never
+    returns.
+    """
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        for fd in private_fds:
+            os.close(fd)
+        log = os.open(
+            request["log"], os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        )
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        os.close(log)
+        os.environ.clear()
+        os.environ.update(request["env"])
+        os.chdir(request["dir"])
+        sys.argv[1:] = [request["dir"]]
+        code = main([request["dir"]])
+    except BaseException:
+        # Never re-raised: the child must not unwind into the zygote's
+        # loop.  The traceback goes to runner.log (or, before the log
+        # was opened, the daemon's stderr).
+        traceback.print_exc()
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except Exception:
+                pass
+        os._exit(code)
+
+
+def zygote() -> int:
+    """Fork one runner per request line until stdin closes.
+
+    Protocol (JSON lines): the daemon writes ``{job, dir, env, log}``
+    on stdin; the zygote answers ``{job, pid}`` as soon as it has
+    forked, and ``{job, exit}`` once it has reaped that runner (a
+    negative exit is the killing signal, as in ``Popen.returncode``),
+    or ``{job, error}`` if it could not fork.  After stdin closes it
+    reaps every runner still running and exits, so their resource
+    usage reaches the daemon's ``RUSAGE_CHILDREN``.
+    """
+    # The protocol moves off fds 0/1: a stray print in this process
+    # goes to the daemon's stderr, and a runner starts from /dev/null.
+    proto_in, proto_out = os.dup(0), os.dup(1)
+    null = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(null, 0)
+    os.close(null)
+    os.dup2(2, 1)
+    # ^C on the daemon's terminal reaches the whole process group; the
+    # daemon drains, and this process must outlive that drain.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    for name in PRELOAD:
+        importlib.import_module(name)
+    # Everything imported so far is shared with every runner: keep the
+    # runners' collector off those pages.
+    gc.freeze()
+
+    wake_in, wake_out = os.pipe()
+    os.set_blocking(wake_in, False)
+    os.set_blocking(wake_out, False)
+    signal.set_wakeup_fd(wake_out)
+    signal.signal(signal.SIGCHLD, lambda *_: None)
+    private_fds = (proto_in, proto_out, wake_in, wake_out)
+
+    running: Dict[int, str] = {}
+    pending = b""
+    reading = True
+    while reading or running:
+        ready, _, _ = select.select(
+            [proto_in, wake_in] if reading else [wake_in], [], []
+        )
+        if wake_in in ready:
+            try:
+                while os.read(wake_in, 512):
+                    pass
+            except BlockingIOError:
+                pass
+        while running:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+            if not pid:
+                break
+            _reply(
+                proto_out,
+                {
+                    "job": running.pop(pid),
+                    "exit": os.waitstatus_to_exitcode(status),
+                },
+            )
+        if proto_in not in ready:
+            continue
+        chunk = os.read(proto_in, 65536)
+        if not chunk:
+            reading = False
+            continue
+        *lines, pending = (pending + chunk).split(b"\n")
+        for line in lines:
+            request = json.loads(line)
+            try:
+                pid = _fork_runner(request, private_fds)
+            except OSError as exc:
+                error = f"cannot fork a runner: {exc}"
+                _reply(proto_out, {"job": request["job"], "error": error})
+                continue
+            running[pid] = request["job"]
+            _reply(proto_out, {"job": request["job"], "pid": pid})
+    return 0
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())
+    sys.exit(zygote() if sys.argv[1:] == ["--zygote"] else main())

@@ -5,7 +5,7 @@ The daemon is three long-lived pieces wired together:
 * a :class:`~repro.serve.registry.JobRegistry` (job table + job dirs
   under the run root),
 * a :class:`~repro.serve.pool.FlowWorkerPool` (bounded concurrency,
-  one runner subprocess per job),
+  one runner process per job, forked by a preloaded zygote),
 * one shared :class:`~repro.cache.EvaluationCache` every job reads
   and writes, so repeat traffic on popular designs is served warm.
 
@@ -60,6 +60,10 @@ from repro.serve.schemas import (
 #: so clients (and the load bench) can discover the ephemeral port.
 SERVER_FILENAME = "server.json"
 
+#: Largest request body the daemon reads (a job spec or an edit script
+#: is a few KiB); a larger declared ``Content-Length`` is a ``413``.
+MAX_BODY_BYTES = 1 << 20
+
 
 def _response(status: int, body: Dict[str, Any]) -> Dict[str, Any]:
     """The Kuree-style handler framing: one dict per response."""
@@ -76,10 +80,11 @@ class ServeApp:
         workers: int = 2,
         job_timeout: Optional[float] = None,
     ) -> None:
-        self.run_root = Path(run_root)
+        # Absolute: every runner works inside its own job directory.
+        self.run_root = Path(run_root).resolve()
         self.run_root.mkdir(parents=True, exist_ok=True)
         self.cache_dir = str(
-            Path(cache_dir) if cache_dir else self.run_root / "cache"
+            Path(cache_dir).resolve() if cache_dir else self.run_root / "cache"
         )
         self.cache = EvaluationCache(self.cache_dir)
         self.registry = JobRegistry(str(self.run_root))
@@ -355,6 +360,7 @@ class ServeApp:
                 "workers": self.pool.workers,
                 "busy_workers": self.pool.busy,
                 "jobs": self.registry.counts(),
+                "latency": self.registry.latency(),
                 "cache": cache_block,
             },
         )
@@ -389,7 +395,23 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self) -> None:
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
         body = None
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # The body's end is unknown: reply and drop the connection.
+            self._reply(
+                400,
+                {"error": "Content-Length must be a non-negative integer"},
+                close=True,
+            )
+            return
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self._reply(
+                413,
+                {"error": f"request body over {MAX_BODY_BYTES} bytes"},
+                close=True,
+            )
+            return
         if length:
             raw = self.rfile.read(length)
             try:
@@ -402,11 +424,15 @@ class _Handler(BaseHTTPRequestHandler):
         if response.get("final"):
             app.request_exit()
 
-    def _reply(self, status: int, body: Dict[str, Any]) -> None:
+    def _reply(
+        self, status: int, body: Dict[str, Any], close: bool = False
+    ) -> None:
         data = json.dumps(body, sort_keys=True).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         try:
             self.wfile.write(data)
