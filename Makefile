@@ -1,4 +1,4 @@
-.PHONY: install test bench tables clean lint perf-smoke resume-smoke bench-flow cache-smoke bench-scale bench-scale-full monitor-smoke serve-smoke fleet-smoke eco-smoke spine-smoke
+.PHONY: install test bench tables clean lint perf-smoke resume-smoke bench-flow cache-smoke monitor-smoke serve-smoke fleet-smoke eco-smoke spine-smoke
 
 install:
 	pip install -e .
@@ -40,20 +40,6 @@ bench-flow:
 	python -m repro report diff \
 		benchmarks/results/bench_flow_baseline.json bench-flow/run.json \
 		--rel 0 --stream qor.aes.hpwl
-
-# Array-native netlist-core scaling smoke (docs/performance.md "Array-
-# native core"): measures hypergraph/STA construction of the arrays
-# path and bytes per instance of both representations at 100k, writes
-# BENCH_scale.json and gates the arrays path on build wall, peak RSS
-# and the >=5x bytes advantage over the object graph.
-bench-scale:
-	timeout 600 python benchmarks/bench_scale.py --smoke --gate \
-		--json benchmarks/results/BENCH_scale.json
-
-# Full ladder (10k -> 1M instances; the 1M rung is arrays-only).
-bench-scale-full:
-	timeout 900 python benchmarks/bench_scale.py \
-		--json benchmarks/results/BENCH_scale.json
 
 # Cross-run cache smoke: run the aes flow twice against one --cache
 # directory and require (a) the second run to serve its V-P&R items

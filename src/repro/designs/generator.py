@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from repro.designs import enablements
 from repro.netlist.design import (
@@ -98,7 +97,58 @@ class DesignSpec:
         for required in ("name", "num_instances"):
             if required not in params:
                 raise ValueError(f"generator design requires {required!r}")
-        return cls(**params)
+        hints = get_type_hints(cls)
+        return cls(
+            **{name: _checked(name, v, hints[name]) for name, v in params.items()}
+        )
+
+
+_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_COUNT = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v >= 1, ">= 1")
+#: What :meth:`DesignSpec.from_params` accepts of each field beyond its
+#: annotated type (``seed``, absent here, takes any integer).
+_RANGES = {
+    "name": (lambda v: v != "", "a non-empty string"),
+    "num_instances": _POSITIVE,
+    "seq_fraction": _UNIT,
+    "hierarchy_depth": _COUNT,
+    "hierarchy_branching": _POSITIVE,
+    "locality": _UNIT,
+    "sibling_bias": _UNIT,
+    "num_macros": _COUNT,
+    "num_ports": _COUNT,
+    "clock_period": (lambda v: v > 0, "> 0"),
+    "target_utilization": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "high_fanout_nets": _COUNT,
+    "logic_depth": _POSITIVE,
+    "critical_chains": _COUNT,
+    "enablement": (
+        lambda v: v in enablements.available(),
+        f"one of {enablements.available()}",
+    ),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+
+
+def _checked(name: str, value: object, hint: object) -> object:
+    """``value`` as DesignSpec field ``name`` of annotated type ``hint``,
+    inside the field's :data:`_RANGES`: a bool is not an integer, an
+    integer is accepted (as a float) where a float is expected, and
+    ``Optional`` admits None.  ``ValueError`` naming the field otherwise."""
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        want = _TYPE_NAMES[kind] + (" or null" if len(kinds) > 1 else "")
+    else:
+        accepts, want = _RANGES.get(name, (None, ""))
+        if accepts is None or accepts(value):
+            return value
+    raise ValueError(f"DesignSpec field {name!r} must be {want}; got {value!r}")
 
 
 @dataclass
@@ -525,341 +575,6 @@ def _place_ports(design: Design) -> None:
             port.x, port.y = t - fp.die_width - fp.die_height, fp.die_height
         else:
             port.x, port.y = 0.0, t - 2 * fp.die_width - fp.die_height
-
-
-# ----------------------------------------------------------------------
-# Array-native fast path
-# ----------------------------------------------------------------------
-def _pick_drivers(
-    rng: np.random.Generator,
-    tgt: np.ndarray,
-    sink_rank: np.ndarray,
-    cum_below: np.ndarray,
-    mod_start: np.ndarray,
-    seq_start: np.ndarray,
-    seq_count: np.ndarray,
-    num_instances: int,
-    n_in_ports: int,
-) -> np.ndarray:
-    """Vectorized driver choice for a batch of sinks.
-
-    Picks uniformly among the rank-eligible combinational cells of each
-    sink's target module (``cum_below[m, r]`` counts module ``m``'s comb
-    cells with rank strictly below ``r``; the instance sort guarantees
-    they occupy the first ``cum_below[m, r]`` positions of the module
-    block).  Falls back to a module flip-flop, then to a random input
-    port.  Returns driver codes: an instance index, or
-    ``num_instances + input-port index``.
-    """
-    k = len(tgt)
-    eligible = cum_below[tgt, sink_rank]
-    comb = mod_start[tgt] + np.floor(rng.random(k) * eligible).astype(np.int64)
-    sc = seq_count[tgt]
-    ff = seq_start[tgt] + np.floor(rng.random(k) * np.maximum(sc, 1)).astype(np.int64)
-    no_comb = eligible == 0
-    drv = np.where(no_comb, ff, comb)
-    use_port = no_comb & (sc == 0)
-    ports = num_instances + rng.integers(0, n_in_ports, size=k)
-    return np.where(use_port, ports, drv)
-
-
-def generate_arrays(spec: DesignSpec) -> "NetlistArrays":
-    """Generate a design directly in its flat array form.
-
-    Builds a :class:`repro.netlist.arrays.NetlistArrays` without ever
-    constructing the linked object graph, which is what makes
-    million-instance synthetic designs practical (seconds and tens of
-    bytes per instance instead of minutes and kilobytes).  The
-    statistical model matches :func:`generate_design` — same cell mix,
-    sequential fraction, leaf-module sizing, rank-ordered DAG edges
-    (driver rank strictly below sink rank, so the timing graph is
-    acyclic), hierarchical locality, high-fanout control nets, IO
-    count, floorplan sizing and port ring — but streams are drawn from
-    NumPy's bit generator, so a given seed yields a *different*
-    (equally distributed) netlist than the object path.  Macros,
-    critical chains and sibling bias are not modelled.
-
-    Use :meth:`NetlistArrays.to_design` to materialize an object view
-    when one is needed.
-    """
-    from repro.netlist.arrays import (
-        DIR_INPUT,
-        DIR_OUTPUT,
-        NetlistArrays,
-        flatten_masters,
-        multi_arange,
-    )
-
-    if spec.num_macros:
-        raise ValueError(
-            "generate_arrays does not model macros; use generate_design"
-        )
-
-    rng = np.random.default_rng(spec.seed)
-    enablement = enablements.get_enablement(spec.enablement)
-    masters = enablement.make_library()
-    pool_index: Dict[str, int] = {}
-    name_pool: List[str] = []
-    t = flatten_masters(masters, pool_index, name_pool)
-    name_to_mi = {nm: i for i, nm in enumerate(t.names)}
-    n_masters = len(t.names)
-
-    # Per-master pin shape: non-clock input slots (declaration order),
-    # first output slot (the "Y"/"Q" drive pin) and the clock slot.
-    mp_ptr_l = t.mp_ptr.tolist()
-    in_slots: List[int] = []
-    in_off_l = [0]
-    out_first = np.full(n_masters, -1, dtype=np.int64)
-    clk_slot = np.full(n_masters, -1, dtype=np.int64)
-    for mi in range(n_masters):
-        for s in range(mp_ptr_l[mi], mp_ptr_l[mi + 1]):
-            if t.mp_dir[s] == DIR_OUTPUT:
-                if out_first[mi] < 0:
-                    out_first[mi] = s
-            elif t.mp_is_clock[s]:
-                clk_slot[mi] = s
-            elif t.mp_dir[s] == DIR_INPUT:
-                in_slots.append(s)
-        in_off_l.append(len(in_slots))
-    in_slots_a = np.asarray(in_slots, dtype=np.int64)
-    in_off = np.asarray(in_off_l, dtype=np.int64)
-    in_count = np.diff(in_off)
-
-    # -- instances: master / module / rank streams ---------------------
-    n = spec.num_instances
-    depth = max(1, spec.logic_depth)
-    comb_ids = np.asarray([name_to_mi[nm] for nm, _w in enablement.comb_mix])
-    comb_p = np.asarray([w for _nm, w in enablement.comb_mix], dtype=np.float64)
-    seq_ids = np.asarray([name_to_mi[nm] for nm, _w in enablement.seq_mix])
-    seq_p = np.asarray([w for _nm, w in enablement.seq_mix], dtype=np.float64)
-
-    is_seq = rng.random(n) < spec.seq_fraction
-    n_seq = int(is_seq.sum())
-    inst_master = np.empty(n, dtype=np.int64)
-    inst_master[~is_seq] = rng.choice(comb_ids, size=n - n_seq, p=comb_p / comb_p.sum())
-    inst_master[is_seq] = rng.choice(seq_ids, size=n_seq, p=seq_p / seq_p.sum())
-    #: Comb rank in [0, depth); FFs get the sentinel rank ``depth`` so
-    #: one eligibility table serves both (any comb cell may drive a D pin).
-    rank = np.where(is_seq, depth, rng.integers(0, depth, size=n))
-
-    min_leaf = max(20, spec.hierarchy_branching * 10)
-    leaf = max(min_leaf, n // max(1, spec.hierarchy_branching**spec.hierarchy_depth))
-    n_modules = max(1, -(-n // leaf))
-    inst_module = rng.integers(0, n_modules, size=n)
-
-    # Sort by (module, is_seq, rank): each module becomes one block of
-    # rank-sorted comb cells followed by its FFs, so rank-eligible
-    # drivers are a prefix of the module block.
-    order = np.lexsort((rank, is_seq, inst_module))
-    inst_master = inst_master[order]
-    is_seq = is_seq[order]
-    rank = rank[order]
-    inst_module = inst_module[order]
-
-    mod_start = np.searchsorted(inst_module, np.arange(n_modules), side="left")
-    comb_count = np.bincount(inst_module[~is_seq], minlength=n_modules)
-    seq_count = np.bincount(inst_module[is_seq], minlength=n_modules)
-    seq_start = mod_start + comb_count
-    hist = np.bincount(
-        inst_module[~is_seq] * depth + rank[~is_seq], minlength=n_modules * depth
-    ).reshape(n_modules, depth)
-    cum_below = np.concatenate(
-        [np.zeros((n_modules, 1), dtype=np.int64), np.cumsum(hist, axis=1)], axis=1
-    )
-
-    # -- IO budget (matches _add_ports) --------------------------------
-    n_ports = spec.num_ports
-    if n_ports is None:
-        n_ports = max(16, int(4 * math.sqrt(n)))
-    n_in = max(2, int(n_ports * 0.6))
-    n_out = max(2, n_ports - n_in)
-
-    # -- one sink row per non-clock input pin --------------------------
-    nin = in_count[inst_master]
-    n_sinks = int(nin.sum())
-    sink_inst = np.repeat(np.arange(n, dtype=np.int64), nin)
-    local_pos = multi_arange(np.zeros(n, dtype=np.int64), nin)
-    sink_slot = in_slots_a[in_off[inst_master[sink_inst]] + local_pos]
-    sink_rank = rank[sink_inst]
-    home = inst_module[sink_inst]
-    local = rng.random(n_sinks) < spec.locality
-    tgt = np.where(local, home, rng.integers(0, n_modules, size=n_sinks))
-    driver_code = _pick_drivers(
-        rng, tgt, sink_rank, cum_below, mod_start, seq_start, seq_count, n, n_in
-    )
-
-    # High-fanout control nets: a few FF outputs grab 20-60 random
-    # sinks each (reset / enable trees).
-    seq_global = np.flatnonzero(is_seq)
-    if spec.high_fanout_nets and len(seq_global) and n_sinks:
-        fan = rng.integers(20, 61, size=spec.high_fanout_nets)
-        total = int(min(fan.sum(), n_sinks))
-        rows = rng.choice(n_sinks, size=total, replace=False)
-        drivers = rng.choice(seq_global, size=spec.high_fanout_nets)
-        driver_code[rows] = np.repeat(drivers, fan)[:total]
-
-    # Output ports load a random driver (rank-unconstrained).
-    tgt_o = rng.integers(0, n_modules, size=n_out)
-    out_driver = _pick_drivers(
-        rng,
-        tgt_o,
-        np.full(n_out, depth, dtype=np.int64),
-        cum_below,
-        mod_start,
-        seq_start,
-        seq_count,
-        n,
-        n_in,
-    )
-
-    # -- group sinks by driver: one net per driver ---------------------
-    all_driver = np.concatenate([driver_code, out_driver])
-    all_inst = np.concatenate([sink_inst, np.full(n_out, -1, dtype=np.int64)])
-    all_slot = np.concatenate([sink_slot, np.full(n_out, -1, dtype=np.int64)])
-    all_port = np.concatenate(
-        [np.full(n_sinks, -1, dtype=np.int64), n_in + np.arange(n_out, dtype=np.int64)]
-    )
-    order_s = np.argsort(all_driver, kind="stable")
-    ds = all_driver[order_s]
-    uniq_d, first = np.unique(ds, return_index=True)
-    d_counts = np.diff(np.append(first, len(ds)))
-
-    # -- ports (insertion order: inputs, outputs, clk) -----------------
-    port_names = (
-        [f"in{i}" for i in range(n_in)]
-        + [f"out{i}" for i in range(n_out)]
-        + ["clk"]
-    )
-    p_total = len(port_names)
-    port_name_idx = np.empty(p_total, dtype=np.int32)
-    for pi, pname in enumerate(port_names):
-        idx = pool_index.get(pname)
-        if idx is None:
-            idx = len(name_pool)
-            pool_index[pname] = idx
-            name_pool.append(pname)
-        port_name_idx[pi] = idx
-    port_dir = np.full(p_total, DIR_INPUT, dtype=np.int8)
-    port_dir[n_in : n_in + n_out] = DIR_OUTPUT
-    port_cap = np.full(p_total, 2.0, dtype=np.float64)
-
-    # -- net/pin CSR: signal nets (driver first), then the clock net ---
-    clk_of = clk_slot[inst_master]
-    clk_insts = np.flatnonzero(is_seq & (clk_of >= 0))
-    n_signal = len(uniq_d)
-    deg = np.concatenate([d_counts + 1, [1 + len(clk_insts)]])
-    net_ptr = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
-    q = int(net_ptr[-1])
-    pin_inst = np.empty(q, dtype=np.int64)
-    pin_port = np.full(q, -1, dtype=np.int64)
-    pin_slot = np.full(q, -1, dtype=np.int64)
-    pin_name = np.empty(q, dtype=np.int32)
-
-    drv_pos = net_ptr[:n_signal]
-    is_port_drv = uniq_d >= n
-    inst_safe = np.where(is_port_drv, 0, uniq_d)
-    dslot = out_first[inst_master[inst_safe]]
-    port_safe = np.where(is_port_drv, uniq_d - n, 0)
-    pin_inst[drv_pos] = np.where(is_port_drv, -1, uniq_d)
-    pin_port[drv_pos] = np.where(is_port_drv, uniq_d - n, -1)
-    pin_slot[drv_pos] = np.where(is_port_drv, -1, dslot)
-    pin_name[drv_pos] = np.where(
-        is_port_drv, port_name_idx[port_safe], t.mp_name_idx[np.maximum(dslot, 0)]
-    )
-
-    sink_pos = multi_arange(drv_pos + 1, d_counts)
-    si = all_inst[order_s]
-    sp = all_port[order_s]
-    ss = all_slot[order_s]
-    pin_inst[sink_pos] = si
-    pin_port[sink_pos] = sp
-    pin_slot[sink_pos] = ss
-    pin_name[sink_pos] = np.where(
-        ss >= 0,
-        t.mp_name_idx[np.maximum(ss, 0)],
-        port_name_idx[np.maximum(sp, 0)],
-    )
-
-    c0 = int(net_ptr[n_signal])
-    pin_inst[c0] = -1
-    pin_port[c0] = p_total - 1
-    pin_name[c0] = port_name_idx[-1]
-    if len(clk_insts):
-        pin_inst[c0 + 1 :] = clk_insts
-        cs = clk_of[clk_insts]
-        pin_slot[c0 + 1 :] = cs
-        pin_name[c0 + 1 :] = t.mp_name_idx[cs]
-
-    n_nets = n_signal + 1
-    net_has_driver = np.ones(n_nets, dtype=bool)
-    net_is_clock = np.zeros(n_nets, dtype=bool)
-    net_is_clock[-1] = True
-
-    # -- floorplan + port ring (matches _size_floorplan/_place_ports) --
-    cell_area = float(
-        np.sum(t.scalars[inst_master, 0] * t.scalars[inst_master, 1])
-    )
-    margin = max(2.0 * enablement.row_height, 0.5)
-    side = math.sqrt(cell_area / spec.target_utilization) + 2 * margin
-    sorted_idx = np.asarray(
-        sorted(range(p_total), key=port_names.__getitem__), dtype=np.int64
-    )
-    tpos = (np.arange(p_total, dtype=np.float64) + 0.5) / p_total * (4 * side)
-    xs = np.empty(p_total)
-    ys = np.empty(p_total)
-    m_bot = tpos < side
-    m_right = ~m_bot & (tpos < 2 * side)
-    m_top = ~m_bot & ~m_right & (tpos < 3 * side)
-    m_left = ~(m_bot | m_right | m_top)
-    xs[m_bot], ys[m_bot] = tpos[m_bot], 0.0
-    xs[m_right], ys[m_right] = side, tpos[m_right] - side
-    xs[m_top], ys[m_top] = tpos[m_top] - 2 * side, side
-    xs[m_left], ys[m_left] = 0.0, tpos[m_left] - 3 * side
-    port_x = np.empty(p_total)
-    port_y = np.empty(p_total)
-    port_x[sorted_idx] = xs
-    port_y[sorted_idx] = ys
-
-    return NetlistArrays(
-        name=spec.name,
-        floorplan=(side, side, margin, enablement.row_height, spec.target_utilization),
-        clock_period=spec.clock_period,
-        clock_port="clk",
-        name_pool=name_pool,
-        master_names=t.names,
-        master_classes=t.classes,
-        m_width=t.scalars[:, 0],
-        m_height=t.scalars[:, 1],
-        m_is_seq=t.flags[:, 0],
-        m_is_macro=t.flags[:, 1],
-        m_intrinsic=t.scalars[:, 2],
-        m_drive=t.scalars[:, 3],
-        m_clk_to_q=t.scalars[:, 4],
-        m_setup=t.scalars[:, 5],
-        m_hold=t.scalars[:, 6],
-        m_leakage=t.scalars[:, 7],
-        m_energy=t.scalars[:, 8],
-        mp_ptr=t.mp_ptr,
-        mp_name_idx=t.mp_name_idx,
-        mp_dir=t.mp_dir,
-        mp_is_clock=t.mp_is_clock,
-        mp_cap=t.mp_cap,
-        inst_master=inst_master,
-        port_name_idx=port_name_idx,
-        port_dir=port_dir,
-        port_x=port_x,
-        port_y=port_y,
-        port_cap=port_cap,
-        net_ptr=net_ptr,
-        net_has_driver=net_has_driver,
-        net_is_clock=net_is_clock,
-        net_weight=np.ones(n_nets, dtype=np.float64),
-        net_activity=np.zeros(n_nets, dtype=np.float64),
-        pin_inst=pin_inst,
-        pin_port=pin_port,
-        pin_name_idx=pin_name,
-        pin_slot=pin_slot,
-    )
 
 
 def _preplace_macros(

@@ -21,8 +21,7 @@ The flow's hot consumers — hypergraph construction
 (:class:`repro.sta.graph.TimingGraph`), placer netlist extraction
 (:meth:`placement_csr`), HPWL/routing pin gathers (:meth:`pin_vertex_csr`)
 and ML feature extraction — read these arrays directly instead of
-walking the linked object graph, which is what lets the repo scale to
-paper-sized (million-instance) netlists.
+walking the linked object graph.
 
 Caching and invalidation
 ------------------------
@@ -41,12 +40,11 @@ swaps masters in place) and port coordinates are re-gathered from the
 object view by the ``current_*`` accessors, so consumers always see
 live values while the expensive connectivity flattening is reused.
 
-A :class:`NetlistArrays` can also be built directly (no object graph at
-all) — the array-native fast path of :mod:`repro.designs.generator`
-does exactly that for million-instance synthetic designs — and
-materialized into an object-view :class:`Design` with :meth:`to_design`
-(digest-identical to a design built through the construction API),
-which then holds these arrays as its cached form.
+A :class:`NetlistArrays` can also be built directly from its columns —
+that is how :func:`repro.netlist.snapshot.design_from_snapshot` decodes
+— and materialized into an object-view :class:`Design` with
+:meth:`to_design` (digest-identical to a design built through the
+construction API), which then holds these arrays as its cached form.
 """
 
 from __future__ import annotations
@@ -159,11 +157,9 @@ def check_columns(
 
 
 def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + c)`` for each (start, count).
-
-    The classic vectorized gather used throughout the flat kernels
-    (same construction as :func:`repro.sta.flat._gather_ranges`).
-    """
+    """Concatenation of ``arange(s, s + c)`` for each (start, count):
+    the classic vectorized gather every flat kernel (netlist, STA, ML
+    features) uses."""
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     nonzero = counts > 0
@@ -179,92 +175,6 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if len(starts) > 1:
         out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
     return np.cumsum(out)
-
-
-class _MasterTables:
-    """Flattened master-cell library tables (see :func:`flatten_masters`)."""
-
-    __slots__ = (
-        "names",
-        "classes",
-        "scalars",
-        "flags",
-        "mp_ptr",
-        "mp_name_idx",
-        "mp_dir",
-        "mp_is_clock",
-        "mp_cap",
-        "index_of",
-        "slot_of",
-    )
-
-
-def flatten_masters(
-    masters: Dict[str, "MasterCell"],
-    pool_index: Dict[str, int],
-    name_pool: List[str],
-) -> _MasterTables:
-    """Flatten a master-cell dict into typed tables.
-
-    Pin names are interned into ``name_pool`` (extended in place via
-    ``pool_index``).  Shared by :meth:`NetlistArrays.from_design` and
-    the array-native generator fast path.
-    """
-
-    def intern(name: str) -> int:
-        idx = pool_index.get(name)
-        if idx is None:
-            idx = len(name_pool)
-            pool_index[name] = idx
-            name_pool.append(name)
-        return idx
-
-    t = _MasterTables()
-    t.names = []
-    t.classes = []
-    t.index_of = {}
-    t.slot_of = {}
-    scalars: List[Tuple[float, ...]] = []
-    flags: List[Tuple[bool, bool]] = []
-    mp_counts: List[int] = []
-    t.mp_name_idx = []
-    t.mp_dir = []
-    t.mp_is_clock = []
-    t.mp_cap = []
-    for name, m in masters.items():
-        mi = len(t.names)
-        t.index_of[id(m)] = mi
-        t.names.append(name)
-        t.classes.append(m.cell_class)
-        scalars.append(
-            (
-                m.width,
-                m.height,
-                m.intrinsic_delay,
-                m.drive_resistance,
-                m.clk_to_q,
-                m.setup_time,
-                m.hold_time,
-                m.leakage_power,
-                m.internal_energy,
-            )
-        )
-        flags.append((m.is_sequential, m.is_macro))
-        mp_counts.append(len(m.pins))
-        for pin in m.pins.values():
-            t.slot_of[(mi, pin.name)] = len(t.mp_name_idx)
-            t.mp_name_idx.append(intern(pin.name))
-            t.mp_dir.append(_DIR_CODE[pin.direction])
-            t.mp_is_clock.append(pin.is_clock)
-            t.mp_cap.append(pin.capacitance)
-    t.scalars = np.asarray(scalars, dtype=np.float64).reshape(-1, 9)
-    t.flags = np.asarray(flags, dtype=bool).reshape(-1, 2)
-    t.mp_ptr = np.concatenate(([0], np.cumsum(mp_counts))).astype(np.int64)
-    t.mp_name_idx = np.asarray(t.mp_name_idx, dtype=np.int32)
-    t.mp_dir = np.asarray(t.mp_dir, dtype=np.int8)
-    t.mp_is_clock = np.asarray(t.mp_is_clock, dtype=bool)
-    t.mp_cap = np.asarray(t.mp_cap, dtype=np.float64)
-    return t
 
 
 class NetlistArrays:
@@ -476,25 +386,6 @@ class NetlistArrays:
         """Port names in insertion order."""
         pool = self.name_pool
         return [pool[i] for i in self.port_name_idx.tolist()]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the typed arrays (the netlist-core footprint).
-
-        Interned name lists are excluded: they belong to the object
-        view (and are shared with it when one exists).
-        """
-        total = 0
-        for value in self.__dict__.values():
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-            elif isinstance(value, tuple):
-                total += sum(
-                    v.nbytes for v in value if isinstance(v, np.ndarray)
-                )
-            elif isinstance(value, dict):
-                total += sum(v.nbytes for memo in value.values() for v in memo)
-        return total
 
     # ------------------------------------------------------------------
     # Memoised derived structure
@@ -799,12 +690,45 @@ class NetlistArrays:
             return idx
 
         # -- masters ---------------------------------------------------
-        t = flatten_masters(design.masters, pool_index, name_pool)
-        master_index = t.index_of
-        slot_of = t.slot_of
-        mp_name_list = t.mp_name_idx.tolist()
-        scalars = t.scalars
-        flags = t.flags
+        master_names: List[str] = []
+        master_classes: List[str] = []
+        master_index: Dict[int, int] = {}
+        slot_of: Dict[Tuple[int, str], int] = {}
+        scalar_rows: List[Tuple[float, ...]] = []
+        flag_rows: List[Tuple[bool, bool]] = []
+        mp_counts: List[int] = []
+        mp_name_list: List[int] = []
+        mp_dir: List[int] = []
+        mp_is_clock: List[bool] = []
+        mp_cap: List[float] = []
+        for name, m in design.masters.items():
+            mi = len(master_names)
+            master_index[id(m)] = mi
+            master_names.append(name)
+            master_classes.append(m.cell_class)
+            scalar_rows.append(
+                (
+                    m.width,
+                    m.height,
+                    m.intrinsic_delay,
+                    m.drive_resistance,
+                    m.clk_to_q,
+                    m.setup_time,
+                    m.hold_time,
+                    m.leakage_power,
+                    m.internal_energy,
+                )
+            )
+            flag_rows.append((m.is_sequential, m.is_macro))
+            mp_counts.append(len(m.pins))
+            for pin in m.pins.values():
+                slot_of[(mi, pin.name)] = len(mp_name_list)
+                mp_name_list.append(intern(pin.name))
+                mp_dir.append(_DIR_CODE[pin.direction])
+                mp_is_clock.append(pin.is_clock)
+                mp_cap.append(pin.capacitance)
+        scalars = np.asarray(scalar_rows, dtype=np.float64).reshape(-1, 9)
+        flags = np.asarray(flag_rows, dtype=bool).reshape(-1, 2)
 
         # -- instances -------------------------------------------------
         instances = design.instances
@@ -881,8 +805,8 @@ class NetlistArrays:
             clock_period=design.clock_period,
             clock_port=design.clock_port,
             name_pool=name_pool,
-            master_names=t.names,
-            master_classes=t.classes,
+            master_names=master_names,
+            master_classes=master_classes,
             m_width=scalars[:, 0],
             m_height=scalars[:, 1],
             m_is_seq=flags[:, 0],
@@ -894,11 +818,11 @@ class NetlistArrays:
             m_hold=scalars[:, 6],
             m_leakage=scalars[:, 7],
             m_energy=scalars[:, 8],
-            mp_ptr=t.mp_ptr,
-            mp_name_idx=t.mp_name_idx,
-            mp_dir=t.mp_dir,
-            mp_is_clock=t.mp_is_clock,
-            mp_cap=t.mp_cap,
+            mp_ptr=np.concatenate(([0], np.cumsum(mp_counts))).astype(np.int64),
+            mp_name_idx=np.asarray(mp_name_list, dtype=np.int32),
+            mp_dir=np.asarray(mp_dir, dtype=np.int8),
+            mp_is_clock=np.asarray(mp_is_clock, dtype=bool),
+            mp_cap=np.asarray(mp_cap, dtype=np.float64),
             inst_master=inst_master,
             port_name_idx=np.asarray(port_name_idx, dtype=np.int32),
             port_dir=np.asarray(port_dir, dtype=np.int8),
@@ -1063,6 +987,5 @@ class NetlistArrays:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"NetlistArrays({self.name!r}, insts={self.num_instances}, "
-            f"nets={self.num_nets}, pins={self.num_pins}, "
-            f"bytes={self.nbytes})"
+            f"nets={self.num_nets}, pins={self.num_pins})"
         )

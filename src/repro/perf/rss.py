@@ -6,13 +6,13 @@ One implementation of the RSS questions the repo keeps asking:
   ``/proc/self/statm`` (field 2, in pages).  This is what a live
   sampler wants: it goes down when memory is released.
 * :func:`peak_rss_bytes` — the high-water mark since process start,
-  from ``resource.getrusage`` (``ru_maxrss``).  This is what a
-  benchmark gate wants: it never under-reports a transient spike
-  between samples.
+  from ``resource.getrusage`` (``ru_maxrss``).  This is what a peak
+  report wants: it never under-reports a transient spike between
+  samples.
 
-Consumers: the :mod:`repro.monitor` resource sampler (live
-``monitor.rss`` timeline + per-stage peaks) and
-``benchmarks/bench_scale.py`` (peak-RSS scaling gates).
+Consumer: the :mod:`repro.monitor` resource sampler (live
+``monitor.rss`` timeline, per-stage peaks, and a run peak floored by
+:func:`peak_rss_bytes`).
 
 On platforms without ``/proc`` the current-RSS probe falls back to the
 peak (documented, monotone, still useful for ceilings); ``ru_maxrss``

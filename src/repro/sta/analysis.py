@@ -29,9 +29,10 @@ from typing import Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from repro import obs
+from repro.netlist.arrays import multi_arange
 from repro.netlist.design import Net
 from repro.sta.delay import FanoutWireModel, RoutedWireModel, WireDelayModel
-from repro.sta.flat import FlatTiming, _gather_ranges, flat_for
+from repro.sta.flat import FlatTiming, flat_for
 from repro.sta.graph import TimingGraph, timing_graph_for
 
 #: Clock period used when the design is unconstrained (effectively
@@ -362,13 +363,13 @@ class TimingAnalyzer:
                 flat.net_pincap[nets] + model.c_per_um * wl
             )
             warcs = flat.wnet_arcs[
-                _gather_ranges(
+                multi_arange(
                     flat.wnet_indptr[nets],
                     flat.wnet_indptr[nets + 1] - flat.wnet_indptr[nets],
                 )
             ]
             carcs = flat.lnet_arcs[
-                _gather_ranges(
+                multi_arange(
                     flat.lnet_indptr[nets],
                     flat.lnet_indptr[nets + 1] - flat.lnet_indptr[nets],
                 )
@@ -403,7 +404,7 @@ class TimingAnalyzer:
         inst_y = np.zeros(len(instances))
         starts = flat.pin_indptr[nets]
         counts = flat.pin_indptr[nets + 1] - starts
-        pins = _gather_ranges(starts, counts)
+        pins = multi_arange(starts, counts)
         touched = np.unique(flat.pin_inst[pins])
         for i in touched.tolist():
             if i >= 0:
@@ -457,7 +458,7 @@ class TimingAnalyzer:
             pending[vs] = False
             starts = flat.pred_start[vs]
             counts = flat.pred_end[vs] - starts
-            idx = _gather_ranges(starts, counts)
+            idx = multi_arange(starts, counts)
             evaluated += len(idx)
             # Recompute from the full pred slice — identical semantics
             # (and tie-break) to one wave of the full forward sweep.
@@ -475,7 +476,7 @@ class TimingAnalyzer:
             if len(changed):
                 ss = flat.succ_start[changed]
                 sc = flat.succ_end[changed] - ss
-                succ = flat.b_dst[_gather_ranges(ss, sc)]
+                succ = flat.b_dst[multi_arange(ss, sc)]
                 if len(succ):
                     self._bucket_by_level(
                         np.unique(succ), level, pending, buckets
@@ -504,7 +505,7 @@ class TimingAnalyzer:
             pending[us] = False
             starts = flat.succ_start[us]
             counts = flat.succ_end[us] - starts
-            idx = _gather_ranges(starts, counts)
+            idx = multi_arange(starts, counts)
             evaluated += len(idx)
             cand = required[bdst[idx]] - db[idx]
             loc = np.concatenate(([0], np.cumsum(counts)))[:-1]
@@ -515,7 +516,7 @@ class TimingAnalyzer:
             if len(changed):
                 ps = flat.pred_start[changed]
                 pc = flat.pred_end[changed] - ps
-                pred = flat.f_src[_gather_ranges(ps, pc)]
+                pred = flat.f_src[multi_arange(ps, pc)]
                 if len(pred):
                     self._bucket_by_level(
                         np.unique(pred), level, pending, buckets

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.netlist.arrays import multi_arange
 from repro.netlist.design import Design
 from repro.sta.delay import (
     BUFFER_STAGE_DELAY_NS,
@@ -50,24 +51,6 @@ from repro.sta.delay import (
     WireDelayModel,
 )
 from repro.sta.graph import TimingGraph
-
-
-def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices of the concatenation ``[s:s+c] for s, c in zip(...)``."""
-    nonzero = counts > 0
-    if not nonzero.all():
-        starts = starts[nonzero]
-        counts = counts[nonzero]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Classic vectorized multi-arange.
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out[0] = starts[0]
-    if len(starts) > 1:
-        out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
-    return np.cumsum(out)
 
 
 class FlatTiming:
@@ -314,7 +297,7 @@ class FlatTiming:
         # net are its pins after the leading driver entry) ----------------
         neg_c = np.full(mc, -1, dtype=np.int64)
         zero_c = np.zeros(mc)
-        sink_pins = _gather_ranges(self.pin_indptr[graph._w_net] + 1, graph._w_cnt)
+        sink_pins = multi_arange(self.pin_indptr[graph._w_net] + 1, graph._w_cnt)
         self.a_csink = np.concatenate(
             (np.asarray(csink_wire, dtype=np.float64), zero_c)
         )
@@ -391,7 +374,7 @@ class FlatTiming:
         else:
             starts = self.pin_indptr[nets]
             counts = self.pin_indptr[nets + 1] - starts
-            pidx = _gather_ranges(starts, counts)
+            pidx = multi_arange(starts, counts)
             out = np.zeros(len(nets), dtype=np.float64)
         inst = self.pin_inst[pidx]
         isport = inst < 0

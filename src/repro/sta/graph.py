@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.netlist.arrays import DIR_INPUT, DIR_OUTPUT, multi_arange
 from repro.netlist.design import Design, Instance, PinRef
 
 
@@ -55,17 +56,8 @@ class TimingGraph:
     CELL = "cell"
     WIRE = "wire"
 
-    def __init__(self, design) -> None:
-        # ``design`` may be a Design or a bare NetlistArrays (the
-        # array-native generator emits the latter at scales where no
-        # object view exists).  Inspection views that need the object
-        # graph raise when only arrays are available.
-        if isinstance(design, Design):
-            self.design = design
-            self._source_arrays = None
-        else:
-            self.design = None
-            self._source_arrays = design
+    def __init__(self, design: Design) -> None:
+        self.design = design
         # Node identity maps are lazy: the build records per-node
         # (owner instance index, interned pin name) arrays, and the
         # dict/list views materialize on first access.
@@ -112,11 +104,6 @@ class TimingGraph:
 
     def _materialize_node_maps(self) -> None:
         """Expand the per-node owner/name arrays into the dict/list views."""
-        if self.design is None:
-            raise RuntimeError(
-                "node maps require the object view; this graph was built "
-                "from a bare NetlistArrays"
-            )
         pool = self.design.arrays().name_pool
         instances = self.design.instances
         info: List[Tuple[Optional[Instance], str]] = []
@@ -265,11 +252,9 @@ class TimingGraph:
         One global ``np.unique`` then ranks keys by first position to
         mint the identical ids.
         """
-        from repro.netlist.arrays import DIR_INPUT, DIR_OUTPUT
 
-        design = self.design
-        arrays = design.arrays() if design is not None else self._source_arrays
-        clock_port = design.clock_port if design is not None else arrays.clock_port
+        arrays = self.design.arrays()
+        clock_port = self.design.clock_port
         pool_size = len(arrays.name_pool)
         # Composite pin key: (owner + 1) * |pool| + pin-name id, with
         # owner -1 (ports) mapping to code 0.  Unique per physical pin.
@@ -285,7 +270,7 @@ class TimingGraph:
         # driver first (the stored pin order).
         wnet = np.flatnonzero(arrays.net_has_driver & ~arrays.net_is_clock)
         wcounts = arrays.net_degree[wnet]
-        wire_keys = pin_key[_multi_arange(arrays.net_ptr[wnet], wcounts)]
+        wire_keys = pin_key[multi_arange(arrays.net_ptr[wnet], wcounts)]
 
         # Phase C: cell pins.  Start from the instance->connection CSR
         # (rows sorted by instance then declaration slot), dedupe
@@ -392,7 +377,7 @@ class TimingGraph:
         out_ids = k_ids[comb_out]
         out_nets = k_net[comb_out]
         self._c_src = in_ids[
-            _multi_arange(in_starts[out_inst], in_counts[out_inst])
+            multi_arange(in_starts[out_inst], in_counts[out_inst])
         ]
         has_in = in_counts[out_inst] > 0
         self._c_out_node = out_ids[has_in]
@@ -450,7 +435,7 @@ class TimingGraph:
         while len(frontier):
             starts = indptr[frontier]
             counts = indptr[frontier + 1] - starts
-            arc_idx = _multi_arange(starts, counts)
+            arc_idx = multi_arange(starts, counts)
             if not len(arc_idx):
                 break
             dsts = sdst[arc_idx]
@@ -483,23 +468,6 @@ class TimingGraph:
             f"TimingGraph(nodes={self.num_nodes}, arcs={num_arcs}, "
             f"starts={len(self.startpoints)}, ends={len(self.endpoints)})"
         )
-
-
-def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + c)`` for each (start, count)."""
-    nonzero = counts > 0
-    if not nonzero.all():
-        starts = starts[nonzero]
-        counts = counts[nonzero]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out[0] = starts[0]
-    if len(starts) > 1:
-        out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
-    return np.cumsum(out)
 
 
 _GRAPH_CACHE: "weakref.WeakKeyDictionary[Design, Tuple[tuple, TimingGraph]]" = (

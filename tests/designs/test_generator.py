@@ -143,3 +143,36 @@ class TestGeneration:
 
         assert longest_chain(deep) >= longest_chain(shallow)
         assert longest_chain(deep) >= 9
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        {"num_instances": 1},
+        {"hierarchy_depth": 0},
+        {"hierarchy_branching": 1},
+        {"logic_depth": 1},
+        {"seq_fraction": 0, "locality": 0, "sibling_bias": 0},
+        {"seq_fraction": 1, "locality": 1, "sibling_bias": 1},
+        {"target_utilization": 1.0},
+        {"clock_period": None},
+        {"num_ports": 0, "num_macros": 0, "high_fanout_nets": 0, "critical_chains": 0},
+        {"seed": 2**63 - 1},
+    ],
+)
+def test_edge_values_generate(edge):
+    """Every value at the edge of what ``from_params`` accepts builds a
+    structurally valid design."""
+    spec = DesignSpec.from_params({"name": "edge", "num_instances": 200, **edge})
+    design = generate_design(spec)
+    assert design.num_instances >= 1
+    assert design.validate() == []
+    assert len(TimingGraph(design).topo_order) > 0
+
+
+def test_from_params_takes_an_integer_as_a_float():
+    spec = DesignSpec.from_params(
+        {"name": "t", "num_instances": 5, "target_utilization": 1}
+    )
+    assert spec.target_utilization == 1.0
+    assert type(spec.target_utilization) is float

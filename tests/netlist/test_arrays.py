@@ -15,8 +15,8 @@ import pytest
 
 from repro.cache import netlist_digest
 from repro.designs import DesignSpec, generate_design, load_benchmark
-from repro.designs.generator import generate_arrays
 from repro.netlist import NetlistArrays, design_from_snapshot, design_snapshot
+from repro.netlist.arrays import COLUMNS
 from repro.netlist.design import CellPin, PinDirection, PinRef
 from repro.netlist.hypergraph import Hypergraph
 from repro.place.hpwl import hpwl, net_hpwl
@@ -222,6 +222,13 @@ class TestSlotsAndPickling:
         snapshot = pickle.loads(pickle.dumps(design_snapshot(design)))
         rebuilt = design_from_snapshot(snapshot)
         assert netlist_digest(rebuilt) == netlist_digest(design)
+        # A design rebuilt from flat columns alone has the source's
+        # timing graph, arc for arc.
+        for decoded, source in zip(
+            TimingGraph(rebuilt).flat_arc_arrays(),
+            TimingGraph(design).flat_arc_arrays(),
+        ):
+            assert np.array_equal(decoded, source)
 
 
 class TestStructureCaches:
@@ -273,42 +280,28 @@ class TestStructureCaches:
 
 
 class TestGenerateArrays:
-    """The array-native generator fast path."""
+    """Arrays built directly from columns materialize into a Design."""
 
-    @pytest.fixture(scope="class")
-    def arrays(self):
-        return generate_arrays(DesignSpec("fastgen", 3000, seed=13))
-
-    def test_shape_and_invariants(self, arrays):
-        assert isinstance(arrays, NetlistArrays)
-        assert arrays.num_instances == 3000
-        assert bool(arrays.net_has_driver.all())
-        assert bool(arrays.net_is_clock[-1]) and not arrays.net_is_clock[:-1].any()
-        # Every instance pin is connected to exactly one net.
-        inst_rows = arrays.pin_inst >= 0
-        keys = (
-            arrays.pin_inst[inst_rows].astype(np.int64) * len(arrays.mp_cap)
-            + arrays.pin_slot[inst_rows]
-        )
-        assert len(np.unique(keys)) == len(keys)
-
-    def test_timing_graph_from_bare_arrays(self, arrays):
-        graph = TimingGraph(arrays)
-        assert graph.num_nodes > 0
-        assert graph.levels.max() >= 1  # levelize succeeded -> acyclic
-
-    def test_materialized_design_round_trips(self, arrays):
+    def test_materialized_design_round_trips(self):
+        source = generate_design(DesignSpec("fastgen", 3000, seed=13))
+        columns = source.arrays()
+        fields = {
+            name: getattr(columns, name)
+            for name in (
+                "name", "floorplan", "clock_period", "clock_port",
+                "name_pool", "master_names", "master_classes",
+                "inst_names", "net_names", *COLUMNS,
+            )
+        }
+        arrays = NetlistArrays(**fields)
         design = arrays.to_design()
         assert design.num_instances == arrays.num_instances
         assert design.num_nets == arrays.num_nets
         rebuilt = design.arrays()
-        for field in ("inst_master", "net_ptr", "pin_inst", "pin_slot"):
-            assert np.array_equal(getattr(arrays, field), getattr(rebuilt, field))
-        ga = TimingGraph(arrays)
-        gb = TimingGraph(design)
-        for built, reference in zip(ga.flat_arc_arrays(), gb.flat_arc_arrays()):
+        assert rebuilt is arrays
+        assert netlist_digest(design) == netlist_digest(source)
+        for built, reference in zip(
+            TimingGraph(design).flat_arc_arrays(),
+            TimingGraph(source).flat_arc_arrays(),
+        ):
             assert np.array_equal(np.asarray(built), np.asarray(reference))
-
-    def test_macros_rejected(self):
-        with pytest.raises(ValueError):
-            generate_arrays(DesignSpec("macros", 500, num_macros=2, seed=1))

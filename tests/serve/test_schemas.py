@@ -54,6 +54,35 @@ class TestParseJobSpec:
             {"design": "aes", "env": {"PATH": "/evil"}},
             {"design": "aes", "env": {"REPRO_FAULTS": 3}},
             {"design": "aes", "env": "REPRO_FAULTS"},
+            # Generator values the runner could not build (or would
+            # build as something else).
+            *(
+                {"design": {"name": "t", "num_instances": 200, **bad}}
+                for bad in (
+                    {"num_instances": "5"},
+                    {"num_instances": True},
+                    {"num_instances": 0},
+                    {"name": ""},
+                    {"hierarchy_depth": -1},
+                    {"hierarchy_branching": 0},
+                    {"logic_depth": 0},
+                    {"seq_fraction": -0.5},
+                    {"seq_fraction": 7.0},
+                    {"locality": float("nan")},
+                    {"sibling_bias": 1.5},
+                    {"target_utilization": 0.0},
+                    {"target_utilization": 1.01},
+                    {"num_macros": -1},
+                    {"high_fanout_nets": -1},
+                    {"critical_chains": -1},
+                    {"num_ports": -1},
+                    {"clock_period": 0},
+                    {"clock_period": float("inf")},
+                    {"enablement": "tsmc3"},
+                    {"seed": 1.5},
+                    {"seed": None},
+                )
+            ),
         ],
     )
     def test_rejects_bad_specs(self, payload):

@@ -84,6 +84,21 @@ def test_relative_run_root(tmp_path, monkeypatch):
         app.close(timeout=60.0)
 
 
+def test_shutdown_leaves_no_process_behind(tmp_path):
+    """After ``POST /shutdown`` and ``close()`` neither the zygote nor
+    the runner it forked exists, not even as an unreaped zombie."""
+    app = ServeApp(str(tmp_path / "run"), workers=1)
+    try:
+        record = wait_job(app, submit(app, dict(TINY_SPEC)))
+        assert record["state"] == "done", record
+        pids = {"zygote": app.pool.zygote.pid, "runner": record["runner_pid"]}
+        assert request(app, "POST", "/shutdown", {})[0] == 202
+    finally:
+        app.close(timeout=10.0)
+    for role, pid in pids.items():
+        assert not os.path.exists(f"/proc/{pid}"), (role, pid)
+
+
 class TestContainment:
     def test_timeout_kills_the_runner(self, make_app):
         app = make_app(workers=1, job_timeout=0.05)

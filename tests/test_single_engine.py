@@ -238,3 +238,29 @@ def test_ml_selector_has_no_scalar_walks():
         len(path.read_text().splitlines()) for path in (root / "ml").rglob("*.py")
     )
     assert lines <= 1364
+
+
+# ----------------------------------------------------------------------
+# One design generator, one TimingGraph input
+# ----------------------------------------------------------------------
+def test_one_generator():
+    import ast
+    from pathlib import Path
+
+    import repro
+    from repro.designs import generator
+
+    gone = re.compile(
+        r"\b(generate_arrays|_pick_drivers|_multi_arange|_gather_ranges"
+        r"|_source_arrays)\b"
+    )
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        assert not gone.search(path.read_text()), path
+
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(generator))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
