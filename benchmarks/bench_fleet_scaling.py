@@ -3,9 +3,9 @@
 Runs one shape-selection sweep four ways on a generated design:
 
 * **serial** — the in-process reference (``jobs=1``);
-* **fleet x1** — one socket worker (protocol + transfer overhead
-  against serial);
-* **fleet x2** — two socket workers;
+* **fleet x1** — one forked socket worker (protocol + transfer
+  overhead against serial);
+* **fleet x2** — two forked socket workers (``jobs=2``);
 * **fleet x2 +kill** (``--kill``) — two workers, one armed via
   ``REPRO_FAULTS=kill:vpr.item`` to SIGKILL-style ``os._exit`` inside
   the first item it evaluates, proving a dead worker degrades to
@@ -19,7 +19,7 @@ bit-identity contract (docs/performance.md, "Distributed sweep").
 
 * the kill arm really lost a worker (``vpr.fleet.worker_lost`` >= 1),
   re-dispatched its chunk and still produced the identical hash;
-* every spawned worker process exited (clean shutdown, no leaks).
+* every forked worker process exited (clean shutdown, no leaks).
 
 Wall-clock per arm is printed but not gated: two busy worker processes
 on a shared small host measure the hypervisor, not the fleet
@@ -105,8 +105,10 @@ def _run_arm(
         max_vpr_clusters=clusters,
         placer_iterations=iterations,
         chunk_size=5,
-        fleet_workers=fleet_workers,
-        jobs=1,
+        jobs=max(1, fleet_workers),
+        # A one-worker fleet fans out only with a listen address set;
+        # the factory below still forks its worker.
+        fleet_listen="127.0.0.1:0" if fleet_workers == 1 else None,
         seed=seed,
     )
     framework = VPRFramework(config)

@@ -6,7 +6,7 @@ The determinism contract (tests/core/test_vpr_parallel.py) means every
 row selects identical shapes — only wall-clock may differ, so the table
 is a pure throughput measurement.
 
-On single-core containers the parallel rows mostly measure pool
+On single-core containers the parallel rows mostly measure fleet
 overhead; the interesting number there is the serial row against the
 pre-optimisation baseline (see README "Performance").
 
@@ -20,7 +20,7 @@ import time
 from benchmarks._tables import bench_scale, format_table, publish
 from repro import perf
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
-from repro.core.vpr import VPRConfig, VPRShapeSelector, _fork_available
+from repro.core.vpr import VPRConfig, VPRShapeSelector
 from repro.db.database import DesignDatabase
 from repro.designs import load_benchmark
 
@@ -64,7 +64,7 @@ def test_perf_scaling(benchmark):
     reference = None
     for jobs in JOB_LEVELS:
         label = str(jobs)
-        if jobs > 1 and not _fork_available():
+        if jobs > 1 and not hasattr(os, "fork"):
             rows.append([label, "n/a", "n/a", "fork unavailable"])
             continue
         selection, wall, report = _timed_select(design, members, jobs, max_clusters)
@@ -91,7 +91,8 @@ def test_perf_scaling(benchmark):
         rows,
         note=(
             "Identical shapes at every jobs level (asserted). Parallel "
-            "rows fan (cluster, candidate) items over a fork pool; on "
+            "rows fan (cluster, candidate) items over a fleet of that "
+            "many forked local workers; on "
             f"this host os.cpu_count()={os.cpu_count()}. The sub-netlist "
             "cache is per-framework, so it reads 0% here (each row builds "
             "a fresh selector); it pays off when one framework re-induces "

@@ -15,7 +15,7 @@ of re-running place + route.
   bad entry is a miss, never a crash), a size-bounded LRU garbage
   collector, and ``vpr.cache.*`` perf counters.
 
-Concurrency contract (see ``docs/performance.md``): pool and fleet
+Concurrency contract (see ``docs/performance.md``): fleet
 **workers never see the store** — lookups, writes and GC all happen in
 the sweep's own process, so the hot path takes no locks.  Warm results
 are byte-identical to cold ones.

@@ -25,7 +25,7 @@ Design points:
   ``repro cache gc`` runs one on demand.
 * **Multi-writer tolerant.**  Within one run only the sweep's own
   process holds the store — every :meth:`get`, :meth:`put` and
-  :meth:`gc` happens there, pool and fleet workers never see it — so
+  :meth:`gc` happens there, fleet workers never see it — so
   the hot path has no file locks.  Across runs there is no single
   owner: every concurrent flow (e.g. each job of a ``repro serve``
   daemon) reads and writes the shared directory.  Writes are safe by

@@ -16,8 +16,8 @@ Commands:
 * ``cache`` — manage the cross-run V-P&R evaluation cache
   (``stats`` / ``gc`` / ``clear``); see ``flow --cache DIR``.
 * ``worker`` — fleet worker process for a distributed V-P&R sweep:
-  dials a ``flow --fleet`` parent and evaluates sweep chunks remotely;
-  see ``docs/performance.md``, "Distributed sweep".
+  dials a ``flow --fleet-listen`` parent and evaluates sweep chunks
+  remotely; see ``docs/performance.md``, "Distributed sweep".
 * ``serve`` — long-lived flow job server: an async job queue over a
   bounded worker pool, every job sharing one evaluation cache; see
   ``docs/serving.md``.
@@ -41,6 +41,25 @@ FLOW_CHOICES = ("ours", "default", "blob")
 TOOL_CHOICES = ("openroad", "innovus")
 CLUSTERING_CHOICES = ("ppa", "mfc", "leiden", "louvain", "bc", "ec")
 SHAPES_CHOICES = ("vpr", "uniform", "random")
+
+
+def _positive_int(text: str) -> int:
+    """``--jobs``: an integer of at least 1, as ``POST /jobs`` checks it."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _endpoint(text: str) -> str:
+    """``--fleet-listen``: a ``HOST:PORT`` the fleet can bind."""
+    from repro.core.wire import parse_endpoint
+
+    try:
+        parse_endpoint(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _add_flow_parser(subparsers) -> None:
@@ -85,34 +104,21 @@ def _add_flow_parser(subparsers) -> None:
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="process-pool width for the V-P&R sweep (results are "
-        "identical to a serial run)",
-    )
-    p.add_argument(
-        "--fleet",
-        type=int,
-        default=0,
         metavar="N",
-        help="run the V-P&R sweep on a distributed worker fleet of N "
-        "workers instead of the in-process pool (QoR is byte-identical "
-        "either way); see docs/performance.md, 'Distributed sweep'",
+        help="worker count of the V-P&R sweep: N > 1 forks N local "
+        "fleet workers (results are identical to a serial run)",
     )
     p.add_argument(
         "--fleet-listen",
+        type=_endpoint,
         metavar="HOST:PORT",
         default=None,
-        help="address the fleet parent listens on (default "
-        "127.0.0.1:0 — loopback, ephemeral port; bind a routable "
-        "address to accept workers from other hosts)",
-    )
-    p.add_argument(
-        "--fleet-external",
-        action="store_true",
-        help="with --fleet: do not spawn local workers — wait for N "
+        help="bind the sweep's fleet listener here and wait for --jobs "
         "externally launched `repro worker --connect HOST:PORT` "
-        "processes (e.g. over ssh) to dial in",
+        "processes (e.g. over ssh) instead of forking local workers; "
+        "see docs/performance.md, 'Distributed sweep'",
     )
     p.add_argument(
         "--perf-report",
@@ -314,14 +320,14 @@ def _add_simple_parsers(subparsers) -> None:
     p = subparsers.add_parser(
         "worker",
         help="fleet worker for a distributed V-P&R sweep "
-        "(dials a `flow --fleet` parent)",
+        "(dials a `flow --fleet-listen` parent)",
     )
     p.add_argument(
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="the sweep parent's fleet listener (printed by "
-        "`flow --fleet ... --fleet-listen`)",
+        help="the sweep parent's fleet listener "
+        "(`flow --fleet-listen HOST:PORT`)",
     )
     p.add_argument(
         "--reconnect",
@@ -453,8 +459,9 @@ def _cmd_flow(args) -> int:
     cache_dir = getattr(args, "cache", None)
     if cache_dir and args.flow != "ours":
         raise SystemExit("--cache is only supported with --flow ours")
-    if getattr(args, "fleet", 0) and args.flow != "ours":
-        raise SystemExit("--fleet is only supported with --flow ours")
+    fleet_listen = getattr(args, "fleet_listen", None)
+    if fleet_listen and args.flow != "ours":
+        raise SystemExit("--fleet-listen is only supported with --flow ours")
 
     run_routing = not args.no_routing
     with obs.run(
@@ -500,12 +507,7 @@ def _cmd_flow(args) -> int:
                     checkpoint_dir=checkpoint_dir,
                     resume=args.resume,
                     cache_dir=cache_dir,
-                    vpr_config=VPRConfig(
-                        fleet_workers=max(0, getattr(args, "fleet", 0)),
-                        fleet_listen=getattr(args, "fleet_listen", None)
-                        or VPRConfig.fleet_listen,
-                        fleet_spawn=not getattr(args, "fleet_external", False),
-                    ),
+                    vpr_config=VPRConfig(fleet_listen=fleet_listen),
                 )
                 result = ClusteredPlacementFlow(config).run(design)
         run.qor = flow_qor_summary(result)

@@ -36,11 +36,7 @@ from repro.core.ppa_clustering import (
     ppa_aware_clustering,
 )
 from repro.core.clustered_netlist import ClusteredNetlist, build_clustered_netlist
-from repro.core.fanout import (
-    FleetExecutor,
-    LocalPoolExecutor,
-    SweepExecutor,
-)
+from repro.core.fanout import FleetExecutor, SweepExecutor
 from repro.core.shapes import ShapeCandidate, default_candidate_grid
 from repro.core.vpr import (
     MLShapeSelector,
@@ -79,7 +75,6 @@ __all__ = [
     "ClusteredNetlist",
     "build_clustered_netlist",
     "SweepExecutor",
-    "LocalPoolExecutor",
     "FleetExecutor",
     "ShapeCandidate",
     "default_candidate_grid",

@@ -1,40 +1,34 @@
-"""Sweep executors, and zero-copy publication of sweep state to pool
-workers.
+"""Sweep executors: where the V-P&R sweep's chunks run.
 
 The V-P&R sweep is one loop over a :class:`SweepExecutor` — the calling
-process (:class:`InlineExecutor`), a process pool
-(:class:`LocalPoolExecutor`) or a socket fleet (:class:`FleetExecutor`).
-The last two fan (cluster, candidate) work items out over worker
-processes.  The expensive part of each item is *state*, not work
-description: the induced sub-netlists, their flat scoring arrays and
-the config.  Shipping that per item (pickle in every task) puts a
-serialization knee in the ``--jobs`` scaling curve, so the sweep
-publishes the whole state **once** and each work item carries only two
-integers: the pool parks the payload in a module global before forking
-its workers, which inherit the pages copy-on-write (nothing is pickled
-at all); the fleet ships one pickled blob per worker.  What is
-published holds no store: stored results are resolved in the sweep's
-own process before anything is chunked, so a worker only computes.
+process (:class:`InlineExecutor`) or a socket fleet of worker processes
+(:class:`FleetExecutor`): ``jobs`` workers forked from the sweep's own
+process, or workers started elsewhere with ``repro worker --connect``
+against an explicit listen address.  The expensive part of each item is
+*state*, not work description: the induced sub-netlists' flat columns
+and the config.  The fleet ships that state **once** per worker (one
+pickled, digest-keyed blob), so each work item carries only two
+integers.  What is shipped holds no store: stored results are resolved
+in the sweep's own process before anything is chunked, so a worker only
+computes.
 
-A worker that dies while attaching simply loses its items to the
-sweep's retry scheduler (``tests/core/test_fanout.py``,
-``tests/core/test_sweep_matrix.py``).
+A worker that dies while taking its state or mid-chunk simply loses its
+chunk to re-dispatch or to the sweep's retry scheduler
+(``tests/core/test_fleet.py``, ``tests/core/test_sweep_matrix.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import multiprocessing
 import os
 import pickle
 import select
+import signal
 import socket
-import subprocess
 import sys
 import time
+import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -50,75 +44,8 @@ from typing import (
 
 from repro import obs
 from repro.core import wire
+from repro.core.worker import run_worker
 from repro.recovery import faults
-
-#: Fork-inherited payloads keyed by publication id (parent side;
-#: workers read their COW copy).  Keyed — not a single slot — so two
-#: concurrent publishers in one process (e.g. two sweeps under
-#: ``repro serve``) cannot clobber each other: ``close()`` removes only
-#: its own entry.
-_INHERITED: Dict[str, Dict[str, Any]] = {}
-
-#: Monotonic publication ids (process-global; an id never repeats, so a
-#: stale token can never resolve to a newer publication's payload).
-_PUBLICATION_IDS = itertools.count()
-
-
-@dataclass
-class StatePublisher:
-    """Parent-side handle on one published payload; ``token`` is its
-    publication id.
-
-    Use as a context manager around the pool's lifetime::
-
-        with publish_state(payload) as token:
-            pool.submit(worker, token, item)...
-
-    Exiting releases the global.
-    """
-
-    token: str
-
-    def __enter__(self) -> str:
-        return self.token
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        # Pop only this publication's payload: a concurrent publisher's
-        # entry (another sweep in the same process) stays live until
-        # *its* close().
-        _INHERITED.pop(self.token, None)
-
-
-def publish_state(payload: Dict[str, Any]) -> StatePublisher:
-    """Park ``payload`` where workers forked from now on will find it."""
-    publication_id = str(next(_PUBLICATION_IDS))
-    _INHERITED[publication_id] = payload
-    return StatePublisher(token=publication_id)
-
-
-def attach_state(token: str) -> Dict[str, Any]:
-    """Resolve a token to the published payload (worker side).
-
-    The returned dict is **worker-private**: it is this process's
-    copy-on-write copy of the parent's global, so mutations never leave
-    the worker (and survive from one chunk to the next).  The V-P&R
-    worker set-up relies on this to stash per-process handles (e.g. its
-    monitor heartbeat writer) directly in the attached state.
-    """
-    # Fault site: a worker can be killed here to prove a crash while
-    # attaching degrades to the sweep's retry scheduler.
-    faults.check("fanout.attach", key=token)
-    payload = _INHERITED.get(token)
-    if payload is None:
-        raise RuntimeError(
-            "no fork-inherited sweep state in this process for "
-            f"token {token!r} (the parent must publish before "
-            "creating the pool, and close() must not have run yet)"
-        )
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +66,8 @@ class ItemOutcome(NamedTuple):
 
     ``error`` is the repr of the exception that failed the attempt
     (costs are NaN then) — raised by the evaluation itself or, via
-    :meth:`lost`, standing for a transport-level loss (dead pool
-    process, vanished fleet worker), so every kind of failure flows
+    :meth:`lost`, standing for a transport-level loss (a dead or
+    vanished fleet worker), so every kind of failure flows
     into the sweep's one retry scheduler.  ``seconds`` is the item's
     evaluation time (its share of the batch wall).
     """
@@ -163,9 +90,8 @@ class SweepExecutor:
     The sweep (:meth:`repro.core.vpr.VPRFramework.sweep_clusters`)
     hands an executor one state dict and a list of (cluster,
     candidate) chunks; the executor decides where those chunks
-    evaluate — in the calling process (:class:`InlineExecutor`), on
-    in-process pool workers (:class:`LocalPoolExecutor`) or on a
-    socket fleet of remote processes (:class:`FleetExecutor`).  The
+    evaluate — in the calling process (:class:`InlineExecutor`) or on
+    a socket fleet of worker processes (:class:`FleetExecutor`).  The
     contract every implementation honours:
 
     * :meth:`map_chunks` yields ``(chunk_index, outcomes)`` pairs in
@@ -177,7 +103,7 @@ class SweepExecutor:
       the sweep's bounded retry scheduler re-evaluates them — results
       therefore stay byte-identical whatever the execution substrate
       did.
-    * Executor *infrastructure* failure (no pool, no bindable port,
+    * Executor *infrastructure* failure (no fork, no bindable port,
       zero workers connected) raises :class:`OSError`, which the sweep
       answers by running the same loop on the inline executor.
     * The sweep's process keeps every store to itself: executors and
@@ -185,18 +111,14 @@ class SweepExecutor:
       files.
 
     ``crosses_process`` says whether items evaluate outside the calling
-    process: only then does the sweep publish a worker payload (instead
-    of handing over its live state), do workers wrap their results in a
-    :class:`WorkerEnvelope`, and does ``item_timeout`` (seconds, or
-    None) bound an item with SIGALRM.  ``requires_snapshots`` tells the
-    sweep whether the payload's designs must be flat snapshots (the
-    fleet's pickle boundary) or may be live objects (the pool's
-    copy-on-write pages).
+    process: only then does the sweep ship a worker payload (its
+    sub-netlists as flat snapshots, instead of its live state), do
+    workers wrap their results in a :class:`WorkerEnvelope`, and does
+    ``item_timeout`` (seconds, or None) bound an item with SIGALRM.
     """
 
     name = "base"
     crosses_process = True
-    requires_snapshots = False
     item_timeout: Optional[float] = None
 
     def width(self) -> int:
@@ -224,10 +146,10 @@ class SweepExecutor:
 
 
 class InlineExecutor(SweepExecutor):
-    """The calling process itself (``jobs=1``, and the stand-in when a
-    pool or fleet is unavailable): each chunk is evaluated right where
-    the sweep runs, on the live state it was handed.  Nothing is
-    published, pickled or snapshotted and no signal handler is
+    """The calling process itself (``jobs=1``, and the stand-in when
+    the fleet is unavailable): each chunk is evaluated right where the
+    sweep runs, on the live state it was handed.  Nothing is shipped,
+    pickled or snapshotted and no signal handler is
     installed, so it works from any thread."""
 
     name = "inline"
@@ -244,71 +166,6 @@ class InlineExecutor(SweepExecutor):
     def map_chunks(self, state, chunks, chunk_fn):
         for index, chunk in enumerate(chunks):
             yield index, chunk_fn(state, chunk)
-
-
-def _run_attached(
-    chunk_fn: Callable, token: str, chunk: Sequence
-) -> List[ItemOutcome]:
-    """One pool task.  The state token is resolved here (not in a pool
-    initializer), so an attach failure is contained to this chunk and
-    flows into the sweep's retry scheduler instead of breaking the
-    whole pool."""
-    faults.mark_worker()  # a pool process: kill / hang faults apply
-    return chunk_fn(attach_state(token), chunk)
-
-
-class LocalPoolExecutor(SweepExecutor):
-    """The single-host process pool: publish once, fork the workers
-    (they read the parent's pages directly, so the payload carries live
-    designs), submit one future per chunk, collect in completion order,
-    and convert a dead worker's chunk into lost outcomes for the retry
-    scheduler."""
-
-    name = "local"
-
-    def __init__(self, jobs: int, item_timeout: Optional[float] = None) -> None:
-        self.jobs = max(1, int(jobs))
-        self.item_timeout = item_timeout
-
-    def width(self) -> int:
-        return self.jobs
-
-    def map_chunks(self, state, chunks, chunk_fn):
-        context = multiprocessing.get_context("fork")
-        with publish_state(state) as token, \
-                ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=context
-                ) as pool:
-            futures = {
-                pool.submit(_run_attached, chunk_fn, token, chunk): index
-                for index, chunk in enumerate(chunks)
-            }
-            try:
-                for future in as_completed(futures):
-                    index = futures[future]
-                    try:
-                        outcomes = future.result()
-                    except OSError:
-                        raise  # pool infrastructure failure
-                    except Exception as exc:
-                        # The worker process died mid-chunk (e.g.
-                        # OOM-killed): no payload came back for any of
-                        # its items.
-                        outcomes = [ItemOutcome.lost(repr(exc))] * len(
-                            chunks[index]
-                        )
-                    yield index, outcomes
-            except BaseException:
-                # Escaping the executor context with sibling futures
-                # still queued would run them anyway during shutdown's
-                # drain; cancel everything not yet started before
-                # propagating.  (This also covers the consumer
-                # abandoning the generator: close() raises GeneratorExit
-                # here.)
-                for future in futures:
-                    future.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
 
 
 @dataclass
@@ -330,19 +187,19 @@ class _FleetWorker:
 class FleetExecutor(SweepExecutor):
     """Distribute sweep chunks to socket-connected worker processes.
 
-    The parent binds ``listen`` (loopback + ephemeral port by
-    default), optionally spawns ``workers`` local
-    ``python -m repro.core.worker`` processes pointed at it (operators
-    can instead start workers by hand or over SSH against an explicit
-    ``--fleet-listen`` endpoint), ships the pickled sweep payload once
-    per worker — content-digest-keyed, so a worker that already holds
-    the state (a reconnect, or a second sweep over the same payload)
-    gets a ``state_ref`` instead of the blob — then runs a select
-    loop: dispatch a chunk to every idle worker, fold back ``result``
+    With ``listen=None`` the parent binds loopback on an ephemeral port
+    and forks ``workers`` local workers that dial it; with an explicit
+    ``HOST:PORT`` it binds there and waits for ``workers`` processes
+    started elsewhere (``repro worker --connect``, by hand or over
+    SSH).  It ships the pickled sweep payload once per worker —
+    content-digest-keyed, so a worker that already holds the state (a
+    reconnect, or a second sweep over the same payload) gets a
+    ``state_ref`` instead of the blob — then runs a select loop:
+    dispatch a chunk to every idle worker, fold back ``result``
     messages, relay ``beat`` messages into the monitor heartbeat
     directory, and police per-chunk deadlines.
 
-    Fault containment mirrors the pool executor exactly:
+    Fault containment:
 
     * a worker whose socket dies / times out / trips the
       ``fleet.recv`` fault site is *lost*: its in-flight chunk is
@@ -359,11 +216,10 @@ class FleetExecutor(SweepExecutor):
 
     Workers only compute; every store read and every durable write
     stays in the parent, so a fleet sweep's results are byte-identical
-    to the inline and pool executors' (gated by ``make fleet-smoke``).
+    to the inline executor's (gated by ``make fleet-smoke``).
     """
 
     name = "fleet"
-    requires_snapshots = True
 
     #: Extra seconds of per-chunk deadline beyond the worker's own
     #: item-timeout budget (covers transfer + rebuild + scheduling).
@@ -372,8 +228,7 @@ class FleetExecutor(SweepExecutor):
     def __init__(
         self,
         workers: int = 2,
-        listen: str = "127.0.0.1:0",
-        spawn: bool = True,
+        listen: Optional[str] = None,
         connect_timeout: float = 60.0,
         item_timeout: Optional[float] = None,
         worker_env: Optional[Sequence[Optional[Dict[str, str]]]] = None,
@@ -382,7 +237,6 @@ class FleetExecutor(SweepExecutor):
     ) -> None:
         self.workers = max(1, int(workers))
         self.listen = listen
-        self.spawn = spawn
         self.connect_timeout = connect_timeout
         self.item_timeout = item_timeout
         self.worker_env = worker_env
@@ -391,15 +245,18 @@ class FleetExecutor(SweepExecutor):
         # Bind eagerly: an unparsable or unbindable endpoint is
         # infrastructure failure (OSError) before any sweep work happens.
         try:
-            endpoint = wire.parse_endpoint(listen)
+            endpoint = wire.parse_endpoint(listen or "127.0.0.1:0")
         except ValueError as exc:
             raise OSError(f"fleet listen: {exc}") from exc
         self._server = socket.create_server(endpoint)
-        self._procs: List[subprocess.Popen] = []
+        #: Forked local workers' pids, in fork order, and the exit
+        #: codes of those already reaped.
+        self._children: List[int] = []
+        self._exits: Dict[int, Optional[int]] = {}
+        self._forked = listen is not None  # external workers: fork none
         self._fleet: List[_FleetWorker] = []
-        self._spawned = False
         self._closed = False
-        #: Exit codes of spawned workers, recorded by :meth:`close`
+        #: Exit codes of forked workers, recorded by :meth:`close`
         #: (``None`` = had to be killed); benchmarks assert on these.
         self.worker_exit_codes: List[Optional[int]] = []
 
@@ -413,37 +270,55 @@ class FleetExecutor(SweepExecutor):
         return self.workers
 
     # -- worker lifecycle ----------------------------------------------
-    def _spawn_local_workers(self) -> None:
-        import repro
-
-        # The spawned interpreter must import this exact repro tree
-        # even when the parent reached it via sys.path manipulation
-        # (benchmarks) rather than an installed package.
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__))
-        )
+    def _fork_local_workers(self) -> None:
+        """Fork one worker per slot, each dialling this listener.  A
+        child inherits the imported program (no interpreter start) and
+        never returns: it closes its copy of the listener, applies its
+        ``worker_env`` entry (re-arming ``REPRO_FAULTS`` from it), runs
+        :func:`repro.core.worker.run_worker` and leaves through
+        ``os._exit``.  A platform without fork raises OSError."""
+        if not hasattr(os, "fork"):
+            raise OSError("no fork on this platform: no local fleet workers")
+        self._forked = True
+        endpoint = self.endpoint
+        envs = list(self.worker_env or ())
         for index in range(self.workers):
-            env = dict(os.environ)
-            existing = env.get("PYTHONPATH")
-            env["PYTHONPATH"] = package_root + (
-                os.pathsep + existing if existing else ""
-            )
-            if self.worker_env and index < len(self.worker_env):
-                env.update(self.worker_env[index] or {})
-            self._procs.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro.core.worker",
-                        "--connect",
-                        self.endpoint,
-                        "--quiet",
-                    ],
-                    env=env,
-                )
-            )
-        self._spawned = True
+            env = envs[index] if index < len(envs) else None
+            for stream in (sys.stdout, sys.stderr):
+                stream.flush()
+            pid = os.fork()
+            if pid:
+                self._children.append(pid)
+                continue
+            code = 1
+            try:
+                self._server.close()
+                if env:
+                    os.environ.update(env)
+                    faults.configure(os.environ.get(faults.ENV_VAR))
+                code = run_worker(endpoint, quiet=True)
+            except BaseException:
+                # Never re-raised: the child must not unwind into the
+                # parent's sweep.
+                traceback.print_exc()
+            finally:
+                try:
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+
+    def _exited(self, pid: int) -> bool:
+        """Reap ``pid`` if it has exited (its code lands in
+        ``_exits``: negative for a killing signal)."""
+        if pid not in self._exits:
+            try:
+                done, status = os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:  # reaped elsewhere: code unknown
+                self._exits[pid] = None
+            else:
+                if done:
+                    self._exits[pid] = os.waitstatus_to_exitcode(status)
+        return pid in self._exits
 
     def _handshake(
         self, conn: socket.socket, blob: bytes, digest: str
@@ -533,11 +408,7 @@ class FleetExecutor(SweepExecutor):
         while len([w for w in self._fleet if w.alive]) < self.workers:
             if time.monotonic() >= deadline:
                 break
-            if (
-                self.spawn
-                and self._procs
-                and all(p.poll() is not None for p in self._procs)
-            ):
+            if self._children and all(map(self._exited, self._children)):
                 break  # every local worker already exited: stop waiting
             try:
                 conn, _addr = self._server.accept()
@@ -554,8 +425,8 @@ class FleetExecutor(SweepExecutor):
             raise OSError("FleetExecutor is closed")
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(blob).hexdigest()
-        if self.spawn and not self._spawned:
-            self._spawn_local_workers()
+        if not self._forked:
+            self._fork_local_workers()
         # Workers connected during a previous sweep need this sweep's
         # state too (digest-keyed: an identical payload ships as a ref).
         for worker in self._fleet:
@@ -828,7 +699,8 @@ class FleetExecutor(SweepExecutor):
     # -- teardown ------------------------------------------------------
     def close(self) -> None:
         """Shut the fleet down: polite shutdown message, close
-        sockets, reap local worker processes (terminate on timeout)."""
+        sockets, reap the forked workers (killed when they miss a 10 s
+        bound)."""
         if self._closed:
             return
         self._closed = True
@@ -850,14 +722,13 @@ class FleetExecutor(SweepExecutor):
             self._server.close()
         except OSError:  # pragma: no cover
             pass
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                try:
-                    proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    pass
-            self.worker_exit_codes.append(proc.poll())
-        self._procs.clear()
+        deadline = time.monotonic() + 10.0
+        for pid in self._children:
+            while not self._exited(pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if not self._exited(pid):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                self._exits[pid] = None
+            self.worker_exit_codes.append(self._exits[pid])
+        self._children.clear()

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -101,10 +101,12 @@ class FlowConfig:
             our placer substrate is wirelength-driven, so the flow
             stands in with the criticality weights its own clustering
             stage already computed (DESIGN.md, substitutions).
-        jobs: Process-pool width for the V-P&R sweep (the flow's
-            runtime bottleneck).  Propagated to ``vpr_config.jobs``
-            unless that was set explicitly; serial and parallel runs
-            produce identical results.
+        jobs: Worker count of the V-P&R sweep (the flow's runtime
+            bottleneck).  When not 1 it is the width the flow's sweep
+            runs at, whichever framework runs it (``vpr_config`` or the
+            shape selector's own); 1 leaves that config's ``jobs`` in
+            charge.  The caller's config is never written.  Serial and
+            parallel runs produce identical results.
         seed: Seed forwarded to clusterers / placers.
         checkpoint_dir: When set, the flow checkpoints each completed
             stage (and each V-P&R work item) to this directory so an
@@ -142,8 +144,6 @@ class FlowConfig:
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.jobs != 1 and self.vpr_config.jobs == 1:
-            self.vpr_config.jobs = self.jobs
         if self.resume and not self.checkpoint_dir:
             raise ValueError("FlowConfig.resume requires checkpoint_dir")
 
@@ -279,9 +279,13 @@ class ClusteredPlacementFlow:
     # -- checkpointing -----------------------------------------------------
     def _vpr_config(self) -> VPRConfig:
         """The run's one V-P&R config: the shape selector's own when it
-        sweeps with a framework, else ``config.vpr_config``."""
+        sweeps with a framework, else ``config.vpr_config`` — a copy at
+        the flow's width when ``config.jobs`` is not 1."""
         framework = getattr(self.config.shape_selector, "framework", None)
-        return framework.config if framework else self.config.vpr_config
+        vpr_config = framework.config if framework else self.config.vpr_config
+        if self.config.jobs == 1:
+            return vpr_config
+        return replace(vpr_config, jobs=self.config.jobs)
 
     def _checkpoint_fingerprint(self, design: Design) -> Dict[str, object]:
         """What must match for a checkpoint to be resumable: the design
@@ -385,8 +389,17 @@ class ClusteredPlacementFlow:
         vpr_stage = obs.stage("flow.vpr", selector=selector.name)
 
         def _compute_selection() -> VPRSelection:
-            with vpr_stage:
-                return selector.select(design, members)
+            # The sweep runs at the flow's width; a caller's selector
+            # gets its own config back.
+            own = framework.config if framework else None
+            if framework is not None:
+                framework.config = vpr_config
+            try:
+                with vpr_stage:
+                    return selector.select(design, members)
+            finally:
+                if framework is not None:
+                    framework.config = own
 
         selection, _ = self._stage(store, "vpr", _compute_selection)
         runtimes["vpr"] = vpr_stage.elapsed

@@ -32,9 +32,9 @@ Performance engine (this module is the flow's runtime bottleneck):
   system, then *routed* together (one stacked ``GlobalRouter`` run off
   the placer's coordinate rows) and scored one by one.  A candidate's
   costs are bit-identical whatever it is batched with, so inline
-  sweeps (one batch per cluster), pool/fleet chunks (one batch per run
-  of same-cluster items), retries and resumed runs (whatever is
-  missing) all agree.
+  sweeps (one batch per cluster), fleet chunks (one batch per run of
+  same-cluster items), retries and resumed runs (whatever is missing)
+  all agree.
 * Placement, routing and scoring all read the sub's one flat form
   (``sub.arrays()``): the scoring pin/offset arrays are its memoised
   ``pin_vertex_csr``, reduced by :func:`repro.place.hpwl.hpwl_arrays`,
@@ -42,26 +42,23 @@ Performance engine (this module is the flow's runtime bottleneck):
   the best candidate is picked from a NumPy cost vector.
 * The sweep is one loop (:meth:`VPRFramework.sweep_clusters`) over a
   :class:`~repro.core.fanout.SweepExecutor`: the calling process
-  itself (``jobs == 1``), a process pool (``jobs > 1``) or a worker
-  fleet.  Results are gathered into slots indexed by (cluster,
-  candidate), so the selected shapes and costs are identical whatever
-  the executor and however its workers were scheduled; candidate
-  evaluation is order-independent by construction (the placer
-  re-initialises from its seed each run).  For executors that cross a
-  process boundary the sweep state (induced sub-netlists with their
-  flat form built, config) is published **once** via
-  :mod:`repro.core.fanout` — pool workers inherit it copy-on-write,
-  fleet workers receive one pickled blob each, the subs in it as
-  :mod:`repro.netlist.snapshot` payloads — so a work item ships only
-  its (cluster, candidate) indices; the inline executor works on the
-  live objects.
+  itself (``jobs == 1``) or a worker fleet (``jobs`` forked local
+  workers, or external ones on ``fleet_listen``).  Results are gathered
+  into slots indexed by (cluster, candidate), so the selected shapes
+  and costs are identical whatever the executor and however its
+  workers were scheduled; candidate evaluation is order-independent by
+  construction (the placer re-initialises from its seed each run).
+  Fleet workers receive the sweep state (config, and the induced
+  sub-netlists as :mod:`repro.netlist.snapshot` payloads) **once**, as
+  one pickled blob each, so a work item ships only its (cluster,
+  candidate) indices; the inline executor works on the live objects.
 * Stored results resolve first, in the sweep's own process: every item
   is looked up in the checkpoint, then — with an
   :class:`~repro.cache.EvaluationCache` attached — in the cross-run
   cache, where a (sub-netlist, shape, config) item seen before is
   served from disk, byte-identical to a fresh evaluation.  Only the
   misses become work items, so a worker is a pure function of
-  (published state, item indices) and never sees either store (see
+  (shipped state, item indices) and never sees either store (see
   ``docs/performance.md``).
 * The :mod:`repro.perf` stage timers wrap every phase, so a perf
   report shows extract/place/route/score splits.
@@ -77,8 +74,8 @@ Fault tolerance (see ``docs/recovery.md``):
   from selection (``"exclude"``).  NaN costs never reach the argmin:
   :meth:`VPRFramework._best_of` selects over valid candidates only and
   raises when none remain.
-* ``item_timeout`` bounds each work item in a pool or fleet worker
-  (SIGALRM), so one hung virtual-die P&R cannot stall the sweep.
+* ``item_timeout`` bounds each work item in a fleet worker (SIGALRM),
+  so one hung virtual-die P&R cannot stall the sweep.
 * With a :class:`~repro.recovery.CheckpointStore` attached, each
   (cluster, candidate) evaluation is persisted the moment it
   completes, and already-checkpointed items are served from disk — the
@@ -90,7 +87,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import multiprocessing
 import random
 import signal
 import time
@@ -112,7 +108,6 @@ from repro.core.fanout import (
     FleetExecutor,
     InlineExecutor,
     ItemOutcome,
-    LocalPoolExecutor,
     SweepExecutor,
     WorkerEnvelope,
 )
@@ -158,25 +153,26 @@ class VPRConfig:
         candidates: The shape grid (defaults to the paper's 20).
         placer_iterations: Global-placement rounds per candidate
             (virtual dies are small; a short run suffices).
-        jobs: Process-pool width for the sweep.  1 (default) evaluates
-            in the calling process (the inline executor); N > 1 fans
-            (cluster, candidate) work items over N workers.  Every
+        jobs: Worker count of the sweep, at least 1.  1 (default)
+            evaluates in the calling process (the inline executor);
+            N > 1 fans (cluster, candidate) work items over a fleet of
+            N workers (:class:`repro.core.fanout.FleetExecutor`),
+            forked locally unless ``fleet_listen`` is set.  Every
             executor selects identical shapes with identical costs.
         chunk_size: (Cluster, candidate) work items bundled into one
             executor task.  None (default) auto-sizes: one cluster's
-            grid in process, ``ceil(items / (4 * jobs))`` on a pool or
-            fleet — roughly four task waves per worker, amortising
+            grid in process, ``ceil(items / (4 * jobs))`` on a fleet
+            — roughly four task waves per worker, amortising
             per-task submission/result overhead on large sweeps while
             keeping the tail balanced.  1 reproduces the
             one-item-per-task scheduling.  Chunking only changes
             scheduling granularity, never results.
         seed: RNG seed (randomised selector arms).
         item_timeout: Wall-clock bound (seconds) on one (cluster,
-            candidate) evaluation inside a pool or fleet worker
-            process; an item that exceeds it fails and follows the
-            retry policy.  None (the default) disables the bound.  It
-            is a process-boundary bound: the inline executor never
-            arms it.
+            candidate) evaluation inside a fleet worker process; an
+            item that exceeds it fails and follows the retry policy.
+            None (the default) disables the bound.  It is a
+            process-boundary bound: the inline executor never arms it.
         retry_limit: Re-evaluation attempts, in the sweep's own
             process, for a work item whose first attempt there failed
             (an attempt lost in a worker process is not counted).
@@ -187,19 +183,12 @@ class VPRConfig:
             :class:`VPRSweepError`; ``"exclude"`` marks the candidate
             invalid so selection skips it explicitly (selection still
             raises if *every* candidate of a cluster is invalid).
-        fleet_workers: When > 0, sweep chunks run on this many
-            socket-connected ``repro.core.worker`` processes (see
-            :class:`repro.core.fanout.FleetExecutor`) instead of the
-            in-process pool described under ``jobs``: spawned locally —
-            or, with ``fleet_spawn=False``, waited for on the listener.
-            The fleet only changes *where* items evaluate, never
-            results.
-        fleet_listen: ``HOST:PORT`` the parent binds for workers
-            (default loopback + ephemeral port).  Bind a routable
-            address to accept workers started by hand or over SSH.
-        fleet_spawn: Spawn ``fleet_workers`` local worker processes
-            (default True); False waits for externally started
-            workers instead.
+        fleet_listen: None (default) forks the ``jobs`` workers
+            locally.  A ``HOST:PORT`` makes the parent bind there and
+            wait for ``jobs`` external ``repro worker --connect``
+            processes instead (started by hand or over SSH; bind a
+            routable address to accept other hosts).  Either way the
+            fleet only changes *where* items evaluate, never results.
 
     The fields that can change a result are declared once, below: the
     cache key, the checkpoint fingerprint and the ECO session's rebuilt
@@ -234,11 +223,11 @@ class VPRConfig:
     retry_limit: int = 1
     retry_backoff: float = 0.05
     on_terminal_failure: str = "raise"
-    fleet_workers: int = 0
-    fleet_listen: str = "127.0.0.1:0"
-    fleet_spawn: bool = True
+    fleet_listen: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
         if self.on_terminal_failure not in ("raise", "exclude"):
             raise ValueError(
                 f"on_terminal_failure must be 'raise' or 'exclude', "
@@ -588,7 +577,7 @@ class VPRFramework:
         #: whose content address matches a stored entry are served from
         #: disk instead of re-running place + route.
         self.cache = cache
-        #: Optional override for how a pool/fleet sweep builds its
+        #: Optional override for how a fleet sweep builds its
         #: executor (``() -> SweepExecutor``).  Benchmarks and tests
         #: use it to inject a pre-configured fleet (e.g. with per-worker
         #: fault-injection environments); None builds from the config.
@@ -927,23 +916,22 @@ class VPRFramework:
         Items the checkpoint or the cache holds are served from disk,
         here, in this process; what is left is chunked and handed to a
         :class:`SweepExecutor` — the calling process itself
-        (``jobs == 1``), a process pool or a worker fleet — and when
-        nothing is left no executor is built at all.  Every resolved
-        item lands through :meth:`_settle` (the one write-back site),
-        every failed one goes to the one retry scheduler
+        (``jobs == 1``) or a worker fleet — and when nothing is left no
+        executor is built at all.  Every resolved item lands through
+        :meth:`_settle` (the one write-back site), every failed one
+        goes to the one retry scheduler
         (:meth:`_retry_failed_items`), and results sit in
         (cluster, candidate) slots, so evaluations and selected shapes
         are identical whichever executor ran and however its workers
-        were scheduled.  When a pool or fleet is unavailable
-        (:class:`OSError`: no process pool in a restricted sandbox, no
-        bindable port, zero connected workers) the same loop runs
-        again on the inline executor.
+        were scheduled.  When the fleet is unavailable
+        (:class:`OSError`: no fork, no bindable port, zero connected
+        workers) the same loop runs again on the inline executor.
         """
         config = self.config
         cluster_ids = list(cluster_ids)
         total = len(cluster_ids) * len(config.candidates)
         fans_out = bool(cluster_ids) and (
-            config.jobs > 1 or config.fleet_workers > 0
+            config.jobs > 1 or config.fleet_listen is not None
         )
         make_executor = self._make_executor if fans_out else InlineExecutor
         # Every executor advances the same progress task per (cluster,
@@ -962,10 +950,7 @@ class VPRFramework:
                 # may already have advanced it (stored items, resolved
                 # chunks), and the inline run counts every item again.
                 obs.count("vpr.executor.fallback")
-                obs.event(
-                    "vpr.executor_fallback",
-                    executor="fleet" if config.fleet_workers > 0 else "local",
-                )
+                obs.event("vpr.executor_fallback", executor="fleet")
                 obs.start_task("vpr.items", total, unit="items")
                 slots = self._sweep_on(InlineExecutor, clusters)
             sweeps: List[VPRSweepResult] = []
@@ -986,25 +971,16 @@ class VPRFramework:
             self._publish_cache_summary(cache_baseline)
 
     def _make_executor(self) -> SweepExecutor:
-        """Build the configured pool / fleet executor (or the injected
-        one).  Construction failures (unbindable port, a platform
-        without fork) are OSErrors."""
+        """Build the configured fleet (or the injected executor).  An
+        unbindable port is an OSError."""
         if self.executor_factory is not None:
             return self.executor_factory()
         config = self.config
-        if config.fleet_workers > 0:
-            return FleetExecutor(
-                workers=config.fleet_workers,
-                listen=config.fleet_listen,
-                spawn=config.fleet_spawn,
-                item_timeout=config.item_timeout,
-            )
-        if not _fork_available():
-            raise OSError(
-                "no fork start method on this platform: pool workers "
-                "inherit the published sweep state"
-            )
-        return LocalPoolExecutor(config.jobs, item_timeout=config.item_timeout)
+        return FleetExecutor(
+            workers=config.jobs,
+            listen=config.fleet_listen,
+            item_timeout=config.item_timeout,
+        )
 
     def _sweep_state(
         self, executor: SweepExecutor, clusters: Dict[int, Tuple[Design, float]]
@@ -1012,29 +988,23 @@ class VPRFramework:
         """What the chunk evaluator (:func:`_evaluate_chunk`) works on.
 
         In process that is this framework and the live sub-netlists.
-        Across a process boundary it is a payload published **once**
-        (pool workers inherit it copy-on-write, fleet workers receive
-        one digest-keyed pickled blob each), so a work item ships only
-        two integers.  Either way each sub's flat form is built here,
-        in the parent: pool workers inherit ``sub.arrays()`` with the
-        sub itself, and executors that cross a pickle boundary get its
-        columns as a snapshot (the linked Design graph recurses past
-        the pickle limit on real netlists) — no worker walks a netlist.
-        Neither store is part of it: workers only compute.
+        Across a process boundary it is a payload each worker receives
+        **once** (one digest-keyed pickled blob), so a work item ships
+        only two integers.  Each sub travels as a snapshot of its flat
+        form, built here in the parent (the linked Design graph
+        recurses past the pickle limit on real netlists), so no worker
+        walks a netlist.  Neither store is part of it: workers only
+        compute.
         """
         config = self.config
         if not executor.crosses_process:
             return {"_framework": self, "config": config, "clusters": clusters}
-        shipped: Dict[int, Tuple[object, float]] = {}
-        for c, (sub, area) in clusters.items():
-            sub.arrays()  # built once, here: inherited by, or encoded for, workers
-            shipped[c] = (
-                design_snapshot(sub) if executor.requires_snapshots else sub,
-                area,
-            )
         return {
             "config": config,
-            "clusters": shipped,
+            "clusters": {
+                c: (design_snapshot(sub), area)
+                for c, (sub, area) in clusters.items()
+            },
             "item_timeout": executor.item_timeout,
             "obs": obs.worker_descriptor(),
         }
@@ -1282,12 +1252,6 @@ class VPRFramework:
 # ----------------------------------------------------------------------
 # The chunk evaluator (every executor runs this) and worker set-up
 # ----------------------------------------------------------------------
-def _fork_available() -> bool:
-    """Fork start method available (the pool relies on inheriting the
-    sub-netlists copy-on-write instead of pickling per item)."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 @contextmanager
 def _item_alarm(timeout: Optional[float]):
     """Bound a work item's wall-clock via SIGALRM (worker processes
@@ -1329,15 +1293,14 @@ def _item_alarm(timeout: Optional[float]):
 
 
 def _setup_worker(state: dict) -> None:
-    """First-use setup of a worker process's global state and of the
-    published payload it attached (``_framework`` marks it done)."""
+    """Set up a worker process's global state and the sweep payload it
+    received: each sub is rebuilt from its snapshot once per worker,
+    flat form included."""
     # From here on this process records only its own activity, in the
-    # outputs the parent has on (fleet workers start with none).
-    state["_heartbeat"] = obs.adopt_worker(state["obs"])
-    # Fleet payloads carry snapshots: rebuild each sub once per worker,
-    # flat form included (pool payloads carry the parent's objects).
+    # outputs the parent has on.
+    obs.adopt_worker(state["obs"])
     state["clusters"] = {
-        c: (sub if isinstance(sub, Design) else design_from_snapshot(sub), area)
+        c: (design_from_snapshot(sub), area)
         for c, (sub, area) in state["clusters"].items()
     }
     state["_framework"] = VPRFramework(state["config"])
@@ -1442,10 +1405,7 @@ def _evaluate_chunk(
     """Evaluate a chunk of (cluster, candidate) items on sweep state
     (:meth:`VPRFramework._sweep_state`): each run of same-cluster items
     is one lockstep batch.  Chunking only changes scheduling
-    granularity, never results.  A pool worker sets itself up on the
-    first chunk it sees of a published payload."""
-    if "_framework" not in state:
-        _setup_worker(state)
+    granularity, never results."""
     results: List[ItemOutcome] = []
     for cluster_id, run in itertools.groupby(items, key=lambda item: item[0]):
         results.extend(

@@ -1,7 +1,7 @@
 """Length-prefixed message framing for the fleet protocol.
 
 The distributed sweep (``FleetExecutor`` in :mod:`repro.core.fanout`
-dispatching to ``python -m repro.core.worker``) speaks a tiny
+dispatching to the workers of :mod:`repro.core.worker`) speaks a tiny
 stdlib-only protocol over TCP, schema :data:`SCHEMA` — the same
 "version the wire format explicitly" discipline as the serve daemon's
 ``repro.serve/1`` and the monitor's ``repro.monitor/1``.

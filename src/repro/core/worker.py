@@ -1,8 +1,9 @@
 """Fleet worker: a remote evaluation process for the V-P&R sweep.
 
-``python -m repro.core.worker --connect HOST:PORT`` dials the sweep
-parent's :class:`~repro.core.fanout.FleetExecutor` listener and then
-follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
+A fleet worker — forked by the sweep parent's
+:class:`~repro.core.fanout.FleetExecutor`, or started elsewhere with
+``repro worker --connect HOST:PORT`` — dials the parent's listener and
+then follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
 
 1. **hello** — the worker introduces itself (pid, hostname, and the
    content digests of any sweep states it already holds from a
@@ -13,9 +14,9 @@ follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
    digest when the worker advertised it; the worker validates and
    decodes each sub (the decoded arrays are its cached flat form, so
    no netlist is ever walked here) and builds a
-   :class:`~repro.core.vpr.VPRFramework` with the set-up every worker
-   process runs (:func:`repro.core.vpr._setup_worker`); a payload that
-   fails validation is answered with an ``error`` frame;
+   :class:`~repro.core.vpr.VPRFramework`
+   (:func:`repro.core.vpr._setup_worker`); a payload that fails
+   validation is answered with an ``error`` frame;
 3. **chunk → result** — each chunk of (cluster, candidate) items is
    evaluated by the same chunk evaluator every executor runs
    (:func:`repro.core.vpr._evaluate_chunk`: SIGALRM item timeout,
@@ -30,15 +31,13 @@ The worker holds **one** live sweep state (a new ``state`` message
 evicts the previous one) and only computes: it is a function of that
 state and the item indices it is sent, and never sees the parent's
 stores or telemetry files — every lookup and every write stays
-parent-side, so the bit-identity and crash-containment story of the
-local pool carries over verbatim.  A worker SIGKILLed mid-chunk just
-disappears from the socket; the parent re-dispatches the chunk
-elsewhere.
+parent-side, so a fleet sweep is bit-identical to an inline one.  A
+worker SIGKILLed mid-chunk just disappears from the socket; the parent
+re-dispatches the chunk elsewhere.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import pickle
 import socket
@@ -83,10 +82,10 @@ def _install_state(digest: str, blob: bytes) -> Dict[str, Any]:
     """Unpickle and set up one shipped sweep state (evicting the old)."""
     from repro.core import vpr
 
+    # Fault site: a worker can die while taking its state; its chunks
+    # then re-dispatch or fall to the sweep's retry scheduler.
+    faults.check("fleet.install", key=digest)
     state = pickle.loads(blob)
-    # Remote workers never write into the parent's monitor directory;
-    # their liveness travels back over the socket as beat messages.
-    state["obs"] = dict(state["obs"], heartbeats=None)
     vpr._setup_worker(state)
     _STATES.clear()
     _STATES[digest] = state
@@ -212,47 +211,3 @@ def run_worker(
             time.sleep(reconnect_delay)
             continue
         return 1
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro worker",
-        description="fleet worker for the distributed V-P&R sweep "
-        "(see docs/performance.md, 'Distributed sweep')",
-    )
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="the sweep parent's fleet listener endpoint",
-    )
-    parser.add_argument(
-        "--reconnect",
-        type=int,
-        default=0,
-        metavar="N",
-        help="extra connection attempts after a refused dial or a "
-        "dropped parent (default 0); a held sweep state survives "
-        "reconnects so the transfer is skipped",
-    )
-    parser.add_argument(
-        "--reconnect-delay",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="seconds between connection attempts (default 1.0)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress status lines"
-    )
-    args = parser.parse_args(argv)
-    return run_worker(
-        args.connect,
-        reconnect=args.reconnect,
-        reconnect_delay=args.reconnect_delay,
-        quiet=args.quiet,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

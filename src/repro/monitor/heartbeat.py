@@ -1,15 +1,15 @@
 """Worker heartbeats: per-process liveness files the parent merges.
 
-The V-P&R pool returns results per *chunk*, so a worker grinding (or
+The V-P&R fleet returns results per *chunk*, so a worker grinding (or
 hung) inside a long item is invisible to the parent until the chunk
 resolves — or until the item's SIGALRM timeout fires, which can be
 minutes away (or disabled).  Heartbeats close that gap with the same
 file discipline the telemetry layer already uses:
 
-* each worker appends one flushed JSON line to its own
-  ``worker-<pid>.jsonl`` under the monitor directory when it *starts*
-  and *finishes* an item (no cross-process locks — one writer per
-  file);
+* a worker sends a beat when it *starts* and *finishes* an item, and
+  the fleet parent appends each as one flushed JSON line to that
+  worker's own ``worker-<name>.jsonl`` under the monitor directory
+  (one writer per file, no cross-process locks);
 * the parent's status refresh reads the **last intact line** of every
   worker file (a fixed-size tail read with the same torn-line
   tolerance as :func:`repro.telemetry.events.iter_events`, so the
@@ -51,13 +51,13 @@ def heartbeat_dir(out_dir: str) -> str:
 class HeartbeatWriter:
     """One worker's append-only heartbeat file.
 
-    By default the writer describes *this* process (``worker-<pid>``,
-    the pool-worker case).  The fleet parent also instantiates one per
-    **remote** worker to relay the beats arriving over the socket into
-    the same directory — ``name`` keeps two remote workers (possibly
-    with colliding pids on different hosts) in distinct files, and
-    ``pid`` / ``host`` stamp the relayed records with the remote
-    identity so ``repro top`` can render ``host:pid``.
+    By default the writer describes *this* process (``worker-<pid>``).
+    The fleet parent instantiates one per worker to relay the beats
+    arriving over the socket into the directory — ``name`` keeps two
+    workers (possibly with colliding pids on different hosts) in
+    distinct files, and ``pid`` / ``host`` stamp the relayed records
+    with the worker's identity so ``repro top`` can render
+    ``host:pid``.
     """
 
     def __init__(

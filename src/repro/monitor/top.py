@@ -10,7 +10,7 @@ is safe).  One frame shows:
 * the stage history with the active stage marked;
 * one progress bar per live loop, with rate and ETA;
 * an RSS sparkline over the sampler's recent timeline + CPU %;
-* pool workers with the age of their last heartbeat (a worker still
+* fleet workers with the age of their last heartbeat (a worker still
   in ``phase: "start"`` past the hang threshold is flagged — visible
   long before its item timeout fires);
 * the last few flow events.
@@ -150,8 +150,8 @@ def render(
         ):
             age = float(beat.get("age_s", 0.0))
             phase = beat.get("phase", "?")
-            # Remote fleet workers are labelled host:pid (relayed beats
-            # carry the remote identity); local pool workers stay pid.
+            # Fleet workers are labelled host:pid (relayed beats carry
+            # the worker's identity); a beat without a host shows pid.
             host = beat.get("host")
             label = (
                 f"{host}:{beat.get('pid', '?')}"

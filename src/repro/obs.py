@@ -36,7 +36,6 @@ import threading
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.monitor.heartbeat import HeartbeatWriter
 from repro.monitor.session import STAGE_DEPTH, MonitorSession
 from repro.perf.report import PerfReport
 from repro.perf.timers import PerfRegistry
@@ -250,7 +249,8 @@ def set_meta(**fields: Any) -> None:
 # -- worker round trip --------------------------------------------------
 def worker_descriptor() -> Dict[str, Any]:
     """What a worker process must switch on to record like this one
-    (picklable; ships once inside the published sweep state)."""
+    (picklable; ships once inside the sweep state), and the monitor
+    directory the fleet parent relays its workers' beats into."""
     live = _SESSION.monitor
     return {
         "timers": _SESSION.timers_on,
@@ -259,12 +259,10 @@ def worker_descriptor() -> Dict[str, Any]:
     }
 
 
-def adopt_worker(descriptor: Dict[str, Any]) -> Optional[HeartbeatWriter]:
-    """Worker side, once per process: record what the parent records,
-    starting empty.  Returns the liveness writer for the parent's
-    status view (one append-only file per worker pid, merged parent-side
-    into ``status.json`` so a hung item is visible before its SIGALRM
-    timeout fires), or None when the parent is not monitoring."""
+def adopt_worker(descriptor: Dict[str, Any]) -> None:
+    """Worker side, once per sweep state: record what the parent
+    records, starting empty.  (A worker's liveness beats travel back
+    over its fleet socket; it writes no monitor file.)"""
     session = _SESSION
     # A fork-inherited session holds the parent's open stages, its
     # monitor (ours to neither feed nor publish), its records and —
@@ -277,8 +275,6 @@ def adopt_worker(descriptor: Dict[str, Any]) -> Optional[HeartbeatWriter]:
     session.telemetry_on = bool(descriptor["telemetry"])
     session.events.close()
     session.reset_records()
-    directory = descriptor["heartbeats"]
-    return HeartbeatWriter(directory) if directory else None
 
 
 def worker_payload() -> Optional[Dict[str, Any]]:

@@ -20,7 +20,7 @@ Spec grammar — comma-separated ``action:site[:selector]``:
 * ``action`` — one of
 
   - ``raise``   raise :class:`FaultInjected` at the site;
-  - ``oserror`` raise :class:`OSError` (pool-infrastructure failure);
+  - ``oserror`` raise :class:`OSError` (executor-infrastructure failure);
   - ``kill``    ``os._exit`` — **worker processes only** (no-op in the
                 parent, so a parent-side retry of the killed item
                 survives);
@@ -161,7 +161,7 @@ def is_active() -> bool:
 
 
 def mark_worker() -> None:
-    """Tag this process as a pool worker (enables kill/hang actions)."""
+    """Tag this process as a fleet worker (enables kill/hang actions)."""
     if _state is None:
         configure(os.environ.get(ENV_VAR))
     _state.in_worker = True

@@ -6,7 +6,7 @@ its three record stores and reads them back:
 
 * **spans** — every ``obs.stage`` interval with its attributes and
   parent link (``with obs.stage("vpr.candidate", cluster=3, ar=1.5):``),
-  surviving the V-P&R fork-pool (worker spans are re-parented on
+  surviving the V-P&R worker fleet (worker spans are re-parented on
   merge).
 * **metric streams** — named time-series of QoR observations
   (``obs.observe("gp.hpwl", value, step=i)``) recording how quality

@@ -9,7 +9,7 @@ with its own attributes.
 
 The tracer is a passive store: :mod:`repro.obs` owns the clock and the
 per-thread nesting stack the parent links come from, allocates an id
-per stage and adds the finished record.  Fork-pool workers carry their
+per stage and adds the finished record.  Fleet workers carry their
 own tracer; their finished records travel back with the results and
 are re-parented under the parent process's active span via
 :meth:`Tracer.merge` (fresh span ids are allocated, so merged ids

@@ -47,7 +47,7 @@ class TestSessionCounters:
     def test_pool_sweep_session_counters_equal_inline(
         self, small_design, tmp_path
     ):
-        # Every lookup happens in the sweep's own process, so a pool
+        # Every lookup happens in the sweep's own process, so a fleet
         # sweep's session covers the whole sweep with nothing to fold
         # back from its workers.
         db = DesignDatabase(small_design)

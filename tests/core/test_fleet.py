@@ -5,9 +5,14 @@ distributing a shape sweep over socket-connected worker processes may
 only change wall-clock, never results — including when workers are
 killed mid-item, when connections fail to hand-shake, when a result
 stream tears mid-frame, and when no worker shows up at all (serial
-fallback).  Each test here runs real ``python -m repro.core.worker``
-subprocesses against a real listener.
+fallback).  Each sweep here runs real worker processes against a real
+listener: forked ones (``jobs=N``), and in one test an external
+``python -m repro worker --connect`` interpreter.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,10 +102,7 @@ class TestFleetSweep:
             box.append(FleetExecutor(workers=2))
             return box[-1]
 
-        sweeps, counters = _sweep(
-            design, members, _config(fleet_workers=2),
-            factory,
-        )
+        sweeps, counters = _sweep(design, members, _config(jobs=2), factory)
         assert _qor(sweeps) == serial_qor
         assert counters.get("vpr.fleet.state_sent", 0) == 2
         # Clean shutdown: both workers reaped on the polite path.
@@ -111,6 +113,9 @@ class TestFleetSweep:
     ):
         design, members = problem
         box = []
+        # The parent's (empty) fault state is already read: a forked
+        # worker must re-arm from its own environment entry.
+        assert not faults.is_active()
 
         def factory():
             box.append(
@@ -121,10 +126,7 @@ class TestFleetSweep:
             )
             return box[-1]
 
-        sweeps, counters = _sweep(
-            design, members, _config(fleet_workers=2),
-            factory,
-        )
+        sweeps, counters = _sweep(design, members, _config(jobs=2), factory)
         assert _qor(sweeps) == serial_qor
         assert counters.get("vpr.fleet.worker_lost", 0) >= 1
         assert counters.get("vpr.fleet.redispatch", 0) >= 1
@@ -143,10 +145,7 @@ class TestFleetSweep:
         def factory():
             return FleetExecutor(workers=2, connect_timeout=10.0)
 
-        sweeps, counters = _sweep(
-            design, members, _config(fleet_workers=2),
-            factory,
-        )
+        sweeps, counters = _sweep(design, members, _config(jobs=2), factory)
         assert _qor(sweeps) == serial_qor
         assert counters.get("vpr.fleet.connect_failed", 0) >= 1
 
@@ -157,10 +156,7 @@ class TestFleetSweep:
         def factory():
             return FleetExecutor(workers=2)
 
-        sweeps, counters = _sweep(
-            design, members, _config(fleet_workers=2),
-            factory,
-        )
+        sweeps, counters = _sweep(design, members, _config(jobs=2), factory)
         assert _qor(sweeps) == serial_qor
         assert counters.get("vpr.fleet.worker_lost", 0) >= 1
         assert counters.get("vpr.fleet.redispatch", 0) >= 1
@@ -171,15 +167,46 @@ class TestFleetSweep:
         def factory():
             # Nothing will ever dial this listener.
             return FleetExecutor(
-                workers=1, spawn=False, connect_timeout=0.5
+                workers=1, listen="127.0.0.1:0", connect_timeout=0.5
             )
 
         sweeps, counters = _sweep(
-            design, members, _config(fleet_workers=1),
-            factory,
+            design, members, _config(fleet_listen="127.0.0.1:0"), factory
         )
         assert _qor(sweeps) == serial_qor
         assert counters.get("vpr.executor.fallback", 0) == 1
+
+    def test_external_worker_matches_serial_bitwise(self, problem, serial_qor):
+        """A listen address means external workers: nothing is forked,
+        and a fresh ``repro worker`` interpreter unpickles the state."""
+        import repro
+
+        design, members = problem
+        executor = FleetExecutor(workers=1, listen="127.0.0.1:0")
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker",
+             "--connect", executor.endpoint, "--quiet"],
+            env=env,
+        )
+        try:
+            sweeps, counters = _sweep(
+                design, members, _config(fleet_listen=executor.endpoint),
+                lambda: executor,
+            )
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert _qor(sweeps) == serial_qor
+        assert counters.get("vpr.fleet.state_sent", 0) == 1
+        assert counters.get("vpr.executor.fallback", 0) == 0
+        assert executor.worker_exit_codes == []  # it forked nothing
 
 
 class TestStateSync:

@@ -211,3 +211,65 @@ class TestQorReporting:
         )
         assert code == 0
         assert json.loads(path.read_text())["design"]["name"] == "aes"
+
+
+class TestFlowSweepWidth:
+    """``FlowConfig.jobs`` sets the width of the flow's own sweep and
+    never writes into a config the caller passed."""
+
+    class _Swept(Exception):
+        pass
+
+    def _width(self, flow_config, design, monkeypatch):
+        """The ``jobs`` the flow's sweep ran at (the sweep is cut short
+        right there)."""
+        from repro.core.flow import ClusteredPlacementFlow
+        from repro.core.vpr import VPRFramework
+
+        widths = []
+
+        def record(framework, *_args):
+            widths.append(framework.config.jobs)
+            raise self._Swept
+
+        monkeypatch.setattr(VPRFramework, "sweep_clusters", record)
+        with pytest.raises(self._Swept):
+            ClusteredPlacementFlow(flow_config).run(design)
+        return widths[0]
+
+    def test_shared_config_is_not_written(
+        self, small_design_fresh, monkeypatch
+    ):
+        from repro.core.flow import FlowConfig
+        from repro.core.vpr import VPRConfig
+
+        shared = VPRConfig()
+        wide = FlowConfig(jobs=4, vpr_config=shared)
+        narrow = FlowConfig(vpr_config=shared)
+        assert shared.jobs == 1
+        assert self._width(narrow, small_design_fresh, monkeypatch) == 1
+        assert self._width(wide, small_design_fresh, monkeypatch) == 4
+        assert shared.jobs == 1
+
+    def test_flow_jobs_wins_over_vpr_config(
+        self, small_design_fresh, monkeypatch
+    ):
+        from repro.core.flow import FlowConfig
+        from repro.core.vpr import VPRConfig
+
+        passed = VPRConfig(jobs=1)
+        config = FlowConfig(jobs=2, vpr_config=passed)
+        assert self._width(config, small_design_fresh, monkeypatch) == 2
+        assert passed.jobs == 1
+
+    def test_flow_jobs_reaches_a_selectors_framework(
+        self, small_design_fresh, monkeypatch
+    ):
+        from repro.core.flow import FlowConfig
+        from repro.core.vpr import VPRConfig, VPRShapeSelector
+
+        own = VPRConfig()
+        selector = VPRShapeSelector(own)
+        config = FlowConfig(jobs=3, shape_selector=selector)
+        assert self._width(config, small_design_fresh, monkeypatch) == 3
+        assert selector.framework.config is own and own.jobs == 1

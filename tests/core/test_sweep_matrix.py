@@ -4,7 +4,8 @@ The sweep is one loop (``VPRFramework.sweep_clusters``) over a
 ``SweepExecutor``; this matrix pins that *where* items evaluate and
 *what* goes wrong on the way change nothing observable:
 
-* executor: inline (``jobs=1``), fork pool, loopback fleet;
+* executor: inline (``jobs=1``) and a loopback fleet of two forked
+  workers (``jobs=2``);
 * fault: none, one item's first attempt raising
   (``raise:vpr.item:<c>/<k>``), a whole lockstep batch raising
   (``raise:vpr.batch``), and an item going terminal under
@@ -13,8 +14,8 @@ The sweep is one loop (``VPRFramework.sweep_clusters``) over a
   nothing, every item cached, every item checkpointed, half of one
   cluster missing from an otherwise full cache.
 
-Faults are armed through ``REPRO_FAULTS`` so every process — pool and
-fleet workers included — holds its own armed copy.  Each run must
+Faults are armed through ``REPRO_FAULTS`` so every process — fleet
+workers included — holds its own armed copy.  Each run must
 match the inline run under the same fault in evaluations, chosen
 shapes, ``vpr.item.retry`` / ``vpr.item.terminal`` counts, the
 ``vpr.total_cost`` stream and the final ``vpr.items`` progress record;
@@ -28,11 +29,10 @@ Stored results resolve in the sweep's own process, before anything is
 chunked: whatever the executor, the same items hit, miss, are stored
 and are checkpointed; only the misses are evaluated (a cluster's misses
 as one batch); and a sweep the stores serve in full builds no executor
-— no pool fork, no fleet listener, no worker process.
+— no fleet listener, no fork, no worker process.
 
 What crosses the boundary is the sub-netlists' one flat form: codec
-payloads (``NetlistArrays`` columns) to a fleet, live subs with their
-arrays built to a fork pool — and a worker of either kind evaluates
+payloads (``NetlistArrays`` columns) — and a fleet worker evaluates
 with ``NetlistArrays.from_design`` rigged to raise.
 """
 
@@ -51,12 +51,7 @@ from repro import monitor, perf, telemetry
 from repro.cache import EvaluationCache, netlist_digest
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
-from repro.core.vpr import (
-    VPRConfig,
-    VPRFramework,
-    VPRShapeSelector,
-    _fork_available,
-)
+from repro.core.vpr import VPRConfig, VPRFramework, VPRShapeSelector
 from repro.db.database import DesignDatabase
 from repro.netlist.arrays import COLUMNS, NetlistArrays
 from repro.recovery import faults
@@ -64,8 +59,7 @@ from repro.recovery.checkpoint import CheckpointStore
 
 EXECUTORS = {
     "inline": dict(jobs=1),
-    "fork": dict(jobs=2),
-    "fleet": dict(fleet_workers=2),
+    "fleet": dict(jobs=2),
 }
 #: The candidate whose first attempt the item faults hit.
 FAULTY = 2
@@ -197,8 +191,6 @@ def _same(a, b):
 def test_executor_and_fault_change_nothing_observable(
     clusters, executor, kind, tmp_path, tmp_path_factory, monkeypatch
 ):
-    if executor == "fork" and not _fork_available():
-        pytest.skip("fork start method unavailable")
     clean = _inline(clusters, "none", tmp_path_factory, monkeypatch)
     reference = _inline(clusters, kind, tmp_path_factory, monkeypatch)
     run = (
@@ -300,8 +292,6 @@ def _expected_traffic(state):
 def test_stored_results_resolve_in_the_sweep_process(
     clusters, primed, executor, state, tmp_path, tmp_path_factory, monkeypatch
 ):
-    if executor == "fork" and not _fork_available():
-        pytest.skip("fork start method unavailable")
     clean = _inline(clusters, "none", tmp_path_factory, monkeypatch)
     checkpoint, cache = _stores(state, primed, tmp_path)
     served = state in ("cached", "checkpointed")
@@ -310,9 +300,8 @@ def test_stored_results_resolve_in_the_sweep_process(
         raise AssertionError("a fully served sweep built an executor")
 
     if served:
-        # Neither a pool process nor a fleet worker may be started.
-        monkeypatch.setattr(fanout, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(fanout.subprocess, "Popen", refuse)
+        # No fleet worker may be forked.
+        monkeypatch.setattr(os, "fork", refuse)
     batches = []
     evaluate = VPRFramework.evaluate_candidates
 
@@ -344,26 +333,22 @@ def test_stored_results_resolve_in_the_sweep_process(
 
 
 # ----------------------------------------------------------------------
-# One flat form: what is published, and that no worker walks a netlist
+# One flat form: what is shipped, and that no worker walks a netlist
 # ----------------------------------------------------------------------
-class _PickleBoundary(fanout.SweepExecutor):
-    """What the sweep sees of a fleet: items evaluate in another
-    process, behind a pickle boundary."""
-
-    requires_snapshots = True
-
-
-def _published(clusters, executor):
-    """``(framework, induced clusters, published state)``, as
-    ``_sweep_on`` builds them for ``executor``."""
+def _shipped(clusters):
+    """``(framework, induced clusters, shipped state)``, as
+    ``_sweep_on`` builds them for an executor that crosses a process
+    boundary."""
     design, members, swept = clusters
     framework = VPRFramework(_config("inline"))
     induced = {c: framework.induce(design, members[c]) for c in swept}
-    return framework, induced, framework._sweep_state(executor, induced)
+    return framework, induced, framework._sweep_state(
+        fanout.SweepExecutor(), induced
+    )
 
 
 def test_fleet_payload_is_codec_payloads_and_config(clusters):
-    _framework, induced, state = _published(clusters, _PickleBoundary())
+    _framework, induced, state = _shipped(clusters)
     assert set(state) == {"config", "clusters", "item_timeout", "obs"}
     for c, (sub, cell_area) in induced.items():
         payload, area = state["clusters"][c]
@@ -373,12 +358,6 @@ def test_fleet_payload_is_codec_payloads_and_config(clusters):
         assert netlist_digest(snapshot.design_from_snapshot(payload)) == (
             netlist_digest(sub)
         )
-    # The pool publishes the live subs, their flat form already built.
-    _framework, induced, state = _published(clusters, fanout.LocalPoolExecutor(2))
-    for c, (sub, _area) in induced.items():
-        assert state["clusters"][c][0] is sub
-        assert sub._netlist_arrays is not None
-        assert sub._netlist_arrays.structure_key == sub.structure_key()
 
 
 def _refuse_walk(*_args, **_kwargs):
@@ -402,9 +381,9 @@ def _fleet_worker_body(blob, items, conn):
 
 
 def test_fleet_worker_set_up_walks_no_netlist(clusters):
-    if not _fork_available():
+    if not hasattr(os, "fork"):
         pytest.skip("the rigged worker is a forked child")
-    framework, induced, state = _published(clusters, _PickleBoundary())
+    framework, induced, state = _shipped(clusters)
     blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     c = clusters[2][0]
     items = [(c, 0), (c, 3)]
@@ -427,8 +406,8 @@ def test_fleet_worker_set_up_walks_no_netlist(clusters):
 def test_fork_worker_first_chunk_walks_no_netlist(
     clusters, tmp_path, tmp_path_factory, monkeypatch
 ):
-    if not _fork_available():
-        pytest.skip("fork start method unavailable")
+    if not hasattr(os, "fork"):
+        pytest.skip("fork unavailable")
     clean = _inline(clusters, "none", tmp_path_factory, monkeypatch)
     parent = os.getpid()
     walk = NetlistArrays.from_design
@@ -438,7 +417,8 @@ def test_fork_worker_first_chunk_walks_no_netlist(
             _refuse_walk()
         return walk(design)
 
-    # Fork workers inherit the rig with the published, already-flat subs.
+    # Forked fleet workers inherit the rig; the subs they decode carry
+    # their flat form.
     monkeypatch.setattr(NetlistArrays, "from_design", parent_only)
     in_parent = []
     evaluate = VPRFramework.evaluate_candidates
@@ -448,7 +428,7 @@ def test_fork_worker_first_chunk_walks_no_netlist(
         return evaluate(self, sub, cell_area, candidates, cluster_id=cluster_id)
 
     monkeypatch.setattr(VPRFramework, "evaluate_candidates", recording)
-    run = _run(clusters, "fork", "none", tmp_path, monkeypatch)
+    run = _run(clusters, "fleet", "none", tmp_path, monkeypatch)
     assert in_parent == []  # no item came back failed to be redone here
     assert (run["retry"], run["terminal"]) == (0, 0)
     for key in ("shapes", "evaluations", "total_cost", "streams", "counters"):

@@ -1,5 +1,7 @@
 """V-P&R framework tests (shapes, sub-netlist extraction, selectors)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -292,7 +294,7 @@ class TestGoldenCosts:
 
 class TestBatchedSweepEquivalence:
     """(c) however the grid is cut into batches — one per cluster
-    (serial), per pool chunk, or whatever a resumed run finds missing —
+    (serial), per fleet chunk, or whatever a resumed run finds missing —
     the sweep is the same."""
 
     @staticmethod
@@ -318,9 +320,7 @@ class TestBatchedSweepEquivalence:
 
     @pytest.mark.parametrize("chunk_size", [None, 1, 7])
     def test_pool_chunks_match_serial(self, cluster_context, serial, chunk_size):
-        from repro.core.vpr import _fork_available
-
-        if not _fork_available():
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         selection = self._select(cluster_context, jobs=2, chunk_size=chunk_size)
         assert _sweep_digest(selection) == serial

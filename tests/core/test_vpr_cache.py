@@ -1,9 +1,10 @@
 """Cross-run evaluation cache: warm == cold, bitwise, inline and on
-the pool (``tests/core/test_sweep_matrix.py`` has the executor x store
-state matrix), and fault tolerance of the fan-out attach path.
+the fleet (``tests/core/test_sweep_matrix.py`` has the executor x store
+state matrix), and fault tolerance of a worker taking its state.
 """
 
 import json
+import os
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.core.vpr import (
     VPRConfig,
     VPRFramework,
     VPRShapeSelector,
-    _fork_available,
 )
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
@@ -132,7 +132,7 @@ class TestSerialWarmIdentity:
         _assert_identical(cold, warm)
 
 
-@pytest.mark.skipif(not _fork_available(), reason="fork unavailable")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
 class TestParallelWarmIdentity:
     def test_fork_pool_serves_warm_results(self, small_clusters, tmp_path):
         design, members = small_clusters
@@ -145,7 +145,7 @@ class TestParallelWarmIdentity:
         self, small_clusters, tmp_path
     ):
         """A cache written by a serial run is served bit-identically by
-        pool workers (and vice versa)."""
+        fleet workers (and vice versa)."""
         design, members = small_clusters
         cache = EvaluationCache(str(tmp_path / "cache"))
         serial_cold = _select(design, members, _config(), cache=cache)
@@ -157,13 +157,14 @@ class TestParallelWarmIdentity:
     def test_worker_killed_attaching_state_degrades_to_retry(
         self, small_clusters, tmp_path
     ):
-        """A worker dying inside fanout.attach_state never produces a
-        result; its items flow to the parent-side retry path.  (On a
-        cold sweep: a served one forks no worker to attach anything.)"""
+        """A fleet worker dying while it installs the shipped sweep
+        state never produces a result; its items flow to the
+        parent-side retry path.  (On a cold sweep: a served one forks
+        no worker to ship anything to.)"""
         design, members = small_clusters
         serial = _select(design, members, _config())
         cache = EvaluationCache(str(tmp_path / "cache"))
-        faults.configure("kill:fanout.attach")
+        faults.configure("kill:fleet.install")
         perf.enable()
         perf.reset()
         try:

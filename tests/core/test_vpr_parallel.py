@@ -5,6 +5,8 @@ results.  These tests pin that down bitwise on a real benchmark, plus
 the sub-netlist cache's equivalence to fresh induction.
 """
 
+import os
+
 import pytest
 
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
@@ -12,7 +14,6 @@ from repro.core.vpr import (
     VPRConfig,
     VPRFramework,
     VPRShapeSelector,
-    _fork_available,
     extract_subnetlist,
 )
 from repro.core.shapes import uniform_shape
@@ -43,7 +44,7 @@ def _select(design, members, jobs, chunk_size=None):
 
 class TestParallelDeterminism:
     def test_jobs_do_not_change_selection(self, jpeg_clusters):
-        if not _fork_available():
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         design, members = jpeg_clusters
         config, serial = _select(design, members, jobs=1)
@@ -68,7 +69,7 @@ class TestParallelDeterminism:
         """Chunking is a scheduling knob only: one item per task, odd
         chunks that straddle cluster boundaries, and one giant chunk all
         select byte-identical shapes with byte-identical costs."""
-        if not _fork_available():
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         design, members = jpeg_clusters
         _config, serial = _select(design, members, jobs=1)
@@ -89,7 +90,7 @@ class TestParallelDeterminism:
     def test_parallel_sweep_warm_cache_identical(self, jpeg_clusters):
         """A second sweep in the same process must not change results:
         nothing the router or placer keeps between runs is stateful."""
-        if not _fork_available():
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         design, members = jpeg_clusters
         _config, first = _select(design, members, jobs=2)

@@ -6,11 +6,13 @@
   final progress records (no timing fields in the accounting).
 """
 
+import os
+
 import pytest
 
 from repro import monitor, obs, telemetry
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
-from repro.core.vpr import VPRConfig, VPRShapeSelector, _fork_available
+from repro.core.vpr import VPRConfig, VPRShapeSelector
 from repro.db.database import DesignDatabase
 from repro.designs import load_benchmark
 
@@ -69,8 +71,8 @@ class TestSweepProgress:
         self, aes_clusters, tmp_path
     ):
         """jobs changes wall-clock, never the accounting: the final
-        progress records of a serial and a pooled sweep match exactly."""
-        if not _fork_available():
+        progress records of a serial and a fleet sweep match exactly."""
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         design, members = aes_clusters
         serial, _ = _sweep_with_monitor(
@@ -87,7 +89,7 @@ class TestSweepProgress:
         self, aes_clusters, tmp_path, monkeypatch
     ):
         """An OSError fallback to the inline executor restarts the task:
-        items the failed pool attempt already advanced (checkpoint
+        items the failed fleet attempt already advanced (checkpoint
         serves, resolved chunks) must not be counted a second time."""
         design, members = aes_clusters
         telemetry.enable(str(tmp_path))
@@ -104,12 +106,15 @@ class TestSweepProgress:
 
         session.progress.on_tick = record_tick
 
-        from repro.core.fanout import LocalPoolExecutor
+        from repro.core.fanout import SweepExecutor
 
-        class BrokenPool(LocalPoolExecutor):
+        class BrokenFleet(SweepExecutor):
+            def width(self):
+                return 2
+
             def map_chunks(self, state, chunks, chunk_fn):
                 obs.advance("vpr.items", 2)  # e.g. resolved chunks
-                raise OSError("pool unavailable")
+                raise OSError("fleet unavailable")
                 yield  # pragma: no cover - makes this a generator
 
         config = VPRConfig(
@@ -119,7 +124,7 @@ class TestSweepProgress:
             jobs=2,
         )
         selector = VPRShapeSelector(config)
-        selector.framework.executor_factory = lambda: BrokenPool(2)
+        selector.framework.executor_factory = BrokenFleet
         selector.select(design, members)
         items = [
             r for r in session.progress.records() if r["name"] == "vpr.items"
@@ -128,12 +133,12 @@ class TestSweepProgress:
         telemetry.disable()
         assert items[0]["done"] == items[0]["total"] > 0
         # The restart is visible as done returning to 0 after the failed
-        # pool attempt's advance — the inline run counts from scratch.
+        # fleet attempt's advance — the inline run counts from scratch.
         first_advanced = next(i for i, d in enumerate(dones) if d > 0)
         assert 0 in dones[first_advanced:]
 
     def test_chunked_parallel_records_identical(self, aes_clusters, tmp_path):
-        if not _fork_available():
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         design, members = aes_clusters
         serial, _ = _sweep_with_monitor(

@@ -16,7 +16,7 @@ import pytest
 from repro.core.flow import ClusteredPlacementFlow, FlowConfig
 from repro.core.ppa_clustering import PPAClusteringConfig
 from repro.core.shapes import default_candidate_grid
-from repro.core.vpr import VPRConfig, _fork_available
+from repro.core.vpr import VPRConfig
 from repro.designs import DesignSpec, generate_design
 from repro.recovery import CheckpointError, faults
 from repro.recovery.faults import ABORT_EXIT_CODE, FaultInjected
@@ -93,7 +93,7 @@ class TestResumeBitIdentity:
         )
         _assert_identical(again, baseline)
 
-    @pytest.mark.skipif(not _fork_available(), reason="fork unavailable")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
     def test_parallel_interrupt_and_resume(self, tmp_path):
         baseline = _run(_flow_config(jobs=2))
 

@@ -5,9 +5,12 @@ bounded budget; a terminal failure either aborts the sweep visibly or
 excludes the candidate explicitly — NaN costs never reach selection.
 """
 
+import os
+
 import pytest
 
 import repro.core.fanout as fanout
+import repro.core.vpr as vpr
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
 from repro.core.vpr import (
@@ -16,7 +19,6 @@ from repro.core.vpr import (
     VPRFramework,
     VPRShapeSelector,
     VPRSweepError,
-    _fork_available,
 )
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
@@ -120,7 +122,28 @@ class TestSerialRetries:
             framework.sweep_cluster(design, members[c], c)
 
 
-@pytest.mark.skipif(not _fork_available(), reason="fork unavailable")
+def _record_fleets(monkeypatch):
+    """The fleets the sweep builds from now on, in build order."""
+    fleets = []
+
+    class Recorded(fanout.FleetExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fleets.append(self)
+
+    monkeypatch.setattr(vpr, "FleetExecutor", Recorded)
+    return fleets
+
+
+def _all_reaped(fleets):
+    """One fleet was built and closed, and every worker it forked was
+    reaped without being killed."""
+    (fleet,) = fleets
+    codes = fleet.worker_exit_codes
+    return fleet._closed and len(codes) == fleet.workers and None not in codes
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
 class TestParallelRecovery:
     def _select(self, design, members, config):
         return VPRShapeSelector(config).select(design, members)
@@ -151,26 +174,31 @@ class TestParallelRecovery:
         )
         assert parallel.shapes == serial.shapes
 
-    def test_pool_failure_falls_back_to_serial(self, small_clusters):
-        """An OSError escaping the collection loop cancels the pending
-        siblings, releases the published fan-out state and re-runs the
-        sweep on the inline executor with identical results (the
-        executor-escape bugfix)."""
+    def test_pool_failure_falls_back_to_serial(
+        self, small_clusters, monkeypatch
+    ):
+        """An OSError escaping the collection loop shuts the fleet
+        down, reaps its workers and re-runs the sweep on the inline
+        executor with identical results (the executor-escape bugfix)."""
         design, members = small_clusters
         serial = self._select(design, members, _config())
+        fleets = _record_fleets(monkeypatch)
         faults.configure("oserror:vpr.collect")
         parallel = self._select(design, members, _config(jobs=2))
-        assert not fanout._INHERITED
+        assert _all_reaped(fleets)
         assert parallel.shapes == serial.shapes
         for s, p in zip(serial.sweeps, parallel.sweeps):
             for es, ep in zip(s.evaluations, p.evaluations):
                 assert es.hpwl_cost == ep.hpwl_cost
                 assert es.congestion_cost == ep.congestion_cost
 
-    def test_published_state_released_after_clean_run(self, small_clusters):
+    def test_published_state_released_after_clean_run(
+        self, small_clusters, monkeypatch
+    ):
         design, members = small_clusters
+        fleets = _record_fleets(monkeypatch)
         self._select(design, members, _config(jobs=2))
-        assert not fanout._INHERITED
+        assert _all_reaped(fleets)
 
 
 class TestInlineExecutor:

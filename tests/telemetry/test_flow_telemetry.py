@@ -1,5 +1,5 @@
 """Flow-level telemetry integration: streams, span tree, events, and
-the fork-pool worker round-trip (including crash containment)."""
+the fleet worker round-trip (including crash containment)."""
 
 import math
 import os
@@ -13,7 +13,6 @@ from repro.core.vpr import (
     VPRConfig,
     VPRFramework,
     VPRShapeSelector,
-    _fork_available,
 )
 from repro.db.database import DesignDatabase
 
@@ -121,11 +120,11 @@ class TestWorkerTelemetry:
     def test_worker_spans_reparented_into_parent_trace(self, small_clusters):
         """One span tree for every executor: vpr.select -> vpr.sweep ->
         vpr.candidate, whether the candidates ran in this process or
-        were merged in from pool workers."""
-        if not _fork_available():
+        were merged in from fleet workers."""
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         design, members = small_clusters
-        for jobs, executor in ((1, "inline"), (2, "local")):
+        for jobs, executor in ((1, "inline"), (2, "fleet")):
             telemetry.enable()  # fresh session
             selection = VPRShapeSelector(_sweep_config(jobs=jobs)).select(
                 design, members
@@ -166,7 +165,7 @@ class TestWorkerTelemetry:
                 )
 
     def test_parallel_streams_match_serial(self, small_clusters):
-        if not _fork_available():
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         design, members = small_clusters
 
@@ -186,7 +185,7 @@ class TestWorkerCrash:
         """A worker-side exception must not corrupt selection: the item
         is retried in the parent, partial perf counters merge, and a
         worker.error event is emitted."""
-        if not _fork_available():
+        if not hasattr(os, "fork"):
             pytest.skip("fork start method unavailable")
         design, members = small_clusters
 

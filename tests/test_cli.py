@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.vpr import VPRConfig
 
 
 class TestParser:
@@ -57,6 +58,17 @@ class TestOneVocabulary:
             accepted = self._cli_accepts([f"--{key}", value])
             assert accepted == (value in choices), (key, value)
             assert accepted == self._serve_accepts({"design": "aes", key: value})
+
+    @pytest.mark.parametrize(
+        "jobs, valid", [(1, True), (2, True), (0, False), (-3, False)]
+    )
+    def test_jobs(self, jobs, valid, capsys):
+        assert self._cli_accepts(["--jobs", str(jobs)]) == valid
+        assert self._serve_accepts({"design": "aes", "jobs": jobs}) == valid
+        if not valid:
+            assert "--jobs" in capsys.readouterr().err
+            with pytest.raises(ValueError, match="jobs"):
+                VPRConfig(jobs=jobs)
 
     @pytest.mark.parametrize(
         "params, valid",
@@ -314,23 +326,27 @@ class TestVizCommand:
 
 class TestFleetCli:
     def test_flow_fleet_flags_parsed(self):
+        """``--jobs`` is the fleet's width; ``--fleet-listen`` makes its
+        workers external.  The old fleet flags are gone."""
         args = build_parser().parse_args(
-            ["flow", "--fleet", "2", "--fleet-listen", "0.0.0.0:7000",
-             "--fleet-external"]
+            ["flow", "--jobs", "2", "--fleet-listen", "0.0.0.0:7000"]
         )
-        assert args.fleet == 2
+        assert args.jobs == 2
         assert args.fleet_listen == "0.0.0.0:7000"
-        assert args.fleet_external is True
+        for gone in (["--fleet", "2"], ["--fleet-external"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["flow", *gone])
 
     def test_flow_fleet_defaults_off(self):
         args = build_parser().parse_args(["flow"])
-        assert args.fleet == 0
+        assert args.jobs == 1
         assert args.fleet_listen is None
-        assert args.fleet_external is False
+        assert not hasattr(args, "fleet")
+        assert not hasattr(args, "fleet_external")
 
     def test_fleet_requires_ours_flow(self):
-        with pytest.raises(SystemExit, match="--flow ours"):
-            main(["flow", "--flow", "default", "--fleet", "2"])
+        with pytest.raises(SystemExit, match="--fleet-listen .*--flow ours"):
+            main(["flow", "--flow", "default", "--fleet-listen", "h:7000"])
 
     def test_worker_subcommand_parsed(self):
         args = build_parser().parse_args(

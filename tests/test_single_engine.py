@@ -73,14 +73,14 @@ def test_single_valued_options_stay_deleted():
     assert not flow & {
         "max_cluster_net_weight", "fleet_workers", "fleet_listen", "fleet_spawn",
     }
-    assert len(vpr) <= 16
+    assert len(vpr) <= 14
     assert len(flow) <= 14
     # Every declared result field is a real field.
     assert set(VPRConfig.EVALUATION_FIELDS + VPRConfig.SELECTION_FIELDS) <= vpr
 
 
 # ----------------------------------------------------------------------
-# A sweep worker only computes; one pool transport
+# A sweep worker only computes; one executor leaves the process
 # ----------------------------------------------------------------------
 def test_workers_never_see_a_store():
     import ast
@@ -88,18 +88,27 @@ def test_workers_never_see_a_store():
     from pathlib import Path
 
     import repro
-    from repro.core import vpr, worker
-    from repro.core.fanout import InlineExecutor, ItemOutcome, LocalPoolExecutor
+    from repro.core import fanout, vpr, worker
+    from repro.core.fanout import FleetExecutor, InlineExecutor, ItemOutcome
     from repro.core.vpr import VPRConfig, VPRFramework
 
     gone = re.compile(
-        r"\b(note_lookup|start_method|shared_memory|reset_attachments|_ATTACHED)\b"
+        r"\b(note_lookup|start_method|shared_memory|reset_attachments|_ATTACHED"
+        r"|LocalPoolExecutor|ProcessPoolExecutor|publish_state|attach_state"
+        r"|_INHERITED|_fork_available|requires_snapshots|fleet_workers"
+        r"|fleet_spawn)\b"
     )
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
         assert not gone.search(path.read_text()), path
+    # Local fleet workers are forked, not spawned.
+    assert not re.search(
+        r"^\s*(import|from)\s+subprocess\b",
+        inspect.getsource(fanout),
+        re.MULTILINE,
+    )
 
     assert "cached" not in ItemOutcome._fields
-    assert len(fields(VPRConfig)) <= 16
+    assert len(fields(VPRConfig)) <= 14
 
     # Nothing named after the cache crosses the process boundary:
     # not in the fleet worker's module ...
@@ -111,9 +120,13 @@ def test_workers_never_see_a_store():
     assert not [n for n in names if n and "cache" in n.lower()]
     # ... and not in what a sweep publishes to its workers.
     framework = VPRFramework(VPRConfig())
-    for executor in (InlineExecutor(), LocalPoolExecutor(2)):
-        state = framework._sweep_state(executor, {})
-        assert not [key for key in state if "cache" in key.lower()]
+    fleet = FleetExecutor(workers=2)
+    try:
+        for executor in (InlineExecutor(), fleet):
+            state = framework._sweep_state(executor, {})
+            assert not [key for key in state if "cache" in key.lower()]
+    finally:
+        fleet.close()
     # The chunk evaluator and the retry scheduler only compute.
     for func in (
         vpr._evaluate_chunk, vpr._cluster_run_worker, vpr._setup_worker,
@@ -133,10 +146,9 @@ def test_repro_worker_takes_no_cache_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["worker", *argv])
     assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        worker.main(argv)
-    assert excinfo.value.code == 2
     assert "--cache" in capsys.readouterr().err
+    # One worker front door: `repro worker`.
+    assert not hasattr(worker, "main")
 
 
 # ----------------------------------------------------------------------
