@@ -401,15 +401,21 @@ class FleetExecutor(SweepExecutor):
             )
 
     def _accept_workers(self, blob: bytes, digest: str) -> None:
-        """Accept handshakes until the fleet is at strength (or the
-        connect timeout passes with at least one worker)."""
+        """Accept handshakes until the fleet is at strength, or the
+        connect timeout passes, or every forked worker has either
+        connected or exited (a dropped handshake's child exits, so
+        nothing is left to wait for; external workers get the
+        deadline)."""
         deadline = time.monotonic() + self.connect_timeout
         self._server.settimeout(0.2)
         while len([w for w in self._fleet if w.alive]) < self.workers:
             if time.monotonic() >= deadline:
                 break
-            if self._children and all(map(self._exited, self._children)):
-                break  # every local worker already exited: stop waiting
+            connected = {w.pid for w in self._fleet if w.alive}
+            if self._children and all(
+                pid in connected or self._exited(pid) for pid in self._children
+            ):
+                break
             try:
                 conn, _addr = self._server.accept()
             except TimeoutError:

@@ -321,18 +321,15 @@ class ClusteredPlacementFlow:
     def _stage(self, store, name: str, compute):
         """Run one checkpointable stage, or serve it from the store.
 
-        Returns ``(payload, resumed)``.  A fresh run snapshots the
-        global RNG state at the stage boundary; a resumed run restores
-        the interrupted run's snapshot, so the RNG stream downstream of
-        skipped stages is bit-identical to an uninterrupted run.
+        Returns ``(payload, resumed)``.  Stages draw only from
+        explicitly seeded generators, so what runs after a skipped stage
+        is bit-identical to an uninterrupted run with no RNG state kept.
         """
         if store is not None and store.has_stage(name):
             payload = store.load_stage(name)
             obs.count("recovery.stage.reused")
             obs.event("checkpoint.resumed", stage=name)
             return payload, True
-        if store is not None and not store.restore_rng(name):
-            store.capture_rng(name)
         faults.check("flow." + name)
         payload = compute()
         if store is not None:

@@ -453,19 +453,25 @@ class Design:
         self._degree_cache: Optional[tuple] = None
         #: Cached flat-array form (filled by Design.arrays()).
         self._netlist_arrays = None
+        #: ``(structure_key, TimingGraph)`` held by
+        #: :func:`repro.sta.graph.timing_graph_for`; owned here so the
+        #: graph dies with the design it describes.
+        self._timing_graph: Optional[tuple] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop derived caches when pickling / deep-copying.
+        """Drop derived caches when pickling / copying.
 
-        The array form, signal-net list and degree arrays are all
-        rebuildable and would otherwise bloat checkpoints (and drag
-        stale numpy buffers across processes).
+        The array form, signal-net list, degree arrays and timing graph
+        are all rebuildable and would otherwise bloat checkpoints (and
+        drag stale numpy buffers across processes); a copy that kept the
+        timing graph would hold one whose ``.design`` is the original.
         """
         state = self.__dict__.copy()
         for key in (
             "_netlist_arrays",
             "_signal_nets_cache",
             "_degree_cache",
+            "_timing_graph",
         ):
             state.pop(key, None)
         return state
@@ -477,6 +483,7 @@ class Design:
         self._signal_nets_cache = None
         self._degree_cache = None
         self._netlist_arrays = None
+        self._timing_graph = None
 
     # ------------------------------------------------------------------
     # Cache invalidation
@@ -493,6 +500,7 @@ class Design:
         self._signal_nets_cache = None
         self._degree_cache = None
         self._netlist_arrays = None
+        self._timing_graph = None
 
     def structure_key(self) -> tuple:
         """Cheap fingerprint of the netlist structure.

@@ -9,10 +9,13 @@ the flow's units of work as they complete:
 * **V-P&R items** — one small JSON file per (cluster, candidate)
   evaluation, written the moment the item finishes, so an interrupted
   sweep resumes from the last completed item rather than the last
-  completed stage;
-* **RNG snapshots** — the global ``random`` / ``numpy.random`` states
-  captured at each stage boundary, restored on resume so a resumed run
-  replays the exact RNG stream of an uninterrupted one.
+  completed stage.
+
+No RNG state is kept: every stage draws from explicit seeded
+generators, never the global ``random`` / ``numpy.random`` streams
+(``tests/test_no_global_rng.py`` holds ``src/repro`` to that), so a
+resumed run replays an uninterrupted one without a snapshot.  The
+``rng_*.pkl`` files older builds wrote are ignored.
 
 Every write is atomic: the payload goes to a temporary file in the
 same directory, is fsynced, and is renamed over the final name (the
@@ -28,7 +31,6 @@ Layout of a checkpoint directory::
 
     MANIFEST.json             # schema, fingerprint, completed stages
     stage_clustering.pkl      # one per completed stage
-    rng_clustering.pkl        # one per started stage
     vpr_items/c{C}_k{K}.json  # one per completed (cluster, candidate)
 
 The manifest ``fingerprint`` identifies the run configuration (design,
@@ -39,14 +41,10 @@ mixing results.
 
 from __future__ import annotations
 
-import io
 import json
 import pickle
-import random
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
-
-import numpy as np
 
 from repro.ioutil import atomic_write_bytes, has_finite_costs, sha256_hex
 from repro.recovery import faults
@@ -76,7 +74,7 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointStore:
-    """One checkpoint directory: stage records, V-P&R items, RNG state."""
+    """One checkpoint directory: stage records and V-P&R items."""
 
     MANIFEST = "MANIFEST.json"
     ITEM_DIR = "vpr_items"
@@ -90,8 +88,6 @@ class CheckpointStore:
         """Start a fresh checkpoint, discarding any previous records."""
         self.directory.mkdir(parents=True, exist_ok=True)
         for stale in self.directory.glob("stage_*.pkl"):
-            stale.unlink()
-        for stale in self.directory.glob("rng_*.pkl"):
             stale.unlink()
         item_dir = self.directory / self.ITEM_DIR
         if item_dir.is_dir():
@@ -285,39 +281,6 @@ class CheckpointStore:
             yield int(c_text), int(k_text), self.load_vpr_item(
                 int(c_text), int(k_text)
             )
-
-    # -- RNG snapshots -------------------------------------------------
-    def _rng_path(self, stage: str) -> Path:
-        return self.directory / f"rng_{stage}.pkl"
-
-    def has_rng(self, stage: str) -> bool:
-        return self._rng_path(stage).is_file()
-
-    def capture_rng(self, stage: str) -> None:
-        """Snapshot the global RNG states at this stage boundary."""
-        state = {
-            "random": random.getstate(),
-            "numpy": np.random.get_state(),
-        }
-        buffer = io.BytesIO()
-        pickle.dump(state, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_write_bytes(self._rng_path(stage), buffer.getvalue())
-
-    def restore_rng(self, stage: str) -> bool:
-        """Restore the snapshot for ``stage``; False when absent."""
-        path = self._rng_path(stage)
-        if not path.is_file():
-            return False
-        try:
-            state = pickle.loads(path.read_bytes())
-            random.setstate(state["random"])
-            np.random.set_state(state["numpy"])
-        except Exception as exc:
-            raise CheckpointError(
-                f"checkpoint RNG snapshot {path} is corrupt ({exc!r}); "
-                "delete it and rerun without --resume"
-            ) from exc
-        return True
 
     # -- manifest ------------------------------------------------------
     def _write_manifest(self) -> None:

@@ -4,7 +4,10 @@
 into NumPy arrays once per graph, so that every subsequent timing
 update — arrival/required propagation, hold analysis, activity
 propagation — runs as a handful of wave-sliced array kernels instead
-of per-arc Python loops.
+of per-arc Python loops.  :func:`flat_for` keeps the compilation on the
+graph (``TimingGraph._flat``), as :func:`~repro.sta.graph.timing_graph_for`
+keeps the graph on its design: each cache dies with its owner, and no
+module-level table outlives a finished flow.
 
 Bit-identity contract
 ---------------------
@@ -34,7 +37,6 @@ time.  Mutating masters afterwards (gate sizing) must call
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -522,20 +524,15 @@ class FlatTiming:
         return delay
 
 
-_FLAT_CACHE: "weakref.WeakKeyDictionary[TimingGraph, FlatTiming]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def flat_for(graph: TimingGraph) -> FlatTiming:
-    """Cached flat compilation of a timing graph."""
-    flat = _FLAT_CACHE.get(graph)
+    """Cached flat compilation of a timing graph (held on the graph, so
+    it dies with it)."""
+    flat = graph._flat
     if flat is None:
-        flat = FlatTiming(graph)
-        _FLAT_CACHE[graph] = flat
+        flat = graph._flat = FlatTiming(graph)
     return flat
 
 
 def invalidate_flat(graph: TimingGraph) -> None:
     """Drop the cached compilation (call after mutating master cells)."""
-    _FLAT_CACHE.pop(graph, None)
+    graph._flat = None

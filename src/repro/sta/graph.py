@@ -26,7 +26,6 @@ replaced is the tests' oracle (``tests/sta/reference.py``).
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -86,6 +85,8 @@ class TimingGraph:
         self._c_out_net: Optional[np.ndarray] = None
         self._c_out_inst: Optional[np.ndarray] = None
         self._c_nin: Optional[np.ndarray] = None  # inputs per (inst, output)
+        #: The flat compilation held by :func:`repro.sta.flat.flat_for`.
+        self._flat = None
         self._build_arrays()
         self.levelize()
 
@@ -470,25 +471,23 @@ class TimingGraph:
         )
 
 
-_GRAPH_CACHE: "weakref.WeakKeyDictionary[Design, Tuple[tuple, TimingGraph]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def timing_graph_for(design: Design) -> TimingGraph:
     """Cached timing graph for a design.
 
     The graph depends only on connectivity, so one graph per design is
     shared between the clustering stage and the post-route evaluation
     (placement moves only change the wire model's answers).  The cache
-    is keyed on :meth:`Design.structure_key`, so ECO mutations
-    (reconnect / add / remove) transparently recompile the graph on
-    next access instead of serving pre-edit topology.
+    lives on the design (``Design._timing_graph``, beside the
+    ``arrays()`` form) and is keyed on :meth:`Design.structure_key`, so
+    ECO mutations (reconnect / add / remove) transparently recompile
+    the graph on next access instead of serving pre-edit topology, and
+    a design nothing else references is freed with its graph.  Pickles
+    and copies of a design carry no graph.
     """
     key = design.structure_key()
-    entry = _GRAPH_CACHE.get(design)
+    entry = design._timing_graph
     if entry is not None and entry[0] == key:
         return entry[1]
     graph = TimingGraph(design)
-    _GRAPH_CACHE[design] = (key, graph)
+    design._timing_graph = (key, graph)
     return graph

@@ -1,7 +1,6 @@
 """CheckpointStore: atomic writes, validation, corruption detection."""
 
 import json
-import random
 
 import numpy as np
 import pytest
@@ -77,11 +76,9 @@ class TestStageRecords:
         store.save_stage("clustering", {"a": 1})
         store.save_vpr_item(0, 0, {"ar": 1.0, "util": 0.9, "hpwl_cost": 1.0,
                                    "congestion_cost": 0.5})
-        store.capture_rng("clustering")
         store.initialize(FP)
         assert not store.has_stage("clustering")
         assert store.load_vpr_item(0, 0) is None
-        assert not store.has_rng("clustering")
 
 
 class TestResumeValidation:
@@ -193,31 +190,3 @@ class TestVPRItems:
         atomic_write_bytes(path, b"[]")
         with pytest.raises(CheckpointError, match="c0_k0.json"):
             store.load_vpr_item(0, 0)
-
-
-class TestRNGSnapshots:
-    def test_restore_replays_the_stream(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
-        store.initialize(FP)
-        random.seed(12)
-        np.random.seed(12)
-        store.capture_rng("vpr")
-        expected = (random.random(), float(np.random.random()))
-        # Perturb both streams, then restore the snapshot.
-        random.random()
-        np.random.random()
-        assert store.restore_rng("vpr")
-        assert (random.random(), float(np.random.random())) == expected
-
-    def test_restore_absent_returns_false(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
-        store.initialize(FP)
-        assert not store.restore_rng("metrics")
-
-    def test_corrupt_snapshot_is_actionable(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
-        store.initialize(FP)
-        store.capture_rng("vpr")
-        (tmp_path / "rng_vpr.pkl").write_bytes(b"\x00\x01")
-        with pytest.raises(CheckpointError, match="rng_vpr.pkl"):
-            store.restore_rng("vpr")

@@ -5,12 +5,15 @@ work, resume it, and the final shapes and QoR are byte-for-byte what an
 uninterrupted run produces — serially and in parallel.
 """
 
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.flow import ClusteredPlacementFlow, FlowConfig
@@ -19,6 +22,7 @@ from repro.core.shapes import default_candidate_grid
 from repro.core.vpr import VPRConfig
 from repro.designs import DesignSpec, generate_design
 from repro.recovery import CheckpointError, faults
+from repro.recovery.checkpoint import STAGES
 from repro.recovery.faults import ABORT_EXIT_CODE, FaultInjected
 
 
@@ -92,6 +96,34 @@ class TestResumeBitIdentity:
             _flow_config(checkpoint_dir=tmp_path / "ckpt", resume=True)
         )
         _assert_identical(again, baseline)
+
+    def test_resume_owes_nothing_to_the_global_generators(self, tmp_path):
+        """No stage draws from ``random`` / ``numpy.random``: scrambling
+        both between abort and resume changes nothing, and the RNG
+        snapshots older builds left in a checkpoint are ignored."""
+        baseline = _run(_flow_config())
+
+        faults.configure("raise:vpr.item.saved:#3")
+        with pytest.raises(FaultInjected):
+            _run(_flow_config(checkpoint_dir=tmp_path / "ckpt"))
+        faults.reset()
+        for stage in STAGES:
+            (tmp_path / "ckpt" / f"rng_{stage}.pkl").write_bytes(b"\x00\x01")
+
+        saved = random.getstate(), np.random.get_state()
+        try:
+            random.seed(os.urandom(16))
+            np.random.seed(int.from_bytes(os.urandom(4), "little"))
+            resumed = _run(
+                _flow_config(checkpoint_dir=tmp_path / "ckpt", resume=True)
+            )
+        finally:
+            random.setstate(saved[0])
+            np.random.set_state(saved[1])
+        _assert_identical(resumed, baseline)
+        assert dataclasses.replace(
+            resumed.metrics, runtimes={}
+        ) == dataclasses.replace(baseline.metrics, runtimes={})
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
     def test_parallel_interrupt_and_resume(self, tmp_path):
