@@ -153,6 +153,24 @@ resume-smoke:
 		b = json.load(open('/tmp/repro-resume-smoke/resumed.json')); \
 		assert a['metrics'] == b['metrics'], (a['metrics'], b['metrics']); \
 		print('resume-smoke: resumed QoR identical to uninterrupted run')"
+	# Cached leg: crash a run writing both stores, lose the shared cache,
+	# resume with an empty one.  Items the checkpoint holds are served
+	# run-locally; the rest are computed and written to both stores.
+	REPRO_FAULTS='abort:vpr.item.saved:#6' timeout 300 \
+		python -m repro flow --benchmark aes --no-routing --seed 3 \
+		--checkpoint /tmp/repro-resume-smoke/ckpt-cached \
+		--cache /tmp/repro-resume-smoke/cache; \
+		test $$? -eq 123  # the injected abort's exit code
+	rm -rf /tmp/repro-resume-smoke/cache
+	timeout 300 python -m repro flow --benchmark aes --no-routing \
+		--seed 3 --checkpoint /tmp/repro-resume-smoke/ckpt-cached --resume \
+		--cache /tmp/repro-resume-smoke/cache \
+		--report /tmp/repro-resume-smoke/resumed-cached.json
+	python -c "import json; \
+		a = json.load(open('/tmp/repro-resume-smoke/base.json')); \
+		b = json.load(open('/tmp/repro-resume-smoke/resumed-cached.json')); \
+		assert a['metrics'] == b['metrics'], (a['metrics'], b['metrics']); \
+		print('resume-smoke: cached resume QoR identical to uncached run')"
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

@@ -115,9 +115,11 @@ class FlowConfig:
             no extra work on the hot path.
         resume: Resume from ``checkpoint_dir`` instead of starting
             fresh.  A resumed run reproduces the uninterrupted run's
-            chosen shapes and QoR bit for bit (per-stage RNG snapshots
-            are restored); resuming with a different configuration is
-            refused.  See ``docs/recovery.md``.
+            chosen shapes and QoR bit for bit: completed stages and
+            content-addressed V-P&R items are served from disk, and no
+            RNG state is needed because every stage draws from
+            explicit seeded generators.  Resuming with a different
+            configuration is refused.  See ``docs/recovery.md``.
         cache_dir: When set, V-P&R candidate evaluations are served
             from (and stored into) a content-addressed cross-run cache
             in this directory.  Unlike a checkpoint (one run's resume

@@ -52,14 +52,14 @@ Performance engine (this module is the flow's runtime bottleneck):
   sub-netlists as :mod:`repro.netlist.snapshot` payloads) **once**, as
   one pickled blob each, so a work item ships only its (cluster,
   candidate) indices; the inline executor works on the live objects.
-* Stored results resolve first, in the sweep's own process: every item
-  is looked up in the checkpoint, then — with an
-  :class:`~repro.cache.EvaluationCache` attached — in the cross-run
-  cache, where a (sub-netlist, shape, config) item seen before is
-  served from disk, byte-identical to a fresh evaluation.  Only the
-  misses become work items, so a worker is a pure function of
-  (shipped state, item indices) and never sees either store (see
-  ``docs/performance.md``).
+* Stored results resolve first, in the sweep's own process, through
+  one ordered list of stores keyed by one content address
+  (sub-netlist digest, shape, config, cell area): the run's checkpoint,
+  then — with an :class:`~repro.cache.EvaluationCache` attached — the
+  cross-run cache.  The first store holding an item serves it,
+  byte-identical to a fresh evaluation.  Only the misses become work
+  items, so a worker is a pure function of (shipped state, item
+  indices) and never sees a store (see ``docs/performance.md``).
 * The :mod:`repro.perf` stage timers wrap every phase, so a perf
   report shows extract/place/route/score splits.
 
@@ -77,9 +77,9 @@ Fault tolerance (see ``docs/recovery.md``):
 * ``item_timeout`` bounds each work item in a fleet worker (SIGALRM),
   so one hung virtual-die P&R cannot stall the sweep.
 * With a :class:`~repro.recovery.CheckpointStore` attached, each
-  (cluster, candidate) evaluation is persisted the moment it
-  completes, and already-checkpointed items are served from disk — the
-  unit of resume after a mid-sweep crash.
+  evaluation is durably persisted under its content address the moment
+  it resolves, and already-checkpointed items are served from disk —
+  the unit of resume after a mid-sweep crash.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ from repro.core.fanout import (
 )
 from repro.core.shapes import ShapeCandidate, default_candidate_grid, uniform_shape
 from repro.recovery import faults
-from repro.recovery.checkpoint import CheckpointError, CheckpointStore
+from repro.recovery.checkpoint import CheckpointStore
 from repro.netlist.design import Design, Floorplan, PinDirection
 from repro.netlist.snapshot import design_from_snapshot, design_snapshot
 from repro.place.placer import GlobalPlacer, PlacerConfig
@@ -778,52 +778,7 @@ class VPRFramework:
             obs.observe("vpr.hpwl_cost", evaluation.hpwl_cost)
             obs.observe("vpr.congestion_cost", evaluation.congestion_cost)
 
-    # -- fault tolerance / checkpointing -------------------------------
-    def _checkpoint_lookup(
-        self, cluster_id: int, candidate_index: int
-    ) -> Optional[Tuple[CandidateEvaluation, float]]:
-        """A checkpointed (evaluation, seconds) for this item, or None."""
-        store = self.checkpoint
-        if store is None:
-            return None
-        record = store.load_vpr_item(cluster_id, candidate_index)
-        if record is None:
-            return None
-        candidate = self.config.candidates[candidate_index]
-        if (
-            record.get("ar") != candidate.aspect_ratio
-            or record.get("util") != candidate.utilization
-        ):
-            raise CheckpointError(
-                f"checkpoint item for cluster {cluster_id} candidate "
-                f"{candidate_index} was written for shape "
-                f"AR={record.get('ar')}/U={record.get('util')} but this run's "
-                f"grid has {candidate}; the candidate grid changed — start a "
-                "fresh checkpoint"
-            )
-        obs.count("recovery.item.reused")
-        return _stored_evaluation(candidate, record)
-
-    def _checkpoint_save(
-        self,
-        cluster_id: int,
-        candidate_index: int,
-        evaluation: CandidateEvaluation,
-        seconds: float,
-    ) -> None:
-        """Persist one finished item (valid evaluations only)."""
-        store = self.checkpoint
-        if store is None or not evaluation.is_valid:
-            return
-        store.save_vpr_item(
-            cluster_id, candidate_index, _item_record(evaluation, seconds)
-        )
-        obs.count("recovery.item.saved")
-        # Resume tests abort the whole process here (the instant after
-        # a unit of work was durably recorded).
-        faults.check("vpr.item.saved", key=f"{cluster_id}/{candidate_index}")
-
-    # -- cross-run evaluation cache ------------------------------------
+    # -- stored results: the run's checkpoint, then the shared cache ---
     def cluster_digest(
         self, source: Design, member_indices: Sequence[int]
     ) -> Tuple[str, float]:
@@ -848,51 +803,37 @@ class VPRFramework:
             cell_area=cell_area,
         )
 
-    def _cache_lookup(
-        self,
-        sub: Design,
-        cell_area: float,
-        cluster_id: int,
-        candidate_index: int,
-    ) -> Optional[Tuple[CandidateEvaluation, float]]:
-        """A cached (evaluation, original seconds) for this item, or None.
+    def _stores(self) -> list:
+        """The stores a sweep resolves through, in order: the run's own
+        checkpoint (strict, durable), then the shared cache (lossy)."""
+        return [s for s in (self.checkpoint, self.cache) if s is not None]
 
-        The store serves only finite-cost records.  Emits ``cache.hit``
-        / ``cache.miss`` telemetry events so run reports attribute
+    def _lookup(
+        self, sub: Design, cell_area: float, cluster_id: int, candidate_index: int
+    ) -> Tuple[Optional[CandidateEvaluation], float, int]:
+        """``(evaluation, original seconds, position)`` from the first
+        store, in :meth:`_stores` order, holding this item's content
+        address; ``(None, 0.0, len(stores))`` when none does.
+
+        Each store counts its own traffic; a cache probe also emits a
+        ``cache.hit`` / ``cache.miss`` event so run reports attribute
         reuse per (cluster, candidate).
         """
-        cache = self.cache
-        if cache is None:
-            return None
-        key = self._cache_key(sub, cell_area, candidate_index)
-        record = cache.get(key)
-        obs.event(
-            "cache.miss" if record is None else "cache.hit",
-            cluster=cluster_id,
-            candidate=candidate_index,
-            key=key,
-        )
-        if record is None:
-            return None
-        return _stored_evaluation(self.config.candidates[candidate_index], record)
-
-    def _cache_store(
-        self,
-        sub: Design,
-        cell_area: float,
-        candidate_index: int,
-        evaluation: CandidateEvaluation,
-        seconds: float,
-    ) -> None:
-        """Persist one finished evaluation (valid only; called from
-        :meth:`_settle`, never from a worker process)."""
-        cache = self.cache
-        if cache is None or not evaluation.is_valid:
-            return
-        cache.put(
-            self._cache_key(sub, cell_area, candidate_index),
-            _item_record(evaluation, seconds),
-        )
+        stores = self._stores()
+        key = self._cache_key(sub, cell_area, candidate_index) if stores else None
+        for position, store in enumerate(stores):
+            record = store.get(key)
+            if store is self.cache:
+                obs.event(
+                    "cache.miss" if record is None else "cache.hit",
+                    cluster=cluster_id,
+                    candidate=candidate_index,
+                    key=key,
+                )
+            if record is not None:
+                candidate = self.config.candidates[candidate_index]
+                return (*_stored_evaluation(candidate, record), position)
+        return None, 0.0, len(stores)
 
     # -- the sweep -------------------------------------------------------
     def sweep_cluster(
@@ -1015,25 +956,20 @@ class VPRFramework:
         clusters: Dict[int, Tuple[Design, float]],
     ) -> Dict[int, List[Tuple[CandidateEvaluation, float]]]:
         """Resolve every (cluster, candidate) item of ``clusters``:
-        from the stores, in order — checkpoint, then cache — and what
-        neither holds on one executor; returns ``(evaluation,
-        seconds)`` slots.  This loop is the only place a sweep probes
-        either store."""
+        from the stores (:meth:`_lookup`), and what none holds on one
+        executor; returns ``(evaluation, seconds)`` slots.  This loop is
+        the only place a sweep probes a store."""
         config = self.config
         n_cand = len(config.candidates)
         slots: Dict[int, list] = {c: [None] * n_cand for c in clusters}
         pending: List[Tuple[int, int]] = []
         for c, (sub, cell_area) in clusters.items():
             for k in range(n_cand):
-                slots[c][k] = self._checkpoint_lookup(c, k)
-                if slots[c][k] is not None:
-                    obs.advance("vpr.items")
-                    continue
-                cached = self._cache_lookup(sub, cell_area, c, k)
-                if cached is not None:
-                    self._settle(clusters, slots, c, k, *cached, cached=True)
-                else:
+                evaluation, seconds, position = self._lookup(sub, cell_area, c, k)
+                if evaluation is None:
                     pending.append((c, k))
+                else:
+                    self._settle(clusters, slots, c, k, evaluation, seconds, position)
         if not pending:
             return slots
         executor = make_executor()
@@ -1106,17 +1042,22 @@ class VPRFramework:
         k: int,
         evaluation: CandidateEvaluation,
         seconds: float,
-        cached: bool = False,
+        served_by: Optional[int] = None,
     ) -> None:
-        """The one write-back site: a resolved item takes its slot, is
-        checkpointed the moment it resolves and — unless the cache
-        served it — stored in the cache.  Invalid (terminally failed)
-        evaluations are persisted nowhere."""
+        """The one write-back site: a resolved item takes its slot and
+        is written to every store ahead of ``served_by``, the position
+        of the store that served it — all of them when it was computed
+        (None), the checkpoint only after a cache hit, nowhere after a
+        checkpoint hit.  Invalid (terminally failed) evaluations are
+        persisted nowhere."""
         slots[c][k] = (evaluation, seconds)
-        self._checkpoint_save(c, k, evaluation, seconds)
-        if not cached:
+        ahead = self._stores()[:served_by]
+        if ahead and evaluation.is_valid:
             sub, cell_area = clusters[c]
-            self._cache_store(sub, cell_area, k, evaluation, seconds)
+            key = self._cache_key(sub, cell_area, k)
+            record = _item_record(evaluation, seconds)
+            for store in ahead:
+                store.put(key, record)
         obs.advance("vpr.items")
 
     def _retry_failed_items(

@@ -6,11 +6,12 @@ makes those failures cheap instead of catastrophic:
 
 * :mod:`repro.recovery.checkpoint` — :class:`CheckpointStore`, a
   versioned checkpoint directory with atomic (write-temp + fsync +
-  rename) stage records, per-(cluster, candidate) V-P&R item records
-  and per-stage RNG snapshots.  ``repro flow --checkpoint DIR
-  [--resume]`` wires it through the flow; a resumed run restarts from
-  the last completed unit of work and reproduces the uninterrupted
-  run's QoR bit for bit.
+  rename) stage records and V-P&R item records stored under the same
+  content address as the shared evaluation cache.  It keeps no RNG
+  state: every stage draws from explicit seeded generators.  ``repro
+  flow --checkpoint DIR [--resume]`` wires it through the flow; a
+  resumed run restarts from the last completed unit of work and
+  reproduces the uninterrupted run's QoR bit for bit.
 * :mod:`repro.recovery.faults` — env/config-driven fault injection
   (kill a worker on a chosen item, raise in a named stage, corrupt a
   checkpoint file) so every recovery path is testable deterministically

@@ -6,16 +6,19 @@ the flow's units of work as they complete:
 * **stage records** — the clustering result, the chosen shapes, the
   seeded-placement state and the final metrics, one pickle per stage,
   with a SHA-256 recorded in the manifest and verified on load;
-* **V-P&R items** — one small JSON file per (cluster, candidate)
-  evaluation, written the moment the item finishes, so an interrupted
-  sweep resumes from the last completed item rather than the last
-  completed stage.
+* **V-P&R items** — one small JSON file per finished evaluation,
+  written the moment it finishes, under the same content address the
+  shared evaluation cache uses (:func:`repro.cache.cache_key`), so an
+  interrupted sweep resumes from the last completed item rather than
+  the last completed stage, and a cluster whose members changed is
+  recomputed while every untouched one is reused.
 
 No RNG state is kept: every stage draws from explicit seeded
 generators, never the global ``random`` / ``numpy.random`` streams
 (``tests/test_no_global_rng.py`` holds ``src/repro`` to that), so a
 resumed run replays an uninterrupted one without a snapshot.  The
-``rng_*.pkl`` files older builds wrote are ignored.
+``rng_*.pkl`` files and ``vpr_items/`` (cluster, candidate) records
+older builds wrote are ignored.
 
 Every write is atomic: the payload goes to a temporary file in the
 same directory, is fsynced, and is renamed over the final name (the
@@ -29,9 +32,9 @@ not as a pickle traceback.
 
 Layout of a checkpoint directory::
 
-    MANIFEST.json             # schema, fingerprint, completed stages
-    stage_clustering.pkl      # one per completed stage
-    vpr_items/c{C}_k{K}.json  # one per completed (cluster, candidate)
+    MANIFEST.json         # schema, fingerprint, completed stages
+    stage_clustering.pkl  # one per completed stage
+    items/<key>.json      # one per completed V-P&R evaluation
 
 The manifest ``fingerprint`` identifies the run configuration (design,
 seed, clustering method, candidate grid, ...); ``--resume`` refuses a
@@ -44,8 +47,9 @@ from __future__ import annotations
 import json
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional
 
+from repro import obs
 from repro.ioutil import atomic_write_bytes, has_finite_costs, sha256_hex
 from repro.recovery import faults
 
@@ -77,7 +81,7 @@ class CheckpointStore:
     """One checkpoint directory: stage records and V-P&R items."""
 
     MANIFEST = "MANIFEST.json"
-    ITEM_DIR = "vpr_items"
+    ITEM_DIR = "items"
 
     def __init__(self, directory: str) -> None:
         self.directory = Path(directory)
@@ -100,28 +104,32 @@ class CheckpointStore:
         }
         self._write_manifest()
 
-    def open_resume(self, fingerprint: Dict[str, Any]) -> None:
-        """Attach to an existing checkpoint for a resumed run."""
-        manifest_path = self.directory / self.MANIFEST
-        if not manifest_path.is_file():
-            raise CheckpointError(
-                f"no checkpoint manifest at {manifest_path}; run without "
-                "--resume to start a fresh checkpointed run"
-            )
+    def _read_manifest(self, missing: str, remedy: str) -> Dict[str, Any]:
+        """The parsed, schema-checked manifest; errors end with the
+        caller's remedy (``missing`` when there is no manifest)."""
+        path = self.directory / self.MANIFEST
+        if not path.is_file():
+            raise CheckpointError(f"no checkpoint manifest at {path}; {missing}")
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(
-                f"checkpoint manifest {manifest_path} is corrupt ({exc}); "
-                f"delete {self.directory} and rerun without --resume"
+                f"checkpoint manifest {path} is corrupt ({exc}); {remedy}"
             ) from exc
         schema = manifest.get("schema")
         if schema != SCHEMA:
             raise CheckpointError(
-                f"checkpoint {manifest_path} has schema {schema!r} but this "
-                f"build expects {SCHEMA!r}; delete {self.directory} and "
-                "rerun without --resume"
+                f"checkpoint {path} has schema {schema!r} but this build "
+                f"expects {SCHEMA!r}; {remedy}"
             )
+        return manifest
+
+    def open_resume(self, fingerprint: Dict[str, Any]) -> None:
+        """Attach to an existing checkpoint for a resumed run."""
+        manifest = self._read_manifest(
+            "run without --resume to start a fresh checkpointed run",
+            f"delete {self.directory} and rerun without --resume",
+        )
         recorded = manifest.get("fingerprint", {})
         if recorded != dict(fingerprint):
             changed = sorted(
@@ -147,28 +155,11 @@ class CheckpointStore:
         and manifest integrity are still validated with the same
         actionable errors.
         """
-        manifest_path = self.directory / self.MANIFEST
-        if not manifest_path.is_file():
-            raise CheckpointError(
-                f"no checkpoint manifest at {manifest_path}; point the ECO "
-                "path at a run directory produced with --checkpoint"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointError(
-                f"checkpoint manifest {manifest_path} is corrupt ({exc}); "
-                f"re-run the base flow with --checkpoint to regenerate it"
-            ) from exc
-        schema = manifest.get("schema")
-        if schema != SCHEMA:
-            raise CheckpointError(
-                f"checkpoint {manifest_path} has schema {schema!r} but this "
-                f"build expects {SCHEMA!r}; re-run the base flow with "
-                "--checkpoint to regenerate it"
-            )
-        self._manifest = manifest
-        return dict(manifest.get("fingerprint", {}))
+        self._manifest = self._read_manifest(
+            "point the ECO path at a run directory produced with --checkpoint",
+            "re-run the base flow with --checkpoint to regenerate it",
+        )
+        return self.fingerprint
 
     @property
     def fingerprint(self) -> Dict[str, Any]:
@@ -223,36 +214,16 @@ class CheckpointStore:
             ) from exc
 
     # -- V-P&R item records --------------------------------------------
-    def _item_path(self, cluster_id: int, candidate_index: int) -> Path:
-        return (
-            self.directory
-            / self.ITEM_DIR
-            / f"c{int(cluster_id)}_k{int(candidate_index)}.json"
-        )
+    def _item_path(self, key: str) -> Path:
+        return self.directory / self.ITEM_DIR / f"{key}.json"
 
-    def save_vpr_item(
-        self,
-        cluster_id: int,
-        candidate_index: int,
-        record: Dict[str, Any],
-    ) -> None:
-        """Persist one finished (cluster, candidate) evaluation."""
-        payload = {
-            "schema": SCHEMA,
-            "cluster": int(cluster_id),
-            "candidate": int(candidate_index),
-        }
-        payload.update(record)
-        atomic_write_bytes(
-            self._item_path(cluster_id, candidate_index),
-            json.dumps(payload, sort_keys=True).encode(),
-        )
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The item saved under content address ``key``, or None.
 
-    def load_vpr_item(
-        self, cluster_id: int, candidate_index: int
-    ) -> Optional[Dict[str, Any]]:
-        """The saved evaluation record, or None when not checkpointed."""
-        path = self._item_path(cluster_id, candidate_index)
+        Unlike the shared cache's lossy read, a damaged item is this
+        run's own record gone bad, so it raises rather than misses.
+        """
+        path = self._item_path(key)
         if not path.is_file():
             return None
         try:
@@ -260,7 +231,7 @@ class CheckpointStore:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(
                 f"checkpoint item {path} is corrupt ({exc}); delete it to "
-                "recompute that (cluster, candidate) evaluation on resume"
+                "recompute that evaluation on resume"
             ) from exc
         if not has_finite_costs(record) or record.get("schema") != SCHEMA:
             raise CheckpointError(
@@ -268,19 +239,21 @@ class CheckpointStore:
                 "lacks finite hpwl_cost / congestion_cost values; delete "
                 "it to recompute that evaluation on resume"
             )
+        obs.count("recovery.item.reused")
         return record
 
-    def vpr_items(self) -> Iterator[Tuple[int, int, Dict[str, Any]]]:
-        """Iterate all saved (cluster, candidate, record) items."""
-        item_dir = self.directory / self.ITEM_DIR
-        if not item_dir.is_dir():
-            return
-        for path in sorted(item_dir.glob("c*_k*.json")):
-            stem = path.stem  # c{C}_k{K}
-            c_text, k_text = stem[1:].split("_k")
-            yield int(c_text), int(k_text), self.load_vpr_item(
-                int(c_text), int(k_text)
-            )
+    def put(self, key: str, record: Dict[str, Any]) -> None:
+        """Durably persist one finished evaluation under its content
+        address (:func:`repro.cache.cache_key`)."""
+        payload = {"schema": SCHEMA, "key": key}
+        payload.update(record)
+        atomic_write_bytes(
+            self._item_path(key), json.dumps(payload, sort_keys=True).encode()
+        )
+        obs.count("recovery.item.saved")
+        # Resume tests abort the whole process here (the instant after
+        # a unit of work was durably recorded).
+        faults.check("vpr.item.saved", key=key)
 
     # -- manifest ------------------------------------------------------
     def _write_manifest(self) -> None:

@@ -337,7 +337,7 @@ class TestBatchedSweepEquivalence:
                 self._select(cluster_context, checkpoint=store)
         finally:
             faults.reset()
-        saved = list((tmp_path / "ckpt" / "vpr_items").glob("*.json"))
+        saved = list((tmp_path / "ckpt" / "items").glob("*.json"))
         assert len(saved) == 27  # one cluster done, the second 7 items in
         resumed = self._select(cluster_context, checkpoint=store)
         assert _sweep_digest(resumed) == serial

@@ -74,11 +74,11 @@ class TestStageRecords:
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
         store.save_stage("clustering", {"a": 1})
-        store.save_vpr_item(0, 0, {"ar": 1.0, "util": 0.9, "hpwl_cost": 1.0,
-                                   "congestion_cost": 0.5})
+        store.put("k0", {"ar": 1.0, "util": 0.9, "hpwl_cost": 1.0,
+                         "congestion_cost": 0.5})
         store.initialize(FP)
         assert not store.has_stage("clustering")
-        assert store.load_vpr_item(0, 0) is None
+        assert store.get("k0") is None
 
 
 class TestResumeValidation:
@@ -123,43 +123,61 @@ class TestResumeValidation:
 
 
 class TestVPRItems:
+    """Items live under their content address: ``items/<key>.json``."""
+
     RECORD = {"ar": 2.0, "util": 0.8, "hpwl_cost": 1.5,
               "congestion_cost": 0.25, "seconds": 0.01}
 
     def test_roundtrip_and_missing(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        assert store.load_vpr_item(1, 2) is None
-        store.save_vpr_item(1, 2, self.RECORD)
-        record = store.load_vpr_item(1, 2)
+        assert store.get("k12") is None
+        store.put("k12", self.RECORD)
+        record = store.get("k12")
         assert record["hpwl_cost"] == 1.5
         assert record["schema"] == SCHEMA
-        assert record["cluster"] == 1 and record["candidate"] == 2
+        assert record["key"] == "k12"
+
+    def test_items_are_durable_unlike_cache_entries(self, tmp_path, monkeypatch):
+        """Both stores share the key; only the checkpoint fsyncs (the
+        payload, then the directory)."""
+        import os
+
+        from repro.cache import EvaluationCache
+
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real(fd))
+        EvaluationCache(str(tmp_path / "cache")).put("k12", self.RECORD)
+        assert synced == []
+        store = CheckpointStore(str(tmp_path / "ckpt"))
+        store.put("k12", self.RECORD)
+        assert len(synced) == 2
 
     def test_iteration(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        store.save_vpr_item(0, 1, self.RECORD)
-        store.save_vpr_item(2, 0, self.RECORD)
-        items = {(c, k) for c, k, _record in store.vpr_items()}
-        assert items == {(0, 1), (2, 0)}
+        store.put("k01", self.RECORD)
+        store.put("k20", self.RECORD)
+        items = {p.stem for p in (tmp_path / "items").glob("*.json")}
+        assert items == {"k01", "k20"}
 
     def test_corrupt_item_is_actionable(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        store.save_vpr_item(0, 3, self.RECORD)
-        path = tmp_path / "vpr_items" / "c0_k3.json"
+        store.put("k03", self.RECORD)
+        path = tmp_path / "items" / "k03.json"
         path.write_text("{torn")
-        with pytest.raises(CheckpointError, match="c0_k3.json"):
-            store.load_vpr_item(0, 3)
+        with pytest.raises(CheckpointError, match="k03.json"):
+            store.get("k03")
 
     def test_wrong_schema_item_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        path = tmp_path / "vpr_items" / "c0_k0.json"
+        path = tmp_path / "items" / "k00.json"
         atomic_write_bytes(path, json.dumps({"schema": "other"}).encode())
         with pytest.raises(CheckpointError, match="unexpected schema"):
-            store.load_vpr_item(0, 0)
+            store.get("k00")
 
     @pytest.mark.parametrize(
         "damage",
@@ -177,16 +195,14 @@ class TestVPRItems:
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
         record = dict(self.RECORD, **damage)
-        store.save_vpr_item(
-            0, 3, {k: v for k, v in record.items() if v is not None}
-        )
-        with pytest.raises(CheckpointError, match="c0_k3.json.*delete"):
-            store.load_vpr_item(0, 3)
+        store.put("k03", {k: v for k, v in record.items() if v is not None})
+        with pytest.raises(CheckpointError, match="k03.json.*delete"):
+            store.get("k03")
 
     def test_non_object_item_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        path = tmp_path / "vpr_items" / "c0_k0.json"
+        path = tmp_path / "items" / "k00.json"
         atomic_write_bytes(path, b"[]")
-        with pytest.raises(CheckpointError, match="c0_k0.json"):
-            store.load_vpr_item(0, 0)
+        with pytest.raises(CheckpointError, match="k00.json"):
+            store.get("k00")

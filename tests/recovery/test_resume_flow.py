@@ -7,6 +7,7 @@ uninterrupted run produces — serially and in parallel.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -22,7 +23,7 @@ from repro.core.shapes import default_candidate_grid
 from repro.core.vpr import VPRConfig
 from repro.designs import DesignSpec, generate_design
 from repro.recovery import CheckpointError, faults
-from repro.recovery.checkpoint import STAGES
+from repro.recovery.checkpoint import STAGES, CheckpointStore
 from repro.recovery.faults import ABORT_EXIT_CODE, FaultInjected
 
 
@@ -82,7 +83,7 @@ class TestResumeBitIdentity:
         with pytest.raises(FaultInjected):
             _run(_flow_config(checkpoint_dir=tmp_path / "ckpt"))
         faults.reset()
-        items = list((tmp_path / "ckpt" / "vpr_items").glob("*.json"))
+        items = list((tmp_path / "ckpt" / "items").glob("*.json"))
         assert len(items) == 5
 
         resumed = _run(
@@ -124,6 +125,57 @@ class TestResumeBitIdentity:
         assert dataclasses.replace(
             resumed.metrics, runtimes={}
         ) == dataclasses.replace(baseline.metrics, runtimes={})
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
+    def test_old_layout_items_are_ignored_on_resume(self, tmp_path):
+        """``vpr_items/c{C}_k{K}.json`` records, as older builds wrote
+        them, are neither served nor a reason to refuse the directory —
+        torn ones included."""
+        baseline = _run(_flow_config())
+        ckpt = tmp_path / "ckpt"
+
+        def crash():
+            faults.configure("abort:vpr.item.saved:#5")
+            _run(_flow_config(checkpoint_dir=ckpt))
+
+        child = multiprocessing.get_context("fork").Process(target=crash)
+        child.start()
+        child.join(timeout=300)
+        assert child.exitcode == ABORT_EXIT_CODE
+        assert len(list((ckpt / "items").glob("*.json"))) == 5
+
+        # Costs that would move every cluster off its shape, were they
+        # ever served.
+        old = ckpt / "vpr_items"
+        old.mkdir()
+        grid = default_candidate_grid()[:6]
+        for sweep in baseline.selection.sweeps:
+            decoy = (grid.index(sweep.best) + 1) % len(grid)
+            for k, candidate in enumerate(grid):
+                record = {
+                    "schema": "repro.recovery/1",
+                    "cluster": sweep.cluster_id,
+                    "candidate": k,
+                    "ar": candidate.aspect_ratio,
+                    "util": candidate.utilization,
+                    "hpwl_cost": 1e-9 if k == decoy else 1e9,
+                    "congestion_cost": 0.0,
+                    "seconds": 0.0,
+                }
+                path = old / f"c{sweep.cluster_id}_k{k}.json"
+                path.write_text(json.dumps(record))
+        (old / f"c{baseline.selection.sweeps[0].cluster_id}_k1.json").write_text(
+            "{torn"
+        )
+
+        resumed = _run(_flow_config(checkpoint_dir=ckpt, resume=True))
+        _assert_identical(resumed, baseline)
+        assert dataclasses.replace(
+            resumed.metrics, runtimes={}
+        ) == dataclasses.replace(baseline.metrics, runtimes={})
+        # The ECO entry still opens the directory.
+        recorded = CheckpointStore(str(ckpt)).open_existing()
+        assert recorded["design"] == "small" and recorded["seed"] == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
     def test_parallel_interrupt_and_resume(self, tmp_path):
@@ -281,7 +333,7 @@ class TestCLIResume:
             "--checkpoint", ckpt, fault="abort:vpr.item.saved:#6"
         )
         assert crashed.returncode == ABORT_EXIT_CODE
-        assert len(list((tmp_path / "ckpt" / "vpr_items").glob("*.json"))) == 6
+        assert len(list((tmp_path / "ckpt" / "items").glob("*.json"))) == 6
 
         resumed = self._cli("--checkpoint", ckpt, "--resume")
         assert resumed.returncode == 0, resumed.stderr
