@@ -17,7 +17,8 @@ Two claims are gated (docs/observability.md "Live monitoring"):
 as a subprocess, poll ``DIR/status.json`` until progress advances
 (asserting done <= total and monotonicity at every poll), render
 ``repro top DIR --once`` from this process, then require a final
-``state: done`` document.
+``state: done`` document whose ``workers`` block lists each of the
+``jobs`` fleet workers in phase ``shutdown``.
 
 Usage::
 
@@ -252,6 +253,10 @@ def live_smoke(
     for task in final.get("progress") or []:
         assert task["done"] == task["total"], task
         assert task["finished"] is True, task
+    workers = final.get("workers") or []
+    assert len(workers) == jobs, f"expected {jobs} workers: {workers}"
+    for worker in workers:
+        assert worker["phase"] == "shutdown", worker
     result = {
         "schema": SCHEMA,
         "mode": "live",
@@ -259,6 +264,7 @@ def live_smoke(
         "polls": polls,
         "advances": advances,
         "final_progress": final.get("progress"),
+        "final_workers": [(w["host"], w["pid"]) for w in workers],
         "out_dir": out_dir,
     }
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -301,7 +307,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"monitor live smoke: {record['advances']} progress "
             f"advance(s) over {record['polls']} polls; final "
-            f"{[(t['name'], t['done'], t['total']) for t in record['final_progress']]}"
+            f"{[(t['name'], t['done'], t['total']) for t in record['final_progress']]}; "
+            f"{len(record['final_workers'])} worker(s) shut down"
         )
     else:
         record = measure(

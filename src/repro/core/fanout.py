@@ -176,12 +176,17 @@ class _FleetWorker:
     pid: int
     host: str
     label: str
-    writer: Any = None
     digest: Optional[str] = None
     chunk: Optional[int] = None
     dispatched_at: float = 0.0
     deadline: Optional[float] = None
     alive: bool = True
+
+    def beat(self, phase: str, **fields: Any) -> None:
+        """This worker's latest liveness beat, for the live monitor."""
+        obs.worker_beat(
+            self.label, phase, pid=self.pid, host=self.host, **fields
+        )
 
 
 class FleetExecutor(SweepExecutor):
@@ -196,14 +201,14 @@ class FleetExecutor(SweepExecutor):
     reconnect, or a second sweep over the same payload) gets a
     ``state_ref`` instead of the blob — then runs a select loop:
     dispatch a chunk to every idle worker, fold back ``result``
-    messages, relay ``beat`` messages into the monitor heartbeat
-    directory, and police per-chunk deadlines.
+    messages, hand ``beat`` messages to the live monitor
+    (:func:`repro.obs.worker_beat`), and police per-chunk deadlines.
 
     Fault containment:
 
     * a worker whose socket dies / times out / trips the
       ``fleet.recv`` fault site is *lost*: its in-flight chunk is
-      re-queued for another worker (at most ``max_dispatch`` total
+      re-queued for another worker (at most :attr:`MAX_DISPATCH` total
       dispatches per chunk), and past that cap — or with no workers
       left — the chunk degrades to lost outcomes for the sweep's
       retry scheduler;
@@ -225,6 +230,13 @@ class FleetExecutor(SweepExecutor):
     #: item-timeout budget (covers transfer + rebuild + scheduling).
     DEADLINE_GRACE_S = 30.0
 
+    #: Dispatches allowed per chunk (first run + one re-dispatch).
+    MAX_DISPATCH = 2
+
+    #: An in-flight chunk older than this many median chunk walls is a
+    #: straggler an idle worker duplicates.
+    STRAGGLER_FACTOR = 4.0
+
     def __init__(
         self,
         workers: int = 2,
@@ -232,16 +244,12 @@ class FleetExecutor(SweepExecutor):
         connect_timeout: float = 60.0,
         item_timeout: Optional[float] = None,
         worker_env: Optional[Sequence[Optional[Dict[str, str]]]] = None,
-        max_dispatch: int = 2,
-        straggler_factor: Optional[float] = 4.0,
     ) -> None:
         self.workers = max(1, int(workers))
         self.listen = listen
         self.connect_timeout = connect_timeout
         self.item_timeout = item_timeout
         self.worker_env = worker_env
-        self.max_dispatch = max(1, int(max_dispatch))
-        self.straggler_factor = straggler_factor
         # Bind eagerly: an unparsable or unbindable endpoint is
         # infrastructure failure (OSError) before any sweep work happens.
         try:
@@ -273,8 +281,10 @@ class FleetExecutor(SweepExecutor):
     def _fork_local_workers(self) -> None:
         """Fork one worker per slot, each dialling this listener.  A
         child inherits the imported program (no interpreter start) and
-        never returns: it closes its copy of the listener, applies its
-        ``worker_env`` entry (re-arming ``REPRO_FAULTS`` from it), runs
+        never returns: it drops the inherited live monitor (whose lock
+        the parent's monitor thread may have held at the fork), closes
+        its copy of the listener, applies its ``worker_env`` entry
+        (re-arming ``REPRO_FAULTS`` from it), runs
         :func:`repro.core.worker.run_worker` and leaves through
         ``os._exit``.  A platform without fork raises OSError."""
         if not hasattr(os, "fork"):
@@ -292,6 +302,7 @@ class FleetExecutor(SweepExecutor):
                 continue
             code = 1
             try:
+                obs.session().monitor = None
                 self._server.close()
                 if env:
                     os.environ.update(env)
@@ -362,17 +373,7 @@ class FleetExecutor(SweepExecutor):
             except OSError:  # pragma: no cover
                 pass
             return None
-        heartbeat_dir = obs.worker_descriptor()["heartbeats"]
-        if heartbeat_dir:
-            from repro.monitor.heartbeat import HeartbeatWriter
-
-            worker.writer = HeartbeatWriter(
-                heartbeat_dir,
-                name=f"{host}-{pid}",
-                pid=pid,
-                host=host,
-            )
-            worker.writer.beat("connect")
+        worker.beat("connect")
         obs.event("fleet.worker_connected", worker=label)
         return worker
 
@@ -488,8 +489,7 @@ class FleetExecutor(SweepExecutor):
             error=reason,
             chunk=worker.chunk,
         )
-        if worker.writer is not None:
-            worker.writer.beat("lost", error=reason)
+        worker.beat("lost", error=reason)
         index = worker.chunk
         worker.chunk = None
         if index is None or done[index]:
@@ -500,7 +500,7 @@ class FleetExecutor(SweepExecutor):
         if still_running:
             return  # a duplicate dispatch is still computing it
         survivors = any(o.alive for o in self._fleet)
-        if survivors and attempts[index] < self.max_dispatch:
+        if survivors and attempts[index] < self.MAX_DISPATCH:
             pending.appendleft(index)
             obs.count("vpr.fleet.redispatch")
             obs.event("fleet.redispatch", chunk=index)
@@ -522,17 +522,17 @@ class FleetExecutor(SweepExecutor):
             index = pending.popleft()
             if not done[index]:
                 return index
-        if self.straggler_factor is None or len(chunk_walls) < 3:
+        if len(chunk_walls) < 3:
             return None
         walls = sorted(chunk_walls)
         median = walls[len(walls) // 2]
-        threshold = max(1.0, self.straggler_factor * median)
+        threshold = max(1.0, self.STRAGGLER_FACTOR * median)
         best: Optional[_FleetWorker] = None
         for other in self._fleet:
             index = other.chunk
             if not other.alive or index is None or done[index]:
                 continue
-            if other is worker or attempts[index] >= self.max_dispatch:
+            if other is worker or attempts[index] >= self.MAX_DISPATCH:
                 continue
             if now - other.dispatched_at < threshold:
                 continue
@@ -596,11 +596,10 @@ class FleetExecutor(SweepExecutor):
                 worker.chunk = index
                 worker.dispatched_at = now
                 worker.deadline = None if budget is None else now + budget
-                if worker.writer is not None:
-                    fields = {"chunk": index, "items": len(chunks[index])}
-                    if budget is not None:
-                        fields["deadline_s"] = budget
-                    worker.writer.beat("dispatch", **fields)
+                fields = {"chunk": index, "items": len(chunks[index])}
+                if budget is not None:
+                    fields["deadline_s"] = budget
+                worker.beat("dispatch", **fields)
             # Drain abandoned chunks (loss path may have added some).
             for index in abandoned:
                 if not done[index]:
@@ -635,30 +634,26 @@ class FleetExecutor(SweepExecutor):
                     continue
                 mtype = message.get("type")
                 if mtype == "beat":
-                    if worker.writer is not None:
-                        fields = {
-                            k: v
-                            for k, v in message.items()
-                            if k not in ("type", "phase", "pid", "host", "t")
-                        }
-                        if worker.chunk is not None:
-                            fields.setdefault("chunk", worker.chunk)
-                            if worker.deadline is not None:
-                                fields.setdefault(
-                                    "deadline_s",
-                                    max(0.0, worker.deadline - time.monotonic()),
-                                )
-                        worker.writer.beat(
-                            message.get("phase", "?"), **fields
-                        )
+                    fields = {
+                        k: v
+                        for k, v in message.items()
+                        if k not in ("type", "phase", "pid", "host", "t")
+                    }
+                    if worker.chunk is not None:
+                        fields.setdefault("chunk", worker.chunk)
+                        if worker.deadline is not None:
+                            fields.setdefault(
+                                "deadline_s",
+                                max(0.0, worker.deadline - time.monotonic()),
+                            )
+                    worker.beat(message.get("phase", "?"), **fields)
                 elif mtype == "result":
                     index = int(message.get("id", -1))
                     results = message.get("results") or []
                     wall = time.monotonic() - worker.dispatched_at
                     worker.chunk = None
                     worker.deadline = None
-                    if worker.writer is not None:
-                        worker.writer.beat("idle", last_chunk=index)
+                    worker.beat("idle", last_chunk=index)
                     if 0 <= index < len(chunks) and not done[index]:
                         if len(results) != len(chunks[index]):
                             # A malformed result is a lost chunk, not
@@ -720,9 +715,7 @@ class FleetExecutor(SweepExecutor):
                 worker.sock.close()
             except OSError:  # pragma: no cover
                 pass
-            if worker.writer is not None:
-                worker.writer.beat("shutdown")
-                worker.writer.close()
+            worker.beat("shutdown")
         self._fleet.clear()
         try:
             self._server.close()

@@ -23,8 +23,8 @@ then follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
    exceptions become error outcomes), and the
    :class:`~repro.core.fanout.ItemOutcome` records stream back;
 4. **beat** — item start/done heartbeats go over the same socket; the
-   parent relays them into its monitor directory so ``repro top``
-   shows remote workers next to local ones;
+   parent hands them to its live monitor so ``repro top`` shows
+   remote workers next to local ones;
 5. **shutdown** — clean exit (code 0).
 
 The worker holds **one** live sweep state (a new ``state`` message
@@ -54,13 +54,13 @@ _STATES: Dict[str, Dict[str, Any]] = {}
 
 
 class _SocketHeartbeat:
-    """Heartbeat adapter: beats go over the wire instead of to a file.
+    """A worker's liveness beats, sent over its fleet socket.
 
-    Drop-in for :class:`repro.monitor.heartbeat.HeartbeatWriter` (the
-    V-P&R worker loop only calls ``.beat``); the parent relays each
-    record into its own heartbeat directory.  Best-effort like the
-    file writer: a send failure never fails an item — the broken
-    socket will surface on the next result send instead.
+    The V-P&R worker loop calls ``.beat`` when an item starts and
+    finishes; the parent hands each record to its live monitor
+    (:func:`repro.obs.worker_beat`).  Best-effort: a send failure never
+    fails an item — the broken socket will surface on the next result
+    send instead.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -73,9 +73,6 @@ class _SocketHeartbeat:
             wire.send_msg(self.sock, record)
         except Exception:
             pass
-
-    def close(self) -> None:  # pragma: no cover - interface parity
-        pass
 
 
 def _install_state(digest: str, blob: bytes) -> Dict[str, Any]:

@@ -3,19 +3,21 @@
 ``repro.telemetry`` records what a run *did*; this package shows what a
 run *is doing*.  Recording is :mod:`repro.obs`'s job (``obs.stage`` and
 the progress calls ``obs.start_task`` / ``advance`` / ``set_done`` /
-``complete``); this package switches the output on and off (off by
+``complete``, the fleet's ``obs.worker_beat``); this package switches the output on and off (off by
 default, one check per call while off; ``monitor.enable(dir)`` needs a
 telemetry out-dir) and holds its dependency-free parts:
 
-* :mod:`repro.monitor.sampler` — a background thread sampling RSS/CPU
-  from procfs into ``monitor.rss`` / ``monitor.cpu`` metric streams and
-  per-stage peak-RSS counters;
+* :mod:`repro.monitor.session` — the one in-memory state (one lock)
+  and the one daemon thread that, every 0.25 s, takes a sample and
+  publishes ``status.json``;
+* :mod:`repro.monitor.sampler` — RSS/CPU samples from procfs into
+  ``monitor.rss`` / ``monitor.cpu`` metric streams and per-stage
+  peak-RSS counters;
 * :mod:`repro.monitor.progress` — done/total accounting for the flow's
   bounded loops (V-P&R sweep items, GP iterations, clustering passes)
   with rate + ETA;
-* :mod:`repro.monitor.status` — an atomically-replaced ``status.json``
-  (schema ``repro.monitor/1``) in the telemetry out-dir, refreshed on
-  every progress tick;
+* :mod:`repro.monitor.status` — the atomically-replaced ``status.json``
+  (schema ``repro.monitor/1``) in the telemetry out-dir;
 * :mod:`repro.monitor.top` — the ``repro top RUNDIR`` renderer that
   tails ``status.json`` + ``events.jsonl`` from any process.
 """
@@ -23,30 +25,23 @@ telemetry out-dir) and holds its dependency-free parts:
 from typing import Any, Dict, Optional
 
 from repro import obs
-from repro.monitor.heartbeat import (
-    HEARTBEAT_DIRNAME,
-    HeartbeatWriter,
-    clear_worker_beats,
-    heartbeat_dir,
-    read_worker_beats,
-)
 from repro.monitor.progress import ProgressTask, ProgressTracker
 from repro.monitor.sampler import ResourceSampler
-from repro.monitor.session import MonitorSession
+from repro.monitor.session import INTERVAL_S, MonitorSession
 from repro.monitor.status import (
     STATUS_FILENAME,
     STATUS_SCHEMA,
-    StatusWriter,
     load_status,
     status_path,
+    write_status,
 )
 from repro.monitor.top import render, render_dir, run_top, sparkline
 
 
-def enable(out_dir: str, **intervals: float) -> MonitorSession:
-    """Turn the monitor on for a run directory and start sampling
-    (``intervals``: see :class:`MonitorSession`)."""
-    return obs.session().start_monitor(out_dir, **intervals)
+def enable(out_dir: str, interval: float = INTERVAL_S) -> MonitorSession:
+    """Turn the monitor on for a run directory: publish ``status.json``
+    now and then every ``interval`` seconds."""
+    return obs.session().start_monitor(out_dir, interval)
 
 
 def disable(state: str = "done", error: Optional[str] = None) -> None:
@@ -70,27 +65,22 @@ def summary() -> Optional[Dict[str, Any]]:
 
 
 __all__ = [
-    "HEARTBEAT_DIRNAME",
     "STATUS_FILENAME",
     "STATUS_SCHEMA",
-    "HeartbeatWriter",
     "MonitorSession",
     "ProgressTask",
     "ProgressTracker",
     "ResourceSampler",
-    "StatusWriter",
-    "clear_worker_beats",
     "disable",
     "enable",
     "get_monitor",
-    "heartbeat_dir",
     "is_enabled",
     "load_status",
-    "read_worker_beats",
     "render",
     "render_dir",
     "run_top",
     "sparkline",
     "status_path",
     "summary",
+    "write_status",
 ]

@@ -20,9 +20,8 @@ Timing fields (rate, ETA, elapsed) live only in the *snapshot* used by
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 class ProgressTask:
@@ -110,69 +109,46 @@ class ProgressTask:
 
 
 class ProgressTracker:
-    """Thread-safe registry of live progress tasks.
+    """Registry of live progress tasks.
 
-    ``on_tick`` (when set) fires after every mutation — the monitor
-    session hooks it to refresh ``status.json`` (itself throttled, so
-    a tight loop does not turn into a write storm).
+    Holds no lock: the monitor session mutates and reads it under its
+    own.
     """
 
-    def __init__(self, on_tick: Optional[Callable[[], None]] = None) -> None:
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
         self._tasks: Dict[str, ProgressTask] = {}
-        self.on_tick = on_tick
-
-    def _tick(self) -> None:
-        callback = self.on_tick
-        if callback is not None:
-            callback()
 
     # -- mutations -----------------------------------------------------
     def start(self, name: str, total: int, unit: str = "items") -> ProgressTask:
         """Begin (or restart) tracking a bounded loop."""
-        with self._lock:
-            task = ProgressTask(name, total, unit)
-            self._tasks[name] = task
-        self._tick()
+        task = self._tasks[name] = ProgressTask(name, total, unit)
         return task
 
     def advance(self, name: str, n: int = 1) -> None:
         """Add completed items to ``name`` (no-op for unknown tasks, so
         shared loop bodies can tick unconditionally)."""
-        with self._lock:
-            task = self._tasks.get(name)
-            if task is None:
-                return
+        task = self._tasks.get(name)
+        if task is not None:
             task.advance(n)
-        self._tick()
 
     def set_done(self, name: str, done: int) -> None:
-        with self._lock:
-            task = self._tasks.get(name)
-            if task is None:
-                return
+        task = self._tasks.get(name)
+        if task is not None:
             task.set_done(done)
-        self._tick()
 
     def complete(self, name: str) -> None:
         """Finish a task (clamping ``total`` on early exit)."""
-        with self._lock:
-            task = self._tasks.get(name)
-            if task is None:
-                return
+        task = self._tasks.get(name)
+        if task is not None:
             task.complete()
-        self._tick()
 
     # -- views ---------------------------------------------------------
     def get(self, name: str) -> Optional[ProgressTask]:
-        with self._lock:
-            return self._tasks.get(name)
+        return self._tasks.get(name)
 
     def records(self) -> List[Dict[str, Any]]:
         """Deterministic records of every task, in start order."""
-        with self._lock:
-            return [t.record() for t in self._tasks.values()]
+        return [t.record() for t in self._tasks.values()]
 
     def snapshots(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [t.snapshot() for t in self._tasks.values()]
+        return [t.snapshot() for t in self._tasks.values()]

@@ -1,166 +1,103 @@
-"""Background resource sampler: RSS + CPU timelines, per-stage peaks.
+"""Resource sampling: RSS + CPU timelines, per-stage peaks.
 
-A daemon thread wakes every ``interval`` seconds and reads two numbers
-from procfs via :mod:`repro.perf.rss` — the current resident set
+Each :meth:`ResourceSampler.sample` reads two numbers from procfs via
+:mod:`repro.perf.rss` — the current resident set
 (``/proc/self/statm``) and the cumulative process CPU time
 (``/proc/self/stat``).  Each sample becomes one point in the
 ``monitor.rss`` / ``monitor.cpu`` telemetry metric streams (stepped by
-seconds since the session epoch, so they plot on the same axis as the
-QoR streams) and updates:
+seconds since the sampler was made, so they plot on the same axis as
+the QoR streams) and updates:
 
 * the process-wide peak RSS seen by the sampler,
-* the peak RSS *per flow stage* (the monitor session tells the sampler
-  which stage is active), later exported as
-  ``monitor.peak_rss.<stage>`` perf counters,
+* the peak RSS *per flow stage* (the caller names the active stage),
+  later exported as ``monitor.peak_rss.<stage>`` perf counters,
 * a bounded in-memory tail of recent samples for ``status.json``'s
   sparkline.
 
-The sampler is purely observational: it allocates nothing per sample
-beyond the stream append, touches no RNG, and samples its own process
-only — flow results with the monitor on are byte-identical to a run
-with it off (gated by ``benchmarks/bench_monitor_overhead.py``).
+The sampler is a plain accumulator: the monitor session's thread
+calls it under the session lock.  It is purely observational: it
+allocates nothing per sample beyond the stream append, touches no
+RNG, and samples its own process only — flow results with the monitor
+on are byte-identical to a run with it off (gated by
+``benchmarks/bench_monitor_overhead.py``).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.perf.rss import cpu_seconds, peak_rss_bytes, rss_bytes
 
+#: Samples kept for the ``status.json`` timelines.
+TIMELINE_POINTS = 120
+
 
 class ResourceSampler:
-    """Samples RSS/CPU on a daemon thread while started.
+    """RSS/CPU accumulator.
 
-    Args:
-        observe: Callback ``(stream_name, value, step)`` — the monitor
-            session routes this to ``telemetry.observe``.
-        stage_of: Returns the currently active flow stage (or None);
-            consulted per sample for the per-stage peak accounting.
-        interval: Seconds between samples.
-        timeline_points: Samples kept for the ``status.json`` tail.
-        on_sample: Optional callback fired after each sample (the
-            session hooks the throttled status refresh here, so a run
-            that is between progress ticks still updates its heartbeat).
+    ``observe`` receives ``(stream_name, value, step)`` per sample —
+    the monitor session routes it to ``obs.observe``.
     """
 
-    def __init__(
-        self,
-        observe: Callable[[str, float, float], None],
-        stage_of: Callable[[], Optional[str]],
-        interval: float = 0.25,
-        timeline_points: int = 120,
-        on_sample: Optional[Callable[[], None]] = None,
-    ) -> None:
+    def __init__(self, observe: Callable[[str, float, float], None]) -> None:
         self.observe = observe
-        self.stage_of = stage_of
-        self.interval = max(0.01, float(interval))
-        self.on_sample = on_sample
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
         self._epoch = time.perf_counter()
         self._timeline: Deque[Tuple[float, int, float]] = deque(
-            maxlen=max(2, int(timeline_points))
+            maxlen=TIMELINE_POINTS
         )
         self._stage_peaks: Dict[str, int] = {}
         self._peak_rss = 0
         self._samples = 0
         self._last_cpu: Optional[Tuple[float, float]] = None
 
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._epoch = time.perf_counter()
-        self._stop.clear()
-        self.sample()  # one synchronous sample so status is never empty
-        self._thread = threading.Thread(
-            target=self._run, name="repro-monitor-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=5.0)
-        self._thread = None
-        self.sample()  # closing sample so the timelines cover the stop
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.sample()
-            except Exception:  # pragma: no cover - never kill the run
-                pass
-
-    # -- sampling ------------------------------------------------------
-    def sample(self) -> None:
-        """Take one sample (also callable synchronously from tests)."""
+    def sample(self, stage: Optional[str]) -> None:
+        """Take one sample, attributing its RSS to ``stage`` (if any)."""
         now = time.perf_counter()
         t = now - self._epoch
         rss = rss_bytes()
         cpu = cpu_seconds()
-        # Resolve the active stage BEFORE taking the sampler lock:
-        # stage_of() acquires the monitor session's lock, and the
-        # session calls back into stage_peaks() (which takes this
-        # lock) — nesting them here in the opposite order would be a
-        # lock-order inversion that can deadlock a stage exit racing
-        # a sample.
-        stage = self.stage_of()
-        with self._lock:
-            cpu_pct = 0.0
-            if self._last_cpu is not None:
-                last_t, last_cpu = self._last_cpu
-                dt = now - last_t
-                if dt > 0:
-                    cpu_pct = max(0.0, (cpu - last_cpu) / dt * 100.0)
-            self._last_cpu = (now, cpu)
-            self._samples += 1
-            if rss > self._peak_rss:
-                self._peak_rss = rss
-            if stage is not None and rss > self._stage_peaks.get(stage, 0):
-                self._stage_peaks[stage] = rss
-            self._timeline.append((t, rss, cpu_pct))
+        cpu_pct = 0.0
+        if self._last_cpu is not None:
+            last_t, last_cpu = self._last_cpu
+            dt = now - last_t
+            if dt > 0:
+                cpu_pct = max(0.0, (cpu - last_cpu) / dt * 100.0)
+        self._last_cpu = (now, cpu)
+        self._samples += 1
+        if rss > self._peak_rss:
+            self._peak_rss = rss
+        if stage is not None and rss > self._stage_peaks.get(stage, 0):
+            self._stage_peaks[stage] = rss
+        self._timeline.append((t, rss, cpu_pct))
         self.observe("monitor.rss", float(rss), t)
         self.observe("monitor.cpu", cpu_pct, t)
-        callback = self.on_sample
-        if callback is not None:
-            callback()
 
     # -- views ---------------------------------------------------------
     def resources(self) -> Dict[str, Any]:
         """The live resource block for ``status.json``."""
-        with self._lock:
-            timeline = list(self._timeline)
-            peak = max(self._peak_rss, peak_rss_bytes())
-            current = timeline[-1] if timeline else (0.0, 0, 0.0)
-            return {
-                "rss_bytes": current[1],
-                "cpu_percent": current[2],
-                "peak_rss_bytes": peak,
-                "samples": self._samples,
-                "rss_timeline": [[round(t, 3), rss] for t, rss, _ in timeline],
-                "cpu_timeline": [
-                    [round(t, 3), round(pct, 1)] for t, _, pct in timeline
-                ],
-            }
+        timeline = list(self._timeline)
+        current = timeline[-1] if timeline else (0.0, 0, 0.0)
+        return {
+            "rss_bytes": current[1],
+            "cpu_percent": current[2],
+            "peak_rss_bytes": max(self._peak_rss, peak_rss_bytes()),
+            "samples": self._samples,
+            "rss_timeline": [[round(t, 3), rss] for t, rss, _ in timeline],
+            "cpu_timeline": [
+                [round(t, 3), round(pct, 1)] for t, _, pct in timeline
+            ],
+        }
 
     def stage_peaks(self) -> Dict[str, int]:
         """Peak RSS (bytes) observed while each flow stage was active."""
-        with self._lock:
-            return dict(self._stage_peaks)
+        return dict(self._stage_peaks)
 
     def summary(self) -> Dict[str, Any]:
-        """The post-run summary embedded in ``run.json``."""
-        with self._lock:
-            return {
-                "samples": self._samples,
-                "interval_s": self.interval,
-                "peak_rss_bytes": max(self._peak_rss, peak_rss_bytes()),
-                "stage_peak_rss_bytes": dict(self._stage_peaks),
-            }
+        """The sampler's part of the ``run.json`` monitor block."""
+        return {
+            "samples": self._samples,
+            "peak_rss_bytes": max(self._peak_rss, peak_rss_bytes()),
+            "stage_peak_rss_bytes": dict(self._stage_peaks),
+        }

@@ -1,16 +1,20 @@
-"""The monitor output's state: sampler + progress + status.
+"""The monitor output's state and its one writer.
 
-:class:`MonitorSession` is the flight recorder proper.  It owns
+:class:`MonitorSession` is the flight recorder proper.  Under one lock
+it keeps
 
 * a :class:`~repro.monitor.sampler.ResourceSampler` feeding the
   ``monitor.rss`` / ``monitor.cpu`` telemetry streams,
 * a :class:`~repro.monitor.progress.ProgressTracker` for the flow's
   bounded loops,
-* a :class:`~repro.monitor.status.StatusWriter` publishing
-  ``status.json`` on every progress tick, stage edge and sampler sample
-  (throttled, atomic),
-* the stage history and the worker-heartbeat directory merged into the
-  status document.
+* the stage history and the run meta,
+* the last beat of every fleet worker, by label.
+
+Recording calls — stage edges, progress, meta, worker beats — touch
+that memory only.  One daemon thread ticks every ``interval``: a tick
+takes one sample and publishes ``status.json``.  :meth:`start` and
+:meth:`stop` each take one tick synchronously (the first and the final
+document), so the published document is at most one interval stale.
 
 It records nothing by itself: :mod:`repro.obs` holds it as the process
 session's monitor output and tells it which stage was entered and left
@@ -27,14 +31,12 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro.monitor.heartbeat import (
-    clear_worker_beats,
-    heartbeat_dir,
-    read_worker_beats,
-)
 from repro.monitor.progress import ProgressTracker
 from repro.monitor.sampler import ResourceSampler
-from repro.monitor.status import StatusWriter
+from repro.monitor.status import write_status
+
+#: Seconds between ticks (one sample + one ``status.json``).
+INTERVAL_S = 0.25
 
 #: Nesting levels of ``obs.stage`` the monitor follows.  Two levels are
 #: the table ``repro top`` prints (``flow.vpr`` and ``vpr.select``,
@@ -54,54 +56,71 @@ class MonitorSession:
         self,
         out_dir: str,
         observe: Callable[..., None],
-        interval: float = 0.25,
-        status_interval: float = 0.25,
-        timeline_points: int = 120,
+        interval: float = INTERVAL_S,
     ) -> None:
         self.out_dir = out_dir
+        self.interval = max(0.01, float(interval))
         self.pid = os.getpid()
         self.started_unix = time.time()
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
+        self._halt = threading.Event()
+        self._thread: Optional[threading.Thread] = None
         self._meta: Dict[str, Any] = {}
         self._state = "running"
         self._error: Optional[str] = None
         self._stage: Optional[str] = None
         self._stage_history: list = []
-        self.heartbeats = heartbeat_dir(out_dir)
-        self.status = StatusWriter(
-            out_dir, self._status_snapshot, min_interval=status_interval
-        )
-        self.progress = ProgressTracker(on_tick=self.status.refresh)
-        self.sampler = ResourceSampler(
-            observe=observe,
-            stage_of=self.current_stage,
-            interval=interval,
-            timeline_points=timeline_points,
-            on_sample=self.status.refresh,
-        )
+        self._workers: Dict[str, Dict[str, Any]] = {}
+        #: Status documents published so far (one per tick).
+        self.ticks = 0
+        self.progress = ProgressTracker()
+        self.sampler = ResourceSampler(observe)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        clear_worker_beats(self.heartbeats)
-        self.sampler.start()
-        self.status.refresh(force=True)
+        """Publish the first document and start the writer thread."""
+        self.tick()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-monitor", daemon=True
+        )
+        self._thread.start()
 
     def stop(self, state: str = "done", error: Optional[str] = None) -> None:
-        """Stop sampling and publish the final status document."""
-        self.sampler.stop()
+        """Stop the writer thread and publish the final document."""
+        self._halt.set()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
         with self._lock:
             self._state = state
             self._error = error
-        self.status.refresh(force=True)
+        self.tick()
 
-    # -- stages --------------------------------------------------------
+    def _run(self) -> None:
+        while not self._halt.wait(self.interval):
+            try:
+                self.tick()
+            except Exception:  # pragma: no cover - never kill the run
+                pass
+
+    def tick(self) -> None:
+        """Take one sample and publish ``status.json``."""
+        with self._lock:
+            self.sampler.sample(self._stage)
+            doc = self._status_doc()
+            self.ticks += 1
+        try:
+            write_status(self.out_dir, doc)
+        except OSError:  # pragma: no cover - status is best-effort
+            pass
+
+    # -- recording -----------------------------------------------------
     def enter_stage(self, name: str) -> Dict[str, Any]:
         """``name`` is now the active stage; returns its history entry.
 
-        The sampler attributes its per-sample peak-RSS accounting to
-        the active stage; the status document shows it and the
-        per-stage wall-clock history.
+        Samples attribute their peak RSS to the active stage; the
+        status document shows it and the per-stage wall-clock history.
         """
         entry = {
             "name": name,
@@ -112,7 +131,6 @@ class MonitorSession:
         with self._lock:
             self._stage = name
             self._stage_history.append(entry)
-        self.status.refresh()
         return entry
 
     def exit_stage(
@@ -120,67 +138,84 @@ class MonitorSession:
     ) -> None:
         """Finish ``entry`` after ``elapsed`` seconds; ``outer`` (the
         stage around it, or None) is active again."""
-        # Read the sampler's peaks BEFORE taking the session lock:
-        # stage_peaks() takes the sampler lock, and the sampler's
-        # sample() calls current_stage() — nesting them here in the
-        # opposite order is a lock-order inversion that can deadlock
-        # against a concurrent sample.
-        peak = self.sampler.stage_peaks().get(entry["name"])
         with self._lock:
             self._stage = outer
             entry["state"] = "done"
             entry["elapsed_s"] = elapsed
+            peak = self.sampler.stage_peaks().get(entry["name"])
             if peak is not None:
                 entry["peak_rss_bytes"] = peak
-        self.status.refresh()
 
     def current_stage(self) -> Optional[str]:
-        """The innermost followed stage (the sampler's attribution key)."""
+        """The innermost followed stage (the samples' attribution key)."""
         return self._stage
 
-    # -- metadata ------------------------------------------------------
+    def start_task(self, name: str, total: int, unit: str = "items") -> None:
+        with self._lock:
+            self.progress.start(name, total, unit=unit)
+
+    def advance(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            self.progress.advance(name, n)
+
+    def set_done(self, name: str, done: int) -> None:
+        with self._lock:
+            self.progress.set_done(name, done)
+
+    def complete(self, name: str) -> None:
+        with self._lock:
+            self.progress.complete(name)
+
     def set_meta(self, **fields: Any) -> None:
         """Attach run context (design, jobs, seed) to the status doc."""
         with self._lock:
             self._meta.update(fields)
-        self.status.refresh(force=True)
+
+    def worker_beat(self, label: str, phase: str, **fields: Any) -> None:
+        """Keep ``label``'s latest beat (stamped now) for the status
+        document's ``workers`` block."""
+        beat = dict(fields, phase=phase, t=time.time())
+        with self._lock:
+            self._workers[label] = beat
 
     # -- views ---------------------------------------------------------
-    def _status_snapshot(self) -> Dict[str, Any]:
-        now = time.time()
-        with self._lock:
-            meta = dict(self._meta)
-            state = self._state
-            error = self._error
-            stage = self._stage
-            stages = []
-            for stored in self._stage_history:
-                entry = dict(stored)
-                started = entry.pop("_started")
-                if entry["state"] == "running":
-                    # elapsed_s of a running stage is filled at snapshot
-                    # time (the stored entry only finalises on exit).
-                    entry["elapsed_s"] = time.perf_counter() - started
-                stages.append(entry)
+    def _status_doc(self) -> Dict[str, Any]:
+        """The status document (called under the lock)."""
+        now = time.perf_counter()
+        wall = time.time()
+        stages = []
+        for stored in self._stage_history:
+            entry = dict(stored)
+            started = entry.pop("_started")
+            if entry["state"] == "running":
+                # elapsed_s of a running stage is filled at publish
+                # time (the stored entry only finalises on exit).
+                entry["elapsed_s"] = now - started
+            stages.append(entry)
         doc: Dict[str, Any] = {
             "pid": self.pid,
-            "state": state,
+            "state": self._state,
             "started_unix": self.started_unix,
-            "elapsed_s": time.perf_counter() - self._epoch,
-            "meta": meta,
-            "stage": stage,
+            "elapsed_s": now - self._epoch,
+            "meta": dict(self._meta),
+            "stage": self._stage,
             "stages": stages,
             "progress": self.progress.snapshots(),
             "resources": self.sampler.resources(),
-            "workers": read_worker_beats(self.heartbeats, now=now),
+            "workers": [
+                dict(beat, age_s=max(0.0, wall - beat["t"]))
+                for _, beat in sorted(self._workers.items())
+            ],
         }
-        if error:
-            doc["error"] = error
+        if self._error:
+            doc["error"] = self._error
         return doc
 
     def summary(self) -> Dict[str, Any]:
         """The post-run block embedded in ``run.json`` / the report."""
-        out = self.sampler.summary()
-        out["progress"] = self.progress.records()
-        out["status_writes"] = self.status.writes
+        with self._lock:
+            out = self.sampler.summary()
+            out["interval_s"] = self.interval
+            out["progress"] = self.progress.records()
+            out["status_writes"] = self.ticks
         return out

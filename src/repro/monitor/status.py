@@ -1,29 +1,22 @@
-"""Atomic, throttled publication of ``status.json``.
+"""Atomic publication of ``status.json``.
 
 ``status.json`` (schema ``repro.monitor/1``) is the single file a
-*separate process* polls to see inside a live run — ``repro top``
-today, a ``repro serve`` status endpoint tomorrow.  Two disciplines
-make that safe and cheap:
-
-* **atomicity** — every refresh goes through
-  :func:`repro.ioutil.atomic_write_bytes` (temp + rename,
-  ``durable=False``): a reader sees the previous complete document or
-  the new one, never a torn file.  No fsync — a status file lost to a
-  crash is worthless a millisecond later anyway.
-* **throttling** — the flow calls :meth:`StatusWriter.refresh` on
-  every progress tick and every sampler sample; the writer coalesces
-  those into at most one write per ``min_interval`` (default 4 Hz),
-  so a tight placement loop cannot turn the monitor into a write
-  storm.  Lifecycle edges (start/done/failed) force a write.
+*separate process* polls to see inside a live run — ``repro top``, and
+``repro serve``'s ``GET /jobs/<id>`` for a served job.  Every document
+goes through :func:`repro.ioutil.atomic_write_bytes` (temp + rename,
+``durable=False``): a reader sees the previous complete document or
+the new one, never a torn file.  No fsync — a status file lost to a
+crash is worthless a millisecond later anyway.  The one writer is the
+monitor session's thread (:mod:`repro.monitor.session`), once per
+interval.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.ioutil import atomic_write_bytes
 
@@ -52,52 +45,9 @@ def load_status(out_dir: str) -> Optional[Dict[str, Any]]:
     return data
 
 
-class StatusWriter:
-    """Throttled atomic writer of one run's ``status.json``."""
-
-    def __init__(
-        self,
-        out_dir: str,
-        snapshot: Callable[[], Dict[str, Any]],
-        min_interval: float = 0.25,
-    ) -> None:
-        self.out_dir = out_dir
-        self.path = status_path(out_dir)
-        self.snapshot = snapshot
-        self.min_interval = max(0.0, float(min_interval))
-        self._lock = threading.Lock()
-        self._last_write = 0.0
-        self._writes = 0
-
-    @property
-    def writes(self) -> int:
-        """Number of documents actually written (post-throttle)."""
-        return self._writes
-
-    def refresh(self, force: bool = False) -> bool:
-        """Publish a fresh document unless inside the throttle window.
-
-        Returns True when a write happened.  Concurrent callers (the
-        sampler thread + the flow thread) coalesce: whoever holds the
-        lock writes, the other returns immediately.
-        """
-        now = time.perf_counter()
-        if not force and now - self._last_write < self.min_interval:
-            return False
-        if not self._lock.acquire(blocking=force):
-            return False
-        try:
-            if not force and now - self._last_write < self.min_interval:
-                return False
-            payload = self.snapshot()
-            payload["schema"] = STATUS_SCHEMA
-            payload["updated_unix"] = time.time()
-            data = json.dumps(payload, sort_keys=True).encode()
-            atomic_write_bytes(self.path, data, durable=False)
-            self._last_write = time.perf_counter()
-            self._writes += 1
-            return True
-        except OSError:  # pragma: no cover - status is best-effort
-            return False
-        finally:
-            self._lock.release()
+def write_status(out_dir: str, doc: Dict[str, Any]) -> None:
+    """Publish ``doc`` as the run directory's ``status.json`` (stamped
+    with the schema and the write time)."""
+    payload = dict(doc, schema=STATUS_SCHEMA, updated_unix=time.time())
+    data = json.dumps(payload, sort_keys=True).encode()
+    atomic_write_bytes(status_path(out_dir), data, durable=False)

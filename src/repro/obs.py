@@ -13,7 +13,8 @@ Everything instrumented code may call to record something is here:
   points and decision-log events; one flag check while their output is
   off.
 * :func:`start_task` / :func:`advance` / :func:`set_done` /
-  :func:`complete` / :func:`set_meta` — live progress and run context.
+  :func:`complete` / :func:`set_meta` / :func:`worker_beat` — live
+  progress, run context and fleet worker liveness.
 
 The three outputs are fixed fields of the one process
 :class:`Session`, which also keeps the one per-thread nesting stack the
@@ -36,7 +37,7 @@ import threading
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.monitor.session import STAGE_DEPTH, MonitorSession
+from repro.monitor.session import INTERVAL_S, STAGE_DEPTH, MonitorSession
 from repro.perf.report import PerfReport
 from repro.perf.timers import PerfRegistry
 from repro.telemetry.events import EventLog
@@ -125,11 +126,13 @@ class Session:
         self.metrics.reset()
         self.events.reset()
 
-    def start_monitor(self, out_dir: str, **intervals: Any) -> MonitorSession:
+    def start_monitor(
+        self, out_dir: str, interval: float = INTERVAL_S
+    ) -> MonitorSession:
         """Start the live monitor on a run directory (replacing one
         already running); its samples go to :func:`observe`."""
         self.stop_monitor()
-        self.monitor = MonitorSession(out_dir, observe, **intervals)
+        self.monitor = MonitorSession(out_dir, observe, interval)
         self.monitor.start()
         return self.monitor
 
@@ -215,28 +218,28 @@ def start_task(name: str, total: int, unit: str = "items") -> None:
     """Begin tracking a bounded loop (no-op while the monitor is off)."""
     live = _SESSION.monitor
     if live is not None:
-        live.progress.start(name, total, unit=unit)
+        live.start_task(name, total, unit=unit)
 
 
 def advance(name: str, n: int = 1) -> None:
     """Add completed items to a loop (no-op while the monitor is off)."""
     live = _SESSION.monitor
     if live is not None:
-        live.progress.advance(name, n)
+        live.advance(name, n)
 
 
 def set_done(name: str, done: int) -> None:
     """Raise a loop's absolute completion count (no-op while off)."""
     live = _SESSION.monitor
     if live is not None:
-        live.progress.set_done(name, done)
+        live.set_done(name, done)
 
 
 def complete(name: str) -> None:
     """Finish a loop (no-op while the monitor is off)."""
     live = _SESSION.monitor
     if live is not None:
-        live.progress.complete(name)
+        live.complete(name)
 
 
 def set_meta(**fields: Any) -> None:
@@ -246,23 +249,25 @@ def set_meta(**fields: Any) -> None:
         live.set_meta(**fields)
 
 
+def worker_beat(label: str, phase: str, **fields: Any) -> None:
+    """Record fleet worker ``label``'s latest beat for the status
+    document (no-op while the monitor is off)."""
+    live = _SESSION.monitor
+    if live is not None:
+        live.worker_beat(label, phase, **fields)
+
+
 # -- worker round trip --------------------------------------------------
 def worker_descriptor() -> Dict[str, Any]:
     """What a worker process must switch on to record like this one
-    (picklable; ships once inside the sweep state), and the monitor
-    directory the fleet parent relays its workers' beats into."""
-    live = _SESSION.monitor
-    return {
-        "timers": _SESSION.timers_on,
-        "telemetry": _SESSION.telemetry_on,
-        "heartbeats": live.heartbeats if live is not None else None,
-    }
+    (picklable; ships once inside the sweep state)."""
+    return {"timers": _SESSION.timers_on, "telemetry": _SESSION.telemetry_on}
 
 
 def adopt_worker(descriptor: Dict[str, Any]) -> None:
     """Worker side, once per sweep state: record what the parent
     records, starting empty.  (A worker's liveness beats travel back
-    over its fleet socket; it writes no monitor file.)"""
+    over its fleet socket to the parent's :func:`worker_beat`.)"""
     session = _SESSION
     # A fork-inherited session holds the parent's open stages, its
     # monitor (ours to neither feed nor publish), its records and —

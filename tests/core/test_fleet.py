@@ -256,3 +256,26 @@ class TestStateSync:
         executor = FleetExecutor.__new__(FleetExecutor)
         executor._sync_state(worker, b"payload", "digest-a")
         assert worker.alive is False
+
+
+class TestForkSafety:
+    def test_forked_worker_drops_the_live_monitor(self, tmp_path, monkeypatch):
+        """A forked worker must not inherit the parent's live monitor:
+        the parent's monitor thread may hold its lock at the fork, and
+        that lock would stay held forever in the child."""
+        from repro import monitor, obs
+        from repro.core import fanout
+
+        monkeypatch.setattr(
+            fanout,
+            "run_worker",
+            lambda endpoint, quiet: 0 if obs.session().monitor is None else 1,
+        )
+        monitor.enable(str(tmp_path))
+        executor = FleetExecutor(workers=2)
+        try:
+            executor._fork_local_workers()
+        finally:
+            executor.close()
+            monitor.disable()
+        assert executor.worker_exit_codes == [0, 0]

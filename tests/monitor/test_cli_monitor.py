@@ -19,7 +19,7 @@ def _clean_globals():
     telemetry.reset()
 
 
-def _run_flow(out_dir, seed=0, monitor=False):
+def _run_flow(out_dir, seed=0, monitor=False, jobs=1):
     argv = [
         "flow",
         "--benchmark",
@@ -27,6 +27,8 @@ def _run_flow(out_dir, seed=0, monitor=False):
         "--no-routing",
         "--seed",
         str(seed),
+        "--jobs",
+        str(jobs),
         "--telemetry",
         str(out_dir),
     ]
@@ -63,6 +65,32 @@ class TestMonitorFlag:
         assert {p["name"] for p in run["monitor"]["progress"]} == set(tasks)
         assert "monitor.rss" in run["metrics"]
         assert "Live monitor" in (out / "report.html").read_text()
+
+    def test_fleet_worker_beats_reach_status(self, tmp_path, capsys):
+        """The fleet parent hands each worker beat to the live monitor:
+        the final status lists both forked workers, shut down, and no
+        per-worker file is left in the run directory."""
+        out = tmp_path / "run0"
+        assert _run_flow(out, monitor=True, jobs=2) == 0
+        status = json.loads((out / "status.json").read_text())
+        assert set(status) == {
+            "schema", "updated_unix", "pid", "state", "started_unix",
+            "elapsed_s", "meta", "stage", "stages", "progress",
+            "resources", "workers",
+        }
+        workers = status["workers"]
+        assert len(workers) == 2
+        assert len({(w["host"], w["pid"]) for w in workers}) == 2
+        for worker in workers:
+            assert set(worker) == {"pid", "host", "phase", "t", "age_s"}
+            assert worker["phase"] == "shutdown"
+            assert worker["pid"] != status["pid"]
+        assert not (out / "monitor").exists()
+        run = json.loads((out / "run.json").read_text())
+        assert set(run["monitor"]) == {
+            "samples", "interval_s", "peak_rss_bytes",
+            "stage_peak_rss_bytes", "progress", "status_writes",
+        }
 
     def test_unmonitored_flow_writes_no_status(self, tmp_path, capsys):
         out = tmp_path / "run0"

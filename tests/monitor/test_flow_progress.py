@@ -1,6 +1,6 @@
 """Flow-level progress invariants (the ISSUE's accounting contract).
 
-* done <= total at every tick, observed from inside the tick callback;
+* done <= total at every tick, observed after every tracker mutation;
 * the final tick of every task reaches done == total;
 * serial and parallel sweeps of the same design produce identical
   final progress records (no timing fields in the accounting).
@@ -27,21 +27,31 @@ def aes_clusters():
     return design, clustering.members()
 
 
+def _after_each_mutation(tracker, hook):
+    """Call ``hook`` after every ``start`` / ``advance`` / ``set_done``
+    / ``complete`` of ``tracker`` — each state a status tick can see."""
+    for name in ("start", "advance", "set_done", "complete"):
+
+        def wrapped(*args, _mutate=getattr(tracker, name), **kwargs):
+            result = _mutate(*args, **kwargs)
+            hook()
+            return result
+
+        setattr(tracker, name, wrapped)
+
+
 def _sweep_with_monitor(design, members, jobs, out_dir):
     """Run a V-P&R sweep under the monitor; returns (records, n_ticks)."""
     telemetry.enable(str(out_dir))
     session = monitor.enable(str(out_dir), interval=60.0)
     ticks = []
-    refresh = session.progress.on_tick
 
     def checked_tick():
         for record in session.progress.records():
             assert 0 <= record["done"] <= record["total"], record
         ticks.append(1)
-        if refresh is not None:
-            refresh()
 
-    session.progress.on_tick = checked_tick
+    _after_each_mutation(session.progress, checked_tick)
     config = VPRConfig(
         min_cluster_instances=50,
         max_vpr_clusters=2,
@@ -95,16 +105,13 @@ class TestSweepProgress:
         telemetry.enable(str(tmp_path))
         session = monitor.enable(str(tmp_path), interval=60.0)
         dones = []
-        refresh = session.progress.on_tick
 
         def record_tick():
             for record in session.progress.records():
                 if record["name"] == "vpr.items":
                     dones.append(record["done"])
-            if refresh is not None:
-                refresh()
 
-        session.progress.on_tick = record_tick
+        _after_each_mutation(session.progress, record_tick)
 
         from repro.core.fanout import SweepExecutor
 

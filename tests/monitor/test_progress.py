@@ -88,32 +88,28 @@ class TestProgressTracker:
         tracker.complete("nope")
         assert tracker.records() == []
 
-    def test_on_tick_fires_per_mutation(self):
-        ticks = []
-        tracker = ProgressTracker(on_tick=lambda: ticks.append(1))
-        tracker.start("t", 3)
-        tracker.advance("t")
-        tracker.advance("t", 2)
-        tracker.complete("t")
-        assert len(ticks) == 4
-
     def test_invariant_holds_at_every_tick(self):
-        """done <= total observed from *inside* the tick callback —
-        the exact view a status.json refresh serialises."""
+        """done <= total observed after every mutation — the exact view
+        a status.json tick serialises."""
         tracker = ProgressTracker()
 
         def check():
             for record in tracker.records():
                 assert 0 <= record["done"] <= record["total"]
 
-        tracker.on_tick = check
         tracker.start("a", 5)
+        check()
         tracker.start("b", 2)
+        check()
         for _ in range(8):
             tracker.advance("a")
+            check()
             tracker.advance("b")
+            check()
         tracker.complete("a")
+        check()
         tracker.complete("b")
+        check()
         records = {r["name"]: r for r in tracker.records()}
         assert records["a"]["done"] == records["a"]["total"] == 5
         assert records["b"]["done"] == records["b"]["total"] == 2

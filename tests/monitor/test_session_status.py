@@ -8,12 +8,12 @@ import time
 import pytest
 
 from repro import monitor, obs, perf, telemetry
-from repro.monitor.sampler import ResourceSampler
+from repro.monitor.sampler import TIMELINE_POINTS, ResourceSampler
 from repro.monitor.status import (
     STATUS_SCHEMA,
-    StatusWriter,
     load_status,
     status_path,
+    write_status,
 )
 
 
@@ -21,11 +21,9 @@ class TestResourceSampler:
     def test_sample_records_streams_and_peaks(self):
         observed = []
         sampler = ResourceSampler(
-            observe=lambda name, value, t: observed.append((name, value)),
-            stage_of=lambda: "vpr",
-            interval=60.0,
+            observe=lambda name, value, t: observed.append((name, value))
         )
-        sampler.sample()
+        sampler.sample("vpr")
         names = {name for name, _ in observed}
         assert names == {"monitor.rss", "monitor.cpu"}
         rss = dict(observed)["monitor.rss"]
@@ -36,50 +34,23 @@ class TestResourceSampler:
         assert resources["peak_rss_bytes"] >= resources["rss_bytes"] > 0
         assert len(resources["rss_timeline"]) == 1
 
-    def test_stage_attribution_follows_callback(self):
-        stage = {"name": None}
-        sampler = ResourceSampler(
-            observe=lambda *a: None,
-            stage_of=lambda: stage["name"],
-            interval=60.0,
-        )
-        sampler.sample()  # no stage active
-        stage["name"] = "clustering"
-        sampler.sample()
+    def test_stage_attribution_follows_argument(self):
+        sampler = ResourceSampler(observe=lambda *a: None)
+        sampler.sample(None)  # no stage active
+        sampler.sample("clustering")
         peaks = sampler.stage_peaks()
         assert list(peaks) == ["clustering"]
 
-    def test_background_thread_samples(self):
-        sampler = ResourceSampler(
-            observe=lambda *a: None, stage_of=lambda: None, interval=0.01
-        )
-        sampler.start()
-        try:
-            deadline = time.time() + 5.0
-            while sampler.resources()["samples"] < 3:
-                assert time.time() < deadline, "sampler thread not sampling"
-                time.sleep(0.01)
-        finally:
-            sampler.stop()
-        assert sampler._thread is None
-
     def test_timeline_is_bounded(self):
-        sampler = ResourceSampler(
-            observe=lambda *a: None,
-            stage_of=lambda: None,
-            interval=60.0,
-            timeline_points=5,
-        )
-        for _ in range(20):
-            sampler.sample()
-        assert len(sampler.resources()["rss_timeline"]) == 5
-        assert sampler.resources()["samples"] == 20
+        sampler = ResourceSampler(observe=lambda *a: None)
+        for _ in range(TIMELINE_POINTS + 20):
+            sampler.sample(None)
+        assert len(sampler.resources()["rss_timeline"]) == TIMELINE_POINTS
+        assert sampler.resources()["samples"] == TIMELINE_POINTS + 20
 
     def test_summary_block(self):
-        sampler = ResourceSampler(
-            observe=lambda *a: None, stage_of=lambda: "vpr", interval=60.0
-        )
-        sampler.sample()
+        sampler = ResourceSampler(observe=lambda *a: None)
+        sampler.sample("vpr")
         summary = sampler.summary()
         assert summary["samples"] == 1
         assert summary["peak_rss_bytes"] > 0
@@ -88,10 +59,7 @@ class TestResourceSampler:
 
 class TestStatusWriter:
     def test_atomic_document_with_schema(self, tmp_path):
-        writer = StatusWriter(
-            str(tmp_path), lambda: {"state": "running"}, min_interval=0.0
-        )
-        assert writer.refresh() is True
+        write_status(str(tmp_path), {"state": "running"})
         doc = load_status(str(tmp_path))
         assert doc["schema"] == STATUS_SCHEMA
         assert doc["state"] == "running"
@@ -102,32 +70,17 @@ class TestStatusWriter:
         ]
         assert leftovers == []
 
-    def test_throttle_coalesces(self, tmp_path):
-        writer = StatusWriter(
-            str(tmp_path), lambda: {"state": "running"}, min_interval=60.0
-        )
-        assert writer.refresh() is True
-        for _ in range(50):
-            assert writer.refresh() is False
-        assert writer.writes == 1
-        assert writer.refresh(force=True) is True
-        assert writer.writes == 2
-
     def test_concurrent_refresh_never_tears(self, tmp_path):
-        """Hammer refresh from threads while reading: every read must
+        """Hammer writes from threads while reading: every read must
         see a complete, parseable document."""
-        writer = StatusWriter(
-            str(tmp_path),
-            lambda: {"state": "running", "blob": "x" * 4096},
-            min_interval=0.0,
-        )
-        writer.refresh(force=True)
+        doc = {"state": "running", "blob": "x" * 4096}
+        write_status(str(tmp_path), doc)
         stop = threading.Event()
         errors = []
 
         def spin():
             while not stop.is_set():
-                writer.refresh(force=True)
+                write_status(str(tmp_path), doc)
 
         def read():
             while not stop.is_set():
@@ -157,9 +110,41 @@ class TestStatusWriter:
 
 
 class TestMonitorSession:
+    def test_background_thread_samples(self, tmp_path):
+        telemetry.enable(str(tmp_path))
+        session = monitor.enable(str(tmp_path), interval=0.01)
+        deadline = time.time() + 5.0
+        while session.summary()["samples"] < 3:
+            assert time.time() < deadline, "monitor thread not ticking"
+            time.sleep(0.01)
+        monitor.disable()
+        assert session._thread is None
+        assert load_status(str(tmp_path))["state"] == "done"
+
+    def test_one_lock_one_writer(self, tmp_path):
+        """Recording calls touch memory only: with the thread idle, a
+        run of stage edges and progress writes just the start and stop
+        documents — under the session's one lock."""
+        telemetry.enable(str(tmp_path))
+        session = monitor.enable(str(tmp_path), interval=60.0)
+        lock_type = type(threading.Lock())
+
+        def locks(obj):
+            return [v for v in vars(obj).values() if isinstance(v, lock_type)]
+
+        assert len(locks(session)) == 1
+        assert locks(session.sampler) == locks(session.progress) == []
+        obs.start_task("loop", 1000)
+        for _ in range(1000):
+            with obs.stage("edge"):
+                obs.advance("loop")
+        monitor.disable()
+        assert session.summary()["status_writes"] == 2
+        assert load_status(str(tmp_path))["progress"][0]["done"] == 1000
+
     def test_lifecycle_publishes_states(self, tmp_path):
         telemetry.enable(str(tmp_path))
-        monitor.enable(str(tmp_path), interval=60.0, status_interval=0.0)
+        monitor.enable(str(tmp_path), interval=60.0)
         doc = load_status(str(tmp_path))
         assert doc["state"] == "running"
         assert doc["pid"] == os.getpid()
@@ -171,7 +156,7 @@ class TestMonitorSession:
 
     def test_failed_state_with_error(self, tmp_path):
         telemetry.enable(str(tmp_path))
-        monitor.enable(str(tmp_path), interval=60.0, status_interval=0.0)
+        monitor.enable(str(tmp_path), interval=60.0)
         monitor.disable(state="failed", error="RuntimeError('boom')")
         doc = load_status(str(tmp_path))
         assert doc["state"] == "failed"
@@ -179,13 +164,11 @@ class TestMonitorSession:
 
     def test_stage_context_and_peaks(self, tmp_path):
         telemetry.enable(str(tmp_path))
-        session = monitor.enable(
-            str(tmp_path), interval=60.0, status_interval=0.0
-        )
+        session = monitor.enable(str(tmp_path), interval=60.0)
         assert session.current_stage() is None
         with obs.stage("vpr") as outer:
             assert session.current_stage() == "vpr"
-            session.sampler.sample()
+            session.tick()
             with obs.stage("vpr.route"):
                 assert session.current_stage() == "vpr.route"
                 # The monitor follows two levels; deeper stages are
@@ -194,6 +177,7 @@ class TestMonitorSession:
                     assert session.current_stage() == "vpr.route"
             assert session.current_stage() == "vpr"
         assert session.current_stage() is None
+        session.tick()
         doc = load_status(str(tmp_path))
         assert [s["name"] for s in doc["stages"]] == ["vpr", "vpr.route"]
         stages = {s["name"]: s for s in doc["stages"]}
@@ -206,9 +190,7 @@ class TestMonitorSession:
         """Nested stages with the same name unwind innermost-first:
         exiting the inner context must leave the outer one active."""
         telemetry.enable(str(tmp_path))
-        session = monitor.enable(
-            str(tmp_path), interval=60.0, status_interval=0.0
-        )
+        session = monitor.enable(str(tmp_path), interval=60.0)
         with obs.stage("vpr") as outer:
             with obs.stage("vpr") as inner:
                 assert obs.session()._stack() == [outer, inner]
@@ -218,25 +200,13 @@ class TestMonitorSession:
         monitor.disable()
 
     def test_stage_exit_never_deadlocks_against_sampler(self, tmp_path):
-        """Regression: stage() exit reads sampler peaks while a sample
-        reads the current stage — with inverted lock nesting (either
-        callback invoked while the caller's own lock is held) the two
-        threads deadlock.  The bare race window is a few bytecodes, so
-        hammering alone almost never trips it; widening it with a short
-        sleep inside ``stage_of`` makes the inversion deterministic:
-        if the sampler still called it under its lock, the stage-exit
-        thread would wedge against the sampler within one iteration."""
+        """Regression: stage edges race the monitor's ticks.  A stage
+        exit reads the sampler's peaks while a tick samples under the
+        current stage; when sampler and session each had a lock, the
+        two nested them in opposite orders and could deadlock.  Both
+        now take the session's one lock, so neither can wedge."""
         telemetry.enable(str(tmp_path))
-        session = monitor.enable(
-            str(tmp_path), interval=60.0, status_interval=60.0
-        )
-        inner_stage_of = session.sampler.stage_of
-
-        def slow_stage_of():
-            time.sleep(0.002)
-            return inner_stage_of()
-
-        session.sampler.stage_of = slow_stage_of
+        session = monitor.enable(str(tmp_path), interval=60.0)
         stop = threading.Event()
 
         def spin_stages():
@@ -246,7 +216,7 @@ class TestMonitorSession:
 
         def spin_samples():
             while not stop.is_set():
-                session.sampler.sample()
+                session.tick()
 
         threads = [
             threading.Thread(target=spin_stages, daemon=True),
@@ -260,7 +230,7 @@ class TestMonitorSession:
             t.join(timeout=5.0)
         stuck = [t.name for t in threads if t.is_alive()]
         if stuck:
-            # The wedged threads hold the session/sampler locks, so a
+            # The wedged threads hold the session lock, so a
             # normal disable() (and the conftest teardown behind it)
             # would hang too — drop the global session without touching
             # its locks, then fail loudly.
@@ -272,11 +242,9 @@ class TestMonitorSession:
         perf.enable()
         perf.reset()
         telemetry.enable(str(tmp_path))
-        session = monitor.enable(
-            str(tmp_path), interval=60.0, status_interval=0.0
-        )
+        session = monitor.enable(str(tmp_path), interval=60.0)
         with obs.stage("clustering"):
-            session.sampler.sample()
+            session.tick()
         monitor.disable()
         value = perf.counter_value("monitor.peak_rss.clustering")
         perf.disable()
@@ -284,7 +252,7 @@ class TestMonitorSession:
 
     def test_monitor_streams_reach_telemetry(self, tmp_path):
         telemetry.enable(str(tmp_path))
-        monitor.enable(str(tmp_path), interval=60.0, status_interval=0.0)
+        monitor.enable(str(tmp_path), interval=60.0)
         monitor.disable()
         stream = telemetry.stream("monitor.rss")
         assert stream is not None
@@ -292,13 +260,15 @@ class TestMonitorSession:
 
     def test_progress_ticks_refresh_status(self, tmp_path):
         telemetry.enable(str(tmp_path))
-        monitor.enable(str(tmp_path), interval=60.0, status_interval=0.0)
+        session = monitor.enable(str(tmp_path), interval=60.0)
         obs.start_task("loop", 3, unit="steps")
         obs.advance("loop", 2)
+        session.tick()
         doc = load_status(str(tmp_path))
         task = doc["progress"][0]
         assert (task["name"], task["done"], task["total"]) == ("loop", 2, 3)
         obs.complete("loop")
+        session.tick()
         doc = load_status(str(tmp_path))
         assert doc["progress"][0]["finished"] is True
         assert doc["progress"][0]["total"] == 2
@@ -306,7 +276,7 @@ class TestMonitorSession:
 
     def test_summary_block(self, tmp_path):
         telemetry.enable(str(tmp_path))
-        monitor.enable(str(tmp_path), interval=60.0, status_interval=0.0)
+        monitor.enable(str(tmp_path), interval=60.0)
         obs.start_task("loop", 2)
         obs.advance("loop", 2)
         obs.complete("loop")
@@ -332,7 +302,45 @@ class TestMonitorSession:
         obs.set_done("x", 1)
         obs.complete("x")
         obs.set_meta(design="aes")
-        assert obs.worker_descriptor()["heartbeats"] is None
+        obs.worker_beat("host:1", "start", pid=1, host="host")
         with obs.stage("vpr"):
             pass
         assert not (tmp_path / "status.json").exists()
+
+
+class TestWorkerBeats:
+    def test_noop_while_monitor_off(self, tmp_path):
+        obs.worker_beat("host:1", "start", pid=1, host="host")
+        telemetry.enable(str(tmp_path))
+        monitor.enable(str(tmp_path), interval=60.0)
+        monitor.disable()
+        assert load_status(str(tmp_path))["workers"] == []
+
+    def test_last_beat_per_label_wins(self, tmp_path):
+        telemetry.enable(str(tmp_path))
+        monitor.enable(str(tmp_path), interval=60.0)
+        obs.worker_beat("b:2", "connect", pid=2, host="b")
+        obs.worker_beat("a:1", "connect", pid=1, host="a")
+        obs.worker_beat("a:1", "dispatch", pid=1, host="a", chunk=3)
+        obs.worker_beat("a:1", "start", pid=1, host="a", item="0/1")
+        monitor.disable()
+        workers = load_status(str(tmp_path))["workers"]
+        assert [(w["host"], w["pid"], w["phase"]) for w in workers] == [
+            ("a", 1, "start"),
+            ("b", 2, "connect"),
+        ]
+        assert workers[0]["item"] == "0/1"
+        assert "chunk" not in workers[0]  # a beat replaces, never merges
+
+    def test_age_computed_at_publish_time(self, tmp_path):
+        telemetry.enable(str(tmp_path))
+        session = monitor.enable(str(tmp_path), interval=60.0)
+        obs.worker_beat("a:1", "start", pid=1, host="a")
+        session.tick()
+        first = load_status(str(tmp_path))["workers"][0]
+        time.sleep(0.05)
+        session.tick()
+        second = load_status(str(tmp_path))["workers"][0]
+        monitor.disable()
+        assert second["t"] == first["t"]
+        assert second["age_s"] >= first["age_s"] + 0.04

@@ -81,7 +81,7 @@ def test_one_interval_feeds_every_output(small_design_fresh, tmp_path):
     out = tmp_path / "run"
     perf.enable()
     telemetry.enable(str(out))
-    monitor.enable(str(out), interval=60.0, status_interval=0.0)
+    monitor.enable(str(out), interval=60.0)
     checkpoint = str(tmp_path / "ckpt")
     flow = ClusteredPlacementFlow(_flow_config(checkpoint)).run(small_design_fresh)
     session = EcoSession(checkpoint)
