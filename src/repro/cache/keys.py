@@ -94,8 +94,9 @@ def config_fingerprint(config) -> Dict[str, object]:
     fields it declares as ``EVALUATION_FIELDS`` plus the evaluation's
     constants.
 
-    Scheduling and fault-tolerance knobs (jobs, chunk_size, retries,
-    timeouts) and the selection-only ``delta`` are excluded: they may
+    Scheduling and fault-tolerance knobs (jobs, chunk_size,
+    item_timeout, fleet_listen) and the selection-only ``delta`` are
+    excluded: they may
     change wall-clock or failure handling, never a successful
     evaluation's costs.
     """

@@ -13,7 +13,7 @@ in the sweep's own process before anything is chunked, so a worker only
 computes.
 
 A worker that dies while taking its state or mid-chunk simply loses its
-chunk to re-dispatch or to the sweep's retry scheduler
+chunk to re-dispatch or to the sweep's in-process passes
 (``tests/core/test_fleet.py``, ``tests/core/test_sweep_matrix.py``).
 """
 
@@ -68,7 +68,7 @@ class ItemOutcome(NamedTuple):
     (costs are NaN then) — raised by the evaluation itself or, via
     :meth:`lost`, standing for a transport-level loss (a dead or
     vanished fleet worker), so every kind of failure flows
-    into the sweep's one retry scheduler.  ``seconds`` is the item's
+    into the sweep's one failure rule.  ``seconds`` is the item's
     evaluation time (its share of the batch wall).
     """
 
@@ -100,12 +100,13 @@ class SweepExecutor:
       once.
     * A crashed / vanished / timed-out worker never loses work
       silently: its items come back as :meth:`ItemOutcome.lost` and
-      the sweep's bounded retry scheduler re-evaluates them — results
+      the sweep re-evaluates them in its own process — results
       therefore stay byte-identical whatever the execution substrate
       did.
     * Executor *infrastructure* failure (no fork, no bindable port,
-      zero workers connected) raises :class:`OSError`, which the sweep
-      answers by running the same loop on the inline executor.
+      zero workers connected, a fleet dying mid-sweep) raises
+      :class:`OSError`; the sweep re-evaluates, in its own process,
+      only the items the executor had not returned.
     * The sweep's process keeps every store to itself: executors and
       their workers never touch the cache, checkpoint, or telemetry
       files.
@@ -146,8 +147,8 @@ class SweepExecutor:
 
 
 class InlineExecutor(SweepExecutor):
-    """The calling process itself (``jobs=1``, and the stand-in when
-    the fleet is unavailable): each chunk is evaluated right where the
+    """The calling process itself (``jobs=1``, and the sweep's passes
+    over failed or lost items): each chunk is evaluated right where the
     sweep runs, on the live state it was handed.  Nothing is shipped,
     pickled or snapshotted and no signal handler is
     installed, so it works from any thread."""
@@ -211,10 +212,10 @@ class FleetExecutor(SweepExecutor):
       re-queued for another worker (at most :attr:`MAX_DISPATCH` total
       dispatches per chunk), and past that cap — or with no workers
       left — the chunk degrades to lost outcomes for the sweep's
-      retry scheduler;
+      in-process passes;
     * a handshake failure (or the ``fleet.connect`` fault site) drops
       only that worker; zero surviving workers raises :class:`OSError`
-      → the sweep re-runs on the inline executor;
+      → the sweep evaluates every item in its own process;
     * once every queued chunk is dispatched, an idle worker duplicates
       the longest-running in-flight chunk (straggler re-dispatch,
       first result wins — items are idempotent by construction).
@@ -558,7 +559,7 @@ class FleetExecutor(SweepExecutor):
             alive = [w for w in self._fleet if w.alive]
             if not alive:
                 # Every worker is gone: degrade the rest of the sweep
-                # to lost outcomes for the sweep's retry scheduler.
+                # to lost outcomes for the sweep's in-process passes.
                 for index in range(len(chunks)):
                     if not done[index]:
                         done[index] = True

@@ -65,13 +65,11 @@ Performance engine (this module is the flow's runtime bottleneck):
 
 Fault tolerance (see ``docs/recovery.md``):
 
-* A crashed or failing work item is retried in the sweep's own
-  process by one scheduler with a bounded budget (``retry_limit``,
-  exponential backoff, overlapped across items); an item that still
-  fails is *terminal* — either the sweep raises
-  :class:`VPRSweepError` (``on_terminal_failure="raise"``, the
-  default) or the candidate is marked explicitly invalid and excluded
-  from selection (``"exclude"``).  NaN costs never reach the argmin:
+* A work item that fails or is lost on its executor (a whole
+  executor that cannot run included) is re-run on the inline executor
+  until it has had :data:`ATTEMPTS` attempts in the sweep's own
+  process, then raises :class:`VPRSweepError`.  NaN costs never reach
+  the argmin:
   :meth:`VPRFramework._best_of` selects over valid candidates only and
   raises when none remain.
 * ``item_timeout`` bounds each work item in a fleet worker (SIGALRM),
@@ -84,7 +82,6 @@ Fault tolerance (see ``docs/recovery.md``):
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -93,7 +90,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,17 +119,16 @@ from repro.place.hpwl import hpwl_arrays
 from repro.route.gcell import GCellGrid
 from repro.route.global_route import GlobalRouter
 
-#: Injectable time sources for the retry machinery.  Tests swap these
-#: for a fake clock to pin scheduling properties (e.g. that concurrent
-#: backoffs overlap instead of summing) without real sleeps.
-_SLEEP = time.sleep
-_CLOCK = time.monotonic
-
 #: GCell count of the virtual-die routing grid and margin around the
 #: virtual core (microns).  Constants of the evaluation, hashed into
 #: every cache key under these names (``VPRConfig.EVALUATION_CONSTANTS``).
 ROUTE_TARGET_CELLS = 144
 DIE_MARGIN = 1.0
+
+#: Attempts a failed or lost work item gets in the sweep's own process
+#: (an attempt in a worker process is not one of them) before it is
+#: terminal.
+ATTEMPTS = 2
 
 
 @dataclass
@@ -170,19 +166,9 @@ class VPRConfig:
         seed: RNG seed (randomised selector arms).
         item_timeout: Wall-clock bound (seconds) on one (cluster,
             candidate) evaluation inside a fleet worker process; an
-            item that exceeds it fails and follows the retry policy.
+            item that exceeds it fails and is re-run in process.
             None (the default) disables the bound.  It is a
             process-boundary bound: the inline executor never arms it.
-        retry_limit: Re-evaluation attempts, in the sweep's own
-            process, for a work item whose first attempt there failed
-            (an attempt lost in a worker process is not counted).
-        retry_backoff: Base delay (seconds) between retry attempts;
-            attempt *i* waits ``retry_backoff * 2**(i-1)``.
-        on_terminal_failure: What to do with an item that exhausts its
-            retry budget: ``"raise"`` (default) aborts the sweep with
-            :class:`VPRSweepError`; ``"exclude"`` marks the candidate
-            invalid so selection skips it explicitly (selection still
-            raises if *every* candidate of a cluster is invalid).
         fleet_listen: None (default) forks the ``jobs`` workers
             locally.  A ``HOST:PORT`` makes the parent bind there and
             wait for ``jobs`` external ``repro worker --connect``
@@ -195,8 +181,8 @@ class VPRConfig:
     config are all derived from ``EVALUATION_FIELDS`` (what one
     (cluster, candidate) evaluation depends on) and ``SELECTION_FIELDS``
     (which clusters are swept, over which grid, and how the two costs
-    are weighed).  Every other field changes wall-clock or failure
-    handling, never a successful evaluation's costs.
+    are weighed).  Every other field changes where and when an item
+    evaluates, never its costs.
     """
 
     EVALUATION_FIELDS: ClassVar[Tuple[str, ...]] = (
@@ -220,19 +206,11 @@ class VPRConfig:
     chunk_size: Optional[int] = None
     seed: int = 0
     item_timeout: Optional[float] = None
-    retry_limit: int = 1
-    retry_backoff: float = 0.05
-    on_terminal_failure: str = "raise"
     fleet_listen: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
-        if self.on_terminal_failure not in ("raise", "exclude"):
-            raise ValueError(
-                f"on_terminal_failure must be 'raise' or 'exclude', "
-                f"got {self.on_terminal_failure!r}"
-            )
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be a positive integer or None, "
@@ -858,15 +836,13 @@ class VPRFramework:
         here, in this process; what is left is chunked and handed to a
         :class:`SweepExecutor` — the calling process itself
         (``jobs == 1``) or a worker fleet — and when nothing is left no
-        executor is built at all.  Every resolved item lands through
-        :meth:`_settle` (the one write-back site), every failed one
-        goes to the one retry scheduler
-        (:meth:`_retry_failed_items`), and results sit in
+        executor is built at all.  What fails or is lost there goes
+        back through the same code on the inline executor
+        (:meth:`_sweep_on`), every resolved item lands through
+        :meth:`_settle` (the one write-back site), and results sit in
         (cluster, candidate) slots, so evaluations and selected shapes
         are identical whichever executor ran and however its workers
-        were scheduled.  When the fleet is unavailable
-        (:class:`OSError`: no fork, no bindable port, zero connected
-        workers) the same loop runs again on the inline executor.
+        were scheduled.
         """
         config = self.config
         cluster_ids = list(cluster_ids)
@@ -882,18 +858,7 @@ class VPRFramework:
         cache_baseline = self._cache_session_baseline()
         try:
             clusters = {c: self.induce(source, members[c]) for c in cluster_ids}
-            try:
-                slots = self._sweep_on(make_executor, clusters)
-            except OSError:
-                if not fans_out:
-                    raise
-                # Restart the progress task first — the failed attempt
-                # may already have advanced it (stored items, resolved
-                # chunks), and the inline run counts every item again.
-                obs.count("vpr.executor.fallback")
-                obs.event("vpr.executor_fallback", executor="fleet")
-                obs.start_task("vpr.items", total, unit="items")
-                slots = self._sweep_on(InlineExecutor, clusters)
+            slots = self._sweep_on(make_executor, clusters)
             sweeps: List[VPRSweepResult] = []
             for c in cluster_ids:
                 evaluations = [evaluation for evaluation, _s in slots[c]]
@@ -956,9 +921,14 @@ class VPRFramework:
         clusters: Dict[int, Tuple[Design, float]],
     ) -> Dict[int, List[Tuple[CandidateEvaluation, float]]]:
         """Resolve every (cluster, candidate) item of ``clusters``:
-        from the stores (:meth:`_lookup`), and what none holds on one
-        executor; returns ``(evaluation, seconds)`` slots.  This loop is
-        the only place a sweep probes a store."""
+        from the stores (:meth:`_lookup`), what none holds on one
+        executor, and what fails or is lost there on the inline
+        executor, pass after pass, until each item has had
+        :data:`ATTEMPTS` attempts in this process; returns
+        ``(evaluation, seconds)`` slots; the only place a sweep probes a
+        store.  An executor that cannot run (:class:`OSError` building
+        it or from its ``map_chunks``) loses only the items it has not
+        returned; an OSError raised here (a store write) propagates."""
         config = self.config
         n_cand = len(config.candidates)
         slots: Dict[int, list] = {c: [None] * n_cand for c in clusters}
@@ -972,67 +942,95 @@ class VPRFramework:
                     self._settle(clusters, slots, c, k, evaluation, seconds, position)
         if not pending:
             return slots
-        executor = make_executor()
+        inline = InlineExecutor()
         try:
-            # Bundle work items into chunks so one dispatch amortises
-            # the per-task submission/result overhead over several.
-            chunk_size = config.chunk_size or executor.auto_chunk_size(
-                len(pending), n_cand
-            )
-            chunks = [
-                pending[i : i + chunk_size]
-                for i in range(0, len(pending), chunk_size)
-            ]
-            with obs.stage(
-                "vpr.sweep",
-                executor=executor.name,
-                jobs=executor.width(),
-                items=len(clusters) * n_cand,
-                chunk_size=chunk_size,
-            ):
-                failed: List[Tuple[int, int, str]] = []
-                resolved = executor.map_chunks(
-                    self._sweep_state(executor, clusters),
-                    chunks,
-                    _evaluate_chunk,
-                )
-                for index, outcomes in resolved:
-                    for (c, k), outcome in zip(chunks[index], outcomes):
-                        faults.check("vpr.collect", key=f"{c}/{k}")
-                        if outcome.envelope is not None:
-                            # A crashed item still contributes the
-                            # partial counters and spans its worker
-                            # recorded up to the failure point.
-                            obs.merge_worker(outcome.envelope.recorded)
-                        if outcome.error is not None:
-                            # Counts once its retry resolves.
-                            obs.count("vpr.worker.error")
-                            obs.event(
-                                "worker.error",
-                                cluster=c,
-                                candidate=k,
-                                error=outcome.error,
-                            )
-                            failed.append((c, k, outcome.error))
-                            continue
-                        evaluation = CandidateEvaluation(
-                            config.candidates[k],
-                            outcome.hpwl_cost,
-                            outcome.congestion_cost,
+            executor = make_executor()
+        except OSError as exc:
+            _executor_failed(exc)
+            executor = inline
+        # Bundle work items into chunks so one dispatch amortises the
+        # per-task submission/result overhead over several.
+        chunk_size = config.chunk_size or executor.auto_chunk_size(
+            len(pending), n_cand
+        )
+        with obs.stage(
+            "vpr.sweep",
+            executor=executor.name,
+            jobs=executor.width(),
+            items=len(clusters) * n_cand,
+            chunk_size=chunk_size,
+        ):
+            try:
+                failed = self._collect(executor, clusters, slots, pending, chunk_size)
+            finally:
+                executor.close()
+            for c, k, error in failed:
+                obs.count("vpr.worker.error")
+                obs.event("worker.error", cluster=c, candidate=k, error=error)
+            # An inline attempt is one of the item's ATTEMPTS in this
+            # process; an attempt in a worker process is not.
+            tried = 0 if executor.crosses_process else 1
+            while failed:
+                if tried == ATTEMPTS:
+                    for c, k, error in failed:
+                        obs.count("vpr.item.terminal")
+                        obs.event(
+                            "vpr.item.failed", cluster=c, candidate=k,
+                            attempts=ATTEMPTS, error=error,
                         )
-                        self._settle(
-                            clusters, slots, c, k, evaluation, outcome.seconds
+                    c, k, error = min(failed)
+                    raise VPRSweepError(
+                        f"V-P&R evaluation of cluster {c}, candidate {k} "
+                        f"({config.candidates[k]}) failed after {ATTEMPTS} "
+                        f"attempt(s): {error}"
+                    )
+                if tried:
+                    for c, k, _error in failed:
+                        obs.count("vpr.item.retry")
+                        obs.event(
+                            "vpr.item.retry", cluster=c, candidate=k, attempt=tried
                         )
-                # An inline first attempt was one of the item's
-                # ``retry_limit + 1`` attempts in this process; an
-                # attempt lost in another process was not.
-                self._retry_failed_items(
-                    failed, clusters, slots,
-                    spent_attempts=0 if executor.crosses_process else 1,
+                failed = self._collect(
+                    inline, clusters, slots, [(c, k) for c, k, _e in failed],
+                    config.chunk_size or n_cand,
                 )
-        finally:
-            executor.close()
+                tried += 1
         return slots
+
+    def _collect(
+        self,
+        executor: SweepExecutor,
+        clusters: Dict[int, Tuple[Design, float]],
+        slots: Dict[int, list],
+        items: List[Tuple[int, int]],
+        chunk_size: int,
+    ) -> List[Tuple[int, int, str]]:
+        """One attempt at each of ``items`` on ``executor``: settle
+        what succeeds, return what failed or was lost as ``(cluster,
+        candidate, error)``."""
+        config = self.config
+        chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
+        resolved = executor.map_chunks(
+            self._sweep_state(executor, clusters), chunks, _evaluate_chunk
+        )
+        if executor.crosses_process:
+            resolved = _until_executor_fails(resolved, chunks)
+        failed: List[Tuple[int, int, str]] = []
+        for index, outcomes in resolved:
+            for (c, k), outcome in zip(chunks[index], outcomes):
+                faults.check("vpr.collect", key=f"{c}/{k}")
+                if outcome.envelope is not None:
+                    # A crashed item still contributes the partial counters
+                    # and spans its worker recorded up to the failure point.
+                    obs.merge_worker(outcome.envelope.recorded)
+                if outcome.error is not None:
+                    failed.append((c, k, outcome.error))
+                    continue
+                evaluation = CandidateEvaluation(
+                    config.candidates[k], outcome.hpwl_cost, outcome.congestion_cost
+                )
+                self._settle(clusters, slots, c, k, evaluation, outcome.seconds)
+        return failed
 
     def _settle(
         self,
@@ -1048,8 +1046,7 @@ class VPRFramework:
         is written to every store ahead of ``served_by``, the position
         of the store that served it — all of them when it was computed
         (None), the checkpoint only after a cache hit, nowhere after a
-        checkpoint hit.  Invalid (terminally failed) evaluations are
-        persisted nowhere."""
+        checkpoint hit.  An invalid evaluation is persisted nowhere."""
         slots[c][k] = (evaluation, seconds)
         ahead = self._stores()[:served_by]
         if ahead and evaluation.is_valid:
@@ -1059,99 +1056,6 @@ class VPRFramework:
             for store in ahead:
                 store.put(key, record)
         obs.advance("vpr.items")
-
-    def _retry_failed_items(
-        self,
-        failed: Sequence[Tuple[int, int, str]],
-        clusters: Dict[int, Tuple[Design, float]],
-        slots: Dict[int, list],
-        spent_attempts: int = 0,
-    ) -> None:
-        """Re-evaluate failed ``(cluster, candidate, error)`` items in
-        this process, one by one, with overlapped backoff.
-
-        Every item gets ``retry_limit + 1`` attempts in this process,
-        ``spent_attempts`` of which its executor already used.  A naive
-        loop would block inside each item's backoff sleep, so F
-        failures each needing one retry would stall the sweep for the
-        *sum* of their backoff windows.  This scheduler keeps a
-        min-heap of (due-time, item) attempts instead and only ever
-        sleeps until the *earliest* due attempt: backoff windows run
-        concurrently, and the total stall is bounded by one item's
-        longest backoff chain.  Time flows through the injectable
-        :data:`_SLEEP` / :data:`_CLOCK` module hooks so tests can pin
-        the overlap property on a fake clock.
-
-        An item out of attempts is terminal: the sweep raises
-        :class:`VPRSweepError` (``on_terminal_failure="raise"``) or
-        records an explicitly invalid evaluation and lets selection
-        exclude it.
-        """
-        config = self.config
-        candidates = config.candidates
-        attempts = max(0, int(config.retry_limit)) + 1
-        # Heap entries: (due, order, cluster, candidate, failed-attempt
-        # count so far, seconds spent evaluating so far).  ``order``
-        # breaks due-time ties deterministically (submission order).
-        heap: List[Tuple[float, int, int, int, int, float]] = []
-        order = itertools.count()
-
-        def reschedule(c, k, done, spent, error, cause=None):
-            """Park the attempt after ``done`` failed ones behind its
-            backoff — or, out of attempts, go terminal."""
-            if done < attempts:
-                delay = config.retry_backoff * (2 ** (done - 1)) if done else 0.0
-                heapq.heappush(
-                    heap,
-                    (_CLOCK() + max(0.0, delay), next(order), c, k, done, spent),
-                )
-                return
-            obs.count("vpr.item.terminal")
-            obs.event(
-                "vpr.item.failed",
-                cluster=c,
-                candidate=k,
-                attempts=attempts,
-                error=error,
-            )
-            if config.on_terminal_failure == "raise":
-                raise VPRSweepError(
-                    f"V-P&R evaluation of cluster {c}, candidate {k} "
-                    f"({candidates[k]}) failed after {attempts} "
-                    f"attempt(s): {error}"
-                ) from cause
-            nan = float("nan")
-            self._settle(
-                clusters, slots, c, k,
-                CandidateEvaluation(candidates[k], nan, nan, error=error),
-                spent,
-            )
-
-        for c, k, error in failed:
-            reschedule(c, k, spent_attempts, 0.0, error)
-        while heap:
-            due, _, c, k, done, spent = heapq.heappop(heap)
-            wait = due - _CLOCK()
-            if wait > 0:
-                _SLEEP(wait)
-            sub, cell_area = clusters[c]
-            if done:
-                obs.count("vpr.item.retry")
-                obs.event(
-                    "vpr.item.retry", cluster=c, candidate=k, attempt=done
-                )
-            started = time.perf_counter()
-            try:
-                faults.check("vpr.item", key=f"{c}/{k}")
-                evaluation = self.evaluate_candidate(
-                    sub, cell_area, candidates[k], cluster_id=c
-                )
-            except Exception as exc:
-                spent += time.perf_counter() - started
-                reschedule(c, k, done + 1, spent, repr(exc), exc)
-            else:
-                spent += time.perf_counter() - started
-                self._settle(clusters, slots, c, k, evaluation, spent)
 
     # -- end-of-sweep cache summary ------------------------------------
     def _cache_session_baseline(self) -> Optional[Tuple[int, int, int]]:
@@ -1193,6 +1097,31 @@ class VPRFramework:
 # ----------------------------------------------------------------------
 # The chunk evaluator (every executor runs this) and worker set-up
 # ----------------------------------------------------------------------
+def _executor_failed(exc: OSError) -> None:
+    """Record that the sweep's executor could not run (once a sweep)."""
+    obs.count("vpr.executor.fallback")
+    obs.event("vpr.executor_fallback", executor="fleet", error=repr(exc))
+
+
+def _until_executor_fails(
+    resolved: Iterator[Tuple[int, List[ItemOutcome]]],
+    chunks: Sequence[Sequence[Tuple[int, int]]],
+) -> Iterator[Tuple[int, List[ItemOutcome]]]:
+    """An executor's ``(chunk_index, outcomes)`` pairs, then, should
+    its iteration raise :class:`OSError`, lost outcomes for every chunk
+    it has not returned.  What the consumer raises is not caught."""
+    returned = set()
+    try:
+        for index, outcomes in resolved:
+            returned.add(index)
+            yield index, outcomes
+    except OSError as exc:
+        _executor_failed(exc)
+        for index, chunk in enumerate(chunks):
+            if index not in returned:
+                yield index, [ItemOutcome.lost(repr(exc))] * len(chunk)
+
+
 @contextmanager
 def _item_alarm(timeout: Optional[float]):
     """Bound a work item's wall-clock via SIGALRM (worker processes
@@ -1251,12 +1180,12 @@ def _setup_worker(state: dict) -> None:
 def _cluster_run_worker(
     state: dict, cluster_id: int, indices: Sequence[int]
 ) -> List[ItemOutcome]:
-    """Evaluate a run of one cluster's work items: the first attempt of
+    """Evaluate a run of one cluster's work items: one attempt at
     each, in the calling process (inline) or a worker process.
 
     Per item, first, the ``vpr.item`` fault site fires.  The items
     left are evaluated as one lockstep batch; if the batch raises they
-    are evaluated one by one — still their first attempt — so
+    are evaluated one by one — still the same attempt — so
     exceptions stay contained per item: a failed item reports ``error``
     with NaN costs instead of poisoning its batch-mates.  Nothing here
     reads or writes a store (stored items never become work items;

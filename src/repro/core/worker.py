@@ -80,7 +80,7 @@ def _install_state(digest: str, blob: bytes) -> Dict[str, Any]:
     from repro.core import vpr
 
     # Fault site: a worker can die while taking its state; its chunks
-    # then re-dispatch or fall to the sweep's retry scheduler.
+    # then re-dispatch or fall to the sweep's in-process passes.
     faults.check("fleet.install", key=digest)
     state = pickle.loads(blob)
     vpr._setup_worker(state)

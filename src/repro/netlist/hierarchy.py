@@ -114,10 +114,6 @@ class HierarchyTree:
         """Look up a module node by its slash-joined path."""
         return self._node_by_path[path]
 
-    def has_node(self, path: str) -> bool:
-        """True when a module exists at ``path``."""
-        return path in self._node_by_path
-
     def module_paths(self) -> List[str]:
         """All module paths in pre-order (root first, as "")."""
         return [node.full_path for node in self.root.iter_subtree()]

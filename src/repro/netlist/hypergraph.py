@@ -64,7 +64,6 @@ class Hypergraph:
             raise ValueError("vertex_areas length mismatch")
         self._incidence: Optional[List[List[int]]] = None
         self._pin_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._incidence_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_csr(
@@ -107,7 +106,6 @@ class Hypergraph:
         if len(self.vertex_areas) != self.num_vertices:
             raise ValueError("vertex_areas length mismatch")
         self._incidence = None
-        self._incidence_csr = None
         return self
 
     @property
@@ -125,15 +123,6 @@ class Hypergraph:
                 tuple(vl[il[i] : il[i + 1]]) for i in range(len(il) - 1)
             ]
         return self._edges
-
-    def invalidate_caches(self) -> None:
-        """Drop memoised incidence structures (call after mutating
-        ``edges`` in place — none of the library code does)."""
-        if self._edges is None:
-            _ = self.edges  # CSR was primary; keep the edge list alive
-        self._incidence = None
-        self._pin_csr = None
-        self._incidence_csr = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -218,25 +207,6 @@ class Hypergraph:
                 verts = np.empty(0, dtype=np.int64)
             self._pin_csr = (indptr, verts)
         return self._pin_csr
-
-    def incidence_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Vertex -> incident-edge CSR ``(indptr, edge_ids)``, memoised.
-
-        Edge ids per vertex come out in increasing order, matching the
-        list form of :meth:`incidence`.
-        """
-        if self._incidence_csr is None:
-            e_indptr, e_verts = self.pin_csr()
-            counts = np.diff(e_indptr)
-            edge_ids = np.repeat(
-                np.arange(len(self.edges), dtype=np.int64), counts
-            )
-            order = np.argsort(e_verts, kind="stable")
-            indptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(e_verts, minlength=self.num_vertices)))
-            ).astype(np.int64)
-            self._incidence_csr = (indptr, edge_ids[order])
-        return self._incidence_csr
 
     def vertex_degrees(self) -> np.ndarray:
         """Number of incident hyperedges per vertex."""

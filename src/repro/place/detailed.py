@@ -54,26 +54,6 @@ def _local_hpwl(design: Design, nets: Sequence[Net]) -> float:
     return sum(net_hpwl(design, n) for n in nets)
 
 
-def _centroid(design: Design, inst: Instance) -> Tuple[float, float]:
-    """Connectivity centroid of a cell (mean of other pins' positions)."""
-    xs: List[float] = []
-    ys: List[float] = []
-    for net in _nets_of(inst):
-        for ref in net.pins():
-            if ref.instance is inst:
-                continue
-            if ref.instance is not None:
-                xs.append(ref.instance.x)
-                ys.append(ref.instance.y)
-            else:
-                port = design.ports[ref.pin_name]
-                xs.append(port.x)
-                ys.append(port.y)
-    if not xs:
-        return inst.x, inst.y
-    return sum(xs) / len(xs), sum(ys) / len(ys)
-
-
 def detailed_placement(
     design: Design,
     passes: int = 2,

@@ -123,30 +123,3 @@ class ServeClient:
                     f"job {job_id} still {record['state']} after {timeout}s"
                 )
             time.sleep(poll)
-
-    def wait_all(
-        self,
-        job_ids: List[str],
-        timeout: float = 600.0,
-        poll: float = 0.1,
-    ) -> Dict[str, Dict[str, Any]]:
-        """Poll many jobs until all are terminal; id -> final record."""
-        deadline = time.monotonic() + timeout
-        done: Dict[str, Dict[str, Any]] = {}
-        pending = list(job_ids)
-        while pending:
-            still_pending = []
-            for job_id in pending:
-                record = self.job(job_id)
-                if record["state"] in TERMINAL_STATES:
-                    done[job_id] = record
-                else:
-                    still_pending.append(job_id)
-            pending = still_pending
-            if pending:
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"{len(pending)} job(s) unfinished after {timeout}s"
-                    )
-                time.sleep(poll)
-        return done

@@ -62,7 +62,7 @@ class TestConfigFingerprint:
     def test_scheduling_knobs_excluded(self):
         base = config_fingerprint(VPRConfig())
         assert base == config_fingerprint(VPRConfig(jobs=8, chunk_size=2))
-        assert base == config_fingerprint(VPRConfig(retry_limit=5))
+        assert base == config_fingerprint(VPRConfig(item_timeout=5.0))
 
     def test_delta_excluded(self):
         """delta only weighs costs at selection time; sweeping it must

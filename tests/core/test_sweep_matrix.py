@@ -8,8 +8,9 @@ The sweep is one loop (``VPRFramework.sweep_clusters``) over a
   workers (``jobs=2``);
 * fault: none, one item's first attempt raising
   (``raise:vpr.item:<c>/<k>``), a whole lockstep batch raising
-  (``raise:vpr.batch``), and an item going terminal under
-  ``retry_limit=0`` / ``on_terminal_failure="exclude"``;
+  (``raise:vpr.batch``), and an item going terminal (its spec armed
+  once per attempt the sweep's own process owes it, so the sweep
+  raises ``VPRSweepError``);
 * stores: what a checkpoint and a cache hold when the sweep starts —
   nothing, every item cached, every item checkpointed, half of one
   cluster missing from an otherwise full cache.
@@ -17,8 +18,9 @@ The sweep is one loop (``VPRFramework.sweep_clusters``) over a
 Faults are armed through ``REPRO_FAULTS`` so every process — fleet
 workers included — holds its own armed copy.  Each run must
 match the inline run under the same fault in evaluations, chosen
-shapes, ``vpr.item.retry`` / ``vpr.item.terminal`` counts, the
-``vpr.total_cost`` stream and the final ``vpr.items`` progress record;
+shapes (or the terminal error), ``vpr.item.retry`` /
+``vpr.item.terminal`` counts, the ``vpr.total_cost`` stream and the
+final ``vpr.items`` progress record;
 and the recoverable faults must match the clean run outright.  With
 every output on, what a worker process recorded reaches the parent as
 one ``obs.worker_payload()`` on its ``WorkerEnvelope``: the merged
@@ -36,7 +38,6 @@ payloads (``NetlistArrays`` columns) — and a fleet worker evaluates
 with ``NetlistArrays.from_design`` rigged to raise.
 """
 
-import math
 import multiprocessing
 import os
 import pickle
@@ -51,7 +52,9 @@ from repro import monitor, perf, telemetry
 from repro.cache import EvaluationCache, netlist_digest
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
-from repro.core.vpr import VPRConfig, VPRFramework, VPRShapeSelector
+from repro.core.vpr import (
+    ATTEMPTS, VPRConfig, VPRFramework, VPRShapeSelector, VPRSweepError,
+)
 from repro.db.database import DesignDatabase
 from repro.netlist.arrays import COLUMNS, NetlistArrays
 from repro.recovery import faults
@@ -91,27 +94,31 @@ def clusters(small_design):
 
 
 def _fault(kind, swept):
-    """``(REPRO_FAULTS spec, VPRConfig overrides)`` of one fault kind."""
+    """The ``REPRO_FAULTS`` spec of one fault kind."""
     item = f"raise:vpr.item:{swept[0]}/{FAULTY}"
     return {
-        "none": (None, {}),
-        "item": (item, {}),
-        "batch": ("raise:vpr.batch", {}),
-        "exclude": (item, dict(retry_limit=0, on_terminal_failure="exclude")),
+        "none": None,
+        "item": item,
+        "batch": "raise:vpr.batch",
+        "terminal": ",".join([item] * ATTEMPTS),
     }[kind]
 
 
-def _config(executor, **overrides):
+def _config(executor):
     return VPRConfig(
         min_cluster_instances=60,
         max_vpr_clusters=2,
         placer_iterations=2,
         candidates=default_candidate_grid()[:GRID],
-        retry_backoff=0.0,
         chunk_size=4,
         **EXECUTORS[executor],
-        **overrides,
     )
+
+
+def _values(name):
+    """A telemetry stream's values ([] when nothing was recorded)."""
+    stream = telemetry.stream(name)
+    return list(stream.values) if stream is not None else []
 
 
 def _run(
@@ -120,8 +127,8 @@ def _run(
 ):
     """Everything observable about one sweep."""
     design, members, swept = clusters
-    spec, overrides = _fault(kind, swept)
-    config = _config(executor, **overrides)
+    spec = _fault(kind, swept)
+    config = _config(executor)
     if spec is None:
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
     else:
@@ -134,17 +141,23 @@ def _run(
     try:
         selector = VPRShapeSelector(config, checkpoint=checkpoint, cache=cache)
         selector.framework.executor_factory = executor_factory
-        selection = selector.select(design, members)
+        try:
+            selection = selector.select(design, members)
+            outcome = {
+                "shapes": selection.shapes,
+                "evaluations": [
+                    (s.cluster_id, k, e.hpwl_cost, e.congestion_cost, e.is_valid)
+                    for s in selection.sweeps
+                    for k, e in enumerate(s.evaluations)
+                ],
+            }
+        except VPRSweepError as exc:
+            outcome = {"error": str(exc)}
         return {
-            "shapes": selection.shapes,
-            "evaluations": [
-                (s.cluster_id, k, e.hpwl_cost, e.congestion_cost, e.is_valid)
-                for s in selection.sweeps
-                for k, e in enumerate(s.evaluations)
-            ],
+            **outcome,
             "retry": perf.counter_value("vpr.item.retry"),
             "terminal": perf.counter_value("vpr.item.terminal"),
-            "total_cost": list(telemetry.stream("vpr.total_cost").values),
+            "total_cost": _values("vpr.total_cost"),
             "progress": [
                 r for r in session.progress.records() if r["name"] == "vpr.items"
             ],
@@ -156,8 +169,7 @@ def _run(
                 ).items()
             ),
             "streams": {
-                n: list(telemetry.stream(n).values)
-                for n in ("vpr.hpwl_cost", "vpr.congestion_cost")
+                n: _values(n) for n in ("vpr.hpwl_cost", "vpr.congestion_cost")
             },
         }
     finally:
@@ -182,11 +194,11 @@ def _inline(clusters, kind, tmp_path_factory, monkeypatch):
 
 
 def _same(a, b):
-    """Equality that treats NaN costs of excluded candidates as equal."""
+    """Equality that treats NaN costs as equal."""
     return repr(a) == repr(b)
 
 
-@pytest.mark.parametrize("kind", ["none", "item", "batch", "exclude"])
+@pytest.mark.parametrize("kind", ["none", "item", "batch", "terminal"])
 @pytest.mark.parametrize("executor", list(EXECUTORS))
 def test_executor_and_fault_change_nothing_observable(
     clusters, executor, kind, tmp_path, tmp_path_factory, monkeypatch
@@ -208,21 +220,16 @@ def test_executor_and_fault_change_nothing_observable(
         assert _same(run[key], reference[key]), key
 
     items = len(clean["evaluations"])
-    assert run["progress"][0]["done"] == run["progress"][0]["total"] == items
-    if kind == "exclude":
-        # The faulty item went terminal on its only attempt and is
-        # excluded; every other evaluation is the clean run's.
-        assert (run["retry"], run["terminal"]) == (0, 1)
-        differing = [
-            (got[:2], got[4])
-            for got, want in zip(run["evaluations"], clean["evaluations"])
-            if not _same(got, want)
-        ]
-        assert differing == [((clusters[2][0], FAULTY), False)]
-        assert math.isnan(run["evaluations"][FAULTY][2])
-        assert run["shapes"][clusters[2][0]] != default_candidate_grid()[FAULTY]
-        assert len(run["total_cost"]) == items - 1
+    if kind == "terminal":
+        # The faulty item failed both attempts the sweep's process owes
+        # it (one counted retry): the sweep raises naming it, with
+        # every other item settled and no cost recorded.
+        assert (run["retry"], run["terminal"]) == (1, 1)
+        assert f"cluster {clusters[2][0]}, candidate {FAULTY} " in run["error"]
+        assert run["progress"][0]["done"] == run["progress"][0]["total"] == items - 1
+        assert run["total_cost"] == []
     else:
+        assert run["progress"][0]["done"] == run["progress"][0]["total"] == items
         # Recovered (or never disturbed): indistinguishable from clean
         # but for the one counted retry of the item fault.
         assert (run["retry"], run["terminal"]) == (int(kind == "item"), 0)

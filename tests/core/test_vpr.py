@@ -1,5 +1,6 @@
 """V-P&R framework tests (shapes, sub-netlist extraction, selectors)."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -43,6 +44,18 @@ class TestShapeCandidates:
         w, h = shape.dimensions(100.0)
         assert w * h == pytest.approx(200.0)
         assert h / w == pytest.approx(2.0)
+
+
+class TestConfigKnobs:
+    def test_knob_count_only_shrinks(self):
+        """Ratchet: ``VPRConfig``'s options, pinned by name.  A new
+        sweep option edits this list and says why; a removed one
+        shortens it."""
+        assert [f.name for f in dataclasses.fields(VPRConfig)] == [
+            "delta", "top_x_percent", "min_cluster_instances",
+            "max_vpr_clusters", "candidates", "placer_iterations", "jobs",
+            "chunk_size", "seed", "item_timeout", "fleet_listen",
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -347,64 +360,69 @@ GRID_20 = default_candidate_grid()
 
 
 class TestNumericGuard:
-    """A candidate whose B2B system goes NaN fails alone."""
+    """A candidate whose B2B system or route goes non-finite fails
+    alone, and its in-process re-run (a batch of one) decides."""
 
-    def _poisoned(self, monkeypatch, row):
+    def _poisoned(self, monkeypatch, row, full_batch_only=True):
         """Make the spreader hand candidate ``row`` one NaN anchor, in
-        the first spreading round of every placement run."""
+        the first spreading round of every placement run (of a full
+        20-shape batch only, unless told otherwise)."""
         from repro.place import placer
 
         real = placer.spreading_targets
 
         def poisoned(grid, x, y, areas, movable, strength=0.8):
             target_x, target_y = real(grid, x, y, areas, movable, strength)
-            if len(target_x) == len(GRID_20):  # nobody has dropped out yet
+            if len(target_x) == len(GRID_20) or not full_batch_only:
                 target_x[row, np.nonzero(movable)[0][0]] = np.nan
             return target_x, target_y
 
         monkeypatch.setattr(placer, "spreading_targets", poisoned)
 
-    def test_poisoned_candidate_fails_alone(self, cluster_context, monkeypatch):
+    def _counted_sweep(self, design, largest, *counters):
+        """One 20-shape sweep with perf on; ``(sweep, counter values)``."""
         from repro import perf
 
-        design, _members, largest = cluster_context
-        config = VPRConfig(
-            placer_iterations=3, retry_limit=0, on_terminal_failure="exclude"
-        )
-        clean = VPRFramework(config).sweep_cluster(design, largest)
-
-        self._poisoned(monkeypatch, row=4)
         perf.enable()
         perf.reset()
         try:
-            sweep = VPRFramework(config).sweep_cluster(design, largest)
-            nonfinite = perf.counter_value("b2b.cg_nonfinite")
-            terminal = perf.counter_value("vpr.item.terminal")
+            sweep = VPRFramework(VPRConfig(placer_iterations=3)).sweep_cluster(
+                design, largest
+            )
+            return sweep, tuple(perf.counter_value(n) for n in counters)
         finally:
             perf.disable()
+            perf.reset()
 
-        assert nonfinite >= 1 and terminal == 1
-        bad = sweep.evaluations[4]
-        assert not bad.is_valid and "non-finite" in bad.error
-        for k, (a, b) in enumerate(zip(sweep.evaluations, clean.evaluations)):
-            if k != 4:
-                assert (a.hpwl_cost, a.congestion_cost) == (
-                    b.hpwl_cost,
-                    b.congestion_cost,
-                )
-        # Selection skipped the invalid candidate explicitly.
-        assert sweep.best != bad.candidate or clean.best != bad.candidate
-        assert sweep.best in [e.candidate for e in sweep.evaluations if e.is_valid]
+    def test_poisoned_candidate_fails_alone(self, cluster_context, monkeypatch):
+        design, _members, largest = cluster_context
+        clean = VPRFramework(VPRConfig(placer_iterations=3)).sweep_cluster(
+            design, largest
+        )
+
+        self._poisoned(monkeypatch, row=4)
+        sweep, (nonfinite, retry, terminal) = self._counted_sweep(
+            design, largest,
+            "b2b.cg_nonfinite", "vpr.item.retry", "vpr.item.terminal",
+        )
+
+        # It failed alone in the full batch; re-run alone, it recovers
+        # the clean costs, and its 19 batch-mates are untouched.
+        assert nonfinite >= 1 and (retry, terminal) == (1, 0)
+        assert [(e.hpwl_cost, e.congestion_cost) for e in sweep.evaluations] == [
+            (e.hpwl_cost, e.congestion_cost) for e in clean.evaluations
+        ]
+        assert sweep.best == clean.best
 
     def test_poisoned_candidate_raises_by_default(self, cluster_context, monkeypatch):
         from repro.core.vpr import VPRSweepError
 
         design, _members, largest = cluster_context
-        self._poisoned(monkeypatch, row=0)
-        with pytest.raises(VPRSweepError, match="candidate 0"):
-            VPRFramework(
-                VPRConfig(placer_iterations=3, retry_limit=0)
-            ).sweep_cluster(design, largest)
+        self._poisoned(monkeypatch, row=0, full_batch_only=False)
+        with pytest.raises(VPRSweepError, match="candidate 0 "):
+            VPRFramework(VPRConfig(placer_iterations=3)).sweep_cluster(
+                design, largest
+            )
 
     def _poisoned_route(self, monkeypatch, row):
         """Hand the router one NaN coordinate in candidate ``row`` of
@@ -425,48 +443,21 @@ class TestNumericGuard:
     def test_poisoned_route_fails_alone(self, cluster_context, monkeypatch):
         """The routing half of the guard: a non-finite coordinate in one
         system of the stacked route."""
-        from repro import perf
-        from repro.core.vpr import VPRSweepError
-
         design, _members, largest = cluster_context
-        config = VPRConfig(
-            placer_iterations=3, retry_limit=0, on_terminal_failure="exclude"
+        clean = VPRFramework(VPRConfig(placer_iterations=3)).sweep_cluster(
+            design, largest
         )
-        clean = VPRFramework(config).sweep_cluster(design, largest)
 
         self._poisoned_route(monkeypatch, row=6)
-        perf.enable()
-        perf.reset()
-        try:
-            sweep = VPRFramework(config).sweep_cluster(design, largest)
-            nonfinite = perf.counter_value("route.cost_nonfinite")
-            terminal = perf.counter_value("vpr.item.terminal")
-            evaluated = perf.counter_value("vpr.candidates_evaluated")
-        finally:
-            perf.disable()
-        assert (nonfinite, terminal, evaluated) == (1, 1, 19)
-        bad = sweep.evaluations[6]
-        assert not bad.is_valid and "non-finite" in bad.error
-        assert np.isnan(bad.hpwl_cost) and np.isnan(bad.congestion_cost)
-        for k, (a, b) in enumerate(zip(sweep.evaluations, clean.evaluations)):
-            if k != 6:
-                assert (a.hpwl_cost, a.congestion_cost) == (
-                    b.hpwl_cost,
-                    b.congestion_cost,
-                )
-        assert sweep.best in [e.candidate for e in sweep.evaluations if e.is_valid]
-
-        # Default policy raises; with a retry budget the item is
-        # re-evaluated singly (a batch of one: not poisoned here) and
-        # recovers the clean costs.
-        with pytest.raises(VPRSweepError, match="candidate 6"):
-            VPRFramework(
-                VPRConfig(placer_iterations=3, retry_limit=0)
-            ).sweep_cluster(design, largest)
-        retried = VPRFramework(
-            VPRConfig(placer_iterations=3, retry_limit=1, retry_backoff=0.0)
-        ).sweep_cluster(design, largest)
-        assert [(e.hpwl_cost, e.congestion_cost) for e in retried.evaluations] == [
+        sweep, counts = self._counted_sweep(
+            design, largest,
+            "route.cost_nonfinite", "vpr.item.retry", "vpr.item.terminal",
+            "vpr.candidates_evaluated",
+        )
+        # 19 scored in the batch, the 20th on its in-process re-run (a
+        # batch of one: not poisoned here) with the clean costs.
+        assert counts == (1, 1, 0, 20)
+        assert [(e.hpwl_cost, e.congestion_cost) for e in sweep.evaluations] == [
             (e.hpwl_cost, e.congestion_cost) for e in clean.evaluations
         ]
 

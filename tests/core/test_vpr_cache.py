@@ -56,7 +56,6 @@ def _config(**kwargs) -> VPRConfig:
         max_vpr_clusters=2,
         placer_iterations=2,
         candidates=default_candidate_grid()[:6],
-        retry_backoff=0.0,
     )
     base.update(kwargs)
     return VPRConfig(**base)

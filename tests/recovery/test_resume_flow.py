@@ -49,7 +49,6 @@ def _flow_config(checkpoint_dir=None, resume=False, jobs=1) -> FlowConfig:
             max_vpr_clusters=2,
             placer_iterations=2,
             candidates=default_candidate_grid()[:6],
-            retry_backoff=0.0,
             jobs=jobs,
         ),
         run_routing=False,

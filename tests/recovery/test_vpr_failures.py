@@ -1,8 +1,11 @@
-"""V-P&R fault tolerance: retries, terminal policies, pool recovery.
+"""V-P&R fault tolerance: the sweep's one failure rule.
 
-The sweep's crash contract: a failing work item is retried with a
-bounded budget; a terminal failure either aborts the sweep visibly or
-excludes the candidate explicitly — NaN costs never reach selection.
+A work item that fails or is lost on its executor — a whole executor
+that cannot run included — is re-run in the sweep's own process until
+it has had ``vpr.ATTEMPTS`` attempts there (one in a worker process is
+not one of them); an item still failing raises ``VPRSweepError``.  NaN
+costs never reach selection, and an ``OSError`` raised by the sweep's
+own process is never taken for an executor failure.
 """
 
 import os
@@ -11,6 +14,8 @@ import pytest
 
 import repro.core.fanout as fanout
 import repro.core.vpr as vpr
+from repro import perf
+from repro.core.fanout import ItemOutcome, SweepExecutor
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
 from repro.core.vpr import (
@@ -21,8 +26,18 @@ from repro.core.vpr import (
     VPRSweepError,
 )
 from repro.db.database import DesignDatabase
-from repro.designs import DesignSpec, generate_design
+from repro.designs import DesignSpec, generate_design, load_benchmark
 from repro.recovery import faults
+from repro.recovery.checkpoint import CheckpointStore
+
+
+@pytest.fixture(scope="module")
+def aes_clusters():
+    design = load_benchmark("aes", use_cache=False)
+    clustering = ppa_aware_clustering(
+        DesignDatabase(design), PPAClusteringConfig(target_cluster_size=150)
+    )
+    return design, clustering.members()
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +66,6 @@ def _config(**kwargs) -> VPRConfig:
         max_vpr_clusters=2,
         placer_iterations=2,
         candidates=default_candidate_grid()[:6],
-        retry_backoff=0.0,
     )
     base.update(kwargs)
     return VPRConfig(**base)
@@ -108,28 +122,148 @@ class TestBestOf:
         assert not failed.is_valid
 
 
+class FlakyEvaluator:
+    """Fails each item a scripted number of times, then succeeds."""
+
+    def __init__(self, config, failures_per_item):
+        self.config = config
+        self.remaining = dict(failures_per_item)
+        self.calls = []
+
+    def __call__(self, sub, cell_area, candidate, cluster_id=None):
+        key = (cluster_id, self.config.candidates.index(candidate))
+        self.calls.append(key)
+        if self.remaining.get(key, 0) > 0:
+            self.remaining[key] -= 1
+            raise RuntimeError(f"transient failure for {key}")
+        return CandidateEvaluation(
+            candidate=candidate, hpwl_cost=1.0, congestion_cost=1.0
+        )
+
+
+class LosingExecutor(SweepExecutor):
+    """A process-crossing executor whose every item is lost in
+    transit (dead worker): no attempt reaches the evaluator."""
+
+    name = "losing"
+
+    def width(self):
+        return 2
+
+    def map_chunks(self, state, chunks, chunk_fn):
+        for index, chunk in enumerate(chunks):
+            yield index, [ItemOutcome.lost("worker died")] * len(chunk)
+
+
+def _scripted(monkeypatch, failures_per_item, lose=False):
+    """A framework on a scripted single-item evaluator; returns
+    ``(sweep, evaluator)`` with ``sweep()`` running cluster 0's
+    three-candidate grid through ``sweep_clusters``."""
+    config = VPRConfig(
+        candidates=default_candidate_grid()[:3], jobs=2 if lose else 1
+    )
+    framework = VPRFramework(config)
+    evaluator = FlakyEvaluator(config, failures_per_item)
+    monkeypatch.setattr(framework, "evaluate_candidate", evaluator)
+
+    def no_batch(*args, **kwargs):
+        # A raising batch isolates its items: each takes its attempt
+        # through the scripted single-item evaluator.
+        raise RuntimeError("batch isolated")
+
+    monkeypatch.setattr(framework, "evaluate_candidates", no_batch)
+    monkeypatch.setattr(framework, "induce", lambda *a: (object(), 100.0))
+    if lose:
+        framework.executor_factory = LosingExecutor
+        in_process = framework._sweep_state
+        monkeypatch.setattr(
+            framework,
+            "_sweep_state",
+            lambda executor, clusters: (
+                {} if executor.crosses_process else in_process(executor, clusters)
+            ),
+        )
+
+    def sweep():
+        (result,) = framework.sweep_clusters(None, {0: []}, [0])
+        return result
+
+    return sweep, evaluator
+
+
+class TestFailureRule:
+    """Attempt accounting of the one rule, on a scripted evaluator."""
+
+    def test_each_item_evaluated_once_after_success(self, monkeypatch):
+        sweep, evaluator = _scripted(monkeypatch, {(0, 1): 1})
+        result = sweep()
+        # (0,0) and (0,2) succeed on their first attempt; (0,1) takes
+        # one failure plus the success, and nothing waits in between.
+        assert evaluator.calls == [(0, 0), (0, 1), (0, 2), (0, 1)]
+        assert all(e.is_valid for e in result.evaluations)
+
+    def test_lost_remote_attempt_is_not_charged(self, monkeypatch):
+        # Every item is lost by its process-crossing executor without
+        # reaching the evaluator.  That attempt is not one of the
+        # ATTEMPTS this process owes an item: all three take their
+        # first in-process attempt, uncounted as a retry, and (0,0)
+        # still has a second one for its failure.
+        sweep, evaluator = _scripted(monkeypatch, {(0, 0): 1}, lose=True)
+        perf.enable()
+        perf.reset()
+        try:
+            result = sweep()
+            retries = perf.counter_value("vpr.item.retry")
+        finally:
+            perf.disable()
+            perf.reset()
+        assert evaluator.calls == [(0, 0), (0, 1), (0, 2), (0, 0)]
+        assert retries == 1
+        assert all(e.is_valid for e in result.evaluations)
+
+    def test_terminal_failure_raises(self, monkeypatch):
+        sweep, evaluator = _scripted(monkeypatch, {(0, 0): 99})
+        with pytest.raises(
+            VPRSweepError,
+            match=rf"cluster 0, candidate 0 .* failed after {vpr.ATTEMPTS} attempt",
+        ):
+            sweep()
+        assert evaluator.calls.count((0, 0)) == vpr.ATTEMPTS
+
+
 class TestSerialRetries:
-    """The raise policy; recovery by retry and the exclude policy are
-    cells of ``tests/core/test_sweep_matrix.py`` on every executor."""
+    """A terminal item on the inline executor; recovery by the second
+    attempt is a cell of ``tests/core/test_sweep_matrix.py`` on every
+    executor."""
 
     def test_terminal_failure_raises_by_default(self, small_clusters):
         design, members = small_clusters
-        config = _config(retry_limit=0)
+        config = _config()
         framework = VPRFramework(config)
         c = framework.config.eligible_clusters(members)[0]
-        faults.configure(f"raise:vpr.item:{c}/1")
+        # Armed once per attempt the item gets in this process.
+        faults.configure(",".join([f"raise:vpr.item:{c}/1"] * vpr.ATTEMPTS))
         with pytest.raises(VPRSweepError, match=f"cluster {c}, candidate 1"):
             framework.sweep_cluster(design, members[c], c)
 
 
-def _record_fleets(monkeypatch):
-    """The fleets the sweep builds from now on, in build order."""
+def _record_fleets(monkeypatch, dies_mid_sweep=False):
+    """The fleets the sweep builds from now on, in build order; with
+    ``dies_mid_sweep`` each returns its first chunk and then fails."""
     fleets = []
 
     class Recorded(fanout.FleetExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             fleets.append(self)
+
+        def map_chunks(self, payload, chunks, chunk_fn):
+            resolved = super().map_chunks(payload, chunks, chunk_fn)
+            if not dies_mid_sweep:
+                yield from resolved
+                return
+            yield next(resolved)
+            raise OSError("fleet died mid-sweep")
 
     monkeypatch.setattr(vpr, "FleetExecutor", Recorded)
     return fleets
@@ -177,13 +311,12 @@ class TestParallelRecovery:
     def test_pool_failure_falls_back_to_serial(
         self, small_clusters, monkeypatch
     ):
-        """An OSError escaping the collection loop shuts the fleet
-        down, reaps its workers and re-runs the sweep on the inline
-        executor with identical results (the executor-escape bugfix)."""
+        """A fleet whose ``map_chunks`` raises OSError mid-sweep is shut
+        down with its workers reaped, and what it had not returned is
+        evaluated in process with identical results."""
         design, members = small_clusters
         serial = self._select(design, members, _config())
-        fleets = _record_fleets(monkeypatch)
-        faults.configure("oserror:vpr.collect")
+        fleets = _record_fleets(monkeypatch, dies_mid_sweep=True)
         parallel = self._select(design, members, _config(jobs=2))
         assert _all_reaped(fleets)
         assert parallel.shapes == serial.shapes
@@ -191,6 +324,60 @@ class TestParallelRecovery:
             for es, ep in zip(s.evaluations, p.evaluations):
                 assert es.hpwl_cost == ep.hpwl_cost
                 assert es.congestion_cost == ep.congestion_cost
+
+    def test_dying_fleet_costs_only_unreturned(
+        self, aes_clusters, monkeypatch
+    ):
+        """The chunk the fleet returned before dying is not evaluated
+        again: 2 clusters x 6 shapes cost 12 evaluations, not 16."""
+        design, members = aes_clusters
+        config = dict(
+            min_cluster_instances=50, chunk_size=4,
+            candidates=default_candidate_grid()[:6],
+        )
+        inline = self._select(design, members, _config(**config))
+        fleets = _record_fleets(monkeypatch, dies_mid_sweep=True)
+        perf.enable()
+        perf.reset()
+        try:
+            parallel = self._select(design, members, _config(jobs=2, **config))
+            evaluated = perf.counter_value("vpr.candidates_evaluated")
+            fallback = perf.counter_value("vpr.executor.fallback")
+        finally:
+            perf.disable()
+            perf.reset()
+        assert len(parallel.sweeps) == 2
+        assert (evaluated, fallback) == (12, 1)
+        assert parallel.shapes == inline.shapes
+        assert _all_reaped(fleets)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("site", ["vpr.item.saved:#1", "vpr.collect"])
+    def test_own_oserror_propagates_on_every_executor(
+        self, small_clusters, tmp_path, monkeypatch, jobs, site
+    ):
+        """An OSError raised by the sweep's own process — a checkpoint
+        write, the collection loop — is not an executor failure: it
+        propagates at every width and nothing falls back."""
+        design, members = small_clusters
+        fleets = _record_fleets(monkeypatch)
+        store = CheckpointStore(str(tmp_path / "ckpt"))
+        store.initialize({"test": "own-oserror"})
+        faults.configure(f"oserror:{site}")
+        perf.enable()
+        perf.reset()
+        try:
+            with pytest.raises(OSError, match="injected"):
+                VPRShapeSelector(
+                    _config(jobs=jobs), checkpoint=store
+                ).select(design, members)
+            fallback = perf.counter_value("vpr.executor.fallback")
+        finally:
+            perf.disable()
+            perf.reset()
+        assert fallback == 0
+        if jobs > 1:
+            assert _all_reaped(fleets)
 
     def test_published_state_released_after_clean_run(
         self, small_clusters, monkeypatch
@@ -233,9 +420,3 @@ class TestInlineExecutor:
         assert box["selection"].shapes == expected.shapes
         assert signal.getsignal(signal.SIGALRM) is handler
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-
-
-class TestConfigValidation:
-    def test_bad_terminal_policy_rejected(self):
-        with pytest.raises(ValueError, match="on_terminal_failure"):
-            VPRConfig(on_terminal_failure="ignore")

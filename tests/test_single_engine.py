@@ -127,10 +127,9 @@ def test_workers_never_see_a_store():
             assert not [key for key in state if "cache" in key.lower()]
     finally:
         fleet.close()
-    # The chunk evaluator and the retry scheduler only compute.
+    # The chunk evaluator only computes.
     for func in (
         vpr._evaluate_chunk, vpr._cluster_run_worker, vpr._setup_worker,
-        VPRFramework._retry_failed_items,
     ):
         assert not re.search(
             r"_lookup|EvaluationCache|\.cache\b|\.checkpoint\b",
