@@ -1,4 +1,4 @@
-.PHONY: install test bench tables clean lint perf-smoke resume-smoke bench-flow cache-smoke monitor-smoke serve-smoke fleet-smoke eco-smoke spine-smoke
+.PHONY: install test bench tables clean perf-smoke resume-smoke bench-flow cache-smoke monitor-smoke serve-smoke fleet-smoke eco-smoke spine-smoke
 
 install:
 	pip install -e .

@@ -11,8 +11,8 @@ seed and records, per design:
 * identity hashes of the cluster assignment, the selected shapes, the
   final flat placement and the QoR values, so two runs of the flow can
   be asserted bit-identical;
-* the ``repro.perf`` counters (cache hit rates, ``sta.incremental.*``
-  arc-skip counters, ...).
+* the ``repro.perf`` counters (cache hit rates, RSMT hits,
+  ``sta.graph.recompiled``, ...).
 
 Results are merged into ``BENCH_flow.json`` under a ``--label``
 ("before" / "after"); once both labels are present the speedup table

@@ -55,7 +55,8 @@ from repro.place.hpwl import hpwl
 from repro.route.cts import synthesize_clock_tree
 from repro.route.global_route import GlobalRouter
 from repro.sta.activity import propagate_activity
-from repro.sta.analysis import RoutedTiming
+from repro.sta.analysis import TimingAnalyzer
+from repro.sta.delay import RoutedWireModel
 from repro.sta.graph import timing_graph_for
 from repro.sta.hold import analyze_hold
 from repro.sta.power import analyze_power
@@ -176,16 +177,14 @@ def evaluate_placed_design(
     design: Design,
     runtimes: Optional[Dict[str, float]] = None,
     run_routing: bool = True,
-    timing: Optional[RoutedTiming] = None,
 ) -> PPAMetrics:
     """CTS + global routing + post-route STA and power on a placed
     design; returns the full PPA metric record.
 
     ``run_routing=False`` stops at the post-place HPWL (Table 2 mode).
-    ``timing`` is a caller-held :class:`RoutedTiming`: passing the same
-    one for successive placements of a design (an ECO session) lets
-    each STA after the first reuse the compiled graph and update
-    incrementally.
+    The STA is one full update over the design's cached timing graph
+    (:func:`~repro.sta.graph.timing_graph_for`, recompiled only after a
+    structural edit) under the routed per-net lengths.
     """
     runtimes = dict(runtimes or {})
     post_place_hpwl = hpwl(design)
@@ -201,9 +200,12 @@ def evaluate_placed_design(
     runtimes["route"] = stage.elapsed
 
     with obs.stage("flow.sta") as stage:
-        timing = timing or RoutedTiming()
-        report = timing.update(design, routing.net_lengths, cts.skew)
-        analyzer = timing.analyzer
+        analyzer = TimingAnalyzer(
+            timing_graph_for(design),
+            RoutedWireModel(design, dict(routing.net_lengths)),
+            clock_uncertainty=cts.skew,
+        )
+        report = analyzer.update()
         hold = analyze_hold(analyzer)
         net_activity = propagate_activity(analyzer.graph)
         power = analyze_power(

@@ -13,8 +13,8 @@ by touching only what the edit touched:
   cache entries are mtime-touched so concurrent GC keeps them warm;
 * placement warm-starts from the checkpointed coordinates with only
   dirty clusters free;
-* STA reuses :meth:`TimingAnalyzer.invalidate_nets` (cone update) when
-  topology is unchanged, and recompiles the graph when it is not.
+* STA is the cold flow's single full update, over a timing graph
+  recompiled once per script.
 
 Entry points: :func:`run_eco` (one shot — the CLI `repro eco` path),
 :class:`EcoSession` (persistent — repeated edits against one base,

@@ -5,18 +5,22 @@
 stage records) and applies edit scripts against it, recomputing only
 what each edit touched:
 
-========== ======================= ========== ============ =============
-edit kind  clustering              V-P&R      placement    STA
-========== ======================= ========== ============ =============
-resize /   kept (remapped)         dirty      dirty        dirty nets
-swap                               clusters   clusters     (cone update)
-add        neighbour-majority      dirty      dirty        graph
-           assignment              clusters   clusters     recompile
-remove     kept (remapped)         dirty      dirty        graph
-                                   clusters   clusters     recompile
-reconnect  kept (remapped)         dirty      dirty        graph
-                                   clusters   clusters     recompile
-========== ======================= ========== ============ =============
+========== ======================= ========== ============
+edit kind  clustering              V-P&R      placement
+========== ======================= ========== ============
+resize /   kept (remapped)         dirty      dirty
+swap                               clusters   clusters
+add        neighbour-majority      dirty      dirty
+           assignment              clusters   clusters
+remove     kept (remapped)         dirty      dirty
+                                   clusters   clusters
+reconnect  kept (remapped)         dirty      dirty
+                                   clusters   clusters
+========== ======================= ========== ============
+
+STA is what a cold flow runs: one full post-route update.  Every edit
+kind bumps the design's structure key, so the timing graph is
+recompiled once per script (``sta.graph.recompiled``).
 
 Untouched (cluster, shape) evaluations keep the checkpointed shapes
 and their content-addressed cache entries are mtime-touched
@@ -47,7 +51,6 @@ from repro.netlist.snapshot import design_from_snapshot
 from repro.place.placer import GlobalPlacer, PlacerConfig
 from repro.place.problem import PlacementProblem
 from repro.recovery.checkpoint import CheckpointError, CheckpointStore
-from repro.sta.analysis import RoutedTiming
 
 __all__ = ["EcoResult", "EcoSession", "run_eco"]
 
@@ -200,9 +203,6 @@ class EcoSession:
         self.run_routing = bool(self.fingerprint.get("run_routing", True))
         #: The flow seed (placer warm start), not ``vpr_config.seed``.
         self.seed = int(self.fingerprint.get("seed", 0))
-        #: Persists across :meth:`apply` calls: every STA after the
-        #: first is a cone update over the nets whose route changed.
-        self._timing = RoutedTiming()
         self.applied_scripts = 0
 
     # ------------------------------------------------------------------
@@ -252,9 +252,7 @@ class EcoSession:
         runtimes["eco_place"] = stage.elapsed
 
         with obs.stage("eco.metrics") as stage:
-            metrics = evaluate_placed_design(
-                self.design, run_routing=self.run_routing, timing=self._timing
-            )
+            metrics = evaluate_placed_design(self.design, run_routing=self.run_routing)
         runtimes["eco_metrics"] = stage.elapsed
         return EcoResult(
             metrics=metrics,

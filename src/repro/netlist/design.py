@@ -457,6 +457,10 @@ class Design:
         #: :func:`repro.sta.graph.timing_graph_for`; owned here so the
         #: graph dies with the design it describes.
         self._timing_graph: Optional[tuple] = None
+        #: Structure key of the last graph compiled for this design;
+        #: kept when an edit drops the graph, so the rebuild is told
+        #: apart from a first build (``sta.graph.recompiled``).
+        self._timing_graph_key: Optional[tuple] = None
 
     def __getstate__(self) -> Dict[str, object]:
         """Drop derived caches when pickling / copying.
@@ -472,6 +476,7 @@ class Design:
             "_signal_nets_cache",
             "_degree_cache",
             "_timing_graph",
+            "_timing_graph_key",
         ):
             state.pop(key, None)
         return state
@@ -484,6 +489,7 @@ class Design:
         self._degree_cache = None
         self._netlist_arrays = None
         self._timing_graph = None
+        self._timing_graph_key = None
 
     # ------------------------------------------------------------------
     # Cache invalidation

@@ -184,8 +184,10 @@ class GlobalPlacer:
         """Run global placement.
 
         An ordinary problem gets its coordinates committed to the
-        design and one :class:`PlacementResult` back.  A stacked
-        problem gets one result per system and no commit (its rows,
+        design and one :class:`PlacementResult` back; when its solve
+        went non-finite, :class:`FloatingPointError` is raised instead
+        and the design keeps its coordinates.  A stacked problem gets
+        one result per system and no commit (its rows,
         ``problem.x[k]`` / ``problem.y[k]``, are the K placements).
         """
         problem = self.problem
@@ -256,9 +258,12 @@ class GlobalPlacer:
                     hpwl=result.hpwl,
                 )
 
-        if not stacked:
-            problem.commit()
-        return results if stacked else results[0]
+        if stacked:
+            return results
+        if results[0].error is not None:
+            raise FloatingPointError(results[0].error)
+        problem.commit()
+        return results[0]
 
     def _telemetry_on(self) -> bool:
         return self.config.telemetry is not None and telemetry.is_enabled()
@@ -296,6 +301,8 @@ class GlobalPlacer:
         that just solved; returns their overflow."""
         problem = self.problem
         active = self._active
+        if not len(active):
+            return np.empty(0)
         x, y = self._x[active], self._y[active]
         hpwl = hpwl_arrays(problem.pin_vertex, problem.net_offsets, x, y)
         overflow = None

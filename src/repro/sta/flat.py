@@ -54,6 +54,9 @@ from repro.sta.delay import (
 )
 from repro.sta.graph import TimingGraph
 
+#: The wire models the flat kernels implement (matched by exact type).
+WIRE_MODELS = (FanoutWireModel, PlacementWireModel, RoutedWireModel)
+
 
 class FlatTiming:
     """Array form of one timing graph (see module docstring)."""
@@ -119,8 +122,6 @@ class FlatTiming:
         # scalar per-dst visitation order is (rank(src), creation idx).
         order_f = np.lexsort((rank[self.a_src], self.a_dst, self.level[self.a_dst]))
         self.order_f = order_f
-        self.inv_f = np.empty(m, dtype=np.int64)
-        self.inv_f[order_f] = np.arange(m)
         self.f_src = self.a_src[order_f]
         self.f_dst = self.a_dst[order_f]
         self.f_iswire = self.a_iswire[order_f]
@@ -137,20 +138,10 @@ class FlatTiming:
         self.seg_f = seg
         #: segment range per wave: seg_f[wave_seg_f[L]:wave_seg_f[L+1]].
         self.wave_seg_f = np.searchsorted(seg, self.wave_f)
-        # per-node pred range over the fwd order (nodes without preds: 0,0)
-        self.pred_start = np.zeros(n, dtype=np.int64)
-        self.pred_end = np.zeros(n, dtype=np.int64)
-        if m:
-            seg_nodes = self.f_dst[seg]
-            seg_end = np.append(seg[1:], m)
-            self.pred_start[seg_nodes] = seg
-            self.pred_end[seg_nodes] = seg_end
 
         # -- backward (succ) CSR: sorted by (level(src), src) -------------
         order_b = np.lexsort((self.a_src, self.level[self.a_src]))
         self.order_b = order_b
-        self.inv_b = np.empty(m, dtype=np.int64)
-        self.inv_b[order_b] = np.arange(m)
         self.b_src = self.a_src[order_b]
         self.b_dst = self.a_dst[order_b]
         lvl_b = self.level[self.b_src]
@@ -161,13 +152,6 @@ class FlatTiming:
             segb = np.empty(0, dtype=np.int64)
         self.seg_b = segb
         self.wave_seg_b = np.searchsorted(segb, self.wave_b)
-        self.succ_start = np.zeros(n, dtype=np.int64)
-        self.succ_end = np.zeros(n, dtype=np.int64)
-        if m:
-            segb_nodes = self.b_src[segb]
-            segb_end = np.append(segb[1:], m)
-            self.succ_start[segb_nodes] = segb
-            self.succ_end[segb_nodes] = segb_end
 
         # -- endpoint / startpoint tables (list order preserved) ----------
         self.s_nodes = np.asarray(graph.startpoints, dtype=np.int64)
@@ -307,20 +291,6 @@ class FlatTiming:
         self.a_sink_px = np.concatenate((self.pin_px[sink_pins], zero_c))
         self.a_sink_py = np.concatenate((self.pin_py[sink_pins], zero_c))
 
-        # -- net -> arc CSRs (for incremental invalidation) ----------------
-        wire_ids = np.flatnonzero(self.a_iswire)
-        worder = wire_ids[np.argsort(self.a_wire_net[wire_ids], kind="stable")]
-        self.wnet_arcs = worder
-        self.wnet_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.a_wire_net[wire_ids], minlength=num_nets)))
-        ).astype(np.int64)
-        cell_ids = np.flatnonzero(~self.a_iswire & (self.a_load_net >= 0))
-        corder = cell_ids[np.argsort(self.a_load_net[cell_ids], kind="stable")]
-        self.lnet_arcs = corder
-        self.lnet_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.a_load_net[cell_ids], minlength=num_nets)))
-        ).astype(np.int64)
-
         # -- activity tables (per dst node) --------------------------------
         from repro.sta.activity import TRANSFER_FACTORS
 
@@ -348,46 +318,20 @@ class FlatTiming:
         ys = np.fromiter((i.y for i in instances), dtype=np.float64, count=count)
         return xs, ys
 
-    @staticmethod
-    def model_signature(model: WireDelayModel) -> Optional[tuple]:
-        """Signature for incremental-validity checks; None = unsupported."""
-        t = type(model)
-        if t is FanoutWireModel:
-            return (id(model), model.r_per_um, model.c_per_um, model.wl_per_fanout)
-        if t is PlacementWireModel:
-            return (id(model), model.r_per_um, model.c_per_um)
-        if t is RoutedWireModel:
-            return (id(model), model.r_per_um, model.c_per_um)
-        return None
-
     # -- geometry ------------------------------------------------------
-    def net_hpwl(
-        self,
-        inst_x: np.ndarray,
-        inst_y: np.ndarray,
-        nets: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """HPWL per net (all nets, or the given subset in order)."""
-        if nets is None:
-            starts = self.pin_indptr[:-1]
-            counts = np.diff(self.pin_indptr)
-            pidx = np.arange(len(self.pin_inst), dtype=np.int64)
-            out = np.zeros(self.num_nets, dtype=np.float64)
-        else:
-            starts = self.pin_indptr[nets]
-            counts = self.pin_indptr[nets + 1] - starts
-            pidx = multi_arange(starts, counts)
-            out = np.zeros(len(nets), dtype=np.float64)
-        inst = self.pin_inst[pidx]
+    def net_hpwl(self, inst_x: np.ndarray, inst_y: np.ndarray) -> np.ndarray:
+        """HPWL per net."""
+        counts = np.diff(self.pin_indptr)
+        out = np.zeros(self.num_nets, dtype=np.float64)
+        inst = self.pin_inst
         isport = inst < 0
         safe = np.where(isport, 0, inst)
-        px = np.where(isport, self.pin_px[pidx], inst_x[safe])
-        py = np.where(isport, self.pin_py[pidx], inst_y[safe])
+        px = np.where(isport, self.pin_px, inst_x[safe])
+        py = np.where(isport, self.pin_py, inst_y[safe])
         nonempty = np.flatnonzero(counts > 0)
         if len(nonempty) == 0:
             return out
-        local_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        rs = local_starts[nonempty]
+        rs = self.pin_indptr[:-1][nonempty]
         xmax = np.maximum.reduceat(px, rs)
         xmin = np.minimum.reduceat(px, rs)
         ymax = np.maximum.reduceat(py, rs)
@@ -400,34 +344,24 @@ class FlatTiming:
         model: WireDelayModel,
         inst_x: Optional[np.ndarray],
         inst_y: Optional[np.ndarray],
-        nets: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """(net_wirelength, placement_hpwl or None) per net (or subset).
+        """(net_wirelength, placement_hpwl or None) per net.
 
         ``placement_hpwl`` is the un-overridden HPWL kept for the routed
         model's detour ratio.
         """
         t = type(model)
-        fanout = self.net_fanout if nets is None else self.net_fanout[nets]
         if t is FanoutWireModel:
-            wl = model.wl_per_fanout * np.maximum(1, fanout)
+            wl = model.wl_per_fanout * np.maximum(1, self.net_fanout)
             return wl.astype(np.float64), None
-        hpwl = self.net_hpwl(inst_x, inst_y, nets)
+        hpwl = self.net_hpwl(inst_x, inst_y)
         if t is PlacementWireModel:
             return hpwl, None
         # RoutedWireModel
         routed = np.full(len(hpwl), np.nan)
-        rl = model.routed_lengths
-        if rl:
-            if nets is None:
-                for ni, length in rl.items():
-                    if 0 <= ni < len(routed):
-                        routed[ni] = length
-            else:
-                for i, ni in enumerate(nets.tolist()):
-                    length = rl.get(ni)
-                    if length is not None:
-                        routed[i] = length
+        for ni, length in model.routed_lengths.items():
+            if 0 <= ni < len(routed):
+                routed[ni] = length
         has = ~np.isnan(routed)
         wl = np.where(has, routed, hpwl)
         return wl, hpwl
@@ -439,38 +373,24 @@ class FlatTiming:
         net_hpwl: Optional[np.ndarray],
         inst_x: Optional[np.ndarray],
         inst_y: Optional[np.ndarray],
-        arcs: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Per-arc delays in enumeration order (or for an arc subset).
+        """Per-arc delays in enumeration order.
 
         Mirrors the exact elementwise expression order of
         :func:`repro.sta.delay.effective_cell_delay` and
         :meth:`WireDelayModel.wire_delay` so results are bit-identical
         to the scalar path.
         """
-        if arcs is None:
-            iswire = self.a_iswire
-            wnet = self.a_wire_net
-            lnet = self.a_load_net
-            intrinsic = self.a_intrinsic
-            drive = self.a_drive
-            csink = self.a_csink
-            sinst = self.a_sink_inst
-            spx = self.a_sink_px
-            spy = self.a_sink_py
-            m = self.num_arcs
-        else:
-            iswire = self.a_iswire[arcs]
-            wnet = self.a_wire_net[arcs]
-            lnet = self.a_load_net[arcs]
-            intrinsic = self.a_intrinsic[arcs]
-            drive = self.a_drive[arcs]
-            csink = self.a_csink[arcs]
-            sinst = self.a_sink_inst[arcs]
-            spx = self.a_sink_px[arcs]
-            spy = self.a_sink_py[arcs]
-            m = len(arcs)
-        delay = np.zeros(m, dtype=np.float64)
+        iswire = self.a_iswire
+        wnet = self.a_wire_net
+        lnet = self.a_load_net
+        intrinsic = self.a_intrinsic
+        drive = self.a_drive
+        csink = self.a_csink
+        sinst = self.a_sink_inst
+        spx = self.a_sink_px
+        spy = self.a_sink_py
+        delay = np.zeros(self.num_arcs, dtype=np.float64)
 
         # -- wire arcs -------------------------------------------------
         widx = np.flatnonzero(iswire)

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.netlist.arrays import DIR_INPUT, DIR_OUTPUT, multi_arange
 from repro.netlist.design import Design, Instance, PinRef
 
@@ -482,12 +483,17 @@ def timing_graph_for(design: Design) -> TimingGraph:
     ECO mutations (reconnect / add / remove) transparently recompile
     the graph on next access instead of serving pre-edit topology, and
     a design nothing else references is freed with its graph.  Pickles
-    and copies of a design carry no graph.
+    and copies of a design carry no graph.  Replacing a graph compiled
+    for an older structure (``Design._timing_graph_key``, which outlives
+    the graph an edit drops) counts ``sta.graph.recompiled``.
     """
     key = design.structure_key()
     entry = design._timing_graph
     if entry is not None and entry[0] == key:
         return entry[1]
+    if design._timing_graph_key not in (None, key):
+        obs.count("sta.graph.recompiled")
     graph = TimingGraph(design)
     design._timing_graph = (key, graph)
+    design._timing_graph_key = key
     return graph

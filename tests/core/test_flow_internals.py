@@ -90,43 +90,66 @@ class TestEvaluatePlacedDesign:
         assert a.power == pytest.approx(b.power)
 
 
-    def test_persistent_timing_matches_fresh(self, small_design_fresh):
-        """Successive placements evaluated on one caller-held
-        ``RoutedTiming`` == fresh evaluations, field by field; an
-        instance added in between recompiles the graph and still
-        matches."""
+    def test_persistent_timing_matches_fresh(self, tmp_path):
+        """An ECO session's post-route QoR == a fresh evaluation of the
+        placed design it leaves, bit for bit: after a resize-only
+        script, then after an add script, which recompiles the timing
+        graph exactly once."""
         from repro import perf
-        from repro.eco import apply_edits, parse_edits
-        from repro.place.placer import PlacerConfig
-        from repro.sta.analysis import RoutedTiming
+        from repro.core.flow import ClusteredPlacementFlow, FlowConfig
+        from repro.core.ppa_clustering import PPAClusteringConfig
+        from repro.core.shapes import default_candidate_grid
+        from repro.core.vpr import VPRConfig
+        from repro.designs import DesignSpec, generate_design
+        from repro.eco import EcoSession, parse_edits
 
-        design = small_design_fresh
-        timing = RoutedTiming()
+        config = FlowConfig(
+            clustering_config=PPAClusteringConfig(target_cluster_size=100),
+            vpr_config=VPRConfig(
+                min_cluster_instances=60,
+                max_vpr_clusters=2,
+                placer_iterations=2,
+                candidates=default_candidate_grid()[:4],
+            ),
+            run_routing=True,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        spec = DesignSpec(
+            "ecosta", 300, clock_period=0.7, logic_depth=8,
+            hierarchy_depth=2, hierarchy_branching=3, seed=3,
+        )
+        ClusteredPlacementFlow(config).run(generate_design(spec))
+        session = EcoSession(str(tmp_path / "ckpt"))
+        design = session.design
+        inst = next(
+            i for i in design.instances if i.master.name == "NAND2_X1" and not i.fixed
+        )
         driven = next(n for n in design.nets if n.driver and not n.is_clock)
-        add = {
-            "kind": "add",
-            "instance": "u_eco_buf",
-            "master": "BUF_X1",
-            "connections": {"A": driven.name, "Y": "n_eco_buf"},
-        }
+        scripts = (
+            [{"kind": "resize", "instance": inst.name, "master": "NAND2_X2"}],
+            [
+                {
+                    "kind": "add",
+                    "instance": "u_eco_buf",
+                    "master": "BUF_X1",
+                    "connections": {"A": driven.name, "Y": "n_eco_buf"},
+                }
+            ],
+        )
         perf.enable()
-        perf.reset()
         try:
-            for seed in (0, 1, 2, 3):
-                if seed == 2:
-                    apply_edits(design, parse_edits([add]))
-                GlobalPlacer(PlacementProblem(design), PlacerConfig(seed=seed)).run()
-                kept = evaluate_placed_design(design, timing=timing)
+            for script in scripts:
+                perf.reset()
+                kept = session.apply(parse_edits(script)).metrics
+                recompiled = perf.counter_value("sta.graph.recompiled")
                 fresh = evaluate_placed_design(design)
-                for name in (
-                    "hpwl", "rwl", "wns", "tns", "power", "hold_wns", "hold_tns"
-                ):
-                    assert getattr(kept, name) == getattr(fresh, name), (seed, name)
-            assert perf.counter_value("sta.graph.recompiled") == 1
+                for name in ("wns", "tns", "hold_wns", "hold_tns", "power", "rwl"):
+                    assert getattr(kept, name) == getattr(fresh, name), (script, name)
+                assert perf.counter_value("sta.graph.recompiled") == recompiled
+            assert recompiled == 1
         finally:
             perf.disable()
             perf.reset()
-        assert timing.analyzer.graph.design is design
 
     def test_no_routing_stops_at_hpwl(self, small_design_fresh):
         design = small_design_fresh

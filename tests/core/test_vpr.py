@@ -419,7 +419,7 @@ class TestNumericGuard:
 
         design, _members, largest = cluster_context
         self._poisoned(monkeypatch, row=0, full_batch_only=False)
-        with pytest.raises(VPRSweepError, match="candidate 0 "):
+        with pytest.raises(VPRSweepError, match="candidate 0 .*non-finite B2B solve"):
             VPRFramework(VPRConfig(placer_iterations=3)).sweep_cluster(
                 design, largest
             )

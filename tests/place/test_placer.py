@@ -105,6 +105,45 @@ class TestGlobalPlacement:
         assert result.runtime > 0
 
 
+class TestNonFiniteSolve:
+    """A solve that goes NaN never reaches the design's coordinates."""
+
+    def _poison_spreading(self, monkeypatch):
+        from repro.place import placer
+
+        real = placer.spreading_targets
+
+        def poisoned(grid, x, y, areas, movable, strength=0.8):
+            target_x, target_y = real(grid, x, y, areas, movable, strength)
+            target_x[:, np.nonzero(movable)[0][0]] = np.nan
+            return target_x, target_y
+
+        monkeypatch.setattr(placer, "spreading_targets", poisoned)
+
+    def test_ordinary_run_raises_and_commits_nothing(
+        self, small_design_fresh, monkeypatch
+    ):
+        design = small_design_fresh
+        before = [(inst.x, inst.y) for inst in design.instances]
+        self._poison_spreading(monkeypatch)
+        with pytest.raises(FloatingPointError, match="non-finite B2B solve"):
+            GlobalPlacer(PlacementProblem(design), PlacerConfig(seed=3)).run()
+        assert [(inst.x, inst.y) for inst in design.instances] == before
+
+    def test_stacked_run_reports_every_failed_system(
+        self, small_design_fresh, monkeypatch
+    ):
+        """Once every system has left the lockstep, the round that
+        follows measures nothing instead of reshaping an empty set."""
+        problem = PlacementProblem(small_design_fresh)
+        n_inst = problem.num_movable_instances
+        ports = [np.tile(axis[n_inst:], (2, 1)) for axis in (problem.x, problem.y)]
+        problem.stack_dies([small_design_fresh.floorplan] * 2, *ports)
+        self._poison_spreading(monkeypatch)
+        results = GlobalPlacer(problem, PlacerConfig(seed=3)).run()
+        assert [r.error for r in results] == ["non-finite B2B solve"] * 2
+
+
 class TestIncrementalPlacement:
     def test_respects_seed_structure(self, small_design_fresh):
         """An incremental run seeded with a converged placement stays

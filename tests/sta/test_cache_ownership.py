@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import perf
 from repro.core.flow import (
     ClusteredPlacementFlow,
     FlowConfig,
@@ -167,6 +168,44 @@ class TestCacheKeying:
         assert design._timing_graph is None
         rebuilt = timing_graph_for(design)
         assert rebuilt is not graph and rebuilt.design is design
+
+    def test_recompile_counter_fires(self, toy_design):
+        """``sta.graph.recompiled`` counts a graph replaced after a
+        structural edit, not a first build, a cache hit or a move."""
+        perf.enable()
+        perf.reset()
+        try:
+            timing_graph_for(toy_design)
+            timing_graph_for(toy_design)
+            assert perf.counter_value("sta.graph.recompiled") == 0
+
+            u2 = toy_design.instance("u2")
+            toy_design.reconnect_pin(u2, "B", toy_design.net("n_in0"))
+            timing_graph_for(toy_design)
+            timing_graph_for(toy_design)
+            assert perf.counter_value("sta.graph.recompiled") == 1
+
+            # Geometry-only churn must not recompile.
+            toy_design.instance("u1").x += 3.0
+            timing_graph_for(toy_design)
+            assert perf.counter_value("sta.graph.recompiled") == 1
+
+            # A copy's first graph is a first build.
+            timing_graph_for(copy.deepcopy(toy_design))
+            assert perf.counter_value("sta.graph.recompiled") == 1
+        finally:
+            perf.disable()
+            perf.reset()
+
+    def test_graph_cache_rekeys_per_design(self, toy_design):
+        g1 = timing_graph_for(toy_design)
+        assert timing_graph_for(toy_design) is g1
+        toy_design.reconnect_pin(
+            toy_design.instance("u2"), "B", toy_design.net("n_in0")
+        )
+        g2 = timing_graph_for(toy_design)
+        assert g2 is not g1
+        assert timing_graph_for(toy_design) is g2
 
 
 class TestPicklesAndCopiesCarryNoGraph:
