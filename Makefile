@@ -41,29 +41,46 @@ bench-flow:
 		benchmarks/results/bench_flow_baseline.json bench-flow/run.json \
 		--rel 0 --stream qor.aes.hpwl
 
-# Cross-run cache smoke: run the aes flow twice against one --cache
-# directory and require (a) the second run to serve its V-P&R items
-# from the cache (vpr.cache.hit > 0, zero misses) and (b) every metric
-# stream — costs, HPWL, selection — to be byte-identical between the
-# two runs (docs/performance.md "Cross-run caching").
+# Cross-run cache smoke (docs/performance.md "Cross-run caching"): run
+# the aes flow three times against one --cache directory.  The warm
+# (second) run must serve every flow stage from the cache, with no
+# stage or item miss, and report the cold run's QoR byte for byte; of
+# its metric streams, those both runs emit (a served stage emits none)
+# must match at zero tolerance.  The third run first loses the cached
+# stage records: it recomputes every stage, must serve every V-P&R item
+# from the cache, and must match the cold run on every stream.
 cache-smoke:
-	rm -rf /tmp/repro-cache-smoke && mkdir -p /tmp/repro-cache-smoke
+	rm -rf cache-smoke && mkdir -p cache-smoke
+	for run in cold warm; do \
+		timeout 300 python -m repro flow --benchmark aes --no-routing \
+			--seed 3 --cache cache-smoke/cache \
+			--telemetry cache-smoke/$$run --report cache-smoke/$$run.json \
+			|| exit 1; \
+	done
+	rm -rf cache-smoke/cache/stages
 	timeout 300 python -m repro flow --benchmark aes --no-routing \
-		--seed 3 --cache /tmp/repro-cache-smoke/cache \
-		--telemetry /tmp/repro-cache-smoke/cold
-	timeout 300 python -m repro flow --benchmark aes --no-routing \
-		--seed 3 --cache /tmp/repro-cache-smoke/cache \
-		--telemetry /tmp/repro-cache-smoke/warm
+		--seed 3 --cache cache-smoke/cache \
+		--telemetry cache-smoke/items --report cache-smoke/items.json
 	python -c "import json; \
-		cold = json.load(open('/tmp/repro-cache-smoke/cold/run.json'))['perf']['counters']; \
-		warm = json.load(open('/tmp/repro-cache-smoke/warm/run.json'))['perf']['counters']; \
-		assert cold.get('vpr.cache.store', 0) > 0, cold; \
-		assert warm.get('vpr.cache.hit', 0) > 0, warm; \
-		assert warm.get('vpr.cache.miss', 0) == 0, warm; \
-		print('cache-smoke: warm run served', warm['vpr.cache.hit'], 'items from cache')"
-	python -m repro report diff \
-		/tmp/repro-cache-smoke/cold/run.json \
-		/tmp/repro-cache-smoke/warm/run.json --rel 0 --abs 0
+		from repro.serve import deterministic_qor; \
+		counters = lambda r: json.load(open('cache-smoke/%s/run.json' % r))['perf']['counters']; \
+		cold, warm, items = counters('cold'), counters('warm'), counters('items'); \
+		assert cold.get('cache.stage.store', 0) > 0 and cold.get('vpr.cache.store', 0) > 0, cold; \
+		assert warm.get('cache.stage.hit', 0) == cold['cache.stage.store'], warm; \
+		assert warm.get('cache.stage.miss', 0) == 0 and warm.get('vpr.cache.miss', 0) == 0, warm; \
+		assert items.get('vpr.cache.hit', 0) == cold['vpr.cache.store'], items; \
+		assert items.get('vpr.cache.miss', 0) == 0, items; \
+		qor = lambda r: json.dumps(deterministic_qor(json.load(open('cache-smoke/%s.json' % r))), sort_keys=True); \
+		assert qor('warm') == qor('cold') == qor('items'), 'QoR differs'; \
+		print('cache-smoke: warm run served', warm['cache.stage.hit'], 'stages,', \
+			'stage-less run', items['vpr.cache.hit'], 'items; QoR identical')"
+	python -m repro report diff cache-smoke/cold/run.json \
+		cache-smoke/warm/run.json --rel 0 --abs 0 \
+		$$(python -c "import json; \
+			streams = [set(json.load(open('cache-smoke/%s/run.json' % r))['metrics']) for r in ('cold', 'warm')]; \
+			print(' '.join('--stream ' + n for n in sorted(streams[0] & streams[1])))")
+	python -m repro report diff cache-smoke/cold/run.json \
+		cache-smoke/items/run.json --rel 0 --abs 0
 
 # Live-monitor smoke (docs/observability.md "Live monitoring"): launch
 # a monitored flow as a subprocess, poll status.json until progress
@@ -138,19 +155,19 @@ spine-smoke:
 # an injected abort, resume, and require the resumed QoR to match an
 # uninterrupted baseline byte for byte (docs/recovery.md).
 resume-smoke:
-	rm -rf /tmp/repro-resume-smoke && mkdir -p /tmp/repro-resume-smoke
+	rm -rf resume-smoke && mkdir -p resume-smoke
 	timeout 300 python -m repro flow --benchmark aes --no-routing \
-		--seed 3 --report /tmp/repro-resume-smoke/base.json
+		--seed 3 --report resume-smoke/base.json
 	REPRO_FAULTS='abort:vpr.item.saved:#6' timeout 300 \
 		python -m repro flow --benchmark aes --no-routing --seed 3 \
-		--checkpoint /tmp/repro-resume-smoke/ckpt; \
+		--checkpoint resume-smoke/ckpt; \
 		test $$? -eq 123  # the injected abort's exit code
 	timeout 300 python -m repro flow --benchmark aes --no-routing \
-		--seed 3 --checkpoint /tmp/repro-resume-smoke/ckpt --resume \
-		--report /tmp/repro-resume-smoke/resumed.json
+		--seed 3 --checkpoint resume-smoke/ckpt --resume \
+		--report resume-smoke/resumed.json
 	python -c "import json; \
-		a = json.load(open('/tmp/repro-resume-smoke/base.json')); \
-		b = json.load(open('/tmp/repro-resume-smoke/resumed.json')); \
+		a = json.load(open('resume-smoke/base.json')); \
+		b = json.load(open('resume-smoke/resumed.json')); \
 		assert a['metrics'] == b['metrics'], (a['metrics'], b['metrics']); \
 		print('resume-smoke: resumed QoR identical to uninterrupted run')"
 	# Cached leg: crash a run writing both stores, lose the shared cache,
@@ -158,17 +175,17 @@ resume-smoke:
 	# run-locally; the rest are computed and written to both stores.
 	REPRO_FAULTS='abort:vpr.item.saved:#6' timeout 300 \
 		python -m repro flow --benchmark aes --no-routing --seed 3 \
-		--checkpoint /tmp/repro-resume-smoke/ckpt-cached \
-		--cache /tmp/repro-resume-smoke/cache; \
+		--checkpoint resume-smoke/ckpt-cached \
+		--cache resume-smoke/cache; \
 		test $$? -eq 123  # the injected abort's exit code
-	rm -rf /tmp/repro-resume-smoke/cache
+	rm -rf resume-smoke/cache
 	timeout 300 python -m repro flow --benchmark aes --no-routing \
-		--seed 3 --checkpoint /tmp/repro-resume-smoke/ckpt-cached --resume \
-		--cache /tmp/repro-resume-smoke/cache \
-		--report /tmp/repro-resume-smoke/resumed-cached.json
+		--seed 3 --checkpoint resume-smoke/ckpt-cached --resume \
+		--cache resume-smoke/cache \
+		--report resume-smoke/resumed-cached.json
 	python -c "import json; \
-		a = json.load(open('/tmp/repro-resume-smoke/base.json')); \
-		b = json.load(open('/tmp/repro-resume-smoke/resumed-cached.json')); \
+		a = json.load(open('resume-smoke/base.json')); \
+		b = json.load(open('resume-smoke/resumed-cached.json')); \
 		assert a['metrics'] == b['metrics'], (a['metrics'], b['metrics']); \
 		print('resume-smoke: cached resume QoR identical to uncached run')"
 

@@ -11,11 +11,12 @@ shared cache's warm-hit ratio into ``BENCH_serve.json``.
 ``--gate`` (used by ``make serve-smoke`` and CI) additionally asserts:
 
 * every job finished ``done`` (crash containment never tripped);
-* repeat traffic hit the warm path (``vpr.cache.hit`` > 0 overall);
+* repeat traffic hit the warm path (stage or item cache hits > 0
+  overall);
 * p99 latency under ``--max-p99`` seconds;
 * warm jobs beat cold jobs by at least ``--min-speedup`` (mean runner
-  wall seconds, cold = jobs with cache misses, warm = jobs served
-  entirely from cache);
+  wall seconds, cold = jobs with stage or item cache misses, warm =
+  jobs served entirely from cache, by stage records or items);
 * the daemon shuts down cleanly (``POST /shutdown`` -> exit code 0);
 * no descendant of the daemon — the runner zygote or any runner it
   forked — is still alive once the daemon has exited (Linux: the tree
@@ -44,6 +45,8 @@ import time
 from typing import Any, Dict, List, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from repro.serve.registry import cache_traffic  # noqa: E402
 
 SCHEMA = "repro.bench_serve/1"
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -227,18 +230,15 @@ def measure(
     # The speedup arms compare runner wall (started -> finished), not
     # client-observed latency: queue wait under N closed-loop clients
     # on fewer workers would otherwise blur cold vs warm.
-    cold = [
-        r["wall_s"]
-        for r in records
-        if r["counters"].get("vpr.cache.miss", 0) > 0
-    ]
+    # Cold: any stage or item miss; warm: hits (stages or items) only.
+    traffic = [cache_traffic(r["counters"]) for r in records]
+    cold = [r["wall_s"] for r, (_, misses) in zip(records, traffic) if misses]
     warm = [
         r["wall_s"]
-        for r in records
-        if r["counters"].get("vpr.cache.hit", 0) > 0
-        and r["counters"].get("vpr.cache.miss", 0) == 0
+        for r, (hits, misses) in zip(records, traffic)
+        if hits and not misses
     ]
-    total_hits = sum(r["counters"].get("vpr.cache.hit", 0) for r in records)
+    total_hits = sum(hits for hits, _ in traffic)
     cold_mean = sum(cold) / len(cold) if cold else 0.0
     warm_mean = sum(warm) / len(warm) if warm else 0.0
     return {

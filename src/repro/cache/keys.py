@@ -22,18 +22,43 @@ convention as :class:`~repro.place.problem.PlacementProblem`
 electrical data included.  Coordinates are *not* included — the
 evaluation re-places from scratch — but the floorplan is derived from
 (cell area, candidate), both of which are covered.
+
+Flow **stage records** (:mod:`repro.core.stages`) are addressed by a
+SHA-256 chain instead.  :func:`input_key` hashes the design exactly as
+a flow receives it — every column of its
+:func:`~repro.netlist.snapshot.design_snapshot`, coordinates, fixed
+flags, floorplan, clock period, net weights and activity included —
+together with :func:`source_digest`, the hash of this package's own
+source, so a record written by other code is never served.  Each
+stage's :func:`stage_key` then hashes its parent stage's key and the
+configuration fields that stage reads (``docs/recovery.md`` lists
+them).  A changed knob therefore changes its own stage's key and every
+downstream key, and nothing upstream.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
+from pathlib import Path
 from typing import Dict, Optional
+
+import numpy as np
 
 from repro.ioutil import sha256_hex
 from repro.netlist.design import Design
+from repro.netlist.snapshot import design_snapshot
 
 #: Schema tag: bump to invalidate every existing cache entry.
 SCHEMA = "repro.cache/1"
+
+#: Schema tag of the stage-key chain.
+STAGE_SCHEMA = "repro.stage-key/1"
+
+
+def _canonical(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 def netlist_digest(sub: Design) -> str:
@@ -84,9 +109,7 @@ def netlist_digest(sub: Design) -> str:
         ],
         "nets": nets,
     }
-    return sha256_hex(
-        json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
-    )
+    return sha256_hex(_canonical(canonical))
 
 
 def config_fingerprint(config) -> Dict[str, object]:
@@ -126,6 +149,52 @@ def cache_key(
         "cell_area": cell_area,
         "config": config_fingerprint(config),
     }
+    return sha256_hex(_canonical(payload))
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over every ``.py`` file of the ``repro`` package (path
+    and bytes), computed once per process; a forked process inherits
+    it (the serve zygote computes it before its first fork)."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def input_key(design: Design) -> str:
+    """The root of the stage-key chain: the design as a flow receives
+    it, and the code that will process it."""
+    snapshot = design_snapshot(design)
+    digest = hashlib.sha256(
+        _canonical(
+            {
+                "schema": STAGE_SCHEMA,
+                "source": source_digest(),
+                "header": snapshot["header"],
+            }
+        )
+    )
+    for name in sorted(snapshot["columns"]):
+        column = np.ascontiguousarray(snapshot["columns"][name])
+        digest.update(f"{name}:{column.dtype.str}:{column.shape}".encode())
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def stage_key(stage: str, parent: str, **fields) -> str:
+    """The content key of one stage record: its name, its parent's key
+    and the JSON-able configuration ``fields`` the stage reads."""
     return sha256_hex(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        _canonical(
+            {
+                "schema": STAGE_SCHEMA,
+                "stage": stage,
+                "parent": parent,
+                "fields": fields,
+            }
+        )
     )

@@ -3,11 +3,15 @@
 Layout of a cache directory::
 
     CACHE.json                  # schema marker (written on first put)
-    objects/ab/abcdef....json   # one entry per key, sharded by prefix
+    objects/ab/abcdef....json   # one V-P&R item per key, sharded by prefix
+    stages/cd/cdef01....rec     # one flow stage record per stage key
 
-Each entry is a small JSON record carrying the exact
+An item entry is a small JSON record carrying the exact
 ``CandidateEvaluation`` payload (hpwl/congestion costs) plus the
-seconds the original evaluation took.  Writes go through the shared
+seconds the original evaluation took.  A stage entry is one
+:mod:`repro.codec` frame (:mod:`repro.core.stages`), written by a flow
+that computed the stage and served to any flow whose stage key matches
+(:func:`repro.cache.keys.stage_key`).  Writes go through the shared
 atomic temp + rename primitive (:func:`repro.ioutil.atomic_write_bytes`,
 ``durable=False`` — rename atomicity without per-item fsyncs; a torn
 entry is detected on read and treated as a miss).
@@ -15,9 +19,11 @@ entry is detected on read and treated as a miss).
 Design points:
 
 * **Reads never raise.**  Unparseable, truncated, wrong-schema or
-  non-finite-cost entries count as misses (``vpr.cache.corrupt``) and
-  are unlinked best-effort.  A cache can therefore be shared, copied,
-  or bit-rotted without ever crashing a run.
+  non-finite-cost entries count as misses (``vpr.cache.corrupt``; a
+  stage record that fails its frame or payload checks,
+  ``cache.stage.corrupt``) and are unlinked best-effort.  A cache can
+  therefore be shared, copied, or bit-rotted without ever crashing a
+  run.
 * **LRU garbage collection.**  Entry mtimes are bumped on hit, so
   eviction (oldest-first) approximates LRU.  ``max_entries`` /
   ``max_bytes`` bound the store; the writer triggers a GC sweep
@@ -44,9 +50,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.cache.keys import SCHEMA
@@ -63,10 +69,12 @@ GC_WRITE_INTERVAL = 512
 
 @dataclass
 class CacheStats:
-    """Size summary of a cache directory."""
+    """Size summary of a cache directory: totals over both kinds, and
+    per kind (``items``, ``stages``) ``{"entries", "total_bytes"}``."""
 
     entries: int
     total_bytes: int
+    kinds: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, int]:
         return {"entries": self.entries, "total_bytes": self.total_bytes}
@@ -100,7 +108,10 @@ class EvaluationCache:
 
     MARKER = "CACHE.json"
     OBJECT_DIR = "objects"
+    STAGE_DIR = "stages"
     TOTALS = "TOTALS.json"
+    #: Entry kind -> (directory, file suffix).
+    KINDS = {"items": (OBJECT_DIR, ".json"), "stages": (STAGE_DIR, ".rec")}
 
     def __init__(
         self,
@@ -123,19 +134,23 @@ class EvaluationCache:
     def _entry_path(self, key: str) -> Path:
         return self.directory / self.OBJECT_DIR / key[:2] / f"{key}.json"
 
+    def _stage_path(self, key: str) -> Path:
+        return self.directory / self.STAGE_DIR / key[:2] / f"{key}.rec"
+
     def _entries(self) -> Iterator[Path]:
-        root = self.directory / self.OBJECT_DIR
-        try:
-            shards = sorted(root.iterdir())
-        except (FileNotFoundError, NotADirectoryError):
-            return
-        for shard in shards:
-            if not shard.is_dir():
-                continue
+        """Entry files of every kind."""
+        for subdir, suffix in self.KINDS.values():
             try:
-                yield from sorted(shard.glob("*.json"))
-            except OSError:  # pragma: no cover - shard raced away
+                shards = sorted((self.directory / subdir).iterdir())
+            except (FileNotFoundError, NotADirectoryError):
                 continue
+            for shard in shards:
+                if not shard.is_dir():
+                    continue
+                try:
+                    yield from sorted(shard.glob(f"*{suffix}"))
+                except OSError:  # pragma: no cover - shard raced away
+                    continue
 
     # -- read path -----------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -208,12 +223,50 @@ class EvaluationCache:
         )
         obs.count("vpr.cache.store")
         self.session_stores += 1
+        self._after_write()
+
+    def _after_write(self) -> None:
         if not self._marker_written:
             self._write_marker()
         self._writes_since_gc += 1
         if self._writes_since_gc >= GC_WRITE_INTERVAL:
             self._writes_since_gc = 0
             self.gc()
+
+    # -- flow stage records --------------------------------------------
+    def load_stage(
+        self, stage: str, key: str, decode: Callable[[bytes], Any]
+    ) -> Optional[Any]:
+        """The stage record stored under ``key``, decoded, or None.
+
+        As lossy as :meth:`get`: a record ``decode`` rejects (or that
+        cannot be read) is a counted miss (``cache.stage.corrupt``),
+        unlinked best-effort; the caller recomputes the stage.
+        """
+        path = self._stage_path(key)
+        try:
+            payload = decode(path.read_bytes())
+        except FileNotFoundError:
+            payload = None
+        except Exception:  # noqa: BLE001 - the directory is untrusted
+            obs.count("cache.stage.corrupt")
+            self._discard(path)
+            payload = None
+        outcome = "miss" if payload is None else "hit"
+        obs.count(f"cache.stage.{outcome}")
+        obs.event(f"cache.stage.{outcome}", stage=stage, key=key)
+        if payload is not None:
+            try:
+                os.utime(path)
+            except OSError:  # pragma: no cover - entry raced away
+                pass
+        return payload
+
+    def save_stage(self, stage: str, key: str, data: bytes) -> None:
+        """Store one encoded stage record under its stage key."""
+        atomic_write_bytes(self._stage_path(key), data, durable=False)
+        obs.count("cache.stage.store")
+        self._after_write()
 
     def _write_marker(self) -> None:
         marker = self.directory / self.MARKER
@@ -275,23 +328,31 @@ class EvaluationCache:
 
     # -- maintenance ---------------------------------------------------
     def stats(self) -> CacheStats:
-        """Entry count and total payload bytes currently stored."""
-        entries = 0
-        total = 0
+        """Entry count and total payload bytes currently stored, in all
+        and per kind."""
+        kinds = {kind: {"entries": 0, "total_bytes": 0} for kind in self.KINDS}
+        of_suffix = {suffix: kind for kind, (_, suffix) in self.KINDS.items()}
         for path in self._entries():
             try:
-                total += path.stat().st_size
+                size = path.stat().st_size
             except OSError:  # pragma: no cover - entry raced away
                 continue
-            entries += 1
-        return CacheStats(entries=entries, total_bytes=total)
+            kind = kinds[of_suffix[path.suffix]]
+            kind["entries"] += 1
+            kind["total_bytes"] += size
+        return CacheStats(
+            entries=sum(k["entries"] for k in kinds.values()),
+            total_bytes=sum(k["total_bytes"] for k in kinds.values()),
+            kinds=kinds,
+        )
 
     def gc(
         self,
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> int:
-        """Evict least-recently-used entries past the size bounds.
+        """Evict least-recently-used entries, of both kinds, past the
+        size bounds.
 
         Bounds default to the store's configured limits; returns the
         number of entries evicted (``vpr.cache.evict`` counts them

@@ -13,8 +13,8 @@ Commands:
   non-zero when a QoR stream regressed.
 * ``top`` — live single-screen view of a monitored run directory
   (``flow --telemetry DIR --monitor``), from any process.
-* ``cache`` — manage the cross-run V-P&R evaluation cache
-  (``stats`` / ``gc`` / ``clear``); see ``flow --cache DIR``.
+* ``cache`` — manage the cross-run cache of flow stages and V-P&R
+  evaluations (``stats`` / ``gc`` / ``clear``); see ``flow --cache DIR``.
 * ``worker`` — fleet worker process for a distributed V-P&R sweep:
   dials a ``flow --fleet-listen`` parent and evaluates sweep chunks
   remotely; see ``docs/performance.md``, "Distributed sweep".
@@ -91,16 +91,17 @@ def _add_flow_parser(subparsers) -> None:
         "--resume",
         action="store_true",
         help="resume from --checkpoint DIR instead of starting fresh; "
-        "the resumed run reproduces the uninterrupted run's QoR bit "
-        "for bit",
+        "stages whose content keys match are served, the rest (e.g. "
+        "downstream of a changed option) recomputed; QoR is bit for "
+        "bit a fresh run's",
     )
     p.add_argument(
         "--cache",
         metavar="DIR",
-        help="serve V-P&R candidate evaluations from (and store them "
-        "into) a content-addressed cross-run cache in DIR; warm "
-        "results are byte-identical to cold (--flow ours only); see "
-        "docs/performance.md",
+        help="serve flow stages and V-P&R candidate evaluations from "
+        "(and store them into) a content-addressed cross-run cache in "
+        "DIR; warm results are byte-identical to cold (--flow ours "
+        "only); see docs/performance.md",
     )
     p.add_argument(
         "--jobs",
@@ -244,7 +245,7 @@ def _add_simple_parsers(subparsers) -> None:
     )
 
     p = subparsers.add_parser(
-        "cache", help="manage the cross-run V-P&R evaluation cache"
+        "cache", help="manage the cross-run cache (flow stages, V-P&R items)"
     )
     csub = p.add_subparsers(dest="cache_command", required=True)
     c = csub.add_parser("stats", help="entry count and total bytes stored")
@@ -774,6 +775,11 @@ def _cmd_cache(args) -> int:
         print(f"directory     : {args.directory}")
         print(f"entries       : {summary['entries']}")
         print(f"bytes on disk : {summary['bytes_on_disk']}")
+        for kind, size in stats.kinds.items():
+            print(
+                f"  {kind:<12}: {size['entries']} entries, "
+                f"{size['total_bytes']} bytes"
+            )
         print(f"hits          : {summary['hits']}")
         print(f"misses        : {summary['misses']}")
         print(f"stores        : {summary['stores']}")

@@ -11,13 +11,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.cache import EvaluationCache
+from repro.cache import EvaluationCache, input_key, stage_key
 from repro.cluster.best_choice import best_choice_clustering
 from repro.cluster.edge_coarsening import edge_coarsening
 from repro.cluster.fc import FirstChoiceConfig, first_choice_clustering
@@ -38,6 +38,7 @@ from repro.core.seeded import (
     restore_placement_state,
     seeded_placement,
 )
+from repro.core.stages import encode_stage, stage_decoder
 from repro.core.vpr import (
     ShapeSelector,
     UniformShapeSelector,
@@ -46,9 +47,9 @@ from repro.core.vpr import (
     VPRShapeSelector,
 )
 from repro.db.database import DesignDatabase
-from repro.recovery import SCHEMA as RECOVERY_SCHEMA
 from repro.recovery import CheckpointStore, faults
 from repro.netlist.design import Design
+from repro.netlist.snapshot import design_snapshot
 from repro.place.placer import GlobalPlacer, PlacerConfig
 from repro.place.problem import PlacementProblem
 from repro.place.hpwl import hpwl
@@ -64,6 +65,28 @@ from repro.sta.power import analyze_power
 
 #: Cap on the Eq. 3 criticality multiplier of a net weight.
 MAX_CLUSTER_NET_WEIGHT = 4.0
+
+#: Fields of the four configuration classes a flow reads
+#: (:class:`FlowConfig`, :class:`VPRConfig`, :class:`PPAClusteringConfig`,
+#: :class:`SeededPlacementConfig`) that change where, how fast or with
+#: what records a run executes, never its results, so they are in no
+#: stage key.  ``PPAClusteringConfig.seed`` is overwritten by the flow's
+#: own seed.  Every other field is in a key
+#: (``tests/core/test_stage_keys.py`` holds the two sets to that).
+NON_RESULT_FIELDS = frozenset(
+    {
+        "FlowConfig.jobs",
+        "FlowConfig.checkpoint_dir",
+        "FlowConfig.resume",
+        "FlowConfig.cache_dir",
+        "FlowConfig.artifacts_dir",
+        "VPRConfig.jobs",
+        "VPRConfig.chunk_size",
+        "VPRConfig.item_timeout",
+        "VPRConfig.fleet_listen",
+        "PPAClusteringConfig.seed",
+    }
+)
 
 
 @dataclass
@@ -93,7 +116,9 @@ class FlowConfig:
         artifacts_dir: When set, the flow writes its file artefacts
             there: the cluster soft-macro .lef (Algorithm 1, line 13),
             the clustered-netlist seed placement .def and the final
-            placed .def.
+            placed .def.  Only a run that computes the seeded stage
+            writes them (one served from a store holds no clustered
+            netlist).
         timing_weighted_cluster_nets: Carry the Eq. 3 edge criticality
             onto net weights for the cluster placement and the flat
             incremental refinement (capped at
@@ -115,18 +140,19 @@ class FlowConfig:
             work.  None (the default) disables checkpointing entirely —
             no extra work on the hot path.
         resume: Resume from ``checkpoint_dir`` instead of starting
-            fresh.  A resumed run reproduces the uninterrupted run's
-            chosen shapes and QoR bit for bit: completed stages and
-            content-addressed V-P&R items are served from disk, and no
-            RNG state is needed because every stage draws from
-            explicit seeded generators.  Resuming with a different
-            configuration is refused.  See ``docs/recovery.md``.
-        cache_dir: When set, V-P&R candidate evaluations are served
-            from (and stored into) a content-addressed cross-run cache
-            in this directory.  Unlike a checkpoint (one run's resume
-            state), the cache is shared by *any* run whose (sub-netlist,
-            shape, config) items match; warm results are byte-identical
-            to cold.  See ``docs/performance.md``.
+            fresh.  Stage records are keyed by content (the design,
+            and the knobs each stage reads), so a resume serves every
+            stage whose key it computes again and recomputes the rest:
+            an interrupted run, or one whose knobs changed, finishes
+            bit-identical to a fresh run with the same configuration.
+            See ``docs/recovery.md``.
+        cache_dir: When set, stage records and V-P&R candidate
+            evaluations are served from (and stored into) a
+            content-addressed cross-run cache in this directory.
+            Unlike a checkpoint (one run's resume state), the cache is
+            shared by *any* run whose stage keys or (sub-netlist,
+            shape, config) items match; warm results are
+            byte-identical to cold.  See ``docs/performance.md``.
     """
 
     tool: str = "openroad"
@@ -280,7 +306,7 @@ class ClusteredPlacementFlow:
             runtimes={"clustering": stage.elapsed},
         )
 
-    # -- checkpointing -----------------------------------------------------
+    # -- stage records -----------------------------------------------------
     def _vpr_config(self) -> VPRConfig:
         """The run's one V-P&R config: the shape selector's own when it
         sweeps with a framework, else ``config.vpr_config`` — a copy at
@@ -291,13 +317,13 @@ class ClusteredPlacementFlow:
             return vpr_config
         return replace(vpr_config, jobs=self.config.jobs)
 
-    def _checkpoint_fingerprint(self, design: Design) -> Dict[str, object]:
-        """What must match for a checkpoint to be resumable: the design
-        and every knob that influences the checkpointed stages."""
+    def _run_config(self, design: Design) -> Dict[str, object]:
+        """The run's configuration as its checkpoint manifest records
+        it: the design it ran on, and what ``EcoSession`` reads back
+        (the V-P&R fields, ``run_routing``, ``seed``, ``selector``)."""
         config = self.config
         selector = config.shape_selector
         return {
-            "schema": RECOVERY_SCHEMA,
             "design": design.name,
             "instances": design.num_instances,
             "nets": design.num_nets,
@@ -310,48 +336,116 @@ class ClusteredPlacementFlow:
             **self._vpr_config().result_fingerprint(),
         }
 
-    def _open_checkpoint(self, design: Design) -> Optional[CheckpointStore]:
+    def stage_keys(
+        self, design: Design, selector: ShapeSelector
+    ) -> Tuple[Dict[str, str], bool]:
+        """``(stage -> content key, shared)``: each key hashes its
+        parent stage's key and the configuration fields that stage
+        reads.  ``shared`` is False when the selector has no stable
+        identity; its stages then stay out of the shared cache."""
         config = self.config
-        if not config.checkpoint_dir:
-            return None
-        store = CheckpointStore(config.checkpoint_dir)
-        fingerprint = self._checkpoint_fingerprint(design)
-        if config.resume:
-            store.open_resume(fingerprint)
-        else:
-            store.initialize(fingerprint)
-        return store
+        clusterer = asdict(config.clustering_config)
+        clusterer["seed"] = config.seed  # the flow's seed is the clusterer's
+        identity = selector.identity()
+        keys = {}
+        keys["clustering"] = stage_key(
+            "clustering",
+            input_key(design),
+            method=config.clustering,
+            config=clusterer,
+        )
+        keys["vpr"] = stage_key(
+            "vpr",
+            keys["clustering"],
+            vpr=self._vpr_config().result_fingerprint(),
+            selector=identity or {"name": selector.name, "shared": False},
+        )
+        keys["vpr_digests"] = stage_key("vpr_digests", keys["vpr"])
+        keys["seeded"] = stage_key(
+            "seeded",
+            keys["vpr"],
+            tool=config.tool,
+            timing_weighted_cluster_nets=config.timing_weighted_cluster_nets,
+            power_emphasis=config.power_emphasis,
+            placer=asdict(SeededPlacementConfig(tool=config.tool)),
+        )
+        keys["eco_base"] = stage_key("eco_base", keys["seeded"])
+        keys["metrics"] = stage_key(
+            "metrics", keys["seeded"], run_routing=config.run_routing
+        )
+        return keys, identity is not None
 
-    def _stage(self, store, name: str, compute):
-        """Run one checkpointable stage, or serve it from the store.
+    def _open_stores(self, design: Design, selector: ShapeSelector) -> Tuple[
+        Optional[CheckpointStore], Optional[EvaluationCache], Dict[str, str], bool
+    ]:
+        """``(checkpoint, cache, keys, shared)``.  With neither store
+        configured no key is computed."""
+        config = self.config
+        cache = EvaluationCache(config.cache_dir) if config.cache_dir else None
+        if not (config.checkpoint_dir or cache):
+            return None, None, {}, False
+        keys, shared = self.stage_keys(design, selector)
+        checkpoint = None
+        if config.checkpoint_dir:
+            checkpoint = CheckpointStore(config.checkpoint_dir)
+            if config.resume:
+                checkpoint.open_resume(self._run_config(design), keys)
+            else:
+                checkpoint.initialize(self._run_config(design))
+        return checkpoint, cache, keys, shared
 
-        Returns ``(payload, resumed)``.  Stages draw only from
-        explicitly seeded generators, so what runs after a skipped stage
-        is bit-identical to an uninterrupted run with no RNG state kept.
+    def _stage(
+        self,
+        name: str,
+        stores: List[Any],
+        key: Optional[str],
+        compute: Callable[[], Any],
+        instances: int,
+    ) -> Tuple[Any, bool]:
+        """Serve stage ``name`` from the first of ``stores`` holding its
+        ``key``, or compute it; returns ``(payload, served)``.
+
+        Write-back follows the V-P&R items' rule: a computed record
+        goes to every store, one the cache served to the checkpoint
+        ahead of it.  Stages draw only from explicitly seeded
+        generators, so what runs after a served stage is bit-identical
+        to a run that computed it.
         """
-        if store is not None and store.has_stage(name):
-            payload = store.load_stage(name)
-            obs.count("recovery.stage.reused")
-            obs.event("checkpoint.resumed", stage=name)
-            return payload, True
+        if stores:
+            decode = stage_decoder(name, key, instances)
+            for position, store in enumerate(stores):
+                payload = store.load_stage(name, key, decode)
+                if payload is not None:
+                    _write_back(name, key, payload, stores[:position])
+                    return payload, True
         faults.check("flow." + name)
         payload = compute()
-        if store is not None:
-            store.save_stage(name, payload)
-            obs.event("checkpoint.saved", stage=name)
+        _write_back(name, key, payload, stores)
         return payload, False
 
     # -- the flow ----------------------------------------------------------
     def run(self, design: Design) -> FlowResult:
         """Run Algorithm 1 on a design; placement is committed to it.
 
-        With ``config.checkpoint_dir`` set, each completed stage is
-        persisted; with ``config.resume`` the run restarts from the
-        last completed unit of work and produces bit-identical QoR.
+        With ``config.checkpoint_dir`` and/or ``config.cache_dir`` set,
+        each stage is served from the first store holding its content
+        key (the checkpoint on ``config.resume``, then the cache) and
+        persisted when computed; QoR is bit-identical either way.
         """
         config = self.config
         db = DesignDatabase(design)
-        store = self._open_checkpoint(design)
+        vpr_config = self._vpr_config()
+        selector = config.shape_selector or VPRShapeSelector(vpr_config)
+        framework = getattr(selector, "framework", None)
+        checkpoint, cache, keys, shared = self._open_stores(design, selector)
+
+        def stage(name: str, compute: Callable[[], Any]) -> Tuple[Any, bool]:
+            in_cache = cache is not None and (name == "clustering" or shared)
+            stores = [s for s in (checkpoint, cache if in_cache else None) if s]
+            return self._stage(
+                name, stores, keys.get(name), compute, design.num_instances
+            )
+
         runtimes: Dict[str, float] = {}
         context = dict(
             design=design.name,
@@ -367,7 +461,7 @@ class ClusteredPlacementFlow:
             with obs.stage("flow.clustering", method=config.clustering):
                 return self._run_clustering(db)
 
-        clustering, _ = self._stage(store, "clustering", _compute_clustering)
+        clustering, _ = stage("clustering", _compute_clustering)
         runtimes.update(clustering.runtimes)
         members = clustering.members()
         obs.event(
@@ -379,13 +473,11 @@ class ClusteredPlacementFlow:
         obs.observe("cluster.count", clustering.num_clusters)
 
         # Lines 12-13: V-P&R shapes for clusters > 200 instances.
-        vpr_config = self._vpr_config()
-        selector = config.shape_selector or VPRShapeSelector(vpr_config)
-        framework = getattr(selector, "framework", None)
-        if store is not None and framework is not None:
-            framework.checkpoint = store
-        if config.cache_dir and framework is not None:
-            framework.cache = EvaluationCache(config.cache_dir)
+        if framework is not None:
+            if checkpoint is not None:
+                framework.checkpoint = checkpoint
+            if cache is not None:
+                framework.cache = cache
 
         vpr_stage = obs.stage("flow.vpr", selector=selector.name)
 
@@ -402,15 +494,15 @@ class ClusteredPlacementFlow:
                 if framework is not None:
                     framework.config = own
 
-        selection, _ = self._stage(store, "vpr", _compute_selection)
+        selection, _ = stage("vpr", _compute_selection)
         runtimes["vpr"] = vpr_stage.elapsed
 
         # Per-cluster content digests for the eligible (capped) set:
         # the ECO path uses these to address unchanged clusters' cache
         # entries without re-inducing their sub-netlists.  Right after
         # a sweep the framework's induce/digest memos are warm, so
-        # this costs microseconds; on resume it is recomputed once.
-        if store is not None and framework is not None:
+        # this costs microseconds.
+        if checkpoint is not None and framework is not None:
 
             def _compute_digests() -> Dict[int, Tuple[str, float]]:
                 return {
@@ -418,7 +510,7 @@ class ClusteredPlacementFlow:
                     for cid in vpr_config.swept_clusters(members)[0]
                 }
 
-            self._stage(store, "vpr_digests", _compute_digests)
+            stage("vpr_digests", _compute_digests)
 
         # Lines 15-25: seeded placement.  The flat refinement also
         # sees the criticality weights (standing in for the tools'
@@ -426,42 +518,22 @@ class ClusteredPlacementFlow:
         # stages see clean weights).  Region constraints (Innovus mode)
         # cover the V-P&R-eligible clusters regardless of which shape
         # selector ran, so ablation arms differ only in the shapes.
-        # A resumed run whose seeded stage completed restores the
-        # committed coordinates instead of rebuilding the clustered
-        # netlist and re-placing.
-        seeded_cached = store is not None and store.has_stage("seeded")
+        # A served seeded stage restores the committed coordinates
+        # instead of building the clustered netlist and re-placing.
+        vpr_ids, _ = vpr_config.swept_clusters(members)
         clustered = None
-        if not seeded_cached:
+
+        def _compute_seeded() -> Dict[str, object]:
+            nonlocal clustered
             # Line 10/13: clustered netlist with the chosen shapes.
-            io_weight = IO_NET_WEIGHT if config.tool == "openroad" else 1.0
-            multipliers = None
-            if (
-                config.timing_weighted_cluster_nets
-                and clustering.edge_scores is not None
-            ):
-                multipliers = _criticality_multipliers(
-                    db, clustering.edge_scores, MAX_CLUSTER_NET_WEIGHT
-                )
-            if config.power_emphasis > 0:
-                power_mult = _power_multipliers(design, config.power_emphasis)
-                if multipliers is None:
-                    multipliers = power_mult
-                else:
-                    for net_index, value in power_mult.items():
-                        multipliers[net_index] = (
-                            multipliers.get(net_index, 1.0) * value
-                        )
+            multipliers = self._net_multipliers(db, clustering)
             clustered = build_clustered_netlist(
                 design,
                 clustering.cluster_of,
                 shapes=selection.shapes,
-                io_net_weight=io_weight,
+                io_net_weight=IO_NET_WEIGHT if config.tool == "openroad" else 1.0,
                 net_weight_multipliers=multipliers,
             )
-
-        vpr_ids, _ = vpr_config.swept_clusters(members)
-
-        def _compute_seeded() -> Dict[str, object]:
             seeded_config = SeededPlacementConfig(tool=config.tool)
             saved_weights = None
             if multipliers:
@@ -479,10 +551,8 @@ class ClusteredPlacementFlow:
                         net.weight = w
             return capture_placement_state(design, seeded_result)
 
-        seeded_state, seeded_resumed = self._stage(
-            store, "seeded", _compute_seeded
-        )
-        if seeded_resumed:
+        seeded_state, seeded_served = stage("seeded", _compute_seeded)
+        if seeded_served:
             restore_placement_state(design, seeded_state)
         runtimes.update(seeded_state["runtimes"])
 
@@ -490,27 +560,29 @@ class ClusteredPlacementFlow:
         # design (its NetlistArrays columns) alongside the stage records, so
         # `repro eco <ckpt> --edits ...` is self-contained — it can
         # rebuild the exact post-seeded design without the original
-        # input files (docs/performance.md, "Incremental ECO").
-        if store is not None and not store.has_stage("eco_base"):
-            from repro.netlist.snapshot import design_snapshot
-
+        # input files (docs/performance.md, "Incremental ECO").  It is
+        # a few milliseconds from the placed design, so it is never
+        # shared through the cache.
+        if checkpoint is not None and (
+            checkpoint.stage_key("eco_base") != keys["eco_base"]
+        ):
             with obs.stage("flow.eco_base"):
-                store.save_stage(
-                    "eco_base", {"design": design_snapshot(design)}
+                _write_back(
+                    "eco_base",
+                    keys["eco_base"],
+                    {"design": design_snapshot(design)},
+                    [checkpoint],
                 )
-            obs.event("checkpoint.saved", stage="eco_base")
 
         # Line 13 artefacts: cluster .lef + seed/final .def on request.
-        # Written by the run that actually executed the seeded stage
-        # (a resume past it no longer holds the placed cluster netlist).
-        if config.artifacts_dir is not None and not seeded_resumed:
+        if config.artifacts_dir is not None and clustered is not None:
             _write_artifacts(config.artifacts_dir, design, clustered)
 
         # Lines 27-30: evaluation.
         def _compute_metrics() -> PPAMetrics:
             return evaluate_placed_design(design, runtimes, config.run_routing)
 
-        metrics, _ = self._stage(store, "metrics", _compute_metrics)
+        metrics, _ = stage("metrics", _compute_metrics)
         obs.event(
             "flow.done",
             design=design.name,
@@ -526,6 +598,35 @@ class ClusteredPlacementFlow:
             selection=selection,
             clustering=clustering,
         )
+
+    def _net_multipliers(
+        self, db: DesignDatabase, clustering: ClusteringResult
+    ) -> Optional[Dict[int, float]]:
+        """Net-index -> placement weight multiplier: the Eq. 3
+        criticality weights and the power emphasis, or None."""
+        config = self.config
+        multipliers = None
+        if config.timing_weighted_cluster_nets and clustering.edge_scores is not None:
+            multipliers = _criticality_multipliers(
+                db, clustering.edge_scores, MAX_CLUSTER_NET_WEIGHT
+            )
+        if config.power_emphasis > 0:
+            power_mult = _power_multipliers(db.design, config.power_emphasis)
+            if multipliers is None:
+                return power_mult
+            for net_index, value in power_mult.items():
+                multipliers[net_index] = multipliers.get(net_index, 1.0) * value
+        return multipliers
+
+
+def _write_back(
+    name: str, key: Optional[str], payload: Any, stores: List[Any]
+) -> None:
+    """Encode one stage record once and save it to each of ``stores``."""
+    if stores:
+        data = encode_stage(name, key, payload)
+        for store in stores:
+            store.save_stage(name, key, data)
 
 
 # ----------------------------------------------------------------------

@@ -1298,12 +1298,23 @@ class ShapeSelector:
         """Return shapes for every cluster."""
         raise NotImplementedError
 
+    def identity(self) -> Optional[Dict[str, object]]:
+        """What, besides the run's ``VPRConfig``, fixes this selector's
+        output, as JSON: it joins the flow's ``vpr`` stage key.  None
+        (the default) means no stable identity — the selector's stage
+        records then stay in the run's own checkpoint and are never
+        shared through the cache."""
+        return None
+
 
 class UniformShapeSelector(ShapeSelector):
     """Every cluster gets AR = 1.0, utilization = 0.9 (Table 6
     "Uniform")."""
 
     name = "uniform"
+
+    def identity(self) -> Optional[Dict[str, object]]:
+        return {"name": self.name}
 
     def select(
         self, source: Design, members: Sequence[Sequence[int]]
@@ -1318,15 +1329,22 @@ class RandomShapeSelector(ShapeSelector):
     name = "random"
 
     def __init__(self, seed: int = 0, candidates: Optional[List[ShapeCandidate]] = None):
-        self.rng = random.Random(seed)
+        self.seed = seed
         self.candidates = candidates or default_candidate_grid()
+
+    def identity(self) -> Optional[Dict[str, object]]:
+        return {
+            "name": self.name,
+            "seed": self.seed,
+            "candidates": [[c.aspect_ratio, c.utilization] for c in self.candidates],
+        }
 
     def select(
         self, source: Design, members: Sequence[Sequence[int]]
     ) -> VPRSelection:
-        shapes = {
-            c: self.rng.choice(self.candidates) for c in range(len(members))
-        }
+        # A fresh stream per call: the draw is a function of the seed.
+        rng = random.Random(self.seed)
+        shapes = {c: rng.choice(self.candidates) for c in range(len(members))}
         return VPRSelection(shapes=shapes)
 
 
@@ -1342,6 +1360,9 @@ class VPRShapeSelector(ShapeSelector):
         cache: Optional[EvaluationCache] = None,
     ) -> None:
         self.framework = VPRFramework(config, checkpoint=checkpoint, cache=cache)
+
+    def identity(self) -> Optional[Dict[str, object]]:
+        return {"name": self.name}
 
     def select(
         self, source: Design, members: Sequence[Sequence[int]]

@@ -2,8 +2,9 @@
 
 :class:`EcoSession` opens a finished checkpointed run (the flow's
 ``eco_base`` design snapshot plus its clustering / shape / metrics
-stage records) and applies edit scripts against it, recomputing only
-what each edit touched:
+stage records, each read by the content key the run's manifest lists)
+and applies edit scripts against it, recomputing only what each edit
+touched:
 
 ========== ======================= ========== ============
 edit kind  clustering              V-P&R      placement
@@ -43,6 +44,7 @@ from repro.core.flow import evaluate_placed_design
 from repro.core.metrics import PPAMetrics
 from repro.core.ppa_clustering import ClusteringResult
 from repro.core.shapes import ShapeCandidate
+from repro.core.stages import stage_decoder
 from repro.core.vpr import VPRConfig, VPRFramework, VPRShapeSelector
 from repro.eco.apply import EcoImpact, apply_edits
 from repro.eco.edits import EcoEdit
@@ -161,14 +163,9 @@ class EcoSession:
         cache_dir: Optional[str] = None,
     ) -> None:
         self.store = CheckpointStore(checkpoint_dir)
-        self.fingerprint = self.store.open_existing()
-        for stage in ("clustering", "vpr", "eco_base"):
-            if not self.store.has_stage(stage):
-                raise CheckpointError(
-                    f"checkpoint {checkpoint_dir} has no {stage!r} stage; "
-                    "re-run the base flow with --checkpoint to completion"
-                )
-        base = self.store.load_stage("eco_base")
+        #: The base run's manifest config block.
+        self.run_config = self.store.open_existing()
+        base = self._load("eco_base")
         try:
             self.design: Design = design_from_snapshot(base["design"])
         except (ValueError, KeyError) as exc:
@@ -177,7 +174,7 @@ class EcoSession:
                 f"build cannot open ({exc}): it was written by an older build "
                 "or damaged; re-run the base flow with --checkpoint"
             ) from exc
-        clustering = self.store.load_stage("clustering")
+        clustering = self._load("clustering")
         self.cluster_of = np.asarray(clustering.cluster_of, dtype=np.int64).copy()
         if len(self.cluster_of) != self.design.num_instances:
             raise CheckpointError(
@@ -185,25 +182,40 @@ class EcoSession:
                 f"covers {len(self.cluster_of)} instances but the eco_base "
                 f"snapshot has {self.design.num_instances}"
             )
-        selection = self.store.load_stage("vpr")
-        self.shapes: Dict[int, ShapeCandidate] = dict(selection.shapes)
+        self.shapes: Dict[int, ShapeCandidate] = dict(self._load("vpr").shapes)
         # Per-cluster (digest, cell_area) pairs saved by the base run:
         # lets the touch path address unchanged clusters' cache entries
-        # without re-inducing their sub-netlists.  Older checkpoints
-        # lack the stage; digests are then recomputed on first use.
-        self.cluster_digests: Dict[int, Tuple[str, float]] = (
-            dict(self.store.load_stage("vpr_digests"))
-            if self.store.has_stage("vpr_digests")
-            else {}
+        # without re-inducing their sub-netlists.  A run without the
+        # stage (a selector with no framework) recomputes on first use.
+        self.cluster_digests: Dict[int, Tuple[str, float]] = dict(
+            self._load("vpr_digests", required=False) or {}
         )
         # The base run's result-affecting V-P&R knobs, so cache keys
         # match the base run's for unchanged clusters.
-        self.vpr_config = VPRConfig.from_result_fingerprint(self.fingerprint)
+        self.vpr_config = VPRConfig.from_result_fingerprint(self.run_config)
         self.cache = EvaluationCache(cache_dir) if cache_dir else None
-        self.run_routing = bool(self.fingerprint.get("run_routing", True))
+        self.run_routing = bool(self.run_config.get("run_routing", True))
         #: The flow seed (placer warm start), not ``vpr_config.seed``.
-        self.seed = int(self.fingerprint.get("seed", 0))
+        self.seed = int(self.run_config.get("seed", 0))
         self.applied_scripts = 0
+
+    def _load(self, stage: str, required: bool = True):
+        """The base run's ``stage`` record, read by the key its
+        manifest lists; a missing one raises (or is None when not
+        ``required``)."""
+        key = self.store.stage_key(stage)
+        record = None
+        if key is not None:
+            instances = self.design.num_instances if stage != "eco_base" else None
+            record = self.store.load_stage(
+                stage, key, stage_decoder(stage, key, instances)
+            )
+        if record is None and required:
+            raise CheckpointError(
+                f"checkpoint {self.store.directory} has no {stage!r} stage; "
+                "re-run the base flow with --checkpoint to completion"
+            )
+        return record
 
     # ------------------------------------------------------------------
     def apply(self, edits: Sequence[EcoEdit]) -> EcoResult:
@@ -267,13 +279,9 @@ class EcoSession:
 
     # ------------------------------------------------------------------
     def _noop_result(self) -> EcoResult:
-        """Serve an empty script from the checkpointed metrics stage."""
-        if not self.store.has_stage("metrics"):
-            raise CheckpointError(
-                "checkpoint has no metrics stage (the base run did not "
-                "finish); run the base flow to completion before a no-op ECO"
-            )
-        metrics = self.store.load_stage("metrics")
+        """Serve an empty script from the checkpointed metrics stage
+        (an unfinished base run has none: ``CheckpointError``)."""
+        metrics = self._load("metrics")
         obs.count("eco.noop")
         obs.event("eco.noop")
         return EcoResult(
@@ -347,7 +355,7 @@ class EcoSession:
         so under any other selector every cluster keeps its
         checkpointed shape (and there are no cache entries to warm).
         """
-        exact = self.fingerprint.get("selector") in (None, VPRShapeSelector.name)
+        exact = self.run_config.get("selector") in (None, VPRShapeSelector.name)
         framework = VPRFramework(self.vpr_config, checkpoint=None, cache=self.cache)
         members = ClusteringResult(cluster_of=self.cluster_of).members()
         eligible, _skipped = self.vpr_config.swept_clusters(members)

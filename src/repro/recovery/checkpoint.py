@@ -1,56 +1,30 @@
 """Versioned, atomic stage checkpoints for the placement flow.
 
-A :class:`CheckpointStore` owns one checkpoint directory and persists
-the flow's units of work as they complete:
+A :class:`CheckpointStore` owns one checkpoint directory::
 
-* **stage records** — the clustering result, the chosen shapes, the
-  seeded-placement state and the final metrics, one pickle per stage,
-  with a SHA-256 recorded in the manifest and verified on load;
-* **V-P&R items** — one small JSON file per finished evaluation,
-  written the moment it finishes, under the same content address the
-  shared evaluation cache uses (:func:`repro.cache.cache_key`), so an
-  interrupted sweep resumes from the last completed item rather than
-  the last completed stage, and a cluster whose members changed is
-  recomputed while every untouched one is reused.
-
-No RNG state is kept: every stage draws from explicit seeded
-generators, never the global ``random`` / ``numpy.random`` streams
-(``tests/test_no_global_rng.py`` holds ``src/repro`` to that), so a
-resumed run replays an uninterrupted one without a snapshot.  The
-``rng_*.pkl`` files and ``vpr_items/`` (cluster, candidate) records
-older builds wrote are ignored.
-
-Every write is atomic: the payload goes to a temporary file in the
-same directory, is fsynced, and is renamed over the final name (the
-directory is fsynced too; the shared primitive lives in
-:mod:`repro.ioutil` and is also what the evaluation cache uses).  A
-crash at any instant therefore leaves either the previous version or
-the new one — never a torn file.
-Externally corrupted files are detected (checksum / JSON parse) and
-reported as a :class:`CheckpointError` naming the file and the fix,
-not as a pickle traceback.
-
-Layout of a checkpoint directory::
-
-    MANIFEST.json         # schema, fingerprint, completed stages
-    stage_clustering.pkl  # one per completed stage
+    MANIFEST.json         # schema, the run's config, stage -> key list
+    stage_<name>.pkl      # one repro.codec frame per completed stage
     items/<key>.json      # one per completed V-P&R evaluation
 
-The manifest ``fingerprint`` identifies the run configuration (design,
-seed, clustering method, candidate grid, ...); ``--resume`` refuses a
-checkpoint written by a different configuration instead of silently
-mixing results.
+Stage records (:mod:`repro.core.stages`, no pickle; the ``.pkl``
+suffix is historical, tools read ``stage_eco_base.pkl`` by name) sit
+under their content key (:func:`repro.cache.keys.stage_key`), items
+under theirs (:func:`repro.cache.cache_key`): the shared cache's keys.
+A resume serves exactly the stages whose keys it computes again, so a
+changed knob recomputes its stage and everything downstream; damage is
+a :class:`CheckpointError` naming the file and the fix.  No RNG state
+is kept: every stage draws from explicit seeded generators.  Every
+write is atomic and durable (:func:`repro.ioutil.atomic_write_bytes`).
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro import obs
-from repro.ioutil import atomic_write_bytes, has_finite_costs, sha256_hex
+from repro.ioutil import atomic_write_bytes, has_finite_costs
 from repro.recovery import faults
 
 __all__ = [
@@ -62,19 +36,15 @@ __all__ = [
 ]
 
 #: Schema tag of the manifest and every item record.
-SCHEMA = "repro.recovery/1"
+SCHEMA = "repro.recovery/2"
 
 #: Flow stages a store can hold, in execution order.
 STAGES = ("clustering", "vpr", "vpr_digests", "seeded", "eco_base", "metrics")
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint could not be created, validated or loaded.
-
-    The message always names the offending path and the remedy
-    (usually: delete the file or directory and rerun without
-    ``--resume``).
-    """
+    """A checkpoint could not be created, validated or loaded; the
+    message names the offending path and the remedy."""
 
 
 class CheckpointStore:
@@ -85,159 +55,124 @@ class CheckpointStore:
 
     def __init__(self, directory: str) -> None:
         self.directory = Path(directory)
-        self._manifest: Dict[str, Any] = {}
+        self.config: Dict[str, Any] = {}
+        self._keys: Dict[str, str] = {}
 
     # -- lifecycle -----------------------------------------------------
-    def initialize(self, fingerprint: Dict[str, Any]) -> None:
+    def initialize(self, config: Mapping[str, Any]) -> None:
         """Start a fresh checkpoint, discarding any previous records."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        for stale in self.directory.glob("stage_*.pkl"):
+        items = (self.directory / self.ITEM_DIR).glob("*.json")
+        for stale in [*self.directory.glob("stage_*.pkl"), *items]:
             stale.unlink()
-        item_dir = self.directory / self.ITEM_DIR
-        if item_dir.is_dir():
-            for stale in item_dir.glob("*.json"):
-                stale.unlink()
-        self._manifest = {
-            "schema": SCHEMA,
-            "fingerprint": dict(fingerprint),
-            "stages": {},
-        }
+        self.config, self._keys = dict(config), {}
         self._write_manifest()
 
-    def _read_manifest(self, missing: str, remedy: str) -> Dict[str, Any]:
-        """The parsed, schema-checked manifest; errors end with the
-        caller's remedy (``missing`` when there is no manifest)."""
+    def open_resume(
+        self, config: Mapping[str, Any], keys: Mapping[str, str]
+    ) -> None:
+        """Attach for a resumed run whose stages have content ``keys``;
+        a stage recorded under any other key is forgotten."""
+        recorded = self._read_manifest(
+            "run without --resume to start a fresh checkpointed run",
+            f"delete {self.directory} and rerun without --resume",
+        )
+        self.config = dict(config)
+        self._keys = {s: k for s, k in recorded.items() if keys.get(s) == k}
+        self._write_manifest()
+
+    def open_existing(self) -> Dict[str, Any]:
+        """Attach to a checkpoint to read it (the ECO path) and return
+        the recorded run config."""
+        self._keys = self._read_manifest(
+            "point the ECO path at a run directory produced with --checkpoint",
+            "re-run the base flow with --checkpoint to regenerate it",
+        )
+        return dict(self.config)
+
+    def _read_manifest(self, missing: str, remedy: str) -> Dict[str, str]:
+        """The schema-checked manifest's stage -> key map (its config
+        goes to ``self.config``); errors end with the caller's remedy."""
         path = self.directory / self.MANIFEST
         if not path.is_file():
             raise CheckpointError(f"no checkpoint manifest at {path}; {missing}")
         try:
             manifest = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            schema = manifest.get("schema")
+            if schema == SCHEMA:
+                config = dict(manifest["config"])
+                keys = {str(s): str(k) for s, k in manifest["stages"]}
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise CheckpointError(
-                f"checkpoint manifest {path} is corrupt ({exc}); {remedy}"
+                f"checkpoint manifest {path} is corrupt ({exc!r}); {remedy}"
             ) from exc
-        schema = manifest.get("schema")
         if schema != SCHEMA:
             raise CheckpointError(
                 f"checkpoint {path} has schema {schema!r} but this build "
                 f"expects {SCHEMA!r}; {remedy}"
             )
-        return manifest
-
-    def open_resume(self, fingerprint: Dict[str, Any]) -> None:
-        """Attach to an existing checkpoint for a resumed run."""
-        manifest = self._read_manifest(
-            "run without --resume to start a fresh checkpointed run",
-            f"delete {self.directory} and rerun without --resume",
-        )
-        recorded = manifest.get("fingerprint", {})
-        if recorded != dict(fingerprint):
-            changed = sorted(
-                k
-                for k in set(recorded) | set(fingerprint)
-                if recorded.get(k) != fingerprint.get(k)
-            )
-            raise CheckpointError(
-                f"checkpoint {self.directory} was written by a different run "
-                f"configuration (differing: {', '.join(changed)}); resume "
-                "with the original configuration or start a fresh checkpoint"
-            )
-        self._manifest = manifest
-
-    def open_existing(self) -> Dict[str, Any]:
-        """Attach to an existing checkpoint without a fingerprint check.
-
-        The ECO path opens a finished run's checkpoint to *read* its
-        stages (clustering, shapes, seeded positions, metrics, the
-        ``eco_base`` design snapshot) — the caller does not know the
-        original run configuration, so unlike :meth:`open_resume` the
-        recorded fingerprint is returned rather than compared.  Schema
-        and manifest integrity are still validated with the same
-        actionable errors.
-        """
-        self._manifest = self._read_manifest(
-            "point the ECO path at a run directory produced with --checkpoint",
-            "re-run the base flow with --checkpoint to regenerate it",
-        )
-        return self.fingerprint
-
-    @property
-    def fingerprint(self) -> Dict[str, Any]:
-        """The run-configuration fingerprint recorded in the manifest."""
-        return dict(self._manifest.get("fingerprint", {}))
+        self.config = config
+        return keys
 
     # -- stage records -------------------------------------------------
     def _stage_path(self, stage: str) -> Path:
         return self.directory / f"stage_{stage}.pkl"
 
-    def has_stage(self, stage: str) -> bool:
-        entry = self._manifest.get("stages", {}).get(stage)
-        return entry is not None and self._stage_path(stage).is_file()
+    def stage_key(self, stage: str) -> Optional[str]:
+        """The key ``stage`` is recorded under, or None."""
+        return self._keys.get(stage)
 
-    def save_stage(self, stage: str, payload: Any) -> None:
-        """Persist one completed stage atomically and record its hash."""
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    def save_stage(self, stage: str, key: str, data: bytes) -> None:
+        """Durably persist one encoded stage record under ``key``."""
         path = self._stage_path(stage)
         atomic_write_bytes(path, data)
         if faults.check("checkpoint.save", key=stage) == "corrupt":
-            # Fault injection: simulate a torn/bit-rotted file on disk.
-            path.write_bytes(data[: max(1, len(data) // 2)] + b"\xde\xad")
-        self._manifest.setdefault("stages", {})[stage] = {
-            "file": path.name,
-            "sha256": sha256_hex(data),
-            "bytes": len(data),
-        }
+            # Fault injection: simulate bit rot on disk (same length).
+            path.write_bytes(data[:-2] + bytes(b ^ 0xFF for b in data[-2:]))
+        self._keys[stage] = key
         self._write_manifest()
+        obs.count("recovery.stage.saved")
+        obs.event("checkpoint.saved", stage=stage)
 
-    def load_stage(self, stage: str) -> Any:
-        """Load a completed stage, verifying its checksum."""
-        entry = self._manifest.get("stages", {}).get(stage)
+    def load_stage(
+        self, stage: str, key: str, decode: Callable[[bytes], Any]
+    ) -> Optional[Any]:
+        """The stage record under ``key``, decoded, or None when not
+        held; a held record ``decode`` rejects is damage: it raises."""
         path = self._stage_path(stage)
-        if entry is None or not path.is_file():
-            raise CheckpointError(
-                f"checkpoint stage {stage!r} is not recorded in {self.directory}"
-            )
-        data = path.read_bytes()
-        if sha256_hex(data) != entry.get("sha256"):
-            raise CheckpointError(
-                f"checkpoint file {path} does not match the checksum in the "
-                "manifest (truncated or corrupted); delete it (or the whole "
-                f"directory {self.directory}) and rerun without --resume to "
-                "recompute the stage"
-            )
+        if self._keys.get(stage) != key or not path.is_file():
+            return None
         try:
-            return pickle.loads(data)
-        except Exception as exc:
+            payload = decode(path.read_bytes())
+        except Exception as exc:  # noqa: BLE001 - any damage is diagnosed
             raise CheckpointError(
-                f"checkpoint file {path} failed to unpickle ({exc!r}); "
-                f"delete it and rerun without --resume"
+                f"checkpoint file {path} is truncated or corrupted ({exc}); "
+                f"delete it (or the whole directory {self.directory}) and "
+                "rerun to recompute the stage"
             ) from exc
+        obs.count("recovery.stage.reused")
+        obs.event("checkpoint.resumed", stage=stage)
+        return payload
 
     # -- V-P&R item records --------------------------------------------
     def _item_path(self, key: str) -> Path:
         return self.directory / self.ITEM_DIR / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The item saved under content address ``key``, or None.
-
-        Unlike the shared cache's lossy read, a damaged item is this
-        run's own record gone bad, so it raises rather than misses.
-        """
+        """The item saved under content address ``key``, or None.  A
+        damaged item is this run's own record gone bad: it raises."""
         path = self._item_path(key)
         if not path.is_file():
             return None
         try:
             record = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointError(
-                f"checkpoint item {path} is corrupt ({exc}); delete it to "
-                "recompute that evaluation on resume"
-            ) from exc
+        except ValueError:  # not JSON, or not UTF-8
+            record = None
         if not has_finite_costs(record) or record.get("schema") != SCHEMA:
             raise CheckpointError(
-                f"checkpoint item {path} has an unexpected schema or "
-                "lacks finite hpwl_cost / congestion_cost values; delete "
-                "it to recompute that evaluation on resume"
+                f"checkpoint item {path} is corrupt, has an unexpected "
+                "schema or lacks finite hpwl_cost / congestion_cost values; "
+                "delete it to recompute that evaluation on resume"
             )
         obs.count("recovery.item.reused")
         return record
@@ -257,7 +192,9 @@ class CheckpointStore:
 
     # -- manifest ------------------------------------------------------
     def _write_manifest(self) -> None:
+        stages = [[s, self._keys[s]] for s in STAGES if s in self._keys]
+        manifest = {"schema": SCHEMA, "config": self.config, "stages": stages}
         atomic_write_bytes(
             self.directory / self.MANIFEST,
-            json.dumps(self._manifest, indent=2, sort_keys=True).encode(),
+            json.dumps(manifest, indent=2, sort_keys=True).encode(),
         )

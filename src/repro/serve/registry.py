@@ -20,7 +20,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ioutil import atomic_write_bytes
 from repro.serve.schemas import (
@@ -30,14 +30,32 @@ from repro.serve.schemas import (
     JobSpec,
 )
 
-#: Cache/perf counters aggregated across finished jobs into ``/stats``.
+#: Cache/perf counters aggregated across finished jobs into ``/stats``:
+#: V-P&R item lookups and flow stage lookups of the shared cache.
 AGGREGATED_COUNTERS = (
     "vpr.cache.hit",
     "vpr.cache.miss",
     "vpr.cache.store",
     "vpr.cache.corrupt",
     "vpr.cache.evict",
+    "cache.stage.hit",
+    "cache.stage.miss",
+    "cache.stage.store",
+    "cache.stage.corrupt",
 )
+
+#: A job's shared-cache hits and misses, stage records and items alike.
+HIT_COUNTERS = ("cache.stage.hit", "vpr.cache.hit")
+MISS_COUNTERS = ("cache.stage.miss", "vpr.cache.miss")
+
+
+def cache_traffic(counters: Dict[str, int]) -> Tuple[int, int]:
+    """``(hits, misses)`` of one job's shared-cache lookups: a job with
+    any hit was served (at least in part) warm."""
+    return (
+        sum(int(counters.get(k, 0)) for k in HIT_COUNTERS),
+        sum(int(counters.get(k, 0)) for k in MISS_COUNTERS),
+    )
 
 
 def _nearest_rank(ordered: List[float], q: float) -> Optional[float]:
@@ -216,6 +234,10 @@ class JobRegistry:
                     self._totals[key] = (
                         self._totals.get(key, 0) + int(counters[key])
                     )
+            hits, misses = cache_traffic(counters)
+            for key, counts in (("jobs.cached", hits or misses), ("jobs.warm", hits)):
+                if counts:
+                    self._totals[key] = self._totals.get(key, 0) + 1
 
     def mark_failed(self, job: Job, error: str) -> None:
         with self._lock:

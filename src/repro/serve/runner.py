@@ -201,6 +201,11 @@ def zygote() -> int:
 
     for name in PRELOAD:
         importlib.import_module(name)
+    # Every job's stage keys hash the package source; hash it once here
+    # and every runner inherits it.
+    from repro.cache import source_digest
+
+    source_digest()
     # Everything imported so far is shared with every runner: keep the
     # runners' collector off those pages.
     gc.freeze()

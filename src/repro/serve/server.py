@@ -333,22 +333,32 @@ class ServeApp:
     def _stats(self) -> Dict[str, Any]:
         cache_stats = self.cache.stats()
         totals = self.registry.totals()
-        hits = totals.get("vpr.cache.hit", 0)
-        misses = totals.get("vpr.cache.miss", 0)
         # One summary derivation shared with ``repro cache stats`` and
         # the sweep parent's end-of-sweep event, so hit_ratio /
-        # bytes_on_disk mean the same thing everywhere.  The historical
-        # warm_hit_ratio key stays (same value) for existing clients.
+        # bytes_on_disk mean the same thing everywhere; hits / misses /
+        # hit_ratio there count V-P&R item lookups.  warm_hit_ratio is
+        # per job: the share of jobs that looked anything up and got a
+        # stage or an item from the cache.
         summary = derive_cache_summary(
-            hits,
-            misses,
+            totals.get("vpr.cache.hit", 0),
+            totals.get("vpr.cache.miss", 0),
             totals.get("vpr.cache.store", 0),
             cache_stats,
         )
+        cached_jobs = totals.get("jobs.cached", 0)
         cache_block = {
             "directory": self.cache_dir,
             "total_bytes": cache_stats.total_bytes,
-            "warm_hit_ratio": summary["hit_ratio"],
+            "warm_hit_ratio": (
+                totals.get("jobs.warm", 0) / cached_jobs if cached_jobs else 0.0
+            ),
+            "items": dict(cache_stats.kinds["items"]),
+            "stages": {
+                "hits": totals.get("cache.stage.hit", 0),
+                "misses": totals.get("cache.stage.miss", 0),
+                "stores": totals.get("cache.stage.store", 0),
+                **cache_stats.kinds["stages"],
+            },
         }
         cache_block.update(summary)
         return _response(

@@ -138,9 +138,9 @@ class TestFlows:
             c for c, s in result.selection.shapes.items() if s != uniform_shape()
         }
         assert len(shaped) == 3 and set(regions) == shaped
-        fingerprint = flow._checkpoint_fingerprint(small_design_fresh)
-        assert fingerprint["min_cluster_instances"] == 40
-        assert fingerprint["max_vpr_clusters"] == 3
+        recorded = flow._run_config(small_design_fresh)
+        assert recorded["min_cluster_instances"] == 40
+        assert recorded["max_vpr_clusters"] == 3
 
     @pytest.mark.parametrize("method", ["mfc", "leiden", "louvain", "bc", "ec"])
     def test_ablation_clusterers(self, small_design_fresh, method):

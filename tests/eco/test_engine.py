@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from repro.core.flow import ClusteredPlacementFlow, FlowConfig
+from repro.core.stages import encode_stage
 from repro.core.ppa_clustering import PPAClusteringConfig
 from repro.core.shapes import default_candidate_grid
 from repro.core.vpr import VPRConfig
 from repro.designs import DesignSpec, generate_design
 from repro.eco import EcoSession, parse_edits, run_eco
+from repro.netlist.snapshot import design_snapshot
 from repro.recovery import CheckpointError
-from tests.netlist.reference import snapshot_reference
 
 
 def _fresh_design():
@@ -264,16 +265,20 @@ class TestErrors:
     def test_eco_base_of_an_older_build_is_refused_with_a_diagnosis(
         self, base_run, tmp_path
     ):
-        """Before snapshots were ``NetlistArrays`` columns, ``eco_base``
-        held a dict of tuples.  There is no second decoder for it: ECO
-        refuses such a checkpoint by name and remedy — while resume,
-        which never loads ``eco_base``, is unaffected."""
+        """An ``eco_base`` record whose snapshot is not the one form
+        this build decodes (an older build wrote a dict of tuples).
+        There is no second decoder for it: ECO refuses such a
+        checkpoint by name and remedy — while resume, which never loads
+        ``eco_base``, is unaffected."""
         tmp, base = base_run
         old = tmp_path / "ckpt"
         shutil.copytree(tmp / "ckpt", old)
         session = EcoSession(str(old))
+        snapshot = design_snapshot(session.design)
+        snapshot["form"] = "repro.netlist.snapshot/0"
+        key = session.store.stage_key("eco_base")
         session.store.save_stage(
-            "eco_base", {"design": snapshot_reference(session.design)}
+            "eco_base", key, encode_stage("eco_base", key, {"design": snapshot})
         )
         with pytest.raises(CheckpointError) as excinfo:
             EcoSession(str(old))

@@ -1,10 +1,14 @@
-"""CheckpointStore: atomic writes, validation, corruption detection."""
+"""CheckpointStore: atomic writes, keyed stage records, validation,
+corruption detection."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.core.metrics import PPAMetrics
+from repro.core.ppa_clustering import ClusteringResult
+from repro.core.stages import encode_stage, stage_decoder
 from repro.recovery import faults
 from repro.recovery.checkpoint import (
     SCHEMA,
@@ -13,7 +17,7 @@ from repro.recovery.checkpoint import (
     atomic_write_bytes,
 )
 
-FP = {"schema": SCHEMA, "design": "toy", "seed": 3}
+FP = {"design": "toy", "seed": 3}
 
 
 class TestAtomicWrite:
@@ -30,54 +34,83 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
 
 
+def _clustering(n=5) -> ClusteringResult:
+    return ClusteringResult(
+        cluster_of=np.arange(n) % 2,
+        edge_scores=np.linspace(0.0, 1.0, 7),
+        runtimes={"clustering": 0.25},
+    )
+
+
+def _save(store, stage, key, payload):
+    store.save_stage(stage, key, encode_stage(stage, key, payload))
+
+
+def _load(store, stage, key):
+    return store.load_stage(stage, key, stage_decoder(stage, key))
+
+
 class TestStageRecords:
     def test_save_load_roundtrip(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "ckpt"))
         store.initialize(FP)
-        payload = {"values": np.arange(5), "tag": "clustering"}
-        assert not store.has_stage("clustering")
-        store.save_stage("clustering", payload)
-        assert store.has_stage("clustering")
-        loaded = store.load_stage("clustering")
-        assert loaded["tag"] == "clustering"
-        np.testing.assert_array_equal(loaded["values"], payload["values"])
+        assert store.stage_key("clustering") is None
+        assert _load(store, "clustering", "k1") is None
+        _save(store, "clustering", "k1", _clustering())
+        assert store.stage_key("clustering") == "k1"
+        loaded = _load(store, "clustering", "k1")
+        np.testing.assert_array_equal(loaded.cluster_of, _clustering().cluster_of)
+        np.testing.assert_array_equal(loaded.edge_scores, _clustering().edge_scores)
+        assert loaded.runtimes == {"clustering": 0.25}
+        # Held under its own key only.
+        assert _load(store, "clustering", "k2") is None
+        assert [p.name for p in (tmp_path / "ckpt").glob("stage_*")] == [
+            "stage_clustering.pkl"
+        ]
 
     def test_missing_stage_raises(self, tmp_path):
+        """The ECO path reads stages by the keys the manifest lists; a
+        checkpoint without one is refused by name."""
+        from repro.eco import EcoSession
+
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        with pytest.raises(CheckpointError, match="not recorded"):
-            store.load_stage("vpr")
+        with pytest.raises(CheckpointError, match="no 'eco_base' stage"):
+            EcoSession(str(tmp_path))
 
     def test_corrupt_stage_file_is_actionable(self, tmp_path):
         """A truncated stage file must surface as a CheckpointError
-        naming the file and the fix — never as a pickle traceback."""
+        naming the file and the fix — never as a decoder traceback."""
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        store.save_stage("vpr", {"shapes": [1, 2, 3]})
-        path = tmp_path / "stage_vpr.pkl"
+        _save(store, "clustering", "k1", _clustering())
+        path = tmp_path / "stage_clustering.pkl"
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(CheckpointError) as excinfo:
-            store.load_stage("vpr")
+            _load(store, "clustering", "k1")
         message = str(excinfo.value)
-        assert "stage_vpr.pkl" in message
+        assert "stage_clustering.pkl" in message
         assert "delete" in message
 
     def test_corrupt_fault_injection_breaks_checksum(self, tmp_path):
         faults.configure("corrupt:checkpoint.save:seeded")
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        store.save_stage("seeded", {"x": [1.0]})
+        state = {"x": np.ones(3), "y": np.zeros(3), "hpwl": 1.0, "runtimes": {}}
+        _save(store, "seeded", "k1", state)
         with pytest.raises(CheckpointError, match="checksum"):
-            store.load_stage("seeded")
+            _load(store, "seeded", "k1")
 
     def test_initialize_wipes_previous_records(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        store.save_stage("clustering", {"a": 1})
+        _save(store, "clustering", "k1", _clustering())
         store.put("k0", {"ar": 1.0, "util": 0.9, "hpwl_cost": 1.0,
                          "congestion_cost": 0.5})
         store.initialize(FP)
-        assert not store.has_stage("clustering")
+        assert store.stage_key("clustering") is None
+        assert _load(store, "clustering", "k1") is None
+        assert not list(tmp_path.glob("stage_*"))
         assert store.get("k0") is None
 
 
@@ -85,41 +118,43 @@ class TestResumeValidation:
     def test_resume_without_manifest(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "empty"))
         with pytest.raises(CheckpointError, match="no checkpoint manifest"):
-            store.open_resume(FP)
+            store.open_resume(FP, {})
 
     def test_resume_with_corrupt_manifest(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
         (tmp_path / "MANIFEST.json").write_text("{not json")
         with pytest.raises(CheckpointError, match="corrupt"):
-            store.open_resume(FP)
+            store.open_resume(FP, {})
 
     def test_resume_with_wrong_schema(self, tmp_path):
+        """An older build's checkpoint (pickled stage records) is
+        refused by schema, with the remedy."""
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
         manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
-        manifest["schema"] = "repro.recovery/0"
+        manifest["schema"] = "repro.recovery/1"
         (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="schema"):
-            store.open_resume(FP)
-
-    def test_fingerprint_mismatch_names_differing_keys(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
-        store.initialize(FP)
-        other = dict(FP, seed=4, design="other")
-        with pytest.raises(CheckpointError) as excinfo:
-            CheckpointStore(str(tmp_path)).open_resume(other)
-        message = str(excinfo.value)
-        assert "design" in message and "seed" in message
+        with pytest.raises(CheckpointError, match="schema.*rerun without --resume"):
+            store.open_resume(FP, {})
 
     def test_resume_sees_saved_stages(self, tmp_path):
+        """A resume keeps the records whose keys it computes again and
+        forgets the rest; the manifest then lists only those."""
         store = CheckpointStore(str(tmp_path))
         store.initialize(FP)
-        store.save_stage("clustering", {"k": 1})
+        _save(store, "clustering", "k1", _clustering())
+        _save(store, "metrics", "m1", PPAMetrics(hpwl=2.0, rwl=None))
         resumed = CheckpointStore(str(tmp_path))
-        resumed.open_resume(FP)
-        assert resumed.has_stage("clustering")
-        assert resumed.load_stage("clustering") == {"k": 1}
+        resumed.open_resume(dict(FP, seed=4), {"clustering": "k1", "metrics": "m2"})
+        assert resumed.config["seed"] == 4
+        assert resumed.stage_key("clustering") == "k1"
+        assert resumed.stage_key("metrics") is None
+        assert _load(resumed, "clustering", "k1").runtimes == {"clustering": 0.25}
+        assert _load(resumed, "metrics", "m1") is None
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        assert manifest["stages"] == [["clustering", "k1"]]
+        assert manifest["config"] == dict(FP, seed=4)
 
 
 class TestVPRItems:

@@ -230,24 +230,106 @@ class TestResumeValidation:
         assert "stage_clustering.pkl" in message
         assert "delete" in message
 
-    def test_resume_refuses_different_configuration(self, tmp_path):
-        _run(_flow_config(checkpoint_dir=tmp_path / "ckpt"))
-        other = _flow_config(checkpoint_dir=tmp_path / "ckpt", resume=True)
-        other.seed = 99
-        with pytest.raises(CheckpointError, match="seed"):
-            _run(other)
+    @pytest.mark.parametrize(
+        "knob, value, recomputed",
+        [
+            ("run_routing", True, ["metrics"]),
+            ("tool", "innovus", ["seeded", "metrics"]),
+            ("seed", 5, ["clustering", "vpr", "vpr_digests", "seeded", "metrics"]),
+        ],
+        ids=["run_routing", "tool", "seed"],
+    )
+    def test_changed_knob_resume_recomputes_downstream_stages(
+        self, tmp_path, monkeypatch, knob, value, recomputed
+    ):
+        """A resume under a changed knob is not refused: the knob
+        changes its own stage's key and every downstream key, so
+        exactly those stages run again, and the result is a fresh run
+        under the new configuration, bit for bit."""
+        ckpt = tmp_path / "ckpt"
+        _run(_flow_config(checkpoint_dir=ckpt))
 
+        changed = _flow_config(checkpoint_dir=ckpt, resume=True)
+        setattr(changed, knob, value)
+        computed = []
+        check = faults.check
 
-    def test_default_fingerprint_is_the_recorded_one(self):
-        """Golden captured before the V-P&R keys were derived from
-        ``VPRConfig``'s field declaration: a checkpoint written by an
-        earlier version still resumes, and still opens for ECO with the
-        base run's config."""
+        def spy(site, **kwargs):
+            if site.startswith("flow."):
+                computed.append(site[len("flow."):])
+            return check(site, **kwargs)
+
+        monkeypatch.setattr(faults, "check", spy)
+        resumed = _run(changed)
+        monkeypatch.setattr(faults, "check", check)
+        assert computed == recomputed
+
+        fresh = _flow_config()
+        setattr(fresh, knob, value)
+        baseline = _run(fresh)
+        _assert_identical(resumed, baseline)
+        assert dataclasses.replace(
+            resumed.metrics, runtimes={}
+        ) == dataclasses.replace(baseline.metrics, runtimes={})
+        # The manifest now describes the resumed run.
+        recorded = CheckpointStore(str(ckpt)).open_existing()
+        assert recorded[knob] == value
+
+    def test_resume_on_a_resized_design_recomputes_every_stage(self, tmp_path):
+        """Same name, same instance and net counts, 40 gates resized:
+        the input key hashes the design's content, so nothing of the
+        first design's checkpoint is served (an earlier build served
+        its QoR verbatim)."""
+        from repro import perf
+        from repro.eco import apply_edits, parse_edits
+
+        def design(resized: bool):
+            d = generate_design(DesignSpec("resized", 600, clock_period=0.7, seed=9))
+            if not resized:
+                return d
+            edits = []
+            for inst in d.instances:
+                base, _, strength = inst.master.name.rpartition("_X")
+                other = f"{base}_X{'2' if strength == '1' else '1'}"
+                if base and other in d.masters and len(edits) < 40:
+                    edits.append(
+                        {"kind": "resize", "instance": inst.name, "master": other}
+                    )
+            assert len(edits) == 40
+            apply_edits(d, parse_edits(edits))
+            return d
+
+        ckpt = tmp_path / "ckpt"
+        ClusteredPlacementFlow(_flow_config(checkpoint_dir=ckpt)).run(design(False))
+        perf.enable()
+        perf.reset()
+        try:
+            resumed = ClusteredPlacementFlow(
+                _flow_config(checkpoint_dir=ckpt, resume=True)
+            ).run(design(True))
+            reused = perf.counter_value("recovery.stage.reused")
+        finally:
+            perf.disable()
+        assert reused == 0
+        fresh = ClusteredPlacementFlow(_flow_config()).run(design(True))
+        assert dataclasses.replace(
+            resumed.metrics, runtimes={}
+        ) == dataclasses.replace(fresh.metrics, runtimes={})
+        assert resumed.selection.shapes == fresh.selection.shapes
+
+    def test_default_manifest_config_is_the_recorded_one(self, tmp_path):
+        """Golden of the manifest's config block for the default flow:
+        what ``EcoSession`` reads back (the V-P&R fields, run_routing,
+        seed, selector) and the design the run saw."""
         design = _fresh_design()
-        flow = ClusteredPlacementFlow(FlowConfig())
-        fingerprint = flow._checkpoint_fingerprint(design)
-        assert fingerprint == {
-            "schema": "repro.recovery/1",
+        flow = ClusteredPlacementFlow(
+            FlowConfig(run_routing=False, checkpoint_dir=str(tmp_path / "ckpt"))
+        )
+        flow.run(design)
+        manifest = json.loads((tmp_path / "ckpt" / "MANIFEST.json").read_text())
+        assert manifest["schema"] == "repro.recovery/2"
+        assert [stage for stage, _ in manifest["stages"]] == list(STAGES)
+        assert manifest["config"] == {
             "design": "small",
             "instances": design.num_instances,
             "nets": design.num_nets,
@@ -255,7 +337,7 @@ class TestResumeValidation:
             "tool": "openroad",
             "clustering": "ppa",
             "selector": "vpr",
-            "run_routing": True,
+            "run_routing": False,
             "power_emphasis": 0.0,
             "delta": 0.01,
             "top_x_percent": 10.0,
@@ -269,7 +351,7 @@ class TestResumeValidation:
                 for util in (0.75, 0.8, 0.85, 0.9)
             ],
         }
-        recorded = json.loads(json.dumps(fingerprint))
+        recorded = CheckpointStore(str(tmp_path / "ckpt")).open_existing()
         assert VPRConfig.from_result_fingerprint(recorded) == VPRConfig()
         custom = _flow_config().vpr_config
         recorded = json.loads(json.dumps(custom.result_fingerprint()))

@@ -2,8 +2,9 @@
 
 Every pickle site deserialises bytes from a file or a socket, so each
 one is a trust boundary.  The remaining sites carry the fleet frame
-envelope, the worker's state blob and the checkpoint's stage records;
-a codec of JSON headers plus ``.npy`` columns is to replace them.  This
+envelope and the worker's state blob; :mod:`repro.codec` (JSON headers
+plus ``.npy`` columns, which already carries the stage records of
+checkpoints and the cache) is to replace them.  This
 test pins today's sites by file: a new file or an extra call fails it,
 and a removed one only lowers the bound the next change writes down.
 """
@@ -19,7 +20,6 @@ ALLOWED = {
     "core/wire.py": 2,  # frame encode / decode
     "core/fanout.py": 1,  # the sweep-state blob, parent side
     "core/worker.py": 1,  # the sweep-state blob, worker side
-    "recovery/checkpoint.py": 2,  # stage records, save / load
 }
 
 #: Names whose use off the ``pickle`` module is a serialisation site.
