@@ -156,6 +156,35 @@ class TestResumeValidation:
         assert manifest["stages"] == [["clustering", "k1"]]
         assert manifest["config"] == dict(FP, seed=4)
 
+    def test_changed_config_forgets_stale_stages(self, tmp_path):
+        """A resume under another design and seed is not refused: every
+        stage it keys differently is forgotten, the V-P&R items (keyed
+        by their own content) stay, and the manifest now records the
+        new run, whose stages are then served under their new keys."""
+        store = CheckpointStore(str(tmp_path))
+        store.initialize(FP)
+        _save(store, "clustering", "k1", _clustering())
+        _save(store, "metrics", "m1", PPAMetrics(hpwl=2.0, rwl=None))
+        item = {"ar": 1.0, "util": 0.9, "hpwl_cost": 1.0, "congestion_cost": 0.5}
+        store.put("i0", item)
+        other = dict(FP, seed=4, design="other")
+        resumed = CheckpointStore(str(tmp_path))
+        resumed.open_resume(other, {"clustering": "k2", "metrics": "m2"})
+        assert resumed.config == other
+        assert resumed.stage_key("clustering") is None
+        assert resumed.stage_key("metrics") is None
+        assert _load(resumed, "clustering", "k1") is None
+        assert _load(resumed, "clustering", "k2") is None
+        assert {k: resumed.get("i0")[k] for k in item} == item
+
+        _save(resumed, "clustering", "k2", _clustering(7))
+        again = CheckpointStore(str(tmp_path))
+        assert again.open_existing() == other
+        assert again.stage_key("clustering") == "k2"
+        assert _load(again, "clustering", "k2").cluster_of.shape == (7,)
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        assert manifest["stages"] == [["clustering", "k2"]]
+
 
 class TestVPRItems:
     """Items live under their content address: ``items/<key>.json``."""

@@ -239,7 +239,7 @@ class TestResumeValidation:
         ],
         ids=["run_routing", "tool", "seed"],
     )
-    def test_changed_knob_resume_recomputes_downstream_stages(
+    def test_changed_knob_recomputes_downstream(
         self, tmp_path, monkeypatch, knob, value, recomputed
     ):
         """A resume under a changed knob is not refused: the knob
