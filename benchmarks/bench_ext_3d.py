@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks._tables import format_table, publish
 from repro.core.ppa_clustering import PPAClusteringConfig
-from repro.core.three_d import three_d_placement_flow
+from benchmarks.ext.three_d import three_d_placement_flow
 from repro.designs import load_benchmark
 
 DESIGNS = ["ariane", "BlackParrot"]

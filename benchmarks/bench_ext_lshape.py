@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks._tables import format_table, publish
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
-from repro.core.shape_extensions import LShapeVPRFramework
+from benchmarks.ext.shape_extensions import LShapeVPRFramework
 from repro.core.vpr import VPRConfig
 from repro.db.database import DesignDatabase
 from repro.designs import load_benchmark

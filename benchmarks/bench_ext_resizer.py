@@ -13,7 +13,7 @@ import pytest
 from benchmarks._tables import format_table, publish
 from repro.core.flow import evaluate_placed_design
 from repro.designs import load_benchmark
-from repro.opt import buffer_high_fanout_nets, resize_gates
+from benchmarks.ext.opt import buffer_high_fanout_nets, resize_gates
 from repro.place import GlobalPlacer, PlacementProblem
 from repro.sta import PlacementWireModel, TimingGraph
 

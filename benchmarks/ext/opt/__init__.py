@@ -7,8 +7,8 @@ for unbuffered netlists; running these passes materialises the buffers
 so the virtual term vanishes.
 """
 
-from repro.opt.buffering import BufferingResult, buffer_high_fanout_nets
-from repro.opt.sizing import SizingResult, resize_gates
+from benchmarks.ext.opt.buffering import BufferingResult, buffer_high_fanout_nets
+from benchmarks.ext.opt.sizing import SizingResult, resize_gates
 
 __all__ = [
     "BufferingResult",

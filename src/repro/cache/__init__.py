@@ -27,24 +27,17 @@ are byte-identical to cold ones.
 from repro.cache.keys import (
     SCHEMA,
     cache_key,
-    config_fingerprint,
     input_key,
     netlist_digest,
     source_digest,
     stage_key,
 )
-from repro.cache.store import (
-    CacheStats,
-    EvaluationCache,
-    derive_cache_summary,
-)
+from repro.cache.store import EvaluationCache, derive_cache_summary
 
 __all__ = [
     "SCHEMA",
-    "CacheStats",
     "EvaluationCache",
     "cache_key",
-    "config_fingerprint",
     "derive_cache_summary",
     "input_key",
     "netlist_digest",

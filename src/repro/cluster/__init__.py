@@ -17,7 +17,7 @@ from repro.cluster.edge_coarsening import edge_coarsening
 from repro.cluster.louvain import louvain_communities
 from repro.cluster.leiden import leiden_communities
 from repro.cluster.constraints import GroupingConstraints
-from repro.cluster.evaluation import ClusteringQuality, evaluate_clustering
+from repro.cluster.evaluation import evaluate_clustering
 
 __all__ = [
     "AdjacencyGraph",
@@ -29,6 +29,5 @@ __all__ = [
     "louvain_communities",
     "leiden_communities",
     "GroupingConstraints",
-    "ClusteringQuality",
     "evaluate_clustering",
 ]

@@ -18,18 +18,13 @@
 """
 
 from repro.core.metrics import PPAMetrics
-from repro.core.rent import cluster_rent_exponent, weighted_average_rent
+from repro.core.rent import weighted_average_rent
 from repro.core.hier_clustering import (
     Dendrogram,
     HierarchyClusteringResult,
     hierarchy_based_clustering,
 )
-from repro.core.costs import (
-    CostConfig,
-    compute_edge_scores,
-    hyperedge_switching_costs,
-    hyperedge_timing_costs,
-)
+from repro.core.costs import CostConfig, compute_edge_scores
 from repro.core.ppa_clustering import (
     ClusteringResult,
     PPAClusteringConfig,
@@ -46,7 +41,6 @@ from repro.core.vpr import (
     VPRConfig,
     VPRFramework,
     VPRShapeSelector,
-    VPRSweepError,
 )
 from repro.core.seeded import SeededPlacementConfig, seeded_placement
 from repro.core.flow import (
@@ -56,19 +50,16 @@ from repro.core.flow import (
     blob_placement_flow,
     default_flow,
 )
-from repro.core.reporting import flow_result_to_dict, qor_text, write_qor_json
+from repro.core.reporting import write_qor_json
 
 __all__ = [
     "PPAMetrics",
-    "cluster_rent_exponent",
     "weighted_average_rent",
     "Dendrogram",
     "HierarchyClusteringResult",
     "hierarchy_based_clustering",
     "CostConfig",
     "compute_edge_scores",
-    "hyperedge_switching_costs",
-    "hyperedge_timing_costs",
     "ClusteringResult",
     "PPAClusteringConfig",
     "ppa_aware_clustering",
@@ -80,7 +71,6 @@ __all__ = [
     "default_candidate_grid",
     "ShapeSelector",
     "VPRShapeSelector",
-    "VPRSweepError",
     "MLShapeSelector",
     "RandomShapeSelector",
     "UniformShapeSelector",
@@ -93,7 +83,5 @@ __all__ = [
     "FlowResult",
     "blob_placement_flow",
     "default_flow",
-    "flow_result_to_dict",
-    "qor_text",
     "write_qor_json",
 ]

@@ -269,9 +269,9 @@ class ClusteredPlacementFlow:
         config = self.config
         method = config.clustering
         if method == "ppa":
-            cc = config.clustering_config
-            cc.seed = config.seed
-            return ppa_aware_clustering(db, cc)
+            return ppa_aware_clustering(
+                db, replace(config.clustering_config, seed=config.seed)
+            )
 
         hgraph = db.hypergraph
         target = max(
@@ -401,9 +401,10 @@ class ClusteredPlacementFlow:
         key: Optional[str],
         compute: Callable[[], Any],
         instances: int,
-    ) -> Tuple[Any, bool]:
+    ) -> Tuple[Any, Optional[float]]:
         """Serve stage ``name`` from the first of ``stores`` holding its
-        ``key``, or compute it; returns ``(payload, served)``.
+        ``key``, or compute it; returns ``(payload, served_s)``, where
+        ``served_s`` is the seconds serving took, None if computed.
 
         Write-back follows the V-P&R items' rule: a computed record
         goes to every store, one the cache served to the checkpoint
@@ -413,15 +414,18 @@ class ClusteredPlacementFlow:
         """
         if stores:
             decode = stage_decoder(name, key, instances)
-            for position, store in enumerate(stores):
-                payload = store.load_stage(name, key, decode)
-                if payload is not None:
-                    _write_back(name, key, payload, stores[:position])
-                    return payload, True
+            with obs.stage("flow.serve", stage=name) as serve:
+                for position, store in enumerate(stores):
+                    payload = store.load_stage(name, key, decode)
+                    if payload is not None:
+                        _write_back(name, key, payload, stores[:position])
+                        break
+            if payload is not None:
+                return payload, serve.elapsed
         faults.check("flow." + name)
         payload = compute()
         _write_back(name, key, payload, stores)
-        return payload, False
+        return payload, None
 
     # -- the flow ----------------------------------------------------------
     def run(self, design: Design) -> FlowResult:
@@ -439,7 +443,9 @@ class ClusteredPlacementFlow:
         framework = getattr(selector, "framework", None)
         checkpoint, cache, keys, shared = self._open_stores(design, selector)
 
-        def stage(name: str, compute: Callable[[], Any]) -> Tuple[Any, bool]:
+        def stage(
+            name: str, compute: Callable[[], Any]
+        ) -> Tuple[Any, Optional[float]]:
             in_cache = cache is not None and (name == "clustering" or shared)
             stores = [s for s in (checkpoint, cache if in_cache else None) if s]
             return self._stage(
@@ -461,7 +467,11 @@ class ClusteredPlacementFlow:
             with obs.stage("flow.clustering", method=config.clustering):
                 return self._run_clustering(db)
 
-        clustering, _ = stage("clustering", _compute_clustering)
+        # A served stage's runtime entries are the seconds this run
+        # spent serving it, not the seconds its record took to compute.
+        clustering, served_s = stage("clustering", _compute_clustering)
+        if served_s is not None:
+            clustering.runtimes = {"clustering": served_s}
         runtimes.update(clustering.runtimes)
         members = clustering.members()
         obs.event(
@@ -473,29 +483,31 @@ class ClusteredPlacementFlow:
         obs.observe("cluster.count", clustering.num_clusters)
 
         # Lines 12-13: V-P&R shapes for clusters > 200 instances.
-        if framework is not None:
+        vpr_stage = obs.stage("flow.vpr", selector=selector.name)
+
+        def _compute_selection() -> VPRSelection:
+            # The sweep runs at the flow's width and on this run's
+            # stores; a caller's selector gets its own config and
+            # stores back.
+            if framework is None:
+                with vpr_stage:
+                    return selector.select(design, members)
+            own = (framework.config, framework.checkpoint, framework.cache)
+            framework.config = vpr_config
             if checkpoint is not None:
                 framework.checkpoint = checkpoint
             if cache is not None:
                 framework.cache = cache
-
-        vpr_stage = obs.stage("flow.vpr", selector=selector.name)
-
-        def _compute_selection() -> VPRSelection:
-            # The sweep runs at the flow's width; a caller's selector
-            # gets its own config back.
-            own = framework.config if framework else None
-            if framework is not None:
-                framework.config = vpr_config
             try:
                 with vpr_stage:
                     return selector.select(design, members)
             finally:
-                if framework is not None:
-                    framework.config = own
+                framework.config, framework.checkpoint, framework.cache = own
 
-        selection, _ = stage("vpr", _compute_selection)
-        runtimes["vpr"] = vpr_stage.elapsed
+        selection, served_s = stage("vpr", _compute_selection)
+        if served_s is not None:
+            selection.runtime = served_s
+        runtimes["vpr"] = vpr_stage.elapsed if served_s is None else served_s
 
         # Per-cluster content digests for the eligible (capped) set:
         # the ECO path uses these to address unchanged clusters' cache
@@ -551,9 +563,10 @@ class ClusteredPlacementFlow:
                         net.weight = w
             return capture_placement_state(design, seeded_result)
 
-        seeded_state, seeded_served = stage("seeded", _compute_seeded)
-        if seeded_served:
+        seeded_state, served_s = stage("seeded", _compute_seeded)
+        if served_s is not None:
             restore_placement_state(design, seeded_state)
+            seeded_state["runtimes"] = {"seeded": served_s}
         runtimes.update(seeded_state["runtimes"])
 
         # ECO base snapshot: with checkpointing on, persist the placed
@@ -582,7 +595,9 @@ class ClusteredPlacementFlow:
         def _compute_metrics() -> PPAMetrics:
             return evaluate_placed_design(design, runtimes, config.run_routing)
 
-        metrics, _ = stage("metrics", _compute_metrics)
+        metrics, served_s = stage("metrics", _compute_metrics)
+        if served_s is not None:
+            metrics.runtimes = {**runtimes, "metrics": served_s}
         obs.event(
             "flow.done",
             design=design.name,

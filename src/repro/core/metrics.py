@@ -19,7 +19,10 @@ class PPAMetrics:
         hold_wns: Post-route worst hold slack (ns).
         hold_tns: Post-route total negative hold slack (ns).
         runtimes: Stage name -> wall-clock seconds (clustering, vpr,
-            cluster_place, seeded_place, route, sta...).
+            cluster_place, seeded_place, route, sta...).  A stage served
+            from a store has one entry under its record's name
+            (``clustering``, ``vpr``, ``seeded``, ``metrics``): the
+            seconds this run spent serving it.
     """
 
     hpwl: float
@@ -46,6 +49,7 @@ class PPAMetrics:
             "seed",
             "incremental_place",
             "place",
+            "seeded",
         )
         return sum(self.runtimes.get(k, 0.0) for k in keys)
 

@@ -1,4 +1,4 @@
-"""QoR reporting: serialise flow results to JSON / text.
+"""QoR reporting: serialise flow results to JSON.
 
 Real P&R tools end every run with a machine-readable QoR report; this
 module provides the equivalent for :class:`~repro.core.flow.FlowResult`
@@ -104,31 +104,3 @@ def flow_qor_summary(result: FlowResult) -> Dict[str, Any]:
     }
     return {k: v for k, v in out.items() if v is not None}
 
-
-def qor_text(result: FlowResult, design: Optional[Design] = None) -> str:
-    """Human-readable QoR summary."""
-    data = flow_result_to_dict(result, design)
-    lines = []
-    if "design" in data:
-        d = data["design"]
-        lines.append(
-            f"design {d['name']}: {d['instances']} instances, "
-            f"{d['nets']} nets, TCP {d['clock_period_ns']} ns"
-        )
-    m = data["metrics"]
-    lines.append(f"HPWL      : {m['hpwl_um']:.1f} um")
-    if m["routed_wirelength_um"] is not None:
-        lines.append(f"routed WL : {m['routed_wirelength_um']:.1f} um")
-        lines.append(f"WNS       : {m['wns_ns'] * 1e3:.0f} ps")
-        lines.append(f"TNS       : {m['tns_ns']:.3f} ns")
-        if m["hold_wns_ns"] is not None:
-            lines.append(f"hold WNS  : {m['hold_wns_ns'] * 1e3:.0f} ps")
-        lines.append(f"power     : {m['power_mw']:.3f} mW")
-    c = data["clustering"]
-    if c["num_clusters"]:
-        lines.append(
-            f"clusters  : {c['num_clusters']} "
-            f"({c['singleton_clusters']} singletons)"
-        )
-    lines.append(f"CPU       : {data['placement_runtime_s']:.2f} s")
-    return "\n".join(lines)

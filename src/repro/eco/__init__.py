@@ -24,14 +24,13 @@ the serve `POST /jobs/<id>/eco` path).  See docs/performance.md,
 
 from repro.eco.edits import SCHEMA, EcoEdit, EcoError, load_edit_script, parse_edits
 from repro.eco.apply import EcoImpact, apply_edits
-from repro.eco.engine import EcoResult, EcoSession, run_eco
+from repro.eco.engine import EcoSession, run_eco
 
 __all__ = [
     "SCHEMA",
     "EcoEdit",
     "EcoError",
     "EcoImpact",
-    "EcoResult",
     "EcoSession",
     "apply_edits",
     "load_edit_script",

@@ -13,7 +13,7 @@ from repro.ml.model import TotalCostGNN, TotalCostPredictor
 from repro.ml.optim import Adam
 from repro.ml.features import FeatureExtractor, GraphSample, NUM_NODE_FEATURES
 from repro.ml.dataset import DatasetConfig, build_dataset, split_dataset
-from repro.ml.training import TrainingConfig, TrainingResult, evaluate, train_model
+from repro.ml.training import TrainingConfig, train_model
 
 __all__ = [
     "Tensor",
@@ -30,7 +30,5 @@ __all__ = [
     "build_dataset",
     "split_dataset",
     "TrainingConfig",
-    "TrainingResult",
-    "evaluate",
     "train_model",
 ]

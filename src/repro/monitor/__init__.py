@@ -25,17 +25,11 @@ telemetry out-dir) and holds its dependency-free parts:
 from typing import Any, Dict, Optional
 
 from repro import obs
-from repro.monitor.progress import ProgressTask, ProgressTracker
+from repro.monitor.progress import ProgressTracker
 from repro.monitor.sampler import ResourceSampler
 from repro.monitor.session import INTERVAL_S, MonitorSession
-from repro.monitor.status import (
-    STATUS_FILENAME,
-    STATUS_SCHEMA,
-    load_status,
-    status_path,
-    write_status,
-)
-from repro.monitor.top import render, render_dir, run_top, sparkline
+from repro.monitor.status import load_status, write_status
+from repro.monitor.top import run_top
 
 
 def enable(out_dir: str, interval: float = INTERVAL_S) -> MonitorSession:
@@ -65,10 +59,7 @@ def summary() -> Optional[Dict[str, Any]]:
 
 
 __all__ = [
-    "STATUS_FILENAME",
-    "STATUS_SCHEMA",
     "MonitorSession",
-    "ProgressTask",
     "ProgressTracker",
     "ResourceSampler",
     "disable",
@@ -76,11 +67,7 @@ __all__ = [
     "get_monitor",
     "is_enabled",
     "load_status",
-    "render",
-    "render_dir",
     "run_top",
-    "sparkline",
-    "status_path",
     "summary",
     "write_status",
 ]

@@ -17,10 +17,10 @@ from repro.netlist.design import (
     PinRef,
     Port,
 )
-from repro.netlist.hierarchy import HierarchyNode, HierarchyTree
+from repro.netlist.hierarchy import HierarchyTree
 from repro.netlist.hypergraph import Hypergraph
 from repro.netlist.liberty import parse_liberty, write_liberty
-from repro.netlist.lef import ClusterLef, parse_lef, write_lef
+from repro.netlist.lef import ClusterLef, write_lef
 from repro.netlist.def_format import parse_def, write_def
 from repro.netlist.sdc import SdcConstraints, parse_sdc, write_sdc
 from repro.netlist.snapshot import design_from_snapshot, design_snapshot
@@ -34,14 +34,12 @@ __all__ = [
     "PinDirection",
     "PinRef",
     "Port",
-    "HierarchyNode",
     "HierarchyTree",
     "Hypergraph",
     "NetlistArrays",
     "parse_liberty",
     "write_liberty",
     "ClusterLef",
-    "parse_lef",
     "write_lef",
     "parse_def",
     "write_def",

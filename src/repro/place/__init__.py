@@ -1,10 +1,11 @@
 """Global placement substrate (RePlAce/OpenROAD-gpl substitute).
 
 A bound-to-bound (B2B) quadratic analytical placer with bin-based
-density spreading, net weighting, region constraints, incremental mode
-and greedy row legalization — the knobs Algorithm 1's seeded placement
-needs (seed starts, ``-incremental`` runs, IO-net weight scaling,
-Innovus-style region constraints).
+density spreading, net weighting, region constraints and an incremental
+mode — the knobs Algorithm 1's seeded placement needs (seed starts,
+``-incremental`` runs, IO-net weight scaling, Innovus-style region
+constraints).  No flow legalizes or detail-places: QoR is measured at
+global-placement positions.
 
 The ``hpwl`` *function* shadows the ``repro.place.hpwl`` *submodule*
 on attribute access (``repro.place.hpwl`` is the function once this
@@ -20,13 +21,6 @@ from repro.place.hpwl import hpwl, net_hpwl
 from repro.place.problem import PlacementProblem
 from repro.place.placer import GlobalPlacer, PlacerConfig, PlacementResult
 from repro.place.regions import RegionConstraint
-from repro.place.legalize import legalize
-from repro.place.detailed import DetailedPlacementResult, detailed_placement
-from repro.place.routability import (
-    RoutabilityConfig,
-    RoutabilityResult,
-    routability_driven_refinement,
-)
 
 __all__ = [
     "hpwl",
@@ -37,10 +31,4 @@ __all__ = [
     "PlacerConfig",
     "PlacementResult",
     "RegionConstraint",
-    "legalize",
-    "DetailedPlacementResult",
-    "detailed_placement",
-    "RoutabilityConfig",
-    "RoutabilityResult",
-    "routability_driven_refinement",
 ]

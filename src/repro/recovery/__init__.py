@@ -29,7 +29,7 @@ from repro.recovery.checkpoint import (
     CheckpointStore,
     atomic_write_bytes,
 )
-from repro.recovery.faults import FaultInjected, FaultSpecError
+from repro.recovery.faults import FaultInjected
 
 __all__ = [
     "SCHEMA",
@@ -37,7 +37,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "FaultInjected",
-    "FaultSpecError",
     "atomic_write_bytes",
     "faults",
 ]

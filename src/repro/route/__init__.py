@@ -7,21 +7,14 @@ Cost (Eq. 5) consumes.  A recursive-bisection clock tree provides the
 clock wirelength/buffers for post-route power.
 """
 
-from repro.route.steiner import SteinerTree, rsmt
+from repro.route.steiner import rsmt
 from repro.route.gcell import GCellGrid
-from repro.route.global_route import GlobalRouter, RoutingResult
-from repro.route.cts import ClockTreeResult, synthesize_clock_tree
-from repro.route.layers import LayerAssignment, assign_layers, layer_report
+from repro.route.global_route import GlobalRouter
+from repro.route.cts import synthesize_clock_tree
 
 __all__ = [
-    "SteinerTree",
     "rsmt",
     "GCellGrid",
     "GlobalRouter",
-    "RoutingResult",
-    "ClockTreeResult",
     "synthesize_clock_tree",
-    "LayerAssignment",
-    "assign_layers",
-    "layer_report",
 ]

@@ -15,7 +15,7 @@ See ``docs/serving.md`` for the API and operational semantics, and
 ``benchmarks/bench_serve_load.py`` for the throughput/latency gate.
 """
 
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import ServeClient
 from repro.serve.pool import FlowWorkerPool
 from repro.serve.registry import Job, JobRegistry
 from repro.serve.schemas import (
@@ -27,12 +27,7 @@ from repro.serve.schemas import (
     parse_job_spec,
     spec_to_argv,
 )
-from repro.serve.server import (
-    SERVER_FILENAME,
-    ServeApp,
-    ServeServer,
-    run_serve,
-)
+from repro.serve.server import run_serve
 
 __all__ = [
     "FlowWorkerPool",
@@ -41,11 +36,7 @@ __all__ = [
     "JobRegistry",
     "JobSpec",
     "SCHEMA",
-    "SERVER_FILENAME",
-    "ServeApp",
     "ServeClient",
-    "ServeError",
-    "ServeServer",
     "SpecError",
     "deterministic_qor",
     "parse_job_spec",

@@ -14,11 +14,11 @@ from repro.sta.delay import (
     WireDelayModel,
 )
 from repro.sta.graph import TimingGraph, timing_graph_for
-from repro.sta.analysis import TimingAnalyzer, TimingReport
+from repro.sta.analysis import TimingAnalyzer
 from repro.sta.paths import TimingPath, find_path_ends
 from repro.sta.activity import propagate_activity
-from repro.sta.power import PowerReport, analyze_power
-from repro.sta.hold import HoldReport, analyze_hold
+from repro.sta.power import analyze_power
+from repro.sta.hold import analyze_hold
 
 __all__ = [
     "WireDelayModel",
@@ -28,12 +28,9 @@ __all__ = [
     "TimingGraph",
     "timing_graph_for",
     "TimingAnalyzer",
-    "TimingReport",
     "TimingPath",
     "find_path_ends",
     "propagate_activity",
-    "PowerReport",
     "analyze_power",
-    "HoldReport",
     "analyze_hold",
 ]

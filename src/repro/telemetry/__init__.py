@@ -24,16 +24,9 @@ run's — the ``repro report diff`` regression gate.
 from typing import Optional
 
 from repro import obs
-from repro.telemetry.events import EVENT_SCHEMA, EventLog
+from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import MetricRegistry, MetricStream
-from repro.telemetry.report import (
-    SCHEMA,
-    RunDiff,
-    RunReport,
-    StreamDelta,
-    diff_runs,
-    render_html,
-)
+from repro.telemetry.report import SCHEMA, RunReport, diff_runs, render_html
 from repro.telemetry.trace import Tracer, span_tree
 
 
@@ -81,14 +74,10 @@ def run_report(meta=None, qor=None, perf=None, monitor=None) -> RunReport:
 
 
 __all__ = [
-    "EVENT_SCHEMA",
     "SCHEMA",
     "EventLog",
     "MetricRegistry",
-    "MetricStream",
-    "RunDiff",
     "RunReport",
-    "StreamDelta",
     "Tracer",
     "diff_runs",
     "disable",

@@ -6,7 +6,8 @@ changes — and for nothing else (scheduling knobs, delta, coordinates).
 
 import pytest
 
-from repro.cache import cache_key, config_fingerprint, netlist_digest
+from repro.cache import cache_key, netlist_digest
+from repro.cache.keys import config_fingerprint
 from repro.core.shapes import ShapeCandidate
 from repro.core.vpr import VPRConfig, extract_subnetlist
 from repro.designs import DesignSpec, generate_design

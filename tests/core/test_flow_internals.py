@@ -183,12 +183,8 @@ class TestQorReporting:
     def test_dict_and_json(self, small_design_fresh, tmp_path):
         import json
 
-        from repro.core import (
-            ClusteredPlacementFlow,
-            FlowConfig,
-            flow_result_to_dict,
-            write_qor_json,
-        )
+        from repro.core import ClusteredPlacementFlow, FlowConfig, write_qor_json
+        from repro.core.reporting import flow_result_to_dict
 
         result = ClusteredPlacementFlow(FlowConfig()).run(small_design_fresh)
         data = flow_result_to_dict(result, small_design_fresh)
@@ -204,17 +200,6 @@ class TestQorReporting:
         assert loaded["metrics"]["hpwl_um"] == pytest.approx(
             result.metrics.hpwl
         )
-
-    def test_text_summary(self, small_design_fresh):
-        from repro.core import ClusteredPlacementFlow, FlowConfig, qor_text
-
-        result = ClusteredPlacementFlow(
-            FlowConfig(run_routing=False)
-        ).run(small_design_fresh)
-        text = qor_text(result, small_design_fresh)
-        assert "HPWL" in text
-        assert "clusters" in text
-        assert "routed WL" not in text  # post-place only
 
     def test_cli_report_flag(self, tmp_path):
         import json

@@ -1,35 +1,13 @@
 """Additional QoR reporting coverage."""
 
-import pytest
-
-from repro.core import default_flow, qor_text
-from repro.core.flow import FlowResult
-from repro.core.metrics import PPAMetrics
+from repro.core import default_flow
 
 
 class TestQorText:
-    def test_routed_report_includes_hold(self, small_design_fresh):
-        result = default_flow(small_design_fresh)
-        text = qor_text(result, small_design_fresh)
-        assert "hold WNS" in text
-        assert "routed WL" in text
-        assert "TNS" in text
-
-    def test_without_design_section(self):
-        result = FlowResult(metrics=PPAMetrics(hpwl=10.0))
-        text = qor_text(result)
-        assert "design" not in text.splitlines()[0]
-        assert "HPWL" in text
-
-    def test_flat_flow_omits_cluster_line(self, small_design_fresh):
-        result = default_flow(small_design_fresh, run_routing=False)
-        text = qor_text(result, small_design_fresh)
-        assert "clusters" not in text
-
     def test_dict_serialisable(self, small_design_fresh):
         import json
 
-        from repro.core import flow_result_to_dict
+        from repro.core.reporting import flow_result_to_dict
 
         result = default_flow(small_design_fresh)
         # Must not raise: everything JSON-native.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
-from repro.core.shape_extensions import (
+from benchmarks.ext.shape_extensions import (
     CORNERS,
     LShapeCandidate,
     LShapeVPRFramework,

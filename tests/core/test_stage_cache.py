@@ -8,6 +8,7 @@ still reads every V-P&R item it can from the same cache.
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro import perf
 from repro.core.flow import ClusteredPlacementFlow, FlowConfig
 from repro.core.ppa_clustering import PPAClusteringConfig
 from repro.core.shapes import default_candidate_grid
-from repro.core.vpr import MLShapeSelector, VPRConfig
+from repro.core.vpr import MLShapeSelector, VPRConfig, VPRShapeSelector
 from repro.designs import DesignSpec, generate_design
 
 COUNTERS = (
@@ -25,6 +26,7 @@ COUNTERS = (
     "cache.stage.corrupt",
     "vpr.cache.hit",
     "vpr.cache.miss",
+    "recovery.item.saved",
 )
 
 
@@ -96,6 +98,56 @@ def test_repeated_run_is_answered_from_stages(cold):
     assert counters["vpr.cache.hit"] == counters["vpr.cache.miss"] == 0
     assert _qor(warm) == _qor(result)
     assert warm.selection.shapes == result.selection.shapes
+
+
+def test_a_served_run_reports_the_seconds_it_spent(cold):
+    """A served stage's runtime entry is what serving it cost this run,
+    not what computing its record cost the run that stored it."""
+    cache, _result, _ = cold
+    start = time.perf_counter()
+    warm, counters = _run(_config(cache))
+    wall = time.perf_counter() - start
+    assert counters["cache.stage.hit"] == 4
+    runtimes = warm.metrics.runtimes
+    assert sum(runtimes.values()) <= wall
+    assert sorted(runtimes) == ["clustering", "metrics", "seeded", "vpr"]
+    assert warm.metrics.placement_runtime <= wall
+    assert warm.selection.runtime == runtimes["vpr"] > 0.0
+
+
+def test_a_flow_leaves_its_callers_objects_as_it_found_them(tmp_path):
+    """One selector and one clustering config serve two runs: the first
+    with a checkpoint, a cache and its own seed, the second with no
+    store.  The second reads and writes neither of the first's stores,
+    and the caller's objects end as they began."""
+    clustering = PPAClusteringConfig(target_cluster_size=120)
+    selector = VPRShapeSelector(_config(tmp_path).vpr_config)
+    framework = selector.framework
+    own = (framework.config, framework.checkpoint, framework.cache)
+    stored = dataclasses.replace(
+        _config(tmp_path / "cache"),
+        clustering_config=clustering,
+        shape_selector=selector,
+        run_routing=False,
+        seed=5,
+        checkpoint_dir=str(tmp_path / "ckpt"),
+    )
+    _, counters = _run(stored)
+    assert counters["recovery.item.saved"] > 0 and counters["vpr.cache.miss"] > 0
+
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    bare = dataclasses.replace(stored, cache_dir=None, checkpoint_dir=None, seed=0)
+    result, counters = _run(bare)
+    assert result.selection.sweeps
+    assert counters["recovery.item.saved"] == 0
+    assert counters["vpr.cache.miss"] == counters["vpr.cache.hit"] == 0
+    assert files() == before
+    assert clustering.seed == PPAClusteringConfig().seed
+    assert framework.config is own[0]
+    assert framework.checkpoint is own[1] and framework.cache is own[2]
 
 
 def test_a_selection_only_knob_misses_the_vpr_stage_but_no_item(cold):

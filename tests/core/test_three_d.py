@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.three_d import (
+from benchmarks.ext.three_d import (
     ThreeDResult,
     assign_tiers,
     three_d_placement_flow,

@@ -15,12 +15,12 @@ from repro.ml import (
     Tensor,
     TotalCostGNN,
     TotalCostPredictor,
-    evaluate,
     train_model,
     TrainingConfig,
 )
 from repro.ml.layers import normalized_adjacency
 from repro.ml.model import batch_samples
+from repro.ml.training import evaluate
 
 
 @pytest.fixture(scope="module")

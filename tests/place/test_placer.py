@@ -9,7 +9,6 @@ from repro.place import (
     PlacerConfig,
     RegionConstraint,
     hpwl,
-    legalize,
 )
 
 
@@ -216,55 +215,3 @@ class TestRegions:
         ]
         assert np.mean(inside) > 0.95
 
-
-class TestLegalization:
-    def test_rows_and_no_overlap(self, placed_problem):
-        design, _p, _r = placed_problem
-        legalize(design)
-        fp = design.floorplan
-        rows = {}
-        unplaced = 0
-        for inst in design.instances:
-            if inst.fixed:
-                continue
-            # On a row centre (cells the legalizer could not fit are
-            # left in place; there should be almost none).
-            row_index = (inst.y - fp.core_lly) / fp.row_height - 0.5
-            if abs(row_index - round(row_index)) > 1e-6:
-                unplaced += 1
-                continue
-            rows.setdefault(round(row_index), []).append(inst)
-        assert unplaced <= max(2, 0.01 * design.num_instances)
-        for row_instances in rows.values():
-            row_instances.sort(key=lambda i: i.x)
-            for a, b in zip(row_instances, row_instances[1:]):
-                right_a = a.x + a.master.width / 2
-                left_b = b.x - b.master.width / 2
-                assert right_a <= left_b + 1e-6
-
-    def test_displacement_reported(self, placed_problem):
-        design, _p, _r = placed_problem
-        disp = legalize(design)
-        assert disp > 0
-
-    def test_macro_blockage_respected(self, medium_design_fresh):
-        design = medium_design_fresh
-        problem = PlacementProblem(design)
-        GlobalPlacer(problem, PlacerConfig(max_iterations=12, seed=0)).run()
-        legalize(design)
-        for macro in design.macro_instances():
-            m_llx = macro.x - macro.master.width / 2
-            m_urx = macro.x + macro.master.width / 2
-            m_lly = macro.y - macro.master.height / 2
-            m_ury = macro.y + macro.master.height / 2
-            for inst in design.instances:
-                if inst.fixed:
-                    continue
-                half_w = inst.master.width / 2
-                overlap_x = (inst.x + half_w > m_llx + 1e-6) and (
-                    inst.x - half_w < m_urx - 1e-6
-                )
-                overlap_y = (inst.y + inst.master.height / 2 > m_lly + 1e-6) and (
-                    inst.y - inst.master.height / 2 < m_ury - 1e-6
-                )
-                assert not (overlap_x and overlap_y), (inst.name, macro.name)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.serve import ServeApp
+from repro.serve.server import ServeApp
 
 #: A generated design small enough that a full no-routing flow run
 #: finishes in about a second, yet large enough that shape selection

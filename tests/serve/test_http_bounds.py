@@ -11,8 +11,7 @@ import threading
 
 import pytest
 
-from repro.serve import ServeApp, ServeServer
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import MAX_BODY_BYTES, ServeApp, ServeServer
 
 
 @pytest.fixture

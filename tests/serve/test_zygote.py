@@ -13,7 +13,8 @@ import time
 from pathlib import Path
 
 import repro
-from repro.serve import ServeApp, deterministic_qor
+from repro.serve import deterministic_qor
+from repro.serve.server import ServeApp
 
 from tests.serve.conftest import TINY_DESIGN, TINY_SPEC, request, submit, wait_job
 from tests.serve.test_qor_identity import _cli_flow_report

@@ -31,7 +31,7 @@ from repro.core.shapes import default_candidate_grid
 from repro.core.vpr import VPRConfig
 from repro.designs import DesignSpec, generate_design
 from repro.eco import EcoSession, parse_edits
-from repro.opt import resize_gates
+from benchmarks.ext.opt import resize_gates
 from repro.place import GlobalPlacer, PlacementProblem
 from repro.sta import PlacementWireModel
 from repro.sta.flat import flat_for

@@ -8,7 +8,7 @@ from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.db.database import DesignDatabase
 from repro.designs.nangate45 import make_library
 from repro.netlist.design import Design, PinDirection
-from repro.opt.sizing import _variant
+from benchmarks.ext.opt.sizing import _variant
 
 
 def flat_design(n=60):

@@ -48,3 +48,13 @@ class TestExamples:
         assert "HPWL" in out
         assert "TNS" in out
         assert "ratio" in out
+
+    def test_compare_clusterers(self, capsys):
+        run_example("compare_clusterers.py", "aes")
+        out = capsys.readouterr().out
+        assert "=== aes: structural quality ===" in out
+        assert "=== aes: PPA through the seeded flow (post-route) ===" in out
+        # One row per clusterer in each table.
+        first = [line.split()[0] for line in out.splitlines() if line.strip()]
+        for method in ("ppa", "mfc", "bc", "ec", "louvain", "leiden"):
+            assert first.count(method) == 2, method

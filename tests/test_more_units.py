@@ -103,7 +103,7 @@ class TestProblemPositions:
 
 class TestBufferingDepthGuard:
     def test_max_levels_bounds_recursion(self, medium_design_fresh):
-        from repro.opt.buffering import MAX_LEVELS, buffer_high_fanout_nets
+        from benchmarks.ext.opt.buffering import MAX_LEVELS, buffer_high_fanout_nets
         from repro.place import GlobalPlacer, PlacementProblem
         from repro.sta import PlacementWireModel
 

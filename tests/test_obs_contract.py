@@ -36,11 +36,11 @@ STAGES = [
     "flow.place",
     "flow.route",
     "flow.seeded_placement",
+    "flow.serve",
     "flow.sta",
     "flow.vpr",
     "ml.train",
     "place.global",
-    "place.legalize",
     "route.global",
     "seeded.cluster_place",
     "seeded.incremental_place",

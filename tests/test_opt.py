@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.opt import buffer_high_fanout_nets, resize_gates
+from benchmarks.ext.opt import buffer_high_fanout_nets, resize_gates
 from repro.place import GlobalPlacer, PlacementProblem
 from repro.sta import (
     PlacementWireModel,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.three_d import _cluster_crossing_weights
+from benchmarks.ext.three_d import _cluster_crossing_weights
 from repro.designs.nangate45 import make_library
 from repro.netlist.design import Design
 
