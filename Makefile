@@ -112,9 +112,9 @@ serve-smoke:
 # Distributed-sweep smoke (docs/performance.md, "Distributed sweep"):
 # run the shape sweep serially, on 1 fleet worker, on 2 fleet workers,
 # and on 2 workers with one armed to die mid-item, then gate on: all
-# four QoR SHA-256 hashes byte-identical, the killed worker
-# re-dispatched, and every worker process reaped at close (clean
-# shutdown).  Wall-clock is printed, not gated: fleet speed-up is not
+# four QoR SHA-256 hashes byte-identical, the killed worker's items
+# recomputed by the sweep (worker.error >= 1, item.terminal == 0), and
+# every worker process reaped at close (clean shutdown).  Wall-clock is printed, not gated: fleet speed-up is not
 # measurable on a shared small host (benchmarks/spine/README.md).
 fleet-smoke:
 	rm -rf fleet-smoke && mkdir -p fleet-smoke

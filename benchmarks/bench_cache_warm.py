@@ -15,9 +15,17 @@ flat placement, QoR) and the ``vpr.cache.*`` / ``cache.stage.*``
 counters.  A stage-served run sweeps nothing, so its reported sweep
 wall is the recorded one.  The headline numbers:
 
-* ``warm_speedup``  = cold flow wall / warm flow wall (gate: >= 5x);
-* ``cold_overhead`` = cold sweep wall / nocache sweep wall - 1 (the
-  digest + key + atomic-write bookkeeping; gate: <= 5%);
+* ``warm_speedup``  = best cold flow wall / best warm flow wall (gate:
+  >= 5x);
+* ``cold_overhead`` = the median, over ``--pairs`` back-to-back
+  (nocache, cold) pairs whose order alternates, of cold sweep wall /
+  nocache sweep wall, minus 1 (the digest + key + atomic-write
+  bookkeeping; gate: <= 5%).  The sweep is ~0.1 s on aes, so one pair
+  reads host noise; the nocache arm's own spread is reported as
+  ``nocache_iqr`` (interquartile range / median of its sweep walls),
+  and when that spread exceeds the 5% bound the gate cannot tell a
+  5% overhead from noise: it prints ``unresolved`` and exits 2, never
+  passing;
 * identity — warm results must be byte-identical to cold and to the
   cache-free baseline (all four hashes).
 
@@ -33,6 +41,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -43,7 +52,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
 
 from benchmarks.bench_flow_e2e import run_design  # noqa: E402
 
-SCHEMA = "repro.bench_cache/1"
+SCHEMA = "repro.bench_cache/2"
 
 #: Acceptance gates (recorded in the JSON next to the measurements).
 MIN_WARM_SPEEDUP = 5.0
@@ -75,33 +84,33 @@ def _mode_summary(record: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def run_modes(
-    design: str, seed: int, jobs: int, repeats: int
-) -> Dict[str, Any]:
-    """Measure nocache / cold / warm; best-of-``repeats`` sweep walls."""
-    nocache = run_design(design, seed=seed, repeats=repeats, jobs=jobs)
-
+def run_modes(design: str, seed: int, jobs: int, pairs: int) -> Dict[str, Any]:
+    """Measure nocache and cold pairwise (the order alternating from
+    pair to pair, cold on a fresh store each time), then warm."""
+    nocache_runs: List[Dict[str, Any]] = []
+    cold_runs: List[Dict[str, Any]] = []
+    # One unmeasured run first: the process's first flow pays one-off
+    # costs (lazy imports, first-touch allocations) no pair should carry.
+    run_design(design, seed=seed, repeats=1, jobs=jobs)
     scratch = tempfile.mkdtemp(prefix="bench_cache_")
     try:
-        # Cold: a fresh store per repeat so no repeat ever hits.
-        cold: Optional[Dict[str, Any]] = None
-        for rep in range(max(1, repeats)):
-            directory = os.path.join(scratch, f"cold{rep}")
-            record = run_design(
-                design, seed=seed, repeats=1, jobs=jobs, cache_dir=directory
-            )
-            if cold is None or _sweep_wall(record) < _sweep_wall(cold):
-                cold = record
-        assert cold is not None
-        if cold["counters"].get("vpr.cache.hit", 0):
-            raise AssertionError("cold run hit the cache")
-        if not cold["counters"].get("vpr.cache.store", 0):
-            raise AssertionError("cold run stored nothing")
+        for rep in range(pairs):
+            arms = [None, os.path.join(scratch, f"cold{rep}")]
+            for cache_dir in arms if rep % 2 == 0 else arms[::-1]:
+                record = run_design(
+                    design, seed=seed, repeats=1, jobs=jobs, cache_dir=cache_dir
+                )
+                (cold_runs if cache_dir else nocache_runs).append(record)
+        for cold in cold_runs:
+            if cold["counters"].get("vpr.cache.hit", 0):
+                raise AssertionError("cold run hit the cache")
+            if not cold["counters"].get("vpr.cache.store", 0):
+                raise AssertionError("cold run stored nothing")
 
         # Warm: every repeat reads the store the last cold run wrote.
-        warm_dir = os.path.join(scratch, f"cold{max(1, repeats) - 1}")
         warm = run_design(
-            design, seed=seed, repeats=repeats, jobs=jobs, cache_dir=warm_dir
+            design, seed=seed, repeats=pairs, jobs=jobs,
+            cache_dir=os.path.join(scratch, f"cold{pairs - 1}"),
         )
         if not (
             warm["counters"].get("cache.stage.hit", 0)
@@ -111,27 +120,36 @@ def run_modes(
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    for label, record in (("cold", cold), ("warm", warm)):
+    nocache = nocache_runs[0]
+    for label, record in [("cold", r) for r in cold_runs] + [("warm", warm)]:
         if record["hashes"] != nocache["hashes"]:
             raise AssertionError(
                 f"{label} run diverged from the cache-free baseline: "
                 f"{record['hashes']} vs {nocache['hashes']}"
             )
 
-    cold_wall = _sweep_wall(cold)
-    nocache_wall = _sweep_wall(nocache)
+    ratios = [
+        _sweep_wall(c) / max(_sweep_wall(n), 1e-9)
+        for n, c in zip(nocache_runs, cold_runs)
+    ]
+    walls = [_sweep_wall(n) for n in nocache_runs]
+    q1, _q2, q3 = statistics.quantiles(walls, n=4)
+    cold = min(cold_runs, key=lambda r: float(r["wall_total"]))
     return {
         "design": design,
         "seed": seed,
         "jobs": jobs,
-        "repeats": repeats,
-        "nocache": _mode_summary(nocache),
-        "cold": _mode_summary(cold),
+        "pairs": pairs,
+        "nocache": _mode_summary(min(nocache_runs, key=_sweep_wall)),
+        "cold": _mode_summary(min(cold_runs, key=_sweep_wall)),
         "warm": _mode_summary(warm),
         "warm_speedup": round(
             float(cold["wall_total"]) / max(float(warm["wall_total"]), 1e-9), 3
         ),
-        "cold_overhead": round(cold_wall / max(nocache_wall, 1e-9) - 1.0, 4),
+        "cold_overhead_ratios": [round(r, 4) for r in ratios],
+        "cold_overhead": round(statistics.median(ratios) - 1.0, 4),
+        "nocache_iqr": round((q3 - q1) / max(statistics.median(walls), 1e-9), 4),
+        "nocache_sweep_walls_s": [round(w, 4) for w in walls],
         "identical_hashes": True,  # asserted above
     }
 
@@ -142,10 +160,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
-        "--repeats",
+        "--pairs",
         type=int,
-        default=3,
-        help="best-of-N sweep walls (cold gets a fresh store per repeat)",
+        default=5,
+        help="(nocache, cold) run pairs, order alternating; cold gets a "
+        "fresh store per pair (at least 2)",
     )
     parser.add_argument(
         "--json",
@@ -158,9 +177,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="record measurements without enforcing the speedup/overhead gates",
     )
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 to measure a spread")
 
     t0 = time.perf_counter()
-    result = run_modes(args.design, args.seed, args.jobs, args.repeats)
+    result = run_modes(args.design, args.seed, args.jobs, args.pairs)
     result["schema"] = SCHEMA
     result["gates"] = {
         "min_warm_speedup": MIN_WARM_SPEEDUP,
@@ -180,9 +201,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"cold={result['cold']['wall_total_s']:.3f}s "
         f"warm={result['warm']['wall_total_s']:.3f}s"
     )
+    resolved = result["nocache_iqr"] <= MAX_COLD_OVERHEAD
     print(
         f"warm speedup {result['warm_speedup']:.1f}x, "
-        f"cold overhead {result['cold_overhead'] * 100:+.1f}%, "
+        f"cold overhead {result['cold_overhead'] * 100:+.1f}% (median of "
+        f"{result['pairs']} paired ratios; nocache IQR "
+        f"{result['nocache_iqr'] * 100:.1f}%"
+        f"{'' if resolved else ', unresolved'}), "
         f"hashes identical across all modes"
     )
     print(f"wrote {args.json} ({time.perf_counter() - t0:.1f}s total)")
@@ -194,6 +219,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"< {MIN_WARM_SPEEDUP}x"
             )
             return 1
+        if not resolved:
+            print(
+                f"GATE UNRESOLVED: cold overhead unresolved — the nocache "
+                f"sweep's own IQR is {result['nocache_iqr'] * 100:.1f}% of its "
+                f"median, over the {MAX_COLD_OVERHEAD * 100:.0f}% bound"
+            )
+            return 2
         if result["cold_overhead"] > MAX_COLD_OVERHEAD:
             print(
                 f"GATE FAILED: cold overhead "

@@ -8,8 +8,8 @@ Runs one shape-selection sweep four ways on a generated design:
 * **fleet x2** — two forked socket workers (``jobs=2``);
 * **fleet x2 +kill** (``--kill``) — two workers, one armed via
   ``REPRO_FAULTS=kill:vpr.item`` to SIGKILL-style ``os._exit`` inside
-  the first item it evaluates, proving a dead worker degrades to
-  re-dispatch without touching QoR.
+  the first item it evaluates, proving a dead worker's items are
+  recomputed by the sweep without touching QoR.
 
 Every arm's selection is reduced to a canonical JSON document and
 SHA-256 hashed; **all hashes must be identical** — the fleet's
@@ -17,8 +17,10 @@ bit-identity contract (docs/performance.md, "Distributed sweep").
 
 ``--gate`` (used by ``make fleet-smoke`` and CI) additionally asserts:
 
-* the kill arm really lost a worker (``vpr.fleet.worker_lost`` >= 1),
-  re-dispatched its chunk and still produced the identical hash;
+* the kill arm really lost a worker (``vpr.fleet.worker_lost`` >= 1)
+  and the sweep recomputed the lost items in its own process
+  (``vpr.worker.error`` >= 1, ``vpr.item.terminal`` == 0), still
+  producing the identical hash;
 * every forked worker process exited (clean shutdown, no leaks).
 
 Wall-clock per arm is printed but not gated: two busy worker processes
@@ -147,7 +149,8 @@ def _run_arm(
         "clusters": len(cluster_ids),
         "items": len(cluster_ids) * len(config.candidates),
         "workers_lost": counters.get("vpr.fleet.worker_lost", 0),
-        "redispatches": counters.get("vpr.fleet.redispatch", 0),
+        "lost_items": counters.get("vpr.worker.error", 0),
+        "terminal": counters.get("vpr.item.terminal", 0),
         "state_sent": counters.get("vpr.fleet.state_sent", 0),
         "state_bytes": counters.get("vpr.fleet.state_bytes", 0),
         "worker_exits": worker_exits,
@@ -214,8 +217,12 @@ def gate(result: Dict[str, Any], kill: bool) -> List[str]:
             failures.append(
                 "kill arm never lost a worker (fault did not fire)"
             )
-        if kill_arm["redispatches"] < 1:
-            failures.append("kill arm never re-dispatched the lost chunk")
+        if kill_arm["lost_items"] < 1 or kill_arm["terminal"] != 0:
+            failures.append(
+                "kill arm's lost items were not recomputed by the sweep "
+                f"(worker.error={kill_arm['lost_items']}, "
+                f"item.terminal={kill_arm['terminal']})"
+            )
     return failures
 
 
@@ -233,7 +240,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 unless identical hashes + re-dispatch + clean shutdown",
+        help="exit 1 unless identical hashes + lost items recomputed + "
+        "clean shutdown",
     )
     parser.add_argument("--json", dest="json_path", default=None)
     args = parser.parse_args(argv)
@@ -249,7 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"{arm['label']:<16} wall {arm['wall_s']:7.2f}s  "
             f"sha {arm['sha256'][:12]}  lost={arm['workers_lost']} "
-            f"redispatch={arm['redispatches']}"
+            f"recomputed={arm['lost_items']}"
         )
     print(f"hashes identical: {result['hashes_identical']}")
 

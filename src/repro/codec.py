@@ -1,7 +1,8 @@
 """One frame: a JSON header plus named ``.npy`` columns, no pickle.
 
 Records that cross a trust boundary — a checkpoint's stage records, the
-shared cache's stage entries — are encoded as one length-prefixed,
+shared cache's stage entries, every message of the worker fleet
+(:mod:`repro.core.wire`) — are encoded as one length-prefixed,
 checksummed frame::
 
     MAGIC (8 bytes) | body length (u64 LE) | SHA-256 of body (32 bytes) | body
@@ -30,10 +31,15 @@ from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
-__all__ = ["FrameError", "MAGIC", "decode_frame", "encode_frame"]
+__all__ = [
+    "FrameError", "MAGIC", "PREFIX_BYTES", "decode_frame", "encode_frame",
+    "read_prefix",
+]
 
 MAGIC = b"REPROFR1"
 _PREFIX = struct.Struct("<8sQ32s")
+#: Bytes ahead of a frame's body: magic, body length, body SHA-256.
+PREFIX_BYTES = _PREFIX.size
 _ENVELOPE = struct.Struct("<I")
 #: Column dtype kinds a frame may carry: bool, signed, unsigned, float.
 _KINDS = "biuf"
@@ -66,21 +72,34 @@ def encode_frame(
         separators=(",", ":"),
     ).encode()
     body = b"".join([_ENVELOPE.pack(len(envelope)), envelope, *blobs])
+    if len(body) > MAX_FRAME_BYTES:
+        raise FrameError(f"body of {len(body)} bytes exceeds the frame bound")
     return _PREFIX.pack(MAGIC, len(body), hashlib.sha256(body).digest()) + body
 
 
-def decode_frame(data: bytes) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    """``(header, columns)`` of a frame; :class:`FrameError` if ``data``
-    is not exactly one well-formed frame."""
+def read_prefix(data: bytes) -> Tuple[int, str]:
+    """``(body length, hex SHA-256 of the body)`` that the first
+    :data:`PREFIX_BYTES` of ``data`` declare; :class:`FrameError` on a
+    short prefix, a bad magic or a length over the bound, so a stream
+    reader refuses all three before it reads any of the body."""
     if len(data) < _PREFIX.size:
         raise FrameError(f"{len(data)} bytes is shorter than a frame prefix")
     magic, length, digest = _PREFIX.unpack_from(data)
     if magic != MAGIC:
         raise FrameError("bad magic: not a frame")
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"declared body length {length} exceeds the frame bound")
+    return length, digest.hex()
+
+
+def decode_frame(data: bytes) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """``(header, columns)`` of a frame; :class:`FrameError` if ``data``
+    is not exactly one well-formed frame."""
+    length, digest = read_prefix(data)
     body = memoryview(data)[_PREFIX.size :]
-    if length > MAX_FRAME_BYTES or length != len(body):
+    if length != len(body):
         raise FrameError(f"declared length {length} but {len(body)} bytes follow")
-    if hashlib.sha256(body).digest() != digest:
+    if hashlib.sha256(body).hexdigest() != digest:
         raise FrameError("checksum mismatch: truncated or corrupted")
     if len(body) < _ENVELOPE.size:
         raise FrameError("body too short for its envelope length")

@@ -7,21 +7,21 @@ process, or workers started elsewhere with ``repro worker --connect``
 against an explicit listen address.  The expensive part of each item is
 *state*, not work description: the induced sub-netlists' flat columns
 and the config.  The fleet ships that state **once** per worker (one
-pickled, digest-keyed blob), so each work item carries only two
-integers.  What is shipped holds no store: stored results are resolved
-in the sweep's own process before anything is chunked, so a worker only
-computes.
+:mod:`repro.codec` frame, keyed by its own SHA-256), so each work item
+carries only two integers.  What is shipped holds no store: stored
+results are resolved in the sweep's own process before anything is
+chunked, so a worker only computes.
 
-A worker that dies while taking its state or mid-chunk simply loses its
-chunk to re-dispatch or to the sweep's in-process passes
+The fleet is a transport and nothing more: it dispatches each chunk
+once, and a worker that dies while taking its state, errors out, stalls
+or misses its deadline returns its in-flight chunk as lost items, which
+the sweep's one failure rule evaluates in process
 (``tests/core/test_fleet.py``, ``tests/core/test_sweep_matrix.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import select
 import signal
 import socket
@@ -42,7 +42,9 @@ from typing import (
     Tuple,
 )
 
-from repro import obs
+import numpy as np
+
+from repro import codec, obs
 from repro.core import wire
 from repro.core.worker import run_worker
 from repro.recovery import faults
@@ -51,16 +53,6 @@ from repro.recovery import faults
 # ----------------------------------------------------------------------
 # Sweep executors: where the sweep's chunks actually run
 # ----------------------------------------------------------------------
-class WorkerEnvelope(NamedTuple):
-    """What a worker *process* recorded while evaluating a run of items:
-    its :func:`repro.obs.worker_payload` (None with every output off).
-    Only executors that cross a process boundary produce one; it rides
-    on the run's first :class:`ItemOutcome` and the parent folds it in
-    with :func:`repro.obs.merge_worker`."""
-
-    recorded: Optional[dict]
-
-
 class ItemOutcome(NamedTuple):
     """What one attempt at a (cluster, candidate) work item produced.
 
@@ -69,19 +61,78 @@ class ItemOutcome(NamedTuple):
     :meth:`lost`, standing for a transport-level loss (a dead or
     vanished fleet worker), so every kind of failure flows
     into the sweep's one failure rule.  ``seconds`` is the item's
-    evaluation time (its share of the batch wall).
+    evaluation time (its share of the batch wall).  ``recorded`` is
+    what a worker *process* recorded while evaluating a run of items
+    (its :func:`repro.obs.worker_payload`): it rides on the run's first
+    outcome and the parent folds it in with
+    :func:`repro.obs.merge_worker`.
     """
 
     hpwl_cost: float
     congestion_cost: float
     seconds: float
     error: Optional[str] = None
-    envelope: Optional[WorkerEnvelope] = None
+    recorded: Optional[dict] = None
 
     @classmethod
     def lost(cls, error: str, seconds: float = 0.0) -> "ItemOutcome":
         """A failed attempt: NaN costs, ``error`` set."""
         return cls(float("nan"), float("nan"), seconds, error)
+
+
+#: A result frame's float64 columns, one value per item of its chunk.
+_RESULT_COLUMNS = ("hpwl_cost", "congestion_cost", "seconds")
+#: The parts a recorded payload may have, and the JSON type of each.
+_RECORDED = {"counters": dict, "spans": list, "metrics": dict, "events": list}
+
+
+def outcome_frame(
+    outcomes: Sequence[ItemOutcome],
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """A chunk's outcomes as a result frame's header fields and
+    columns (worker side): costs and seconds as float64 columns, which
+    carry NaN and every bit; errors and recorded payloads in the
+    header."""
+    columns = {
+        name: np.array([getattr(o, name) for o in outcomes], dtype=np.float64)
+        for name in _RESULT_COLUMNS
+    }
+    fields = {
+        "errors": [o.error for o in outcomes],
+        "recorded": [o.recorded for o in outcomes],
+    }
+    return fields, columns
+
+
+def _is_recorded(payload: Any) -> bool:
+    return payload is None or (
+        isinstance(payload, dict)
+        and all(isinstance(v, _RECORDED.get(k, ())) for k, v in payload.items())
+    )
+
+
+def outcomes_of(
+    header: Dict[str, Any], columns: Dict[str, np.ndarray], size: int
+) -> List[ItemOutcome]:
+    """The outcomes a result frame carries for a chunk of ``size`` items
+    (parent side); ``ValueError`` unless every column holds ``size``
+    float64 values and the header ``size`` well-typed errors and
+    recorded payloads."""
+    arrays = [columns.get(name) for name in _RESULT_COLUMNS]
+    errors, recorded = header.get("errors"), header.get("recorded")
+    if (
+        any(a is None or a.dtype != np.float64 or a.shape != (size,) for a in arrays)
+        or not (isinstance(errors, list) and isinstance(recorded, list))
+        or len(errors) != size
+        or len(recorded) != size
+        or not all(e is None or isinstance(e, str) for e in errors)
+        or not all(_is_recorded(r) for r in recorded)
+    ):
+        raise ValueError(f"malformed result for a chunk of {size} item(s)")
+    return [
+        ItemOutcome(*values)
+        for values in zip(*(a.tolist() for a in arrays), errors, recorded)
+    ]
 
 
 class SweepExecutor:
@@ -114,7 +165,7 @@ class SweepExecutor:
     ``crosses_process`` says whether items evaluate outside the calling
     process: only then does the sweep ship a worker payload (its
     sub-netlists as flat snapshots, instead of its live state), do
-    workers wrap their results in a :class:`WorkerEnvelope`, and does
+    workers return what they recorded with their outcomes, and does
     ``item_timeout`` (seconds, or None) bound an item with SIGALRM.
     """
 
@@ -150,7 +201,7 @@ class InlineExecutor(SweepExecutor):
     """The calling process itself (``jobs=1``, and the sweep's passes
     over failed or lost items): each chunk is evaluated right where the
     sweep runs, on the live state it was handed.  Nothing is shipped,
-    pickled or snapshotted and no signal handler is
+    encoded or snapshotted and no signal handler is
     installed, so it works from any thread."""
 
     name = "inline"
@@ -179,7 +230,6 @@ class _FleetWorker:
     label: str
     digest: Optional[str] = None
     chunk: Optional[int] = None
-    dispatched_at: float = 0.0
     deadline: Optional[float] = None
     alive: bool = True
 
@@ -197,28 +247,24 @@ class FleetExecutor(SweepExecutor):
     and forks ``workers`` local workers that dial it; with an explicit
     ``HOST:PORT`` it binds there and waits for ``workers`` processes
     started elsewhere (``repro worker --connect``, by hand or over
-    SSH).  It ships the pickled sweep payload once per worker —
-    content-digest-keyed, so a worker that already holds the state (a
-    reconnect, or a second sweep over the same payload) gets a
-    ``state_ref`` instead of the blob — then runs a select loop:
-    dispatch a chunk to every idle worker, fold back ``result``
-    messages, hand ``beat`` messages to the live monitor
+    SSH).  It ships the sweep state once per worker as one
+    :mod:`repro.codec` frame — keyed by the frame's SHA-256, so a worker
+    that already holds it (a reconnect, or a second sweep over the same
+    state) gets a ``state_ref`` instead — then runs a select loop:
+    dispatch the next chunk to every idle worker, fold back ``result``
+    frames, hand ``beat`` messages to the live monitor
     (:func:`repro.obs.worker_beat`), and police per-chunk deadlines.
 
-    Fault containment:
-
-    * a worker whose socket dies / times out / trips the
-      ``fleet.recv`` fault site is *lost*: its in-flight chunk is
-      re-queued for another worker (at most :attr:`MAX_DISPATCH` total
-      dispatches per chunk), and past that cap — or with no workers
-      left — the chunk degrades to lost outcomes for the sweep's
-      in-process passes;
-    * a handshake failure (or the ``fleet.connect`` fault site) drops
-      only that worker; zero surviving workers raises :class:`OSError`
-      → the sweep evaluates every item in its own process;
-    * once every queued chunk is dispatched, an idle worker duplicates
-      the longest-running in-flight chunk (straggler re-dispatch,
-      first result wins — items are idempotent by construction).
+    The fleet is a transport, not a second failure rule.  Each chunk is
+    dispatched once.  A worker that is lost — its socket dies, a frame
+    or a state send outlasts ``connect_timeout``, it answers ``error``
+    or a malformed result, it misses its chunk deadline, or the
+    ``fleet.recv`` fault site trips — is dropped, and its in-flight
+    chunk comes back as :meth:`ItemOutcome.lost` outcomes for the
+    sweep's in-process passes.  A handshake failure (or the
+    ``fleet.connect`` fault site) drops only that worker; when no
+    worker completes one, :class:`OSError` is raised and the sweep
+    evaluates every item in its own process.
 
     Workers only compute; every store read and every durable write
     stays in the parent, so a fleet sweep's results are byte-identical
@@ -230,13 +276,6 @@ class FleetExecutor(SweepExecutor):
     #: Extra seconds of per-chunk deadline beyond the worker's own
     #: item-timeout budget (covers transfer + rebuild + scheduling).
     DEADLINE_GRACE_S = 30.0
-
-    #: Dispatches allowed per chunk (first run + one re-dispatch).
-    MAX_DISPATCH = 2
-
-    #: An in-flight chunk older than this many median chunk walls is a
-    #: straggler an idle worker duplicates.
-    STRAGGLER_FACTOR = 4.0
 
     def __init__(
         self,
@@ -333,15 +372,17 @@ class FleetExecutor(SweepExecutor):
         return pid in self._exits
 
     def _handshake(
-        self, conn: socket.socket, blob: bytes, digest: str
+        self, conn: socket.socket, frame: bytes, digest: str
     ) -> Optional[_FleetWorker]:
         """Hello + state transfer for one new connection; returns the
         worker record, or None (connection dropped) on any failure —
-        one bad peer never poisons the fleet."""
+        one bad peer never poisons the fleet.  The connection keeps
+        ``connect_timeout`` as its I/O timeout for good: every later
+        frame and state send must complete within it."""
         label = "?"
         try:
             conn.settimeout(self.connect_timeout)
-            hello = wire.recv_msg(conn)
+            hello, _columns = wire.recv_msg(conn)
             if (
                 hello.get("type") != "hello"
                 or hello.get("schema") != wire.SCHEMA
@@ -360,10 +401,9 @@ class FleetExecutor(SweepExecutor):
             worker = _FleetWorker(sock=conn, pid=pid, host=host, label=label)
             if digest in hello.get("have", ()):
                 worker.digest = digest
-            self._sync_state(worker, blob, digest)
+            self._sync_state(worker, frame, digest)
             if not worker.alive:
                 raise wire.WireError("state transfer failed")
-            conn.settimeout(None)
         except Exception as exc:
             obs.count("vpr.fleet.connect_failed")
             obs.event(
@@ -379,9 +419,10 @@ class FleetExecutor(SweepExecutor):
         return worker
 
     def _sync_state(
-        self, worker: _FleetWorker, blob: bytes, digest: str
+        self, worker: _FleetWorker, frame: bytes, digest: str
     ) -> None:
-        """Ship the sweep state (or just its digest) to one worker."""
+        """Ship the sweep state frame (or just its digest) to one
+        worker."""
         try:
             if worker.digest == digest:
                 wire.send_msg(
@@ -389,20 +430,17 @@ class FleetExecutor(SweepExecutor):
                 )
                 obs.count("vpr.fleet.state_reused")
             else:
-                wire.send_msg(
-                    worker.sock,
-                    {"type": "state", "digest": digest, "blob": blob},
-                )
+                worker.sock.sendall(frame)
                 worker.digest = digest
                 obs.count("vpr.fleet.state_sent")
-                obs.count("vpr.fleet.state_bytes", len(blob))
+                obs.count("vpr.fleet.state_bytes", len(frame))
         except (wire.WireError, OSError) as exc:
             worker.alive = False
             obs.event(
                 "fleet.worker_lost", worker=worker.label, error=repr(exc)
             )
 
-    def _accept_workers(self, blob: bytes, digest: str) -> None:
+    def _accept_workers(self, frame: bytes, digest: str) -> None:
         """Accept handshakes until the fleet is at strength, or the
         connect timeout passes, or every forked worker has either
         connected or exited (a dropped handshake's child exits, so
@@ -422,25 +460,32 @@ class FleetExecutor(SweepExecutor):
                 conn, _addr = self._server.accept()
             except TimeoutError:
                 continue
-            worker = self._handshake(conn, blob, digest)
+            worker = self._handshake(conn, frame, digest)
             if worker is not None:
                 self._fleet.append(worker)
 
     # -- dispatch loop -------------------------------------------------
     def map_chunks(self, payload, chunks, chunk_fn):
+        """``payload`` is the sweep state's ``{"header", "columns"}``
+        (:meth:`repro.core.vpr.VPRFramework._sweep_state`)."""
         del chunk_fn  # fleet workers run their own evaluation loop
         if self._closed:
             raise OSError("FleetExecutor is closed")
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(blob).hexdigest()
+        try:
+            frame = codec.encode_frame(
+                {**payload["header"], "type": "state"}, payload["columns"]
+            )
+        except codec.FrameError as exc:  # over the frame bound
+            raise OSError(f"fleet: sweep state does not fit a frame: {exc}") from exc
+        digest = codec.read_prefix(frame)[1]
         if not self._forked:
             self._fork_local_workers()
         # Workers connected during a previous sweep need this sweep's
-        # state too (digest-keyed: an identical payload ships as a ref).
+        # state too (digest-keyed: an identical state ships as a ref).
         for worker in self._fleet:
             if worker.alive:
-                self._sync_state(worker, blob, digest)
-        self._accept_workers(blob, digest)
+                self._sync_state(worker, frame, digest)
+        self._accept_workers(frame, digest)
         fleet = [w for w in self._fleet if w.alive]
         if not fleet:
             raise OSError(
@@ -468,16 +513,9 @@ class FleetExecutor(SweepExecutor):
             return None
         return self.item_timeout * max(1, len(chunk)) + self.DEADLINE_GRACE_S
 
-    def _lose_worker(
-        self,
-        worker: _FleetWorker,
-        reason: str,
-        pending: deque,
-        attempts: List[int],
-        done: List[bool],
-        abandoned: List[int],
-    ) -> None:
-        """Drop a worker; re-queue or abandon its in-flight chunk."""
+    def _lose(self, worker: _FleetWorker, reason: str, chunks) -> list:
+        """Drop a worker; returns its in-flight chunk, if any, as
+        ``[(index, lost outcomes)]`` for the sweep."""
         worker.alive = False
         try:
             worker.sock.close()
@@ -491,211 +529,112 @@ class FleetExecutor(SweepExecutor):
             chunk=worker.chunk,
         )
         worker.beat("lost", error=reason)
-        index = worker.chunk
-        worker.chunk = None
-        if index is None or done[index]:
-            return
-        still_running = any(
-            o.alive and o.chunk == index for o in self._fleet
-        )
-        if still_running:
-            return  # a duplicate dispatch is still computing it
-        survivors = any(o.alive for o in self._fleet)
-        if survivors and attempts[index] < self.MAX_DISPATCH:
-            pending.appendleft(index)
-            obs.count("vpr.fleet.redispatch")
-            obs.event("fleet.redispatch", chunk=index)
-        else:
-            abandoned.append(index)
+        index, worker.chunk = worker.chunk, None
+        if index is None:
+            return []
+        lost = ItemOutcome.lost(f"fleet: lost {worker.label}: {reason}")
+        return [(index, [lost] * len(chunks[index]))]
 
-    def _pick_chunk(
-        self,
-        pending: deque,
-        attempts: List[int],
-        done: List[bool],
-        chunk_walls: List[float],
-        worker: _FleetWorker,
-        now: float,
-    ) -> Optional[int]:
-        """Next chunk for an idle worker: queued work first, then a
-        straggler duplicate once the queue is dry."""
-        while pending:
-            index = pending.popleft()
-            if not done[index]:
-                return index
-        if len(chunk_walls) < 3:
-            return None
-        walls = sorted(chunk_walls)
-        median = walls[len(walls) // 2]
-        threshold = max(1.0, self.STRAGGLER_FACTOR * median)
-        best: Optional[_FleetWorker] = None
-        for other in self._fleet:
-            index = other.chunk
-            if not other.alive or index is None or done[index]:
-                continue
-            if other is worker or attempts[index] >= self.MAX_DISPATCH:
-                continue
-            if now - other.dispatched_at < threshold:
-                continue
-            if best is None or other.dispatched_at < best.dispatched_at:
-                best = other
-        if best is None:
-            return None
-        obs.count("vpr.fleet.straggler_dup")
-        obs.event(
-            "fleet.straggler_dup", chunk=best.chunk, slow_worker=best.label
-        )
-        return best.chunk
+    def _dispatch(self, worker: _FleetWorker, index: int, chunks) -> list:
+        """Send chunk ``index`` to an idle worker (its only dispatch)."""
+        chunk = chunks[index]
+        worker.chunk = index
+        try:
+            wire.send_msg(
+                worker.sock,
+                {
+                    "type": "chunk",
+                    "id": index,
+                    "items": [[int(c), int(k)] for c, k in chunk],
+                },
+            )
+        except (wire.WireError, OSError) as exc:
+            return self._lose(worker, repr(exc), chunks)
+        budget = self._chunk_budget(chunk)
+        worker.deadline = None if budget is None else time.monotonic() + budget
+        fields = {"chunk": index, "items": len(chunk)}
+        if budget is not None:
+            fields["deadline_s"] = budget
+        worker.beat("dispatch", **fields)
+        return []
+
+    def _receive(self, worker: _FleetWorker, chunks) -> list:
+        """Read one message from a readable worker; returns the chunk it
+        settles, or loses, as ``[(index, outcomes)]``."""
+        try:
+            header, columns = wire.recv_msg(worker.sock)
+            mtype = header.get("type")
+            if mtype == "error":
+                raise wire.WireError(f"worker error: {header.get('error')}")
+            if mtype == "result":
+                index = worker.chunk
+                # Fault site: an injected receive failure is
+                # indistinguishable from a torn stream.
+                faults.check("fleet.recv", key=str(header.get("id")))
+                if index is None or header.get("id") != index:
+                    raise wire.WireError(
+                        f"result for chunk {header.get('id')!r}, "
+                        f"expected {index!r}"
+                    )
+                outcomes = outcomes_of(header, columns, len(chunks[index]))
+        except (wire.WireError, OSError, ValueError, faults.FaultInjected) as exc:
+            return self._lose(worker, repr(exc), chunks)
+        if mtype == "result":
+            worker.chunk = None
+            worker.deadline = None
+            worker.beat("idle", last_chunk=index)
+            return [(index, outcomes)]
+        if mtype == "beat":
+            fields = {
+                k: v
+                for k, v in header.items()
+                if k not in ("type", "phase", "pid", "host", "t")
+            }
+            if worker.chunk is not None:
+                fields.setdefault("chunk", worker.chunk)
+                if worker.deadline is not None:
+                    fields.setdefault(
+                        "deadline_s",
+                        max(0.0, worker.deadline - time.monotonic()),
+                    )
+            worker.beat(header.get("phase", "?"), **fields)
+        return []
 
     def _run_chunks(self, chunks):
         pending: deque = deque(range(len(chunks)))
-        attempts = [0] * len(chunks)
-        done = [False] * len(chunks)
-        chunk_walls: List[float] = []
-        abandoned: List[int] = []
-        remaining = len(chunks)
-        while remaining > 0:
-            now = time.monotonic()
-            alive = [w for w in self._fleet if w.alive]
-            if not alive:
-                # Every worker is gone: degrade the rest of the sweep
-                # to lost outcomes for the sweep's in-process passes.
-                for index in range(len(chunks)):
-                    if not done[index]:
-                        done[index] = True
-                        yield index, [
-                            ItemOutcome.lost("fleet: all workers lost")
-                        ] * len(chunks[index])
-                        remaining -= 1
-                return
-            # Dispatch to every idle worker.
-            for worker in alive:
-                if worker.chunk is not None:
-                    continue
-                index = self._pick_chunk(
-                    pending, attempts, done, chunk_walls, worker, now
-                )
-                if index is None:
-                    continue
-                attempts[index] += 1
-                budget = self._chunk_budget(chunks[index])
-                try:
-                    wire.send_msg(
-                        worker.sock,
-                        {
-                            "type": "chunk",
-                            "id": index,
-                            "items": list(chunks[index]),
-                        },
-                    )
-                except (wire.WireError, OSError) as exc:
-                    worker.chunk = index  # charge the loss path
-                    self._lose_worker(
-                        worker, repr(exc), pending, attempts, done, abandoned
-                    )
-                    continue
-                worker.chunk = index
-                worker.dispatched_at = now
-                worker.deadline = None if budget is None else now + budget
-                fields = {"chunk": index, "items": len(chunks[index])}
-                if budget is not None:
-                    fields["deadline_s"] = budget
-                worker.beat("dispatch", **fields)
-            # Drain abandoned chunks (loss path may have added some).
-            for index in abandoned:
-                if not done[index]:
-                    done[index] = True
-                    yield index, [
-                        ItemOutcome.lost("fleet: chunk dispatch budget exhausted")
-                    ] * len(chunks[index])
-                    remaining -= 1
-            abandoned.clear()
-            busy = [w for w in self._fleet if w.alive]
+        while True:
+            for worker in self._fleet:
+                if worker.alive and worker.chunk is None and pending:
+                    yield from self._dispatch(worker, pending.popleft(), chunks)
+            busy = [w for w in self._fleet if w.alive and w.chunk is not None]
             if not busy:
-                continue
+                # Done, or every worker is gone: what was never
+                # dispatched goes to the sweep's in-process passes.
+                for index in pending:
+                    yield index, [
+                        ItemOutcome.lost("fleet: all workers lost")
+                    ] * len(chunks[index])
+                return
             readable, _w, _x = select.select(
                 [w.sock for w in busy], [], [], 0.25
             )
-            ready = {id(w.sock): w for w in busy}
-            for sock in readable:
-                worker = ready[id(sock)]
-                try:
-                    message = wire.recv_msg(sock)
-                    if message.get("type") == "result":
-                        # Fault site: an injected receive failure is
-                        # indistinguishable from a torn stream — the
-                        # chunk must re-dispatch elsewhere.
-                        faults.check(
-                            "fleet.recv", key=str(message.get("id"))
-                        )
-                except (wire.WireError, OSError, faults.FaultInjected) as exc:
-                    self._lose_worker(
-                        worker, repr(exc), pending, attempts, done, abandoned
-                    )
-                    continue
-                mtype = message.get("type")
-                if mtype == "beat":
-                    fields = {
-                        k: v
-                        for k, v in message.items()
-                        if k not in ("type", "phase", "pid", "host", "t")
-                    }
-                    if worker.chunk is not None:
-                        fields.setdefault("chunk", worker.chunk)
-                        if worker.deadline is not None:
-                            fields.setdefault(
-                                "deadline_s",
-                                max(0.0, worker.deadline - time.monotonic()),
-                            )
-                    worker.beat(message.get("phase", "?"), **fields)
-                elif mtype == "result":
-                    index = int(message.get("id", -1))
-                    results = message.get("results") or []
-                    wall = time.monotonic() - worker.dispatched_at
-                    worker.chunk = None
-                    worker.deadline = None
-                    worker.beat("idle", last_chunk=index)
-                    if 0 <= index < len(chunks) and not done[index]:
-                        if len(results) != len(chunks[index]):
-                            # A malformed result is a lost chunk, not
-                            # corrupt data in the sweep.
-                            results = [
-                                ItemOutcome.lost(
-                                    "fleet: malformed result from "
-                                    + worker.label
-                                )
-                            ] * len(chunks[index])
-                        chunk_walls.append(wall)
-                        done[index] = True
-                        yield index, results
-                        remaining -= 1
-                    # else: duplicate from a straggler race — ignored.
-                elif mtype == "error":
-                    self._lose_worker(
-                        worker,
-                        str(message.get("error", "worker error")),
-                        pending,
-                        attempts,
-                        done,
-                        abandoned,
-                    )
+            for worker in busy:
+                if worker.sock in readable:
+                    yield from self._receive(worker, chunks)
             # Deadline police: a silent worker past its chunk budget is
-            # as good as dead — re-dispatch its work elsewhere.
+            # as good as dead.
             now = time.monotonic()
-            for worker in [w for w in self._fleet if w.alive]:
+            for worker in busy:
                 if (
-                    worker.chunk is not None
+                    worker.alive
+                    and worker.chunk is not None
                     and worker.deadline is not None
                     and now > worker.deadline
                 ):
-                    self._lose_worker(
+                    yield from self._lose(
                         worker,
-                        f"fleet: chunk {worker.chunk} exceeded its "
-                        f"deadline",
-                        pending,
-                        attempts,
-                        done,
-                        abandoned,
+                        f"chunk {worker.chunk} exceeded its deadline",
+                        chunks,
                     )
 
     # -- teardown ------------------------------------------------------

@@ -50,7 +50,7 @@ Performance engine (this module is the flow's runtime bottleneck):
   construction (the placer re-initialises from its seed each run).
   Fleet workers receive the sweep state (config, and the induced
   sub-netlists as :mod:`repro.netlist.snapshot` payloads) **once**, as
-  one pickled blob each, so a work item ships only its (cluster,
+  one :mod:`repro.codec` frame each, so a work item ships only its (cluster,
   candidate) indices; the inline executor works on the live objects.
 * Stored results resolve first, in the sweep's own process, through
   one ordered list of stores keyed by one content address
@@ -106,7 +106,6 @@ from repro.core.fanout import (
     InlineExecutor,
     ItemOutcome,
     SweepExecutor,
-    WorkerEnvelope,
 )
 from repro.core.shapes import ShapeCandidate, default_candidate_grid, uniform_shape
 from repro.recovery import faults
@@ -894,26 +893,37 @@ class VPRFramework:
         """What the chunk evaluator (:func:`_evaluate_chunk`) works on.
 
         In process that is this framework and the live sub-netlists.
-        Across a process boundary it is a payload each worker receives
-        **once** (one digest-keyed pickled blob), so a work item ships
-        only two integers.  Each sub travels as a snapshot of its flat
-        form, built here in the parent (the linked Design graph
-        recurses past the pickle limit on real netlists), so no worker
-        walks a netlist.  Neither store is part of it: workers only
-        compute.
+        Across a process boundary it is the ``header`` and ``columns``
+        of one :mod:`repro.codec` frame each worker receives **once**,
+        so a work item ships only two integers: the config's
+        :meth:`VPRConfig.result_fingerprint`, and per cluster its cell
+        area and the header of a snapshot of its flat form, whose
+        columns go in as ``"<cluster>/<column>"``.  The snapshots are
+        built here in the parent, so no worker walks a netlist.
+        Neither store is part of it: workers only compute.
         """
         config = self.config
         if not executor.crosses_process:
             return {"_framework": self, "config": config, "clusters": clusters}
-        return {
-            "config": config,
-            "clusters": {
-                c: (design_snapshot(sub), area)
-                for c, (sub, area) in clusters.items()
-            },
+        entries, columns = [], {}
+        for c, (sub, area) in clusters.items():
+            snap = design_snapshot(sub)
+            entries.append(
+                {
+                    "id": int(c),
+                    "area": float(area),
+                    "form": snap["form"],
+                    "header": snap["header"],
+                }
+            )
+            columns.update((f"{c}/{n}", v) for n, v in snap["columns"].items())
+        header = {
+            "config": config.result_fingerprint(),
+            "clusters": entries,
             "item_timeout": executor.item_timeout,
             "obs": obs.worker_descriptor(),
         }
+        return {"header": header, "columns": columns}
 
     def _sweep_on(
         self,
@@ -1019,10 +1029,9 @@ class VPRFramework:
         for index, outcomes in resolved:
             for (c, k), outcome in zip(chunks[index], outcomes):
                 faults.check("vpr.collect", key=f"{c}/{k}")
-                if outcome.envelope is not None:
-                    # A crashed item still contributes the partial counters
-                    # and spans its worker recorded up to the failure point.
-                    obs.merge_worker(outcome.envelope.recorded)
+                # A crashed item still contributes the partial counters
+                # and spans its worker recorded up to the failure point.
+                obs.merge_worker(outcome.recorded)
                 if outcome.error is not None:
                     failed.append((c, k, outcome.error))
                     continue
@@ -1162,19 +1171,40 @@ def _item_alarm(timeout: Optional[float]):
             )
 
 
-def _setup_worker(state: dict) -> None:
-    """Set up a worker process's global state and the sweep payload it
-    received: each sub is rebuilt from its snapshot once per worker,
-    flat form included."""
+def _setup_worker(header: dict, columns: dict) -> dict:
+    """A worker process's sweep state, rebuilt from the frame
+    :meth:`VPRFramework._sweep_state` shipped it: each sub is decoded
+    from its snapshot once per worker, flat form included.
+    ``ValueError`` when the frame is not a well-formed sweep state."""
+    subs: Dict[str, dict] = {}
+    for name, column in columns.items():
+        c, _, column_name = name.partition("/")
+        subs.setdefault(c, {})[column_name] = column
+    try:
+        config = VPRConfig.from_result_fingerprint(dict(header["config"]))
+        clusters = {}
+        for entry in header["clusters"]:
+            snapshot = {
+                "form": entry["form"],
+                "header": entry["header"],
+                "columns": subs.get(str(entry["id"]), {}),
+            }
+            sub = design_from_snapshot(snapshot)
+            clusters[int(entry["id"])] = (sub, float(entry["area"]))
+        timeout = header["item_timeout"] and float(header["item_timeout"])
+        descriptor = {k: bool(header["obs"][k]) for k in ("timers", "telemetry")}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed sweep state: {exc!r}") from exc
     # From here on this process records only its own activity, in the
     # outputs the parent has on.
-    obs.adopt_worker(state["obs"])
-    state["clusters"] = {
-        c: (design_from_snapshot(sub), area)
-        for c, (sub, area) in state["clusters"].items()
+    obs.adopt_worker(descriptor)
+    return {
+        "_framework": VPRFramework(config),
+        "_worker": True,
+        "config": config,
+        "clusters": clusters,
+        "item_timeout": timeout,
     }
-    state["_framework"] = VPRFramework(state["config"])
-    state["_worker"] = True
 
 
 def _cluster_run_worker(
@@ -1193,8 +1223,7 @@ def _cluster_run_worker(
     (``state["item_timeout"]``) each of those steps runs under the
     item's own SIGALRM timeout, the batch under the timeout times its
     size, and the counters and telemetry the whole run recorded (also
-    up to a failure) ride back on its first item as a
-    :class:`WorkerEnvelope`.
+    up to a failure) ride back on its first item's ``recorded``.
     """
     framework: VPRFramework = state["_framework"]
     sub, cell_area = state["clusters"][cluster_id]
@@ -1263,9 +1292,7 @@ def _cluster_run_worker(
                 "done", item=f"{cluster_id}/{k}", error=result.error
             )
     if state.get("_worker"):
-        results[0] = results[0]._replace(
-            envelope=WorkerEnvelope(obs.worker_payload())
-        )
+        results[0] = results[0]._replace(recorded=obs.worker_payload())
     return results
 
 

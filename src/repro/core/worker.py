@@ -3,25 +3,29 @@
 A fleet worker — forked by the sweep parent's
 :class:`~repro.core.fanout.FleetExecutor`, or started elsewhere with
 ``repro worker --connect HOST:PORT`` — dials the parent's listener and
-then follows the ``repro.fleet/1`` protocol (:mod:`repro.core.wire`):
+then follows the ``repro.fleet/2`` protocol (:mod:`repro.core.wire`),
+every message one :mod:`repro.codec` frame:
 
 1. **hello** — the worker introduces itself (pid, hostname, and the
-   content digests of any sweep states it already holds from a
-   previous connection, so a reconnecting worker skips the transfer);
-2. **state / state_ref** — the parent ships the pickled sweep payload
-   once (the sub-netlists as :mod:`repro.netlist.snapshot` payloads —
-   their ``NetlistArrays`` columns — and the config), or just its
-   digest when the worker advertised it; the worker validates and
-   decodes each sub (the decoded arrays are its cached flat form, so
-   no netlist is ever walked here) and builds a
+   digests of any sweep state it already holds from a previous
+   connection, so a reconnecting worker skips the transfer);
+2. **state / state_ref** — the parent ships the sweep state once as
+   one frame (the config's result fingerprint, and each sub-netlist as
+   a :mod:`repro.netlist.snapshot` header plus its ``NetlistArrays``
+   columns), keyed by the frame's own SHA-256, or just that digest
+   when the worker advertised it; the worker validates and decodes
+   each sub (the decoded arrays are its cached flat form, so no
+   netlist is ever walked here) and builds a
    :class:`~repro.core.vpr.VPRFramework`
-   (:func:`repro.core.vpr._setup_worker`); a payload that fails
-   validation is answered with an ``error`` frame;
+   (:func:`repro.core.vpr._setup_worker`); a state that fails
+   validation is answered with an ``error`` frame and the connection
+   ends;
 3. **chunk → result** — each chunk of (cluster, candidate) items is
    evaluated by the same chunk evaluator every executor runs
    (:func:`repro.core.vpr._evaluate_chunk`: SIGALRM item timeout,
-   exceptions become error outcomes), and the
-   :class:`~repro.core.fanout.ItemOutcome` records stream back;
+   exceptions become error outcomes); costs and seconds go back as
+   float64 columns, errors and what this process recorded in the
+   header;
 4. **beat** — item start/done heartbeats go over the same socket; the
    parent hands them to its live monitor so ``repro top`` shows
    remote workers next to local ones;
@@ -33,18 +37,18 @@ state and the item indices it is sent, and never sees the parent's
 stores or telemetry files — every lookup and every write stays
 parent-side, so a fleet sweep is bit-identical to an inline one.  A
 worker SIGKILLed mid-chunk just disappears from the socket; the parent
-re-dispatches the chunk elsewhere.
+hands its chunk to the sweep, which evaluates it in process.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import sys
 import time
 from typing import Any, Dict, Optional
 
+from repro import codec
 from repro.core import wire
 from repro.recovery import faults
 
@@ -75,15 +79,16 @@ class _SocketHeartbeat:
             pass
 
 
-def _install_state(digest: str, blob: bytes) -> Dict[str, Any]:
-    """Unpickle and set up one shipped sweep state (evicting the old)."""
+def _install_state(
+    digest: str, header: Dict[str, Any], columns: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Set up one shipped sweep state (evicting the old)."""
     from repro.core import vpr
 
     # Fault site: a worker can die while taking its state; its chunks
-    # then re-dispatch or fall to the sweep's in-process passes.
+    # then fall to the sweep's in-process passes.
     faults.check("fleet.install", key=digest)
-    state = pickle.loads(blob)
-    vpr._setup_worker(state)
+    state = vpr._setup_worker(header, columns)
     _STATES.clear()
     _STATES[digest] = state
     return state
@@ -94,6 +99,7 @@ def _serve_connection(sock: socket.socket) -> str:
     (``"shutdown"`` for a clean parent-initiated exit, ``"eof"`` when
     the parent vanished, ``"error"`` after a protocol failure)."""
     from repro.core import vpr
+    from repro.core.fanout import outcome_frame
 
     wire.send_msg(
         sock,
@@ -109,48 +115,37 @@ def _serve_connection(sock: socket.socket) -> str:
     state: Optional[Dict[str, Any]] = None
     while True:
         try:
-            message = wire.recv_msg(sock)
+            frame = wire.recv_frame(sock)
         except wire.WireClosed:
             return "eof"
-        mtype = message.get("type")
+        header, columns = wire.decode(frame)
+        mtype = header.get("type")
         if mtype == "shutdown":
             return "shutdown"
         if mtype == "state":
             try:
-                state = _install_state(message["digest"], message["blob"])
+                state = _install_state(codec.read_prefix(frame)[1], header, columns)
             except Exception as exc:
                 wire.send_msg(sock, {"type": "error", "error": repr(exc)})
                 return "error"
-            state["_heartbeat"] = heartbeat
         elif mtype == "state_ref":
-            state = _STATES.get(message.get("digest", ""))
-            if state is None:
-                wire.send_msg(
-                    sock,
-                    {
-                        "type": "error",
-                        "error": "state_ref for a digest this worker "
-                        "does not hold",
-                    },
-                )
-                return "error"
-            # Re-bind beats to this connection (the previous one died).
-            state["_heartbeat"] = heartbeat
-        elif mtype == "chunk":
-            if state is None:
-                wire.send_msg(
-                    sock,
-                    {"type": "error", "error": "chunk before sweep state"},
-                )
-                return "error"
-            results = vpr._evaluate_chunk(state, message["items"])
+            state = _STATES.get(header.get("digest"))
+        elif mtype != "chunk":
+            continue  # unknown types are skipped (forward compatibility)
+        if state is None:
             wire.send_msg(
-                sock,
-                {"type": "result", "id": message["id"], "results": results},
+                sock, {"type": "error", "error": f"{mtype} without a held sweep state"}
             )
-        elif mtype == "ping":
-            wire.send_msg(sock, {"type": "pong"})
-        # Unknown message types are skipped (forward compatibility).
+            return "error"
+        if mtype == "chunk":
+            results = vpr._evaluate_chunk(state, header["items"])
+            fields, result_columns = outcome_frame(results)
+            wire.send_msg(
+                sock, {"type": "result", "id": header["id"], **fields}, result_columns
+            )
+        else:
+            # Beats go to this connection (a previous one may have died).
+            state["_heartbeat"] = heartbeat
 
 
 def run_worker(

@@ -162,7 +162,7 @@ def render(
             # an item (phase start) or holding a dispatched chunk.  A
             # beat that carries the chunk's remaining deadline tightens
             # the threshold so the flag shows *before* the parent's
-            # deadline police re-dispatches the chunk.
+            # deadline police drops the worker.
             threshold = hang_after_s
             deadline_s = beat.get("deadline_s")
             if isinstance(deadline_s, (int, float)) and deadline_s > 0:

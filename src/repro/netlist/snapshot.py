@@ -4,9 +4,10 @@ A snapshot *is* ``design.arrays()``: the constructor columns of the
 cached :class:`~repro.netlist.arrays.NetlistArrays` (no second walk of
 the object graph; live attributes through its ``current_*`` gathers,
 plus instance x / y / fixed), split into a JSON-able ``header`` (names
-and scalars) and numeric ``ndarray`` ``columns``.  It pickles in
-constant stack depth — the linked :class:`Design` graph recurses to the
-netlist's connectivity diameter — and decodes through
+and scalars) and numeric ``ndarray`` ``columns``: the two halves of a
+:mod:`repro.codec` frame, which carries it in a fleet sweep state and
+a checkpoint's ``eco_base`` record with no pickle and no walk of the
+linked :class:`Design` graph.  It decodes through
 :meth:`NetlistArrays.to_design`, which leaves the decoded arrays as the
 rebuilt design's cached form: the first ``design.arrays()`` of a fleet
 worker or an ``EcoSession`` is a hit, and the rebuilt design's content

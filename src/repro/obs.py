@@ -260,7 +260,7 @@ def worker_beat(label: str, phase: str, **fields: Any) -> None:
 # -- worker round trip --------------------------------------------------
 def worker_descriptor() -> Dict[str, Any]:
     """What a worker process must switch on to record like this one
-    (picklable; ships once inside the sweep state)."""
+    (JSON; ships once in the sweep state's frame header)."""
     return {"timers": _SESSION.timers_on, "telemetry": _SESSION.telemetry_on}
 
 
@@ -284,7 +284,7 @@ def adopt_worker(descriptor: Dict[str, Any]) -> None:
 
 def worker_payload() -> Optional[Dict[str, Any]]:
     """Worker side: export-and-clear what this process recorded — a
-    picklable ``{"counters", "spans", "metrics", "events"}`` (the keys
+    JSON-able ``{"counters", "spans", "metrics", "events"}`` (the keys
     of the outputs that are on), None when none is."""
     session = _SESSION
     payload: Dict[str, Any] = {}

@@ -33,14 +33,14 @@ and are checkpointed; only the misses are evaluated (a cluster's misses
 as one batch); and a sweep the stores serve in full builds no executor
 — no fleet listener, no fork, no worker process.
 
-What crosses the boundary is the sub-netlists' one flat form: codec
-payloads (``NetlistArrays`` columns) — and a fleet worker evaluates
-with ``NetlistArrays.from_design`` rigged to raise.
+What crosses the boundary is one :mod:`repro.codec` frame: the config's
+result fingerprint and the sub-netlists' one flat form
+(``NetlistArrays`` columns) — and a fleet worker evaluates with
+``NetlistArrays.from_design`` rigged to raise.
 """
 
 import multiprocessing
 import os
-import pickle
 import shutil
 from collections import Counter
 
@@ -48,7 +48,7 @@ import pytest
 
 import repro.core.fanout as fanout
 import repro.netlist.snapshot as snapshot
-from repro import monitor, perf, telemetry
+from repro import codec, monitor, perf, telemetry
 from repro.cache import EvaluationCache, netlist_digest
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
@@ -355,13 +355,31 @@ def _shipped(clusters):
 
 
 def test_fleet_payload_is_codec_payloads_and_config(clusters):
-    _framework, induced, state = _shipped(clusters)
-    assert set(state) == {"config", "clusters", "item_timeout", "obs"}
-    for c, (sub, cell_area) in induced.items():
-        payload, area = state["clusters"][c]
-        assert area == cell_area
-        assert payload["form"] == snapshot.FORM
-        assert set(payload["columns"]) >= set(COLUMNS)
+    framework, induced, state = _shipped(clusters)
+    # One codec frame: what goes in comes back out unchanged.
+    frame = codec.encode_frame(state["header"], state["columns"])
+    header, columns = codec.decode_frame(frame)
+    assert header == state["header"]
+    assert set(header) == {"config", "clusters", "item_timeout", "obs"}
+    assert VPRConfig.from_result_fingerprint(header["config"]) == VPRConfig(
+        **{
+            name: getattr(framework.config, name)
+            for name in VPRConfig.EVALUATION_FIELDS + VPRConfig.SELECTION_FIELDS
+        }
+    )
+    assert sorted(entry["id"] for entry in header["clusters"]) == sorted(induced)
+    for entry in header["clusters"]:
+        sub, cell_area = induced[entry["id"]]
+        assert entry["area"] == cell_area
+        assert entry["form"] == snapshot.FORM
+        prefix = f"{entry['id']}/"
+        own = {
+            name[len(prefix):]: column
+            for name, column in columns.items()
+            if name.startswith(prefix)
+        }
+        assert set(own) >= set(COLUMNS)
+        payload = {"form": entry["form"], "header": entry["header"], "columns": own}
         assert netlist_digest(snapshot.design_from_snapshot(payload)) == (
             netlist_digest(sub)
         )
@@ -371,14 +389,15 @@ def _refuse_walk(*_args, **_kwargs):
     raise AssertionError("a worker walked a netlist: NetlistArrays.from_design")
 
 
-def _fleet_worker_body(blob, items, conn):
+def _fleet_worker_body(frame, items, conn):
     """A fleet worker's life after the dial: install the shipped state,
     evaluate a chunk — with the object-graph walk rigged to raise."""
     from repro.core import vpr, worker
 
     NetlistArrays.from_design = _refuse_walk
     try:
-        state = worker._install_state("digest", blob)
+        header, columns = codec.decode_frame(frame)
+        state = worker._install_state("digest", header, columns)
         outcomes = vpr._evaluate_chunk(state, items)
         conn.send([(o.hpwl_cost, o.congestion_cost, o.error) for o in outcomes])
     except BaseException as exc:  # reported, then the child exits
@@ -391,12 +410,12 @@ def test_fleet_worker_set_up_walks_no_netlist(clusters):
     if not hasattr(os, "fork"):
         pytest.skip("the rigged worker is a forked child")
     framework, induced, state = _shipped(clusters)
-    blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    frame = codec.encode_frame(state["header"], state["columns"])
     c = clusters[2][0]
-    items = [(c, 0), (c, 3)]
+    items = [[c, 0], [c, 3]]
     context = multiprocessing.get_context("fork")
     parent_end, child_end = context.Pipe(duplex=False)
-    child = context.Process(target=_fleet_worker_body, args=(blob, items, child_end))
+    child = context.Process(target=_fleet_worker_body, args=(frame, items, child_end))
     child.start()
     child_end.close()
     assert parent_end.poll(120), "the rigged worker never answered"

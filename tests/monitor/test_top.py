@@ -215,7 +215,7 @@ class TestRemoteWorkers:
     def test_deadline_tightens_silence_threshold(self):
         # Quiet for 9s against a 10s chunk budget: below the global
         # hang threshold, but past 80% of the chunk's deadline — the
-        # flag must show before the parent re-dispatches the chunk.
+        # flag must show before the parent drops the worker.
         assert 9.0 < HANG_AFTER_S
         status = _status(workers=[
             {"pid": 8, "host": "rack1", "phase": "dispatch", "chunk": 0,

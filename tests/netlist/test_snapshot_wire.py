@@ -1,26 +1,26 @@
 """Design snapshots over the fleet wire: the remote state transfer.
 
-The distributed sweep ships flat design snapshots to workers as
-pickled, length-prefixed frames (``repro.core.wire``).  These tests
-round-trip a real snapshot over a real ``socket.socketpair()`` and pin
+The distributed sweep ships flat design snapshots to workers inside
+:mod:`repro.codec` frames (``repro.core.wire``): the snapshot's header
+in the frame's JSON header, its columns as the frame's ``.npy``
+columns.  These tests round-trip a real snapshot over a real
+``socket.socketpair()`` and pin
 the property the fleet's bit-identity contract needs: a design
 rebuilt on the far side is content-identical, and a torn transfer is
 rejected with a typed error instead of yielding a partial design.
 """
 
-import pickle
 import socket
-import struct
 import threading
 
 import pytest
 
+from repro import codec
 from repro.cache import netlist_digest
 from repro.core import wire
 from repro.designs import DesignSpec, generate_design
 from repro.netlist import design_from_snapshot, design_snapshot
 
-_HEADER = struct.Struct(">4sQ")
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +41,25 @@ def pair():
 class TestSnapshotOverSocket:
     def test_rebuilt_design_is_content_identical(self, design, pair):
         left, right = pair
-        message = {
+        snapshot = design_snapshot(design)
+        header = {
             "type": "state",
             "digest": netlist_digest(design),
-            "blob": design_snapshot(design),
+            "form": snapshot["form"],
+            "snapshot": snapshot["header"],
         }
         # A real snapshot frame is larger than the socketpair buffer;
         # send from a thread exactly as parent and worker overlap.
-        writer = threading.Thread(target=wire.send_msg, args=(left, message))
+        writer = threading.Thread(
+            target=wire.send_msg, args=(left, header, snapshot["columns"])
+        )
         writer.start()
-        received = wire.recv_msg(right)
+        received, columns = wire.recv_msg(right)
         writer.join()
 
-        rebuilt = design_from_snapshot(received["blob"])
+        rebuilt = design_from_snapshot(
+            {"form": received["form"], "header": received["snapshot"], "columns": columns}
+        )
         assert netlist_digest(rebuilt) == netlist_digest(design)
         assert received["digest"] == netlist_digest(design)
         assert len(rebuilt.instances) == len(design.instances)
@@ -61,15 +67,14 @@ class TestSnapshotOverSocket:
 
     def test_truncated_snapshot_stream_is_rejected(self, design, pair):
         left, right = pair
-        payload = pickle.dumps(
-            {"type": "state", "blob": design_snapshot(design)},
-            protocol=pickle.HIGHEST_PROTOCOL,
+        snapshot = design_snapshot(design)
+        frame = codec.encode_frame(
+            {"type": "state", "snapshot": snapshot["header"]}, snapshot["columns"]
         )
-        cut = len(payload) // 2
+        cut = len(frame) // 2
 
         def torn_writer():
-            left.sendall(_HEADER.pack(wire.MAGIC, len(payload)))
-            left.sendall(payload[:cut])
+            left.sendall(frame[:cut])
             left.close()  # the worker died mid-transfer
 
         writer = threading.Thread(target=torn_writer)
