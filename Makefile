@@ -150,6 +150,14 @@ spine-smoke:
 		result = json.loads(sys.stdin.read()); \
 		assert result['correct'] is True, result; \
 		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations')"
+	timeout 600 python3 benchmarks/spine/run.py --workload backend_ml \
+		--seed 0 --seconds 15 --trace 1 > spine-smoke/traced_ml.txt
+	tail -1 spine-smoke/traced_ml.txt | python3 -c "import json, sys; \
+		result = json.loads(sys.stdin.read()); \
+		assert result['correct'] is True, result; \
+		calls = result['metrics']['ml.predict_calls']['value']; \
+		assert calls > 0, 'ml.predict reads 0: a traced ML target is not on the path'; \
+		print('spine-smoke: traced backend_ml correct,', result['attempted'], 'operations,', calls, 'predict calls')"
 
 # Crash-safety smoke: run a checkpointed flow, kill it mid-sweep with
 # an injected abort, resume, and require the resumed QoR to match an

@@ -258,7 +258,8 @@ class FleetExecutor(SweepExecutor):
     The fleet is a transport, not a second failure rule.  Each chunk is
     dispatched once.  A worker that is lost — its socket dies, a frame
     or a state send outlasts ``connect_timeout``, it answers ``error``
-    or a malformed result, it misses its chunk deadline, or the
+    or a malformed result, it misses its chunk deadline (with no item
+    timeout: it sends nothing for ``connect_timeout``), or the
     ``fleet.recv`` fault site trips — is dropped, and its in-flight
     chunk comes back as :meth:`ItemOutcome.lost` outcomes for the
     sweep's in-process passes.  A handshake failure (or the
@@ -508,6 +509,9 @@ class FleetExecutor(SweepExecutor):
         hung outside an item (deadline tracking replaces SIGALRM at
         this boundary — there is no signal to deliver to a remote
         process).  Budget = every item hitting its timeout, plus grace.
+        With no item timeout there is no budget: the deadline is then
+        ``connect_timeout`` past the chunk's dispatch or the worker's
+        latest beat.
         """
         if not self.item_timeout or self.item_timeout <= 0:
             return None
@@ -551,7 +555,7 @@ class FleetExecutor(SweepExecutor):
         except (wire.WireError, OSError) as exc:
             return self._lose(worker, repr(exc), chunks)
         budget = self._chunk_budget(chunk)
-        worker.deadline = None if budget is None else time.monotonic() + budget
+        worker.deadline = time.monotonic() + (budget or self.connect_timeout)
         fields = {"chunk": index, "items": len(chunk)}
         if budget is not None:
             fields["deadline_s"] = budget
@@ -591,12 +595,14 @@ class FleetExecutor(SweepExecutor):
                 if k not in ("type", "phase", "pid", "host", "t")
             }
             if worker.chunk is not None:
+                if self._chunk_budget(chunks[worker.chunk]) is None:
+                    # No chunk budget: a busy worker must be heard from
+                    # at least every connect_timeout.
+                    worker.deadline = time.monotonic() + self.connect_timeout
                 fields.setdefault("chunk", worker.chunk)
-                if worker.deadline is not None:
-                    fields.setdefault(
-                        "deadline_s",
-                        max(0.0, worker.deadline - time.monotonic()),
-                    )
+                fields.setdefault(
+                    "deadline_s", max(0.0, worker.deadline - time.monotonic())
+                )
             worker.beat(header.get("phase", "?"), **fields)
         return []
 
@@ -621,20 +627,18 @@ class FleetExecutor(SweepExecutor):
             for worker in busy:
                 if worker.sock in readable:
                     yield from self._receive(worker, chunks)
-            # Deadline police: a silent worker past its chunk budget is
-            # as good as dead.
+            # Deadline police: a worker past its chunk budget, or silent
+            # for connect_timeout when there is none, is as good as dead.
             now = time.monotonic()
             for worker in busy:
-                if (
-                    worker.alive
-                    and worker.chunk is not None
-                    and worker.deadline is not None
-                    and now > worker.deadline
-                ):
+                if worker.alive and worker.chunk is not None and now > worker.deadline:
+                    reason = (
+                        "exceeded its deadline"
+                        if self._chunk_budget(chunks[worker.chunk]) is not None
+                        else f"sent nothing for {self.connect_timeout:g}s"
+                    )
                     yield from self._lose(
-                        worker,
-                        f"chunk {worker.chunk} exceeded its deadline",
-                        chunks,
+                        worker, f"chunk {worker.chunk} {reason}", chunks
                     )
 
     # -- teardown ------------------------------------------------------

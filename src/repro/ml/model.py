@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro.core.shapes import ShapeCandidate
 from repro.ml.autograd import Tensor, add_tensors, relu, segment_mean
@@ -29,6 +30,11 @@ HEAD_HIDDEN = 64
 
 #: Number of convolution branches.
 NUM_BRANCHES = 4
+
+#: Rows (nodes x candidates) per chunk of :meth:`TotalCostGNN.predict_shared`:
+#: a chunk's 64-wide float64 block is a few hundred KB and stays in cache,
+#: where the whole batch's is ~4 MB on a 400-node cluster.
+CHUNK_ROWS = 512
 
 
 class TotalCostGNN:
@@ -138,21 +144,22 @@ class TotalCostGNN:
     def predict_shared(
         self, features: np.ndarray, operator: sp.spmatrix
     ) -> np.ndarray:
-        """Blocked eval-mode inference for candidates sharing one graph.
+        """Chunked eval-mode inference for candidates sharing one graph.
 
         The V-P&R shape sweep predicts the same cluster hypergraph under
         B candidate shapes: only the two design-parameter feature
         columns differ between candidates, the graph operator is
         identical.  Instead of stacking B copies of the operator
-        block-diagonally, the batch is laid out node-major ``(n, B, d)``
-        once and stays that way to the pool: each convolution is one
-        dense product over the ``(n*B, d)`` view, one sparse multiply
-        of the shared ``(n, n)`` operator against the ``(n, B*d)`` view
-        and an in-place bias / batch-norm / ReLU / skip — arithmetic
-        identical to :meth:`predict` (same operation order per element,
-        same accumulation order in the sparse product and the pool),
-        with none of the B-times operator replication and no
-        per-layer temporaries or re-layouts.
+        block-diagonally, the batch runs in chunks of
+        ``ceil(CHUNK_ROWS / n)`` candidates, each laid out node-major
+        ``(n, c, d)``: per convolution one dense product over the
+        ``(n*c, d)`` view, one sparse product of the shared ``(n, n)``
+        operator against the ``(n, c*d)`` view and an in-place bias /
+        batch-norm / ReLU / skip, all into three rotating buffers sized
+        for one chunk; each chunk pools into its rows of the embedding.
+        Arithmetic identical to :meth:`predict` (same operation order
+        per element, same accumulation order in the sparse product and
+        the pool); the input block is never written.
 
         Args:
             features: ``(B, n, F)`` feature block, one slice per
@@ -162,11 +169,16 @@ class TotalCostGNN:
         Returns:
             ``(B,)`` predicted Total Cost in label units.
         """
-        op = operator.tocsr()
+        op = operator.tocsr().astype(float, copy=False)
         batch, n, width = features.shape
-        h = np.empty((n, batch, width))
-        np.subtract(features.transpose(1, 0, 2), self.feature_mean, out=h)
-        h /= self.feature_std
+        # Every chunk's dense products need >= 2 rows: a one-row product
+        # runs as gemv, whose last bits differ from predict's gemm.
+        step = -(-CHUNK_ROWS // n) if n > 1 else max(batch, 1)
+        rows, embed = n * min(step, batch), BRANCH_DIMS[-1]
+        wide = rows * max(BRANCH_DIMS[1:])
+        h, acc = np.empty(rows * width), np.empty(rows * embed)
+        z_buf, spare, out = np.empty(wide), np.empty(wide), np.empty(wide)
+        pooled = np.empty((batch, embed))
 
         def norm_relu(z: np.ndarray, bn: BatchNorm) -> None:
             """Eval batch norm + ReLU in place, ``predict``'s operation order."""
@@ -176,23 +188,38 @@ class TotalCostGNN:
             z += bn.beta.data
             np.multiply(z, z > 0, out=z)
 
-        accumulated = np.zeros((n, batch, BRANCH_DIMS[-1]))
-        for blocks in self.branches:
-            x = h
-            for block in blocks:
-                z = x.reshape(n * batch, x.shape[2]) @ block.linear.weight.data
-                z += block.linear.bias.data
-                d = z.shape[1]
-                z = (op @ z.reshape(n, batch * d)).reshape(n, batch, d)
-                norm_relu(z, block.bn)
-                if block.use_skip:
-                    z += x
-                x = z
-            accumulated += x
-        # A sequential reduce over the node axis matches segment_mean's
-        # np.add.at ordering, keeping the pooled embedding bit-identical
-        # to the block-diagonal forward.
-        pooled = np.add.reduce(accumulated, axis=0)
+        for lo in range(0, batch, step):
+            c = min(step, batch - lo)
+            m = n * c
+            x0 = h[: m * width].reshape(n, c, width)
+            chunk = features[lo : lo + c].transpose(1, 0, 2)
+            np.subtract(chunk, self.feature_mean, out=x0)
+            x0 /= self.feature_std
+            accumulated = acc[: m * embed].reshape(n, c, embed)
+            accumulated.fill(0.0)
+            for blocks in self.branches:
+                x = x0
+                for block in blocks:
+                    weight = block.linear.weight.data
+                    d = weight.shape[1]
+                    z = z_buf[: m * d].reshape(m, d)
+                    np.matmul(x.reshape(m, x.shape[2]), weight, out=z)
+                    z += block.linear.bias.data
+                    y = out[: m * d]
+                    y.fill(0.0)
+                    _sparsetools.csr_matvecs(
+                        n, n, c * d, op.indptr, op.indices, op.data, z.ravel(), y
+                    )
+                    y = y.reshape(n, c, d)
+                    norm_relu(y, block.bn)
+                    if block.use_skip:
+                        y += x
+                    x, out, spare = y, spare, out
+                accumulated += x
+            # A sequential reduce over the node axis matches segment_mean's
+            # np.add.at ordering, keeping the pooled embedding bit-identical
+            # to the block-diagonal forward.
+            np.add.reduce(accumulated, axis=0, out=pooled[lo : lo + c])
         pooled /= max(n, 1)
         z = pooled @ self.head_linear1.weight.data
         z += self.head_linear1.bias.data
@@ -259,8 +286,9 @@ class TotalCostPredictor:
     :class:`~repro.core.vpr.MLShapeSelector`.
 
     Extracts features once per sub-netlist, then batches the 20 shape
-    candidates through the trained GNN — the ~30x acceleration of
-    Section 3.2.
+    candidates through the trained GNN: measured ~2.0-2.6x over the
+    exact sweep (``benchmarks/bench_ml_speedup.py``), not the ~30x
+    Section 3.2 reports.
     """
 
     def __init__(

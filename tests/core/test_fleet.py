@@ -378,20 +378,19 @@ class TestMisbehavingWorkers:
             [item for s in sweeps for item in s.evaluations]
         )
 
-    def test_stalled_frame_loses_the_worker_within_connect_timeout(
-        self, problem, serial_qor
-    ):
-        """A worker that answers its first chunk with five bytes of a
-        frame and then nothing: the parent must give up on it after
-        ``connect_timeout`` (not after the 34 s chunk budget, and not
-        never) and evaluate the sweep in its own process."""
+    def _sweep_past_a_stall(self, problem, item_timeout, after_chunk):
+        """Sweep against one hand-rolled worker that takes the state and
+        its first chunk, then runs ``after_chunk(sock)`` and stays
+        silent.  The sweep runs in a thread, so a parent that never
+        gives up fails the test instead of hanging it; returns
+        ``(sweeps, counters)``."""
         design, members = problem
         connect_timeout = 3.0
         executor = FleetExecutor(
             workers=1,
             listen="127.0.0.1:0",
             connect_timeout=connect_timeout,
-            item_timeout=1.0,
+            item_timeout=item_timeout,
         )
         sock = socket.create_connection(wire.parse_endpoint(executor.endpoint))
 
@@ -399,7 +398,7 @@ class TestMisbehavingWorkers:
             _hello(sock, host="stall")
             wire.recv_msg(sock)  # the sweep state
             wire.recv_msg(sock)  # the first chunk
-            sock.sendall(b"REPRO")  # five bytes of a frame, then silence
+            after_chunk(sock)
 
         box = {}
 
@@ -419,7 +418,32 @@ class TestMisbehavingWorkers:
         finally:
             sock.close()  # frees a hung parent, so the sweep thread ends
             runner.join(30.0)
-        sweeps, counters = box["result"]
+        return box["result"]
+
+    def test_stalled_frame_loses_the_worker_within_connect_timeout(
+        self, problem, serial_qor
+    ):
+        """A worker that answers its first chunk with five bytes of a
+        frame and then nothing: the parent must give up on it after
+        ``connect_timeout`` (not after the 34 s chunk budget, and not
+        never) and evaluate the sweep in its own process."""
+        sweeps, counters = self._sweep_past_a_stall(
+            problem, 1.0, lambda sock: sock.sendall(b"REPRO")
+        )
+        assert _qor(sweeps) == serial_qor
+        assert counters.get("vpr.fleet.worker_lost", 0) >= 1
+        assert counters.get("vpr.worker.error", 0) >= 1
+
+    def test_silent_worker_without_item_timeout_is_lost(
+        self, problem, serial_qor
+    ):
+        """With no item timeout (``repro flow --jobs N``'s default) a
+        chunk has no budget; a worker that takes one and then sends
+        nothing at all, not even a beat, is lost after
+        ``connect_timeout`` and its chunk is evaluated in process."""
+        sweeps, counters = self._sweep_past_a_stall(
+            problem, None, lambda sock: None
+        )
         assert _qor(sweeps) == serial_qor
         assert counters.get("vpr.fleet.worker_lost", 0) >= 1
         assert counters.get("vpr.worker.error", 0) >= 1

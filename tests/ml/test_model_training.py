@@ -1,5 +1,7 @@
 """GNN model, feature extraction, optimiser and training tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from repro.ml import (
     TrainingConfig,
 )
 from repro.ml.layers import normalized_adjacency
-from repro.ml.model import batch_samples
+from repro.ml.model import CHUNK_ROWS, batch_samples
 from repro.ml.training import evaluate
+from tests.ml.reference import predict_shared_reference
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,80 @@ class TestModel:
         stacked = np.vstack([s.features for s in samples])
         normalized = model.normalize_features(stacked)
         assert abs(normalized.mean()) < 0.2
+
+
+def _shared_batch(n_nodes, batch, seed=0):
+    """A ``(batch, n_nodes, F)`` candidate block over one random graph
+    (about three edges per node), with its per-candidate samples."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n_nodes, 3 * n_nodes)
+    cols = rng.integers(0, n_nodes, 3 * n_nodes)
+    keep = rows != cols
+    operator = normalized_adjacency(
+        rows[keep], cols[keep], rng.uniform(0.1, 1.0, int(keep.sum())), n_nodes
+    )
+    base = GraphSample(rng.normal(size=(n_nodes, NUM_NODE_FEATURES)), operator, 0.0)
+    samples = [base.with_shape(c) for c in default_candidate_grid()[:batch]]
+    return np.stack([s.features for s in samples]), operator, samples
+
+
+@pytest.fixture(scope="module")
+def eval_model():
+    """A model with fitted normalisation and non-trivial eval batch norm."""
+    rng = np.random.default_rng(5)
+    model = TotalCostGNN(seed=4)
+    model.fit_normalization(_shared_batch(40, 3, seed=9)[2])
+    for bn in [model.head_bn] + [b.bn for blocks in model.branches for b in blocks]:
+        bn.running["mean"] = rng.normal(size=bn.running["mean"].shape)
+        bn.running["var"] = rng.uniform(0.5, 2.0, size=bn.running["var"].shape)
+    model.set_training(False)
+    return model
+
+
+class TestPredictSharedChunks:
+    """``predict_shared`` runs ``ceil(CHUNK_ROWS / n)`` candidates at a
+    time; generated sub-netlists are too small to split the batch, so
+    these shapes put the chunk boundaries where they can bite."""
+
+    #: One node (whole batch in one chunk), two nodes, exactly two
+    #: candidates per chunk, three per chunk (a partial last chunk at
+    #: B = 7 and B = 20), and one candidate per chunk.
+    NODES = (1, 2, CHUNK_ROWS * 3 // 4, CHUNK_ROWS * 2 // 5, CHUNK_ROWS + 1)
+
+    def test_chunk_sizes_are_the_intended_ones(self):
+        steps = [-(-CHUNK_ROWS // n) for n in self.NODES[2:]]
+        assert steps == [2, 3, 1]
+        assert 7 % 3 and 20 % 3  # both batches leave a partial chunk
+
+    @pytest.mark.parametrize("batch", [1, 7, 20])
+    @pytest.mark.parametrize("n_nodes", NODES)
+    def test_equals_predict_bitwise(self, eval_model, n_nodes, batch):
+        features, operator, samples = _shared_batch(n_nodes, batch, seed=n_nodes)
+        before = features.copy()
+        shared = eval_model.predict_shared(features, operator)
+        assert np.array_equal(features, before)  # the input block is not scratch
+        assert shared.shape == (batch,)
+        assert np.array_equal(shared, eval_model.predict(samples))
+        # The oracle ran B one-row products for one node under several
+        # candidates (see tests/ml/test_selector_identity.py).
+        if not (n_nodes == 1 and batch > 1):
+            oracle = predict_shared_reference(eval_model, features, operator)
+            assert np.array_equal(shared, oracle)
+
+    def test_traced_peak_is_within_one_batch_block(self, eval_model):
+        """Memory ratchet: one call on 20 candidates of a ~400-node
+        cluster allocates at most one ``(n, B, 64)`` float64 block (the
+        whole-batch forward peaked at about four of them)."""
+        n_nodes, batch = 398, 20
+        features, operator, _ = _shared_batch(n_nodes, batch)
+        eval_model.predict_shared(features, operator)  # warm caches
+        tracemalloc.start()
+        try:
+            eval_model.predict_shared(features, operator)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_nodes * batch * 64 * 8
 
 
 class TestAdam:
