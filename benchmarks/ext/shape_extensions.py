@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.shapes import ShapeCandidate
-from repro.core.vpr import (
+from repro.core.subnetlist import (
     DIE_MARGIN,
     ROUTE_TARGET_CELLS,
-    CandidateEvaluation,
-    VPRFramework,
     _configure_virtual_die,
 )
+from repro.core.vpr import CandidateEvaluation, VPRFramework
 from repro.netlist.design import Design, MasterCell
 from repro.place.placer import GlobalPlacer, PlacerConfig
 from repro.place.problem import PlacementProblem

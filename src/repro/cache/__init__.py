@@ -16,7 +16,8 @@ from stored stage records without running any of them.
 * :mod:`repro.cache.store` — :class:`EvaluationCache`, the sharded
   on-disk store: atomic rename writes, corruption-tolerant reads (a
   bad entry is a miss, never a crash), a size-bounded LRU garbage
-  collector, and ``vpr.cache.*`` / ``cache.stage.*`` perf counters.
+  collector, ``vpr.cache.*`` / ``cache.stage.*`` perf counters, and
+  :class:`StoreChain`, the order a run serves and keeps results in.
 
 Concurrency contract (see ``docs/performance.md``): fleet
 **workers never see the store** — lookups, writes and GC all happen in
@@ -32,11 +33,12 @@ from repro.cache.keys import (
     source_digest,
     stage_key,
 )
-from repro.cache.store import EvaluationCache, derive_cache_summary
+from repro.cache.store import EvaluationCache, StoreChain, derive_cache_summary
 
 __all__ = [
     "SCHEMA",
     "EvaluationCache",
+    "StoreChain",
     "cache_key",
     "derive_cache_summary",
     "input_key",

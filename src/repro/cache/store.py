@@ -408,3 +408,39 @@ class EvaluationCache:
             self._discard(path)
             removed += 1
         return removed
+
+
+class StoreChain:
+    """The one stored-result rule of a run's V-P&R items and flow stages.
+
+    A run's stores are consulted in order: its checkpoint (strict: a
+    damaged record raises), then the shared cache (lossy: a damaged
+    record is a miss).  A result is served from the first store holding
+    its key and written back to every store ahead of that one: all of
+    them when computed, the checkpoint after a cache hit, none after a
+    checkpoint hit.  ``read(store, key, **about)`` / ``write(store, key,
+    record)`` access one record kind (items: ``get`` / ``put``; stages:
+    ``load_stage`` / ``save_stage``).
+    """
+
+    def __init__(self, checkpoint, cache, read: Callable, write: Callable) -> None:
+        self.stores = [s for s in (checkpoint, cache) if s is not None]
+        self._read, self._write = read, write
+
+    def serve(self, key: Optional[str], **about) -> Tuple[Any, int]:
+        """``(record, position)`` from the first store holding ``key``;
+        ``(None, len(stores))`` when none does."""
+        for position, store in enumerate(self.stores):
+            record = self._read(store, key, **about)
+            if record is not None:
+                return record, position
+        return None, len(self.stores)
+
+    def write_back(self, key, build: Callable[[], Any], served_by=None) -> None:
+        """Write ``build()`` — run once, and only if a store takes it —
+        to every store ahead of position ``served_by`` (None: all)."""
+        ahead = self.stores[:served_by]
+        if ahead:
+            record = build()
+            for store in ahead:
+                self._write(store, key, record)

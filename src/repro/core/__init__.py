@@ -9,9 +9,10 @@
   clustering (Algorithm 1, lines 2-10).
 * :mod:`repro.core.clustered_netlist` — clustered netlist + cluster
   .lef generation (lines 10, 13).
-* :mod:`repro.core.shapes` / :mod:`repro.core.vpr` — the V-P&R shape
-  selection framework (Section 3.2, Eqs. 4-5) and its shape-selector
-  variants (exact, ML-accelerated, random, uniform).
+* :mod:`repro.core.shapes` / :mod:`repro.core.subnetlist` /
+  :mod:`repro.core.vpr` — the V-P&R shape selection framework (Section
+  3.2, Eqs. 4-5) and its selectors (exact, ML, random, uniform); its
+  sweep scheduler is :mod:`repro.core.sweep`.
 * :mod:`repro.core.seeded` — seeded placement (lines 15-25).
 * :mod:`repro.core.flow` — Algorithm 1 end-to-end, plus the default
   flat flow and the blob-placement [9] baseline.

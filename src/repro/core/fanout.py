@@ -15,7 +15,7 @@ chunked, so a worker only computes.
 The fleet is a transport and nothing more: it dispatches each chunk
 once, and a worker that dies while taking its state, errors out, stalls
 or misses its deadline returns its in-flight chunk as lost items, which
-the sweep's one failure rule evaluates in process
+the failure rule of :mod:`repro.core.sweep` evaluates in process
 (``tests/core/test_fleet.py``, ``tests/core/test_sweep_matrix.py``).
 """
 
@@ -138,12 +138,12 @@ def outcomes_of(
 class SweepExecutor:
     """Where the V-P&R sweep's chunks run.
 
-    The sweep (:meth:`repro.core.vpr.VPRFramework.sweep_clusters`)
-    hands an executor one state dict and a list of (cluster,
-    candidate) chunks; the executor decides where those chunks
-    evaluate — in the calling process (:class:`InlineExecutor`) or on
-    a socket fleet of worker processes (:class:`FleetExecutor`).  The
-    contract every implementation honours:
+    The sweep (:func:`repro.core.sweep.sweep_clusters`) hands an
+    executor one state dict and a list of (cluster, candidate) chunks;
+    the executor decides where those chunks evaluate — in the calling
+    process (:class:`InlineExecutor`) or on a socket fleet of worker
+    processes (:class:`FleetExecutor`).  The contract every
+    implementation honours:
 
     * :meth:`map_chunks` yields ``(chunk_index, outcomes)`` pairs in
       completion order, ``outcomes`` being one :class:`ItemOutcome`
@@ -468,7 +468,7 @@ class FleetExecutor(SweepExecutor):
     # -- dispatch loop -------------------------------------------------
     def map_chunks(self, payload, chunks, chunk_fn):
         """``payload`` is the sweep state's ``{"header", "columns"}``
-        (:meth:`repro.core.vpr.VPRFramework._sweep_state`)."""
+        (:func:`repro.core.sweep._sweep_state`)."""
         del chunk_fn  # fleet workers run their own evaluation loop
         if self._closed:
             raise OSError("FleetExecutor is closed")

@@ -12,12 +12,12 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.cache import EvaluationCache, input_key, stage_key
+from repro.cache import EvaluationCache, StoreChain, input_key, stage_key
 from repro.cluster.best_choice import best_choice_clustering
 from repro.cluster.edge_coarsening import edge_coarsening
 from repro.cluster.fc import FirstChoiceConfig, first_choice_clustering
@@ -394,39 +394,6 @@ class ClusteredPlacementFlow:
                 checkpoint.initialize(self._run_config(design))
         return checkpoint, cache, keys, shared
 
-    def _stage(
-        self,
-        name: str,
-        stores: List[Any],
-        key: Optional[str],
-        compute: Callable[[], Any],
-        instances: int,
-    ) -> Tuple[Any, Optional[float]]:
-        """Serve stage ``name`` from the first of ``stores`` holding its
-        ``key``, or compute it; returns ``(payload, served_s)``, where
-        ``served_s`` is the seconds serving took, None if computed.
-
-        Write-back follows the V-P&R items' rule: a computed record
-        goes to every store, one the cache served to the checkpoint
-        ahead of it.  Stages draw only from explicitly seeded
-        generators, so what runs after a served stage is bit-identical
-        to a run that computed it.
-        """
-        if stores:
-            decode = stage_decoder(name, key, instances)
-            with obs.stage("flow.serve", stage=name) as serve:
-                for position, store in enumerate(stores):
-                    payload = store.load_stage(name, key, decode)
-                    if payload is not None:
-                        _write_back(name, key, payload, stores[:position])
-                        break
-            if payload is not None:
-                return payload, serve.elapsed
-        faults.check("flow." + name)
-        payload = compute()
-        _write_back(name, key, payload, stores)
-        return payload, None
-
     # -- the flow ----------------------------------------------------------
     def run(self, design: Design) -> FlowResult:
         """Run Algorithm 1 on a design; placement is committed to it.
@@ -446,11 +413,37 @@ class ClusteredPlacementFlow:
         def stage(
             name: str, compute: Callable[[], Any]
         ) -> Tuple[Any, Optional[float]]:
+            """Serve stage ``name`` through its stores (the V-P&R items'
+            rule, :class:`~repro.cache.StoreChain`), or compute it and
+            write it back; returns ``(payload, served_s)``, the seconds
+            serving took or None.  Stages draw only from explicitly
+            seeded generators, so what runs after a served stage is
+            bit-identical to a run that computed it."""
+            key = keys.get(name)
             in_cache = cache is not None and (name == "clustering" or shared)
-            stores = [s for s in (checkpoint, cache if in_cache else None) if s]
-            return self._stage(
-                name, stores, keys.get(name), compute, design.num_instances
+            chain = StoreChain(
+                checkpoint,
+                cache if in_cache else None,
+                lambda store, k: store.load_stage(
+                    name, k, stage_decoder(name, k, design.num_instances)
+                ),
+                lambda store, k, data: store.save_stage(name, k, data),
             )
+
+            def record() -> bytes:
+                return encode_stage(name, key, payload)
+
+            if chain.stores:
+                with obs.stage("flow.serve", stage=name) as serve:
+                    payload, position = chain.serve(key)
+                    if payload is not None:
+                        chain.write_back(key, record, position)
+                if payload is not None:
+                    return payload, serve.elapsed
+            faults.check("flow." + name)
+            payload = compute()
+            chain.write_back(key, record)
+            return payload, None
 
         runtimes: Dict[str, float] = {}
         context = dict(
@@ -576,16 +569,12 @@ class ClusteredPlacementFlow:
         # input files (docs/performance.md, "Incremental ECO").  It is
         # a few milliseconds from the placed design, so it is never
         # shared through the cache.
-        if checkpoint is not None and (
-            checkpoint.stage_key("eco_base") != keys["eco_base"]
-        ):
+        eco_key = keys.get("eco_base")
+        if checkpoint is not None and checkpoint.stage_key("eco_base") != eco_key:
             with obs.stage("flow.eco_base"):
-                _write_back(
-                    "eco_base",
-                    keys["eco_base"],
-                    {"design": design_snapshot(design)},
-                    [checkpoint],
-                )
+                base = {"design": design_snapshot(design)}
+                data = encode_stage("eco_base", eco_key, base)
+                checkpoint.save_stage("eco_base", eco_key, data)
 
         # Line 13 artefacts: cluster .lef + seed/final .def on request.
         if config.artifacts_dir is not None and clustered is not None:
@@ -632,16 +621,6 @@ class ClusteredPlacementFlow:
             for net_index, value in power_mult.items():
                 multipliers[net_index] = multipliers.get(net_index, 1.0) * value
         return multipliers
-
-
-def _write_back(
-    name: str, key: Optional[str], payload: Any, stores: List[Any]
-) -> None:
-    """Encode one stage record once and save it to each of ``stores``."""
-    if stores:
-        data = encode_stage(name, key, payload)
-        for store in stores:
-            store.save_stage(name, key, data)
 
 
 # ----------------------------------------------------------------------

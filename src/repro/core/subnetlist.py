@@ -1,0 +1,187 @@
+"""A cluster's sub-netlist and its virtual dies (Figure 3, left).
+
+One job: turn a cluster into what a V-P&R candidate is placed and
+routed on.  :func:`extract_subnetlist` induces the sub-netlist with
+the paper's port rule, :func:`_virtual_die` sizes a candidate's die
+and rings it with the IO ports, and :class:`_SubContext` keeps what
+the candidates of one sub share.  :mod:`repro.core.vpr` evaluates and
+selects over them.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro import obs
+from repro.cache import netlist_digest
+from repro.core.shapes import ShapeCandidate
+from repro.netlist.design import Design, Floorplan, PinDirection
+from repro.place.hpwl import hpwl_arrays
+from repro.place.problem import PlacementProblem
+
+#: GCell count of the virtual-die routing grid and margin around the
+#: virtual core (microns).  Constants of the evaluation, hashed into
+#: every cache key under these names (``VPRConfig.EVALUATION_CONSTANTS``).
+ROUTE_TARGET_CELLS = 144
+DIE_MARGIN = 1.0
+
+
+def extract_subnetlist(source: Design, member_indices: Sequence[int]) -> Design:
+    """Induce the sub-netlist over a cluster's instances.
+
+    Inter-cluster nets become virtual IO ports: an input port per
+    external driver, an output port per net with external sinks
+    (Figure 3's port creation rule).  Nets are taken, and ports
+    numbered, in each member's ``pin_nets`` order, members ascending.
+    """
+    members = set(int(i) for i in member_indices)
+    sub = Design(f"{source.name}_sub")
+    instance_map = {}
+    for idx in sorted(members):
+        inst = source.instances[idx]
+        if inst.master.name not in sub.masters:
+            sub.masters[inst.master.name] = inst.master
+        new_inst = sub.add_instance(inst.name, inst.master)
+        instance_map[idx] = new_inst
+
+    nets_seen = set()
+    port_counter = 0
+    for idx in sorted(members):
+        inst = source.instances[idx]
+        for net in inst.pin_nets.values():
+            if net.index in nets_seen or net.is_clock:
+                continue
+            nets_seen.add(net.index)
+            internal_refs = []
+            external_driver = False
+            external_sink = False
+            driver_internal = False
+            for ref in net.pins():
+                if ref.instance is not None and ref.instance.index in members:
+                    internal_refs.append(ref)
+                    if net.driver is ref:
+                        driver_internal = True
+                else:
+                    if net.driver is ref:
+                        external_driver = True
+                    else:
+                        external_sink = True
+            if not internal_refs:
+                continue
+            if len(internal_refs) < 2 and not (external_driver or external_sink):
+                continue
+            new_net = sub.add_net(net.name)
+            new_net.weight = net.weight
+            for ref in internal_refs:
+                sub.connect_instance_pin(
+                    new_net, instance_map[ref.instance.index], ref.pin_name
+                )
+            if external_driver and not driver_internal:
+                port_name = f"vin{port_counter}"
+                port_counter += 1
+                sub.add_port(port_name, PinDirection.INPUT)
+                sub.connect_port(new_net, port_name)
+            if external_sink and driver_internal:
+                port_name = f"vout{port_counter}"
+                port_counter += 1
+                sub.add_port(port_name, PinDirection.OUTPUT)
+                sub.connect_port(new_net, port_name)
+    return sub
+
+
+def _virtual_die(
+    num_ports: int, cell_area: float, candidate: ShapeCandidate
+) -> Tuple[Floorplan, np.ndarray, np.ndarray]:
+    """The virtual die of a shape: its floorplan, and the IO ports'
+    ``(x, y)`` spread evenly around the periphery in sorted port-name
+    order (the OpenROAD pin-placer substitute)."""
+    width, height = candidate.dimensions(max(cell_area, 1e-6))
+    fp = Floorplan(
+        die_width=width + 2 * DIE_MARGIN,
+        die_height=height + 2 * DIE_MARGIN,
+        core_margin=DIE_MARGIN,
+        target_utilization=candidate.utilization,
+    )
+    perimeter = 2 * (fp.die_width + fp.die_height)
+    t = (np.arange(num_ports) + 0.5) / max(num_ports, 1) * perimeter
+    bottom = t < fp.die_width
+    right = t < fp.die_width + fp.die_height
+    top = t < 2 * fp.die_width + fp.die_height
+    x = np.select(
+        [bottom, right, top],
+        [t, fp.die_width, t - fp.die_width - fp.die_height],
+        0.0,
+    )
+    y = np.select(
+        [bottom, right, top],
+        [0.0, t - fp.die_width, fp.die_height],
+        t - 2 * fp.die_width - fp.die_height,
+    )
+    return fp, x, y
+
+
+def _configure_virtual_die(
+    sub: Design, cell_area: float, candidate: ShapeCandidate
+) -> None:
+    """Size the sub-netlist's die for a shape and move its IO ports
+    onto the periphery (see :func:`_virtual_die`)."""
+    sub.floorplan, port_x, port_y = _virtual_die(
+        len(sub.ports), cell_area, candidate
+    )
+    for name, x, y in zip(sorted(sub.ports), port_x.tolist(), port_y.tolist()):
+        sub.ports[name].x, sub.ports[name].y = x, y
+
+
+class _SubContext:
+    """Candidate-independent artefacts of one sub-netlist.
+
+    Twenty candidates share the placement problem (net→pin CSR, masks,
+    areas, weights) and the content digest; only the core box and the
+    port ring change between candidates.  Under B2B the Laplacian
+    *pattern* is not among the shared things — its bound pins move with
+    every linearisation — so there is no symbolic matrix to reuse.  A
+    context is valid for one :meth:`Design.structure_key` — the key the
+    sub's flat form is cached under: ``VPRFramework._context_of``
+    rebuilds it, problem and digest, after any structural mutation (the
+    L-shape sweep's temporary blockage, a count-preserving reconnect).
+    """
+
+    __slots__ = ("sub", "structure_key", "problem", "_digest")
+
+    def __init__(self, sub: Design) -> None:
+        self.sub = sub
+        self.structure_key = sub.structure_key()
+        self.problem: Optional[PlacementProblem] = None
+        self._digest: Optional[str] = None
+
+    def placement_problem(
+        self, dies: Sequence[Tuple[Floorplan, np.ndarray, np.ndarray]]
+    ) -> PlacementProblem:
+        """The shared placement problem, stacked over virtual dies."""
+        if self.problem is None:
+            self.problem = PlacementProblem(self.sub)
+        floorplans, port_x, port_y = zip(*dies)
+        self.problem.stack_dies(floorplans, np.array(port_x), np.array(port_y))
+        return self.problem
+
+    def digest(self) -> str:
+        """Content digest of the sub-netlist (the netlist part of its
+        items' cache addresses), hashed on first use."""
+        if self._digest is None:
+            with obs.stage("vpr.cache_key"):
+                self._digest = netlist_digest(self.sub)
+        return self._digest
+
+    def mean_hpwl(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Average net HPWL over one system's final coordinates: every
+        net of two or more pins, duplicate same-instance pins kept (they
+        cannot change a span) — :func:`repro.place.hpwl.net_hpwl`
+        semantics, off the sub's cached flat form."""
+        pin_vertex, offsets, nets = self.sub.arrays().pin_vertex_csr(
+            include_clock=True
+        )
+        if not len(nets):
+            return 0.0
+        return hpwl_arrays(pin_vertex, offsets, x, y) / len(nets)

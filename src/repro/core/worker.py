@@ -17,12 +17,12 @@ every message one :mod:`repro.codec` frame:
    each sub (the decoded arrays are its cached flat form, so no
    netlist is ever walked here) and builds a
    :class:`~repro.core.vpr.VPRFramework`
-   (:func:`repro.core.vpr._setup_worker`); a state that fails
+   (:func:`repro.core.sweep._setup_worker`); a state that fails
    validation is answered with an ``error`` frame and the connection
    ends;
 3. **chunk → result** — each chunk of (cluster, candidate) items is
    evaluated by the same chunk evaluator every executor runs
-   (:func:`repro.core.vpr._evaluate_chunk`: SIGALRM item timeout,
+   (:func:`repro.core.sweep._evaluate_chunk`: SIGALRM item timeout,
    exceptions become error outcomes); costs and seconds go back as
    float64 columns, errors and what this process recorded in the
    header;
@@ -83,12 +83,12 @@ def _install_state(
     digest: str, header: Dict[str, Any], columns: Dict[str, Any]
 ) -> Dict[str, Any]:
     """Set up one shipped sweep state (evicting the old)."""
-    from repro.core import vpr
+    from repro.core import sweep
 
     # Fault site: a worker can die while taking its state; its chunks
     # then fall to the sweep's in-process passes.
     faults.check("fleet.install", key=digest)
-    state = vpr._setup_worker(header, columns)
+    state = sweep._setup_worker(header, columns)
     _STATES.clear()
     _STATES[digest] = state
     return state
@@ -98,7 +98,7 @@ def _serve_connection(sock: socket.socket) -> str:
     """Run the worker side of one connection; returns the outcome
     (``"shutdown"`` for a clean parent-initiated exit, ``"eof"`` when
     the parent vanished, ``"error"`` after a protocol failure)."""
-    from repro.core import vpr
+    from repro.core import sweep
     from repro.core.fanout import outcome_frame
 
     wire.send_msg(
@@ -138,7 +138,7 @@ def _serve_connection(sock: socket.socket) -> str:
             )
             return "error"
         if mtype == "chunk":
-            results = vpr._evaluate_chunk(state, header["items"])
+            results = sweep._evaluate_chunk(state, header["items"])
             fields, result_columns = outcome_frame(results)
             wire.send_msg(
                 sock, {"type": "result", "id": header["id"], **fields}, result_columns

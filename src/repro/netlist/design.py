@@ -483,8 +483,6 @@ class Design:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        # Designs pickled by older code predate the cache fields.
-        self.__dict__.setdefault("_structure_version", 0)
         self._signal_nets_cache = None
         self._degree_cache = None
         self._netlist_arrays = None

@@ -52,6 +52,7 @@ from repro.serve.schemas import (
 #: this list does not already bring in.
 PRELOAD = (
     "repro.core.flow",
+    "repro.core.sweep",
     "repro.designs.generator",
     "repro.eco",
     "repro.viz.svg",

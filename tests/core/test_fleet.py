@@ -27,7 +27,7 @@ from repro import codec, perf
 from repro.core.fanout import FleetExecutor, SweepExecutor, _FleetWorker
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.vpr import VPRConfig, VPRFramework
-from repro.core import wire, worker
+from repro.core import sweep, wire, worker
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
 from repro.recovery import faults
@@ -347,13 +347,13 @@ class TestMisbehavingWorkers:
         fake = _FakeWorker(executor.endpoint, answer)
         fake.start()
         settled = []
-        settle = VPRFramework._settle
+        settle = sweep._settle
 
-        def spy(self, clusters, slots, c, k, evaluation, *rest):
+        def spy(chain, keys, slots, c, k, evaluation, *rest):
             settled.append((evaluation.hpwl_cost, evaluation.congestion_cost))
-            return settle(self, clusters, slots, c, k, evaluation, *rest)
+            return settle(chain, keys, slots, c, k, evaluation, *rest)
 
-        monkeypatch.setattr(VPRFramework, "_settle", spy)
+        monkeypatch.setattr(sweep, "_settle", spy)
         try:
             result = _sweep(
                 design, members, _config(fleet_listen=executor.endpoint),
@@ -461,7 +461,7 @@ class TestWorkerStateValidation:
             c: framework.induce(design, members[c])
             for c in framework.config.eligible_clusters(members)[:1]
         }
-        return framework._sweep_state(SweepExecutor(), induced)
+        return sweep._sweep_state(framework, SweepExecutor(), induced)
 
     def _serve(self, header, columns):
         parent, child = socket.socketpair()

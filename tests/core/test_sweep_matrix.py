@@ -52,8 +52,9 @@ from repro import codec, monitor, perf, telemetry
 from repro.cache import EvaluationCache, netlist_digest
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
+from repro.core.sweep import ATTEMPTS, _sweep_state
 from repro.core.vpr import (
-    ATTEMPTS, VPRConfig, VPRFramework, VPRShapeSelector, VPRSweepError,
+    VPRConfig, VPRFramework, VPRShapeSelector, VPRSweepError,
 )
 from repro.db.database import DesignDatabase
 from repro.netlist.arrays import COLUMNS, NetlistArrays
@@ -349,8 +350,8 @@ def _shipped(clusters):
     design, members, swept = clusters
     framework = VPRFramework(_config("inline"))
     induced = {c: framework.induce(design, members[c]) for c in swept}
-    return framework, induced, framework._sweep_state(
-        fanout.SweepExecutor(), induced
+    return framework, induced, _sweep_state(
+        framework, fanout.SweepExecutor(), induced
     )
 
 
@@ -392,13 +393,13 @@ def _refuse_walk(*_args, **_kwargs):
 def _fleet_worker_body(frame, items, conn):
     """A fleet worker's life after the dial: install the shipped state,
     evaluate a chunk — with the object-graph walk rigged to raise."""
-    from repro.core import vpr, worker
+    from repro.core import sweep, worker
 
     NetlistArrays.from_design = _refuse_walk
     try:
         header, columns = codec.decode_frame(frame)
         state = worker._install_state("digest", header, columns)
-        outcomes = vpr._evaluate_chunk(state, items)
+        outcomes = sweep._evaluate_chunk(state, items)
         conn.send([(o.hpwl_cost, o.congestion_cost, o.error) for o in outcomes])
     except BaseException as exc:  # reported, then the child exits
         conn.send(repr(exc))

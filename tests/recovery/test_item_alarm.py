@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.core.vpr import _item_alarm
+from repro.core.sweep import _item_alarm
 
 
 @pytest.fixture(autouse=True)

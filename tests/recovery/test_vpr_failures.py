@@ -2,8 +2,9 @@
 
 A work item that fails or is lost on its executor — a whole executor
 that cannot run included — is re-run in the sweep's own process until
-it has had ``vpr.ATTEMPTS`` attempts there (one in a worker process is
-not one of them); an item still failing raises ``VPRSweepError``.  NaN
+it has had ``repro.core.sweep.ATTEMPTS`` attempts there (one in a
+worker process is not one of them); an item still failing raises
+``VPRSweepError``.  NaN
 costs never reach selection, and an ``OSError`` raised by the sweep's
 own process is never taken for an executor failure.
 """
@@ -13,7 +14,7 @@ import os
 import pytest
 
 import repro.core.fanout as fanout
-import repro.core.vpr as vpr
+import repro.core.sweep as vpr_sweep
 from repro import perf
 from repro.core.fanout import ItemOutcome, SweepExecutor
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
@@ -175,12 +176,14 @@ def _scripted(monkeypatch, failures_per_item, lose=False):
     monkeypatch.setattr(framework, "induce", lambda *a: (object(), 100.0))
     if lose:
         framework.executor_factory = LosingExecutor
-        in_process = framework._sweep_state
+        in_process = vpr_sweep._sweep_state
         monkeypatch.setattr(
-            framework,
+            vpr_sweep,
             "_sweep_state",
-            lambda executor, clusters: (
-                {} if executor.crosses_process else in_process(executor, clusters)
+            lambda framework, executor, clusters: (
+                {}
+                if executor.crosses_process
+                else in_process(framework, executor, clusters)
             ),
         )
 
@@ -225,10 +228,10 @@ class TestFailureRule:
         sweep, evaluator = _scripted(monkeypatch, {(0, 0): 99})
         with pytest.raises(
             VPRSweepError,
-            match=rf"cluster 0, candidate 0 .* failed after {vpr.ATTEMPTS} attempt",
+            match=rf"cluster 0, candidate 0 .* failed after {vpr_sweep.ATTEMPTS} attempt",
         ):
             sweep()
-        assert evaluator.calls.count((0, 0)) == vpr.ATTEMPTS
+        assert evaluator.calls.count((0, 0)) == vpr_sweep.ATTEMPTS
 
 
 class TestSerialRetries:
@@ -242,7 +245,7 @@ class TestSerialRetries:
         framework = VPRFramework(config)
         c = framework.config.eligible_clusters(members)[0]
         # Armed once per attempt the item gets in this process.
-        faults.configure(",".join([f"raise:vpr.item:{c}/1"] * vpr.ATTEMPTS))
+        faults.configure(",".join([f"raise:vpr.item:{c}/1"] * vpr_sweep.ATTEMPTS))
         with pytest.raises(VPRSweepError, match=f"cluster {c}, candidate 1"):
             framework.sweep_cluster(design, members[c], c)
 
@@ -265,7 +268,7 @@ def _record_fleets(monkeypatch, dies_mid_sweep=False):
             yield next(resolved)
             raise OSError("fleet died mid-sweep")
 
-    monkeypatch.setattr(vpr, "FleetExecutor", Recorded)
+    monkeypatch.setattr(vpr_sweep, "FleetExecutor", Recorded)
     return fleets
 
 

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
 from repro.core.shapes import default_candidate_grid
-from repro.core.vpr import (
+from repro.core.subnetlist import (
     ROUTE_TARGET_CELLS,
-    VPRConfig,
     _SubContext,
     _virtual_die,
     extract_subnetlist,
 )
+from repro.core.vpr import VPRConfig
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
 from repro.designs.nangate45 import make_library

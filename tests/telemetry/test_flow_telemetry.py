@@ -75,6 +75,27 @@ class TestFlowTelemetry:
             "flow.done",
         } <= event_types
 
+    def test_shape_selected_reports_the_winners_total_cost(self, small_design_fresh):
+        """Each ``vpr.shape_selected`` event carries the selected
+        shape and the Total Cost of the argmin over its sweep."""
+        telemetry.enable()
+        result = ClusteredPlacementFlow(_flow_config()).run(small_design_fresh)
+        framework = VPRFramework(_flow_config().vpr_config)
+        expected = []
+        for sweep in result.selection.sweeps:
+            best = framework._best_of(sweep.evaluations)
+            assert best.candidate == sweep.best
+            expected.append(
+                (sweep.cluster_id, best.candidate.aspect_ratio,
+                 best.candidate.utilization, best.total(framework.config.delta))
+            )
+        events = [
+            (e["cluster"], e["ar"], e["util"], e["total_cost"])
+            for e in telemetry.get_session().events.export()
+            if e["type"] == "vpr.shape_selected"
+        ]
+        assert expected and events == expected
+
     def test_virtual_die_streams_muted(self, small_design_fresh):
         """V-P&R's internal placer/router runs must not pollute the
         flow-level gp.* / route.* convergence streams."""

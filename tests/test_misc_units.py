@@ -9,7 +9,7 @@ from repro.core.ppa_clustering import ppa_aware_clustering
 from repro.core.seeded import _cluster_regions
 from repro.core.clustered_netlist import build_clustered_netlist
 from repro.core.shapes import ShapeCandidate
-from repro.core.vpr import _configure_virtual_die, extract_subnetlist
+from repro.core.subnetlist import _configure_virtual_die, extract_subnetlist
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
 from repro.designs.nangate45 import COMB_MIX, SEQ_MIX, make_library

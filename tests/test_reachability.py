@@ -175,6 +175,17 @@ def test_the_allowance_holds_only_names_still_without_a_caller():
     assert unused == sorted(ALLOWED_UNUSED)
 
 
+def test_no_module_outgrows_one_job():
+    # The V-P&R sweep scheduler and sub-netlist extraction live beside
+    # repro.core.vpr, which only evaluates and selects.
+    lines = {
+        name: len(path.read_text().splitlines())
+        for name, path in package_modules(SRC).items()
+    }
+    assert {name: n for name, n in lines.items() if n > 1000} == {}
+    assert lines["repro.core.vpr"] <= 800
+
+
 def _write(root: Path, files):
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)

@@ -88,7 +88,7 @@ def test_workers_never_see_a_store():
     from pathlib import Path
 
     import repro
-    from repro.core import fanout, vpr, worker
+    from repro.core import fanout, sweep, worker
     from repro.core.fanout import FleetExecutor, InlineExecutor, ItemOutcome
     from repro.core.vpr import VPRConfig, VPRFramework
 
@@ -124,14 +124,14 @@ def test_workers_never_see_a_store():
     fleet = FleetExecutor(workers=2)
     try:
         for executor in (InlineExecutor(), fleet):
-            state = framework._sweep_state(executor, {})
+            state = sweep._sweep_state(framework, executor, {})
             keys = set(state) | set(state.get("header", ()))
             assert not [key for key in keys if "cache" in key.lower()]
     finally:
         fleet.close()
     # The chunk evaluator only computes.
     for func in (
-        vpr._evaluate_chunk, vpr._cluster_run_worker, vpr._setup_worker,
+        sweep._evaluate_chunk, sweep._cluster_run_worker, sweep._setup_worker,
     ):
         assert not re.search(
             r"_lookup|EvaluationCache|\.cache\b|\.checkpoint\b",
@@ -175,7 +175,7 @@ def test_one_flat_form_one_cache():
     from pathlib import Path
 
     import repro
-    from repro.core import vpr
+    from repro.core import subnetlist, sweep, vpr
     from repro.netlist import snapshot
     from repro.netlist.design import Design
 
@@ -200,7 +200,9 @@ def test_one_flat_form_one_cache():
 
     # After extraction nothing in the sweep walks a net's pin objects,
     # and HPWL keeps only the per-net spot check.
-    assert _functions_walking_pins(vpr) == {"extract_subnetlist"}
+    assert _functions_walking_pins(subnetlist) == {"extract_subnetlist"}
+    assert _functions_walking_pins(vpr) == set()
+    assert _functions_walking_pins(sweep) == set()
     assert _functions_walking_pins(hpwl) == {"net_hpwl"}
     assert not [
         v for v in vars(hpwl).values()
