@@ -149,7 +149,10 @@ spine-smoke:
 	tail -1 spine-smoke/traced.txt | python3 -c "import json, sys; \
 		result = json.loads(sys.stdin.read()); \
 		assert result['correct'] is True, result; \
-		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations')"
+		sta = ('sta.graph_build_s', 'sta.update_full_s', 'sta.activity_s', 'sta.power_s'); \
+		zero = [n for n in sta if not result['metrics'][n]['value'] > 0]; \
+		assert not zero, f'{zero} read 0: a traced STA target is not on the path'; \
+		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations, STA rows non-zero')"
 	timeout 600 python3 benchmarks/spine/run.py --workload backend_ml \
 		--seed 0 --seconds 15 --trace 1 > spine-smoke/traced_ml.txt
 	tail -1 spine-smoke/traced_ml.txt | python3 -c "import json, sys; \

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.netlist.design import Design, PinRef
-from repro.sta.delay import BUFFERED_LOAD_FF, WireDelayModel
+from repro.netlist.design import Design, Net, PinRef
+from repro.sta.delay import BUFFERED_LOAD_FF, PlacementWireModel, WireDelayModel
 
 #: Buffer master used for insertion.
 BUFFER_MASTER = "BUF_X4"
@@ -73,6 +73,24 @@ def _sink_load(design: Design, sinks: Sequence[PinRef]) -> float:
     return sum(ref.capacitance(design) for ref in sinks)
 
 
+def net_load(design: Design, wire_model: WireDelayModel, net: Net) -> float:
+    """Driver load of one net under a placement wire model: sink pin
+    caps plus ``c_per_um`` times the net's HPWL (fF).
+
+    One net at a time, on the live object graph, because the studies
+    read a net's load while they rewire and resize around it.
+    """
+    if type(wire_model) is not PlacementWireModel:
+        raise TypeError(f"the studies take a PlacementWireModel, not {type(wire_model).__name__}")
+    points = [_sink_location(design, ref) for ref in net.pins()]
+    wirelength = 0.0
+    if points:
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        wirelength = (max(xs) - min(xs)) + (max(ys) - min(ys))
+    return _sink_load(design, net.sinks) + wire_model.c_per_um * wirelength
+
+
 def buffer_high_fanout_nets(
     design: Design,
     wire_model: WireDelayModel,
@@ -108,7 +126,7 @@ def buffer_high_fanout_nets(
         n for n in design.nets if not n.is_clock and n.driver is not None
     ]
     for net in original_nets:
-        if wire_model.net_load(net) <= max_load:
+        if net_load(design, wire_model, net) <= max_load:
             continue
         if master is None:
             raise KeyError(
@@ -118,7 +136,7 @@ def buffer_high_fanout_nets(
         level = 0
         frontier = net
         while (
-            wire_model.net_load(frontier) > max_load and level < MAX_LEVELS
+            net_load(design, wire_model, frontier) > max_load and level < MAX_LEVELS
         ):
             level += 1
             sinks = list(frontier.sinks)

@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.netlist.design import Design, MasterCell
+from benchmarks.ext.opt.buffering import net_load
+from repro.netlist.design import Design, Instance, MasterCell
 from repro.sta.analysis import TimingAnalyzer
 from repro.sta.delay import WireDelayModel, effective_cell_delay
 from repro.sta.flat import invalidate_flat
@@ -53,6 +54,14 @@ def _cell_delay(master: MasterCell, load: float) -> float:
     return effective_cell_delay(
         master.intrinsic_delay, master.drive_resistance, load
     )
+
+
+def _swap_master(design: Design, inst: Instance, master: MasterCell) -> None:
+    """Resize in place, keeping the timing graph: patch the flat form's
+    master columns (the STA reads them) without a structure bump."""
+    inst.master = master
+    if not design.arrays().patch_instance_master(inst.index):
+        raise ValueError(f"{master.name} does not declare {inst.name}'s pin list")
 
 
 def resize_gates(
@@ -96,12 +105,12 @@ def resize_gates(
             net = inst.net_on(outputs[0].name)
             if net is None:
                 continue
-            load = wire_model.net_load(net)
+            load = net_load(design, wire_model, net)
             stronger = _variant(design, inst.master, 2)
             if stronger is None:
                 continue
             if _cell_delay(stronger, load) < _cell_delay(inst.master, load):
-                inst.master = stronger
+                _swap_master(design, inst, stronger)
                 upsized += 1
 
     downsized = 0
@@ -117,19 +126,19 @@ def resize_gates(
         net = inst.net_on(outputs[0].name)
         if net is None:
             continue
-        if wire_model.net_load(net) > downsize_load:
+        if net_load(design, wire_model, net) > downsize_load:
             continue
         match = _DRIVE_RE.match(master.name)
         if not match or int(match.group("drive")) <= 1:
             continue
         weaker = design.masters.get(f"{match.group('base')}_X1")
         if weaker is not None:
-            inst.master = weaker
+            _swap_master(design, inst, weaker)
             downsized += 1
 
     if upsized or downsized:
-        # Master swaps change the cell delays captured by the flat
-        # compilation; force a recompile for the next analyzer.
+        # Master swaps change the cell delays and pin caps the flat
+        # compilation captured; force a recompile for the next analyzer.
         invalidate_flat(graph)
 
     return SizingResult(

@@ -35,9 +35,13 @@ Design points:
   the hot path has no file locks.  Across runs there is no single
   owner: every concurrent flow (e.g. each job of a ``repro serve``
   daemon) reads and writes the shared directory.  Writes are safe by
-  construction (atomic rename of
-  content-addressed entries — two writers racing on one key write the
-  same bytes), and :meth:`gc`/:meth:`stats` treat entries that vanish
+  construction: each entry lands by an atomic rename, so a reader sees
+  one whole record, and when two writers race on one key the last
+  rename wins.  The two records need not be the same bytes — item and
+  stage records carry the computing run's wall seconds (``seconds``,
+  ``runtime`` / ``runtimes``, ``sweep_runtime``) — but they agree on
+  every QoR field, since the key covers everything the result depends
+  on.  :meth:`gc`/:meth:`stats` treat entries that vanish
   mid-sweep (``FileNotFoundError`` on stat or unlink) as already
   collected by the concurrent writer: never an error, never an extra
   eviction.  The per-instance opportunistic GC trigger fires every

@@ -699,17 +699,19 @@ def _power_multipliers(design: Design, emphasis: float) -> Dict[int, float]:
     capacitive load (pin caps + a fanout-based wire estimate), so the
     placer shortens the nets that burn the most switching power.
     """
-    from repro.sta.activity import propagate_activity
     from repro.sta.delay import FanoutWireModel
+    from repro.sta.flat import flat_for
 
     graph = timing_graph_for(design)
     activity = propagate_activity(graph)
+    flat = flat_for(graph)
     model = FanoutWireModel(design)
-    energies: Dict[int, float] = {}
-    for net in design.nets:
-        if net.is_clock or net.degree < 2:
-            continue
-        energies[net.index] = activity.get(net.index, 0.0) * model.net_load(net)
+    loads = flat.net_loads(model, None, None)[0].tolist()
+    arrays = graph.arrays
+    signal = np.flatnonzero(~arrays.net_is_clock & (arrays.net_degree >= 2))
+    energies: Dict[int, float] = {
+        ni: activity.get(ni, 0.0) * loads[ni] for ni in signal.tolist()
+    }
     mean = (sum(energies.values()) / len(energies)) if energies else 1.0
     if mean <= 0:
         return {}

@@ -10,7 +10,6 @@ the paper's switching cost (Eq. 2).
 
 from __future__ import annotations
 
-import math
 from typing import Dict
 
 import numpy as np
@@ -54,7 +53,6 @@ def propagate_activity(
     from repro.sta.flat import flat_for
 
     flat = flat_for(graph)
-    design = graph.design
     n = flat.num_nodes
     # One extra slot: virtual node for driver pins absent from the
     # graph (zero activity, floored to ACTIVITY_FLOOR below).
@@ -89,18 +87,12 @@ def propagate_activity(
                 flat.act_factor[vs] * (insum[vs] / flat.cell_in_cnt[vs]),
             )
     net_act = np.maximum(ACTIVITY_FLOOR, act[flat.drv_node])
-    vals = np.where(flat.net_is_clock, 1.0, net_act).tolist()
-    net_activity: Dict[int, float] = {}
-    for net in design.nets:
-        if net.is_clock:
-            net.switching_activity = 1.0
-            net_activity[net.index] = 1.0
-            continue
-        if net.driver is None:
-            continue
-        a = vals[net.index]
-        if math.isnan(a):  # pragma: no cover - defensive
-            a = ACTIVITY_FLOOR
-        net.switching_activity = a
-        net_activity[net.index] = a
-    return net_activity
+    net_act = np.where(np.isnan(net_act), ACTIVITY_FLOOR, net_act)
+    written = np.flatnonzero(flat.net_is_clock | flat.net_has_driver)
+    indices = written.tolist()
+    values = np.where(flat.net_is_clock, 1.0, net_act)[written].tolist()
+    # The one per-net loop: the write-back onto the object view.
+    nets = graph.design.nets
+    for ni, a in zip(indices, values):
+        nets[ni].switching_activity = a
+    return dict(zip(indices, values))

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
-from repro.sta.delay import FanoutWireModel, WireDelayModel
-from repro.sta.flat import WIRE_MODELS, FlatTiming, flat_for
+from repro.sta.delay import WireDelayModel
+from repro.sta.flat import FlatTiming, check_wire_model, flat_for
 from repro.sta.graph import TimingGraph
 
 #: Clock period used when the design is unconstrained (effectively
@@ -75,12 +75,7 @@ class TimingAnalyzer:
         wire_model: WireDelayModel,
         clock_uncertainty: float = 0.0,
     ) -> None:
-        if type(wire_model) not in WIRE_MODELS:
-            raise TypeError(
-                f"unsupported wire model {type(wire_model).__name__}: "
-                "the flat STA kernels implement exactly FanoutWireModel, "
-                "PlacementWireModel and RoutedWireModel"
-            )
+        check_wire_model(wire_model)
         self.graph = graph
         self.wire_model = wire_model
         self.design = graph.design
@@ -124,12 +119,8 @@ class TimingAnalyzer:
     def _arc_delays(self, flat: FlatTiming) -> np.ndarray:
         """Per-arc delays (enumeration order) at the current geometry."""
         model = self.wire_model
-        if type(model) is FanoutWireModel:
-            inst_x = inst_y = None
-        else:
-            inst_x, inst_y = flat.instance_coords()
-        net_wl, net_hpwl = flat.wire_net_lengths(model, inst_x, inst_y)
-        net_load = flat.net_pincap + model.c_per_um * net_wl
+        inst_x, inst_y = flat.geometry(model)
+        net_load, net_hpwl = flat.net_loads(model, inst_x, inst_y)
         return flat.arc_delays(model, net_load, net_hpwl, inst_x, inst_y)
 
     def forward_delays(self, flat: FlatTiming) -> np.ndarray:

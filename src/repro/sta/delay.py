@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.netlist.design import Design, Net, PinRef
+from repro.netlist.design import Design
 
 #: ns per (kOhm * fF).
 RC_NS = 1e-3
@@ -59,11 +59,13 @@ def effective_cell_delay(
 
 
 class WireDelayModel:
-    """Base class: computes wire delay and net capacitance.
+    """Base class: the electrical parameters of a wire model.
 
-    Subclasses override :meth:`net_wirelength` (total net wire length,
-    used for capacitive load) and :meth:`sink_distance` (driver-to-sink
-    distance, used for the distributed RC delay to one sink).
+    A model is data: per-micron resistance and capacitance, plus what
+    each subclass adds.  The per-net geometry (wire length, driver-to-
+    sink distance, driver load) is computed for all nets at once over
+    the flat form by :class:`repro.sta.flat.FlatTiming`; the per-object
+    walk it replaced is the tests' oracle (``tests/sta/reference.py``).
     """
 
     def __init__(
@@ -76,43 +78,13 @@ class WireDelayModel:
         self.r_per_um = r_per_um
         self.c_per_um = c_per_um
 
-    # -- geometry hooks -------------------------------------------------
-    def net_wirelength(self, net: Net) -> float:
-        """Estimated total wire length of the net (microns)."""
-        raise NotImplementedError
-
-    def sink_distance(self, net: Net, sink: PinRef) -> float:
-        """Estimated driver-to-sink distance (microns)."""
-        raise NotImplementedError
-
-    # -- electrical quantities ------------------------------------------
-    def wire_capacitance(self, net: Net) -> float:
-        """Wire capacitance of the net (fF)."""
-        return self.c_per_um * self.net_wirelength(net)
-
-    def net_load(self, net: Net) -> float:
-        """Total load seen by the driver: wire cap + sink pin caps (fF)."""
-        pin_cap = sum(sink.capacitance(self.design) for sink in net.sinks)
-        return pin_cap + self.wire_capacitance(net)
-
-    def wire_delay(self, net: Net, sink: PinRef) -> float:
-        """Elmore-style wire delay from driver to ``sink`` (ns).
-
-        Uses the distributed-RC approximation over the driver-to-sink
-        distance: ``R_wire * (C_wire / 2 + C_sink)``.
-        """
-        dist = self.sink_distance(net, sink)
-        r_wire = self.r_per_um * dist
-        c_wire = self.c_per_um * dist
-        c_sink = sink.capacitance(self.design)
-        return RC_NS * r_wire * (0.5 * c_wire + c_sink)
-
 
 class FanoutWireModel(WireDelayModel):
     """Placement-oblivious model: wire length grows with fanout.
 
-    ``WL = wl_per_fanout * degree`` is the classic synthesis wireload
-    approximation; used for the pre-placement STA that seeds the
+    ``WL = wl_per_fanout * max(1, fanout)`` is the classic synthesis
+    wireload approximation, and every driver-to-sink distance is
+    ``wl_per_fanout``; used for the pre-placement STA that seeds the
     PPA-aware clustering when no placement exists yet.
     """
 
@@ -120,41 +92,10 @@ class FanoutWireModel(WireDelayModel):
         super().__init__(design, **kwargs)
         self.wl_per_fanout = wl_per_fanout
 
-    def net_wirelength(self, net: Net) -> float:
-        return self.wl_per_fanout * max(1, net.fanout)
-
-    def sink_distance(self, net: Net, sink: PinRef) -> float:
-        return self.wl_per_fanout
-
-
-def _pin_location(design: Design, ref: PinRef) -> tuple:
-    """Location of a pin reference (instance centre or port location)."""
-    if ref.instance is not None:
-        return ref.instance.x, ref.instance.y
-    port = design.ports[ref.pin_name]
-    return port.x, port.y
-
 
 class PlacementWireModel(WireDelayModel):
-    """Post-placement model: HPWL net length, Manhattan sink distance."""
-
-    def net_wirelength(self, net: Net) -> float:
-        xs = []
-        ys = []
-        for ref in net.pins():
-            x, y = _pin_location(self.design, ref)
-            xs.append(x)
-            ys.append(y)
-        if not xs:
-            return 0.0
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-    def sink_distance(self, net: Net, sink: PinRef) -> float:
-        if net.driver is None:
-            return 0.0
-        xd, yd = _pin_location(self.design, net.driver)
-        xs, ys = _pin_location(self.design, sink)
-        return abs(xd - xs) + abs(yd - ys)
+    """Post-placement model: HPWL net length, Manhattan driver-to-sink
+    distance between instance centres / port locations."""
 
 
 class RoutedWireModel(PlacementWireModel):
@@ -162,8 +103,9 @@ class RoutedWireModel(PlacementWireModel):
 
     ``routed_lengths`` maps net index to routed wire length (microns);
     nets absent from the map fall back to the placement HPWL.  Sink
-    distances are scaled by the net's detour ratio so congestion-driven
-    detours lengthen the timing arcs they affect.
+    distances are scaled by the net's detour ratio
+    ``max(1, routed / hpwl)`` so congestion-driven detours lengthen the
+    timing arcs they affect.
     """
 
     def __init__(
@@ -174,18 +116,3 @@ class RoutedWireModel(PlacementWireModel):
     ) -> None:
         super().__init__(design, **kwargs)
         self.routed_lengths = routed_lengths or {}
-
-    def net_wirelength(self, net: Net) -> float:
-        routed = self.routed_lengths.get(net.index)
-        if routed is not None:
-            return routed
-        return super().net_wirelength(net)
-
-    def sink_distance(self, net: Net, sink: PinRef) -> float:
-        base = super().sink_distance(net, sink)
-        hpwl = super().net_wirelength(net)
-        routed = self.routed_lengths.get(net.index)
-        if routed is None or hpwl <= 0:
-            return base
-        detour = max(1.0, routed / hpwl)
-        return base * detour

@@ -29,20 +29,29 @@ preserves the exact evaluation-order semantics of the scalar code:
   creation order)``, that attains the segment maximum — and only when
   that maximum strictly exceeds the node's startpoint launch value.
 
+The compilation reads only the graph's flat arrays and the design's
+:class:`~repro.netlist.arrays.NetlistArrays`: node owners and pin-name
+ids, the net -> pin CSR, pin capacitances and the master columns
+(``m_intrinsic`` / ``m_drive`` / ``m_clk_to_q`` / ``m_setup`` /
+``m_hold`` / ``m_is_seq``, cell classes).  It walks no ``Net`` or
+``Instance`` object and never builds the graph's per-pin node maps.
+
 Static per-design quantities (master-cell delays, pin capacitances,
 port coordinates, per-net static pin-cap sums) are captured at compile
-time.  Mutating masters afterwards (gate sizing) must call
+time.  Mutating masters afterwards (gate sizing) must update the master
+columns — :meth:`Design.replace_master` patches them in place, an
+out-of-API ``inst.master = ...`` must call
+:meth:`NetlistArrays.patch_instance_master` — and then call
 :func:`invalidate_flat` on the graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.netlist.arrays import multi_arange
-from repro.netlist.design import Design
 from repro.sta.delay import (
     BUFFER_STAGE_DELAY_NS,
     BUFFERED_LOAD_FF,
@@ -63,12 +72,10 @@ class FlatTiming:
 
     def __init__(self, graph: TimingGraph) -> None:
         self.graph = graph
-        design = graph.design
-        self.design = design
+        arrays = graph.arrays
+        self.arrays = arrays
         n = graph.num_nodes
         self.num_nodes = n
-        info = graph.info
-        ports = design.ports
 
         # -- per-arc arrays, in creation-enumeration order ----------------
         # Assembled from the flat pieces the graph builder recorded:
@@ -86,22 +93,14 @@ class FlatTiming:
         self.a_load_net = np.concatenate(
             (np.full(nw, -1, dtype=np.int64), np.repeat(graph._c_out_net, graph._c_nin))
         )
-        instances = design.instances
-        out_inst = graph._c_out_inst.tolist()
-        n_out = len(out_inst)
-        intr_out = np.fromiter(
-            (instances[i].master.intrinsic_delay for i in out_inst),
-            dtype=np.float64,
-            count=n_out,
-        )
-        drive_out = np.fromiter(
-            (instances[i].master.drive_resistance for i in out_inst),
-            dtype=np.float64,
-            count=n_out,
-        )
+        out_master = arrays.inst_master[graph._c_out_inst]
         zero_w = np.zeros(nw)
-        self.a_intrinsic = np.concatenate((zero_w, np.repeat(intr_out, graph._c_nin)))
-        self.a_drive = np.concatenate((zero_w, np.repeat(drive_out, graph._c_nin)))
+        self.a_intrinsic = np.concatenate(
+            (zero_w, np.repeat(arrays.m_intrinsic[out_master], graph._c_nin))
+        )
+        self.a_drive = np.concatenate(
+            (zero_w, np.repeat(arrays.m_drive[out_master], graph._c_nin))
+        )
         # The activity kernel depends on per-node arc-kind homogeneity;
         # the connect() API cannot produce a pin fed by both kinds.
         mixed = np.intersect1d(self.a_dst[:nw], graph._c_out_node)
@@ -154,37 +153,21 @@ class FlatTiming:
         self.wave_seg_b = np.searchsorted(segb, self.wave_b)
 
         # -- endpoint / startpoint tables (list order preserved) ----------
-        self.s_nodes = np.asarray(graph.startpoints, dtype=np.int64)
-        s_launch = []
-        s_isport = []
-        for s in graph.startpoints:
-            inst, _pin = info(s)
-            if inst is None:
-                s_launch.append(0.0)
-                s_isport.append(True)
-            else:
-                s_launch.append(inst.master.clk_to_q)
-                s_isport.append(False)
-        self.s_launch = np.asarray(s_launch, dtype=np.float64)
-        self.s_isport = np.asarray(s_isport, dtype=bool)
+        # Master columns gathered per node owner; a port (owner -1)
+        # reads the appended row, so it launches at 0, needs no setup
+        # or hold, and is not sequential.
+        owner_master = np.append(arrays.inst_master, len(arrays.master_names))
 
+        def by_owner(column: np.ndarray, port_value, nodes: np.ndarray) -> np.ndarray:
+            return np.append(column, port_value)[owner_master[graph._node_owner[nodes]]]
+
+        self.s_nodes = np.asarray(graph.startpoints, dtype=np.int64)
+        self.s_launch = by_owner(arrays.m_clk_to_q, 0.0, self.s_nodes)
+        self.s_isport = graph._node_owner[self.s_nodes] < 0
         self.e_nodes = np.asarray(graph.endpoints, dtype=np.int64)
-        e_setup = []
-        e_isseq = []
-        e_hold = []
-        for e in graph.endpoints:
-            inst, _pin = info(e)
-            if inst is None:
-                e_setup.append(0.0)
-                e_isseq.append(False)
-                e_hold.append(0.0)
-            else:
-                e_setup.append(inst.master.setup_time)
-                e_isseq.append(inst.master.is_sequential)
-                e_hold.append(inst.master.hold_time)
-        self.e_setup = np.asarray(e_setup, dtype=np.float64)
-        self.e_isseq = np.asarray(e_isseq, dtype=bool)
-        self.e_hold = np.asarray(e_hold, dtype=np.float64)
+        self.e_setup = by_owner(arrays.m_setup, 0.0, self.e_nodes)
+        self.e_isseq = by_owner(arrays.m_is_seq, False, self.e_nodes)
+        self.e_hold = by_owner(arrays.m_hold, 0.0, self.e_nodes)
 
         # Startpoint launch template (full update applies it with
         # maximum.at, exactly matching the scalar max-init loop).
@@ -193,100 +176,50 @@ class FlatTiming:
             np.maximum.at(init, self.s_nodes, self.s_launch)
         self.init_arrival = init
 
-        # -- per-net tables ------------------------------------------------
-        num_nets = len(design.nets)
+        # -- per-net tables (the net -> pin CSR, driver row first) --------
+        num_nets = arrays.num_nets
         self.num_nets = num_nets
-        pincap = np.zeros(num_nets, dtype=np.float64)
-        fanout = np.zeros(num_nets, dtype=np.int64)
-        pin_counts = np.zeros(num_nets, dtype=np.int64)
-        pin_inst: List[int] = []
-        pin_px: List[float] = []
-        pin_py: List[float] = []
-        drv_inst = np.full(num_nets, -1, dtype=np.int64)
-        drv_px = np.zeros(num_nets, dtype=np.float64)
-        drv_py = np.zeros(num_nets, dtype=np.float64)
-        drv_node = np.full(num_nets, -1, dtype=np.int64)
-        net_is_clock = np.zeros(num_nets, dtype=bool)
-        csink_wire: List[float] = []
-        node_of = graph._node_of
-        # Pin capacitances are per-(master, pin) constants; memoizing
-        # them skips the attribute chain PinRef.capacitance walks for
-        # every sink of every net.
-        cap_memo: Dict[Tuple[int, str], float] = {}
-        for net in design.nets:
-            ni = net.index
-            is_clock = net.is_clock
-            net_is_clock[ni] = is_clock
-            fanout[ni] = net.fanout
-            caps = []
-            for s in net.sinks:
-                inst = s.instance
-                if inst is None:
-                    caps.append(ports[s.pin_name].capacitance)
-                    continue
-                ck = (id(inst.master), s.pin_name)
-                c = cap_memo.get(ck)
-                if c is None:
-                    c = inst.master.pins[s.pin_name].capacitance
-                    cap_memo[ck] = c
-                caps.append(c)
-            # Same sequential Python sum as WireDelayModel.net_load.
-            pincap[ni] = sum(caps)
-            if net.driver is not None and not is_clock:
-                # net order == wire-arc creation order (graph builder).
-                csink_wire.extend(caps)
-            count = 0
-            for ref in net.pins():
-                count += 1
-                if ref.instance is None:
-                    port = ports[ref.pin_name]
-                    pin_inst.append(-1)
-                    pin_px.append(port.x)
-                    pin_py.append(port.y)
-                else:
-                    pin_inst.append(ref.instance.index)
-                    pin_px.append(0.0)
-                    pin_py.append(0.0)
-            pin_counts[ni] = count
-            if net.driver is not None:
-                ref = net.driver
-                key = (
-                    ref.instance.index if ref.instance is not None else None,
-                    ref.pin_name,
-                )
-                node = node_of.get(key)
-                # Driver pins without a graph node (e.g. tie cells with
-                # no input arcs) map to a virtual zero-activity slot at
-                # index n, matching the scalar node_for_ref fallback.
-                drv_node[ni] = node if node is not None else n
-                if ref.instance is None:
-                    port = ports[ref.pin_name]
-                    drv_px[ni] = port.x
-                    drv_py[ni] = port.y
-                else:
-                    drv_inst[ni] = ref.instance.index
-        self.net_pincap = pincap
-        self.net_fanout = fanout
-        self.net_is_clock = net_is_clock
-        self.pin_indptr = np.concatenate(
-            ([0], np.cumsum(pin_counts))
-        ).astype(np.int64)
-        self.pin_inst = np.asarray(pin_inst, dtype=np.int64)
-        self.pin_px = np.asarray(pin_px, dtype=np.float64)
-        self.pin_py = np.asarray(pin_py, dtype=np.float64)
-        self.drv_inst = drv_inst
-        self.drv_px = drv_px
-        self.drv_py = drv_py
-        self.drv_node = drv_node
+        ptr = arrays.net_ptr
+        has_driver = arrays.net_has_driver
+        drv_rows = ptr[:-1][has_driver]
+        is_sink = np.ones(arrays.num_pins, dtype=bool)
+        is_sink[drv_rows] = False
+        sink_rows = np.flatnonzero(is_sink)
+        # bincount accumulates in row order: the walk's sequential sum
+        # of sink pin caps, net by net.
+        self.net_pincap = np.bincount(
+            arrays.pin_net()[sink_rows],
+            weights=arrays.pin_cap[sink_rows],
+            minlength=num_nets,
+        )
+        self.net_fanout = arrays.net_fanout
+        self.net_is_clock = arrays.net_is_clock
+        self.net_has_driver = has_driver
+        self.pin_indptr = ptr
+        self.pin_inst = arrays.pin_inst
+        port_x, port_y = arrays.current_port_xy()
+        port = arrays.pin_port
+        is_port = port >= 0
+        self.pin_px = np.where(is_port, np.append(port_x, 0.0)[port], 0.0)
+        self.pin_py = np.where(is_port, np.append(port_y, 0.0)[port], 0.0)
+        self.drv_inst = np.full(num_nets, -1, dtype=np.int64)
+        self.drv_inst[has_driver] = arrays.pin_inst[drv_rows]
+        self.drv_px = np.zeros(num_nets, dtype=np.float64)
+        self.drv_px[has_driver] = self.pin_px[drv_rows]
+        self.drv_py = np.zeros(num_nets, dtype=np.float64)
+        self.drv_py[has_driver] = self.pin_py[drv_rows]
+        # Driver pins without a graph node (e.g. tie cells with no
+        # input arcs) map to a virtual zero-activity slot at index n.
+        drv_node = graph.pin_nodes(drv_rows)
+        self.drv_node = np.full(num_nets, -1, dtype=np.int64)
+        self.drv_node[has_driver] = np.where(drv_node >= 0, drv_node, n)
 
-        # -- wire-arc sink tables (from the pin CSR: sinks of a driven
-        # net are its pins after the leading driver entry) ----------------
+        # -- wire-arc sink tables (sinks of a driven net are its pins
+        # after the leading driver entry) ---------------------------------
         neg_c = np.full(mc, -1, dtype=np.int64)
         zero_c = np.zeros(mc)
-        sink_pins = multi_arange(self.pin_indptr[graph._w_net] + 1, graph._w_cnt)
-        self.a_csink = np.concatenate(
-            (np.asarray(csink_wire, dtype=np.float64), zero_c)
-        )
+        sink_pins = multi_arange(ptr[graph._w_net] + 1, graph._w_cnt)
+        self.a_csink = np.concatenate((arrays.pin_cap[sink_pins], zero_c))
         self.a_sink_inst = np.concatenate((self.pin_inst[sink_pins], neg_c))
         self.a_sink_px = np.concatenate((self.pin_px[sink_pins], zero_c))
         self.a_sink_py = np.concatenate((self.pin_py[sink_pins], zero_c))
@@ -294,29 +227,26 @@ class FlatTiming:
         # -- activity tables (per dst node) --------------------------------
         from repro.sta.activity import TRANSFER_FACTORS
 
+        master_factor = np.array(
+            [TRANSFER_FACTORS.get(c, 0.6) for c in arrays.master_classes],
+            dtype=np.float64,
+        )
         factor = np.full(n, 0.6, dtype=np.float64)
+        factor[graph._c_out_node] = master_factor[out_master]
         cell_cnt = np.zeros(n, dtype=np.int64)
-        if n_out:
-            factor[graph._c_out_node] = np.fromiter(
-                (
-                    TRANSFER_FACTORS.get(instances[i].master.cell_class, 0.6)
-                    for i in out_inst
-                ),
-                dtype=np.float64,
-                count=n_out,
-            )
-            cell_cnt[graph._c_out_node] = graph._c_nin
+        cell_cnt[graph._c_out_node] = graph._c_nin
         self.act_factor = factor
         self.cell_in_cnt = cell_cnt
 
     # ------------------------------------------------------------------
-    def instance_coords(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current instance centre coordinates (fresh gather)."""
-        instances = self.design.instances
-        count = len(instances)
-        xs = np.fromiter((i.x for i in instances), dtype=np.float64, count=count)
-        ys = np.fromiter((i.y for i in instances), dtype=np.float64, count=count)
-        return xs, ys
+    def geometry(
+        self, model: WireDelayModel
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Current instance centres (fresh gather); None for the
+        placement-oblivious fanout model."""
+        if type(model) is FanoutWireModel:
+            return None, None
+        return self.arrays.current_positions()
 
     # -- geometry ------------------------------------------------------
     def net_hpwl(self, inst_x: np.ndarray, inst_y: np.ndarray) -> np.ndarray:
@@ -357,14 +287,30 @@ class FlatTiming:
         hpwl = self.net_hpwl(inst_x, inst_y)
         if t is PlacementWireModel:
             return hpwl, None
-        # RoutedWireModel
-        routed = np.full(len(hpwl), np.nan)
-        for ni, length in model.routed_lengths.items():
-            if 0 <= ni < len(routed):
-                routed[ni] = length
-        has = ~np.isnan(routed)
-        wl = np.where(has, routed, hpwl)
+        routed = self.routed_per_net(model)
+        wl = np.where(np.isnan(routed), hpwl, routed)
         return wl, hpwl
+
+    def routed_per_net(self, model: RoutedWireModel) -> np.ndarray:
+        """The routed model's lengths per net index, NaN where absent."""
+        routed = np.full(self.num_nets, np.nan)
+        lengths = model.routed_lengths
+        nets = np.fromiter(lengths.keys(), dtype=np.int64, count=len(lengths))
+        values = np.fromiter(lengths.values(), dtype=np.float64, count=len(lengths))
+        keep = (nets >= 0) & (nets < self.num_nets)
+        routed[nets[keep]] = values[keep]
+        return routed
+
+    def net_loads(
+        self,
+        model: WireDelayModel,
+        inst_x: Optional[np.ndarray],
+        inst_y: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """(driver load, placement_hpwl or None) per net: sink pin caps
+        plus ``c_per_um`` times the wire length (fF)."""
+        net_wl, net_hpwl = self.wire_net_lengths(model, inst_x, inst_y)
+        return self.net_pincap + model.c_per_um * net_wl, net_hpwl
 
     def arc_delays(
         self,
@@ -377,9 +323,9 @@ class FlatTiming:
         """Per-arc delays in enumeration order.
 
         Mirrors the exact elementwise expression order of
-        :func:`repro.sta.delay.effective_cell_delay` and
-        :meth:`WireDelayModel.wire_delay` so results are bit-identical
-        to the scalar path.
+        :func:`repro.sta.delay.effective_cell_delay` and the per-sink
+        Elmore wire delay of the tests' oracle, so results are
+        bit-identical to the scalar path.
         """
         iswire = self.a_iswire
         wnet = self.a_wire_net
@@ -414,12 +360,7 @@ class FlatTiming:
                 if t is RoutedWireModel and model.routed_lengths:
                     assert net_hpwl is not None
                     hp = net_hpwl[nets]
-                    routed = np.full(len(widx), np.nan)
-                    rl = model.routed_lengths
-                    for i, ni in enumerate(nets.tolist()):
-                        length = rl.get(ni)
-                        if length is not None:
-                            routed[i] = length
+                    routed = self.routed_per_net(model)[nets]
                     scale = ~np.isnan(routed) & (hp > 0)
                     if scale.any():
                         detour = np.maximum(1.0, routed[scale] / hp[scale])
@@ -442,6 +383,16 @@ class FlatTiming:
                 )
             delay[cidx] = d
         return delay
+
+
+def check_wire_model(model: WireDelayModel) -> None:
+    """Reject a wire model the flat kernels do not implement."""
+    if type(model) not in WIRE_MODELS:
+        raise TypeError(
+            f"unsupported wire model {type(model).__name__}: "
+            "the flat STA kernels implement exactly FanoutWireModel, "
+            "PlacementWireModel and RoutedWireModel"
+        )
 
 
 def flat_for(graph: TimingGraph) -> FlatTiming:

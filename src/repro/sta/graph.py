@@ -35,6 +35,14 @@ from repro.netlist.arrays import DIR_INPUT, DIR_OUTPUT, multi_arange
 from repro.netlist.design import Design, Instance, PinRef
 
 
+def _pin_keys(arrays, rows) -> np.ndarray:
+    """Composite key of pin ``rows``: (owner + 1) * |pool| + pin-name
+    id, with owner -1 (ports) mapping to code 0.  Unique per physical
+    pin.  (int32 owner columns upcast: the product overflows 32 bits.)"""
+    owner = arrays.pin_inst[rows].astype(np.int64)
+    return (owner + 1) * len(arrays.name_pool) + arrays.pin_name_idx[rows]
+
+
 class TimingGraph:
     """A levelized pin-level timing graph for one design.
 
@@ -58,6 +66,9 @@ class TimingGraph:
 
     def __init__(self, design: Design) -> None:
         self.design = design
+        #: The flat form the graph was built from (patched in place by a
+        #: master swap, so its master columns stay live).
+        self.arrays = design.arrays()
         # Node identity maps are lazy: the build records per-node
         # (owner instance index, interned pin name) arrays, and the
         # dict/list views materialize on first access.
@@ -105,8 +116,9 @@ class TimingGraph:
         return self._node_info_list
 
     def _materialize_node_maps(self) -> None:
-        """Expand the per-node owner/name arrays into the dict/list views."""
-        pool = self.design.arrays().name_pool
+        """Expand the per-node owner/name arrays into the dict/list views
+        (inspection only: the flow reads the arrays, never these)."""
+        pool = self.arrays.name_pool
         instances = self.design.instances
         info: List[Tuple[Optional[Instance], str]] = []
         node_of: Dict[Tuple[Optional[int], str], int] = {}
@@ -147,10 +159,27 @@ class TimingGraph:
 
     def node_name(self, node_id: int) -> str:
         """Human-readable pin name, e.g. ``u_a/U3.Y`` or port name."""
-        inst, pin = self._node_info[node_id]
-        if inst is None:
+        if node_id >= self._num_nodes:  # minted later by node()
+            inst, pin = self._node_info[node_id]
+            return pin if inst is None else f"{inst.name}.{pin}"
+        owner = int(self._node_owner[node_id])
+        pin = self.arrays.name_pool[int(self._node_pname[node_id])]
+        if owner < 0:
             return pin
-        return f"{inst.name}.{pin}"
+        return f"{self.design.instances[owner].name}.{pin}"
+
+    def pin_nodes(self, rows: np.ndarray) -> np.ndarray:
+        """Node id of each pin row of :attr:`arrays`; -1 where the pin
+        has no node.  Looks the build's composite pin keys up in the
+        sorted node keys, so no per-pin map is needed."""
+        keys = _pin_keys(self.arrays, rows)
+        if not self._num_nodes:
+            return np.full(len(keys), -1, dtype=np.int64)
+        node_keys = (self._node_owner + 1) * len(self.arrays.name_pool) + self._node_pname
+        order = np.argsort(node_keys)
+        pos = np.minimum(np.searchsorted(node_keys[order], keys), len(order) - 1)
+        found = node_keys[order[pos]] == keys
+        return np.where(found, order[pos], -1)
 
     @property
     def num_nodes(self) -> int:
@@ -255,15 +284,10 @@ class TimingGraph:
         mint the identical ids.
         """
 
-        arrays = self.design.arrays()
+        arrays = self.arrays
         clock_port = self.design.clock_port
         pool_size = len(arrays.name_pool)
-        # Composite pin key: (owner + 1) * |pool| + pin-name id, with
-        # owner -1 (ports) mapping to code 0.  Unique per physical pin.
-        # (int32 owner columns upcast: the product overflows 32 bits.)
-        pin_key = (
-            arrays.pin_inst.astype(np.int64) + 1
-        ) * pool_size + arrays.pin_name_idx
+        pin_key = _pin_keys(arrays, slice(None))
 
         # Phase A: every port gets a node, insertion order.
         port_keys = arrays.port_name_idx.astype(np.int64)

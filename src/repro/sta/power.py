@@ -19,8 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
+from repro.netlist.arrays import DIR_OUTPUT
 from repro.netlist.design import Design
 from repro.sta.delay import WireDelayModel
+from repro.sta.flat import check_wire_model, flat_for
+from repro.sta.graph import timing_graph_for
 
 #: Supply voltage (V), NanGate45 nominal.
 VDD = 1.1
@@ -44,6 +49,11 @@ class PowerReport:
         return self.switching + self.internal + self.leakage + self.clock
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right sum (``cumsum``, never pairwise), 0.0 when empty."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def analyze_power(
     design: Design,
     wire_model: WireDelayModel,
@@ -63,44 +73,57 @@ def analyze_power(
         clock_buffers: Number of inserted clock buffers.
         c_per_um: Wire capacitance for the clock network (fF/um).
     """
+    check_wire_model(wire_model)
     period = design.clock_period or 1.0
     freq_ghz = 1.0 / period
+    flat = flat_for(timing_graph_for(design))
+    arrays = flat.arrays
+    # The analyzer's driver loads at the model's current geometry.
+    load, _hpwl = flat.net_loads(wire_model, *flat.geometry(wire_model))
+    live = arrays.current_net_activity()
+    activity = live
+    if net_activity:
+        activity = live.copy()
+        nets = np.fromiter(net_activity.keys(), dtype=np.int64, count=len(net_activity))
+        values = np.fromiter(
+            net_activity.values(), dtype=np.float64, count=len(net_activity)
+        )
+        keep = (nets >= 0) & (nets < flat.num_nets)
+        activity[nets[keep]] = values[keep]
 
-    switching = 0.0
-    for net in design.nets:
-        if net.is_clock or net.driver is None:
-            continue
-        if net_activity is not None:
-            activity = net_activity.get(net.index, net.switching_activity)
-        else:
-            activity = net.switching_activity
-        cap = wire_model.net_load(net)
-        switching += 0.5 * activity * cap
+    # Every sum below runs left to right in net / instance order
+    # (cumsum), as a Python loop over the nets would.
+    driven = flat.net_has_driver & ~flat.net_is_clock
+    switching = _sequential_sum(0.5 * activity[driven] * load[driven])
     switching *= VDD * VDD * freq_ghz * _FF_V2_GHZ_TO_MW
 
-    internal = 0.0
-    leakage = 0.0
-    for inst in design.instances:
-        master = inst.master
-        leakage += master.leakage_power
-        out_activity = 0.0
-        for pin in master.output_pins():
-            net = inst.net_on(pin.name)
-            if net is not None:
-                out_activity = max(out_activity, net.switching_activity)
-        if master.is_sequential:
-            # Sequential cells burn internal power on every clock edge.
-            out_activity = max(out_activity, 1.0)
-        internal += master.internal_energy * out_activity
+    inst_master = arrays.inst_master
+    leakage = _sequential_sum(arrays.m_leakage[inst_master])
+    # Output toggle rate per instance: the max over its connected
+    # output pins' nets (live activity); sequential cells burn internal
+    # power on every clock edge.
+    out_rows = np.flatnonzero((arrays.pin_inst >= 0) & (arrays.pin_dir == DIR_OUTPUT))
+    out_activity = np.zeros(arrays.num_instances)
+    np.fmax.at(
+        out_activity, arrays.pin_inst[out_rows], live[arrays.pin_net()[out_rows]]
+    )
+    is_seq = arrays.m_is_seq[inst_master]
+    out_activity = np.where(is_seq, np.fmax(out_activity, 1.0), out_activity)
+    internal = _sequential_sum(arrays.m_energy[inst_master] * out_activity)
     internal *= freq_ghz * _FF_V2_GHZ_TO_MW
 
     # Clock network: full-rate switching on the CTS wire capacitance
-    # plus per-buffer energy, plus CK pin caps of the sinks.
-    ck_pin_cap = 0.0
-    for inst in design.sequential_instances():
-        clock_pin = inst.master.clock_pin()
-        if clock_pin is not None:
-            ck_pin_cap += clock_pin.capacitance
+    # plus per-buffer energy, plus CK pin caps of the sinks (each
+    # master's first clock pin).
+    clock_slots = np.flatnonzero(arrays.mp_is_clock)
+    slot_master = np.repeat(
+        np.arange(len(arrays.master_names)), np.diff(arrays.mp_ptr)
+    )[clock_slots]
+    ck_masters, first = np.unique(slot_master, return_index=True)
+    ck_cap = np.zeros(len(arrays.master_names))
+    ck_cap[ck_masters] = arrays.mp_cap[clock_slots[first]]
+    # A master without a clock pin adds +0.0: the sum is unchanged.
+    ck_pin_cap = _sequential_sum(ck_cap[inst_master[is_seq]])
     clock_cap = c_per_um * clock_wirelength + ck_pin_cap
     buffer_energy = 2.0 * clock_buffers  # fJ per buffer per edge
     clock = (

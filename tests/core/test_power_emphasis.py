@@ -14,13 +14,14 @@ class TestPowerMultipliers:
 
     def test_high_energy_nets_weighted_more(self, small_design):
         from repro.sta import FanoutWireModel, propagate_activity, timing_graph_for
+        from tests.sta.reference import net_load
 
         multipliers = _power_multipliers(small_design, emphasis=2.0)
         graph = timing_graph_for(small_design)
         activity = propagate_activity(graph)
         model = FanoutWireModel(small_design)
         energies = {
-            n.index: activity.get(n.index, 0.0) * model.net_load(n)
+            n.index: activity.get(n.index, 0.0) * net_load(model, n)
             for n in small_design.signal_nets()
         }
         hottest = max(energies, key=energies.get)

@@ -7,11 +7,20 @@ Kahn levelization, the per-arc arrival / required propagation, the
 per-arc hold tail and the per-arc activity propagation.  The
 propagation bodies are verbatim; the graph builder is the same walk
 made standalone (it returns plain lists instead of filling a
-``TimingGraph``).  Everything reaches the program through public
-surfaces only — ``graph.arcs`` / ``preds`` / ``topo_order`` / ``info``,
-``WireDelayModel.wire_delay`` / ``net_load`` — and must agree with
-``TimingGraph``, ``TimingAnalyzer``, ``analyze_hold`` and
-``propagate_activity`` bit for bit.
+``TimingGraph``).
+
+Since the STA package reads only the flat form, three more object
+walks live here: the wire models' per-net geometry (``net_wirelength``
+/ ``sink_distance`` / ``net_load`` / ``wire_delay``, once methods of
+``WireDelayModel``), ``FlatTiming``'s per-net / per-node table loop
+(:func:`flat_tables_reference`) and ``analyze_power``'s body
+(:func:`analyze_power_reference`).
+
+Everything reaches the program through public surfaces only —
+``graph.arcs`` / ``preds`` / ``topo_order`` / ``info`` / ``node_for_ref``
+and the model parameters — and must agree with ``TimingGraph``,
+``TimingAnalyzer``, ``analyze_hold``, ``propagate_activity``,
+``FlatTiming`` and ``analyze_power`` bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +30,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.netlist.design import Design, Instance, Net, PinDirection, PinRef
 from repro.sta.activity import ACTIVITY_FLOOR, REGISTER_ACTIVITY, TRANSFER_FACTORS
 from repro.sta.analysis import UNCONSTRAINED_PERIOD, TimingReport
 from repro.sta.delay import (
+    RC_NS,
     FanoutWireModel,
     PlacementWireModel,
     RoutedWireModel,
@@ -33,6 +45,80 @@ from repro.sta.delay import (
 )
 from repro.sta.graph import TimingGraph
 from repro.sta.hold import HoldReport
+from repro.sta.power import _FF_V2_GHZ_TO_MW, VDD, PowerReport
+
+
+# ----------------------------------------------------------------------
+# Wire-model geometry, one net at a time
+# ----------------------------------------------------------------------
+def _pin_location(design: Design, ref: PinRef) -> tuple:
+    """Location of a pin reference (instance centre or port location)."""
+    if ref.instance is not None:
+        return ref.instance.x, ref.instance.y
+    port = design.ports[ref.pin_name]
+    return port.x, port.y
+
+
+def _placement_hpwl(design: Design, net: Net) -> float:
+    xs = []
+    ys = []
+    for ref in net.pins():
+        x, y = _pin_location(design, ref)
+        xs.append(x)
+        ys.append(y)
+    if not xs:
+        return 0.0
+    return (max(xs) - min(xs)) + (max(ys) - min(ys))
+
+
+def _placement_distance(design: Design, net: Net, sink: PinRef) -> float:
+    if net.driver is None:
+        return 0.0
+    xd, yd = _pin_location(design, net.driver)
+    xs, ys = _pin_location(design, sink)
+    return abs(xd - xs) + abs(yd - ys)
+
+
+def net_wirelength(model: WireDelayModel, net: Net) -> float:
+    """Estimated total wire length of the net (microns)."""
+    if type(model) is FanoutWireModel:
+        return model.wl_per_fanout * max(1, net.fanout)
+    if type(model) is RoutedWireModel:
+        routed = model.routed_lengths.get(net.index)
+        if routed is not None:
+            return routed
+    return _placement_hpwl(model.design, net)
+
+
+def sink_distance(model: WireDelayModel, net: Net, sink: PinRef) -> float:
+    """Estimated driver-to-sink distance (microns)."""
+    if type(model) is FanoutWireModel:
+        return model.wl_per_fanout
+    base = _placement_distance(model.design, net, sink)
+    if type(model) is not RoutedWireModel:
+        return base
+    hpwl = _placement_hpwl(model.design, net)
+    routed = model.routed_lengths.get(net.index)
+    if routed is None or hpwl <= 0:
+        return base
+    detour = max(1.0, routed / hpwl)
+    return base * detour
+
+
+def net_load(model: WireDelayModel, net: Net) -> float:
+    """Total load seen by the driver: sink pin caps + wire cap (fF)."""
+    pin_cap = sum(sink.capacitance(model.design) for sink in net.sinks)
+    return pin_cap + model.c_per_um * net_wirelength(model, net)
+
+
+def wire_delay(model: WireDelayModel, net: Net, sink: PinRef) -> float:
+    """Elmore-style wire delay from driver to ``sink`` (ns):
+    ``R_wire * (C_wire / 2 + C_sink)`` over the driver-to-sink distance."""
+    dist = sink_distance(model, net, sink)
+    r_wire = model.r_per_um * dist
+    c_wire = model.c_per_um * dist
+    c_sink = sink.capacitance(model.design)
+    return RC_NS * r_wire * (0.5 * c_wire + c_sink)
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +302,7 @@ class ReferenceAnalyzer:
             net: Net = payload  # type: ignore[assignment]
             inst, pin = self.graph.info(v)
             sink = PinRef(inst, pin)
-            return self.wire_model.wire_delay(net, sink)
+            return wire_delay(self.wire_model, net, sink)
         # Cell arc: linear delay model on the driving output pin,
         # with virtual buffering of large loads.
         inst: Instance = payload  # type: ignore[no-redef]
@@ -225,7 +311,7 @@ class ReferenceAnalyzer:
         if net is not None:
             load = self._net_loads.get(net.index)
             if load is None:
-                load = self.wire_model.net_load(net)
+                load = net_load(self.wire_model, net)
                 self._net_loads[net.index] = load
         else:
             load = 0.0
@@ -434,7 +520,7 @@ def routed_wire_model(design: Design) -> RoutedWireModel:
     rest fall back to placement HPWL, covering both branches)."""
     placed = PlacementWireModel(design)
     lengths = {
-        net.index: 1.25 * placed.net_wirelength(net) + 1.0
+        net.index: 1.25 * net_wirelength(placed, net) + 1.0
         for net in design.nets
         if net.index % 2 == 0
     }
@@ -443,3 +529,169 @@ def routed_wire_model(design: Design) -> RoutedWireModel:
 
 #: ``design -> model`` factories; pytest ids are their ``__name__``.
 WIRE_MODELS = [PlacementWireModel, FanoutWireModel, routed_wire_model]
+
+
+# ----------------------------------------------------------------------
+# FlatTiming's per-node / per-net tables (object walk)
+# ----------------------------------------------------------------------
+def flat_tables_reference(graph: TimingGraph) -> Dict[str, np.ndarray]:
+    """The tables ``FlatTiming`` once filled by walking nets, pins and
+    node maps, keyed by the ``FlatTiming`` attribute each must equal."""
+    design = graph.design
+    ports = design.ports
+    instances = design.instances
+    n = graph.num_nodes
+    info = graph.info
+    out = {}
+    out_inst = graph._c_out_inst.tolist()
+    zero_w = [0.0] * len(graph._w_dst)
+    nin = graph._c_nin.tolist()
+    intrinsic = list(zero_w)
+    drive = list(zero_w)
+    for i, k in zip(out_inst, nin):
+        intrinsic += [instances[i].master.intrinsic_delay] * k
+        drive += [instances[i].master.drive_resistance] * k
+    out["a_intrinsic"] = intrinsic
+    out["a_drive"] = drive
+
+    s_launch, s_isport = [], []
+    for s in graph.startpoints:
+        inst, _pin = info(s)
+        s_launch.append(0.0 if inst is None else inst.master.clk_to_q)
+        s_isport.append(inst is None)
+    out["s_launch"], out["s_isport"] = s_launch, s_isport
+    e_setup, e_isseq, e_hold = [], [], []
+    for e in graph.endpoints:
+        inst, _pin = info(e)
+        e_setup.append(0.0 if inst is None else inst.master.setup_time)
+        e_isseq.append(False if inst is None else inst.master.is_sequential)
+        e_hold.append(0.0 if inst is None else inst.master.hold_time)
+    out["e_setup"], out["e_isseq"], out["e_hold"] = e_setup, e_isseq, e_hold
+
+    num_nets = len(design.nets)
+    pincap = [0.0] * num_nets
+    fanout = [0] * num_nets
+    is_clock = [False] * num_nets
+    has_driver = [False] * num_nets
+    indptr = [0]
+    pin_inst, pin_px, pin_py = [], [], []
+    drv_inst = [-1] * num_nets
+    drv_px = [0.0] * num_nets
+    drv_py = [0.0] * num_nets
+    drv_node = [-1] * num_nets
+    csink_wire: List[float] = []
+    for net in design.nets:
+        ni = net.index
+        is_clock[ni] = net.is_clock
+        fanout[ni] = net.fanout
+        caps = [
+            ports[s.pin_name].capacitance
+            if s.instance is None
+            else s.instance.master.pins[s.pin_name].capacitance
+            for s in net.sinks
+        ]
+        pincap[ni] = sum(caps)
+        if net.driver is not None and not net.is_clock:
+            csink_wire.extend(caps)
+        for ref in net.pins():
+            if ref.instance is None:
+                port = ports[ref.pin_name]
+                pin_inst.append(-1)
+                pin_px.append(port.x)
+                pin_py.append(port.y)
+            else:
+                pin_inst.append(ref.instance.index)
+                pin_px.append(0.0)
+                pin_py.append(0.0)
+        indptr.append(len(pin_inst))
+        ref = net.driver
+        if ref is not None:
+            has_driver[ni] = True
+            key = (ref.instance.index if ref.instance is not None else None, ref.pin_name)
+            node = graph._node_of.get(key)
+            drv_node[ni] = node if node is not None else n
+            if ref.instance is None:
+                drv_px[ni] = ports[ref.pin_name].x
+                drv_py[ni] = ports[ref.pin_name].y
+            else:
+                drv_inst[ni] = ref.instance.index
+    out.update(
+        net_pincap=pincap,
+        net_fanout=fanout,
+        net_is_clock=is_clock,
+        net_has_driver=has_driver,
+        pin_indptr=indptr,
+        pin_inst=pin_inst,
+        pin_px=pin_px,
+        pin_py=pin_py,
+        drv_inst=drv_inst,
+        drv_px=drv_px,
+        drv_py=drv_py,
+        drv_node=drv_node,
+    )
+    out["a_csink"] = csink_wire + [0.0] * len(graph._c_src)
+
+    factor = [0.6] * n
+    for node, i in zip(graph._c_out_node.tolist(), out_inst):
+        factor[node] = TRANSFER_FACTORS.get(instances[i].master.cell_class, 0.6)
+    out["act_factor"] = factor
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+# ----------------------------------------------------------------------
+# Power (per-net / per-instance walk)
+# ----------------------------------------------------------------------
+def analyze_power_reference(
+    design: Design,
+    wire_model: WireDelayModel,
+    net_activity: Optional[Dict[int, float]] = None,
+    clock_wirelength: float = 0.0,
+    clock_buffers: int = 0,
+    c_per_um: float = 0.2,
+) -> PowerReport:
+    """``analyze_power``'s body as it walked the object graph."""
+    period = design.clock_period or 1.0
+    freq_ghz = 1.0 / period
+
+    switching = 0.0
+    for net in design.nets:
+        if net.is_clock or net.driver is None:
+            continue
+        if net_activity is not None:
+            activity = net_activity.get(net.index, net.switching_activity)
+        else:
+            activity = net.switching_activity
+        cap = net_load(wire_model, net)
+        switching += 0.5 * activity * cap
+    switching *= VDD * VDD * freq_ghz * _FF_V2_GHZ_TO_MW
+
+    internal = 0.0
+    leakage = 0.0
+    for inst in design.instances:
+        master = inst.master
+        leakage += master.leakage_power
+        out_activity = 0.0
+        for pin in master.output_pins():
+            net = inst.net_on(pin.name)
+            if net is not None:
+                out_activity = max(out_activity, net.switching_activity)
+        if master.is_sequential:
+            out_activity = max(out_activity, 1.0)
+        internal += master.internal_energy * out_activity
+    internal *= freq_ghz * _FF_V2_GHZ_TO_MW
+
+    ck_pin_cap = 0.0
+    for inst in design.sequential_instances():
+        clock_pin = inst.master.clock_pin()
+        if clock_pin is not None:
+            ck_pin_cap += clock_pin.capacitance
+    clock_cap = c_per_um * clock_wirelength + ck_pin_cap
+    buffer_energy = 2.0 * clock_buffers
+    clock = (
+        (0.5 * 1.0 * clock_cap * VDD * VDD + buffer_energy)
+        * freq_ghz
+        * _FF_V2_GHZ_TO_MW
+    )
+    return PowerReport(
+        switching=switching, internal=internal, leakage=leakage, clock=clock
+    )

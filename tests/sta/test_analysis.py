@@ -13,6 +13,7 @@ from repro.sta.delay import (
     effective_cell_delay,
 )
 from repro.sta.graph import TimingGraph
+from tests.sta.reference import net_load, wire_delay
 
 
 @pytest.fixture
@@ -42,11 +43,11 @@ class TestArrivalPropagation:
         net1 = design.net("n1")
         from repro.netlist.design import PinRef
 
-        wire_in = model.wire_delay(net_in0, PinRef(u1, "A"))
+        wire_in = wire_delay(model, net_in0, PinRef(u1, "A"))
         gate = effective_cell_delay(
             u1.master.intrinsic_delay,
             u1.master.drive_resistance,
-            model.net_load(net1),
+            net_load(model, net1),
         )
         expected = wire_in + gate
         assert report.arrival[graph.node(u1, "Y")] == pytest.approx(expected)

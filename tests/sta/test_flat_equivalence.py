@@ -3,16 +3,28 @@
 The wave-sliced NumPy propagation and the lazily-materialized adjacency
 (:meth:`TimingGraph.wire_in_arrays`) must reproduce the per-arc Python
 oracle (``tests/sta/reference.py``) exactly: same arrivals, requireds,
-slacks, worst-path predecessors and backtracked path nets.
+slacks, worst-path predecessors and backtracked path nets.  The flat
+compilation's tables, the activity propagation and the power report
+must equal the object walks they replaced.
 """
 
 import pytest
 
 from repro.designs import load_benchmark
+from repro.sta.activity import propagate_activity
 from repro.sta.analysis import TimingAnalyzer
-from repro.sta.graph import TimingGraph
+from repro.sta.flat import FlatTiming
+from repro.sta.graph import TimingGraph, timing_graph_for
 from repro.sta.paths import find_path_ends
-from tests.sta.reference import WIRE_MODELS, ReferenceAnalyzer, scatter
+from repro.sta.power import analyze_power
+from tests.sta.reference import (
+    WIRE_MODELS,
+    ReferenceAnalyzer,
+    analyze_power_reference,
+    flat_tables_reference,
+    propagate_activity_reference,
+    scatter,
+)
 
 
 def _designs():
@@ -83,3 +95,33 @@ class TestWireInArrays:
                 assert (u, kind) in {
                     (src, k) for src, k, _p in graph.preds[v]
                 }
+
+
+class TestFlatTablesEqualTheWalk:
+    def test_tables_bit_identical(self, design):
+        graph = TimingGraph(design)
+        flat = FlatTiming(graph)
+        # The compile reads arrays only: no per-pin node maps appear.
+        assert graph._node_info_list is None and graph._node_of_map is None
+        for name, expected in flat_tables_reference(graph).items():
+            assert getattr(flat, name).tolist() == expected.tolist(), name
+
+
+class TestActivityAndPowerEqualTheWalk:
+    def test_activity_bit_identical(self, design):
+        flat_map = propagate_activity(TimingGraph(design))
+        flat_written = [n.switching_activity for n in design.nets]
+        ref_map = propagate_activity_reference(TimingGraph(design))
+        assert flat_map == ref_map
+        assert flat_written == [n.switching_activity for n in design.nets]
+
+    def test_power_bit_identical(self, design, wire_model):
+        activity = propagate_activity(timing_graph_for(design))
+        halved = {ni: 0.5 * a for ni, a in list(activity.items())[::2]}
+        for override in (None, activity, halved):
+            kwargs = dict(
+                net_activity=override, clock_wirelength=123.5, clock_buffers=3
+            )
+            assert analyze_power(design, wire_model, **kwargs) == (
+                analyze_power_reference(design, wire_model, **kwargs)
+            )

@@ -10,9 +10,11 @@ from repro.sta.activity import (
 )
 from repro.sta.analysis import TimingAnalyzer
 from repro.sta.delay import FanoutWireModel, PlacementWireModel, RoutedWireModel
-from repro.sta.graph import TimingGraph
+from repro.sta.flat import flat_for
+from repro.sta.graph import TimingGraph, timing_graph_for
 from repro.sta.paths import find_path_ends
 from repro.sta.power import analyze_power
+from tests.sta import reference
 
 
 class TestFindPathEnds:
@@ -160,48 +162,61 @@ class TestPower:
         assert doubled.switching == pytest.approx(2 * base.switching)
 
 
+def _net_lengths(design, model):
+    flat = flat_for(timing_graph_for(design))
+    return flat.wire_net_lengths(model, *flat.geometry(model))[0]
+
+
 class TestWireModels:
+    """The per-net geometry the flat form computes for each model."""
+
     def test_fanout_model_ignores_placement(self, toy_design):
         model = FanoutWireModel(toy_design)
-        net = toy_design.net("n1")
-        before = model.net_wirelength(net)
+        ni = toy_design.net("n1").index
+        before = _net_lengths(toy_design, model)[ni]
         toy_design.instance("u1").x += 100
-        assert model.net_wirelength(net) == pytest.approx(before)
+        assert _net_lengths(toy_design, model)[ni] == pytest.approx(before)
 
     def test_placement_model_tracks_hpwl(self, toy_design):
         model = PlacementWireModel(toy_design)
-        net = toy_design.net("n1")
-        before = model.net_wirelength(net)
+        ni = toy_design.net("n1").index
+        before = _net_lengths(toy_design, model)[ni]
         toy_design.instance("u2").x += 10
-        assert model.net_wirelength(net) == pytest.approx(before + 10)
+        assert _net_lengths(toy_design, model)[ni] == pytest.approx(before + 10)
 
     def test_routed_model_uses_lengths(self, toy_design):
         net = toy_design.net("n1")
-        placement = PlacementWireModel(toy_design)
-        routed = RoutedWireModel(toy_design, {net.index: 123.0})
-        assert routed.net_wirelength(net) == pytest.approx(123.0)
+        placement = _net_lengths(toy_design, PlacementWireModel(toy_design))
+        routed = _net_lengths(toy_design, RoutedWireModel(toy_design, {net.index: 123.0}))
+        assert routed[net.index] == pytest.approx(123.0)
         # Fallback for unmapped nets.
-        other = toy_design.net("n2")
-        assert routed.net_wirelength(other) == pytest.approx(
-            placement.net_wirelength(other)
-        )
+        other = toy_design.net("n2").index
+        assert routed[other] == pytest.approx(placement[other])
 
     def test_routed_detour_scales_sink_distance(self, toy_design):
-        from repro.netlist.design import PinRef
-
         net = toy_design.net("n1")
         placement = PlacementWireModel(toy_design)
-        hpwl = placement.net_wirelength(net)
+        hpwl = reference.net_wirelength(placement, net)
         routed = RoutedWireModel(toy_design, {net.index: 2 * hpwl})
         sink = net.sinks[0]
-        assert routed.sink_distance(net, sink) == pytest.approx(
-            2 * placement.sink_distance(net, sink)
+        assert reference.sink_distance(routed, net, sink) == pytest.approx(
+            2 * reference.sink_distance(placement, net, sink)
         )
+        # The flat wire-arc delays into n1's sinks are the oracle's.
+        flat = flat_for(timing_graph_for(toy_design))
+        inst_x, inst_y = flat.geometry(routed)
+        load, hp = flat.net_loads(routed, inst_x, inst_y)
+        delays = flat.arc_delays(routed, load, hp, inst_x, inst_y)
+        mine = delays[flat.a_wire_net == net.index].tolist()
+        assert mine == [reference.wire_delay(routed, net, s) for s in net.sinks]
 
     def test_net_load_includes_pins_and_wire(self, toy_design):
         model = PlacementWireModel(toy_design)
         net = toy_design.net("n1")
         pin_cap = sum(s.capacitance(toy_design) for s in net.sinks)
-        assert model.net_load(net) == pytest.approx(
-            pin_cap + model.wire_capacitance(net)
+        flat = flat_for(timing_graph_for(toy_design))
+        load = flat.net_loads(model, *flat.geometry(model))[0][net.index]
+        assert load == pytest.approx(
+            pin_cap + model.c_per_um * _net_lengths(toy_design, model)[net.index]
         )
+        assert load == reference.net_load(model, net)
