@@ -160,7 +160,10 @@ spine-smoke:
 		assert result['correct'] is True, result; \
 		calls = result['metrics']['ml.predict_calls']['value']; \
 		assert calls > 0, 'ml.predict reads 0: a traced ML target is not on the path'; \
-		print('spine-smoke: traced backend_ml correct,', result['attempted'], 'operations,', calls, 'predict calls')"
+		seeded = ('core.clustered_netlist_s', 'core.seeded_s'); \
+		zero = [n for n in seeded if not result['metrics'][n]['value'] > 0]; \
+		assert not zero, f'{zero} read 0: a traced seeded-stage target is not on the path'; \
+		print('spine-smoke: traced backend_ml correct,', result['attempted'], 'operations,', calls, 'predict calls, seeded rows non-zero')"
 
 # Crash-safety smoke: run a checkpointed flow, kill it mid-sweep with
 # an injected abort, resume, and require the resumed QoR to match an

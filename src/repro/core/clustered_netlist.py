@@ -5,6 +5,9 @@ size realises the cluster's chosen shape; inter-cluster nets are kept
 (one clustered net per original crossing net, preserving placement
 weights); fully-internal nets are dropped; top-level ports survive so
 IO pull is modelled during the cluster placement.
+
+The build reads the source's :class:`~repro.netlist.arrays.NetlistArrays`
+and builds the small clustered design through the construction API.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.shapes import ShapeCandidate, uniform_shape
-from repro.netlist.design import (
-    CellPin,
-    Design,
-    MasterCell,
-    PinDirection,
-)
+from repro.netlist.design import CellPin, Design, MasterCell, PinDirection
 from repro.netlist.lef import ClusterLef
 
 
@@ -36,6 +34,10 @@ class ClusteredNetlist:
         cluster_areas: Per-cluster total cell area.
         shapes: Per-cluster chosen shape.
         lef: The cluster soft-macro LEF artefact.
+        net_weight_multipliers: Per-source-net placement weight
+            multiplier ``(source.num_nets,)``, or None.  The clustered
+            nets already carry it; :func:`repro.core.seeded.seeded_placement`
+            applies it to the flat refinement's net weights.
     """
 
     design: Design
@@ -45,23 +47,17 @@ class ClusteredNetlist:
     cluster_areas: np.ndarray
     shapes: Dict[int, ShapeCandidate] = field(default_factory=dict)
     lef: ClusterLef = field(default_factory=ClusterLef)
+    net_weight_multipliers: Optional[np.ndarray] = None
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters."""
         return len(self.members)
 
-    def cluster_instance(self, cluster_id: int):
-        """The clustered design's instance for a cluster."""
-        return self.design.instance(f"cluster_{cluster_id}")
-
     def cluster_centers(self) -> np.ndarray:
-        """(k, 2) array of cluster instance positions."""
-        out = np.zeros((self.num_clusters, 2))
-        for c in range(self.num_clusters):
-            inst = self.cluster_instance(c)
-            out[c] = (inst.x, inst.y)
-        return out
+        """(k, 2) array of cluster instance positions (cluster ``c`` is
+        the clustered design's instance ``c``)."""
+        return np.column_stack(self.design.arrays().current_positions())
 
     def seed_flat_positions(self, scatter: float = 0.5, seed: int = 0) -> None:
         """Algorithm 1 line 17/24: place every original instance at its
@@ -72,29 +68,26 @@ class ClusteredNetlist:
         incremental placer; ``scatter=0`` reproduces the literal
         all-at-centre seeding.
         """
-        centers = self.cluster_centers()
-        rng = np.random.default_rng(seed)
-        instances = self.source.instances
-        free = [inst for inst in instances if not inst.fixed]
-        if not free:
+        arrays = self.source.arrays()
+        free = np.flatnonzero(~arrays.current_fixed())
+        if not len(free):
             return
-        cs = self.cluster_of[[inst.index for inst in free]]
-        macro_w = np.zeros(self.num_clusters)
-        macro_h = np.zeros(self.num_clusters)
-        for c in np.unique(cs):
-            macro = self.lef.macro_for(int(c))
-            macro_w[c] = macro.width
-            macro_h[c] = macro.height
+        centers = self.cluster_centers()
+        cs = self.cluster_of[free]
+        macro_w, macro_h = np.zeros((2, self.num_clusters))
+        for c in np.unique(cs).tolist():
+            macro = self.lef.macro_for(c)
+            macro_w[c], macro_h[c] = macro.width, macro.height
         # A single vectorized draw consumes the generator's doubles in
         # the same order as the historical per-instance scalar calls
         # (dx then dy per non-fixed instance), so the seeded scatter is
         # reproduced bit for bit.
-        draws = rng.uniform(-0.5, 0.5, size=2 * len(free)).reshape(-1, 2)
-        xs = (centers[cs, 0] + draws[:, 0] * scatter * macro_w[cs]).tolist()
-        ys = (centers[cs, 1] + draws[:, 1] * scatter * macro_h[cs]).tolist()
-        for inst, x, y in zip(free, xs, ys):
-            inst.x = x
-            inst.y = y
+        draws = np.random.default_rng(seed).uniform(-0.5, 0.5, size=2 * len(free))
+        draws = draws.reshape(-1, 2)
+        x, y = arrays.current_positions()
+        x[free] = centers[cs, 0] + draws[:, 0] * scatter * macro_w[cs]
+        y[free] = centers[cs, 1] + draws[:, 1] * scatter * macro_h[cs]
+        self.source.set_positions(x.tolist(), y.tolist())
 
 
 def build_clustered_netlist(
@@ -102,9 +95,12 @@ def build_clustered_netlist(
     cluster_of: Sequence[int],
     shapes: Optional[Dict[int, ShapeCandidate]] = None,
     io_net_weight: float = 1.0,
-    net_weight_multipliers: Optional[Dict[int, float]] = None,
+    net_weight_multipliers: Optional[np.ndarray] = None,
 ) -> ClusteredNetlist:
     """Build the clustered design from a cluster assignment.
+
+    Clustered nets keep the source nets' order; each cluster's pins are
+    ``p0, p1, ...`` in that order.
 
     Args:
         source: The flat design.
@@ -114,8 +110,8 @@ def build_clustered_netlist(
         io_net_weight: Weight multiplier applied to nets touching
             top-level ports (the OpenROAD-mode flow scales these by 4,
             Algorithm 1 line 22, following [9]).
-        net_weight_multipliers: Optional source-net-index -> weight
-            multiplier, used by the flow to carry the Eq. 3 timing /
+        net_weight_multipliers: Optional ``(source.num_nets,)`` weight
+            multipliers, used by the flow to carry the Eq. 3 timing /
             switching criticality of inter-cluster nets into the
             cluster placement (our placer substrate is purely
             wirelength-driven, whereas the tools the paper drives run
@@ -126,96 +122,104 @@ def build_clustered_netlist(
         raise ValueError("cluster_of length mismatch")
     shapes = dict(shapes or {})
     k = int(cluster_of.max()) + 1 if len(cluster_of) else 0
+    arrays = source.arrays()
 
-    members: List[List[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(cluster_of):
-        members[int(c)].append(v)
-    areas = np.zeros(k)
-    for c, member_list in enumerate(members):
-        areas[c] = sum(source.instances[v].area for v in member_list)
+    # Members in index order; each area is Python's ``sum`` over them
+    # (compensated on 3.12+), as the object walk summed ``Instance.area``.
+    order = np.argsort(cluster_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cluster_of, minlength=k))))
+    members = [order[starts[c] : starts[c + 1]].tolist() for c in range(k)]
+    inst_areas = arrays.current_inst_areas()
+    areas = np.array([sum(inst_areas[m].tolist()) for m in members], dtype=float)
+
+    # Crossing nets: the (net, cluster) pairs and port pins of every
+    # non-clock net; kept when they number two or more.
+    nid = arrays.pin_net().astype(np.int64)
+    pin_inst = arrays.pin_inst
+    signal = ~arrays.net_is_clock[nid]
+    inst_rows = np.flatnonzero(signal & (pin_inst >= 0))
+    base = max(k, 1)
+    pairs = np.unique(nid[inst_rows] * base + cluster_of[pin_inst[inst_rows]])
+    pair_net, pair_cluster = np.divmod(pairs, base)
+    port_rows = np.flatnonzero(signal & (pin_inst < 0))
+    touched = np.bincount(pair_net, minlength=arrays.num_nets)
+    ports = np.bincount(nid[port_rows], minlength=arrays.num_nets)
+    keep = touched + ports >= 2
+    kept = np.flatnonzero(keep)
+    pair_keep = keep[pair_net]
+    pair_net, pair_cluster = pair_net[pair_keep], pair_cluster[pair_keep]
+    port_rows = port_rows[keep[nid[port_rows]]]
+
+    # A driven net's driver is its first pin; its cluster's pin drives.
+    first = pin_inst[arrays.net_ptr[pair_net]]
+    driver = arrays.net_has_driver[pair_net] & (first >= 0)
+    pair_drives = driver & (cluster_of[first] == pair_cluster)
+
+    weights = arrays.current_net_weights()[kept]
+    if net_weight_multipliers is not None:
+        weights = weights * net_weight_multipliers[kept]
+    weights = np.where(ports[kept] > 0, weights * io_net_weight, weights)
 
     clustered = Design(f"{source.name}_clustered", floorplan=source.floorplan)
     clustered.clock_period = source.clock_period
     lef = ClusterLef()
-
     default = uniform_shape()
+    # Cluster ``c``'s pins ``p0, p1, ...`` in net order.
+    by_cluster = np.argsort(pair_cluster, kind="stable")
+    pin_ptr = np.searchsorted(pair_cluster[by_cluster], np.arange(k + 1))
+    pin_drives = pair_drives[by_cluster].tolist()
     cluster_insts = []
     for c in range(k):
-        shape = shapes.get(c, default)
-        shapes.setdefault(c, shape)
+        shape = shapes.setdefault(c, default)
         macro = lef.add_cluster(c, max(areas[c], 1e-6), shape.aspect_ratio, shape.utilization)
+        pins = {}
+        for j, drives in enumerate(pin_drives[pin_ptr[c] : pin_ptr[c + 1]]):
+            direction = PinDirection.OUTPUT if drives else PinDirection.INPUT
+            pins[f"p{j}"] = CellPin(f"p{j}", direction, capacitance=1.0)
         master = MasterCell(
             name=f"CLUSTER_{c}",
             width=macro.width,
             height=macro.height,
+            pins=pins,
             is_macro=True,
             cell_class="macro",
         )
-        clustered.add_master(master)
-        inst = clustered.add_instance(f"cluster_{c}", master)
-        # Seed the cluster at the centroid of fixed members (macros),
-        # else at the core centre; the cluster placer refines this.
-        fixed_members = [
-            source.instances[v] for v in members[c] if source.instances[v].fixed
-        ]
-        if fixed_members:
-            inst.x = float(np.mean([m.x for m in fixed_members]))
-            inst.y = float(np.mean([m.y for m in fixed_members]))
-            inst.fixed = True
-        cluster_insts.append(inst)
+        cluster_insts.append(clustered.add_instance(f"cluster_{c}", master))
+
+    # Seed a cluster at the centroid of its fixed members (macros), else
+    # leave it for the cluster placer.
+    xs, ys = arrays.current_positions()
+    fixed = np.flatnonzero(arrays.current_fixed())
+    for c in np.unique(cluster_of[fixed]).tolist():
+        sel = fixed[cluster_of[fixed] == c]
+        inst = cluster_insts[c]
+        inst.x = float(np.mean(xs[sel]))
+        inst.y = float(np.mean(ys[sel]))
+        inst.fixed = True
 
     for name, port in source.ports.items():
         new_port = clustered.add_port(name, port.direction, port.x, port.y)
         new_port.capacitance = port.capacitance
 
-    # Nets: keep one clustered net per original net spanning >1 cluster
-    # or touching a port.
-    pin_counter: Dict[int, int] = {c: 0 for c in range(k)}
-    for net in source.nets:
-        if net.is_clock:
-            continue
-        clusters_touched = sorted({int(cluster_of[i.index]) for i in net.instances()})
-        port_refs = [ref.pin_name for ref in net.pins() if ref.is_port]
-        if len(clusters_touched) < 2 and not port_refs:
-            continue
-        if len(clusters_touched) + len(port_refs) < 2:
-            continue
-        new_net = clustered.add_net(net.name)
-        new_net.weight = net.weight
-        if net_weight_multipliers:
-            new_net.weight *= net_weight_multipliers.get(net.index, 1.0)
-        if port_refs:
-            new_net.weight *= io_net_weight
-        driver_cluster: Optional[int] = None
-        if net.driver is not None and net.driver.instance is not None:
-            driver_cluster = int(cluster_of[net.driver.instance.index])
-        for c in clusters_touched:
-            master = cluster_insts[c].master
-            direction = (
-                PinDirection.OUTPUT if c == driver_cluster else PinDirection.INPUT
-            )
-            pin_name = f"p{pin_counter[c]}"
+    # One clustered net per kept net in source order: its clusters
+    # ascending, then its ports in pin order.
+    cuts = kept[1:]
+    net_clusters = np.split(pair_cluster, np.searchsorted(pair_net, cuts))
+    net_ports = np.split(arrays.pin_port[port_rows], np.searchsorted(nid[port_rows], cuts))
+    port_names = arrays.port_names
+    pin_counter = [0] * k
+    for n, weight, clusters, port_ids in zip(
+        kept.tolist(), weights.tolist(), net_clusters, net_ports
+    ):
+        net = clustered.add_net(arrays.net_names[n])
+        net.weight = weight
+        for c in clusters.tolist():
+            clustered.connect_instance_pin(net, cluster_insts[c], f"p{pin_counter[c]}")
             pin_counter[c] += 1
-            master.pins[pin_name] = CellPin(
-                name=pin_name, direction=direction, capacitance=1.0
-            )
-            clustered.connect(new_net, _pin_ref(cluster_insts[c], pin_name))
-        for port_name in port_refs:
-            clustered.connect_port(new_net, port_name)
+        for p in port_ids.tolist():
+            clustered.connect_port(net, port_names[p])
 
     return ClusteredNetlist(
-        design=clustered,
-        source=source,
-        cluster_of=cluster_of,
-        members=members,
-        cluster_areas=areas,
-        shapes=shapes,
-        lef=lef,
+        clustered, source, cluster_of, members, areas, shapes, lef,
+        net_weight_multipliers,
     )
-
-
-def _pin_ref(instance, pin_name: str):
-    """Local import-free PinRef constructor."""
-    from repro.netlist.design import PinRef
-
-    return PinRef(instance, pin_name)

@@ -519,41 +519,32 @@ class ClusteredPlacementFlow:
 
         # Lines 15-25: seeded placement.  The flat refinement also
         # sees the criticality weights (standing in for the tools'
-        # timing-driven placement mode; restored afterwards so later
-        # stages see clean weights).  Region constraints (Innovus mode)
-        # cover the V-P&R-eligible clusters regardless of which shape
-        # selector ran, so ablation arms differ only in the shapes.
-        # A served seeded stage restores the committed coordinates
-        # instead of building the clustered netlist and re-placing.
+        # timing-driven placement mode), passed as the clustered
+        # netlist's multiplier array: the design's net weights are
+        # never written.  Region constraints (Innovus mode) cover the
+        # V-P&R-eligible clusters regardless of which shape selector
+        # ran, so ablation arms differ only in the shapes.  A served
+        # seeded stage restores the committed coordinates instead of
+        # building the clustered netlist and re-placing.
         vpr_ids, _ = vpr_config.swept_clusters(members)
         clustered = None
 
         def _compute_seeded() -> Dict[str, object]:
             nonlocal clustered
             # Line 10/13: clustered netlist with the chosen shapes.
-            multipliers = self._net_multipliers(db, clustering)
             clustered = build_clustered_netlist(
                 design,
                 clustering.cluster_of,
                 shapes=selection.shapes,
                 io_net_weight=IO_NET_WEIGHT if config.tool == "openroad" else 1.0,
-                net_weight_multipliers=multipliers,
+                net_weight_multipliers=self._net_multipliers(db, clustering),
             )
-            seeded_config = SeededPlacementConfig(tool=config.tool)
-            saved_weights = None
-            if multipliers:
-                saved_weights = [net.weight for net in design.nets]
-                for net in design.nets:
-                    net.weight *= multipliers.get(net.index, 1.0)
-            try:
-                with obs.stage("flow.seeded_placement", tool=config.tool):
-                    seeded_result = seeded_placement(
-                        clustered, seeded_config, vpr_cluster_ids=vpr_ids
-                    )
-            finally:
-                if saved_weights is not None:
-                    for net, w in zip(design.nets, saved_weights):
-                        net.weight = w
+            with obs.stage("flow.seeded_placement", tool=config.tool):
+                seeded_result = seeded_placement(
+                    clustered,
+                    SeededPlacementConfig(tool=config.tool),
+                    vpr_cluster_ids=vpr_ids,
+                )
             return capture_placement_state(design, seeded_result)
 
         seeded_state, served_s = stage("seeded", _compute_seeded)
@@ -605,9 +596,9 @@ class ClusteredPlacementFlow:
 
     def _net_multipliers(
         self, db: DesignDatabase, clustering: ClusteringResult
-    ) -> Optional[Dict[int, float]]:
-        """Net-index -> placement weight multiplier: the Eq. 3
-        criticality weights and the power emphasis, or None."""
+    ) -> Optional[np.ndarray]:
+        """Per-net placement weight multipliers ``(num_nets,)``: the
+        Eq. 3 criticality weights times the power emphasis, or None."""
         config = self.config
         multipliers = None
         if config.timing_weighted_cluster_nets and clustering.edge_scores is not None:
@@ -615,11 +606,9 @@ class ClusteredPlacementFlow:
                 db, clustering.edge_scores, MAX_CLUSTER_NET_WEIGHT
             )
         if config.power_emphasis > 0:
-            power_mult = _power_multipliers(db.design, config.power_emphasis)
-            if multipliers is None:
-                return power_mult
-            for net_index, value in power_mult.items():
-                multipliers[net_index] = multipliers.get(net_index, 1.0) * value
+            power = _power_multipliers(db.design, config.power_emphasis)
+            if power is not None:
+                multipliers = power if multipliers is None else multipliers * power
         return multipliers
 
 
@@ -653,28 +642,16 @@ def blob_placement_flow(
     """The blob placement [9] baseline of Table 2.
 
     Louvain communities as clusters, 4x IO-net weights, seeded
-    placement in OpenROAD mode, uniform cluster shapes (no V-P&R).
+    placement in OpenROAD mode, uniform cluster shapes (no V-P&R): the
+    paper's flow with those arms (Louvain has no criticality weights).
     """
-    db = DesignDatabase(design)
-    runtimes: Dict[str, float] = {}
-
-    with obs.stage("cluster.baseline", method="louvain") as stage:
-        graph = AdjacencyGraph.from_hypergraph(db.hypergraph)
-        cluster_of = louvain_communities(graph, seed=seed)
-    runtimes["clustering"] = stage.elapsed
-
-    clustering = ClusteringResult(cluster_of=cluster_of)
-    selection = UniformShapeSelector().select(design, clustering.members())
-    clustered = build_clustered_netlist(
-        design, cluster_of, shapes=selection.shapes, io_net_weight=IO_NET_WEIGHT
+    config = FlowConfig(
+        clustering="louvain",
+        shape_selector=UniformShapeSelector(),
+        run_routing=run_routing,
+        seed=seed,
     )
-    seeded_result = seeded_placement(
-        clustered, SeededPlacementConfig(tool="openroad")
-    )
-    runtimes.update(seeded_result.runtimes)
-
-    metrics = evaluate_placed_design(design, runtimes, run_routing)
-    return FlowResult(metrics=metrics, num_clusters=clustering.num_clusters)
+    return ClusteredPlacementFlow(config).run(design)
 
 
 def _write_artifacts(directory: str, design: Design, clustered) -> None:
@@ -692,12 +669,13 @@ def _write_artifacts(directory: str, design: Design, clustered) -> None:
     (out / f"{design.name}_placed.def").write_text(write_def(design))
 
 
-def _power_multipliers(design: Design, emphasis: float) -> Dict[int, float]:
-    """Net-index -> weight multiplier from switching energy.
+def _power_multipliers(design: Design, emphasis: float) -> Optional[np.ndarray]:
+    """Per-net weight multipliers ``(num_nets,)`` from switching energy.
 
     Weight grows with the net's dynamic-power share: activity times the
     capacitive load (pin caps + a fanout-based wire estimate), so the
-    placer shortens the nets that burn the most switching power.
+    placer shortens the nets that burn the most switching power.  Clock
+    and single-pin nets keep 1.0; None when no net switches.
     """
     from repro.sta.delay import FanoutWireModel
     from repro.sta.flat import flat_for
@@ -705,36 +683,32 @@ def _power_multipliers(design: Design, emphasis: float) -> Dict[int, float]:
     graph = timing_graph_for(design)
     activity = propagate_activity(graph)
     flat = flat_for(graph)
-    model = FanoutWireModel(design)
-    loads = flat.net_loads(model, None, None)[0].tolist()
+    loads = flat.net_loads(FanoutWireModel(design), None, None)[0]
     arrays = graph.arrays
     signal = np.flatnonzero(~arrays.net_is_clock & (arrays.net_degree >= 2))
-    energies: Dict[int, float] = {
-        ni: activity.get(ni, 0.0) * loads[ni] for ni in signal.tolist()
-    }
-    mean = (sum(energies.values()) / len(energies)) if energies else 1.0
+    toggles = [activity.get(ni, 0.0) for ni in signal.tolist()]
+    energies = np.array(toggles) * loads[signal]
+    mean = (sum(energies.tolist()) / len(energies)) if len(energies) else 1.0
     if mean <= 0:
-        return {}
-    return {
-        idx: 1.0 + emphasis * min(energy / mean, 4.0)
-        for idx, energy in energies.items()
-    }
+        return None
+    out = np.ones(arrays.num_nets)
+    out[signal] = 1.0 + emphasis * np.minimum(energies / mean, 4.0)
+    return out
 
 
 def _criticality_multipliers(
     db: DesignDatabase, edge_scores: np.ndarray, cap: float
-) -> Dict[int, float]:
-    """Net-index -> weight multiplier from the Eq. 3 edge scores.
+) -> np.ndarray:
+    """Per-net weight multipliers ``(num_nets,)`` from Eq. 3 edge scores.
 
     Scores are normalised by their mean, so an average net keeps
-    weight 1 and critical nets are pulled up to ``cap``.
+    weight 1 and critical nets are pulled up to ``cap``; nets that are
+    no hyperedge keep 1.0.
     """
-    hgraph = db.hypergraph
+    nets = np.asarray(db.hypergraph.edge_net_indices, dtype=np.int64)
     mean = float(edge_scores.mean()) or 1.0
-    out: Dict[int, float] = {}
-    for ei, net_idx in enumerate(hgraph.edge_net_indices):
-        if net_idx < 0:
-            continue
-        multiplier = float(edge_scores[ei]) / mean
-        out[int(net_idx)] = float(np.clip(multiplier, 1.0, cap))
+    edge = nets >= 0
+    out = np.ones(db.design.num_nets)
+    scores = np.asarray(edge_scores, dtype=np.float64)[edge]
+    out[nets[edge]] = np.clip(scores / mean, 1.0, cap)
     return out

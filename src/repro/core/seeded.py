@@ -87,12 +87,8 @@ def capture_placement_state(
     Restoring it on a resumed run reproduces the placement bit for bit
     without re-running either placer (``docs/recovery.md``).
     """
-    return {
-        "x": np.array([inst.x for inst in design.instances], dtype=np.float64),
-        "y": np.array([inst.y for inst in design.instances], dtype=np.float64),
-        "hpwl": result.hpwl,
-        "runtimes": dict(result.runtimes),
-    }
+    x, y = design.arrays().current_positions()
+    return {"x": x, "y": y, "hpwl": result.hpwl, "runtimes": dict(result.runtimes)}
 
 
 def restore_placement_state(design: Design, state: Dict[str, Any]) -> None:
@@ -104,9 +100,8 @@ def restore_placement_state(design: Design, state: Dict[str, Any]) -> None:
             f"has {design.num_instances}; the netlist changed since the "
             "checkpoint was written"
         )
-    for inst, x, y in zip(design.instances, xs, ys):
-        inst.x = float(x)
-        inst.y = float(y)
+    # Fixed instances' coordinates are in the stage key: they match.
+    design.set_positions(xs.tolist(), ys.tolist())
 
 
 def _cluster_regions(
@@ -119,23 +114,23 @@ def _cluster_regions(
     Only clusters whose shapes were V-P&R-estimated get regions
     (Algorithm 1, line 18).
     """
-    source = clustered.source
-    fp = source.floorplan
+    fp = clustered.source.floorplan
+    centers = clustered.cluster_centers()
+    fixed = clustered.source.arrays().current_fixed()
     regions = []
     for c in vpr_cluster_ids:
-        inst = clustered.cluster_instance(c)
+        x, y = centers[c].tolist()
         macro = clustered.lef.macro_for(c)
         half_w = 0.5 * macro.width * margin_factor
         half_h = 0.5 * macro.height * margin_factor
-        llx = max(fp.core_llx, inst.x - half_w)
-        urx = min(fp.core_urx, inst.x + half_w)
-        lly = max(fp.core_lly, inst.y - half_h)
-        ury = min(fp.core_ury, inst.y + half_h)
+        llx = max(fp.core_llx, x - half_w)
+        urx = min(fp.core_urx, x + half_w)
+        lly = max(fp.core_lly, y - half_h)
+        ury = min(fp.core_ury, y + half_h)
         if urx <= llx or ury <= lly:
             continue
-        vertex_ids = [
-            v for v in clustered.members[c] if not source.instances[v].fixed
-        ]
+        members = np.asarray(clustered.members[c], dtype=np.int64)
+        vertex_ids = members[~fixed[members]].tolist()
         regions.append(
             RegionConstraint(
                 name=f"region_cluster_{c}",
@@ -159,7 +154,8 @@ def seeded_placement(
     Args:
         clustered: The clustered netlist (IO weights must already carry
             the OpenROAD-mode 4x scaling — build_clustered_netlist's
-            ``io_net_weight`` argument).
+            ``io_net_weight`` argument); its ``net_weight_multipliers``
+            scale the flat refinement's net weights too.
         config: Tool mode and placer knobs.
         vpr_cluster_ids: Clusters whose shapes came from V-P&R; only
             these get Innovus-mode region constraints.
@@ -198,6 +194,11 @@ def seeded_placement(
                 clustered, config.region_margin_factor, vpr_cluster_ids
             )
         flat_problem = PlacementProblem(clustered.source)
+        multipliers = clustered.net_weight_multipliers
+        if multipliers is not None:
+            flat_problem.net_weights = (
+                flat_problem.net_weights * multipliers[flat_problem.net_indices]
+            )
         placer = GlobalPlacer(
             flat_problem, config.incremental_placer, regions=regions
         )

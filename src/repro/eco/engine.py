@@ -48,6 +48,7 @@ from repro.core.stages import stage_decoder
 from repro.core.vpr import VPRConfig, VPRFramework, VPRShapeSelector
 from repro.eco.apply import EcoImpact, apply_edits
 from repro.eco.edits import EcoEdit
+from repro.netlist.arrays import multi_arange
 from repro.netlist.design import Design
 from repro.netlist.snapshot import design_from_snapshot
 from repro.place.placer import GlobalPlacer, PlacerConfig
@@ -149,13 +150,12 @@ class EcoSession:
     """A persistent delta-evaluation session over one checkpointed run.
 
     Opening a session materialises the base design from the
-    checkpoint's ``eco_base`` snapshot; each :meth:`apply` call mutates
-    that design and refreshes the session's cluster assignment, shape
-    selection and (in routing mode) the persistent timing analyzer —
-    so a *sequence* of edit scripts pays incremental cost at every
-    step, which is what makes the serve endpoint's interactive loop
-    fast.
-    """
+    checkpoint's ``eco_base`` snapshot; each :meth:`apply` edits that
+    design, re-clusters from its flat form, re-sweeps dirty clusters and
+    re-places with the clean clusters fixed in the placement problem's mask
+    (no ``Instance.fixed`` or ``Net.weight`` is written), so a
+    *sequence* of edit scripts pays incremental cost at every step:
+    the serve endpoint's interactive loop."""
 
     def __init__(
         self,
@@ -302,23 +302,26 @@ class EcoSession:
         Returns the dirty-cluster set: every cluster containing a
         touched instance or touching a changed net.
         """
-        design = self.design
+        arrays = self.design.arrays()
         old = self.cluster_of
         mapping = impact.instance_map
-        new = np.full(design.num_instances, -1, dtype=np.int64)
+        new = np.full(arrays.num_instances, -1, dtype=np.int64)
         valid = mapping >= 0
         new[mapping[valid]] = old[valid]
-        for idx in np.flatnonzero(new < 0):
-            inst = design.instances[int(idx)]
-            votes: Dict[int, int] = {}
-            for net in inst.pin_nets.values():
-                for other in net.instances():
-                    oi = other.index
-                    if oi != idx and new[oi] >= 0:
-                        cid = int(new[oi])
-                        votes[cid] = votes.get(cid, 0) + 1
-            if votes:
-                cid = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        pin_inst, net_ptr = arrays.pin_inst, arrays.net_ptr
+        pin_net = arrays.pin_net()
+        indptr, rows = arrays.instance_pin_csr()
+        for idx in np.flatnonzero(new < 0).tolist():
+            # One vote per (own pin, distinct other instance on its net).
+            votes = [np.zeros(0, dtype=np.int64)]
+            for net in pin_net[rows[indptr[idx] : indptr[idx + 1]]].tolist():
+                others = np.unique(pin_inst[net_ptr[net] : net_ptr[net + 1]])
+                cids = new[others[(others >= 0) & (others != idx)]]
+                votes.append(cids[cids >= 0])
+            votes = np.concatenate(votes)
+            if len(votes):
+                # Most votes, then the lowest cluster id.
+                cid = int(np.bincount(votes).argmax())
             else:
                 # Unconnected cell: join the largest surviving cluster.
                 counts = np.bincount(new[new >= 0])
@@ -327,12 +330,10 @@ class EcoSession:
             obs.count("eco.cluster.assigned")
         self.cluster_of = new
 
-        dirty: Set[int] = set()
-        for idx in impact.touched_instances:
-            dirty.add(int(new[idx]))
-        for net_idx in impact.touched_nets:
-            for inst in design.nets[net_idx].instances():
-                dirty.add(int(new[inst.index]))
+        nets = np.fromiter(impact.touched_nets, dtype=np.int64)
+        on_nets = pin_inst[multi_arange(net_ptr[nets], arrays.net_degree[nets])]
+        touched = np.fromiter(impact.touched_instances, dtype=np.int64)
+        dirty = set(new[np.concatenate((touched, on_nets[on_nets >= 0]))].tolist())
         total = int(new.max()) + 1 if len(new) else 0
         obs.count("eco.clusters.dirty", len(dirty))
         obs.count("eco.clusters.reused", max(0, total - len(dirty)))
@@ -406,63 +407,34 @@ class EcoSession:
 
     # ------------------------------------------------------------------
     def _replace(self, dirty: Set[int], impact: EcoImpact) -> int:
-        """Warm-start incremental placement with only dirty clusters free."""
+        """Warm-start incremental placement with only dirty clusters free
+        (fixed in the problem's mask, not in ``Instance.fixed``)."""
         design = self.design
+        n = design.num_instances
         cluster_of = self.cluster_of
-        total_clusters = int(cluster_of.max()) + 1 if len(cluster_of) else 0
-        dirty_mask = np.zeros(total_clusters, dtype=bool)
-        for cid in dirty:
-            if 0 <= cid < total_clusters:
-                dirty_mask[cid] = True
-
+        problem = PlacementProblem(design)
+        problem.fixed[:n] |= ~np.isin(cluster_of, list(dirty))
         # Seed added cells without explicit coordinates at their
         # cluster's centroid (over pre-existing members).
-        added_unpositioned = [
-            idx
-            for idx in impact.added_instances
-            if idx not in impact.positioned_instances
-        ]
-        if added_unpositioned:
-            added_set = set(impact.added_instances)
-            fp = design.floorplan
-            for idx in added_unpositioned:
-                cid = int(cluster_of[idx])
-                xs = [
-                    design.instances[i].x
-                    for i in np.flatnonzero(cluster_of == cid)
-                    if i not in added_set
-                ]
-                ys = [
-                    design.instances[i].y
-                    for i in np.flatnonzero(cluster_of == cid)
-                    if i not in added_set
-                ]
-                inst = design.instances[idx]
-                if xs:
-                    inst.x = float(np.mean(xs))
-                    inst.y = float(np.mean(ys))
-                else:
-                    inst.x = (fp.core_llx + fp.core_urx) / 2.0
-                    inst.y = (fp.core_lly + fp.core_ury) / 2.0
+        added = np.zeros(n, dtype=bool)
+        added[impact.added_instances] = True
+        fp = design.floorplan
+        for idx in impact.added_instances:
+            if idx in impact.positioned_instances:
+                continue
+            others = np.flatnonzero((cluster_of == cluster_of[idx]) & ~added)
+            if len(others):
+                problem.x[idx] = float(np.mean(problem.x[others]))
+                problem.y[idx] = float(np.mean(problem.y[others]))
+            else:
+                problem.x[idx] = (fp.core_llx + fp.core_urx) / 2.0
+                problem.y[idx] = (fp.core_lly + fp.core_ury) / 2.0
 
-        saved_fixed = [inst.fixed for inst in design.instances]
-        try:
-            for idx, inst in enumerate(design.instances):
-                if not dirty_mask[cluster_of[idx]]:
-                    inst.fixed = True
-            problem = PlacementProblem(design)
-            free = int(problem.movable[: design.num_instances].sum())
-            obs.count("eco.place.freed", free)
-            obs.count(
-                "eco.place.frozen", design.num_instances - free
-            )
-            placer_config = PlacerConfig(
-                incremental=True, seed=self.seed, telemetry="eco.gp"
-            )
-            GlobalPlacer(problem, placer_config).run()
-        finally:
-            for inst, was_fixed in zip(design.instances, saved_fixed):
-                inst.fixed = was_fixed
+        free = int(problem.movable[:n].sum())
+        obs.count("eco.place.freed", free)
+        obs.count("eco.place.frozen", n - free)
+        config = PlacerConfig(incremental=True, seed=self.seed, telemetry="eco.gp")
+        GlobalPlacer(problem, config).run()
         return free
 
 

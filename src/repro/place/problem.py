@@ -163,12 +163,13 @@ class PlacementProblem:
             self.y[:] = y
 
     def commit(self) -> None:
-        """Write working coordinates back to the design's instances
-        (an ordinary problem's; a stacked one has K candidates for them)."""
-        for inst in self.design.instances:
-            if not inst.fixed:
-                inst.x = float(self.x[inst.index])
-                inst.y = float(self.y[inst.index])
+        """Write working coordinates back to the design's instances that
+        are not ``fixed`` here (an ordinary problem's; a stacked one has
+        K candidates for them)."""
+        moved = np.flatnonzero(~self.fixed[: self.num_movable_instances]).tolist()
+        instances = self.design.instances
+        for i, x, y in zip(moved, self.x[moved].tolist(), self.y[moved].tolist()):
+            instances[i].x, instances[i].y = x, y
 
     def clip_to_core(self) -> None:
         """Clamp movable vertices into the core box (each system into

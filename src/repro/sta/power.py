@@ -68,7 +68,8 @@ def analyze_power(
         design: The design (nets must carry switching activity unless
             ``net_activity`` is given).
         wire_model: Geometry source for net capacitances.
-        net_activity: Optional net index -> activity override.
+        net_activity: Optional net index -> activity override, read by
+            the switching and the internal term alike.
         clock_wirelength: Total CTS wire length (microns).
         clock_buffers: Number of inserted clock buffers.
         c_per_um: Wire capacitance for the clock network (fF/um).
@@ -80,10 +81,9 @@ def analyze_power(
     arrays = flat.arrays
     # The analyzer's driver loads at the model's current geometry.
     load, _hpwl = flat.net_loads(wire_model, *flat.geometry(wire_model))
-    live = arrays.current_net_activity()
-    activity = live
+    activity = arrays.current_net_activity()
     if net_activity:
-        activity = live.copy()
+        activity = activity.copy()
         nets = np.fromiter(net_activity.keys(), dtype=np.int64, count=len(net_activity))
         values = np.fromiter(
             net_activity.values(), dtype=np.float64, count=len(net_activity)
@@ -100,12 +100,12 @@ def analyze_power(
     inst_master = arrays.inst_master
     leakage = _sequential_sum(arrays.m_leakage[inst_master])
     # Output toggle rate per instance: the max over its connected
-    # output pins' nets (live activity); sequential cells burn internal
-    # power on every clock edge.
+    # output pins' nets (the override, else live activity); sequential
+    # cells burn internal power on every clock edge.
     out_rows = np.flatnonzero((arrays.pin_inst >= 0) & (arrays.pin_dir == DIR_OUTPUT))
     out_activity = np.zeros(arrays.num_instances)
     np.fmax.at(
-        out_activity, arrays.pin_inst[out_rows], live[arrays.pin_net()[out_rows]]
+        out_activity, arrays.pin_inst[out_rows], activity[arrays.pin_net()[out_rows]]
     )
     is_seq = arrays.m_is_seq[inst_master]
     out_activity = np.where(is_seq, np.fmax(out_activity, 1.0), out_activity)

@@ -111,10 +111,12 @@ class TestWeights:
         plain = build_clustered_netlist(small_design_fresh, result.cluster_of)
         target = plain.design.nets[0]
         source_net = small_design_fresh.net(target.name)
+        multipliers = np.ones(small_design_fresh.num_nets)
+        multipliers[source_net.index] = 3.0
         boosted = build_clustered_netlist(
             small_design_fresh,
             result.cluster_of,
-            net_weight_multipliers={source_net.index: 3.0},
+            net_weight_multipliers=multipliers,
         )
         assert boosted.design.net(target.name).weight == pytest.approx(
             3.0 * target.weight
@@ -125,7 +127,7 @@ class TestSeeding:
     def test_seed_positions_at_cluster_centres(self, clustered):
         design, result, cn = clustered
         for c in range(cn.num_clusters):
-            inst = cn.cluster_instance(c)
+            inst = cn.design.instance(f"cluster_{c}")
             inst.x = 10.0 + c
             inst.y = 20.0 + c
         cn.seed_flat_positions(scatter=0.0)
@@ -139,7 +141,7 @@ class TestSeeding:
     def test_scatter_stays_in_footprint(self, clustered):
         design, result, cn = clustered
         for c in range(cn.num_clusters):
-            inst = cn.cluster_instance(c)
+            inst = cn.design.instance(f"cluster_{c}")
             inst.x, inst.y = 30.0, 30.0
         cn.seed_flat_positions(scatter=1.0, seed=0)
         for inst in design.instances:

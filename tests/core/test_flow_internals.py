@@ -16,7 +16,7 @@ class TestCriticalityMultipliers:
         hg = db.hypergraph
         scores = np.ones(hg.num_edges)
         multipliers = _criticality_multipliers(db, scores, cap=4.0)
-        assert all(v == pytest.approx(1.0) for v in multipliers.values())
+        assert multipliers == pytest.approx(1.0)
 
     def test_cap_enforced(self, small_design):
         db = DesignDatabase(small_design)
@@ -24,7 +24,7 @@ class TestCriticalityMultipliers:
         scores = np.ones(hg.num_edges)
         scores[0] = 1e6
         multipliers = _criticality_multipliers(db, scores, cap=4.0)
-        assert max(multipliers.values()) <= 4.0
+        assert multipliers.max() <= 4.0
 
     def test_floor_at_one(self, small_design):
         """Sub-average edges keep weight 1 (criticality only boosts)."""
@@ -33,16 +33,24 @@ class TestCriticalityMultipliers:
         rng = np.random.default_rng(0)
         scores = rng.uniform(0.1, 10.0, hg.num_edges)
         multipliers = _criticality_multipliers(db, scores, cap=4.0)
-        assert min(multipliers.values()) >= 1.0
+        assert multipliers.min() >= 1.0
 
     def test_keys_are_net_indices(self, small_design):
+        """Entry ``i`` is net ``i``'s: a hyperedge's net carries that
+        edge's score; every other net keeps 1.0."""
         db = DesignDatabase(small_design)
         hg = db.hypergraph
-        multipliers = _criticality_multipliers(
-            db, np.ones(hg.num_edges), cap=4.0
-        )
-        valid = set(int(i) for i in hg.edge_net_indices if i >= 0)
-        assert set(multipliers) == valid
+        scores = np.arange(1.0, hg.num_edges + 1.0)
+        multipliers = _criticality_multipliers(db, scores, cap=4.0)
+        assert multipliers.shape == (small_design.num_nets,)
+        mean = scores.mean()
+        valid = set()
+        for ei, net_idx in enumerate(hg.edge_net_indices):
+            if net_idx >= 0:
+                valid.add(int(net_idx))
+                assert multipliers[net_idx] == np.clip(scores[ei] / mean, 1.0, 4.0)
+        others = sorted(set(range(small_design.num_nets)) - valid)
+        assert (multipliers[others] == 1.0).all()
 
 
 class TestMembersOf:

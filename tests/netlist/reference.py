@@ -291,3 +291,139 @@ def clique_expansion_reference(
     cols = np.array([k[1] for k in keys], dtype=np.int64)
     weights = np.array([pair_weights[k] for k in keys])
     return rows, cols, weights
+
+
+def clustered_netlist_reference(
+    source: Design,
+    cluster_of,
+    shapes=None,
+    io_net_weight: float = 1.0,
+    net_weight_multipliers: Optional[np.ndarray] = None,
+):
+    """``build_clustered_netlist`` as it walked the source's ``Net`` /
+    ``PinRef`` objects and built through the construction API.
+
+    The multipliers are the ``(num_nets,)`` array the flow now passes
+    (the walk took a net-index dict; a missing entry was 1.0).
+    """
+    from repro.core.clustered_netlist import ClusteredNetlist
+    from repro.core.shapes import uniform_shape
+    from repro.netlist.lef import ClusterLef
+
+    cluster_of = np.asarray(cluster_of, dtype=np.int64)
+    shapes = dict(shapes or {})
+    k = int(cluster_of.max()) + 1 if len(cluster_of) else 0
+
+    members: List[List[int]] = [[] for _ in range(k)]
+    for v, c in enumerate(cluster_of):
+        members[int(c)].append(v)
+    areas = np.zeros(k)
+    for c, member_list in enumerate(members):
+        areas[c] = sum(source.instances[v].area for v in member_list)
+
+    clustered = Design(f"{source.name}_clustered", floorplan=source.floorplan)
+    clustered.clock_period = source.clock_period
+    lef = ClusterLef()
+
+    default = uniform_shape()
+    cluster_insts = []
+    for c in range(k):
+        shape = shapes.get(c, default)
+        shapes.setdefault(c, shape)
+        macro = lef.add_cluster(c, max(areas[c], 1e-6), shape.aspect_ratio, shape.utilization)
+        master = MasterCell(
+            name=f"CLUSTER_{c}",
+            width=macro.width,
+            height=macro.height,
+            is_macro=True,
+            cell_class="macro",
+        )
+        clustered.add_master(master)
+        inst = clustered.add_instance(f"cluster_{c}", master)
+        fixed_members = [
+            source.instances[v] for v in members[c] if source.instances[v].fixed
+        ]
+        if fixed_members:
+            inst.x = float(np.mean([m.x for m in fixed_members]))
+            inst.y = float(np.mean([m.y for m in fixed_members]))
+            inst.fixed = True
+        cluster_insts.append(inst)
+
+    for name, port in source.ports.items():
+        new_port = clustered.add_port(name, port.direction, port.x, port.y)
+        new_port.capacitance = port.capacitance
+
+    pin_counter: Dict[int, int] = {c: 0 for c in range(k)}
+    for net in source.nets:
+        if net.is_clock:
+            continue
+        clusters_touched = sorted({int(cluster_of[i.index]) for i in net.instances()})
+        port_refs = [ref.pin_name for ref in net.pins() if ref.is_port]
+        if len(clusters_touched) < 2 and not port_refs:
+            continue
+        if len(clusters_touched) + len(port_refs) < 2:
+            continue
+        new_net = clustered.add_net(net.name)
+        new_net.weight = net.weight
+        if net_weight_multipliers is not None:
+            new_net.weight *= net_weight_multipliers[net.index]
+        if port_refs:
+            new_net.weight *= io_net_weight
+        driver_cluster: Optional[int] = None
+        if net.driver is not None and net.driver.instance is not None:
+            driver_cluster = int(cluster_of[net.driver.instance.index])
+        for c in clusters_touched:
+            master = cluster_insts[c].master
+            direction = (
+                PinDirection.OUTPUT if c == driver_cluster else PinDirection.INPUT
+            )
+            pin_name = f"p{pin_counter[c]}"
+            pin_counter[c] += 1
+            master.pins[pin_name] = CellPin(
+                name=pin_name, direction=direction, capacitance=1.0
+            )
+            clustered.connect(new_net, PinRef(cluster_insts[c], pin_name))
+        for port_name in port_refs:
+            clustered.connect_port(new_net, port_name)
+
+    return ClusteredNetlist(
+        design=clustered,
+        source=source,
+        cluster_of=cluster_of,
+        members=members,
+        cluster_areas=areas,
+        shapes=shapes,
+        lef=lef,
+        net_weight_multipliers=net_weight_multipliers,
+    )
+
+
+def remap_clusters_reference(design: Design, cluster_of: np.ndarray, impact):
+    """``EcoSession._remap_clusters`` as it walked ``pin_nets`` and
+    ``Net.instances()``: ``(new cluster_of, dirty cluster set)``."""
+    mapping = impact.instance_map
+    new = np.full(design.num_instances, -1, dtype=np.int64)
+    valid = mapping >= 0
+    new[mapping[valid]] = cluster_of[valid]
+    for idx in np.flatnonzero(new < 0):
+        inst = design.instances[int(idx)]
+        votes: Dict[int, int] = {}
+        for net in inst.pin_nets.values():
+            for other in net.instances():
+                oi = other.index
+                if oi != idx and new[oi] >= 0:
+                    cid = int(new[oi])
+                    votes[cid] = votes.get(cid, 0) + 1
+        if votes:
+            cid = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        else:
+            counts = np.bincount(new[new >= 0])
+            cid = int(counts.argmax()) if len(counts) else 0
+        new[idx] = cid
+    dirty = set()
+    for idx in impact.touched_instances:
+        dirty.add(int(new[idx]))
+    for net_idx in impact.touched_nets:
+        for inst in design.nets[net_idx].instances():
+            dirty.add(int(new[inst.index]))
+    return new, dirty

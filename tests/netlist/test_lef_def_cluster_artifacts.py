@@ -36,7 +36,7 @@ class TestClusterArtifacts:
         assert len(parsed.components) == clustered.num_clusters
         by_name = {c.name: c for c in parsed.components}
         for c in range(clustered.num_clusters):
-            inst = clustered.cluster_instance(c)
+            inst = clustered.design.instance(f"cluster_{c}")
             loc = by_name[f"cluster_{c}"].location
             assert loc[0] == pytest.approx(inst.x, abs=1e-2)
             assert loc[1] == pytest.approx(inst.y, abs=1e-2)

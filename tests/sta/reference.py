@@ -673,8 +673,13 @@ def analyze_power_reference(
         out_activity = 0.0
         for pin in master.output_pins():
             net = inst.net_on(pin.name)
-            if net is not None:
-                out_activity = max(out_activity, net.switching_activity)
+            if net is None:
+                continue
+            if net_activity is not None:
+                activity = net_activity.get(net.index, net.switching_activity)
+            else:
+                activity = net.switching_activity
+            out_activity = max(out_activity, activity)
         if master.is_sequential:
             out_activity = max(out_activity, 1.0)
         internal += master.internal_energy * out_activity

@@ -161,6 +161,30 @@ class TestPower:
         )
         assert doubled.switching == pytest.approx(2 * base.switching)
 
+    def test_activity_override_reaches_internal_power(self, toy_design):
+        """The override is the activity of the whole report: the
+        combinational cells' internal power (energy x output toggle
+        rate) doubles with it too; flops stay at the full clock rate."""
+        graph = TimingGraph(toy_design)
+        propagate_activity(graph)
+        model = PlacementWireModel(toy_design)
+        base = analyze_power(toy_design, model)
+        doubled = analyze_power(
+            toy_design,
+            model,
+            net_activity={
+                n.index: 2 * n.switching_activity for n in toy_design.nets
+            },
+        )
+        # fJ per edge at 1 / period GHz, in mW.
+        flops = sum(
+            inst.master.internal_energy
+            for inst in toy_design.sequential_instances()
+        ) / toy_design.clock_period * 1e-3
+        assert base.internal > flops > 0
+        assert doubled.internal - flops == pytest.approx(2 * (base.internal - flops))
+        assert doubled.leakage == base.leakage
+
 
 def _net_lengths(design, model):
     flat = flat_for(timing_graph_for(design))

@@ -119,7 +119,7 @@ class TestClusterRegions:
         # Put cluster instances somewhere concrete.
         fp = design.floorplan
         for c in range(cn.num_clusters):
-            inst = cn.cluster_instance(c)
+            inst = cn.design.instance(f"cluster_{c}")
             inst.x = 0.5 * (fp.core_llx + fp.core_urx)
             inst.y = 0.5 * (fp.core_lly + fp.core_ury)
         vpr_ids = [0, 1]
@@ -140,7 +140,7 @@ class TestClusterRegions:
         shapes = {0: ShapeCandidate(aspect_ratio=1.0, utilization=0.5)}
         cn = build_clustered_netlist(design, clustering.cluster_of, shapes=shapes)
         fp = design.floorplan
-        inst = cn.cluster_instance(0)
+        inst = cn.design.instance("cluster_0")
         inst.x = 0.5 * (fp.core_llx + fp.core_urx)
         inst.y = 0.5 * (fp.core_lly + fp.core_ury)
         (region,) = _cluster_regions(cn, 1.0, [0])
