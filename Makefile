@@ -149,10 +149,10 @@ spine-smoke:
 	tail -1 spine-smoke/traced.txt | python3 -c "import json, sys; \
 		result = json.loads(sys.stdin.read()); \
 		assert result['correct'] is True, result; \
-		sta = ('sta.graph_build_s', 'sta.update_full_s', 'sta.activity_s', 'sta.power_s'); \
-		zero = [n for n in sta if not result['metrics'][n]['value'] > 0]; \
-		assert not zero, f'{zero} read 0: a traced STA target is not on the path'; \
-		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations, STA rows non-zero')"
+		rows = ('sta.graph_build_s', 'sta.update_full_s', 'sta.activity_s', 'sta.power_s', 'vpr.extract_s'); \
+		zero = [n for n in rows if not result['metrics'][n]['value'] > 0]; \
+		assert not zero, f'{zero} read 0: a traced STA or V-P&R target is not on the path'; \
+		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations, STA and extract rows non-zero')"
 	timeout 600 python3 benchmarks/spine/run.py --workload backend_ml \
 		--seed 0 --seconds 15 --trace 1 > spine-smoke/traced_ml.txt
 	tail -1 spine-smoke/traced_ml.txt | python3 -c "import json, sys; \
@@ -160,10 +160,10 @@ spine-smoke:
 		assert result['correct'] is True, result; \
 		calls = result['metrics']['ml.predict_calls']['value']; \
 		assert calls > 0, 'ml.predict reads 0: a traced ML target is not on the path'; \
-		seeded = ('core.clustered_netlist_s', 'core.seeded_s'); \
-		zero = [n for n in seeded if not result['metrics'][n]['value'] > 0]; \
-		assert not zero, f'{zero} read 0: a traced seeded-stage target is not on the path'; \
-		print('spine-smoke: traced backend_ml correct,', result['attempted'], 'operations,', calls, 'predict calls, seeded rows non-zero')"
+		rows = ('core.clustered_netlist_s', 'core.seeded_s', 'vpr.extract_s'); \
+		zero = [n for n in rows if not result['metrics'][n]['value'] > 0]; \
+		assert not zero, f'{zero} read 0: a traced seeded-stage or V-P&R target is not on the path'; \
+		print('spine-smoke: traced backend_ml correct,', result['attempted'], 'operations,', calls, 'predict calls, seeded and extract rows non-zero')"
 
 # Crash-safety smoke: run a checkpointed flow, kill it mid-sweep with
 # an injected abort, resume, and require the resumed QoR to match an

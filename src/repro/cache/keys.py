@@ -47,6 +47,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.ioutil import sha256_hex
+from repro.netlist.arrays import DIRECTIONS
 from repro.netlist.design import Design
 from repro.netlist.snapshot import design_snapshot
 
@@ -67,47 +68,56 @@ def netlist_digest(sub: Design) -> str:
     Two structurally identical sub-netlists (same masters, instances,
     connectivity, weights, ports — names included, since port names
     fix the periphery ring order) produce the same digest regardless
-    of which run, process, or parent design induced them.
+    of which run, process, or parent design induced them.  Read off
+    the netlist's flat form (live net weights), pin by pin.
     """
-    masters = {}
-    for name in sorted(sub.masters):
-        m = sub.masters[name]
-        masters[name] = [
-            m.width,
-            m.height,
-            m.is_sequential,
-            m.is_macro,
-            sorted(
-                (p.name, p.direction.value, p.capacitance, p.is_clock)
-                for p in m.pins.values()
-            ),
-        ]
-    port_names = sorted(sub.ports)
-    port_vertex = {name: sub.num_instances + i for i, name in enumerate(port_names)}
-
-    def _ref(ref) -> list:
-        if ref.instance is not None:
-            return [ref.instance.index, ref.pin_name]
-        return [port_vertex[ref.pin_name], ref.pin_name]
-
-    nets = []
-    for net in sub.nets:
-        nets.append(
-            [
-                net.name,
-                net.weight,
-                net.is_clock,
-                _ref(net.driver) if net.driver is not None else None,
-                [_ref(ref) for ref in net.sinks],
-            ]
+    arrays = sub.arrays()
+    pool, mp_ptr = arrays.name_pool, arrays.mp_ptr.tolist()
+    pins = list(
+        zip(
+            [pool[i] for i in arrays.mp_name_idx.tolist()],
+            [DIRECTIONS[d].value for d in arrays.mp_dir.tolist()],
+            arrays.mp_cap.tolist(),
+            arrays.mp_is_clock.tolist(),
         )
+    )
+    masters = {
+        name: [*row, sorted(pins[mp_ptr[m] : mp_ptr[m + 1]])]
+        for m, (name, *row) in enumerate(
+            zip(
+                arrays.master_names,
+                arrays.m_width.tolist(),
+                arrays.m_height.tolist(),
+                arrays.m_is_seq.tolist(),
+                arrays.m_is_macro.tolist(),
+            )
+        )
+    }
+    # Pin references as (vertex, pin name): instances, then sorted ports.
+    vertex, pin_name = arrays.pin_vertices().tolist(), arrays.pin_name_idx.tolist()
+    refs = [[v, pool[n]] for v, n in zip(vertex, pin_name)]
+    ptr = arrays.net_ptr.tolist()
     canonical = {
         "masters": masters,
-        "instances": [[i.name, i.master.name] for i in sub.instances],
-        "ports": [
-            [name, sub.ports[name].direction.value] for name in port_names
+        "instances": [
+            [name, arrays.master_names[m]]
+            for name, m in zip(arrays.inst_names, arrays.inst_master.tolist())
         ],
-        "nets": nets,
+        "ports": sorted(
+            [name, DIRECTIONS[d].value]
+            for name, d in zip(arrays.port_names, arrays.port_dir.tolist())
+        ),
+        "nets": [
+            [name, weight, clock, refs[a] if driven else None, refs[a + driven : b]]
+            for name, weight, clock, driven, a, b in zip(
+                arrays.net_names,
+                arrays.current_net_weights().tolist(),
+                arrays.net_is_clock.tolist(),
+                arrays.net_has_driver.tolist(),
+                ptr,
+                ptr[1:],
+            )
+        ],
     }
     return sha256_hex(_canonical(canonical))
 

@@ -1,11 +1,14 @@
 """A cluster's sub-netlist and its virtual dies (Figure 3, left).
 
 One job: turn a cluster into what a V-P&R candidate is placed and
-routed on.  :func:`extract_subnetlist` induces the sub-netlist with
-the paper's port rule, :func:`_virtual_die` sizes a candidate's die
-and rings it with the IO ports, and :class:`_SubContext` keeps what
-the candidates of one sub share.  :mod:`repro.core.vpr` evaluates and
-selects over them.
+routed on.  :func:`extract_subnetlist` induces the sub-netlist from
+the source's flat form with the paper's port rule
+(:meth:`~repro.netlist.arrays.NetlistArrays.induce`; nets and port
+numbers in (member, net index) order, so a sub's digest ignores edit
+history), :func:`_virtual_die` sizes a candidate's die and rings it
+with the IO ports, and :class:`_SubContext` keeps what the candidates
+of one sub share.  :mod:`repro.core.vpr` evaluates and selects over
+them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from repro import obs
 from repro.cache import netlist_digest
 from repro.core.shapes import ShapeCandidate
-from repro.netlist.design import Design, Floorplan, PinDirection
+from repro.netlist.design import Design, Floorplan
 from repro.place.hpwl import hpwl_arrays
 from repro.place.problem import PlacementProblem
 
@@ -31,64 +34,14 @@ DIE_MARGIN = 1.0
 def extract_subnetlist(source: Design, member_indices: Sequence[int]) -> Design:
     """Induce the sub-netlist over a cluster's instances.
 
-    Inter-cluster nets become virtual IO ports: an input port per
-    external driver, an output port per net with external sinks
-    (Figure 3's port creation rule).  Nets are taken, and ports
-    numbered, in each member's ``pin_nets`` order, members ascending.
+    Inter-cluster nets become virtual IO ports (Figure 3's port
+    creation rule, :meth:`NetlistArrays.induce`), in canonical order:
+    the sub depends on the netlist's content, not on its edit history.
+    The sub is decoded by the same :meth:`NetlistArrays.to_design` that
+    decodes a fleet worker's, and holds the induced columns as its
+    cached flat form.
     """
-    members = set(int(i) for i in member_indices)
-    sub = Design(f"{source.name}_sub")
-    instance_map = {}
-    for idx in sorted(members):
-        inst = source.instances[idx]
-        if inst.master.name not in sub.masters:
-            sub.masters[inst.master.name] = inst.master
-        new_inst = sub.add_instance(inst.name, inst.master)
-        instance_map[idx] = new_inst
-
-    nets_seen = set()
-    port_counter = 0
-    for idx in sorted(members):
-        inst = source.instances[idx]
-        for net in inst.pin_nets.values():
-            if net.index in nets_seen or net.is_clock:
-                continue
-            nets_seen.add(net.index)
-            internal_refs = []
-            external_driver = False
-            external_sink = False
-            driver_internal = False
-            for ref in net.pins():
-                if ref.instance is not None and ref.instance.index in members:
-                    internal_refs.append(ref)
-                    if net.driver is ref:
-                        driver_internal = True
-                else:
-                    if net.driver is ref:
-                        external_driver = True
-                    else:
-                        external_sink = True
-            if not internal_refs:
-                continue
-            if len(internal_refs) < 2 and not (external_driver or external_sink):
-                continue
-            new_net = sub.add_net(net.name)
-            new_net.weight = net.weight
-            for ref in internal_refs:
-                sub.connect_instance_pin(
-                    new_net, instance_map[ref.instance.index], ref.pin_name
-                )
-            if external_driver and not driver_internal:
-                port_name = f"vin{port_counter}"
-                port_counter += 1
-                sub.add_port(port_name, PinDirection.INPUT)
-                sub.connect_port(new_net, port_name)
-            if external_sink and driver_internal:
-                port_name = f"vout{port_counter}"
-                port_counter += 1
-                sub.add_port(port_name, PinDirection.OUTPUT)
-                sub.connect_port(new_net, port_name)
-    return sub
+    return source.arrays().induce(member_indices).to_design()
 
 
 def _virtual_die(

@@ -327,7 +327,9 @@ class VPRFramework:
         obs.count("vpr.subnetlist.miss")
         with obs.stage("vpr.extract"):
             sub = extract_subnetlist(source, member_indices)
-        cell_area = sum(source.instances[i].area for i in member_indices)
+        # Python's sum in member order (compensated on 3.12+), as before.
+        areas = source.arrays().inst_area[np.asarray(member_indices, dtype=np.int64)]
+        cell_area = sum(areas.tolist())
         self._induce_cache[key] = (source, sub, cell_area)
         if len(self._induce_cache) > self._INDUCE_CACHE_MAX:
             self._induce_cache.popitem(last=False)

@@ -2,8 +2,8 @@
 
 The apply layer is pure netlist surgery: it drives the ECO mutation
 API on :class:`~repro.netlist.design.Design` (which invalidates the
-memoised ``signal_nets()`` / ``net_degrees()`` / ``arrays()`` /
-hypergraph views surgically — a resize re-keys them in place, a
+memoised ``arrays()`` / timing-graph / hypergraph views surgically — a
+resize patches the flat form and re-keys the timing graph in place, a
 topology edit rebuilds them lazily) and records *what was touched* in
 an :class:`EcoImpact`, which is everything the engine needs to decide
 how little to recompute.

@@ -19,9 +19,11 @@ reconnect  kept (remapped)         dirty      dirty
                                    clusters   clusters
 ========== ======================= ========== ============
 
-STA is what a cold flow runs: one full post-route update.  Every edit
-kind bumps the design's structure key, so the timing graph is
-recompiled once per script (``sta.graph.recompiled``).
+STA is what a cold flow runs: one full post-route update.  An add,
+remove or reconnect changes the design's structure, so the timing
+graph is recompiled once per such script (``sta.graph.recompiled``);
+a resize or swap patches the flat form in place, which keeps the graph
+and drops only its flat compilation.
 
 Untouched (cluster, shape) evaluations keep the checkpointed shapes
 and their content-addressed cache entries are mtime-touched

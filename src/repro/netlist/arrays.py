@@ -19,9 +19,9 @@ arrays:
 The flow's hot consumers — hypergraph construction
 (:meth:`hyperedge_csr`), the STA graph build
 (:class:`repro.sta.graph.TimingGraph`), placer netlist extraction
-(:meth:`placement_csr`), HPWL/routing pin gathers (:meth:`pin_vertex_csr`)
-and ML feature extraction — read these arrays directly instead of
-walking the linked object graph.
+(:meth:`placement_csr`), HPWL/routing pin gathers (:meth:`pin_vertex_csr`),
+V-P&R sub-netlists (:meth:`induce`) and ML feature extraction — read
+these arrays directly instead of walking the linked object graph.
 
 Caching and invalidation
 ------------------------
@@ -49,6 +49,7 @@ construction API), which then holds these arrays as its cached form.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,15 +66,15 @@ from repro.netlist.design import (
     Port,
 )
 
-#: Direction codes used by ``mp_dir`` / ``pin_dir`` / ``port_dir``.
+#: Direction codes used by ``mp_dir`` / ``pin_dir`` / ``port_dir``,
+#: and the direction each code stands for.
 DIR_INPUT, DIR_OUTPUT, DIR_INOUT = 0, 1, 2
-
-_DIRECTIONS: Tuple[PinDirection, ...] = (
+DIRECTIONS: Tuple[PinDirection, ...] = (
     PinDirection.INPUT,
     PinDirection.OUTPUT,
     PinDirection.INOUT,
 )
-_DIR_CODE: Dict[PinDirection, int] = {d: i for i, d in enumerate(_DIRECTIONS)}
+_DIR_CODE: Dict[PinDirection, int] = {d: i for i, d in enumerate(DIRECTIONS)}
 
 #: The constructor's numeric columns — with the name lists the whole
 #: form, and what a snapshot carries (:mod:`repro.netlist.snapshot`):
@@ -117,43 +118,20 @@ COLUMNS: Dict[str, Tuple[str, str, Optional[str]]] = {
 }
 
 
-def check_columns(
-    columns: Dict[str, np.ndarray],
-    spec: Dict[str, Tuple[str, str, Optional[str]]],
-    size: Dict[str, int],
-) -> None:
-    """Validate columns that came from outside the process against a
-    :data:`COLUMNS`-style ``spec`` and the group sizes: ``ValueError``
-    naming the first column that is absent, not a 1-d array of its
-    dtype kind, of the wrong length, not a monotone offset vector from
-    0 to its target's size, or indexing outside its target group."""
-    for name, (kind, group, target) in spec.items():
-        column, is_ptr = columns.get(name), name.endswith("_ptr")
-        if (
-            not isinstance(column, np.ndarray)
-            or column.ndim != 1
-            or column.dtype.kind != kind
-        ):
-            raise ValueError(f"column {name!r} is missing or not a 1-d {kind!r} array")
-        if len(column) != size[group] + is_ptr:
-            raise ValueError(
-                f"column {name!r} has {len(column)} rows for {size[group]} {group}"
-            )
-        if target is None or not len(column):
-            continue
-        bound = size[target]
-        if is_ptr:
-            if column[0] != 0 or column[-1] != bound or (np.diff(column) < 0).any():
-                raise ValueError(
-                    f"column {name!r} is not a monotone offset vector "
-                    f"from 0 to {bound} {target}"
-                )
-        else:
-            low = -1 if name in ("pin_inst", "pin_port", "pin_slot") else 0
-            if column.min() < low or column.max() >= bound:
-                raise ValueError(
-                    f"column {name!r} indexes outside [{low}, {bound}) {target}"
-                )
+#: Each master column and the :class:`MasterCell` field it holds.
+_MASTER_FIELDS: Dict[str, str] = {
+    "m_width": "width",
+    "m_height": "height",
+    "m_is_seq": "is_sequential",
+    "m_is_macro": "is_macro",
+    "m_intrinsic": "intrinsic_delay",
+    "m_drive": "drive_resistance",
+    "m_clk_to_q": "clk_to_q",
+    "m_setup": "setup_time",
+    "m_hold": "hold_time",
+    "m_leakage": "leakage_power",
+    "m_energy": "internal_energy",
+}
 
 
 def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -305,8 +283,7 @@ class NetlistArrays:
         port_names = self.port_names
         order = sorted(range(len(port_names)), key=port_names.__getitem__)
         rank = np.empty(len(order), dtype=np.int64)
-        for sorted_pos, insertion_idx in enumerate(order):
-            rank[insertion_idx] = sorted_pos
+        rank[order] = np.arange(len(order))
         self.port_sorted_rank = rank
         net_ptr = np.asarray(net_ptr, dtype=np.int64)
         pin_inst = np.asarray(pin_inst, dtype=np.int32)
@@ -424,11 +401,12 @@ class NetlistArrays:
 
         Called by :meth:`Design.replace_master` so a gate resize does
         not force a full O(pins) rebuild.  The patch is only legal when
-        the new master is already in the flattened tables and declares
+        the new master is already in the flattened tables, declares
         the same pin list (names, order, directions, clock flags) as
-        the old one — the common resize case of swapping within one
-        cell family.  Returns False otherwise; the caller falls back to
-        invalidating the cached form entirely.
+        the old one and is as sequential as it — the common resize case
+        of swapping within one cell family, which leaves the timing
+        graph's topology as it was.  Returns False otherwise; the
+        caller falls back to invalidating the cached form entirely.
         """
         design = self.design
         if design is None:
@@ -443,7 +421,7 @@ class NetlistArrays:
             return True
         o0, o1 = int(self.mp_ptr[old_mi]), int(self.mp_ptr[old_mi + 1])
         n0, n1 = int(self.mp_ptr[new_mi]), int(self.mp_ptr[new_mi + 1])
-        if (o1 - o0) != (n1 - n0):
+        if (o1 - o0) != (n1 - n0) or self.m_is_seq[old_mi] != self.m_is_seq[new_mi]:
             return False
         if not (
             np.array_equal(self.mp_name_idx[o0:o1], self.mp_name_idx[n0:n1])
@@ -466,12 +444,14 @@ class NetlistArrays:
     # ------------------------------------------------------------------
     # Live-attribute gathers (object view wins when present)
     # ------------------------------------------------------------------
-    def current_net_weights(self) -> np.ndarray:
-        """Per-net placement weights, live when an object view exists."""
+    def current_net_weights(self, nets: Optional[np.ndarray] = None) -> np.ndarray:
+        """Placement weights of ``nets`` (default: every net), live
+        when an object view exists."""
         if self.design is None:
-            return self.net_weight
-        nets = self.design.nets
-        return np.fromiter((n.weight for n in nets), dtype=np.float64, count=len(nets))
+            return self.net_weight if nets is None else self.net_weight[nets]
+        objects = self.design.nets
+        picked = objects if nets is None else [objects[i] for i in nets.tolist()]
+        return np.fromiter((n.weight for n in picked), np.float64, count=len(picked))
 
     def current_net_activity(self) -> np.ndarray:
         """Per-net switching activity, live when an object view exists."""
@@ -538,6 +518,14 @@ class NetlistArrays:
     # ------------------------------------------------------------------
     # Consumer kernels
     # ------------------------------------------------------------------
+    def pin_vertices(self, rows=slice(None)) -> np.ndarray:
+        """Placement vertex of pin ``rows``: the owner instance, or
+        ``num_instances`` + the port's sorted-name rank (``pin_port``
+        is -1 on instance pins, which the padding absorbs)."""
+        port_vertex = self.num_instances + np.append(self.port_sorted_rank, 0)
+        owner = self.pin_inst[rows]
+        return np.where(owner >= 0, owner, port_vertex[self.pin_port[rows]])
+
     def hyperedge_csr(
         self,
         include_clock: bool = False,
@@ -553,37 +541,11 @@ class NetlistArrays:
         clock nets are dropped unless ``include_clock``; nets wider
         than ``max_edge_degree`` distinct members are dropped.
         """
-        num_nets = self.num_nets
         nid = self.pin_net()
-        keep_net = (
-            np.ones(num_nets, dtype=bool)
-            if include_clock
-            else ~self.net_is_clock
-        )
-        mask = (self.pin_inst >= 0) & keep_net[nid]
-        ni = nid[mask]
-        vi = self.pin_inst[mask]
-        order = np.lexsort((vi, ni))
-        ni_s = ni[order]
-        vi_s = vi[order]
-        if len(ni_s):
-            dedup = np.concatenate(
-                ([True], (ni_s[1:] != ni_s[:-1]) | (vi_s[1:] != vi_s[:-1]))
-            )
-        else:
-            dedup = np.zeros(0, dtype=bool)
-        ni_d = ni_s[dedup]
-        vi_d = vi_s[dedup]
-        deg = np.bincount(ni_d, minlength=num_nets)
-        sel = deg >= 2
-        if max_edge_degree is not None:
-            sel &= deg <= max_edge_degree
-        sel_nets = np.flatnonzero(sel)
-        counts = deg[sel_nets]
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        net_start = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
-        verts = vi_d[multi_arange(net_start[sel_nets], counts)]
-        return indptr, verts, sel_nets
+        keep = self.pin_inst >= 0
+        if not include_clock:
+            keep &= ~self.net_is_clock[nid]
+        return self._distinct_vertices(nid[keep], self.pin_inst[keep], max_edge_degree)
 
     def placement_csr(
         self, include_clock: bool = False
@@ -595,45 +557,34 @@ class NetlistArrays:
         distinct vertex ids sorted ascending; nets with fewer than two
         distinct vertices are dropped.
         """
-        num_nets = self.num_nets
-        n_inst = self.num_instances
         nid = self.pin_net()
-        keep_net = (
-            np.ones(num_nets, dtype=bool)
-            if include_clock
-            else ~self.net_is_clock
+        keep = slice(None) if include_clock else ~self.net_is_clock[nid]
+        offsets, pin_vertex, nets = self._distinct_vertices(
+            nid[keep], self.pin_vertices(keep)
         )
-        mask = keep_net[nid]
-        ni = nid[mask]
-        is_port = self.pin_inst[mask] < 0
-        rank = (
-            self.port_sorted_rank
-            if len(self.port_sorted_rank)
-            else np.zeros(1, dtype=np.int64)
-        )
-        vi = np.where(
-            is_port,
-            n_inst + rank[np.where(is_port, self.pin_port[mask], 0)],
-            self.pin_inst[mask],
-        )
-        order = np.lexsort((vi, ni))
-        ni_s = ni[order]
-        vi_s = vi[order]
-        if len(ni_s):
-            dedup = np.concatenate(
-                ([True], (ni_s[1:] != ni_s[:-1]) | (vi_s[1:] != vi_s[:-1]))
-            )
-        else:
-            dedup = np.zeros(0, dtype=bool)
-        ni_d = ni_s[dedup]
-        vi_d = vi_s[dedup]
-        deg = np.bincount(ni_d, minlength=num_nets)
-        sel_nets = np.flatnonzero(deg >= 2)
+        return pin_vertex, offsets, nets
+
+    def _distinct_vertices(
+        self, nets: np.ndarray, vertices: np.ndarray, max_degree: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, vertices, net_indices)`` of the pins given by their
+        ``nets`` and ``vertices``: per net in index order its distinct
+        vertices ascending; nets with fewer than two (or more than
+        ``max_degree``) of them dropped."""
+        order = np.lexsort((vertices, nets))
+        nets, vertices = nets[order], vertices[order]
+        first = np.ones(len(nets), dtype=bool)
+        first[1:] = (nets[1:] != nets[:-1]) | (vertices[1:] != vertices[:-1])
+        deg = np.bincount(nets[first], minlength=self.num_nets)
+        sel = deg >= 2
+        if max_degree is not None:
+            sel &= deg <= max_degree
+        sel_nets = np.flatnonzero(sel)
         counts = deg[sel_nets]
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         net_start = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
-        pin_vertex = vi_d[multi_arange(net_start[sel_nets], counts)]
-        return pin_vertex, offsets, sel_nets
+        vertices = vertices[first][multi_arange(net_start[sel_nets], counts)]
+        return indptr, vertices, sel_nets
 
     def pin_vertex_csr(
         self, include_clock: bool = False
@@ -656,20 +607,116 @@ class NetlistArrays:
         sel_nets = np.flatnonzero(keep)
         counts = self.net_degree[sel_nets]
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        rows = multi_arange(self.net_ptr[sel_nets], counts)
-        is_port = self.pin_inst[rows] < 0
-        rank = (
-            self.port_sorted_rank
-            if len(self.port_sorted_rank)
-            else np.zeros(1, dtype=np.int64)
-        )
-        pin_vertex = np.where(
-            is_port,
-            self.num_instances + rank[np.where(is_port, self.pin_port[rows], 0)],
-            self.pin_inst[rows],
-        )
+        pin_vertex = self.pin_vertices(multi_arange(self.net_ptr[sel_nets], counts))
         self._pin_vertex[include_clock] = pin_vertex, offsets, sel_nets
         return pin_vertex, offsets, sel_nets
+
+    def induce(self, members) -> "NetlistArrays":
+        """The sub-netlist over instances ``members`` (Figure 3).
+
+        Clock nets are left out.  A net with an outside driver gets an
+        input port ``vin{k}`` (its driver), one driven inside with
+        outside sinks an output port ``vout{k}`` (its last sink); a net
+        with one member pin and no outside pin is dropped.  Instances
+        are taken ascending, nets (so port numbers) in (first member,
+        net index) order: the sub depends on the netlist, not on the
+        order past edits connected its pins.  Net weights are live.
+        The columns are what :meth:`from_design` gives for the same sub.
+        Costs O(member pins + pins of the nets they touch).
+        """
+        members = np.unique(np.asarray(members, dtype=np.int64))
+        indptr, irows = self.instance_pin_csr()
+        counts = indptr[members + 1] - indptr[members]
+        nets = self.pin_net()[irows[multi_arange(indptr[members], counts)]]
+        first_member = np.repeat(np.arange(len(members)), counts)
+        signal = ~self.net_is_clock[nets]
+        nets = nets[signal][np.lexsort((nets[signal], first_member[signal]))]
+        _, first = np.unique(nets, return_index=True)
+        nets = nets[np.sort(first)]
+
+        # Every pin of every touched net: inside the cluster or not.
+        degree = self.net_degree[nets].astype(np.int64)
+        rows = multi_arange(self.net_ptr[nets], degree)
+        row_net = np.repeat(np.arange(len(nets)), degree)
+        owner = self.pin_inst[rows]
+        local = np.minimum(np.searchsorted(members, owner), max(len(members) - 1, 0))
+        inside = members[local] == owner
+        n_inside = np.bincount(row_net[inside], minlength=len(nets))
+        driven = self.net_has_driver[nets]
+        driver_inside = driven & inside[np.cumsum(degree) - degree]
+        vin = driven & ~driver_inside
+        outside_sink = degree - n_inside - vin > 0
+        keep = (n_inside >= 2) | vin | outside_sink
+        kept, vin = nets[keep], vin[keep]
+        vout = (outside_sink & driver_inside)[keep]
+        has_port = vin | vout
+        net_ptr = np.concatenate(([0], np.cumsum(n_inside[keep] + has_port)))
+
+        # Masters in first-use order, their pin slots, the name pool.
+        inst_master = self.inst_master[members]
+        _, first = np.unique(inst_master, return_index=True)
+        used = inst_master[np.sort(first)].astype(np.int64)
+        master_of = np.full(len(self.master_names), -1, dtype=np.int64)
+        master_of[used] = np.arange(len(used))
+        mp_counts = self.mp_ptr[used + 1] - self.mp_ptr[used]
+        slots = multi_arange(self.mp_ptr[used], mp_counts)
+        slot_of = np.full(len(self.mp_cap), -1, dtype=np.int64)
+        slot_of[slots] = np.arange(len(slots))
+        names = [self.name_pool[i] for i in self.mp_name_idx[slots].tolist()]
+        names += [
+            f"vin{k}" if is_in else f"vout{k}"
+            for k, is_in in enumerate(vin[has_port].tolist())
+        ]
+        pool: Dict[str, int] = {}
+        ids = np.array([pool.setdefault(n, len(pool)) for n in names], dtype=np.int32)
+        mp_name_idx, port_name_idx = ids[: len(slots)], ids[len(slots) :]
+
+        # Pin rows: [vin port] + the member pins in stored order + [vout port].
+        pin_inst, pin_port, pin_slot = np.full((3, net_ptr[-1]), -1, dtype=np.int64)
+        pin_name_idx = np.empty(net_ptr[-1], dtype=np.int32)
+        new_net = np.cumsum(keep) - 1
+        chosen = inside & keep[row_net]
+        at = new_net[row_net[chosen]]
+        member_ptr = np.concatenate(([0], np.cumsum(n_inside[keep])))
+        pos = net_ptr[at] + vin[at] + np.arange(len(at)) - member_ptr[at]
+        pin_inst[pos] = local[chosen]
+        pin_slot[pos] = slot_of[self.pin_slot[rows[chosen]]]
+        pin_name_idx[pos] = mp_name_idx[pin_slot[pos]]
+        port_net = np.flatnonzero(has_port)
+        pos = np.where(vin[port_net], net_ptr[port_net], net_ptr[port_net + 1] - 1)
+        pin_port[pos] = np.arange(len(port_net))
+        pin_name_idx[pos] = port_name_idx
+
+        return NetlistArrays(
+            name=f"{self.name}_sub",
+            floorplan=astuple(Floorplan()),
+            clock_period=None,
+            clock_port=None,
+            name_pool=list(pool),
+            master_names=[self.master_names[m] for m in used.tolist()],
+            master_classes=[self.master_classes[m] for m in used.tolist()],
+            **{c: getattr(self, c)[used] for c in _MASTER_FIELDS},
+            mp_ptr=np.concatenate(([0], np.cumsum(mp_counts))).astype(np.int64),
+            mp_name_idx=mp_name_idx,
+            **{c: getattr(self, c)[slots] for c in ("mp_dir", "mp_is_clock", "mp_cap")},
+            inst_master=master_of[inst_master],
+            port_name_idx=port_name_idx,
+            port_dir=np.where(vin[has_port], DIR_INPUT, DIR_OUTPUT).astype(np.int8),
+            port_x=np.zeros(len(port_net)),
+            port_y=np.zeros(len(port_net)),
+            port_cap=np.full(len(port_net), Port.capacitance),
+            net_ptr=net_ptr,
+            net_has_driver=driver_inside[keep] | vin,
+            net_is_clock=np.zeros(len(kept), dtype=bool),
+            net_weight=self.current_net_weights(kept),
+            net_activity=np.zeros(len(kept)),
+            pin_inst=pin_inst,
+            pin_port=pin_port,
+            pin_name_idx=pin_name_idx,
+            pin_slot=pin_slot,
+            inst_names=[self.inst_names[i] for i in members.tolist()],
+            net_names=[self.net_names[i] for i in kept.tolist()],
+        )
 
     # ------------------------------------------------------------------
     # Construction from / materialization to the object view
@@ -694,8 +741,6 @@ class NetlistArrays:
         master_classes: List[str] = []
         master_index: Dict[int, int] = {}
         slot_of: Dict[Tuple[int, str], int] = {}
-        scalar_rows: List[Tuple[float, ...]] = []
-        flag_rows: List[Tuple[bool, bool]] = []
         mp_counts: List[int] = []
         mp_name_list: List[int] = []
         mp_dir: List[int] = []
@@ -706,20 +751,6 @@ class NetlistArrays:
             master_index[id(m)] = mi
             master_names.append(name)
             master_classes.append(m.cell_class)
-            scalar_rows.append(
-                (
-                    m.width,
-                    m.height,
-                    m.intrinsic_delay,
-                    m.drive_resistance,
-                    m.clk_to_q,
-                    m.setup_time,
-                    m.hold_time,
-                    m.leakage_power,
-                    m.internal_energy,
-                )
-            )
-            flag_rows.append((m.is_sequential, m.is_macro))
             mp_counts.append(len(m.pins))
             for pin in m.pins.values():
                 slot_of[(mi, pin.name)] = len(mp_name_list)
@@ -727,8 +758,14 @@ class NetlistArrays:
                 mp_dir.append(_DIR_CODE[pin.direction])
                 mp_is_clock.append(pin.is_clock)
                 mp_cap.append(pin.capacitance)
-        scalars = np.asarray(scalar_rows, dtype=np.float64).reshape(-1, 9)
-        flags = np.asarray(flag_rows, dtype=bool).reshape(-1, 2)
+        masters = design.masters.values()
+        master_columns = {
+            column: np.array(
+                [getattr(m, field) for m in masters],
+                dtype=bool if COLUMNS[column][0] == "b" else np.float64,
+            )
+            for column, field in _MASTER_FIELDS.items()
+        }
 
         # -- instances -------------------------------------------------
         instances = design.instances
@@ -740,19 +777,9 @@ class NetlistArrays:
         inst_names = [i.name for i in instances]
 
         # -- ports -----------------------------------------------------
-        port_rank: Dict[str, int] = {}
-        port_name_idx: List[int] = []
-        port_dir: List[int] = []
-        port_x: List[float] = []
-        port_y: List[float] = []
-        port_cap: List[float] = []
-        for name, port in design.ports.items():
-            port_rank[name] = len(port_name_idx)
-            port_name_idx.append(intern(name))
-            port_dir.append(_DIR_CODE[port.direction])
-            port_x.append(port.x)
-            port_y.append(port.y)
-            port_cap.append(port.capacitance)
+        ports = design.ports.values()
+        port_rank = {name: i for i, name in enumerate(design.ports)}
+        port_name_idx = [intern(name) for name in design.ports]
 
         # -- nets / pins -----------------------------------------------
         nets = design.nets
@@ -807,17 +834,7 @@ class NetlistArrays:
             name_pool=name_pool,
             master_names=master_names,
             master_classes=master_classes,
-            m_width=scalars[:, 0],
-            m_height=scalars[:, 1],
-            m_is_seq=flags[:, 0],
-            m_is_macro=flags[:, 1],
-            m_intrinsic=scalars[:, 2],
-            m_drive=scalars[:, 3],
-            m_clk_to_q=scalars[:, 4],
-            m_setup=scalars[:, 5],
-            m_hold=scalars[:, 6],
-            m_leakage=scalars[:, 7],
-            m_energy=scalars[:, 8],
+            **master_columns,
             mp_ptr=np.concatenate(([0], np.cumsum(mp_counts))).astype(np.int64),
             mp_name_idx=np.asarray(mp_name_list, dtype=np.int32),
             mp_dir=np.asarray(mp_dir, dtype=np.int8),
@@ -825,10 +842,10 @@ class NetlistArrays:
             mp_cap=np.asarray(mp_cap, dtype=np.float64),
             inst_master=inst_master,
             port_name_idx=np.asarray(port_name_idx, dtype=np.int32),
-            port_dir=np.asarray(port_dir, dtype=np.int8),
-            port_x=np.asarray(port_x, dtype=np.float64),
-            port_y=np.asarray(port_y, dtype=np.float64),
-            port_cap=np.asarray(port_cap, dtype=np.float64),
+            port_dir=np.array([_DIR_CODE[p.direction] for p in ports], dtype=np.int8),
+            port_x=np.array([p.x for p in ports], dtype=np.float64),
+            port_y=np.array([p.y for p in ports], dtype=np.float64),
+            port_cap=np.array([p.capacitance for p in ports], dtype=np.float64),
             net_ptr=np.concatenate(([0], np.cumsum(net_counts))).astype(np.int64),
             net_has_driver=net_has_driver,
             net_is_clock=np.asarray(net_is_clock, dtype=bool),
@@ -878,28 +895,19 @@ class NetlistArrays:
         mp_dirs = self.mp_dir.tolist()
         mp_clk = self.mp_is_clock.tolist()
         mp_cap = self.mp_cap.tolist()
+        fields = {f: getattr(self, c).tolist() for c, f in _MASTER_FIELDS.items()}
         for mi, name in enumerate(self.master_names):
             pins: Dict[str, CellPin] = {}
             for s in range(mp_ptr[mi], mp_ptr[mi + 1]):
                 pin_name = pool[mp_names[s]]
                 pins[pin_name] = CellPin(
-                    pin_name, _DIRECTIONS[mp_dirs[s]], mp_cap[s], mp_clk[s]
+                    pin_name, DIRECTIONS[mp_dirs[s]], mp_cap[s], mp_clk[s]
                 )
             master = MasterCell(
                 name=name,
-                width=float(self.m_width[mi]),
-                height=float(self.m_height[mi]),
                 pins=pins,
-                is_sequential=bool(self.m_is_seq[mi]),
-                is_macro=bool(self.m_is_macro[mi]),
-                intrinsic_delay=float(self.m_intrinsic[mi]),
-                drive_resistance=float(self.m_drive[mi]),
-                clk_to_q=float(self.m_clk_to_q[mi]),
-                setup_time=float(self.m_setup[mi]),
-                hold_time=float(self.m_hold[mi]),
-                leakage_power=float(self.m_leakage[mi]),
-                internal_energy=float(self.m_energy[mi]),
                 cell_class=self.master_classes[mi],
+                **{field: values[mi] for field, values in fields.items()},
             )
             masters.append(master)
             design.masters[name] = master
@@ -928,7 +936,7 @@ class NetlistArrays:
         for pi, name in enumerate(port_names):
             port = Port(
                 name,
-                _DIRECTIONS[int(self.port_dir[pi])],
+                DIRECTIONS[int(self.port_dir[pi])],
                 float(self.port_x[pi]),
                 float(self.port_y[pi]),
             )

@@ -442,15 +442,12 @@ class Design:
         self._net_by_name: Dict[str, Net] = {}
         #: Monotonic counter bumped by every structural mutation made
         #: through the construction API (add_instance / add_net /
-        #: add_port / connect).  Derived caches — signal_nets(),
-        #: net_degrees(), the :class:`repro.netlist.arrays.NetlistArrays`
-        #: form — key on :meth:`structure_key`.  Code that mutates
-        #: connectivity *outside* the construction API (e.g. editing
-        #: ``net.sinks`` in place) must call
-        #: :meth:`bump_structure_version`.
+        #: add_port / connect).  The one derived cache — the
+        #: :class:`repro.netlist.arrays.NetlistArrays` form — keys on
+        #: :meth:`structure_key`.  Code that mutates connectivity
+        #: *outside* the construction API (e.g. editing ``net.sinks`` in
+        #: place) must call :meth:`bump_structure_version`.
         self._structure_version = 0
-        self._signal_nets_cache: Optional[Tuple[tuple, List[Net]]] = None
-        self._degree_cache: Optional[tuple] = None
         #: Cached flat-array form (filled by Design.arrays()).
         self._netlist_arrays = None
         #: ``(structure_key, TimingGraph)`` held by
@@ -465,26 +462,18 @@ class Design:
     def __getstate__(self) -> Dict[str, object]:
         """Drop derived caches when pickling / copying.
 
-        The array form, signal-net list, degree arrays and timing graph
-        are all rebuildable and would otherwise bloat checkpoints (and
-        drag stale numpy buffers across processes); a copy that kept the
-        timing graph would hold one whose ``.design`` is the original.
+        The array form and the timing graph are rebuildable and would
+        otherwise bloat checkpoints (and drag stale numpy buffers across
+        processes); a copy that kept the timing graph would hold one
+        whose ``.design`` is the original.
         """
         state = self.__dict__.copy()
-        for key in (
-            "_netlist_arrays",
-            "_signal_nets_cache",
-            "_degree_cache",
-            "_timing_graph",
-            "_timing_graph_key",
-        ):
+        for key in ("_netlist_arrays", "_timing_graph", "_timing_graph_key"):
             state.pop(key, None)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        self._signal_nets_cache = None
-        self._degree_cache = None
         self._netlist_arrays = None
         self._timing_graph = None
         self._timing_graph_key = None
@@ -501,8 +490,6 @@ class Design:
         construction has finished).
         """
         self._structure_version += 1
-        self._signal_nets_cache = None
-        self._degree_cache = None
         self._netlist_arrays = None
         self._timing_graph = None
 
@@ -618,9 +605,9 @@ class Design:
 
         Removes the :class:`PinRef` from the net's driver/sink lists and
         from ``instance.pin_nets``, and invalidates every
-        structure-derived cache (``signal_nets()`` / ``net_degrees()`` /
-        ``arrays()`` and anything keyed on :meth:`structure_key`, such
-        as the memoised ``Hypergraph.incidence`` held by
+        structure-derived cache (``arrays()`` and anything keyed on
+        :meth:`structure_key`, such as the memoised
+        ``Hypergraph.incidence`` held by
         :class:`repro.db.database.DesignDatabase`).  Returns None when
         the pin was unconnected.
         """
@@ -700,12 +687,10 @@ class Design:
         """Swap an instance's master in place (gate resize / cell swap).
 
         Every *connected* pin must exist on the new master with the same
-        direction.  Connectivity is untouched, so the memoised
-        ``signal_nets()`` / ``net_degrees()`` views are surgically
-        re-keyed instead of rebuilt, and the cached
+        direction.  Connectivity is untouched, so the cached
         :class:`~repro.netlist.arrays.NetlistArrays` form is patched in
         place when the pin declarations match (falling back to a full
-        rebuild otherwise).
+        rebuild otherwise), and the timing graph built on it is kept.
         """
         old = instance.master
         if master is old:
@@ -737,25 +722,27 @@ class Design:
 
         Bumps the structure version (so external caches keyed on
         :meth:`structure_key` — the database hypergraph, a V-P&R
-        evaluation context — rebuild), but re-keys the memoised
-        ``signal_nets()`` / ``net_degrees()`` views, which only depend
-        on connectivity, and patches the array form in place via
+        evaluation context — rebuild), but patches the array form in
+        place via
         :meth:`repro.netlist.arrays.NetlistArrays.patch_instance_master`.
+        A patched swap keeps the topology, so the timing graph on those
+        arrays is re-keyed too; only its flat compilation, whose delay
+        tables read the master columns, is dropped.
         """
-        signal_cache = self._signal_nets_cache
-        degree_cache = self._degree_cache
-        arrays = self._netlist_arrays
+        arrays, graph = self._netlist_arrays, self._timing_graph
         old_key = self.structure_key()
         self.bump_structure_version()
         new_key = self.structure_key()
-        if signal_cache is not None and signal_cache[0] == old_key:
-            self._signal_nets_cache = (new_key, signal_cache[1])
-        if degree_cache is not None and degree_cache[0] == old_key:
-            self._degree_cache = (new_key,) + tuple(degree_cache[1:])
-        if arrays is not None and arrays.structure_key == old_key:
-            if arrays.patch_instance_master(inst_index):
-                arrays.structure_key = new_key
-                self._netlist_arrays = arrays
+        if arrays is None or arrays.structure_key != old_key:
+            return
+        if not arrays.patch_instance_master(inst_index):
+            return
+        arrays.structure_key = new_key
+        self._netlist_arrays = arrays
+        if graph is not None and graph[0] == old_key and graph[1].arrays is arrays:
+            graph[1]._flat = None
+            self._timing_graph = (new_key, graph[1])
+            self._timing_graph_key = new_key
 
     # ------------------------------------------------------------------
     # Lookup API
@@ -771,46 +758,6 @@ class Design:
     def has_instance(self, name: str) -> bool:
         """True when an instance with this name exists."""
         return name in self._instance_by_name
-
-    def signal_nets(self) -> List[Net]:
-        """All non-clock nets with at least two connections.
-
-        Cached per :meth:`structure_key` — hot loops (routing, STA
-        tables, feature extraction) call this repeatedly and used to
-        rebuild the filtered list on every call.
-        """
-        key = self.structure_key()
-        cached = self._signal_nets_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        nets = [n for n in self.nets if not n.is_clock and n.degree >= 2]
-        self._signal_nets_cache = (key, nets)
-        return nets
-
-    def net_degrees(self) -> "Tuple[object, object]":
-        """Cached ``(degrees, fanouts)`` int arrays indexed by net index.
-
-        ``degrees[i] == nets[i].degree`` and ``fanouts[i] ==
-        nets[i].fanout``; rebuilt only when :meth:`structure_key`
-        changes, so hot loops can read counts without re-deriving them
-        net by net.
-        """
-        import numpy as np
-
-        key = self.structure_key()
-        cached = self._degree_cache
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2]
-        count = len(self.nets)
-        fanouts = np.fromiter(
-            (len(n.sinks) for n in self.nets), dtype=np.int64, count=count
-        )
-        drivers = np.fromiter(
-            (n.driver is not None for n in self.nets), dtype=bool, count=count
-        )
-        degrees = fanouts + drivers
-        self._degree_cache = (key, degrees, fanouts)
-        return degrees, fanouts
 
     def arrays(self):
         """The flat array-native form (:class:`repro.netlist.arrays.NetlistArrays`).

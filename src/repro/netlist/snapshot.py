@@ -18,11 +18,11 @@ Payloads cross process and disk boundaries: decoding validates first.
 from __future__ import annotations
 
 from dataclasses import astuple
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.netlist.arrays import COLUMNS, NetlistArrays, check_columns
+from repro.netlist.arrays import COLUMNS, NetlistArrays
 from repro.netlist.design import Design
 
 #: Form tag; a payload of any other form is refused, never guessed at.
@@ -43,6 +43,45 @@ _PLACEMENT = {
     "inst_y": ("f", "instances", None),
     "inst_fixed": ("b", "instances", None),
 }
+
+
+def _check_columns(
+    columns: Dict[str, np.ndarray],
+    spec: Dict[str, Tuple[str, str, Optional[str]]],
+    size: Dict[str, int],
+) -> None:
+    """Validate columns that came from outside the process against a
+    :data:`COLUMNS`-style ``spec`` and the group sizes: ``ValueError``
+    naming the first column that is absent, not a 1-d array of its
+    dtype kind, of the wrong length, not a monotone offset vector from
+    0 to its target's size, or indexing outside its target group."""
+    for name, (kind, group, target) in spec.items():
+        column, is_ptr = columns.get(name), name.endswith("_ptr")
+        if (
+            not isinstance(column, np.ndarray)
+            or column.ndim != 1
+            or column.dtype.kind != kind
+        ):
+            raise ValueError(f"column {name!r} is missing or not a 1-d {kind!r} array")
+        if len(column) != size[group] + is_ptr:
+            raise ValueError(
+                f"column {name!r} has {len(column)} rows for {size[group]} {group}"
+            )
+        if target is None or not len(column):
+            continue
+        bound = size[target]
+        if is_ptr:
+            if column[0] != 0 or column[-1] != bound or (np.diff(column) < 0).any():
+                raise ValueError(
+                    f"column {name!r} is not a monotone offset vector "
+                    f"from 0 to {bound} {target}"
+                )
+        else:
+            low = -1 if name in ("pin_inst", "pin_port", "pin_slot") else 0
+            if column.min() < low or column.max() >= bound:
+                raise ValueError(
+                    f"column {name!r} indexes outside [{low}, {bound}) {target}"
+                )
 
 
 def design_snapshot(design: Design) -> Dict[str, Any]:
@@ -77,7 +116,7 @@ def design_from_snapshot(payload: Dict[str, Any]) -> Design:
         raise ValueError(f"snapshot header lacks {_SCALARS} or a 5-value floorplan")
     for group, name in _SIZED_BY.items():
         size[group] = np.size(columns.get(name, ()))
-    check_columns(columns, {**COLUMNS, **_PLACEMENT}, size)
+    _check_columns(columns, {**COLUMNS, **_PLACEMENT}, size)
     is_port = columns["pin_inst"] < 0
     if (is_port == (columns["pin_port"] < 0)).any():
         raise ValueError("snapshot column 'pin_port' disagrees with 'pin_inst'")

@@ -505,7 +505,8 @@ def timing_graph_for(design: Design) -> TimingGraph:
     lives on the design (``Design._timing_graph``, beside the
     ``arrays()`` form) and is keyed on :meth:`Design.structure_key`, so
     ECO mutations (reconnect / add / remove) transparently recompile
-    the graph on next access instead of serving pre-edit topology, and
+    the graph on next access instead of serving pre-edit topology (a
+    resize re-keys it with the arrays it patches), and
     a design nothing else references is freed with its graph.  Pickles
     and copies of a design carry no graph.  Replacing a graph compiled
     for an older structure (``Design._timing_graph_key``, which outlives

@@ -23,7 +23,8 @@ class TestPowerMultipliers:
         model = FanoutWireModel(small_design)
         energies = {
             n.index: activity.get(n.index, 0.0) * net_load(model, n)
-            for n in small_design.signal_nets()
+            for n in small_design.nets
+            if not n.is_clock and n.degree >= 2
         }
         hottest = max(energies, key=energies.get)
         coldest = min(energies, key=energies.get)

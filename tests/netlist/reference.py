@@ -17,10 +17,22 @@ design when their reference snapshots are equal; the scoring walk
 
 ``clique_expansion_reference`` is the per-edge double loop into a dict
 ``Hypergraph.clique_expansion`` ran before it emitted pair index arrays.
+
+``extract_subnetlist_reference`` and ``netlist_digest_reference`` are
+the sub-netlist induce and its content digest as they walked the
+``Instance`` / ``Net`` / ``PinRef`` objects, before the sub was induced
+from ``NetlistArrays`` and digested off its columns.  The walk takes a
+sub's nets, and numbers its ports, in each member's ``pin_nets``
+insertion order; ``NetlistArrays.induce`` takes them in (member, net
+index) order.  The two agree on generated and snapshot-decoded designs
+and after the spine's resize / swap / add / remove edits, not after a
+reconnect or an add whose earlier-named pin lands on the higher-index
+net.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,6 +45,7 @@ from repro.netlist.design import (
     PinDirection,
     PinRef,
 )
+from repro.ioutil import sha256_hex
 from repro.netlist.hypergraph import Hypergraph
 
 
@@ -427,3 +440,115 @@ def remap_clusters_reference(design: Design, cluster_of: np.ndarray, impact):
         for inst in design.nets[net_idx].instances():
             dirty.add(int(new[inst.index]))
     return new, dirty
+
+
+def extract_subnetlist_reference(source: Design, member_indices) -> Design:
+    """Induce the sub-netlist over a cluster's instances.
+
+    Inter-cluster nets become virtual IO ports: an input port per
+    external driver, an output port per net with external sinks
+    (Figure 3's port creation rule).  Nets are taken, and ports
+    numbered, in each member's ``pin_nets`` order, members ascending.
+    """
+    members = set(int(i) for i in member_indices)
+    sub = Design(f"{source.name}_sub")
+    instance_map = {}
+    for idx in sorted(members):
+        inst = source.instances[idx]
+        if inst.master.name not in sub.masters:
+            sub.masters[inst.master.name] = inst.master
+        new_inst = sub.add_instance(inst.name, inst.master)
+        instance_map[idx] = new_inst
+
+    nets_seen = set()
+    port_counter = 0
+    for idx in sorted(members):
+        inst = source.instances[idx]
+        for net in inst.pin_nets.values():
+            if net.index in nets_seen or net.is_clock:
+                continue
+            nets_seen.add(net.index)
+            internal_refs = []
+            external_driver = False
+            external_sink = False
+            driver_internal = False
+            for ref in net.pins():
+                if ref.instance is not None and ref.instance.index in members:
+                    internal_refs.append(ref)
+                    if net.driver is ref:
+                        driver_internal = True
+                else:
+                    if net.driver is ref:
+                        external_driver = True
+                    else:
+                        external_sink = True
+            if not internal_refs:
+                continue
+            if len(internal_refs) < 2 and not (external_driver or external_sink):
+                continue
+            new_net = sub.add_net(net.name)
+            new_net.weight = net.weight
+            for ref in internal_refs:
+                sub.connect_instance_pin(
+                    new_net, instance_map[ref.instance.index], ref.pin_name
+                )
+            if external_driver and not driver_internal:
+                port_name = f"vin{port_counter}"
+                port_counter += 1
+                sub.add_port(port_name, PinDirection.INPUT)
+                sub.connect_port(new_net, port_name)
+            if external_sink and driver_internal:
+                port_name = f"vout{port_counter}"
+                port_counter += 1
+                sub.add_port(port_name, PinDirection.OUTPUT)
+                sub.connect_port(new_net, port_name)
+    return sub
+
+
+def netlist_digest_reference(sub: Design) -> str:
+    """SHA-256 of the canonical form of a netlist, walked off its
+    objects: masters, instances, sorted ports and nets with their
+    driver / sink ``(vertex, pin name)`` references."""
+    masters = {}
+    for name in sorted(sub.masters):
+        m = sub.masters[name]
+        masters[name] = [
+            m.width,
+            m.height,
+            m.is_sequential,
+            m.is_macro,
+            sorted(
+                (p.name, p.direction.value, p.capacitance, p.is_clock)
+                for p in m.pins.values()
+            ),
+        ]
+    port_names = sorted(sub.ports)
+    port_vertex = {name: sub.num_instances + i for i, name in enumerate(port_names)}
+
+    def _ref(ref) -> list:
+        if ref.instance is not None:
+            return [ref.instance.index, ref.pin_name]
+        return [port_vertex[ref.pin_name], ref.pin_name]
+
+    nets = []
+    for net in sub.nets:
+        nets.append(
+            [
+                net.name,
+                net.weight,
+                net.is_clock,
+                _ref(net.driver) if net.driver is not None else None,
+                [_ref(ref) for ref in net.sinks],
+            ]
+        )
+    canonical = {
+        "masters": masters,
+        "instances": [[i.name, i.master.name] for i in sub.instances],
+        "ports": [
+            [name, sub.ports[name].direction.value] for name in port_names
+        ],
+        "nets": nets,
+    }
+    return sha256_hex(
+        json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
+    )

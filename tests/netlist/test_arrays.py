@@ -232,37 +232,27 @@ class TestSlotsAndPickling:
 
 
 class TestStructureCaches:
-    """signal_nets / net_degrees / arrays() invalidate on mutation."""
+    """arrays() and its degree counts invalidate on mutation."""
 
     @pytest.fixture()
     def design(self):
         return generate_design(DesignSpec("cache_probe", 300, seed=9))
 
-    def test_signal_nets_cached_and_invalidated(self, design):
-        first = design.signal_nets()
-        assert design.signal_nets() is first
-        expected = [n for n in design.nets if not n.is_clock and n.degree >= 2]
-        assert first == expected
-        net = design.add_net("cache_probe_net")
-        design.connect_port(net, sorted(design.ports)[0])
-        second = design.signal_nets()
-        assert second is not first
-
     def test_net_degrees_match_objects(self, design):
-        degrees, fanouts = design.net_degrees()
+        arrays = design.arrays()
         for net in design.nets:
-            assert degrees[net.index] == net.degree
-            assert fanouts[net.index] == net.fanout
+            assert arrays.net_degree[net.index] == net.degree
+            assert arrays.net_fanout[net.index] == net.fanout
 
     def test_net_degrees_invalidated_on_connect(self, design):
-        degrees, _ = design.net_degrees()
+        degrees = design.arrays().net_degree
         net = design.nets[0]
         master = next(
             m for m in design.masters.values() if m.input_pins()
         )
         inst = design.add_instance("cache_probe_sink", master)
         design.connect_instance_pin(net, inst, master.input_pins()[0].name)
-        new_degrees, _ = design.net_degrees()
+        new_degrees = design.arrays().net_degree
         assert new_degrees[net.index] == degrees[net.index] + 1
 
     def test_arrays_cached_against_structure_key(self, design):
@@ -272,10 +262,8 @@ class TestStructureCaches:
         assert design.arrays() is not arrays
 
     def test_pickle_drops_caches(self, design):
-        design.signal_nets()
         design.arrays()
         state = design.__getstate__()
-        assert "_signal_nets_cache" not in state
         assert "_netlist_arrays" not in state
 
 

@@ -151,7 +151,8 @@ class TestDesignQueries:
         assert stats["ports"] == 4
 
     def test_signal_nets_exclude_clock(self, toy_design):
-        names = {n.name for n in toy_design.signal_nets()}
+        _, _, signal = toy_design.arrays().pin_vertex_csr()
+        names = {toy_design.nets[i].name for i in signal.tolist()}
         assert "clk_net" not in names
         assert "n1" in names
 

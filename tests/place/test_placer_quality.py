@@ -28,7 +28,7 @@ class TestQuality:
         # Expected HPWL of two uniform random points: (W+H)/3.
         random_two_pin = (fp.core_width + fp.core_height) / 3
         two_pin_nets = [
-            n for n in design.signal_nets() if n.degree == 2
+            n for n in design.nets if not n.is_clock and n.degree == 2
         ]
         from repro.place.hpwl import net_hpwl
 
@@ -43,7 +43,9 @@ class TestQuality:
         GlobalPlacer(PlacementProblem(design)).run()
         io_spans = []
         internal_spans = []
-        for net in design.signal_nets():
+        for net in design.nets:
+            if net.is_clock or net.degree < 2:
+                continue
             span = net_hpwl(design, net) / max(1, net.degree - 1)
             if net.touches_port():
                 io_spans.append(span)
@@ -60,7 +62,11 @@ class TestQuality:
         def span_of_target(weight):
             design = fresh(seed=203)
             target = max(
-                (n for n in design.signal_nets() if not n.touches_port()),
+                (
+                    n
+                    for n in design.nets
+                    if not n.is_clock and n.degree >= 2 and not n.touches_port()
+                ),
                 key=lambda n: n.degree,
             )
             target.weight = weight

@@ -104,7 +104,9 @@ class TestGlobalRouting:
 
     def test_per_net_lengths(self, routed_design):
         design, result = routed_design
-        for net in design.signal_nets():
+        for net in design.nets:
+            if net.is_clock or net.degree < 2:
+                continue
             points = {
                 (r.instance.x, r.instance.y)
                 for r in net.pins()

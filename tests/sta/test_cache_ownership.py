@@ -126,18 +126,70 @@ class TestEcoSessionFreesItsNetlist:
             )
         )
         assert not result.noop and result.metrics.wns is not None
-        refs = _held_caches(session.design)
-        # The pre-edit graph goes as soon as the edit recompiles it.
-        before_edit = refs[1]
+        _, graph, compiled = _held_caches(session.design)
+        # A resize keeps the graph; its stale compilation goes at once.
         session.apply(
             parse_edits(
                 [{"kind": "resize", "instance": inst.name, "master": "NAND2_X1"}]
             )
         )
-        _assert_freed([before_edit])
+        _assert_freed([compiled])
+        assert _held_caches(session.design)[1]() is graph()
+        # The pre-edit graph goes as soon as a topology edit recompiles it.
+        driven = next(n for n in session.design.nets if n.driver and not n.is_clock)
+        session.apply(
+            parse_edits(
+                [
+                    {
+                        "kind": "add",
+                        "instance": "u_owned_buf",
+                        "master": "BUF_X1",
+                        "connections": {"A": driven.name, "Y": "n_owned_buf"},
+                    }
+                ]
+            )
+        )
+        _assert_freed([graph])
         refs = _held_caches(session.design)
-        del session, result, inst
+        del session, result, inst, driven
         _assert_freed(refs)
+
+
+class TestResizeKeepsTheGraph:
+    """A resize or swap patches the flat form's master columns in place
+    (``NetlistArrays.patch_instance_master``); the timing graph holds
+    that same arrays object and its topology is unchanged, so it is
+    re-keyed, not recompiled, and only its compilation is dropped."""
+
+    @pytest.mark.parametrize(
+        "kind, target", [("resize", "NAND2_X2"), ("swap", "NOR2_X1")]
+    )
+    def test_no_recompile_and_fresh_timing(self, tmp_path, kind, target):
+        from repro.core.flow import evaluate_placed_design
+        from repro.netlist.snapshot import design_from_snapshot, design_snapshot
+
+        ClusteredPlacementFlow(_flow_config(tmp_path / "ckpt")).run(_design())
+        session = EcoSession(str(tmp_path / "ckpt"))
+        design = session.design
+        candidates = [
+            i for i in design.instances if i.master.name == "NAND2_X1" and not i.fixed
+        ]
+        perf.enable()
+        perf.reset()
+        try:
+            graph = timing_graph_for(design)
+            for inst in candidates[:3]:
+                edit = {"kind": kind, "instance": inst.name, "master": target}
+                kept = session.apply(parse_edits([edit])).metrics
+            assert perf.counter_value("sta.graph.recompiled") == 0
+            assert timing_graph_for(design) is graph
+        finally:
+            perf.disable()
+            perf.reset()
+        # A copy carries no graph: its evaluation compiles one afresh.
+        fresh = evaluate_placed_design(design_from_snapshot(design_snapshot(design)))
+        for name in ("wns", "tns", "hold_wns", "hold_tns", "power", "rwl"):
+            assert getattr(kept, name) == getattr(fresh, name), name
 
 
 class TestSizingFreesTheStaleCompilation:

@@ -178,3 +178,46 @@ def test_flat_sta_equals_walk_after_eco_edits(data):
             apply_edits(design, parse_edits([edit]))
             event(f"applied {kind}")
     _assert_flat_equals_walk(design)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_resize_and_swap_keep_the_graph(data):
+    """A resize / swap script re-keys the compiled graph instead of
+    recompiling it, and the kept graph still times like the walk."""
+    from repro import perf
+
+    design = scatter(
+        generate_design(
+            DesignSpec(
+                "eco_resize",
+                120,
+                clock_period=0.7,
+                logic_depth=6,
+                hierarchy_depth=2,
+                hierarchy_branching=2,
+                seed=data.draw(st.integers(0, 3)),
+            )
+        )
+    )
+    graph = timing_graph_for(design)
+    flat_for(graph)  # the compilation the edits make stale
+    kinds = data.draw(st.lists(st.sampled_from(("resize", "swap")), min_size=1, max_size=5))
+    perf.enable()
+    perf.reset()
+    try:
+        for serial, kind in enumerate(kinds):
+            edit = _draw_edit(data, design, kind, serial)
+            if edit is not None:
+                apply_edits(design, parse_edits([edit]))
+                event(f"applied {kind}")
+        assert timing_graph_for(design) is graph
+        assert perf.counter_value("sta.graph.recompiled") == 0
+    finally:
+        perf.disable()
+        perf.reset()
+    _assert_flat_equals_walk(design)

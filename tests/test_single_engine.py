@@ -175,6 +175,7 @@ def test_one_flat_form_one_cache():
     from pathlib import Path
 
     import repro
+    from repro.cache import keys
     from repro.core import subnetlist, sweep, vpr
     from repro.netlist import snapshot
     from repro.netlist.design import Design
@@ -198,11 +199,18 @@ def test_one_flat_form_one_cache():
     assert not called & {"MasterCell", "CellPin", "PinRef", "Instance", "Net"}
     assert not [n for n in called if n.startswith(("add_", "connect"))]
 
-    # After extraction nothing in the sweep walks a net's pin objects,
-    # and HPWL keeps only the per-net spot check.
-    assert _functions_walking_pins(subnetlist) == {"extract_subnetlist"}
-    assert _functions_walking_pins(vpr) == set()
-    assert _functions_walking_pins(sweep) == set()
+    # Nothing in the sweep, the sub-netlist induce or its digest walks
+    # a net's pin objects, and HPWL keeps only the per-net spot check.
+    for module in (subnetlist, keys, vpr, sweep):
+        assert _functions_walking_pins(module) == set(), module.__name__
+    # The induce, its digest and the evaluation read no object graph.
+    for module in (subnetlist, keys, vpr):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            attr = getattr(node, "attr", None)
+            name = getattr(node, "id", None) or getattr(node, "name", None)
+            where = (module.__name__, getattr(node, "lineno", None))
+            assert attr not in {"instances", "nets", "pins", "pin_nets"}, where
+            assert name != "PinRef", where
     assert _functions_walking_pins(hpwl) == {"net_hpwl"}
     assert not [
         v for v in vars(hpwl).values()
@@ -211,7 +219,8 @@ def test_one_flat_form_one_cache():
 
     # One structure-keyed array cache on a Design.
     slots = {k for k in vars(Design("d")) if k.startswith("_") and "cache" in k}
-    assert slots == {"_signal_nets_cache", "_degree_cache"}
+    assert slots == set()
+    assert not hasattr(Design, "signal_nets") and not hasattr(Design, "net_degrees")
     state = Design("d").__getstate__()
     assert "_netlist_arrays" not in state
 
