@@ -149,10 +149,11 @@ spine-smoke:
 	tail -1 spine-smoke/traced.txt | python3 -c "import json, sys; \
 		result = json.loads(sys.stdin.read()); \
 		assert result['correct'] is True, result; \
-		rows = ('sta.graph_build_s', 'sta.update_full_s', 'sta.activity_s', 'sta.power_s', 'vpr.extract_s'); \
+		rows = ('sta.graph_build_s', 'sta.update_full_s', 'sta.activity_s', 'sta.power_s', 'vpr.extract_s', \
+			'place.global_s', 'place.b2b_solve_s', 'place.problem_build_s', 'b2b.cg_iterations'); \
 		zero = [n for n in rows if not result['metrics'][n]['value'] > 0]; \
-		assert not zero, f'{zero} read 0: a traced STA or V-P&R target is not on the path'; \
-		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations, STA and extract rows non-zero')"
+		assert not zero, f'{zero} read 0: a traced STA, V-P&R or placement target is not on the path'; \
+		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations, STA, extract and placement rows non-zero')"
 	timeout 600 python3 benchmarks/spine/run.py --workload backend_ml \
 		--seed 0 --seconds 15 --trace 1 > spine-smoke/traced_ml.txt
 	tail -1 spine-smoke/traced_ml.txt | python3 -c "import json, sys; \

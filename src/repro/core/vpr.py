@@ -300,9 +300,9 @@ class VPRFramework:
         #: use it to inject a pre-configured fleet (e.g. with per-worker
         #: fault-injection environments); None builds from the config.
         self.executor_factory: Optional[Callable] = None
-        # Both memos are keyed by object identity, so each entry holds
-        # the object it is keyed by: an id() is only unique among live
-        # objects.
+        # Both memos are keyed by object identity (the induce memo also
+        # by the source's structure key), so each entry holds the object
+        # it is keyed by: an id() is only unique among live objects.
         self._induce_cache: "OrderedDict[tuple, Tuple[Design, Design, float]]" = OrderedDict()
         self._contexts: "OrderedDict[int, _SubContext]" = OrderedDict()
 
@@ -312,12 +312,18 @@ class VPRFramework:
     ) -> Tuple[Design, float]:
         """Induce (or fetch the cached) sub-netlist for a cluster.
 
-        Returns ``(sub, cell_area)``.  The cache key is the exact
+        Returns ``(sub, cell_area)``.  The cache key is the source's
+        :meth:`~repro.netlist.design.Design.structure_key` plus the exact
         member tuple, so each cluster is extracted once and reused by
         all shape candidates and any later caller (ML features,
-        L-shape sweeps, dataset labelling).
+        L-shape sweeps, dataset labelling), and an edit of the source
+        (a ``replace_master`` too) re-keys it.
         """
-        key = (id(source), tuple(int(i) for i in member_indices))
+        key = (
+            id(source),
+            source.structure_key(),
+            tuple(int(i) for i in member_indices),
+        )
         entry = self._induce_cache.get(key)
         if entry is not None:
             self._induce_cache.move_to_end(key)

@@ -20,7 +20,7 @@ system's solution does not depend on what it was batched with (see
 from __future__ import annotations
 
 import functools
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +64,23 @@ def stable_argsort_ints(keys: np.ndarray, bound: int) -> np.ndarray:
             return order
 
 
+def sort_ints(keys: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, keys[order])`` of the stable argsort of 1-D integer
+    keys in ``[0, bound)``: where key and position fit one ``int64``, a
+    plain sort of distinct integers (key above, position below), ~2.5x
+    faster than the radix passes that take wider keys."""
+    bits = len(keys).bit_length()
+    if (bound - 1).bit_length() + bits < 64:
+        packed = keys << bits
+        packed |= np.arange(len(keys))
+        packed.sort()
+        order = packed & ((1 << bits) - 1)
+        packed >>= bits
+        return order, packed
+    order = stable_argsort_ints(keys, bound)
+    return order, keys[order]
+
+
 @functools.lru_cache(maxsize=None)
 def _vecdot_is_ddot() -> bool:
     """Whether ``np.vecdot`` rows equal the 1-D ``@`` (BLAS ddot) bitwise.
@@ -87,84 +104,110 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a[k] @ b[k] for k in range(len(a))])
 
 
-def b2b_edges(
-    pin_vertex: np.ndarray,
-    net_offsets: np.ndarray,
-    net_weights: np.ndarray,
-    coords: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build B2B edges at the current linearisation point(s).
+class PinOrder(NamedTuple):
+    """One stable coordinate sort of ``R`` stacked rows: each row's
+    vertex argsort ``(R, n)``, and its pin vertices in
+    ``np.lexsort((coord[pin_vertex], pin_net))`` order with their
+    coordinates, ``(R, pins)`` each."""
 
-    Returns ``(u, v, w)`` arrays of graph edges.  Vectorized: pins are
-    sorted per net by coordinate; the first/last pin of each net is the
-    boundary pin.
+    vertices: np.ndarray
+    pins: np.ndarray
+    coords: np.ndarray
 
-    With ``coords`` of shape ``(K, n)`` the edges of all K systems come
-    back in one list, grouped by system, and vertex ids address
-    ``coords.ravel()`` (vertex ``i`` of system ``k`` is ``k * n + i``)
-    — the edge list of the block-diagonal graph, ready for
-    :func:`solve_axis`.  Within a system the edges are the ``(n,)``
-    call's, in the same order.
+    def take(self, rows: np.ndarray) -> "PinOrder":
+        """The sort of the selected rows (index or mask)."""
+        return PinOrder(*(part[rows] for part in self))
+
+
+class NetPins:
+    """A net→pin CSR with what every round derives from it computed
+    once (each net's first / last sorted position, the inner pins, the
+    B2B weights ``w_net * 2 / (p - 1)``): a placement run shares one
+    across its rounds and K systems; only the :class:`PinOrder` moves."""
+
+    def __init__(
+        self, pin_vertex: np.ndarray, net_offsets: np.ndarray, net_weights: np.ndarray
+    ) -> None:
+        self.pin_vertex = pin_vertex
+        num_nets = len(net_offsets) - 1
+        degrees = np.diff(net_offsets)
+        self.pin_net = np.repeat(np.arange(num_nets, dtype=np.int64), degrees)
+        # pin_net ascends: sorted position -> net is pin_net in every row.
+        self.starts = net_offsets[:-1]
+        self.ends = net_offsets[1:] - 1
+        boundary = np.zeros(len(pin_vertex), dtype=bool)
+        boundary[self.starts] = True
+        boundary[self.ends] = True
+        self.inner = np.flatnonzero(~boundary)
+        self.inner_net = self.pin_net[self.inner]
+        self.net_weight = net_weights * (2.0 / np.maximum(degrees - 1, 1))
+        self.inner_weight = self.net_weight[self.inner_net]
+
+    def sort(self, coords: np.ndarray) -> PinOrder:
+        """Sort each row of ``coords`` ``(R, n)`` once.  Pins are stably
+        sorted by ``net * n + rank[pin_vertex]``, ``rank`` the dense rank
+        of the coordinates (ties, and all NaNs, share one): the
+        (net, coordinate) order, ties in pin order, on near-sorted keys."""
+        n = coords.shape[1]
+        vertices = np.argsort(coords, axis=1, kind="stable")
+        ranked = np.take_along_axis(coords, vertices, axis=1)
+        fresh = np.zeros(coords.shape, dtype=bool)
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=fresh[:, 1:])
+        fresh[:, 1:] &= ranked[:, :-1] == ranked[:, :-1]  # NaN after NaN: tied
+        rank = np.empty(coords.shape, dtype=np.int64)
+        np.put_along_axis(rank, vertices, np.cumsum(fresh, axis=1), axis=1)
+        key = rank[:, self.pin_vertex]
+        key += self.pin_net * n
+        pins = self.pin_vertex[np.argsort(key, axis=1, kind="stable")]
+        return PinOrder(vertices, pins, np.take_along_axis(coords, pins, axis=1))
+
+    def hpwl(self, order: PinOrder) -> np.ndarray:
+        """HPWL per system of a sort of K x rows, then K y rows: per net,
+        last sorted pin minus first — :func:`hpwl_arrays`' value."""
+        coords = order.coords
+        # np.take keeps rows C-contiguous (a fancy column index would
+        # not), so each row's sum is the pairwise sum of a lone call.
+        spans = np.take(coords, self.ends, axis=1) - np.take(coords, self.starts, axis=1)
+        half = len(coords) // 2
+        return (spans[:half] + spans[half:]).sum(axis=-1)
+
+    def edges(self, order: PinOrder) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B2B edges ``(u, v, w)`` of every row of ``order``, numbered
+        over the block-diagonal graph (see :func:`b2b_edges`)."""
+        rows, n = order.vertices.shape
+        sv = order.pins + (np.arange(rows, dtype=np.int64) * n)[:, None]
+        coords, inner_net = order.coords, self.inner_net
+        min_vertex, max_vertex = sv[:, self.starts], sv[:, self.ends]
+        min_coord, max_coord = coords[:, self.starts], coords[:, self.ends]
+        inner_vertex, inner_coord = sv[:, self.inner], coords[:, self.inner]
+
+        # Edge set per system: (inner, min) and (inner, max) over the
+        # sorted pin order, plus the direct (min, max) edge once per net.
+        d_min = np.maximum(np.abs(inner_coord - min_coord[:, inner_net]), MIN_SEPARATION)
+        d_max = np.maximum(np.abs(max_coord[:, inner_net] - inner_coord), MIN_SEPARATION)
+        span = np.maximum(np.abs(max_coord - min_coord), MIN_SEPARATION)
+        u = np.concatenate([inner_vertex, inner_vertex, min_vertex], axis=1)
+        v = np.concatenate(
+            [min_vertex[:, inner_net], max_vertex[:, inner_net], max_vertex], axis=1
+        )
+        weight = self.inner_weight
+        w = np.concatenate([weight / d_min, weight / d_max, self.net_weight / span], axis=1)
+        keep = u != v
+        return u[keep], v[keep], w[keep]
+
+
+def b2b_edges(pin_vertex, net_offsets, net_weights, coords: np.ndarray):
+    """B2B edges ``(u, v, w)`` at the current linearisation point(s):
+    per net, the first and last pin in (coordinate, pin) order are the
+    boundary pins.
+
+    With ``coords`` of shape ``(K, n)`` the K systems' edges come back
+    in one list, grouped by system, vertex ``i`` of system ``k`` numbered
+    ``k * n + i`` — the block-diagonal graph :func:`solve_axis` takes;
+    a system's edges are the ``(n,)`` call's, in the same order.
     """
-    num_nets = len(net_offsets) - 1
-    if num_nets == 0:
-        empty = np.zeros(0)
-        return empty.astype(np.int64), empty.astype(np.int64), empty
-
-    stacked = np.atleast_2d(coords)
-    num_systems, n = stacked.shape
-    degrees = np.diff(net_offsets)
-    pin_net = np.repeat(np.arange(num_nets, dtype=np.int64), degrees)
-    pin_coord = stacked[:, pin_vertex]
-    # Pins sorted by (net, coord), ties in input order — what
-    # np.lexsort((pin_coord, pin_net)) gives one system — as two stable
-    # passes per row: by coordinate, then by net.
-    by_coord = np.argsort(pin_coord, axis=1, kind="stable")
-    order = np.take_along_axis(
-        by_coord, stable_argsort_ints(pin_net[by_coord], num_nets), axis=1
-    )
-    sv = pin_vertex[order]  # vertices sorted by (net, coord)
-    coord_sorted = np.take_along_axis(pin_coord, order, axis=1)
-    # pin_net is ascending, so sorted position -> net is pin_net itself,
-    # in every row.
-
-    starts = net_offsets[:-1]
-    ends = net_offsets[1:] - 1
-
-    min_vertex = sv[:, starts]
-    max_vertex = sv[:, ends]
-
-    inv_deg = 2.0 / np.maximum(degrees - 1, 1)
-    pin_weight = (net_weights * inv_deg)[pin_net]
-    min_coord = coord_sorted[:, starts]
-    max_coord = coord_sorted[:, ends]
-
-    # Connect every non-boundary pin to both boundary pins.
-    boundary = np.zeros(len(pin_net), dtype=bool)
-    boundary[starts] = True
-    boundary[ends] = True
-    inner = np.nonzero(~boundary)[0]
-    inner_net = pin_net[inner]
-    inner_vertex = sv[:, inner]
-    inner_coord = coord_sorted[:, inner]
-    inner_weight = pin_weight[inner]
-
-    # Edge set per system: (inner, min) and (inner, max) over the
-    # sorted pin order, plus the direct (min, max) edge once per net.
-    d_min = np.maximum(np.abs(inner_coord - min_coord[:, inner_net]), MIN_SEPARATION)
-    d_max = np.maximum(np.abs(max_coord[:, inner_net] - inner_coord), MIN_SEPARATION)
-    span = np.maximum(np.abs(max_coord - min_coord), MIN_SEPARATION)
-    u = np.concatenate([inner_vertex, inner_vertex, min_vertex], axis=1)
-    v = np.concatenate(
-        [min_vertex[:, inner_net], max_vertex[:, inner_net], max_vertex], axis=1
-    )
-    w = np.concatenate(
-        [inner_weight / d_min, inner_weight / d_max, net_weights * inv_deg / span],
-        axis=1,
-    )
-    keep = u != v
-    offset = (np.arange(num_systems, dtype=np.int64) * n)[:, None]
-    return (u + offset)[keep], (v + offset)[keep], w[keep]
+    nets = NetPins(pin_vertex, net_offsets, net_weights)
+    return nets.edges(nets.sort(np.atleast_2d(coords)))
 
 
 def solve_axis(
@@ -225,34 +268,34 @@ def _quadratic_system(u, v, w, stacked, fixed, m_ids, anchor_targets, anchor_wei
     before the PCG runs)."""
     num_systems, n = stacked.shape
     nm = len(m_ids)
-    movable = ~fixed
-    local = np.full(n, -1, dtype=np.int64)
-    local[m_ids] = np.arange(nm)
-    # Lookups over the block-diagonal vertex numbering (k * n + i);
-    # movable vertex i of system k is unknown k * nm + local[i].
-    flat = stacked.reshape(-1)
-    movable_flat = np.tile(movable, num_systems)
-    m_index = (
-        local + (np.arange(num_systems, dtype=np.int64) * nm)[:, None]
-    ).reshape(-1)
     total = num_systems * nm
+    # Unknown of vertex i of system k (vertex k * n + i of the
+    # block-diagonal graph): k * nm + its movable rank, -1 if fixed.
+    m_index = np.full((num_systems, n), -1, dtype=np.int64)
+    m_index[:, m_ids] = np.arange(total).reshape(num_systems, nm)
+    m_index = m_index.reshape(-1)
+    flat = stacked.reshape(-1)
 
-    mu = movable_flat[u]
-    mv = movable_flat[v]
+    iu_all = m_index[u]
+    iv_all = m_index[v]
+    mu = iu_all >= 0
+    mv = iv_all >= 0
 
     # movable-movable edges
     both = mu & mv
-    iu = m_index[u[both]]
-    iv = m_index[v[both]]
+    iu = iu_all[both]
+    iv = iv_all[both]
     ww = w[both]
 
     # movable-fixed edges contribute to diagonal and RHS.
     mask_uf = mu & ~mv
     mask_fu = mv & ~mu
-    ii_uf = m_index[u[mask_uf]]
-    ii_fu = m_index[v[mask_fu]]
+    ii_uf = iu_all[mask_uf]
+    ii_fu = iv_all[mask_fu]
     ww_uf = w[mask_uf]
     ww_fu = w[mask_fu]
+    # Edge-sized arrays go before the sort: this transient is the flat round's peak.
+    del iu_all, iv_all, mu, mv
 
     # One bincount accumulates each bin sequentially in element order,
     # matching the historical np.add.at call sequence bit for bit.  A
@@ -287,38 +330,47 @@ def _quadratic_system(u, v, w, stacked, fixed, m_ids, anchor_targets, anchor_wei
     unknowns = np.arange(total)
     span = np.int64(total)
     keys = np.concatenate([iu * span + iv, iv * span + iu, unknowns * span + unknowns])
-    return (*_assemble_csr(keys, np.concatenate([-ww, -ww, diag]), total), diag, b)
+    vals = np.concatenate([-ww, -ww, diag])
+    del iu, iv, ww
+    return (*_assemble_csr(keys, vals, total), diag, b)
 
 
 def _assemble_csr(
     key: np.ndarray, vals: np.ndarray, n: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO entries, given as fused ``row * n + col`` keys -> deduplicated
-    CSR arrays.
+    """COO entries, given as fused ``row * n + col`` keys with at least
+    one (the diagonal) per row -> deduplicated CSR arrays.
 
-    Matches ``sp.coo_matrix(...).tocsr()`` bit-for-bit: entries are
-    stable-sorted by (row, col) — the order scipy's row bucketing plus
-    stable column sort produces — and duplicates summed left-to-right
-    in that order (``np.add.reduceat`` over the tiny duplicate groups
-    reduces sequentially, like ``csr_sum_duplicates``).  Skipping the
-    coo_matrix construction avoids per-solve scipy validation overhead
-    that rivals the solve itself on small systems.
+    Entries are stable-sorted by (row, col); each group of duplicates is
+    summed by ``np.add.reduceat`` over that group alone, whose
+    association is NumPy's, not left to right: ``v0 + (v1 + v2)`` for
+    three, pairwise from nine.  So it is *not* bitwise
+    ``sp.coo_matrix(...).tocsr()`` (which adds left to right); but a
+    group holds one system's entries in that system's order, so no sum
+    depends on the batch.  (Skipping coo_matrix avoids scipy validation
+    that rivals the solve itself on small systems.)
     """
     # One stable sort on the fused key: row-major, column-minor, ties
     # in input order.
-    order = stable_argsort_ints(key, n * n)
-    k_sorted = key[order]
+    order, k_sorted = sort_ints(key, n * n)
     v_sorted = vals[order]
-    first = np.empty(len(k_sorted), dtype=bool)
-    first[0] = True
-    np.not_equal(k_sorted[1:], k_sorted[:-1], out=first[1:])
-    starts = np.nonzero(first)[0]
-    data = np.add.reduceat(v_sorted, starts)
+    del order  # (peak memory, as above)
+    first = np.ones(len(k_sorted) + 1, dtype=bool)
+    np.not_equal(k_sorted[1:], k_sorted[:-1], out=first[1:-1])
+    starts = np.flatnonzero(first[:-1])
     keys = k_sorted[starts]
-    indices = keys % n
-    counts = np.bincount(keys // n, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    del k_sorted
+    data = v_sorted[starts]
+    # Most groups are single entries; reduce only the others, packed.
+    grouped = ~(first[:-1] & first[1:])
+    data[grouped[starts]] = np.add.reduceat(
+        v_sorted[grouped], np.flatnonzero(first[:-1][grouped])
+    )
+    rows = keys // n
+    indices = keys - rows * n
+    new_row = np.ones(len(rows), dtype=bool)
+    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+    indptr = np.append(np.flatnonzero(new_row), len(rows))
     return data, indices, indptr
 
 

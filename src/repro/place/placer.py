@@ -14,18 +14,19 @@ into the batch-native kernels for all systems still iterating (x and y
 axes stacked, so 2K quadratic systems per solve); a system leaves the
 lockstep at the round its own overflow test passes, exactly where a
 lone run of it would stop.
+Each round sorts every (system, axis) row once, when it measures HPWL;
+the next round's spreading and B2B solve read that sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs, telemetry
-from repro.place.b2b import b2b_edges, solve_axis
-from repro.place.hpwl import hpwl_arrays
+from repro.place.b2b import NetPins, PinOrder, solve_axis
 from repro.place.problem import PlacementProblem
 from repro.place.regions import RegionConstraint, clamp_regions
 from repro.place.spreading import DensityGrid, spread_displacement, spreading_targets
@@ -163,9 +164,10 @@ class GlobalPlacer:
         anchors = None
         if anchor_x is not None:
             anchors = np.concatenate([anchor_x, anchor_y])
-        u, v, w = b2b_edges(
-            problem.pin_vertex, problem.net_offsets, problem.net_weights, coords
-        )
+        order = self._sorted() if self._order is not None else self._nets.sort(coords)
+        self._order = None
+        u, v, w = self._nets.edges(order)
+        del order
         solved = solve_axis(u, v, w, coords, problem.fixed, anchors, anchor_w)
         self._x[active] = solved[: len(active)]
         self._y[active] = solved[len(active) :]
@@ -204,6 +206,8 @@ class GlobalPlacer:
         self._traces: List[List[float]] = [[] for _ in range(systems)]
         self._iterations = np.zeros(systems, dtype=np.int64)
         self._overflow = np.ones(systems)
+        self._nets = NetPins(problem.pin_vertex, problem.net_offsets, problem.net_weights)
+        self._order: Optional[Tuple[np.ndarray, PinOrder]] = None
 
         # Progress mirrors the QoR-stream muting: the V-P&R engine's
         # hundreds of virtual-die placements (telemetry=None) stay
@@ -272,19 +276,32 @@ class GlobalPlacer:
         """The density grid over the active systems' core boxes."""
         return replace(self.grid, floorplan=self.grid.floorplan.take(self._active))
 
+    def _sorted(self) -> PinOrder:
+        """The last measured sort, cut to the systems still active."""
+        systems, order = self._order
+        if len(systems) != len(self._active):
+            keep = np.isin(systems, self._active)
+            order = order.take(np.concatenate([keep, keep]))
+            self._order = (self._active, order)
+        return order
+
     def _spread(self):
         """Spreading targets of the active systems (rows), plus the
         ``spread_move`` signal when telemetry wants it."""
         problem = self.problem
         active = self._active
         x, y = self._x[active], self._y[active]
+        movable = problem.movable
+        vertices = self._sorted().vertices
+        by_coord = (np.cumsum(movable) - 1)[vertices[movable[vertices]]]
         target_x, target_y = spreading_targets(
             self._active_grid(),
             x,
             y,
             problem.areas,
-            problem.movable,
+            movable,
             strength=self.config.spread_strength,
+            by_coord=by_coord.reshape(len(vertices), -1),
         )
         spread_move = None
         if self._telemetry_on():
@@ -304,7 +321,9 @@ class GlobalPlacer:
         if not len(active):
             return np.empty(0)
         x, y = self._x[active], self._y[active]
-        hpwl = hpwl_arrays(problem.pin_vertex, problem.net_offsets, x, y)
+        order = self._nets.sort(np.concatenate([x, y]))
+        self._order = (active, order)
+        hpwl = self._nets.hpwl(order)
         overflow = None
         if iteration:
             overflow = self._active_grid().overflow(

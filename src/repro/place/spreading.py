@@ -17,7 +17,7 @@ every result is what the ``(n,)`` call on system ``k`` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -108,13 +108,15 @@ def spreading_targets(
     areas: np.ndarray,
     movable: np.ndarray,
     strength: float = 0.8,
+    by_coord: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compute spread target positions via per-band 1-D equalization.
 
     Within each horizontal band of bins, cells are re-mapped along x so
     cumulative cell area tracks cumulative capacity (and symmetrically
     along y within vertical bands).  ``strength`` in (0, 1] damps the
-    move toward the fully-equalized position.
+    move toward the fully-equalized position.  ``by_coord`` may give
+    each row's stable argsort of its movable x, then (below) y values.
 
     Returns:
         (target_x, target_y) arrays over all vertices (fixed vertices
@@ -126,15 +128,19 @@ def spreading_targets(
     ids = np.nonzero(movable)[0]
     if len(ids) == 0:
         return target_x, target_y
+    if by_coord is None:
+        rows = np.concatenate([np.atleast_2d(x), np.atleast_2d(y)])[:, ids]
+        by_coord = np.argsort(rows, axis=1, kind="stable")
+    by_x, by_y = np.split(by_coord, 2)
 
     _equalize_axis(
-        ids, x, y, areas, target_x,
+        by_x, ids, x, y, areas, target_x,
         lo=fp.core_llx, span=fp.core_width,
         band_lo=fp.core_lly, band_span=fp.core_height,
         bands=grid.bins_y, strength=strength,
     )
     _equalize_axis(
-        ids, y, x, areas, target_y,
+        by_y, ids, y, x, areas, target_y,
         lo=fp.core_lly, span=fp.core_height,
         band_lo=fp.core_llx, band_span=fp.core_width,
         bands=grid.bins_x, strength=strength,
@@ -166,6 +172,7 @@ def spread_displacement(
 
 
 def _equalize_axis(
+    by_coord: np.ndarray,
     ids: np.ndarray,
     primary: np.ndarray,
     secondary: np.ndarray,
@@ -181,8 +188,9 @@ def _equalize_axis(
     """Equalize cumulative area along ``primary`` within secondary bands.
 
     ``lo``/``span``/``band_lo``/``band_span`` are floats, or ``(K, 1)``
-    columns for ``(K, n)`` coordinates.  Each system's cells are sorted
-    by (band, primary) and cumulated on their own row — never one
+    columns for ``(K, n)`` coordinates; ``by_coord`` is each row's
+    stable argsort of ``primary[..., ids]``.  Each system's cells are
+    sorted by (band, primary) and cumulated on their own row — never one
     cumsum across systems — and every band segment is then equalized
     with row gathers instead of a per-band Python loop.
     """
@@ -190,7 +198,6 @@ def _equalize_axis(
     band = ((secondary[..., ids] - band_lo) / band_span * bands).astype(np.int64)
     band = np.atleast_2d(np.clip(band, 0, bands - 1))
     # np.lexsort((coord, band)) per row, as two stable passes.
-    by_coord = np.argsort(rows, axis=1, kind="stable")
     order = np.take_along_axis(
         by_coord,
         stable_argsort_ints(np.take_along_axis(band, by_coord, axis=1), bands),

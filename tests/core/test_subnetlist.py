@@ -230,3 +230,26 @@ def test_whole_design_digest_equals_walk(data):
     digest = netlist_digest(design)
     assert digest == netlist_digest_reference(design)
     assert netlist_digest(design_from_snapshot(design_snapshot(design))) == digest
+
+
+def test_induce_memo_follows_an_edit_of_the_source():
+    """``VPRFramework.induce`` memoises per source and member tuple; a
+    ``replace_master`` of one member must re-key it, so the second
+    induce returns the sub a fresh extraction gives (a memo keyed on
+    the source's identity alone returned the pre-edit sub)."""
+    design = _design(seed=11, instances=300, macros=0)
+    members = list(range(100))
+    framework = VPRFramework(CONFIG)
+    before, area_before = framework.induce(design, members)
+    inst = next(
+        design.instances[i]
+        for i in members
+        if design.instances[i].master.name == "INV_X1"
+    )
+    design.replace_master(inst, design.masters["INV_X2"])
+    after, area_after = framework.induce(design, members)
+    fresh = extract_subnetlist(design, members)
+    assert netlist_digest(after) == netlist_digest(fresh)
+    assert netlist_digest(after) != netlist_digest(before)
+    assert area_after == sum(design.instances[i].area for i in members) != area_before
+    assert framework.induce(design, members)[0] is after

@@ -371,8 +371,8 @@ class TestNumericGuard:
 
         real = placer.spreading_targets
 
-        def poisoned(grid, x, y, areas, movable, strength=0.8):
-            target_x, target_y = real(grid, x, y, areas, movable, strength)
+        def poisoned(grid, x, y, areas, movable, strength=0.8, **kwargs):
+            target_x, target_y = real(grid, x, y, areas, movable, strength, **kwargs)
             if len(target_x) == len(GRID_20) or not full_batch_only:
                 target_x[row, np.nonzero(movable)[0][0]] = np.nan
             return target_x, target_y

@@ -112,8 +112,8 @@ class TestNonFiniteSolve:
 
         real = placer.spreading_targets
 
-        def poisoned(grid, x, y, areas, movable, strength=0.8):
-            target_x, target_y = real(grid, x, y, areas, movable, strength)
+        def poisoned(grid, x, y, areas, movable, strength=0.8, **kwargs):
+            target_x, target_y = real(grid, x, y, areas, movable, strength, **kwargs)
             target_x[:, np.nonzero(movable)[0][0]] = np.nan
             return target_x, target_y
 
