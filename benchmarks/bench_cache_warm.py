@@ -20,12 +20,13 @@ wall is the recorded one.  The headline numbers:
 * ``cold_overhead`` = the median, over ``--pairs`` back-to-back
   (nocache, cold) pairs whose order alternates, of cold sweep wall /
   nocache sweep wall, minus 1 (the digest + key + atomic-write
-  bookkeeping; gate: <= 5%).  The sweep is ~0.1 s on aes, so one pair
-  reads host noise; the nocache arm's own spread is reported as
-  ``nocache_iqr`` (interquartile range / median of its sweep walls),
-  and when that spread exceeds the 5% bound the gate cannot tell a
-  5% overhead from noise: it prints ``unresolved`` and exits 2, never
-  passing;
+  bookkeeping; gate: <= 5%).  One aes sweep is ~0.1 s, so each arm of
+  a pair times ``SWEEPS_PER_RUN`` flows back to back (the cold arm on
+  a fresh store each) and sums their sweep walls.  The nocache arm's
+  own spread is reported as ``nocache_iqr`` (interquartile range /
+  median of its summed sweep walls), and when that spread exceeds the
+  5% bound the gate cannot tell a 5% overhead from noise: it prints
+  ``unresolved`` and exits 2, never passing;
 * identity — warm results must be byte-identical to cold and to the
   cache-free baseline (all four hashes).
 
@@ -52,7 +53,11 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
 
 from benchmarks.bench_flow_e2e import run_design  # noqa: E402
 
-SCHEMA = "repro.bench_cache/2"
+SCHEMA = "repro.bench_cache/3"
+
+#: Flows timed per arm of a (nocache, cold) pair; the arm's sweep wall
+#: is their sum.
+SWEEPS_PER_RUN = 16
 
 #: Acceptance gates (recorded in the JSON next to the measurements).
 MIN_WARM_SPEEDUP = 5.0
@@ -86,7 +91,10 @@ def _mode_summary(record: Dict[str, Any]) -> Dict[str, Any]:
 
 def run_modes(design: str, seed: int, jobs: int, pairs: int) -> Dict[str, Any]:
     """Measure nocache and cold pairwise (the order alternating from
-    pair to pair, cold on a fresh store each time), then warm."""
+    pair to pair, each arm ``SWEEPS_PER_RUN`` flows, cold on a fresh
+    store each time), then warm."""
+    nocache_sums: List[float] = []
+    cold_sums: List[float] = []
     nocache_runs: List[Dict[str, Any]] = []
     cold_runs: List[Dict[str, Any]] = []
     # One unmeasured run first: the process's first flow pays one-off
@@ -95,12 +103,20 @@ def run_modes(design: str, seed: int, jobs: int, pairs: int) -> Dict[str, Any]:
     scratch = tempfile.mkdtemp(prefix="bench_cache_")
     try:
         for rep in range(pairs):
-            arms = [None, os.path.join(scratch, f"cold{rep}")]
-            for cache_dir in arms if rep % 2 == 0 else arms[::-1]:
-                record = run_design(
-                    design, seed=seed, repeats=1, jobs=jobs, cache_dir=cache_dir
+            for cold in (False, True) if rep % 2 == 0 else (True, False):
+                records = [
+                    run_design(
+                        design, seed=seed, repeats=1, jobs=jobs,
+                        cache_dir=(
+                            os.path.join(scratch, f"cold{rep}.{k}") if cold else None
+                        ),
+                    )
+                    for k in range(SWEEPS_PER_RUN)
+                ]
+                (cold_runs if cold else nocache_runs).extend(records)
+                (cold_sums if cold else nocache_sums).append(
+                    sum(_sweep_wall(r) for r in records)
                 )
-                (cold_runs if cache_dir else nocache_runs).append(record)
         for cold in cold_runs:
             if cold["counters"].get("vpr.cache.hit", 0):
                 raise AssertionError("cold run hit the cache")
@@ -110,7 +126,7 @@ def run_modes(design: str, seed: int, jobs: int, pairs: int) -> Dict[str, Any]:
         # Warm: every repeat reads the store the last cold run wrote.
         warm = run_design(
             design, seed=seed, repeats=pairs, jobs=jobs,
-            cache_dir=os.path.join(scratch, f"cold{pairs - 1}"),
+            cache_dir=os.path.join(scratch, f"cold{pairs - 1}.{SWEEPS_PER_RUN - 1}"),
         )
         if not (
             warm["counters"].get("cache.stage.hit", 0)
@@ -128,18 +144,15 @@ def run_modes(design: str, seed: int, jobs: int, pairs: int) -> Dict[str, Any]:
                 f"{record['hashes']} vs {nocache['hashes']}"
             )
 
-    ratios = [
-        _sweep_wall(c) / max(_sweep_wall(n), 1e-9)
-        for n, c in zip(nocache_runs, cold_runs)
-    ]
-    walls = [_sweep_wall(n) for n in nocache_runs]
-    q1, _q2, q3 = statistics.quantiles(walls, n=4)
+    ratios = [c / max(n, 1e-9) for n, c in zip(nocache_sums, cold_sums)]
+    q1, _q2, q3 = statistics.quantiles(nocache_sums, n=4)
     cold = min(cold_runs, key=lambda r: float(r["wall_total"]))
     return {
         "design": design,
         "seed": seed,
         "jobs": jobs,
         "pairs": pairs,
+        "sweeps_per_run": SWEEPS_PER_RUN,
         "nocache": _mode_summary(min(nocache_runs, key=_sweep_wall)),
         "cold": _mode_summary(min(cold_runs, key=_sweep_wall)),
         "warm": _mode_summary(warm),
@@ -148,8 +161,10 @@ def run_modes(design: str, seed: int, jobs: int, pairs: int) -> Dict[str, Any]:
         ),
         "cold_overhead_ratios": [round(r, 4) for r in ratios],
         "cold_overhead": round(statistics.median(ratios) - 1.0, 4),
-        "nocache_iqr": round((q3 - q1) / max(statistics.median(walls), 1e-9), 4),
-        "nocache_sweep_walls_s": [round(w, 4) for w in walls],
+        "nocache_iqr": round(
+            (q3 - q1) / max(statistics.median(nocache_sums), 1e-9), 4
+        ),
+        "nocache_sweep_walls_s": [round(w, 4) for w in nocache_sums],
         "identical_hashes": True,  # asserted above
     }
 
@@ -163,8 +178,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--pairs",
         type=int,
         default=5,
-        help="(nocache, cold) run pairs, order alternating; cold gets a "
-        "fresh store per pair (at least 2)",
+        help="(nocache, cold) run pairs, order alternating; each arm runs "
+        "SWEEPS_PER_RUN flows, cold on a fresh store each (at least 2)",
     )
     parser.add_argument(
         "--json",

@@ -19,6 +19,9 @@ Quickstart::
     print(result.metrics)
 """
 
+from repro import _heap
 from repro._version import __version__
+
+_heap.keep_warm()
 
 __all__ = ["__version__"]

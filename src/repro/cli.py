@@ -736,6 +736,11 @@ def _cmd_report(args) -> int:
             f"{'monitor':<12}: peak RSS {peak / (1024 * 1024):.1f} MiB "
             f"over {report.monitor.get('samples', 0)} samples"
         )
+        if "minor_faults" in report.monitor:
+            print(
+                f"  {'kernel':<24} {report.monitor.get('system_s', 0.0):.3f} s "
+                f"system, {report.monitor['minor_faults']} minor faults"
+            )
         for name, stage_peak in sorted(
             (report.monitor.get("stage_peak_rss_bytes") or {}).items()
         ):

@@ -1,9 +1,10 @@
 """Resource sampling: RSS + CPU timelines, per-stage peaks.
 
-Each :meth:`ResourceSampler.sample` reads two numbers from procfs via
+Each :meth:`ResourceSampler.sample` reads procfs via
 :mod:`repro.perf.rss` — the current resident set
-(``/proc/self/statm``) and the cumulative process CPU time
-(``/proc/self/stat``).  Each sample becomes one point in the
+(``/proc/self/statm``) and, in one read of ``/proc/self/stat``, the
+cumulative process CPU time, system time and minor page faults.  Each
+sample becomes one point in the
 ``monitor.rss`` / ``monitor.cpu`` telemetry metric streams (stepped by
 seconds since the sampler was made, so they plot on the same axis as
 the QoR streams) and updates:
@@ -12,7 +13,9 @@ the QoR streams) and updates:
 * the peak RSS *per flow stage* (the caller names the active stage),
   later exported as ``monitor.peak_rss.<stage>`` perf counters,
 * a bounded in-memory tail of recent samples for ``status.json``'s
-  sparkline.
+  sparkline,
+* the system seconds and minor page faults since the sampler was made
+  (kernel time that no flow stage names).
 
 The sampler is a plain accumulator: the monitor session's thread
 calls it under the session lock.  It is purely observational: it
@@ -28,7 +31,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from repro.perf.rss import cpu_seconds, peak_rss_bytes, rss_bytes
+from repro.perf.rss import cpu_times, peak_rss_bytes, rss_bytes
 
 #: Samples kept for the ``status.json`` timelines.
 TIMELINE_POINTS = 120
@@ -51,13 +54,20 @@ class ResourceSampler:
         self._peak_rss = 0
         self._samples = 0
         self._last_cpu: Optional[Tuple[float, float]] = None
+        self._start = cpu_times()
+        self._kernel = (0.0, 0)  # system seconds, minor faults
 
     def sample(self, stage: Optional[str]) -> None:
         """Take one sample, attributing its RSS to ``stage`` (if any)."""
         now = time.perf_counter()
         t = now - self._epoch
         rss = rss_bytes()
-        cpu = cpu_seconds()
+        times = cpu_times()
+        cpu = times.cpu_s
+        self._kernel = (
+            times.system_s - self._start.system_s,
+            times.minor_faults - self._start.minor_faults,
+        )
         cpu_pct = 0.0
         if self._last_cpu is not None:
             last_t, last_cpu = self._last_cpu
@@ -100,4 +110,6 @@ class ResourceSampler:
             "samples": self._samples,
             "peak_rss_bytes": max(self._peak_rss, peak_rss_bytes()),
             "stage_peak_rss_bytes": dict(self._stage_peaks),
+            "system_s": self._kernel[0],
+            "minor_faults": self._kernel[1],
         }

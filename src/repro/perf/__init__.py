@@ -17,7 +17,7 @@ wraps a block in :mod:`cProfile` and dumps pstats to disk.  ::
 from repro import obs
 from repro.perf.profile import cprofile_to
 from repro.perf.report import PerfReport
-from repro.perf.rss import cpu_seconds, peak_rss_bytes, rss_bytes
+from repro.perf.rss import cpu_times, peak_rss_bytes, rss_bytes
 from repro.perf.timers import PerfRegistry
 
 
@@ -60,7 +60,7 @@ __all__ = [
     "PerfReport",
     "cprofile_to",
     "counter_value",
-    "cpu_seconds",
+    "cpu_times",
     "disable",
     "enable",
     "is_enabled",

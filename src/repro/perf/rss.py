@@ -10,9 +10,12 @@ One implementation of the RSS questions the repo keeps asking:
   report wants: it never under-reports a transient spike between
   samples.
 
+* :func:`cpu_times` — cumulative CPU seconds, system seconds and minor
+  page faults, from one read of ``/proc/self/stat``.
+
 Consumer: the :mod:`repro.monitor` resource sampler (live
-``monitor.rss`` timeline, per-stage peaks, and a run peak floored by
-:func:`peak_rss_bytes`).
+``monitor.rss`` / ``monitor.cpu`` timelines, per-stage peaks, a run
+peak floored by :func:`peak_rss_bytes`, and the run's kernel time).
 
 On platforms without ``/proc`` the current-RSS probe falls back to the
 peak (documented, monotone, still useful for ceilings); ``ru_maxrss``
@@ -25,6 +28,7 @@ from __future__ import annotations
 import os
 import resource
 import sys
+from typing import NamedTuple
 
 _STATM_PATH = "/proc/self/statm"
 
@@ -61,12 +65,21 @@ def rss_bytes() -> int:
         return peak_rss_bytes()
 
 
-def cpu_seconds() -> float:
-    """CPU time (user + system) consumed by this process, in seconds.
+class CpuTimes(NamedTuple):
+    """Cumulative CPU time and minor page faults of this process."""
 
-    Reads ``/proc/self/stat`` (utime + stime jiffies over the clock
-    tick rate); falls back to :func:`os.times` elsewhere.  Used by the
-    monitor sampler to derive a CPU-utilisation timeline.
+    cpu_s: float  #: user + system seconds
+    system_s: float  #: system (kernel) seconds alone
+    minor_faults: int  #: page faults served without I/O
+
+
+def cpu_times() -> CpuTimes:
+    """One read of this process's CPU seconds and minor faults.
+
+    Reads ``/proc/self/stat`` (minflt, utime and stime; times in clock
+    ticks); falls back to :func:`resource.getrusage` elsewhere.  Used by
+    the monitor sampler for its CPU-utilisation timeline and its
+    kernel-time totals.
     """
     try:
         with open("/proc/self/stat", "rb") as handle:
@@ -74,9 +87,11 @@ def cpu_seconds() -> float:
         # comm can contain spaces/parens; fields are positional after
         # the closing paren of field 2.
         after = data[data.rindex(b")") + 2 :].split()
-        utime, stime = int(after[11]), int(after[12])
-        ticks = os.sysconf("SC_CLK_TCK")
-        return (utime + stime) / float(ticks)
+        minflt, utime, stime = int(after[7]), int(after[11]), int(after[12])
+        ticks = float(os.sysconf("SC_CLK_TCK"))
+        return CpuTimes((utime + stime) / ticks, stime / ticks, minflt)
     except (OSError, ValueError, IndexError, AttributeError):
-        times = os.times()
-        return float(times.user + times.system)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        return CpuTimes(
+            usage.ru_utime + usage.ru_stime, usage.ru_stime, usage.ru_minflt
+        )

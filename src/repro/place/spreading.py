@@ -44,13 +44,11 @@ class DensityGrid:
         return cls(floorplan=floorplan, bins_x=bins, bins_y=bins)
 
     def bin_of(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Bin indices of coordinates (clipped to the grid)."""
+        """Bin indices of coordinates (clipped to the grid; NaN in bin 0)."""
         fp = self.floorplan
-        bx = ((x - fp.core_llx) / fp.core_width * self.bins_x).astype(np.int64)
-        by = ((y - fp.core_lly) / fp.core_height * self.bins_y).astype(np.int64)
         return (
-            np.clip(bx, 0, self.bins_x - 1),
-            np.clip(by, 0, self.bins_y - 1),
+            _bin_index((x - fp.core_llx) / fp.core_width * self.bins_x, self.bins_x),
+            _bin_index((y - fp.core_lly) / fp.core_height * self.bins_y, self.bins_y),
         )
 
     def _bin_area(self):
@@ -171,6 +169,15 @@ def spread_displacement(
     return float(moved) if x.ndim == 1 else moved
 
 
+def _bin_index(scaled: np.ndarray, bins: int) -> np.ndarray:
+    """``floor(scaled)`` clipped to ``[0, bins)``, clamped while still
+    float (in place) so that NaN lands in bin 0 and ±inf in an end bin:
+    casting a non-finite float to an integer is undefined."""
+    np.fmax(scaled, 0.0, out=scaled)
+    np.fmin(scaled, bins - 1, out=scaled)
+    return scaled.astype(np.int64)
+
+
 def _equalize_axis(
     by_coord: np.ndarray,
     ids: np.ndarray,
@@ -195,8 +202,9 @@ def _equalize_axis(
     with row gathers instead of a per-band Python loop.
     """
     rows = np.atleast_2d(primary[..., ids])
-    band = ((secondary[..., ids] - band_lo) / band_span * bands).astype(np.int64)
-    band = np.atleast_2d(np.clip(band, 0, bands - 1))
+    band = np.atleast_2d(
+        _bin_index((secondary[..., ids] - band_lo) / band_span * bands, bands)
+    )
     # np.lexsort((coord, band)) per row, as two stable passes.
     order = np.take_along_axis(
         by_coord,

@@ -62,6 +62,8 @@ class TestMonitorFlag:
         run = json.loads((out / "run.json").read_text())
         assert run["monitor"]["samples"] >= 1
         assert run["monitor"]["peak_rss_bytes"] > 0
+        assert run["monitor"]["system_s"] >= 0.0
+        assert run["monitor"]["minor_faults"] >= 0
         assert {p["name"] for p in run["monitor"]["progress"]} == set(tasks)
         assert "monitor.rss" in run["metrics"]
         assert "Live monitor" in (out / "report.html").read_text()
@@ -89,7 +91,8 @@ class TestMonitorFlag:
         run = json.loads((out / "run.json").read_text())
         assert set(run["monitor"]) == {
             "samples", "interval_s", "peak_rss_bytes",
-            "stage_peak_rss_bytes", "progress", "status_writes",
+            "stage_peak_rss_bytes", "system_s", "minor_faults", "progress",
+            "status_writes",
         }
 
     def test_unmonitored_flow_writes_no_status(self, tmp_path, capsys):
@@ -110,6 +113,7 @@ class TestReportDirResolution:
         text = capsys.readouterr().out
         assert "gp.hpwl" in text
         assert "peak RSS" in text  # monitor block rendered
+        assert "minor faults" in text
 
     def test_diff_accepts_directories(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 """Monitor session, sampler and status.json lifecycle tests."""
 
 import json
+import mmap
 import os
 import threading
 import time
@@ -55,6 +56,18 @@ class TestResourceSampler:
         assert summary["samples"] == 1
         assert summary["peak_rss_bytes"] > 0
         assert "vpr" in summary["stage_peak_rss_bytes"]
+        assert summary["system_s"] >= 0.0
+        assert summary["minor_faults"] >= 0
+
+    def test_kernel_totals_count_from_the_sampler_start(self):
+        sampler = ResourceSampler(observe=lambda *a: None)
+        assert sampler.summary()["minor_faults"] == 0
+        with mmap.mmap(-1, 16 << 20) as fresh:  # never from the heap
+            fresh[:: 1 << 12] = b"x" * (1 << 12)
+        sampler.sample(None)
+        # At least one fault per 2 MiB, even on transparent huge pages.
+        assert sampler.summary()["minor_faults"] >= 8
+        assert isinstance(sampler.summary()["system_s"], float)
 
 
 class TestStatusWriter:
@@ -284,6 +297,8 @@ class TestMonitorSession:
         monitor.disable()
         assert summary["samples"] >= 1
         assert summary["peak_rss_bytes"] > 0
+        assert summary["system_s"] >= 0.0
+        assert summary["minor_faults"] >= 0
         assert summary["progress"] == [
             {
                 "name": "loop",

@@ -1,9 +1,10 @@
 """Unit tests for the shared RSS/CPU probes (repro.perf.rss)."""
 
+import mmap
 import time
 
 from repro import perf
-from repro.perf.rss import cpu_seconds, peak_rss_bytes, rss_bytes
+from repro.perf.rss import cpu_times, peak_rss_bytes, rss_bytes
 
 
 class TestRssProbes:
@@ -47,15 +48,23 @@ class TestRssProbes:
         subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_cpu_seconds_advances_with_work(self):
-        start = cpu_seconds()
-        assert start >= 0.0
+        start = cpu_times()
+        assert start.cpu_s >= start.system_s >= 0.0
+        assert start.minor_faults >= 0
         deadline = time.process_time() + 0.05
         total = 0
         while time.process_time() < deadline:
             total += sum(range(1000))
-        assert cpu_seconds() > start
+        assert cpu_times().cpu_s > start.cpu_s
+
+    def test_minor_faults_count_fresh_pages(self):
+        start = cpu_times().minor_faults
+        with mmap.mmap(-1, 16 << 20) as fresh:  # never from the heap
+            fresh[:: 1 << 12] = b"x" * (1 << 12)
+        # At least one fault per page, or per 2 MiB transparent huge page.
+        assert cpu_times().minor_faults - start >= 8
 
     def test_reexported_from_perf_package(self):
         assert perf.rss_bytes is rss_bytes
         assert perf.peak_rss_bytes is peak_rss_bytes
-        assert perf.cpu_seconds is cpu_seconds
+        assert perf.cpu_times is cpu_times

@@ -329,8 +329,8 @@ def _equalize_axis(
     with row gathers instead of a per-band Python loop.
     """
     rows = np.atleast_2d(primary[..., ids])
-    band = ((secondary[..., ids] - band_lo) / band_span * bands).astype(np.int64)
-    band = np.atleast_2d(np.clip(band, 0, bands - 1))
+    band = (secondary[..., ids] - band_lo) / band_span * bands
+    band = np.atleast_2d(np.fmin(np.fmax(band, 0), bands - 1).astype(np.int64))
     # np.lexsort((coord, band)) per row, as two stable passes.
     by_coord = np.argsort(rows, axis=1, kind="stable")
     order = np.take_along_axis(

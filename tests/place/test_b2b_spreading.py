@@ -1,11 +1,13 @@
 """B2B net model and density spreading tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.netlist.design import Floorplan
 from repro.place.b2b import MIN_SEPARATION, b2b_edges, solve_axis
-from repro.place.spreading import DensityGrid, spreading_targets
+from repro.place.spreading import DensityGrid, _bin_index, spreading_targets
 
 
 class TestB2BEdges:
@@ -118,6 +120,23 @@ class TestDensityGrid:
         assert list(bx) == [0, 9]
         assert list(by) == [0, 9]
 
+    def test_non_finite_coordinates_get_defined_bins(self):
+        grid = self.make_grid()
+        coords = np.array([np.nan, np.inf, -np.inf, 1e300, 55.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bx, by = grid.bin_of(coords, coords[::-1].copy())
+        assert list(bx) == [0, 9, 0, 9, 5]
+        assert list(by) == [5, 9, 0, 9, 0]
+
+    def test_non_finite_band_coordinates_get_defined_bands(self):
+        scaled = np.array([[np.nan, np.inf, -np.inf, -0.5, 3.99, 8.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            band = _bin_index(scaled, 8)
+        assert band.dtype == np.int64
+        assert band.tolist() == [[0, 7, 0, 0, 3, 7]]
+
     def test_utilization_accumulates(self):
         grid = self.make_grid()
         x = np.array([5.0, 6.0])
@@ -158,6 +177,19 @@ class TestDensityGrid:
 
 
 class TestSpreadingTargets:
+    def test_nan_system_spreads_without_casting_nan(self):
+        fp = Floorplan(die_width=100, die_height=100, core_margin=0)
+        grid = DensityGrid(floorplan=fp, bins_x=8, bins_y=8)
+        x = np.linspace(10, 90, 6)
+        y = np.linspace(10, 90, 6)
+        x[2] = y[4] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tx, ty = spreading_targets(
+                grid, x, y, np.ones(6), np.ones(6, dtype=bool)
+            )
+        assert tx.shape == ty.shape == (6,)
+
     def test_stacked_cells_spread_out(self):
         fp = Floorplan(die_width=100, die_height=100, core_margin=0)
         grid = DensityGrid(floorplan=fp, bins_x=8, bins_y=8)

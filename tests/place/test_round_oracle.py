@@ -38,8 +38,10 @@ from repro.place.regions import RegionConstraint
 from repro.place.spreading import DensityGrid, spreading_targets
 from tests.place import reference
 
-# The drawn NaN systems cast NaN band coordinates to bins, as they should.
-pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# A NaN system must not cast NaN coordinates to integer bins.
+pytestmark = pytest.mark.filterwarnings(
+    "error:invalid value encountered in cast:RuntimeWarning"
+)
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
