@@ -1,4 +1,4 @@
-.PHONY: install test bench tables clean perf-smoke resume-smoke bench-flow cache-smoke monitor-smoke serve-smoke fleet-smoke eco-smoke spine-smoke
+.PHONY: install test bench tables clean perf-smoke resume-smoke bench-flow cache-smoke monitor-smoke serve-smoke fleet-smoke eco-smoke spine-smoke examples-smoke
 
 install:
 	pip install -e .
@@ -169,6 +169,24 @@ spine-smoke:
 # Crash-safety smoke: run a checkpointed flow, kill it mid-sweep with
 # an injected abort, resume, and require the resumed QoR to match an
 # uninterrupted baseline byte for byte (docs/recovery.md).
+# Every example under examples/ end to end, at its default design
+# (~25 s in all): they call the public constructors, and
+# tests/test_reachability.py checks only their imports.  Each one's
+# output is in examples-smoke/<name>.log, printed when it fails.
+examples-smoke:
+	rm -rf examples-smoke && mkdir -p examples-smoke
+	@set -e; for example in examples/*.py; do \
+		name=$$(basename $$example .py); \
+		case $$name in \
+			file_io_flow) args=examples-smoke/io ;; \
+			visualize_layout) args="jpeg examples-smoke/viz" ;; \
+			*) args= ;; \
+		esac; \
+		echo "examples-smoke: $$example"; \
+		timeout 300 python $$example $$args > examples-smoke/$$name.log 2>&1 \
+			|| { cat examples-smoke/$$name.log; exit 1; }; \
+	done
+
 resume-smoke:
 	rm -rf resume-smoke && mkdir -p resume-smoke
 	timeout 300 python -m repro flow --benchmark aes --no-routing \

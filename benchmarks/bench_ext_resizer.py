@@ -23,11 +23,11 @@ _RESULTS = {}
 
 def _run(name):
     base_design = load_benchmark(name, use_cache=False)
-    GlobalPlacer(PlacementProblem(base_design)).run()
+    GlobalPlacer(PlacementProblem(base_design.arrays(), base_design.floorplan)).run()
     base = evaluate_placed_design(base_design)
 
     opt_design = load_benchmark(name, use_cache=False)
-    GlobalPlacer(PlacementProblem(opt_design)).run()
+    GlobalPlacer(PlacementProblem(opt_design.arrays(), opt_design.floorplan)).run()
     model = PlacementWireModel(opt_design)
     buffering = buffer_high_fanout_nets(opt_design, model)
     graph = TimingGraph(opt_design)  # rebuilt: connectivity changed

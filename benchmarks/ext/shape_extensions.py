@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.shapes import ShapeCandidate
-from repro.core.subnetlist import (
-    DIE_MARGIN,
-    ROUTE_TARGET_CELLS,
-    _configure_virtual_die,
-)
+from repro.core.subnetlist import DIE_MARGIN, ROUTE_TARGET_CELLS, _virtual_die
 from repro.core.vpr import CandidateEvaluation, VPRFramework
+from repro.netlist.arrays import NetlistArrays
 from repro.netlist.design import Design, MasterCell
+from repro.netlist.snapshot import design_from_snapshot, design_snapshot
 from repro.place.placer import GlobalPlacer, PlacerConfig
 from repro.place.problem import PlacementProblem
 from repro.place.hpwl import net_hpwl
@@ -90,6 +88,16 @@ class LShapeCandidate:
         )
 
 
+def _configure_virtual_die(
+    die: Design, cell_area: float, candidate: ShapeCandidate
+) -> None:
+    """Size an object-view sub-netlist's die for a shape and move its IO
+    ports onto the periphery (see :func:`repro.core.subnetlist._virtual_die`)."""
+    die.floorplan, port_x, port_y = _virtual_die(len(die.ports), cell_area, candidate)
+    for name, x, y in zip(sorted(die.ports), port_x.tolist(), port_y.tolist()):
+        die.ports[name].x, die.ports[name].y = x, y
+
+
 def default_lshape_candidates(
     notch_fraction: float = 0.5,
 ) -> List[LShapeCandidate]:
@@ -115,11 +123,13 @@ class LShapeVPRFramework(VPRFramework):
     Rectangular candidates are evaluated by the base framework;
     L-shaped candidates block the notch with a fixed dummy macro so the
     placer's density spreading and the router's congestion both see the
-    unusable corner.
+    unusable corner.  The macro goes into a private object view of the
+    sub (decoded from its snapshot): the shared sub's columns, which the
+    rectangular candidates and the caches read, are never written.
     """
 
     def evaluate_lshape(
-        self, sub: Design, cell_area: float, candidate: LShapeCandidate
+        self, sub: NetlistArrays, cell_area: float, candidate: LShapeCandidate
     ) -> CandidateEvaluation:
         """Place + route the sub-netlist on an L-shaped virtual die."""
         config = self.config
@@ -128,7 +138,8 @@ class LShapeVPRFramework(VPRFramework):
             aspect_ratio=height / width,
             utilization=cell_area / (width * height),
         )
-        _configure_virtual_die(sub, cell_area, rect_equiv)
+        die = design_from_snapshot(design_snapshot(sub))
+        _configure_virtual_die(die, cell_area, rect_equiv)
 
         # Block the notch with a fixed dummy macro.
         llx, lly, urx, ury = candidate.notch_rect(width, height, DIE_MARGIN)
@@ -139,44 +150,27 @@ class LShapeVPRFramework(VPRFramework):
             is_macro=True,
             cell_class="macro",
         )
-        sub.masters.pop("__lshape_blockage__", None)
-        if sub.has_instance("__lshape_blockage__"):
-            raise RuntimeError("blockage already present")  # pragma: no cover
-        blockage = sub.add_instance("__lshape_blockage__", blockage_master)
+        blockage = die.add_instance("__lshape_blockage__", blockage_master)
         blockage.x = 0.5 * (llx + urx)
         blockage.y = 0.5 * (lly + ury)
         blockage.fixed = True
-        try:
-            problem = PlacementProblem(sub)
-            GlobalPlacer(
-                problem,
-                PlacerConfig(
-                    max_iterations=config.placer_iterations,
-                    min_iterations=2,
-                    target_overflow=0.15,
-                    seed=config.seed,
-                ),
-            ).run()
-            grid = GCellGrid.for_floorplan(
-                sub.floorplan, target_cells=ROUTE_TARGET_CELLS
-            )
-            routing = GlobalRouter(sub, grid=grid).run()
-            nets = [n for n in sub.nets if n.degree >= 2]
-            hpwl_avg = (
-                sum(net_hpwl(sub, n) for n in nets) / len(nets) if nets else 0.0
-            )
-            fp = sub.floorplan
-            hpwl_cost = hpwl_avg / max(fp.core_width + fp.core_height, 1e-9)
-            congestion_cost = routing.top_percent_congestion(
-                config.top_x_percent
-            )
-        finally:
-            # Remove the blockage so the sub-netlist can be reused.
-            sub.instances.remove(blockage)
-            for i, inst in enumerate(sub.instances):
-                inst.index = i
-            sub._instance_by_name.pop("__lshape_blockage__", None)
-            sub.masters.pop("__lshape_blockage__", None)
+        problem = PlacementProblem(die.arrays(), die.floorplan)
+        GlobalPlacer(
+            problem,
+            PlacerConfig(
+                max_iterations=config.placer_iterations,
+                min_iterations=2,
+                target_overflow=0.15,
+                seed=config.seed,
+            ),
+        ).run()
+        grid = GCellGrid.for_floorplan(die.floorplan, target_cells=ROUTE_TARGET_CELLS)
+        routing = GlobalRouter(die.arrays(), grid).run()
+        nets = [n for n in die.nets if n.degree >= 2]
+        hpwl_avg = sum(net_hpwl(die, n) for n in nets) / len(nets) if nets else 0.0
+        fp = die.floorplan
+        hpwl_cost = hpwl_avg / max(fp.core_width + fp.core_height, 1e-9)
+        congestion_cost = routing.top_percent_congestion(config.top_x_percent)
         return CandidateEvaluation(
             candidate=rect_equiv,  # bounding-box equivalent for records
             hpwl_cost=hpwl_cost,

@@ -62,7 +62,7 @@ def main() -> None:
         print(f"  {design.nets[net_index].name}: {a:.3f} toggles/cycle")
 
     # --- Post-placement -------------------------------------------------
-    GlobalPlacer(PlacementProblem(design)).run()
+    GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
     placed = TimingAnalyzer(graph, PlacementWireModel(design)).update()
     print(
         f"\npost-place: WNS={placed.wns * 1e3:.0f}ps TNS={placed.tns:.2f}ns"
@@ -70,7 +70,7 @@ def main() -> None:
 
     # --- Post-routing ----------------------------------------------------
     cts = synthesize_clock_tree(design)
-    routing = GlobalRouter(design).run()
+    routing = GlobalRouter(design.arrays(), design.floorplan).run()
     wire_model = RoutedWireModel(design, routing.net_lengths)
     routed = TimingAnalyzer(
         graph, wire_model, clock_uncertainty=cts.skew

@@ -30,8 +30,8 @@ def main() -> None:
     design = load_benchmark(name, use_cache=False)
     db = DesignDatabase(design)
     clustering = ppa_aware_clustering(db)
-    GlobalPlacer(PlacementProblem(design)).run()
-    routing = GlobalRouter(design).run()
+    GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
+    routing = GlobalRouter(design.arrays(), design.floorplan).run()
 
     placement = out_dir / f"{name}_placement.svg"
     clusters = out_dir / f"{name}_clusters.svg"

@@ -47,7 +47,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.ioutil import sha256_hex
-from repro.netlist.arrays import DIRECTIONS
+from repro.netlist.arrays import DIRECTIONS, NetlistArrays
 from repro.netlist.design import Design
 from repro.netlist.snapshot import design_snapshot
 
@@ -62,16 +62,16 @@ def _canonical(payload) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def netlist_digest(sub: Design) -> str:
-    """SHA-256 of the canonical form of an induced sub-netlist.
+def netlist_digest(arrays: NetlistArrays) -> str:
+    """SHA-256 of the canonical form of a flat netlist: an induced
+    sub-netlist, or a design's ``design.arrays()``.
 
     Two structurally identical sub-netlists (same masters, instances,
     connectivity, weights, ports — names included, since port names
     fix the periphery ring order) produce the same digest regardless
     of which run, process, or parent design induced them.  Read off
-    the netlist's flat form (live net weights), pin by pin.
+    the columns (live net weights), pin by pin.
     """
-    arrays = sub.arrays()
     pool, mp_ptr = arrays.name_pool, arrays.mp_ptr.tolist()
     pins = list(
         zip(

@@ -603,7 +603,8 @@ def _cmd_sta(args) -> int:
     )
 
     design = _load_design(args)
-    GlobalPlacer(PlacementProblem(design), PlacerConfig(seed=args.seed)).run()
+    problem = PlacementProblem(design.arrays(), design.floorplan)
+    GlobalPlacer(problem, PlacerConfig(seed=args.seed)).run()
     graph = timing_graph_for(design)
     analyzer = TimingAnalyzer(graph, PlacementWireModel(design))
     report = analyzer.update()
@@ -643,8 +644,9 @@ def _cmd_viz(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     db = DesignDatabase(design)
     clustering = ppa_aware_clustering(db)
-    GlobalPlacer(PlacementProblem(design), PlacerConfig(seed=args.seed)).run()
-    routing = GlobalRouter(design).run()
+    problem = PlacementProblem(design.arrays(), design.floorplan)
+    GlobalPlacer(problem, PlacerConfig(seed=args.seed)).run()
+    routing = GlobalRouter(design.arrays(), design.floorplan).run()
     for kind, path in (
         ("placement", out_dir / f"{design.name}_placement.svg"),
         ("clusters", out_dir / f"{design.name}_clusters.svg"),

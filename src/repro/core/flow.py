@@ -222,7 +222,7 @@ def evaluate_placed_design(
     runtimes["cts"] = stage.elapsed
 
     with obs.stage("flow.route") as stage:
-        routing = GlobalRouter(design).run()
+        routing = GlobalRouter(design.arrays(), design.floorplan).run()
     runtimes["route"] = stage.elapsed
 
     with obs.stage("flow.sta") as stage:
@@ -628,7 +628,7 @@ def default_flow(
     """
     del tool
     with obs.stage("flow.place") as stage:
-        problem = PlacementProblem(design)
+        problem = PlacementProblem(design.arrays(), design.floorplan)
         GlobalPlacer(problem, PlacerConfig(seed=seed)).run()
     metrics = evaluate_placed_design(
         design, {"place": stage.elapsed}, run_routing

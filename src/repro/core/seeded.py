@@ -171,7 +171,8 @@ def seeded_placement(
 
     # --- Place the clustered netlist (line 16 / 23) ---------------------
     with obs.stage("seeded.cluster_place") as stage:
-        cluster_problem = PlacementProblem(clustered.design)
+        coarse = clustered.design
+        cluster_problem = PlacementProblem(coarse.arrays(), coarse.floorplan)
         cluster_result = GlobalPlacer(cluster_problem, config.cluster_placer).run()
     runtimes["cluster_place"] = stage.elapsed
 
@@ -193,7 +194,8 @@ def seeded_placement(
             regions = _cluster_regions(
                 clustered, config.region_margin_factor, vpr_cluster_ids
             )
-        flat_problem = PlacementProblem(clustered.source)
+        flat = clustered.source
+        flat_problem = PlacementProblem(flat.arrays(), flat.floorplan)
         multipliers = clustered.net_weight_multipliers
         if multipliers is not None:
             flat_problem.net_weights = (

@@ -5,10 +5,11 @@ routed on.  :func:`extract_subnetlist` induces the sub-netlist from
 the source's flat form with the paper's port rule
 (:meth:`~repro.netlist.arrays.NetlistArrays.induce`; nets and port
 numbers in (member, net index) order, so a sub's digest ignores edit
-history), :func:`_virtual_die` sizes a candidate's die and rings it
-with the IO ports, and :class:`_SubContext` keeps what the candidates
-of one sub share.  :mod:`repro.core.vpr` evaluates and selects over
-them.
+history).  A sub is those columns and nothing else: no object view is
+built for it, and nothing writes to it.  :func:`_virtual_die` sizes a
+candidate's die and rings it with the IO ports, and
+:class:`_SubContext` keeps what the candidates of one sub share.
+:mod:`repro.core.vpr` evaluates and selects over them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from repro import obs
 from repro.cache import netlist_digest
 from repro.core.shapes import ShapeCandidate
+from repro.netlist.arrays import NetlistArrays
 from repro.netlist.design import Design, Floorplan
 from repro.place.hpwl import hpwl_arrays
 from repro.place.problem import PlacementProblem
@@ -31,17 +33,16 @@ ROUTE_TARGET_CELLS = 144
 DIE_MARGIN = 1.0
 
 
-def extract_subnetlist(source: Design, member_indices: Sequence[int]) -> Design:
+def extract_subnetlist(
+    source: Design, member_indices: Sequence[int]
+) -> NetlistArrays:
     """Induce the sub-netlist over a cluster's instances.
 
     Inter-cluster nets become virtual IO ports (Figure 3's port
     creation rule, :meth:`NetlistArrays.induce`), in canonical order:
     the sub depends on the netlist's content, not on its edit history.
-    The sub is decoded by the same :meth:`NetlistArrays.to_design` that
-    decodes a fleet worker's, and holds the induced columns as its
-    cached flat form.
     """
-    return source.arrays().induce(member_indices).to_design()
+    return source.arrays().induce(member_indices)
 
 
 def _virtual_die(
@@ -75,18 +76,6 @@ def _virtual_die(
     return fp, x, y
 
 
-def _configure_virtual_die(
-    sub: Design, cell_area: float, candidate: ShapeCandidate
-) -> None:
-    """Size the sub-netlist's die for a shape and move its IO ports
-    onto the periphery (see :func:`_virtual_die`)."""
-    sub.floorplan, port_x, port_y = _virtual_die(
-        len(sub.ports), cell_area, candidate
-    )
-    for name, x, y in zip(sorted(sub.ports), port_x.tolist(), port_y.tolist()):
-        sub.ports[name].x, sub.ports[name].y = x, y
-
-
 class _SubContext:
     """Candidate-independent artefacts of one sub-netlist.
 
@@ -95,17 +84,14 @@ class _SubContext:
     port ring change between candidates.  Under B2B the Laplacian
     *pattern* is not among the shared things — its bound pins move with
     every linearisation — so there is no symbolic matrix to reuse.  A
-    context is valid for one :meth:`Design.structure_key` — the key the
-    sub's flat form is cached under: ``VPRFramework._context_of``
-    rebuilds it, problem and digest, after any structural mutation (the
-    L-shape sweep's temporary blockage, a count-preserving reconnect).
+    sub is never edited in place (an edit of the source induces a new
+    one), so a context lives as long as its sub.
     """
 
-    __slots__ = ("sub", "structure_key", "problem", "_digest")
+    __slots__ = ("sub", "problem", "_digest")
 
-    def __init__(self, sub: Design) -> None:
+    def __init__(self, sub: NetlistArrays) -> None:
         self.sub = sub
-        self.structure_key = sub.structure_key()
         self.problem: Optional[PlacementProblem] = None
         self._digest: Optional[str] = None
 
@@ -114,7 +100,7 @@ class _SubContext:
     ) -> PlacementProblem:
         """The shared placement problem, stacked over virtual dies."""
         if self.problem is None:
-            self.problem = PlacementProblem(self.sub)
+            self.problem = PlacementProblem(self.sub, Floorplan(*self.sub.floorplan))
         floorplans, port_x, port_y = zip(*dies)
         self.problem.stack_dies(floorplans, np.array(port_x), np.array(port_y))
         return self.problem
@@ -131,10 +117,8 @@ class _SubContext:
         """Average net HPWL over one system's final coordinates: every
         net of two or more pins, duplicate same-instance pins kept (they
         cannot change a span) — :func:`repro.place.hpwl.net_hpwl`
-        semantics, off the sub's cached flat form."""
-        pin_vertex, offsets, nets = self.sub.arrays().pin_vertex_csr(
-            include_clock=True
-        )
+        semantics, off the sub's columns."""
+        pin_vertex, offsets, nets = self.sub.pin_vertex_csr(include_clock=True)
         if not len(nets):
             return 0.0
         return hpwl_arrays(pin_vertex, offsets, x, y) / len(nets)

@@ -46,8 +46,9 @@ from repro.core.vpr import (
     VPRSweepError,
     VPRSweepResult,
 )
+from repro.netlist.arrays import NetlistArrays
 from repro.netlist.design import Design
-from repro.netlist.snapshot import design_from_snapshot, design_snapshot
+from repro.netlist.snapshot import design_snapshot, netlist_from_snapshot
 from repro.recovery import faults
 
 #: Attempts a failed or lost work item gets in the sweep's own process
@@ -55,7 +56,7 @@ from repro.recovery import faults
 #: terminal.
 ATTEMPTS = 2
 
-Clusters = Dict[int, Tuple[Design, float]]
+Clusters = Dict[int, Tuple[NetlistArrays, float]]
 
 
 def sweep_clusters(
@@ -419,9 +420,9 @@ def _item_alarm(timeout: Optional[float]):
 
 def _setup_worker(header: dict, columns: dict) -> dict:
     """A worker process's sweep state, rebuilt from the frame
-    :func:`_sweep_state` shipped it: each sub is decoded from its
-    snapshot once per worker, flat form included.  ``ValueError`` when
-    the frame is not a well-formed sweep state."""
+    :func:`_sweep_state` shipped it: each sub's columns are decoded
+    from its snapshot once per worker, with no object view.
+    ``ValueError`` when the frame is not a well-formed sweep state."""
     subs: Dict[str, dict] = {}
     for name, column in columns.items():
         c, _, column_name = name.partition("/")
@@ -435,7 +436,7 @@ def _setup_worker(header: dict, columns: dict) -> dict:
                 "header": entry["header"],
                 "columns": subs.get(str(entry["id"]), {}),
             }
-            sub = design_from_snapshot(snapshot)
+            sub = netlist_from_snapshot(snapshot)
             clusters[int(entry["id"])] = (sub, float(entry["area"]))
         timeout = header["item_timeout"] and float(header["item_timeout"])
         descriptor = {k: bool(header["obs"][k]) for k in ("timers", "telemetry")}

@@ -53,6 +53,7 @@ from repro.core.subnetlist import (
     extract_subnetlist,
 )
 from repro.recovery.checkpoint import CheckpointStore
+from repro.netlist.arrays import NetlistArrays
 from repro.netlist.design import Design
 from repro.place.placer import GlobalPlacer, PlacerConfig
 from repro.route.gcell import GCellGrid
@@ -303,27 +304,27 @@ class VPRFramework:
         # Both memos are keyed by object identity (the induce memo also
         # by the source's structure key), so each entry holds the object
         # it is keyed by: an id() is only unique among live objects.
-        self._induce_cache: "OrderedDict[tuple, Tuple[Design, Design, float]]" = OrderedDict()
+        self._induce_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._contexts: "OrderedDict[int, _SubContext]" = OrderedDict()
 
     # -- sub-netlist cache ---------------------------------------------
     def induce(
         self, source: Design, member_indices: Sequence[int]
-    ) -> Tuple[Design, float]:
+    ) -> Tuple[NetlistArrays, float]:
         """Induce (or fetch the cached) sub-netlist for a cluster.
 
-        Returns ``(sub, cell_area)``.  The cache key is the source's
-        :meth:`~repro.netlist.design.Design.structure_key` plus the exact
+        Returns ``(sub, cell_area)``: the sub's columns and the summed
+        area of its instances.  The members are made canonical once
+        (ascending, no repeats): the sub, the cache key and the area
+        all follow the same set.  The cache key is the source's
+        :meth:`~repro.netlist.design.Design.structure_key` plus that
         member tuple, so each cluster is extracted once and reused by
         all shape candidates and any later caller (ML features,
         L-shape sweeps, dataset labelling), and an edit of the source
         (a ``replace_master`` too) re-keys it.
         """
-        key = (
-            id(source),
-            source.structure_key(),
-            tuple(int(i) for i in member_indices),
-        )
+        members = np.unique(np.asarray(member_indices, dtype=np.int64))
+        key = (id(source), source.structure_key(), tuple(members.tolist()))
         entry = self._induce_cache.get(key)
         if entry is not None:
             self._induce_cache.move_to_end(key)
@@ -332,20 +333,19 @@ class VPRFramework:
             return sub, cell_area
         obs.count("vpr.subnetlist.miss")
         with obs.stage("vpr.extract"):
-            sub = extract_subnetlist(source, member_indices)
-        # Python's sum in member order (compensated on 3.12+), as before.
-        areas = source.arrays().inst_area[np.asarray(member_indices, dtype=np.int64)]
-        cell_area = sum(areas.tolist())
+            sub = extract_subnetlist(source, members)
+        # Python's sum in ascending member order (compensated on 3.12+).
+        cell_area = sum(source.arrays().inst_area[members].tolist())
         self._induce_cache[key] = (source, sub, cell_area)
         if len(self._induce_cache) > self._INDUCE_CACHE_MAX:
             self._induce_cache.popitem(last=False)
         return sub, cell_area
 
-    def _context_of(self, sub: Design) -> _SubContext:
-        """Cached per-sub evaluation context (rebuilt on mutation)."""
+    def _context_of(self, sub: NetlistArrays) -> _SubContext:
+        """Cached per-sub evaluation context."""
         key = id(sub)
         ctx = self._contexts.get(key)
-        if ctx is None or ctx.structure_key != sub.structure_key():
+        if ctx is None:
             ctx = self._contexts[key] = _SubContext(sub)
             if len(self._contexts) > self._CONTEXT_CACHE_MAX:
                 self._contexts.popitem(last=False)
@@ -355,7 +355,7 @@ class VPRFramework:
     # -- evaluation ----------------------------------------------------
     def evaluate_candidates(
         self,
-        sub: Design,
+        sub: NetlistArrays,
         cell_area: float,
         candidates: Sequence[ShapeCandidate],
         cluster_id: Optional[int] = None,
@@ -382,7 +382,7 @@ class VPRFramework:
         if not candidates:
             return []
         ctx = self._context_of(sub)
-        dies = [_virtual_die(len(sub.ports), cell_area, c) for c in candidates]
+        dies = [_virtual_die(sub.num_ports, cell_area, c) for c in candidates]
         with obs.stage("vpr.place"):
             problem = ctx.placement_problem(dies)
             placements = GlobalPlacer(
@@ -441,7 +441,7 @@ class VPRFramework:
 
     def evaluate_candidate(
         self,
-        sub: Design,
+        sub: NetlistArrays,
         cell_area: float,
         candidate: ShapeCandidate,
         cluster_id: Optional[int] = None,
@@ -520,7 +520,7 @@ class VPRFramework:
         return self._context_of(sub).digest(), cell_area
 
     def _cache_key(
-        self, sub: Design, cell_area: float, candidate_index: int
+        self, sub: NetlistArrays, cell_area: float, candidate_index: int
     ) -> str:
         """One (cluster, candidate) item's content address."""
         return cache_key(
@@ -674,8 +674,9 @@ class MLShapeSelector(ShapeSelector):
     runs (the right-hand branch of Figure 3).
 
     Args:
-        predictor: ``f(sub_design, candidates) -> np.ndarray`` of
-            predicted Total Cost per candidate.  The GNN stack in
+        predictor: ``f(sub, candidates) -> np.ndarray`` of predicted
+            Total Cost per candidate, ``sub`` a cluster's induced
+            :class:`~repro.netlist.arrays.NetlistArrays`.  The GNN stack in
             :mod:`repro.ml` provides :class:`~repro.ml.model.TotalCostPredictor`.
         config: Eligibility / candidate grid (P&R knobs unused).
     """
@@ -684,7 +685,7 @@ class MLShapeSelector(ShapeSelector):
 
     def __init__(
         self,
-        predictor: Callable[[Design, Sequence[ShapeCandidate]], np.ndarray],
+        predictor: Callable[[NetlistArrays, Sequence[ShapeCandidate]], np.ndarray],
         config: Optional[VPRConfig] = None,
     ) -> None:
         self.predictor = predictor

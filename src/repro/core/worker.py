@@ -14,8 +14,8 @@ every message one :mod:`repro.codec` frame:
    a :mod:`repro.netlist.snapshot` header plus its ``NetlistArrays``
    columns), keyed by the frame's own SHA-256, or just that digest
    when the worker advertised it; the worker validates and decodes
-   each sub (the decoded arrays are its cached flat form, so no
-   netlist is ever walked here) and builds a
+   each sub's columns (no object view is built, so no netlist is ever
+   walked here) and builds a
    :class:`~repro.core.vpr.VPRFramework`
    (:func:`repro.core.sweep._setup_worker`); a state that fails
    validation is answered with an ``error`` frame and the connection

@@ -45,7 +45,7 @@ class DesignDatabase:
         """The clustering hypergraph (clock nets excluded)."""
         key = self.design.structure_key()
         if self._hypergraph is None or self._hypergraph_key != key:
-            self._hypergraph = Hypergraph.from_design(self.design)
+            self._hypergraph = Hypergraph.from_netlist(self.design.arrays())
             self._hypergraph_key = key
         return self._hypergraph
 

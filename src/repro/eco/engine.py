@@ -414,7 +414,7 @@ class EcoSession:
         design = self.design
         n = design.num_instances
         cluster_of = self.cluster_of
-        problem = PlacementProblem(design)
+        problem = PlacementProblem(design.arrays(), design.floorplan)
         problem.fixed[:n] |= ~np.isin(cluster_of, list(dirty))
         # Seed added cells without explicit coordinates at their
         # cluster's centroid (over pre-existing members).

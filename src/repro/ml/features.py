@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.shapes import ShapeCandidate
-from repro.netlist.arrays import multi_arange
-from repro.netlist.design import Design
+from repro.netlist.arrays import NetlistArrays, multi_arange
 from repro.netlist.hypergraph import Hypergraph
 from repro.ml.layers import normalized_adjacency
 
@@ -82,17 +81,18 @@ class FeatureExtractor:
     # ------------------------------------------------------------------
     def extract(
         self,
-        sub: Design,
+        sub: NetlistArrays,
         candidate: Optional[ShapeCandidate] = None,
     ) -> GraphSample:
         """Extract features for a sub-netlist (ports excluded).
 
         Args:
-            sub: The cluster sub-netlist (from V-P&R extraction).
+            sub: The cluster sub-netlist's columns (from V-P&R
+                extraction).
             candidate: Shape filling the two design-parameter features;
                 None leaves them zero (set later via ``with_shape``).
         """
-        hgraph = Hypergraph.from_design(sub)
+        hgraph = Hypergraph.from_netlist(sub)
         n = hgraph.num_vertices
         rows, cols, weights = hgraph.clique_expansion()
         operator = normalized_adjacency(rows, cols, weights, n)
@@ -106,19 +106,17 @@ class FeatureExtractor:
         features[:, 19:27] = self._cell_features(sub, graph)
         # One-hot cell class (8 classes); unknown classes fall back to
         # class 0, matching the historical dict.get default.
-        arrays = sub.arrays()
-        codes = arrays.m_class_code[arrays.inst_master].astype(np.int64)
+        codes = sub.m_class_code[sub.inst_master].astype(np.int64)
         codes[codes < 0] = 0
         features[np.arange(len(codes)), 27 + codes] = 1.0
         return GraphSample(features=features, operator=operator)
 
     # ------------------------------------------------------------------
     def _cluster_features(
-        self, sub: Design, hgraph: Hypergraph, graph: "_ClusterGraph"
+        self, arrays: NetlistArrays, hgraph: Hypergraph, graph: "_ClusterGraph"
     ) -> np.ndarray:
         """The 17 cluster-level features."""
         n = max(1, hgraph.num_vertices)
-        arrays = sub.arrays()
         num_nets = arrays.num_nets
         num_pins = hgraph.num_pins
         wide = arrays.net_degree >= 2
@@ -130,7 +128,8 @@ class FeatureExtractor:
             (np.bincount(port_pin_nets, minlength=num_nets) > 0).sum()
         )
         internal_nets = num_nets - border_nets
-        total_area = sub.total_cell_area()
+        # Python's sum in instance order, as ``Design.total_cell_area``.
+        total_area = sum(arrays.current_inst_areas().tolist())
         degrees = graph.degrees
         avg_cell_degree = float(degrees.mean()) if len(degrees) else 0.0
         net_degrees = arrays.net_degree[wide]
@@ -176,7 +175,7 @@ class FeatureExtractor:
             dtype=float,
         )
 
-    def _cell_features(self, sub: Design, graph: "_ClusterGraph") -> np.ndarray:
+    def _cell_features(self, sub: NetlistArrays, graph: "_ClusterGraph") -> np.ndarray:
         """The 8 numeric cell-level features per node.
 
         Brandes-sampled betweenness over the pivot set; closeness as
@@ -186,7 +185,7 @@ class FeatureExtractor:
         n = graph.num_vertices
         degrees = graph.degrees
         out = np.zeros((n, 8))
-        out[:, 0] = sub.arrays().current_inst_areas()
+        out[:, 0] = sub.current_inst_areas()
         out[:, 1] = degrees
         # Degrees are integers, so the neighbour sum is exact in any order.
         neighbor_degrees = graph.adjacency @ degrees

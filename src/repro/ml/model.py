@@ -20,7 +20,7 @@ from repro.core.shapes import ShapeCandidate
 from repro.ml.autograd import Tensor, add_tensors, relu, segment_mean
 from repro.ml.features import FeatureExtractor, GraphSample, NUM_NODE_FEATURES
 from repro.ml.layers import BatchNorm, GraphConvBlock, Linear
-from repro.netlist.design import Design
+from repro.netlist.arrays import NetlistArrays
 
 #: Branch layer dimensions from the paper: input 35, hidden 64, out 32.
 BRANCH_DIMS = (NUM_NODE_FEATURES, 64, 64, 32)
@@ -300,7 +300,7 @@ class TotalCostPredictor:
         self.extractor = extractor or FeatureExtractor()
 
     def __call__(
-        self, sub: Design, candidates: Sequence[ShapeCandidate]
+        self, sub: NetlistArrays, candidates: Sequence[ShapeCandidate]
     ) -> np.ndarray:
         """Predicted Total Cost per candidate."""
         base = self.extractor.extract(sub)

@@ -40,11 +40,10 @@ swaps masters in place) and port coordinates are re-gathered from the
 object view by the ``current_*`` accessors, so consumers always see
 live values while the expensive connectivity flattening is reused.
 
-A :class:`NetlistArrays` can also be built directly from its columns —
-that is how :func:`repro.netlist.snapshot.design_from_snapshot` decodes
-— and materialized into an object-view :class:`Design` with
-:meth:`to_design` (digest-identical to a design built through the
-construction API), which then holds these arrays as its cached form.
+Columns alone make one too: a V-P&R sub (:meth:`induce`) and a fleet
+worker's decoded sub (:func:`repro.netlist.snapshot.netlist_from_snapshot`)
+have no object view; :meth:`to_design` materializes one (for ECO, I/O and
+the ext studies), digest-identical to the construction API's.
 """
 
 from __future__ import annotations
@@ -535,7 +534,7 @@ class NetlistArrays:
 
         One edge per kept net, in net-index order, members sorted
         ascending and deduplicated — exactly the edge list
-        :meth:`repro.netlist.hypergraph.Hypergraph.from_design`
+        :meth:`repro.netlist.hypergraph.Hypergraph.from_netlist`
         produces, computed as array kernels instead of per-net Python.
         Nets reduced to fewer than two distinct instances are dropped;
         clock nets are dropped unless ``include_clock``; nets wider

@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.netlist.arrays import multi_arange
-from repro.netlist.design import Design
+from repro.netlist.arrays import NetlistArrays, multi_arange
 
 
 class Hypergraph:
@@ -79,7 +78,7 @@ class Hypergraph:
 
         The CSR is the primary storage; the ``edges`` list of tuples is
         materialized lazily only if some consumer asks for it.  This is
-        the array-native path: :meth:`from_design` feeds it straight
+        the array-native path: :meth:`from_netlist` feeds it straight
         from :meth:`repro.netlist.arrays.NetlistArrays.hyperedge_csr`.
         """
         self = cls.__new__(cls)
@@ -126,20 +125,21 @@ class Hypergraph:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_design(
+    def from_netlist(
         cls,
-        design: Design,
+        arrays: NetlistArrays,
         include_clock_nets: bool = False,
         max_edge_degree: Optional[int] = None,
     ) -> "Hypergraph":
-        """Build the hypergraph over a design's instances.
+        """Build the hypergraph over a flat netlist's instances.
 
-        Built from the cached :class:`~repro.netlist.arrays.NetlistArrays`
-        CSR kernels; the object-graph walk they replaced is the tests'
+        Built from the :class:`~repro.netlist.arrays.NetlistArrays` CSR
+        kernels; the object-graph walk they replaced is the tests'
         oracle (``tests/netlist/reference.py``).
 
         Args:
-            design: Source design.
+            arrays: Source netlist: ``design.arrays()`` or a sub's
+                columns.
             include_clock_nets: When False (the default, matching the
                 paper's flow) clock nets are dropped; they would
                 otherwise connect every flip-flop into one giant edge.
@@ -147,13 +147,12 @@ class Hypergraph:
                 are skipped (a standard guard against degenerate
                 high-fanout nets); None keeps everything.
         """
-        arrays = design.arrays()
         indptr, verts, sel_nets = arrays.hyperedge_csr(
             include_clock=include_clock_nets,
             max_edge_degree=max_edge_degree,
         )
         return cls.from_csr(
-            design.num_instances,
+            arrays.num_instances,
             indptr,
             verts,
             edge_weights=arrays.current_net_weights()[sel_nets],

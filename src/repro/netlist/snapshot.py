@@ -1,24 +1,24 @@
 """The one codec of the one flat netlist form.
 
-A snapshot *is* ``design.arrays()``: the constructor columns of the
-cached :class:`~repro.netlist.arrays.NetlistArrays` (no second walk of
-the object graph; live attributes through its ``current_*`` gathers,
-plus instance x / y / fixed), split into a JSON-able ``header`` (names
-and scalars) and numeric ``ndarray`` ``columns``: the two halves of a
-:mod:`repro.codec` frame, which carries it in a fleet sweep state and
-a checkpoint's ``eco_base`` record with no pickle and no walk of the
-linked :class:`Design` graph.  It decodes through
-:meth:`NetlistArrays.to_design`, which leaves the decoded arrays as the
-rebuilt design's cached form: the first ``design.arrays()`` of a fleet
-worker or an ``EcoSession`` is a hit, and the rebuilt design's content
-digest (:func:`repro.cache.netlist_digest`) equals the original's.
-Payloads cross process and disk boundaries: decoding validates first.
+A snapshot *is* a :class:`~repro.netlist.arrays.NetlistArrays` — a
+design's ``arrays()`` or a V-P&R sub's columns (live attributes through
+the ``current_*`` gathers, plus instance x / y / fixed) — split into a
+JSON-able ``header`` (names and scalars) and numeric ``ndarray``
+``columns``: the two halves of a :mod:`repro.codec` frame, which
+carries it in a fleet sweep state and a checkpoint's ``eco_base``
+record with no pickle and no walk of the linked :class:`Design` graph.
+:func:`netlist_from_snapshot` decodes the columns alone (a fleet
+worker's subs); :func:`design_from_snapshot` adds the object view via
+:meth:`NetlistArrays.to_design`, so an ``EcoSession``'s first
+``design.arrays()`` is a hit.  The content digest
+(:func:`repro.cache.netlist_digest`) survives either.  Payloads cross
+process and disk boundaries: decoding validates first.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -84,11 +84,13 @@ def _check_columns(
                 )
 
 
-def design_snapshot(design: Design) -> Dict[str, Any]:
-    """The flat form of a design (see module docstring)."""
-    arrays = design.arrays()
-    header: Dict[str, Any] = {name: getattr(design, name) for name in _SCALARS}
-    header["floorplan"] = list(astuple(design.floorplan))
+def design_snapshot(netlist: Union[Design, NetlistArrays]) -> Dict[str, Any]:
+    """The flat form of a design or a flat netlist (module docstring);
+    scalars are read live from an object view when there is one."""
+    arrays = netlist if isinstance(netlist, NetlistArrays) else netlist.arrays()
+    live = arrays.design
+    header: Dict[str, Any] = {name: getattr(live or arrays, name) for name in _SCALARS}
+    header["floorplan"] = list(astuple(live.floorplan) if live else arrays.floorplan)
     header.update((name, list(getattr(arrays, name))) for name in _LISTS)
     columns = {name: getattr(arrays, name).copy() for name in COLUMNS}
     columns["net_weight"] = arrays.current_net_weights()
@@ -99,9 +101,10 @@ def design_snapshot(design: Design) -> Dict[str, Any]:
     return {"form": FORM, "header": header, "columns": columns}
 
 
-def design_from_snapshot(payload: Dict[str, Any]) -> Design:
-    """Rebuild a design from its flat form; ``ValueError`` naming the
-    offending field when the payload is not a well-formed one."""
+def netlist_from_snapshot(payload: Dict[str, Any]) -> NetlistArrays:
+    """Decode a snapshot's columns, with no object view; ``ValueError``
+    naming the offending field when the payload is not a well-formed
+    one (the placement columns included, though only a design reads them)."""
     if not isinstance(payload, dict) or payload.get("form") != FORM:
         raise ValueError(f"not a {FORM} netlist snapshot")
     header, columns = payload.get("header"), payload.get("columns")
@@ -125,5 +128,12 @@ def design_from_snapshot(payload: Dict[str, Any]) -> Design:
     fields = {name: header[name] for name in (*_SCALARS, *_LISTS)}
     fields["floorplan"] = tuple(header["floorplan"])
     fields.update((name, columns[name]) for name in COLUMNS)
-    x, y, fixed = (columns[name] for name in _PLACEMENT)
-    return NetlistArrays(**fields).to_design((x, y), fixed)
+    return NetlistArrays(**fields)
+
+
+def design_from_snapshot(payload: Dict[str, Any]) -> Design:
+    """Rebuild a design from its flat form: :func:`netlist_from_snapshot`
+    (and its ``ValueError``), then the object view, placed."""
+    arrays = netlist_from_snapshot(payload)
+    x, y, fixed = (payload["columns"][name] for name in _PLACEMENT)
+    return arrays.to_design((x, y), fixed)

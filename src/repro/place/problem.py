@@ -1,20 +1,22 @@
 """Flat array representation of a placement problem.
 
 The placer works on dense arrays rather than the object model: vertex
-``i < design.num_instances`` is instance ``i``; ports are appended as
+``i < netlist.num_instances`` is instance ``i``; ports are appended as
 fixed vertices.  Nets are flattened into ``pin_vertex`` /
 ``net_offsets`` CSR-style arrays, which makes HPWL and the B2B model
-vectorizable.
+vectorizable.  It is built from a flat netlist (``design.arrays()``
+or a V-P&R sub's columns) and a floorplan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.netlist.design import Design, Floorplan
+from repro.netlist.arrays import NetlistArrays
+from repro.netlist.design import Floorplan
 from repro.place.hpwl import hpwl_arrays
 
 
@@ -53,40 +55,40 @@ class CoreBoxes:
 
 
 class PlacementProblem:
-    """Array-form snapshot of a design for global placement.
+    """Array-form snapshot of a flat netlist for global placement.
 
     Attributes:
-        design: Source design (written back to by :meth:`commit`).
+        netlist: Source netlist; :meth:`commit` writes back to its
+            object view.
+        floorplan: The core of an ordinary (unstacked) problem.
         num_movable_instances: Instances come first in vertex order.
         x, y: Working coordinates (mutated by the placer), ``(n,)`` —
             or ``(K, n)`` after :meth:`stack_dies`, one row per virtual
             die of the same netlist.
         cores: The K core boxes of a stacked problem (None otherwise:
-            the core is the design floorplan's).
+            the core is ``floorplan``'s).
         areas: Vertex areas (ports get area 0).
         fixed: Boolean mask of vertices the placer must not move.
         pin_vertex, net_offsets: CSR-style net membership.
         net_weights: Per-net placement weights.
-        net_indices: Original design net index per problem net.
+        net_indices: Original net index per problem net.
     """
 
-    def __init__(self, design: Design, include_clock: bool = False) -> None:
-        self.design = design
-        n_inst = design.num_instances
-        port_names = sorted(design.ports)
-        self._port_vertex: Dict[str, int] = {
-            name: n_inst + i for i, name in enumerate(port_names)
-        }
-        arrays = design.arrays()
-        self.x, self.y = arrays.vertex_positions()
+    def __init__(
+        self, netlist: NetlistArrays, floorplan: Floorplan, include_clock: bool = False
+    ) -> None:
+        self.netlist = netlist
+        self.floorplan = floorplan
+        n_inst = netlist.num_instances
+        self.x, self.y = netlist.vertex_positions()
         self.areas = np.zeros(len(self.x))
-        self.areas[:n_inst] = arrays.current_inst_areas()
+        self.areas[:n_inst] = netlist.current_inst_areas()
         self.fixed = np.ones(len(self.x), dtype=bool)
-        self.fixed[:n_inst] = arrays.current_fixed()
-        pin_vertex, offsets, sel_nets = arrays.placement_csr(include_clock)
+        self.fixed[:n_inst] = netlist.current_fixed()
+        pin_vertex, offsets, sel_nets = netlist.placement_csr(include_clock)
         self.pin_vertex = pin_vertex
         self.net_offsets = offsets
-        self.net_weights = arrays.current_net_weights()[sel_nets]
+        self.net_weights = netlist.current_net_weights()[sel_nets]
         self.net_indices = sel_nets
         self.num_movable_instances = n_inst
         self.cores: Optional[CoreBoxes] = None
@@ -106,10 +108,6 @@ class PlacementProblem:
     def movable(self) -> np.ndarray:
         """Boolean mask of movable vertices."""
         return ~self.fixed
-
-    def port_vertex(self, name: str) -> int:
-        """Vertex id of a port."""
-        return self._port_vertex[name]
 
     def stack_dies(
         self, floorplans: Sequence[Floorplan], port_x: np.ndarray, port_y: np.ndarray
@@ -132,10 +130,10 @@ class PlacementProblem:
             setattr(self, name, stacked)
 
     def core_boxes(self) -> CoreBoxes:
-        """One core box per system (the design's, when not stacked)."""
+        """One core box per system (``floorplan``'s, when not stacked)."""
         if self.cores is not None:
             return self.cores
-        return CoreBoxes.of([self.design.floorplan])
+        return CoreBoxes.of([self.floorplan])
 
     def hpwl(self, weighted: bool = False):
         """HPWL of the working coordinates (microns); one value per
@@ -163,18 +161,21 @@ class PlacementProblem:
             self.y[:] = y
 
     def commit(self) -> None:
-        """Write working coordinates back to the design's instances that
-        are not ``fixed`` here (an ordinary problem's; a stacked one has
-        K candidates for them)."""
+        """Write working coordinates back to the instances of the
+        netlist's object view that are not ``fixed`` here (an ordinary
+        problem's; a stacked one has K candidates for them).  Columns
+        with no object view (a V-P&R sub) keep them in ``x`` / ``y``."""
+        if self.netlist.design is None:
+            return
         moved = np.flatnonzero(~self.fixed[: self.num_movable_instances]).tolist()
-        instances = self.design.instances
+        instances = self.netlist.design.instances
         for i, x, y in zip(moved, self.x[moved].tolist(), self.y[moved].tolist()):
             instances[i].x, instances[i].y = x, y
 
     def clip_to_core(self) -> None:
         """Clamp movable vertices into the core box (each system into
         its own, for a stacked problem)."""
-        fp = self.cores if self.cores is not None else self.design.floorplan
+        fp = self.cores if self.cores is not None else self.floorplan
         mask = self.movable
         self.x[..., mask] = np.clip(self.x[..., mask], fp.core_llx, fp.core_urx)
         self.y[..., mask] = np.clip(self.y[..., mask], fp.core_lly, fp.core_ury)

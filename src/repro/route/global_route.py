@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
-from repro.netlist.design import Design
+from repro.netlist.arrays import NetlistArrays
+from repro.netlist.design import Floorplan
 from repro.route.gcell import GCellGrid
 from repro.route.steiner import rsmt
 
@@ -63,27 +64,27 @@ class RoutingResult:
 
 
 class GlobalRouter:
-    """Routes a placed design over a GCell grid — or K placements of
-    it, each over its own grid, as one stack."""
+    """Routes a placed flat netlist over a GCell grid — or K placements
+    of it, each over its own grid, as one stack."""
 
     def __init__(
         self,
-        design: Design,
-        grid: Union[GCellGrid, Sequence[GCellGrid], None] = None,
+        netlist: NetlistArrays,
+        grid: Union[Floorplan, GCellGrid, Sequence[GCellGrid]],
         include_clock: bool = False,
         telemetry_prefix: Optional[str] = "route",
         x: Optional[np.ndarray] = None,
         y: Optional[np.ndarray] = None,
     ) -> None:
-        """``x`` / ``y`` stack K placements: ``(K, n_vertices)`` arrays
-        in :class:`~repro.place.problem.PlacementProblem` vertex order
-        (instances, then ports by sorted name), with ``grid`` a
-        sequence of K grids; :meth:`run` then returns K results.
-        Without them the design's current coordinates are routed."""
-        self.design = design
+        """``grid`` is a GCell grid, or a floorplan to lay the default
+        one over.  ``x`` / ``y`` stack K placements: ``(K, n_vertices)``
+        arrays in :class:`~repro.place.problem.PlacementProblem` vertex
+        order, with ``grid`` a sequence of K grids; :meth:`run` then
+        returns K results.  Without them the live coordinates are routed."""
+        self.netlist = netlist
         self.stack = None if x is None else (x, y)
-        if grid is None:
-            grid = GCellGrid.for_floorplan(design.floorplan)
+        if isinstance(grid, Floorplan):
+            grid = GCellGrid.for_floorplan(grid)
         self.grids: List[GCellGrid] = [grid] if x is None else list(grid)
         self.include_clock = include_clock
         #: Stream prefix of the QoR observations this run emits
@@ -97,11 +98,10 @@ class GlobalRouter:
         """Route all signal nets; one :class:`RoutingResult`, or one
         per system of a stack.  A net's routing points are its distinct
         pin locations at 1 nm resolution, in pin order (driver first),
-        read through the design's cached flat form
-        (``design.arrays().pin_vertex_csr``)."""
+        read through the netlist's ``pin_vertex_csr``."""
         with obs.stage(
             "route.global",
-            design=self.design.name,
+            design=self.netlist.name,
             gcells=sum(grid.nx * grid.ny for grid in self.grids),
             systems=len(self.grids),
         ):
@@ -115,7 +115,7 @@ class GlobalRouter:
         return results[0] if self.stack is None else results
 
     def _run(self) -> List[RoutingResult]:
-        arrays = self.design.arrays()
+        arrays = self.netlist
         pin_vertex, net_offsets, net_index = arrays.pin_vertex_csr(self.include_clock)
         grids, systems, num_nets = self.grids, len(self.grids), len(net_index)
         vx, vy = self.stack or (v[None, :] for v in arrays.vertex_positions())

@@ -40,7 +40,7 @@ class TestNetlistDigest:
     def test_coordinates_do_not_matter(self, design):
         a = extract_subnetlist(design, range(0, 80))
         b = extract_subnetlist(design, range(0, 80))
-        for inst in b.instances:
+        for inst in b.to_design().instances:  # b's object view
             inst.x += 100.0
             inst.y += 50.0
         assert netlist_digest(a) == netlist_digest(b)
@@ -48,8 +48,8 @@ class TestNetlistDigest:
     def test_net_weight_matters(self, design):
         a = extract_subnetlist(design, range(0, 80))
         b = extract_subnetlist(design, range(0, 80))
-        target = next(n for n in b.nets if not n.is_clock)
-        target.weight *= 2.0
+        target = next(n for n in b.to_design().nets if not n.is_clock)
+        target.weight *= 2.0  # a live weight, read through b's object view
         assert netlist_digest(a) != netlist_digest(b)
 
 

@@ -104,7 +104,7 @@ class TestFirstChoice:
         assert len(first_choice_clustering(hg)) == 0
 
     def test_deterministic(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         a = first_choice_clustering(hg, FirstChoiceConfig(target_clusters=10, seed=4))
         b = first_choice_clustering(hg, FirstChoiceConfig(target_clusters=10, seed=4))
         assert np.array_equal(a, b)
@@ -133,7 +133,7 @@ class TestBestChoice:
         assert clusters[4] == clusters[5]
 
     def test_cut_quality_on_netlist(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         bc = best_choice_clustering(hg, target_clusters=20)
         rng = np.random.default_rng(0)
         random_assignment = rng.integers(0, 20, hg.num_vertices)
@@ -153,7 +153,7 @@ class TestEdgeCoarsening:
 
     def test_worse_than_bc_on_weighted_graph(self, small_design):
         """The classic result: BC cut <= EC cut (on average)."""
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         bc = best_choice_clustering(hg, target_clusters=15, seed=0)
         ec = edge_coarsening(hg, target_clusters=15, seed=0)
         assert hg.cut_size(bc) <= hg.cut_size(ec) * 1.1

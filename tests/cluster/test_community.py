@@ -99,7 +99,7 @@ class TestLeidenSpecifics:
             assert seen == member_set
 
     def test_on_real_netlist(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         graph = AdjacencyGraph.from_hypergraph(hg)
         lou = louvain_communities(graph, seed=0)
         lei = leiden_communities(graph, seed=0)

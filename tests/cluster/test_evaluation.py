@@ -68,7 +68,7 @@ class TestEvaluateClustering:
         }
 
     def test_better_clustering_scores_better(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         from repro.cluster.fc import FirstChoiceConfig, first_choice_clustering
 
         good = first_choice_clustering(

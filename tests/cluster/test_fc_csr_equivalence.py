@@ -93,7 +93,7 @@ class TestFcPassEquivalence:
         """End-to-end multilevel FC on a real netlist is deterministic
         and equals a run with the oracle pass swapped in."""
         design = load_benchmark("aes", use_cache=False)
-        hg = Hypergraph.from_design(design)
+        hg = Hypergraph.from_netlist(design.arrays())
         config = FirstChoiceConfig(target_clusters=50, seed=0)
         first = first_choice_clustering(hg, config)
         second = first_choice_clustering(hg, config)

@@ -65,7 +65,7 @@ class TestMembersOf:
 class TestEvaluatePlacedDesign:
     def test_full_metric_record(self, small_design_fresh):
         design = small_design_fresh
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         metrics = evaluate_placed_design(design, {"place": 1.5})
         assert metrics.hpwl > 0
         assert metrics.rwl > 0
@@ -80,8 +80,9 @@ class TestEvaluatePlacedDesign:
         from repro.route import GlobalRouter, synthesize_clock_tree
 
         design = small_design_fresh
-        GlobalPlacer(PlacementProblem(design)).run()
-        signal_only = GlobalRouter(design).run().routed_wirelength
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
+        signal_only = GlobalRouter(design.arrays(), design.floorplan).run()
+        signal_only = signal_only.routed_wirelength
         cts = synthesize_clock_tree(design)
         metrics = evaluate_placed_design(design)
         assert metrics.rwl == pytest.approx(
@@ -90,7 +91,7 @@ class TestEvaluatePlacedDesign:
 
     def test_deterministic(self, small_design_fresh):
         design = small_design_fresh
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         a = evaluate_placed_design(design)
         b = evaluate_placed_design(design)
         assert a.rwl == pytest.approx(b.rwl)
@@ -162,7 +163,7 @@ class TestEvaluatePlacedDesign:
 
     def test_no_routing_stops_at_hpwl(self, small_design_fresh):
         design = small_design_fresh
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         metrics = evaluate_placed_design(design, {"place": 1.5}, run_routing=False)
         assert metrics.hpwl > 0 and metrics.rwl is None
         assert metrics.runtimes == {"place": 1.5}

@@ -28,7 +28,7 @@ def single_module_design():
 class TestSingleModule:
     def test_level1_single_cluster_neutral_rent(self):
         design = single_module_design()
-        hgraph = Hypergraph.from_design(design)
+        hgraph = Hypergraph.from_netlist(design.arrays())
         tree = HierarchyTree(design)
         result = hierarchy_based_clustering(hgraph, tree)
         # level 1 groups everything: recorded with the neutral value.
@@ -36,7 +36,7 @@ class TestSingleModule:
 
     def test_result_is_usable(self):
         design = single_module_design()
-        hgraph = Hypergraph.from_design(design)
+        hgraph = Hypergraph.from_netlist(design.arrays())
         result = hierarchy_based_clustering(hgraph, HierarchyTree(design))
         assert len(result.cluster_of) == design.num_instances
 

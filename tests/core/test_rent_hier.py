@@ -44,7 +44,7 @@ class TestRentExponent:
         assert r == pytest.approx(expected)
 
     def test_better_clustering_scores_lower(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         tree = HierarchyTree(small_design)
         hier = np.zeros(hg.num_vertices, dtype=np.int64)
         modules = {}
@@ -132,20 +132,20 @@ class TestDendrogram:
 
 class TestAlgorithm2:
     def test_evaluates_levelmax_minus_one_levels(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         tree = HierarchyTree(small_design)
         result = hierarchy_based_clustering(hg, tree)
         dendrogram = Dendrogram.from_hierarchy(tree)
         assert len(result.rent_by_level) == dendrogram.level_max - 1
 
     def test_picks_min_rent_level(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         result = hierarchy_based_clustering(hg, HierarchyTree(small_design))
         best = min(result.rent_by_level.values())
         assert result.rent_by_level[result.best_level] == pytest.approx(best)
 
     def test_assignment_matches_level(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         tree = HierarchyTree(small_design)
         result = hierarchy_based_clustering(hg, tree)
         dendrogram = Dendrogram.from_hierarchy(tree)
@@ -153,14 +153,14 @@ class TestAlgorithm2:
         assert np.array_equal(result.cluster_of, expected)
 
     def test_max_levels_cap(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         result = hierarchy_based_clustering(
             hg, HierarchyTree(small_design), max_levels=1
         )
         assert len(result.rent_by_level) == 1
 
     def test_num_clusters(self, small_design):
-        hg = Hypergraph.from_design(small_design)
+        hg = Hypergraph.from_netlist(small_design.arrays())
         result = hierarchy_based_clustering(hg, HierarchyTree(small_design))
         assert result.num_clusters == result.cluster_of.max() + 1
         assert result.num_clusters > 1

@@ -13,6 +13,10 @@
   numbered ports, in ``Instance.pin_nets`` insertion order, which those
   edits reorder; the induce takes them in (member, net index) order.
 * ``netlist_digest`` of a whole design equals the walk's.
+* ``VPRFramework.induce`` makes its members canonical once, and a sub
+  is never written: evaluating, digesting, feature-extracting,
+  snapshotting and an L-shape evaluation leave its columns as induced,
+  with no object view.
 """
 
 import numpy as np
@@ -86,7 +90,7 @@ def _assert_equals_walk(design, members):
     want = extract_subnetlist_reference(design, members)
     _assert_same_sub(got, want)
     digest = netlist_digest_reference(want)
-    assert netlist_digest(got) == netlist_digest_reference(got) == digest
+    assert netlist_digest(got) == netlist_digest(want.arrays()) == digest
     cell_area = sum(design.instances[i].area for i in members)
     assert _cache_keys(design, members) == [
         cache_key(digest, c, CONFIG, cell_area=cell_area) for c in CONFIG.candidates
@@ -170,7 +174,7 @@ def test_reconnect_does_not_rekey_the_sub(small_design_fresh):
 
     # The walk's order is the edit order; the induce's is not.
     walked = [net.name for net in extract_subnetlist_reference(design, members).nets]
-    induced = [net.name for net in extract_subnetlist(design, members).nets]
+    induced = extract_subnetlist(design, members).net_names
     assert walked != induced and sorted(walked) == sorted(induced)
     _assert_history_free(design, [members])
 
@@ -219,7 +223,7 @@ def test_sub_ignores_edit_history(data):
 @given(st.data())
 def test_whole_design_digest_equals_walk(data):
     design = _design(seed=data.draw(st.integers(0, 3)), instances=120)
-    assert netlist_digest(design) == netlist_digest_reference(design)
+    assert netlist_digest(design.arrays()) == netlist_digest_reference(design)
     kinds = data.draw(st.lists(st.sampled_from(KINDS), max_size=4))
     for serial, kind in enumerate(kinds):
         edit = _draw_edit(data, design, kind, serial)
@@ -227,9 +231,10 @@ def test_whole_design_digest_equals_walk(data):
             apply_edits(design, parse_edits([edit]))
     for net in design.nets[::7]:
         net.weight *= 1.5  # live weights, not the flattened ones
-    digest = netlist_digest(design)
+    digest = netlist_digest(design.arrays())
     assert digest == netlist_digest_reference(design)
-    assert netlist_digest(design_from_snapshot(design_snapshot(design))) == digest
+    decoded = design_from_snapshot(design_snapshot(design))
+    assert netlist_digest(decoded.arrays()) == digest
 
 
 def test_induce_memo_follows_an_edit_of_the_source():
@@ -253,3 +258,52 @@ def test_induce_memo_follows_an_edit_of_the_source():
     assert netlist_digest(after) != netlist_digest(before)
     assert area_after == sum(design.instances[i].area for i in members) != area_before
     assert framework.induce(design, members)[0] is after
+
+
+def test_induce_makes_its_members_canonical_once():
+    """A repeated or unordered member list is one member set: the sub,
+    its cell area and its memo entry all follow the sorted unique list
+    (the area summed a repeated member twice, and each order of the same
+    members took its own memo entry)."""
+    design = _design(seed=5, instances=200, macros=0)
+    framework = VPRFramework(CONFIG)
+    sub, area = framework.induce(design, [0, 1, 1, 2])
+    assert sub.num_instances == 3
+    assert area == sum(design.instances[i].area for i in (0, 1, 2))
+    assert area == sum(sub.current_inst_areas().tolist())
+    for members in ([2, 1, 0], [0, 1, 2], np.array([1, 2, 0, 2])):
+        assert framework.induce(design, members) == (sub, area)
+    assert len(framework._induce_cache) == 1
+
+
+def test_a_sub_is_never_written():
+    """What the flow and the ext studies do with a sub — evaluate it,
+    digest it, extract its features, snapshot it, run an L-shape
+    evaluation on it — leaves every array it holds as induced, and
+    builds it no object view."""
+    from benchmarks.ext.shape_extensions import LShapeCandidate, LShapeVPRFramework
+    from repro.ml import FeatureExtractor
+
+    design = _design(seed=4, instances=200, macros=0)
+    config = VPRConfig(placer_iterations=2, candidates=CONFIG.candidates[:3])
+    framework = LShapeVPRFramework(config)
+    sub, area = framework.induce(design, range(0, 200, 2))
+    arrays = {k: v.copy() for k, v in vars(sub).items() if isinstance(v, np.ndarray)}
+    lists = {k: list(v) for k, v in vars(sub).items() if isinstance(v, list)}
+    header = (sub.name, sub.floorplan, sub.clock_period, sub.clock_port)
+    digest = netlist_digest(sub)
+
+    framework.evaluate_candidates(sub, area, config.candidates)
+    FeatureExtractor().extract(sub)
+    design_snapshot(sub)
+    framework.evaluate_lshape(sub, area, LShapeCandidate(1.0, 0.8))
+    assert framework.sweep_cluster(design, range(0, 200, 2)).evaluations
+
+    assert sub.design is None
+    assert framework.induce(design, range(0, 200, 2))[0] is sub
+    for name, column in arrays.items():
+        now = getattr(sub, name)
+        assert now.dtype == column.dtype and np.array_equal(now, column), name
+    assert {k: getattr(sub, k) for k in lists} == lists
+    assert (sub.name, sub.floorplan, sub.clock_period, sub.clock_port) == header
+    assert netlist_digest(sub) == digest

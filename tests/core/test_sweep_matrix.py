@@ -381,7 +381,7 @@ def test_fleet_payload_is_codec_payloads_and_config(clusters):
         }
         assert set(own) >= set(COLUMNS)
         payload = {"form": entry["form"], "header": entry["header"], "columns": own}
-        assert netlist_digest(snapshot.design_from_snapshot(payload)) == (
+        assert netlist_digest(snapshot.netlist_from_snapshot(payload)) == (
             netlist_digest(sub)
         )
 

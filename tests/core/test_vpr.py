@@ -22,6 +22,7 @@ from repro.core.vpr import (
     extract_subnetlist,
 )
 from repro.db.database import DesignDatabase
+from repro.netlist.arrays import DIRECTIONS
 from repro.netlist.design import PinDirection
 
 
@@ -79,30 +80,25 @@ class TestSubnetlistExtraction:
         design, _members, largest = cluster_context
         sub = extract_subnetlist(design, largest)
         assert sub.num_instances == len(largest)
-        for idx in largest:
-            assert sub.has_instance(design.instances[idx].name)
+        assert sub.inst_names == [design.instances[i].name for i in sorted(largest)]
 
     def test_boundary_ports_created(self, cluster_context):
         design, _members, largest = cluster_context
         sub = extract_subnetlist(design, largest)
-        in_ports = [
-            p for p in sub.ports.values() if p.direction is PinDirection.INPUT
-        ]
-        out_ports = [
-            p for p in sub.ports.values() if p.direction is PinDirection.OUTPUT
-        ]
-        assert in_ports, "external drivers must become input ports"
-        assert out_ports, "external sinks must become output ports"
+        directions = [DIRECTIONS[d] for d in sub.port_dir.tolist()]
+        assert PinDirection.INPUT in directions, "external drivers become input ports"
+        assert PinDirection.OUTPUT in directions, "external sinks become output ports"
 
     def test_subnetlist_valid(self, cluster_context):
         design, _members, largest = cluster_context
         sub = extract_subnetlist(design, largest)
-        assert sub.validate() == []
+        assert sub.to_design().validate() == []  # its object view is a valid design
 
     def test_internal_nets_preserved(self, cluster_context):
         design, _members, largest = cluster_context
         member_set = set(largest)
         sub = extract_subnetlist(design, largest)
+        degree = dict(zip(sub.net_names, sub.net_degree.tolist()))
         internal = 0
         for net in design.nets:
             if net.is_clock:
@@ -110,13 +106,15 @@ class TestSubnetlistExtraction:
             touched = {i.index for i in net.instances()}
             if touched and touched <= member_set and len(touched) >= 2:
                 internal += 1
-                assert sub.net(net.name).degree >= 2
+                assert degree[net.name] >= 2
         assert internal > 0
 
     def test_clock_nets_excluded(self, cluster_context):
         design, _members, largest = cluster_context
         sub = extract_subnetlist(design, largest)
-        assert all(not n.is_clock for n in sub.nets)
+        assert not sub.net_is_clock.any()
+        clock_nets = {n.name for n in design.nets if n.is_clock}
+        assert clock_nets and clock_nets.isdisjoint(sub.net_names)
 
 
 class TestVprEvaluation:

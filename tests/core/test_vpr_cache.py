@@ -203,50 +203,63 @@ class TestFrameworkCacheWiring:
             assert record["seconds"] >= 0.0
 
 
-class TestContextFollowsStructureKey:
-    """A count-preserving edit of a swept sub is a different netlist: its
-    context (digest memo, stacked problem) must not survive it."""
+class TestSourceEditReinducesTheSub:
+    """A sub is never edited in place: a count-preserving edit of the
+    *source* is a different netlist, so the cluster gets a new sub with
+    its own digest, context (digest memo, stacked problem) and cache
+    key, and the old sub keeps its columns."""
 
-    def test_reconnect_on_an_induced_sub_changes_the_served_digest(
-        self, small_clusters, tmp_path
-    ):
+    def test_reconnect_on_the_source_reinduces(self, small_clusters, tmp_path):
         from repro.cache import netlist_digest
+        from repro.netlist.snapshot import design_from_snapshot, design_snapshot
 
-        design, members = small_clusters
+        shared, members = small_clusters
+        source = design_from_snapshot(design_snapshot(shared))  # edited below
         config = _config()
         swept, _ = config.swept_clusters(members)
+        cluster = members[swept[0]]
         framework = VPRFramework(config, cache=EvaluationCache(str(tmp_path)))
-        sub, cell_area = framework.induce(design, members[swept[0]])
-        before = framework._context_of(sub).digest()
+        first = framework.sweep_cluster(source, cluster, cluster_id=swept[0])
+        sub, cell_area = framework.induce(source, cluster)
+        context = framework._context_of(sub)
+        before, problem = context.digest(), context.problem
         key_before = framework._cache_key(sub, cell_area, 0)
-        framework.evaluate_candidates(sub, cell_area, config.candidates[:1])
-        problem = framework._context_of(sub).problem
         assert problem is not None
 
-        # Move one input pin onto another net: instances, nets and ports
-        # all keep their counts.
-        counts = (sub.num_instances, sub.num_nets, len(sub.ports))
+        # Move a member's input pin onto another signal net a member
+        # drives: instances, nets and ports all keep their counts.
+        inside = set(cluster)
+        counts = (source.num_instances, source.num_nets, len(source.ports))
         inst, pin, other = next(
             (inst, pin, other)
-            for inst in sub.instances
+            for inst in (source.instances[i] for i in cluster)
             for pin, net in inst.pin_nets.items()
-            if net.driver is not None and net.driver.instance is not inst
-            for other in sub.nets
-            if other is not net and other.driver is not None and other.degree >= 2
+            if not net.is_clock
+            and net.driver is not None
+            and net.driver.instance is not inst
+            for other in source.nets
+            if other is not net
+            and not other.is_clock
+            and other.driver is not None
+            and other.driver.instance is not None
+            and other.driver.instance.index in inside
+            and other.degree >= 2
         )
-        sub.reconnect_pin(inst, pin, other)
-        assert counts == (sub.num_instances, sub.num_nets, len(sub.ports))
-        assert netlist_digest(sub) != before
+        source.reconnect_pin(inst, pin, other)
+        assert counts == (source.num_instances, source.num_nets, len(source.ports))
 
-        context = framework._context_of(sub)
-        assert context.digest() == netlist_digest(sub)
-        assert framework._cache_key(sub, cell_area, 0) != key_before
-        # ... and it is evaluated as the netlist it now is.
-        (served,) = framework.evaluate_candidates(sub, cell_area, config.candidates[:1])
-        (fresh,) = VPRFramework(config).evaluate_candidates(
-            sub, cell_area, config.candidates[:1]
-        )
-        assert framework._context_of(sub).problem is not problem
-        assert (served.hpwl_cost, served.congestion_cost) == (
-            fresh.hpwl_cost, fresh.congestion_cost
-        )
+        new_sub, new_area = framework.induce(source, cluster)
+        assert new_sub is not sub and new_area == cell_area
+        assert netlist_digest(sub) == before  # the old sub is untouched
+        new_context = framework._context_of(new_sub)
+        assert new_context is not context
+        assert new_context.digest() == netlist_digest(new_sub) != before
+        assert framework._cache_key(new_sub, new_area, 0) != key_before
+
+        # ... and the cluster is evaluated as the netlist it now is.
+        served = framework.sweep_cluster(source, cluster, cluster_id=swept[0])
+        fresh = VPRFramework(config).sweep_cluster(source, cluster, cluster_id=swept[0])
+        assert new_context.problem is not problem
+        costs = [(e.hpwl_cost, e.congestion_cost) for e in served.evaluations]
+        assert costs == [(e.hpwl_cost, e.congestion_cost) for e in fresh.evaluations]
+        assert costs != [(e.hpwl_cost, e.congestion_cost) for e in first.evaluations]

@@ -7,6 +7,7 @@ the sub-netlist cache's equivalence to fresh induction.
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.ppa_clustering import PPAClusteringConfig, ppa_aware_clustering
@@ -123,13 +124,12 @@ class TestSubnetlistCache:
         assert cached_area == fresh_area
         assert cached.num_instances == fresh.num_instances
         assert cached.num_nets == fresh.num_nets
-        assert sorted(cached.ports) == sorted(fresh.ports)
-        for c_inst, f_inst in zip(cached.instances, fresh.instances):
-            assert c_inst.name == f_inst.name
-            assert c_inst.master.name == f_inst.master.name
-        for c_net, f_net in zip(cached.nets, fresh.nets):
-            assert c_net.name == f_net.name
-            assert c_net.degree == f_net.degree
+        assert cached.port_names == fresh.port_names
+        assert cached.inst_names == fresh.inst_names
+        assert cached.master_names == fresh.master_names
+        assert np.array_equal(cached.inst_master, fresh.inst_master)
+        assert cached.net_names == fresh.net_names
+        assert np.array_equal(cached.net_degree, fresh.net_degree)
 
     def test_cached_evaluation_matches_fresh(self, jpeg_clusters):
         """Evaluating through the cache (shared PlacementProblem and

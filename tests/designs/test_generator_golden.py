@@ -42,7 +42,7 @@ GOLDEN = {
 
 def design_digest(design) -> str:
     h = hashlib.sha256()
-    h.update(netlist_digest(design).encode())
+    h.update(netlist_digest(design.arrays()).encode())
     h.update(repr((astuple(design.floorplan), design.clock_period)).encode())
     columns = design_snapshot(design)["columns"]
     for name in ("inst_x", "inst_y", "inst_fixed", "port_x", "port_y"):

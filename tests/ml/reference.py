@@ -53,7 +53,7 @@ class ReferenceExtractor:
             candidate: Shape filling the two design-parameter features;
                 None leaves them zero (set later via ``with_shape``).
         """
-        hgraph = Hypergraph.from_design(sub)
+        hgraph = Hypergraph.from_netlist(sub.arrays())
         n = hgraph.num_vertices
         rows, cols, weights = clique_expansion_reference(hgraph)
         operator = normalized_adjacency(rows, cols, weights, n)

@@ -74,8 +74,9 @@ class TestFeatures:
 
     def test_cell_area_feature(self, sub_netlist):
         sample = FeatureExtractor().extract(sub_netlist)
-        for inst in sub_netlist.instances:
-            assert sample.features[inst.index, 19] == pytest.approx(inst.area)
+        areas = sub_netlist.m_width * sub_netlist.m_height
+        for i, master in enumerate(sub_netlist.inst_master.tolist()):
+            assert sample.features[i, 19] == pytest.approx(areas[master])
 
     def test_deterministic(self, sub_netlist):
         a = FeatureExtractor(seed=1).extract(sub_netlist)

@@ -180,12 +180,16 @@ class TestExtractIdentity:
     @given(sub_netlists())
     @settings(max_examples=120, deadline=None)
     def test_features_and_operator_match_oracle(self, sub):
-        assert_same_sample(FeatureExtractor().extract(sub), ReferenceExtractor().extract(sub))
+        assert_same_sample(
+            FeatureExtractor().extract(sub.arrays()), ReferenceExtractor().extract(sub)
+        )
 
     @given(sub_netlists(), st.integers(min_value=0, max_value=40), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_any_pivot_count_and_seed(self, sub, num_pivots, seed):
-        new = FeatureExtractor(num_pivots=num_pivots, seed=seed).extract(sub, GRID[3])
+        new = FeatureExtractor(num_pivots=num_pivots, seed=seed).extract(
+            sub.arrays(), GRID[3]
+        )
         old = ReferenceExtractor(num_pivots=num_pivots, seed=seed).extract(sub, GRID[3])
         assert_same_sample(new, old)
 
@@ -193,13 +197,13 @@ class TestExtractIdentity:
     @pytest.mark.parametrize("num_nets", [0, 4])
     def test_tiny_sub_netlists(self, num_instances, num_nets, recwarn):
         sub = build_sub_netlist(num_instances, num_nets, 1, 0, False, True, seed=1)
-        new = FeatureExtractor().extract(sub)
+        new = FeatureExtractor().extract(sub.arrays())
         assert_same_sample(new, ReferenceExtractor().extract(sub))
         assert new.features.shape == (num_instances, 35)
         assert np.isfinite(new.features).all()
         # An empty cluster's averages are 0.0, not the mean of nothing.
         cluster = FeatureExtractor()._cluster_features(
-            sub, Hypergraph.from_design(sub), _graph_of(sub)
+            sub.arrays(), Hypergraph.from_netlist(sub.arrays()), _graph_of(sub)
         )
         assert np.isfinite(cluster).all()
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
@@ -209,19 +213,32 @@ class TestExtractIdentity:
         graph = _graph_of(sub)
         assert (graph.dist == -1).any()
         assert (graph.dist[np.arange(len(graph.pivots)), graph.pivots] == 0).all()
-        assert_same_sample(FeatureExtractor().extract(sub), ReferenceExtractor().extract(sub))
+        assert_same_sample(
+            FeatureExtractor().extract(sub.arrays()), ReferenceExtractor().extract(sub)
+        )
 
     def test_generated_cluster(self, medium_design):
+        """The flow's sub (columns, no object view) against the oracle on
+        the object sub the walk induces, not on a decode of the sub under
+        test."""
         from repro.core.vpr import extract_subnetlist
+        from tests.netlist.reference import extract_subnetlist_reference
 
-        sub = extract_subnetlist(medium_design, range(0, 600, 2))
-        assert_same_sample(FeatureExtractor().extract(sub), ReferenceExtractor().extract(sub))
+        members = range(0, 600, 2)
+        sub = extract_subnetlist(medium_design, members)
+        assert sub.design is None
+        assert_same_sample(
+            FeatureExtractor().extract(sub),
+            ReferenceExtractor().extract(
+                extract_subnetlist_reference(medium_design, members)
+            ),
+        )
 
 
 def _graph_of(sub):
     from repro.ml.features import _ClusterGraph
 
-    hgraph = Hypergraph.from_design(sub)
+    hgraph = Hypergraph.from_netlist(sub.arrays())
     rows, cols, _weights = hgraph.clique_expansion()
     n = hgraph.num_vertices
     return _ClusterGraph(n, rows, cols, FeatureExtractor()._pivots(n))
@@ -231,7 +248,7 @@ class TestCliqueExpansionIdentity:
     @given(sub_netlists())
     @settings(max_examples=80, deadline=None)
     def test_matches_double_loop(self, sub):
-        hgraph = Hypergraph.from_design(sub)
+        hgraph = Hypergraph.from_netlist(sub.arrays())
         for new, old in zip(hgraph.clique_expansion(), clique_expansion_reference(hgraph)):
             assert new.dtype == old.dtype
             assert np.array_equal(new, old)
@@ -253,7 +270,7 @@ class TestPredictSharedIdentity:
     @given(sub_netlists(), st.sampled_from([1, len(GRID)]))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_and_blockdiag(self, sub, batch):
-        base = FeatureExtractor().extract(sub)
+        base = FeatureExtractor().extract(sub.arrays())
         samples = [base.with_shape(candidate) for candidate in GRID[:batch]]
         features = np.stack([s.features for s in samples])
         before = features.copy()

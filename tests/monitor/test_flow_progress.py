@@ -177,7 +177,7 @@ class TestPlacerAndClusteringProgress:
         telemetry.enable(str(tmp_path))
         session = monitor.enable(str(tmp_path), interval=60.0)
         result = GlobalPlacer(
-            PlacementProblem(design), PlacerConfig(seed=0)
+            PlacementProblem(design.arrays(), design.floorplan), PlacerConfig(seed=0)
         ).run()
         records = {r["name"]: r for r in session.progress.records()}
         monitor.disable()
@@ -198,7 +198,8 @@ class TestPlacerAndClusteringProgress:
         telemetry.enable(str(tmp_path))
         session = monitor.enable(str(tmp_path), interval=60.0)
         GlobalPlacer(
-            PlacementProblem(design), PlacerConfig(seed=0, telemetry=None)
+            PlacementProblem(design.arrays(), design.floorplan),
+            PlacerConfig(seed=0, telemetry=None),
         ).run()
         assert session.progress.records() == []
         monitor.disable()

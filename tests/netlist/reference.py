@@ -1,7 +1,7 @@
 """The object-graph walks the array-native netlist core replaced, kept
 as the tests' oracle.
 
-``Hypergraph.from_design`` and ``PlacementProblem`` build from the
+``Hypergraph.from_netlist`` and ``PlacementProblem`` build from the
 ``NetlistArrays`` CSR kernels; until the ``use_arrays`` flag was deleted
 each also carried the per-net / per-instance Python walk below.  The
 bodies are verbatim, made standalone (the placement walk returns its

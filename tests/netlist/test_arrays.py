@@ -50,7 +50,7 @@ class TestConsumerEquivalence:
     def test_hypergraph_identical(self, bench_pair):
         d_arr, d_ref = bench_pair
         for kwargs in ({}, {"include_clock_nets": True}, {"max_edge_degree": 8}):
-            ha = Hypergraph.from_design(d_arr, **kwargs)
+            ha = Hypergraph.from_netlist(d_arr.arrays(), **kwargs)
             hr = hypergraph_reference(d_ref, **kwargs)
             assert ha.edges == hr.edges
             assert np.array_equal(ha.edge_weights, hr.edge_weights)
@@ -62,7 +62,9 @@ class TestConsumerEquivalence:
     def test_placement_problem_identical(self, bench_pair):
         d_arr, d_ref = bench_pair
         for include_clock in (False, True):
-            pa = PlacementProblem(d_arr, include_clock=include_clock)
+            pa = PlacementProblem(
+                d_arr.arrays(), d_arr.floorplan, include_clock=include_clock
+            )
             reference = placement_problem_reference(d_ref, include_clock)
             assert set(reference) == {
                 field
@@ -77,24 +79,26 @@ class TestConsumerEquivalence:
         ``pin_vertex_csr``, value for value and dtype for dtype, on the
         whole design (clock nets kept) and on induced sub-netlists."""
         from repro.core.vpr import extract_subnetlist
+        from tests.netlist.reference import extract_subnetlist_reference
 
         d_arr, d_ref = bench_pair
         n = d_arr.num_instances
-        pairs = [(d_arr, d_ref)] + [
-            (extract_subnetlist(d_arr, members), extract_subnetlist(d_ref, members))
+        pairs = [(d_arr.arrays(), d_ref)] + [
+            (
+                extract_subnetlist(d_arr, members),
+                extract_subnetlist_reference(d_ref, members),
+            )
             for members in (range(0, n // 3), range(n // 2, n // 2 + 25), [n - 1])
         ]
-        for design, reference in pairs:
+        for netlist, reference in pairs:
             pins, offsets = score_arrays_reference(reference)
-            pin_vertex, net_offsets, nets = design.arrays().pin_vertex_csr(
-                include_clock=True
-            )
+            pin_vertex, net_offsets, nets = netlist.pin_vertex_csr(include_clock=True)
             assert pin_vertex.dtype == pins.dtype and np.array_equal(pin_vertex, pins)
             assert net_offsets.dtype == offsets.dtype
             assert np.array_equal(net_offsets, offsets)
             assert len(nets) == len(offsets) - 1
             # Memoised: the next caller gets the same arrays.
-            assert design.arrays().pin_vertex_csr(include_clock=True)[0] is pin_vertex
+            assert netlist.pin_vertex_csr(include_clock=True)[0] is pin_vertex
 
     def test_timing_graph_identical(self, bench_pair):
         d_arr, d_ref = bench_pair
@@ -148,13 +152,13 @@ class TestRoundTrip:
     def test_digest_identity(self, bench_pair):
         design, _ = bench_pair
         rebuilt = design.arrays().to_design()
-        assert netlist_digest(rebuilt) == netlist_digest(design)
+        assert netlist_digest(rebuilt.arrays()) == netlist_digest(design.arrays())
 
     def test_rebuilt_design_equivalent_consumers(self, bench_pair):
         design, _ = bench_pair
         rebuilt = design.arrays().to_design()
-        ha = Hypergraph.from_design(design)
-        hb = Hypergraph.from_design(rebuilt)
+        ha = Hypergraph.from_netlist(design.arrays())
+        hb = Hypergraph.from_netlist(rebuilt.arrays())
         assert ha.edges == hb.edges
         assert hpwl(design) == hpwl(rebuilt)
         ra = TimingAnalyzer(
@@ -221,7 +225,7 @@ class TestSlotsAndPickling:
         design = generate_design(DesignSpec("snapshot_rt", 400, seed=5))
         snapshot = pickle.loads(pickle.dumps(design_snapshot(design)))
         rebuilt = design_from_snapshot(snapshot)
-        assert netlist_digest(rebuilt) == netlist_digest(design)
+        assert netlist_digest(rebuilt.arrays()) == netlist_digest(design.arrays())
         # A design rebuilt from flat columns alone has the source's
         # timing graph, arc for arc.
         for decoded, source in zip(
@@ -287,7 +291,7 @@ class TestGenerateArrays:
         assert design.num_nets == arrays.num_nets
         rebuilt = design.arrays()
         assert rebuilt is arrays
-        assert netlist_digest(design) == netlist_digest(source)
+        assert netlist_digest(design.arrays()) == netlist_digest(source.arrays())
         for built, reference in zip(
             TimingGraph(design).flat_arc_arrays(),
             TimingGraph(source).flat_arc_arrays(),

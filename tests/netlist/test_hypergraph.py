@@ -68,25 +68,25 @@ class TestBasics:
 
 class TestFromDesign:
     def test_excludes_clock(self, toy_design):
-        hg = Hypergraph.from_design(toy_design)
+        hg = Hypergraph.from_netlist(toy_design.arrays())
         # clk_net connects 1 instance + port -> would be 1 vertex, and
         # is a clock net anyway: excluded either way.
         assert all(ni != toy_design.net("clk_net").index for ni in hg.edge_net_indices)
 
     def test_vertex_areas_match_instances(self, toy_design):
-        hg = Hypergraph.from_design(toy_design)
+        hg = Hypergraph.from_netlist(toy_design.arrays())
         for inst in toy_design.instances:
             assert hg.vertex_areas[inst.index] == pytest.approx(inst.area)
 
     def test_port_only_pins_dropped(self, toy_design):
         # n_in0 connects port + u1: one vertex -> dropped.
-        hg = Hypergraph.from_design(toy_design)
+        hg = Hypergraph.from_netlist(toy_design.arrays())
         net_idx = toy_design.net("n_in0").index
         assert net_idx not in set(hg.edge_net_indices)
 
     def test_max_degree_filter(self, small_design):
-        hg_all = Hypergraph.from_design(small_design)
-        hg_cap = Hypergraph.from_design(small_design, max_edge_degree=3)
+        hg_all = Hypergraph.from_netlist(small_design.arrays())
+        hg_cap = Hypergraph.from_netlist(small_design.arrays(), max_edge_degree=3)
         assert hg_cap.num_edges < hg_all.num_edges
         assert all(len(e) <= 3 for e in hg_cap.edges)
 

@@ -30,7 +30,8 @@ class TestClusterArtifacts:
     def test_seed_def_roundtrip(self, clustered):
         from repro.place import GlobalPlacer, PlacementProblem
 
-        GlobalPlacer(PlacementProblem(clustered.design)).run()
+        placed = clustered.design
+        GlobalPlacer(PlacementProblem(placed.arrays(), placed.floorplan)).run()
         text = write_def(clustered.design)
         parsed = parse_def(text)
         assert len(parsed.components) == clustered.num_clusters

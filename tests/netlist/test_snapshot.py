@@ -18,6 +18,7 @@ from repro.designs.nangate45 import make_library
 from repro.netlist import NetlistArrays, design_from_snapshot, design_snapshot
 from repro.netlist.arrays import COLUMNS
 from repro.netlist.design import Design, Floorplan, MasterCell, PinDirection
+from repro.netlist.snapshot import netlist_from_snapshot
 from tests.netlist.reference import design_from_reference, snapshot_reference
 
 
@@ -73,7 +74,10 @@ class TestRoundtrip:
         content address the original does."""
         sub = extract_subnetlist(design, range(0, 120))
         rebuilt = design_from_snapshot(design_snapshot(sub))
-        assert netlist_digest(rebuilt) == netlist_digest(sub)
+        assert netlist_digest(rebuilt.arrays()) == netlist_digest(sub)
+        assert netlist_digest(netlist_from_snapshot(design_snapshot(sub))) == (
+            netlist_digest(sub)
+        )
 
 
 class TestPickleSafety:
@@ -89,7 +93,7 @@ class TestPickleSafety:
         finally:
             sys.setrecursionlimit(limit)
         restored = design_from_snapshot(pickle.loads(blob))
-        assert netlist_digest(restored) == netlist_digest(sub)
+        assert netlist_digest(restored.arrays()) == netlist_digest(sub)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +200,7 @@ def _blockage_added_and_removed():
 
 
 def _one_instance_sub():
-    return extract_subnetlist(_base("single"), [1])
+    return extract_subnetlist(_base("single"), [1]).to_design()
 
 
 def _placed_weighted_fixed():
@@ -228,7 +232,7 @@ def _assert_roundtrip(design, monkeypatch, transport=lambda payload: payload):
     """Codec round trip == the design, by every measure there is."""
     rebuilt = design_from_snapshot(transport(design_snapshot(design)))
     assert snapshot_reference(rebuilt) == snapshot_reference(design)
-    assert netlist_digest(rebuilt) == netlist_digest(design)
+    assert netlist_digest(rebuilt.arrays()) == netlist_digest(design.arrays())
     # ... and the design the construction-API decoder used to build,
     # down to the order each instance lists its nets in (sub-netlist
     # extraction follows it).
@@ -292,8 +296,25 @@ class TestOneFlatForm:
             DesignSpec("prop", size, clock_period=0.8, num_macros=macros, seed=seed)
         )
         if induce:
-            design = extract_subnetlist(design, range(size // 4, size // 4 + size // 2))
+            members = range(size // 4, size // 4 + size // 2)
+            design = extract_subnetlist(design, members).to_design()
         _assert_roundtrip(design, monkeypatch, transport=_through_npz_and_json)
+
+    @pytest.mark.parametrize("build", PATHOLOGICAL, ids=lambda f: f.__name__.strip("_"))
+    def test_columns_decode_builds_no_object_view(self, build, monkeypatch):
+        """What a fleet worker decodes: the columns, the same digest and
+        the same snapshot again, with no object built."""
+        design = build()
+        payload = _through_npz_and_json(design_snapshot(design))
+        monkeypatch.setattr(arrays_module, "Instance", _refuse_build)
+        decoded = netlist_from_snapshot(payload)
+        assert decoded.design is None
+        assert netlist_digest(decoded) == netlist_digest(design.arrays())
+        again = design_snapshot(decoded)
+        assert again["header"] == payload["header"]
+        for name in COLUMNS:
+            got, want = again["columns"][name], payload["columns"][name]
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_snapshot_is_the_cached_form_not_a_second_walk(self, design, monkeypatch):
         design.arrays()
@@ -324,8 +345,10 @@ class TestValidateThenBuild:
         return payload
 
     def _rejects(self, payload, match):
-        with pytest.raises(ValueError, match=match):
-            design_from_snapshot(payload)
+        """Both decoders, the columns-only one a fleet worker uses too."""
+        for decode in (design_from_snapshot, netlist_from_snapshot):
+            with pytest.raises(ValueError, match=match):
+                decode(payload)
 
     def test_wrong_tag(self, payload):
         payload["form"] = "repro.netlist.arrays/0"

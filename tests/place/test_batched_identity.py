@@ -94,7 +94,7 @@ def stacked_problem():
     """One netlist, 6 virtual dies, coordinates with ties and cells
     piled on the core edge (as after a clip)."""
     design = generate_design(DesignSpec("bi", 260, clock_period=0.8, seed=5))
-    problem = PlacementProblem(design)
+    problem = PlacementProblem(design.arrays(), design.floorplan)
     rng = np.random.default_rng(2)
     n = problem.num_vertices
     floorplans = [
@@ -313,10 +313,12 @@ def cluster_cases():
 
 class TestBatchComposition:
     def test_fixture_covers_the_degenerate_clusters(self, cluster_cases):
-        assert len(cluster_cases["ported"][1].ports) > 0
-        assert len(cluster_cases["no_ports"][1].ports) == 0
-        stray = cluster_cases["isolated_movable"][1].instance("stray")
-        assert not stray.pin_nets
+        assert cluster_cases["ported"][1].num_ports > 0
+        assert cluster_cases["no_ports"][1].num_ports == 0
+        sub = cluster_cases["isolated_movable"][1]
+        indptr, _rows = sub.instance_pin_csr()
+        stray = sub.inst_names.index("stray")
+        assert indptr[stray] == indptr[stray + 1]  # no pins
         for _framework, _sub, _area, singles in cluster_cases.values():
             assert all(np.isfinite(pair).all() for pair in singles)
 

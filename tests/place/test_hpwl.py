@@ -64,7 +64,7 @@ class TestDesignHpwl:
 
 class TestArrayEquivalence:
     def test_matches_object_model(self, small_design):
-        problem = PlacementProblem(small_design)
+        problem = PlacementProblem(small_design.arrays(), small_design.floorplan)
         from_arrays = problem.hpwl()
         from_objects = hpwl(small_design)
         assert from_arrays == pytest.approx(from_objects)
@@ -77,7 +77,7 @@ class TestArrayEquivalence:
         for inst in design.instances:
             inst.x = float(rng.uniform(0, 50))
             inst.y = float(rng.uniform(0, 50))
-        problem = PlacementProblem(design)
+        problem = PlacementProblem(design.arrays(), design.floorplan)
         assert problem.hpwl() == pytest.approx(hpwl(design))
 
     def test_hpwl_arrays_direct(self):

@@ -14,38 +14,57 @@ from repro.place import (
 
 @pytest.fixture
 def placed_problem(small_design_fresh):
-    problem = PlacementProblem(small_design_fresh)
+    problem = PlacementProblem(
+        small_design_fresh.arrays(), small_design_fresh.floorplan
+    )
     result = GlobalPlacer(problem, PlacerConfig(seed=3)).run()
     return small_design_fresh, problem, result
 
 
 class TestPlacementProblem:
     def test_vertex_layout(self, small_design):
-        problem = PlacementProblem(small_design)
+        problem = PlacementProblem(small_design.arrays(), small_design.floorplan)
         assert problem.num_vertices == small_design.num_instances + len(
             small_design.ports
         )
         assert problem.num_movable_instances == small_design.num_instances
 
     def test_ports_fixed(self, small_design):
-        problem = PlacementProblem(small_design)
-        for name in small_design.ports:
-            assert problem.fixed[problem.port_vertex(name)]
+        problem = PlacementProblem(small_design.arrays(), small_design.floorplan)
+        port_vertices = problem.fixed[small_design.num_instances :]
+        assert len(port_vertices) == len(small_design.ports) and port_vertices.all()
 
     def test_fixed_instances_respected(self, medium_design):
-        problem = PlacementProblem(medium_design)
+        problem = PlacementProblem(medium_design.arrays(), medium_design.floorplan)
         for inst in medium_design.macro_instances():
             assert problem.fixed[inst.index]
 
     def test_clip_to_core(self, small_design_fresh):
-        problem = PlacementProblem(small_design_fresh)
+        problem = PlacementProblem(
+            small_design_fresh.arrays(), small_design_fresh.floorplan
+        )
         problem.x[problem.movable] = -100.0
         problem.clip_to_core()
         fp = small_design_fresh.floorplan
         assert problem.x[problem.movable].min() >= fp.core_llx
 
+    def test_a_netlist_without_an_object_view_keeps_its_placement(self, small_design):
+        """An ordinary run on a sub's columns returns its result and
+        leaves the coordinates in the problem (the commit had no
+        instances to write to and raised)."""
+        from repro.core.vpr import extract_subnetlist
+        from repro.netlist.design import Floorplan
+
+        sub = extract_subnetlist(small_design, range(60))
+        problem = PlacementProblem(sub, Floorplan(die_width=30.0, die_height=30.0))
+        result = GlobalPlacer(problem, PlacerConfig(seed=3)).run()
+        assert result.error is None and np.isfinite(problem.x).all()
+        assert sub.design is None
+
     def test_commit_writes_back(self, small_design_fresh):
-        problem = PlacementProblem(small_design_fresh)
+        problem = PlacementProblem(
+            small_design_fresh.arrays(), small_design_fresh.floorplan
+        )
         problem.x[0] = 12.5
         problem.y[0] = 13.5
         problem.commit()
@@ -89,7 +108,7 @@ class TestGlobalPlacement:
             design = generate_design(
                 DesignSpec("d", 200, clock_period=0.7, seed=9)
             )
-            problem = PlacementProblem(design)
+            problem = PlacementProblem(design.arrays(), design.floorplan)
             GlobalPlacer(problem, PlacerConfig(max_iterations=8, seed=1)).run()
             return problem.x.copy()
 
@@ -126,7 +145,8 @@ class TestNonFiniteSolve:
         before = [(inst.x, inst.y) for inst in design.instances]
         self._poison_spreading(monkeypatch)
         with pytest.raises(FloatingPointError, match="non-finite B2B solve"):
-            GlobalPlacer(PlacementProblem(design), PlacerConfig(seed=3)).run()
+            problem = PlacementProblem(design.arrays(), design.floorplan)
+            GlobalPlacer(problem, PlacerConfig(seed=3)).run()
         assert [(inst.x, inst.y) for inst in design.instances] == before
 
     def test_stacked_run_reports_every_failed_system(
@@ -134,7 +154,9 @@ class TestNonFiniteSolve:
     ):
         """Once every system has left the lockstep, the round that
         follows measures nothing instead of reshaping an empty set."""
-        problem = PlacementProblem(small_design_fresh)
+        problem = PlacementProblem(
+            small_design_fresh.arrays(), small_design_fresh.floorplan
+        )
         n_inst = problem.num_movable_instances
         ports = [np.tile(axis[n_inst:], (2, 1)) for axis in (problem.x, problem.y)]
         problem.stack_dies([small_design_fresh.floorplan] * 2, *ports)
@@ -148,7 +170,7 @@ class TestIncrementalPlacement:
         """An incremental run seeded with a converged placement stays
         strongly correlated with it (the seed is not erased)."""
         design = small_design_fresh
-        problem = PlacementProblem(design)
+        problem = PlacementProblem(design.arrays(), design.floorplan)
         GlobalPlacer(problem, PlacerConfig(seed=3)).run()
         seed_x = problem.x.copy()
         seed_y = problem.y.copy()
@@ -167,7 +189,7 @@ class TestIncrementalPlacement:
     def test_incremental_spreads(self, small_design_fresh):
         design = small_design_fresh
         fp = design.floorplan
-        problem = PlacementProblem(design)
+        problem = PlacementProblem(design.arrays(), design.floorplan)
         m = problem.movable
         problem.x[m] = 0.5 * (fp.core_llx + fp.core_urx)
         problem.y[m] = 0.5 * (fp.core_lly + fp.core_ury)
@@ -198,7 +220,7 @@ class TestRegions:
     ):
         design = small_design_fresh
         fp = design.floorplan
-        problem = PlacementProblem(design)
+        problem = PlacementProblem(design.arrays(), design.floorplan)
         members = list(range(0, 40))
         region = RegionConstraint(
             "r",

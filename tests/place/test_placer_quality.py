@@ -23,7 +23,7 @@ class TestQuality:
     def test_connected_cells_end_up_close(self):
         """Mean net HPWL is far below the random-pair expectation."""
         design = fresh()
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         fp = design.floorplan
         # Expected HPWL of two uniform random points: (W+H)/3.
         random_two_pin = (fp.core_width + fp.core_height) / 3
@@ -40,7 +40,7 @@ class TestQuality:
         from repro.place.hpwl import net_hpwl
 
         design = fresh(seed=202)
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         io_spans = []
         internal_spans = []
         for net in design.nets:
@@ -70,7 +70,8 @@ class TestQuality:
                 key=lambda n: n.degree,
             )
             target.weight = weight
-            GlobalPlacer(PlacementProblem(design), PlacerConfig(seed=1)).run()
+            problem = PlacementProblem(design.arrays(), design.floorplan)
+            GlobalPlacer(problem, PlacerConfig(seed=1)).run()
             return net_hpwl(design, target)
 
         assert span_of_target(50.0) < span_of_target(1.0)
@@ -81,7 +82,8 @@ class TestQuality:
         for seed in (0, 1, 2):
             design = fresh(seed=204)
             GlobalPlacer(
-                PlacementProblem(design), PlacerConfig(seed=seed)
+                PlacementProblem(design.arrays(), design.floorplan),
+                PlacerConfig(seed=seed),
             ).run()
             values.append(hpwl(design))
         spread = (max(values) - min(values)) / np.mean(values)
@@ -91,7 +93,7 @@ class TestQuality:
         """The structural claim behind Table 2: refining a good seed
         takes fewer iterations than placing from scratch."""
         design = fresh(seed=205, n=800)
-        problem = PlacementProblem(design)
+        problem = PlacementProblem(design.arrays(), design.floorplan)
         full = GlobalPlacer(problem, PlacerConfig(seed=0)).run()
         # Re-place incrementally from the converged result.
         incremental = GlobalPlacer(

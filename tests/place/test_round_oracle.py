@@ -224,7 +224,7 @@ def _placement(draw, systems):
     coords = _coords(draw, 2, n, lo=2.0, hi=34.0)
     for inst, x, y in zip(design.instances, *coords.tolist()):
         inst.x, inst.y = x, y
-    problem = PlacementProblem(design)
+    problem = PlacementProblem(design.arrays(), design.floorplan)
     problem.pin_vertex, problem.net_offsets = pin_vertex, net_offsets
     problem.net_weights, problem.fixed = weights, fixed
     if systems:
@@ -309,7 +309,7 @@ class TestWholeRuns:
         """Six dies of one generated netlist retire at different rounds,
         so the carried sort is cut to the systems still active."""
         design = generate_design(DesignSpec("oracle", 260, clock_period=0.8, seed=5))
-        problem = PlacementProblem(design)
+        problem = PlacementProblem(design.arrays(), design.floorplan)
         rng = np.random.default_rng(4)
         ports = problem.num_vertices - problem.num_movable_instances
         problem.stack_dies(

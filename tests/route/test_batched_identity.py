@@ -35,6 +35,7 @@ from repro.route import steiner
 from repro.route.global_route import _round_nm
 from repro.route.steiner import MAX_MST_PINS, rsmt
 
+from tests.netlist.reference import extract_subnetlist_reference
 from tests.place.test_batched_identity import _chain_design
 from tests.route.reference import (
     ReferenceRouter,
@@ -96,12 +97,15 @@ def _cluster_cases():
 
 @pytest.fixture(scope="module")
 def routed_cases():
-    """name -> (sub, dies, X, Y, the 20 reference results)."""
+    """name -> (sub, oracle, dies, X, Y, the 20 reference results): the
+    reference router runs on ``oracle``, the object sub the walk
+    induces, never on a decode of the ``sub`` under test."""
     out = {}
     for name, (design, members) in _cluster_cases().items():
         sub = extract_subnetlist(design, members)
+        oracle = extract_subnetlist_reference(design, members)
         area = sum(design.instances[i].area for i in members)
-        dies = [_virtual_die(len(sub.ports), area, c) for c in GRID]
+        dies = [_virtual_die(sub.num_ports, area, c) for c in GRID]
         problem = _SubContext(sub).placement_problem(dies)
         if name == "all_degenerate":
             # Every pin of every net on one point (within the 1 nm key).
@@ -121,19 +125,19 @@ def routed_cases():
         x, y = problem.x.copy(), problem.y.copy()
         references = []
         for k, die in enumerate(dies):
-            _commit(sub, die, x[k], y[k])
-            references.append(ReferenceRouter(sub, _grid(die[0])).run())
-        out[name] = (sub, dies, x, y, references)
+            _commit(oracle, die, x[k], y[k])
+            references.append(ReferenceRouter(oracle, _grid(die[0])).run())
+        out[name] = (sub, oracle, dies, x, y, references)
     return out
 
 
 class TestStackComposition:
     def test_fixture_covers_the_degenerate_clusters(self, routed_cases):
-        assert len(routed_cases["ported"][0].ports) > 0
-        assert len(routed_cases["no_ports"][0].ports) == 0
+        assert routed_cases["ported"][0].num_ports > 0
+        assert routed_cases["no_ports"][0].num_ports == 0
         for name in ("ported", "no_ports"):
-            assert all(r.routed_wirelength > 0 for r in routed_cases[name][4])
-        for reference in routed_cases["all_degenerate"][4]:
+            assert all(r.routed_wirelength > 0 for r in routed_cases[name][5])
+        for reference in routed_cases["all_degenerate"][5]:
             assert reference.net_lengths and not any(reference.net_lengths.values())
             assert not reference.grid.h_usage.any()
 
@@ -151,7 +155,7 @@ class TestStackComposition:
     def test_any_subset_in_any_order_equals_the_reference(
         self, routed_cases, case, picks
     ):
-        sub, dies, x, y, references = routed_cases[case]
+        sub, _oracle, dies, x, y, references = routed_cases[case]
         stacked = GlobalRouter(
             sub, grid=[_grid(dies[k][0]) for k in picks], x=x[picks], y=y[picks]
         ).run()
@@ -162,25 +166,27 @@ class TestStackComposition:
     @pytest.mark.parametrize("case", ["ported", "no_ports", "all_degenerate"])
     def test_single_system_calls_equal_the_reference(self, routed_cases, case):
         """K = 1 both ways: a one-row stack, and the ordinary router
-        reading the design's own coordinates."""
-        sub, dies, x, y, references = routed_cases[case]
+        reading the (oracle) design's own coordinates."""
+        sub, oracle, dies, x, y, references = routed_cases[case]
         for k in (0, 7, 19):
             (one_row,) = GlobalRouter(
                 sub, grid=[_grid(dies[k][0])], x=x[[k]], y=y[[k]]
             ).run()
             assert_same_routing(one_row, references[k])
-            _commit(sub, dies[k], x[k], y[k])
+            _commit(oracle, dies[k], x[k], y[k])
             assert_same_routing(
-                GlobalRouter(sub, grid=_grid(dies[k][0])).run(), references[k]
+                GlobalRouter(oracle.arrays(), _grid(dies[k][0])).run(), references[k]
             )
 
     def test_flow_level_route_equals_the_reference(self):
         design = generate_design(DesignSpec("flow", 700, clock_period=0.8, seed=5))
         from repro.place import PlacementProblem
 
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         for include_clock in (False, True):
-            result = GlobalRouter(design, include_clock=include_clock).run()
+            result = GlobalRouter(
+                design.arrays(), design.floorplan, include_clock=include_clock
+            ).run()
             expected = ReferenceRouter(
                 design, _grid(design.floorplan, 2048), include_clock
             ).run()
@@ -287,7 +293,7 @@ def _route_both(design, prepare=lambda grid: None):
     for grid in grids:
         prepare(grid)
     return (
-        GlobalRouter(design, grid=grids[0]).run(),
+        GlobalRouter(design.arrays(), grid=grids[0]).run(),
         ReferenceRouter(design, grids[1]).run(),
     )
 
@@ -376,7 +382,7 @@ class TestNumericGuard:
     def test_non_finite_system_fails_alone(self, routed_cases):
         from repro import perf, telemetry
 
-        sub, dies, x, y, references = routed_cases["ported"]
+        sub, _oracle, dies, x, y, references = routed_cases["ported"]
         picks = [3, 8, 12, 16]
         x, y = x[picks], y[picks]
         x[1, 0] = np.nan
@@ -406,7 +412,7 @@ class TestNumericGuard:
         design = _pin_design([[(5.0, 5.0), (95.0, 60.0)]])
         grid = _grid(design.floorplan, 2048)
         grid.h_usage[3, 3] = np.nan
-        result = GlobalRouter(design, grid=grid).run()
+        result = GlobalRouter(design.arrays(), grid=grid).run()
         assert "non-finite" in result.error and np.isnan(result.routed_wirelength)
 
     @pytest.mark.parametrize("width, height", [(0.0, 50.0), (50.0, 0.0)])

@@ -26,7 +26,7 @@ def two_cell_design(x1, y1, x2, y2, die=100.0):
 class TestPatternRouting:
     def test_straight_horizontal(self):
         design, net = two_cell_design(10, 50, 90, 50)
-        result = GlobalRouter(design).run()
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
         grid = result.grid
         # Demand only in the row band containing y=50.
         assert grid.h_usage.sum() > 0
@@ -35,20 +35,20 @@ class TestPatternRouting:
 
     def test_straight_vertical(self):
         design, net = two_cell_design(50, 10, 50, 90)
-        result = GlobalRouter(design).run()
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
         assert result.grid.v_usage.sum() > 0
         assert result.grid.h_usage.sum() == 0
 
     def test_l_route_uses_both_directions(self):
         design, net = two_cell_design(10, 10, 90, 90)
-        result = GlobalRouter(design).run()
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
         assert result.grid.h_usage.sum() > 0
         assert result.grid.v_usage.sum() > 0
         assert result.net_lengths[net.index] == pytest.approx(160.0)
 
     def test_same_gcell_zero_demand(self):
         design, net = two_cell_design(50.0, 50.0, 50.4, 50.4)
-        result = GlobalRouter(design).run()
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
         assert result.grid.h_usage.sum() == 0
         assert result.grid.v_usage.sum() == 0
 
@@ -60,7 +60,7 @@ class TestPatternRouting:
         # the horizontal-first L becomes expensive.
         row = grid.cell_of(10, 10)[1]
         grid.h_usage[row, :] = 100 * grid.h_capacity
-        result = GlobalRouter(design, grid=grid).run()
+        result = GlobalRouter(design.arrays(), grid=grid).run()
         # Vertical-first L: vertical demand in the source column.
         col = grid.cell_of(10, 10)[0]
         assert grid.v_usage[:, col].sum() > 0
@@ -71,7 +71,7 @@ class TestPatternRouting:
         # Saturate everything: whatever path is taken is congested.
         grid.h_usage[:, :] = 3 * grid.h_capacity
         grid.v_usage[:, :] = 3 * grid.v_capacity
-        result = GlobalRouter(design, grid=grid).run()
+        result = GlobalRouter(design.arrays(), grid=grid).run()
         base = 160.0
         assert result.net_lengths[net.index] > base
         assert result.net_lengths[net.index] <= base * (1 + DETOUR_FACTOR * 5)
@@ -80,9 +80,11 @@ class TestPatternRouting:
         from repro.place import GlobalPlacer, PlacementProblem
 
         design = small_design_fresh
-        GlobalPlacer(PlacementProblem(design)).run()
-        without = GlobalRouter(design).run()
-        with_clock = GlobalRouter(design, include_clock=True).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
+        without = GlobalRouter(design.arrays(), design.floorplan).run()
+        with_clock = GlobalRouter(
+            design.arrays(), design.floorplan, include_clock=True
+        ).run()
         clock = design.net("clk_net")
         assert clock.index not in without.net_lengths
         assert clock.index in with_clock.net_lengths
@@ -121,7 +123,7 @@ class TestNetPointsReference:
         design = generate_design(
             DesignSpec("np_ref", 400, clock_period=0.8, logic_depth=6, seed=3)
         )
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         csr = self._csr_points(design)
         checked = 0
         for net in design.nets:
@@ -135,4 +137,5 @@ class TestNetPointsReference:
         design, net = two_cell_design(50.0, 50.0, 50.0, 50.0)
         assert net_points_reference(design, net) == [(50.0, 50.0)]
         # ... and the router agrees the net is degenerate.
-        assert GlobalRouter(design).run().net_lengths[net.index] == 0.0
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
+        assert result.net_lengths[net.index] == 0.0

@@ -41,7 +41,7 @@ class TestRouterProperties:
         routed tree edges (every edge unit is accounted exactly once)."""
         design, net = random_net_design(points)
         grid = GCellGrid.for_floorplan(design.floorplan)
-        GlobalRouter(design, grid=grid).run()
+        GlobalRouter(design.arrays(), grid=grid).run()
         demand = grid.h_usage.sum() + grid.v_usage.sum()
 
         tree = rsmt(points)
@@ -70,7 +70,7 @@ class TestRouterProperties:
         """Routed net length sits between HPWL/2 and the congestion-free
         Steiner length (no congestion in a single-net design)."""
         design, net = random_net_design(points)
-        result = GlobalRouter(design).run()
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
@@ -83,5 +83,5 @@ class TestRouterProperties:
     @settings(max_examples=15, deadline=None)
     def test_single_net_never_overflows(self, points):
         design, _net = random_net_design(points)
-        result = GlobalRouter(design).run()
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
         assert result.overflow_fraction == 0.0

@@ -20,8 +20,8 @@ def routed_design():
     design = generate_design(
         DesignSpec("r", 500, clock_period=0.7, logic_depth=8, seed=17)
     )
-    GlobalPlacer(PlacementProblem(design)).run()
-    result = GlobalRouter(design).run()
+    GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
+    result = GlobalRouter(design.arrays(), design.floorplan).run()
     return design, result
 
 
@@ -129,13 +129,13 @@ class TestGlobalRouting:
 
     def test_deterministic(self, routed_design):
         design, result = routed_design
-        again = GlobalRouter(design).run()
+        again = GlobalRouter(design.arrays(), design.floorplan).run()
         assert again.routed_wirelength == pytest.approx(result.routed_wirelength)
 
     def test_congestion_increases_with_demand(self, routed_design):
         design, _ = routed_design
         small_grid = GCellGrid.for_floorplan(design.floorplan, target_cells=64)
-        result = GlobalRouter(design, grid=small_grid).run()
+        result = GlobalRouter(design.arrays(), grid=small_grid).run()
         # Same demand on fewer, larger cells: usage accumulates.
         assert result.grid.h_usage.sum() + result.grid.v_usage.sum() > 0
 

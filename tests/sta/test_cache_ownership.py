@@ -196,7 +196,7 @@ class TestSizingFreesTheStaleCompilation:
     def test_invalidate_flat_drops_the_compilation(self):
         design = _design()
         design.clock_period = 0.2  # failing paths: the pass must resize
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         graph = timing_graph_for(design)
         stale = weakref.ref(flat_for(graph))
         sizing = resize_gates(design, graph, PlacementWireModel(design))

@@ -19,7 +19,7 @@ def placed():
     design = generate_design(
         DesignSpec("stc", 600, clock_period=0.8, logic_depth=10, seed=211)
     )
-    GlobalPlacer(PlacementProblem(design)).run()
+    GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
     return design
 
 
@@ -74,7 +74,7 @@ class TestPlacementTimingCoupling:
         from repro.route import GlobalRouter
 
         design = placed
-        routing = GlobalRouter(design).run()
+        routing = GlobalRouter(design.arrays(), design.floorplan).run()
         graph = TimingGraph(design)
         placed_wns = TimingAnalyzer(
             graph, PlacementWireModel(design)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from benchmarks._tables import _fmt, bench_scale, format_table
+from benchmarks.ext.shape_extensions import _configure_virtual_die
 from repro.core.ppa_clustering import ppa_aware_clustering
 from repro.core.seeded import _cluster_regions
 from repro.core.clustered_netlist import build_clustered_netlist
 from repro.core.shapes import ShapeCandidate
-from repro.core.subnetlist import _configure_virtual_die, extract_subnetlist
+from repro.core.subnetlist import extract_subnetlist
 from repro.db.database import DesignDatabase
 from repro.designs import DesignSpec, generate_design
 from repro.designs.nangate45 import COMB_MIX, SEQ_MIX, make_library
@@ -81,7 +82,7 @@ class TestVirtualDie:
         db = DesignDatabase(small_design)
         clustering = ppa_aware_clustering(db)
         members = max(clustering.members(), key=len)
-        sub = extract_subnetlist(small_design, members)
+        sub = extract_subnetlist(small_design, members).to_design()
         area = sum(small_design.instances[i].area for i in members)
         shape = ShapeCandidate(aspect_ratio=1.5, utilization=0.8)
         _configure_virtual_die(sub, area, shape)
@@ -96,7 +97,7 @@ class TestVirtualDie:
         db = DesignDatabase(small_design)
         clustering = ppa_aware_clustering(db)
         members = max(clustering.members(), key=len)
-        sub = extract_subnetlist(small_design, members)
+        sub = extract_subnetlist(small_design, members).to_design()
         area = sum(small_design.instances[i].area for i in members)
         _configure_virtual_die(sub, area, ShapeCandidate(1.0, 0.85))
         fp = sub.floorplan
@@ -174,7 +175,7 @@ class TestGeneratorKnobs:
                     seed=9,
                 )
             )
-            hg = Hypergraph.from_design(design)
+            hg = Hypergraph.from_netlist(design.arrays())
             result = hierarchy_based_clustering(hg, HierarchyTree(design))
             return hg.cut_size(result.cluster_of) / hg.edge_weights.sum()
 

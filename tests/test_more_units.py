@@ -85,14 +85,18 @@ class TestModelStateDict:
 
 class TestProblemPositions:
     def test_set_positions_all(self, small_design_fresh):
-        problem = PlacementProblem(small_design_fresh)
+        problem = PlacementProblem(
+            small_design_fresh.arrays(), small_design_fresh.floorplan
+        )
         xs = np.full(problem.num_vertices, 3.0)
         ys = np.full(problem.num_vertices, 4.0)
         problem.set_positions(xs, ys, only_movable=False)
         assert problem.x[problem.fixed].max() == 3.0
 
     def test_set_positions_movable_only(self, small_design_fresh):
-        problem = PlacementProblem(small_design_fresh)
+        problem = PlacementProblem(
+            small_design_fresh.arrays(), small_design_fresh.floorplan
+        )
         fixed_x = problem.x[problem.fixed].copy()
         xs = np.full(problem.num_vertices, 9.0)
         ys = np.full(problem.num_vertices, 9.0)
@@ -108,7 +112,7 @@ class TestBufferingDepthGuard:
         from repro.sta import PlacementWireModel
 
         design = medium_design_fresh
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         n_before = design.num_instances
         # Absurdly small budget: recursion must stop at MAX_LEVELS.
         buffer_high_fanout_nets(

@@ -15,7 +15,7 @@ from repro.sta import (
 @pytest.fixture
 def placed_design(medium_design_fresh):
     design = medium_design_fresh
-    GlobalPlacer(PlacementProblem(design)).run()
+    GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
     return design
 
 

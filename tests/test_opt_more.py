@@ -11,7 +11,7 @@ class TestOptPipeline:
     @pytest.fixture
     def placed(self, medium_design_fresh):
         design = medium_design_fresh
-        GlobalPlacer(PlacementProblem(design)).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         return design
 
     def test_buffer_then_size_improves_timing(self, placed):

@@ -47,7 +47,7 @@ class TestClusteringProperties:
     @settings(max_examples=15, deadline=None)
     def test_fc_is_complete_partition(self, seed, target):
         design = design_for(seed % 4)
-        hg = Hypergraph.from_design(design)
+        hg = Hypergraph.from_netlist(design.arrays())
         clusters = first_choice_clustering(
             hg, FirstChoiceConfig(target_clusters=target, seed=seed)
         )
@@ -63,7 +63,7 @@ class TestClusteringProperties:
         cluster exponent is ln(E/pins)/ln(size)+1 with E <= pins, so
         R_c <= 1 and bounded below by full containment."""
         design = design_for(seed % 4)
-        hg = Hypergraph.from_design(design)
+        hg = Hypergraph.from_netlist(design.arrays())
         clusters = first_choice_clustering(
             hg, FirstChoiceConfig(target_clusters=12, seed=seed)
         )
@@ -74,7 +74,7 @@ class TestClusteringProperties:
     @settings(max_examples=10, deadline=None)
     def test_contract_cut_identity(self, seed):
         design = design_for(seed % 4)
-        hg = Hypergraph.from_design(design)
+        hg = Hypergraph.from_netlist(design.arrays())
         clusters = first_choice_clustering(
             hg, FirstChoiceConfig(target_clusters=10, seed=seed)
         )
@@ -156,7 +156,7 @@ class TestClusteredNetlistProperties:
     @settings(max_examples=8, deadline=None)
     def test_cluster_net_degrees_bounded(self, seed):
         design = design_for(seed % 4)
-        hg = Hypergraph.from_design(design)
+        hg = Hypergraph.from_netlist(design.arrays())
         clusters = first_choice_clustering(
             hg, FirstChoiceConfig(target_clusters=15, seed=seed)
         )

@@ -24,7 +24,7 @@ from repro.sta.graph import TimingGraph
 @pytest.mark.parametrize(
     "func, flag",
     [
-        (Hypergraph.from_design, "use_arrays"),
+        (Hypergraph.from_netlist, "use_arrays"),
         (PlacementProblem.__init__, "use_arrays"),
         (TimingGraph.__init__, "use_arrays"),
         (TimingAnalyzer.__init__, "vectorize"),
@@ -185,7 +185,8 @@ def test_one_flat_form_one_cache():
 
     gone = re.compile(
         r"\b(_DesignNetArrays|_net_arrays|_hpwl_net_arrays|_structure_fingerprint"
-        r"|_sub_fingerprint|score_arrays|score_pins|_parse_listen)\b"
+        r"|_sub_fingerprint|score_arrays|score_pins|_parse_listen"
+        r"|_configure_virtual_die)\b"
     )
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
         assert not gone.search(path.read_text()), path
@@ -198,6 +199,19 @@ def test_one_flat_form_one_cache():
     }
     assert not called & {"MasterCell", "CellPin", "PinRef", "Instance", "Net"}
     assert not [n for n in called if n.startswith(("add_", "connect"))]
+
+    # A sub is columns: the V-P&R, fleet-worker and ML paths build no
+    # object view of one.
+    from repro.core import worker
+    from repro.ml import features, model
+
+    for module in (subnetlist, vpr, sweep, worker, features, model):
+        called = {
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(ast.parse(inspect.getsource(module)))
+            if isinstance(node, ast.Call)
+        }
+        assert not called & {"to_design", "design_from_snapshot"}, module.__name__
 
     # Nothing in the sweep, the sub-netlist induce or its digest walks
     # a net's pin objects, and HPWL keeps only the per-net spot check.

@@ -52,8 +52,8 @@ class TestCongestionSvg:
         from repro.place import GlobalPlacer, PlacementProblem
 
         design = small_design_fresh
-        GlobalPlacer(PlacementProblem(design)).run()
-        result = GlobalRouter(design).run()
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
         text = render_congestion_svg(design, result.grid)
         assert "</svg>" in text
         assert text.count("<rect") > 10  # background + cells

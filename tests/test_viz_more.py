@@ -28,8 +28,9 @@ class TestSvgWellFormed:
         from repro.place import GlobalPlacer, PlacementProblem
         from repro.route import GlobalRouter
 
-        GlobalPlacer(PlacementProblem(small_design_fresh)).run()
-        result = GlobalRouter(small_design_fresh).run()
+        design = small_design_fresh
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
+        result = GlobalRouter(design.arrays(), design.floorplan).run()
         ET.fromstring(render_congestion_svg(small_design_fresh, result.grid))
 
 
