@@ -149,11 +149,11 @@ spine-smoke:
 	tail -1 spine-smoke/traced.txt | python3 -c "import json, sys; \
 		result = json.loads(sys.stdin.read()); \
 		assert result['correct'] is True, result; \
-		rows = ('sta.graph_build_s', 'sta.update_full_s', 'sta.activity_s', 'sta.power_s', 'vpr.extract_s', \
-			'place.global_s', 'place.b2b_solve_s', 'place.problem_build_s', 'b2b.cg_iterations'); \
+		rows = ('sta.graph_build_s', 'sta.update_full_s', 'sta.activity_s', 'sta.power_s', 'route.cts_s', \
+			'vpr.extract_s', 'place.global_s', 'place.b2b_solve_s', 'place.problem_build_s', 'b2b.cg_iterations'); \
 		zero = [n for n in rows if not result['metrics'][n]['value'] > 0]; \
-		assert not zero, f'{zero} read 0: a traced STA, V-P&R or placement target is not on the path'; \
-		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations, STA, extract and placement rows non-zero')"
+		assert not zero, f'{zero} read 0: a traced STA, CTS, V-P&R or placement target is not on the path'; \
+		print('spine-smoke: traced sweep_cold correct,', result['attempted'], 'operations, STA, CTS, extract and placement rows non-zero')"
 	timeout 600 python3 benchmarks/spine/run.py --workload backend_ml \
 		--seed 0 --seconds 15 --trace 1 > spine-smoke/traced_ml.txt
 	tail -1 spine-smoke/traced_ml.txt | python3 -c "import json, sys; \
@@ -165,6 +165,16 @@ spine-smoke:
 		zero = [n for n in rows if not result['metrics'][n]['value'] > 0]; \
 		assert not zero, f'{zero} read 0: a traced seeded-stage or V-P&R target is not on the path'; \
 		print('spine-smoke: traced backend_ml correct,', result['attempted'], 'operations,', calls, 'predict calls, seeded and extract rows non-zero')"
+	timeout 600 python3 benchmarks/spine/run.py --workload eco_session \
+		--seed 0 --seconds 15 --trace 1 > spine-smoke/traced_eco.txt
+	tail -1 spine-smoke/traced_eco.txt | python3 -c "import json, sys; \
+		result = json.loads(sys.stdin.read()); \
+		assert result['correct'] is True, result; \
+		build = result['metrics']['sta.graph_build_s']['value']; \
+		recompiled = result['metrics']['sta.graph.recompiled']['value']; \
+		assert build > 0, 'sta.graph_build_s reads 0: the traced graph build is not on the ECO path'; \
+		assert 0 < recompiled < 1, f'sta.graph.recompiled {recompiled} per op: a resize keeps the graph, a structural edit rebuilds it'; \
+		print('spine-smoke: traced eco_session correct,', result['attempted'], 'operations,', recompiled, 'graph rebuilds per op')"
 
 # Crash-safety smoke: run a checkpointed flow, kill it mid-sweep with
 # an injected abort, resume, and require the resumed QoR to match an

@@ -24,15 +24,15 @@ _RESULTS = {}
 def _run(name):
     base_design = load_benchmark(name, use_cache=False)
     GlobalPlacer(PlacementProblem(base_design.arrays(), base_design.floorplan)).run()
-    base = evaluate_placed_design(base_design)
+    base = evaluate_placed_design(base_design.arrays(), base_design.floorplan)
 
     opt_design = load_benchmark(name, use_cache=False)
     GlobalPlacer(PlacementProblem(opt_design.arrays(), opt_design.floorplan)).run()
-    model = PlacementWireModel(opt_design)
+    model = PlacementWireModel()
     buffering = buffer_high_fanout_nets(opt_design, model)
-    graph = TimingGraph(opt_design)  # rebuilt: connectivity changed
+    graph = TimingGraph(opt_design.arrays())  # rebuilt: connectivity changed
     sizing = resize_gates(opt_design, graph, model)
-    optimised = evaluate_placed_design(opt_design)
+    optimised = evaluate_placed_design(opt_design.arrays(), opt_design.floorplan)
     return {
         "base": base,
         "opt": optimised,

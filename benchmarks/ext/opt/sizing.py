@@ -18,7 +18,6 @@ from benchmarks.ext.opt.buffering import net_load
 from repro.netlist.design import Design, Instance, MasterCell
 from repro.sta.analysis import TimingAnalyzer
 from repro.sta.delay import WireDelayModel, effective_cell_delay
-from repro.sta.flat import invalidate_flat
 from repro.sta.graph import TimingGraph
 from repro.sta.paths import find_path_ends
 
@@ -58,7 +57,9 @@ def _cell_delay(master: MasterCell, load: float) -> float:
 
 def _swap_master(design: Design, inst: Instance, master: MasterCell) -> None:
     """Resize in place, keeping the timing graph: patch the flat form's
-    master columns (the STA reads them) without a structure bump."""
+    master columns (the STA reads them) without a structure bump.  The
+    patch bumps the form's ``master_version``, so the next analyzer
+    recompiles its delay tables."""
     inst.master = master
     if not design.arrays().patch_instance_master(inst.index):
         raise ValueError(f"{master.name} does not declare {inst.name}'s pin list")
@@ -75,8 +76,8 @@ def resize_gates(
 
     Args:
         design: Placed design (mutated in place: masters swapped).
-        graph: The design's timing graph (stays valid: sizing does not
-            change connectivity).
+        graph: The timing graph of ``design.arrays()`` (stays valid:
+            sizing does not change connectivity).
         wire_model: Geometry source for loads.
         max_paths: Worst paths examined for upsizing.
         downsize_load: Cells driving less than this load (fF) and not
@@ -93,10 +94,13 @@ def resize_gates(
 
     upsized = 0
     on_paths: set = set()
+    owners = graph.node_owner.tolist()
     for path in paths:
         for node in path.nodes:
-            inst, pin = graph.info(node)
-            if inst is None or inst.master.is_sequential or inst.master.is_macro:
+            if owners[node] < 0:
+                continue  # a port
+            inst = design.instances[owners[node]]
+            if inst.master.is_sequential or inst.master.is_macro:
                 continue
             on_paths.add(inst.index)
             outputs = inst.master.output_pins()
@@ -135,11 +139,6 @@ def resize_gates(
         if weaker is not None:
             _swap_master(design, inst, weaker)
             downsized += 1
-
-    if upsized or downsized:
-        # Master swaps change the cell delays and pin caps the flat
-        # compilation captured; force a recompile for the next analyzer.
-        invalidate_flat(graph)
 
     return SizingResult(
         upsized=upsized, downsized=downsized, paths_touched=len(paths)

@@ -231,7 +231,7 @@ def three_d_placement_flow(
     # Reference 2D run (same clustering) when not supplied.
     if wirelength_2d is None:
         seeded_placement(clustered, SeededPlacementConfig(tool="openroad"))
-        wirelength_2d = hpwl(design)
+        wirelength_2d = hpwl(design.arrays())
 
     # Tier assignment over clusters.
     crossing = _cluster_crossing_weights(design, clustering.cluster_of)
@@ -275,7 +275,7 @@ def three_d_placement_flow(
     seeded_placement(clustered_3d, config)
 
     # 3D wirelength: xy HPWL + one via per tier-crossing net.
-    xy_wl = hpwl(design)
+    xy_wl = hpwl(design.arrays())
     vias = 0
     for net in design.nets:
         if net.is_clock:

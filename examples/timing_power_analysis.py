@@ -30,7 +30,8 @@ from repro.sta import (
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "jpeg"
     design = load_benchmark(name, use_cache=False)
-    graph = TimingGraph(design)
+    arrays = design.arrays()
+    graph = TimingGraph(arrays)
     print(f"=== {name}: timing graph ===")
     print(
         f"{graph.num_nodes} pins, "
@@ -39,7 +40,7 @@ def main() -> None:
     )
 
     # --- Pre-placement (the model the clustering uses) -----------------
-    analyzer = TimingAnalyzer(graph, FanoutWireModel(design))
+    analyzer = TimingAnalyzer(graph, FanoutWireModel())
     report = analyzer.update()
     print(
         f"\npre-place (fanout wireload): WNS={report.wns * 1e3:.0f}ps "
@@ -56,22 +57,23 @@ def main() -> None:
         )
 
     activity = propagate_activity(graph)
-    hot = sorted(activity.items(), key=lambda kv: -kv[1])[:3]
+    hot = sorted(range(len(activity)), key=lambda ni: -activity[ni])[:3]
     print("\nhighest switching activity nets:")
-    for net_index, a in hot:
-        print(f"  {design.nets[net_index].name}: {a:.3f} toggles/cycle")
+    for net_index in hot:
+        name = arrays.net_names[net_index]
+        print(f"  {name}: {activity[net_index]:.3f} toggles/cycle")
 
     # --- Post-placement -------------------------------------------------
-    GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
-    placed = TimingAnalyzer(graph, PlacementWireModel(design)).update()
+    GlobalPlacer(PlacementProblem(arrays, design.floorplan)).run()
+    placed = TimingAnalyzer(graph, PlacementWireModel()).update()
     print(
         f"\npost-place: WNS={placed.wns * 1e3:.0f}ps TNS={placed.tns:.2f}ns"
     )
 
     # --- Post-routing ----------------------------------------------------
-    cts = synthesize_clock_tree(design)
-    routing = GlobalRouter(design.arrays(), design.floorplan).run()
-    wire_model = RoutedWireModel(design, routing.net_lengths)
+    cts = synthesize_clock_tree(arrays, design.floorplan)
+    routing = GlobalRouter(arrays, design.floorplan).run()
+    wire_model = RoutedWireModel(routing.net_lengths)
     routed = TimingAnalyzer(
         graph, wire_model, clock_uncertainty=cts.skew
     ).update()
@@ -82,9 +84,9 @@ def main() -> None:
     )
 
     power = analyze_power(
-        design,
+        arrays,
         wire_model,
-        net_activity=activity,
+        activity,
         clock_wirelength=cts.wirelength,
         clock_buffers=cts.num_buffers,
     )

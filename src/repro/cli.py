@@ -603,10 +603,11 @@ def _cmd_sta(args) -> int:
     )
 
     design = _load_design(args)
-    problem = PlacementProblem(design.arrays(), design.floorplan)
+    arrays = design.arrays()
+    problem = PlacementProblem(arrays, design.floorplan)
     GlobalPlacer(problem, PlacerConfig(seed=args.seed)).run()
-    graph = timing_graph_for(design)
-    analyzer = TimingAnalyzer(graph, PlacementWireModel(design))
+    graph = timing_graph_for(arrays)
+    analyzer = TimingAnalyzer(graph, PlacementWireModel())
     report = analyzer.update()
     print(f"WNS : {report.wns * 1e3:.0f} ps")
     print(f"TNS : {report.tns:.3f} ns")
@@ -617,8 +618,7 @@ def _cmd_sta(args) -> int:
             f"{graph.node_name(path.startpoint)} -> "
             f"{graph.node_name(path.endpoint)} ({len(path) // 2} stages)"
         )
-    activity = propagate_activity(graph)
-    power = analyze_power(design, PlacementWireModel(design), net_activity=activity)
+    power = analyze_power(arrays, PlacementWireModel(), propagate_activity(graph))
     print(
         f"power: {power.total:.3f} mW (sw {power.switching:.3f}, "
         f"int {power.internal:.3f}, leak {power.leakage:.4f})"

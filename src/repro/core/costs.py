@@ -81,7 +81,7 @@ def hyperedge_timing_costs(
 
 def hyperedge_switching_costs(
     hgraph: Hypergraph,
-    net_activity: Dict[int, float],
+    net_activity: np.ndarray,
     mu: float = 2.0,
 ) -> np.ndarray:
     """Per-hyperedge switching cost s_e (Eq. 2).
@@ -89,12 +89,14 @@ def hyperedge_switching_costs(
     ``s_e = (1 + theta_e / sum_e theta_e)^mu`` — nets with high
     switching activity get super-unit cost, so the coarsener prefers to
     absorb them into clusters (shortening high-activity wires saves
-    dynamic power).
+    dynamic power).  ``net_activity`` is per net index
+    (:func:`repro.sta.propagate_activity`); an edge that is no net
+    has theta 0.
     """
+    nets = np.asarray(hgraph.edge_net_indices, dtype=np.int64)
     theta = np.zeros(hgraph.num_edges)
-    for ei, net_idx in enumerate(hgraph.edge_net_indices):
-        if net_idx >= 0:
-            theta[ei] = net_activity.get(int(net_idx), 0.0)
+    edge = nets >= 0
+    theta[edge] = np.asarray(net_activity, dtype=np.float64)[nets[edge]]
     total = theta.sum()
     if total <= 0:
         return np.ones(hgraph.num_edges)
@@ -105,7 +107,7 @@ def compute_edge_scores(
     hgraph: Hypergraph,
     config: Optional[CostConfig] = None,
     paths: Optional[Sequence[TimingPath]] = None,
-    net_activity: Optional[Dict[int, float]] = None,
+    net_activity: Optional[np.ndarray] = None,
     clock_period: Optional[float] = None,
 ) -> np.ndarray:
     """Eq. 3 numerators: ``alpha*w_e + beta*t_e + gamma*s_e`` per edge.

@@ -48,7 +48,8 @@ from repro.core.vpr import (
 )
 from repro.db.database import DesignDatabase
 from repro.recovery import CheckpointStore, faults
-from repro.netlist.design import Design
+from repro.netlist.arrays import NetlistArrays
+from repro.netlist.design import Design, Floorplan
 from repro.netlist.snapshot import design_snapshot
 from repro.place.placer import GlobalPlacer, PlacerConfig
 from repro.place.problem import PlacementProblem
@@ -200,44 +201,45 @@ class FlowResult:
 # Shared evaluation (Algorithm 1, lines 27-30)
 # ----------------------------------------------------------------------
 def evaluate_placed_design(
-    design: Design,
+    arrays: NetlistArrays,
+    floorplan: Floorplan,
     runtimes: Optional[Dict[str, float]] = None,
     run_routing: bool = True,
 ) -> PPAMetrics:
-    """CTS + global routing + post-route STA and power on a placed
-    design; returns the full PPA metric record.
+    """CTS + global routing + post-route STA and power on a placed flat
+    netlist (``design.arrays()``); returns the full PPA metric record.
+    Reads the netlist and writes nothing back.
 
     ``run_routing=False`` stops at the post-place HPWL (Table 2 mode).
-    The STA is one full update over the design's cached timing graph
-    (:func:`~repro.sta.graph.timing_graph_for`, recompiled only after a
-    structural edit) under the routed per-net lengths.
+    The STA is one full update over the form's timing graph
+    (:func:`~repro.sta.graph.timing_graph_for`, rebuilt only with the
+    form after a structural edit) under the routed per-net lengths.
     """
     runtimes = dict(runtimes or {})
-    post_place_hpwl = hpwl(design)
+    post_place_hpwl = hpwl(arrays)
     if not run_routing:
         return PPAMetrics(hpwl=post_place_hpwl, runtimes=runtimes)
 
     with obs.stage("flow.cts") as stage:
-        cts = synthesize_clock_tree(design)
+        cts = synthesize_clock_tree(arrays, floorplan)
     runtimes["cts"] = stage.elapsed
 
     with obs.stage("flow.route") as stage:
-        routing = GlobalRouter(design.arrays(), design.floorplan).run()
+        routing = GlobalRouter(arrays, floorplan).run()
     runtimes["route"] = stage.elapsed
 
     with obs.stage("flow.sta") as stage:
         analyzer = TimingAnalyzer(
-            timing_graph_for(design),
-            RoutedWireModel(design, dict(routing.net_lengths)),
+            timing_graph_for(arrays),
+            RoutedWireModel(dict(routing.net_lengths)),
             clock_uncertainty=cts.skew,
         )
         report = analyzer.update()
         hold = analyze_hold(analyzer)
-        net_activity = propagate_activity(analyzer.graph)
         power = analyze_power(
-            design,
+            arrays,
             analyzer.wire_model,
-            net_activity=net_activity,
+            propagate_activity(analyzer.graph),
             clock_wirelength=cts.wirelength,
             clock_buffers=cts.num_buffers,
         )
@@ -573,7 +575,9 @@ class ClusteredPlacementFlow:
 
         # Lines 27-30: evaluation.
         def _compute_metrics() -> PPAMetrics:
-            return evaluate_placed_design(design, runtimes, config.run_routing)
+            return evaluate_placed_design(
+                design.arrays(), design.floorplan, runtimes, config.run_routing
+            )
 
         metrics, served_s = stage("metrics", _compute_metrics)
         if served_s is not None:
@@ -631,7 +635,7 @@ def default_flow(
         problem = PlacementProblem(design.arrays(), design.floorplan)
         GlobalPlacer(problem, PlacerConfig(seed=seed)).run()
     metrics = evaluate_placed_design(
-        design, {"place": stage.elapsed}, run_routing
+        design.arrays(), design.floorplan, {"place": stage.elapsed}, run_routing
     )
     return FlowResult(metrics=metrics)
 
@@ -680,14 +684,12 @@ def _power_multipliers(design: Design, emphasis: float) -> Optional[np.ndarray]:
     from repro.sta.delay import FanoutWireModel
     from repro.sta.flat import flat_for
 
-    graph = timing_graph_for(design)
+    arrays = design.arrays()
+    graph = timing_graph_for(arrays)
     activity = propagate_activity(graph)
-    flat = flat_for(graph)
-    loads = flat.net_loads(FanoutWireModel(design), None, None)[0]
-    arrays = graph.arrays
+    loads = flat_for(graph).net_loads(FanoutWireModel(), None, None)[0]
     signal = np.flatnonzero(~arrays.net_is_clock & (arrays.net_degree >= 2))
-    toggles = [activity.get(ni, 0.0) for ni in signal.tolist()]
-    energies = np.array(toggles) * loads[signal]
+    energies = activity[signal] * loads[signal]
     mean = (sum(energies.tolist()) / len(energies)) if len(energies) else 1.0
     if mean <= 0:
         return None

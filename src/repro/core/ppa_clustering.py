@@ -126,9 +126,9 @@ def ppa_aware_clustering(
     net_activity = None
     if config.use_timing or config.use_switching:
         with obs.stage("cluster.sta") as stage:
-            graph = timing_graph_for(design)
+            graph = timing_graph_for(design.arrays())
             if config.use_timing and design.clock_period:
-                analyzer = TimingAnalyzer(graph, FanoutWireModel(design))
+                analyzer = TimingAnalyzer(graph, FanoutWireModel())
                 analyzer.update()
                 paths = find_path_ends(analyzer, group_count=config.num_paths)
             if config.use_switching:

@@ -2,9 +2,9 @@
 
 The apply layer is pure netlist surgery: it drives the ECO mutation
 API on :class:`~repro.netlist.design.Design` (which invalidates the
-memoised ``arrays()`` / timing-graph / hypergraph views surgically — a
-resize patches the flat form and re-keys the timing graph in place, a
-topology edit rebuilds them lazily) and records *what was touched* in
+memoised ``arrays()`` / hypergraph views surgically — a resize
+patches the flat form in place, keeping the timing graph that lives on
+it, a topology edit rebuilds them lazily) and records *what was touched* in
 an :class:`EcoImpact`, which is everything the engine needs to decide
 how little to recompute.
 """

@@ -20,10 +20,10 @@ reconnect  kept (remapped)         dirty      dirty
 ========== ======================= ========== ============
 
 STA is what a cold flow runs: one full post-route update.  An add,
-remove or reconnect changes the design's structure, so the timing
-graph is recompiled once per such script (``sta.graph.recompiled``);
-a resize or swap patches the flat form in place, which keeps the graph
-and drops only its flat compilation.
+remove or reconnect changes the design's structure, so its flat form,
+and the timing graph on it, is rebuilt once per such script
+(``sta.graph.recompiled``); a resize or swap patches the flat form in
+place, which keeps the graph and recompiles only its delay tables.
 
 Untouched (cluster, shape) evaluations keep the checkpointed shapes
 and their content-addressed cache entries are mtime-touched
@@ -266,7 +266,10 @@ class EcoSession:
         runtimes["eco_place"] = stage.elapsed
 
         with obs.stage("eco.metrics") as stage:
-            metrics = evaluate_placed_design(self.design, run_routing=self.run_routing)
+            design = self.design
+            metrics = evaluate_placed_design(
+                design.arrays(), design.floorplan, run_routing=self.run_routing
+            )
         runtimes["eco_metrics"] = stage.elapsed
         return EcoResult(
             metrics=metrics,

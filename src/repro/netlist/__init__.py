@@ -10,6 +10,7 @@ paper's flow consumes (.v, .lib, .lef, .def, .sdc).
 from repro.netlist.arrays import NetlistArrays
 from repro.netlist.design import (
     Design,
+    Floorplan,
     Instance,
     MasterCell,
     Net,
@@ -28,6 +29,7 @@ from repro.netlist.verilog import parse_verilog, write_verilog
 
 __all__ = [
     "Design",
+    "Floorplan",
     "Instance",
     "MasterCell",
     "Net",

@@ -35,10 +35,12 @@ with it.  Every construction-API mutation (``add_instance`` /
 and out-of-API connectivity edits must call
 :meth:`Design.bump_structure_version`.  Mutable *attributes* are
 deliberately not trusted from the build-time columns: net weights,
-switching activity, instance coordinates/areas/fixed flags (gate sizing
+instance coordinates/areas/fixed flags (gate sizing
 swaps masters in place) and port coordinates are re-gathered from the
 object view by the ``current_*`` accessors, so consumers always see
-live values while the expensive connectivity flattening is reused.
+live values while the expensive connectivity flattening is reused
+(:meth:`current_scalar` reads the design's scalars the same way).  The
+timing graph built on a form lives on it, and dies with it.
 
 Columns alone make one too: a V-P&R sub (:meth:`induce`) and a fleet
 worker's decoded sub (:func:`repro.netlist.snapshot.netlist_from_snapshot`)
@@ -109,7 +111,6 @@ COLUMNS: Dict[str, Tuple[str, str, Optional[str]]] = {
     "net_has_driver": ("b", "nets", None),
     "net_is_clock": ("b", "nets", None),
     "net_weight": ("f", "nets", None),
-    "net_activity": ("f", "nets", None),
     "pin_inst": ("i", "pins", "instances"),
     "pin_port": ("i", "pins", "ports"),
     "pin_name_idx": ("i", "pins", "names"),
@@ -185,9 +186,8 @@ class NetlistArrays:
     Nets / pins
         ``net_ptr`` CSR over pin rows in ``net.pins()`` order (driver
         first when ``net_has_driver``); per-net ``net_is_clock`` /
-        ``net_weight`` / ``net_activity`` (weight/activity are
-        snapshots; see ``current_*``); per-pin ``pin_inst`` (-1 for
-        ports), ``pin_port`` (port insertion index, -1 for instance
+        ``net_weight`` (a snapshot; see ``current_net_weights``); per-pin
+        ``pin_inst`` (-1 for ports), ``pin_port`` (port insertion index, -1 for instance
         pins), ``pin_name_idx``, ``pin_slot`` (global master-pin slot,
         -1 for ports), ``pin_cap``, ``pin_dir``, ``pin_is_clockpin``.
     """
@@ -199,6 +199,7 @@ class NetlistArrays:
         floorplan: Tuple[float, float, float, float, float],
         clock_period: Optional[float],
         clock_port: Optional[str],
+        input_activity: float,
         name_pool: List[str],
         master_names: List[str],
         master_classes: List[str],
@@ -228,7 +229,6 @@ class NetlistArrays:
         net_has_driver: np.ndarray,
         net_is_clock: np.ndarray,
         net_weight: np.ndarray,
-        net_activity: np.ndarray,
         pin_inst: np.ndarray,
         pin_port: np.ndarray,
         pin_name_idx: np.ndarray,
@@ -241,6 +241,7 @@ class NetlistArrays:
         self.floorplan = floorplan
         self.clock_period = clock_period
         self.clock_port = clock_port
+        self.input_activity = input_activity
         self.name_pool = name_pool
         self.master_names = master_names
         self.master_classes = master_classes
@@ -292,7 +293,6 @@ class NetlistArrays:
         self.net_has_driver = net_has_driver
         self.net_is_clock = net_is_clock
         self.net_weight = net_weight
-        self.net_activity = net_activity
         self.net_names = net_names
         self.pin_inst = pin_inst
         self.pin_port = pin_port
@@ -330,6 +330,11 @@ class NetlistArrays:
         self.design = design
         #: Filled by Design.arrays() for cache validation.
         self.structure_key: Optional[tuple] = None
+        #: The timing graph built on this form, held by
+        #: :func:`repro.sta.graph.timing_graph_for`.
+        self.timing_graph = None
+        #: Master patches applied in place (:meth:`patch_instance_master`).
+        self.master_version = 0
         self._pin_net: Optional[np.ndarray] = None
         self._ipin: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._pin_vertex: Dict[bool, Tuple[np.ndarray, ...]] = {}
@@ -430,6 +435,7 @@ class NetlistArrays:
             return False
         self.inst_master[inst_index] = new_mi
         self.inst_area[inst_index] = self.m_area[new_mi]
+        self.master_version += 1
         # Retarget this instance's pin rows to the new master's slot
         # range; the shift is monotonic, so the declaration-ordered
         # instance_pin_csr memo stays valid.
@@ -452,14 +458,11 @@ class NetlistArrays:
         picked = objects if nets is None else [objects[i] for i in nets.tolist()]
         return np.fromiter((n.weight for n in picked), np.float64, count=len(picked))
 
-    def current_net_activity(self) -> np.ndarray:
-        """Per-net switching activity, live when an object view exists."""
-        if self.design is None:
-            return self.net_activity
-        nets = self.design.nets
-        return np.fromiter(
-            (n.switching_activity for n in nets), dtype=np.float64, count=len(nets)
-        )
+    def current_scalar(self, name: str):
+        """Scalar ``name`` (``clock_period``, ``clock_port`` or
+        ``input_activity``), live when an object view exists: loaders
+        set a design's scalars after its form may have been built."""
+        return getattr(self.design if self.design is not None else self, name)
 
     def current_inst_areas(self) -> np.ndarray:
         """Per-instance areas, live (gate sizing swaps masters in place)."""
@@ -691,6 +694,7 @@ class NetlistArrays:
             floorplan=astuple(Floorplan()),
             clock_period=None,
             clock_port=None,
+            input_activity=self.input_activity,
             name_pool=list(pool),
             master_names=[self.master_names[m] for m in used.tolist()],
             master_classes=[self.master_classes[m] for m in used.tolist()],
@@ -708,7 +712,6 @@ class NetlistArrays:
             net_has_driver=driver_inside[keep] | vin,
             net_is_clock=np.zeros(len(kept), dtype=bool),
             net_weight=self.current_net_weights(kept),
-            net_activity=np.zeros(len(kept)),
             pin_inst=pin_inst,
             pin_port=pin_port,
             pin_name_idx=pin_name_idx,
@@ -786,7 +789,6 @@ class NetlistArrays:
         net_has_driver = np.zeros(len(nets), dtype=bool)
         net_is_clock: List[bool] = []
         net_weight: List[float] = []
-        net_activity: List[float] = []
         net_names: List[str] = []
         pin_inst: List[int] = []
         pin_port: List[int] = []
@@ -796,7 +798,6 @@ class NetlistArrays:
         for ni, net in enumerate(nets):
             net_is_clock.append(net.is_clock)
             net_weight.append(net.weight)
-            net_activity.append(net.switching_activity)
             net_names.append(net.name)
             count = 0
             if net.driver is not None:
@@ -830,6 +831,7 @@ class NetlistArrays:
             ),
             clock_period=design.clock_period,
             clock_port=design.clock_port,
+            input_activity=design.input_activity,
             name_pool=name_pool,
             master_names=master_names,
             master_classes=master_classes,
@@ -849,7 +851,6 @@ class NetlistArrays:
             net_has_driver=net_has_driver,
             net_is_clock=np.asarray(net_is_clock, dtype=bool),
             net_weight=np.asarray(net_weight, dtype=np.float64),
-            net_activity=np.asarray(net_activity, dtype=np.float64),
             pin_inst=np.asarray(pin_inst, dtype=np.int64),
             pin_port=np.asarray(pin_port, dtype=np.int64),
             pin_name_idx=np.asarray(pin_name_idx, dtype=np.int32),
@@ -885,6 +886,7 @@ class NetlistArrays:
         design = Design(self.name, floorplan=Floorplan(*self.floorplan))
         design.clock_period = self.clock_period
         design.clock_port = self.clock_port
+        design.input_activity = self.input_activity
         pool = self.name_pool
 
         # Masters.
@@ -950,7 +952,6 @@ class NetlistArrays:
         has_driver = self.net_has_driver.tolist()
         is_clock = self.net_is_clock.tolist()
         weight = self.net_weight.tolist()
-        activity = self.net_activity.tolist()
         p_inst = self.pin_inst.tolist()
         p_port = self.pin_port.tolist()
         p_name = self.pin_name_idx.tolist()
@@ -959,7 +960,6 @@ class NetlistArrays:
             net = Net(net_names[ni], index=ni)
             net.weight = weight[ni]
             net.is_clock = is_clock[ni]
-            net.switching_activity = activity[ni]
             start, end = ptr[ni], ptr[ni + 1]
             first_sink = start
             if has_driver[ni] and end > start:

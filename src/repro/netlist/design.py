@@ -23,6 +23,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
+#: Primary-input toggle rate when no SDC sets one (toggles per cycle).
+DEFAULT_INPUT_ACTIVITY = 0.1
+
+
 class PinDirection(enum.Enum):
     """Direction of a cell pin or top-level port."""
 
@@ -274,8 +278,6 @@ class Net:
             seeded placement scales IO-net weights by 4).
         is_clock: True for clock-distribution nets (excluded from
             signal-placement objectives and routed by CTS instead).
-        switching_activity: Toggles per clock cycle, filled in by the
-            vectorless activity propagation in :mod:`repro.sta.activity`.
     """
 
     __slots__ = (
@@ -285,7 +287,6 @@ class Net:
         "index",
         "weight",
         "is_clock",
-        "switching_activity",
     )
 
     def __init__(self, name: str, index: int = -1) -> None:
@@ -295,7 +296,6 @@ class Net:
         self.index = index
         self.weight = 1.0
         self.is_clock = False
-        self.switching_activity = 0.0
 
     def pins(self) -> Iterator[PinRef]:
         """Iterate all pin references (driver first when present)."""
@@ -414,6 +414,9 @@ class Design:
         clock_period: Target clock period from SDC (ns); None when the
             design is unconstrained.
         clock_port: Name of the clock source port, when present.
+        input_activity: Toggle rate of the primary inputs (toggles per
+            cycle) that vectorless activity propagation starts from;
+            SDC ``set_switching_activity -toggle_rate``.
     """
 
     #: Coarse functional categories used as the categorical "cell type"
@@ -434,6 +437,7 @@ class Design:
         self.floorplan = floorplan or Floorplan()
         self.clock_period: Optional[float] = None
         self.clock_port: Optional[str] = None
+        self.input_activity = DEFAULT_INPUT_ACTIVITY
         self.masters: Dict[str, MasterCell] = {}
         self.instances: List[Instance] = []
         self.nets: List[Net] = []
@@ -448,35 +452,21 @@ class Design:
         #: *outside* the construction API (e.g. editing ``net.sinks`` in
         #: place) must call :meth:`bump_structure_version`.
         self._structure_version = 0
-        #: Cached flat-array form (filled by Design.arrays()).
+        #: Cached flat-array form (filled by Design.arrays()); what is
+        #: derived from it (the timing graph) lives on it.
         self._netlist_arrays = None
-        #: ``(structure_key, TimingGraph)`` held by
-        #: :func:`repro.sta.graph.timing_graph_for`; owned here so the
-        #: graph dies with the design it describes.
-        self._timing_graph: Optional[tuple] = None
-        #: Structure key of the last graph compiled for this design;
-        #: kept when an edit drops the graph, so the rebuild is told
-        #: apart from a first build (``sta.graph.recompiled``).
-        self._timing_graph_key: Optional[tuple] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop derived caches when pickling / copying.
-
-        The array form and the timing graph are rebuildable and would
-        otherwise bloat checkpoints (and drag stale numpy buffers across
-        processes); a copy that kept the timing graph would hold one
-        whose ``.design`` is the original.
-        """
+        """Drop the flat form when pickling / copying: it is rebuildable
+        and would otherwise drag numpy buffers (and the timing graph
+        on it, whose ``arrays.design`` is the original) into the copy."""
         state = self.__dict__.copy()
-        for key in ("_netlist_arrays", "_timing_graph", "_timing_graph_key"):
-            state.pop(key, None)
+        state.pop("_netlist_arrays", None)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         self._netlist_arrays = None
-        self._timing_graph = None
-        self._timing_graph_key = None
 
     # ------------------------------------------------------------------
     # Cache invalidation
@@ -491,7 +481,6 @@ class Design:
         """
         self._structure_version += 1
         self._netlist_arrays = None
-        self._timing_graph = None
 
     def structure_key(self) -> tuple:
         """Cheap fingerprint of the netlist structure.
@@ -724,25 +713,17 @@ class Design:
         :meth:`structure_key` — the database hypergraph, a V-P&R
         evaluation context — rebuild), but patches the array form in
         place via
-        :meth:`repro.netlist.arrays.NetlistArrays.patch_instance_master`.
-        A patched swap keeps the topology, so the timing graph on those
-        arrays is re-keyed too; only its flat compilation, whose delay
-        tables read the master columns, is dropped.
+        :meth:`repro.netlist.arrays.NetlistArrays.patch_instance_master`,
+        so what lives on it (the timing graph) stays.
         """
-        arrays, graph = self._netlist_arrays, self._timing_graph
+        arrays = self._netlist_arrays
         old_key = self.structure_key()
         self.bump_structure_version()
-        new_key = self.structure_key()
         if arrays is None or arrays.structure_key != old_key:
             return
-        if not arrays.patch_instance_master(inst_index):
-            return
-        arrays.structure_key = new_key
-        self._netlist_arrays = arrays
-        if graph is not None and graph[0] == old_key and graph[1].arrays is arrays:
-            graph[1]._flat = None
-            self._timing_graph = (new_key, graph[1])
-            self._timing_graph_key = new_key
+        if arrays.patch_instance_master(inst_index):
+            arrays.structure_key = self.structure_key()
+            self._netlist_arrays = arrays
 
     # ------------------------------------------------------------------
     # Lookup API

@@ -26,8 +26,8 @@ from repro.netlist.arrays import COLUMNS, NetlistArrays
 from repro.netlist.design import Design
 
 #: Form tag; a payload of any other form is refused, never guessed at.
-FORM = "repro.netlist.arrays/1"
-_SCALARS = ("name", "floorplan", "clock_period", "clock_port")
+FORM = "repro.netlist.arrays/2"
+_SCALARS = ("name", "floorplan", "clock_period", "clock_port", "input_activity")
 #: List-valued header fields -> the row group each one sizes.
 _LISTS = {
     "name_pool": "names",
@@ -89,12 +89,11 @@ def design_snapshot(netlist: Union[Design, NetlistArrays]) -> Dict[str, Any]:
     scalars are read live from an object view when there is one."""
     arrays = netlist if isinstance(netlist, NetlistArrays) else netlist.arrays()
     live = arrays.design
-    header: Dict[str, Any] = {name: getattr(live or arrays, name) for name in _SCALARS}
+    header: Dict[str, Any] = {name: arrays.current_scalar(name) for name in _SCALARS}
     header["floorplan"] = list(astuple(live.floorplan) if live else arrays.floorplan)
     header.update((name, list(getattr(arrays, name))) for name in _LISTS)
     columns = {name: getattr(arrays, name).copy() for name in COLUMNS}
     columns["net_weight"] = arrays.current_net_weights()
-    columns["net_activity"] = arrays.current_net_activity()
     columns["port_x"], columns["port_y"] = arrays.current_port_xy()
     columns["inst_x"], columns["inst_y"] = arrays.current_positions()
     columns["inst_fixed"] = arrays.current_fixed()
@@ -117,6 +116,11 @@ def netlist_from_snapshot(payload: Dict[str, Any]) -> NetlistArrays:
             raise ValueError(f"snapshot header {name!r} is missing or mis-sized")
     if not set(_SCALARS) <= set(header) or len(header["floorplan"]) != 5:
         raise ValueError(f"snapshot header lacks {_SCALARS} or a 5-value floorplan")
+    for name in ("clock_period", "input_activity"):
+        value = header[name]
+        unconstrained = name == "clock_period" and value is None
+        if not (isinstance(value, (int, float)) or unconstrained):
+            raise ValueError(f"snapshot header {name!r} is not a number")
     for group, name in _SIZED_BY.items():
         size[group] = np.size(columns.get(name, ()))
     _check_columns(columns, {**COLUMNS, **_PLACEMENT}, size)

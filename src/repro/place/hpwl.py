@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.netlist.arrays import NetlistArrays
 from repro.netlist.design import Design, Net
 
 
@@ -34,23 +35,24 @@ def net_hpwl(design: Design, net: Net) -> float:
     return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
 
-def hpwl(design: Design, weighted: bool = False, include_clock: bool = False) -> float:
-    """Total design HPWL (microns).
+def hpwl(
+    arrays: NetlistArrays, weighted: bool = False, include_clock: bool = False
+) -> float:
+    """Total HPWL of a flat netlist (microns).
 
-    Vectorized: the net -> pin CSR is the design's cached flat form
-    (``design.arrays().pin_vertex_csr``, rebuilt only when
-    :meth:`Design.structure_key` changes); per call only the coordinate
+    Vectorized: the net -> pin CSR is memoised on the flat form
+    (``arrays.pin_vertex_csr``); per call only the live coordinate
     vectors (and, when requested, the weights) are gathered, and
     :func:`hpwl_arrays` reduces the spans.
 
     Args:
-        design: Design with a current placement.
+        arrays: A flat netlist, e.g. ``design.arrays()`` with a current
+            placement.
         weighted: Multiply each net by its placement weight (the
             placer's objective); reporting uses unweighted HPWL.
         include_clock: Include clock nets (excluded by default, as the
             clock is routed by CTS, not signal routing).
     """
-    arrays = design.arrays()
     pin_vertex, net_offsets, net_indices = arrays.pin_vertex_csr(include_clock)
     x, y = arrays.vertex_positions()
     weights = arrays.current_net_weights()[net_indices] if weighted else None

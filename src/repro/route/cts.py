@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.netlist.design import Design
+from repro.netlist import Floorplan, NetlistArrays
 
 #: Sinks per CTS leaf group.
 LEAF_GROUP_SIZE = 16
@@ -39,20 +39,27 @@ class ClockTreeResult:
     num_sinks: int
 
 
-def synthesize_clock_tree(design: Design) -> ClockTreeResult:
-    """Build the clock tree for the design's clock net."""
-    sinks: List[Tuple[float, float]] = [
-        (inst.x, inst.y) for inst in design.sequential_instances()
-    ]
+def synthesize_clock_tree(
+    arrays: NetlistArrays, floorplan: Floorplan
+) -> ClockTreeResult:
+    """Build the clock tree over the sequential instances of a flat
+    netlist, rooted at its clock port (else the die centre)."""
+    xs, ys = arrays.current_positions()
+    is_seq = arrays.m_is_seq[arrays.inst_master]
+    sinks: List[Tuple[float, float]] = list(
+        zip(xs[is_seq].tolist(), ys[is_seq].tolist())
+    )
     if not sinks:
         return ClockTreeResult(wirelength=0.0, num_buffers=0, skew=0.0, num_sinks=0)
 
-    if design.clock_port and design.clock_port in design.ports:
-        port = design.ports[design.clock_port]
-        root = (port.x, port.y)
+    clock_port = arrays.current_scalar("clock_port")
+    port_names = arrays.port_names
+    if clock_port and clock_port in port_names:
+        port_x, port_y = arrays.current_port_xy()
+        at = port_names.index(clock_port)
+        root = (float(port_x[at]), float(port_y[at]))
     else:
-        fp = design.floorplan
-        root = (fp.die_width / 2, fp.die_height / 2)
+        root = (floorplan.die_width / 2, floorplan.die_height / 2)
 
     state = {"wirelength": 0.0, "buffers": 0}
     path_lengths: List[float] = []

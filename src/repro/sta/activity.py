@@ -1,11 +1,13 @@
 """Vectorless switching-activity propagation (findClkedActivity substitute).
 
-Primary inputs receive a default toggle rate; activity propagates
-forward through the levelized timing graph with a per-cell-class
-attenuation factor (inverters pass activity through, wide logic
-attenuates, sequential outputs re-time to a fixed register activity).
-The result is written onto ``Net.switching_activity`` — the theta_e of
-the paper's switching cost (Eq. 2).
+Primary inputs receive the netlist's input toggle rate
+(``input_activity``, SDC ``set_switching_activity -toggle_rate``);
+activity propagates forward through the levelized timing graph with a
+per-cell-class attenuation factor (inverters pass activity through,
+wide logic attenuates, sequential outputs re-time to a fixed register
+activity).  The result is one per-net array — the theta_e of the
+paper's switching cost (Eq. 2) and the toggle rates power analysis
+reads — returned to the caller; nothing is written onto the netlist.
 """
 
 from __future__ import annotations
@@ -36,15 +38,12 @@ REGISTER_ACTIVITY = 0.20
 ACTIVITY_FLOOR = 0.005
 
 
-def propagate_activity(
-    graph: TimingGraph,
-    default_input_activity: float = 0.1,
-) -> Dict[int, float]:
-    """Propagate switching activity; returns net index -> activity.
+def propagate_activity(graph: TimingGraph) -> np.ndarray:
+    """Switching activity per net index (toggles per cycle).
 
-    Also annotates every net's ``switching_activity`` in place and
-    returns the map for convenience.  Clock nets get the full clock
-    toggle rate of 1.0.
+    Clock nets get the full clock toggle rate of 1.0, driven nets their
+    driver's propagated rate (at least :data:`ACTIVITY_FLOOR`), and
+    undriven nets 0.0.
 
     Wave-sliced over the flat compilation, bit-identical to the
     per-arc oracle in ``tests/sta/reference.py``: the mean-input sums
@@ -59,7 +58,9 @@ def propagate_activity(
     act = np.zeros(n + 1, dtype=np.float64)
     if len(flat.s_nodes):
         act[flat.s_nodes] = np.where(
-            flat.s_isport, default_input_activity, REGISTER_ACTIVITY
+            flat.s_isport,
+            flat.arrays.current_scalar("input_activity"),
+            REGISTER_ACTIVITY,
         )
     insum = np.zeros(n, dtype=np.float64)
     fsrc = flat.f_src
@@ -88,11 +89,5 @@ def propagate_activity(
             )
     net_act = np.maximum(ACTIVITY_FLOOR, act[flat.drv_node])
     net_act = np.where(np.isnan(net_act), ACTIVITY_FLOOR, net_act)
-    written = np.flatnonzero(flat.net_is_clock | flat.net_has_driver)
-    indices = written.tolist()
-    values = np.where(flat.net_is_clock, 1.0, net_act)[written].tolist()
-    # The one per-net loop: the write-back onto the object view.
-    nets = graph.design.nets
-    for ni, a in zip(indices, values):
-        nets[ni].switching_activity = a
-    return dict(zip(indices, values))
+    net_act = np.where(flat.net_has_driver, net_act, 0.0)
+    return np.where(flat.net_is_clock, 1.0, net_act)

@@ -78,7 +78,6 @@ class TimingAnalyzer:
         check_wire_model(wire_model)
         self.graph = graph
         self.wire_model = wire_model
-        self.design = graph.design
         #: Uniform clock uncertainty (e.g. the CTS skew) subtracted
         #: from every endpoint's required time (ns).
         self.clock_uncertainty = clock_uncertainty
@@ -88,7 +87,7 @@ class TimingAnalyzer:
 
     # ------------------------------------------------------------------
     def _clock_period(self) -> float:
-        period = self.design.clock_period
+        period = self.graph.arrays.current_scalar("clock_period")
         return period if period is not None else UNCONSTRAINED_PERIOD
 
     # ------------------------------------------------------------------

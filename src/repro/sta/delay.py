@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.netlist.design import Design
-
 #: ns per (kOhm * fF).
 RC_NS = 1e-3
 
@@ -70,11 +68,9 @@ class WireDelayModel:
 
     def __init__(
         self,
-        design: Design,
         r_per_um: float = DEFAULT_R_PER_UM,
         c_per_um: float = DEFAULT_C_PER_UM,
     ) -> None:
-        self.design = design
         self.r_per_um = r_per_um
         self.c_per_um = c_per_um
 
@@ -88,8 +84,8 @@ class FanoutWireModel(WireDelayModel):
     PPA-aware clustering when no placement exists yet.
     """
 
-    def __init__(self, design: Design, wl_per_fanout: float = 4.0, **kwargs) -> None:
-        super().__init__(design, **kwargs)
+    def __init__(self, wl_per_fanout: float = 4.0, **kwargs) -> None:
+        super().__init__(**kwargs)
         self.wl_per_fanout = wl_per_fanout
 
 
@@ -110,9 +106,8 @@ class RoutedWireModel(PlacementWireModel):
 
     def __init__(
         self,
-        design: Design,
         routed_lengths: Optional[Dict[int, float]] = None,
         **kwargs,
     ) -> None:
-        super().__init__(design, **kwargs)
+        super().__init__(**kwargs)
         self.routed_lengths = routed_lengths or {}

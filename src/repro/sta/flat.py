@@ -6,7 +6,7 @@ update — arrival/required propagation, hold analysis, activity
 propagation — runs as a handful of wave-sliced array kernels instead
 of per-arc Python loops.  :func:`flat_for` keeps the compilation on the
 graph (``TimingGraph._flat``), as :func:`~repro.sta.graph.timing_graph_for`
-keeps the graph on its design: each cache dies with its owner, and no
+keeps the graph on its flat form: each cache dies with its owner, and no
 module-level table outlives a finished flow.
 
 Bit-identity contract
@@ -29,20 +29,20 @@ preserves the exact evaluation-order semantics of the scalar code:
   creation order)``, that attains the segment maximum — and only when
   that maximum strictly exceeds the node's startpoint launch value.
 
-The compilation reads only the graph's flat arrays and the design's
-:class:`~repro.netlist.arrays.NetlistArrays`: node owners and pin-name
-ids, the net -> pin CSR, pin capacitances and the master columns
-(``m_intrinsic`` / ``m_drive`` / ``m_clk_to_q`` / ``m_setup`` /
-``m_hold`` / ``m_is_seq``, cell classes).  It walks no ``Net`` or
-``Instance`` object and never builds the graph's per-pin node maps.
+The compilation reads only the graph's flat arrays and the
+:class:`~repro.netlist.arrays.NetlistArrays` it was built from: node
+owners and pin-name ids, the net -> pin CSR, pin capacitances and the
+master columns (``m_intrinsic`` / ``m_drive`` / ``m_clk_to_q`` /
+``m_setup`` / ``m_hold`` / ``m_is_seq``, cell classes).
 
-Static per-design quantities (master-cell delays, pin capacitances,
+Static per-netlist quantities (master-cell delays, pin capacitances,
 port coordinates, per-net static pin-cap sums) are captured at compile
-time.  Mutating masters afterwards (gate sizing) must update the master
-columns — :meth:`Design.replace_master` patches them in place, an
-out-of-API ``inst.master = ...`` must call
-:meth:`NetlistArrays.patch_instance_master` — and then call
-:func:`invalidate_flat` on the graph.
+time.  A master swap (gate sizing) patches the form's master columns in
+place — :meth:`Design.replace_master` does, an out-of-API
+``inst.master = ...`` must call
+:meth:`NetlistArrays.patch_instance_master` — and every patch bumps
+``NetlistArrays.master_version``, which :func:`flat_for` compares: the
+next STA call recompiles.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ class FlatTiming:
         self.graph = graph
         arrays = graph.arrays
         self.arrays = arrays
+        #: The master patches these tables include.
+        self.master_version = arrays.master_version
         n = graph.num_nodes
         self.num_nodes = n
 
@@ -159,11 +161,11 @@ class FlatTiming:
         owner_master = np.append(arrays.inst_master, len(arrays.master_names))
 
         def by_owner(column: np.ndarray, port_value, nodes: np.ndarray) -> np.ndarray:
-            return np.append(column, port_value)[owner_master[graph._node_owner[nodes]]]
+            return np.append(column, port_value)[owner_master[graph.node_owner[nodes]]]
 
         self.s_nodes = np.asarray(graph.startpoints, dtype=np.int64)
         self.s_launch = by_owner(arrays.m_clk_to_q, 0.0, self.s_nodes)
-        self.s_isport = graph._node_owner[self.s_nodes] < 0
+        self.s_isport = graph.node_owner[self.s_nodes] < 0
         self.e_nodes = np.asarray(graph.endpoints, dtype=np.int64)
         self.e_setup = by_owner(arrays.m_setup, 0.0, self.e_nodes)
         self.e_isseq = by_owner(arrays.m_is_seq, False, self.e_nodes)
@@ -397,13 +399,9 @@ def check_wire_model(model: WireDelayModel) -> None:
 
 def flat_for(graph: TimingGraph) -> FlatTiming:
     """Cached flat compilation of a timing graph (held on the graph, so
-    it dies with it)."""
+    it dies with it), recompiled after a master patch of its form."""
     flat = graph._flat
-    if flat is None:
+    if flat is None or flat.master_version != graph.arrays.master_version:
+        flat = graph._flat = None  # free the stale tables before building
         flat = graph._flat = FlatTiming(graph)
     return flat
-
-
-def invalidate_flat(graph: TimingGraph) -> None:
-    """Drop the cached compilation (call after mutating master cells)."""
-    graph._flat = None

@@ -16,23 +16,24 @@ ports and sequential Q outputs are path startpoints.  The generator
 guarantees combinational acyclicity, and :meth:`TimingGraph.levelize`
 verifies it (raising on a combinational loop, as OpenSTA would flag).
 
-The one builder works on the design's CSR form and records flat
-integer arc arrays (wire arcs first, then cell arcs — the creation
-order) that :mod:`repro.sta.flat` compiles into the vectorized-STA
-form.  The tuple-based adjacency (``arcs`` / ``preds``) is a lazy
-inspection view derived from them; the object-graph walk the builder
-replaced is the tests' oracle (``tests/sta/reference.py``).
+The graph is built from a :class:`~repro.netlist.arrays.NetlistArrays`
+alone and records flat integer arrays: per-node owner instance and
+interned pin name, and the arcs (wire arcs first, then cell arcs — the
+creation order) that :mod:`repro.sta.flat` compiles into the
+vectorized-STA form.  :func:`timing_graph_for` keeps it on the flat
+form it was built from.  The object-graph walk the builder replaced is
+the tests' oracle (``tests/sta/reference.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import weakref
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.netlist.arrays import DIR_INPUT, DIR_OUTPUT, multi_arange
-from repro.netlist.design import Design, Instance, PinRef
+from repro.netlist.arrays import DIR_INPUT, DIR_OUTPUT, NetlistArrays, multi_arange
 
 
 def _pin_keys(arrays, rows) -> np.ndarray:
@@ -44,16 +45,16 @@ def _pin_keys(arrays, rows) -> np.ndarray:
 
 
 class TimingGraph:
-    """A levelized pin-level timing graph for one design.
+    """A levelized pin-level timing graph for one flat netlist.
 
     Attributes:
-        design: The source design.
+        arrays: The flat form the graph was built from.  A master
+            patch (:meth:`NetlistArrays.patch_instance_master`) keeps
+            the topology, so the graph stays valid across it.
         num_nodes: Number of pin nodes.
-        arcs: Forward adjacency (lazy inspection view): ``arcs[u]`` is
-            a list of ``(v, kind, payload)`` where kind is ``"cell"``
-            (payload: the driving Instance) or ``"wire"`` (payload: the
-            Net).
-        preds: Reverse adjacency mirroring ``arcs``.
+        node_owner: Per-node owner instance index (-1 for a port).
+        node_pin_name: Per-node interned pin / port name id (an index
+            into ``arrays.name_pool``).
         startpoints: Node ids where timing paths begin.
         endpoints: Node ids where timing paths end.
         topo_order: Node ids in topological order (after levelize()).
@@ -61,26 +62,11 @@ class TimingGraph:
             array, filled by :meth:`levelize`.
     """
 
-    CELL = "cell"
-    WIRE = "wire"
-
-    def __init__(self, design: Design) -> None:
-        self.design = design
-        #: The flat form the graph was built from (patched in place by a
-        #: master swap, so its master columns stay live).
-        self.arrays = design.arrays()
-        # Node identity maps are lazy: the build records per-node
-        # (owner instance index, interned pin name) arrays, and the
-        # dict/list views materialize on first access.
-        self._node_of_map: Optional[Dict[Tuple[Optional[int], str], int]] = None
-        self._node_info_list: Optional[List[Tuple[Optional[Instance], str]]] = None
-        self._node_owner: Optional[np.ndarray] = None
-        self._node_pname: Optional[np.ndarray] = None
-        self._num_nodes = 0
-        # Tuple adjacency is built lazily from the flat arrays — the
-        # flow never touches it (see arcs/preds properties).
-        self._arcs: Optional[List[List[Tuple[int, str, object]]]] = None
-        self._preds: Optional[List[List[Tuple[int, str, object]]]] = None
+    def __init__(self, arrays: NetlistArrays) -> None:
+        self.arrays = arrays
+        self.num_nodes = 0
+        self.node_owner: Optional[np.ndarray] = None
+        self.node_pin_name: Optional[np.ndarray] = None
         self._wire_in: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.startpoints: List[int] = []
         self.endpoints: List[int] = []
@@ -103,157 +89,35 @@ class TimingGraph:
         self.levelize()
 
     # ------------------------------------------------------------------
-    @property
-    def _node_of(self) -> Dict[Tuple[Optional[int], str], int]:
-        if self._node_of_map is None:
-            self._materialize_node_maps()
-        return self._node_of_map
-
-    @property
-    def _node_info(self) -> List[Tuple[Optional[Instance], str]]:
-        if self._node_info_list is None:
-            self._materialize_node_maps()
-        return self._node_info_list
-
-    def _materialize_node_maps(self) -> None:
-        """Expand the per-node owner/name arrays into the dict/list views
-        (inspection only: the flow reads the arrays, never these)."""
-        pool = self.arrays.name_pool
-        instances = self.design.instances
-        info: List[Tuple[Optional[Instance], str]] = []
-        node_of: Dict[Tuple[Optional[int], str], int] = {}
-        for nid, (owner, nmi) in enumerate(
-            zip(self._node_owner.tolist(), self._node_pname.tolist())
-        ):
-            name = pool[nmi]
-            if owner >= 0:
-                info.append((instances[owner], name))
-                node_of[(owner, name)] = nid
-            else:
-                info.append((None, name))
-                node_of[(None, name)] = nid
-        self._node_info_list = info
-        self._node_of_map = node_of
-
-    def node(self, inst: Optional[Instance], pin_name: str) -> int:
-        """Get or create the node id for an instance pin / port."""
-        key = (inst.index if inst is not None else None, pin_name)
-        node_of = self._node_of
-        node_id = node_of.get(key)
-        if node_id is None:
-            node_id = len(self._node_info)
-            node_of[key] = node_id
-            self._node_info.append((inst, pin_name))
-            if self._arcs is not None:
-                self._arcs.append([])
-                self._preds.append([])
-        return node_id
-
-    def node_for_ref(self, ref: PinRef) -> int:
-        """Node id for a :class:`PinRef`."""
-        return self.node(ref.instance, ref.pin_name)
-
-    def info(self, node_id: int) -> Tuple[Optional[Instance], str]:
-        """(instance, pin name) of a node; instance None for ports."""
-        return self._node_info[node_id]
-
     def node_name(self, node_id: int) -> str:
         """Human-readable pin name, e.g. ``u_a/U3.Y`` or port name."""
-        if node_id >= self._num_nodes:  # minted later by node()
-            inst, pin = self._node_info[node_id]
-            return pin if inst is None else f"{inst.name}.{pin}"
-        owner = int(self._node_owner[node_id])
-        pin = self.arrays.name_pool[int(self._node_pname[node_id])]
+        owner = int(self.node_owner[node_id])
+        pin = self.arrays.name_pool[int(self.node_pin_name[node_id])]
         if owner < 0:
             return pin
-        return f"{self.design.instances[owner].name}.{pin}"
+        return f"{self.arrays.inst_names[owner]}.{pin}"
 
     def pin_nodes(self, rows: np.ndarray) -> np.ndarray:
         """Node id of each pin row of :attr:`arrays`; -1 where the pin
         has no node.  Looks the build's composite pin keys up in the
         sorted node keys, so no per-pin map is needed."""
         keys = _pin_keys(self.arrays, rows)
-        if not self._num_nodes:
+        if not self.num_nodes:
             return np.full(len(keys), -1, dtype=np.int64)
-        node_keys = (self._node_owner + 1) * len(self.arrays.name_pool) + self._node_pname
+        pool_size = len(self.arrays.name_pool)
+        node_keys = (self.node_owner + 1) * pool_size + self.node_pin_name
         order = np.argsort(node_keys)
         pos = np.minimum(np.searchsorted(node_keys[order], keys), len(order) - 1)
         found = node_keys[order[pos]] == keys
         return np.where(found, order[pos], -1)
 
-    @property
-    def num_nodes(self) -> int:
-        """Number of pin nodes."""
-        if self._node_info_list is not None:
-            return len(self._node_info_list)
-        return self._num_nodes
-
-    # ------------------------------------------------------------------
-    @property
-    def arcs(self) -> List[List[Tuple[int, str, object]]]:
-        """Forward tuple adjacency, built lazily on first access."""
-        if self._arcs is None:
-            self._build_adjacency()
-        return self._arcs
-
-    @property
-    def preds(self) -> List[List[Tuple[int, str, object]]]:
-        """Reverse tuple adjacency, built lazily on first access."""
-        if self._preds is None:
-            self._build_adjacency()
-        return self._preds
-
-    def _build_adjacency(self) -> None:
-        """Materialize arcs/preds from the flat arrays.
-
-        Construction order: wire arcs net-major in net-index order,
-        then cell arcs output-major in instance order with inputs in
-        pin order.  An inspection view (tests, the per-arc oracle in
-        ``tests/sta/reference.py``); the flow runs entirely on the
-        flat arrays.
-        """
-        n = self.num_nodes
-        arcs: List[List[Tuple[int, str, object]]] = [[] for _ in range(n)]
-        preds: List[List[Tuple[int, str, object]]] = [[] for _ in range(n)]
-        WIRE = self.WIRE
-        CELL = self.CELL
-        nets = self.design.nets
-        instances = self.design.instances
-        dsts = self._w_dst.tolist()
-        pos = 0
-        for u, ni, cnt in zip(
-            self._w_src.tolist(), self._w_net.tolist(), self._w_cnt.tolist()
-        ):
-            net = nets[ni]
-            arcs_u = arcs[u]
-            preds_append = preds
-            for v in dsts[pos : pos + cnt]:
-                arcs_u.append((v, WIRE, net))
-                preds_append[v].append((u, WIRE, net))
-            pos += cnt
-        srcs = self._c_src.tolist()
-        pos = 0
-        for out_node, inst_i, nin in zip(
-            self._c_out_node.tolist(),
-            self._c_out_inst.tolist(),
-            self._c_nin.tolist(),
-        ):
-            inst = instances[inst_i]
-            preds_v = preds[out_node]
-            for u in srcs[pos : pos + nin]:
-                arcs[u].append((out_node, CELL, inst))
-                preds_v.append((u, CELL, inst))
-            pos += nin
-        self._arcs = arcs
-        self._preds = preds
-
     def wire_in_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-node (driver node, net index) of the first wire in-arc.
 
         ``-1`` where a node has no wire in-arc.  Lets path backtracking
-        resolve a hop's net without materializing the tuple adjacency.
+        resolve a hop's net without an adjacency list.
         """
-        if self._wire_in is None or len(self._wire_in[0]) < self.num_nodes:
+        if self._wire_in is None:
             n = self.num_nodes
             wsrc = np.full(n, -1, dtype=np.int64)
             wnet = np.full(n, -1, dtype=np.int64)
@@ -266,7 +130,7 @@ class TimingGraph:
         return self._wire_in
 
     def _build_arrays(self) -> None:
-        """Array-native graph construction from the design's CSR form.
+        """Array-native graph construction from the CSR form.
 
         Reproduces the object-graph walk kept as the tests' oracle
         (``tests/sta/reference.py``) bit for bit — node ids, arc order,
@@ -285,7 +149,7 @@ class TimingGraph:
         """
 
         arrays = self.arrays
-        clock_port = self.design.clock_port
+        clock_port = arrays.current_scalar("clock_port")
         pool_size = len(arrays.name_pool)
         pin_key = _pin_keys(arrays, slice(None))
 
@@ -372,10 +236,10 @@ class TimingGraph:
         k_ids = np.empty(len(k_key), dtype=np.int64)
         k_ids[seq_order] = all_ids[n_port + n_wire :]
 
-        self._num_nodes = len(uniq)
+        self.num_nodes = len(uniq)
         ordered_keys = uniq[rank]
-        self._node_owner = (ordered_keys // pool_size) - 1
-        self._node_pname = ordered_keys % pool_size
+        self.node_owner = (ordered_keys // pool_size) - 1
+        self.node_pin_name = ordered_keys % pool_size
 
         # Wire arc arrays.
         wire_ids = all_ids[n_port : n_port + n_wire]
@@ -496,29 +360,30 @@ class TimingGraph:
         )
 
 
-def timing_graph_for(design: Design) -> TimingGraph:
-    """Cached timing graph for a design.
+#: Object views (``NetlistArrays.design``) that have had a graph built:
+#: another build for one of them follows a structural edit that rebuilt
+#: its flat form, and counts ``sta.graph.recompiled``.  Weak, so it
+#: keeps no design alive.
+_HAD_GRAPH = weakref.WeakSet()
 
-    The graph depends only on connectivity, so one graph per design is
+
+def timing_graph_for(arrays: NetlistArrays) -> TimingGraph:
+    """The timing graph of a flat netlist, built once per flat form.
+
+    The graph depends only on connectivity, so one graph per form is
     shared between the clustering stage and the post-route evaluation
-    (placement moves only change the wire model's answers).  The cache
-    lives on the design (``Design._timing_graph``, beside the
-    ``arrays()`` form) and is keyed on :meth:`Design.structure_key`, so
-    ECO mutations (reconnect / add / remove) transparently recompile
-    the graph on next access instead of serving pre-edit topology (a
-    resize re-keys it with the arrays it patches), and
-    a design nothing else references is freed with its graph.  Pickles
-    and copies of a design carry no graph.  Replacing a graph compiled
-    for an older structure (``Design._timing_graph_key``, which outlives
-    the graph an edit drops) counts ``sta.graph.recompiled``.
+    (placement moves only change the wire model's answers).  It lives
+    on the form (``NetlistArrays.timing_graph``): a structural edit
+    makes ``design.arrays()`` a new form, which builds its own graph,
+    and a master patch keeps the form and its graph.  A pickle or copy
+    of a design carries no form, so no graph.
     """
-    key = design.structure_key()
-    entry = design._timing_graph
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    if design._timing_graph_key not in (None, key):
-        obs.count("sta.graph.recompiled")
-    graph = TimingGraph(design)
-    design._timing_graph = (key, graph)
-    design._timing_graph_key = key
+    graph = arrays.timing_graph
+    if graph is None:
+        owner = arrays.design
+        if owner is not None:
+            if owner in _HAD_GRAPH:
+                obs.count("sta.graph.recompiled")
+            _HAD_GRAPH.add(owner)
+        graph = arrays.timing_graph = TimingGraph(arrays)
     return graph

@@ -79,8 +79,7 @@ def find_path_ends(
     graph = analyzer.graph
     # A node has at most one wire in-arc (its pin's net), so a hop
     # (pred -> node) traverses a wire exactly when the node's wire
-    # in-arc source is pred.  Resolving the hop from these per-node
-    # arrays avoids materializing the tuple adjacency.
+    # in-arc source is pred, read from these per-node arrays.
     wire_src, wire_net = graph.wire_in_arrays()
     wire_src = wire_src.tolist()
     wire_net = wire_net.tolist()

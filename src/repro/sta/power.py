@@ -17,12 +17,10 @@ GHz = fJ/ns * 1e-3 = uW... we carry an explicit factor, see code).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
-from repro.netlist.arrays import DIR_OUTPUT
-from repro.netlist.design import Design
+from repro.netlist.arrays import DIR_OUTPUT, NetlistArrays
 from repro.sta.delay import WireDelayModel
 from repro.sta.flat import check_wire_model, flat_for
 from repro.sta.graph import timing_graph_for
@@ -55,9 +53,9 @@ def _sequential_sum(values: np.ndarray) -> float:
 
 
 def analyze_power(
-    design: Design,
+    arrays: NetlistArrays,
     wire_model: WireDelayModel,
-    net_activity: Optional[Dict[int, float]] = None,
+    activity: np.ndarray,
     clock_wirelength: float = 0.0,
     clock_buffers: int = 0,
     c_per_um: float = 0.2,
@@ -65,31 +63,21 @@ def analyze_power(
     """Compute the power report for the current placement/routing state.
 
     Args:
-        design: The design (nets must carry switching activity unless
-            ``net_activity`` is given).
+        arrays: The flat netlist.
         wire_model: Geometry source for net capacitances.
-        net_activity: Optional net index -> activity override, read by
-            the switching and the internal term alike.
+        activity: Toggle rate per net index, read by the switching and
+            the internal term alike (:func:`repro.sta.propagate_activity`).
         clock_wirelength: Total CTS wire length (microns).
         clock_buffers: Number of inserted clock buffers.
         c_per_um: Wire capacitance for the clock network (fF/um).
     """
     check_wire_model(wire_model)
-    period = design.clock_period or 1.0
+    period = arrays.current_scalar("clock_period") or 1.0
     freq_ghz = 1.0 / period
-    flat = flat_for(timing_graph_for(design))
-    arrays = flat.arrays
+    flat = flat_for(timing_graph_for(arrays))
     # The analyzer's driver loads at the model's current geometry.
     load, _hpwl = flat.net_loads(wire_model, *flat.geometry(wire_model))
-    activity = arrays.current_net_activity()
-    if net_activity:
-        activity = activity.copy()
-        nets = np.fromiter(net_activity.keys(), dtype=np.int64, count=len(net_activity))
-        values = np.fromiter(
-            net_activity.values(), dtype=np.float64, count=len(net_activity)
-        )
-        keep = (nets >= 0) & (nets < flat.num_nets)
-        activity[nets[keep]] = values[keep]
+    activity = np.asarray(activity, dtype=np.float64)
 
     # Every sum below runs left to right in net / instance order
     # (cumsum), as a Python loop over the nets would.
@@ -100,7 +88,7 @@ def analyze_power(
     inst_master = arrays.inst_master
     leakage = _sequential_sum(arrays.m_leakage[inst_master])
     # Output toggle rate per instance: the max over its connected
-    # output pins' nets (the override, else live activity); sequential
+    # output pins' nets; sequential
     # cells burn internal power on every clock edge.
     out_rows = np.flatnonzero((arrays.pin_inst >= 0) & (arrays.pin_dir == DIR_OUTPUT))
     out_activity = np.zeros(arrays.num_instances)

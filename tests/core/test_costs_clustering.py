@@ -27,10 +27,18 @@ def hypergraph_with_nets():
     return hg
 
 
+def per_net(activity):
+    """Net index -> toggle rate as the per-net array the costs take."""
+    out = np.zeros(13)
+    for net, rate in activity.items():
+        out[net] = rate
+    return out
+
+
 class TestSwitchingCost:
     def test_eq2_by_hand(self):
         hg = hypergraph_with_nets()
-        activity = {10: 0.5, 11: 0.25, 12: 0.25}
+        activity = per_net({10: 0.5, 11: 0.25, 12: 0.25})
         costs = hyperedge_switching_costs(hg, activity, mu=2.0)
         # theta sum = 1.0; s_e = (1 + theta)^2
         assert costs[0] == pytest.approx(1.5**2)
@@ -38,7 +46,7 @@ class TestSwitchingCost:
 
     def test_mu_scaling(self):
         hg = hypergraph_with_nets()
-        activity = {10: 1.0, 11: 0.0, 12: 0.0}
+        activity = per_net({10: 1.0, 11: 0.0, 12: 0.0})
         mu1 = hyperedge_switching_costs(hg, activity, mu=1.0)
         mu3 = hyperedge_switching_costs(hg, activity, mu=3.0)
         assert mu3[0] > mu1[0]
@@ -46,12 +54,12 @@ class TestSwitchingCost:
 
     def test_no_activity_gives_ones(self):
         hg = hypergraph_with_nets()
-        costs = hyperedge_switching_costs(hg, {}, mu=2.0)
+        costs = hyperedge_switching_costs(hg, per_net({}), mu=2.0)
         assert np.allclose(costs, 1.0)
 
     def test_higher_activity_higher_cost(self):
         hg = hypergraph_with_nets()
-        costs = hyperedge_switching_costs(hg, {10: 0.9, 11: 0.1, 12: 0.1})
+        costs = hyperedge_switching_costs(hg, per_net({10: 0.9, 11: 0.1, 12: 0.1}))
         assert costs[0] > costs[1]
 
 
@@ -104,7 +112,7 @@ class TestEdgeScores:
     def test_eq3_composition(self):
         hg = hypergraph_with_nets()
         paths = [TimingPath(nodes=[0], slack=-0.2, net_indices=[10])]
-        activity = {10: 0.5, 11: 0.5, 12: 0.0}
+        activity = per_net({10: 0.5, 11: 0.5, 12: 0.0})
         config = CostConfig(alpha=1.0, beta=2.0, gamma=3.0, mu=2.0)
         scores = compute_edge_scores(
             hg, config, paths=paths, net_activity=activity, clock_period=1.0

@@ -66,7 +66,7 @@ class TestEvaluatePlacedDesign:
     def test_full_metric_record(self, small_design_fresh):
         design = small_design_fresh
         GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
-        metrics = evaluate_placed_design(design, {"place": 1.5})
+        metrics = evaluate_placed_design(design.arrays(), design.floorplan, {"place": 1.5})
         assert metrics.hpwl > 0
         assert metrics.rwl > 0
         assert metrics.power > 0
@@ -83,8 +83,8 @@ class TestEvaluatePlacedDesign:
         GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
         signal_only = GlobalRouter(design.arrays(), design.floorplan).run()
         signal_only = signal_only.routed_wirelength
-        cts = synthesize_clock_tree(design)
-        metrics = evaluate_placed_design(design)
+        cts = synthesize_clock_tree(design.arrays(), design.floorplan)
+        metrics = evaluate_placed_design(design.arrays(), design.floorplan)
         assert metrics.rwl == pytest.approx(
             signal_only + cts.wirelength, rel=0.01
         )
@@ -92,8 +92,8 @@ class TestEvaluatePlacedDesign:
     def test_deterministic(self, small_design_fresh):
         design = small_design_fresh
         GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
-        a = evaluate_placed_design(design)
-        b = evaluate_placed_design(design)
+        a = evaluate_placed_design(design.arrays(), design.floorplan)
+        b = evaluate_placed_design(design.arrays(), design.floorplan)
         assert a.rwl == pytest.approx(b.rwl)
         assert a.tns == pytest.approx(b.tns)
         assert a.power == pytest.approx(b.power)
@@ -152,7 +152,7 @@ class TestEvaluatePlacedDesign:
                 perf.reset()
                 kept = session.apply(parse_edits(script)).metrics
                 recompiled.append(perf.counter_value("sta.graph.recompiled"))
-                fresh = evaluate_placed_design(design)
+                fresh = evaluate_placed_design(design.arrays(), design.floorplan)
                 for name in ("wns", "tns", "hold_wns", "hold_tns", "power", "rwl"):
                     assert getattr(kept, name) == getattr(fresh, name), (script, name)
                 assert perf.counter_value("sta.graph.recompiled") == recompiled[-1]
@@ -164,9 +164,35 @@ class TestEvaluatePlacedDesign:
     def test_no_routing_stops_at_hpwl(self, small_design_fresh):
         design = small_design_fresh
         GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
-        metrics = evaluate_placed_design(design, {"place": 1.5}, run_routing=False)
+        metrics = evaluate_placed_design(
+            design.arrays(), design.floorplan, {"place": 1.5}, run_routing=False
+        )
         assert metrics.hpwl > 0 and metrics.rwl is None
         assert metrics.runtimes == {"place": 1.5}
+
+    def test_evaluation_writes_nothing(self, small_design_fresh):
+        """The clustering's STA and the post-route evaluation read the
+        netlist: every column and header field of its snapshot is as
+        it was before them."""
+        from repro.core.ppa_clustering import (
+            PPAClusteringConfig,
+            ppa_aware_clustering,
+        )
+        from repro.netlist.snapshot import design_snapshot
+
+        design = small_design_fresh
+        GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
+        before = design_snapshot(design)
+        ppa_aware_clustering(
+            DesignDatabase(design), PPAClusteringConfig(target_cluster_size=100)
+        )
+        metrics = evaluate_placed_design(design.arrays(), design.floorplan)
+        assert metrics.power > 0
+        after = design_snapshot(design)
+        assert after["header"] == before["header"]
+        assert after["columns"].keys() == before["columns"].keys()
+        for name, column in before["columns"].items():
+            assert np.array_equal(after["columns"][name], column), name
 
 
 class TestFlowArtifacts:

@@ -18,11 +18,11 @@ class TestPowerMultipliers:
         from tests.sta.reference import net_load
 
         multipliers = _power_multipliers(small_design, emphasis=2.0)
-        graph = timing_graph_for(small_design)
+        graph = timing_graph_for(small_design.arrays())
         activity = propagate_activity(graph)
-        model = FanoutWireModel(small_design)
+        model = FanoutWireModel()
         energies = {
-            n.index: activity.get(n.index, 0.0) * net_load(model, n)
+            n.index: activity[n.index] * net_load(model, small_design, n)
             for n in small_design.nets
             if not n.is_clock and n.degree >= 2
         }

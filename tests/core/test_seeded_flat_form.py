@@ -362,7 +362,7 @@ def _blob_reference(design, run_routing=False, seed=0):
         design, cluster_of, shapes=selection.shapes, io_net_weight=IO_NET_WEIGHT
     )
     seeded_placement(clustered, SeededPlacementConfig(tool="openroad"))
-    metrics = evaluate_placed_design(design, {}, run_routing)
+    metrics = evaluate_placed_design(design.arrays(), design.floorplan, {}, run_routing)
     return metrics, clustering.num_clusters
 
 

@@ -103,5 +103,5 @@ class TestAsap7Generation:
     def test_timing_graph_acyclic(self, design):
         from repro.sta import TimingGraph
 
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         assert len(graph.topo_order) == graph.num_nodes

@@ -5,6 +5,7 @@ import pytest
 from repro.designs import DesignSpec, generate_design
 from repro.netlist.hierarchy import HierarchyTree
 from repro.sta.graph import TimingGraph
+from tests.sta.reference import CELL, GraphView
 
 
 def spec(**kwargs) -> DesignSpec:
@@ -54,19 +55,20 @@ class TestGeneration:
 
     def test_timing_graph_acyclic(self):
         design = generate_design(spec())
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         assert len(graph.topo_order) == graph.num_nodes
 
     def test_logic_depth_bounds_comb_chains(self):
         """No register-to-register path exceeds logic_depth stages."""
         design = generate_design(spec(logic_depth=6))
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
+        view = GraphView(graph, design)
         depth = {}
         longest = 0
         for u in graph.topo_order:
             du = depth.get(u, 0)
-            for v, kind, _p in graph.arcs[u]:
-                step = 1 if kind == TimingGraph.CELL else 0
+            for v, kind, _p in view.arcs[u]:
+                step = 1 if kind == CELL else 0
                 if du + step > depth.get(v, 0):
                     depth[v] = du + step
                     longest = max(longest, depth[v])
@@ -129,13 +131,14 @@ class TestGeneration:
         deep = generate_design(spec(critical_chains=3, logic_depth=10))
 
         def longest_chain(design):
-            graph = TimingGraph(design)
+            graph = TimingGraph(design.arrays())
+            view = GraphView(graph, design)
             depth = {}
             best = 0
             for u in graph.topo_order:
                 du = depth.get(u, 0)
-                for v, kind, _p in graph.arcs[u]:
-                    step = 1 if kind == TimingGraph.CELL else 0
+                for v, kind, _p in view.arcs[u]:
+                    step = 1 if kind == CELL else 0
                     if du + step > depth.get(v, 0):
                         depth[v] = du + step
                         best = max(best, depth[v])
@@ -167,7 +170,7 @@ def test_edge_values_generate(edge):
     design = generate_design(spec)
     assert design.num_instances >= 1
     assert design.validate() == []
-    assert len(TimingGraph(design).topo_order) > 0
+    assert len(TimingGraph(design.arrays()).topo_order) > 0
 
 
 def test_from_params_takes_an_integer_as_a_float():

@@ -7,6 +7,7 @@ import pytest
 from repro.designs import DesignSpec, generate_design
 from repro.designs.generator import _build_modules
 from repro.sta import TimingGraph
+from tests.sta.reference import CELL, GraphView
 
 
 class TestBuildModules:
@@ -54,14 +55,15 @@ class TestCriticalChains:
                 seed=13,
             )
         )
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
+        view = GraphView(graph, design)
         # Longest chain close to logic_depth despite small leaves.
         depth = {}
         best = 0
         for u in graph.topo_order:
             du = depth.get(u, 0)
-            for v, kind, _p in graph.arcs[u]:
-                step = 1 if kind == TimingGraph.CELL else 0
+            for v, kind, _p in view.arcs[u]:
+                step = 1 if kind == CELL else 0
                 if du + step > depth.get(v, 0):
                     depth[v] = du + step
                     best = max(best, depth[v])

@@ -295,6 +295,27 @@ class TestErrors:
         assert resumed.metrics.hpwl == base.metrics.hpwl
         assert resumed.metrics.wns == base.metrics.wns
 
+    def test_eco_base_of_the_per_net_activity_form_is_refused(
+        self, base_run, tmp_path
+    ):
+        """An ``eco_base`` in the ``repro.netlist.arrays/1`` form (a
+        per-net activity column, no input toggle rate) opens no session:
+        a diagnosed ``CheckpointError``, never a read at a default rate."""
+        tmp, _base = base_run
+        old = tmp_path / "ckpt"
+        shutil.copytree(tmp / "ckpt", old)
+        session = EcoSession(str(old))
+        snapshot = design_snapshot(session.design)
+        snapshot["form"] = "repro.netlist.arrays/1"
+        del snapshot["header"]["input_activity"]
+        snapshot["columns"]["net_activity"] = np.zeros(session.design.num_nets)
+        key = session.store.stage_key("eco_base")
+        session.store.save_stage(
+            "eco_base", key, encode_stage("eco_base", key, {"design": snapshot})
+        )
+        with pytest.raises(CheckpointError, match="older build or damaged"):
+            EcoSession(str(old))
+
     def test_inconsistent_clustering_refused(self, base_run):
         session = _session(base_run)
         session.cluster_of = session.cluster_of[:-1]

@@ -192,6 +192,7 @@ def snapshot_reference(design: Design) -> Dict[str, Any]:
         "name": design.name,
         "clock_period": design.clock_period,
         "clock_port": design.clock_port,
+        "input_activity": design.input_activity,
         "floorplan": (
             fp.die_width,
             fp.die_height,
@@ -213,7 +214,6 @@ def snapshot_reference(design: Design) -> Dict[str, Any]:
                 net.name,
                 net.weight,
                 net.is_clock,
-                net.switching_activity,
                 _ref(net.driver) if net.driver is not None else None,
                 [_ref(ref) for ref in net.sinks],
             )
@@ -228,6 +228,7 @@ def design_from_reference(payload: Dict[str, Any]) -> Design:
     design = Design(payload["name"], floorplan=Floorplan(*payload["floorplan"]))
     design.clock_period = payload["clock_period"]
     design.clock_port = payload["clock_port"]
+    design.input_activity = payload["input_activity"]
     for name, m in payload["masters"].items():
         design.add_master(
             MasterCell(
@@ -265,11 +266,10 @@ def design_from_reference(payload: Dict[str, Any]) -> Design:
             return PinRef(None, pin_name)
         return PinRef(design.instances[index], pin_name)
 
-    for name, weight, is_clock, activity, driver, sinks in payload["nets"]:
+    for name, weight, is_clock, driver, sinks in payload["nets"]:
         net = design.add_net(name)
         net.weight = weight
         net.is_clock = is_clock
-        net.switching_activity = activity
         # Connect through the direction classifier so driver/sink roles
         # are re-derived exactly as construction derived them; sink
         # order is preserved by connecting in stored order.

@@ -209,7 +209,7 @@ def _placed_weighted_fixed():
     design.instance("u1").x, design.instance("u1").y = 3.25, 17.5
     design.instance("u2").fixed = True
     design.net("n1").weight = 2.5
-    design.net("n_out").switching_activity = 0.125
+    design.input_activity = 0.125
     design.ports["in1"].x = 1.5
     return design
 
@@ -352,11 +352,27 @@ class TestValidateThenBuild:
 
     def test_wrong_tag(self, payload):
         payload["form"] = "repro.netlist.arrays/0"
-        self._rejects(payload, "not a repro.netlist.arrays/1")
+        self._rejects(payload, "not a repro.netlist.arrays/2")
 
     def test_the_tuple_form_of_older_builds(self, payload):
-        self._rejects(snapshot_reference(_base()), "not a repro.netlist.arrays/1")
-        self._rejects(["not", "a", "dict"], "not a repro.netlist.arrays/1")
+        self._rejects(snapshot_reference(_base()), "not a repro.netlist.arrays/2")
+        self._rejects(["not", "a", "dict"], "not a repro.netlist.arrays/2")
+
+    def test_the_per_net_activity_form(self, payload):
+        """``/1`` carried a per-net activity column and no input toggle
+        rate: refused by its tag, never read at a default rate."""
+        payload["form"] = "repro.netlist.arrays/1"
+        del payload["header"]["input_activity"]
+        nets = len(payload["header"]["net_names"])
+        payload["columns"]["net_activity"] = np.zeros(nets)
+        self._rejects(payload, "not a repro.netlist.arrays/2")
+
+    @pytest.mark.parametrize("name", ["clock_period", "input_activity"])
+    def test_timing_scalars_are_numbers(self, payload, name):
+        """A string period decoded, then failed deep inside STA with an
+        undiagnosed NumPy type error."""
+        payload["header"][name] = "0.5"
+        self._rejects(payload, name)
 
     def test_missing_parts(self, payload):
         self._rejects({"form": payload["form"]}, "header")

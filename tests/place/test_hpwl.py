@@ -45,14 +45,14 @@ class TestNetHpwl:
 
 class TestDesignHpwl:
     def test_excludes_clock_by_default(self, toy_design):
-        with_clock = hpwl(toy_design, include_clock=True)
-        without = hpwl(toy_design)
+        with_clock = hpwl(toy_design.arrays(), include_clock=True)
+        without = hpwl(toy_design.arrays())
         assert with_clock > without
 
     def test_weighted(self, toy_design):
         toy_design.net("n1").weight = 10.0
-        unweighted = hpwl(toy_design)
-        weighted = hpwl(toy_design, weighted=True)
+        unweighted = hpwl(toy_design.arrays())
+        weighted = hpwl(toy_design.arrays(), weighted=True)
         assert weighted > unweighted
 
     def test_translation_invariant_for_internal_nets(self, toy_design):
@@ -66,7 +66,7 @@ class TestArrayEquivalence:
     def test_matches_object_model(self, small_design):
         problem = PlacementProblem(small_design.arrays(), small_design.floorplan)
         from_arrays = problem.hpwl()
-        from_objects = hpwl(small_design)
+        from_objects = hpwl(small_design.arrays())
         assert from_arrays == pytest.approx(from_objects)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -78,7 +78,7 @@ class TestArrayEquivalence:
             inst.x = float(rng.uniform(0, 50))
             inst.y = float(rng.uniform(0, 50))
         problem = PlacementProblem(design.arrays(), design.floorplan)
-        assert problem.hpwl() == pytest.approx(hpwl(design))
+        assert problem.hpwl() == pytest.approx(hpwl(design.arrays()))
 
     def test_hpwl_arrays_direct(self):
         # Net 0: vertices {0,1}; net 1: {0,1,2}
@@ -116,19 +116,19 @@ class TestMemoInvalidation:
         )
 
     def test_reconnect_pin_rebuilds_pin_arrays(self, toy_design):
-        assert hpwl(toy_design) == pytest.approx(self._walk(toy_design))
+        assert hpwl(toy_design.arrays()) == pytest.approx(self._walk(toy_design))
         u2 = toy_design.instance("u2")
         u2.x, u2.y = 17.0, 3.0  # far from n_in0's pins: the move shows
         toy_design.disconnect_pin(u2, "B")
         toy_design.reconnect_pin(u2, "B", toy_design.net("n_in0"))
-        assert hpwl(toy_design) == pytest.approx(self._walk(toy_design), rel=1e-12)
+        assert hpwl(toy_design.arrays()) == pytest.approx(self._walk(toy_design), rel=1e-12)
 
     def test_add_then_remove_rebuilds_pin_arrays(self, toy_design):
         from repro.designs.nangate45 import make_library
 
-        assert hpwl(toy_design) == pytest.approx(self._walk(toy_design))
+        assert hpwl(toy_design.arrays()) == pytest.approx(self._walk(toy_design))
         buf = toy_design.add_instance("u_buf", make_library()["BUF_X1"])
         buf.x, buf.y = 19.0, 1.0
         toy_design.connect_instance_pin(toy_design.net("n1"), buf, "A")
         toy_design.remove_instance(toy_design.instance("u3"))
-        assert hpwl(toy_design) == pytest.approx(self._walk(toy_design), rel=1e-12)
+        assert hpwl(toy_design.arrays()) == pytest.approx(self._walk(toy_design), rel=1e-12)

@@ -85,7 +85,7 @@ class TestQuality:
                 PlacementProblem(design.arrays(), design.floorplan),
                 PlacerConfig(seed=seed),
             ).run()
-            values.append(hpwl(design))
+            values.append(hpwl(design.arrays()))
         spread = (max(values) - min(values)) / np.mean(values)
         assert spread < 0.10
 

@@ -99,7 +99,7 @@ class TestGCellGrid:
 class TestGlobalRouting:
     def test_routed_wl_reasonable(self, routed_design):
         design, result = routed_design
-        base = hpwl(design)
+        base = hpwl(design.arrays())
         assert 0.8 * base <= result.routed_wirelength <= 2.0 * base
 
     def test_per_net_lengths(self, routed_design):
@@ -142,31 +142,32 @@ class TestGlobalRouting:
 
 class TestCts:
     def test_toy_tree(self, toy_design):
-        result = synthesize_clock_tree(toy_design)
+        result = synthesize_clock_tree(toy_design.arrays(), toy_design.floorplan)
         assert result.num_sinks == 1
         assert result.wirelength > 0
 
     def test_empty_design(self):
         from repro.netlist.design import Design
 
-        result = synthesize_clock_tree(Design("empty"))
+        empty = Design("empty")
+        result = synthesize_clock_tree(empty.arrays(), empty.floorplan)
         assert result.num_sinks == 0
         assert result.wirelength == 0.0
 
     def test_covers_all_sinks(self, routed_design):
         design, _ = routed_design
-        result = synthesize_clock_tree(design)
+        result = synthesize_clock_tree(design.arrays(), design.floorplan)
         assert result.num_sinks == len(design.sequential_instances())
         assert result.num_buffers > 0
         assert result.skew >= 0
 
     def test_wirelength_scales_with_spread(self, routed_design):
         design, _ = routed_design
-        compact = synthesize_clock_tree(design)
+        compact = synthesize_clock_tree(design.arrays(), design.floorplan)
         for inst in design.sequential_instances():
             inst.x *= 2
             inst.y *= 2
-        spread = synthesize_clock_tree(design)
+        spread = synthesize_clock_tree(design.arrays(), design.floorplan)
         # Restore.
         for inst in design.sequential_instances():
             inst.x /= 2

@@ -9,18 +9,21 @@ propagation bodies are verbatim; the graph builder is the same walk
 made standalone (it returns plain lists instead of filling a
 ``TimingGraph``).
 
-Since the STA package reads only the flat form, three more object
-walks live here: the wire models' per-net geometry (``net_wirelength``
-/ ``sink_distance`` / ``net_load`` / ``wire_delay``, once methods of
+Since the STA package reads only the flat form, more object walks
+live here: the wire models' per-net geometry (``net_wirelength`` /
+``sink_distance`` / ``net_load`` / ``wire_delay``, once methods of
 ``WireDelayModel``), ``FlatTiming``'s per-net / per-node table loop
-(:func:`flat_tables_reference`) and ``analyze_power``'s body
-(:func:`analyze_power_reference`).
+(:func:`flat_tables_reference`), ``analyze_power``'s body
+(:func:`analyze_power_reference`), and :class:`GraphView` — the
+per-node ``(instance, pin)`` map and the tuple adjacency
+(``arcs`` / ``preds``) that ``TimingGraph`` once offered as inspection
+views, rebuilt from its flat arrays and the design's objects.
 
-Everything reaches the program through public surfaces only —
-``graph.arcs`` / ``preds`` / ``topo_order`` / ``info`` / ``node_for_ref``
-and the model parameters — and must agree with ``TimingGraph``,
-``TimingAnalyzer``, ``analyze_hold``, ``propagate_activity``,
-``FlatTiming`` and ``analyze_power`` bit for bit.
+Everything reaches the program through public surfaces only — the
+graph's node and arc arrays, ``topo_order`` and the model parameters —
+and must agree with ``TimingGraph``, ``TimingAnalyzer``,
+``analyze_hold``, ``propagate_activity``, ``FlatTiming`` and
+``analyze_power`` bit for bit.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def _placement_distance(design: Design, net: Net, sink: PinRef) -> float:
     return abs(xd - xs) + abs(yd - ys)
 
 
-def net_wirelength(model: WireDelayModel, net: Net) -> float:
+def net_wirelength(model: WireDelayModel, design: Design, net: Net) -> float:
     """Estimated total wire length of the net (microns)."""
     if type(model) is FanoutWireModel:
         return model.wl_per_fanout * max(1, net.fanout)
@@ -87,17 +90,19 @@ def net_wirelength(model: WireDelayModel, net: Net) -> float:
         routed = model.routed_lengths.get(net.index)
         if routed is not None:
             return routed
-    return _placement_hpwl(model.design, net)
+    return _placement_hpwl(design, net)
 
 
-def sink_distance(model: WireDelayModel, net: Net, sink: PinRef) -> float:
+def sink_distance(
+    model: WireDelayModel, design: Design, net: Net, sink: PinRef
+) -> float:
     """Estimated driver-to-sink distance (microns)."""
     if type(model) is FanoutWireModel:
         return model.wl_per_fanout
-    base = _placement_distance(model.design, net, sink)
+    base = _placement_distance(design, net, sink)
     if type(model) is not RoutedWireModel:
         return base
-    hpwl = _placement_hpwl(model.design, net)
+    hpwl = _placement_hpwl(design, net)
     routed = model.routed_lengths.get(net.index)
     if routed is None or hpwl <= 0:
         return base
@@ -105,19 +110,19 @@ def sink_distance(model: WireDelayModel, net: Net, sink: PinRef) -> float:
     return base * detour
 
 
-def net_load(model: WireDelayModel, net: Net) -> float:
+def net_load(model: WireDelayModel, design: Design, net: Net) -> float:
     """Total load seen by the driver: sink pin caps + wire cap (fF)."""
-    pin_cap = sum(sink.capacitance(model.design) for sink in net.sinks)
-    return pin_cap + model.c_per_um * net_wirelength(model, net)
+    pin_cap = sum(sink.capacitance(design) for sink in net.sinks)
+    return pin_cap + model.c_per_um * net_wirelength(model, design, net)
 
 
-def wire_delay(model: WireDelayModel, net: Net, sink: PinRef) -> float:
+def wire_delay(model: WireDelayModel, design: Design, net: Net, sink: PinRef) -> float:
     """Elmore-style wire delay from driver to ``sink`` (ns):
     ``R_wire * (C_wire / 2 + C_sink)`` over the driver-to-sink distance."""
-    dist = sink_distance(model, net, sink)
+    dist = sink_distance(model, design, net, sink)
     r_wire = model.r_per_um * dist
     c_wire = model.c_per_um * dist
-    c_sink = sink.capacitance(model.design)
+    c_sink = sink.capacitance(design)
     return RC_NS * r_wire * (0.5 * c_wire + c_sink)
 
 
@@ -269,10 +274,91 @@ def levelize_reference(
 
 
 # ----------------------------------------------------------------------
+# A TimingGraph read through the design's objects
+# ----------------------------------------------------------------------
+#: Arc kinds of :attr:`GraphView.arcs` / :attr:`GraphView.preds`.
+CELL = "cell"
+WIRE = "wire"
+
+Adjacency = List[List[Tuple[int, str, object]]]
+
+
+class GraphView:
+    """The object views ``TimingGraph`` no longer carries, rebuilt from
+    its flat arrays and the design it was built from.
+
+    Attributes:
+        graph: The viewed :class:`TimingGraph`.
+        design: Its design (``graph.arrays`` is ``design.arrays()``).
+        arcs: Forward adjacency: ``arcs[u]`` lists ``(v, kind, payload)``
+            with kind :data:`CELL` (payload: the driving ``Instance``)
+            or :data:`WIRE` (payload: the ``Net``), wire arcs net-major
+            in net-index order, then cell arcs output-major in instance
+            order with inputs in pin order — the creation order.
+        preds: Reverse adjacency mirroring ``arcs``.
+    """
+
+    def __init__(self, graph: TimingGraph, design: Design) -> None:
+        self.graph = graph
+        self.design = design
+        pool = graph.arrays.name_pool
+        instances = design.instances
+        self._info: List[Tuple[Optional[Instance], str]] = []
+        self._node_of: Dict[Tuple[Optional[int], str], int] = {}
+        for nid, (owner, name_id) in enumerate(
+            zip(graph.node_owner.tolist(), graph.node_pin_name.tolist())
+        ):
+            inst = instances[owner] if owner >= 0 else None
+            self._info.append((inst, pool[name_id]))
+            self._node_of[(owner if owner >= 0 else None, pool[name_id])] = nid
+        n = graph.num_nodes
+        arcs: Adjacency = [[] for _ in range(n)]
+        preds: Adjacency = [[] for _ in range(n)]
+        dsts = graph._w_dst.tolist()
+        pos = 0
+        for u, ni, cnt in zip(
+            graph._w_src.tolist(), graph._w_net.tolist(), graph._w_cnt.tolist()
+        ):
+            net = design.nets[ni]
+            for v in dsts[pos : pos + cnt]:
+                arcs[u].append((v, WIRE, net))
+                preds[v].append((u, WIRE, net))
+            pos += cnt
+        srcs = graph._c_src.tolist()
+        pos = 0
+        for out_node, inst_i, nin in zip(
+            graph._c_out_node.tolist(),
+            graph._c_out_inst.tolist(),
+            graph._c_nin.tolist(),
+        ):
+            inst = instances[inst_i]
+            for u in srcs[pos : pos + nin]:
+                arcs[u].append((out_node, CELL, inst))
+                preds[out_node].append((u, CELL, inst))
+            pos += nin
+        self.arcs = arcs
+        self.preds = preds
+
+    def info(self, node_id: int) -> Tuple[Optional[Instance], str]:
+        """(instance, pin name) of a node; instance None for ports."""
+        return self._info[node_id]
+
+    def node(self, inst: Optional[Instance], pin_name: str) -> int:
+        """Node id of an instance pin / port (KeyError if it has none)."""
+        return self._node_of[(inst.index if inst is not None else None, pin_name)]
+
+    def node_for_ref(self, ref: PinRef) -> Optional[int]:
+        """Node id of a :class:`PinRef`, None when the pin has no node."""
+        key = (ref.instance.index if ref.instance is not None else None, ref.pin_name)
+        return self._node_of.get(key)
+
+
+# ----------------------------------------------------------------------
 # Setup propagation (per-arc Python loops)
 # ----------------------------------------------------------------------
 class ReferenceAnalyzer:
-    """Per-arc arrival / required propagation over a ``TimingGraph``.
+    """Per-arc arrival / required propagation over the design's
+    ``TimingGraph``, read through a :class:`GraphView`.
 
     Quacks like :class:`~repro.sta.analysis.TimingAnalyzer` as far as
     ``find_path_ends`` needs (``graph``, ``report``, ``update()``).
@@ -281,13 +367,14 @@ class ReferenceAnalyzer:
 
     def __init__(
         self,
-        graph: TimingGraph,
+        design: Design,
         wire_model: WireDelayModel,
         clock_uncertainty: float = 0.0,
     ) -> None:
-        self.graph = graph
+        self.graph = TimingGraph(design.arrays())
+        self.view = GraphView(self.graph, design)
         self.wire_model = wire_model
-        self.design = graph.design
+        self.design = design
         self.clock_uncertainty = clock_uncertainty
         self.report: Optional[TimingReport] = None
         self._net_loads: Dict[int, float] = {}
@@ -298,20 +385,20 @@ class ReferenceAnalyzer:
 
     def arc_delay(self, u: int, v: int, kind: str, payload: object) -> float:
         """Delay of one timing arc (ns)."""
-        if kind == TimingGraph.WIRE:
+        if kind == WIRE:
             net: Net = payload  # type: ignore[assignment]
-            inst, pin = self.graph.info(v)
+            inst, pin = self.view.info(v)
             sink = PinRef(inst, pin)
-            return wire_delay(self.wire_model, net, sink)
+            return wire_delay(self.wire_model, self.design, net, sink)
         # Cell arc: linear delay model on the driving output pin,
         # with virtual buffering of large loads.
         inst: Instance = payload  # type: ignore[no-redef]
-        _out_inst, out_pin = self.graph.info(v)
+        _out_inst, out_pin = self.view.info(v)
         net = inst.net_on(out_pin)
         if net is not None:
             load = self._net_loads.get(net.index)
             if load is None:
-                load = net_load(self.wire_model, net)
+                load = net_load(self.wire_model, self.design, net)
                 self._net_loads[net.index] = load
         else:
             load = 0.0
@@ -322,14 +409,14 @@ class ReferenceAnalyzer:
 
     def _startpoint_arrival(self, node: int) -> float:
         """Launch time at a startpoint."""
-        inst, pin = self.graph.info(node)
+        inst, pin = self.view.info(node)
         if inst is None:
             return 0.0  # input port (no explicit input delay by default)
         return inst.master.clk_to_q  # sequential Q launch
 
     def _endpoint_required(self, node: int, period: float) -> float:
         """Capture requirement at an endpoint."""
-        inst, pin = self.graph.info(node)
+        inst, pin = self.view.info(node)
         if inst is None:
             return period - self.clock_uncertainty  # output port
         # Sequential D-type input.
@@ -353,7 +440,7 @@ class ReferenceAnalyzer:
             if arrival[u] == -math.inf:
                 continue
             au = arrival[u]
-            for v, kind, payload in graph.arcs[u]:
+            for v, kind, payload in self.view.arcs[u]:
                 candidate = au + self.arc_delay(u, v, kind, payload)
                 if candidate > arrival[v]:
                     arrival[v] = candidate
@@ -368,7 +455,7 @@ class ReferenceAnalyzer:
             rv = required[v]
             if rv == math.inf:
                 continue
-            for u, kind, payload in graph.preds[v]:
+            for u, kind, payload in self.view.preds[v]:
                 candidate = rv - self.arc_delay(u, v, kind, payload)
                 if candidate < required[u]:
                     required[u] = candidate
@@ -405,12 +492,13 @@ def analyze_hold_reference(
 ) -> HoldReport:
     """Min-arrival propagation, one arc at a time, at the current geometry."""
     graph = analyzer.graph
+    view = analyzer.view
     n = graph.num_nodes
     analyzer._net_loads = {}
 
     arrival = [math.inf] * n
     for s in graph.startpoints:
-        inst, _pin = graph.info(s)
+        inst, _pin = view.info(s)
         if inst is None:
             launch = input_min_delay
         else:
@@ -421,7 +509,7 @@ def analyze_hold_reference(
         if arrival[u] == math.inf:
             continue
         au = arrival[u]
-        for v, kind, payload in graph.arcs[u]:
+        for v, kind, payload in view.arcs[u]:
             candidate = au + analyzer.arc_delay(u, v, kind, payload)
             if candidate < arrival[v]:
                 arrival[v] = candidate
@@ -430,7 +518,7 @@ def analyze_hold_reference(
     tns = 0.0
     endpoint_slacks: Dict[int, float] = {}
     for e in graph.endpoints:
-        inst, _pin = graph.info(e)
+        inst, _pin = view.info(e)
         if inst is None or not inst.master.is_sequential:
             continue
         if arrival[e] == math.inf:
@@ -449,19 +537,18 @@ def analyze_hold_reference(
 # ----------------------------------------------------------------------
 # Switching activity (per-arc)
 # ----------------------------------------------------------------------
-def propagate_activity_reference(
-    graph: TimingGraph,
-    default_input_activity: float = 0.1,
-) -> Dict[int, float]:
-    """Per-arc activity propagation; annotates the nets like the flat one."""
-    design = graph.design
+def propagate_activity_reference(design: Design) -> np.ndarray:
+    """Per-arc activity propagation from ``design.input_activity``;
+    returns the per-net array like the flat one."""
+    graph = TimingGraph(design.arrays())
+    view = GraphView(graph, design)
     n = graph.num_nodes
     activity = [0.0] * n
 
     for s in graph.startpoints:
-        inst, _pin = graph.info(s)
+        inst, _pin = view.info(s)
         if inst is None:
-            activity[s] = default_input_activity
+            activity[s] = design.input_activity
         else:
             activity[s] = REGISTER_ACTIVITY
 
@@ -470,34 +557,32 @@ def propagate_activity_reference(
     input_cnt = [0] * n
     for u in graph.topo_order:
         a_u = activity[u]
-        for v, kind, _payload in graph.arcs[u]:
-            if kind == TimingGraph.WIRE:
+        for v, kind, _payload in view.arcs[u]:
+            if kind == WIRE:
                 # Wires carry activity unchanged.
                 if a_u > activity[v]:
                     activity[v] = a_u
             else:  # cell arc: accumulate for mean at output
                 input_sum[v] += a_u
                 input_cnt[v] += 1
-                inst, _pin = graph.info(v)
+                inst, _pin = view.info(v)
                 factor = TRANSFER_FACTORS.get(inst.master.cell_class, 0.6)
                 mean_in = input_sum[v] / input_cnt[v]
                 activity[v] = max(ACTIVITY_FLOOR, factor * mean_in)
 
-    net_activity: Dict[int, float] = {}
+    net_activity = [0.0] * len(design.nets)
     for net in design.nets:
         if net.is_clock:
-            net.switching_activity = 1.0
             net_activity[net.index] = 1.0
             continue
         if net.driver is None:
             continue
-        node = graph.node_for_ref(net.driver)
-        a = max(ACTIVITY_FLOOR, activity[node])
+        node = view.node_for_ref(net.driver)
+        a = max(ACTIVITY_FLOOR, activity[node] if node is not None else 0.0)
         if math.isnan(a):  # pragma: no cover - defensive
             a = ACTIVITY_FLOOR
-        net.switching_activity = a
         net_activity[net.index] = a
-    return net_activity
+    return np.asarray(net_activity)
 
 
 # ----------------------------------------------------------------------
@@ -518,30 +603,37 @@ def scatter(design: Design) -> Design:
 def routed_wire_model(design: Design) -> RoutedWireModel:
     """A routed model with detoured lengths on every other net (the
     rest fall back to placement HPWL, covering both branches)."""
-    placed = PlacementWireModel(design)
+    placed = PlacementWireModel()
     lengths = {
-        net.index: 1.25 * net_wirelength(placed, net) + 1.0
+        net.index: 1.25 * net_wirelength(placed, design, net) + 1.0
         for net in design.nets
         if net.index % 2 == 0
     }
-    return RoutedWireModel(design, lengths)
+    return RoutedWireModel(lengths)
 
 
-#: ``design -> model`` factories; pytest ids are their ``__name__``.
+#: Wire-model factories; pytest ids are their ``__name__``.  Build one
+#: with :func:`make_wire_model`.
 WIRE_MODELS = [PlacementWireModel, FanoutWireModel, routed_wire_model]
+
+
+def make_wire_model(factory, design: Design) -> WireDelayModel:
+    """A model class takes no argument; ``routed_wire_model`` reads the
+    design's placement."""
+    return factory() if isinstance(factory, type) else factory(design)
 
 
 # ----------------------------------------------------------------------
 # FlatTiming's per-node / per-net tables (object walk)
 # ----------------------------------------------------------------------
-def flat_tables_reference(graph: TimingGraph) -> Dict[str, np.ndarray]:
+def flat_tables_reference(graph: TimingGraph, design: Design) -> Dict[str, np.ndarray]:
     """The tables ``FlatTiming`` once filled by walking nets, pins and
     node maps, keyed by the ``FlatTiming`` attribute each must equal."""
-    design = graph.design
+    view = GraphView(graph, design)
     ports = design.ports
     instances = design.instances
     n = graph.num_nodes
-    info = graph.info
+    info = view.info
     out = {}
     out_inst = graph._c_out_inst.tolist()
     zero_w = [0.0] * len(graph._w_dst)
@@ -607,8 +699,7 @@ def flat_tables_reference(graph: TimingGraph) -> Dict[str, np.ndarray]:
         ref = net.driver
         if ref is not None:
             has_driver[ni] = True
-            key = (ref.instance.index if ref.instance is not None else None, ref.pin_name)
-            node = graph._node_of.get(key)
+            node = view.node_for_ref(ref)
             drv_node[ni] = node if node is not None else n
             if ref.instance is None:
                 drv_px[ni] = ports[ref.pin_name].x
@@ -644,7 +735,7 @@ def flat_tables_reference(graph: TimingGraph) -> Dict[str, np.ndarray]:
 def analyze_power_reference(
     design: Design,
     wire_model: WireDelayModel,
-    net_activity: Optional[Dict[int, float]] = None,
+    net_activity: np.ndarray,
     clock_wirelength: float = 0.0,
     clock_buffers: int = 0,
     c_per_um: float = 0.2,
@@ -657,11 +748,8 @@ def analyze_power_reference(
     for net in design.nets:
         if net.is_clock or net.driver is None:
             continue
-        if net_activity is not None:
-            activity = net_activity.get(net.index, net.switching_activity)
-        else:
-            activity = net.switching_activity
-        cap = net_load(wire_model, net)
+        activity = net_activity[net.index]
+        cap = net_load(wire_model, design, net)
         switching += 0.5 * activity * cap
     switching *= VDD * VDD * freq_ghz * _FF_V2_GHZ_TO_MW
 
@@ -675,11 +763,7 @@ def analyze_power_reference(
             net = inst.net_on(pin.name)
             if net is None:
                 continue
-            if net_activity is not None:
-                activity = net_activity.get(net.index, net.switching_activity)
-            else:
-                activity = net.switching_activity
-            out_activity = max(out_activity, activity)
+            out_activity = max(out_activity, net_activity[net.index])
         if master.is_sequential:
             out_activity = max(out_activity, 1.0)
         internal += master.internal_energy * out_activity

@@ -13,16 +13,16 @@ from repro.sta.delay import (
     effective_cell_delay,
 )
 from repro.sta.graph import TimingGraph
-from tests.sta.reference import net_load, wire_delay
+from tests.sta.reference import GraphView, net_load, wire_delay
 
 
 @pytest.fixture
 def toy_analysis(toy_design):
-    graph = TimingGraph(toy_design)
-    model = PlacementWireModel(toy_design)
+    graph = TimingGraph(toy_design.arrays())
+    model = PlacementWireModel()
     analyzer = TimingAnalyzer(graph, model)
     report = analyzer.update()
-    return toy_design, graph, model, analyzer, report
+    return toy_design, GraphView(graph, toy_design), model, analyzer, report
 
 
 class TestArrivalPropagation:
@@ -43,11 +43,11 @@ class TestArrivalPropagation:
         net1 = design.net("n1")
         from repro.netlist.design import PinRef
 
-        wire_in = wire_delay(model, net_in0, PinRef(u1, "A"))
+        wire_in = wire_delay(model, design, net_in0, PinRef(u1, "A"))
         gate = effective_cell_delay(
             u1.master.intrinsic_delay,
             u1.master.drive_resistance,
-            net_load(model, net1),
+            net_load(model, design, net1),
         )
         expected = wire_in + gate
         assert report.arrival[graph.node(u1, "Y")] == pytest.approx(expected)
@@ -92,23 +92,34 @@ class TestSlacks:
 
     def test_tight_clock_fails(self, toy_design):
         toy_design.clock_period = 0.05
-        graph = TimingGraph(toy_design)
-        report = TimingAnalyzer(graph, PlacementWireModel(toy_design)).update()
+        graph = TimingGraph(toy_design.arrays())
+        report = TimingAnalyzer(graph, PlacementWireModel()).update()
         assert report.wns < 0
         assert report.tns < 0
         assert report.num_failing > 0
 
     def test_clock_uncertainty_shifts_slack(self, toy_design):
-        graph = TimingGraph(toy_design)
-        model = PlacementWireModel(toy_design)
+        graph = TimingGraph(toy_design.arrays())
+        model = PlacementWireModel()
         base = TimingAnalyzer(graph, model).update()
         shifted = TimingAnalyzer(graph, model, clock_uncertainty=0.1).update()
         assert shifted.wns == pytest.approx(base.wns - 0.1)
 
+    def test_period_set_after_the_form_is_built(self, toy_design):
+        """Loaders set a design's scalars after construction: STA reads
+        the period live, not as the flat form recorded it."""
+        arrays = toy_design.arrays()
+        graph = TimingGraph(arrays)
+        base = TimingAnalyzer(graph, PlacementWireModel()).update()
+        toy_design.clock_period = 0.05
+        assert toy_design.arrays() is arrays and arrays.clock_period == 1.0
+        tight = TimingAnalyzer(graph, PlacementWireModel()).update()
+        assert tight.wns == pytest.approx(base.wns - 0.95)
+
     def test_unconstrained_design(self, toy_design):
         toy_design.clock_period = None
-        graph = TimingGraph(toy_design)
-        report = TimingAnalyzer(graph, PlacementWireModel(toy_design)).update()
+        graph = TimingGraph(toy_design.arrays())
+        report = TimingAnalyzer(graph, PlacementWireModel()).update()
         assert report.wns > UNCONSTRAINED_PERIOD / 2
         assert report.tns == 0.0
 

@@ -1,8 +1,9 @@
 """Timing caches are owned by what they describe, and die with it.
 
-``timing_graph_for`` keeps its graph on the design and ``flat_for``
-keeps the compilation on the graph.  A module-level weak-key table
-whose value points back at its key (``TimingGraph.design``,
+``timing_graph_for`` keeps its graph on the flat form it was built
+from (``design.arrays()``) and ``flat_for`` keeps the compilation on
+the graph.  A module-level weak-key table
+whose value points back at its key (``TimingGraph.arrays.design``,
 ``FlatTiming.graph``) can never drop the entry, so every design that
 reached STA used to live until the process exited.  These tests pin
 the ownership contract: once the caller lets go, a finished flow, an
@@ -73,10 +74,10 @@ def _flow_config(checkpoint_dir=None):
 
 
 def _held_caches(design):
-    """Weakrefs to the design, the graph it holds and that graph's
-    compilation — asserting STA really ran and left both caches."""
-    assert design._timing_graph is not None, "STA never ran on the design"
-    graph = design._timing_graph[1]
+    """Weakrefs to the design, the graph its flat form holds and that
+    graph's compilation — asserting STA really ran and left both caches."""
+    graph = design.arrays().timing_graph
+    assert graph is not None, "STA never ran on the design's flat form"
     assert graph._flat is not None, "the graph was never compiled"
     return [weakref.ref(design), weakref.ref(graph), weakref.ref(graph._flat)]
 
@@ -157,9 +158,9 @@ class TestEcoSessionFreesItsNetlist:
 
 class TestResizeKeepsTheGraph:
     """A resize or swap patches the flat form's master columns in place
-    (``NetlistArrays.patch_instance_master``); the timing graph holds
-    that same arrays object and its topology is unchanged, so it is
-    re-keyed, not recompiled, and only its compilation is dropped."""
+    (``NetlistArrays.patch_instance_master``); the timing graph lives on
+    that same form and its topology is unchanged, so it is kept, and
+    only its compilation is rebuilt."""
 
     @pytest.mark.parametrize(
         "kind, target", [("resize", "NAND2_X2"), ("swap", "NOR2_X1")]
@@ -177,34 +178,35 @@ class TestResizeKeepsTheGraph:
         perf.enable()
         perf.reset()
         try:
-            graph = timing_graph_for(design)
+            graph = timing_graph_for(design.arrays())
             for inst in candidates[:3]:
                 edit = {"kind": kind, "instance": inst.name, "master": target}
                 kept = session.apply(parse_edits([edit])).metrics
             assert perf.counter_value("sta.graph.recompiled") == 0
-            assert timing_graph_for(design) is graph
+            assert timing_graph_for(design.arrays()) is graph
         finally:
             perf.disable()
             perf.reset()
         # A copy carries no graph: its evaluation compiles one afresh.
-        fresh = evaluate_placed_design(design_from_snapshot(design_snapshot(design)))
+        twin = design_from_snapshot(design_snapshot(design))
+        fresh = evaluate_placed_design(twin.arrays(), twin.floorplan)
         for name in ("wns", "tns", "hold_wns", "hold_tns", "power", "rwl"):
             assert getattr(kept, name) == getattr(fresh, name), name
 
 
 class TestSizingFreesTheStaleCompilation:
-    def test_invalidate_flat_drops_the_compilation(self):
+    def test_master_patch_recompiles(self):
         design = _design()
         design.clock_period = 0.2  # failing paths: the pass must resize
         GlobalPlacer(PlacementProblem(design.arrays(), design.floorplan)).run()
-        graph = timing_graph_for(design)
+        graph = timing_graph_for(design.arrays())
         stale = weakref.ref(flat_for(graph))
-        sizing = resize_gates(design, graph, PlacementWireModel(design))
+        sizing = resize_gates(design, graph, PlacementWireModel())
         assert sizing.upsized + sizing.downsized > 0
-        assert graph._flat is None
-        _assert_freed([stale])
+        assert stale().master_version != graph.arrays.master_version
         fresh = flat_for(graph)
-        assert fresh is not stale() and fresh.graph is graph
+        _assert_freed([stale])
+        assert fresh.graph is graph and flat_for(graph) is fresh
         refs = _held_caches(design)
         del design, graph, fresh
         _assert_freed(refs)
@@ -213,13 +215,13 @@ class TestSizingFreesTheStaleCompilation:
 class TestCacheKeying:
     def test_recompiles_exactly_when_structure_changes(self):
         design = _design()
-        graph = timing_graph_for(design)
-        assert timing_graph_for(design) is graph
+        graph = timing_graph_for(design.arrays())
+        assert timing_graph_for(design.arrays()) is graph
         assert flat_for(graph) is flat_for(graph)
         design.bump_structure_version()
-        assert design._timing_graph is None
-        rebuilt = timing_graph_for(design)
-        assert rebuilt is not graph and rebuilt.design is design
+        assert design.arrays().timing_graph is None
+        rebuilt = timing_graph_for(design.arrays())
+        assert rebuilt is not graph and rebuilt.arrays is design.arrays()
 
     def test_recompile_counter_fires(self, toy_design):
         """``sta.graph.recompiled`` counts a graph replaced after a
@@ -227,58 +229,58 @@ class TestCacheKeying:
         perf.enable()
         perf.reset()
         try:
-            timing_graph_for(toy_design)
-            timing_graph_for(toy_design)
+            timing_graph_for(toy_design.arrays())
+            timing_graph_for(toy_design.arrays())
             assert perf.counter_value("sta.graph.recompiled") == 0
 
             u2 = toy_design.instance("u2")
             toy_design.reconnect_pin(u2, "B", toy_design.net("n_in0"))
-            timing_graph_for(toy_design)
-            timing_graph_for(toy_design)
+            timing_graph_for(toy_design.arrays())
+            timing_graph_for(toy_design.arrays())
             assert perf.counter_value("sta.graph.recompiled") == 1
 
             # Geometry-only churn must not recompile.
             toy_design.instance("u1").x += 3.0
-            timing_graph_for(toy_design)
+            timing_graph_for(toy_design.arrays())
             assert perf.counter_value("sta.graph.recompiled") == 1
 
             # A copy's first graph is a first build.
-            timing_graph_for(copy.deepcopy(toy_design))
+            timing_graph_for(copy.deepcopy(toy_design).arrays())
             assert perf.counter_value("sta.graph.recompiled") == 1
         finally:
             perf.disable()
             perf.reset()
 
     def test_graph_cache_rekeys_per_design(self, toy_design):
-        g1 = timing_graph_for(toy_design)
-        assert timing_graph_for(toy_design) is g1
+        g1 = timing_graph_for(toy_design.arrays())
+        assert timing_graph_for(toy_design.arrays()) is g1
         toy_design.reconnect_pin(
             toy_design.instance("u2"), "B", toy_design.net("n_in0")
         )
-        g2 = timing_graph_for(toy_design)
+        g2 = timing_graph_for(toy_design.arrays())
         assert g2 is not g1
-        assert timing_graph_for(toy_design) is g2
+        assert timing_graph_for(toy_design.arrays()) is g2
 
 
 class TestPicklesAndCopiesCarryNoGraph:
     def test_pickle_length_unchanged_by_sta(self):
         design = _small_design()
         before = len(pickle.dumps(design))
-        flat_for(timing_graph_for(design))
+        flat_for(timing_graph_for(design.arrays()))
         assert len(pickle.dumps(design)) == before
         clone = pickle.loads(pickle.dumps(design))
-        assert clone._timing_graph is None
-        assert timing_graph_for(clone).design is clone
+        assert clone._netlist_arrays is None
+        assert timing_graph_for(clone.arrays()).arrays.design is clone
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
     def test_copy_compiles_its_own_graph(self, copier):
         design = _small_design()
-        graph = timing_graph_for(design)
+        graph = timing_graph_for(design.arrays())
         twin = copier(design)
-        twin_graph = timing_graph_for(twin)
+        twin_graph = timing_graph_for(twin.arrays())
         assert twin_graph is not graph
-        assert twin_graph.design is twin
-        assert timing_graph_for(design) is graph
+        assert twin_graph.arrays.design is twin
+        assert timing_graph_for(design.arrays()) is graph
 
 
 def test_no_weak_key_tables_in_src():

@@ -1,12 +1,10 @@
 """Ratchets: ``repro.sta`` runs on the flat form.
 
-The flow's STA reads ``NetlistArrays`` and the graph's flat arrays
-only.  The per-pin node maps (``TimingGraph._node_of`` / ``info``) and
-the tuple adjacency (``arcs`` / ``preds``) are lazy inspection views
-for path reports and tests; no flow stage builds them, and no function
-on the flow path walks ``Net`` / ``Instance`` objects.  The one
-per-net loop left is the activity write-back onto
-``Net.switching_activity``.
+STA reads ``NetlistArrays`` and the graph's flat arrays only, and
+writes nothing back.  The per-pin node maps and the tuple adjacency
+(``arcs`` / ``preds``) the graph once offered as inspection views are
+the tests' oracle (``tests/sta/reference.py``); no function in the
+package walks ``Net`` / ``Instance`` objects.
 """
 
 import ast
@@ -45,27 +43,9 @@ OBJECT_ATTRS = {
     "preds",
 }
 
-#: The inspection views themselves (off the flow path).
-INSPECTION = {
-    ("graph.py", "TimingGraph._node_of"),
-    ("graph.py", "TimingGraph._node_info"),
-    ("graph.py", "TimingGraph._materialize_node_maps"),
-    ("graph.py", "TimingGraph.node"),
-    ("graph.py", "TimingGraph.node_for_ref"),
-    ("graph.py", "TimingGraph.info"),
-    ("graph.py", "TimingGraph.node_name"),
-    ("graph.py", "TimingGraph.arcs"),
-    ("graph.py", "TimingGraph.preds"),
-    ("graph.py", "TimingGraph._build_adjacency"),
-}
-
-#: The one named exception on the flow path: the write-back.
-WRITE_BACK = [("activity.py", "propagate_activity", "nets")]
-
-
 def _object_uses():
     """(file, qualified function, attribute) of every object-graph
-    attribute use in ``src/repro/sta`` outside the inspection views."""
+    attribute use in ``src/repro/sta``."""
     uses = []
     for path in sorted(STA_DIR.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -73,8 +53,6 @@ def _object_uses():
         def visit(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 scope = f"{scope}.{node.name}" if scope else node.name
-            if (path.name, scope) in INSPECTION:
-                return
             if isinstance(node, ast.Attribute) and node.attr in OBJECT_ATTRS:
                 uses.append((path.name, scope, node.attr))
             for child in ast.iter_child_nodes(node):
@@ -85,7 +63,7 @@ def _object_uses():
 
 
 def test_sta_flow_path_walks_no_objects():
-    assert _object_uses() == WRITE_BACK
+    assert _object_uses() == []
 
 
 def test_flow_builds_no_node_maps():
@@ -112,11 +90,11 @@ def test_flow_builds_no_node_maps():
     )
     result = ClusteredPlacementFlow(config).run(design)
     assert result.metrics.power is not None
-    graph = design._timing_graph[1]
+    graph = design.arrays().timing_graph
     assert graph._flat is not None, "the flow never compiled its graph"
-    assert graph._node_info_list is None
-    assert graph._node_of_map is None
-    assert graph._arcs is None and graph._preds is None
+    # Nothing on the graph reaches the object view.
+    views = {"design", "info", "node", "node_for_ref", "arcs", "preds"}
+    assert not views & set(dir(graph))
 
 
 #: Traced peak (MB) of compiling ``FlatTiming`` for the 10 k-instance
@@ -143,7 +121,7 @@ def test_flat_compile_memory_bound():
             seed=20_000,
         )
     )
-    graph = TimingGraph(design)
+    graph = TimingGraph(design.arrays())
     gc.collect()
     tracemalloc.start()
     try:

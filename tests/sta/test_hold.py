@@ -10,8 +10,10 @@ from repro.sta.graph import TimingGraph
 from repro.sta.hold import analyze_hold
 from tests.sta.reference import (
     WIRE_MODELS,
+    GraphView,
     ReferenceAnalyzer,
     analyze_hold_reference,
+    make_wire_model,
     scatter,
 )
 
@@ -54,11 +56,11 @@ class TestHoldAnalysis:
     def test_direct_q_to_d_hand_computed(self):
         design = back_to_back_ffs(gate_chain=0)
         # Direct FF1.Q -> FF2.D net.
-        graph = TimingGraph(design)
-        analyzer = TimingAnalyzer(graph, PlacementWireModel(design))
+        graph = TimingGraph(design.arrays())
+        analyzer = TimingAnalyzer(graph, PlacementWireModel())
         report = analyze_hold(analyzer)
         ff2 = design.instance("ff2")
-        d_node = graph.node(ff2, "D")
+        d_node = GraphView(graph, design).node(ff2, "D")
         # arrival = clk_to_q + wire (0 at same point); req = hold time.
         expected = design.instance("ff1").master.clk_to_q - ff2.master.hold_time
         assert report.endpoint_slacks[d_node] == pytest.approx(
@@ -68,9 +70,9 @@ class TestHoldAnalysis:
     def test_hold_met_with_default_library(self):
         """clk_to_q (85ps) > hold (10ps): back-to-back FFs meet hold."""
         design = back_to_back_ffs(gate_chain=0)
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         report = analyze_hold(
-            TimingAnalyzer(graph, PlacementWireModel(design))
+            TimingAnalyzer(graph, PlacementWireModel())
         )
         assert report.wns > 0
         assert report.tns == 0.0
@@ -81,9 +83,9 @@ class TestHoldAnalysis:
         for master in design.masters.values():
             if master.is_sequential:
                 master.hold_time = 0.2  # exceeds clk_to_q
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         report = analyze_hold(
-            TimingAnalyzer(graph, PlacementWireModel(design))
+            TimingAnalyzer(graph, PlacementWireModel())
         )
         assert report.wns < 0
         assert report.num_failing > 0
@@ -93,19 +95,19 @@ class TestHoldAnalysis:
         padded = back_to_back_ffs(gate_chain=3)
 
         def ff2_hold_slack(design):
-            graph = TimingGraph(design)
+            graph = TimingGraph(design.arrays())
             report = analyze_hold(
-                TimingAnalyzer(graph, PlacementWireModel(design))
+                TimingAnalyzer(graph, PlacementWireModel())
             )
-            node = graph.node(design.instance("ff2"), "D")
+            node = GraphView(graph, design).node(design.instance("ff2"), "D")
             return report.endpoint_slacks[node]
 
         assert ff2_hold_slack(padded) > ff2_hold_slack(bare)
 
     def test_uncertainty_tightens_hold(self):
         design = back_to_back_ffs()
-        graph = TimingGraph(design)
-        model = PlacementWireModel(design)
+        graph = TimingGraph(design.arrays())
+        model = PlacementWireModel()
         base = analyze_hold(TimingAnalyzer(graph, model))
         tight = analyze_hold(
             TimingAnalyzer(graph, model, clock_uncertainty=0.05)
@@ -113,19 +115,19 @@ class TestHoldAnalysis:
         assert tight.wns == pytest.approx(base.wns - 0.05)
 
     def test_output_ports_not_checked(self, toy_design):
-        graph = TimingGraph(toy_design)
+        graph = TimingGraph(toy_design.arrays())
         report = analyze_hold(
-            TimingAnalyzer(graph, PlacementWireModel(toy_design))
+            TimingAnalyzer(graph, PlacementWireModel())
         )
-        port_node = graph.node(None, "out0")
+        port_node = GraphView(graph, toy_design).node(None, "out0")
         assert port_node not in report.endpoint_slacks
 
     def test_benchmark_holds_clean(self, small_design):
         """Generated benchmarks meet hold (no zero-delay Q->D nets at
         placed distances)."""
-        graph = TimingGraph(small_design)
+        graph = TimingGraph(small_design.arrays())
         report = analyze_hold(
-            TimingAnalyzer(graph, PlacementWireModel(small_design))
+            TimingAnalyzer(graph, PlacementWireModel())
         )
         assert report.wns >= 0
 
@@ -152,9 +154,9 @@ def test_flat_hold_matches_reference(
     for master in design.masters.values():
         if master.is_sequential:
             master.hold_time = 0.09  # some endpoints fail: tns is exercised
-    model = make_model(design)
-    graph = TimingGraph(design)
-    reference = ReferenceAnalyzer(graph, model, clock_uncertainty=0.01)
+    model = make_wire_model(make_model, design)
+    graph = TimingGraph(design.arrays())
+    reference = ReferenceAnalyzer(design, model, clock_uncertainty=0.01)
 
     fresh = TimingAnalyzer(graph, model, clock_uncertainty=0.01)
     expected = analyze_hold_reference(reference)

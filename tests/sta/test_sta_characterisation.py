@@ -28,8 +28,8 @@ class TestPlacementTimingCoupling:
         """Scrambling the placement degrades WNS — timing genuinely
         depends on placement in this model (the paper's premise)."""
         design = placed
-        graph = TimingGraph(design)
-        model = PlacementWireModel(design)
+        graph = TimingGraph(design.arrays())
+        model = PlacementWireModel()
         good = TimingAnalyzer(graph, model).update().wns
         saved = [(i.x, i.y) for i in design.instances]
         rng = np.random.default_rng(0)
@@ -46,16 +46,13 @@ class TestPlacementTimingCoupling:
     def test_critical_path_wl_dominates_slack_change(self, placed):
         """Pulling the worst path's cells together improves its slack."""
         design = placed
-        graph = TimingGraph(design)
-        model = PlacementWireModel(design)
+        graph = TimingGraph(design.arrays())
+        model = PlacementWireModel()
         analyzer = TimingAnalyzer(graph, model)
         analyzer.update()
         worst = find_path_ends(analyzer, group_count=1)[0]
-        cells = [
-            graph.info(n)[0]
-            for n in worst.nodes
-            if graph.info(n)[0] is not None
-        ]
+        owners = graph.node_owner[worst.nodes]
+        cells = [design.instances[i] for i in owners[owners >= 0].tolist()]
         saved = [(c.x, c.y) for c in cells]
         cx = np.mean([c.x for c in cells])
         cy = np.mean([c.y for c in cells])
@@ -75,12 +72,12 @@ class TestPlacementTimingCoupling:
 
         design = placed
         routing = GlobalRouter(design.arrays(), design.floorplan).run()
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         placed_wns = TimingAnalyzer(
-            graph, PlacementWireModel(design)
+            graph, PlacementWireModel()
         ).update().wns
         routed_wns = TimingAnalyzer(
-            graph, RoutedWireModel(design, routing.net_lengths)
+            graph, RoutedWireModel(routing.net_lengths)
         ).update().wns
         assert routed_wns <= placed_wns + 0.005
 
@@ -88,8 +85,8 @@ class TestPlacementTimingCoupling:
         """The analyzer has no stale caches: moving a cell and
         re-running update() changes loads coherently."""
         design = placed
-        graph = TimingGraph(design)
-        model = PlacementWireModel(design)
+        graph = TimingGraph(design.arrays())
+        model = PlacementWireModel()
         analyzer = TimingAnalyzer(graph, model)
         before = analyzer.update().wns
         target = next(i for i in design.instances if not i.fixed)

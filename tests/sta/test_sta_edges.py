@@ -14,6 +14,7 @@ from repro.sta import (
     find_path_ends,
     propagate_activity,
 )
+from tests.sta.reference import GraphView
 
 
 def design_with_macro():
@@ -47,34 +48,34 @@ def design_with_macro():
 class TestMacroTiming:
     def test_macro_q_launches(self):
         design = design_with_macro()
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         names = {graph.node_name(s) for s in graph.startpoints}
         assert "ram0.Q0" in names
 
     def test_macro_inputs_are_endpoints(self):
         design = design_with_macro()
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         names = {graph.node_name(e) for e in graph.endpoints}
         assert "ram0.A0" in names
         assert "out0" in names
 
     def test_macro_launch_uses_macro_clk_to_q(self):
         design = design_with_macro()
-        graph = TimingGraph(design)
-        report = TimingAnalyzer(graph, PlacementWireModel(design)).update()
+        graph = TimingGraph(design.arrays())
+        report = TimingAnalyzer(graph, PlacementWireModel()).update()
         ram = design.instance("ram0")
-        q = graph.node(ram, "Q0")
+        q = GraphView(graph, design).node(ram, "Q0")
         assert report.arrival[q] == pytest.approx(ram.master.clk_to_q)
 
     def test_unconnected_macro_outputs_absent(self):
         design = design_with_macro()
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         names = {graph.node_name(i) for i in range(graph.num_nodes)}
         assert "ram0.Q5" not in names  # never connected
 
     def test_macro_output_activity(self):
         design = design_with_macro()
-        graph = TimingGraph(design)
+        graph = TimingGraph(design.arrays())
         activity = propagate_activity(graph)
         from repro.sta.activity import REGISTER_ACTIVITY
 
@@ -86,8 +87,8 @@ class TestMacroTiming:
 class TestPathEdgeCases:
     def test_paths_through_macro_boundary(self):
         design = design_with_macro()
-        graph = TimingGraph(design)
-        analyzer = TimingAnalyzer(graph, PlacementWireModel(design))
+        graph = TimingGraph(design.arrays())
+        analyzer = TimingAnalyzer(graph, PlacementWireModel())
         paths = find_path_ends(analyzer)
         endpoints = {graph.node_name(p.endpoint) for p in paths}
         assert endpoints == {"ram0.A0", "out0"}
@@ -96,8 +97,8 @@ class TestPathEdgeCases:
 
     def test_all_slacks_finite(self):
         design = design_with_macro()
-        graph = TimingGraph(design)
-        report = TimingAnalyzer(graph, PlacementWireModel(design)).update()
+        graph = TimingGraph(design.arrays())
+        report = TimingAnalyzer(graph, PlacementWireModel()).update()
         for slack in report.endpoint_slacks.values():
             assert math.isfinite(slack)
 
@@ -111,9 +112,9 @@ class TestUnsupportedInputsAreDiagnosed:
             def sink_distance(self, net, sink):
                 return 0.5 * super().sink_distance(net, sink)
 
-        graph = TimingGraph(toy_design)
+        graph = TimingGraph(toy_design.arrays())
         with pytest.raises(TypeError) as excinfo:
-            TimingAnalyzer(graph, HalfDistanceModel(toy_design))
+            TimingAnalyzer(graph, HalfDistanceModel())
         message = str(excinfo.value)
         assert "HalfDistanceModel" in message
         for supported in ("FanoutWireModel", "PlacementWireModel", "RoutedWireModel"):
@@ -124,6 +125,6 @@ class TestUnsupportedInputsAreDiagnosed:
         u3 = toy_design.instance("u3")
         toy_design.net("n_in1").sinks.append(PinRef(u3, "Y"))
         toy_design.bump_structure_version()
-        graph = TimingGraph(toy_design)
+        graph = TimingGraph(toy_design.arrays())
         with pytest.raises(ValueError, match=r"u3\.Y"):
             propagate_activity(graph)

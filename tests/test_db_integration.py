@@ -10,7 +10,12 @@ from repro.netlist.def_format import write_def
 from repro.netlist.liberty import write_liberty
 from repro.netlist.sdc import SdcConstraints, write_sdc
 from repro.netlist.verilog import write_verilog
-from repro.sta import timing_graph_for
+from repro.sta import (
+    PlacementWireModel,
+    analyze_power,
+    propagate_activity,
+    timing_graph_for,
+)
 
 
 class TestDesignDatabase:
@@ -80,15 +85,50 @@ class TestFileRoundtripIntegration:
         assert db.design.clock_period is None
 
 
+class TestSdcToggleRate:
+    """``set_switching_activity -toggle_rate`` reaches the analysis: it
+    is the primary inputs' toggle rate that activity propagates from."""
+
+    @staticmethod
+    def _load(tmp_path, design, rate):
+        (tmp_path / "d.v").write_text(write_verilog(design))
+        (tmp_path / "d.lib").write_text(write_liberty(design.masters))
+        (tmp_path / "d.def").write_text(write_def(design))
+        sdc = SdcConstraints(
+            clock_period=design.clock_period,
+            clock_port="clk",
+            default_input_activity=rate,
+        )
+        (tmp_path / "d.sdc").write_text(write_sdc(sdc))
+        return load_design_files(
+            tmp_path / "d.v",
+            tmp_path / "d.lib",
+            def_path=tmp_path / "d.def",
+            sdc_path=tmp_path / "d.sdc",
+        ).design
+
+    def test_higher_toggle_rate_more_switching_power(self, tmp_path, toy_design):
+        reports = {}
+        for rate in (0.1, 0.3):
+            (tmp_path / str(rate)).mkdir()
+            design = self._load(tmp_path / str(rate), toy_design, rate)
+            assert design.input_activity == pytest.approx(rate)
+            arrays = design.arrays()
+            activity = propagate_activity(timing_graph_for(arrays))
+            reports[rate] = analyze_power(arrays, PlacementWireModel(), activity)
+        assert reports[0.3].switching > reports[0.1].switching
+        assert reports[0.3].leakage == reports[0.1].leakage
+
+
 class TestTimingGraphCache:
     def test_cache_returns_same_graph(self, small_design):
-        a = timing_graph_for(small_design)
-        b = timing_graph_for(small_design)
+        a = timing_graph_for(small_design.arrays())
+        b = timing_graph_for(small_design.arrays())
         assert a is b
 
     def test_cache_per_design(self, small_design, medium_design):
-        assert timing_graph_for(small_design) is not timing_graph_for(
-            medium_design
+        assert timing_graph_for(small_design.arrays()) is not timing_graph_for(
+            medium_design.arrays()
         )
 
 

@@ -47,17 +47,19 @@ class TestCtsScaling:
 
     def test_small_group_single_level(self):
         design = self.make_design(LEAF_GROUP_SIZE)
-        result = synthesize_clock_tree(design)
+        result = synthesize_clock_tree(design.arrays(), design.floorplan)
         assert result.num_buffers == 0  # all sinks fit one leaf group
 
     def test_buffer_count_grows(self):
-        small = synthesize_clock_tree(self.make_design(32))
-        large = synthesize_clock_tree(self.make_design(256))
+        small, large = self.make_design(32), self.make_design(256)
+        small = synthesize_clock_tree(small.arrays(), small.floorplan)
+        large = synthesize_clock_tree(large.arrays(), large.floorplan)
         assert large.num_buffers > small.num_buffers
         assert large.wirelength > small.wirelength
 
     def test_skew_nonnegative(self):
-        result = synthesize_clock_tree(self.make_design(100))
+        design = self.make_design(100)
+        result = synthesize_clock_tree(design.arrays(), design.floorplan)
         assert result.skew >= 0
 
 
@@ -116,7 +118,7 @@ class TestBufferingDepthGuard:
         n_before = design.num_instances
         # Absurdly small budget: recursion must stop at MAX_LEVELS.
         buffer_high_fanout_nets(
-            design, PlacementWireModel(design), max_load=2.0
+            design, PlacementWireModel(), max_load=2.0
         )
         assert design.validate() == []
         assert design.num_instances > n_before

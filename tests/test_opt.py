@@ -22,7 +22,7 @@ def placed_design(medium_design_fresh):
 class TestBuffering:
     def test_loads_bounded_after_pass(self, placed_design):
         design = placed_design
-        model = PlacementWireModel(design)
+        model = PlacementWireModel()
         result = buffer_high_fanout_nets(design, model, max_load=30.0)
         assert result.buffers_inserted > 0
         assert result.nets_buffered > 0
@@ -36,24 +36,24 @@ class TestBuffering:
 
     def test_design_still_valid(self, placed_design):
         design = placed_design
-        buffer_high_fanout_nets(design, PlacementWireModel(design), max_load=30.0)
+        buffer_high_fanout_nets(design, PlacementWireModel(), max_load=30.0)
         assert design.validate() == []
 
     def test_timing_graph_rebuildable(self, placed_design):
         design = placed_design
-        buffer_high_fanout_nets(design, PlacementWireModel(design), max_load=30.0)
-        graph = TimingGraph(design)
+        buffer_high_fanout_nets(design, PlacementWireModel(), max_load=30.0)
+        graph = TimingGraph(design.arrays())
         assert len(graph.topo_order) == graph.num_nodes
 
     def test_fanout_reduced(self, placed_design):
         design = placed_design
         result = buffer_high_fanout_nets(
-            design, PlacementWireModel(design), max_load=25.0
+            design, PlacementWireModel(), max_load=25.0
         )
         assert result.max_fanout_after < result.max_fanout_before
 
     def test_no_op_when_loads_small(self, toy_design):
-        model = PlacementWireModel(toy_design)
+        model = PlacementWireModel()
         result = buffer_high_fanout_nets(toy_design, model, max_load=1000.0)
         assert result.buffers_inserted == 0
         assert result.nets_buffered == 0
@@ -61,7 +61,7 @@ class TestBuffering:
     def test_buffers_placed_near_sinks(self, placed_design):
         design = placed_design
         n_before = design.num_instances
-        buffer_high_fanout_nets(design, PlacementWireModel(design), max_load=30.0)
+        buffer_high_fanout_nets(design, PlacementWireModel(), max_load=30.0)
         fp = design.floorplan
         for inst in design.instances[n_before:]:
             assert 0 <= inst.x <= fp.die_width
@@ -80,7 +80,7 @@ class TestBuffering:
             (s.instance.name if s.instance else None, s.pin_name)
             for s in target.sinks
         }
-        buffer_high_fanout_nets(design, PlacementWireModel(design), max_load=25.0)
+        buffer_high_fanout_nets(design, PlacementWireModel(), max_load=25.0)
 
         # BFS through buffer stages from the original net.
         reached = set()
@@ -105,8 +105,8 @@ class TestBuffering:
 class TestSizing:
     def test_sizing_improves_or_preserves_wns(self, placed_design):
         design = placed_design
-        graph = TimingGraph(design)
-        model = PlacementWireModel(design)
+        graph = TimingGraph(design.arrays())
+        model = PlacementWireModel()
         before = TimingAnalyzer(graph, model).update().wns
         result = resize_gates(design, graph, model)
         after = TimingAnalyzer(graph, model).update().wns
@@ -116,8 +116,8 @@ class TestSizing:
     def test_upsizes_on_critical_paths(self, placed_design):
         design = placed_design
         design.clock_period = 0.2  # force many failing paths
-        graph = TimingGraph(design)
-        model = PlacementWireModel(design)
+        graph = TimingGraph(design.arrays())
+        model = PlacementWireModel()
         result = resize_gates(design, graph, model)
         assert result.paths_touched > 0
         assert result.upsized > 0
@@ -125,8 +125,8 @@ class TestSizing:
     def test_downsizes_light_loads(self, placed_design):
         design = placed_design
         # Give an off-path X2 cell a tiny load so it's downsized.
-        graph = TimingGraph(design)
-        model = PlacementWireModel(design)
+        graph = TimingGraph(design.arrays())
+        model = PlacementWireModel()
         x2_cells = [
             i
             for i in design.instances
@@ -138,6 +138,6 @@ class TestSizing:
 
     def test_design_valid_after_sizing(self, placed_design):
         design = placed_design
-        graph = TimingGraph(design)
-        resize_gates(design, graph, PlacementWireModel(design))
+        graph = TimingGraph(design.arrays())
+        resize_gates(design, graph, PlacementWireModel())
         assert design.validate() == []

@@ -16,19 +16,19 @@ class TestOptPipeline:
 
     def test_buffer_then_size_improves_timing(self, placed):
         design = placed
-        model = PlacementWireModel(design)
-        graph0 = TimingGraph(design)
+        model = PlacementWireModel()
+        graph0 = TimingGraph(design.arrays())
         before = TimingAnalyzer(graph0, model).update()
 
         buffer_high_fanout_nets(design, model)
-        graph1 = TimingGraph(design)
+        graph1 = TimingGraph(design.arrays())
         resize_gates(design, graph1, model)
         after = TimingAnalyzer(graph1, model).update()
         assert after.wns >= before.wns - 1e-9
 
     def test_buffering_idempotent_second_pass(self, placed):
         design = placed
-        model = PlacementWireModel(design)
+        model = PlacementWireModel()
         first = buffer_high_fanout_nets(design, model)
         second = buffer_high_fanout_nets(design, model)
         assert first.buffers_inserted > 0
@@ -39,15 +39,15 @@ class TestOptPipeline:
     def test_inserted_buffers_are_buffers(self, placed):
         design = placed
         n_before = design.num_instances
-        buffer_high_fanout_nets(design, PlacementWireModel(design))
+        buffer_high_fanout_nets(design, PlacementWireModel())
         for inst in design.instances[n_before:]:
             assert inst.master.cell_class == "buf"
             assert "_buf" in inst.name
 
     def test_sizing_preserves_pin_compatibility(self, placed):
         design = placed
-        graph = TimingGraph(design)
-        resize_gates(design, graph, PlacementWireModel(design))
+        graph = TimingGraph(design.arrays())
+        resize_gates(design, graph, PlacementWireModel())
         # Every connection still references an existing pin.
         assert design.validate() == []
         for inst in design.instances:

@@ -88,14 +88,14 @@ class TestHpwlProperties:
     @settings(max_examples=15, deadline=None)
     def test_translation_of_everything_invariant(self, dx, dy):
         design = design_for(1)
-        base = hpwl(design)
+        base = hpwl(design.arrays())
         for inst in design.instances:
             inst.x += dx
             inst.y += dy
         for port in design.ports.values():
             port.x += dx
             port.y += dy
-        shifted = hpwl(design)
+        shifted = hpwl(design.arrays())
         for inst in design.instances:
             inst.x -= dx
             inst.y -= dy
@@ -108,14 +108,14 @@ class TestHpwlProperties:
     @settings(max_examples=10, deadline=None)
     def test_uniform_scaling_scales_hpwl(self, factor):
         design = design_for(2)
-        base = hpwl(design)
+        base = hpwl(design.arrays())
         for inst in design.instances:
             inst.x *= factor
             inst.y *= factor
         for port in design.ports.values():
             port.x *= factor
             port.y *= factor
-        scaled = hpwl(design)
+        scaled = hpwl(design.arrays())
         inv = 1.0 / factor
         for inst in design.instances:
             inst.x *= inv
@@ -131,8 +131,8 @@ class TestStaProperties:
     @settings(max_examples=10, deadline=None)
     def test_slack_shifts_linearly_with_period(self, period):
         design = design_for(3)
-        graph = TimingGraph(design)
-        model = FanoutWireModel(design)
+        graph = TimingGraph(design.arrays())
+        model = FanoutWireModel()
         original = design.clock_period
         design.clock_period = period
         report_a = TimingAnalyzer(graph, model).update()
@@ -145,8 +145,8 @@ class TestStaProperties:
     @settings(max_examples=6, deadline=None)
     def test_tns_at_most_wns(self, seed):
         design = design_for(seed % 4)
-        graph = TimingGraph(design)
-        report = TimingAnalyzer(graph, FanoutWireModel(design)).update()
+        graph = TimingGraph(design.arrays())
+        report = TimingAnalyzer(graph, FanoutWireModel()).update()
         if report.tns < 0:
             assert report.tns <= report.wns
 

@@ -231,12 +231,28 @@ def test_one_flat_form_one_cache():
         if inspect.isclass(v) and v.__module__ == hpwl.__name__
     ]
 
-    # One structure-keyed array cache on a Design.
+    # One structure-keyed array cache on a Design: the timing graph
+    # lives on the flat form, not beside it.
     slots = {k for k in vars(Design("d")) if k.startswith("_") and "cache" in k}
     assert slots == set()
     assert not hasattr(Design, "signal_nets") and not hasattr(Design, "net_degrees")
+    assert not {"_timing_graph", "_timing_graph_key"} & set(vars(Design("d")))
     state = Design("d").__getstate__()
     assert "_netlist_arrays" not in state
+
+    # STA and CTS take a flat netlist: no import of the object model,
+    # no walk of instances, nets or pin references.
+    package = Path(repro.__file__).parent
+    for path in [*sorted((package / "sta").glob("*.py")), package / "route" / "cts.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "repro.netlist.design", where
+            if isinstance(node, ast.Import):
+                assert "repro.netlist.design" not in [a.name for a in node.names], where
+            assert getattr(node, "attr", None) not in {"instances", "nets", "pins"}, where
+            names = (getattr(node, "id", None), getattr(node, "name", None))
+            assert "PinRef" not in names, where
 
 
 def test_one_endpoint_parser():
